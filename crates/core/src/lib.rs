@@ -32,8 +32,10 @@
 //!   added, teardown on cancellation, launch progress on pod phase
 //!   changes) plus a timer pass for poll-only state (executor
 //!   acknowledgements, completions). `tick()` is a thin wrapper that
-//!   drains the event queues; `tick_polled()` keeps the legacy
-//!   full-scan drive so equivalence stays testable.
+//!   drains the event queues and costs O(events + running jobs + live
+//!   pods) — it never scans the job store, however many jobs that has
+//!   held; `tick_polled()` keeps the legacy full-scan drive so
+//!   equivalence stays testable.
 //! * **[`SchedulerClient`]** — the typed client handle, speaking the
 //!   versioned request/response API: build a spec with
 //!   [`CharmJobSpec::builder`] (validation at `build()`), wrap it in a

@@ -17,22 +17,48 @@
 //! any store) and for policies that request periodic
 //! [`SchedulingPolicy::on_timer`] deadlines.
 //!
-//! ## The hot path is allocation-free and incrementally maintained
+//! ## A reconcile round costs O(changes), not O(history)
 //!
-//! Names are interned into dense [`JobId`]s by the operator's
-//! [`JobRegistry`] at admission, and *everything* the scheduler touches
-//! per event — the persistent [`ClusterView`], the policy's
-//! [`Action`]s, utilization samples, rescale flows, executor handles —
-//! is keyed by id. The view is never rebuilt: admissions insert into
-//! it, completions/cancellations remove from it, and every action is
-//! folded in by `view::apply_action` in O(log n)
-//! ([`CharmOperator::rebuild_view`] keeps the old full-scan
-//! construction as the equivalence reference for tests). Admissions are
-//! *batched*: one watch-drain collects every pending submission, sorts
-//! once by submission time, and runs the decisions back-to-back against
-//! the shared maintained view — a burst of n submissions costs n
-//! O(log n) decisions, not n store scans. Names resurface only at the
-//! edges: pod/store objects, event logs and final reports.
+//! The CharmJob store keeps every job ever submitted, so a round that
+//! scanned it would get slower for as long as the operator stays up.
+//! The rule: one [`tick`](CharmOperator::tick) costs
+//! O(events drained + running jobs + live pods) and never scans or
+//! deep-clones the job store.
+//!
+//! * Names are interned into dense [`JobId`]s by the operator's
+//!   [`JobRegistry`] at admission, and everything the scheduler touches
+//!   per event — the persistent [`ClusterView`], the policy's
+//!   [`Action`]s, utilization samples, rescale flows, executor handles
+//!   — is keyed by id. The view is never rebuilt: admissions insert
+//!   into it, completions/cancellations remove from it, and every
+//!   action is folded in by `view::apply_action` in O(log n).
+//! * Admissions are *batched*: one watch-drain collects every pending
+//!   submission, sorts once by submission time, and runs the decisions
+//!   back-to-back against the shared maintained view.
+//! * What the operator needs from a CRD it reads through the borrowed
+//!   [`Store::read`] (a field or two under the store lock, no clone).
+//!   Which jobs are `Running` is the key set of the executor-handle
+//!   map; which hold capacity (`Starting | Running`) is the view's
+//!   running set; whether everything is terminal
+//!   ([`all_complete`](CharmOperator::all_complete)) is two counts —
+//!   jobs taken on, and those of them still live — kept where the
+//!   operator makes those transitions. A job's pods
+//!   come from the pod store's by-owner index.
+//! * The pod store *is* scanned each round (scheduler, kubelet,
+//!   garbage collection), but borrowed, and it holds only live pods:
+//!   bounded by cluster capacity and reaped every round.
+//!
+//! [`Store::full_scans`] makes the rule a count tests hold: it does
+//! not move on the job store across `tick`/`all_complete`, except for
+//! the one scan per round by which debug builds cross-check the handle
+//! keys and the counters against the store. The snapshot reads
+//! (`list`, `get`) remain for the cold surface:
+//! [`metrics`](CharmOperator::metrics),
+//! [`queued_jobs`](CharmOperator::queued_jobs),
+//! [`rebuild_view`](CharmOperator::rebuild_view) (the from-scratch
+//! construction tests compare the maintained view against) and
+//! [`tick_polled`](CharmOperator::tick_polled). Names resurface only at
+//! the edges: pod/store objects, event logs and final reports.
 //!
 //! Pod choreography follows the paper: **Create** is launcher pod +
 //! N worker pods + a nodelist ConfigMap; **Shrink** signals the
@@ -50,6 +76,8 @@
 //! [`RunMetrics`].
 //!
 //! [`Store::list_watch`]: kube_sim::Store::list_watch
+//! [`Store::read`]: kube_sim::Store::read
+//! [`Store::full_scans`]: kube_sim::Store::full_scans
 //! [`JobRegistry`]: crate::registry::JobRegistry
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -72,7 +100,7 @@ use crate::executor::{ExecHandle, ExecStatus, Executor};
 use crate::policy::{SchedulingPolicy, SubmitBurst};
 use crate::registry::JobRegistry;
 use crate::report::{FaultStats, JobOutcome, RunMetrics};
-use crate::view::{self, Action, ClusterView, JobState};
+use crate::view::{self, Action, ClusterView, JobFields, JobState};
 
 /// In-flight rescale state machine per job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,7 +142,10 @@ pub struct CharmOperator {
     /// policy (behind its own refcount) decides the burst.
     policy: Arc<dyn SchedulingPolicy>,
     executor: Box<dyn Executor>,
-    handles: HashMap<JobId, Box<dyn ExecHandle>>,
+    /// Live executor handles. Its keys are exactly the `Running` jobs
+    /// (inserted at launch, removed wherever a job stops running), in
+    /// admission order — the timer pass polls these, not the job store.
+    handles: BTreeMap<JobId, Box<dyn ExecHandle>>,
     flows: BTreeMap<JobId, RescaleFlow>,
     util: UtilizationRecorder,
     /// Name ↔ id interning (admission order).
@@ -133,9 +164,14 @@ pub struct CharmOperator {
     faults_rx: Receiver<WatchEvent<FaultNotice>>,
     /// Watch stream over the flaky-notice store.
     flakies_rx: Receiver<WatchEvent<FlakyNotice>>,
-    /// Jobs whose admission decision has already run — both drive modes
-    /// consult it so a submission is planned exactly once.
+    /// Jobs this operator has taken on: staged for admission (both
+    /// drive modes consult it so a submission is planned exactly once)
+    /// or cancelled while it was draining.
     planned: HashSet<JobId>,
+    /// How many `planned` jobs have not reached a terminal phase.
+    /// Bumped where the operator makes those transitions itself, so
+    /// [`CharmOperator::all_complete`] needs no store scan.
+    live_jobs: usize,
     /// Next policy-timer deadline, if the policy requested one.
     next_timer: Option<SimTime>,
     /// Recovery parameters (checkpoint interval, retry budget, backoff).
@@ -197,7 +233,7 @@ impl CharmOperator {
             events: EventLog::new(),
             policy: Arc::from(policy),
             executor,
-            handles: HashMap::new(),
+            handles: BTreeMap::new(),
             flows: BTreeMap::new(),
             util: UtilizationRecorder::new(capacity),
             registry: JobRegistry::new(),
@@ -209,6 +245,7 @@ impl CharmOperator {
             faults_rx,
             flakies_rx,
             planned: HashSet::new(),
+            live_jobs: 0,
             next_timer,
             fault_spec: FaultSpec::default(),
             pending_requeues: BTreeSet::new(),
@@ -395,15 +432,16 @@ impl CharmOperator {
         }
     }
 
-    fn worker_pods(&self, job: &str) -> Vec<Pod> {
-        let mut pods: Vec<Pod> = self
-            .plane
-            .pods_of_job(job)
-            .into_iter()
-            .filter(|p| p.role == PodRole::Worker)
-            .collect();
-        pods.sort_by(|a, b| a.name.cmp(&b.name));
-        pods
+    /// Names of `job`'s live worker pods, in name (= serial) order.
+    fn worker_pods(&self, job: &str) -> Vec<String> {
+        self.plane.pod_names_of_job(job, Some(PodRole::Worker))
+    }
+
+    /// Requests graceful deletion of every live pod of `job`.
+    fn delete_job_pods(&self, job: &str) {
+        for pod in self.plane.pod_names_of_job(job, None) {
+            self.plane.delete_pod(&pod);
+        }
     }
 
     /// Creates `count` fresh worker pods for `job`. Serials come from
@@ -427,23 +465,18 @@ impl CharmOperator {
     }
 
     fn update_nodelist(&mut self, job: &str) {
-        let hosts: Vec<String> = self
-            .worker_pods(job)
-            .iter()
-            .map(|p| p.name.clone())
-            .collect();
+        let hosts = self.worker_pods(job).join("\n");
         let cm_name = format!("{job}-nodelist");
-        let joined = hosts.join("\n");
-        if self.plane.configmaps.get(&cm_name).is_some() {
+        if self.plane.configmaps.read(&cm_name, |_| ()).is_some() {
             self.plane
                 .configmaps
                 .update(&cm_name, move |cm| {
-                    cm.data.insert("hosts".into(), joined);
+                    cm.data.insert("hosts".into(), hosts);
                 })
                 .expect("configmap exists");
         } else {
             let mut cm = kube_sim::ConfigMap::new(cm_name);
-            cm.data.insert("hosts".into(), hosts.join("\n"));
+            cm.data.insert("hosts".into(), hosts);
             self.plane.configmaps.create(cm).expect("fresh configmap");
         }
     }
@@ -487,8 +520,7 @@ impl CharmOperator {
         self.rescale_count += 1;
         let prev = self
             .jobs
-            .get(&name)
-            .map(|j| j.obj.status.desired_replicas)
+            .read(&name, |j| j.obj.status.desired_replicas)
             .unwrap_or(0);
         self.bank_allocation(job, prev, now);
         self.jobs
@@ -519,16 +551,12 @@ impl CharmOperator {
     fn start_expand(&mut self, job: JobId, target: u32, now: SimTime) {
         let name = self.registry.name(job).to_string();
         self.rescale_count += 1;
-        let current = self
+        let (current, prev) = self
             .jobs
-            .get(&name)
-            .map(|j| j.obj.status.replicas)
-            .unwrap_or(0);
-        let prev = self
-            .jobs
-            .get(&name)
-            .map(|j| j.obj.status.desired_replicas)
-            .unwrap_or(0);
+            .read(&name, |j| {
+                (j.obj.status.replicas, j.obj.status.desired_replicas)
+            })
+            .unwrap_or((0, 0));
         self.bank_allocation(job, prev, now);
         self.jobs
             .update(&name, |j| {
@@ -551,9 +579,8 @@ impl CharmOperator {
     }
 
     fn remove_excess_workers(&mut self, job: &str, target: u32) {
-        let pods = self.worker_pods(job);
-        for pod in pods.iter().skip(target as usize) {
-            self.plane.delete_pod(&pod.name);
+        for pod in self.worker_pods(job).iter().skip(target as usize) {
+            self.plane.delete_pod(pod);
         }
     }
 
@@ -576,27 +603,29 @@ impl CharmOperator {
         if !self.planned.insert(id) {
             return None;
         }
-        let stored = self.jobs.get(name)?;
-        if stored.obj.status.phase != JobPhase::Queued {
+        let (phase, cancel_requested, queued) = self.jobs.read(name, |s| {
+            let (spec, status) = (&s.obj.spec, &s.obj.status);
+            let queued = JobState {
+                id,
+                min_replicas: spec.min_replicas,
+                max_replicas: spec.max_replicas,
+                priority: spec.priority,
+                submitted_at: status.submitted_at,
+                replicas: 0,
+                last_action: status.last_action,
+                running: false,
+                walltime_estimate: spec.walltime_estimate,
+            };
+            (status.phase, status.cancel_requested, queued)
+        })?;
+        self.live_jobs += usize::from(!phase.is_terminal());
+        if phase != JobPhase::Queued {
             return None;
         }
         let now = self.plane.now();
-        self.view.insert(
-            JobState {
-                id,
-                min_replicas: stored.obj.spec.min_replicas,
-                max_replicas: stored.obj.spec.max_replicas,
-                priority: stored.obj.spec.priority,
-                submitted_at: stored.obj.status.submitted_at,
-                replicas: 0,
-                last_action: stored.obj.status.last_action,
-                running: false,
-                walltime_estimate: stored.obj.spec.walltime_estimate,
-            },
-            self.policy.launcher_slots(),
-        );
+        self.view.insert(queued, self.policy.launcher_slots());
         self.events.record(now, name, "Submitted", "");
-        if stored.obj.status.cancel_requested {
+        if cancel_requested {
             // Cancelled before the reconciler ever saw it.
             self.cancel_job(name, now);
             return None;
@@ -622,14 +651,19 @@ impl CharmOperator {
     /// freed slots (cancellation frees capacity exactly like a
     /// completion, so Fig. 3 applies).
     fn cancel_job(&mut self, name: &str, now: SimTime) {
-        let Some(stored) = self.jobs.get(name) else {
+        let Some(phase) = self.jobs.read(name, |s| s.obj.status.phase) else {
             return;
         };
-        let phase = stored.obj.status.phase;
         if phase.is_terminal() {
             return;
         }
         let id = self.registry.intern(name);
+        // A staged job stops being live. One never staged (cancelled
+        // while the operator drains) becomes this operator's here,
+        // already terminal.
+        if !self.planned.insert(id) {
+            self.live_jobs -= 1;
+        }
         self.cancel_count += 1;
         if let Some(mut handle) = self.handles.remove(&id) {
             handle.stop(); // executor kill path
@@ -641,9 +675,7 @@ impl CharmOperator {
         // Tolerant of jobs not in the view (e.g. cancelled while waiting
         // out a requeue backoff): `remove` returns an Option.
         self.view.remove(id, self.policy.launcher_slots());
-        for pod in self.plane.pods_of_job(name) {
-            self.plane.delete_pod(&pod.name);
-        }
+        self.delete_job_pods(name);
         let _ = self.plane.configmaps.delete(&format!("{name}-nodelist"));
         self.jobs
             .update(name, |j| {
@@ -653,7 +685,6 @@ impl CharmOperator {
                 j.status.completed_at = Some(now);
             })
             .expect("job exists");
-        self.planned.insert(id);
         self.util.set(now, id, 0);
         self.events.record(now, name, "Cancelled", "");
         if phase != JobPhase::Queued {
@@ -672,9 +703,12 @@ impl CharmOperator {
     /// (`apply_actions`) has already applied the view-side demotion.
     fn evict_job(&mut self, job: JobId, now: SimTime) {
         let name = self.registry.name(job).to_string();
-        let stored = self.jobs.get(&name).expect("evicting job exists");
-        let replicas = stored.obj.status.desired_replicas;
-        let started = stored.obj.status.started_at;
+        let (replicas, started) = self
+            .jobs
+            .read(&name, |s| {
+                (s.obj.status.desired_replicas, s.obj.status.started_at)
+            })
+            .expect("evicting job exists");
         self.fault_stats.evictions += 1;
         let interval = self.fault_spec.checkpoint_interval;
         let retained = match (self.handles.get_mut(&job), started) {
@@ -711,8 +745,8 @@ impl CharmOperator {
         // relaunched in the same reconcile instant (a transient-fault
         // eviction frees its own slots with capacity unchanged), so the
         // fixed-name launcher pod must leave the store synchronously.
-        for pod in self.plane.pods_of_job(&name) {
-            let _ = self.plane.pods.delete(&pod.name);
+        for pod in self.plane.pod_names_of_job(&name, None) {
+            let _ = self.plane.pods.delete(&pod);
         }
         let _ = self.plane.configmaps.delete(&format!("{name}-nodelist"));
         self.jobs
@@ -734,9 +768,12 @@ impl CharmOperator {
     /// is spent. The caller has already removed the job from the view.
     fn requeue_job(&mut self, job: JobId, now: SimTime) {
         let name = self.registry.name(job).to_string();
-        let stored = self.jobs.get(&name).expect("requeueing job exists");
-        let replicas = stored.obj.status.desired_replicas;
-        let attempts = stored.obj.status.attempts + 1;
+        let (replicas, attempts) = self
+            .jobs
+            .read(&name, |s| {
+                (s.obj.status.desired_replicas, s.obj.status.attempts + 1)
+            })
+            .expect("requeueing job exists");
         let (acc, since) = self.attempt_ledger.remove(&job).unwrap_or((0.0, now));
         self.fault_stats.wasted_core_seconds += acc + f64::from(replicas) * (now - since).as_secs();
         self.fault_stats.requeues += 1;
@@ -746,13 +783,12 @@ impl CharmOperator {
         }
         self.exec_leases.remove(&job);
         self.flows.remove(&job);
-        for pod in self.plane.pods_of_job(&name) {
-            self.plane.delete_pod(&pod.name);
-        }
+        self.delete_job_pods(&name);
         let _ = self.plane.configmaps.delete(&format!("{name}-nodelist"));
         self.util.set(now, job, 0);
         if attempts >= self.fault_spec.max_attempts {
             self.fault_stats.permanent_failures += 1;
+            self.live_jobs -= 1;
             self.jobs
                 .update(&name, |j| {
                     j.status.phase = JobPhase::Failed;
@@ -801,28 +837,26 @@ impl CharmOperator {
             }
             self.pending_requeues.remove(&(due, job));
             let name = self.registry.name(job).to_string();
-            let Some(stored) = self.jobs.get(&name) else {
-                continue;
-            };
-            // Cancelled (or otherwise finished) while waiting out the
-            // backoff: nothing to resubmit.
-            if stored.obj.status.phase != JobPhase::Queued {
-                continue;
-            }
-            self.view.insert(
-                JobState {
+            let resubmitted = self.jobs.read(&name, |s| {
+                let spec = &s.obj.spec;
+                // Cancelled (or otherwise finished) while waiting out
+                // the backoff: nothing to resubmit.
+                (s.obj.status.phase == JobPhase::Queued).then_some(JobState {
                     id: job,
-                    min_replicas: stored.obj.spec.min_replicas,
-                    max_replicas: stored.obj.spec.max_replicas,
-                    priority: stored.obj.spec.priority,
+                    min_replicas: spec.min_replicas,
+                    max_replicas: spec.max_replicas,
+                    priority: spec.priority,
                     submitted_at: due,
                     replicas: 0,
                     last_action: SimTime::NEG_INFINITY,
                     running: false,
-                    walltime_estimate: stored.obj.spec.walltime_estimate,
-                },
-                self.policy.launcher_slots(),
-            );
+                    walltime_estimate: spec.walltime_estimate,
+                })
+            });
+            let Some(Some(queued)) = resubmitted else {
+                continue;
+            };
+            self.view.insert(queued, self.policy.launcher_slots());
             self.events
                 .record(now, &name, "Resubmitted", "requeue backoff expired");
             let actions = self.policy.on_submit(&self.view, job, now);
@@ -893,23 +927,12 @@ impl CharmOperator {
     /// launches instantaneously, so a job admitted at the fault instant
     /// is already a candidate there.
     fn flaky_victim(&self, op: FlakyOp) -> Option<JobId> {
-        let mut ids: Vec<JobId> = self
-            .jobs
-            .list()
-            .into_iter()
-            .filter(|s| matches!(s.obj.status.phase, JobPhase::Starting | JobPhase::Running))
-            .map(|s| {
-                self.registry
-                    .id(&s.obj.spec.name)
-                    .expect("non-queued job was admitted")
-            })
-            .collect();
-        ids.sort();
+        // `Starting | Running` on the CRD is exactly `running` in the
+        // maintained view: both flip together in `apply_actions`.
+        let holding = self.view.running_scan().map(|j| j.id());
         match op {
-            FlakyOp::CrashOnStart => ids.last().copied(),
-            FlakyOp::LaunchFail | FlakyOp::StuckRescale | FlakyOp::HeartbeatMiss => {
-                ids.first().copied()
-            }
+            FlakyOp::CrashOnStart => holding.max(),
+            FlakyOp::LaunchFail | FlakyOp::StuckRescale | FlakyOp::HeartbeatMiss => holding.min(),
         }
     }
 
@@ -1018,16 +1041,14 @@ impl CharmOperator {
     /// Drains the pod watch stream and progresses the *owning jobs*
     /// only: launch checks for `Starting` jobs whose pods moved.
     fn reconcile_pod_events(&mut self) {
-        let mut touched: Vec<String> = Vec::new();
+        // Owners sorted and deduplicated in one structure.
+        let mut touched: BTreeSet<String> = BTreeSet::new();
         while let Ok(ev) = self.pods_rx.try_recv() {
             let pod = match ev {
                 WatchEvent::Added(s) | WatchEvent::Modified(s) | WatchEvent::Deleted(s) => s.obj,
             };
-            if !touched.contains(&pod.owner) {
-                touched.push(pod.owner);
-            }
+            touched.insert(pod.owner);
         }
-        touched.sort();
         for name in touched {
             self.try_launch(&name);
         }
@@ -1035,37 +1056,38 @@ impl CharmOperator {
 
     /// Launches `name` if it is `Starting` and all its pods run.
     fn try_launch(&mut self, name: &str) {
-        let Some(stored) = self.jobs.get(name) else {
+        let status = self.jobs.read(name, |s| {
+            (s.obj.status.phase, s.obj.status.desired_replicas)
+        });
+        let Some((JobPhase::Starting, desired)) = status else {
             return;
         };
-        let job = stored.obj;
-        if job.status.phase != JobPhase::Starting {
-            return;
-        }
-        let desired = job.status.desired_replicas as usize;
-        if self.plane.job_pods_running(name, PodRole::Worker, desired)
+        if self
+            .plane
+            .job_pods_running(name, PodRole::Worker, desired as usize)
             && self.plane.job_pods_running(name, PodRole::Launcher, 1)
         {
             let now = self.plane.now();
             let id = self.registry.id(name).expect("starting job was admitted");
+            // The one spec clone of a launch: the executor keeps it.
+            let mut spec = self
+                .jobs
+                .read(name, |s| s.obj.spec.clone())
+                .expect("starting job exists");
             // A job relaunching after an eviction resumes from its last
             // checkpoint: the executor runs only the remaining modeled
             // iterations (real apps restart from their own state files).
             // The ledger entry stays — a later eviction of this attempt
             // accumulates its own retained progress on top of it.
-            let handle = match self.retained_iters.get(&id).copied() {
-                Some(done) if done > 0.0 => {
-                    let mut spec = job.spec.clone();
-                    if let AppSpec::Modeled { total_iters } = spec.app {
-                        let remaining = total_iters.saturating_sub(done.floor() as u64).max(1);
-                        spec.app = AppSpec::Modeled {
-                            total_iters: remaining,
-                        };
-                    }
-                    self.executor.launch(&spec, job.status.desired_replicas)
+            if let Some(done) = self.retained_iters.get(&id).copied() {
+                if let (true, AppSpec::Modeled { total_iters }) = (done > 0.0, &spec.app) {
+                    let remaining = total_iters.saturating_sub(done.floor() as u64).max(1);
+                    spec.app = AppSpec::Modeled {
+                        total_iters: remaining,
+                    };
                 }
-                _ => self.executor.launch(&job.spec, job.status.desired_replicas),
-            };
+            }
+            let handle = self.executor.launch(&spec, desired);
             self.handles.insert(id, handle);
             self.exec_leases.insert(id, self.exec_pool.lease(1));
             self.jobs
@@ -1144,26 +1166,19 @@ impl CharmOperator {
             }
         }
 
-        // Detect completions (executor handles are poll-only). Id order
-        // = admission order, deterministic in both drive modes.
-        let mut running: Vec<(JobId, String)> = self
-            .jobs
-            .list()
-            .into_iter()
-            .filter(|s| s.obj.status.phase == JobPhase::Running)
-            .map(|s| {
-                let name = s.obj.spec.name;
-                let id = self.registry.id(&name).expect("running job was admitted");
-                (id, name)
-            })
-            .collect();
-        running.sort_by_key(|&(id, _)| id);
-        for (id, name) in running {
+        // Detect completions (executor handles are poll-only): the
+        // handle keys are the `Running` jobs, in id = admission order,
+        // deterministic in both drive modes. Each handle is polled
+        // after the completions before it were applied, because a
+        // completion's redistribution may stop or rescale it.
+        let running: Vec<JobId> = self.handles.keys().copied().collect();
+        for id in running {
             let finished = self
                 .handles
                 .get_mut(&id)
                 .is_some_and(|h| h.status() == ExecStatus::Finished);
             if finished {
+                let name = self.registry.name(id).to_string();
                 self.complete_job(&name, now);
             }
         }
@@ -1179,6 +1194,41 @@ impl CharmOperator {
         }
 
         self.plane.reap_finished();
+
+        #[cfg(debug_assertions)]
+        self.cross_check_against_store_scan();
+    }
+
+    /// Debug builds re-derive, from one full scan of the job store, the
+    /// two answers the tick path reads off the operator's own state:
+    /// which jobs are `Running` (the handle keys) and whether every job
+    /// is terminal ([`CharmOperator::all_complete`]'s counters).
+    #[cfg(debug_assertions)]
+    fn cross_check_against_store_scan(&self) {
+        let jobs = self.jobs.list();
+        let running: BTreeSet<JobId> = jobs
+            .iter()
+            .filter(|s| s.obj.status.phase == JobPhase::Running)
+            .map(|s| {
+                self.registry
+                    .id(&s.obj.spec.name)
+                    .expect("running job was admitted")
+            })
+            .collect();
+        assert!(
+            self.handles.keys().eq(running.iter()),
+            "executor handles {:?} != Running jobs {running:?}",
+            self.handles.keys().collect::<Vec<_>>()
+        );
+        let scanned = !jobs.is_empty() && jobs.iter().all(|s| s.obj.status.phase.is_terminal());
+        assert_eq!(
+            self.complete_with(jobs.len()),
+            scanned,
+            "all_complete counters (planned {}, live {}) disagree with a scan of {} jobs",
+            self.planned.len(),
+            self.live_jobs,
+            jobs.len()
+        );
     }
 
     /// One reconcile round, watch-driven: drain job events (admissions,
@@ -1271,9 +1321,8 @@ impl CharmOperator {
                 j.status.completed_at = Some(now);
             })
             .expect("job exists");
-        for pod in self.plane.pods_of_job(name) {
-            self.plane.delete_pod(&pod.name);
-        }
+        self.live_jobs -= 1;
+        self.delete_job_pods(name);
         let _ = self.plane.configmaps.delete(&format!("{name}-nodelist"));
         if let Some(mut handle) = self.handles.remove(&id) {
             handle.stop();
@@ -1298,14 +1347,18 @@ impl CharmOperator {
     }
 
     /// `true` once every submitted job reached a terminal phase
-    /// (completed or cancelled).
+    /// (completed, cancelled or failed). O(1): every job in the store
+    /// has been taken on by this operator and none of those is live —
+    /// so a submission not yet reconciled, or one a draining operator
+    /// refuses to admit, still answers `false`.
     pub fn all_complete(&self) -> bool {
-        !self.jobs.is_empty()
-            && self
-                .jobs
-                .list()
-                .iter()
-                .all(|s| s.obj.status.phase.is_terminal())
+        self.complete_with(self.jobs.len())
+    }
+
+    /// [`CharmOperator::all_complete`] for a job store holding
+    /// `stored` jobs.
+    fn complete_with(&self, stored: usize) -> bool {
+        stored > 0 && stored == self.planned.len() && self.live_jobs == 0
     }
 
     /// Jobs currently queued (submitted but never started).
@@ -1400,8 +1453,7 @@ impl CharmOperator {
     pub fn begin_cleanup(&mut self) {
         self.lifecycle.begin_cleanup();
         let now = self.plane.now();
-        let mut live: Vec<JobId> = self.handles.keys().copied().collect();
-        live.sort();
+        let live: Vec<JobId> = self.handles.keys().copied().collect();
         for id in live {
             let name = self.registry.name(id).to_string();
             if let Some(mut handle) = self.handles.remove(&id) {
@@ -1409,9 +1461,7 @@ impl CharmOperator {
             }
             self.exec_leases.remove(&id);
             self.flows.remove(&id);
-            for pod in self.plane.pods_of_job(&name) {
-                self.plane.delete_pod(&pod.name);
-            }
+            self.delete_job_pods(&name);
             let _ = self.plane.configmaps.delete(&format!("{name}-nodelist"));
             self.jobs
                 .update(&name, |j| {

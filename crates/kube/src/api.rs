@@ -7,8 +7,31 @@
 //! cluster state exclusively through this interface, which is what makes
 //! the in-process substitution behaviour-preserving: the policy code
 //! sees the same state-machine surface a real operator would.
+//!
+//! ## Three kinds of read
+//!
+//! A store outlives most of what it holds (the CharmJob store keeps
+//! every job ever submitted), so what a read costs matters as much as
+//! what it returns:
+//!
+//! * **Borrowed** — [`Store::read`] and [`Store::for_each`] hand the
+//!   caller `&Stored<T>` under the store lock and clone nothing. `read`
+//!   is one hash lookup; `for_each` visits every object.
+//! * **Indexed** — a store built with [`Store::indexed`] keeps one
+//!   secondary index (the client-go *Indexer* idiom) up to date inside
+//!   `create`/`update`/`delete`; [`Store::for_each_in`] visits only the
+//!   objects filed under one key, in name order.
+//! * **Snapshot** — [`Store::get`], [`Store::list`] and
+//!   [`Store::list_watch`] return deep clones that stay valid after the
+//!   lock is released. They are for cold callers: reports, re-syncs,
+//!   reference rebuilds and tests.
+//!
+//! Reconcile loops use the first two; [`Store::full_scans`] counts the
+//! reads that visit every object (`list`, `list_watch`, `for_each`) so
+//! a test can hold "this path does not scan that store" as an exact
+//! count instead of a timing.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -63,16 +86,49 @@ impl std::fmt::Display for ApiError {
 
 impl std::error::Error for ApiError {}
 
+/// The optional secondary index: object names filed under the key
+/// `key_of` derives from each object.
+struct Index<T> {
+    key_of: fn(&T) -> &str,
+    names_by_key: HashMap<String, BTreeSet<String>>,
+}
+
+impl<T> Index<T> {
+    fn file(&mut self, key: &str, name: &str) {
+        self.names_by_key
+            .entry(key.to_string())
+            .or_default()
+            .insert(name.to_string());
+    }
+
+    fn unfile(&mut self, key: &str, name: &str) {
+        if let Some(names) = self.names_by_key.get_mut(key) {
+            names.remove(name);
+            if names.is_empty() {
+                self.names_by_key.remove(key);
+            }
+        }
+    }
+}
+
 struct StoreInner<T> {
     objects: HashMap<String, Stored<T>>,
     watchers: Vec<Sender<WatchEvent<T>>>,
+    index: Option<Index<T>>,
 }
 
 /// A typed object store. Cloning shares the underlying state.
+///
+/// See the [module docs](self) for which reads are borrowed, indexed
+/// or snapshots. The closures passed to [`Store::read`],
+/// [`Store::for_each`], [`Store::for_each_in`] and [`Store::update`]
+/// run under the store lock: they must not call back into the same
+/// store.
 pub struct Store<T: Resource> {
     inner: Arc<Mutex<StoreInner<T>>>,
     next_uid: Arc<AtomicU64>,
     next_rv: Arc<AtomicU64>,
+    full_scans: Arc<AtomicU64>,
 }
 
 impl<T: Resource> Clone for Store<T> {
@@ -81,6 +137,7 @@ impl<T: Resource> Clone for Store<T> {
             inner: Arc::clone(&self.inner),
             next_uid: Arc::clone(&self.next_uid),
             next_rv: Arc::clone(&self.next_rv),
+            full_scans: Arc::clone(&self.full_scans),
         }
     }
 }
@@ -94,13 +151,29 @@ impl<T: Resource> Default for Store<T> {
 impl<T: Resource> Store<T> {
     /// An empty store.
     pub fn new() -> Self {
+        Self::with_index(None)
+    }
+
+    /// An empty store that also files every object under
+    /// `key_of(&obj)`, so [`Store::for_each_in`] can visit one key's
+    /// objects without touching the rest (pods by owning job, say).
+    pub fn indexed(key_of: fn(&T) -> &str) -> Self {
+        Self::with_index(Some(Index {
+            key_of,
+            names_by_key: HashMap::new(),
+        }))
+    }
+
+    fn with_index(index: Option<Index<T>>) -> Self {
         Store {
             inner: Arc::new(Mutex::new(StoreInner {
                 objects: HashMap::new(),
                 watchers: Vec::new(),
+                index,
             })),
             next_uid: Arc::new(AtomicU64::new(1)),
             next_rv: Arc::new(AtomicU64::new(1)),
+            full_scans: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -120,19 +193,60 @@ impl<T: Resource> Store<T> {
             uid: self.next_uid.fetch_add(1, Ordering::Relaxed),
             resource_version: self.next_rv.fetch_add(1, Ordering::Relaxed),
         };
+        if let Some(index) = &mut inner.index {
+            index.file((index.key_of)(&stored.obj), &name);
+        }
         inner.objects.insert(name, stored.clone());
         Self::notify(&mut inner, WatchEvent::Added(stored.clone()));
         Ok(stored)
     }
 
-    /// Fetches by name.
+    /// Fetches a snapshot (deep clone) by name. Callers that need a
+    /// field or two use [`Store::read`] instead.
     pub fn get(&self, name: &str) -> Option<Stored<T>> {
         self.inner.lock().objects.get(name).cloned()
     }
 
-    /// All objects (unspecified order).
+    /// A snapshot (deep clone) of all objects, in unspecified order.
+    /// Counts as a full scan.
     pub fn list(&self) -> Vec<Stored<T>> {
+        self.full_scans.fetch_add(1, Ordering::Relaxed);
         self.inner.lock().objects.values().cloned().collect()
+    }
+
+    /// Borrowed read: runs `f` on the named object under the store
+    /// lock and returns its answer, or `None` if the name is unknown.
+    /// Clones nothing.
+    pub fn read<R>(&self, name: &str, f: impl FnOnce(&Stored<T>) -> R) -> Option<R> {
+        self.inner.lock().objects.get(name).map(f)
+    }
+
+    /// Borrowed scan: runs `f` on every object under the store lock
+    /// (unspecified order). Clones nothing; counts as a full scan.
+    pub fn for_each(&self, mut f: impl FnMut(&Stored<T>)) {
+        self.full_scans.fetch_add(1, Ordering::Relaxed);
+        self.inner.lock().objects.values().for_each(&mut f);
+    }
+
+    /// Indexed scan: runs `f`, under the store lock and in name order,
+    /// on exactly the objects whose index key equals `key`. Costs
+    /// O(matches), whatever else the store holds.
+    ///
+    /// # Panics
+    /// If the store was not built with [`Store::indexed`].
+    pub fn for_each_in(&self, key: &str, mut f: impl FnMut(&Stored<T>)) {
+        let inner = self.inner.lock();
+        let index = inner.index.as_ref().expect("store has no index");
+        for name in index.names_by_key.get(key).into_iter().flatten() {
+            f(&inner.objects[name]);
+        }
+    }
+
+    /// How many reads have visited every object so far ([`Store::list`],
+    /// [`Store::list_watch`], [`Store::for_each`]), over all clones of
+    /// this store.
+    pub fn full_scans(&self) -> u64 {
+        self.full_scans.load(Ordering::Relaxed)
     }
 
     /// Number of stored objects.
@@ -148,15 +262,27 @@ impl<T: Resource> Store<T> {
     /// Applies `mutate` to the named object under the store lock and
     /// bumps its resource version.
     pub fn update(&self, name: &str, mutate: impl FnOnce(&mut T)) -> Result<Stored<T>, ApiError> {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         let stored = inner
             .objects
             .get_mut(name)
             .ok_or_else(|| ApiError::NotFound(name.to_string()))?;
-        mutate(&mut stored.obj);
+        match &mut inner.index {
+            Some(index) => {
+                let before = (index.key_of)(&stored.obj).to_string();
+                mutate(&mut stored.obj);
+                let after = (index.key_of)(&stored.obj);
+                if before != after {
+                    index.unfile(&before, name);
+                    index.file(after, name);
+                }
+            }
+            None => mutate(&mut stored.obj),
+        }
         stored.resource_version = self.next_rv.fetch_add(1, Ordering::Relaxed);
         let snapshot = stored.clone();
-        Self::notify(&mut inner, WatchEvent::Modified(snapshot.clone()));
+        Self::notify(inner, WatchEvent::Modified(snapshot.clone()));
         Ok(snapshot)
     }
 
@@ -167,6 +293,9 @@ impl<T: Resource> Store<T> {
             .objects
             .remove(name)
             .ok_or_else(|| ApiError::NotFound(name.to_string()))?;
+        if let Some(index) = &mut inner.index {
+            index.unfile((index.key_of)(&stored.obj), name);
+        }
         Self::notify(&mut inner, WatchEvent::Deleted(stored.clone()));
         Ok(stored)
     }
@@ -186,8 +315,10 @@ impl<T: Resource> Store<T> {
     /// stream, never both and never neither. A separate `list()` +
     /// `watch()` pair races — an object created between the two calls is
     /// missing from the snapshot and produces no event. Informer-style
-    /// consumers (the CharmJob reconciler) must use this.
+    /// consumers (the CharmJob reconciler) must use this. The snapshot
+    /// is a deep clone and counts as a full scan.
     pub fn list_watch(&self) -> (Vec<Stored<T>>, Receiver<WatchEvent<T>>) {
+        self.full_scans.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock();
         let snapshot = inner.objects.values().cloned().collect();
         let (tx, rx) = unbounded();
@@ -346,6 +477,106 @@ mod tests {
             400,
             "no duplicates between snapshot and stream"
         );
+    }
+
+    #[test]
+    fn borrowed_reads_clone_nothing_and_scans_are_counted() {
+        let store: Store<Obj> = Store::new();
+        store.create(obj("a", 1)).unwrap();
+        store.create(obj("b", 2)).unwrap();
+        assert_eq!(store.read("a", |s| s.obj.value), Some(1));
+        assert_eq!(store.read("zzz", |s| s.obj.value), None);
+        assert!(store.get("b").is_some());
+        store.update("a", |o| o.value = 3).unwrap();
+        assert_eq!(store.full_scans(), 0, "point reads and writes never scan");
+
+        let mut sum = 0;
+        store.for_each(|s| sum += s.obj.value);
+        assert_eq!(sum, 5);
+        assert_eq!(store.list().len(), 2);
+        let (snapshot, _rx) = store.clone().list_watch();
+        assert_eq!(snapshot.len(), 2);
+        assert_eq!(store.full_scans(), 3, "for_each + list + list_watch");
+    }
+
+    /// Indexed by the sign of the value: "neg" or "pos".
+    fn sign(o: &Obj) -> &str {
+        if o.value < 0 {
+            "neg"
+        } else {
+            "pos"
+        }
+    }
+
+    fn names_in(store: &Store<Obj>, key: &str) -> Vec<String> {
+        let mut names = Vec::new();
+        store.for_each_in(key, |s| names.push(s.obj.name.clone()));
+        names
+    }
+
+    #[test]
+    fn index_follows_create_update_delete() {
+        let store: Store<Obj> = Store::indexed(sign);
+        store.create(obj("b", 1)).unwrap();
+        store.create(obj("a", 2)).unwrap();
+        store.create(obj("c", -1)).unwrap();
+        assert_eq!(names_in(&store, "pos"), ["a", "b"], "name order");
+        assert_eq!(names_in(&store, "neg"), ["c"]);
+        assert!(names_in(&store, "other").is_empty());
+        // An update that changes the key re-files the object; one that
+        // does not leaves it where it is.
+        store.update("a", |o| o.value = -5).unwrap();
+        store.update("b", |o| o.value = 7).unwrap();
+        assert_eq!(names_in(&store, "pos"), ["b"]);
+        assert_eq!(names_in(&store, "neg"), ["a", "c"]);
+        store.delete("c").unwrap();
+        store.delete("b").unwrap();
+        assert!(names_in(&store, "pos").is_empty());
+        assert_eq!(names_in(&store, "neg"), ["a"]);
+        assert_eq!(store.full_scans(), 0, "indexed reads are not scans");
+    }
+
+    #[test]
+    #[should_panic(expected = "no index")]
+    fn for_each_in_needs_an_index() {
+        let store: Store<Obj> = Store::new();
+        store.for_each_in("k", |_| {});
+    }
+
+    proptest::proptest! {
+        /// After any create/update/delete sequence, the index answers
+        /// exactly what filtering a full snapshot by key would.
+        #[test]
+        fn index_equals_filtered_list(
+            ops in proptest::collection::vec(proptest::any::<u32>(), 1..200),
+        ) {
+            let store: Store<Obj> = Store::indexed(sign);
+            for word in ops {
+                let name = format!("o{}", (word >> 2) % 12);
+                let value = i64::from((word >> 8) % 7) - 3;
+                match word % 4 {
+                    0 | 1 => {
+                        let _ = store.create(obj(&name, value));
+                    }
+                    2 => {
+                        let _ = store.update(&name, |o| o.value = value);
+                    }
+                    _ => {
+                        let _ = store.delete(&name);
+                    }
+                }
+                for key in ["neg", "pos"] {
+                    let mut expected: Vec<String> = store
+                        .list()
+                        .into_iter()
+                        .filter(|s| sign(&s.obj) == key)
+                        .map(|s| s.obj.name)
+                        .collect();
+                    expected.sort();
+                    proptest::prop_assert_eq!(names_in(&store, key), expected);
+                }
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,9 @@ impl ControlPlane {
     /// An empty control plane on `clock` with the given kubelet model.
     pub fn new(clock: Arc<dyn Clock>, kubelet_cfg: KubeletConfig) -> Self {
         let nodes: Store<Node> = Store::new();
-        let pods: Store<Pod> = Store::new();
+        // Indexed by owning job: the per-job reads below (and the
+        // operator's teardown paths) touch only that job's pods.
+        let pods: Store<Pod> = Store::indexed(|p| &p.owner);
         let configmaps: Store<ConfigMap> = Store::new();
         let scheduler = PodScheduler::new(nodes.clone(), pods.clone());
         let kubelet = Kubelet::new(pods.clone(), kubelet_cfg);
@@ -83,24 +85,26 @@ impl ControlPlane {
 
     /// Total CPU capacity over ready nodes.
     pub fn capacity(&self) -> u32 {
-        self.nodes
-            .list()
-            .iter()
-            .filter(|n| n.obj.ready)
-            .map(|n| n.obj.cpu_capacity)
-            .sum()
+        let mut capacity = 0;
+        self.nodes.for_each(|n| {
+            if n.obj.ready {
+                capacity += n.obj.cpu_capacity;
+            }
+        });
+        capacity
     }
 
     /// CPUs currently committed to resource-consuming pods (bound or
     /// pending-unbound both count: a pending pod's request is a claim
     /// the policies must respect).
     pub fn committed(&self) -> u32 {
-        self.pods
-            .list()
-            .iter()
-            .filter(|p| p.obj.consumes_resources())
-            .map(|p| p.obj.cpu_request)
-            .sum()
+        let mut committed = 0;
+        self.pods.for_each(|p| {
+            if p.obj.consumes_resources() {
+                committed += p.obj.cpu_request;
+            }
+        });
+        committed
     }
 
     /// Free slots: capacity minus committed.
@@ -111,51 +115,61 @@ impl ControlPlane {
     /// Active (running, non-terminating) worker pods per owning job.
     pub fn active_workers_by_job(&self) -> BTreeMap<String, u32> {
         let mut map = BTreeMap::new();
-        for pod in self.pods.list() {
+        self.pods.for_each(|pod| {
             let p = &pod.obj;
             if p.role == PodRole::Worker && p.is_active() {
                 *map.entry(p.owner.clone()).or_insert(0) += 1;
             }
-        }
+        });
         map
     }
 
-    /// All resource-consuming pods owned by `job`.
+    /// All resource-consuming pods owned by `job`, in name order
+    /// (snapshots of that job's pods only).
     pub fn pods_of_job(&self, job: &str) -> Vec<Pod> {
-        self.pods
-            .list()
-            .into_iter()
-            .map(|s| s.obj)
-            .filter(|p| p.owner == job && p.consumes_resources())
-            .collect()
+        let mut pods = Vec::new();
+        self.pods.for_each_in(job, |s| {
+            if s.obj.consumes_resources() {
+                pods.push(s.obj.clone());
+            }
+        });
+        pods
+    }
+
+    /// Names of the resource-consuming pods owned by `job` — all of
+    /// them, or only those with the given role — in name order. What
+    /// teardown and nodelist upkeep need, without cloning the pods.
+    pub fn pod_names_of_job(&self, job: &str, role: Option<PodRole>) -> Vec<String> {
+        let mut names = Vec::new();
+        self.pods.for_each_in(job, |s| {
+            if s.obj.consumes_resources() && role.is_none_or(|r| s.obj.role == r) {
+                names.push(s.obj.name.clone());
+            }
+        });
+        names
     }
 
     /// Worker slots currently committed per job (for utilization
     /// accounting; excludes launchers).
     pub fn worker_slots_by_job(&self) -> BTreeMap<String, u32> {
         let mut map = BTreeMap::new();
-        for pod in self.pods.list() {
+        self.pods.for_each(|pod| {
             let p = &pod.obj;
             if p.role == PodRole::Worker && p.consumes_resources() {
                 *map.entry(p.owner.clone()).or_insert(0) += p.cpu_request;
             }
-        }
+        });
         map
     }
 
     /// `true` once every pod of `job` with the given role is Running.
     pub fn job_pods_running(&self, job: &str, role: PodRole, expected: usize) -> bool {
-        let running = self
-            .pods
-            .list()
-            .iter()
-            .filter(|s| {
-                s.obj.owner == job
-                    && s.obj.role == role
-                    && s.obj.phase == PodPhase::Running
-                    && !s.obj.deleting
-            })
-            .count();
+        let mut running = 0;
+        self.pods.for_each_in(job, |s| {
+            if s.obj.role == role && s.obj.phase == PodPhase::Running && !s.obj.deleting {
+                running += 1;
+            }
+        });
         running >= expected
     }
 
@@ -167,14 +181,16 @@ impl ControlPlane {
     /// Removes Succeeded/Failed pods from the store (garbage collection)
     /// and returns how many were reaped.
     pub fn reap_finished(&self) -> usize {
-        let mut reaped = 0;
-        for pod in self.pods.list() {
+        let mut finished = Vec::new();
+        self.pods.for_each(|pod| {
             if !pod.obj.consumes_resources() {
-                let _ = self.pods.delete(&pod.obj.name);
-                reaped += 1;
+                finished.push(pod.obj.name.clone());
             }
+        });
+        for name in &finished {
+            let _ = self.pods.delete(name);
         }
-        reaped
+        finished.len()
     }
 }
 
@@ -279,5 +295,28 @@ mod tests {
             .update("a", |p| p.phase = PodPhase::Succeeded)
             .unwrap();
         assert!(cp.pods_of_job("j1").is_empty());
+    }
+
+    #[test]
+    fn per_job_reads_touch_only_that_jobs_pods() {
+        let (mut cp, _) = plane();
+        for w in ["j1-w1", "j1-w0"] {
+            cp.pods.create(Pod::worker(w, "j1", cp.now())).unwrap();
+        }
+        cp.pods
+            .create(Pod::launcher("j1-l", "j1", cp.now()))
+            .unwrap();
+        cp.pods.create(Pod::worker("x", "j2", cp.now())).unwrap();
+        cp.tick();
+        let scans = cp.pods.full_scans();
+        assert_eq!(cp.pod_names_of_job("j1", None), ["j1-l", "j1-w0", "j1-w1"]);
+        assert_eq!(
+            cp.pod_names_of_job("j1", Some(PodRole::Worker)),
+            ["j1-w0", "j1-w1"]
+        );
+        assert!(cp.pod_names_of_job("nobody", None).is_empty());
+        assert!(cp.job_pods_running("j1", PodRole::Worker, 2));
+        assert_eq!(cp.pods_of_job("j2").len(), 1);
+        assert_eq!(cp.pods.full_scans(), scans, "answered from the owner index");
     }
 }

@@ -64,57 +64,65 @@ impl Kubelet {
     }
 
     /// Advances pod state machines to `now`. Returns the names of pods
-    /// that changed phase.
+    /// that changed phase. One borrowed pass over the pod store decides
+    /// which transitions are due; only those pods' names are cloned,
+    /// and the updates run once the store lock is released.
     pub fn process(&mut self, now: SimTime) -> Vec<String> {
-        let mut changed = Vec::new();
-        for stored in self.pods.list() {
+        let Kubelet {
+            pods,
+            cfg,
+            inflight,
+        } = self;
+        // Due transitions as `(pod, to_running)`, in scan order.
+        let mut due: Vec<(String, bool)> = Vec::new();
+        pods.for_each(|stored| {
             let pod = &stored.obj;
             match (pod.phase, pod.node.is_some(), pod.deleting) {
                 // Bound pending pod: schedule its start.
                 (PodPhase::Pending, true, false) => {
-                    let t = self.inflight.entry(pod.name.clone()).or_insert(Transition {
-                        due: now + self.cfg.startup_latency,
+                    let t = inflight.entry(pod.name.clone()).or_insert(Transition {
+                        due: now + cfg.startup_latency,
                         to_running: true,
                     });
                     if t.to_running && now >= t.due {
-                        let started = now;
-                        self.pods
-                            .update(&pod.name, move |p| {
-                                p.phase = PodPhase::Running;
-                                p.started_at = Some(started);
-                            })
-                            .expect("pod exists");
-                        self.inflight.remove(&pod.name);
-                        changed.push(pod.name.clone());
+                        due.push((pod.name.clone(), true));
                     }
                 }
                 // Deletion requested on a live pod: schedule termination.
                 (PodPhase::Pending | PodPhase::Running, _, true) => {
-                    let entry = self.inflight.entry(pod.name.clone()).or_insert(Transition {
-                        due: now + self.cfg.termination_grace,
+                    let entry = inflight.entry(pod.name.clone()).or_insert(Transition {
+                        due: now + cfg.termination_grace,
                         to_running: false,
                     });
                     // A start transition is overridden by deletion.
                     if entry.to_running {
                         *entry = Transition {
-                            due: now + self.cfg.termination_grace,
+                            due: now + cfg.termination_grace,
                             to_running: false,
                         };
                     }
                     if now >= entry.due {
-                        self.pods
-                            .update(&pod.name, |p| p.phase = PodPhase::Succeeded)
-                            .expect("pod exists");
-                        self.inflight.remove(&pod.name);
-                        changed.push(pod.name.clone());
+                        due.push((pod.name.clone(), false));
                     }
                 }
                 _ => {
-                    self.inflight.remove(&pod.name);
+                    inflight.remove(&pod.name);
                 }
             }
+        });
+        for (name, to_running) in &due {
+            pods.update(name, |p| {
+                if *to_running {
+                    p.phase = PodPhase::Running;
+                    p.started_at = Some(now);
+                } else {
+                    p.phase = PodPhase::Succeeded;
+                }
+            })
+            .expect("pod exists");
+            inflight.remove(name);
         }
-        changed
+        due.into_iter().map(|(name, _)| name).collect()
     }
 }
 

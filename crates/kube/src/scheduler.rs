@@ -34,97 +34,90 @@ impl PodScheduler {
         PodScheduler { nodes, pods }
     }
 
-    /// CPUs committed per node (requests of resource-consuming pods).
-    fn allocations(&self) -> HashMap<String, u32> {
+    /// One borrowed pass over the bound, resource-consuming pods: CPUs
+    /// committed per node, and pods of each affinity group per node
+    /// (keyed group → node, so scoring looks both up by `&str`).
+    fn placements(&self) -> (HashMap<String, u32>, HashMap<String, HashMap<String, u32>>) {
         let mut alloc: HashMap<String, u32> = HashMap::new();
-        for pod in self.pods.list() {
-            if !pod.obj.consumes_resources() {
-                continue;
+        let mut presence: HashMap<String, HashMap<String, u32>> = HashMap::new();
+        self.pods.for_each(|pod| {
+            let p = &pod.obj;
+            let (true, Some(node)) = (p.consumes_resources(), &p.node) else {
+                return;
+            };
+            *alloc.entry(node.clone()).or_insert(0) += p.cpu_request;
+            if let Some(group) = &p.affinity_group {
+                *presence
+                    .entry(group.clone())
+                    .or_default()
+                    .entry(node.clone())
+                    .or_insert(0) += 1;
             }
-            if let Some(node) = &pod.obj.node {
-                *alloc.entry(node.clone()).or_insert(0) += pod.obj.cpu_request;
-            }
-        }
-        alloc
-    }
-
-    /// Pods of each affinity group per node.
-    fn group_presence(&self) -> HashMap<(String, String), u32> {
-        let mut presence = HashMap::new();
-        for pod in self.pods.list() {
-            if !pod.obj.consumes_resources() {
-                continue;
-            }
-            if let (Some(node), Some(group)) = (&pod.obj.node, &pod.obj.affinity_group) {
-                *presence.entry((node.clone(), group.clone())).or_insert(0) += 1;
-            }
-        }
-        presence
+        });
+        (alloc, presence)
     }
 
     /// Runs one scheduling pass: binds every schedulable pending pod.
     ///
     /// Pods are considered in creation order (FIFO, name tie-break),
-    /// like the default scheduler's queue.
+    /// like the default scheduler's queue. A pass with nothing pending
+    /// is one borrowed scan of the pod store and clones nothing.
     pub fn schedule_once(&self) -> ScheduleOutcome {
         let mut outcome = ScheduleOutcome::default();
-        let mut pending: Vec<Pod> = self
-            .pods
-            .list()
-            .into_iter()
-            .map(|s| s.obj)
-            .filter(|p| p.node.is_none() && p.consumes_resources() && !p.deleting)
-            .collect();
+        let mut pending: Vec<Pod> = Vec::new();
+        self.pods.for_each(|s| {
+            let p = &s.obj;
+            if p.node.is_none() && p.consumes_resources() && !p.deleting {
+                pending.push(p.clone());
+            }
+        });
+        if pending.is_empty() {
+            return outcome;
+        }
         pending.sort_by(|a, b| {
             a.created_at
                 .cmp(&b.created_at)
                 .then_with(|| a.name.cmp(&b.name))
         });
-        if pending.is_empty() {
-            return outcome;
-        }
 
-        let nodes: Vec<Node> = self.nodes.list().into_iter().map(|s| s.obj).collect();
-        let mut alloc = self.allocations();
-        let mut presence = self.group_presence();
+        // Ready nodes as `(name, capacity)`.
+        let mut nodes: Vec<(String, u32)> = Vec::new();
+        self.nodes.for_each(|n| {
+            if n.obj.ready {
+                nodes.push((n.obj.name.clone(), n.obj.cpu_capacity));
+            }
+        });
+        let (mut alloc, mut presence) = self.placements();
 
         for pod in pending {
-            // Filter: ready nodes with room.
-            let feasible: Vec<&Node> = nodes
+            let used = |node: &str| alloc.get(node).copied().unwrap_or(0);
+            let group_presence = pod.affinity_group.as_ref().and_then(|g| presence.get(g));
+            // Filter: ready nodes with room. Score: affinity presence,
+            // then most-allocated, then name.
+            let best = nodes
                 .iter()
-                .filter(|n| {
-                    n.ready
-                        && n.cpu_capacity
-                            .saturating_sub(alloc.get(&n.name).copied().unwrap_or(0))
-                            >= pod.cpu_request
-                })
-                .collect();
-            if feasible.is_empty() {
-                outcome.unschedulable.push(pod.name.clone());
-                continue;
-            }
-            // Score: affinity presence, then most-allocated, then name.
-            let best = feasible
-                .into_iter()
-                .max_by(|a, b| {
-                    let key = |n: &Node| {
-                        let aff = pod
-                            .affinity_group
-                            .as_ref()
-                            .and_then(|g| presence.get(&(n.name.clone(), g.clone())))
+                .filter(|(name, capacity)| capacity.saturating_sub(used(name)) >= pod.cpu_request)
+                .max_by(|(a, _), (b, _)| {
+                    let key = |node: &String| {
+                        let aff = group_presence
+                            .and_then(|on| on.get(node))
                             .copied()
                             .unwrap_or(0);
-                        let used = alloc.get(&n.name).copied().unwrap_or(0);
-                        (aff, used)
+                        (aff, used(node))
                     };
-                    key(a).cmp(&key(b)).then_with(|| b.name.cmp(&a.name))
-                })
-                .expect("feasible non-empty");
-            let node_name = best.name.clone();
+                    key(a).cmp(&key(b)).then_with(|| b.cmp(a))
+                });
+            let Some((node_name, _)) = best else {
+                outcome.unschedulable.push(pod.name);
+                continue;
+            };
+            let node_name = node_name.clone();
             *alloc.entry(node_name.clone()).or_insert(0) += pod.cpu_request;
             if let Some(group) = &pod.affinity_group {
                 *presence
-                    .entry((node_name.clone(), group.clone()))
+                    .entry(group.clone())
+                    .or_default()
+                    .entry(node_name.clone())
                     .or_insert(0) += 1;
             }
             let bind_target = node_name.clone();

@@ -31,7 +31,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use elastic_core::{JobTicket, SchedulerClient, SchedulerError, SubmitRequest, SubmitResponse};
@@ -119,12 +119,18 @@ struct Pending {
     enqueued_at: SimTime,
 }
 
+/// Flush-side bookkeeping: only a flush (or a reader) takes its lock,
+/// never a plain accept or shed.
 #[derive(Default)]
 struct Ledger {
-    stats: IngestStats,
+    batches: u64,
+    flushed: u64,
+    rejected: u64,
     /// Per-flushed-job submit→admit latency (enqueue to store create),
-    /// in seconds.
+    /// in seconds. A quantile query sorts it in place; `sorted` stays
+    /// set until the next flush pushes.
     latencies: Vec<f64>,
+    sorted: bool,
     /// Store-level failures surfaced at flush time.
     errors: Vec<(String, SchedulerError)>,
 }
@@ -137,6 +143,10 @@ pub struct IngestQueue {
     shards: Vec<Mutex<VecDeque<Pending>>>,
     rr: AtomicUsize,
     closed: AtomicBool,
+    /// Accept/shed tallies are atomics so a submission touches only
+    /// its shard lock (`Relaxed`: statistics, publishing nothing).
+    accepted: AtomicU64,
+    shed: AtomicU64,
     ledger: Mutex<Ledger>,
 }
 
@@ -157,6 +167,8 @@ impl IngestQueue {
             shards,
             rr: AtomicUsize::new(0),
             closed: AtomicBool::new(false),
+            accepted: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
             ledger: Mutex::new(Ledger::default()),
         }
     }
@@ -189,7 +201,7 @@ impl IngestQueue {
         let shard = self.route(req.name());
         let mut buf = self.shards[shard].lock().expect("ingest shard poisoned");
         if buf.len() >= self.cfg.shard_capacity {
-            self.ledger.lock().expect("ledger poisoned").stats.shed += 1;
+            self.shed.fetch_add(1, Ordering::Relaxed);
             return Ok(SubmitResponse::Shed {
                 retry_after: self.cfg.retry_after,
             });
@@ -200,7 +212,7 @@ impl IngestQueue {
             enqueued_at: self.clock.now(),
         });
         let depth = buf.len();
-        self.ledger.lock().expect("ledger poisoned").stats.accepted += 1;
+        self.accepted.fetch_add(1, Ordering::Relaxed);
         if depth >= self.cfg.batch_size {
             // The push completed a batch: flush inline and answer with
             // this submission's real ticket.
@@ -212,7 +224,7 @@ impl IngestQueue {
             let mut ledger = self.ledger.lock().expect("ledger poisoned");
             if let Some(pos) = ledger.errors.iter().position(|(n, _)| n == &name) {
                 let (_, err) = ledger.errors.remove(pos);
-                ledger.stats.rejected -= 1;
+                ledger.rejected -= 1;
                 return Err(err);
             }
             unreachable!("inline flush neither admitted nor rejected {name}");
@@ -258,20 +270,21 @@ impl IngestQueue {
         }
         let now = self.clock.now();
         let mut ledger = self.ledger.lock().expect("ledger poisoned");
-        ledger.stats.batches += 1;
+        ledger.batches += 1;
+        ledger.sorted = false;
         let mut wanted = None;
         for pending in buf.drain(..) {
             let name = pending.req.name().to_string();
             match self.client.submit_request(pending.req) {
                 Ok(resp) => {
-                    ledger.stats.flushed += 1;
+                    ledger.flushed += 1;
                     ledger.latencies.push((now - pending.enqueued_at).as_secs());
                     if want == Some(name.as_str()) {
                         wanted = resp.ticket().cloned();
                     }
                 }
                 Err(err) => {
-                    ledger.stats.rejected += 1;
+                    ledger.rejected += 1;
                     ledger.errors.push((name, err));
                 }
             }
@@ -294,21 +307,32 @@ impl IngestQueue {
 
     /// Counter snapshot.
     pub fn stats(&self) -> IngestStats {
-        self.ledger.lock().expect("ledger poisoned").stats
+        let ledger = self.ledger.lock().expect("ledger poisoned");
+        IngestStats {
+            accepted: self.accepted.load(Ordering::Relaxed),
+            shed: self.shed.load(Ordering::Relaxed),
+            batches: ledger.batches,
+            flushed: ledger.flushed,
+            rejected: ledger.rejected,
+        }
     }
 
     /// The `q`-quantile (0 ≤ q ≤ 1) of submit→admit latency over every
     /// flushed job, or `None` before the first flush.
     pub fn latency_quantile(&self, q: f64) -> Option<Duration> {
         assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        let ledger = self.ledger.lock().expect("ledger poisoned");
+        let mut ledger = self.ledger.lock().expect("ledger poisoned");
         if ledger.latencies.is_empty() {
             return None;
         }
-        let mut sorted = ledger.latencies.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-        Some(Duration::from_secs(sorted[idx]))
+        if !ledger.sorted {
+            ledger
+                .latencies
+                .sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+            ledger.sorted = true;
+        }
+        let idx = ((ledger.latencies.len() - 1) as f64 * q).round() as usize;
+        Some(Duration::from_secs(ledger.latencies[idx]))
     }
 
     /// Drains the store-level errors collected at flush time
@@ -388,6 +412,27 @@ mod tests {
         assert_eq!(q.pump(clock.now()), 1);
         assert_eq!(jobs.len(), 1);
         // The flushed job waited the full deadline.
+        assert_eq!(q.latency_quantile(1.0).unwrap(), Duration::from_secs(5.0));
+    }
+
+    #[test]
+    fn quantiles_track_flushes_between_queries() {
+        let (q, _, clock) = queue(IngestConfig {
+            shards: 1,
+            batch_size: 100,
+            max_delay: Duration::ZERO,
+            ..Default::default()
+        });
+        q.submit(req("slow")).unwrap();
+        clock.advance(Duration::from_secs(5.0));
+        q.pump(clock.now());
+        assert_eq!(q.latency_quantile(0.5).unwrap(), Duration::from_secs(5.0));
+        // A flush after a query lands out of order; the next query
+        // must see it in its sorted place.
+        q.submit(req("fast")).unwrap();
+        clock.advance(Duration::from_secs(1.0));
+        q.pump(clock.now());
+        assert_eq!(q.latency_quantile(0.0).unwrap(), Duration::from_secs(1.0));
         assert_eq!(q.latency_quantile(1.0).unwrap(), Duration::from_secs(5.0));
     }
 
