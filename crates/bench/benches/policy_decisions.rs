@@ -4,11 +4,16 @@
 //! than prior work; decision cost per submission/completion is the
 //! relevant scalability number. With the interned-id/incremental-view
 //! decision path the per-decision cost reads off maintained indexes —
-//! these benches pin the absolute numbers at three cluster populations.
+//! these benches pin the absolute numbers at three cluster populations,
+//! and the rigid baselines' `on_complete` against a blocked head with
+//! a deep backlog behind it (queue 100 / 1 000 / 10 000 × free slots
+//! 0 / 3 / 64): the cost must follow the candidates that fit the free
+//! slots, not the queue depth.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use elastic_core::{
-    ClusterView, FcfsBackfill, JobId, JobState, Policy, PolicyConfig, PolicyKind, SchedulingPolicy,
+    ClusterView, EasyBackfill, FcfsBackfill, JobId, JobState, Policy, PolicyConfig, PolicyKind,
+    SchedulingPolicy,
 };
 use hpc_metrics::{Duration, SimTime};
 
@@ -54,6 +59,61 @@ fn view_with_jobs(n: usize) -> (ClusterView, JobId) {
     (view, newcomer)
 }
 
+/// 16 running jobs with estimates, then a queue: a head too large for
+/// any `free` benched here, and `queue` jobs behind it whose minimums
+/// cycle 2, 4, 8, … 256 — so at 3 free slots one job in eight is a
+/// candidate, at 64 five in eight, at 0 none.
+fn deep_backlog(queue: usize, free: u32) -> ClusterView {
+    let job = |i: usize, min: u32, running: bool| JobState {
+        id: JobId::from_index(i),
+        min_replicas: min,
+        max_replicas: min,
+        priority: 3,
+        submitted_at: SimTime::from_secs(i as f64),
+        replicas: if running { min } else { 0 },
+        last_action: SimTime::from_secs(i as f64),
+        running,
+        walltime_estimate: Some(Duration::from_secs(600.0 + 37.0 * (i % 53) as f64)),
+    };
+    let mut view = ClusterView::new(4096);
+    for i in 0..16 {
+        view.insert(job(i, 200, true), 1);
+    }
+    view.insert(job(16, 512, false), 1);
+    for i in 0..queue {
+        view.insert(job(17 + i, 2 << (i % 8), false), 1);
+    }
+    view.set_free_slots(free);
+    view
+}
+
+fn bench_backlog(c: &mut Criterion) {
+    let now = SimTime::from_secs(1e6);
+    let policies: [Box<dyn SchedulingPolicy>; 3] = [
+        Box::new(EasyBackfill::new()),
+        Box::new(EasyBackfill::sjbf()),
+        Box::new(FcfsBackfill {
+            // The head has waited 1e6 s: keep the starvation guard
+            // from short-circuiting the backfill being measured.
+            backfill_patience: Duration::INFINITY,
+            ..FcfsBackfill::new()
+        }),
+    ];
+    let mut group = c.benchmark_group("backlog");
+    for &queue in &[100usize, 1000, 10_000] {
+        for &free in &[0u32, 3, 64] {
+            let view = deep_backlog(queue, free);
+            for policy in &policies {
+                let name = format!("on_complete/{}/free{free}", policy.name());
+                group.bench_with_input(BenchmarkId::new(name, queue), &view, |b, v| {
+                    b.iter(|| policy.on_complete(v, now))
+                });
+            }
+        }
+    }
+    group.finish();
+}
+
 fn bench_decisions(c: &mut Criterion) {
     let cfg = PolicyConfig {
         rescale_gap: Duration::from_secs(180.0),
@@ -86,5 +146,5 @@ fn bench_decisions(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_decisions);
+criterion_group!(benches, bench_decisions, bench_backlog);
 criterion_main!(benches);

@@ -89,14 +89,22 @@
 //!   maintained*: a hot/cold packed job arena indexed by id (one
 //!   32-byte hot row per job holds everything policy scans read — one
 //!   cache line per visited job — with submission time and walltime
-//!   estimate in cold columns), a carried `free_slots` counter, and
-//!   `BTreeSet` indexes over `(Reverse(priority), submitted_at,
-//!   JobId)` serving `running_desc_priority` / `all_desc_priority` /
-//!   `queued_submission_order` in O(k) and `job(id)` in O(1). Engines
-//!   mutate it through `insert` / `remove` / [`apply_action`]
-//!   (O(log n) each) — one view per run, zero rebuilds, zero `String`s.
-//!   A property test (`view_equivalence`) proves any event sequence
-//!   leaves the incremental view equal to a from-scratch rebuild, and
+//!   estimate in cold columns) and carried `free_slots` / job
+//!   counters, all updated in O(1) per mutation, `job(id)` in O(1).
+//!   The ordered indexes over it are **pay-per-use**: `BTreeSet`s
+//!   keyed `(Reverse(priority), submitted_at, JobId)` serving
+//!   `running_desc_priority` / `all_desc_priority`, the submission
+//!   order behind `queued_submission_order`, the completion frontier,
+//!   and the queued-by-minimum-footprint buckets behind
+//!   [`ClusterView::queued_fitting`] are each built from the arena the
+//!   first time a policy reads them and pay their O(log n) upkeep in
+//!   `insert` / `remove` / [`apply_action`] only from then on — a run
+//!   maintains exactly the indexes its policy walks
+//!   ([`ClusterView::built_indexes`]). Reads are O(k); one view per
+//!   run, zero rebuilds, zero `String`s.
+//!   A property test (`view_equivalence`) proves any event sequence,
+//!   with the first index read at any step, leaves the incremental
+//!   view equal to a from-scratch rebuild, and
 //!   [`CharmOperator::rebuild_view`] keeps the reference construction
 //!   alive for the operator-side assertion.
 //! * Submissions are **batched**: the operator drains its watch queue
@@ -114,10 +122,17 @@
 //! EASY backfilling — a shadow reservation for the blocked queue head,
 //! planned from the running jobs' walltime estimates — implemented
 //! purely against the [`ClusterView`]/[`Action`] contract. It reads
-//! three maintained indexes (`queued_submission_order`, `free_slots`,
-//! and [`ClusterView::running_by_estimated_end`], the completion
-//! frontier added for it) and emits ordinary `Create`/`Enqueue`
-//! actions; neither engine changed to run it:
+//! `free_slots` and three indexes, each built on its first read and
+//! kept current (O(log n) per event) only from then on: the queue in
+//! submission order, walked lazily and only until the head blocks
+//! ([`ClusterView::queued_scan`]); the completion frontier
+//! ([`ClusterView::running_by_estimated_end`]); and the footprint
+//! cursor ([`ClusterView::queued_fitting`]) that yields only the
+//! backfill candidates whose minimum fits the free slots — so a
+//! decision costs O(started + candidates that fit), never O(queue),
+//! and a run under another policy never pays for any of the three. It
+//! emits ordinary `Create`/`Enqueue` actions; neither engine changed
+//! to run it:
 //!
 //! ```
 //! use elastic_core::{Action, ClusterView, EasyBackfill, JobState, SchedulingPolicy};
@@ -282,4 +297,6 @@ pub use policy::{
 };
 pub use registry::JobRegistry;
 pub use report::{FaultStats, JobOutcome, RunMetrics, BSLD_TAU_S};
-pub use view::{apply_action, Action, ClusterView, JobFields, JobRef, JobState};
+pub use view::{
+    apply_action, Action, BuiltIndexes, ClusterView, FittingCursor, JobFields, JobRef, JobState,
+};

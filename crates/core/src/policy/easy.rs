@@ -17,12 +17,21 @@
 //! pushed back by a backfill (see the property test at the bottom —
 //! the classic EASY invariant).
 //!
-//! The completion frontier is read straight off the view's maintained
-//! estimated-end index ([`ClusterView::running_by_estimated_end`]) —
-//! one ordered walk per decision, O(log n) maintenance per event, no
-//! sort. Jobs without an estimate key at infinity: they never free
-//! slots as far as the reservation arithmetic is concerned, and as
-//! backfill candidates they only qualify for the reservation's surplus.
+//! A decision never walks the backlog it cannot start. The queue is
+//! read lazily off the view's submission index only until the head
+//! blocks; the completion frontier comes off the estimated-end index
+//! ([`ClusterView::running_by_estimated_end`]); and the backfill
+//! candidates come from the footprint cursor
+//! ([`ClusterView::queued_fitting`]) — only the queued jobs behind the
+//! head whose minimum still fits the free slots. One decision costs
+//! O(jobs started + frontier walked + candidates that fit), however
+//! deep the queue, and with no slot free behind the head it costs O(1).
+//! That is exact, not a heuristic: the free slots only fall during a
+//! pass, so a job that does not fit them now cannot be admitted later
+//! in it. Jobs without an estimate key at infinity on the frontier:
+//! they never free slots as far as the reservation arithmetic is
+//! concerned, and as backfill candidates they only qualify for the
+//! reservation's surplus.
 //!
 //! [`EasyBackfill::sjbf`] switches the candidate ordering to
 //! shortest-job-backfilled-first: behind the reserved head, candidates
@@ -33,11 +42,11 @@
 //!
 //! [`FcfsBackfill`]: super::FcfsBackfill
 
-use hpc_metrics::{JobId, SimTime};
+use hpc_metrics::{Duration, JobId, SimTime};
 
-use crate::view::{Action, ClusterView, JobState};
+use crate::view::{Action, ClusterView, JobFields, JobState};
 
-use super::SchedulingPolicy;
+use super::{backfill_fit, greedy_head_walk, SchedulingPolicy};
 
 /// EASY backfilling (aggressive backfilling with one shadow
 /// reservation) on walltime estimates. See the module docs.
@@ -78,6 +87,23 @@ pub struct Reservation {
     pub surplus: i64,
 }
 
+impl Reservation {
+    /// Whether a backfill taking `footprint` slots from `now` for its
+    /// `estimate` cannot delay this reservation: it ends by the shadow
+    /// start, or it fits the surplus — which it then consumes, being
+    /// still there when the head starts.
+    fn admit(&mut self, now: SimTime, footprint: i64, estimate: Option<Duration>) -> bool {
+        if estimate.is_some_and(|est| now + est <= self.shadow_start) {
+            return true;
+        }
+        let fits = footprint <= self.surplus;
+        if fits {
+            self.surplus -= footprint;
+        }
+        fits
+    }
+}
+
 impl EasyBackfill {
     /// The standard configuration (one launcher slot per job,
     /// submission-order backfilling).
@@ -103,31 +129,23 @@ impl EasyBackfill {
     /// queued job fits right now, or no queued job can ever run on this
     /// cluster.
     pub fn shadow_start(&self, view: &ClusterView, _now: SimTime) -> Option<Reservation> {
-        let launcher = i64::from(self.launcher_slots);
-        let cap_workers = i64::from(view.capacity().saturating_sub(self.launcher_slots).max(1));
-        let mut free = i64::from(view.free_slots());
-        for j in view.queued_submission_order() {
-            let mn = i64::from(j.min_replicas);
-            if mn > cap_workers {
-                continue; // can never run here; does not block the queue
-            }
-            if free - launcher >= mn {
-                // Fits now (the schedule pass will start it); account
-                // its greedy footprint and keep looking for the head.
-                let mx = i64::from(j.max_replicas).min(cap_workers);
-                free -= (free - launcher).min(mx) + launcher;
-                continue;
-            }
-            return Some(self.plan_reservation(view, &j, free));
-        }
-        None
+        let (head, free) = greedy_head_walk(view, self.launcher_slots, |_, _| {});
+        head.map(|head| self.plan_reservation(view, &head, free))
     }
 
     /// Walks the frontier for `head`, starting from `free` available
-    /// slots, and returns its reservation.
-    fn plan_reservation(&self, view: &ClusterView, head: &JobState, free: i64) -> Reservation {
+    /// slots, and returns its reservation. The jobs the head walk
+    /// started are irrelevant here: they only consumed slots that were
+    /// free now, which `free` already reflects, and the frontier walk
+    /// needs only additional releases.
+    fn plan_reservation(
+        &self,
+        view: &ClusterView,
+        head: &impl JobFields,
+        free: i64,
+    ) -> Reservation {
         let launcher = i64::from(self.launcher_slots);
-        let needed = i64::from(head.min_replicas) + launcher;
+        let needed = i64::from(head.min_replicas()) + launcher;
         let mut avail = free;
         for r in view.running_by_estimated_end() {
             let end = r.estimated_end();
@@ -140,98 +158,79 @@ impl EasyBackfill {
             avail += i64::from(r.replicas) + launcher;
             if avail >= needed {
                 return Reservation {
-                    job: head.id,
+                    job: head.id(),
                     shadow_start: end,
                     surplus: avail - needed,
                 };
             }
         }
         Reservation {
-            job: head.id,
+            job: head.id(),
             shadow_start: SimTime::INFINITY,
             surplus: i64::MAX,
         }
     }
 
-    /// One pass over the queue in submission order: jobs start greedily
-    /// (up to their maximum) while they fit; the first job that does
-    /// not fit becomes the reserved head, and every later job is a
-    /// backfill candidate admitted at its minimum footprint only if it
-    /// cannot delay the reservation.
+    /// One decision: jobs start greedily (up to their maximum) in
+    /// submission order while they fit; the first job that does not
+    /// fit becomes the reserved head, and the jobs behind it whose
+    /// minimum fits the remaining free slots are backfill candidates,
+    /// admitted at that minimum only if they cannot delay the
+    /// reservation.
     fn schedule_pass(&self, view: &ClusterView, now: SimTime) -> Vec<Action> {
         let launcher = i64::from(self.launcher_slots);
-        let cap_workers = i64::from(view.capacity().saturating_sub(self.launcher_slots).max(1));
-        let mut free = i64::from(view.free_slots());
         let mut actions = Vec::new();
-        let mut reservation: Option<Reservation> = None;
-        let mut candidates: Vec<JobState> = Vec::new();
-        for j in view.queued_submission_order() {
-            let mn = i64::from(j.min_replicas);
-            let mx = i64::from(j.max_replicas).min(cap_workers);
-            if mn > cap_workers {
-                // Can never run on this cluster; skipping keeps it from
-                // wedging the whole queue forever (same guard as the
-                // conservative variant).
-                continue;
-            }
-            if reservation.is_some() {
-                // Backfill candidate behind the reservation; decided
-                // below, once the ordering discipline is applied.
-                candidates.push(j);
-            } else if free - launcher >= mn {
-                let replicas = (free - launcher).min(mx);
-                actions.push(Action::Create {
-                    job: j.id,
-                    replicas: replicas as u32,
-                });
-                free -= replicas + launcher;
-            } else {
-                // The head blocks: plan its shadow reservation from
-                // the *current* frontier (jobs started above are
-                // irrelevant — they only consumed slots that were
-                // free now, which `free` already reflects, and the
-                // frontier walk needs only additional releases).
-                reservation = Some(self.plan_reservation(view, &j, free));
-            }
-        }
-        let Some(mut res) = reservation else {
+        let (head, mut free) = greedy_head_walk(view, self.launcher_slots, |job, replicas| {
+            actions.push(Action::Create { job, replicas })
+        });
+        let (Some(head), Some(fit)) = (head, backfill_fit(free, launcher)) else {
             return actions;
         };
-        if self.shortest_first {
-            // SJBF: shortest estimated walltime first, estimate-less
-            // candidates last, submission order breaking ties.
-            candidates.sort_by(|a, b| {
-                let est = |j: &JobState| j.walltime_estimate.map_or(f64::INFINITY, |e| e.as_secs());
-                est(a)
-                    .total_cmp(&est(b))
-                    .then_with(|| a.submitted_at.cmp(&b.submitted_at))
-                    .then_with(|| a.id.cmp(&b.id))
-            });
-        }
-        for j in candidates {
-            let mn = i64::from(j.min_replicas);
-            if free - launcher < mn {
-                continue;
+        let mut candidates = view.queued_fitting(head.id(), fit);
+        // The reservation is planned at the first candidate (with none,
+        // nothing reads it), from the slots free when the head blocked.
+        let free_at_head = free;
+        let mut res = None;
+        let mut offer = |free: &mut i64, job: JobId, min: u32, estimate: Option<Duration>| {
+            let res = res.get_or_insert_with(|| self.plan_reservation(view, &head, free_at_head));
+            let footprint = i64::from(min) + launcher;
+            let admitted = footprint <= *free && res.admit(now, footprint, estimate);
+            if admitted {
+                actions.push(Action::Create { job, replicas: min });
+                *free -= footprint;
             }
-            let finishes_before = j
-                .walltime_estimate
-                .is_some_and(|est| now + est <= res.shadow_start);
-            let fits_surplus = mn + launcher <= res.surplus;
-            if finishes_before || fits_surplus {
-                actions.push(Action::Create {
-                    job: j.id,
-                    replicas: j.min_replicas,
-                });
-                free -= mn + launcher;
-                if !finishes_before {
-                    // Runs past the shadow start: it consumes surplus
-                    // the reservation was not counting on.
-                    res.surplus -= mn + launcher;
+            admitted
+        };
+        if self.shortest_first {
+            // SJBF reorders the candidates that fit now; the rest
+            // could not start later in the pass either.
+            let mut fitting: Vec<JobState> = candidates.map(|j| j.snapshot()).collect();
+            fitting.sort_by(sjbf_order);
+            for j in fitting {
+                offer(&mut free, j.id, j.min_replicas, j.walltime_estimate);
+            }
+        } else {
+            while let Some(j) = candidates.next() {
+                if offer(&mut free, j.id(), j.min_replicas(), j.walltime_estimate()) {
+                    let Some(fit) = backfill_fit(free, launcher) else {
+                        break;
+                    };
+                    candidates.shrink_to(fit);
                 }
             }
         }
         actions
     }
+}
+
+/// SJBF candidate order: shortest estimated walltime first,
+/// estimate-less candidates last, submission order breaking ties.
+fn sjbf_order(a: &JobState, b: &JobState) -> std::cmp::Ordering {
+    let est = |j: &JobState| j.walltime_estimate.map_or(f64::INFINITY, |e| e.as_secs());
+    est(a)
+        .total_cmp(&est(b))
+        .then_with(|| a.submitted_at.cmp(&b.submitted_at))
+        .then_with(|| a.id.cmp(&b.id))
 }
 
 impl SchedulingPolicy for EasyBackfill {
@@ -637,7 +636,97 @@ mod tests {
         view(capacity, free, jobs)
     }
 
+    /// The full-scan pass the indexed `schedule_pass` replaced, kept
+    /// as the reference the proptest below holds it to: it assembles
+    /// every queued job, in submission order, and decides each one.
+    fn schedule_pass_reference(
+        pol: &EasyBackfill,
+        view: &ClusterView,
+        now: SimTime,
+    ) -> Vec<Action> {
+        let launcher = i64::from(pol.launcher_slots);
+        let cap_workers = i64::from(view.capacity().saturating_sub(pol.launcher_slots).max(1));
+        let mut free = i64::from(view.free_slots());
+        let mut actions = Vec::new();
+        let mut reservation: Option<Reservation> = None;
+        let mut candidates: Vec<JobState> = Vec::new();
+        for j in view.queued_submission_order() {
+            let mn = i64::from(j.min_replicas);
+            let mx = i64::from(j.max_replicas).min(cap_workers);
+            if mn > cap_workers {
+                continue;
+            }
+            if reservation.is_some() {
+                candidates.push(j);
+            } else if free - launcher >= mn {
+                let replicas = (free - launcher).min(mx);
+                actions.push(Action::Create {
+                    job: j.id,
+                    replicas: replicas as u32,
+                });
+                free -= replicas + launcher;
+            } else {
+                reservation = Some(pol.plan_reservation(view, &j, free));
+            }
+        }
+        let Some(mut res) = reservation else {
+            return actions;
+        };
+        if pol.shortest_first {
+            candidates.sort_by(sjbf_order);
+        }
+        for j in candidates {
+            let mn = i64::from(j.min_replicas);
+            if free - launcher < mn {
+                continue;
+            }
+            let finishes_before = j
+                .walltime_estimate
+                .is_some_and(|est| now + est <= res.shadow_start);
+            let fits_surplus = mn + launcher <= res.surplus;
+            if finishes_before || fits_surplus {
+                actions.push(Action::Create {
+                    job: j.id,
+                    replicas: j.min_replicas,
+                });
+                free -= mn + launcher;
+                if !finishes_before {
+                    res.surplus -= mn + launcher;
+                }
+            }
+        }
+        actions
+    }
+
     proptest! {
+        /// The indexed pass (lazy head walk + fitting cursor) decides
+        /// exactly what the full scan decided, action for action, for
+        /// both candidate orderings — on a fresh view (indexes built
+        /// by this very read) and again after its own actions and a
+        /// completion were folded in (indexes maintained).
+        #[test]
+        fn indexed_pass_equals_full_scan_reference(seed in proptest::any::<u64>()) {
+            for pol in [EasyBackfill::new(), EasyBackfill::sjbf()] {
+                let mut v = crate::view::tests::random_backlog(seed);
+                for round in 0..3u32 {
+                    let now = t(20.0 + f64::from(round) + (seed % 4000) as f64);
+                    let actions = pol.schedule_pass(&v, now);
+                    prop_assert_eq!(
+                        &actions,
+                        &schedule_pass_reference(&pol, &v, now),
+                        "{} diverged in round {}", pol.name(), round
+                    );
+                    for a in &actions {
+                        apply_action(&mut v, a, now, 1);
+                    }
+                    let oldest = v.running_by_estimated_end().next().map(|j| j.id);
+                    if let Some(done) = oldest {
+                        v.remove(done, 1);
+                    }
+                }
+            }
+        }
+
         /// THE EASY invariant: backfilling never delays the reserved
         /// queue head past its shadow start time. Formally: plan the
         /// reservation, apply every emitted action, and re-plan — the

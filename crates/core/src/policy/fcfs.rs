@@ -16,10 +16,12 @@
 //! Unlike the paper's elastic policy this scheduler ignores priorities
 //! entirely and never rescales a running job.
 //!
-//! The queue is read straight off the view's maintained
-//! submission-order index
-//! ([`ClusterView::queued_submission_order`]) — one O(q) walk per
-//! decision, no sort, no allocation.
+//! A decision never walks the backlog it cannot start: the queue is
+//! read lazily off the view's submission index only until the head
+//! blocks, and the backfills come from the footprint cursor
+//! ([`ClusterView::queued_fitting`]) — only the queued jobs behind the
+//! head whose minimum still fits the free slots, in submission order.
+//! One decision costs O(jobs started), however deep the queue.
 //!
 //! `FcfsBackfill` exists to prove the [`SchedulingPolicy`] surface is
 //! genuinely open: it shares no code with the Fig. 2 / Fig. 3 algorithm
@@ -28,9 +30,9 @@
 
 use hpc_metrics::{Duration, JobId, SimTime};
 
-use crate::view::{Action, ClusterView};
+use crate::view::{Action, ClusterView, JobFields};
 
-use super::SchedulingPolicy;
+use super::{backfill_fit, greedy_head_walk, SchedulingPolicy};
 
 /// FCFS + min-footprint backfilling with a starvation guard (see the
 /// module docs).
@@ -61,48 +63,40 @@ impl FcfsBackfill {
         Self::default()
     }
 
-    /// One pass over the queue in submission order. Head-of-queue jobs
-    /// are sized greedily up to their maximum; once a job does not fit
-    /// the queue is *blocked* and later jobs only start at their
-    /// minimum footprint — unless the head has outwaited
+    /// One decision. Head-of-queue jobs are sized greedily up to their
+    /// maximum; once a job does not fit the queue is *blocked* and the
+    /// jobs behind it that still fit start at their minimum footprint,
+    /// in submission order — unless the head has outwaited
     /// `backfill_patience`, in which case nothing backfills and freed
     /// slots drain toward the head.
     fn schedule_pass(&self, view: &ClusterView, now: SimTime) -> Vec<Action> {
         let launcher = i64::from(self.launcher_slots);
-        let cap_workers = i64::from(view.capacity().saturating_sub(self.launcher_slots).max(1));
-        let mut free = i64::from(view.free_slots());
         let mut actions = Vec::new();
-        let mut blocked = false;
-        for j in view.queued_submission_order() {
-            let mn = i64::from(j.min_replicas);
-            let mx = i64::from(j.max_replicas).min(cap_workers);
-            if mn > cap_workers {
-                // Can never run on this cluster; skipping keeps it from
-                // wedging the whole queue forever.
-                continue;
-            }
-            if !blocked && free - launcher >= mn {
-                let replicas = (free - launcher).min(mx);
-                actions.push(Action::Create {
-                    job: j.id,
-                    replicas: replicas as u32,
-                });
-                free -= replicas + launcher;
-            } else {
-                if !blocked && now - j.submitted_at > self.backfill_patience {
-                    // Starvation guard: the head has waited long
-                    // enough; stop backfilling so frees accumulate.
-                    break;
-                }
-                blocked = true;
-                if free - launcher >= mn {
-                    actions.push(Action::Create {
-                        job: j.id,
-                        replicas: j.min_replicas,
-                    });
-                    free -= mn + launcher;
-                }
-            }
+        let (head, mut free) = greedy_head_walk(view, self.launcher_slots, |job, replicas| {
+            actions.push(Action::Create { job, replicas })
+        });
+        let Some(head) = head else {
+            return actions;
+        };
+        if now - head.submitted_at() > self.backfill_patience {
+            // Starvation guard: the head has waited long enough; stop
+            // backfilling so frees accumulate.
+            return actions;
+        }
+        let Some(fit) = backfill_fit(free, launcher) else {
+            return actions;
+        };
+        let mut candidates = view.queued_fitting(head.id(), fit);
+        while let Some(j) = candidates.next() {
+            actions.push(Action::Create {
+                job: j.id(),
+                replicas: j.min_replicas(),
+            });
+            free -= i64::from(j.min_replicas()) + launcher;
+            let Some(fit) = backfill_fit(free, launcher) else {
+                break;
+            };
+            candidates.shrink_to(fit);
         }
         actions
     }
@@ -137,6 +131,7 @@ impl SchedulingPolicy for FcfsBackfill {
 mod tests {
     use super::*;
     use crate::view::{apply_action, JobState};
+    use proptest::prelude::*;
 
     fn queued(id: u32, submitted: f64, min: u32, max: u32) -> JobState {
         JobState {
@@ -302,6 +297,80 @@ mod tests {
             let mut v = view(64, free, jobs);
             for action in pol.on_complete(&v, t0()) {
                 apply_action(&mut v, &action, t0(), 1);
+            }
+        }
+    }
+
+    /// The full-scan pass the indexed `schedule_pass` replaced, kept
+    /// as the reference the proptest below holds it to: it assembles
+    /// every queued job, in submission order, and decides each one.
+    fn schedule_pass_reference(
+        pol: &FcfsBackfill,
+        view: &ClusterView,
+        now: SimTime,
+    ) -> Vec<Action> {
+        let launcher = i64::from(pol.launcher_slots);
+        let cap_workers = i64::from(view.capacity().saturating_sub(pol.launcher_slots).max(1));
+        let mut free = i64::from(view.free_slots());
+        let mut actions = Vec::new();
+        let mut blocked = false;
+        for j in view.queued_submission_order() {
+            let mn = i64::from(j.min_replicas);
+            let mx = i64::from(j.max_replicas).min(cap_workers);
+            if mn > cap_workers {
+                continue;
+            }
+            if !blocked && free - launcher >= mn {
+                let replicas = (free - launcher).min(mx);
+                actions.push(Action::Create {
+                    job: j.id,
+                    replicas: replicas as u32,
+                });
+                free -= replicas + launcher;
+            } else {
+                if !blocked && now - j.submitted_at > pol.backfill_patience {
+                    break;
+                }
+                blocked = true;
+                if free - launcher >= mn {
+                    actions.push(Action::Create {
+                        job: j.id,
+                        replicas: j.min_replicas,
+                    });
+                    free -= mn + launcher;
+                }
+            }
+        }
+        actions
+    }
+
+    proptest! {
+        /// The indexed pass (lazy head walk + fitting cursor) decides
+        /// exactly what the full scan decided, action for action — on
+        /// a fresh view and again after its own actions and a
+        /// completion were folded in — with the head inside and beyond
+        /// its patience.
+        #[test]
+        fn indexed_pass_equals_full_scan_reference(seed in proptest::any::<u64>()) {
+            let pol = FcfsBackfill::new();
+            let mut v = crate::view::tests::random_backlog(seed);
+            for round in 0..3u32 {
+                // Queued jobs were submitted at 0..12 s: a `now` of
+                // 20..1220 s straddles the 600 s patience.
+                let now = SimTime::from_secs(20.0 + f64::from(round) + (seed % 1200) as f64);
+                let actions = pol.schedule_pass(&v, now);
+                prop_assert_eq!(
+                    &actions,
+                    &schedule_pass_reference(&pol, &v, now),
+                    "diverged in round {}", round
+                );
+                for a in &actions {
+                    apply_action(&mut v, a, now, 1);
+                }
+                let oldest = v.running_desc_priority().map(|j| j.id).min();
+                if let Some(done) = oldest {
+                    v.remove(done, 1);
+                }
             }
         }
     }

@@ -43,7 +43,7 @@ pub use recovery::{RecoveryPolicy, RecoveryStrategy};
 use hpc_metrics::{Duration, JobId, SimTime};
 use hpc_workload::FaultEvent;
 
-use crate::view::{Action, ClusterView, JobFields, JobState};
+use crate::view::{Action, ClusterView, JobFields, JobRef, JobState};
 
 /// Driver handed to [`SchedulingPolicy::on_submit_burst`]: the engine
 /// side of a same-instant submission burst. The policy pulls jobs out
@@ -192,6 +192,47 @@ pub trait SchedulingPolicy: Send + Sync {
             burst.apply(&actions);
         }
     }
+}
+
+/// The greedy head walk both rigid baselines ([`FcfsBackfill`],
+/// [`EasyBackfill`]) open every decision with: queued jobs in
+/// submission order start at the largest size that fits (reported
+/// through `start`) until one does not fit. Returns that blocked head
+/// (`None` when the whole queue started) and the slots still free in
+/// front of it. Jobs whose minimum exceeds the cluster can never run
+/// and are stepped over, so they do not wedge the queue forever.
+///
+/// The walk is lazy — [`JobRef`]s off the submission index — and ends
+/// at the blocked head: the backlog behind it is the fitting cursor's
+/// business ([`ClusterView::queued_fitting`]), never scanned here.
+fn greedy_head_walk(
+    view: &ClusterView,
+    launcher_slots: u32,
+    mut start: impl FnMut(JobId, u32),
+) -> (Option<JobRef<'_>>, i64) {
+    let launcher = i64::from(launcher_slots);
+    let cap_workers = i64::from(view.capacity().saturating_sub(launcher_slots).max(1));
+    let mut free = i64::from(view.free_slots());
+    for j in view.queued_scan() {
+        let mn = i64::from(j.min_replicas());
+        if mn > cap_workers {
+            continue;
+        }
+        if free - launcher < mn {
+            return (Some(j), free);
+        }
+        let replicas = (free - launcher).min(i64::from(j.max_replicas()).min(cap_workers));
+        start(j.id(), replicas as u32);
+        free -= replicas + launcher;
+    }
+    (None, free)
+}
+
+/// The largest `min_replicas` a backfill can start at out of `free`
+/// slots once its launcher is paid for; `None` when not even a
+/// launcher fits.
+fn backfill_fit(free: i64, launcher: i64) -> Option<u32> {
+    u32::try_from(free - launcher).ok()
 }
 
 /// Knobs shared by all policy kinds.

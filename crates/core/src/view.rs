@@ -18,17 +18,41 @@
 //! order is random in index space — while the cold columns
 //! (`submitted_at`, `walltime_estimate`) stay off the scan path.
 //! [`JobState`] is a plain `Copy` value *assembled from* the arena on
-//! read; policies keep receiving whole-job snapshots while the storage
-//! stays packed. The `free_slots` counter is carried
-//! across events, and the ordered indexes (all jobs and running jobs by
-//! descending priority, queued jobs by submission, running jobs by
-//! estimated end) are kept in `BTreeSet`s keyed by
-//! `(Reverse(priority), submitted_at, JobId)` — so a policy reads its
-//! priority order in O(k) and resolves a job in O(1), with zero
-//! `String`s anywhere on the path. Every mutation is O(log n).
+//! read; [`JobRef`] is the lazy cursor that loads only the columns a
+//! scan touches.
+//!
+//! # Complexity contract
+//!
+//! The arena rows plus four counters (`free_slots`, `failed_slots`,
+//! `deficit`, live/running job counts) are the whole state; every
+//! mutation updates them in O(1) and `job(id)` resolves in O(1).
+//!
+//! The **ordered indexes are pay-per-use**. Each one — all jobs and
+//! running jobs by descending priority, queued jobs by submission,
+//! running jobs by estimated end, queued jobs bucketed by minimum
+//! footprint — is a pure function of the arena rows, built from them
+//! (O(n log n), once) the first time an accessor reads it through
+//! `&self`, and kept current by `insert`/`remove`/[`apply_action`] at
+//! O(log n) per mutation *from then on*. An index no policy of the run
+//! ever reads costs nothing: the elastic policy never pays for the
+//! FCFS queue or the completion frontier, EASY never pays for the
+//! all-jobs priority order. There is no switch and no declaration —
+//! reading is the declaration ([`ClusterView::built_indexes`] reports
+//! which have been read). Once built, a policy reads its order in O(k)
+//! with zero `String`s anywhere on the path.
+//!
+//! The footprint index answers the one question the rigid baselines
+//! ask of a deep backlog — *which queued jobs behind the blocked head
+//! still fit the free slots?* — through
+//! [`ClusterView::queued_fitting`]: a k-way merge over the
+//! `min_replicas` buckets that fit, in submission order, dropping
+//! buckets as the free slots shrink. A backfill decision therefore
+//! costs O(candidates that fit), not O(queue).
 
 use std::cmp::Reverse;
-use std::collections::BTreeSet;
+use std::collections::{btree_set, BTreeMap, BTreeSet};
+use std::ops::Bound;
+use std::sync::OnceLock;
 
 use hpc_metrics::{Duration, JobId, SimTime};
 
@@ -38,6 +62,10 @@ use hpc_metrics::{Duration, JobId, SimTime};
 /// identically in the operator and the simulator (ids are assigned in
 /// admission order in both).
 type OrderKey = (Reverse<u32>, SimTime, JobId);
+
+/// Queue ordering key: submission time, then the interned id. (The
+/// estimated-end index shares the shape: end time, then id.)
+type QueueKey = (SimTime, JobId);
 
 /// A job as the policy sees it: a by-value snapshot assembled from the
 /// view's columnar arena (everything is `Copy`, ~70 bytes).
@@ -67,10 +95,6 @@ pub struct JobState {
 }
 
 impl JobState {
-    fn order_key(&self) -> OrderKey {
-        (Reverse(self.priority), self.submitted_at, self.id)
-    }
-
     /// When this job is *estimated* to release its slots: the time of
     /// its last scheduling action plus its walltime estimate. The
     /// estimate is the user's claim for the requested size, taken
@@ -84,10 +108,6 @@ impl JobState {
             (true, Some(est)) => self.last_action + est,
             _ => SimTime::INFINITY,
         }
-    }
-
-    fn end_key(&self) -> (SimTime, JobId) {
-        (self.estimated_end(), self.id)
     }
 }
 
@@ -144,6 +164,26 @@ impl JobFields for JobState {
 pub struct JobRef<'a> {
     arena: &'a JobArena,
     idx: usize,
+}
+
+impl JobRef<'_> {
+    /// Submission time (a cold-column load, off the scan path).
+    #[inline]
+    pub fn submitted_at(&self) -> SimTime {
+        self.arena.submitted_at[self.idx]
+    }
+
+    /// User walltime estimate (a cold-column load, off the scan path).
+    #[inline]
+    pub fn walltime_estimate(&self) -> Option<Duration> {
+        self.arena.walltime_estimate[self.idx]
+    }
+
+    /// The whole job assembled by value — for the slow paths that sort
+    /// or keep what a scan selected.
+    pub fn snapshot(&self) -> JobState {
+        self.arena.get(self.idx)
+    }
 }
 
 impl JobFields for JobRef<'_> {
@@ -294,9 +334,98 @@ impl JobArena {
         }
     }
 
-    fn end_key(&self, idx: usize) -> (SimTime, JobId) {
+    fn end_key(&self, idx: usize) -> QueueKey {
         (self.estimated_end(idx), JobId(idx as u32))
     }
+
+    fn queue_key(&self, idx: usize) -> QueueKey {
+        (self.submitted_at[idx], JobId(idx as u32))
+    }
+
+    fn cursor(&self, id: JobId) -> JobRef<'_> {
+        JobRef {
+            arena: self,
+            idx: id.index(),
+        }
+    }
+
+    /// Live slots in dense id order.
+    fn live(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len()).filter(|&i| self.is_live(i))
+    }
+
+    fn running(&self) -> impl Iterator<Item = usize> + '_ {
+        self.live().filter(|&i| self.is_running(i))
+    }
+
+    fn queued(&self) -> impl Iterator<Item = usize> + '_ {
+        self.live().filter(|&i| !self.is_running(i))
+    }
+
+    // The from-scratch definition of each ordered index: what a first
+    // read builds, and what `ClusterView::eq` holds a maintained index
+    // to.
+
+    fn all_order(&self) -> BTreeSet<OrderKey> {
+        self.live().map(|i| self.order_key(i)).collect()
+    }
+
+    fn running_order(&self) -> BTreeSet<OrderKey> {
+        self.running().map(|i| self.order_key(i)).collect()
+    }
+
+    fn queued_order(&self) -> BTreeSet<QueueKey> {
+        self.queued().map(|i| self.queue_key(i)).collect()
+    }
+
+    fn running_end_order(&self) -> BTreeSet<QueueKey> {
+        self.running().map(|i| self.end_key(i)).collect()
+    }
+
+    fn queued_footprint(&self) -> FootprintIndex {
+        let mut buckets = FootprintIndex::new();
+        for i in self.queued() {
+            buckets
+                .entry(self.hot[i].min_replicas)
+                .or_default()
+                .insert(self.queue_key(i));
+        }
+        buckets
+    }
+}
+
+/// Queued jobs bucketed by `min_replicas`, submission order inside each
+/// bucket; an emptied bucket is dropped, so the map is a pure function
+/// of the queued rows.
+type FootprintIndex = BTreeMap<u32, BTreeSet<QueueKey>>;
+
+/// Index upkeep is one call either way round: `enter` inserts `key`,
+/// otherwise it is removed.
+fn toggle<K: Ord>(index: &mut BTreeSet<K>, key: K, enter: bool) {
+    let changed = if enter {
+        index.insert(key)
+    } else {
+        index.remove(&key)
+    };
+    debug_assert!(changed, "ordered index out of step with the arena");
+}
+
+/// Which pay-per-use indexes of a [`ClusterView`] have been read (and
+/// are therefore maintained) — see [`ClusterView::built_indexes`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BuiltIndexes {
+    /// All jobs by descending priority (`all_desc_priority`/`all_scan`).
+    pub all_order: bool,
+    /// Running jobs by descending priority
+    /// (`running_desc_priority`/`running_scan`).
+    pub running_order: bool,
+    /// Queued jobs by submission
+    /// (`queued_submission_order`/`queued_scan`).
+    pub queued_order: bool,
+    /// Running jobs by estimated end (`running_by_estimated_end`).
+    pub running_end_order: bool,
+    /// Queued jobs bucketed by minimum footprint (`queued_fitting`).
+    pub queued_footprint: bool,
 }
 
 /// Schedulable cluster state, incrementally maintained (see the module
@@ -316,13 +445,17 @@ pub struct ClusterView {
     /// Columnar job storage indexed by `JobId`; cleared flags mark jobs
     /// that completed or were cancelled.
     arena: JobArena,
-    all_order: BTreeSet<OrderKey>,
-    running_order: BTreeSet<OrderKey>,
-    queued_order: BTreeSet<(SimTime, JobId)>,
+    live: usize,
+    running: usize,
+    // The pay-per-use ordered indexes: unset until first read, then
+    // maintained by every mutation (module docs, "Complexity contract").
+    all_order: OnceLock<BTreeSet<OrderKey>>,
+    running_order: OnceLock<BTreeSet<OrderKey>>,
+    queued_order: OnceLock<BTreeSet<QueueKey>>,
     /// Running jobs by estimated completion — the frontier EASY-style
     /// reservations walk. Jobs without an estimate key at `INFINITY`.
-    running_end_order: BTreeSet<(SimTime, JobId)>,
-    live: usize,
+    running_end_order: OnceLock<BTreeSet<QueueKey>>,
+    queued_footprint: OnceLock<FootprintIndex>,
 }
 
 impl ClusterView {
@@ -334,11 +467,13 @@ impl ClusterView {
             failed_slots: 0,
             deficit: 0,
             arena: JobArena::default(),
-            all_order: BTreeSet::new(),
-            running_order: BTreeSet::new(),
-            queued_order: BTreeSet::new(),
-            running_end_order: BTreeSet::new(),
             live: 0,
+            running: 0,
+            all_order: OnceLock::new(),
+            running_order: OnceLock::new(),
+            queued_order: OnceLock::new(),
+            running_end_order: OnceLock::new(),
+            queued_footprint: OnceLock::new(),
         }
     }
 
@@ -428,7 +563,87 @@ impl ClusterView {
 
     /// Number of running jobs.
     pub fn running_count(&self) -> usize {
-        self.running_order.len()
+        self.running
+    }
+
+    /// Which ordered indexes have been read so far, and are therefore
+    /// paying O(log n) upkeep per mutation. Introspection for cost
+    /// tests — a policy never needs it.
+    pub fn built_indexes(&self) -> BuiltIndexes {
+        BuiltIndexes {
+            all_order: self.all_order.get().is_some(),
+            running_order: self.running_order.get().is_some(),
+            queued_order: self.queued_order.get().is_some(),
+            running_end_order: self.running_end_order.get().is_some(),
+            queued_footprint: self.queued_footprint.get().is_some(),
+        }
+    }
+
+    /// Index upkeep for the job at `idx` joining (`enter`) or leaving
+    /// the live set. Like its two siblings below it reads the job's
+    /// keys from the arena row, so it runs while the row holds the
+    /// state being indexed: after the write when entering, before it
+    /// when leaving.
+    fn index_live(&mut self, idx: usize, enter: bool) {
+        if let Some(index) = self.all_order.get_mut() {
+            toggle(index, self.arena.order_key(idx), enter);
+        }
+        if enter {
+            self.live += 1;
+        } else {
+            self.live -= 1;
+        }
+    }
+
+    /// Index upkeep for the job at `idx` joining or leaving the
+    /// running set.
+    fn index_running(&mut self, idx: usize, enter: bool) {
+        if let Some(index) = self.running_order.get_mut() {
+            toggle(index, self.arena.order_key(idx), enter);
+        }
+        if let Some(index) = self.running_end_order.get_mut() {
+            toggle(index, self.arena.end_key(idx), enter);
+        }
+        if enter {
+            self.running += 1;
+        } else {
+            self.running -= 1;
+        }
+    }
+
+    /// Index upkeep for the job at `idx` joining or leaving the queue.
+    fn index_queued(&mut self, idx: usize, enter: bool) {
+        if let Some(index) = self.queued_order.get_mut() {
+            toggle(index, self.arena.queue_key(idx), enter);
+        }
+        if let Some(buckets) = self.queued_footprint.get_mut() {
+            let min = self.arena.hot[idx].min_replicas;
+            let bucket = buckets.entry(min).or_default();
+            toggle(bucket, self.arena.queue_key(idx), enter);
+            if bucket.is_empty() {
+                buckets.remove(&min);
+            }
+        }
+    }
+
+    /// A rescale: writes the new worker count and restarts the
+    /// estimate clock, re-keying the completion frontier if it is
+    /// built. Estimate-less jobs key at `(INFINITY, id)` forever, so
+    /// the churn is skipped when the key cannot have moved.
+    fn rescale(&mut self, idx: usize, to_replicas: u32, now: SimTime) {
+        let old_end = self
+            .running_end_order
+            .get()
+            .map(|_| self.arena.end_key(idx));
+        self.arena.hot[idx].replicas = to_replicas;
+        self.arena.hot[idx].last_action = now;
+        if let (Some(old_end), Some(index)) = (old_end, self.running_end_order.get_mut()) {
+            let new_end = self.arena.end_key(idx);
+            if new_end != old_end {
+                toggle(index, old_end, false);
+                toggle(index, new_end, true);
+            }
+        }
     }
 
     /// The job behind `id`, if live. O(1) — assembled by value from the
@@ -457,14 +672,14 @@ impl ClusterView {
                 self.free_slots
             );
             self.free_slots -= need;
-            self.running_order.insert(job.order_key());
-            self.running_end_order.insert(job.end_key());
-        } else {
-            self.queued_order.insert((job.submitted_at, job.id));
         }
-        self.all_order.insert(job.order_key());
-        self.live += 1;
         self.arena.set(&job);
+        self.index_live(idx, true);
+        if job.running {
+            self.index_running(idx, true);
+        } else {
+            self.index_queued(idx, true);
+        }
     }
 
     /// Removes a job (completion or cancellation), crediting
@@ -476,85 +691,175 @@ impl ClusterView {
             return None;
         }
         let job = self.arena.get(idx);
-        self.arena.hot[idx].flags = 0;
-        self.all_order.remove(&job.order_key());
+        self.index_live(idx, false);
         if job.running {
-            self.running_order.remove(&job.order_key());
-            self.running_end_order.remove(&job.end_key());
+            self.index_running(idx, false);
             self.credit_slots(job.replicas + launcher_slots);
         } else {
-            self.queued_order.remove(&(job.submitted_at, id));
+            self.index_queued(idx, false);
         }
-        self.live -= 1;
+        self.arena.hot[idx].flags = 0;
         Some(job)
     }
 
     /// Live jobs in dense id (= admission) order.
     pub fn jobs(&self) -> impl Iterator<Item = JobState> + '_ {
-        (0..self.arena.len())
-            .filter(|&i| self.arena.is_live(i))
-            .map(|i| self.arena.get(i))
+        self.arena.live().map(|i| self.arena.get(i))
+    }
+
+    fn all_order(&self) -> &BTreeSet<OrderKey> {
+        self.all_order.get_or_init(|| self.arena.all_order())
+    }
+
+    fn running_order(&self) -> &BTreeSet<OrderKey> {
+        self.running_order
+            .get_or_init(|| self.arena.running_order())
+    }
+
+    fn queued_order(&self) -> &BTreeSet<QueueKey> {
+        self.queued_order.get_or_init(|| self.arena.queued_order())
     }
 
     /// Running jobs in *decreasing* priority order (the paper's
-    /// `runningJobs` list). O(k) — read straight off the maintained
-    /// index, no sort.
+    /// `runningJobs` list). O(k) off the index (built on first read),
+    /// no sort.
     pub fn running_desc_priority(&self) -> impl DoubleEndedIterator<Item = JobState> + '_ {
-        self.running_order
-            .iter()
-            .map(|&(_, _, id)| self.arena.get(id.index()))
+        self.running_scan().map(|j| j.snapshot())
     }
 
     /// All jobs (running and queued) in decreasing priority order (the
     /// paper's `allJobs` list). O(k), no sort.
     pub fn all_desc_priority(&self) -> impl DoubleEndedIterator<Item = JobState> + '_ {
-        self.all_order
-            .iter()
-            .map(|&(_, _, id)| self.arena.get(id.index()))
+        self.all_scan().map(|j| j.snapshot())
     }
 
     /// Queued jobs in submission order (earliest first, id-tie-broken) —
     /// the FCFS queue. O(k), no sort.
     pub fn queued_submission_order(&self) -> impl DoubleEndedIterator<Item = JobState> + '_ {
-        self.queued_order
-            .iter()
-            .map(|&(_, id)| self.arena.get(id.index()))
+        self.queued_scan().map(|j| j.snapshot())
     }
 
     /// Lazy-cursor variant of [`ClusterView::running_desc_priority`]:
     /// same index, same order, but each item is a [`JobRef`] reading
     /// columns on demand — the fast lane for the elastic shrink scans.
     pub fn running_scan(&self) -> impl DoubleEndedIterator<Item = JobRef<'_>> {
-        self.running_order.iter().map(|&(_, _, id)| JobRef {
-            arena: &self.arena,
-            idx: id.index(),
-        })
+        self.running_order()
+            .iter()
+            .map(|&(_, _, id)| self.arena.cursor(id))
     }
 
     /// Lazy-cursor variant of [`ClusterView::all_desc_priority`] — the
     /// fast lane for the elastic redistribution walk.
     pub fn all_scan(&self) -> impl DoubleEndedIterator<Item = JobRef<'_>> {
-        self.all_order.iter().map(|&(_, _, id)| JobRef {
+        self.all_order()
+            .iter()
+            .map(|&(_, _, id)| self.arena.cursor(id))
+    }
+
+    /// Lazy-cursor variant of [`ClusterView::queued_submission_order`]
+    /// — the rigid baselines' head walk, which stops at the first job
+    /// that does not fit.
+    pub fn queued_scan(&self) -> impl DoubleEndedIterator<Item = JobRef<'_>> {
+        self.queued_order()
+            .iter()
+            .map(|&(_, id)| self.arena.cursor(id))
+    }
+
+    /// Queued jobs *behind* `head` in submission order whose
+    /// `min_replicas` is at most `fit`, in submission order: the
+    /// backfill candidates that can still start. A k-way merge over
+    /// the footprint buckets `≤ fit`, so a deep backlog of jobs too
+    /// large for the free slots is never visited; call
+    /// [`FittingCursor::shrink_to`] as slots are handed out and the
+    /// buckets that stopped fitting drop out of the merge.
+    ///
+    /// Panics if `head` is not live.
+    pub fn queued_fitting(&self, head: JobId, fit: u32) -> FittingCursor<'_> {
+        let idx = head.index();
+        assert!(
+            self.arena.is_live(idx),
+            "fitting cursor behind unknown {head}"
+        );
+        let behind = (Bound::Excluded(self.arena.queue_key(idx)), Bound::Unbounded);
+        let lanes = self
+            .queued_footprint
+            .get_or_init(|| self.arena.queued_footprint())
+            .range(..=fit)
+            .filter_map(|(&min_replicas, bucket)| {
+                let mut rest = bucket.range(behind);
+                let next = *rest.next()?;
+                Some(Lane {
+                    min_replicas,
+                    next,
+                    rest,
+                })
+            })
+            .collect();
+        FittingCursor {
             arena: &self.arena,
-            idx: id.index(),
-        })
+            lanes,
+        }
     }
 
     /// Running jobs by increasing [`JobState::estimated_end`] — the
     /// completion frontier reservation-based backfilling (EASY) walks
     /// to find the queue head's shadow start time. Jobs without a
-    /// walltime estimate sort last (their end is `INFINITY`). O(k), no
-    /// sort: read straight off a maintained index.
+    /// walltime estimate sort last (their end is `INFINITY`). O(k) off
+    /// the index (built on first read), no sort.
     pub fn running_by_estimated_end(&self) -> impl DoubleEndedIterator<Item = JobState> + '_ {
         self.running_end_order
+            .get_or_init(|| self.arena.running_end_order())
             .iter()
             .map(|&(_, id)| self.arena.get(id.index()))
     }
 }
 
+/// One footprint bucket inside a [`FittingCursor`]'s merge.
+struct Lane<'a> {
+    min_replicas: u32,
+    next: QueueKey,
+    rest: btree_set::Range<'a, QueueKey>,
+}
+
+/// The cursor [`ClusterView::queued_fitting`] returns: yields fitting
+/// queued jobs in submission order, one O(buckets) step each.
+pub struct FittingCursor<'a> {
+    arena: &'a JobArena,
+    /// The buckets still fitting that have a job left to yield.
+    lanes: Vec<Lane<'a>>,
+}
+
+impl FittingCursor<'_> {
+    /// Tightens the fit: jobs with `min_replicas > fit` are no longer
+    /// yielded. The fit only ever shrinks — a dropped bucket never
+    /// comes back.
+    pub fn shrink_to(&mut self, fit: u32) {
+        self.lanes.retain(|lane| lane.min_replicas <= fit);
+    }
+}
+
+impl<'a> Iterator for FittingCursor<'a> {
+    type Item = JobRef<'a>;
+
+    fn next(&mut self) -> Option<JobRef<'a>> {
+        let at = (0..self.lanes.len()).min_by_key(|&i| self.lanes[i].next)?;
+        let lane = &mut self.lanes[at];
+        let (_, id) = lane.next;
+        match lane.rest.next() {
+            Some(&key) => lane.next = key,
+            None => {
+                self.lanes.swap_remove(at);
+            }
+        }
+        Some(self.arena.cursor(id))
+    }
+}
+
 /// Two views are equal when they describe the same schedulable state:
-/// same capacity and free counter, and the same live jobs field for
-/// field (the ordered indexes are implied but compared too — the
+/// same capacity and slot counters, and the same live jobs field for
+/// field. Which ordered indexes happen to be built is not state — each
+/// is a pure function of the job rows — but a built one must *be* that
+/// function of its rows, and equality checks it (the
 /// incremental-vs-rebuilt property test leans on this).
 impl PartialEq for ClusterView {
     fn eq(&self, other: &Self) -> bool {
@@ -563,11 +868,28 @@ impl PartialEq for ClusterView {
             && self.failed_slots == other.failed_slots
             && self.deficit == other.deficit
             && self.live == other.live
-            && self.all_order == other.all_order
-            && self.running_order == other.running_order
-            && self.queued_order == other.queued_order
-            && self.running_end_order == other.running_end_order
+            && self.running == other.running
             && self.jobs().eq(other.jobs())
+            && self.derived_current()
+            && other.derived_current()
+    }
+}
+
+impl ClusterView {
+    /// `true` when the job counters and every built index equal their
+    /// from-scratch definitions over the current arena rows.
+    fn derived_current(&self) -> bool {
+        fn current<T: PartialEq>(index: &OnceLock<T>, scratch: impl FnOnce() -> T) -> bool {
+            index.get().is_none_or(|built| *built == scratch())
+        }
+        let arena = &self.arena;
+        self.live == arena.live().count()
+            && self.running == arena.running().count()
+            && current(&self.all_order, || arena.all_order())
+            && current(&self.running_order, || arena.running_order())
+            && current(&self.queued_order, || arena.queued_order())
+            && current(&self.running_end_order, || arena.running_end_order())
+            && current(&self.queued_footprint, || arena.queued_footprint())
     }
 }
 
@@ -643,8 +965,8 @@ impl Action {
 
 /// Applies `action` to a view in place — this is how engines carry the
 /// persistent view across events (and how tests replay decision
-/// sequences). O(log n): index maintenance only, no rebuild — the field
-/// updates write straight into the arena columns.
+/// sequences). O(1) arena writes plus O(log n) upkeep per *built*
+/// index (module docs, "Complexity contract") — never a rebuild.
 /// `launcher_slots` is the per-running-job launcher overhead.
 ///
 /// Panics if the action violates capacity or job invariants — a policy
@@ -671,16 +993,12 @@ pub fn apply_action(view: &mut ClusterView, action: &Action, now: SimTime, launc
                 view.arena.hot[idx].min_replicas,
                 view.arena.hot[idx].max_replicas
             );
+            view.index_queued(idx, false);
             view.arena.hot[idx].flags |= RUNNING;
             view.arena.hot[idx].replicas = replicas;
             view.arena.hot[idx].last_action = now;
-            let key = view.arena.order_key(idx);
-            let end_key = view.arena.end_key(idx);
-            let submitted_at = view.arena.submitted_at[idx];
             view.free_slots -= need;
-            view.queued_order.remove(&(submitted_at, job));
-            view.running_order.insert(key);
-            view.running_end_order.insert(end_key);
+            view.index_running(idx, true);
         }
         Action::Expand { job, to_replicas } => {
             let idx = job.index();
@@ -698,18 +1016,8 @@ pub fn apply_action(view: &mut ClusterView, action: &Action, now: SimTime, launc
                 "expand {job} needs {grow}, only {} free",
                 view.free_slots
             );
-            let old_end = view.arena.end_key(idx);
-            view.arena.hot[idx].replicas = to_replicas;
-            view.arena.hot[idx].last_action = now;
-            let new_end = view.arena.end_key(idx);
+            view.rescale(idx, to_replicas, now);
             view.free_slots -= grow;
-            // A rescale restarts the estimate clock (last_action moved).
-            // Estimate-less jobs key at `(INFINITY, id)` forever, so the
-            // churn is skipped when the key cannot have moved.
-            if new_end != old_end {
-                view.running_end_order.remove(&old_end);
-                view.running_end_order.insert(new_end);
-            }
         }
         Action::Shrink { job, to_replicas } => {
             let idx = job.index();
@@ -721,16 +1029,8 @@ pub fn apply_action(view: &mut ClusterView, action: &Action, now: SimTime, launc
                 "shrink {job} {from} -> {to_replicas} invalid (min {})",
                 view.arena.hot[idx].min_replicas
             );
-            let freed = from - to_replicas;
-            let old_end = view.arena.end_key(idx);
-            view.arena.hot[idx].replicas = to_replicas;
-            view.arena.hot[idx].last_action = now;
-            let new_end = view.arena.end_key(idx);
-            view.credit_slots(freed);
-            if new_end != old_end {
-                view.running_end_order.remove(&old_end);
-                view.running_end_order.insert(new_end);
-            }
+            view.rescale(idx, to_replicas, now);
+            view.credit_slots(from - to_replicas);
         }
         Action::Enqueue { .. } => {}
         Action::Cancel { job } => {
@@ -741,17 +1041,13 @@ pub fn apply_action(view: &mut ClusterView, action: &Action, now: SimTime, launc
             let idx = job.index();
             assert!(view.arena.is_live(idx), "evict for unknown job {job}");
             assert!(view.arena.is_running(idx), "evict of non-running {job}");
-            let old_key = view.arena.order_key(idx);
-            let old_end = view.arena.end_key(idx);
             let freed = view.arena.hot[idx].replicas + launcher_slots;
+            view.index_running(idx, false);
             view.arena.hot[idx].flags &= !RUNNING;
             view.arena.hot[idx].replicas = 0;
             view.arena.hot[idx].last_action = now;
-            let submitted_at = view.arena.submitted_at[idx];
             view.credit_slots(freed);
-            view.running_order.remove(&old_key);
-            view.running_end_order.remove(&old_end);
-            view.queued_order.insert((submitted_at, job));
+            view.index_queued(idx, true);
         }
         Action::Requeue { job } => {
             let idx = job.index();
@@ -765,6 +1061,8 @@ pub fn apply_action(view: &mut ClusterView, action: &Action, now: SimTime, launc
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     pub(crate) fn job(id: u32, prio: u32, submitted: f64, replicas: u32) -> JobState {
         JobState {
@@ -794,6 +1092,129 @@ pub(crate) mod tests {
         }
         v.set_free_slots(free);
         v
+    }
+
+    /// A random backlog for the indexed == full-scan policy proptests,
+    /// grown through the real mutation path (1-slot launchers): mixed
+    /// footprints, jobs that can never run here (`min` at or past the
+    /// worker capacity), estimate-less jobs, a dozen submission
+    /// instants so ties are common, some jobs started, some of those
+    /// evicted back into the queue at their original submission time
+    /// (ahead of younger ids), and a random share of the free slots
+    /// lost to a fault so heads block at every depth.
+    pub(crate) fn random_backlog(seed: u64) -> ClusterView {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let capacity = rng.gen_range(4..=48u32);
+        let mut v = ClusterView::new(capacity);
+        let n = rng.gen_range(0..40u32);
+        for id in 0..n {
+            let min = if rng.gen_bool(0.1) {
+                rng.gen_range(capacity - 1..=capacity + 2)
+            } else {
+                rng.gen_range(1..=capacity / 2)
+            };
+            let queued = JobState {
+                min_replicas: min,
+                max_replicas: min + rng.gen_range(0..=capacity),
+                walltime_estimate: rng
+                    .gen_bool(0.7)
+                    .then(|| Duration::from_secs(f64::from(rng.gen_range(1..3000u32)))),
+                ..job(
+                    id,
+                    rng.gen_range(1..=5),
+                    f64::from(rng.gen_range(0..12u32)),
+                    0,
+                )
+            };
+            v.insert(queued, 1);
+        }
+        for id in (0..n).map(JobId) {
+            let j = v.job(id).expect("just inserted");
+            let room = v.free_slots().saturating_sub(1);
+            if j.min_replicas > room || !rng.gen_bool(0.4) {
+                continue;
+            }
+            let replicas = rng.gen_range(j.min_replicas..=j.max_replicas.min(room));
+            let started = SimTime::from_secs(f64::from(rng.gen_range(12..20u32)));
+            apply_action(&mut v, &Action::Create { job: id, replicas }, started, 1);
+            if rng.gen_bool(0.3) {
+                apply_action(&mut v, &Action::Evict { job: id }, started, 1);
+            }
+        }
+        let lost = rng.gen_range(0..=v.free_slots());
+        v.fail_slots(lost);
+        v
+    }
+
+    #[test]
+    fn fitting_cursor_merges_buckets_in_submission_order_and_drops_them_as_fit_shrinks() {
+        let q = |id: u32, submitted: f64, min: u32| JobState {
+            min_replicas: min,
+            ..job(id, 3, submitted, 0)
+        };
+        let view = view_of(
+            64,
+            10,
+            vec![
+                q(0, 0.0, 20), // the head
+                q(1, 1.0, 4),
+                q(2, 2.0, 2),
+                q(3, 2.0, 9), // never fits 8
+                q(4, 3.0, 4),
+                q(5, 3.0, 2),
+                q(6, 4.0, 8),
+                q(7, 5.0, 2),
+            ],
+        );
+        let ids = |c: FittingCursor<'_>| c.map(|j| j.id().0).collect::<Vec<_>>();
+        assert_eq!(ids(view.queued_fitting(JobId(0), 8)), [1, 2, 4, 5, 6, 7]);
+        // Strictly behind the head: the head's own bucket-mates ahead
+        // of it, and the head itself, are not candidates.
+        assert_eq!(ids(view.queued_fitting(JobId(4), 4)), [5, 7]);
+        assert_eq!(ids(view.queued_fitting(JobId(0), 1)), [0u32; 0]);
+        let mut cursor = view.queued_fitting(JobId(0), 8);
+        assert_eq!(cursor.next().map(|j| j.id()), Some(JobId(1)));
+        cursor.shrink_to(3);
+        assert_eq!(ids(cursor), [2, 5, 7]);
+    }
+
+    #[test]
+    fn indexes_are_built_on_first_read_and_maintained_from_then_on() {
+        let mut view = view_of(64, 40, vec![job(0, 3, 0.0, 8), job(1, 2, 1.0, 0)]);
+        assert_eq!(view.built_indexes(), BuiltIndexes::default());
+        assert_eq!(view.running_count(), 1, "a counter, not an index read");
+        assert_eq!(view.queued_scan().count(), 1);
+        assert_eq!(view.queued_fitting(JobId(1), 64).count(), 0);
+        assert_eq!(
+            view.built_indexes(),
+            BuiltIndexes {
+                queued_order: true,
+                queued_footprint: true,
+                ..BuiltIndexes::default()
+            }
+        );
+        // A mutation keeps the built ones current and builds no other.
+        view.insert(job(2, 2, 2.0, 0), 1);
+        apply_action(
+            &mut view,
+            &Action::Create {
+                job: JobId(1),
+                replicas: 4,
+            },
+            SimTime::from_secs(3.0),
+            1,
+        );
+        assert_eq!(
+            view.queued_scan().map(|j| j.id()).collect::<Vec<_>>(),
+            [JobId(2)]
+        );
+        assert!(!view.built_indexes().running_order);
+        assert_eq!(view.running_scan().count(), 2, "built now, from the arena");
+        // A clone carries what was built; equality ignores it.
+        let fresh = view_of(64, 35, view.jobs().collect());
+        assert_eq!(fresh.built_indexes(), BuiltIndexes::default());
+        assert_eq!(view, fresh);
+        assert_eq!(view.clone().built_indexes(), view.built_indexes());
     }
 
     #[test]

@@ -4,8 +4,12 @@
 //! folds every event in incrementally (insert / remove /
 //! `apply_action`). That is only sound if, after *any* event sequence,
 //! the maintained view is field-for-field equal — `free_slots`, the
-//! dense job table, and all three priority/queue indexes — to a view
-//! rebuilt from scratch out of the surviving job states. This test
+//! dense job table, and every ordered index — to a view rebuilt from
+//! scratch out of the surviving job states. The ordered indexes are
+//! pay-per-use (built from the job table on first read, maintained
+//! only from then on), so the first read lands at a random step: the
+//! steps before it prove an unread index costs no correctness, the
+//! steps after it prove the upkeep, index by index. This test
 //! drives long random sequences of submit / create / expand / shrink /
 //! complete / cancel / fail / restore / evict / requeue operations
 //! against both representations and asserts exactly that, after every
@@ -13,7 +17,7 @@
 //! counters and the deficit-first crediting every slot release goes
 //! through.
 
-use elastic_core::{apply_action, Action, ClusterView, JobId, JobState};
+use elastic_core::{apply_action, Action, ClusterView, JobFields, JobId, JobState};
 use hpc_metrics::{Duration, SimTime};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -74,15 +78,37 @@ impl Shadow {
     }
 }
 
+/// Every ordered index as the id sequence its public accessor yields
+/// (reading them builds whichever are not built yet). The fitting
+/// cursor is read behind each queued job at a footprint that cuts the
+/// 1..=8 minimums in half.
+fn index_orders(v: &ClusterView) -> [Vec<JobId>; 5] {
+    let queued: Vec<JobId> = v.queued_scan().map(|j| j.id()).collect();
+    let fitting = queued
+        .iter()
+        .flat_map(|&head| v.queued_fitting(head, 4).map(|j| j.id()))
+        .collect();
+    [
+        v.all_desc_priority().map(|j| j.id).collect(),
+        v.running_scan().map(|j| j.id()).collect(),
+        v.queued_submission_order().map(|j| j.id).collect(),
+        v.running_by_estimated_end().map(|j| j.id).collect(),
+        fitting,
+    ]
+}
+
 proptest! {
     /// After any random sequence of submit/create/expand/shrink/
     /// complete/cancel events, the incrementally maintained view equals
-    /// one rebuilt from scratch — including `free_slots` and the
-    /// priority/queue orders (covered by `ClusterView::eq`).
+    /// one rebuilt from scratch — including `free_slots` and, from
+    /// the step that first reads them, every ordered index
+    /// (`ClusterView::eq` holds each *built* index to its from-scratch
+    /// definition; the accessor comparison reads them all).
     #[test]
     fn incremental_view_equals_scratch_rebuild(
         seed in any::<u64>(),
         steps in 1usize..120,
+        first_read in 0usize..120,
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut view = ClusterView::new(CAPACITY);
@@ -244,6 +270,17 @@ proptest! {
                 &view, &rebuilt,
                 "diverged after step {} (op {})", step, op
             );
+            if step >= first_read {
+                prop_assert_eq!(
+                    index_orders(&view), index_orders(&rebuilt),
+                    "index diverged after step {} (op {}), first read at {}", step, op, first_read
+                );
+            } else {
+                prop_assert!(
+                    view.built_indexes() == Default::default(),
+                    "an index was built at step {} with no read", step
+                );
+            }
             prop_assert_eq!(view.free_slots(), shadow.free());
             prop_assert_eq!(view.failed_slots(), shadow.failed);
             prop_assert_eq!(view.deficit(), shadow.deficit);

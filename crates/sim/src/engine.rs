@@ -47,8 +47,8 @@
 //!   high-water mark).
 
 use elastic_core::{
-    apply_action, Action, ClusterView, CompleteBurst, FaultStats, JobOutcome, JobState, RunMetrics,
-    SchedulingPolicy, SubmitBurst,
+    apply_action, Action, ClusterView, CompleteBurst, FaultStats, JobFields, JobOutcome, JobState,
+    RunMetrics, SchedulingPolicy, SubmitBurst,
 };
 use elastic_resilience::{FlakyOutcome, ResilienceState};
 use hpc_metrics::{Duration, JobId, SimTime, UtilizationRecorder};
@@ -373,6 +373,7 @@ pub struct SimState {
     view: ClusterView,
     util: UtilizationRecorder,
     rescales: u32,
+    completed_count: u32,
     cancelled_count: u32,
     peak_queue_len: usize,
     peak_queue_len_raw: usize,
@@ -479,6 +480,7 @@ impl SimState {
             view: ClusterView::new(cfg.capacity),
             util: UtilizationRecorder::new(cfg.capacity),
             rescales: 0,
+            completed_count: 0,
             cancelled_count: 0,
             peak_queue_len: 0,
             peak_queue_len_raw: 0,
@@ -500,6 +502,11 @@ impl SimState {
         self.events_processed
     }
 
+    /// The persistent cluster view the policy has been deciding on.
+    pub fn view(&self) -> &ClusterView {
+        &self.view
+    }
+
     fn apply_all(&mut self, cfg: &SimConfig, fspec: &FaultSpec, actions: &[Action], now: SimTime) {
         for a in actions {
             apply_action(&mut self.view, a, now, self.launcher);
@@ -518,22 +525,39 @@ impl SimState {
         }
     }
 
+    /// `true` once every job of the workload is terminal. O(1): each
+    /// terminal state has exactly one writer, and each of those bumps
+    /// its tally in the same breath (`completed` in the completion
+    /// driver, `cancelled`/`failed` in `apply_runtime`), so the three
+    /// tallies partition the terminal jobs.
+    fn all_terminal(&self) -> bool {
+        let terminal = self.completed_count as usize
+            + self.cancelled_count as usize
+            + self.fault_stats.permanent_failures as usize;
+        debug_assert_eq!(
+            terminal,
+            self.jobs
+                .iter()
+                .filter(|j| j.completed || j.cancelled || j.failed)
+                .count(),
+            "terminal tallies out of step with the job table"
+        );
+        terminal == self.jobs.len()
+    }
+
     /// Deterministic victim selection for a transient fault: the
     /// *oldest* executor (lowest running [`JobId`]) for launch
     /// failures, stuck rescales and heartbeat misses; the *youngest*
     /// (highest running id) for crash-on-start — the job most recently
-    /// through the launch path. Identical in the operator, which scans
-    /// its store over the same admission-ordered ids.
+    /// through the launch path. Read off the view's running jobs — the
+    /// runtime `running` flag and the view's flip together in
+    /// `apply_all` — exactly as the operator does, over the same
+    /// admission-ordered ids.
     fn flaky_victim(&self, op: FlakyOp) -> Option<JobId> {
-        let mut running = self
-            .jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| j.running)
-            .map(|(i, _)| JobId::from_index(i));
+        let running = self.view.running_scan().map(|j| j.id());
         match op {
-            FlakyOp::CrashOnStart => running.next_back(),
-            FlakyOp::LaunchFail | FlakyOp::StuckRescale | FlakyOp::HeartbeatMiss => running.next(),
+            FlakyOp::CrashOnStart => running.max(),
+            FlakyOp::LaunchFail | FlakyOp::StuckRescale | FlakyOp::HeartbeatMiss => running.min(),
         }
     }
 
@@ -789,11 +813,7 @@ impl SimState {
             Event::Timer => {
                 // Stop the clock once every job is terminal — the run
                 // is over; an armed timer must not keep it alive.
-                if self
-                    .jobs
-                    .iter()
-                    .all(|j| j.completed || j.cancelled || j.failed)
-                {
+                if self.all_terminal() {
                     return false;
                 }
                 let actions = cfg.policy.on_timer(&self.view, now);
@@ -1023,6 +1043,7 @@ impl CompleteBurst for CompleteDriver<'_> {
                 self.state.jobs[idx].spec.name
             );
             self.state.jobs[idx].completed = true;
+            self.state.completed_count += 1;
             self.state.jobs[idx].running = false;
             self.state.jobs[idx].completed_at = Some(self.now);
             self.state.util.set(self.now, job, 0);

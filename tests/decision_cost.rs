@@ -1,0 +1,139 @@
+//! A scheduling decision costs what it can start, and a view index
+//! costs nothing until a policy reads it — held by count, not by clock.
+//!
+//! Two exact, host-independent numbers from outside the crates:
+//!
+//! * the backfill candidate cursor over a 10 000-deep backlog of jobs
+//!   too large for the free slots yields exactly the two jobs that fit,
+//!   and both rigid baselines decide that backlog to the same single
+//!   `Create` the full scan did;
+//! * after a whole replay the view reports which ordered indexes were
+//!   ever built: the elastic policy never pays for the FCFS queue, the
+//!   completion frontier or the footprint buckets, and EASY never pays
+//!   for the all-jobs priority order.
+
+use elastic_hpc::core::{
+    Action, BuiltIndexes, ClusterView, EasyBackfill, FcfsBackfill, JobFields, JobId, JobState,
+    Policy, PolicyConfig, SchedulingPolicy,
+};
+use elastic_hpc::metrics::{Duration, SimTime};
+use elastic_hpc::sim::{OverheadModel, ScalingModel, SimConfig, SimState};
+use elastic_hpc::workload::poisson_workload;
+
+const BACKLOG: u32 = 10_000;
+
+fn queued(id: u32, min: u32) -> JobState {
+    JobState {
+        id: JobId(id),
+        min_replicas: min,
+        max_replicas: min,
+        priority: 3,
+        submitted_at: SimTime::from_secs(f64::from(id)),
+        replicas: 0,
+        last_action: SimTime::NEG_INFINITY,
+        running: false,
+        walltime_estimate: Some(Duration::from_secs(5000.0)),
+    }
+}
+
+/// 64 slots: one running job holds 60 + its launcher, 3 are free.
+/// Behind it queue 10 000 `min 8` jobs (none fits) with a `min 2` job
+/// in the middle and another at the very end (either fits, not both).
+fn deep_backlog() -> (ClusterView, [JobId; 2]) {
+    let small = [JobId(BACKLOG / 2), JobId(BACKLOG + 1)];
+    let mut view = ClusterView::new(64);
+    view.insert(
+        JobState {
+            replicas: 60,
+            running: true,
+            last_action: SimTime::ZERO,
+            ..queued(0, 60)
+        },
+        1,
+    );
+    for id in 1..=BACKLOG + 1 {
+        let min = if small.contains(&JobId(id)) { 2 } else { 8 };
+        view.insert(queued(id, min), 1);
+    }
+    assert_eq!(view.free_slots(), 3);
+    (view, small)
+}
+
+#[test]
+fn a_backlog_that_cannot_start_is_never_walked() {
+    let (view, small) = deep_backlog();
+    let head = view.queued_scan().next().expect("queue is not empty").id();
+    assert_eq!(head, JobId(1));
+    // 3 free slots less a launcher: minimums up to 2 fit.
+    let fitting: Vec<JobId> = view.queued_fitting(head, 2).map(|j| j.id()).collect();
+    assert_eq!(fitting, small, "the cursor yields the fitting jobs only");
+
+    let now = SimTime::from_secs(20_000.0);
+    let first_small = vec![Action::Create {
+        job: small[0],
+        replicas: 2,
+    }];
+    let patient = FcfsBackfill {
+        backfill_patience: Duration::INFINITY,
+        ..FcfsBackfill::new()
+    };
+    let policies: [&dyn SchedulingPolicy; 3] =
+        [&EasyBackfill::new(), &EasyBackfill::sjbf(), &patient];
+    for policy in policies {
+        assert_eq!(
+            policy.on_complete(&view, now),
+            first_small,
+            "{}: the first fitting job takes the last slots",
+            policy.name()
+        );
+    }
+    assert!(
+        !view.built_indexes().all_order && !view.built_indexes().running_order,
+        "the rigid baselines never read a priority order"
+    );
+}
+
+fn replay(policy: Box<dyn SchedulingPolicy>) -> BuiltIndexes {
+    let workload = poisson_workload(11, 3000, Duration::from_secs(20.0));
+    let cfg = SimConfig {
+        capacity: 64,
+        policy,
+        scaling: ScalingModel::default(),
+        overhead: OverheadModel::default(),
+        cancellations: Vec::new(),
+    };
+    let mut state = SimState::new(&cfg, &workload);
+    while state.step(&cfg, &workload, 4096) {}
+    let built = state.view().built_indexes();
+    let outcome = state.finish(&cfg, &workload);
+    assert_eq!(outcome.metrics.jobs.len(), workload.jobs.len());
+    built
+}
+
+#[test]
+fn a_replay_builds_only_the_indexes_its_policy_reads() {
+    let elastic = Policy::elastic(PolicyConfig {
+        rescale_gap: Duration::from_secs(180.0),
+        launcher_slots: 1,
+        shrink_spares_head: true,
+    });
+    assert_eq!(
+        replay(Box::new(elastic)),
+        BuiltIndexes {
+            all_order: true,
+            running_order: true,
+            ..BuiltIndexes::default()
+        },
+        "elastic pays for the two priority orders and nothing else"
+    );
+    assert_eq!(
+        replay(Box::new(EasyBackfill::new())),
+        BuiltIndexes {
+            queued_order: true,
+            running_end_order: true,
+            queued_footprint: true,
+            ..BuiltIndexes::default()
+        },
+        "EASY pays for the queue, the frontier and the footprint buckets"
+    );
+}
