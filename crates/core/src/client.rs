@@ -225,32 +225,12 @@ impl SchedulerClient {
         })
     }
 
-    /// Pre-redesign submission shim: validates and submits in one call.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build a SubmitRequest (validation at construction) and call submit_request"
-    )]
-    pub fn submit(&self, spec: CharmJobSpec) -> Result<JobTicket, SchedulerError> {
-        let req = SubmitRequest::v1(spec)?;
-        match self.submit_request(req)? {
-            SubmitResponse::Admitted { ticket } => Ok(ticket),
-            resp => unreachable!("direct submission cannot answer {resp:?}"),
-        }
-    }
-
-    /// The job's current status, or [`SchedulerError::UnknownJob`] —
-    /// the typed counterpart of the old `Option`-returning `status`.
+    /// The job's current status, or [`SchedulerError::UnknownJob`].
     pub fn job_status(&self, name: &str) -> Result<CharmJobStatus, SchedulerError> {
         self.jobs
             .get(name)
             .map(|s| s.obj.status)
             .ok_or_else(|| SchedulerError::UnknownJob(name.to_string()))
-    }
-
-    /// Pre-redesign status shim: `None` when the job does not exist.
-    #[deprecated(since = "0.2.0", note = "use job_status (typed UnknownJob error)")]
-    pub fn status(&self, name: &str) -> Option<CharmJobStatus> {
-        self.jobs.get(name).map(|s| s.obj.status)
     }
 
     /// The job's lifecycle phase, or `None` if it does not exist — the
@@ -483,22 +463,6 @@ mod tests {
         submit(&client, spec("j1", 2, 8)).unwrap();
         assert_eq!(client.job_status("j1").unwrap().phase, JobPhase::Queued);
         assert_eq!(client.list_status().len(), 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_preserve_behavior() {
-        // Pins the pre-redesign surface: `submit` validates and returns
-        // a ticket; `status` answers None for unknown names.
-        let (client, jobs, _) = client();
-        let id = client.submit(spec("j1", 2, 8)).unwrap();
-        assert_eq!(jobs.get("j1").unwrap().uid, id.uid);
-        assert!(matches!(
-            client.submit(spec("bad", 8, 2)),
-            Err(SchedulerError::InvalidSpec(_))
-        ));
-        assert_eq!(client.status("j1").unwrap().phase, JobPhase::Queued);
-        assert!(client.status("ghost").is_none());
     }
 
     #[test]

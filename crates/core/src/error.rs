@@ -1,13 +1,8 @@
 //! The unified control-plane error type.
 //!
-//! Before the serving front-end landed, the client surface mixed three
-//! error shapes: `ClientError` from [`SchedulerClient`], bare
-//! `Result<(), String>` from [`CharmOperator::submit`], and `Option`
-//! returns from the status getters. [`SchedulerError`] unifies them:
-//! every fallible control-plane call — client, operator, ingest queue,
-//! federation handle — speaks this one enum, and [`ClientError`] remains
-//! as a variant-compatible alias so existing callers migrate without
-//! churn.
+//! Every fallible control-plane call — [`SchedulerClient`],
+//! [`CharmOperator::submit`], the serving ingest queue, the federation
+//! handle — speaks the one [`SchedulerError`] enum.
 //!
 //! [`SchedulerClient`]: crate::client::SchedulerClient
 //! [`CharmOperator::submit`]: crate::operator::CharmOperator::submit
@@ -22,9 +17,6 @@ pub enum SchedulerError {
     /// A job with this name already exists.
     AlreadyExists(String),
     /// No job with this name is known to the control plane.
-    ///
-    /// (Formerly `ClientError::NotFound`; renamed so the lookup-by-name
-    /// getters and `cancel` agree on one vocabulary.)
     UnknownJob(String),
     /// The job already reached a terminal phase; cancelling it is
     /// meaningless.
@@ -37,12 +29,6 @@ pub enum SchedulerError {
     /// accepting); the submission was not enqueued.
     QueueClosed,
 }
-
-/// Deprecated alias for [`SchedulerError`] — the pre-redesign client
-/// error type. Variant-compatible except for the `NotFound` →
-/// [`SchedulerError::UnknownJob`] rename; new code should name
-/// `SchedulerError` directly.
-pub type ClientError = SchedulerError;
 
 impl std::fmt::Display for SchedulerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -83,12 +69,5 @@ mod tests {
             SchedulerError::QueueClosed.to_string(),
             "submission queue closed"
         );
-    }
-
-    #[test]
-    fn alias_is_variant_compatible() {
-        // Old code naming `ClientError` variants keeps compiling.
-        let e: ClientError = ClientError::AlreadyExists("j1".into());
-        assert!(matches!(e, SchedulerError::AlreadyExists(_)));
     }
 }

@@ -31,11 +31,9 @@
 //!   `Store::list_watch` and reconciles per event (admission on job
 //!   added, teardown on cancellation, launch progress on pod phase
 //!   changes) plus a timer pass for poll-only state (executor
-//!   acknowledgements, completions). `tick()` is a thin wrapper that
-//!   drains the event queues and costs O(events + running jobs + live
-//!   pods) — it never scans the job store, however many jobs that has
-//!   held; `tick_polled()` keeps the legacy full-scan drive so
-//!   equivalence stays testable.
+//!   acknowledgements, completions). `tick()` drains the event queues
+//!   and costs O(events + running jobs + live pods) — it never scans
+//!   the job store, however many jobs that has held.
 //! * **[`SchedulerClient`]** — the typed client handle, speaking the
 //!   versioned request/response API: build a spec with
 //!   [`CharmJobSpec::builder`] (validation at `build()`), wrap it in a
@@ -107,14 +105,35 @@
 //!   view equal to a from-scratch rebuild, and
 //!   [`CharmOperator::rebuild_view`] keeps the reference construction
 //!   alive for the operator-side assertion.
-//! * Submissions are **batched**: the operator drains its watch queue
-//!   once and decides every pending admission against the shared
-//!   maintained view; the DES drains all events at one instant into a
-//!   burst and drives the policy through the [`SubmitBurst`] /
-//!   [`CompleteBurst`] traits — one dispatch per instant per kind,
-//!   with the default impls replaying the per-event decision sequence
-//!   exactly. A burst of n submissions costs n O(log n) decisions,
-//!   not n view rebuilds or n dispatches.
+//!
+//! ## One kernel under both engines
+//!
+//! The operator and the DES are adapters around one transition machine,
+//! [`kernel::Kernel`]. It owns the view, the utilization record, the
+//! tallies, [`FaultStats`], the resilience core, the recovery
+//! parameters and the per-job attempt ledger, and it alone calls a
+//! policy hook, folds an [`Action`], costs an eviction or a requeue,
+//! picks a flaky victim, decides the run is over and builds
+//! [`RunMetrics`]. An engine turns what it observes into one entry
+//! point, passing the instant, the policy and its [`kernel::Effects`]
+//! (launch / resize / stop, the next admission or completion of a
+//! burst):
+//!
+//! | an engine observes | kernel entry point | policy hooks, in order |
+//! |---|---|---|
+//! | jobs submitted at one instant | `submit_burst` | `on_submit_burst` → per job `on_submit`; none for a job whose cancellation is already on record |
+//! | a requeue backoff expired | `requeue_due` | the same, as a one-job burst |
+//! | jobs finished at one instant | `complete_burst` | `on_complete_burst` → per job `on_complete` |
+//! | a client cancellation | `cancel` | `on_complete` if the job held slots |
+//! | node failure / reclamation | `capacity_lost` | `on_fault` (must clear the deficit), then `on_complete` |
+//! | reclaimed capacity back | `capacity_returned` | `on_complete` |
+//! | a transient control-plane fault | `flaky` | `on_complete` if a victim was requeued or evicted |
+//! | the policy's timer deadline | `timer` | `on_timer`, unless every job is terminal |
+//!
+//! A burst is one policy dispatch however many jobs it carries, and
+//! the default burst hooks replay the per-event decisions exactly: n
+//! submissions cost n O(log n) decisions, not n view rebuilds or n
+//! dispatches.
 //!
 //! ## Plugging in a fifth policy: how `EasyBackfill` was built
 //!
@@ -168,10 +187,10 @@
 //!
 //! Pass `Box::new(EasyBackfill::new())` (or your own impl) to
 //! [`CharmOperator::new`] or `sched_sim::SimConfig` and both engines
-//! drive it through the same `apply_action` contract — behaviour
-//! cannot diverge between the Actual and Simulation columns of
-//! Table 1 (the trace cross-validation asserts the replays are
-//! bit-identical). Policies that need to act without an external
+//! drive it through the same kernel — behaviour cannot diverge between
+//! the Actual and Simulation columns of Table 1 (the trace
+//! cross-validation asserts the replays are bit-identical). Policies
+//! that need to act without an external
 //! trigger implement `on_timer`/`timer_interval` — see [`AgingSweep`],
 //! which wraps any inner policy with a periodic starvation-aging
 //! sweep.
@@ -236,13 +255,13 @@
 //! assert_eq!(view.deficit(), 0, "the policy covered the deficit");
 //! ```
 //!
-//! Engines assert the deficit is zero after applying the plan, then run
-//! the usual `on_complete` redistribution. When the reclaimed capacity
-//! returns (a `FaultKind::Return` event), the slots rejoin the free
-//! pool and the policy may expand or admit into them. Both engines
-//! maintain [`FaultStats`] (wasted core-seconds, evictions, requeues,
-//! permanent failures) at the same event boundaries, so fault-laden
-//! replays still cross-validate bit-identically.
+//! The kernel asserts the deficit is zero after applying the plan, then
+//! runs the usual `on_complete` redistribution. When the reclaimed
+//! capacity returns (a `FaultKind::Return` event), the slots rejoin the
+//! free pool and the policy may expand or admit into them. The kernel
+//! keeps the [`FaultStats`] (wasted core-seconds, evictions, requeues,
+//! permanent failures), so fault-laden replays cross-validate
+//! bit-identically.
 //!
 //! ## Module layering
 //!
@@ -255,8 +274,9 @@
 //! * [`policy`] — [`SchedulingPolicy`] and the built-in policies.
 //! * [`client`] — [`SchedulerClient`], [`JobTicket`], lifecycle events.
 //! * [`executor`] — real (`charm-rt`) and modeled job execution.
-//! * [`operator`] — the watch-driven reconciler with the paper's
-//!   shrink/expand pod sequences.
+//! * [`kernel`] — the transition machine both engines drive.
+//! * [`operator`] — the store/watch adapter around it, with the
+//!   paper's shrink/expand pod sequences.
 //! * [`harness`] — schedule drivers for virtual- and wall-clock runs
 //!   (submitting through the client API), including the
 //!   [`run_workload_virtual`] replay of a unified
@@ -271,6 +291,7 @@ pub mod crd;
 pub mod error;
 pub mod executor;
 pub mod harness;
+pub mod kernel;
 pub mod operator;
 pub mod policy;
 pub mod registry;
@@ -286,7 +307,7 @@ pub use crd::{
     JobSpecBuilder,
 };
 pub use elastic_resilience::ShutdownPhase;
-pub use error::{ClientError, SchedulerError};
+pub use error::SchedulerError;
 pub use executor::{CharmExecutor, ExecHandle, ExecStatus, Executor, ModelExecutor};
 pub use harness::{run_real, run_virtual, run_workload_virtual, Schedule};
 pub use hpc_metrics::JobId;

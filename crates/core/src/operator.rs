@@ -1,21 +1,42 @@
-//! The CharmJob operator.
+//! The CharmJob operator: a store/watch adapter and the paper's pod
+//! choreography around the scheduling kernel.
 //!
-//! A *watch-driven* reconciler, mirroring the paper's modified MPI
-//! operator (§3.1–3.2) the way a real Kubernetes controller is built:
-//! the operator subscribes to the CharmJob store and the pod store with
-//! the atomic [`Store::list_watch`] and reacts to events —
+//! This file is an **adapter**. It decides nothing: which policy hook
+//! fires after which view mutation, how an eviction or a requeue is
+//! costed, who a transient fault hits, whether every job is terminal
+//! and what the run's [`RunMetrics`] are all live in
+//! [`Kernel`] — the same machine the
+//! discrete-event simulator drives. What it *mechanises*, mirroring the
+//! paper's modified MPI operator (§3.1–3.2) the way a real Kubernetes
+//! controller is built:
 //!
-//! * **CharmJob added** — run the Fig. 2 admission decision.
-//! * **CharmJob modified with `cancel_requested`** — tear the job down
-//!   (kill signal, pod deletion, slot reclaim) and let the policy
-//!   redistribute the freed slots.
-//! * **Pod phase changed** — progress the owning job's launch or an
-//!   in-flight expand.
-//!
-//! plus a *timer pass* for the things only polling can observe (rescale
-//! acknowledgements and completions surface on executor handles, not in
-//! any store) and for policies that request periodic
-//! [`SchedulingPolicy::on_timer`] deadlines.
+//! * **Watch drains → kernel entry points.** The operator subscribes
+//!   to the CharmJob, pod, fault-notice and flaky-notice stores with
+//!   the atomic [`Store::list_watch`]; one [`tick`](CharmOperator::tick)
+//!   drains them in a fixed order. CharmJobs added become one
+//!   submission burst (sorted by submission time, staged one by one as
+//!   the policy pulls them; a job whose cancellation is already on
+//!   record is retired undecided); `cancel_requested` becomes a
+//!   cancel; notices become capacity-lost / capacity-returned / flaky;
+//!   expired requeue backoffs become re-entries; pod phase changes
+//!   progress the owning job's launch. A *timer pass* covers what only
+//!   polling can observe — rescale acknowledgements and completions
+//!   surface on executor handles, not in any store — and the policy's
+//!   periodic deadline.
+//! * **The kernel's effects** ([`Effects`]), as the paper's pod
+//!   sequences: **launch** is launcher pod + N worker pods + a nodelist
+//!   ConfigMap, the application starting once they all run; **shrink**
+//!   signals the application first and removes pods only after the
+//!   acknowledgement; **expand** creates pods first, updates the
+//!   nodelist, then signals (§3.1). Worker pod serials come from a
+//!   per-job counter (never from re-parsing pod names), so creating
+//!   workers is O(count). **Stop** kills the executor, returns its slot
+//!   lease, deletes pods and nodelist. What the kernel cannot see it is
+//!   told: the application started, the shrink was acknowledged.
+//! * **The CRD status mirror.** Phase, replica counts, timestamps and
+//!   attempts on each [`CharmJob`] follow the kernel's transitions so
+//!   clients and the event log can watch them; the kernel never reads
+//!   them back.
 //!
 //! ## A reconcile round costs O(changes), not O(history)
 //!
@@ -23,84 +44,51 @@
 //! scanned it would get slower for as long as the operator stays up.
 //! The rule: one [`tick`](CharmOperator::tick) costs
 //! O(events drained + running jobs + live pods) and never scans or
-//! deep-clones the job store.
-//!
-//! * Names are interned into dense [`JobId`]s by the operator's
-//!   [`JobRegistry`] at admission, and everything the scheduler touches
-//!   per event — the persistent [`ClusterView`], the policy's
-//!   [`Action`]s, utilization samples, rescale flows, executor handles
-//!   — is keyed by id. The view is never rebuilt: admissions insert
-//!   into it, completions/cancellations remove from it, and every
-//!   action is folded in by `view::apply_action` in O(log n).
-//! * Admissions are *batched*: one watch-drain collects every pending
-//!   submission, sorts once by submission time, and runs the decisions
-//!   back-to-back against the shared maintained view.
-//! * What the operator needs from a CRD it reads through the borrowed
-//!   [`Store::read`] (a field or two under the store lock, no clone).
-//!   Which jobs are `Running` is the key set of the executor-handle
-//!   map; which hold capacity (`Starting | Running`) is the view's
-//!   running set; whether everything is terminal
-//!   ([`all_complete`](CharmOperator::all_complete)) is two counts —
-//!   jobs taken on, and those of them still live — kept where the
-//!   operator makes those transitions. A job's pods
-//!   come from the pod store's by-owner index.
-//! * The pod store *is* scanned each round (scheduler, kubelet,
-//!   garbage collection), but borrowed, and it holds only live pods:
-//!   bounded by cluster capacity and reaped every round.
+//! deep-clones the job store. Names are interned into dense [`JobId`]s
+//! by the [`JobRegistry`] at admission and everything per event is
+//! keyed by id; what the operator needs from a CRD it reads through the
+//! borrowed [`Store::read`]; which jobs are `Running` is the key set of
+//! the executor-handle map; whether everything is terminal
+//! ([`all_complete`](CharmOperator::all_complete)) is the kernel's
+//! tallies against the store's length; a job's pods come from the pod
+//! store's by-owner index. The pod store *is* scanned each round
+//! (scheduler, kubelet, garbage collection), but borrowed, and it holds
+//! only live pods.
 //!
 //! [`Store::full_scans`] makes the rule a count tests hold: it does
 //! not move on the job store across `tick`/`all_complete`, except for
 //! the one scan per round by which debug builds cross-check the handle
-//! keys and the counters against the store. The snapshot reads
-//! (`list`, `get`) remain for the cold surface:
-//! [`metrics`](CharmOperator::metrics),
-//! [`queued_jobs`](CharmOperator::queued_jobs),
-//! [`rebuild_view`](CharmOperator::rebuild_view) (the from-scratch
-//! construction tests compare the maintained view against) and
-//! [`tick_polled`](CharmOperator::tick_polled). Names resurface only at
-//! the edges: pod/store objects, event logs and final reports.
-//!
-//! Pod choreography follows the paper: **Create** is launcher pod +
-//! N worker pods + a nodelist ConfigMap; **Shrink** signals the
-//! application first and removes pods only after the acknowledgement;
-//! **Expand** creates pods first, updates the nodelist, then signals
-//! (§3.1's sequences). Scheduling state lives on the CharmJob CRDs; pods
-//! converge to it asynchronously. Worker pod serials come from a
-//! per-job counter (never from re-parsing existing pod names), so
-//! creating workers is O(count).
-//!
-//! [`tick`](CharmOperator::tick) is a thin compatibility wrapper that
-//! drains the event queues once; [`tick_polled`](CharmOperator::tick_polled)
-//! preserves the legacy rebuild-the-world scan so the
-//! `watch_equivalence` test can prove the two drives produce identical
-//! [`RunMetrics`].
+//! keys and the completion answer against the store. The scanning reads
+//! remain for the cold surface: [`metrics`](CharmOperator::metrics)
+//! (one pass for the names), [`queued_jobs`](CharmOperator::queued_jobs)
+//! and [`rebuild_view`](CharmOperator::rebuild_view) (the from-scratch
+//! construction tests compare the kernel's view against).
 //!
 //! [`Store::list_watch`]: kube_sim::Store::list_watch
 //! [`Store::read`]: kube_sim::Store::read
 //! [`Store::full_scans`]: kube_sim::Store::full_scans
 //! [`JobRegistry`]: crate::registry::JobRegistry
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use crossbeam::channel::Receiver;
 use hpc_metrics::{Duration, JobId, SimTime, UtilizationRecorder};
 use hpc_workload::{FaultEvent, FaultKind, FaultSpec};
-use kube_sim::{ControlPlane, EventLog, Pod, PodRole, Store, WatchEvent};
+use kube_sim::{ControlPlane, EventLog, Pod, PodRole, Resource, Store, WatchEvent};
 
-use elastic_resilience::{
-    FlakyOutcome, LeasePool, Lifecycle, ResilienceState, ShutdownPhase, SlotLease,
-};
-use hpc_workload::FlakyOp;
+use elastic_resilience::{LeasePool, Lifecycle, ShutdownPhase, SlotLease};
 
 use crate::client::{SchedulerClient, SubmitRequest};
-use crate::crd::{AppSpec, CharmJob, CharmJobSpec, FaultNotice, FlakyNotice, JobPhase};
+use crate::crd::{
+    AppSpec, CharmJob, CharmJobSpec, CharmJobStatus, FaultNotice, FlakyNotice, JobPhase,
+};
 use crate::error::SchedulerError;
 use crate::executor::{ExecHandle, ExecStatus, Executor};
-use crate::policy::{SchedulingPolicy, SubmitBurst};
+use crate::kernel::{Admission, Effects, Kernel, Stop};
+use crate::policy::SchedulingPolicy;
 use crate::registry::JobRegistry;
-use crate::report::{FaultStats, JobOutcome, RunMetrics};
-use crate::view::{self, Action, ClusterView, JobFields, JobState};
+use crate::report::{FaultStats, RunMetrics};
+use crate::view::{ClusterView, JobState};
 
 /// In-flight rescale state machine per job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,24 +126,11 @@ pub struct CharmOperator {
     pub flakies: Store<FlakyNotice>,
     /// Operator event log.
     pub events: EventLog,
-    /// Shared so the submit-burst driver can hold `&mut self` while the
-    /// policy (behind its own refcount) decides the burst.
-    policy: Arc<dyn SchedulingPolicy>,
-    executor: Box<dyn Executor>,
-    /// Live executor handles. Its keys are exactly the `Running` jobs
-    /// (inserted at launch, removed wherever a job stops running), in
-    /// admission order — the timer pass polls these, not the job store.
-    handles: BTreeMap<JobId, Box<dyn ExecHandle>>,
-    flows: BTreeMap<JobId, RescaleFlow>,
-    util: UtilizationRecorder,
-    /// Name ↔ id interning (admission order).
-    registry: JobRegistry,
-    /// The persistent, incrementally-maintained scheduler view.
-    view: ClusterView,
-    /// Next worker-pod serial per job (indexed by `JobId`).
-    next_serial: Vec<u32>,
-    rescale_count: u32,
-    cancel_count: u32,
+    policy: Box<dyn SchedulingPolicy>,
+    /// The transition machine: view, ledgers, tallies, every decision.
+    kernel: Kernel,
+    /// What the kernel's effects act on.
+    pool: ExecutorPool,
     /// Watch stream over the CharmJob store (admissions, cancellations).
     jobs_rx: Receiver<WatchEvent<CharmJob>>,
     /// Watch stream over the pod store (launch/expand progress).
@@ -164,42 +139,53 @@ pub struct CharmOperator {
     faults_rx: Receiver<WatchEvent<FaultNotice>>,
     /// Watch stream over the flaky-notice store.
     flakies_rx: Receiver<WatchEvent<FlakyNotice>>,
-    /// Jobs this operator has taken on: staged for admission (both
-    /// drive modes consult it so a submission is planned exactly once)
-    /// or cancelled while it was draining.
-    planned: HashSet<JobId>,
-    /// How many `planned` jobs have not reached a terminal phase.
-    /// Bumped where the operator makes those transitions itself, so
-    /// [`CharmOperator::all_complete`] needs no store scan.
-    live_jobs: usize,
     /// Next policy-timer deadline, if the policy requested one.
     next_timer: Option<SimTime>,
-    /// Recovery parameters (checkpoint interval, retry budget, backoff).
-    fault_spec: FaultSpec,
-    /// Kill-and-requeued jobs waiting out their backoff, ordered by the
-    /// instant they re-enter the queue.
-    pending_requeues: BTreeSet<(SimTime, JobId)>,
-    /// Checkpointed iterations evicted jobs restart from.
-    retained_iters: HashMap<JobId, f64>,
-    /// Per-job (core-seconds already banked this attempt, time of the
-    /// last allocation change) — flushed into wasted work on requeue.
-    /// Updated only at allocation boundaries, mirroring the DES, so
-    /// wasted core-seconds cross-validate bit-identically.
-    attempt_ledger: HashMap<JobId, (f64, SimTime)>,
-    /// Fault-recovery tallies for [`RunMetrics`].
-    fault_stats: FaultStats,
-    /// The shared breaker/budget/health decision core for the installed
-    /// `FlakySpec` (idle while the spec is empty).
-    resilience: ResilienceState,
     /// Shutdown phase of the executor pool (Running until
     /// [`CharmOperator::begin_drain`]).
     lifecycle: Lifecycle,
+}
+
+/// The per-job state the pod choreography keeps: executors, their
+/// leases and rescale flows, pod serials, checkpointed progress — plus
+/// the two queues a burst is pulled from.
+struct ExecutorPool {
+    executor: Box<dyn Executor>,
+    /// Name ↔ id interning (admission order).
+    registry: JobRegistry,
+    /// Live executor handles. Its keys are exactly the `Running` jobs
+    /// (inserted at launch, removed wherever a job stops), in admission
+    /// order — the timer pass polls these, not the job store.
+    handles: BTreeMap<JobId, Box<dyn ExecHandle>>,
+    flows: BTreeMap<JobId, RescaleFlow>,
+    /// Next worker-pod serial per job (indexed by `JobId`).
+    next_serial: Vec<u32>,
+    /// Checkpointed iterations evicted jobs restart from.
+    retained_iters: HashMap<JobId, f64>,
     /// RAII slot accounting for live executors: every launched executor
     /// holds one leased slot until its handle is torn down, so an
     /// evicted executor structurally cannot leak its slot.
-    exec_pool: LeasePool,
+    leases: LeasePool,
     /// The per-executor leases (dropped wherever the handle is removed).
-    exec_leases: HashMap<JobId, SlotLease>,
+    held: HashMap<JobId, SlotLease>,
+    /// Checkpoint period the executors cut checkpoints at.
+    checkpoint_interval: Duration,
+    /// Requeue backoffs the kernel asked to be woken for — the
+    /// operator's stand-in for an event queue.
+    backoffs: BTreeSet<(SimTime, JobId)>,
+    /// Names of the submission burst not staged yet.
+    admitting: VecDeque<String>,
+    /// Running jobs the timer pass has not polled for completion yet.
+    polling: VecDeque<JobId>,
+}
+
+/// The operator's [`Effects`]: the executor pool plus the stores the
+/// choreography writes to.
+struct Choreography<'a> {
+    pool: &'a mut ExecutorPool,
+    plane: &'a ControlPlane,
+    jobs: &'a Store<CharmJob>,
+    events: &'a EventLog,
 }
 
 impl CharmOperator {
@@ -210,7 +196,6 @@ impl CharmOperator {
         policy: Box<dyn SchedulingPolicy>,
         executor: Box<dyn Executor>,
     ) -> Self {
-        let capacity = plane.capacity().max(1);
         let jobs: Store<CharmJob> = Store::new();
         let faults: Store<FaultNotice> = Store::new();
         let flakies: Store<FlakyNotice> = Store::new();
@@ -225,37 +210,33 @@ impl CharmOperator {
         let (_, flakies_rx) = flakies.list_watch();
         let next_timer = policy.timer_interval().map(|iv| plane.now() + iv);
         CharmOperator {
-            view: ClusterView::new(plane.capacity()),
+            kernel: Kernel::new(plane.capacity(), policy.launcher_slots()),
             plane,
             jobs,
             faults,
             flakies,
             events: EventLog::new(),
-            policy: Arc::from(policy),
-            executor,
-            handles: BTreeMap::new(),
-            flows: BTreeMap::new(),
-            util: UtilizationRecorder::new(capacity),
-            registry: JobRegistry::new(),
-            next_serial: Vec::new(),
-            rescale_count: 0,
-            cancel_count: 0,
+            policy,
+            pool: ExecutorPool {
+                executor,
+                registry: JobRegistry::new(),
+                handles: BTreeMap::new(),
+                flows: BTreeMap::new(),
+                next_serial: Vec::new(),
+                retained_iters: HashMap::new(),
+                leases: LeasePool::new(),
+                held: HashMap::new(),
+                checkpoint_interval: FaultSpec::default().checkpoint_interval,
+                backoffs: BTreeSet::new(),
+                admitting: VecDeque::new(),
+                polling: VecDeque::new(),
+            },
             jobs_rx,
             pods_rx,
             faults_rx,
             flakies_rx,
-            planned: HashSet::new(),
-            live_jobs: 0,
             next_timer,
-            fault_spec: FaultSpec::default(),
-            pending_requeues: BTreeSet::new(),
-            retained_iters: HashMap::new(),
-            attempt_ledger: HashMap::new(),
-            fault_stats: FaultStats::default(),
-            resilience: ResilienceState::new(&FaultSpec::default().flaky),
             lifecycle: Lifecycle::new(),
-            exec_pool: LeasePool::new(),
-            exec_leases: HashMap::new(),
         }
     }
 
@@ -267,18 +248,14 @@ impl CharmOperator {
     /// and transient faults as [`FlakyNotice`]s on
     /// [`CharmOperator::flakies`].
     pub fn set_fault_spec(&mut self, spec: FaultSpec) {
-        self.resilience = ResilienceState::new(&spec.flaky);
-        self.fault_spec = spec;
+        self.kernel.set_recovery(&spec);
+        self.pool.checkpoint_interval = spec.checkpoint_interval;
     }
 
     /// Fault-recovery tallies accumulated so far (including the
     /// resilience layer's transient-fault counters).
     pub fn fault_stats(&self) -> FaultStats {
-        let mut stats = self.fault_stats;
-        stats.transient_faults = self.resilience.transient_faults();
-        stats.retries = self.resilience.retries();
-        stats.breaker_trips = self.resilience.breaker_trips();
-        stats
+        self.kernel.fault_stats()
     }
 
     /// The active policy.
@@ -288,29 +265,29 @@ impl CharmOperator {
 
     /// Rescale actions issued so far.
     pub fn rescales(&self) -> u32 {
-        self.rescale_count
+        self.kernel.rescales()
     }
 
     /// Jobs cancelled so far.
     pub fn cancellations(&self) -> u32 {
-        self.cancel_count
+        self.kernel.cancelled()
     }
 
     /// The utilization recorder (worker slots per job over time, keyed
     /// by [`JobId`]; resolve names via [`CharmOperator::registry`]).
     pub fn utilization(&self) -> &UtilizationRecorder {
-        &self.util
+        self.kernel.utilization()
     }
 
     /// The name ↔ id interning table for this run.
     pub fn registry(&self) -> &JobRegistry {
-        &self.registry
+        &self.pool.registry
     }
 
-    /// The persistent scheduler view, maintained incrementally across
-    /// reconciles (never rebuilt).
+    /// The persistent scheduler view, maintained incrementally by the
+    /// kernel across reconciles (never rebuilt).
     pub fn view(&self) -> &ClusterView {
-        &self.view
+        self.kernel.view()
     }
 
     /// A typed client handle over this operator's job store. Clients
@@ -349,7 +326,7 @@ impl CharmOperator {
             // Jobs the reconciler has not admitted yet are not part of
             // the scheduler's world (the maintained view adds them at
             // admission time).
-            let Some(id) = self.registry.id(&job.spec.name) else {
+            let Some(id) = self.pool.registry.id(&job.spec.name) else {
                 continue;
             };
             // A kill-and-requeued job waiting out its backoff is alive
@@ -389,619 +366,28 @@ impl CharmOperator {
         // pre-fault free count, and failing `failed` slots from there
         // reproduces exactly (free, failed, deficit) because
         // free > 0 implies deficit == 0.
-        view.fail_slots(self.view.failed_slots());
+        view.fail_slots(self.kernel.view().failed_slots());
         view
     }
 
-    fn apply_actions(&mut self, actions: &[Action], now: SimTime) {
-        let launcher = self.policy.launcher_slots();
-        for action in actions {
-            match *action {
-                Action::Create { job, replicas } => {
-                    view::apply_action(&mut self.view, action, now, launcher);
-                    self.start_job(job, replicas, now);
-                }
-                Action::Shrink { job, to_replicas } => {
-                    view::apply_action(&mut self.view, action, now, launcher);
-                    self.start_shrink(job, to_replicas, now);
-                }
-                Action::Expand { job, to_replicas } => {
-                    view::apply_action(&mut self.view, action, now, launcher);
-                    self.start_expand(job, to_replicas, now);
-                }
-                Action::Enqueue { job } => {
-                    let name = self.registry.name(job).to_string();
-                    self.events
-                        .record(now, &name, "Enqueued", "no resources available");
-                }
-                // `cancel_job` owns the view removal (it also serves
-                // client cancellations arriving outside any action).
-                Action::Cancel { job } => {
-                    let name = self.registry.name(job).to_string();
-                    self.cancel_job(&name, now);
-                }
-                Action::Evict { job } => {
-                    view::apply_action(&mut self.view, action, now, launcher);
-                    self.evict_job(job, now);
-                }
-                Action::Requeue { job } => {
-                    view::apply_action(&mut self.view, action, now, launcher);
-                    self.requeue_job(job, now);
-                }
-            }
-        }
-    }
-
-    /// Names of `job`'s live worker pods, in name (= serial) order.
-    fn worker_pods(&self, job: &str) -> Vec<String> {
-        self.plane.pod_names_of_job(job, Some(PodRole::Worker))
-    }
-
-    /// Requests graceful deletion of every live pod of `job`.
-    fn delete_job_pods(&self, job: &str) {
-        for pod in self.plane.pod_names_of_job(job, None) {
-            self.plane.delete_pod(&pod);
-        }
-    }
-
-    /// Creates `count` fresh worker pods for `job`. Serials come from
-    /// the per-job counter — pod names are identical to the historical
-    /// scheme (`{job}-w{serial:04}`, monotonically increasing across
-    /// expands) without listing or re-parsing existing pods.
-    fn create_workers(&mut self, job: JobId, count: u32, now: SimTime) {
-        let name = self.registry.name(job).to_string();
-        if job.index() >= self.next_serial.len() {
-            self.next_serial.resize(job.index() + 1, 0);
-        }
-        let start = self.next_serial[job.index()];
-        for serial in start..start + count {
-            let pod_name = format!("{name}-w{serial:04}");
-            self.plane
-                .pods
-                .create(Pod::worker(pod_name, &name, now))
-                .expect("fresh worker pod");
-        }
-        self.next_serial[job.index()] = start + count;
-    }
-
-    fn update_nodelist(&mut self, job: &str) {
-        let hosts = self.worker_pods(job).join("\n");
-        let cm_name = format!("{job}-nodelist");
-        if self.plane.configmaps.read(&cm_name, |_| ()).is_some() {
-            self.plane
-                .configmaps
-                .update(&cm_name, move |cm| {
-                    cm.data.insert("hosts".into(), hosts);
-                })
-                .expect("configmap exists");
-        } else {
-            let mut cm = kube_sim::ConfigMap::new(cm_name);
-            cm.data.insert("hosts".into(), hosts);
-            self.plane.configmaps.create(cm).expect("fresh configmap");
-        }
-    }
-
-    fn start_job(&mut self, job: JobId, replicas: u32, now: SimTime) {
-        let name = self.registry.name(job).to_string();
-        self.jobs
-            .update(&name, |j| {
-                j.status.phase = JobPhase::Starting;
-                j.status.desired_replicas = replicas;
-                j.status.replicas = replicas;
-                j.status.last_action = now;
-            })
-            .expect("job exists");
-        self.plane
-            .pods
-            .create(Pod::launcher(format!("{name}-launcher"), &name, now))
-            .expect("fresh launcher pod");
-        self.create_workers(job, replicas, now);
-        self.update_nodelist(&name);
-        self.util.set(now, job, replicas);
-        // A fresh attempt: nothing banked yet, allocated from `now`.
-        self.attempt_ledger.insert(job, (0.0, now));
-        self.events
-            .record(now, &name, "Created", format!("{replicas} replicas"));
-    }
-
-    /// Banks the current allocation period into the job's attempt
-    /// ledger at an allocation change (`prev` replicas held since the
-    /// last boundary). Same instants as the DES's accounting, so wasted
-    /// core-seconds stay bit-identical across engines.
-    fn bank_allocation(&mut self, job: JobId, prev: u32, now: SimTime) {
-        if let Some((acc, since)) = self.attempt_ledger.get_mut(&job) {
-            *acc += f64::from(prev) * (now - *since).as_secs();
-            *since = now;
-        }
-    }
-
-    fn start_shrink(&mut self, job: JobId, target: u32, now: SimTime) {
-        let name = self.registry.name(job).to_string();
-        self.rescale_count += 1;
-        let prev = self
-            .jobs
-            .read(&name, |j| j.obj.status.desired_replicas)
-            .unwrap_or(0);
-        self.bank_allocation(job, prev, now);
-        self.jobs
-            .update(&name, |j| {
-                j.status.desired_replicas = target;
-                j.status.last_action = now;
-            })
-            .expect("job exists");
-        if let Some(handle) = self.handles.get_mut(&job) {
-            // Paper's shrink sequence: signal first, remove pods on ack.
-            handle.request_rescale(target);
-            self.flows
-                .insert(job, RescaleFlow::ShrinkSignalled { target });
-            self.events
-                .record(now, &name, "ShrinkSignalled", format!("-> {target}"));
-        } else {
-            // Job hasn't launched yet: adjust pods directly.
-            self.remove_excess_workers(&name, target);
-            self.jobs
-                .update(&name, |j| j.status.replicas = target)
-                .expect("job exists");
-            self.util.set(now, job, target);
-            self.events
-                .record(now, &name, "Shrunk", format!("-> {target} (pre-launch)"));
-        }
-    }
-
-    fn start_expand(&mut self, job: JobId, target: u32, now: SimTime) {
-        let name = self.registry.name(job).to_string();
-        self.rescale_count += 1;
-        let (current, prev) = self
-            .jobs
-            .read(&name, |j| {
-                (j.obj.status.replicas, j.obj.status.desired_replicas)
-            })
-            .unwrap_or((0, 0));
-        self.bank_allocation(job, prev, now);
-        self.jobs
-            .update(&name, |j| {
-                j.status.desired_replicas = target;
-                j.status.last_action = now;
-            })
-            .expect("job exists");
-        // Paper's expand sequence: pods first, nodelist, then signal.
-        self.create_workers(job, target.saturating_sub(current), now);
-        self.util.set(now, job, target);
-        if self.handles.contains_key(&job) {
-            self.flows
-                .insert(job, RescaleFlow::ExpandPodsPending { target });
-            self.events
-                .record(now, &name, "ExpandStarted", format!("-> {target}"));
-        } else {
-            self.events
-                .record(now, &name, "ExpandPreLaunch", format!("-> {target}"));
-        }
-    }
-
-    fn remove_excess_workers(&mut self, job: &str, target: u32) {
-        for pod in self.worker_pods(job).iter().skip(target as usize) {
-            self.plane.delete_pod(pod);
-        }
+    /// The three things every kernel call takes, borrowed apart.
+    fn split(&mut self) -> (&mut Kernel, &dyn SchedulingPolicy, Choreography<'_>) {
+        let fx = Choreography {
+            pool: &mut self.pool,
+            plane: &self.plane,
+            jobs: &self.jobs,
+            events: &self.events,
+        };
+        (&mut self.kernel, self.policy.as_ref(), fx)
     }
 
     // -----------------------------------------------------------------
     // Watch-driven reconciliation
     // -----------------------------------------------------------------
 
-    /// Stages the admission of `name` exactly once: interns the id and
-    /// inserts the queued job into the maintained view. Returns the id
-    /// iff the policy should now decide it (`None` for duplicates,
-    /// vanished/non-queued jobs, pre-cancelled jobs, or while the
-    /// operator is draining).
-    fn stage_admission(&mut self, name: &str) -> Option<JobId> {
-        // A draining (or further shut down) operator admits nothing:
-        // the job stays queued for a future operator generation.
-        if !self.lifecycle.is_accepting() {
-            return None;
-        }
-        let id = self.registry.intern(name);
-        if !self.planned.insert(id) {
-            return None;
-        }
-        let (phase, cancel_requested, queued) = self.jobs.read(name, |s| {
-            let (spec, status) = (&s.obj.spec, &s.obj.status);
-            let queued = JobState {
-                id,
-                min_replicas: spec.min_replicas,
-                max_replicas: spec.max_replicas,
-                priority: spec.priority,
-                submitted_at: status.submitted_at,
-                replicas: 0,
-                last_action: status.last_action,
-                running: false,
-                walltime_estimate: spec.walltime_estimate,
-            };
-            (status.phase, status.cancel_requested, queued)
-        })?;
-        self.live_jobs += usize::from(!phase.is_terminal());
-        if phase != JobPhase::Queued {
-            return None;
-        }
-        let now = self.plane.now();
-        self.view.insert(queued, self.policy.launcher_slots());
-        self.events.record(now, name, "Submitted", "");
-        if cancel_requested {
-            // Cancelled before the reconciler ever saw it.
-            self.cancel_job(name, now);
-            return None;
-        }
-        Some(id)
-    }
-
-    /// Runs the admission decision for `name` exactly once — the
-    /// per-event path (`tick_polled` and the requeue re-entry use it;
-    /// the watch drive decides whole bursts through
-    /// [`SchedulingPolicy::on_submit_burst`]).
-    fn plan_admission(&mut self, name: &str) {
-        let Some(id) = self.stage_admission(name) else {
-            return;
-        };
-        let now = self.plane.now();
-        let actions = self.policy.on_submit(&self.view, id, now);
-        self.apply_actions(&actions, now);
-    }
-
-    /// Tears `name` down: kill signal to the executor, pod and nodelist
-    /// deletion, slot reclaim — then lets the policy redistribute the
-    /// freed slots (cancellation frees capacity exactly like a
-    /// completion, so Fig. 3 applies).
-    fn cancel_job(&mut self, name: &str, now: SimTime) {
-        let Some(phase) = self.jobs.read(name, |s| s.obj.status.phase) else {
-            return;
-        };
-        if phase.is_terminal() {
-            return;
-        }
-        let id = self.registry.intern(name);
-        // A staged job stops being live. One never staged (cancelled
-        // while the operator drains) becomes this operator's here,
-        // already terminal.
-        if !self.planned.insert(id) {
-            self.live_jobs -= 1;
-        }
-        self.cancel_count += 1;
-        if let Some(mut handle) = self.handles.remove(&id) {
-            handle.stop(); // executor kill path
-        }
-        self.exec_leases.remove(&id);
-        self.flows.remove(&id);
-        self.retained_iters.remove(&id);
-        self.attempt_ledger.remove(&id);
-        // Tolerant of jobs not in the view (e.g. cancelled while waiting
-        // out a requeue backoff): `remove` returns an Option.
-        self.view.remove(id, self.policy.launcher_slots());
-        self.delete_job_pods(name);
-        let _ = self.plane.configmaps.delete(&format!("{name}-nodelist"));
-        self.jobs
-            .update(name, |j| {
-                j.status.phase = JobPhase::Cancelled;
-                j.status.replicas = 0;
-                j.status.desired_replicas = 0;
-                j.status.completed_at = Some(now);
-            })
-            .expect("job exists");
-        self.util.set(now, id, 0);
-        self.events.record(now, name, "Cancelled", "");
-        if phase != JobPhase::Queued {
-            // The job held slots: run the completion redistribution so
-            // the policy reassigns them in the same reconcile.
-            let actions = self.policy.on_complete(&self.view, now);
-            self.apply_actions(&actions, now);
-        }
-    }
-
-    /// Checkpoint/restart preemption ([`Action::Evict`]): stop the
-    /// application, tear its pods down, and demote the job back to
-    /// `Queued` keeping the progress of its last periodic checkpoint.
-    /// Work since that checkpoint is wasted; the retained iterations are
-    /// replayed into the executor when the job relaunches. The caller
-    /// (`apply_actions`) has already applied the view-side demotion.
-    fn evict_job(&mut self, job: JobId, now: SimTime) {
-        let name = self.registry.name(job).to_string();
-        let (replicas, started) = self
-            .jobs
-            .read(&name, |s| {
-                (s.obj.status.desired_replicas, s.obj.status.started_at)
-            })
-            .expect("evicting job exists");
-        self.fault_stats.evictions += 1;
-        let interval = self.fault_spec.checkpoint_interval;
-        let retained = match (self.handles.get_mut(&job), started) {
-            (Some(handle), Some(started_at)) => {
-                handle.checkpointed_iters(started_at, now, interval)
-            }
-            _ => None,
-        };
-        if let Some(started_at) = started {
-            // The tail since the last checkpoint boundary is lost.
-            let t = interval.as_secs();
-            let elapsed = (now - started_at).as_secs().max(0.0);
-            let since_ckpt = elapsed - (elapsed / t).floor() * t;
-            self.fault_stats.wasted_core_seconds += f64::from(replicas) * since_ckpt;
-        }
-        // Cumulative across attempts: the relaunch handle only models
-        // the *remaining* iterations, so its checkpoint count is
-        // relative to the previous attempt's floor. A second eviction
-        // must add onto that floor, not replace it — forgetting it
-        // would relaunch the job from scratch.
-        let prior = self.retained_iters.get(&job).copied().unwrap_or(0.0);
-        let banked = prior + retained.unwrap_or(0.0);
-        if banked > 0.0 {
-            self.retained_iters.insert(job, banked);
-        } else {
-            self.retained_iters.remove(&job);
-        }
-        if let Some(mut handle) = self.handles.remove(&job) {
-            handle.stop();
-        }
-        self.exec_leases.remove(&job);
-        self.flows.remove(&job);
-        // Hard-delete rather than graceful: an evicted job may be
-        // relaunched in the same reconcile instant (a transient-fault
-        // eviction frees its own slots with capacity unchanged), so the
-        // fixed-name launcher pod must leave the store synchronously.
-        for pod in self.plane.pod_names_of_job(&name, None) {
-            let _ = self.plane.pods.delete(&pod);
-        }
-        let _ = self.plane.configmaps.delete(&format!("{name}-nodelist"));
-        self.jobs
-            .update(&name, |j| {
-                j.status.phase = JobPhase::Queued;
-                j.status.replicas = 0;
-                j.status.desired_replicas = 0;
-                j.status.last_action = now;
-            })
-            .expect("job exists");
-        self.util.set(now, job, 0);
-        self.events
-            .record(now, &name, "Evicted", "preempted; restart from checkpoint");
-    }
-
-    /// Kill-and-requeue preemption ([`Action::Requeue`]): the whole
-    /// attempt is wasted. The job resubmits from scratch after an
-    /// exponential backoff, or fails permanently once the retry budget
-    /// is spent. The caller has already removed the job from the view.
-    fn requeue_job(&mut self, job: JobId, now: SimTime) {
-        let name = self.registry.name(job).to_string();
-        let (replicas, attempts) = self
-            .jobs
-            .read(&name, |s| {
-                (s.obj.status.desired_replicas, s.obj.status.attempts + 1)
-            })
-            .expect("requeueing job exists");
-        let (acc, since) = self.attempt_ledger.remove(&job).unwrap_or((0.0, now));
-        self.fault_stats.wasted_core_seconds += acc + f64::from(replicas) * (now - since).as_secs();
-        self.fault_stats.requeues += 1;
-        self.retained_iters.remove(&job);
-        if let Some(mut handle) = self.handles.remove(&job) {
-            handle.stop();
-        }
-        self.exec_leases.remove(&job);
-        self.flows.remove(&job);
-        self.delete_job_pods(&name);
-        let _ = self.plane.configmaps.delete(&format!("{name}-nodelist"));
-        self.util.set(now, job, 0);
-        if attempts >= self.fault_spec.max_attempts {
-            self.fault_stats.permanent_failures += 1;
-            self.live_jobs -= 1;
-            self.jobs
-                .update(&name, |j| {
-                    j.status.phase = JobPhase::Failed;
-                    j.status.replicas = 0;
-                    j.status.desired_replicas = 0;
-                    j.status.attempts = attempts;
-                    j.status.completed_at = Some(now);
-                })
-                .expect("job exists");
-            self.events.record(
-                now,
-                &name,
-                "Failed",
-                format!("retry budget exhausted after {attempts} attempts"),
-            );
-        } else {
-            let due = now + self.fault_spec.backoff_for(attempts);
-            self.jobs
-                .update(&name, |j| {
-                    j.status.phase = JobPhase::Queued;
-                    j.status.replicas = 0;
-                    j.status.desired_replicas = 0;
-                    j.status.attempts = attempts;
-                    j.status.requeued_at = Some(due);
-                    j.status.last_action = SimTime::NEG_INFINITY;
-                })
-                .expect("job exists");
-            self.pending_requeues.insert((due, job));
-            self.events.record(
-                now,
-                &name,
-                "Requeued",
-                format!("attempt {attempts}, back at t={}s", due.as_secs()),
-            );
-        }
-    }
-
-    /// Re-enters kill-and-requeued jobs whose backoff has expired: the
-    /// job rejoins the scheduler view ordered by its re-entry time and
-    /// the admission decision runs again.
-    fn process_due_requeues(&mut self) {
-        let now = self.plane.now();
-        while let Some(&(due, job)) = self.pending_requeues.iter().next() {
-            if due > now {
-                break;
-            }
-            self.pending_requeues.remove(&(due, job));
-            let name = self.registry.name(job).to_string();
-            let resubmitted = self.jobs.read(&name, |s| {
-                let spec = &s.obj.spec;
-                // Cancelled (or otherwise finished) while waiting out
-                // the backoff: nothing to resubmit.
-                (s.obj.status.phase == JobPhase::Queued).then_some(JobState {
-                    id: job,
-                    min_replicas: spec.min_replicas,
-                    max_replicas: spec.max_replicas,
-                    priority: spec.priority,
-                    submitted_at: due,
-                    replicas: 0,
-                    last_action: SimTime::NEG_INFINITY,
-                    running: false,
-                    walltime_estimate: spec.walltime_estimate,
-                })
-            });
-            let Some(Some(queued)) = resubmitted else {
-                continue;
-            };
-            self.view.insert(queued, self.policy.launcher_slots());
-            self.events
-                .record(now, &name, "Resubmitted", "requeue backoff expired");
-            let actions = self.policy.on_submit(&self.view, job, now);
-            self.apply_actions(&actions, now);
-        }
-    }
-
-    /// Drains the fault-notice watch stream: capacity losses mark slots
-    /// failed in the view and hand the deficit to the policy's
-    /// `on_fault` surface; capacity returns restore the slots and run
-    /// the completion redistribution over the regained room.
-    fn reconcile_fault_events(&mut self) {
-        let mut notices: Vec<FaultNotice> = Vec::new();
-        while let Ok(ev) = self.faults_rx.try_recv() {
-            if let WatchEvent::Added(s) = ev {
-                notices.push(s.obj);
-            }
-        }
-        notices.sort_by(|a, b| a.at.cmp(&b.at).then_with(|| a.name.cmp(&b.name)));
-        let now = self.plane.now();
-        for n in notices {
-            match n.kind {
-                FaultKind::NodeFail | FaultKind::Reclaim => {
-                    self.view.fail_slots(n.slots);
-                    self.events.record(
-                        now,
-                        &n.name,
-                        "CapacityLost",
-                        format!("{} took {} slots", n.kind, n.slots),
-                    );
-                    let fault = FaultEvent {
-                        at: Duration::from_secs(n.at.as_secs()),
-                        slots: n.slots,
-                        kind: n.kind,
-                    };
-                    let actions = self.policy.on_fault(&self.view, &fault, now);
-                    self.apply_actions(&actions, now);
-                    assert_eq!(
-                        self.view.deficit(),
-                        0,
-                        "policy on_fault left an uncovered slot deficit"
-                    );
-                    // The fault reshaped the cluster; let the policy
-                    // redistribute whatever room is left (same surface a
-                    // completion uses).
-                    let actions = self.policy.on_complete(&self.view, now);
-                    self.apply_actions(&actions, now);
-                }
-                FaultKind::Return => {
-                    self.view.restore_slots(n.slots);
-                    self.events.record(
-                        now,
-                        &n.name,
-                        "CapacityReturned",
-                        format!("{} slots back", n.slots),
-                    );
-                    let actions = self.policy.on_complete(&self.view, now);
-                    self.apply_actions(&actions, now);
-                }
-            }
-        }
-    }
-
-    /// Deterministic victim selection for a transient fault: the
-    /// *oldest* executor (lowest admitted [`JobId`] holding capacity)
-    /// for launch failures, stuck rescales and heartbeat misses; the
-    /// *youngest* for crash-on-start. `Starting` counts — the DES
-    /// launches instantaneously, so a job admitted at the fault instant
-    /// is already a candidate there.
-    fn flaky_victim(&self, op: FlakyOp) -> Option<JobId> {
-        // `Starting | Running` on the CRD is exactly `running` in the
-        // maintained view: both flip together in `apply_actions`.
-        let holding = self.view.running_scan().map(|j| j.id());
-        match op {
-            FlakyOp::CrashOnStart => holding.max(),
-            FlakyOp::LaunchFail | FlakyOp::StuckRescale | FlakyOp::HeartbeatMiss => holding.min(),
-        }
-    }
-
-    /// Drains the flaky-notice watch stream: each transient fault picks
-    /// its deterministic victim, asks the shared [`ResilienceState`]
-    /// for the outcome, and routes it through the existing
-    /// requeue/evict machinery — the exact translation the DES applies,
-    /// which is what keeps flaky replays bit-identical across engines.
-    fn reconcile_flaky_events(&mut self) {
-        let mut notices: Vec<FlakyNotice> = Vec::new();
-        while let Ok(ev) = self.flakies_rx.try_recv() {
-            if let WatchEvent::Added(s) = ev {
-                notices.push(s.obj);
-            }
-        }
-        notices.sort_by(|a, b| a.at.cmp(&b.at).then_with(|| a.name.cmp(&b.name)));
-        let now = self.plane.now();
-        for n in notices {
-            let victim = self.flaky_victim(n.op);
-            let outcome = self.resilience.on_flaky(n.op, victim, now);
-            self.events.record(
-                now,
-                &n.name,
-                "TransientFault",
-                format!("{} -> {outcome:?}", n.op),
-            );
-            match outcome {
-                FlakyOutcome::Observed | FlakyOutcome::Absorbed => {}
-                FlakyOutcome::Retry => {
-                    let job = victim.expect("retry outcome implies a victim");
-                    self.apply_actions(&[Action::Requeue { job }], now);
-                    let actions = self.policy.on_complete(&self.view, now);
-                    self.apply_actions(&actions, now);
-                }
-                FlakyOutcome::Deny => {
-                    // Retry budget dry: force the attempt counter to
-                    // the retry ceiling so the existing requeue path
-                    // fails the job permanently — identically to the
-                    // DES.
-                    let job = victim.expect("deny outcome implies a victim");
-                    let name = self.registry.name(job).to_string();
-                    let ceiling = self.fault_spec.max_attempts.saturating_sub(1);
-                    self.jobs
-                        .update(&name, |j| {
-                            j.status.attempts = j.status.attempts.max(ceiling);
-                        })
-                        .expect("denied job exists");
-                    self.apply_actions(&[Action::Requeue { job }], now);
-                    let actions = self.policy.on_complete(&self.view, now);
-                    self.apply_actions(&actions, now);
-                }
-                FlakyOutcome::Evict => {
-                    let job = victim.expect("evict outcome implies a victim");
-                    self.apply_actions(&[Action::Evict { job }], now);
-                    let actions = self.policy.on_complete(&self.view, now);
-                    self.apply_actions(&actions, now);
-                }
-            }
-        }
-    }
-
-    /// Drains the CharmJob watch stream: plans new submissions (in
-    /// submission order) and executes cancellation requests. This is
-    /// the *batched admission* path: a burst of submissions is
-    /// collected in one drain, sorted once, and handed to the policy as
-    /// a single [`SchedulingPolicy::on_submit_burst`] invocation — one
-    /// policy dispatch per drain, not per job. The default burst impl
-    /// replays the per-event `on_submit` sequence exactly, so replay
-    /// bit-identity is preserved.
+    /// Drains the CharmJob watch stream: new submissions (in submission
+    /// order) become one kernel submission burst — one policy dispatch
+    /// per drain, not per job — and cancellation requests are executed.
     fn reconcile_job_events(&mut self) {
         let mut admissions: Vec<(SimTime, String)> = Vec::new();
         let mut cancels: Vec<String> = Vec::new();
@@ -1020,21 +406,84 @@ impl CharmOperator {
                 WatchEvent::Deleted(_) => {}
             }
         }
-        if !admissions.is_empty() {
-            admissions.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-            let pending = admissions.into_iter().map(|(_, name)| name).collect();
-            let policy = Arc::clone(&self.policy);
-            let mut burst = OpSubmitBurst {
-                now: self.plane.now(),
-                op: self,
-                pending,
-                cursor: 0,
-            };
-            policy.on_submit_burst(&mut burst);
-        }
         let now = self.plane.now();
+        // A draining (or further shut down) operator admits nothing:
+        // the jobs stay queued for a future operator generation.
+        if !admissions.is_empty() && self.lifecycle.is_accepting() {
+            admissions.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+            let (kernel, policy, mut fx) = self.split();
+            fx.pool
+                .admitting
+                .extend(admissions.into_iter().map(|(_, name)| name));
+            kernel.submit_burst(now, policy, &mut fx);
+        }
         for name in cancels {
-            self.cancel_job(&name, now);
+            let (kernel, policy, mut fx) = self.split();
+            match fx.pool.registry.id(&name) {
+                Some(id) => {
+                    kernel.cancel(id, now, policy, &mut fx);
+                }
+                // Never admitted (the operator is draining): with its
+                // cancellation on record, admission retires it.
+                None => {
+                    fx.pool.admitting.push_back(name);
+                    kernel.submit_burst(now, policy, &mut fx);
+                }
+            }
+        }
+    }
+
+    /// Drains the fault-notice watch stream: capacity losses and
+    /// returns, in notice order.
+    fn reconcile_fault_events(&mut self) {
+        let notices = drain_added(&self.faults_rx, |n| n.at);
+        let now = self.plane.now();
+        for n in notices {
+            let (kernel, policy, mut fx) = self.split();
+            if n.kind == FaultKind::Return {
+                let message = format!("{} slots back", n.slots);
+                fx.events.record(now, &n.name, "CapacityReturned", message);
+                kernel.capacity_returned(n.slots, now, policy, &mut fx);
+            } else {
+                let message = format!("{} took {} slots", n.kind, n.slots);
+                fx.events.record(now, &n.name, "CapacityLost", message);
+                let fault = FaultEvent {
+                    at: Duration::from_secs(n.at.as_secs()),
+                    slots: n.slots,
+                    kind: n.kind,
+                };
+                kernel.capacity_lost(&fault, now, policy, &mut fx);
+            }
+        }
+    }
+
+    /// Drains the flaky-notice watch stream, in notice order.
+    fn reconcile_flaky_events(&mut self) {
+        let notices = drain_added(&self.flakies_rx, |n| n.at);
+        let now = self.plane.now();
+        for n in notices {
+            let (kernel, policy, mut fx) = self.split();
+            let outcome = kernel.flaky(n.op, now, policy, &mut fx);
+            let message = format!("{} -> {outcome:?}", n.op);
+            fx.events.record(now, &n.name, "TransientFault", message);
+        }
+    }
+
+    /// Wakes the kernel for every requeue backoff that has expired.
+    fn process_due_requeues(&mut self) {
+        let now = self.plane.now();
+        while let Some(&(due, job)) = self.pool.backoffs.first() {
+            if due > now {
+                break;
+            }
+            self.pool.backoffs.pop_first();
+            let (kernel, policy, mut fx) = self.split();
+            let name = fx.pool.registry.name(job).to_string();
+            fx.pool.admitting.push_back(name);
+            if !kernel.requeue_due(job, now, policy, &mut fx) {
+                // Cancelled while waiting out the backoff.
+                fx.pool.admitting.clear();
+            }
         }
     }
 
@@ -1068,7 +517,8 @@ impl CharmOperator {
             && self.plane.job_pods_running(name, PodRole::Launcher, 1)
         {
             let now = self.plane.now();
-            let id = self.registry.id(name).expect("starting job was admitted");
+            let pool = &mut self.pool;
+            let id = pool.registry.id(name).expect("starting job was admitted");
             // The one spec clone of a launch: the executor keeps it.
             let mut spec = self
                 .jobs
@@ -1079,7 +529,7 @@ impl CharmOperator {
             // iterations (real apps restart from their own state files).
             // The ledger entry stays — a later eviction of this attempt
             // accumulates its own retained progress on top of it.
-            if let Some(done) = self.retained_iters.get(&id).copied() {
+            if let Some(done) = pool.retained_iters.get(&id).copied() {
                 if let (true, AppSpec::Modeled { total_iters }) = (done > 0.0, &spec.app) {
                     let remaining = total_iters.saturating_sub(done.floor() as u64).max(1);
                     spec.app = AppSpec::Modeled {
@@ -1087,15 +537,14 @@ impl CharmOperator {
                     };
                 }
             }
-            let handle = self.executor.launch(&spec, desired);
-            self.handles.insert(id, handle);
-            self.exec_leases.insert(id, self.exec_pool.lease(1));
+            let handle = pool.executor.launch(&spec, desired);
+            pool.handles.insert(id, handle);
+            pool.held.insert(id, pool.leases.lease(1));
+            self.kernel.started(id, now);
             self.jobs
                 .update(name, |j| {
                     j.status.phase = JobPhase::Running;
                     j.status.replicas = j.status.desired_replicas;
-                    // Deliberately overwritten on every (re)launch: the
-                    // DES does the same, and metrics must agree.
                     j.status.started_at = Some(now);
                 })
                 .expect("job exists");
@@ -1105,92 +554,78 @@ impl CharmOperator {
 
     /// The poll-only work no store event can deliver: rescale
     /// acknowledgements, expand-pods-ready transitions, completions, and
-    /// the policy's periodic timer. Identical for both drive modes.
+    /// the policy's periodic timer.
     fn timer_pass(&mut self) {
         let now = self.plane.now();
+        let timer_due = self.next_timer.is_some_and(|due| now >= due);
+        if timer_due {
+            let interval = self.policy.timer_interval().expect("timer configured");
+            self.next_timer = Some(now + interval);
+        }
+        let (kernel, policy, mut fx) = self.split();
 
         // Progress rescale flows (BTreeMap: deterministic id order).
-        let flow_jobs: Vec<JobId> = self.flows.keys().copied().collect();
+        let flow_jobs: Vec<JobId> = fx.pool.flows.keys().copied().collect();
         for id in flow_jobs {
-            let flow = self.flows[&id];
-            let name = self.registry.name(id).to_string();
+            let flow = fx.pool.flows[&id];
+            let name = fx.pool.registry.name(id).to_string();
             match flow {
                 RescaleFlow::ShrinkSignalled { target } => {
-                    let acked = self.handles.get_mut(&id).and_then(|h| h.rescale_acked());
+                    let acked = fx.pool.handles.get_mut(&id).and_then(|h| h.rescale_acked());
                     if let Some(report) = acked {
-                        self.remove_excess_workers(&name, target);
-                        self.update_nodelist(&name);
-                        self.jobs
-                            .update(&name, |j| j.status.replicas = target)
-                            .expect("job exists");
-                        self.util.set(now, id, target);
-                        self.flows.remove(&id);
-                        self.events.record(
-                            now,
-                            &name,
-                            "Shrunk",
-                            format!("-> {target} (overhead {})", report.total()),
-                        );
+                        fx.remove_excess_workers(&name, target);
+                        fx.update_nodelist(&name);
+                        fx.mirror(&name, |s| s.replicas = target);
+                        kernel.shrunk(id, now);
+                        fx.pool.flows.remove(&id);
+                        let message = format!("-> {target} (overhead {})", report.total());
+                        fx.events.record(now, &name, "Shrunk", message);
                     }
                 }
                 RescaleFlow::ExpandPodsPending { target } => {
-                    if self
+                    if fx
                         .plane
                         .job_pods_running(&name, PodRole::Worker, target as usize)
                     {
-                        self.update_nodelist(&name);
-                        if let Some(handle) = self.handles.get_mut(&id) {
+                        fx.update_nodelist(&name);
+                        if let Some(handle) = fx.pool.handles.get_mut(&id) {
                             handle.request_rescale(target);
                         }
-                        self.flows
+                        fx.pool
+                            .flows
                             .insert(id, RescaleFlow::ExpandSignalled { target });
-                        self.events
-                            .record(now, &name, "ExpandSignalled", format!("-> {target}"));
+                        let message = format!("-> {target}");
+                        fx.events.record(now, &name, "ExpandSignalled", message);
                     }
                 }
                 RescaleFlow::ExpandSignalled { target } => {
-                    let acked = self.handles.get_mut(&id).and_then(|h| h.rescale_acked());
+                    let acked = fx.pool.handles.get_mut(&id).and_then(|h| h.rescale_acked());
                     if let Some(report) = acked {
-                        self.jobs
-                            .update(&name, |j| j.status.replicas = target)
-                            .expect("job exists");
-                        self.flows.remove(&id);
-                        self.events.record(
-                            now,
-                            &name,
-                            "Expanded",
-                            format!("-> {target} (overhead {})", report.total()),
-                        );
+                        fx.mirror(&name, |s| s.replicas = target);
+                        fx.pool.flows.remove(&id);
+                        let message = format!("-> {target} (overhead {})", report.total());
+                        fx.events.record(now, &name, "Expanded", message);
                     }
                 }
             }
         }
 
         // Detect completions (executor handles are poll-only): the
-        // handle keys are the `Running` jobs, in id = admission order,
-        // deterministic in both drive modes. Each handle is polled
-        // after the completions before it were applied, because a
-        // completion's redistribution may stop or rescale it.
-        let running: Vec<JobId> = self.handles.keys().copied().collect();
-        for id in running {
-            let finished = self
-                .handles
-                .get_mut(&id)
-                .is_some_and(|h| h.status() == ExecStatus::Finished);
-            if finished {
-                let name = self.registry.name(id).to_string();
-                self.complete_job(&name, now);
-            }
+        // handle keys are the `Running` jobs, in id = admission order.
+        // The first finished one (polled again by the burst it opens)
+        // starts a completion burst, which pulls the rest — each handle
+        // polled after the completions before it were applied, because
+        // a completion's redistribution may stop or rescale it.
+        let pool = &mut *fx.pool;
+        pool.polling.clear();
+        pool.polling.extend(pool.handles.keys().copied());
+        if let Some(first) = fx.next_finished() {
+            fx.pool.polling.push_front(first);
+            kernel.complete_burst(now, policy, &mut fx);
         }
 
-        // Policy timer deadline.
-        if let Some(due) = self.next_timer {
-            if now >= due {
-                let interval = self.policy.timer_interval().expect("timer configured");
-                self.next_timer = Some(now + interval);
-                let actions = self.policy.on_timer(&self.view, now);
-                self.apply_actions(&actions, now);
-            }
+        if timer_due {
+            kernel.timer(now, policy, &mut fx);
         }
 
         self.plane.reap_finished();
@@ -1200,9 +635,10 @@ impl CharmOperator {
     }
 
     /// Debug builds re-derive, from one full scan of the job store, the
-    /// two answers the tick path reads off the operator's own state:
-    /// which jobs are `Running` (the handle keys) and whether every job
-    /// is terminal ([`CharmOperator::all_complete`]'s counters).
+    /// two answers the tick path reads off its own state — which jobs
+    /// are `Running` (the handle keys) and whether every job is
+    /// terminal ([`CharmOperator::all_complete`]) — and have the kernel
+    /// check its books.
     #[cfg(debug_assertions)]
     fn cross_check_against_store_scan(&self) {
         let jobs = self.jobs.list();
@@ -1210,31 +646,32 @@ impl CharmOperator {
             .iter()
             .filter(|s| s.obj.status.phase == JobPhase::Running)
             .map(|s| {
-                self.registry
+                self.pool
+                    .registry
                     .id(&s.obj.spec.name)
                     .expect("running job was admitted")
             })
             .collect();
         assert!(
-            self.handles.keys().eq(running.iter()),
+            self.pool.handles.keys().eq(running.iter()),
             "executor handles {:?} != Running jobs {running:?}",
-            self.handles.keys().collect::<Vec<_>>()
+            self.pool.handles.keys().collect::<Vec<_>>()
         );
         let scanned = !jobs.is_empty() && jobs.iter().all(|s| s.obj.status.phase.is_terminal());
         assert_eq!(
-            self.complete_with(jobs.len()),
+            self.all_complete(),
             scanned,
-            "all_complete counters (planned {}, live {}) disagree with a scan of {} jobs",
-            self.planned.len(),
-            self.live_jobs,
+            "all_complete ({} jobs known to the kernel) disagrees with a scan of {} jobs",
+            self.kernel.known_jobs(),
             jobs.len()
         );
+        self.kernel.check();
     }
 
-    /// One reconcile round, watch-driven: drain job events (admissions,
-    /// cancellations), advance the control plane, drain pod events
-    /// (launch progress), then run the timer pass. This is the thin
-    /// compatibility wrapper the pre-watch `tick()` callers keep using.
+    /// One reconcile round: drain job events (admissions,
+    /// cancellations), fault and flaky notices and due requeues, advance
+    /// the control plane, drain pod events (launch progress), then run
+    /// the timer pass.
     pub fn tick(&mut self) {
         self.reconcile_job_events();
         self.reconcile_fault_events();
@@ -1245,120 +682,14 @@ impl CharmOperator {
         self.timer_pass();
     }
 
-    /// The legacy polled drive: ignores the watch streams entirely and
-    /// rediscovers admissions and cancellations by scanning the stores
-    /// every round. Retained so tests can assert the watch-driven path
-    /// is observationally identical (`watch_equivalence`). Note the
-    /// *view* is still the maintained one — the equivalence proof
-    /// covers it in both drive modes.
-    pub fn tick_polled(&mut self) {
-        // Discard watch events — this drive mode rediscovers everything
-        // by scanning, and an unbounded queue would otherwise grow.
-        while self.jobs_rx.try_recv().is_ok() {}
-        while self.pods_rx.try_recv().is_ok() {}
-
-        // Full-store admission + cancellation scan.
-        let mut jobs: Vec<(SimTime, String, JobPhase, bool)> = self
-            .jobs
-            .list()
-            .into_iter()
-            .map(|s| {
-                (
-                    s.obj.status.submitted_at,
-                    s.obj.spec.name,
-                    s.obj.status.phase,
-                    s.obj.status.cancel_requested,
-                )
-            })
-            .collect();
-        jobs.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        for (_, name, phase, _) in &jobs {
-            if *phase == JobPhase::Queued
-                && !self
-                    .registry
-                    .id(name)
-                    .is_some_and(|id| self.planned.contains(&id))
-            {
-                self.plan_admission(name);
-            }
-        }
-        let now = self.plane.now();
-        for (_, name, phase, cancel) in &jobs {
-            if *cancel && !phase.is_terminal() {
-                self.cancel_job(name, now);
-            }
-        }
-
-        // Faults have no polled analogue (notices only arrive through
-        // the store), so both drive modes share the watch-driven path.
-        self.reconcile_fault_events();
-        self.reconcile_flaky_events();
-        self.process_due_requeues();
-
-        self.plane.tick();
-
-        // Full-store launch scan.
-        let mut starting: Vec<String> = self
-            .jobs
-            .list()
-            .into_iter()
-            .filter(|s| s.obj.status.phase == JobPhase::Starting)
-            .map(|s| s.obj.spec.name)
-            .collect();
-        starting.sort();
-        for name in starting {
-            self.try_launch(&name);
-        }
-
-        self.timer_pass();
-    }
-
-    fn complete_job(&mut self, name: &str, now: SimTime) {
-        let id = self.registry.id(name).expect("completing job was admitted");
-        self.jobs
-            .update(name, |j| {
-                j.status.phase = JobPhase::Completed;
-                j.status.completed_at = Some(now);
-            })
-            .expect("job exists");
-        self.live_jobs -= 1;
-        self.delete_job_pods(name);
-        let _ = self.plane.configmaps.delete(&format!("{name}-nodelist"));
-        if let Some(mut handle) = self.handles.remove(&id) {
-            handle.stop();
-        }
-        self.exec_leases.remove(&id);
-        self.flows.remove(&id);
-        self.retained_iters.remove(&id);
-        self.attempt_ledger.remove(&id);
-        self.view.remove(id, self.policy.launcher_slots());
-        self.util.set(now, id, 0);
-        self.events.record(now, name, "Completed", "");
-        // A successful retirement feeds the resilience layer (breaker
-        // reset, budget deposit, health forgiveness) at the same
-        // boundary the DES's completion event uses.
-        if !self.fault_spec.flaky.is_empty() {
-            self.resilience.on_success(id, now);
-        }
-
-        // Fig. 3: redistribute the freed slots.
-        let actions = self.policy.on_complete(&self.view, now);
-        self.apply_actions(&actions, now);
-    }
-
     /// `true` once every submitted job reached a terminal phase
     /// (completed, cancelled or failed). O(1): every job in the store
-    /// has been taken on by this operator and none of those is live —
+    /// has been taken on by the kernel and all of those are terminal —
     /// so a submission not yet reconciled, or one a draining operator
     /// refuses to admit, still answers `false`.
     pub fn all_complete(&self) -> bool {
-        self.complete_with(self.jobs.len())
-    }
-
-    /// [`CharmOperator::all_complete`] for a job store holding
-    /// `stored` jobs.
-    fn complete_with(&self, stored: usize) -> bool {
-        stored > 0 && stored == self.planned.len() && self.live_jobs == 0
+        let stored = self.jobs.len();
+        stored > 0 && stored == self.kernel.known_jobs() && self.kernel.all_terminal()
     }
 
     /// Jobs currently queued (submitted but never started).
@@ -1375,47 +706,27 @@ impl CharmOperator {
     /// (cancelled jobs hold no meaningful response/completion times);
     /// call after [`CharmOperator::all_complete`].
     pub fn metrics(&self) -> RunMetrics {
-        let mut outcomes = Vec::new();
-        let mut last_complete = SimTime::ZERO;
-        for stored in self.jobs.list() {
-            let j = &stored.obj;
-            if j.status.phase != JobPhase::Completed {
-                continue;
+        // One pass over the store for what only the CRDs know.
+        let mut identity = vec![None; self.pool.registry.len()];
+        self.jobs.for_each(|s| {
+            let job = &s.obj;
+            if job.status.phase == JobPhase::Completed {
+                let id = self
+                    .pool
+                    .registry
+                    .id(&job.spec.name)
+                    .expect("completed job was admitted");
+                let known = (
+                    job.spec.name.clone(),
+                    job.spec.priority,
+                    job.status.submitted_at,
+                );
+                identity[id.index()] = Some(known);
             }
-            let (Some(started), Some(completed)) = (j.status.started_at, j.status.completed_at)
-            else {
-                continue;
-            };
-            last_complete = last_complete.max(completed);
-            outcomes.push(JobOutcome {
-                name: j.spec.name.clone(),
-                priority: j.spec.priority,
-                submitted_at: j.status.submitted_at,
-                started_at: started,
-                completed_at: completed,
-            });
-        }
-        if outcomes.is_empty() {
-            // Every job was cancelled or failed: nothing completed,
-            // nothing to aggregate.
-            return RunMetrics::empty(self.policy.name(), self.rescale_count)
-                .with_fault_stats(self.fault_stats());
-        }
-        // The store lists in hash order; sort so metrics (and the float
-        // accumulation inside them) are reproducible run to run.
-        outcomes.sort_by(|a, b| {
-            a.submitted_at
-                .cmp(&b.submitted_at)
-                .then_with(|| a.name.cmp(&b.name))
         });
-        let first_submit = outcomes
-            .iter()
-            .map(|o| o.submitted_at)
-            .min()
-            .unwrap_or(SimTime::ZERO);
-        let util = self.util.average_utilization(first_submit, last_complete);
-        RunMetrics::from_outcomes(self.policy.name(), outcomes, util, self.rescale_count)
-            .with_fault_stats(self.fault_stats())
+        self.kernel.metrics(self.policy.as_ref(), |id| {
+            (identity[id.index()].take()).expect("completed job is stored")
+        })
     }
 
     /// Shutdown phase of the executor pool ([`ShutdownPhase::Running`]
@@ -1427,7 +738,7 @@ impl CharmOperator {
     /// Executor slots currently held by live RAII leases (one per
     /// launched executor).
     pub fn leased_executors(&self) -> u32 {
-        self.exec_pool.leased()
+        self.pool.leases.leased()
     }
 
     /// Phase 1 of shutdown: stop admitting. Jobs already queued stay
@@ -1453,26 +764,17 @@ impl CharmOperator {
     pub fn begin_cleanup(&mut self) {
         self.lifecycle.begin_cleanup();
         let now = self.plane.now();
-        let live: Vec<JobId> = self.handles.keys().copied().collect();
+        let (kernel, _, mut fx) = self.split();
+        let live: Vec<JobId> = fx.pool.handles.keys().copied().collect();
         for id in live {
-            let name = self.registry.name(id).to_string();
-            if let Some(mut handle) = self.handles.remove(&id) {
-                handle.stop();
-            }
-            self.exec_leases.remove(&id);
-            self.flows.remove(&id);
-            self.delete_job_pods(&name);
-            let _ = self.plane.configmaps.delete(&format!("{name}-nodelist"));
-            self.jobs
-                .update(&name, |j| {
-                    j.status.phase = JobPhase::Queued;
-                    j.status.replicas = 0;
-                    j.status.desired_replicas = 0;
-                })
-                .expect("job exists");
-            self.view.remove(id, self.policy.launcher_slots());
-            self.util.set(now, id, 0);
-            self.events
+            let name = fx.release(id, false);
+            fx.mirror(&name, |s| {
+                s.phase = JobPhase::Queued;
+                s.replicas = 0;
+                s.desired_replicas = 0;
+            });
+            kernel.withdraw(id, now);
+            fx.events
                 .record(now, &name, "Stopped", "executor pool cleanup");
         }
         self.plane.reap_finished();
@@ -1485,7 +787,7 @@ impl CharmOperator {
     /// If called before [`CharmOperator::begin_cleanup`], or if any
     /// executor leaked its slot lease past cleanup.
     pub fn terminate(&mut self) {
-        self.exec_pool.assert_drained();
+        self.pool.leases.assert_drained();
         self.lifecycle.terminate();
         let now = self.plane.now();
         self.events.record(now, "operator", "Terminated", "");
@@ -1499,43 +801,288 @@ impl CharmOperator {
     }
 }
 
-/// The operator side of a submission burst: the engine driver handed to
-/// [`SchedulingPolicy::on_submit_burst`] by `reconcile_job_events`.
-/// Pulls pending admissions (already sorted by `(submitted_at, name)`)
-/// through [`CharmOperator::stage_admission`] and applies each decision
-/// via the operator's ordinary action path — the mirror of the DES's
-/// `SubmitDriver`.
-struct OpSubmitBurst<'a> {
-    op: &'a mut CharmOperator,
-    pending: Vec<String>,
-    cursor: usize,
-    now: SimTime,
+/// Every notice added to a watched store since the last drain, by
+/// instant, then name.
+fn drain_added<T: Resource>(rx: &Receiver<WatchEvent<T>>, at: impl Fn(&T) -> SimTime) -> Vec<T> {
+    let added = |ev| match ev {
+        WatchEvent::Added(s) => Some(s.obj),
+        _ => None,
+    };
+    let drained = std::iter::from_fn(|| rx.try_recv().ok());
+    let mut notices: Vec<T> = drained.filter_map(added).collect();
+    notices.sort_by(|a, b| at(a).cmp(&at(b)).then_with(|| a.name().cmp(b.name())));
+    notices
 }
 
-impl SubmitBurst for OpSubmitBurst<'_> {
-    fn view(&self) -> &ClusterView {
-        &self.op.view
+impl Choreography<'_> {
+    /// Writes the CRD status mirror of `name`.
+    fn mirror(&self, name: &str, write: impl FnOnce(&mut CharmJobStatus)) {
+        self.jobs
+            .update(name, |j| write(&mut j.status))
+            .expect("job exists");
     }
 
-    fn now(&self) -> SimTime {
-        self.now
+    /// Names of `job`'s live worker pods, in name (= serial) order.
+    fn worker_pods(&self, job: &str) -> Vec<String> {
+        self.plane.pod_names_of_job(job, Some(PodRole::Worker))
     }
 
-    fn admit_next(&mut self) -> Option<JobId> {
-        while self.cursor < self.pending.len() {
-            let name = std::mem::take(&mut self.pending[self.cursor]);
-            self.cursor += 1;
-            // Duplicates, vanished jobs and pre-cancelled submissions
-            // are consumed here (their bookkeeping already ran); the
-            // policy only ever sees decidable admissions.
-            if let Some(id) = self.op.stage_admission(&name) {
+    /// Creates `count` fresh worker pods for `job`. Serials come from
+    /// the per-job counter — pod names are `{job}-w{serial:04}`,
+    /// monotonically increasing across expands, without listing or
+    /// re-parsing existing pods.
+    fn create_workers(&mut self, job: JobId, name: &str, count: u32, now: SimTime) {
+        let serials = &mut self.pool.next_serial;
+        if job.index() >= serials.len() {
+            serials.resize(job.index() + 1, 0);
+        }
+        let start = serials[job.index()];
+        for serial in start..start + count {
+            let pod_name = format!("{name}-w{serial:04}");
+            self.plane
+                .pods
+                .create(Pod::worker(pod_name, name, now))
+                .expect("fresh worker pod");
+        }
+        serials[job.index()] = start + count;
+    }
+
+    fn update_nodelist(&self, job: &str) {
+        let hosts = self.worker_pods(job).join("\n");
+        let cm_name = format!("{job}-nodelist");
+        if self.plane.configmaps.read(&cm_name, |_| ()).is_some() {
+            self.plane
+                .configmaps
+                .update(&cm_name, move |cm| {
+                    cm.data.insert("hosts".into(), hosts);
+                })
+                .expect("configmap exists");
+        } else {
+            let mut cm = kube_sim::ConfigMap::new(cm_name);
+            cm.data.insert("hosts".into(), hosts);
+            self.plane.configmaps.create(cm).expect("fresh configmap");
+        }
+    }
+
+    fn remove_excess_workers(&self, job: &str, target: u32) {
+        for pod in self.worker_pods(job).iter().skip(target as usize) {
+            self.plane.delete_pod(pod);
+        }
+    }
+
+    /// Releases everything held for `job` — executor (kill signal),
+    /// slot lease, rescale flow, pods and nodelist — and returns its
+    /// name. `hard` deletes the pods synchronously instead of
+    /// gracefully.
+    fn release(&mut self, job: JobId, hard: bool) -> String {
+        let name = self.pool.registry.name(job).to_string();
+        if let Some(mut handle) = self.pool.handles.remove(&job) {
+            handle.stop();
+        }
+        self.pool.held.remove(&job);
+        self.pool.flows.remove(&job);
+        for pod in self.plane.pod_names_of_job(&name, None) {
+            if hard {
+                let _ = self.plane.pods.delete(&pod);
+            } else {
+                self.plane.delete_pod(&pod);
+            }
+        }
+        let _ = self.plane.configmaps.delete(&format!("{name}-nodelist"));
+        name
+    }
+
+    /// The next running job, in admission order, whose executor reports
+    /// it finished.
+    fn next_finished(&mut self) -> Option<JobId> {
+        while let Some(id) = self.pool.polling.pop_front() {
+            let handle = self.pool.handles.get_mut(&id);
+            if handle.is_some_and(|h| h.status() == ExecStatus::Finished) {
                 return Some(id);
             }
         }
         None
     }
 
-    fn apply(&mut self, actions: &[Action]) {
-        self.op.apply_actions(actions, self.now);
+    /// Stages `name` for the kernel: interns its id and reads what the
+    /// scheduler needs off the CRD. `None` for a job that vanished or
+    /// is not `Queued` (cancelled while waiting out a backoff).
+    fn stage(&mut self, name: &str) -> Option<Admission> {
+        let mut admission = self.jobs.read(name, |s| {
+            let (spec, status) = (&s.obj.spec, &s.obj.status);
+            let job = JobState {
+                id: JobId(0),
+                min_replicas: spec.min_replicas,
+                max_replicas: spec.max_replicas,
+                priority: spec.priority,
+                submitted_at: status.submitted_at,
+                replicas: 0,
+                last_action: SimTime::NEG_INFINITY,
+                running: false,
+                walltime_estimate: spec.walltime_estimate,
+            };
+            let cancelled = status.cancel_requested;
+            (status.phase == JobPhase::Queued).then_some(Admission { job, cancelled })
+        })??;
+        let known = self.pool.registry.len();
+        admission.job.id = self.pool.registry.intern(name);
+        let (kind, message) = if admission.job.id.index() < known {
+            ("Resubmitted", "requeue backoff expired")
+        } else {
+            ("Submitted", "")
+        };
+        self.events.record(self.plane.now(), name, kind, message);
+        Some(admission)
+    }
+}
+
+impl Effects for Choreography<'_> {
+    fn next_admission(&mut self) -> Option<Admission> {
+        while let Some(name) = self.pool.admitting.pop_front() {
+            if let Some(admission) = self.stage(&name) {
+                return Some(admission);
+            }
+        }
+        None
+    }
+
+    /// The paper's create sequence: launcher pod, worker pods,
+    /// nodelist. The application starts once they all run
+    /// (`try_launch`).
+    fn launch(&mut self, job: JobId, replicas: u32, now: SimTime) -> bool {
+        let name = self.pool.registry.name(job).to_string();
+        self.mirror(&name, |s| {
+            s.phase = JobPhase::Starting;
+            s.desired_replicas = replicas;
+            s.replicas = replicas;
+            s.last_action = now;
+        });
+        self.plane
+            .pods
+            .create(Pod::launcher(format!("{name}-launcher"), &name, now))
+            .expect("fresh launcher pod");
+        self.create_workers(job, &name, replicas, now);
+        self.update_nodelist(&name);
+        let message = format!("{replicas} replicas");
+        self.events.record(now, &name, "Created", message);
+        false
+    }
+
+    fn resize(&mut self, job: JobId, from: u32, to: u32, now: SimTime) -> bool {
+        let name = self.pool.registry.name(job).to_string();
+        let mut current = 0;
+        self.mirror(&name, |s| {
+            current = s.replicas;
+            s.desired_replicas = to;
+            s.last_action = now;
+        });
+        if to > from {
+            // Paper's expand sequence: pods first, nodelist, then signal.
+            self.create_workers(job, &name, to.saturating_sub(current), now);
+            let kind = if self.pool.handles.contains_key(&job) {
+                self.pool
+                    .flows
+                    .insert(job, RescaleFlow::ExpandPodsPending { target: to });
+                "ExpandStarted"
+            } else {
+                "ExpandPreLaunch"
+            };
+            self.events.record(now, &name, kind, format!("-> {to}"));
+            true
+        } else if let Some(handle) = self.pool.handles.get_mut(&job) {
+            // Paper's shrink sequence: signal first, remove pods on ack.
+            handle.request_rescale(to);
+            self.pool
+                .flows
+                .insert(job, RescaleFlow::ShrinkSignalled { target: to });
+            self.events
+                .record(now, &name, "ShrinkSignalled", format!("-> {to}"));
+            false
+        } else {
+            // Job hasn't launched yet: adjust pods directly.
+            self.remove_excess_workers(&name, to);
+            self.mirror(&name, |s| s.replicas = to);
+            let message = format!("-> {to} (pre-launch)");
+            self.events.record(now, &name, "Shrunk", message);
+            true
+        }
+    }
+
+    fn stop(&mut self, job: JobId, why: Stop, now: SimTime) {
+        if let Stop::Evicted { .. } = why {
+            // The checkpoint the relaunch resumes from, asked of the
+            // executor before it is killed. Cumulative across attempts:
+            // the relaunch handle only models the *remaining*
+            // iterations, so its checkpoint count is relative to the
+            // previous attempt's floor — a second eviction adds onto
+            // that floor instead of forgetting it.
+            let name = self.pool.registry.name(job);
+            let started = self.jobs.read(name, |s| s.obj.status.started_at).flatten();
+            let interval = self.pool.checkpoint_interval;
+            let retained = match (self.pool.handles.get_mut(&job), started) {
+                (Some(handle), Some(started_at)) => {
+                    handle.checkpointed_iters(started_at, now, interval)
+                }
+                _ => None,
+            };
+            if let Some(kept) = retained.filter(|kept| *kept > 0.0) {
+                *self.pool.retained_iters.entry(job).or_insert(0.0) += kept;
+            }
+        } else {
+            self.pool.retained_iters.remove(&job);
+        }
+        // An evicted job may be relaunched in the same reconcile
+        // instant (a transient-fault eviction frees its own slots with
+        // capacity unchanged), so its fixed-name launcher pod must
+        // leave the store synchronously.
+        let name = self.release(job, matches!(why, Stop::Evicted { .. }));
+        let (phase, kind, message) = match why {
+            Stop::Completed => (JobPhase::Completed, "Completed", String::new()),
+            Stop::Cancelled => (JobPhase::Cancelled, "Cancelled", String::new()),
+            Stop::Evicted { .. } => {
+                let message = "preempted; restart from checkpoint".to_string();
+                (JobPhase::Queued, "Evicted", message)
+            }
+            Stop::Requeued { attempt, back_at } => {
+                self.pool.backoffs.insert((back_at, job));
+                let message = format!("attempt {attempt}, back at t={}s", back_at.as_secs());
+                (JobPhase::Queued, "Requeued", message)
+            }
+            Stop::Failed { attempts } => {
+                let message = format!("retry budget exhausted after {attempts} attempts");
+                (JobPhase::Failed, "Failed", message)
+            }
+        };
+        self.mirror(&name, |s| {
+            s.phase = phase;
+            if phase.is_terminal() {
+                s.completed_at = Some(now);
+            }
+            if phase != JobPhase::Completed {
+                s.replicas = 0;
+                s.desired_replicas = 0;
+            }
+            match why {
+                Stop::Evicted { .. } => s.last_action = now,
+                Stop::Requeued { attempt, back_at } => {
+                    s.attempts = attempt;
+                    s.requeued_at = Some(back_at);
+                    s.last_action = SimTime::NEG_INFINITY;
+                }
+                Stop::Failed { attempts } => s.attempts = attempts,
+                Stop::Completed | Stop::Cancelled => {}
+            }
+        });
+        self.events.record(now, &name, kind, message);
+    }
+
+    fn enqueued(&mut self, job: JobId, now: SimTime) {
+        let name = self.pool.registry.name(job);
+        self.events
+            .record(now, name, "Enqueued", "no resources available");
+    }
+
+    fn next_completion(&mut self) -> Option<JobId> {
+        self.next_finished()
     }
 }

@@ -1,8 +1,5 @@
 //! The redesigned control-plane surface, end to end:
 //!
-//! * watch-driven vs. polled reconciliation produce identical
-//!   [`RunMetrics`] on a fixed schedule (the equivalence proof for the
-//!   event-driven rewrite),
 //! * a policy implemented outside the classic four-variant `Policy`
 //!   ([`FcfsBackfill`], plus an `on_timer`-based fifth policy) runs
 //!   through the operator unmodified,
@@ -17,8 +14,8 @@ use std::sync::Arc;
 
 use elastic_core::{
     run_virtual, Action, AppSpec, CharmJobSpec, CharmOperator, ClusterView, FcfsBackfill,
-    JobEventKind, JobId, JobPhase, ModelExecutor, Policy, PolicyConfig, PolicyKind, RunMetrics,
-    Schedule, SchedulingPolicy, SubmitRequest,
+    JobEventKind, JobId, JobPhase, ModelExecutor, Policy, PolicyConfig, Schedule, SchedulingPolicy,
+    SubmitRequest,
 };
 use hpc_metrics::{Clock, Duration, SimTime, VirtualClock};
 use kube_sim::{ControlPlane, KubeletConfig};
@@ -61,67 +58,6 @@ fn mixed_schedule() -> Schedule {
         })
         .collect();
     Schedule::every(jobs, Duration::from_secs(45.0))
-}
-
-/// Drives a schedule exactly like `run_virtual`, but through the legacy
-/// full-scan `tick_polled()` drive instead of the watch-driven `tick()`.
-fn run_polled(
-    op: &mut CharmOperator,
-    clock: &VirtualClock,
-    schedule: &Schedule,
-    tick: Duration,
-    max_time: Duration,
-) -> RunMetrics {
-    let client = op.client();
-    let start = clock.now();
-    let mut next_submit = 0usize;
-    loop {
-        let elapsed = clock.now() - start;
-        while next_submit < schedule.jobs.len() && elapsed >= schedule.submit_at(next_submit) {
-            let req = SubmitRequest::v1(schedule.jobs[next_submit].clone()).expect("valid spec");
-            client.submit_request(req).expect("unique job name");
-            next_submit += 1;
-        }
-        op.tick_polled();
-        if next_submit >= schedule.jobs.len() && op.all_complete() {
-            return op.metrics();
-        }
-        assert!(elapsed <= max_time, "polled schedule did not complete");
-        clock.advance(tick);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Watch-driven vs. polled equivalence
-// ---------------------------------------------------------------------
-
-#[test]
-fn watch_and_polled_drives_produce_identical_metrics() {
-    let policies: Vec<fn() -> Box<dyn SchedulingPolicy>> = vec![
-        || Box::new(Policy::elastic(cfg(60.0))),
-        || Box::new(Policy::of_kind(PolicyKind::RigidMin, cfg(60.0))),
-        || Box::new(FcfsBackfill::new()),
-    ];
-    for make_policy in policies {
-        let schedule = mixed_schedule();
-        let tick = Duration::from_secs(1.0);
-        let max_t = Duration::from_secs(100_000.0);
-
-        let clock_w = VirtualClock::new();
-        let mut op_w = make_operator(make_policy(), &clock_w);
-        let watch = run_virtual(&mut op_w, &clock_w, &schedule, tick, max_t);
-
-        let clock_p = VirtualClock::new();
-        let mut op_p = make_operator(make_policy(), &clock_p);
-        let polled = run_polled(&mut op_p, &clock_p, &schedule, tick, max_t);
-
-        assert_eq!(
-            watch, polled,
-            "{}: watch-driven and polled reconciliation diverged",
-            watch.policy
-        );
-        assert_eq!(op_w.rescales(), op_p.rescales());
-    }
 }
 
 /// The operator's persistent view is *never* rebuilt on the hot path;

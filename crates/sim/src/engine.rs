@@ -1,61 +1,55 @@
-//! The discrete-event scheduling simulator.
+//! The discrete-event simulator: a calendar queue and a progress
+//! integrator around the scheduling kernel.
 //!
-//! Drives the *same* policy code as the live operator (anything
-//! implementing `elastic_core::SchedulingPolicy`) over an event
-//! timeline: job submissions fire at the *per-job arrival times* of the
-//! [`WorkloadSpec`] (fixed gaps, Poisson bursts and SWF trace replays
-//! are all just workloads); job progress integrates the shape's
-//! `rate(replicas)` between events; a rescale pauses progress for the
-//! modeled overhead window and re-schedules the job's completion; a
-//! cancellation (per-job `cancel_at` or [`SimConfig::cancellations`])
-//! tears the job down mid-flight and lets the policy redistribute the
-//! freed slots; and a policy that requests a
-//! `SchedulingPolicy::timer_interval` gets periodic [`Event::Timer`]s
-//! (the DES analogue of the operator's timer pass — aging sweeps and
-//! other trigger-less decisions replay in both engines). As in the
-//! paper's simulator, operator/Kubernetes pod-startup overhead is not
-//! modeled (§4.3.1).
+//! This file is an **adapter**. It decides nothing: which hook fires
+//! after which view mutation, how an eviction or a requeue is costed,
+//! when the run is over and what its `RunMetrics` are all live in
+//! `elastic_core::kernel::Kernel` — the same machine the live operator
+//! drives — so the Simulation and Actual columns of Table 1 cannot
+//! diverge. What it *mechanises*:
 //!
-//! The workload's `FaultSpec` injects capacity loss the same way:
-//! [`Event::NodeFail`]/[`Event::CapacityReclaim`] mark slots failed in
-//! the view and consult `SchedulingPolicy::on_fault`, whose plan must
-//! cover the deficit (evictions roll progress back to the last
-//! checkpoint boundary and relaunch behind a FullRestart recovery
-//! window; requeues lose the whole attempt and re-enter through
-//! [`Event::Requeue`] after an exponential backoff, permanently failing
-//! once the retry budget is spent); [`Event::CapacityReturn`] hands
-//! reclaimed slots back. Wasted core-seconds and recovery counts are
-//! banked at the exact decision instants the operator uses, so
-//! fault-laden replays still cross-validate bit-identically.
+//! * **The timeline.** [`SimState::new`] seeds one [`EventQueue`] from
+//!   the [`WorkloadSpec`]: submissions at the per-job arrival times
+//!   (same-instant arrivals coalesced into one [`Event::Submit`]),
+//!   cancellations (per-job `cancel_at` and [`SimConfig::cancellations`];
+//!   one timed exactly at its job's arrival is *on record* when the job
+//!   is admitted, so the kernel retires it undecided), the policy timer,
+//!   the `FaultSpec`'s capacity events, then the `FlakySpec`'s transient
+//!   faults — pushed in that order, which is the order one operator
+//!   tick reconciles them in. [`SimState::step`] pops an event and calls
+//!   the kernel entry point it maps to.
+//! * **Progress.** Each job integrates the shape's `rate(replicas)`
+//!   between events; a rescale pauses progress for the modeled overhead
+//!   window; a checkpoint/restart relaunch pays the FullRestart recovery
+//!   window first. Every launch or resize schedules the job's
+//!   completion and bumps its generation, which turns the previously
+//!   scheduled one into a stale entry. As in the paper's simulator,
+//!   pod-startup overhead is not modeled (§4.3.1): a launch takes hold
+//!   at once.
+//! * **The kernel's effects** ([`Effects`]): launch / resize / stop as
+//!   above; the next admission of a submit burst; the next live
+//!   completion at the burst's instant straight off the queue; and the
+//!   per-event bookkeeping (queue high-water marks, stale compaction)
+//!   after each one.
 //!
 //! ## Trace-scale throughput
 //!
-//! The engine replays multi-thousand-job traces (the Zojer et al.
-//! regime) because its per-event cost is O(log n), not O(n):
-//!
-//! * One persistent [`ClusterView`] is maintained across the whole run
-//!   — submissions insert, completions/cancellations remove, and every
-//!   policy action folds in via `apply_action`. No per-event rebuild,
-//!   no `String` ever touches the loop (jobs are dense [`JobId`]s; the
-//!   workload's names surface only in [`SimOutcome::names`]).
-//! * Same-timestamp submission bursts are *coalesced* into a single
-//!   [`Event::Submit`] carrying an id range: one heap entry, one pop,
-//!   n policy decisions.
-//! * Invalidated completions are counted and the heap is *compacted*
-//!   once they exceed half of it, so rescale-heavy runs keep the queue
-//!   O(live jobs) ([`SimOutcome::peak_queue_len`] exposes the
-//!   high-water mark).
+//! Per-event cost is O(log n), not O(n): one persistent `ClusterView`
+//! (inside the kernel) across the whole run, dense [`JobId`]s and no
+//! `String` on the loop (names surface only in [`SimOutcome::names`]),
+//! one queue entry and one policy dispatch per same-instant burst, and
+//! stale completions compacted away once they exceed half the queue
+//! ([`SimOutcome::peak_queue_len`] exposes the high-water mark).
 
-use elastic_core::{
-    apply_action, Action, ClusterView, CompleteBurst, FaultStats, JobFields, JobOutcome, JobState,
-    RunMetrics, SchedulingPolicy, SubmitBurst,
-};
-use elastic_resilience::{FlakyOutcome, ResilienceState};
+use std::ops::Range;
+
+use elastic_core::kernel::{Admission, Effects, Kernel, Stop};
+use elastic_core::{ClusterView, JobState, RunMetrics, SchedulingPolicy};
 use hpc_metrics::{Duration, JobId, SimTime, UtilizationRecorder};
 
 use crate::events::{Event, EventQueue};
 use crate::model::{OverheadModel, ScalingModel};
-use crate::workload::{FaultEvent, FaultKind, FaultSpec, FlakyOp, JobSpec, WorkloadSpec};
+use crate::workload::{FaultEvent, FaultKind, JobSpec, WorkloadSpec};
 
 /// Simulation parameters. Submission times are *not* here: every job
 /// of the replayed [`WorkloadSpec`] carries its own arrival time
@@ -113,243 +107,230 @@ pub struct SimOutcome {
     pub peak_queue_len_raw: usize,
 }
 
+/// One job's progress integration; everything else about the job is
+/// the kernel's.
+#[derive(Clone, Default)]
 struct JobRt {
-    spec: JobSpec,
-    submitted: bool,
-    submitted_at: SimTime,
-    running: bool,
-    completed: bool,
-    cancelled: bool,
-    /// Permanently failed: the retry budget ran out on a requeue.
-    failed: bool,
-    replicas: u32,
-    last_action: SimTime,
-    started_at: Option<SimTime>,
-    completed_at: Option<SimTime>,
     steps_done: f64,
     last_update: SimTime,
     pause_until: SimTime,
+    /// Bumped whenever the scheduled completion dies.
     generation: u64,
-    /// Effective re-submission instant of a requeued job (the backoff
-    /// deadline); the view orders the job by it, not by its original
-    /// arrival, exactly like the operator's `status.requeued_at`.
-    requeued_at: Option<SimTime>,
-    /// Kill-and-requeue attempts consumed so far.
-    attempts: u32,
+    /// Steps per second at the current allocation.
+    rate: f64,
+    running: bool,
     /// The next launch restores from a checkpoint: pay the FullRestart
     /// recovery overhead before progress resumes.
     needs_recovery: bool,
-    /// Core-seconds of the current attempt, banked at every
-    /// allocation-change boundary (never per tick) so requeue waste is
-    /// bit-identical between engines.
-    attempt_core_acc: f64,
-    /// When the current allocation segment began.
-    alloc_since: SimTime,
+    cancelled: bool,
+    /// A cancellation timed exactly at the arrival instant: on record
+    /// by the time the job is admitted.
+    cancel_on_arrival: bool,
 }
 
 impl JobRt {
-    fn new(spec: JobSpec) -> JobRt {
-        JobRt {
-            spec,
-            submitted: false,
-            submitted_at: SimTime::ZERO,
-            running: false,
-            completed: false,
-            cancelled: false,
-            failed: false,
-            replicas: 0,
-            last_action: SimTime::NEG_INFINITY,
-            started_at: None,
-            completed_at: None,
-            steps_done: 0.0,
-            last_update: SimTime::ZERO,
-            pause_until: SimTime::NEG_INFINITY,
-            generation: 0,
-            requeued_at: None,
-            attempts: 0,
-            needs_recovery: false,
-            attempt_core_acc: 0.0,
-            alloc_since: SimTime::ZERO,
-        }
-    }
-
     /// Integrates progress up to `now` (no progress inside the rescale
     /// pause window).
-    fn advance(&mut self, now: SimTime, scaling: &ScalingModel) {
-        if self.running && !self.completed {
+    fn advance(&mut self, now: SimTime) {
+        if self.running {
             let start = if self.pause_until > self.last_update {
                 self.pause_until.min(now)
             } else {
                 self.last_update
             };
             if now > start {
-                self.steps_done +=
-                    scaling.job_rate(&self.spec.shape, self.replicas) * (now - start).as_secs();
+                self.steps_done += self.rate * (now - start).as_secs();
             }
         }
         self.last_update = now;
     }
+}
 
-    fn view_state(&self, id: JobId) -> JobState {
-        JobState {
-            id,
-            min_replicas: self.spec.min_replicas(),
-            max_replicas: self.spec.max_replicas(),
-            priority: self.spec.priority,
-            submitted_at: self.requeued_at.unwrap_or(self.submitted_at),
-            replicas: if self.running { self.replicas } else { 0 },
-            last_action: self.last_action,
-            running: self.running,
-            walltime_estimate: self.spec.walltime_estimate,
+/// The queue side of the run: what [`Des`] mechanises the kernel's
+/// effects on.
+#[derive(Default)]
+struct Timeline {
+    jobs: Vec<JobRt>,
+    queue: EventQueue,
+    peak_queue_len: usize,
+    peak_queue_len_raw: usize,
+    events_processed: u64,
+    timer_interval: Option<Duration>,
+    /// Events the current [`SimState::step`] call may still pop.
+    budget: usize,
+    /// Jobs of the submit burst not pulled yet.
+    admitting: Range<usize>,
+    /// The completion `step` popped, which opens the complete burst.
+    head: Option<(JobId, u64)>,
+    /// The instant of the event being processed.
+    now: SimTime,
+}
+
+impl Timeline {
+    fn pop(&mut self) -> Option<(SimTime, Event)> {
+        let next = self.queue.pop()?;
+        self.budget -= 1;
+        self.events_processed += 1;
+        self.now = next.0;
+        Some(next)
+    }
+
+    /// Per-event bookkeeping: sample the queue high-water marks and
+    /// sweep stale entries away when the compaction threshold trips.
+    fn event_done(&mut self) {
+        self.peak_queue_len = self.peak_queue_len.max(self.queue.live_len());
+        self.peak_queue_len_raw = self.peak_queue_len_raw.max(self.queue.len());
+        if self.queue.should_compact() {
+            let jobs = &self.jobs;
+            self.queue.compact(|e| match e {
+                Event::Completion { job, generation } => {
+                    jobs[job.index()].generation == *generation
+                }
+                Event::Requeue { job } => !jobs[job.index()].cancelled,
+                _ => true,
+            });
         }
     }
 }
 
-/// Applies one policy action to the job runtimes and the event queue
-/// (the caller has already folded it into the persistent view).
-#[allow(clippy::too_many_arguments)]
-fn apply_runtime(
-    cfg: &SimConfig,
-    fspec: &FaultSpec,
-    jobs: &mut [JobRt],
-    queue: &mut EventQueue,
-    util: &mut UtilizationRecorder,
-    rescales: &mut u32,
-    cancels: &mut u32,
-    faults: &mut FaultStats,
-    action: &Action,
-    now: SimTime,
-) {
-    match *action {
-        Action::Create { job, replicas } => {
-            let j = &mut jobs[job.index()];
-            debug_assert!(!j.running && !j.completed && !j.failed);
-            j.running = true;
-            j.replicas = replicas;
-            j.last_action = now;
-            j.started_at = Some(now);
-            j.last_update = now;
-            // A fresh attempt ledger: waste on a later requeue charges
-            // only from this launch onward.
-            j.attempt_core_acc = 0.0;
-            j.alloc_since = now;
-            // A checkpoint/restart relaunch pays the FullRestart
-            // recovery window before any progress; a plain launch (or a
-            // kill-and-requeue restart from zero) starts immediately.
-            j.pause_until = if j.needs_recovery {
+/// The DES's [`Effects`]: the timeline plus the models and specs the
+/// caller owns.
+struct Des<'a> {
+    t: &'a mut Timeline,
+    cfg: &'a SimConfig,
+    specs: &'a [JobSpec],
+}
+
+impl Des<'_> {
+    /// Schedules `job`'s completion from its progress, rate and pause.
+    fn schedule_completion(&mut self, job: JobId, now: SimTime) {
+        let j = &self.t.jobs[job.index()];
+        let remaining = (self.specs[job.index()].work() - j.steps_done).max(0.0);
+        let finish = j.pause_until.max(now) + Duration::from_secs(remaining / j.rate);
+        let generation = j.generation;
+        self.t
+            .queue
+            .push(finish, Event::Completion { job, generation });
+    }
+}
+
+impl Effects for Des<'_> {
+    fn next_admission(&mut self) -> Option<Admission> {
+        let idx = self.t.admitting.next()?;
+        let spec = &self.specs[idx];
+        let job = JobState {
+            id: JobId::from_index(idx),
+            min_replicas: spec.min_replicas(),
+            max_replicas: spec.max_replicas(),
+            priority: spec.priority,
+            submitted_at: SimTime::ZERO + spec.arrival,
+            replicas: 0,
+            last_action: SimTime::NEG_INFINITY,
+            running: false,
+            walltime_estimate: spec.walltime_estimate,
+        };
+        let cancelled = self.t.jobs[idx].cancel_on_arrival;
+        Some(Admission { job, cancelled })
+    }
+
+    fn launch(&mut self, job: JobId, replicas: u32, now: SimTime) -> bool {
+        let shape = &self.specs[job.index()].shape;
+        let j = &mut self.t.jobs[job.index()];
+        debug_assert!(!j.running);
+        j.running = true;
+        j.last_update = now;
+        j.rate = self.cfg.scaling.job_rate(shape, replicas);
+        // A checkpoint/restart relaunch pays the FullRestart recovery
+        // window before any progress; a plain launch (or a
+        // kill-and-requeue restart from zero) starts immediately.
+        j.pause_until = if std::mem::take(&mut j.needs_recovery) {
+            now + self.cfg.overhead.recovery_total(shape, replicas)
+        } else {
+            SimTime::NEG_INFINITY
+        };
+        self.schedule_completion(job, now);
+        true
+    }
+
+    fn resize(&mut self, job: JobId, from: u32, to: u32, now: SimTime) -> bool {
+        let shape = &self.specs[job.index()].shape;
+        let j = &mut self.t.jobs[job.index()];
+        debug_assert!(j.running);
+        j.advance(now);
+        j.pause_until = now + self.cfg.overhead.job_total(shape, from, to);
+        j.rate = self.cfg.scaling.job_rate(shape, to);
+        j.generation += 1;
+        self.t.queue.mark_stale(); // the previously scheduled completion died
+        self.schedule_completion(job, now);
+        true
+    }
+
+    fn stop(&mut self, job: JobId, why: Stop, now: SimTime) {
+        let j = &mut self.t.jobs[job.index()];
+        if why == Stop::Completed {
+            return; // `next_completion` already settled it
+        }
+        j.advance(now);
+        if std::mem::take(&mut j.running) {
+            self.t.queue.mark_stale(); // its scheduled completion died
+        }
+        j.generation += 1;
+        match why {
+            Stop::Evicted { rollback } => {
+                j.steps_done = (j.steps_done - j.rate * rollback.as_secs()).max(0.0);
+                j.needs_recovery = true;
+            }
+            Stop::Requeued { back_at, .. } => {
+                j.steps_done = 0.0;
                 j.needs_recovery = false;
-                now + cfg.overhead.recovery_total(&j.spec.shape, replicas)
-            } else {
-                SimTime::NEG_INFINITY
+                self.t.queue.push(back_at, Event::Requeue { job });
+            }
+            Stop::Cancelled => j.cancelled = true,
+            Stop::Failed { .. } | Stop::Completed => {}
+        }
+    }
+
+    /// Consumes *consecutive* completion events at the burst's instant
+    /// straight off the queue (within the step's event budget), skipping
+    /// stale ones with no bookkeeping.
+    fn next_completion(&mut self) -> Option<JobId> {
+        loop {
+            let (job, generation) = match self.t.head.take() {
+                Some(head) => head,
+                None => {
+                    if self.t.budget == 0 {
+                        return None;
+                    }
+                    match self.t.queue.peek() {
+                        Some((t, Event::Completion { .. })) if t == self.t.now => {}
+                        _ => return None,
+                    }
+                    let Some((_, Event::Completion { job, generation })) = self.t.pop() else {
+                        unreachable!("peek promised a completion")
+                    };
+                    (job, generation)
+                }
             };
-            util.set(now, job, replicas);
-            let rate = cfg.scaling.job_rate(&j.spec.shape, j.replicas);
-            let remaining = (j.spec.work() - j.steps_done).max(0.0);
-            let finish = j.pause_until.max(now) + Duration::from_secs(remaining / rate);
-            queue.push(
-                finish,
-                Event::Completion {
-                    job,
-                    generation: j.generation,
-                },
+            let j = &mut self.t.jobs[job.index()];
+            if j.generation != generation {
+                // Stale: the job was rescaled, preempted or cancelled
+                // meanwhile.
+                self.t.queue.note_stale_popped();
+                continue;
+            }
+            j.advance(self.t.now);
+            debug_assert!(
+                j.steps_done >= self.specs[job.index()].work() - 1e-3,
+                "completion fired early for {}",
+                self.specs[job.index()].name
             );
-        }
-        Action::Shrink { job, to_replicas } | Action::Expand { job, to_replicas } => {
-            let j = &mut jobs[job.index()];
-            debug_assert!(j.running && !j.completed);
-            j.advance(now, &cfg.scaling);
-            j.attempt_core_acc += f64::from(j.replicas) * (now - j.alloc_since).as_secs();
-            j.alloc_since = now;
-            let cost = cfg
-                .overhead
-                .job_total(&j.spec.shape, j.replicas, to_replicas);
-            j.pause_until = now + cost;
-            j.replicas = to_replicas;
-            j.last_action = now;
-            j.generation += 1;
-            queue.mark_stale(); // the previously scheduled completion died
-            *rescales += 1;
-            util.set(now, job, to_replicas);
-            let rate = cfg.scaling.job_rate(&j.spec.shape, j.replicas);
-            let remaining = (j.spec.work() - j.steps_done).max(0.0);
-            let finish = j.pause_until + Duration::from_secs(remaining / rate);
-            queue.push(
-                finish,
-                Event::Completion {
-                    job,
-                    generation: j.generation,
-                },
-            );
-        }
-        Action::Enqueue { .. } => {}
-        Action::Evict { job } => {
-            // Checkpoint/restart preemption: roll progress back to the
-            // last checkpoint-interval boundary of this attempt, keep
-            // what the checkpoint retained, and mark the job for a
-            // recovery-priced relaunch. Waste is only the rolled-back
-            // tail — the same ledger the operator keeps.
-            let j = &mut jobs[job.index()];
-            debug_assert!(j.running && !j.completed);
-            j.advance(now, &cfg.scaling);
-            let t = fspec.checkpoint_interval.as_secs();
-            let elapsed = (now - j.started_at.expect("running job has started")).as_secs();
-            let since_ckpt = elapsed - (elapsed / t).floor() * t;
-            let rate = cfg.scaling.job_rate(&j.spec.shape, j.replicas);
-            faults.wasted_core_seconds += f64::from(j.replicas) * since_ckpt;
-            faults.evictions += 1;
-            j.steps_done = (j.steps_done - rate * since_ckpt).max(0.0);
             j.running = false;
-            j.needs_recovery = true;
-            j.last_action = now;
-            j.generation += 1;
-            queue.mark_stale(); // its scheduled completion died
-            util.set(now, job, 0);
+            return Some(job);
         }
-        Action::Requeue { job } => {
-            // Kill-and-requeue: the whole attempt is wasted; the job
-            // re-enters the queue after an exponential backoff, or
-            // fails permanently once the retry budget runs out.
-            let j = &mut jobs[job.index()];
-            debug_assert!(j.running && !j.completed);
-            j.advance(now, &cfg.scaling);
-            j.attempt_core_acc += f64::from(j.replicas) * (now - j.alloc_since).as_secs();
-            faults.wasted_core_seconds += j.attempt_core_acc;
-            faults.requeues += 1;
-            j.attempt_core_acc = 0.0;
-            j.steps_done = 0.0;
-            j.running = false;
-            j.needs_recovery = false;
-            j.last_action = SimTime::NEG_INFINITY;
-            j.attempts += 1;
-            j.generation += 1;
-            queue.mark_stale(); // its scheduled completion died
-            util.set(now, job, 0);
-            if j.attempts >= fspec.max_attempts {
-                j.failed = true;
-                j.completed_at = Some(now);
-                faults.permanent_failures += 1;
-            } else {
-                let due = now + fspec.backoff_for(j.attempts);
-                j.requeued_at = Some(due);
-                queue.push(due, Event::Requeue { job });
-            }
-        }
-        Action::Cancel { job } => {
-            let j = &mut jobs[job.index()];
-            if j.completed || j.cancelled || j.failed || !j.submitted {
-                return;
-            }
-            j.advance(now, &cfg.scaling);
-            if j.running {
-                queue.mark_stale(); // its scheduled completion died
-            }
-            j.cancelled = true;
-            j.running = false;
-            j.generation += 1; // invalidate any scheduled completion
-            j.completed_at = Some(now);
-            *cancels += 1;
-            util.set(now, job, 0);
-        }
+    }
+
+    fn event_done(&mut self) {
+        self.t.event_done();
     }
 }
 
@@ -368,22 +349,8 @@ fn apply_runtime(
 /// to the state); every [`SimState::step`]/[`SimState::finish`] call
 /// must receive the *same* pair passed to [`SimState::new`].
 pub struct SimState {
-    jobs: Vec<JobRt>,
-    queue: EventQueue,
-    view: ClusterView,
-    util: UtilizationRecorder,
-    rescales: u32,
-    completed_count: u32,
-    cancelled_count: u32,
-    peak_queue_len: usize,
-    peak_queue_len_raw: usize,
-    fault_stats: FaultStats,
-    /// The shared breaker/budget/health decision core for the
-    /// workload's `FlakySpec` (idle when the spec is empty).
-    resilience: ResilienceState,
-    launcher: u32,
-    timer_interval: Option<Duration>,
-    events_processed: u64,
+    kernel: Kernel,
+    timeline: Timeline,
 }
 
 impl SimState {
@@ -394,8 +361,7 @@ impl SimState {
         workload
             .validate()
             .unwrap_or_else(|e| panic!("workload not replayable: {e}"));
-        let launcher = cfg.policy.launcher_slots();
-        let jobs: Vec<JobRt> = workload.jobs.iter().cloned().map(JobRt::new).collect();
+        let mut jobs = vec![JobRt::default(); workload.jobs.len()];
         let mut queue = EventQueue::new();
 
         // Submit coalescing: consecutive jobs whose arrival instants
@@ -417,14 +383,18 @@ impl SimState {
             );
             i += count;
         }
+        // A cancellation timed exactly at its job's arrival is on record
+        // when the Submit (pushed above, so popped first) admits the
+        // job; the Cancel event then finds it terminal. One timed
+        // earlier is a no-op, like a client cancelling an unknown name.
+        let mut cancel = |queue: &mut EventQueue, at: Duration, i: usize| {
+            jobs[i].cancel_on_arrival |= at == workload.jobs[i].arrival;
+            let job = JobId::from_index(i);
+            queue.push(SimTime::ZERO + at, Event::Cancel { job });
+        };
         for (i, job) in workload.jobs.iter().enumerate() {
             if let Some(at) = job.cancel_at {
-                queue.push(
-                    SimTime::ZERO + at,
-                    Event::Cancel {
-                        job: JobId::from_index(i),
-                    },
-                );
+                cancel(&mut queue, at, i);
             }
         }
         // Policy timer: the DES analogue of the operator's periodic
@@ -445,12 +415,7 @@ impl SimState {
                 .iter()
                 .position(|j| j.name == *name)
                 .unwrap_or_else(|| panic!("cancellation for unknown job {name}"));
-            queue.push(
-                SimTime::ZERO + *at,
-                Event::Cancel {
-                    job: JobId::from_index(i),
-                },
-            );
+            cancel(&mut queue, *at, i);
         }
         // Fault events are pushed last so at shared instants they sort
         // after submissions/cancellations — the order the operator's
@@ -474,113 +439,34 @@ impl SimState {
             queue.push(SimTime::ZERO + e.at, Event::Flaky { index: i as u32 });
         }
 
+        let mut kernel = Kernel::new(cfg.capacity, cfg.policy.launcher_slots());
+        kernel.set_recovery(&workload.faults);
+        // Jobs that have not arrived yet are not terminal.
+        kernel.expect_jobs(jobs.len());
         SimState {
-            jobs,
-            queue,
-            view: ClusterView::new(cfg.capacity),
-            util: UtilizationRecorder::new(cfg.capacity),
-            rescales: 0,
-            completed_count: 0,
-            cancelled_count: 0,
-            peak_queue_len: 0,
-            peak_queue_len_raw: 0,
-            fault_stats: FaultStats::default(),
-            resilience: ResilienceState::new(&workload.faults.flaky),
-            launcher,
-            timer_interval,
-            events_processed: 0,
+            kernel,
+            timeline: Timeline {
+                jobs,
+                queue,
+                timer_interval,
+                ..Timeline::default()
+            },
         }
     }
 
     /// Pending events (including stale completions awaiting compaction).
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.timeline.queue.len()
     }
 
     /// Events popped so far across all [`SimState::step`] calls.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.timeline.events_processed
     }
 
     /// The persistent cluster view the policy has been deciding on.
     pub fn view(&self) -> &ClusterView {
-        &self.view
-    }
-
-    fn apply_all(&mut self, cfg: &SimConfig, fspec: &FaultSpec, actions: &[Action], now: SimTime) {
-        for a in actions {
-            apply_action(&mut self.view, a, now, self.launcher);
-            apply_runtime(
-                cfg,
-                fspec,
-                &mut self.jobs,
-                &mut self.queue,
-                &mut self.util,
-                &mut self.rescales,
-                &mut self.cancelled_count,
-                &mut self.fault_stats,
-                a,
-                now,
-            );
-        }
-    }
-
-    /// `true` once every job of the workload is terminal. O(1): each
-    /// terminal state has exactly one writer, and each of those bumps
-    /// its tally in the same breath (`completed` in the completion
-    /// driver, `cancelled`/`failed` in `apply_runtime`), so the three
-    /// tallies partition the terminal jobs.
-    fn all_terminal(&self) -> bool {
-        let terminal = self.completed_count as usize
-            + self.cancelled_count as usize
-            + self.fault_stats.permanent_failures as usize;
-        debug_assert_eq!(
-            terminal,
-            self.jobs
-                .iter()
-                .filter(|j| j.completed || j.cancelled || j.failed)
-                .count(),
-            "terminal tallies out of step with the job table"
-        );
-        terminal == self.jobs.len()
-    }
-
-    /// Deterministic victim selection for a transient fault: the
-    /// *oldest* executor (lowest running [`JobId`]) for launch
-    /// failures, stuck rescales and heartbeat misses; the *youngest*
-    /// (highest running id) for crash-on-start — the job most recently
-    /// through the launch path. Read off the view's running jobs — the
-    /// runtime `running` flag and the view's flip together in
-    /// `apply_all` — exactly as the operator does, over the same
-    /// admission-ordered ids.
-    fn flaky_victim(&self, op: FlakyOp) -> Option<JobId> {
-        let running = self.view.running_scan().map(|j| j.id());
-        match op {
-            FlakyOp::CrashOnStart => running.max(),
-            FlakyOp::LaunchFail | FlakyOp::StuckRescale | FlakyOp::HeartbeatMiss => running.min(),
-        }
-    }
-
-    /// Per-event post-processing bookkeeping: sample the queue
-    /// high-water mark and re-bucketize away stale entries when the
-    /// compaction threshold trips.
-    fn after_event(&mut self) {
-        self.peak_queue_len = self.peak_queue_len.max(self.queue.live_len());
-        self.peak_queue_len_raw = self.peak_queue_len_raw.max(self.queue.len());
-        if self.queue.should_compact() {
-            let jobs = &self.jobs;
-            self.queue.compact(|e| match e {
-                Event::Completion { job, generation } => {
-                    let j = &jobs[job.index()];
-                    !j.completed && !j.cancelled && j.generation == *generation
-                }
-                Event::Requeue { job } => {
-                    let j = &jobs[job.index()];
-                    !j.completed && !j.cancelled && !j.failed
-                }
-                _ => true,
-            });
-        }
+        self.kernel.view()
     }
 
     /// Pops and processes at most `max_events` events; returns `true`
@@ -588,252 +474,95 @@ impl SimState {
     /// drains the run in one call; the federation scheduler passes its
     /// quantum and re-queues the shard while this returns `true`.
     ///
-    /// Submission and completion events route through the batched
-    /// policy surface ([`SubmitBurst`] / [`CompleteBurst`]): every
-    /// event at one instant of one kind is decided in a single policy
+    /// Each event maps to one kernel entry point. Submissions and
+    /// completions go through the kernel's burst drivers: every event
+    /// at one instant of one kind is decided in a single policy
     /// invocation, with the per-event primitive sequence (consume →
-    /// staleness check → runtime effects → decide → apply → peak
-    /// sample → compaction check) driven from inside the burst — so
-    /// replay output and the quantum-stepping contract are identical to
-    /// the historical one-event-one-call loop.
+    /// staleness check → effects → decide → apply → peak sample →
+    /// compaction check) driven from inside the burst — so replay
+    /// output and the quantum-stepping contract are identical to a
+    /// one-event-one-call loop. An event the kernel retires as a no-op
+    /// (a cancel or requeue of a terminal job, a timer after the last
+    /// job) skips the per-event bookkeeping.
     pub fn step(&mut self, cfg: &SimConfig, workload: &WorkloadSpec, max_events: usize) -> bool {
         debug_assert_eq!(
-            self.jobs.len(),
+            self.timeline.jobs.len(),
             workload.jobs.len(),
             "step must receive the workload the state was built from"
         );
-        let mut popped = 0usize;
-        while popped < max_events {
-            let Some((now, event)) = self.queue.pop() else {
+        let kernel = &mut self.kernel;
+        let policy = cfg.policy.as_ref();
+        let mut des = Des {
+            t: &mut self.timeline,
+            cfg,
+            specs: &workload.jobs,
+        };
+        des.t.budget = max_events;
+        while des.t.budget > 0 {
+            let Some((now, event)) = des.t.pop() else {
                 return false;
             };
-            popped += 1;
-            self.events_processed += 1;
-            match event {
+            let booked = match event {
                 Event::Submit { first, count } => {
-                    // One pop admits the whole same-timestamp burst;
-                    // the driver interns each job in submission order
-                    // and the policy answers per admission, so
-                    // decisions are identical to n singleton events.
-                    let mut burst = SubmitDriver {
-                        state: self,
-                        cfg,
-                        fspec: &workload.faults,
-                        now,
-                        next: first.index(),
-                        end: first.index() + count as usize,
-                        fresh: true,
-                    };
-                    cfg.policy.on_submit_burst(&mut burst);
-                    self.after_event();
+                    des.t.admitting = first.index()..first.index() + count as usize;
+                    kernel.submit_burst(now, policy, &mut des);
+                    true
                 }
                 Event::Requeue { job } => {
-                    let idx = job.index();
-                    if self.jobs[idx].completed || self.jobs[idx].cancelled || self.jobs[idx].failed
-                    {
-                        continue; // cancelled while waiting out the backoff
-                    }
-                    // A requeue re-admission is a one-job burst that
-                    // keeps the original submission instant.
-                    let mut burst = SubmitDriver {
-                        state: self,
-                        cfg,
-                        fspec: &workload.faults,
-                        now,
-                        next: idx,
-                        end: idx + 1,
-                        fresh: false,
-                    };
-                    cfg.policy.on_submit_burst(&mut burst);
-                    self.after_event();
+                    des.t.admitting = job.index()..job.index() + 1;
+                    kernel.requeue_due(job, now, policy, &mut des)
                 }
                 Event::Completion { job, generation } => {
-                    // The driver consumes every consecutive completion
-                    // at this instant (budget permitting), doing the
-                    // per-event bookkeeping itself; stale entries are
-                    // skipped at consumption time exactly like the
-                    // historical loop's `continue`.
-                    let flush = {
-                        let mut burst = CompleteDriver {
-                            state: self,
-                            cfg,
-                            workload,
-                            now,
-                            pending: Some((job, generation)),
-                            popped: &mut popped,
-                            max_events,
-                            book_pending: false,
-                        };
-                        cfg.policy.on_complete_burst(&mut burst);
-                        burst.book_pending
+                    // The burst does the per-event bookkeeping itself.
+                    des.t.head = Some((job, generation));
+                    kernel.complete_burst(now, policy, &mut des);
+                    false
+                }
+                Event::Cancel { job } => kernel.cancel(job, now, policy, &mut des),
+                Event::NodeFail { slots } | Event::CapacityReclaim { slots } => {
+                    let fault = FaultEvent {
+                        at: Duration::from_secs(now.as_secs()),
+                        slots,
+                        kind: match event {
+                            Event::NodeFail { .. } => FaultKind::NodeFail,
+                            _ => FaultKind::Reclaim,
+                        },
                     };
-                    if flush {
-                        // Defensive: a policy that skipped the final
-                        // `apply` still owes the event its bookkeeping.
-                        self.after_event();
-                    }
+                    kernel.capacity_lost(&fault, now, policy, &mut des);
+                    true
                 }
-                other => {
-                    // An event retired early (terminal-state no-op)
-                    // skips the bookkeeping, exactly like the
-                    // historical loop's `continue`.
-                    if !self.process_event(cfg, workload, now, other) {
-                        continue;
-                    }
-                    self.after_event();
+                Event::CapacityReturn { slots } => {
+                    kernel.capacity_returned(slots, now, policy, &mut des);
+                    true
                 }
+                Event::Flaky { index } => {
+                    let op = workload.faults.flaky.events[index as usize].op;
+                    kernel.flaky(op, now, policy, &mut des);
+                    true
+                }
+                Event::Timer => {
+                    let fired = kernel.timer(now, policy, &mut des);
+                    // Re-arm only while some *other* event is pending: a
+                    // policy is a pure function of the view, so with
+                    // nothing else left every future firing would decide
+                    // the same nothing — re-arming would hang the run
+                    // forever on a permanently starved job instead of
+                    // letting it reach the starvation diagnostic.
+                    if fired && !des.t.queue.is_empty() {
+                        let iv = des
+                            .t
+                            .timer_interval
+                            .expect("timer event implies an interval");
+                        des.t.queue.push(now + iv, Event::Timer);
+                    }
+                    fired
+                }
+            };
+            if booked {
+                des.t.event_done();
             }
         }
-        !self.queue.is_empty()
-    }
-
-    /// Processes one event; `false` means it was retired early (the
-    /// post-event bookkeeping must be skipped).
-    fn process_event(
-        &mut self,
-        cfg: &SimConfig,
-        workload: &WorkloadSpec,
-        now: SimTime,
-        event: Event,
-    ) -> bool {
-        match event {
-            Event::Submit { .. } | Event::Completion { .. } | Event::Requeue { .. } => {
-                unreachable!("submit/completion/requeue events route through the burst drivers")
-            }
-            Event::Cancel { job } => {
-                let idx = job.index();
-                if self.jobs[idx].completed
-                    || self.jobs[idx].cancelled
-                    || self.jobs[idx].failed
-                    || !self.jobs[idx].submitted
-                {
-                    // Terminal already, or a cancel timed before the
-                    // job's arrival — a no-op, exactly like the client
-                    // cancel of an unknown name in the operator path.
-                    return false;
-                }
-                let held_slots = self.jobs[idx].running;
-                let cancel = Action::Cancel { job };
-                // A job waiting out a requeue backoff is alive but not
-                // in the view; the runtime cancel alone retires it.
-                if self.view.job(job).is_some() {
-                    apply_action(&mut self.view, &cancel, now, self.launcher);
-                }
-                apply_runtime(
-                    cfg,
-                    &workload.faults,
-                    &mut self.jobs,
-                    &mut self.queue,
-                    &mut self.util,
-                    &mut self.rescales,
-                    &mut self.cancelled_count,
-                    &mut self.fault_stats,
-                    &cancel,
-                    now,
-                );
-                if held_slots {
-                    // Freed capacity: the policy redistributes exactly
-                    // as after a completion.
-                    let actions = cfg.policy.on_complete(&self.view, now);
-                    self.apply_all(cfg, &workload.faults, &actions, now);
-                }
-            }
-            Event::NodeFail { slots } | Event::CapacityReclaim { slots } => {
-                // Capacity loss: mark the slots failed (opening a
-                // deficit when they were occupied), let the policy
-                // answer through on_fault, and insist the plan covers
-                // the deficit before the usual redistribution pass.
-                self.view.fail_slots(slots);
-                let kind = if matches!(event, Event::NodeFail { .. }) {
-                    FaultKind::NodeFail
-                } else {
-                    FaultKind::Reclaim
-                };
-                let fault = FaultEvent {
-                    at: Duration::from_secs(now.as_secs()),
-                    slots,
-                    kind,
-                };
-                let actions = cfg.policy.on_fault(&self.view, &fault, now);
-                self.apply_all(cfg, &workload.faults, &actions, now);
-                assert_eq!(
-                    self.view.deficit(),
-                    0,
-                    "policy {} left a fault deficit uncovered",
-                    cfg.policy.name()
-                );
-                let actions = cfg.policy.on_complete(&self.view, now);
-                self.apply_all(cfg, &workload.faults, &actions, now);
-            }
-            Event::CapacityReturn { slots } => {
-                // Reclaimed capacity comes back: restore it to the free
-                // pool and let the policy expand or admit into it.
-                self.view.restore_slots(slots);
-                let actions = cfg.policy.on_complete(&self.view, now);
-                self.apply_all(cfg, &workload.faults, &actions, now);
-            }
-            Event::Flaky { index } => {
-                let op = workload.faults.flaky.events[index as usize].op;
-                let victim = self.flaky_victim(op);
-                match self.resilience.on_flaky(op, victim, now) {
-                    // No running victim, a sub-threshold heartbeat
-                    // miss, or an open breaker fast-failing the
-                    // operation: nothing happens to any job.
-                    FlakyOutcome::Observed | FlakyOutcome::Absorbed => {}
-                    FlakyOutcome::Retry => {
-                        let job = victim.expect("retry outcome implies a victim");
-                        self.apply_all(cfg, &workload.faults, &[Action::Requeue { job }], now);
-                        let actions = cfg.policy.on_complete(&self.view, now);
-                        self.apply_all(cfg, &workload.faults, &actions, now);
-                    }
-                    FlakyOutcome::Deny => {
-                        // Retry budget dry: the victim fails
-                        // permanently. Forcing the attempt counter to
-                        // the retry ceiling routes the failure through
-                        // the same requeue path as every other
-                        // permanent failure — identically in both
-                        // engines.
-                        let job = victim.expect("deny outcome implies a victim");
-                        let j = &mut self.jobs[job.index()];
-                        j.attempts = j
-                            .attempts
-                            .max(workload.faults.max_attempts.saturating_sub(1));
-                        self.apply_all(cfg, &workload.faults, &[Action::Requeue { job }], now);
-                        let actions = cfg.policy.on_complete(&self.view, now);
-                        self.apply_all(cfg, &workload.faults, &actions, now);
-                    }
-                    FlakyOutcome::Evict => {
-                        let job = victim.expect("evict outcome implies a victim");
-                        self.apply_all(cfg, &workload.faults, &[Action::Evict { job }], now);
-                        let actions = cfg.policy.on_complete(&self.view, now);
-                        self.apply_all(cfg, &workload.faults, &actions, now);
-                    }
-                }
-            }
-            Event::Timer => {
-                // Stop the clock once every job is terminal — the run
-                // is over; an armed timer must not keep it alive.
-                if self.all_terminal() {
-                    return false;
-                }
-                let actions = cfg.policy.on_timer(&self.view, now);
-                self.apply_all(cfg, &workload.faults, &actions, now);
-                // Re-arm only while some *other* event is pending: a
-                // policy is a pure function of the view, so with no
-                // submissions/completions/cancellations left, every
-                // future firing would see the same view and decide the
-                // same nothing — re-arming would hang the simulation
-                // forever on a permanently starved job instead of
-                // letting it reach the diagnostic starvation assert.
-                if !self.queue.is_empty() {
-                    let iv = self
-                        .timer_interval
-                        .expect("timer event implies an interval");
-                    self.queue.push(now + iv, Event::Timer);
-                }
-            }
-        }
-        true
+        !des.t.queue.is_empty()
     }
 
     /// Consumes the drained state into a [`SimOutcome`].
@@ -841,228 +570,40 @@ impl SimState {
     /// # Panics
     /// If events are still pending, or (diagnostically) if a job
     /// starved in the queue forever.
-    pub fn finish(mut self, cfg: &SimConfig, workload: &WorkloadSpec) -> SimOutcome {
+    pub fn finish(self, cfg: &SimConfig, workload: &WorkloadSpec) -> SimOutcome {
+        let SimState { kernel, timeline } = self;
         assert!(
-            self.queue.is_empty(),
+            timeline.queue.is_empty(),
             "finish called with {} events pending",
-            self.queue.len()
+            timeline.queue.len()
         );
-        // Bank the resilience tallies next to the capacity-fault ones;
-        // the operator copies the same three counters in `metrics()`.
-        self.fault_stats.transient_faults = self.resilience.transient_faults();
-        self.fault_stats.retries = self.resilience.retries();
-        self.fault_stats.breaker_trips = self.resilience.breaker_trips();
         // Starvation first: it is the *cause* of a non-drained view, so
-        // it must own the diagnostic (the drain assert below would
-        // otherwise mask it in debug builds).
-        for j in &self.jobs {
-            assert!(
-                j.completed || j.cancelled || j.failed,
+        // it owns the diagnostic.
+        if let Some(job) = kernel.unfinished().next() {
+            panic!(
                 "job {} never completed (starved in queue)",
-                j.spec.name
+                workload.jobs[job.index()].name
             );
         }
-
-        debug_assert!(
-            self.view.is_empty()
-                && self.view.deficit() == 0
-                && self.view.free_slots() + self.view.failed_slots() == cfg.capacity,
-            "incremental view must drain to empty (minus still-failed slots) \
-             when every job is terminal"
-        );
-
-        let outcomes: Vec<JobOutcome> = self
-            .jobs
-            .iter()
-            .filter(|j| j.completed)
-            .map(|j| JobOutcome {
-                name: j.spec.name.clone(),
-                priority: j.spec.priority,
-                submitted_at: j.submitted_at,
-                started_at: j.started_at.expect("started"),
-                completed_at: j.completed_at.expect("completed"),
-            })
-            .collect();
-        let metrics = if outcomes.is_empty() {
-            // Every job was cancelled: nothing completed, nothing to
-            // aggregate.
-            RunMetrics::empty(cfg.policy.name(), self.rescales).with_fault_stats(self.fault_stats)
-        } else {
-            let first_submit = outcomes.iter().map(|o| o.submitted_at).min().expect("jobs");
-            let last_complete = outcomes.iter().map(|o| o.completed_at).max().expect("jobs");
-            let utilization = self.util.average_utilization(first_submit, last_complete);
-            RunMetrics::from_outcomes(cfg.policy.name(), outcomes, utilization, self.rescales)
-                .with_fault_stats(self.fault_stats)
-        };
+        #[cfg(debug_assertions)]
+        kernel.check();
+        let metrics = kernel.metrics(cfg.policy.as_ref(), |id| {
+            let spec = &workload.jobs[id.index()];
+            (
+                spec.name.clone(),
+                spec.priority,
+                SimTime::ZERO + spec.arrival,
+            )
+        });
         SimOutcome {
             metrics,
-            util: self.util,
-            rescales: self.rescales,
-            cancelled: self.cancelled_count,
+            rescales: kernel.rescales(),
+            cancelled: kernel.cancelled(),
+            util: kernel.into_utilization(),
             names: workload.jobs.iter().map(|j| j.name.clone()).collect(),
-            peak_queue_len: self.peak_queue_len,
-            peak_queue_len_raw: self.peak_queue_len_raw,
+            peak_queue_len: timeline.peak_queue_len,
+            peak_queue_len_raw: timeline.peak_queue_len_raw,
         }
-    }
-}
-
-/// Engine side of a same-instant submission burst (one coalesced
-/// `Submit` event, or a single `Requeue` re-admission): interns jobs
-/// `next..end` one at a time as the policy pulls them, applies each
-/// answer through the shared action path.
-struct SubmitDriver<'a> {
-    state: &'a mut SimState,
-    cfg: &'a SimConfig,
-    fspec: &'a FaultSpec,
-    now: SimTime,
-    next: usize,
-    end: usize,
-    /// `true` for fresh submissions (stamp `submitted`/`submitted_at`);
-    /// `false` for a requeue re-admission, which keeps its original
-    /// submission instant.
-    fresh: bool,
-}
-
-impl SubmitBurst for SubmitDriver<'_> {
-    fn view(&self) -> &ClusterView {
-        &self.state.view
-    }
-
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn admit_next(&mut self) -> Option<JobId> {
-        if self.next >= self.end {
-            return None;
-        }
-        let idx = self.next;
-        self.next += 1;
-        let id = JobId::from_index(idx);
-        if self.fresh {
-            self.state.jobs[idx].submitted = true;
-            self.state.jobs[idx].submitted_at = self.now;
-        }
-        self.state.jobs[idx].last_update = self.now;
-        self.state
-            .view
-            .insert(self.state.jobs[idx].view_state(id), self.state.launcher);
-        Some(id)
-    }
-
-    fn apply(&mut self, actions: &[Action]) {
-        self.state
-            .apply_all(self.cfg, self.fspec, actions, self.now);
-    }
-}
-
-/// Engine side of a same-instant completion burst. `retire_next`
-/// consumes the pre-popped head completion first, then keeps consuming
-/// *consecutive* completion events at the same timestamp straight off
-/// the queue (respecting the caller's event budget); stale entries are
-/// skipped at consumption time. `apply` runs the action path and the
-/// per-event bookkeeping (peak sample + compaction check), preserving
-/// the exact primitive sequence of the historical per-event loop.
-struct CompleteDriver<'a> {
-    state: &'a mut SimState,
-    cfg: &'a SimConfig,
-    workload: &'a WorkloadSpec,
-    now: SimTime,
-    /// The completion popped by the outer `step` loop, consumed on the
-    /// first `retire_next`.
-    pending: Option<(JobId, u64)>,
-    /// The outer loop's pop counter — extra events this driver consumes
-    /// count against the same `max_events` budget.
-    popped: &'a mut usize,
-    max_events: usize,
-    /// A retirement has been returned but its post-apply bookkeeping
-    /// has not run yet.
-    book_pending: bool,
-}
-
-impl CompleteDriver<'_> {
-    fn book(&mut self) {
-        self.book_pending = false;
-        self.state.after_event();
-    }
-}
-
-impl CompleteBurst for CompleteDriver<'_> {
-    fn view(&self) -> &ClusterView {
-        &self.state.view
-    }
-
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn retire_next(&mut self) -> bool {
-        if self.book_pending {
-            // Defensive: the policy pulled again without applying; the
-            // previous event still gets its bookkeeping.
-            self.book();
-        }
-        loop {
-            let (job, generation) = match self.pending.take() {
-                Some(p) => p,
-                None => {
-                    if *self.popped >= self.max_events {
-                        return false;
-                    }
-                    let next_is_batch = matches!(
-                        self.state.queue.peek(),
-                        Some((t, Event::Completion { .. })) if t == self.now
-                    );
-                    if !next_is_batch {
-                        return false;
-                    }
-                    let Some((_, Event::Completion { job, generation })) = self.state.queue.pop()
-                    else {
-                        unreachable!("peek promised a completion")
-                    };
-                    *self.popped += 1;
-                    self.state.events_processed += 1;
-                    (job, generation)
-                }
-            };
-            let idx = job.index();
-            if self.state.jobs[idx].generation != generation
-                || self.state.jobs[idx].completed
-                || self.state.jobs[idx].cancelled
-            {
-                // Stale: the job was rescaled or cancelled meanwhile.
-                // Consumed with no bookkeeping, exactly like the
-                // historical loop's `continue`.
-                self.state.queue.note_stale_popped();
-                continue;
-            }
-            self.state.jobs[idx].advance(self.now, &self.cfg.scaling);
-            debug_assert!(
-                self.state.jobs[idx].steps_done >= self.state.jobs[idx].spec.work() - 1e-3,
-                "completion fired early for {}",
-                self.state.jobs[idx].spec.name
-            );
-            self.state.jobs[idx].completed = true;
-            self.state.completed_count += 1;
-            self.state.jobs[idx].running = false;
-            self.state.jobs[idx].completed_at = Some(self.now);
-            self.state.util.set(self.now, job, 0);
-            self.state.view.remove(job, self.state.launcher);
-            // A successful retirement feeds the resilience layer
-            // (breaker reset, budget deposit, health forgiveness) at
-            // the same boundary the operator's complete_job uses.
-            if !self.workload.faults.flaky.is_empty() {
-                self.state.resilience.on_success(job, self.now);
-            }
-            self.book_pending = true;
-            return true;
-        }
-    }
-
-    fn apply(&mut self, actions: &[Action]) {
-        self.state
-            .apply_all(self.cfg, &self.workload.faults, actions, self.now);
-        self.book();
     }
 }
 

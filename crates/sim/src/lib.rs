@@ -29,11 +29,11 @@
 //!   touch with a single cache line, and cold columns (submission
 //!   time, walltime estimate) off the scan path.
 //! * **Batched policy invocation** ([`engine`]) — all events at one
-//!   instant drain into a burst: the engine hands the policy a
-//!   `SubmitBurst`/`CompleteBurst` driver and the policy consumes the
-//!   whole same-timestamp batch through one dispatch, with actions
-//!   applied per admission so decision state is identical to the
-//!   one-event-at-a-time sequence.
+//!   instant drain into a burst: the scheduling kernel
+//!   (`elastic_core::kernel`, shared with the operator) hands the
+//!   policy one driver and pulls the whole same-timestamp batch off the
+//!   queue through it, with actions applied per admission so decision
+//!   state is identical to the one-event-at-a-time sequence.
 //!
 //! Throughput is tracked in the `sim_core` section of
 //! `BENCH_sim_scale.json` (written by the `sim_scale` bench) and
@@ -50,9 +50,9 @@
 //!   per-class rate cache on the replay hot path.
 //! * [`workload`] — re-exports of the unified `hpc-workload` layer
 //!   (the paper generator, SWF trace replay, Poisson arrivals).
-//! * [`engine`] — the simulation loop, replaying a `WorkloadSpec`'s
-//!   own per-job arrival and cancellation times through the burst
-//!   drivers.
+//! * [`engine`] — the event queue and progress model around the
+//!   scheduling kernel, replaying a `WorkloadSpec`'s own per-job
+//!   arrival and cancellation times.
 //! * [`experiments`] — the Fig. 7 / Fig. 8 sweeps, Table 1 rows and
 //!   the parameterized heavy-traffic replay.
 

@@ -174,3 +174,62 @@ fn elastic_annotation_replays_through_the_des() {
     );
     assert!(out.metrics.mean_bounded_slowdown >= 1.0);
 }
+
+/// Cancellations replay identically — no bundled trace carries one.
+/// "b" is cancelled at the instant it arrives: the cancellation is on
+/// record when the control plane first sees the job, so both engines
+/// retire it without a policy decision (the DES used to admit, decide,
+/// cancel and redistribute it, rescaling "a" twice for nothing). "a" is
+/// cancelled mid-run at t = 90 after being shrunk for "c" and "d", and
+/// the slots it frees are redistributed at that instant. Integer times
+/// and a free rescale, so every figure compares with `==`.
+#[test]
+fn cancellations_replay_identically_in_both_engines() {
+    use elastic_hpc::core::{Policy, PolicyConfig};
+    use elastic_hpc::workload::JobSpec;
+    let at = Duration::from_secs;
+    let wl = WorkloadSpec::new(vec![
+        JobSpec::malleable("a", 2, 30, 30_000.0, 3).cancelled_at(at(90.0)),
+        JobSpec::malleable("b", 4, 8, 2_400.0, 3)
+            .at(at(30.0))
+            .cancelled_at(at(30.0)),
+        JobSpec::malleable("c", 2, 4, 1_200.0, 3).at(at(60.0)),
+        JobSpec::malleable("d", 10, 26, 5_180.0, 3).at(at(70.0)),
+    ]);
+    let policy = || {
+        Box::new(Policy::elastic(PolicyConfig {
+            rescale_gap: Duration::ZERO,
+            launcher_slots: 1,
+            shrink_spares_head: false,
+        }))
+    };
+
+    let cfg = SimConfig {
+        capacity: CAPACITY,
+        policy: policy(),
+        scaling: ScalingModel::default(),
+        overhead: OverheadModel::zero(),
+        cancellations: Vec::new(),
+    };
+    let des = simulate(&cfg, &wl);
+
+    let clock = VirtualClock::new();
+    let plane = ControlPlane::with_nodes(Arc::new(clock.clone()), KubeletConfig::instant(), 4, 8);
+    let executor = ModelExecutor::ideal(plane.clock());
+    let mut op = CharmOperator::new(plane, policy(), Box::new(executor));
+    let op_metrics = run_workload_virtual(
+        &mut op,
+        &clock,
+        &wl,
+        Duration::from_secs(1.0),
+        Duration::from_secs(100_000.0),
+    );
+
+    assert_eq!((des.cancelled, op.cancellations()), (2, 2));
+    assert_eq!((des.rescales, op.rescales()), (5, 5));
+    let done: Vec<(&str, f64)> = (des.metrics.jobs.iter())
+        .map(|j| (j.name.as_str(), j.completed_at.as_secs()))
+        .collect();
+    assert_eq!(done, [("c", 370.0), ("d", 270.0)]);
+    assert_eq!(des.metrics, op_metrics);
+}
