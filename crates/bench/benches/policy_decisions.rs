@@ -5,10 +5,13 @@
 //! relevant scalability number. With the interned-id/incremental-view
 //! decision path the per-decision cost reads off maintained indexes —
 //! these benches pin the absolute numbers at three cluster populations,
-//! and the rigid baselines' `on_complete` against a blocked head with
+//! the rigid baselines' `on_complete` against a blocked head with
 //! a deep backlog behind it (queue 100 / 1 000 / 10 000 × free slots
 //! 0 / 3 / 64): the cost must follow the candidates that fit the free
-//! slots, not the queue depth.
+//! slots, not the queue depth; and the elastic policy's two decisions
+//! with every running job (256 / 4 096) inside its rescale gap: the
+//! cost must follow the jobs the gap lets it touch — none — not the
+//! running population.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use elastic_core::{
@@ -17,8 +20,9 @@ use elastic_core::{
 };
 use hpc_metrics::{Duration, SimTime};
 
-/// `n` running jobs plus one queued newcomer (id `n`).
-fn view_with_jobs(n: usize) -> (ClusterView, JobId) {
+/// `n` running jobs, job `i` last acted on at `acted_at(i)` seconds,
+/// plus one queued newcomer (id `n`).
+fn view_with_jobs(n: usize, acted_at: impl Fn(usize) -> f64) -> (ClusterView, JobId) {
     let mut view = ClusterView::new(4096);
     for i in 0..n {
         // The bench pins free_slots to a tight constant below,
@@ -33,7 +37,7 @@ fn view_with_jobs(n: usize) -> (ClusterView, JobId) {
                 priority: 1 + (i as u32) % 5,
                 submitted_at: SimTime::from_secs(i as f64),
                 replicas: 4,
-                last_action: SimTime::from_secs(i as f64),
+                last_action: SimTime::from_secs(acted_at(i)),
                 running: true,
                 walltime_estimate: None,
             },
@@ -114,16 +118,40 @@ fn bench_backlog(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_decisions(c: &mut Criterion) {
-    let cfg = PolicyConfig {
+fn elastic_cfg() -> PolicyConfig {
+    PolicyConfig {
         rescale_gap: Duration::from_secs(180.0),
         launcher_slots: 1,
         shrink_spares_head: true,
-    };
+    }
+}
+
+/// Every running job rescaled 1..=170 s ago, inside the 180 s gap: the
+/// newcomer cannot be made room for and nothing may expand, and
+/// finding that out must not cost a walk over the running jobs.
+fn bench_inside_gap(c: &mut Criterion) {
+    let now_s = 2e6;
+    let now = SimTime::from_secs(now_s);
+    let policy = Policy::elastic(elastic_cfg());
+    let mut group = c.benchmark_group("inside_gap");
+    for &n in &[256usize, 4096] {
+        let (view, newcomer) = view_with_jobs(n, |i| now_s - 1.0 - (i % 170) as f64);
+        group.bench_with_input(BenchmarkId::new("on_submit/elastic", n), &view, |b, v| {
+            b.iter(|| policy.on_submit(v, newcomer, now))
+        });
+        group.bench_with_input(BenchmarkId::new("on_complete/elastic", n), &view, |b, v| {
+            b.iter(|| policy.on_complete(v, now))
+        });
+    }
+    group.finish();
+}
+
+fn bench_decisions(c: &mut Criterion) {
+    let cfg = elastic_cfg();
     let now = SimTime::from_secs(2e6);
     let mut group = c.benchmark_group("policy");
     for &n in &[16usize, 128, 1024] {
-        let (view, newcomer) = view_with_jobs(n);
+        let (view, newcomer) = view_with_jobs(n, |i| i as f64);
         // Every policy goes through the same trait surface the
         // operator and the simulator use.
         let mut policies: Vec<Box<dyn SchedulingPolicy>> = PolicyKind::ALL
@@ -146,5 +174,5 @@ fn bench_decisions(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_decisions, bench_backlog);
+criterion_group!(benches, bench_decisions, bench_inside_gap, bench_backlog);
 criterion_main!(benches);

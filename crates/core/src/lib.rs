@@ -91,9 +91,13 @@
 //!   counters, all updated in O(1) per mutation, `job(id)` in O(1).
 //!   The ordered indexes over it are **pay-per-use**: `BTreeSet`s
 //!   keyed `(Reverse(priority), submitted_at, JobId)` serving
-//!   `running_desc_priority` / `all_desc_priority`, the submission
-//!   order behind `queued_submission_order`, the completion frontier,
-//!   and the queued-by-minimum-footprint buckets behind
+//!   `running_desc_priority` / `queued_desc_priority`, the running
+//!   jobs by last scheduling action behind
+//!   [`ClusterView::running_by_last_action`] (the elastic policy's gap
+//!   cursor: the jobs `T_rescale_gap` lets a decision touch are a
+//!   prefix of it), the submission order behind
+//!   `queued_submission_order`, the completion frontier, and the
+//!   queued-by-minimum-footprint buckets behind
 //!   [`ClusterView::queued_fitting`] are each built from the arena the
 //!   first time a policy reads them and pay their O(log n) upkeep in
 //!   `insert` / `remove` / [`apply_action`] only from then on — a run

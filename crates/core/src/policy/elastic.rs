@@ -1,8 +1,7 @@
 //! The priority-based elastic scheduling algorithm.
 //!
 //! Direct transcriptions of the paper's Fig. 2 (`newJob`) and Fig. 3
-//! (`completeJob`) pseudocode, with the interpretation decisions listed
-//! in DESIGN.md §4:
+//! (`completeJob`) pseudocode, with these interpretation decisions:
 //!
 //! 1. A running job occupies `replicas + launcher_slots` slots; the
 //!    launcher term is the `−1`/`+1` in the paper's arithmetic.
@@ -19,15 +18,27 @@
 //!    folds leftovers back into `freeSlots` with the same effect over
 //!    time).
 //!
-//! Priority orders are *read off the view's maintained indexes* — no
-//! sort, no allocation beyond the returned actions. The only sorting
-//! path left is the aging slow path of [`plan_complete`], where
-//! effective priorities depend on `now` and a static index cannot
-//! exist.
+//! Both figures walk `runningJobs` in priority order and step over
+//! every job still inside its `T_rescale_gap` — which, on a busy
+//! cluster, is nearly all of them. So the walks do not start from the
+//! priority order: [`actionable_running`] takes the view's last-action
+//! order up to the first job the gap still blocks (the *exact*
+//! [`Policy::gap_blocked`] predicate — `now − last_action` only falls
+//! along that order, so the first blocked row ends the eligible set)
+//! and sorts that handful by priority. Fig. 2's two passes read the
+//! one list; Fig. 3 merges it with the view's queued-by-priority lane,
+//! whose rows the gap never binds. A decision then costs O(jobs it may
+//! act on), not O(running jobs). Only when the gap blocks too few jobs
+//! for that to pay (more than a sixteenth of them are past it — a quiet
+//! cluster, or the rigid kinds, whose jobs are never rescaled) do the
+//! same passes read the running priority order instead, testing the
+//! gap row by row. With aging the same candidates are sorted by
+//! effective priority, which depends on `now` and so has no static
+//! index.
 
 use hpc_metrics::{JobId, SimTime};
 
-use crate::view::{Action, ClusterView, JobFields, JobState};
+use crate::view::{Action, ClusterView, JobFields, JobRef, JobState};
 
 use super::Policy;
 
@@ -36,7 +47,7 @@ use super::Policy;
 /// for the rigid-max emulation: an XLarge job pinned to 64 replicas
 /// can never coexist with its launcher on a 64-slot cluster (on the
 /// paper's EKS testbed the launcher pod is not CPU-bound, so their
-/// emulation still fit; see DESIGN.md §4).
+/// emulation still fit).
 fn effective_bounds<J: JobFields>(policy: &Policy, capacity: u32, job: &J) -> (u32, u32) {
     let cap_workers = capacity.saturating_sub(policy.cfg.launcher_slots).max(1);
     match policy.kind {
@@ -53,6 +64,33 @@ fn effective_bounds<J: JobFields>(policy: &Policy, capacity: u32, job: &J) -> (u
             (mn, mx.min(cap_workers))
         }
     }
+}
+
+/// The running jobs `T_rescale_gap` lets a decision at `now` touch, in
+/// decreasing priority order: the unblocked prefix of the view's
+/// last-action order, sorted by the priority key. Every running job it
+/// leaves out is one the figures' walks would have stepped over.
+///
+/// `None` when more than a sixteenth of the running jobs are past their
+/// gap: sorting that many costs more than the walk it replaces (which
+/// ends early, and at worst visits each running job once), so the
+/// caller filters the running priority order instead.
+fn actionable_running<'a>(
+    policy: &Policy,
+    view: &'a ClusterView,
+    now: SimTime,
+) -> Option<Vec<JobRef<'a>>> {
+    let handful = view.running_count() / 16;
+    let mut jobs: Vec<JobRef<'a>> = view
+        .running_by_last_action()
+        .take_while(|j| !policy.gap_blocked(j, now))
+        .take(handful + 1)
+        .collect();
+    if jobs.len() > handful {
+        return None;
+    }
+    jobs.sort_unstable_by(JobRef::cmp_priority);
+    Some(jobs)
 }
 
 /// Fig. 2: decision for a newly submitted job.
@@ -86,25 +124,49 @@ pub(super) fn plan_submit(
     }
 
     // The shrink scans walk `runningJobs` from the *lowest* priority
-    // upward, sparing the head: ascending iteration over the maintained
-    // index, truncated so the top `skip_head` entries are never
-    // reached — identical order to the paper's `.skip(head).rev()`
-    // over the descending list, without materializing it.
-    let skip_head = usize::from(policy.cfg.shrink_spares_head);
-    let shrinkable = view.running_count().saturating_sub(skip_head);
+    // upward, sparing the head — the top of the whole running order,
+    // blocked or not.
+    let spares_head = policy.cfg.shrink_spares_head;
+    match actionable_running(policy, view, now) {
+        Some(few) => {
+            // The head outranks every running job: if the gap leaves
+            // it open it is the first of the few.
+            let is_head = |first: &JobRef<'_>| {
+                let head = view.running_scan().next().expect("a job is running");
+                first.id() == head.id()
+            };
+            let spared = usize::from(spares_head && few.first().is_some_and(is_head));
+            shrink_to_fit(policy, view, &job, || few[spared..].iter().rev().copied())
+        }
+        None => shrink_to_fit(policy, view, &job, || {
+            let below_head = view
+                .running_count()
+                .saturating_sub(usize::from(spares_head));
+            let open = |j: &JobRef<'_>| !policy.gap_blocked(j, now);
+            view.running_scan().rev().take(below_head).filter(open)
+        }),
+    }
+}
+
+/// Fig. 2's two shrink passes for `job` (which does not fit the free
+/// slots), each over a fresh `shrinkable()`: the running jobs this
+/// decision may shrink, lowest priority first.
+fn shrink_to_fit<'a, I: Iterator<Item = JobRef<'a>>>(
+    policy: &Policy,
+    view: &ClusterView,
+    job: &JobState,
+    shrinkable: impl Fn() -> I,
+) -> Vec<Action> {
+    let (jmin, jmax) = effective_bounds(policy, view.capacity(), job);
+    let launcher = i64::from(policy.cfg.launcher_slots);
+    let free = i64::from(view.free_slots());
 
     // Pass 1 (dry run): can shrinking lower-priority jobs free enough
     // slots to start at the *minimum* configuration?
     let mut num_to_free = i64::from(jmin) + launcher - free;
     debug_assert!(num_to_free > 0);
-    for j in view.running_scan().rev().take(shrinkable) {
-        if num_to_free <= 0 {
-            break;
-        }
-        if policy.gap_blocked(&j, now) {
-            continue;
-        }
-        if j.priority() > job.priority {
+    for j in shrinkable() {
+        if num_to_free <= 0 || j.priority() > job.priority {
             break;
         }
         let (mn, _) = effective_bounds(policy, view.capacity(), &j);
@@ -114,7 +176,7 @@ pub(super) fn plan_submit(
         }
     }
     if num_to_free > 0 {
-        return vec![Action::Enqueue { job: job_id }];
+        return vec![Action::Enqueue { job: job.id }];
     }
 
     // Pass 2: shrink for real, aiming for the *maximum* configuration.
@@ -122,14 +184,8 @@ pub(super) fn plan_submit(
     let mut min_to_free = i64::from(jmin) + launcher - free;
     let mut max_to_free = i64::from(jmax) + launcher - free;
     let mut freed_total: i64 = 0;
-    for j in view.running_scan().rev().take(shrinkable) {
-        if max_to_free <= 0 {
-            break;
-        }
-        if policy.gap_blocked(&j, now) {
-            continue;
-        }
-        if j.priority() > job.priority {
+    for j in shrinkable() {
+        if max_to_free <= 0 || j.priority() > job.priority {
             break;
         }
         let (mn, _) = effective_bounds(policy, view.capacity(), &j);
@@ -149,32 +205,29 @@ pub(super) fn plan_submit(
     if min_to_free > 0 {
         // The paper's guard for failed shrinks; unreachable with our
         // deterministic apply, but kept for structural fidelity.
-        actions.push(Action::Enqueue { job: job_id });
+        actions.push(Action::Enqueue { job: job.id });
         return actions;
     }
     let replicas = (free + freed_total - launcher).min(i64::from(jmax));
     debug_assert!(replicas >= i64::from(jmin));
     actions.push(Action::Create {
-        job: job_id,
+        job: job.id,
         replicas: replicas as u32,
     });
     actions
 }
 
-/// One Fig. 3 distribution step for `j`; updates the remaining-worker
-/// budget and the action list.
+/// One Fig. 3 distribution step for `j` — a running job the gap does
+/// not block, or a queued one; updates the remaining-worker budget and
+/// the action list.
 fn distribute_to<J: JobFields>(
     policy: &Policy,
     capacity: u32,
     launcher: i64,
     j: &J,
-    now: SimTime,
     num_workers: &mut i64,
     actions: &mut Vec<Action>,
 ) {
-    if policy.gap_blocked(j, now) {
-        return;
-    }
     let (mn, mx) = effective_bounds(policy, capacity, j);
     if j.running() {
         if j.replicas() < mx {
@@ -201,24 +254,60 @@ fn distribute_to<J: JobFields>(
     }
 }
 
+/// Two lanes, each already in decreasing priority order, as one.
+fn merge_by_priority<'a>(
+    a: impl Iterator<Item = JobRef<'a>>,
+    b: impl Iterator<Item = JobRef<'a>>,
+) -> impl Iterator<Item = JobRef<'a>> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if y.cmp_priority(x).is_lt() => b.next(),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    })
+}
+
 /// Fig. 3: redistribution when slots free up (a job completed).
 ///
-/// With aging enabled (`Policy::with_aging`), the priority order here
-/// uses *effective* priorities, so long-waiting queued jobs climb past
-/// fresher high-priority work — the paper's §3.2.2 starvation remedy.
-/// At the paper's default (rate 0) the order is exactly Fig. 3's, read
-/// straight off the view's maintained priority index.
+/// The candidates are the running jobs the gap lets this decision
+/// touch and every queued job, walked in decreasing priority until the
+/// free slots are spent. With aging enabled (`Policy::with_aging`) the
+/// order uses *effective* priorities, so long-waiting queued jobs
+/// climb past fresher high-priority work — the paper's §3.2.2
+/// starvation remedy. At the paper's default (rate 0) the order is
+/// exactly Fig. 3's: the two lanes merged, no sort of the queue.
 pub(super) fn plan_complete(policy: &Policy, view: &ClusterView, now: SimTime) -> Vec<Action> {
+    if view.free_slots() == 0 {
+        return Vec::new();
+    }
+    match actionable_running(policy, view, now) {
+        Some(few) => redistribute(policy, view, now, few.into_iter()),
+        None => {
+            let open = |j: &JobRef<'_>| !policy.gap_blocked(j, now);
+            redistribute(policy, view, now, view.running_scan().filter(open))
+        }
+    }
+}
+
+/// Fig. 3 over `running` — the running jobs this decision may expand,
+/// highest priority first — and the queue.
+fn redistribute<'a>(
+    policy: &Policy,
+    view: &'a ClusterView,
+    now: SimTime,
+    running: impl Iterator<Item = JobRef<'a>>,
+) -> Vec<Action> {
     let launcher = i64::from(policy.cfg.launcher_slots);
     let mut num_workers = i64::from(view.free_slots());
     let mut actions = Vec::new();
-    if num_workers <= 0 {
-        return actions;
-    }
+    // A running job already at its maximum takes nothing wherever it
+    // ranks: out of the lane, so it costs the walk no comparison.
+    let running = running.filter(|j| j.replicas() < effective_bounds(policy, view.capacity(), j).1);
+    let queued = view.queued_desc_priority();
     if policy.aging_rate > 0.0 {
         // Aging slow path: effective priorities depend on `now`, so no
         // static index can serve this order.
-        let mut ordered: Vec<JobState> = view.jobs().collect();
+        let mut ordered: Vec<JobState> = running.chain(queued).map(|j| j.snapshot()).collect();
         ordered.sort_by(|a, b| {
             policy
                 .effective_priority(b, now)
@@ -235,13 +324,12 @@ pub(super) fn plan_complete(policy: &Policy, view: &ClusterView, now: SimTime) -
                 view.capacity(),
                 launcher,
                 &j,
-                now,
                 &mut num_workers,
                 &mut actions,
             );
         }
     } else {
-        for j in view.all_scan() {
+        for j in merge_by_priority(running, queued) {
             if num_workers <= 0 {
                 break;
             }
@@ -250,7 +338,6 @@ pub(super) fn plan_complete(policy: &Policy, view: &ClusterView, now: SimTime) -
                 view.capacity(),
                 launcher,
                 &j,
-                now,
                 &mut num_workers,
                 &mut actions,
             );
@@ -741,9 +828,218 @@ mod tests {
         );
     }
 
+    // ---- Reference: the gap-blind walks --------------------------------
+
+    /// Fig. 2 as a walk over the whole running priority order, stepping
+    /// over each gap-blocked job one row at a time.
+    fn plan_submit_reference(
+        policy: &Policy,
+        view: &ClusterView,
+        job_id: JobId,
+        now: SimTime,
+    ) -> Vec<Action> {
+        let job = view.job(job_id).expect("submitted job is live");
+        let (jmin, jmax) = effective_bounds(policy, view.capacity(), &job);
+        let launcher = i64::from(policy.cfg.launcher_slots);
+        let free = i64::from(view.free_slots());
+        let replicas = (free - launcher).min(i64::from(jmax));
+        if replicas >= i64::from(jmin) {
+            return vec![Action::Create {
+                job: job_id,
+                replicas: replicas as u32,
+            }];
+        }
+        if i64::from(job.min_replicas) + launcher > i64::from(view.capacity()) {
+            return vec![Action::Enqueue { job: job_id }];
+        }
+        let skip_head = usize::from(policy.cfg.shrink_spares_head);
+        let shrinkable = view.running_count().saturating_sub(skip_head);
+
+        let mut num_to_free = i64::from(jmin) + launcher - free;
+        for j in view.running_scan().rev().take(shrinkable) {
+            if num_to_free <= 0 {
+                break;
+            }
+            if policy.gap_blocked(&j, now) {
+                continue;
+            }
+            if j.priority() > job.priority {
+                break;
+            }
+            let (mn, _) = effective_bounds(policy, view.capacity(), &j);
+            if j.replicas() > mn {
+                let new_replicas = i64::from(mn).max(i64::from(j.replicas()) - num_to_free);
+                num_to_free -= i64::from(j.replicas()) - new_replicas;
+            }
+        }
+        if num_to_free > 0 {
+            return vec![Action::Enqueue { job: job_id }];
+        }
+
+        let mut actions = Vec::new();
+        let mut min_to_free = i64::from(jmin) + launcher - free;
+        let mut max_to_free = i64::from(jmax) + launcher - free;
+        let mut freed_total: i64 = 0;
+        for j in view.running_scan().rev().take(shrinkable) {
+            if max_to_free <= 0 {
+                break;
+            }
+            if policy.gap_blocked(&j, now) {
+                continue;
+            }
+            if j.priority() > job.priority {
+                break;
+            }
+            let (mn, _) = effective_bounds(policy, view.capacity(), &j);
+            if j.replicas() > mn {
+                let new_replicas = i64::from(mn).max(i64::from(j.replicas()) - max_to_free) as u32;
+                let freed = i64::from(j.replicas()) - i64::from(new_replicas);
+                actions.push(Action::Shrink {
+                    job: j.id(),
+                    to_replicas: new_replicas,
+                });
+                min_to_free -= freed;
+                max_to_free -= freed;
+                freed_total += freed;
+            }
+        }
+        if min_to_free > 0 {
+            actions.push(Action::Enqueue { job: job_id });
+            return actions;
+        }
+        let replicas = (free + freed_total - launcher).min(i64::from(jmax));
+        actions.push(Action::Create {
+            job: job_id,
+            replicas: replicas as u32,
+        });
+        actions
+    }
+
+    /// Fig. 3 as a walk over every live job, sorted from the job table
+    /// (no index), testing the gap row by row. With aging off the
+    /// effective priority is the priority, so one sort serves both.
+    fn plan_complete_reference(policy: &Policy, view: &ClusterView, now: SimTime) -> Vec<Action> {
+        let launcher = i64::from(policy.cfg.launcher_slots);
+        let mut num_workers = i64::from(view.free_slots());
+        let mut actions = Vec::new();
+        let mut ordered: Vec<JobState> = view.jobs().collect();
+        ordered.sort_by(|a, b| {
+            policy
+                .effective_priority(b, now)
+                .total_cmp(&policy.effective_priority(a, now))
+                .then_with(|| a.submitted_at.cmp(&b.submitted_at))
+                .then_with(|| a.id.cmp(&b.id))
+        });
+        for j in ordered {
+            if num_workers <= 0 {
+                break;
+            }
+            if policy.gap_blocked(&j, now) {
+                continue;
+            }
+            distribute_to(
+                policy,
+                view.capacity(),
+                launcher,
+                &j,
+                &mut num_workers,
+                &mut actions,
+            );
+        }
+        actions
+    }
+
     // ---- Property tests ----------------------------------------------
 
     proptest! {
+        /// The gap-aware passes (last-action prefix, sorted, merged with
+        /// the queued lane) decide exactly what the gap-blind walks
+        /// decide, action for action, for every policy kind, with the
+        /// head spared or not and aging off or on — on a fresh view and
+        /// again after their own actions and a completion were folded
+        /// in. The backlog draws from few enough priorities and
+        /// submission instants that whole orders ride on the id
+        /// tie-break, holds jobs evicted back into the queue with their
+        /// eviction instant on record, and starts its running jobs at
+        /// 12..20 s against a 4 s gap read at whole seconds, so rows
+        /// sit exactly on the gap boundary. Both routes to the running
+        /// jobs the gap leaves open are taken (see the padding below).
+        #[test]
+        fn indexed_pass_equals_full_scan_reference(
+            seed in any::<u64>(),
+            spares_head in any::<bool>(),
+            aging in any::<bool>(),
+        ) {
+            let (priorities, instants) = if seed & 1 == 0 { (2, 3) } else { (5, 12) };
+            let mut base = crate::view::tests::random_backlog_of(seed, priorities, instants);
+            // Jobs no cluster this size can hold are not this test's
+            // business (rigid-max's clamp would start them below their
+            // spec minimum, which `apply_action` rejects).
+            let cap_workers = base.capacity() - 1;
+            let impossible: Vec<JobId> = base
+                .queued_scan()
+                .filter(|j| j.min_replicas() > cap_workers)
+                .map(|j| j.id())
+                .collect();
+            for id in impossible {
+                base.remove(id, 1);
+            }
+            // Two cases in three, pad the cluster with small running
+            // jobs: most acted on after every `now` below (blocked
+            // throughout), up to three never acted on and free to
+            // resize. The jobs past their gap are then sometimes a
+            // handful of the running set (the sorted-prefix route) and
+            // sometimes not (the priority-order route); unpadded, they
+            // are most of it.
+            let free = base.free_slots();
+            let open = (seed / 3 % 4) as u32;
+            for pad in 0..(seed % 3) as u32 * 24 {
+                base.set_free_slots(3);
+                let filler = job(1000 + pad, 1 + pad % priorities, f64::from(pad % instants), 1, 3);
+                let acted_at = if pad < open { f64::NEG_INFINITY } else { 1e6 };
+                base.insert(running(filler, 2, acted_at), 1);
+            }
+            base.set_free_slots(free);
+            for kind in super::super::PolicyKind::ALL {
+                let mut pol = Policy::of_kind(kind, PolicyConfig {
+                    shrink_spares_head: spares_head,
+                    ..cfg(4.0)
+                });
+                if aging {
+                    pol = pol.with_aging(0.25);
+                }
+                let mut v = base.clone();
+                for round in 0..4u32 {
+                    let now = t(14.0 + f64::from(round * 2) + (seed % 5) as f64);
+                    let queued: Vec<JobId> = v.queued_scan().map(|j| j.id()).collect();
+                    if let Some(&newcomer) = queued.get(seed as usize % queued.len().max(1)) {
+                        let actions = pol.on_submit(&v, newcomer, now);
+                        prop_assert_eq!(
+                            &actions,
+                            &plan_submit_reference(&pol, &v, newcomer, now),
+                            "{} on_submit diverged in round {}", kind, round
+                        );
+                        for a in &actions {
+                            apply_action(&mut v, a, now, 1);
+                        }
+                    }
+                    let oldest = v.running_scan().map(|j| j.id()).min();
+                    if let Some(done) = oldest {
+                        v.remove(done, 1);
+                    }
+                    let actions = pol.on_complete(&v, now);
+                    prop_assert_eq!(
+                        &actions,
+                        &plan_complete_reference(&pol, &v, now),
+                        "{} on_complete diverged in round {}", kind, round
+                    );
+                    for a in &actions {
+                        apply_action(&mut v, a, now, 1);
+                    }
+                }
+            }
+        }
+
         /// Applying every emitted action keeps all invariants: capacity
         /// respected, replica bounds respected, no action on gap-blocked
         /// jobs (except queued creation).

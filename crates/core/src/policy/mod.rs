@@ -242,7 +242,7 @@ pub struct PolicyConfig {
     /// (`T_rescale_gap`, §3.2.1).
     pub rescale_gap: Duration,
     /// Slots consumed by a job's launcher pod (the `freeSlots − 1` term
-    /// of Fig. 2; see DESIGN.md §4.1).
+    /// of Fig. 2; decision 1 in the `policy/elastic.rs` header).
     pub launcher_slots: u32,
     /// Faithful Fig. 2 quirk: the loops iterate `while index > 0`, so
     /// the highest-priority running job is never shrunk. Disable to
@@ -383,10 +383,14 @@ impl Policy {
     }
 
     /// `true` if the `T_rescale_gap` criterion forbids acting on `job`
-    /// at `now`. Queued jobs carry `last_action = −∞` and are never
-    /// blocked (DESIGN.md §4.3).
+    /// at `now`. The gap spaces out *rescales*, so it binds running
+    /// jobs only: a queued job is never blocked, whether it has never
+    /// run (`last_action = −∞`) or was evicted back to the queue a
+    /// moment ago (its eviction instant is on record, and must not
+    /// keep it from restarting — under moldable's infinite gap it
+    /// would never restart at all).
     pub fn gap_blocked<J: JobFields>(&self, job: &J, now: SimTime) -> bool {
-        now - job.last_action() < self.gap()
+        job.running() && now - job.last_action() < self.gap()
     }
 
     /// Scheduling decision when `job` is submitted (Fig. 2).
@@ -465,7 +469,9 @@ mod tests {
         let j = job(3);
         // A running job is blocked forever under moldable...
         assert!(mold.gap_blocked(&j, SimTime::from_secs(1e12)));
-        // ...but a queued job (last_action = -inf) never is.
+        // ...but a queued job never is: neither one that has not run
+        // yet nor one evicted back to the queue (whose eviction instant
+        // stays on record as its last action).
         let queued = JobState {
             last_action: SimTime::NEG_INFINITY,
             running: false,
@@ -473,6 +479,12 @@ mod tests {
             ..j
         };
         assert!(!mold.gap_blocked(&queued, SimTime::from_secs(5.0)));
+        let evicted = JobState {
+            last_action: SimTime::from_secs(100.0),
+            ..queued
+        };
+        assert!(!mold.gap_blocked(&evicted, SimTime::from_secs(101.0)));
+        assert!(!Policy::elastic(cfg).gap_blocked(&evicted, SimTime::from_secs(101.0)));
     }
 
     #[test]

@@ -27,19 +27,32 @@
 //! `deficit`, live/running job counts) are the whole state; every
 //! mutation updates them in O(1) and `job(id)` resolves in O(1).
 //!
-//! The **ordered indexes are pay-per-use**. Each one — all jobs and
-//! running jobs by descending priority, queued jobs by submission,
-//! running jobs by estimated end, queued jobs bucketed by minimum
-//! footprint — is a pure function of the arena rows, built from them
-//! (O(n log n), once) the first time an accessor reads it through
-//! `&self`, and kept current by `insert`/`remove`/[`apply_action`] at
-//! O(log n) per mutation *from then on*. An index no policy of the run
-//! ever reads costs nothing: the elastic policy never pays for the
-//! FCFS queue or the completion frontier, EASY never pays for the
-//! all-jobs priority order. There is no switch and no declaration —
-//! reading is the declaration ([`ClusterView::built_indexes`] reports
-//! which have been read). Once built, a policy reads its order in O(k)
-//! with zero `String`s anywhere on the path.
+//! The **ordered indexes are pay-per-use**. Each one — running jobs
+//! by descending priority, by last scheduling action and by estimated
+//! end; queued jobs by descending priority, by submission and bucketed
+//! by minimum footprint — is a pure function of the arena rows, built
+//! from them (O(n log n), once) the first time an accessor reads it
+//! through `&self`, and kept current by `insert`/`remove`/
+//! [`apply_action`] at O(log n) per mutation *from then on*. An index
+//! no policy of the run ever reads costs nothing: the elastic policy
+//! never pays for the FCFS queue, the completion frontier or the
+//! footprint buckets, EASY never pays for a priority order or the
+//! last-action order. There is no switch and no declaration — reading
+//! is the declaration ([`ClusterView::built_indexes`] reports which
+//! have been read). Once built, a policy reads its order in O(k) with
+//! zero `String`s anywhere on the path.
+//!
+//! The last-action index answers the question the paper's own policy
+//! asks at every event — *which running jobs does `T_rescale_gap` let
+//! me touch?* — through [`ClusterView::running_by_last_action`]:
+//! running jobs in ascending `last_action`, so the jobs past their gap
+//! are a prefix and a caller that stops at the first job still inside
+//! it has visited O(jobs it may act on), not O(running jobs). What the
+//! elastic policy pays for is therefore that index, the queued
+//! priority lane Fig. 3 merges it with, and the running priority order
+//! — for its head (the one job Fig. 2 spares), and as the order to
+//! walk when so few jobs are inside the gap that the prefix is most of
+//! the cluster.
 //!
 //! The footprint index answers the one question the rigid baselines
 //! ask of a deep backlog — *which queued jobs behind the blocked head
@@ -49,7 +62,7 @@
 //! buckets as the free slots shrink. A backfill decision therefore
 //! costs O(candidates that fit), not O(queue).
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::{btree_set, BTreeMap, BTreeSet};
 use std::ops::Bound;
 use std::sync::OnceLock;
@@ -64,7 +77,8 @@ use hpc_metrics::{Duration, JobId, SimTime};
 type OrderKey = (Reverse<u32>, SimTime, JobId);
 
 /// Queue ordering key: submission time, then the interned id. (The
-/// estimated-end index shares the shape: end time, then id.)
+/// estimated-end and last-action indexes share the shape: an instant,
+/// then id.)
 type QueueKey = (SimTime, JobId);
 
 /// A job as the policy sees it: a by-value snapshot assembled from the
@@ -114,8 +128,8 @@ impl JobState {
 /// Field-level job access shared by [`JobState`] (a by-value snapshot)
 /// and [`JobRef`] (a lazy arena cursor). Hot policy loops are generic
 /// over this trait, so a scan driven by [`ClusterView::running_scan`] /
-/// [`ClusterView::all_scan`] reads only the columns it actually
-/// touches, while slow paths keep passing assembled snapshots.
+/// [`ClusterView::running_by_last_action`] reads only the columns it
+/// actually touches, while slow paths keep passing assembled snapshots.
 pub trait JobFields {
     /// Interned job identity.
     fn id(&self) -> JobId;
@@ -177,6 +191,26 @@ impl JobRef<'_> {
     #[inline]
     pub fn walltime_estimate(&self) -> Option<Duration> {
         self.arena.walltime_estimate[self.idx]
+    }
+
+    /// Where `self` stands relative to `other` in every priority order
+    /// (the indexes' `OrderKey`): higher priority first, then earlier
+    /// submission, then the interned id. The submission times (a
+    /// cold-column load each) are read only to break a priority tie —
+    /// for a caller that sorts or merges what the time-ordered scans
+    /// selected.
+    #[inline]
+    pub fn cmp_priority(&self, other: &Self) -> Ordering {
+        let ordering = other
+            .priority()
+            .cmp(&self.priority())
+            .then_with(|| self.submitted_at().cmp(&other.submitted_at()))
+            .then_with(|| self.idx.cmp(&other.idx));
+        debug_assert_eq!(
+            ordering,
+            (self.arena.order_key(self.idx)).cmp(&other.arena.order_key(other.idx))
+        );
+        ordering
     }
 
     /// The whole job assembled by value — for the slow paths that sort
@@ -342,6 +376,10 @@ impl JobArena {
         (self.submitted_at[idx], JobId(idx as u32))
     }
 
+    fn action_key(&self, idx: usize) -> QueueKey {
+        (self.hot[idx].last_action, JobId(idx as u32))
+    }
+
     fn cursor(&self, id: JobId) -> JobRef<'_> {
         JobRef {
             arena: self,
@@ -366,12 +404,16 @@ impl JobArena {
     // read builds, and what `ClusterView::eq` holds a maintained index
     // to.
 
-    fn all_order(&self) -> BTreeSet<OrderKey> {
-        self.live().map(|i| self.order_key(i)).collect()
-    }
-
     fn running_order(&self) -> BTreeSet<OrderKey> {
         self.running().map(|i| self.order_key(i)).collect()
+    }
+
+    fn running_action_order(&self) -> BTreeSet<QueueKey> {
+        self.running().map(|i| self.action_key(i)).collect()
+    }
+
+    fn queued_priority_order(&self) -> BTreeSet<OrderKey> {
+        self.queued().map(|i| self.order_key(i)).collect()
     }
 
     fn queued_order(&self) -> BTreeSet<QueueKey> {
@@ -414,11 +456,15 @@ fn toggle<K: Ord>(index: &mut BTreeSet<K>, key: K, enter: bool) {
 /// are therefore maintained) — see [`ClusterView::built_indexes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BuiltIndexes {
-    /// All jobs by descending priority (`all_desc_priority`/`all_scan`).
-    pub all_order: bool,
     /// Running jobs by descending priority
     /// (`running_desc_priority`/`running_scan`).
     pub running_order: bool,
+    /// Running jobs by last scheduling action
+    /// (`running_by_last_action`) — the elastic policy's gap cursor.
+    pub running_action_order: bool,
+    /// Queued jobs by descending priority (`queued_desc_priority`) —
+    /// the queued lane of the elastic Fig. 3 walk.
+    pub queued_priority_order: bool,
     /// Queued jobs by submission
     /// (`queued_submission_order`/`queued_scan`).
     pub queued_order: bool,
@@ -449,8 +495,11 @@ pub struct ClusterView {
     running: usize,
     // The pay-per-use ordered indexes: unset until first read, then
     // maintained by every mutation (module docs, "Complexity contract").
-    all_order: OnceLock<BTreeSet<OrderKey>>,
     running_order: OnceLock<BTreeSet<OrderKey>>,
+    /// Running jobs by `(last_action, id)`: the jobs past any rescale
+    /// gap are a prefix of it.
+    running_action_order: OnceLock<BTreeSet<QueueKey>>,
+    queued_priority_order: OnceLock<BTreeSet<OrderKey>>,
     queued_order: OnceLock<BTreeSet<QueueKey>>,
     /// Running jobs by estimated completion — the frontier EASY-style
     /// reservations walk. Jobs without an estimate key at `INFINITY`.
@@ -469,8 +518,9 @@ impl ClusterView {
             arena: JobArena::default(),
             live: 0,
             running: 0,
-            all_order: OnceLock::new(),
             running_order: OnceLock::new(),
+            running_action_order: OnceLock::new(),
+            queued_priority_order: OnceLock::new(),
             queued_order: OnceLock::new(),
             running_end_order: OnceLock::new(),
             queued_footprint: OnceLock::new(),
@@ -571,8 +621,9 @@ impl ClusterView {
     /// tests — a policy never needs it.
     pub fn built_indexes(&self) -> BuiltIndexes {
         BuiltIndexes {
-            all_order: self.all_order.get().is_some(),
             running_order: self.running_order.get().is_some(),
+            running_action_order: self.running_action_order.get().is_some(),
+            queued_priority_order: self.queued_priority_order.get().is_some(),
             queued_order: self.queued_order.get().is_some(),
             running_end_order: self.running_end_order.get().is_some(),
             queued_footprint: self.queued_footprint.get().is_some(),
@@ -580,26 +631,16 @@ impl ClusterView {
     }
 
     /// Index upkeep for the job at `idx` joining (`enter`) or leaving
-    /// the live set. Like its two siblings below it reads the job's
-    /// keys from the arena row, so it runs while the row holds the
-    /// state being indexed: after the write when entering, before it
-    /// when leaving.
-    fn index_live(&mut self, idx: usize, enter: bool) {
-        if let Some(index) = self.all_order.get_mut() {
-            toggle(index, self.arena.order_key(idx), enter);
-        }
-        if enter {
-            self.live += 1;
-        } else {
-            self.live -= 1;
-        }
-    }
-
-    /// Index upkeep for the job at `idx` joining or leaving the
-    /// running set.
+    /// the running set. Like its sibling below it reads the job's keys
+    /// from the arena row, so it runs while the row holds the state
+    /// being indexed: after the write when entering, before it when
+    /// leaving.
     fn index_running(&mut self, idx: usize, enter: bool) {
         if let Some(index) = self.running_order.get_mut() {
             toggle(index, self.arena.order_key(idx), enter);
+        }
+        if let Some(index) = self.running_action_order.get_mut() {
+            toggle(index, self.arena.action_key(idx), enter);
         }
         if let Some(index) = self.running_end_order.get_mut() {
             toggle(index, self.arena.end_key(idx), enter);
@@ -613,6 +654,9 @@ impl ClusterView {
 
     /// Index upkeep for the job at `idx` joining or leaving the queue.
     fn index_queued(&mut self, idx: usize, enter: bool) {
+        if let Some(index) = self.queued_priority_order.get_mut() {
+            toggle(index, self.arena.order_key(idx), enter);
+        }
         if let Some(index) = self.queued_order.get_mut() {
             toggle(index, self.arena.queue_key(idx), enter);
         }
@@ -626,23 +670,30 @@ impl ClusterView {
         }
     }
 
-    /// A rescale: writes the new worker count and restarts the
-    /// estimate clock, re-keying the completion frontier if it is
-    /// built. Estimate-less jobs key at `(INFINITY, id)` forever, so
-    /// the churn is skipped when the key cannot have moved.
+    /// A rescale: writes the new worker count and restarts the gap
+    /// and estimate clocks, re-keying the last-action order and the
+    /// completion frontier where built. A key that did not move (a
+    /// second action at the same instant; an estimate-less job, which
+    /// keys its end at `(INFINITY, id)` forever) costs no churn.
     fn rescale(&mut self, idx: usize, to_replicas: u32, now: SimTime) {
+        fn rekey(index: &mut BTreeSet<QueueKey>, old: QueueKey, new: QueueKey) {
+            if new != old {
+                toggle(index, old, false);
+                toggle(index, new, true);
+            }
+        }
+        let old_action = self.arena.action_key(idx);
         let old_end = self
             .running_end_order
             .get()
             .map(|_| self.arena.end_key(idx));
         self.arena.hot[idx].replicas = to_replicas;
         self.arena.hot[idx].last_action = now;
+        if let Some(index) = self.running_action_order.get_mut() {
+            rekey(index, old_action, self.arena.action_key(idx));
+        }
         if let (Some(old_end), Some(index)) = (old_end, self.running_end_order.get_mut()) {
-            let new_end = self.arena.end_key(idx);
-            if new_end != old_end {
-                toggle(index, old_end, false);
-                toggle(index, new_end, true);
-            }
+            rekey(index, old_end, self.arena.end_key(idx));
         }
     }
 
@@ -674,7 +725,7 @@ impl ClusterView {
             self.free_slots -= need;
         }
         self.arena.set(&job);
-        self.index_live(idx, true);
+        self.live += 1;
         if job.running {
             self.index_running(idx, true);
         } else {
@@ -691,7 +742,7 @@ impl ClusterView {
             return None;
         }
         let job = self.arena.get(idx);
-        self.index_live(idx, false);
+        self.live -= 1;
         if job.running {
             self.index_running(idx, false);
             self.credit_slots(job.replicas + launcher_slots);
@@ -705,10 +756,6 @@ impl ClusterView {
     /// Live jobs in dense id (= admission) order.
     pub fn jobs(&self) -> impl Iterator<Item = JobState> + '_ {
         self.arena.live().map(|i| self.arena.get(i))
-    }
-
-    fn all_order(&self) -> &BTreeSet<OrderKey> {
-        self.all_order.get_or_init(|| self.arena.all_order())
     }
 
     fn running_order(&self) -> &BTreeSet<OrderKey> {
@@ -727,12 +774,6 @@ impl ClusterView {
         self.running_scan().map(|j| j.snapshot())
     }
 
-    /// All jobs (running and queued) in decreasing priority order (the
-    /// paper's `allJobs` list). O(k), no sort.
-    pub fn all_desc_priority(&self) -> impl DoubleEndedIterator<Item = JobState> + '_ {
-        self.all_scan().map(|j| j.snapshot())
-    }
-
     /// Queued jobs in submission order (earliest first, id-tie-broken) —
     /// the FCFS queue. O(k), no sort.
     pub fn queued_submission_order(&self) -> impl DoubleEndedIterator<Item = JobState> + '_ {
@@ -741,17 +782,32 @@ impl ClusterView {
 
     /// Lazy-cursor variant of [`ClusterView::running_desc_priority`]:
     /// same index, same order, but each item is a [`JobRef`] reading
-    /// columns on demand — the fast lane for the elastic shrink scans.
+    /// columns on demand.
     pub fn running_scan(&self) -> impl DoubleEndedIterator<Item = JobRef<'_>> {
         self.running_order()
             .iter()
             .map(|&(_, _, id)| self.arena.cursor(id))
     }
 
-    /// Lazy-cursor variant of [`ClusterView::all_desc_priority`] — the
-    /// fast lane for the elastic redistribution walk.
-    pub fn all_scan(&self) -> impl DoubleEndedIterator<Item = JobRef<'_>> {
-        self.all_order()
+    /// Running jobs by increasing `last_action` (id-tie-broken): the
+    /// elastic policy's gap cursor. `now − last_action` only falls
+    /// along this order, so the jobs a rescale gap lets a decision
+    /// touch are exactly the rows before the first one still inside it
+    /// — `take_while` that predicate and the blocked rest of the
+    /// cluster is never visited.
+    pub fn running_by_last_action(&self) -> impl DoubleEndedIterator<Item = JobRef<'_>> {
+        self.running_action_order
+            .get_or_init(|| self.arena.running_action_order())
+            .iter()
+            .map(|&(_, id)| self.arena.cursor(id))
+    }
+
+    /// Queued jobs in *decreasing* priority order — the queued half of
+    /// the paper's `allJobs` list (Fig. 3), which the elastic policy
+    /// merges with the running jobs it may touch.
+    pub fn queued_desc_priority(&self) -> impl DoubleEndedIterator<Item = JobRef<'_>> {
+        self.queued_priority_order
+            .get_or_init(|| self.arena.queued_priority_order())
             .iter()
             .map(|&(_, _, id)| self.arena.cursor(id))
     }
@@ -885,8 +941,11 @@ impl ClusterView {
         let arena = &self.arena;
         self.live == arena.live().count()
             && self.running == arena.running().count()
-            && current(&self.all_order, || arena.all_order())
             && current(&self.running_order, || arena.running_order())
+            && current(&self.running_action_order, || arena.running_action_order())
+            && current(&self.queued_priority_order, || {
+                arena.queued_priority_order()
+            })
             && current(&self.queued_order, || arena.queued_order())
             && current(&self.running_end_order, || arena.running_end_order())
             && current(&self.queued_footprint, || arena.queued_footprint())
@@ -1103,6 +1162,13 @@ pub(crate) mod tests {
     /// (ahead of younger ids), and a random share of the free slots
     /// lost to a fault so heads block at every depth.
     pub(crate) fn random_backlog(seed: u64) -> ClusterView {
+        random_backlog_of(seed, 5, 12)
+    }
+
+    /// [`random_backlog`] with the priority levels and submission
+    /// instants the jobs are drawn from as arguments: the fewer of
+    /// either, the more orders the id tie-break alone decides.
+    pub(crate) fn random_backlog_of(seed: u64, priorities: u32, instants: u32) -> ClusterView {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let capacity = rng.gen_range(4..=48u32);
         let mut v = ClusterView::new(capacity);
@@ -1121,8 +1187,8 @@ pub(crate) mod tests {
                     .then(|| Duration::from_secs(f64::from(rng.gen_range(1..3000u32)))),
                 ..job(
                     id,
-                    rng.gen_range(1..=5),
-                    f64::from(rng.gen_range(0..12u32)),
+                    rng.gen_range(1..=priorities),
+                    f64::from(rng.gen_range(0..instants)),
                     0,
                 )
             };
@@ -1243,19 +1309,19 @@ pub(crate) mod tests {
             52,
             vec![job(2, 3, 7.0, 4), job(0, 3, 7.0, 4), job(1, 3, 7.0, 4)],
         );
-        let order: Vec<JobId> = view.all_desc_priority().map(|j| j.id).collect();
+        let order: Vec<JobId> = view.running_desc_priority().map(|j| j.id).collect();
         assert_eq!(order, vec![JobId(0), JobId(1), JobId(2)]);
     }
 
     #[test]
-    fn all_desc_includes_queued_and_queue_orders_by_submission() {
+    fn queued_jobs_order_by_priority_and_by_submission() {
         let view = view_of(
             64,
             60,
             vec![job(0, 1, 0.0, 4), job(1, 5, 1.0, 0), job(2, 2, 0.5, 0)],
         );
-        let order: Vec<JobId> = view.all_desc_priority().map(|j| j.id).collect();
-        assert_eq!(order, vec![JobId(1), JobId(2), JobId(0)]);
+        let order: Vec<JobId> = view.queued_desc_priority().map(|j| j.id()).collect();
+        assert_eq!(order, vec![JobId(1), JobId(2)]);
         assert_eq!(view.running_desc_priority().count(), 1);
         assert_eq!(view.running_count(), 1);
         // FCFS order ignores priority entirely.
@@ -1402,7 +1468,7 @@ pub(crate) mod tests {
         );
         assert_eq!(view.free_slots(), 32);
         assert!(view.is_empty());
-        assert_eq!(view.all_desc_priority().count(), 0);
+        assert_eq!(view.queued_desc_priority().count(), 0);
     }
 
     #[test]
@@ -1455,6 +1521,48 @@ pub(crate) mod tests {
         // Removal drops the index entry.
         view.remove(JobId(0), 1);
         assert_eq!(view.running_by_estimated_end().count(), 2);
+    }
+
+    #[test]
+    fn last_action_index_orders_running_jobs_and_tracks_every_action() {
+        let acted = |mut j: JobState, at: f64| {
+            j.last_action = SimTime::from_secs(at);
+            j
+        };
+        let mut view = view_of(
+            64,
+            30,
+            vec![
+                acted(job(0, 3, 0.0, 8), 50.0),
+                job(1, 3, 1.0, 8), // never acted on: first
+                acted(job(2, 3, 2.0, 8), 20.0),
+                acted(job(3, 3, 3.0, 0), 5.0), // queued: not listed
+            ],
+        );
+        let order = |v: &ClusterView| -> Vec<u32> {
+            v.running_by_last_action().map(|j| j.id().0).collect()
+        };
+        assert_eq!(order(&view), [1, 2, 0]);
+        let at = SimTime::from_secs(60.0);
+        let shrink = |job, to_replicas| Action::Shrink { job, to_replicas };
+        // A rescale moves the job to the back; a second action at the
+        // same instant leaves its key where it is.
+        apply_action(&mut view, &shrink(JobId(1), 4), at, 1);
+        assert_eq!(order(&view), [2, 0, 1]);
+        apply_action(&mut view, &shrink(JobId(1), 2), at, 1);
+        assert_eq!(order(&view), [2, 0, 1]);
+        // A start enters at its start instant (ids break the tie), an
+        // eviction leaves, a completion leaves.
+        let start = Action::Create {
+            job: JobId(3),
+            replicas: 2,
+        };
+        apply_action(&mut view, &start, at, 1);
+        assert_eq!(order(&view), [2, 0, 1, 3]);
+        apply_action(&mut view, &Action::Evict { job: JobId(0) }, at, 1);
+        view.remove(JobId(2), 1);
+        assert_eq!(order(&view), [1, 3]);
+        assert_eq!(view, view_of(64, view.free_slots(), view.jobs().collect()));
     }
 
     #[test]

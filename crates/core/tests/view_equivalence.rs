@@ -15,7 +15,9 @@
 //! against both representations and asserts exactly that, after every
 //! single step — including the fault-layer `failed_slots`/`deficit`
 //! counters and the deficit-first crediting every slot release goes
-//! through.
+//! through. The clock advances on only some steps, so one job is
+//! often acted on twice at one instant and its last-action key does
+//! not move.
 
 use elastic_core::{apply_action, Action, ClusterView, JobFields, JobId, JobState};
 use hpc_metrics::{Duration, SimTime};
@@ -82,15 +84,16 @@ impl Shadow {
 /// (reading them builds whichever are not built yet). The fitting
 /// cursor is read behind each queued job at a footprint that cuts the
 /// 1..=8 minimums in half.
-fn index_orders(v: &ClusterView) -> [Vec<JobId>; 5] {
+fn index_orders(v: &ClusterView) -> [Vec<JobId>; 6] {
     let queued: Vec<JobId> = v.queued_scan().map(|j| j.id()).collect();
     let fitting = queued
         .iter()
         .flat_map(|&head| v.queued_fitting(head, 4).map(|j| j.id()))
         .collect();
     [
-        v.all_desc_priority().map(|j| j.id).collect(),
         v.running_scan().map(|j| j.id()).collect(),
+        v.running_by_last_action().map(|j| j.id()).collect(),
+        v.queued_desc_priority().map(|j| j.id()).collect(),
         v.queued_submission_order().map(|j| j.id).collect(),
         v.running_by_estimated_end().map(|j| j.id).collect(),
         fitting,
@@ -114,9 +117,11 @@ proptest! {
         let mut view = ClusterView::new(CAPACITY);
         let mut shadow = Shadow::default();
         let mut next_id = 0u32;
+        let mut clock = 0u32;
 
         for step in 0..steps {
-            let now = SimTime::from_secs(step as f64);
+            clock += rng.gen_range(0..2u32);
+            let now = SimTime::from_secs(f64::from(clock));
             let free = shadow.free();
             let op = rng.gen_range(0..10u32);
             match op {

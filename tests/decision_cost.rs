@@ -1,16 +1,19 @@
 //! A scheduling decision costs what it can start, and a view index
 //! costs nothing until a policy reads it — held by count, not by clock.
 //!
-//! Two exact, host-independent numbers from outside the crates:
+//! Three exact, host-independent numbers from outside the crates:
 //!
 //! * the backfill candidate cursor over a 10 000-deep backlog of jobs
 //!   too large for the free slots yields exactly the two jobs that fit,
 //!   and both rigid baselines decide that backlog to the same single
 //!   `Create` the full scan did;
+//! * with 512 running jobs inside their rescale gap and one past it,
+//!   the elastic policy's gap cursor yields exactly that one job, and
+//!   both of its decisions are the ones the walk over all 513 made;
 //! * after a whole replay the view reports which ordered indexes were
 //!   ever built: the elastic policy never pays for the FCFS queue, the
 //!   completion frontier or the footprint buckets, and EASY never pays
-//!   for the all-jobs priority order.
+//!   for a priority order or the last-action order.
 
 use elastic_hpc::core::{
     Action, BuiltIndexes, ClusterView, EasyBackfill, FcfsBackfill, JobFields, JobId, JobState,
@@ -88,8 +91,79 @@ fn a_backlog_that_cannot_start_is_never_walked() {
         );
     }
     assert!(
-        !view.built_indexes().all_order && !view.built_indexes().running_order,
+        !view.built_indexes().queued_priority_order && !view.built_indexes().running_order,
         "the rigid baselines never read a priority order"
+    );
+}
+
+fn elastic() -> Policy {
+    Policy::elastic(PolicyConfig {
+        rescale_gap: Duration::from_secs(180.0),
+        launcher_slots: 1,
+        shrink_spares_head: true,
+    })
+}
+
+#[test]
+fn running_jobs_inside_the_gap_are_never_visited() {
+    const BLOCKED: u32 = 512;
+    let now = SimTime::from_secs(1000.0);
+    let running = |id: u32, priority: u32, replicas: u32, acted_at: f64| JobState {
+        min_replicas: 2,
+        max_replicas: 16,
+        priority,
+        replicas,
+        running: true,
+        last_action: SimTime::from_secs(acted_at),
+        ..queued(id, 2)
+    };
+    let mut view = ClusterView::new(4096);
+    // 512 jobs rescaled within the last 180 s (the top-priority head
+    // among them), one low-priority job last touched 400 s ago.
+    for id in 0..BLOCKED {
+        view.insert(running(id, 1 + id % 5, 4, 821.0 + f64::from(id % 170)), 1);
+    }
+    let settled = JobId(BLOCKED);
+    view.insert(running(settled.0, 1, 10, 600.0), 1);
+    // A backlog none of which fits 3 free slots, the newcomer last.
+    let newcomer = JobId(BLOCKED + 101);
+    for id in BLOCKED + 1..=newcomer.0 {
+        view.insert(queued(id, 8), 1);
+    }
+    view.set_free_slots(3);
+
+    let policy = elastic();
+    let actionable: Vec<JobId> = view
+        .running_by_last_action()
+        .take_while(|j| !policy.gap_blocked(j, now))
+        .map(|j| j.id())
+        .collect();
+    assert_eq!(actionable, [settled], "1 row visited, not 513");
+
+    // Fig. 2, as the walk over all 513 decides it: the newcomer needs
+    // 8 + 1 slots, 3 are free, and the settled job alone may shed the
+    // other 6 (10 -> 4).
+    assert_eq!(
+        policy.on_submit(&view, newcomer, now),
+        [
+            Action::Shrink {
+                job: settled,
+                to_replicas: 4
+            },
+            Action::Create {
+                job: newcomer,
+                replicas: 8
+            },
+        ]
+    );
+    // Fig. 3: no queued job fits 3 slots; the settled job, ranked
+    // below the whole backlog, takes them.
+    assert_eq!(
+        policy.on_complete(&view, now),
+        [Action::Expand {
+            job: settled,
+            to_replicas: 13
+        }]
     );
 }
 
@@ -112,19 +186,15 @@ fn replay(policy: Box<dyn SchedulingPolicy>) -> BuiltIndexes {
 
 #[test]
 fn a_replay_builds_only_the_indexes_its_policy_reads() {
-    let elastic = Policy::elastic(PolicyConfig {
-        rescale_gap: Duration::from_secs(180.0),
-        launcher_slots: 1,
-        shrink_spares_head: true,
-    });
     assert_eq!(
-        replay(Box::new(elastic)),
+        replay(Box::new(elastic())),
         BuiltIndexes {
-            all_order: true,
             running_order: true,
+            running_action_order: true,
+            queued_priority_order: true,
             ..BuiltIndexes::default()
         },
-        "elastic pays for the two priority orders and nothing else"
+        "elastic pays for the gap cursor, the queued priority lane and the spared head"
     );
     assert_eq!(
         replay(Box::new(EasyBackfill::new())),
