@@ -23,21 +23,10 @@
 //! core-seconds re-running work the storm keeps killing, and `breaker`
 //! holds both tails down.
 //!
-//! The bin also measures the zero-cost property the CI gate enforces:
-//! a replay carrying a **disabled** (default, empty) `FlakySpec` must
-//! run at the same throughput as one with no fault machinery attached
-//! at all. Both rates land in the `resilience` section of
-//! `BENCH_sim_scale.json` (fresh copy always; the committed baseline
-//! only on a full, uncapped sweep) for `bench_gate` to check.
-//!
 //! Usage: `resilience_sweep [--trace path.swf] [--capacity N]`
-//! (`RESILIENCE_MAX_INTENSITY` caps the storm ladder for CI smoke.)
 
 use std::io::BufRead;
-use std::path::PathBuf;
-use std::time::Instant;
 
-use elastic_bench::json::{parse_json, Json};
 use elastic_bench::{emit_csv, flag_u64, flag_value, CsvTable};
 use elastic_core::{FcfsBackfill, RecoveryPolicy, RecoveryStrategy, RunMetrics};
 use hpc_metrics::{ascii, Duration};
@@ -50,21 +39,9 @@ const INTENSITIES: [u32; 5] = [0, 8, 16, 32, 64];
 /// Seed for the deterministic storm schedules.
 const SEED: u64 = 13;
 
-/// Minimum wall-clock per zero-cost measurement arm: long enough to
-/// drown scheduler jitter on a busy CI runner (each replay of the
-/// bundled trace takes tens of microseconds).
-const ZERO_COST_MIN_SECS: f64 = 0.5;
-
 fn bundled_trace_path() -> String {
     // crates/bench -> workspace root.
     format!("{}/../../tests/data/sample.swf", env!("CARGO_MANIFEST_DIR"))
-}
-
-fn workspace_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root resolves")
 }
 
 fn load(path: &str, capacity: u32) -> WorkloadSpec {
@@ -131,47 +108,9 @@ fn disciplines(storm: FlakySpec) -> [(&'static str, FlakySpec); 3] {
     ]
 }
 
-/// Timed arm of the zero-cost measurement: repeats the replay until
-/// `ZERO_COST_MIN_SECS` of wall-clock accumulates and reports replays
-/// per second.
-fn runs_per_sec(capacity: u32, wl: &WorkloadSpec) -> f64 {
-    let mut runs = 0u64;
-    let start = Instant::now();
-    loop {
-        let m = replay(capacity, wl);
-        assert!(m.jobs.len() == wl.len(), "replay dropped jobs");
-        runs += 1;
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed >= ZERO_COST_MIN_SECS {
-            return runs as f64 / elapsed;
-        }
-    }
-}
-
-/// Writes the `resilience` section into `path`'s document, preserving
-/// every other key (`cases`, `federation`, … belong to other benches).
-fn write_preserving_rest(path: &std::path::Path, section: &Json) {
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| parse_json(&text).ok())
-        .unwrap_or_else(Json::obj);
-    doc.set("resilience", section.clone());
-    std::fs::write(path, doc.to_pretty())
-        .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    println!("wrote {}", path.display());
-}
-
 fn main() {
     let capacity = flag_u64("--capacity", 32) as u32;
     let path = flag_value("--trace").unwrap_or_else(bundled_trace_path);
-    let max_intensity: Option<u32> = std::env::var("RESILIENCE_MAX_INTENSITY")
-        .ok()
-        .and_then(|s| s.parse().ok());
-    let intensities: Vec<u32> = INTENSITIES
-        .into_iter()
-        .filter(|&n| max_intensity.is_none_or(|cap| n <= cap))
-        .collect();
-    let full_run = intensities.len() == INTENSITIES.len();
     let base = load(&path, capacity);
     let horizon = horizon(&base);
     println!(
@@ -199,7 +138,7 @@ fn main() {
         .collect();
     let mut curves: Vec<(&str, Vec<(f64, f64)>)> =
         labels.iter().map(|&l| (l, Vec::new())).collect();
-    for &n in &intensities {
+    for n in INTENSITIES {
         let storm = FlakySpec::storm(SEED, n, horizon);
         for (i, (label, spec)) in disciplines(storm).into_iter().enumerate() {
             let wl = base
@@ -244,33 +183,4 @@ fn main() {
             false,
         )
     );
-
-    // Zero-cost measurement: a disabled FlakySpec must not tax the
-    // replay. `plain` carries no fault machinery at all; `disabled`
-    // carries the default (empty) spec through the whole resilience
-    // path.
-    let plain = runs_per_sec(capacity, &base);
-    let disabled = runs_per_sec(capacity, &base.clone().with_faults(FaultSpec::default()));
-    let ratio = disabled / plain;
-    println!(
-        "zero-cost: plain {plain:.1} runs/s, disabled-flaky {disabled:.1} runs/s \
-         (ratio {ratio:.3})"
-    );
-
-    let mut section = Json::obj();
-    section.set("n_jobs", Json::Num(base.len() as f64));
-    section.set("capacity", Json::Num(f64::from(capacity)));
-    section.set("storm_seed", Json::Num(SEED as f64));
-    section.set("zero_cost_min_secs", Json::Num(ZERO_COST_MIN_SECS));
-    section.set("plain_runs_per_sec", Json::Num(plain));
-    section.set("disabled_flaky_runs_per_sec", Json::Num(disabled));
-    section.set("disabled_over_plain_ratio", Json::Num(ratio));
-    let fresh_dir = workspace_root().join("target/bench_fresh");
-    std::fs::create_dir_all(&fresh_dir).expect("create bench_fresh dir");
-    write_preserving_rest(&fresh_dir.join("BENCH_sim_scale.json"), &section);
-    if full_run {
-        write_preserving_rest(&workspace_root().join("BENCH_sim_scale.json"), &section);
-    } else {
-        println!("capped run (RESILIENCE_MAX_INTENSITY): skipping BENCH_sim_scale.json");
-    }
 }

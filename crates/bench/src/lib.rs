@@ -15,6 +15,14 @@
 //! | `ablations` | design-choice ablations (DESIGN.md §4) |
 //! | `calibrate` | measures scaling anchors from real runs |
 //!
+//! Beside them sit the policy sweeps (`easy_vs_conservative`,
+//! `fault_tolerance`, `resilience_sweep`) and the criterion benches;
+//! `rescale_latency` asserts its own 5x floor and writes
+//! `BENCH_rescale.json`. No binary here compares a wall-clock number
+//! against a committed one: replay work is pinned by count in
+//! `tests/replay_counters.rs`, and end-to-end time is the `benchmark/`
+//! package's job.
+//!
 //! Every binary writes CSV under `results/` and prints an ASCII
 //! quick-look chart. All accept `--full` for paper-scale parameters;
 //! the default is a minutes-scale run sized for the host (problem sizes
@@ -24,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod actual;
-pub mod json;
 
 use std::path::PathBuf;
 

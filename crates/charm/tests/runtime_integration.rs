@@ -7,6 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use charm_apps::{JacobiApp, JacobiConfig};
 use charm_rt::codec::{Reader, Writer};
 use charm_rt::{
     Chare, ChareFactory, Ctx, GreedyLb, Index, MethodId, PeId, ReduceOp, RescaleKind, RescaleMode,
@@ -278,7 +279,7 @@ fn shrink_preserves_state_and_empties_dead_pes() {
             RescaleMode::FullRestart => assert!(report.checkpoint_bytes > 0),
             RescaleMode::Incremental => {
                 assert_eq!(report.checkpoint_bytes, 0);
-                assert!(report.bytes_moved > 0);
+                assert_eq!(report.migrated, 8, "the two dying PEs' chares");
             }
         }
         assert_eq!(rt.num_pes(), 2);
@@ -304,6 +305,42 @@ fn incremental_shrink_moves_only_evacuated_state() {
     assert_eq!(report.migrated, 4, "moved {} chares", report.migrated);
     assert_eq!(rt.occupancy().iter().sum::<usize>(), 16);
     rt.shutdown();
+}
+
+/// Rescale work by count, at the `rescale_latency` bench's Jacobi
+/// config (256 blocks of 16x16 cells): an incremental halving shrink
+/// serializes exactly the dying PEs' chares whatever the PE count, and
+/// an incremental expand moves less than the full-restart checkpoint.
+#[test]
+fn incremental_rescale_moves_bytes_proportional_to_the_pes_that_change() {
+    let cfg = JacobiConfig::new(256, 16, 16);
+    for pes in [8, 64] {
+        let mut app = JacobiApp::new(cfg, RuntimeConfig::new(pes));
+        app.run_window(2).expect("warmup window");
+        let checkpoint = app.driver.rt.checkpoint();
+        assert_eq!((checkpoint.chares, checkpoint.bytes), (256, 679_936));
+
+        let shrink = app.driver.rt.rescale(pes / 2, &GreedyLb);
+        assert_eq!(shrink.mode, RescaleMode::Incremental);
+        assert_eq!(
+            (shrink.migrated, shrink.bytes_moved, shrink.checkpoint_bytes),
+            (128, 339_968, 0),
+            "halving {pes} PEs"
+        );
+
+        // Which chares greedy pulls onto the fresh PEs follows the
+        // measured loads, so only the bound is exact.
+        app.run_window(2).expect("window on the shrunk pool");
+        let expand = app.driver.rt.rescale(pes, &GreedyLb);
+        assert_eq!(expand.mode, RescaleMode::Incremental);
+        assert!(
+            expand.bytes_moved > 0 && expand.bytes_moved < checkpoint.bytes,
+            "expand to {pes} PEs moved {} of {} checkpoint bytes",
+            expand.bytes_moved,
+            checkpoint.bytes
+        );
+        app.shutdown();
+    }
 }
 
 #[test]

@@ -52,16 +52,12 @@ pub trait ExecHandle: Send {
     fn stop(&mut self);
 
     /// Iterations preserved by the job's most recent periodic
-    /// checkpoint, given checkpoints are cut every `interval` since
-    /// `started_at`. `None` means the executor cannot recover partial
-    /// progress (the fault layer then restarts the job from scratch).
-    fn checkpointed_iters(
-        &mut self,
-        started_at: SimTime,
-        now: SimTime,
-        interval: Duration,
-    ) -> Option<f64> {
-        let _ = (started_at, now, interval);
+    /// checkpoint, `rollback` before `now` (the kernel's
+    /// `Stop::Evicted` tail). `None` means the executor cannot recover
+    /// partial progress (the fault layer then restarts the job from
+    /// scratch).
+    fn checkpointed_iters(&mut self, now: SimTime, rollback: Duration) -> Option<f64> {
+        let _ = (now, rollback);
         None
     }
 }
@@ -348,21 +344,11 @@ impl ExecHandle for ModelHandle {
         self.stopped = true;
     }
 
-    fn checkpointed_iters(
-        &mut self,
-        started_at: SimTime,
-        now: SimTime,
-        interval: Duration,
-    ) -> Option<f64> {
+    fn checkpointed_iters(&mut self, now: SimTime, rollback: Duration) -> Option<f64> {
         self.advance(now);
-        // Last checkpoint boundary at or before `now`; progress since it
-        // is lost, so replay the modeled speed backwards over that tail.
-        let t = interval.as_secs();
-        assert!(t > 0.0, "checkpoint interval must be positive");
-        let elapsed = (now - started_at).as_secs().max(0.0);
-        let boundary = started_at + Duration::from_secs((elapsed / t).floor() * t);
-        let since = (now.max(boundary) - boundary).as_secs();
-        let lost = (self.speed)(&self.spec, self.replicas) * since;
+        // Progress since the last checkpoint is lost: replay the
+        // modeled speed backwards over that tail.
+        let lost = (self.speed)(&self.spec, self.replicas) * rollback.as_secs();
         Some((self.iters - lost).max(0.0))
     }
 }
@@ -419,11 +405,11 @@ mod tests {
         let clock = VirtualClock::new();
         let mut ex = ModelExecutor::ideal(Arc::new(clock.clone()));
         let mut h = ex.launch(&spec(100_000), 4);
-        let start = clock.now();
-        clock.advance(Duration::from_secs(70.0)); // 280 iters at 4/s
-                                                  // Checkpoints every 30 s: last boundary at t=60 → 240 iters kept.
+        // 280 iters at 4/s. Checkpoints every 30 s: last boundary at
+        // t=60, 10 s rolled back → 240 iters kept.
+        clock.advance(Duration::from_secs(70.0));
         let kept = h
-            .checkpointed_iters(start, clock.now(), Duration::from_secs(30.0))
+            .checkpointed_iters(clock.now(), Duration::from_secs(10.0))
             .unwrap();
         assert!((kept - 240.0).abs() < 1e-9, "{kept}");
     }

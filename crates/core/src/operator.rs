@@ -168,8 +168,6 @@ struct ExecutorPool {
     leases: LeasePool,
     /// The per-executor leases (dropped wherever the handle is removed).
     held: HashMap<JobId, SlotLease>,
-    /// Checkpoint period the executors cut checkpoints at.
-    checkpoint_interval: Duration,
     /// Requeue backoffs the kernel asked to be woken for — the
     /// operator's stand-in for an event queue.
     backoffs: BTreeSet<(SimTime, JobId)>,
@@ -226,7 +224,6 @@ impl CharmOperator {
                 retained_iters: HashMap::new(),
                 leases: LeasePool::new(),
                 held: HashMap::new(),
-                checkpoint_interval: FaultSpec::default().checkpoint_interval,
                 backoffs: BTreeSet::new(),
                 admitting: VecDeque::new(),
                 polling: VecDeque::new(),
@@ -249,7 +246,6 @@ impl CharmOperator {
     /// [`CharmOperator::flakies`].
     pub fn set_fault_spec(&mut self, spec: FaultSpec) {
         self.kernel.set_recovery(&spec);
-        self.pool.checkpoint_interval = spec.checkpoint_interval;
     }
 
     /// Fault-recovery tallies accumulated so far (including the
@@ -1009,22 +1005,18 @@ impl Effects for Choreography<'_> {
     }
 
     fn stop(&mut self, job: JobId, why: Stop, now: SimTime) {
-        if let Stop::Evicted { .. } = why {
+        if let Stop::Evicted { rollback } = why {
             // The checkpoint the relaunch resumes from, asked of the
             // executor before it is killed. Cumulative across attempts:
             // the relaunch handle only models the *remaining*
             // iterations, so its checkpoint count is relative to the
             // previous attempt's floor — a second eviction adds onto
             // that floor instead of forgetting it.
-            let name = self.pool.registry.name(job);
-            let started = self.jobs.read(name, |s| s.obj.status.started_at).flatten();
-            let interval = self.pool.checkpoint_interval;
-            let retained = match (self.pool.handles.get_mut(&job), started) {
-                (Some(handle), Some(started_at)) => {
-                    handle.checkpointed_iters(started_at, now, interval)
-                }
-                _ => None,
-            };
+            let retained = self
+                .pool
+                .handles
+                .get_mut(&job)
+                .and_then(|handle| handle.checkpointed_iters(now, rollback));
             if let Some(kept) = retained.filter(|kept| *kept > 0.0) {
                 *self.pool.retained_iters.entry(job).or_insert(0.0) += kept;
             }

@@ -8,8 +8,8 @@
 //! handle reads them while the operator owns the policy. The headline
 //! figure is [`DispatchCounters::jobs_per_submit_dispatch`]: under the
 //! batched ingest path a 100k-submission burst storm should cost
-//! O(batches) policy invocations, not O(jobs) — the `serving_load`
-//! bench and its CI smoke assert exactly that.
+//! O(batches) policy invocations, not O(jobs) —
+//! `tests/replay_counters.rs` pins exactly that.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -18,8 +18,8 @@
 //! store creates the operator's watch drain coalesces into a *single*
 //! [`SchedulingPolicy::on_submit_burst`] dispatch — a 100k-submission
 //! storm costs O(batches) policy invocations, not O(jobs)
-//! ([`InstrumentedPolicy`] counts them; the `serving_load` bench
-//! asserts the amortization). Every submission is answered explicitly:
+//! ([`InstrumentedPolicy`] counts them; `tests/replay_counters.rs`
+//! pins the exact counts). Every submission is answered explicitly:
 //! [`SubmitResponse::Admitted`] (the push completed a batch — the
 //! ticket is real), [`SubmitResponse::Queued`] with the shard depth, or
 //! [`SubmitResponse::Shed`] with a retry-after hint when the bounded

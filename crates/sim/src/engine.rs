@@ -46,10 +46,10 @@ use std::ops::Range;
 use elastic_core::kernel::{Admission, Effects, Kernel, Stop};
 use elastic_core::{ClusterView, JobState, RunMetrics, SchedulingPolicy};
 use hpc_metrics::{Duration, JobId, SimTime, UtilizationRecorder};
+use hpc_workload::{FaultEvent, FaultKind, JobSpec, WorkloadSpec};
 
 use crate::events::{Event, EventQueue};
 use crate::model::{OverheadModel, ScalingModel};
-use crate::workload::{FaultEvent, FaultKind, JobSpec, WorkloadSpec};
 
 /// Simulation parameters. Submission times are *not* here: every job
 /// of the replayed [`WorkloadSpec`] carries its own arrival time
@@ -620,8 +620,8 @@ pub fn simulate(cfg: &SimConfig, workload: &WorkloadSpec) -> SimOutcome {
 mod tests {
     use super::*;
     use crate::model::SizeClass;
-    use crate::workload::generate_workload;
     use elastic_core::{AgingSweep, FcfsBackfill, Policy, PolicyConfig, PolicyKind};
+    use hpc_workload::generate_workload;
 
     fn policy(kind: PolicyKind, gap: f64) -> Box<dyn SchedulingPolicy> {
         Box::new(Policy::of_kind(
@@ -996,7 +996,7 @@ mod tests {
     /// One malleable job holding most of the cluster, then a reclaim
     /// bites into its allocation and later returns.
     fn reclaim_workload() -> WorkloadSpec {
-        use crate::workload::{FaultEvent, FaultKind, FaultSpec};
+        use hpc_workload::{FaultEvent, FaultKind, FaultSpec};
         let wl = WorkloadSpec::new(vec![JobSpec::malleable("big", 8, 56, 100_000.0, 3)]);
         wl.with_faults(FaultSpec::new(vec![
             FaultEvent {
@@ -1065,7 +1065,7 @@ mod tests {
 
     #[test]
     fn retry_budget_exhaustion_fails_the_job_permanently() {
-        use crate::workload::{FaultEvent, FaultKind, FaultSpec};
+        use hpc_workload::{FaultEvent, FaultKind, FaultSpec};
         // Three reclaims, each timed to catch the job's retry (backoffs
         // 30/60 s), against a budget of 3 attempts: the third kill is
         // permanent and the run still terminates cleanly.
@@ -1115,7 +1115,7 @@ mod tests {
 
     #[test]
     fn cancel_during_requeue_backoff_retires_the_job() {
-        use crate::workload::{FaultEvent, FaultKind, FaultSpec};
+        use hpc_workload::{FaultEvent, FaultKind, FaultSpec};
         let wl = WorkloadSpec::new(vec![JobSpec::malleable("victim", 8, 56, 1e9, 3)]);
         let wl = wl.with_faults(FaultSpec::new(vec![
             FaultEvent {
@@ -1143,7 +1143,7 @@ mod tests {
 
     #[test]
     fn node_failure_capacity_never_comes_back() {
-        use crate::workload::{FaultEvent, FaultKind, FaultSpec};
+        use hpc_workload::{FaultEvent, FaultKind, FaultSpec};
         // 40 slots die for good; the survivor finishes on what's left.
         let wl = WorkloadSpec::new(vec![JobSpec::malleable("j", 8, 56, 50_000.0, 3)]);
         let wl = wl.with_faults(FaultSpec::new(vec![FaultEvent {

@@ -6,10 +6,10 @@
 
 use elastic_core::{Policy, PolicyConfig, PolicyKind, RunMetrics, SchedulingPolicy};
 use hpc_metrics::{Duration, Summary};
+use hpc_workload::{generate_workload, WorkloadSpec};
 
 use crate::engine::{simulate, SimConfig, SimOutcome};
 use crate::model::{OverheadModel, ScalingModel};
-use crate::workload::{generate_workload, WorkloadSpec};
 
 /// Paper defaults.
 pub const DEFAULT_JOBS: usize = 16;
@@ -193,9 +193,8 @@ pub fn heavy_traffic_workload(seed: u64, n_jobs: usize) -> WorkloadSpec {
 /// cluster ([`SCALE_CAPACITY`] slots, default models) — the
 /// multi-thousand-job trace-replay regime of Zojer et al. rather than
 /// the paper's 16-job testbed. SWF traces, Poisson workloads and the
-/// classic fixed-gap scenario all come through here; the `sim_scale`
-/// bench (`BENCH_sim_scale.json`) uses it to track decision-path
-/// throughput.
+/// classic fixed-gap scenario all come through here;
+/// `tests/replay_counters.rs` pins the work such a replay does.
 pub fn heavy_traffic_replay(
     policy: Box<dyn SchedulingPolicy>,
     workload: &WorkloadSpec,
@@ -339,9 +338,9 @@ mod tests {
         );
     }
 
-    /// The trace-scale scenario behind `BENCH_sim_scale.json`: every
-    /// job of a large heavy-traffic replay completes, utilization is
-    /// production-like, and the event queue stays bounded.
+    /// The trace-scale scenario: every job of a large heavy-traffic
+    /// replay completes, utilization is production-like, and the event
+    /// queue stays bounded.
     #[test]
     fn heavy_traffic_run_replays_trace_scale_workloads() {
         let n = 500;
@@ -369,7 +368,7 @@ mod tests {
     /// entry point as the fixed-gap scenario.
     #[test]
     fn heavy_traffic_replay_takes_arbitrary_workloads() {
-        use crate::workload::poisson_workload;
+        use hpc_workload::poisson_workload;
         let n = 400;
         let wl = poisson_workload(0, n, Duration::from_secs(SCALE_SUBMISSION_GAP_S));
         let out = heavy_traffic_replay(Box::new(policy_of(PolicyKind::Elastic, 180.0)), &wl);

@@ -35,11 +35,9 @@
 //!   queue through it, with actions applied per admission so decision
 //!   state is identical to the one-event-at-a-time sequence.
 //!
-//! Throughput is tracked in the `sim_core` section of
-//! `BENCH_sim_scale.json` (written by the `sim_scale` bench) and
-//! gated by `bench_gate`: a >25% events/sec regression per case fails
-//! CI, and `SIM_CORE_STRICT=1` additionally arms an absolute
-//! aggregate floor.
+//! The work a replay does — events popped, rescales applied — is
+//! pinned exactly by `tests/replay_counters.rs`; its wall time is the
+//! `des-elastic-400k` workload of the `benchmark/` package.
 //!
 //! ## Modules
 //!
@@ -48,8 +46,6 @@
 //! * [`model`] — strong-scaling curves and overhead stages over the
 //!   workload layer's size classes and job shapes, with a memoized
 //!   per-class rate cache on the replay hot path.
-//! * [`workload`] — re-exports of the unified `hpc-workload` layer
-//!   (the paper generator, SWF trace replay, Poisson arrivals).
 //! * [`engine`] — the event queue and progress model around the
 //!   scheduling kernel, replaying a `WorkloadSpec`'s own per-job
 //!   arrival and cancellation times.
@@ -62,7 +58,6 @@ pub mod engine;
 pub mod events;
 pub mod experiments;
 pub mod model;
-pub mod workload;
 
 pub use engine::{simulate, SimConfig, SimOutcome, SimState};
 pub use experiments::{
@@ -70,9 +65,9 @@ pub use experiments::{
     heavy_traffic_workload, sweep_rescale_gap, sweep_rescale_gap_with_overhead,
     sweep_submission_gap, table1_simulation, SweepPoint, DEFAULT_JOBS, DEFAULT_SEEDS,
 };
-pub use model::{JobShape, OverheadBreakdown, OverheadModel, ScalingModel, SizeClass};
-pub use workload::{
+pub use hpc_workload::{
     generate_workload, load_workload, poisson_workload, FaultEvent, FaultKind, FaultSpec,
     FlakyEvent, FlakyOp, FlakySpec, JobSpec, MalleabilityModel, SwfError, SwfLoadConfig,
     WorkloadError, WorkloadSpec,
 };
+pub use model::{JobShape, OverheadBreakdown, OverheadModel, ScalingModel, SizeClass};

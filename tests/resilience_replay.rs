@@ -145,8 +145,11 @@ fn flaky_replays_are_deterministic() {
     assert_eq!(replay_operator(&wl), replay_operator(&wl));
 }
 
-/// An empty flaky spec is exactly the storm-free replay: the
-/// resilience layer costs nothing and changes nothing when unused.
+/// A flaky spec with no events is exactly the storm-free replay, however
+/// its breaker and budget are tuned: the resilience layer costs nothing
+/// and changes nothing when unused. The second arm is a *different*
+/// input (a hair-trigger breaker over an empty retry budget) that must
+/// produce the same outcome.
 #[test]
 fn empty_flaky_spec_is_the_storm_free_replay() {
     let reclamation_only = FaultSpec::reclamation(
@@ -159,9 +162,12 @@ fn empty_flaky_spec_is_the_storm_free_replay() {
     let plain = bundled_trace(&SwfLoadConfig::rigid(CAPACITY)).with_faults(reclamation_only);
     let with_empty = {
         let mut wl = plain.clone();
-        wl.faults.flaky = FlakySpec::default();
+        wl.faults.flaky = FlakySpec::default()
+            .with_breaker(1, Duration::from_secs(1.0))
+            .with_retry_budget(0.0, 0.0);
         wl
     };
+    assert_ne!(plain, with_empty, "the two arms must be different inputs");
     assert_eq!(replay_des(&plain), replay_des(&with_empty));
     assert_eq!(replay_operator(&plain), replay_operator(&with_empty));
 }
