@@ -14,18 +14,21 @@
 //! * **Scheduling** (`elastic_core::SchedulingPolicy`) — which *slots*
 //!   inside a cluster, decided per shard by that shard's own policy
 //!   instance, unchanged from the single-cluster simulator.
-//! * **Execution** ([`FederationRuntime`]) — a work-queue shard
-//!   scheduler: each shard cycles `Idle → Pending → Running` under an
-//!   atomic CAS, and a worker drains at most one *quantum* of events
-//!   per turn before re-queueing the shard at the tail, so a hot shard
-//!   cannot starve the rest.
+//! * **Execution** ([`FederationRuntime`]) — one FIFO run queue of
+//!   shard indices: a worker pops the front shard, drains at most one
+//!   *quantum* of events, and pushes the shard back at the tail while
+//!   it has events left, so a hot shard cannot starve the rest. The
+//!   batch is closed (one submission, seeded before any worker runs),
+//!   so a worker that finds the queue empty exits — every unfinished
+//!   shard is in another worker's hands — and `join()` is joining the
+//!   worker threads; a worker's panic is re-raised there once all are
+//!   reaped.
 //! * **Resilience** ([`ShardBreakerBoard`]) — one circuit breaker per
 //!   shard, fed by that shard's transient-fault schedule. Routed via
 //!   [`FederationHandle::submit_resilient`], an open-breaker shard
 //!   advertises worst-case load so [`LeastLoaded`] (and any other
 //!   load-sensitive policy) stops sending it submits until the breaker
-//!   half-opens; `join()` runs the drain → cleanup → terminate phased
-//!   shutdown observable through `shutdown_phase()`.
+//!   half-opens.
 //!
 //! Determinism is the design invariant: placement is a single-threaded
 //! pre-pass, shards share no mutable state, and quantum-sliced
@@ -109,12 +112,10 @@
 mod placement;
 mod resilience;
 mod runtime;
-mod scheduler;
 
-pub use elastic_resilience::{BreakerState, ShutdownPhase};
+pub use elastic_resilience::BreakerState;
 pub use placement::{HashByUser, LeastLoaded, PlacementPolicy, RoundRobin, ShardLoad};
 pub use resilience::ShardBreakerBoard;
 pub use runtime::{
     BatchedSubmission, FederationConfig, FederationHandle, FederationOutcome, FederationRuntime,
 };
-pub use scheduler::ShardState;

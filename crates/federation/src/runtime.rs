@@ -1,5 +1,5 @@
 //! The federation runtime: N sharded clusters, M worker threads, one
-//! work queue.
+//! FIFO run queue.
 //!
 //! The runtime/handle split follows the async-runtime idiom: the
 //! non-cloneable [`FederationRuntime`] *owns* the worker OS threads and
@@ -10,26 +10,34 @@
 //! Each shard is a complete single-cluster simulation (its own
 //! `SimConfig`, its own policy instance, its own event queue), stepped
 //! a *quantum* of events at a time by whichever worker pops it off the
-//! [work queue](crate::scheduler). Determinism holds by construction:
-//! shards share no mutable state, a shard is only ever held by one
-//! worker (the `Idle → Pending → Running` CAS), and `SimState::step`
-//! is bit-identical to a monolithic drain regardless of how the event
+//! run queue, and pushed back at the tail while it has events left.
+//!
+//! A federation replays a *closed* batch: one submission, seeded
+//! before any worker exists, and nothing adds work afterwards. Every
+//! unfinished shard is therefore in the queue or in the hands of a
+//! worker that will push it back and pop again itself — so a worker
+//! that finds the queue empty has nothing to wait for and **exits**,
+//! and the replay is over when the worker threads have returned.
+//!
+//! Determinism holds by construction: shards share no mutable state, a
+//! shard index is in the queue or with one worker and never both (a
+//! worker pushes back only what it popped), and `SimState::step` is
+//! bit-identical to a monolithic drain regardless of how the event
 //! stream is sliced into quanta — so worker count and pop interleaving
 //! cannot change any shard's outcome.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use elastic_core::RunMetrics;
-use elastic_resilience::{Lifecycle, ShutdownPhase};
 use hpc_metrics::{SimTime, UtilizationRecorder};
 use hpc_workload::{JobSpec, WorkloadSpec};
 use sched_sim::{SimConfig, SimOutcome, SimState};
 
 use crate::placement::{LoadTracker, PlacementPolicy};
 use crate::resilience::ShardBreakerBoard;
-use crate::scheduler::{ShardState, WorkQueue};
 
 /// Shape of a federation: how many shards, how many workers drive
 /// them, and how many events one worker drains per shard turn.
@@ -82,36 +90,38 @@ impl FederationConfig {
     }
 }
 
-/// One shard's simulation: its config (policy instance included), its
-/// slice of the workload, and — once submission happened — its live
-/// DES state. A cell is only ever touched by the worker currently
-/// Running its shard, so the mutex is uncontended in steady state.
+/// One shard's simulation. A cell is only ever touched by the worker
+/// that popped its shard, so the mutex is uncontended in steady state.
 struct ShardCell {
+    /// The shard's cluster, its own policy instance included.
     cfg: SimConfig,
-    workload: WorkloadSpec,
-    state: Option<SimState>,
+    /// The shard's slice of the trace and the live DES state over it:
+    /// `None` until submission seeds it, and for good when placement
+    /// left the shard empty.
+    replay: Option<(WorkloadSpec, SimState)>,
+    /// Run-queue turns this shard was granted.
+    turns: u64,
 }
 
 /// State shared between the runtime, its handles and its workers.
 struct Core {
-    wq: WorkQueue,
-    cells: Vec<Mutex<Option<ShardCell>>>,
+    cfg: FederationConfig,
+    /// Shards with events left that no worker holds, in FIFO order.
+    run_queue: Mutex<VecDeque<usize>>,
+    cells: Vec<Mutex<ShardCell>>,
     capacities: Vec<u32>,
-    quantum: usize,
-    /// Shards still holding events; guarded so `join` can sleep on it.
-    remaining: Mutex<usize>,
-    all_drained: Condvar,
     /// Shard indices in the order they ran dry (fairness diagnostics).
     drain_order: Mutex<Vec<usize>>,
-    /// Work-queue turns each shard was granted.
-    turns: Vec<AtomicU64>,
-    /// Latch per shard so the drain is counted exactly once.
-    drained: Vec<AtomicBool>,
     loaded: AtomicBool,
     started: AtomicBool,
-    /// Drain → cleanup → terminate phase tracker, observable from any
-    /// handle while `join` tears the runtime down.
-    lifecycle: Mutex<Lifecycle>,
+}
+
+/// Locks one of the federation's mutexes. A replay never observes one
+/// poisoned: the queue and the drain order are not held across a step,
+/// a shard whose step panicked is never queued again, and `join`
+/// re-raises that panic before it reads a cell.
+fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().expect("poisoned by an earlier panic")
 }
 
 /// Cheap, cloneable submission surface of a federation. All clones
@@ -139,7 +149,7 @@ impl FederationHandle {
         workload: &WorkloadSpec,
         placement: &mut dyn PlacementPolicy,
     ) -> Vec<usize> {
-        self.route(workload, placement, None)
+        self.open(placement, None).submit_whole(workload)
     }
 
     /// [`FederationHandle::submit`] with breaker-aware routing: each
@@ -167,66 +177,7 @@ impl FederationHandle {
             self.core.capacities.len(),
             "breaker board shard count must match the federation"
         );
-        self.route(workload, placement, Some(board))
-    }
-
-    fn route(
-        &self,
-        workload: &WorkloadSpec,
-        placement: &mut dyn PlacementPolicy,
-        mut board: Option<&mut ShardBreakerBoard>,
-    ) -> Vec<usize> {
-        assert!(
-            !self.core.started.load(Ordering::Acquire),
-            "submit after start: the workload must be routed before workers run"
-        );
-        assert!(
-            !self.core.loaded.swap(true, Ordering::AcqRel),
-            "a federation accepts exactly one submission"
-        );
-        let shards = self.core.capacities.len();
-        let mut tracker = LoadTracker::new(&self.core.capacities);
-        let mut assignment = Vec::with_capacity(workload.jobs.len());
-        for job in &workload.jobs {
-            let now_s = job.arrival.as_secs();
-            tracker.advance_to(now_s);
-            let shard = match board.as_deref_mut() {
-                Some(b) => {
-                    let now = SimTime::ZERO + job.arrival;
-                    b.advance_to(now);
-                    let masked = b.masked_loads(tracker.loads(), now);
-                    let shard = placement.place(job, &masked);
-                    if shard < shards {
-                        b.on_commit(shard, now);
-                    }
-                    shard
-                }
-                None => placement.place(job, tracker.loads()),
-            };
-            assert!(
-                shard < shards,
-                "placement routed job {} to shard {shard} of a {shards}-shard federation",
-                job.name
-            );
-            tracker.commit(shard, job, now_s);
-            assignment.push(shard);
-        }
-        for (shard, mut part) in workload
-            .partition(&assignment, shards)
-            .into_iter()
-            .enumerate()
-        {
-            if let Some(b) = board.as_deref() {
-                part.faults.flaky = b.spec(shard).clone();
-            }
-            let mut guard = self.core.cells[shard].lock().unwrap();
-            let cell = guard.as_mut().expect("cells live until join");
-            if !part.jobs.is_empty() {
-                cell.state = Some(SimState::new(&cell.cfg, &part));
-            }
-            cell.workload = part;
-        }
-        assignment
+        self.open(placement, Some(board)).submit_whole(workload)
     }
 
     /// Opens the federation's one submission as a *streaming* session:
@@ -255,6 +206,16 @@ impl FederationHandle {
         &self,
         placement: &'a mut dyn PlacementPolicy,
     ) -> BatchedSubmission<'a> {
+        self.open(placement, None)
+    }
+
+    /// Claims the federation's one submission. Every submission path
+    /// is this session: the one-shot paths hand it the whole trace.
+    fn open<'a>(
+        &self,
+        placement: &'a mut dyn PlacementPolicy,
+        board: Option<&'a mut ShardBreakerBoard>,
+    ) -> BatchedSubmission<'a> {
         assert!(
             !self.core.started.load(Ordering::Acquire),
             "submit after start: the workload must be routed before workers run"
@@ -266,26 +227,11 @@ impl FederationHandle {
         BatchedSubmission {
             core: Arc::clone(&self.core),
             placement,
+            board,
             tracker: LoadTracker::new(&self.core.capacities),
             jobs: Vec::new(),
             assignment: Vec::new(),
         }
-    }
-
-    /// Current scheduler state of `shard`.
-    pub fn shard_state(&self, shard: usize) -> ShardState {
-        self.core.wq.state(shard)
-    }
-
-    /// Shards whose event queues have not drained yet.
-    pub fn shards_remaining(&self) -> usize {
-        *self.core.remaining.lock().unwrap()
-    }
-
-    /// The runtime's shutdown phase. Handles outlive `join`, so a clone
-    /// kept aside still observes the final `Terminated`.
-    pub fn shutdown_phase(&self) -> ShutdownPhase {
-        self.core.lifecycle.lock().unwrap().phase()
     }
 }
 
@@ -296,7 +242,11 @@ impl FederationHandle {
 pub struct BatchedSubmission<'a> {
     core: Arc<Core>,
     placement: &'a mut dyn PlacementPolicy,
+    /// Breaker-aware routing (`submit_resilient` only).
+    board: Option<&'a mut ShardBreakerBoard>,
     tracker: LoadTracker,
+    /// The pushed chunks; stays empty when the caller holds the whole
+    /// trace (the one-shot paths).
     jobs: Vec<JobSpec>,
     assignment: Vec<usize>,
 }
@@ -310,7 +260,6 @@ impl BatchedSubmission<'_> {
     /// If a job arrives earlier than the previously pushed one, or if
     /// the placement policy routes out of range.
     pub fn push(&mut self, jobs: &[JobSpec]) {
-        let shards = self.core.capacities.len();
         for job in jobs {
             if let Some(last) = self.jobs.last() {
                 assert!(
@@ -321,23 +270,39 @@ impl BatchedSubmission<'_> {
                     last.arrival
                 );
             }
-            let now_s = job.arrival.as_secs();
-            self.tracker.advance_to(now_s);
-            let shard = self.placement.place(job, self.tracker.loads());
-            assert!(
-                shard < shards,
-                "placement routed job {} to shard {shard} of a {shards}-shard federation",
-                job.name
-            );
-            self.tracker.commit(shard, job, now_s);
-            self.assignment.push(shard);
+            self.route(job);
             self.jobs.push(job.clone());
         }
     }
 
+    /// Routes the next job of the arrival cursor: the federation's one
+    /// placement step, whichever submission path feeds it.
+    fn route(&mut self, job: &JobSpec) {
+        let shards = self.core.capacities.len();
+        let now_s = job.arrival.as_secs();
+        let now = SimTime::ZERO + job.arrival;
+        self.tracker.advance_to(now_s);
+        let masked = self.board.as_deref_mut().map(|board| {
+            board.advance_to(now);
+            board.masked_loads(self.tracker.loads(), now)
+        });
+        let loads = masked.as_deref().unwrap_or(self.tracker.loads());
+        let shard = self.placement.place(job, loads);
+        assert!(
+            shard < shards,
+            "placement routed job {} to shard {shard} of a {shards}-shard federation",
+            job.name
+        );
+        if let Some(board) = self.board.as_deref_mut() {
+            board.on_commit(shard, now);
+        }
+        self.tracker.commit(shard, job, now_s);
+        self.assignment.push(shard);
+    }
+
     /// Jobs routed so far.
     pub fn routed(&self) -> usize {
-        self.jobs.len()
+        self.assignment.len()
     }
 
     /// Partitions the accumulated trace and seeds each non-empty
@@ -346,24 +311,42 @@ impl BatchedSubmission<'_> {
     ///
     /// # Panics
     /// If the runtime started while the session was open.
-    pub fn finish(self) -> Vec<usize> {
+    pub fn finish(mut self) -> Vec<usize> {
+        let workload = WorkloadSpec::new(std::mem::take(&mut self.jobs));
+        self.seed(&workload)
+    }
+
+    /// The one-shot paths: the caller holds the whole trace (fault
+    /// layer included), so it is routed in place and never copied.
+    fn submit_whole(mut self, workload: &WorkloadSpec) -> Vec<usize> {
+        for job in &workload.jobs {
+            self.route(job);
+        }
+        self.seed(workload)
+    }
+
+    /// Splits `workload` by the assignment routed so far and seeds each
+    /// non-empty shard's event queue. A breaker board's per-shard flaky
+    /// specs replace the partitioned schedules.
+    fn seed(self, workload: &WorkloadSpec) -> Vec<usize> {
         assert!(
             !self.core.started.load(Ordering::Acquire),
             "finish after start: shards were scheduled before they were seeded"
         );
         let shards = self.core.capacities.len();
-        let workload = WorkloadSpec::new(self.jobs);
-        for (shard, part) in workload
+        for (shard, mut part) in workload
             .partition(&self.assignment, shards)
             .into_iter()
             .enumerate()
         {
-            let mut guard = self.core.cells[shard].lock().unwrap();
-            let cell = guard.as_mut().expect("cells live until join");
-            if !part.jobs.is_empty() {
-                cell.state = Some(SimState::new(&cell.cfg, &part));
+            if let Some(board) = self.board.as_deref() {
+                part.faults.flaky = board.spec(shard).clone();
             }
-            cell.workload = part;
+            if !part.jobs.is_empty() {
+                let mut cell = locked(&self.core.cells[shard]);
+                let state = SimState::new(&cell.cfg, &part);
+                cell.replay = Some((part, state));
+            }
         }
         self.assignment
     }
@@ -382,7 +365,7 @@ pub struct FederationOutcome {
     pub capacities: Vec<u32>,
     /// Events each shard processed.
     pub events: Vec<u64>,
-    /// Work-queue turns each shard was granted.
+    /// Run-queue turns each shard was granted.
     pub turns: Vec<u64>,
     /// Shard indices in drain order — under a small quantum, light
     /// shards finish before heavy ones regardless of index order.
@@ -397,12 +380,11 @@ impl FederationOutcome {
 }
 
 /// The federation runtime: owns the shard cells and the worker OS
-/// threads. Not cloneable — dropping it (or calling
-/// [`FederationRuntime::join`]) is what shuts the workers down.
+/// threads. Not cloneable — [`FederationRuntime::join`] (or dropping
+/// it) waits the workers out.
 pub struct FederationRuntime {
     core: Arc<Core>,
     workers: Vec<JoinHandle<()>>,
-    cfg: FederationConfig,
 }
 
 impl FederationRuntime {
@@ -410,36 +392,27 @@ impl FederationRuntime {
     /// returned by `make_sim(i)` — each shard gets its *own* policy
     /// instance; nothing is shared across shards.
     pub fn new(cfg: FederationConfig, make_sim: impl Fn(usize) -> SimConfig) -> FederationRuntime {
-        let cells: Vec<Mutex<Option<ShardCell>>> = (0..cfg.shards)
-            .map(|shard| {
-                Mutex::new(Some(ShardCell {
-                    cfg: make_sim(shard),
-                    workload: WorkloadSpec::new(Vec::new()),
-                    state: None,
-                }))
-            })
-            .collect();
-        let capacities: Vec<u32> = cells
-            .iter()
-            .map(|c| c.lock().unwrap().as_ref().expect("fresh cell").cfg.capacity)
-            .collect();
+        let sims: Vec<SimConfig> = (0..cfg.shards).map(make_sim).collect();
         FederationRuntime {
             core: Arc::new(Core {
-                wq: WorkQueue::new(cfg.shards),
-                cells,
-                capacities,
-                quantum: cfg.quantum,
-                remaining: Mutex::new(0),
-                all_drained: Condvar::new(),
+                run_queue: Mutex::new(VecDeque::with_capacity(cfg.shards)),
+                capacities: sims.iter().map(|sim| sim.capacity).collect(),
+                cells: sims
+                    .into_iter()
+                    .map(|cfg| {
+                        Mutex::new(ShardCell {
+                            cfg,
+                            replay: None,
+                            turns: 0,
+                        })
+                    })
+                    .collect(),
                 drain_order: Mutex::new(Vec::with_capacity(cfg.shards)),
-                turns: (0..cfg.shards).map(|_| AtomicU64::new(0)).collect(),
-                drained: (0..cfg.shards).map(|_| AtomicBool::new(false)).collect(),
                 loaded: AtomicBool::new(false),
                 started: AtomicBool::new(false),
-                lifecycle: Mutex::new(Lifecycle::new()),
+                cfg,
             }),
             workers: Vec::new(),
-            cfg,
         }
     }
 
@@ -453,17 +426,12 @@ impl FederationRuntime {
     /// The configuration this runtime was built with (workers already
     /// clamped).
     pub fn config(&self) -> &FederationConfig {
-        &self.cfg
+        &self.core.cfg
     }
 
-    /// The runtime's shutdown phase (Running until `join` begins its
-    /// drain; Terminated once `join` has reaped the workers).
-    pub fn shutdown_phase(&self) -> ShutdownPhase {
-        self.core.lifecycle.lock().unwrap().phase()
-    }
-
-    /// Spawns the worker threads and schedules every loaded shard (in
-    /// index order, for a deterministic initial queue).
+    /// Queues every loaded shard (in index order, for a deterministic
+    /// initial queue) and spawns the worker threads. Shards the
+    /// placement left empty are never queued.
     ///
     /// # Panics
     /// If no workload was submitted, or if called twice.
@@ -476,30 +444,9 @@ impl FederationRuntime {
             !self.core.started.swap(true, Ordering::AcqRel),
             "a federation starts exactly once"
         );
-        let mut loaded_shards = Vec::new();
-        for (shard, cell) in self.core.cells.iter().enumerate() {
-            let has_events = cell
-                .lock()
-                .unwrap()
-                .as_ref()
-                .expect("cells live until join")
-                .state
-                .is_some();
-            if has_events {
-                loaded_shards.push(shard);
-            } else {
-                // Placement left this shard empty: born drained.
-                self.core.drained[shard].store(true, Ordering::Release);
-            }
-        }
-        *self.core.remaining.lock().unwrap() = loaded_shards.len();
-        if loaded_shards.is_empty() {
-            self.core.all_drained.notify_all();
-        }
-        for shard in loaded_shards {
-            self.core.wq.schedule(shard);
-        }
-        for w in 0..self.cfg.workers {
+        let seeded = |shard: &usize| locked(&self.core.cells[*shard]).replay.is_some();
+        locked(&self.core.run_queue).extend((0..self.core.cfg.shards).filter(seeded));
+        for w in 0..self.core.cfg.workers {
             let core = Arc::clone(&self.core);
             let handle = std::thread::Builder::new()
                 .name(format!("fed-worker-{w}"))
@@ -509,65 +456,43 @@ impl FederationRuntime {
         }
     }
 
-    /// Blocks until every shard drains, stops the workers and merges
-    /// the shard outcomes — the phased shutdown of the federation:
-    /// **drain** (wait for every shard's event queue to run dry),
-    /// **cleanup** (shut the work queue down and reap the worker
-    /// threads), **terminate** (collect and merge the shard outcomes).
-    /// [`FederationRuntime::shutdown_phase`] — and any
-    /// [`FederationHandle::shutdown_phase`] clone — observes the
-    /// transitions.
+    /// Waits for the replay to end — which *is* the worker threads
+    /// returning: each exits when it finds the run queue empty — then
+    /// collects and merges the shard outcomes.
     ///
     /// # Panics
-    /// If called before [`FederationRuntime::start`], or if a worker
-    /// thread panicked (the panic is propagated).
+    /// If called before [`FederationRuntime::start`]. If a worker
+    /// thread panicked (a policy hook, say), the other workers still
+    /// drain every shard they can reach, every worker is reaped, and
+    /// the first panic is then re-raised here; no outcome is built and
+    /// the shard cells are left as the workers left them.
     pub fn join(mut self) -> FederationOutcome {
         assert!(
             self.core.started.load(Ordering::Acquire),
             "join before start"
         );
-        self.drain_shards();
-        self.cleanup_workers();
-        self.core.lifecycle.lock().unwrap().terminate();
-        self.collect()
-    }
-
-    /// Drain phase: no further submissions (enforced since `start`),
-    /// block until every loaded shard's event queue runs dry.
-    fn drain_shards(&self) {
-        self.core.lifecycle.lock().unwrap().begin_drain();
-        let mut remaining = self.core.remaining.lock().unwrap();
-        while *remaining > 0 {
-            remaining = self.core.all_drained.wait(remaining).unwrap();
-        }
-    }
-
-    /// Cleanup phase: stop the work queue and reap every worker thread,
-    /// propagating the first worker panic.
-    fn cleanup_workers(&mut self) {
-        self.core.lifecycle.lock().unwrap().begin_cleanup();
-        self.core.wq.shutdown();
-        for w in std::mem::take(&mut self.workers) {
-            if let Err(panic) = w.join() {
-                std::panic::resume_unwind(panic);
+        let mut first_panic = None;
+        for worker in std::mem::take(&mut self.workers) {
+            if let Err(panic) = worker.join() {
+                first_panic.get_or_insert(panic);
             }
         }
-    }
+        if let Some(panic) = first_panic {
+            std::panic::resume_unwind(panic);
+        }
 
-    /// Post-terminate: consume the cells and merge the outcomes.
-    fn collect(self) -> FederationOutcome {
-        let mut shards = Vec::with_capacity(self.core.cells.len());
-        let mut events = Vec::with_capacity(self.core.cells.len());
+        let mut shards = Vec::with_capacity(self.core.cfg.shards);
+        let mut events = Vec::with_capacity(self.core.cfg.shards);
+        let mut turns = Vec::with_capacity(self.core.cfg.shards);
         for cell in &self.core.cells {
-            let cell = cell
-                .lock()
-                .unwrap()
-                .take()
-                .expect("join consumes each cell once");
-            match cell.state {
-                Some(state) => {
+            let mut cell = locked(cell);
+            turns.push(cell.turns);
+            // Taken by value: the shard's slice of the trace and its
+            // DES state are freed before the next outcome is built.
+            match cell.replay.take() {
+                Some((workload, state)) => {
                     events.push(state.events_processed());
-                    shards.push(state.finish(&cell.cfg, &cell.workload));
+                    shards.push(state.finish(&cell.cfg, &workload));
                 }
                 None => {
                     // Never loaded: an empty single-cluster outcome.
@@ -598,13 +523,8 @@ impl FederationRuntime {
             shards,
             capacities: self.core.capacities.clone(),
             events,
-            turns: self
-                .core
-                .turns
-                .iter()
-                .map(|t| t.load(Ordering::Acquire))
-                .collect(),
-            drain_order: self.core.drain_order.lock().unwrap().clone(),
+            turns,
+            drain_order: std::mem::take(&mut *locked(&self.core.drain_order)),
         }
     }
 }
@@ -612,36 +532,33 @@ impl FederationRuntime {
 impl Drop for FederationRuntime {
     fn drop(&mut self) {
         // join() took the workers; an early drop (panic unwind, test
-        // teardown) still stops and reaps them.
-        if !self.workers.is_empty() {
-            self.core.wq.shutdown();
-            for w in std::mem::take(&mut self.workers) {
-                let _ = w.join();
-            }
+        // teardown) waits for them to finish the replay. A worker's
+        // panic is dropped with it: Drop must not panic.
+        for worker in std::mem::take(&mut self.workers) {
+            let _ = worker.join();
         }
     }
 }
 
-/// One worker: pop a shard, drain one quantum, report a drain exactly
-/// once, yield the shard back. Exits when the queue shuts down.
+/// One worker: pop the front shard, step it one quantum, push it back
+/// at the tail while it has events left. An empty queue means every
+/// unfinished shard is in another worker's hands — who will push it
+/// back and pop it again — and nothing ever adds a shard: exit.
 fn worker_loop(core: &Core) {
-    while let Some(shard) = core.wq.next() {
-        core.turns[shard].fetch_add(1, Ordering::Relaxed);
+    let pop = || locked(&core.run_queue).pop_front();
+    while let Some(shard) = pop() {
         let more = {
-            let mut guard = core.cells[shard].lock().unwrap();
-            let cell = guard.as_mut().expect("cells live until join");
-            let state = cell.state.as_mut().expect("scheduled shards are loaded");
-            state.step(&cell.cfg, &cell.workload, core.quantum)
+            let mut cell = locked(&core.cells[shard]);
+            cell.turns += 1;
+            let ShardCell { cfg, replay, .. } = &mut *cell;
+            let (workload, state) = replay.as_mut().expect("only seeded shards are queued");
+            state.step(cfg, workload, core.cfg.quantum)
         };
-        if !more && !core.drained[shard].swap(true, Ordering::AcqRel) {
-            let mut remaining = core.remaining.lock().unwrap();
-            *remaining -= 1;
-            core.drain_order.lock().unwrap().push(shard);
-            if *remaining == 0 {
-                core.all_drained.notify_all();
-            }
+        if more {
+            locked(&core.run_queue).push_back(shard);
+        } else {
+            locked(&core.drain_order).push(shard);
         }
-        core.wq.yield_back(shard, more);
     }
 }
 
@@ -917,21 +834,46 @@ mod tests {
     }
 
     #[test]
-    fn join_runs_the_phased_shutdown() {
+    fn a_worker_panic_reaches_join() {
+        use elastic_core::{Action, ClusterView, JobId, SchedulingPolicy};
+
+        struct PanicsOnSubmit;
+        impl SchedulingPolicy for PanicsOnSubmit {
+            fn name(&self) -> String {
+                "panics_on_submit".into()
+            }
+            fn launcher_slots(&self) -> u32 {
+                0
+            }
+            fn on_submit(&self, _: &ClusterView, _: JobId, _: SimTime) -> Vec<Action> {
+                panic!("policy bug")
+            }
+            fn on_complete(&self, _: &ClusterView, _: SimTime) -> Vec<Action> {
+                Vec::new()
+            }
+        }
+
         let mut rt =
-            FederationRuntime::new(FederationConfig::new(2).with_workers(2), |_| sim_cfg(8));
-        let handle = rt.handle();
-        assert_eq!(handle.shutdown_phase(), ShutdownPhase::Running);
-        handle.submit(&WorkloadSpec::new(burst(8, 5.0)), &mut RoundRobin::new());
+            FederationRuntime::new(FederationConfig::new(2).with_workers(2), |_| SimConfig {
+                policy: Box::new(PanicsOnSubmit),
+                ..sim_cfg(8)
+            });
+        rt.handle()
+            .submit(&WorkloadSpec::new(burst(8, 5.0)), &mut RoundRobin::new());
         rt.start();
-        assert_eq!(rt.shutdown_phase(), ShutdownPhase::Running);
-        let out = rt.join();
-        assert_eq!(out.merged.jobs.len(), 8);
-        assert_eq!(
-            handle.shutdown_phase(),
-            ShutdownPhase::Terminated,
-            "a surviving handle observes the terminal phase"
-        );
+
+        // join() on a helper thread: a join that waits for shards the
+        // dead workers will never finish must fail this test, not hang it.
+        let (answer, watchdog) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.join()));
+            let _ = answer.send(joined.is_err());
+        });
+        let panicked = watchdog
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("join() still blocked 10 s after both workers panicked");
+        assert!(panicked, "join must re-raise the worker's panic");
+        helper.join().expect("the helper caught join's panic");
     }
 
     #[test]

@@ -339,7 +339,7 @@ impl Effects for Des<'_> {
 /// [`simulate`] builds one of these and drains it in a single call. The
 /// federation layer (`hpc-federation`) instead keeps one `SimState` per
 /// shard and drains each a bounded number of events at a time (its
-/// work-queue *time quantum*), interleaving many shards over a small
+/// run-queue *time quantum*), interleaving many shards over a small
 /// pool of worker threads. Stepping in any quantum size is
 /// **bit-identical** to one monolithic run: events pop in the same
 /// deterministic order regardless of where the drain pauses.
@@ -471,8 +471,9 @@ impl SimState {
 
     /// Pops and processes at most `max_events` events; returns `true`
     /// while events remain afterwards. `step(cfg, wl, usize::MAX)`
-    /// drains the run in one call; the federation scheduler passes its
-    /// quantum and re-queues the shard while this returns `true`.
+    /// drains the run in one call; a federation worker passes its
+    /// quantum and pushes the shard back on its run queue while this
+    /// returns `true`.
     ///
     /// Each event maps to one kernel entry point. Submissions and
     /// completions go through the kernel's burst drivers: every event

@@ -61,9 +61,9 @@ pub mod model;
 
 pub use engine::{simulate, SimConfig, SimOutcome, SimState};
 pub use experiments::{
-    averaged_point, averaged_point_with_overhead, heavy_traffic_replay, heavy_traffic_run,
-    heavy_traffic_workload, sweep_rescale_gap, sweep_rescale_gap_with_overhead,
-    sweep_submission_gap, table1_simulation, SweepPoint, DEFAULT_JOBS, DEFAULT_SEEDS,
+    averaged_point, averaged_point_with_overhead, heavy_traffic_replay, heavy_traffic_workload,
+    sweep_rescale_gap, sweep_rescale_gap_with_overhead, sweep_submission_gap, table1_simulation,
+    SweepPoint, DEFAULT_JOBS, DEFAULT_SEEDS,
 };
 pub use hpc_workload::{
     generate_workload, load_workload, poisson_workload, FaultEvent, FaultKind, FaultSpec,

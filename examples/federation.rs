@@ -4,7 +4,8 @@
 //! (`tests/data/sample.swf`), routes it across a 4-shard federation
 //! with the least-loaded placement policy (each shard an 8-slot
 //! cluster running its own EASY-backfilling instance), replays all
-//! shards on the work-queue scheduler, and prints a per-shard
+//! shards off one FIFO run queue (a worker that finds it empty is
+//! done: the batch is closed), and prints a per-shard
 //! utilization table next to the merged federation-level metrics.
 //!
 //! Run with: `cargo run --release --example federation`

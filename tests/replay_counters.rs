@@ -93,12 +93,18 @@ fn a_heavy_traffic_replay_pops_exactly_these_events() {
 
 /// The scale trace split round-robin over equal shards: the events the
 /// whole federation processes are a function of the shard count alone —
-/// worker threads only change who pops them.
+/// worker threads only change who pops them. So are the run-queue turns:
+/// a shard is popped once per quantum of its own events, whoever pops it.
 #[test]
 fn federated_replay_events_depend_on_shards_not_workers() {
     let n = 20_000;
     let workload = heavy_traffic_workload(0, n);
-    for (shards, events) in [(1, 63_164), (2, 62_283), (4, 60_923), (8, 59_171)] {
+    for (shards, events, turns) in [
+        (1, 63_164, 124),
+        (2, 62_283, 123),
+        (4, 60_923, 121),
+        (8, 59_171, 120),
+    ] {
         for workers in [1, 2] {
             let mut fed =
                 FederationRuntime::new(FederationConfig::new(shards).with_workers(workers), |_| {
@@ -115,6 +121,11 @@ fn federated_replay_events_depend_on_shards_not_workers() {
             assert_eq!(
                 out.total_events(),
                 events,
+                "{shards} shards, {workers} workers"
+            );
+            assert_eq!(
+                out.turns.iter().sum::<u64>(),
+                turns,
                 "{shards} shards, {workers} workers"
             );
         }
