@@ -11,12 +11,14 @@
 //! slots, not the queue depth; and the elastic policy's two decisions
 //! with every running job (256 / 4 096) inside its rescale gap: the
 //! cost must follow the jobs the gap lets it touch — none — not the
-//! running population.
+//! running population. `view_upkeep` is the other side of those
+//! indexes: what a view *mutation* costs with none of them built and
+//! with the three the elastic policy reads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use elastic_core::{
-    ClusterView, EasyBackfill, FcfsBackfill, JobId, JobState, Policy, PolicyConfig, PolicyKind,
-    SchedulingPolicy,
+    apply_action, Action, ClusterView, EasyBackfill, FcfsBackfill, JobId, JobState, Policy,
+    PolicyConfig, PolicyKind, SchedulingPolicy,
 };
 use hpc_metrics::{Duration, SimTime};
 
@@ -174,5 +176,102 @@ fn bench_decisions(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_decisions, bench_inside_gap, bench_backlog);
+/// The mutations a replay puts its view through, in steady state over
+/// 256 running jobs at increasing instants: each step one job
+/// completes, its successor is submitted and started (create), and two
+/// jobs started a half and a quarter lap ago rescale — five mutations.
+struct Churn {
+    view: ClusterView,
+    step: usize,
+}
+
+impl Churn {
+    const JOBS: usize = 256;
+    const MUTATIONS_PER_STEP: usize = 5;
+
+    fn job(slot: usize, at: SimTime, replicas: u32) -> JobState {
+        JobState {
+            id: JobId::from_index(slot),
+            min_replicas: 2,
+            max_replicas: 4,
+            priority: 1 + (slot as u32) % 5,
+            submitted_at: at,
+            replicas,
+            last_action: at,
+            running: replicas > 0,
+            walltime_estimate: None,
+        }
+    }
+
+    fn new() -> Self {
+        let mut view = ClusterView::new(4096);
+        for slot in 0..Self::JOBS {
+            view.insert(Self::job(slot, SimTime::ZERO, 4), 1);
+        }
+        Churn { view, step: 0 }
+    }
+
+    fn step(&mut self) {
+        self.step += 1;
+        let now = SimTime::from_secs(self.step as f64);
+        let slot = |ahead: usize| (self.step + ahead) % Self::JOBS;
+        let done = JobId::from_index(slot(0));
+        self.view.remove(done, 1);
+        self.view.insert(Self::job(slot(0), now, 0), 1);
+        let start = Action::Create {
+            job: done,
+            replicas: 4,
+        };
+        apply_action(&mut self.view, &start, now, 1);
+        for ahead in [Self::JOBS / 2, Self::JOBS / 4] {
+            let job = JobId::from_index(slot(ahead));
+            let rescale = match self.view.job(job).expect("every slot is live").replicas {
+                4 => Action::Shrink {
+                    job,
+                    to_replicas: 2,
+                },
+                _ => Action::Expand {
+                    job,
+                    to_replicas: 4,
+                },
+            };
+            apply_action(&mut self.view, &rescale, now, 1);
+        }
+    }
+}
+
+/// One iteration is 1 000 mutations, so the µs/iter printed is the ns
+/// one mutation costs: `bare` with no ordered index built, and
+/// `elastic_indexes` with the three the elastic policy reads (running
+/// and queued priority orders, the last-action list) kept current.
+fn bench_view_upkeep(c: &mut Criterion) {
+    const STEPS: usize = 1000 / Churn::MUTATIONS_PER_STEP;
+    let mut group = c.benchmark_group("view_upkeep");
+    for name in ["bare", "elastic_indexes"] {
+        let mut churn = Churn::new();
+        if name == "elastic_indexes" {
+            let view = &churn.view;
+            let read = view.running_scan().count()
+                + view.running_by_last_action().count()
+                + view.queued_desc_priority().count();
+            assert_eq!(read, 2 * Churn::JOBS);
+        }
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for _ in 0..STEPS {
+                    churn.step();
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_decisions,
+    bench_inside_gap,
+    bench_backlog,
+    bench_view_upkeep
+);
 criterion_main!(benches);

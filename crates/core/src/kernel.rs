@@ -706,7 +706,10 @@ impl Kernel {
     /// and heartbeat misses; the *youngest* for crash-on-start — the
     /// job most recently through the launch path.
     fn flaky_victim(&self, op: FlakyOp) -> Option<JobId> {
-        let holding = self.view.running_scan().map(|j| j.id());
+        // Any order over the running set yields the same extreme id;
+        // the last-action list is the one whose upkeep is O(1), so a
+        // flaky storm builds no priority tree under an EASY/FCFS run.
+        let holding = self.view.running_by_last_action().map(|j| j.id());
         match op {
             FlakyOp::CrashOnStart => holding.max(),
             FlakyOp::LaunchFail | FlakyOp::StuckRescale | FlakyOp::HeartbeatMiss => holding.min(),

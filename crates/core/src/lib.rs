@@ -95,13 +95,14 @@
 //!   jobs by last scheduling action behind
 //!   [`ClusterView::running_by_last_action`] (the elastic policy's gap
 //!   cursor: the jobs `T_rescale_gap` lets a decision touch are a
-//!   prefix of it), the submission order behind
-//!   `queued_submission_order`, the completion frontier, and the
-//!   queued-by-minimum-footprint buckets behind
+//!   prefix of it — a recency list linked through the arena, O(1)
+//!   upkeep under the engines' non-decreasing clock), the submission
+//!   order behind `queued_submission_order`, the completion frontier,
+//!   and the queued-by-minimum-footprint buckets behind
 //!   [`ClusterView::queued_fitting`] are each built from the arena the
-//!   first time a policy reads them and pay their O(log n) upkeep in
-//!   `insert` / `remove` / [`apply_action`] only from then on — a run
-//!   maintains exactly the indexes its policy walks
+//!   first time a policy reads them and pay their upkeep (O(log n) for
+//!   the trees) in `insert` / `remove` / [`apply_action`] only from
+//!   then on — a run maintains exactly the indexes its policy walks
 //!   ([`ClusterView::built_indexes`]). Reads are O(k); one view per
 //!   run, zero rebuilds, zero `String`s.
 //!   A property test (`view_equivalence`) proves any event sequence,

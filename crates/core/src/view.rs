@@ -33,10 +33,21 @@
 //! by minimum footprint — is a pure function of the arena rows, built
 //! from them (O(n log n), once) the first time an accessor reads it
 //! through `&self`, and kept current by `insert`/`remove`/
-//! [`apply_action`] at O(log n) per mutation *from then on*. An index
-//! no policy of the run ever reads costs nothing: the elastic policy
-//! never pays for the FCFS queue, the completion frontier or the
-//! footprint buckets, EASY never pays for a priority order or the
+//! [`apply_action`] *from then on*. Five of them are `BTreeSet`s, at
+//! O(log n) per mutation. The last-action order is not: its key is
+//! `(last_action, id)` and `last_action` is written from the engine's
+//! clock, so a job entering it (a start, a rescale) belongs at the
+//! tail. It is a doubly-linked list through a `[prev, next]` column
+//! beside the arena: leaving it is an O(1) unlink, entering it a
+//! search back from the tail that is O(1) while `now` never decreases
+//! (it passes only the larger ids already linked at the same instant)
+//! and O(distance from the tail) — still exact — for any other
+//! instant.
+//!
+//! An index no policy of the run ever reads costs nothing: the
+//! elastic policy never pays for the FCFS queue, the completion
+//! frontier or the footprint buckets, EASY never pays for a priority
+//! order or (unless a transient fault picks a victim off it) the
 //! last-action order. There is no switch and no declaration — reading
 //! is the declaration ([`ClusterView::built_indexes`] reports which
 //! have been read). Once built, a policy reads its order in O(k) with
@@ -408,8 +419,18 @@ impl JobArena {
         self.running().map(|i| self.order_key(i)).collect()
     }
 
-    fn running_action_order(&self) -> BTreeSet<QueueKey> {
-        self.running().map(|i| self.action_key(i)).collect()
+    fn running_action_order(&self) -> ActionList {
+        let mut keys: Vec<QueueKey> = self.running().map(|i| self.action_key(i)).collect();
+        keys.sort_unstable();
+        let mut list = ActionList {
+            head: NIL,
+            tail: NIL,
+            links: vec![[NIL; 2]; self.len()],
+        };
+        for (_, JobId(id)) in keys {
+            list.link_after(list.tail, id);
+        }
+        list
     }
 
     fn queued_priority_order(&self) -> BTreeSet<OrderKey> {
@@ -450,6 +471,100 @@ fn toggle<K: Ord>(index: &mut BTreeSet<K>, key: K, enter: bool) {
         index.remove(&key)
     };
     debug_assert!(changed, "ordered index out of step with the arena");
+}
+
+/// "No neighbour" in an [`ActionList`] link.
+const NIL: u32 = u32::MAX;
+/// The two halves of an [`ActionList`] link.
+const PREV: usize = 0;
+const NEXT: usize = 1;
+
+/// The last-action order: running jobs threaded in `(last_action, id)`
+/// order through one `[prev, next]` link column indexed by `JobId`,
+/// beside the arena. The clock the engines write `last_action` from
+/// never runs backwards, so a job entering the order (a start, or a
+/// rescale re-keying it) belongs at the tail — it is a recency list,
+/// and O(1) links keep it where a balanced tree would pay O(log n)
+/// per mutation.
+#[derive(Debug, Clone)]
+struct ActionList {
+    head: u32,
+    tail: u32,
+    /// Meaningful only for the ids currently linked; grown on demand.
+    links: Vec<[u32; 2]>,
+}
+
+impl ActionList {
+    /// Where the link to the node after `prev` lives: `prev`'s `next`,
+    /// or the head.
+    fn next_of(&mut self, prev: u32) -> &mut u32 {
+        match prev {
+            NIL => &mut self.head,
+            _ => &mut self.links[prev as usize][NEXT],
+        }
+    }
+
+    /// Where the link to the node before `next` lives: `next`'s
+    /// `prev`, or the tail.
+    fn prev_of(&mut self, next: u32) -> &mut u32 {
+        match next {
+            NIL => &mut self.tail,
+            _ => &mut self.links[next as usize][PREV],
+        }
+    }
+
+    /// Links `id` in right after `prev` (`NIL`: at the head).
+    fn link_after(&mut self, prev: u32, id: u32) {
+        let next = std::mem::replace(self.next_of(prev), id);
+        *self.prev_of(next) = id;
+        self.links[id as usize] = [prev, next];
+    }
+
+    /// Links the running job at `idx` in at its `(last_action, id)`
+    /// position, searching back from the tail: under a non-decreasing
+    /// clock that passes only the same-instant ties with larger ids,
+    /// and for any other instant it still finds the sorted position.
+    fn insert(&mut self, hot: &[HotJob], idx: usize) {
+        if idx >= self.links.len() {
+            self.links.resize(idx + 1, [NIL; 2]);
+        }
+        let id = idx as u32;
+        let key = (hot[idx].last_action, id);
+        let mut prev = self.tail;
+        while prev != NIL && (hot[prev as usize].last_action, prev) > key {
+            prev = self.links[prev as usize][PREV];
+        }
+        self.link_after(prev, id);
+    }
+
+    fn unlink(&mut self, idx: usize) {
+        let [prev, next] = self.links[idx];
+        let was_next = std::mem::replace(self.next_of(prev), next);
+        let was_prev = std::mem::replace(self.prev_of(next), prev);
+        debug_assert_eq!(
+            [was_next, was_prev],
+            [idx as u32; 2],
+            "last-action list out of step with the arena"
+        );
+    }
+
+    /// The linked ids from `from` along the `dir` links.
+    fn walk(&self, from: u32, dir: usize) -> impl Iterator<Item = u32> + '_ {
+        let linked = |id: u32| (id != NIL).then_some(id);
+        std::iter::successors(linked(from), move |&id| {
+            linked(self.links[id as usize][dir])
+        })
+    }
+}
+
+/// The same ids in the same order, read both ways round — so a
+/// maintained list held to its from-scratch definition has its `prev`
+/// links checked along with the `next` links every reader follows.
+impl PartialEq for ActionList {
+    fn eq(&self, other: &Self) -> bool {
+        self.walk(self.head, NEXT).eq(other.walk(other.head, NEXT))
+            && self.walk(self.tail, PREV).eq(other.walk(other.tail, PREV))
+    }
 }
 
 /// Which pay-per-use indexes of a [`ClusterView`] have been read (and
@@ -498,7 +613,7 @@ pub struct ClusterView {
     running_order: OnceLock<BTreeSet<OrderKey>>,
     /// Running jobs by `(last_action, id)`: the jobs past any rescale
     /// gap are a prefix of it.
-    running_action_order: OnceLock<BTreeSet<QueueKey>>,
+    running_action_order: OnceLock<ActionList>,
     queued_priority_order: OnceLock<BTreeSet<OrderKey>>,
     queued_order: OnceLock<BTreeSet<QueueKey>>,
     /// Running jobs by estimated completion — the frontier EASY-style
@@ -617,7 +732,7 @@ impl ClusterView {
     }
 
     /// Which ordered indexes have been read so far, and are therefore
-    /// paying O(log n) upkeep per mutation. Introspection for cost
+    /// paying their upkeep on every mutation. Introspection for cost
     /// tests — a policy never needs it.
     pub fn built_indexes(&self) -> BuiltIndexes {
         BuiltIndexes {
@@ -639,8 +754,12 @@ impl ClusterView {
         if let Some(index) = self.running_order.get_mut() {
             toggle(index, self.arena.order_key(idx), enter);
         }
-        if let Some(index) = self.running_action_order.get_mut() {
-            toggle(index, self.arena.action_key(idx), enter);
+        if let Some(list) = self.running_action_order.get_mut() {
+            if enter {
+                list.insert(&self.arena.hot, idx);
+            } else {
+                list.unlink(idx);
+            }
         }
         if let Some(index) = self.running_end_order.get_mut() {
             toggle(index, self.arena.end_key(idx), enter);
@@ -676,24 +795,23 @@ impl ClusterView {
     /// second action at the same instant; an estimate-less job, which
     /// keys its end at `(INFINITY, id)` forever) costs no churn.
     fn rescale(&mut self, idx: usize, to_replicas: u32, now: SimTime) {
-        fn rekey(index: &mut BTreeSet<QueueKey>, old: QueueKey, new: QueueKey) {
-            if new != old {
-                toggle(index, old, false);
-                toggle(index, new, true);
-            }
-        }
-        let old_action = self.arena.action_key(idx);
+        let action_key_moves = self.arena.hot[idx].last_action != now;
         let old_end = self
             .running_end_order
             .get()
             .map(|_| self.arena.end_key(idx));
         self.arena.hot[idx].replicas = to_replicas;
         self.arena.hot[idx].last_action = now;
-        if let Some(index) = self.running_action_order.get_mut() {
-            rekey(index, old_action, self.arena.action_key(idx));
+        if let (true, Some(list)) = (action_key_moves, self.running_action_order.get_mut()) {
+            list.unlink(idx);
+            list.insert(&self.arena.hot, idx);
         }
         if let (Some(old_end), Some(index)) = (old_end, self.running_end_order.get_mut()) {
-            rekey(index, old_end, self.arena.end_key(idx));
+            let new_end = self.arena.end_key(idx);
+            if new_end != old_end {
+                toggle(index, old_end, false);
+                toggle(index, new_end, true);
+            }
         }
     }
 
@@ -795,11 +913,12 @@ impl ClusterView {
     /// touch are exactly the rows before the first one still inside it
     /// — `take_while` that predicate and the blocked rest of the
     /// cluster is never visited.
-    pub fn running_by_last_action(&self) -> impl DoubleEndedIterator<Item = JobRef<'_>> {
-        self.running_action_order
-            .get_or_init(|| self.arena.running_action_order())
-            .iter()
-            .map(|&(_, id)| self.arena.cursor(id))
+    pub fn running_by_last_action(&self) -> impl Iterator<Item = JobRef<'_>> {
+        let list = self
+            .running_action_order
+            .get_or_init(|| self.arena.running_action_order());
+        list.walk(list.head, NEXT)
+            .map(|id| self.arena.cursor(JobId(id)))
     }
 
     /// Queued jobs in *decreasing* priority order — the queued half of
@@ -1024,8 +1143,9 @@ impl Action {
 
 /// Applies `action` to a view in place — this is how engines carry the
 /// persistent view across events (and how tests replay decision
-/// sequences). O(1) arena writes plus O(log n) upkeep per *built*
-/// index (module docs, "Complexity contract") — never a rebuild.
+/// sequences). O(1) arena writes plus the upkeep of each *built*
+/// index — O(log n), O(1) for the last-action list (module docs,
+/// "Complexity contract") — never a rebuild.
 /// `launcher_slots` is the per-running-job launcher overhead.
 ///
 /// Panics if the action violates capacity or job invariants — a policy
@@ -1523,12 +1643,25 @@ pub(crate) mod tests {
         assert_eq!(view.running_by_estimated_end().count(), 2);
     }
 
+    fn acted(mut j: JobState, at: f64) -> JobState {
+        j.last_action = SimTime::from_secs(at);
+        j
+    }
+
+    fn last_action_ids(v: &ClusterView) -> Vec<u32> {
+        v.running_by_last_action().map(|j| j.id().0).collect()
+    }
+
+    /// Holds `v` equal to a from-scratch view of its jobs:
+    /// `ClusterView::eq` walks a built list both ways against its
+    /// definition.
+    fn assert_links_current(v: &ClusterView) {
+        assert!(v.built_indexes().running_action_order);
+        assert_eq!(*v, view_of(64, v.free_slots(), v.jobs().collect()));
+    }
+
     #[test]
     fn last_action_index_orders_running_jobs_and_tracks_every_action() {
-        let acted = |mut j: JobState, at: f64| {
-            j.last_action = SimTime::from_secs(at);
-            j
-        };
         let mut view = view_of(
             64,
             30,
@@ -1539,18 +1672,15 @@ pub(crate) mod tests {
                 acted(job(3, 3, 3.0, 0), 5.0), // queued: not listed
             ],
         );
-        let order = |v: &ClusterView| -> Vec<u32> {
-            v.running_by_last_action().map(|j| j.id().0).collect()
-        };
-        assert_eq!(order(&view), [1, 2, 0]);
+        assert_eq!(last_action_ids(&view), [1, 2, 0]);
         let at = SimTime::from_secs(60.0);
         let shrink = |job, to_replicas| Action::Shrink { job, to_replicas };
         // A rescale moves the job to the back; a second action at the
         // same instant leaves its key where it is.
         apply_action(&mut view, &shrink(JobId(1), 4), at, 1);
-        assert_eq!(order(&view), [2, 0, 1]);
+        assert_eq!(last_action_ids(&view), [2, 0, 1]);
         apply_action(&mut view, &shrink(JobId(1), 2), at, 1);
-        assert_eq!(order(&view), [2, 0, 1]);
+        assert_eq!(last_action_ids(&view), [2, 0, 1]);
         // A start enters at its start instant (ids break the tie), an
         // eviction leaves, a completion leaves.
         let start = Action::Create {
@@ -1558,11 +1688,120 @@ pub(crate) mod tests {
             replicas: 2,
         };
         apply_action(&mut view, &start, at, 1);
-        assert_eq!(order(&view), [2, 0, 1, 3]);
+        assert_eq!(last_action_ids(&view), [2, 0, 1, 3]);
         apply_action(&mut view, &Action::Evict { job: JobId(0) }, at, 1);
         view.remove(JobId(2), 1);
-        assert_eq!(order(&view), [1, 3]);
+        assert_eq!(last_action_ids(&view), [1, 3]);
         assert_eq!(view, view_of(64, view.free_slots(), view.jobs().collect()));
+    }
+
+    #[test]
+    fn same_instant_actions_in_descending_id_order_read_back_ascending() {
+        let mut view = view_of(64, 40, (0..4).map(|id| job(id, 3, 0.0, 4)).collect());
+        assert_eq!(last_action_ids(&view), [0, 1, 2, 3]);
+        let at = SimTime::from_secs(10.0);
+        // A multi-shrink plan, highest id first: each re-key passes
+        // the larger ids already at the tail for this instant.
+        for id in [3, 2, 0] {
+            let shrink = Action::Shrink {
+                job: JobId(id),
+                to_replicas: 2,
+            };
+            apply_action(&mut view, &shrink, at, 1);
+        }
+        assert_eq!(last_action_ids(&view), [1, 0, 2, 3]);
+        assert_links_current(&view);
+    }
+
+    #[test]
+    fn unlinking_the_head_the_tail_and_the_only_element() {
+        let jobs = (0..4).map(|id| acted(job(id, 3, 0.0, 4), f64::from(id)));
+        let mut view = view_of(64, 40, jobs.collect());
+        assert_eq!(last_action_ids(&view), [0, 1, 2, 3]);
+        view.remove(JobId(0), 1); // the head
+        assert_eq!(last_action_ids(&view), [1, 2, 3]);
+        assert_links_current(&view);
+        let at = SimTime::from_secs(9.0);
+        apply_action(&mut view, &Action::Evict { job: JobId(3) }, at, 1); // the tail
+        assert_eq!(last_action_ids(&view), [1, 2]);
+        assert_links_current(&view);
+        view.remove(JobId(2), 1);
+        view.remove(JobId(1), 1); // the only element
+        assert_eq!(last_action_ids(&view), [0u32; 0]);
+        assert_links_current(&view);
+        // An emptied list takes a start again, at both ends at once.
+        let start = Action::Create {
+            job: JobId(3),
+            replicas: 2,
+        };
+        apply_action(&mut view, &start, at, 1);
+        assert_eq!(last_action_ids(&view), [3]);
+        assert_links_current(&view);
+    }
+
+    #[test]
+    fn a_running_insert_with_a_preset_last_action_lands_mid_list() {
+        let jobs = [10.0, 20.0, 30.0].into_iter().zip(0..);
+        let mut view = view_of(
+            64,
+            40,
+            jobs.map(|(at, id)| acted(job(id, 3, 0.0, 4), at)).collect(),
+        );
+        assert_eq!(last_action_ids(&view), [0, 1, 2]);
+        // Behind the tail's instant: the search walks back past it.
+        view.insert(acted(job(3, 3, 0.0, 4), 15.0), 1);
+        assert_eq!(last_action_ids(&view), [0, 3, 1, 2]);
+        // An instant already taken: the id breaks the tie, both sides.
+        view.insert(acted(job(5, 3, 0.0, 4), 20.0), 1);
+        view.insert(acted(job(4, 3, 0.0, 4), 30.0), 1);
+        assert_eq!(last_action_ids(&view), [0, 3, 1, 5, 2, 4]);
+        // Before every other job, and a rescale to an earlier instant.
+        view.insert(job(6, 3, 0.0, 4), 1);
+        let shrink = Action::Shrink {
+            job: JobId(2),
+            to_replicas: 2,
+        };
+        apply_action(&mut view, &shrink, SimTime::from_secs(12.0), 1);
+        assert_eq!(last_action_ids(&view), [6, 0, 2, 3, 1, 5, 4]);
+        assert_links_current(&view);
+    }
+
+    #[test]
+    fn a_first_read_after_mutations_equals_the_maintained_list() {
+        // The same mutations against a list read (so maintained) from
+        // the start and one never read until the end.
+        let mut maintained = view_of(64, 64, (0..12).map(|id| job(id, 3, 0.0, 0)).collect());
+        let mut unread = maintained.clone();
+        assert_eq!(last_action_ids(&maintained), [0u32; 0]);
+        let mut rng = ChaCha8Rng::seed_from_u64(20);
+        for step in 0..200u32 {
+            let now = SimTime::from_secs(f64::from(step / 3));
+            let id = JobId(rng.gen_range(0..12));
+            let action = match maintained.job(id) {
+                None => {
+                    maintained.insert(job(id.0, 3, 0.0, 0), 1);
+                    unread.insert(job(id.0, 3, 0.0, 0), 1);
+                    continue;
+                }
+                Some(j) if !j.running && maintained.free_slots() >= 5 => Action::Create {
+                    job: id,
+                    replicas: 4,
+                },
+                Some(j) if !j.running => continue,
+                Some(j) if j.replicas == 4 => Action::Shrink {
+                    job: id,
+                    to_replicas: 2,
+                },
+                Some(_) if rng.gen_bool(0.5) => Action::Evict { job: id },
+                Some(_) => Action::Cancel { job: id },
+            };
+            apply_action(&mut maintained, &action, now, 1);
+            apply_action(&mut unread, &action, now, 1);
+        }
+        assert!(maintained.running_count() > 1, "the walk left a list");
+        assert!(!unread.built_indexes().running_action_order);
+        assert_eq!(last_action_ids(&unread), last_action_ids(&maintained));
+        assert_eq!(unread, maintained);
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! counters and the deficit-first crediting every slot release goes
 //! through. The clock advances on only some steps, so one job is
 //! often acted on twice at one instant and its last-action key does
-//! not move.
+//! not move; on a few it steps *backwards*, and some jobs arrive
+//! already running with a drawn `last_action` — no engine does either,
+//! but the last-action list must stay sorted for any instant, and only
+//! then does its insert search past the tail.
 
 use elastic_core::{apply_action, Action, ClusterView, JobFields, JobId, JobState};
 use hpc_metrics::{Duration, SimTime};
@@ -120,14 +123,20 @@ proptest! {
         let mut clock = 0u32;
 
         for step in 0..steps {
-            clock += rng.gen_range(0..2u32);
+            clock = match rng.gen_range(0..8u32) {
+                0 => clock.saturating_sub(rng.gen_range(1..=3)),
+                draw => clock + draw % 2,
+            };
             let now = SimTime::from_secs(f64::from(clock));
             let free = shadow.free();
             let op = rng.gen_range(0..10u32);
             match op {
-                // Submit: a fresh queued job enters both worlds.
+                // Submit: a fresh job enters both worlds — queued, or
+                // (one in four, room permitting) already running since
+                // an instant drawn around the clock.
                 0 => {
                     let min = rng.gen_range(1..=8);
+                    let running = rng.gen_bool(0.25) && free >= min + LAUNCHER;
                     let job = JobState {
                         id: JobId(next_id),
                         min_replicas: min,
@@ -136,9 +145,13 @@ proptest! {
                         // Deliberately collide timestamps sometimes so the
                         // id tie-breaker is exercised.
                         submitted_at: SimTime::from_secs(rng.gen_range(0..8) as f64),
-                        replicas: 0,
-                        last_action: SimTime::NEG_INFINITY,
-                        running: false,
+                        replicas: if running { min } else { 0 },
+                        last_action: if running {
+                            SimTime::from_secs(f64::from(rng.gen_range(0..=clock + 2)))
+                        } else {
+                            SimTime::NEG_INFINITY
+                        },
+                        running,
                         // Mix estimates and their absence so the
                         // estimated-end index is part of the
                         // incremental == rebuilt equivalence.

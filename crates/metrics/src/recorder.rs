@@ -13,6 +13,7 @@
 //! CSV emitters) map ids back through their engine's registry at the
 //! reporting edge.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::ids::JobId;
@@ -61,28 +62,29 @@ impl UtilizationRecorder {
 
     /// All recorded events, sorted by time (stable for equal times).
     pub fn events(&self) -> Vec<AllocEvent> {
-        let mut ev = self.events.clone();
-        ev.sort_by_key(|a| a.at);
-        ev
+        self.in_time_order().into_owned()
+    }
+
+    /// The log in time order: itself when it was recorded that way (an
+    /// engine records as its clock advances), a stably sorted copy
+    /// otherwise.
+    fn in_time_order(&self) -> Cow<'_, [AllocEvent]> {
+        if self.events.is_sorted_by_key(|ev| ev.at) {
+            return Cow::Borrowed(&self.events);
+        }
+        let mut sorted = self.events.clone();
+        sorted.sort_by_key(|ev| ev.at);
+        Cow::Owned(sorted)
     }
 
     /// The total-allocation step function: `(t, total_slots)` at every
     /// change point, deduplicated to the last value per instant.
     pub fn total_series(&self) -> Vec<(SimTime, u32)> {
-        let mut per_job: Vec<u32> = Vec::new();
-        let mut running_total: u64 = 0;
         let mut out: Vec<(SimTime, u32)> = Vec::new();
-        for ev in self.events() {
-            if ev.job.index() >= per_job.len() {
-                per_job.resize(ev.job.index() + 1, 0);
-            }
-            let prev = &mut per_job[ev.job.index()];
-            running_total = running_total - u64::from(*prev) + u64::from(ev.slots);
-            *prev = ev.slots;
-            let total = u32::try_from(running_total).expect("total slots fit u32");
+        for (at, total) in totals(&self.in_time_order()) {
             match out.last_mut() {
-                Some(last) if last.0 == ev.at => last.1 = total,
-                _ => out.push((ev.at, total)),
+                Some(last) if last.0 == at => last.1 = total,
+                _ => out.push((at, total)),
             }
         }
         out
@@ -91,7 +93,7 @@ impl UtilizationRecorder {
     /// Per-job step functions, keyed by job id.
     pub fn per_job_series(&self) -> BTreeMap<JobId, Vec<(SimTime, u32)>> {
         let mut map: BTreeMap<JobId, Vec<(SimTime, u32)>> = BTreeMap::new();
-        for ev in self.events() {
+        for &ev in self.in_time_order().iter() {
             let series = map.entry(ev.job).or_default();
             match series.last_mut() {
                 Some(last) if last.0 == ev.at => last.1 = ev.slots,
@@ -109,11 +111,14 @@ impl UtilizationRecorder {
         if window <= 0.0 {
             return 0.0;
         }
-        let series = self.total_series();
+        // Straight off the per-event totals, with no deduplicated
+        // series in between: a later change at an instant already
+        // stepped to adds `0 s × current`, which is exactly 0.0, and
+        // leaves `current` at the instant's last total all the same.
         let mut used_slot_seconds = 0.0;
         let mut current: u32 = 0;
         let mut cursor = from;
-        for (t, total) in series {
+        for (t, total) in totals(&self.in_time_order()) {
             if t <= from {
                 current = total;
                 continue;
@@ -131,8 +136,8 @@ impl UtilizationRecorder {
 
     /// Utilization over the natural window: first event to `end`.
     pub fn utilization_until(&self, end: SimTime) -> f64 {
-        match self.events().first() {
-            Some(first) => self.average_utilization(first.at, end),
+        match self.events.iter().map(|ev| ev.at).min() {
+            Some(first) => self.average_utilization(first, end),
             None => 0.0,
         }
     }
@@ -145,6 +150,24 @@ impl UtilizationRecorder {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// The cluster-wide total after each of `events` (in time order):
+/// `(t, total_slots)` once per *event*, so an instant several jobs
+/// changed at shows its intermediate totals before its last.
+fn totals(events: &[AllocEvent]) -> impl Iterator<Item = (SimTime, u32)> + '_ {
+    let mut per_job: Vec<u32> = Vec::new();
+    let mut running_total: u64 = 0;
+    events.iter().map(move |ev| {
+        if ev.job.index() >= per_job.len() {
+            per_job.resize(ev.job.index() + 1, 0);
+        }
+        let prev = &mut per_job[ev.job.index()];
+        running_total = running_total - u64::from(*prev) + u64::from(ev.slots);
+        *prev = ev.slots;
+        let total = u32::try_from(running_total).expect("total slots fit u32");
+        (ev.at, total)
+    })
 }
 
 /// A plain `(t, value)` time series with helpers used by the figure
@@ -254,6 +277,62 @@ mod tests {
         r.set(t(5.0), A, 0);
         r.set(t(0.0), A, 4);
         assert!((r.average_utilization(t(0.0), t(10.0)) - 0.5).abs() < 1e-12);
+    }
+
+    /// The integral as it is defined: over the deduplicated
+    /// [`UtilizationRecorder::total_series`].
+    fn utilization_over_total_series(r: &UtilizationRecorder, from: SimTime, to: SimTime) -> f64 {
+        let (mut used, mut current, mut cursor) = (0.0, 0u32, from);
+        for (t, total) in r.total_series() {
+            if t <= from {
+                current = total;
+                continue;
+            }
+            if t >= to {
+                break;
+            }
+            used += (t - cursor).as_secs() * f64::from(current);
+            cursor = t;
+            current = total;
+        }
+        used += (to - cursor).as_secs() * f64::from(current);
+        used / ((to - from).as_secs() * f64::from(r.capacity()))
+    }
+
+    #[test]
+    fn one_pass_integral_is_bit_identical_to_the_series_integral() {
+        // Thirds of a second (inexact in binary), three jobs changing
+        // at each instant, and windows that cut into both ends.
+        let log: Vec<AllocEvent> = (0..300u32)
+            .map(|i| AllocEvent {
+                at: t(f64::from(i / 3) / 3.0),
+                job: JobId(i % 7),
+                slots: (i * 5) % 11,
+            })
+            .collect();
+        // The same log with the instants interleaved and the order
+        // inside each kept: the sorted-copy fallback.
+        let (early, late): (Vec<_>, Vec<_>) = (0..log.len()).partition(|i| i % 6 < 3);
+        let recorded = |events: &mut dyn Iterator<Item = &AllocEvent>| {
+            let mut r = UtilizationRecorder::new(64);
+            events.for_each(|ev| r.set(ev.at, ev.job, ev.slots));
+            r
+        };
+        let in_order = recorded(&mut log.iter());
+        let shuffled = recorded(&mut early.iter().chain(&late).map(|&i| &log[i]));
+        assert_eq!(shuffled.events(), in_order.events());
+        for (from, to) in [(0.0, 40.0), (2.5, 17.0), (1.0 / 3.0, 20.0 / 3.0)] {
+            let expected = utilization_over_total_series(&in_order, t(from), t(to));
+            assert!(expected > 0.0);
+            for r in [&in_order, &shuffled] {
+                let got = r.average_utilization(t(from), t(to));
+                assert_eq!(got.to_bits(), expected.to_bits(), "[{from}, {to}]");
+            }
+        }
+        assert_eq!(
+            shuffled.utilization_until(t(40.0)).to_bits(),
+            in_order.average_utilization(t(0.0), t(40.0)).to_bits()
+        );
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! * after a whole replay the view reports which ordered indexes were
 //!   ever built: the elastic policy never pays for the FCFS queue, the
 //!   completion frontier or the footprint buckets, and EASY never pays
-//!   for a priority order or the last-action order.
+//!   for a priority order or the last-action order — under a flaky
+//!   storm it pays for the last-action list (the victim pick reads the
+//!   running ids off it) and still for no priority order.
 
 use elastic_hpc::core::{
     Action, BuiltIndexes, ClusterView, EasyBackfill, FcfsBackfill, JobFields, JobId, JobState,
@@ -21,7 +23,7 @@ use elastic_hpc::core::{
 };
 use elastic_hpc::metrics::{Duration, SimTime};
 use elastic_hpc::sim::{OverheadModel, ScalingModel, SimConfig, SimState};
-use elastic_hpc::workload::poisson_workload;
+use elastic_hpc::workload::{poisson_workload, FaultSpec, FlakySpec};
 
 const BACKLOG: u32 = 10_000;
 
@@ -167,8 +169,8 @@ fn running_jobs_inside_the_gap_are_never_visited() {
     );
 }
 
-fn replay(policy: Box<dyn SchedulingPolicy>) -> BuiltIndexes {
-    let workload = poisson_workload(11, 3000, Duration::from_secs(20.0));
+fn replay(policy: Box<dyn SchedulingPolicy>, faults: FaultSpec) -> BuiltIndexes {
+    let workload = poisson_workload(11, 3000, Duration::from_secs(20.0)).with_faults(faults);
     let cfg = SimConfig {
         capacity: 64,
         policy,
@@ -187,7 +189,7 @@ fn replay(policy: Box<dyn SchedulingPolicy>) -> BuiltIndexes {
 #[test]
 fn a_replay_builds_only_the_indexes_its_policy_reads() {
     assert_eq!(
-        replay(Box::new(elastic())),
+        replay(Box::new(elastic()), FaultSpec::default()),
         BuiltIndexes {
             running_order: true,
             running_action_order: true,
@@ -196,14 +198,30 @@ fn a_replay_builds_only_the_indexes_its_policy_reads() {
         },
         "elastic pays for the gap cursor, the queued priority lane and the spared head"
     );
+    let easy = BuiltIndexes {
+        queued_order: true,
+        running_end_order: true,
+        queued_footprint: true,
+        ..BuiltIndexes::default()
+    };
     assert_eq!(
-        replay(Box::new(EasyBackfill::new())),
-        BuiltIndexes {
-            queued_order: true,
-            running_end_order: true,
-            queued_footprint: true,
-            ..BuiltIndexes::default()
-        },
+        replay(Box::new(EasyBackfill::new()), FaultSpec::default()),
+        easy,
         "EASY pays for the queue, the frontier and the footprint buckets"
+    );
+    // A transient fault picks its victim by id off the running set:
+    // that read costs EASY the O(1)-upkeep last-action list, never a
+    // priority tree.
+    let storm = FlakySpec::storm(5, 40, Duration::from_secs(50_000.0));
+    assert_eq!(
+        replay(
+            Box::new(EasyBackfill::new()),
+            FaultSpec::default().with_flaky(storm)
+        ),
+        BuiltIndexes {
+            running_action_order: true,
+            ..easy
+        },
+        "a flaky storm adds the last-action list only"
     );
 }
