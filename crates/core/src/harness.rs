@@ -8,31 +8,47 @@
 //! [`WorkloadSpec`] ([`Schedule::from_workload`]) — the same struct the
 //! DES replays, so one trace drives both engines.
 //!
-//! Three drivers share the loop structure of the paper's experimental
-//! campaign (`generate_jobs.py submit` + operator, §9.1):
+//! There is **one drive loop**, the shape of the paper's experimental
+//! campaign (`generate_jobs.py submit` + operator, §9.1). Each instant
+//! it hands the submissions that fell due to an [`ArrivalSink`] and
+//! lets the sink flush, issues the due client cancellations (those of
+//! one instant in job order), posts the due [`FaultNotice`]s and
+//! [`FlakyNotice`]s of the workload's `FaultSpec`, calls
+//! [`CharmOperator::settle`], and — unless every submission, notice and
+//! job is through — paces on by one `tick`. `settle` is what makes a
+//! completion → free → admit → launch chain resolve *within one
+//! instant*, as it does in the DES (see its docs for why that takes
+//! more than one reconcile round); with integer-second arrivals,
+//! runtimes and fault times and a linear speed model the operator
+//! replay is then *timestamp-identical* to the DES replay, whatever
+//! collides at an instant — `tests/instant_order.rs` generates the
+//! collisions, the trace cross-validation tests replay the bundled
+//! trace.
 //!
-//! * [`run_virtual`] — virtual clock, [`ModelExecutor`]-style jobs;
-//!   fully deterministic, used by tests and operator-vs-DES validation.
-//! * [`run_workload_virtual`] — [`run_virtual`] for a [`WorkloadSpec`]:
-//!   same virtual clock, but each round drains the operator *three
-//!   times* so that a completion→free→admit→launch chain settles within
-//!   one instant (see the function docs for what each drain resolves).
-//!   With integer-second arrivals/runtimes and a linear speed model
-//!   this makes the operator replay *timestamp-identical* to the DES
-//!   replay — the trace cross-validation test asserts exactly that.
-//! * [`run_real`] — wall clock (optionally compressed), real
-//!   `charm-rt` jobs; used by the Fig. 9 / Table 1 "Actual" binaries.
+//! What differs between runs is the sink and the pace:
 //!
-//! All drivers submit (and cancel) through the public
-//! [`SchedulerClient`] — the store-mediated path every external
-//! consumer uses — so the bench binaries exercise the real
-//! control-plane API rather than an operator-internal shortcut.
+//! * [`run_virtual`] / [`run_workload_virtual`] — submissions straight
+//!   through the public [`SchedulerClient`], the virtual clock advanced
+//!   by hand; fully deterministic, used by tests and operator-vs-DES
+//!   validation.
+//! * [`run_real`] — the same sink, the operator's own (wall, optionally
+//!   compressed) clock slept on; real `charm-rt` jobs, used by the
+//!   Fig. 9 / Table 1 "Actual" binaries.
+//! * `elastic_serving::run_workload_ingest` — submissions through a
+//!   batching `IngestQueue`, which implements [`ArrivalSink`].
+//!
+//! Every sink ends in the store-mediated client path every external
+//! consumer uses, so the bench binaries exercise the real control-plane
+//! API rather than an operator-internal shortcut.
 //!
 //! [`ModelExecutor`]: crate::executor::ModelExecutor
 //! [`SchedulerClient`]: crate::client::SchedulerClient
 
-use hpc_metrics::{Clock, Duration, VirtualClock};
-use hpc_workload::WorkloadSpec;
+use std::collections::HashMap;
+use std::ops::Range;
+
+use hpc_metrics::{Duration, SimTime, VirtualClock};
+use hpc_workload::{FaultSpec, WorkloadSpec};
 
 use crate::client::{SchedulerClient, SubmitRequest};
 use crate::crd::{AppSpec, CharmJobSpec, FaultNotice, FlakyNotice};
@@ -47,7 +63,8 @@ pub struct Schedule {
     pub jobs: Vec<CharmJobSpec>,
     /// Submission time of each job (same order as `jobs`, nondecreasing).
     arrivals: Vec<Duration>,
-    /// Client cancellations to inject, sorted by time: `(time, job name)`.
+    /// Client cancellations to inject, as `(time, job name)`: sorted by
+    /// time, those of one instant in job order.
     pub cancellations: Vec<(Duration, String)>,
 }
 
@@ -58,18 +75,13 @@ impl Schedule {
         let arrivals = (0..jobs.len())
             .map(|i| Duration::from_secs(gap_s * i as f64))
             .collect();
-        Self::build(jobs, arrivals, Vec::new())
+        Self::build(jobs, arrivals)
     }
 
     /// A schedule with explicit per-job submission times (nondecreasing).
     pub fn at_times(entries: Vec<(Duration, CharmJobSpec)>) -> Self {
-        let mut jobs = Vec::with_capacity(entries.len());
-        let mut arrivals = Vec::with_capacity(entries.len());
-        for (at, job) in entries {
-            arrivals.push(at);
-            jobs.push(job);
-        }
-        Self::build(jobs, arrivals, Vec::new())
+        let (arrivals, jobs) = entries.into_iter().unzip();
+        Self::build(jobs, arrivals)
     }
 
     /// The operator-side rendering of a unified [`WorkloadSpec`]: every
@@ -100,32 +112,34 @@ impl Schedule {
                 },
             });
         }
-        Self::build(jobs, arrivals, cancellations)
+        Self::build(jobs, arrivals).with_cancellations(cancellations)
     }
 
-    /// Builder: adds client cancellations (`(time, job name)`).
+    /// Builder: adds client cancellations (`(time, job name)`) and
+    /// keeps the list sorted by time, those of one instant by their
+    /// job's position in the schedule — the DES's order, where a *name*
+    /// order would put `j10` before `j2`. One naming no scheduled job
+    /// (a client no-op) goes last at its instant.
     pub fn with_cancellations(mut self, cancellations: Vec<(Duration, String)>) -> Self {
         self.cancellations.extend(cancellations);
+        let names = self.jobs.iter().enumerate();
+        let position: HashMap<&str, usize> = names.map(|(i, j)| (j.name.as_str(), i)).collect();
+        let job = |name: &String| position.get(name.as_str()).copied().unwrap_or(usize::MAX);
         self.cancellations
-            .sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+            .sort_by(|a, b| a.0.cmp(&b.0).then_with(|| job(&a.1).cmp(&job(&b.1))));
         self
     }
 
-    fn build(
-        jobs: Vec<CharmJobSpec>,
-        arrivals: Vec<Duration>,
-        mut cancellations: Vec<(Duration, String)>,
-    ) -> Self {
+    fn build(jobs: Vec<CharmJobSpec>, arrivals: Vec<Duration>) -> Self {
         assert!(!jobs.is_empty(), "schedule needs at least one job");
         assert!(
             arrivals.windows(2).all(|w| w[0] <= w[1]),
             "submission times must be nondecreasing"
         );
-        cancellations.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
         Schedule {
             jobs,
             arrivals,
-            cancellations,
+            cancellations: Vec::new(),
         }
     }
 
@@ -135,34 +149,139 @@ impl Schedule {
     }
 }
 
-/// Per-loop submission/cancellation pump shared by the drivers: submits
-/// every job due by `elapsed` and issues every cancellation due by
-/// `elapsed`, advancing the cursors.
-fn pump_due(
-    client: &SchedulerClient,
-    schedule: &Schedule,
-    elapsed: Duration,
-    next_submit: &mut usize,
-    next_cancel: &mut usize,
-) {
-    while *next_submit < schedule.jobs.len() && elapsed >= schedule.submit_at(*next_submit) {
-        let req = SubmitRequest::v1(schedule.jobs[*next_submit].clone()).expect("valid spec");
-        client.submit_request(req).expect("unique job name");
-        *next_submit += 1;
+/// Where the drive loop's submissions enter the control plane: straight
+/// into the job store ([`SchedulerClient`]) or through a front-end that
+/// batches them (`elastic_serving::IngestQueue`).
+pub trait ArrivalSink {
+    /// Takes one submission that fell due at `now`.
+    fn submit(&self, req: SubmitRequest, now: SimTime);
+
+    /// The instant's last submission is in: push what should reach the
+    /// job store at `now` (cancellations are issued right after).
+    fn flush(&self, _now: SimTime) {}
+
+    /// Submissions taken that have not reached the job store yet.
+    fn pending(&self) -> usize {
+        0
     }
-    while *next_cancel < schedule.cancellations.len()
-        && elapsed >= schedule.cancellations[*next_cancel].0
+
+    /// Replays a unified [`WorkloadSpec`] through `op` on the virtual
+    /// `clock` (the one `op`'s control plane reads), submissions
+    /// entering here: per-job arrivals and cancellations from the
+    /// workload itself, its [`FaultSpec`] installed on the operator and
+    /// its capacity and transient fault events posted as
+    /// [`FaultNotice`]s / [`FlakyNotice`]s as they fall due — the
+    /// operator-side rendering of the DES's fault events. `tick` must
+    /// divide the workload's arrival, cancellation and fault times for
+    /// the event timestamps to be exact. Panics if the replay is not
+    /// over within `max_time` — a hung schedule is a bug.
+    fn replay(
+        &self,
+        op: &mut CharmOperator,
+        clock: &VirtualClock,
+        workload: &WorkloadSpec,
+        tick: Duration,
+        max_time: Duration,
+    ) -> RunMetrics
+    where
+        Self: Sized,
     {
-        // A cancellation may target a job already terminal (or, with a
-        // too-coarse tick, not yet submitted); both are client no-ops.
-        let _ = client.cancel(&schedule.cancellations[*next_cancel].1);
-        *next_cancel += 1;
+        let schedule = Schedule::from_workload(workload);
+        op.set_fault_spec(workload.faults.clone());
+        let pace = |d| clock.advance(d);
+        drive(op, self, &schedule, &workload.faults, tick, max_time, pace)
     }
 }
 
-/// Drives `op` through `schedule` on a virtual clock, advancing in
-/// `tick` steps until all jobs complete (or `max_time` elapses, which
-/// panics — a hung schedule is a bug).
+impl ArrivalSink for SchedulerClient {
+    fn submit(&self, req: SubmitRequest, _now: SimTime) {
+        self.submit_request(req).expect("unique job name");
+    }
+}
+
+/// The entries of a time-sorted list that fell due since the last call,
+/// as an index range; advances `cursor` past them.
+fn due<T>(items: &[T], cursor: &mut usize, is_due: impl Fn(&T) -> bool) -> Range<usize> {
+    let from = *cursor;
+    while *cursor < items.len() && is_due(&items[*cursor]) {
+        *cursor += 1;
+    }
+    from..*cursor
+}
+
+/// The drive loop (module docs): pump what fell due, settle, test for
+/// completion, pace on by `tick`.
+fn drive(
+    op: &mut CharmOperator,
+    sink: &impl ArrivalSink,
+    schedule: &Schedule,
+    faults: &FaultSpec,
+    tick: Duration,
+    max_time: Duration,
+    pace: impl Fn(Duration),
+) -> RunMetrics {
+    assert!(tick.as_secs() > 0.0, "tick must be positive");
+    let client = op.client();
+    let start = op.plane.now();
+    let (mut next_submit, mut next_cancel, mut next_fault, mut next_flaky) = (0, 0, 0, 0);
+    loop {
+        let now = op.plane.now();
+        let elapsed = now - start;
+        for i in due(&schedule.arrivals, &mut next_submit, |at| elapsed >= *at) {
+            let req = SubmitRequest::v1(schedule.jobs[i].clone()).expect("valid spec");
+            sink.submit(req, now);
+        }
+        sink.flush(now);
+        let cancels = &schedule.cancellations;
+        for i in due(cancels, &mut next_cancel, |c| elapsed >= c.0) {
+            // A cancellation may target a job already terminal (or, with a
+            // too-coarse tick, not yet submitted); both are client no-ops.
+            let _ = client.cancel(&cancels[i].1);
+        }
+        for i in due(&faults.events, &mut next_fault, |e| elapsed >= e.at) {
+            let e = faults.events[i];
+            let notice = FaultNotice {
+                name: format!("fault-{i:04}"),
+                at: start + e.at,
+                slots: e.slots,
+                kind: e.kind,
+            };
+            op.faults.create(notice).expect("fresh fault notice");
+        }
+        for i in due(&faults.flaky.events, &mut next_flaky, |e| elapsed >= e.at) {
+            let e = &faults.flaky.events[i];
+            let notice = FlakyNotice {
+                name: format!("flaky-{i:04}"),
+                at: start + e.at,
+                op: e.op,
+            };
+            op.flakies.create(notice).expect("fresh flaky notice");
+        }
+        op.settle();
+        // Tail fault/flaky events past the last completion still count:
+        // the DES drains its whole queue, so the run only ends once
+        // every scheduled notice was posted and reconciled.
+        if next_submit == schedule.jobs.len()
+            && next_fault == faults.events.len()
+            && next_flaky == faults.flaky.events.len()
+            && sink.pending() == 0
+            && op.all_complete()
+        {
+            return op.metrics();
+        }
+        assert!(
+            elapsed <= max_time,
+            "schedule did not complete within {max_time}s (queued: {:?})",
+            op.queued_jobs()
+        );
+        pace(tick);
+    }
+}
+
+/// Drives `op` through `schedule` on the virtual `clock` (the one its
+/// control plane reads), advancing in `tick` steps until all jobs
+/// complete (or `max_time` elapses, which panics — a hung schedule is a
+/// bug).
 pub fn run_virtual(
     op: &mut CharmOperator,
     clock: &VirtualClock,
@@ -170,57 +289,15 @@ pub fn run_virtual(
     tick: Duration,
     max_time: Duration,
 ) -> RunMetrics {
-    assert!(tick.as_secs() > 0.0, "tick must be positive");
-    let client = op.client();
-    let start = clock.now();
-    let mut next_submit = 0usize;
-    let mut next_cancel = 0usize;
-    loop {
-        let now = clock.now();
-        let elapsed = now - start;
-        pump_due(
-            &client,
-            schedule,
-            elapsed,
-            &mut next_submit,
-            &mut next_cancel,
-        );
-        op.tick();
-        if next_submit >= schedule.jobs.len() && op.all_complete() {
-            return op.metrics();
-        }
-        assert!(
-            elapsed <= max_time,
-            "schedule did not complete within {max_time}s (queued: {:?})",
-            op.queued_jobs()
-        );
-        clock.advance(tick);
-    }
+    let (sink, faults) = (op.client(), FaultSpec::default());
+    let pace = |d| clock.advance(d);
+    drive(op, &sink, schedule, &faults, tick, max_time, pace)
 }
 
-/// Replays a unified [`WorkloadSpec`] through the operator on a virtual
-/// clock: per-job arrivals and cancellations from the workload itself,
-/// submissions through the [`SchedulerClient`].
-///
-/// Each round drains the operator three times, so a completion chain
-/// resolves *within one instant* exactly like the DES (where a
-/// completion frees slots instantaneously): drain 1 detects the
-/// completion and lets the policy admit a queued job (creating its
-/// pods), drain 2 lets the kubelet terminate the completed job's
-/// deleting pods (they hold node capacity until then), and drain 3
-/// binds and starts the admitted job's pods so it launches at the
-/// completion timestamp — not one to two ticks later. `tick` must
-/// divide the workload's arrival times (and fault times) for the event
-/// timestamps to be exact.
-///
-/// The workload's [`FaultSpec`] is installed on the operator and its
-/// events are replayed as [`FaultNotice`]s posted to the fault store as
-/// they fall due — the operator-side rendering of the DES's fault
-/// events. Fault instants must not collide with a policy-timer firing:
-/// the engines order those two differently within one instant.
-///
-/// [`FaultSpec`]: hpc_workload::FaultSpec
-/// [`SchedulerClient`]: crate::client::SchedulerClient
+/// Replays a unified [`WorkloadSpec`] — arrivals, cancellations and
+/// faults — through the operator on a virtual clock, submissions
+/// straight through the [`SchedulerClient`]: [`ArrivalSink::replay`]
+/// with the direct sink.
 pub fn run_workload_virtual(
     op: &mut CharmOperator,
     clock: &VirtualClock,
@@ -228,115 +305,21 @@ pub fn run_workload_virtual(
     tick: Duration,
     max_time: Duration,
 ) -> RunMetrics {
-    assert!(tick.as_secs() > 0.0, "tick must be positive");
-    let schedule = Schedule::from_workload(workload);
-    op.set_fault_spec(workload.faults.clone());
-    let client = op.client();
-    let start = clock.now();
-    let mut next_submit = 0usize;
-    let mut next_cancel = 0usize;
-    let mut next_fault = 0usize;
-    let mut next_flaky = 0usize;
-    loop {
-        let now = clock.now();
-        let elapsed = now - start;
-        pump_due(
-            &client,
-            &schedule,
-            elapsed,
-            &mut next_submit,
-            &mut next_cancel,
-        );
-        while next_fault < workload.faults.events.len()
-            && elapsed >= workload.faults.events[next_fault].at
-        {
-            let e = workload.faults.events[next_fault];
-            op.faults
-                .create(FaultNotice {
-                    name: format!("fault-{next_fault:04}"),
-                    at: start + e.at,
-                    slots: e.slots,
-                    kind: e.kind,
-                })
-                .expect("fresh fault notice");
-            next_fault += 1;
-        }
-        // Transient faults post as FlakyNotices the same way — after
-        // the capacity faults at a shared instant, matching the DES's
-        // event seeding order and the operator's tick order.
-        while next_flaky < workload.faults.flaky.events.len()
-            && elapsed >= workload.faults.flaky.events[next_flaky].at
-        {
-            let e = &workload.faults.flaky.events[next_flaky];
-            op.flakies
-                .create(FlakyNotice {
-                    name: format!("flaky-{next_flaky:04}"),
-                    at: start + e.at,
-                    op: e.op,
-                })
-                .expect("fresh flaky notice");
-            next_flaky += 1;
-        }
-        // Same-instant resolution of completion → free → admit → launch
-        // chains (see the function docs for what each drain settles).
-        op.tick();
-        op.tick();
-        op.tick();
-        // Tail fault/flaky events past the last completion still count:
-        // the DES drains its whole queue, so the run only ends once
-        // every scheduled notice was posted and reconciled.
-        if next_submit >= schedule.jobs.len()
-            && next_fault >= workload.faults.events.len()
-            && next_flaky >= workload.faults.flaky.events.len()
-            && op.all_complete()
-        {
-            return op.metrics();
-        }
-        assert!(
-            elapsed <= max_time,
-            "workload did not complete within {max_time}s (queued: {:?})",
-            op.queued_jobs()
-        );
-        clock.advance(tick);
-    }
+    op.client().replay(op, clock, workload, tick, max_time)
 }
 
-/// Drives `op` through `schedule` on its own (real) clock, polling every
-/// `tick` of experiment time. Returns metrics when all jobs complete;
-/// panics after `max_time` experiment seconds.
+/// Drives `op` through `schedule` on its own (real) clock, sleeping
+/// `tick` of experiment time between instants. Returns metrics when all
+/// jobs complete; panics after `max_time` experiment seconds.
 pub fn run_real(
     op: &mut CharmOperator,
     schedule: &Schedule,
     tick: Duration,
     max_time: Duration,
 ) -> RunMetrics {
-    assert!(tick.as_secs() > 0.0, "tick must be positive");
-    let client = op.client();
-    let clock = op.plane.clock();
-    let start = clock.now();
-    let mut next_submit = 0usize;
-    let mut next_cancel = 0usize;
-    loop {
-        let now = clock.now();
-        let elapsed = now - start;
-        pump_due(
-            &client,
-            schedule,
-            elapsed,
-            &mut next_submit,
-            &mut next_cancel,
-        );
-        op.tick();
-        if next_submit >= schedule.jobs.len() && op.all_complete() {
-            return op.metrics();
-        }
-        assert!(
-            elapsed <= max_time,
-            "schedule did not complete within {max_time}s (queued: {:?})",
-            op.queued_jobs()
-        );
-        clock.sleep(tick);
-    }
+    let (sink, faults, clock) = (op.client(), FaultSpec::default(), op.plane.clock());
+    let pace = |d| clock.sleep(d);
+    drive(op, &sink, schedule, &faults, tick, max_time, pace)
 }
 
 #[cfg(test)]
@@ -406,6 +389,22 @@ mod tests {
             s.cancellations,
             vec![(Duration::from_secs(60.0), "t1".into())]
         );
+    }
+
+    #[test]
+    fn same_instant_cancellations_go_in_job_order_not_name_order() {
+        // Eleven jobs named j0..j10: by name, "j10" sorts before "j2".
+        let jobs: Vec<CharmJobSpec> = (0..11).map(|i| spec(&format!("j{i}"))).collect();
+        let at = Duration::from_secs(5.0);
+        let cancel = |name: &str, at: Duration| (at, name.to_string());
+        let s = Schedule::every(jobs, Duration::from_secs(1.0)).with_cancellations(vec![
+            cancel("nobody", at),
+            cancel("j10", at),
+            cancel("j2", at),
+            cancel("j9", Duration::from_secs(1.0)),
+        ]);
+        let order: Vec<&str> = s.cancellations.iter().map(|c| c.1.as_str()).collect();
+        assert_eq!(order, ["j9", "j2", "j10", "nobody"]);
     }
 
     #[test]

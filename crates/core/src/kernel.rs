@@ -14,7 +14,8 @@
 //! the few things only an engine can do. Entry points are generic over
 //! the effects, so an engine pays no dynamic dispatch for them. The
 //! event → hook table is in the crate docs (`elastic_core`, "One
-//! kernel under both engines").
+//! kernel under both engines"); the order in which the events of one
+//! instant arrive is [`EventClass`].
 
 use elastic_resilience::{FlakyOutcome, ResilienceState};
 use hpc_metrics::{Duration, JobId, SimTime, UtilizationRecorder};
@@ -23,6 +24,31 @@ use hpc_workload::{FaultEvent, FaultKind, FaultSpec, FlakyOp};
 use crate::policy::{CompleteBurst, SchedulingPolicy, SubmitBurst};
 use crate::report::{FaultStats, JobOutcome, RunMetrics};
 use crate::view::{apply_action, Action, ClusterView, JobFields, JobState};
+
+/// The kind of event an entry point stands for. **The declaration
+/// order is the order in which events sharing an instant reach the
+/// kernel** — the one definition of it: the DES queue sorts
+/// same-instant entries by `(EventClass, JobId, insertion)`, and one
+/// `CharmOperator::tick` takes the classes in this order. The crate
+/// docs' event table ("One kernel under both engines") says it in
+/// prose.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum EventClass {
+    /// [`Kernel::submit_burst`].
+    Submit,
+    /// [`Kernel::cancel`].
+    Cancel,
+    /// [`Kernel::capacity_lost`] and [`Kernel::capacity_returned`].
+    Capacity,
+    /// [`Kernel::flaky`].
+    Flaky,
+    /// [`Kernel::requeue_due`].
+    Requeue,
+    /// [`Kernel::complete_burst`].
+    Completion,
+    /// [`Kernel::timer`].
+    Timer,
+}
 
 /// One job entering the scheduler: what [`Effects::next_admission`]
 /// hands the kernel, for a first submission and for the re-entry of a

@@ -33,7 +33,8 @@
 //!   changes) plus a timer pass for poll-only state (executor
 //!   acknowledgements, completions). `tick()` drains the event queues
 //!   and costs O(events + running jobs + live pods) — it never scans
-//!   the job store, however many jobs that has held.
+//!   the job store, however many jobs that has held; `settle()` ticks
+//!   until the instant has nothing left to reconcile.
 //! * **[`SchedulerClient`]** — the typed client handle, speaking the
 //!   versioned request/response API: build a spec with
 //!   [`CharmJobSpec::builder`] (validation at `build()`), wrap it in a
@@ -124,16 +125,30 @@
 //! (launch / resize / stop, the next admission or completion of a
 //! burst):
 //!
-//! | an engine observes | kernel entry point | policy hooks, in order |
-//! |---|---|---|
-//! | jobs submitted at one instant | `submit_burst` | `on_submit_burst` → per job `on_submit`; none for a job whose cancellation is already on record |
-//! | a requeue backoff expired | `requeue_due` | the same, as a one-job burst |
-//! | jobs finished at one instant | `complete_burst` | `on_complete_burst` → per job `on_complete` |
-//! | a client cancellation | `cancel` | `on_complete` if the job held slots |
-//! | node failure / reclamation | `capacity_lost` | `on_fault` (must clear the deficit), then `on_complete` |
-//! | reclaimed capacity back | `capacity_returned` | `on_complete` |
-//! | a transient control-plane fault | `flaky` | `on_complete` if a victim was requeued or evicted |
-//! | the policy's timer deadline | `timer` | `on_timer`, unless every job is terminal |
+//! | within one instant | an engine observes | kernel entry point | policy hooks, in order |
+//! |---|---|---|---|
+//! | 1 | jobs submitted at one instant | `submit_burst` | `on_submit_burst` → per job `on_submit`; none for a job whose cancellation is already on record |
+//! | 2 | a client cancellation | `cancel` | `on_complete` if the job held slots |
+//! | 3 | node failure / reclamation | `capacity_lost` | `on_fault` (must clear the deficit), then `on_complete` |
+//! | 3 | reclaimed capacity back | `capacity_returned` | `on_complete` |
+//! | 4 | a transient control-plane fault | `flaky` | `on_complete` if a victim was requeued or evicted |
+//! | 5 | a requeue backoff expired | `requeue_due` | `on_submit_burst`, as a one-job burst |
+//! | 6 | jobs finished at one instant | `complete_burst` | `on_complete_burst` → per job `on_complete` |
+//! | 7 | the policy's timer deadline | `timer` | `on_timer`, unless every job is terminal |
+//!
+//! The first column is the order in which events that share an instant
+//! reach the kernel, in both engines: rows top to bottom
+//! ([`kernel::EventClass`], whose declaration order it is), events of
+//! one row by ascending [`JobId`], then in the order the engine learned
+//! of them (capacity events in schedule order, whichever way they
+//! point). The DES's event queue sorts its same-instant entries by that
+//! key; one [`CharmOperator::tick`] is those seven steps, top to bottom.
+//! Because a step's consequences can take further reconcile rounds to
+//! show in the stores (a completion's freed pods, an admitted job's
+//! launch), the operator is driven an *instant* at a time with
+//! [`CharmOperator::settle`], which ticks until a round finds nothing
+//! left to do; what settles late re-enters at its own row of the next
+//! round.
 //!
 //! A burst is one policy dispatch however many jobs it carries, and
 //! the default burst hooks replay the per-event decisions exactly: n
@@ -282,9 +297,10 @@
 //! * [`kernel`] — the transition machine both engines drive.
 //! * [`operator`] — the store/watch adapter around it, with the
 //!   paper's shrink/expand pod sequences.
-//! * [`harness`] — schedule drivers for virtual- and wall-clock runs
-//!   (submitting through the client API), including the
-//!   [`run_workload_virtual`] replay of a unified
+//! * [`harness`] — the one drive loop (submissions through an
+//!   [`ArrivalSink`], cancellations and fault notices as they fall due,
+//!   `settle()`, pace) behind the virtual- and wall-clock runs,
+//!   including the [`run_workload_virtual`] replay of a unified
 //!   `hpc_workload::WorkloadSpec`.
 //! * [`report`] — the Table 1 metrics plus the trace-replay bounded
 //!   slowdown.
@@ -314,7 +330,7 @@ pub use crd::{
 pub use elastic_resilience::ShutdownPhase;
 pub use error::SchedulerError;
 pub use executor::{CharmExecutor, ExecHandle, ExecStatus, Executor, ModelExecutor};
-pub use harness::{run_real, run_virtual, run_workload_virtual, Schedule};
+pub use harness::{run_real, run_virtual, run_workload_virtual, ArrivalSink, Schedule};
 pub use hpc_metrics::JobId;
 pub use operator::CharmOperator;
 pub use policy::{

@@ -74,7 +74,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use crossbeam::channel::Receiver;
 use hpc_metrics::{Duration, JobId, SimTime, UtilizationRecorder};
 use hpc_workload::{FaultEvent, FaultKind, FaultSpec};
-use kube_sim::{ControlPlane, EventLog, Pod, PodRole, Resource, Store, WatchEvent};
+use kube_sim::{ControlPlane, EventLog, Pod, PodRole, Store, WatchEvent};
 
 use elastic_resilience::{LeasePool, Lifecycle, ShutdownPhase, SlotLease};
 
@@ -384,10 +384,14 @@ impl CharmOperator {
     /// Drains the CharmJob watch stream: new submissions (in submission
     /// order) become one kernel submission burst — one policy dispatch
     /// per drain, not per job — and cancellation requests are executed.
-    fn reconcile_job_events(&mut self) {
+    /// `true` if the stream held anything (the operator's own status
+    /// writes echo back through it).
+    fn reconcile_job_events(&mut self) -> bool {
         let mut admissions: Vec<(SimTime, String)> = Vec::new();
         let mut cancels: Vec<String> = Vec::new();
+        let mut drained = false;
         while let Ok(ev) = self.jobs_rx.try_recv() {
+            drained = true;
             match ev {
                 WatchEvent::Added(s) => {
                     if s.obj.status.phase == JobPhase::Queued {
@@ -427,14 +431,15 @@ impl CharmOperator {
                 }
             }
         }
+        drained
     }
 
     /// Drains the fault-notice watch stream: capacity losses and
-    /// returns, in notice order.
-    fn reconcile_fault_events(&mut self) {
+    /// returns, in notice order. `true` if there were any.
+    fn reconcile_fault_events(&mut self) -> bool {
         let notices = drain_added(&self.faults_rx, |n| n.at);
         let now = self.plane.now();
-        for n in notices {
+        for n in &notices {
             let (kernel, policy, mut fx) = self.split();
             if n.kind == FaultKind::Return {
                 let message = format!("{} slots back", n.slots);
@@ -451,27 +456,33 @@ impl CharmOperator {
                 kernel.capacity_lost(&fault, now, policy, &mut fx);
             }
         }
+        !notices.is_empty()
     }
 
-    /// Drains the flaky-notice watch stream, in notice order.
-    fn reconcile_flaky_events(&mut self) {
+    /// Drains the flaky-notice watch stream, in notice order. `true`
+    /// if there were any.
+    fn reconcile_flaky_events(&mut self) -> bool {
         let notices = drain_added(&self.flakies_rx, |n| n.at);
         let now = self.plane.now();
-        for n in notices {
+        for n in &notices {
             let (kernel, policy, mut fx) = self.split();
             let outcome = kernel.flaky(n.op, now, policy, &mut fx);
             let message = format!("{} -> {outcome:?}", n.op);
             fx.events.record(now, &n.name, "TransientFault", message);
         }
+        !notices.is_empty()
     }
 
     /// Wakes the kernel for every requeue backoff that has expired.
-    fn process_due_requeues(&mut self) {
+    /// `true` if one had.
+    fn process_due_requeues(&mut self) -> bool {
         let now = self.plane.now();
+        let mut woke = false;
         while let Some(&(due, job)) = self.pool.backoffs.first() {
             if due > now {
                 break;
             }
+            woke = true;
             self.pool.backoffs.pop_first();
             let (kernel, policy, mut fx) = self.split();
             let name = fx.pool.registry.name(job).to_string();
@@ -481,11 +492,13 @@ impl CharmOperator {
                 fx.pool.admitting.clear();
             }
         }
+        woke
     }
 
     /// Drains the pod watch stream and progresses the *owning jobs*
     /// only: launch checks for `Starting` jobs whose pods moved.
-    fn reconcile_pod_events(&mut self) {
+    /// `true` if any pod had.
+    fn reconcile_pod_events(&mut self) -> bool {
         // Owners sorted and deduplicated in one structure.
         let mut touched: BTreeSet<String> = BTreeSet::new();
         while let Ok(ev) = self.pods_rx.try_recv() {
@@ -494,9 +507,10 @@ impl CharmOperator {
             };
             touched.insert(pod.owner);
         }
-        for name in touched {
-            self.try_launch(&name);
+        for name in &touched {
+            self.try_launch(name);
         }
+        !touched.is_empty()
     }
 
     /// Launches `name` if it is `Starting` and all its pods run.
@@ -550,10 +564,12 @@ impl CharmOperator {
 
     /// The poll-only work no store event can deliver: rescale
     /// acknowledgements, expand-pods-ready transitions, completions, and
-    /// the policy's periodic timer.
-    fn timer_pass(&mut self) {
+    /// the policy's periodic timer. `true` if a rescale flow advanced,
+    /// a job completed, the timer fired or a finished pod was reaped.
+    fn timer_pass(&mut self) -> bool {
         let now = self.plane.now();
         let timer_due = self.next_timer.is_some_and(|due| now >= due);
+        let mut progressed = timer_due;
         if timer_due {
             let interval = self.policy.timer_interval().expect("timer configured");
             self.next_timer = Some(now + interval);
@@ -569,6 +585,7 @@ impl CharmOperator {
                 RescaleFlow::ShrinkSignalled { target } => {
                     let acked = fx.pool.handles.get_mut(&id).and_then(|h| h.rescale_acked());
                     if let Some(report) = acked {
+                        progressed = true;
                         fx.remove_excess_workers(&name, target);
                         fx.update_nodelist(&name);
                         fx.mirror(&name, |s| s.replicas = target);
@@ -583,6 +600,7 @@ impl CharmOperator {
                         .plane
                         .job_pods_running(&name, PodRole::Worker, target as usize)
                     {
+                        progressed = true;
                         fx.update_nodelist(&name);
                         if let Some(handle) = fx.pool.handles.get_mut(&id) {
                             handle.request_rescale(target);
@@ -597,6 +615,7 @@ impl CharmOperator {
                 RescaleFlow::ExpandSignalled { target } => {
                     let acked = fx.pool.handles.get_mut(&id).and_then(|h| h.rescale_acked());
                     if let Some(report) = acked {
+                        progressed = true;
                         fx.mirror(&name, |s| s.replicas = target);
                         fx.pool.flows.remove(&id);
                         let message = format!("-> {target} (overhead {})", report.total());
@@ -616,6 +635,7 @@ impl CharmOperator {
         pool.polling.clear();
         pool.polling.extend(pool.handles.keys().copied());
         if let Some(first) = fx.next_finished() {
+            progressed = true;
             fx.pool.polling.push_front(first);
             kernel.complete_burst(now, policy, &mut fx);
         }
@@ -624,10 +644,11 @@ impl CharmOperator {
             kernel.timer(now, policy, &mut fx);
         }
 
-        self.plane.reap_finished();
+        progressed |= self.plane.reap_finished() > 0;
 
         #[cfg(debug_assertions)]
         self.cross_check_against_store_scan();
+        progressed
     }
 
     /// Debug builds re-derive, from one full scan of the job store, the
@@ -664,19 +685,49 @@ impl CharmOperator {
         self.kernel.check();
     }
 
-    /// One reconcile round: drain job events (admissions,
+    /// One reconcile round: drain job events (admissions, then
     /// cancellations), fault and flaky notices and due requeues, advance
     /// the control plane, drain pod events (launch progress), then run
-    /// the timer pass.
+    /// the timer pass (completions, then the policy timer) — the
+    /// kernel's [`EventClass`](crate::kernel::EventClass) order.
     pub fn tick(&mut self) {
-        self.reconcile_job_events();
-        self.reconcile_fault_events();
-        self.reconcile_flaky_events();
-        self.process_due_requeues();
-        self.plane.tick();
-        self.reconcile_pod_events();
-        self.timer_pass();
+        self.round();
     }
+
+    /// [`tick`](CharmOperator::tick); `true` if the round found
+    /// anything to do.
+    fn round(&mut self) -> bool {
+        let mut progressed = self.reconcile_job_events();
+        progressed |= self.reconcile_fault_events();
+        progressed |= self.reconcile_flaky_events();
+        progressed |= self.process_due_requeues();
+        self.plane.tick();
+        progressed |= self.reconcile_pod_events();
+        progressed | self.timer_pass()
+    }
+
+    /// Ticks until the instant is settled — until a round drains no
+    /// watch event, wakes no requeue, advances no rescale flow, sees no
+    /// completion, fires no timer and reaps no pod — and returns how
+    /// many rounds that took (the quiet one included, so an idle instant
+    /// settles in 1). More than one is needed whenever a round's effects
+    /// are only observable by the next: a completion frees slots and the
+    /// policy admits a queued job (its pods are created); the kubelet
+    /// terminates the completed job's deleting pods, which hold node
+    /// capacity until then; the admitted job's pods bind and start, so
+    /// it launches at the completion's timestamp. The operator's own
+    /// status-mirror writes echo back through its job watch and cost a
+    /// busy instant a round or two more. Gives up after 64 rounds (a
+    /// real executor can finish something in every one).
+    pub fn settle(&mut self) -> u32 {
+        let mut rounds = 1;
+        while self.round() && rounds < Self::SETTLE_MAX_ROUNDS {
+            rounds += 1;
+        }
+        rounds
+    }
+
+    const SETTLE_MAX_ROUNDS: u32 = 64;
 
     /// `true` once every submitted job reached a terminal phase
     /// (completed, cancelled or failed). O(1): every job in the store
@@ -798,15 +849,17 @@ impl CharmOperator {
 }
 
 /// Every notice added to a watched store since the last drain, by
-/// instant, then name.
-fn drain_added<T: Resource>(rx: &Receiver<WatchEvent<T>>, at: impl Fn(&T) -> SimTime) -> Vec<T> {
+/// instant, then in the order they were posted (the watch stream's; a
+/// notice's name is a label, not a sort key — `fault-10000` does not
+/// precede `fault-9999`).
+fn drain_added<T>(rx: &Receiver<WatchEvent<T>>, at: impl Fn(&T) -> SimTime) -> Vec<T> {
     let added = |ev| match ev {
         WatchEvent::Added(s) => Some(s.obj),
         _ => None,
     };
     let drained = std::iter::from_fn(|| rx.try_recv().ok());
     let mut notices: Vec<T> = drained.filter_map(added).collect();
-    notices.sort_by(|a, b| at(a).cmp(&at(b)).then_with(|| a.name().cmp(b.name())));
+    notices.sort_by_key(at);
     notices
 }
 

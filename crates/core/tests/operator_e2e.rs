@@ -499,3 +499,43 @@ fn one_call_shutdown_runs_all_phases() {
     assert_eq!(op.shutdown_phase(), ShutdownPhase::Terminated);
     assert_eq!(op.leased_executors(), 0);
 }
+
+/// Same-instant notices are reconciled in the order they were posted.
+/// A notice's name is a label: sorting by it would put `fault-10000`
+/// (the 10 001st of a long schedule) before `fault-9999`.
+#[test]
+fn same_instant_notices_reconcile_in_posting_order_not_name_order() {
+    use elastic_core::{FaultNotice, FlakyNotice};
+    use hpc_workload::{FaultKind, FlakyOp};
+    let clock = VirtualClock::new();
+    let mut op = make_operator(Policy::elastic(cfg(10.0)), &clock);
+    let at = clock.now();
+    let fault = |name: &str, at| FaultNotice {
+        name: name.into(),
+        at,
+        slots: 1,
+        kind: FaultKind::NodeFail,
+    };
+    let flaky = |name: &str| FlakyNotice {
+        name: name.into(),
+        at,
+        op: FlakyOp::HeartbeatMiss,
+    };
+    op.faults.create(fault("fault-9999", at)).unwrap();
+    op.faults.create(fault("fault-10000", at)).unwrap();
+    op.flakies.create(flaky("flaky-9999")).unwrap();
+    op.flakies.create(flaky("flaky-10000")).unwrap();
+    // An earlier instant still goes first, whenever it was posted.
+    let earlier = at - Duration::from_secs(1.0);
+    op.faults.create(fault("fault-late-post", earlier)).unwrap();
+    op.tick();
+    let subjects = |kind: &str| -> Vec<String> {
+        let events = op.events.of_kind(kind);
+        events.into_iter().map(|e| e.subject).collect()
+    };
+    assert_eq!(
+        subjects("CapacityLost"),
+        ["fault-late-post", "fault-9999", "fault-10000"]
+    );
+    assert_eq!(subjects("TransientFault"), ["flaky-9999", "flaky-10000"]);
+}

@@ -1,31 +1,59 @@
 //! Workload replay through the batched ingest front-end.
 //!
-//! [`run_workload_ingest`] is the serving-layer counterpart of
-//! `elastic_core::run_workload_virtual`: the same virtual-clock drive
-//! loop, except every submission enters through an [`IngestQueue`]
-//! (buffer → batch → flush) instead of a direct client call. With
-//! `max_delay = 0` the queue flushes at the enqueue instant, every
-//! batch lands with the timestamps the direct path would have produced,
-//! and the operator's admission pass sorts same-instant arrivals
-//! identically — so the replay is **bit-identical** to the legacy
-//! submit loop, for any shard count, on fault-free traces. The
+//! [`run_workload_ingest`] is `elastic_core::run_workload_virtual` with
+//! a different [`ArrivalSink`]: the same drive loop
+//! (`elastic_core::harness`), except every submission enters through an
+//! [`IngestQueue`] (buffer → batch → flush) instead of a direct client
+//! call — faults, flaky notices and cancellations included, since the
+//! loop is the same one. With `max_delay = 0` the queue flushes at the
+//! enqueue instant, every batch lands with the timestamps the direct
+//! path would have produced, and the operator's admission pass sorts
+//! same-instant arrivals identically — so the replay is
+//! **bit-identical** to the direct one, for any shard count. The
 //! workspace `serving_replay` test pins that equivalence.
 
-use elastic_core::{CharmOperator, RunMetrics, Schedule, SubmitRequest};
-use hpc_metrics::{Clock, Duration, VirtualClock};
+use elastic_core::harness::ArrivalSink;
+use elastic_core::{CharmOperator, RunMetrics, SubmitRequest};
+use hpc_metrics::{Duration, SimTime, VirtualClock};
 use hpc_workload::WorkloadSpec;
 
 use crate::ingest::{IngestConfig, IngestQueue, IngestStats};
 
-/// Replays a fault-free [`WorkloadSpec`] through `op` with submissions
-/// routed through a fresh [`IngestQueue`] configured by `cfg`. Panics
-/// if the workload carries fault events (the fault stores are owned by
-/// the core harness) or fails to finish within `max_time`.
-///
 /// A shed submission is retried once after pumping the queue at the
 /// same instant; a second shed panics — deterministic replay requires
-/// capacity for every arrival, so size `cfg.shard_capacity` to the
-/// trace's largest same-instant burst.
+/// capacity for every arrival, so size `shard_capacity` to the trace's
+/// largest same-instant burst.
+impl ArrivalSink for IngestQueue {
+    fn submit(&self, req: SubmitRequest, now: SimTime) {
+        // (The inherent, one-argument `IngestQueue::submit`.)
+        if IngestQueue::submit(self, req.clone())
+            .expect("queue open")
+            .is_shed()
+        {
+            self.pump(now);
+            let retried = IngestQueue::submit(self, req).expect("queue open");
+            assert!(
+                !retried.is_shed(),
+                "shard shed twice at one instant; raise shard_capacity"
+            );
+        }
+    }
+
+    /// Flushes the deadline-due shards — with `max_delay = 0` that is
+    /// all of them, at the arrival instant (the bit-identity setting).
+    fn flush(&self, now: SimTime) {
+        self.pump(now);
+    }
+
+    fn pending(&self) -> usize {
+        self.depth()
+    }
+}
+
+/// Replays a [`WorkloadSpec`] through `op` with submissions routed
+/// through a fresh [`IngestQueue`] configured by `cfg`
+/// ([`ArrivalSink::replay`]). Panics if the replay fails to finish
+/// within `max_time` or a flush was rejected by the store.
 pub fn run_workload_ingest(
     op: &mut CharmOperator,
     clock: &VirtualClock,
@@ -34,65 +62,12 @@ pub fn run_workload_ingest(
     max_time: Duration,
     cfg: IngestConfig,
 ) -> (RunMetrics, IngestStats) {
-    assert!(tick.as_secs() > 0.0, "tick must be positive");
+    let queue = IngestQueue::new(op.client(), cfg);
+    let metrics = queue.replay(op, clock, workload, tick, max_time);
+    let rejects = queue.take_errors();
     assert!(
-        workload.faults.events.is_empty() && workload.faults.flaky.events.is_empty(),
-        "ingest replay drives fault-free traces only"
+        rejects.is_empty(),
+        "flush-time rejects on a validated trace: {rejects:?}"
     );
-    workload.validate().expect("replayable workload");
-    let schedule = Schedule::from_workload(workload);
-    let client = op.client();
-    let queue = IngestQueue::new(client.clone(), cfg);
-    let start = clock.now();
-    let mut next_submit = 0usize;
-    let mut next_cancel = 0usize;
-    loop {
-        let now = clock.now();
-        let elapsed = now - start;
-        // Enqueue every arrival due this instant…
-        while next_submit < schedule.jobs.len() && elapsed >= schedule.submit_at(next_submit) {
-            let req = SubmitRequest::v1(schedule.jobs[next_submit].clone()).expect("valid spec");
-            let resp = queue.submit(req.clone()).expect("queue open");
-            if resp.is_shed() {
-                // Drain the backlog and retry once at the same instant.
-                queue.pump(now);
-                let retried = queue.submit(req).expect("queue open");
-                assert!(
-                    !retried.is_shed(),
-                    "shard shed twice at one instant; raise shard_capacity"
-                );
-            }
-            next_submit += 1;
-        }
-        // …flush deadline-due shards (with max_delay = 0 that is all of
-        // them, at the arrival instant — the bit-identity setting)…
-        queue.pump(now);
-        // …then cancellations, exactly where the legacy pump issues
-        // them: after the instant's submissions have landed.
-        while next_cancel < schedule.cancellations.len()
-            && elapsed >= schedule.cancellations[next_cancel].0
-        {
-            let _ = client.cancel(&schedule.cancellations[next_cancel].1);
-            next_cancel += 1;
-        }
-        // Triple drain: completion → free → admit → launch settles
-        // within one instant (see run_workload_virtual).
-        op.tick();
-        op.tick();
-        op.tick();
-        if next_submit >= schedule.jobs.len() && queue.depth() == 0 && op.all_complete() {
-            let rejects = queue.take_errors();
-            assert!(
-                rejects.is_empty(),
-                "flush-time rejects on a validated trace: {rejects:?}"
-            );
-            return (op.metrics(), queue.stats());
-        }
-        assert!(
-            elapsed <= max_time,
-            "workload did not complete within {max_time}s (queued: {:?})",
-            op.queued_jobs()
-        );
-        clock.advance(tick);
-    }
+    (metrics, queue.stats())
 }

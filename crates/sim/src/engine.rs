@@ -14,10 +14,12 @@
 //!   cancellations (per-job `cancel_at` and [`SimConfig::cancellations`];
 //!   one timed exactly at its job's arrival is *on record* when the job
 //!   is admitted, so the kernel retires it undecided), the policy timer,
-//!   the `FaultSpec`'s capacity events, then the `FlakySpec`'s transient
-//!   faults — pushed in that order, which is the order one operator
-//!   tick reconciles them in. [`SimState::step`] pops an event and calls
-//!   the kernel entry point it maps to.
+//!   the `FaultSpec`'s capacity events and the `FlakySpec`'s transient
+//!   faults. Which of several events at one instant pops first is the
+//!   queue's business — it sorts by the kernel's `EventClass`, the
+//!   order one operator tick reconciles them in — not the seeding
+//!   order's. [`SimState::step`] pops an event and calls the kernel
+//!   entry point it maps to.
 //! * **Progress.** Each job integrates the shape's `rate(replicas)`
 //!   between events; a rescale pauses progress for the modeled overhead
 //!   window; a checkpoint/restart relaunch pays the FullRestart recovery
@@ -356,7 +358,7 @@ pub struct SimState {
 impl SimState {
     /// Validates `workload` and seeds the event queue (submissions
     /// coalesced per timestamp, cancellations, the policy timer, fault
-    /// events last) exactly as a monolithic [`simulate`] run does.
+    /// events) exactly as a monolithic [`simulate`] run does.
     pub fn new(cfg: &SimConfig, workload: &WorkloadSpec) -> SimState {
         workload
             .validate()
@@ -384,7 +386,7 @@ impl SimState {
             i += count;
         }
         // A cancellation timed exactly at its job's arrival is on record
-        // when the Submit (pushed above, so popped first) admits the
+        // when the Submit (popped first: the lower class) admits the
         // job; the Cancel event then finds it terminal. One timed
         // earlier is a no-op, like a client cancelling an unknown name.
         let mut cancel = |queue: &mut EventQueue, at: Duration, i: usize| {
@@ -417,11 +419,8 @@ impl SimState {
                 .unwrap_or_else(|| panic!("cancellation for unknown job {name}"));
             cancel(&mut queue, *at, i);
         }
-        // Fault events are pushed last so at shared instants they sort
-        // after submissions/cancellations — the order the operator's
-        // tick reconciles them in. (Fault instants must not collide
-        // with policy timer firings: the engines order those two
-        // differently.)
+        // Same-instant capacity events keep the spec's order (they tie
+        // on class and name no job, so insertion decides).
         for e in &workload.faults.events {
             let ev = match e.kind {
                 FaultKind::NodeFail => Event::NodeFail { slots: e.slots },
@@ -430,11 +429,6 @@ impl SimState {
             };
             queue.push(SimTime::ZERO + e.at, ev);
         }
-        // Flaky (transient control-plane) events seed after the
-        // capacity faults: at shared instants they sort last, matching
-        // the operator's tick, which reconciles flaky notices after
-        // capacity notices. (`FlakySpec::storm` keeps flaky instants
-        // off the policy-timer grid for the same reason as above.)
         for (i, e) in workload.faults.flaky.events.iter().enumerate() {
             queue.push(SimTime::ZERO + e.at, Event::Flaky { index: i as u32 });
         }

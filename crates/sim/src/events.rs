@@ -4,15 +4,21 @@
 //! an array of time buckets so that push and pop are O(1) amortized
 //! instead of the O(log n) of a binary heap — at trace scale the heap
 //! holds millions of entries and every sift walks ~20 cache-missing
-//! levels, which made it the hottest structure in the engine. Ties in
-//! time break by insertion sequence, so simulation runs are exactly
-//! reproducible: the pop order is identical to the old heap's
-//! `(timestamp, seq)` order, entry for entry.
+//! levels, which made it the hottest structure in the engine.
+//!
+//! Pop order is one total order over the pending entries: timestamp,
+//! then the kernel's [`EventClass`] (the within-instant order the
+//! operator's tick applies too), then the job the event names, then
+//! insertion sequence — `(at, class, job, seq)`, every part computed
+//! from the entry itself. A pop returns the minimum of what is pending
+//! *at that moment*: an entry pushed at the instant being drained pops
+//! next if its class is lower than the one just popped, never before
+//! the cursor. Runs are exactly reproducible.
 //!
 //! Structure:
 //!
 //! * **Current bucket** (`cur`) — the bucket being drained, sorted by
-//!   `(at, seq)` and consumed through a cursor. Pushes that land inside
+//!   that order and consumed through a cursor. Pushes that land inside
 //!   its time window (the common "completion scheduled soon" case, and
 //!   the only-correctness case of a push at or before `now`) are
 //!   binary-inserted behind the cursor.
@@ -26,9 +32,9 @@
 //!   instant, or non-finite) falls back to sorting the whole list as a
 //!   single terminal bucket, which is always correct.
 //!
-//! Bucket assignment is a monotone function of the timestamp and every
-//! same-instant entry carries a strictly increasing `seq`, so no
-//! routing choice can invert the `(at, seq)` total order.
+//! Bucket assignment is a monotone function of the timestamp alone and
+//! every bucket is sorted by the whole key when it is promoted, so no
+//! routing choice can invert the total order.
 //!
 //! Completion events carry a per-job generation number; rescaling a job
 //! bumps its generation, turning any previously scheduled completion
@@ -42,10 +48,11 @@
 //! * **Stale compaction** — the engine reports each invalidated
 //!   completion via [`EventQueue::mark_stale`]; once more than half the
 //!   queue is stale the engine sweeps it with [`EventQueue::compact`],
-//!   which filters each bucket in place (order within a bucket is
-//!   already `(at, seq)` or about to be sorted into it), so
+//!   which filters each bucket in place (a bucket is already in pop
+//!   order or about to be sorted into it), so
 //!   rescale-heavy runs cannot accumulate dead entries without bound.
 
+use elastic_core::kernel::EventClass;
 use hpc_metrics::{JobId, SimTime};
 
 /// A scheduled simulation event.
@@ -112,6 +119,25 @@ pub enum Event {
     },
 }
 
+impl Event {
+    /// Where the event sorts among the events of its instant: its
+    /// kernel class, then the job it names (the first of a submit
+    /// batch; events that name none tie and fall back to insertion).
+    fn order(&self) -> (EventClass, u32) {
+        match *self {
+            Event::Submit { first, .. } => (EventClass::Submit, first.0),
+            Event::Cancel { job } => (EventClass::Cancel, job.0),
+            Event::NodeFail { .. }
+            | Event::CapacityReclaim { .. }
+            | Event::CapacityReturn { .. } => (EventClass::Capacity, 0),
+            Event::Flaky { .. } => (EventClass::Flaky, 0),
+            Event::Requeue { job } => (EventClass::Requeue, job.0),
+            Event::Completion { job, .. } => (EventClass::Completion, job.0),
+            Event::Timer => (EventClass::Timer, 0),
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
     at: SimTime,
@@ -129,7 +155,7 @@ impl Ord for Entry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.at
             .cmp(&other.at)
-            .then_with(|| self.seq.cmp(&other.seq))
+            .then_with(|| (self.event.order(), self.seq).cmp(&(other.event.order(), other.seq)))
     }
 }
 
@@ -151,13 +177,13 @@ const PILE_TARGET: usize = 16;
 
 /// Deterministic calendar event queue with stale-entry accounting.
 ///
-/// Drop-in replacement for the former `BinaryHeap<Reverse<Entry>>`:
-/// identical pop order (time, then insertion sequence), identical
-/// compaction accounting, plus O(1) [`EventQueue::next_at`] peeking
-/// that the engine's same-instant batch drain builds on.
+/// Pops in `(time, class, job, insertion)` order (module docs), keeps
+/// the stale-completion accounting compaction runs on, and peeks in
+/// O(1) ([`EventQueue::next_at`]) for the engine's same-instant batch
+/// drain.
 #[derive(Debug)]
 pub struct EventQueue {
-    /// The bucket currently being drained: sorted by `(at, seq)`,
+    /// The bucket currently being drained: sorted in pop order,
     /// `cur[cur_head..]` still pending.
     cur: Vec<Entry>,
     cur_head: usize,
@@ -227,11 +253,11 @@ impl EventQueue {
         }
         if at.as_secs() < self.cur_end || (self.cur_last && at <= self.epoch_max) {
             // Lands in the bucket being drained: binary-insert behind
-            // the cursor. A push at or before the last popped instant
-            // (never from the engine, but legal here) degenerates to
-            // position `cur_head`, i.e. it pops next — exactly the
-            // heap's behavior.
-            let pos = self.cur_head + self.cur[self.cur_head..].partition_point(|p| p.at <= at);
+            // the cursor, by the whole key. An entry that sorts before
+            // everything pending — a push before the last popped
+            // instant, or at it with a lower class — lands at
+            // `cur_head`, i.e. it pops next.
+            let pos = self.cur_head + self.cur[self.cur_head..].partition_point(|p| *p <= e);
             self.cur.insert(pos, e);
         } else if self.pile_idx < self.piles.len() && at <= self.epoch_max {
             let idx =
@@ -415,9 +441,9 @@ impl EventQueue {
 
     /// Sweeps the queue, keeping only entries for which `is_live`
     /// returns true. Each bucket filters in place — the current bucket
-    /// keeps its sorted order, piles and far list their insertion
-    /// order — so the deterministic pop order is unchanged. Resets the
-    /// stale counter.
+    /// keeps its sorted order, piles and far list are sorted when
+    /// promoted — so the pop order of the survivors is unchanged. Resets
+    /// the stale counter.
     pub fn compact(&mut self, mut is_live: impl FnMut(&Event) -> bool) {
         if self.cur_head > 0 {
             self.cur.drain(..self.cur_head);
@@ -488,14 +514,15 @@ mod tests {
 
     #[test]
     fn equal_times_pop_in_insertion_order() {
+        // Same instant, same class, no job named: insertion decides
+        // (not the payload — the indices go in descending).
         let mut q = EventQueue::new();
-        for job in 0..10 {
-            q.push(t(7.0), submit(job));
+        for index in (0..10).rev() {
+            q.push(t(7.0), Event::Flaky { index });
         }
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| first_of(e))
-            .collect();
-        assert_eq!(order, (0..10).collect::<Vec<_>>());
+        let order: Vec<Event> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        let pushed: Vec<Event> = (0..10).rev().map(|index| Event::Flaky { index }).collect();
+        assert_eq!(order, pushed);
     }
 
     #[test]
@@ -684,10 +711,120 @@ mod tests {
         assert_eq!(order, expect);
     }
 
-    /// Reference model for the calendar queue: the pre-calendar
-    /// `BinaryHeap` semantics — pop strictly by `(timestamp, push
-    /// sequence)` — implemented as an O(n^2) sorted-drain Vec so the
-    /// model itself is too simple to be wrong.
+    fn completion(job: u32, generation: u64) -> Event {
+        Event::Completion {
+            job: JobId(job),
+            generation,
+        }
+    }
+
+    fn drain(q: &mut EventQueue) -> Vec<Event> {
+        std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect()
+    }
+
+    #[test]
+    fn one_instant_pops_by_class_then_job_then_insertion() {
+        let mut q = EventQueue::new();
+        let reversed = [
+            Event::Timer,
+            completion(7, 0),
+            completion(2, 0),
+            Event::Requeue { job: JobId(1) },
+            Event::Flaky { index: 0 },
+            Event::CapacityReturn { slots: 4 },
+            Event::CapacityReclaim { slots: 4 },
+            Event::Cancel { job: JobId(9) },
+            Event::Cancel { job: JobId(3) },
+            submit(5),
+        ];
+        for e in reversed {
+            q.push(t(30.0), e);
+        }
+        q.push(t(29.0), Event::Timer); // time still comes first
+        let expect = vec![
+            Event::Timer,
+            submit(5),
+            Event::Cancel { job: JobId(3) },
+            Event::Cancel { job: JobId(9) },
+            // Capacity events name no job: insertion order.
+            Event::CapacityReturn { slots: 4 },
+            Event::CapacityReclaim { slots: 4 },
+            Event::Flaky { index: 0 },
+            Event::Requeue { job: JobId(1) },
+            completion(2, 0),
+            completion(7, 0),
+            Event::Timer,
+        ];
+        assert_eq!(drain(&mut q), expect);
+    }
+
+    #[test]
+    fn a_lower_class_pushed_at_now_pops_next_never_before_the_cursor() {
+        let mut q = EventQueue::new();
+        q.push(t(10.0), completion(1, 0));
+        q.push(t(10.0), completion(4, 0));
+        q.push(t(10.0), Event::Timer);
+        q.push(t(20.0), submit(9));
+        assert_eq!(q.pop(), Some((t(10.0), completion(1, 0))));
+        // Handling that completion schedules a requeue *at this
+        // instant*: a lower class than what was just popped. It cannot
+        // be un-popped before it; it is the minimum of what is pending.
+        q.push(t(10.0), Event::Requeue { job: JobId(6) });
+        // And a completion of a lower job than the one just popped.
+        q.push(t(10.0), completion(0, 0));
+        let expect = vec![
+            Event::Requeue { job: JobId(6) },
+            completion(0, 0),
+            completion(4, 0),
+            Event::Timer,
+            submit(9),
+        ];
+        assert_eq!(drain(&mut q), expect);
+    }
+
+    #[test]
+    fn stale_and_live_completions_of_one_job_stay_adjacent_in_push_order() {
+        // A job rescaled twice with its completion landing on the same
+        // instant each time: generations 0 and 1 are stale, 2 is live.
+        // They pop back to back (the engine's burst skips the stale
+        // ones), oldest first, between the neighbouring jobs.
+        let mut q = EventQueue::new();
+        q.push(t(5.0), completion(3, 0));
+        q.push(t(5.0), completion(8, 0));
+        q.push(t(5.0), completion(3, 1));
+        q.push(t(5.0), completion(1, 0));
+        q.push(t(5.0), completion(3, 2));
+        let expect = vec![
+            completion(1, 0),
+            completion(3, 0),
+            completion(3, 1),
+            completion(3, 2),
+            completion(8, 0),
+        ];
+        assert_eq!(drain(&mut q), expect);
+    }
+
+    /// The within-instant rank of the reference model, written out
+    /// rather than read off `Event::order`: Submit < Cancel < capacity
+    /// fault < Flaky < Requeue < Completion < Timer, then the job named.
+    fn ref_rank(e: &Event) -> (u8, u32) {
+        match *e {
+            Event::Submit { first, .. } => (0, first.0),
+            Event::Cancel { job } => (1, job.0),
+            Event::NodeFail { .. }
+            | Event::CapacityReclaim { .. }
+            | Event::CapacityReturn { .. } => (2, 0),
+            Event::Flaky { .. } => (3, 0),
+            Event::Requeue { job } => (4, job.0),
+            Event::Completion { job, .. } => (5, job.0),
+            Event::Timer => (6, 0),
+        }
+    }
+
+    /// Reference model for the calendar queue: pop the minimum of what
+    /// is pending by `(timestamp, class rank, job, push sequence)` —
+    /// implemented as an O(n^2) sorted-drain Vec so the model itself is
+    /// too simple to be wrong.
     struct RefQueue {
         entries: Vec<(SimTime, u64, Event)>,
         seq: u64,
@@ -707,11 +844,12 @@ mod tests {
         }
 
         fn pop(&mut self) -> Option<(SimTime, Event)> {
+            let key = |e: &(SimTime, u64, Event)| (e.0, ref_rank(&e.2), e.1);
             let best = self
                 .entries
                 .iter()
                 .enumerate()
-                .min_by(|(_, a), (_, b)| (a.0, a.1).cmp(&(b.0, b.1)))
+                .min_by(|(_, a), (_, b)| key(a).cmp(&key(b)))
                 .map(|(i, _)| i)?;
             let (at, _, e) = self.entries.remove(best);
             Some((at, e))
@@ -723,10 +861,12 @@ mod tests {
     }
 
     proptest! {
-        /// The calendar queue pops in exactly the reference heap order —
-        /// including same-timestamp ties resolved by push sequence —
-        /// under arbitrary interleavings of pushes (with deliberately
-        /// repeated timestamps), pops, stale marks and compaction
+        /// The calendar queue pops in exactly the reference order (what
+        /// a binary heap keyed by time, class, job and push sequence
+        /// would pop) under arbitrary
+        /// interleavings of pushes of every event kind (with
+        /// deliberately repeated timestamps and job ids, and pushes *at*
+        /// the instant being drained), pops, stale marks and compaction
         /// sweeps crossing bucket epochs.
         #[test]
         fn calendar_queue_matches_reference_heap(seed in any::<u64>()) {
@@ -734,17 +874,21 @@ mod tests {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
             let mut q = EventQueue::new();
             let mut r = RefQueue::new();
-            let mut dead: std::collections::HashSet<u32> = std::collections::HashSet::new();
+            let mut dead: Vec<Event> = Vec::new();
+            let mut pushed: Vec<Event> = Vec::new();
             let mut times: Vec<f64> = Vec::new();
-            let mut next_id = 0u32;
+            let mut now = 0.0f64;
             for _ in 0..rng.gen_range(1..60) {
                 match rng.gen_range(0u32..10) {
-                    // Push a burst (often reusing an earlier timestamp so
-                    // same-instant ties are common, sometimes far in the
-                    // future so the far list and epoch rebuilds engage).
+                    // Push a burst (often reusing an earlier timestamp or
+                    // the instant just popped so same-instant ties are
+                    // common, sometimes far in the future so the far
+                    // list and epoch rebuilds engage).
                     0..=5 => {
                         for _ in 0..rng.gen_range(1usize..8) {
-                            let at = if !times.is_empty() && rng.gen_bool(0.3) {
+                            let at = if rng.gen_bool(0.2) {
+                                now
+                            } else if !times.is_empty() && rng.gen_bool(0.3) {
                                 times[rng.gen_range(0..times.len())]
                             } else if rng.gen_bool(0.15) {
                                 rng.gen_range(0.0..1e6)
@@ -752,8 +896,19 @@ mod tests {
                                 rng.gen_range(0.0..500.0)
                             };
                             times.push(at);
-                            let e = submit(next_id);
-                            next_id += 1;
+                            let job = JobId(rng.gen_range(0u32..6));
+                            let e = match rng.gen_range(0u32..9) {
+                                0 => Event::Submit { first: job, count: 2 },
+                                1 => Event::Cancel { job },
+                                2 => Event::NodeFail { slots: job.0 },
+                                3 => Event::CapacityReclaim { slots: job.0 },
+                                4 => Event::CapacityReturn { slots: job.0 },
+                                5 => Event::Flaky { index: job.0 },
+                                6 => Event::Requeue { job },
+                                7 => Event::Timer,
+                                _ => completion(job.0, rng.gen_range(0u64..3)),
+                            };
+                            pushed.push(e);
                             q.push(t(at), e);
                             r.push(t(at), e);
                         }
@@ -764,25 +919,26 @@ mod tests {
                         for _ in 0..rng.gen_range(1usize..6) {
                             let got = q.pop();
                             prop_assert_eq!(got, r.pop());
-                            if let Some((_, e)) = got {
-                                if dead.contains(&first_of(e)) {
+                            if let Some((at, e)) = got {
+                                now = at.as_secs();
+                                if dead.contains(&e) {
                                     q.note_stale_popped();
                                 }
                             }
                         }
                     }
-                    // Kill a random live id and compact both sides.
+                    // Kill every copy of a random pushed event and
+                    // compact both sides.
                     _ => {
-                        if next_id > 0 {
-                            let victim = rng.gen_range(0..next_id);
-                            if dead.insert(victim) {
+                        if !pushed.is_empty() {
+                            let victim = pushed[rng.gen_range(0..pushed.len())];
+                            if !dead.contains(&victim) {
+                                dead.push(victim);
                                 q.mark_stale();
                             }
                         }
-                        let d = dead.clone();
-                        q.compact(|e| !d.contains(&first_of(*e)));
-                        let d = dead.clone();
-                        r.compact(|e| !d.contains(&first_of(*e)));
+                        q.compact(|e| !dead.contains(e));
+                        r.compact(|e| !dead.contains(e));
                     }
                 }
                 prop_assert_eq!(q.len(), r.entries.len(), "length diverged");

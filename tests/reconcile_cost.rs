@@ -13,12 +13,13 @@
 use std::sync::Arc;
 
 use elastic_hpc::core::{
-    CharmJobSpec, CharmOperator, JobPhase, ModelExecutor, Policy, PolicyConfig, SubmitRequest,
+    CharmJobSpec, CharmOperator, JobPhase, ModelExecutor, Policy, PolicyConfig, Schedule,
+    SubmitRequest,
 };
 use elastic_hpc::kube::{ControlPlane, KubeletConfig};
-use elastic_hpc::metrics::{Clock, Duration, VirtualClock};
-use elastic_hpc::serving::{run_workload_ingest, IngestConfig};
-use elastic_hpc::workload::poisson_workload;
+use elastic_hpc::metrics::{Clock, Duration, SimTime, VirtualClock};
+use elastic_hpc::serving::{run_workload_ingest, IngestConfig, IngestQueue};
+use elastic_hpc::workload::{poisson_workload, WorkloadSpec};
 
 /// Job-store scans the debug-build cross-check adds to every tick.
 const CROSS_CHECK_SCANS_PER_TICK: u64 = cfg!(debug_assertions) as u64;
@@ -109,33 +110,58 @@ fn idle_ticks_do_not_depend_on_how_many_jobs_the_store_has_held() {
     );
 }
 
+/// The reconcile rounds a zero-delay ingest replay of `workload` runs:
+/// the drive loop's steps by hand (submit what fell due, flush, settle,
+/// advance), summing what each `settle()` returned.
+fn rounds_of_an_ingest_replay(workload: &WorkloadSpec, tick: Duration, cfg: IngestConfig) -> u64 {
+    let (mut op, clock) = operator();
+    let queue = IngestQueue::new(op.client(), cfg);
+    let schedule = Schedule::from_workload(workload);
+    let (mut next, mut rounds) = (0, 0);
+    loop {
+        let now = clock.now();
+        while next < schedule.jobs.len() && now - SimTime::ZERO >= schedule.submit_at(next) {
+            let req = SubmitRequest::v1(schedule.jobs[next].clone()).expect("valid spec");
+            assert!(!queue.submit(req).expect("queue open").is_shed());
+            next += 1;
+        }
+        queue.pump(now);
+        rounds += u64::from(op.settle());
+        if next == schedule.jobs.len() && queue.depth() == 0 && op.all_complete() {
+            return rounds;
+        }
+        clock.advance(tick);
+    }
+}
+
 #[test]
 fn a_whole_ingest_replay_never_scans_the_job_store() {
     let workload = poisson_workload(11, 40, Duration::from_secs(20.0));
     let tick = Duration::from_secs(60.0);
+    let cfg = IngestConfig {
+        max_delay: Duration::ZERO,
+        ..IngestConfig::default()
+    };
     let (mut op, clock) = operator();
     let job_scans = op.jobs.full_scans();
     let pod_scans = op.plane.pods.full_scans();
-    let start = clock.now();
     let (metrics, stats) = run_workload_ingest(
         &mut op,
         &clock,
         &workload,
         tick,
         Duration::from_secs(1e7),
-        IngestConfig {
-            max_delay: Duration::ZERO,
-            ..IngestConfig::default()
-        },
+        cfg,
     );
     assert_eq!(metrics.jobs.len(), workload.len());
     assert_eq!(stats.flushed, workload.len() as u64);
 
-    // The harness ticks three times per instant and advances the clock
-    // by `tick` between instants, so the clock counts its ticks.
-    let instants = ((clock.now() - start).as_secs() / tick.as_secs()).round() as u64 + 1;
-    let ticks = 3 * instants;
+    // The harness settles each instant, and an instant takes as many
+    // rounds as it needs — counted, not assumed.
+    let ticks = rounds_of_an_ingest_replay(&workload, tick, cfg);
     // The one scan the replay is entitled to: the final `metrics()`.
+    // (In a debug build the cross-check scans make this the proof that
+    // the harness ran exactly the rounds counted above.)
     assert_eq!(
         op.jobs.full_scans() - job_scans,
         1 + ticks * CROSS_CHECK_SCANS_PER_TICK,

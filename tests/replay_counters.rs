@@ -2,28 +2,35 @@
 //!
 //! Every number here is exact and host-independent: events popped off
 //! the DES queue, rescales applied, federation events per shard count,
-//! ingest batches flushed and policy dispatches per submission storm. A
-//! change that makes a replay do more (or different) work moves one of
-//! them on any host; how long that work takes is the `benchmark/`
-//! package's question, not this file's.
+//! ingest batches flushed and policy dispatches per submission storm,
+//! reconcile rounds per settled instant. A change that makes a replay
+//! do more (or different) work moves one of them on any host; how long
+//! that work takes is the `benchmark/` package's question, not this
+//! file's.
 //!
 //! The scenarios are the ones the retired wall-clock smokes ran: the
 //! heavy-traffic scale cluster under the elastic policy and FCFS, the
 //! same trace federated over 1/2/4/8 shards, the bundled SWF trace
-//! through the fault-recovery wrapper with nothing to recover from, and
-//! a 20 000-request storm through the batched ingest queue.
+//! through the fault-recovery wrapper with nothing to recover from, a
+//! 20 000-request storm through the batched ingest queue, and the
+//! operator replays of the bundled trace and of `benchmark/`'s
+//! `op-ingest-replay` Poisson storm, settled instant by instant.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use elastic_hpc::core::{
-    CharmOperator, FaultStats, FcfsBackfill, ModelExecutor, Policy, PolicyConfig, RecoveryPolicy,
-    RecoveryStrategy, RunMetrics, Schedule, SchedulingPolicy, SubmitRequest,
+    run_workload_virtual, ArrivalSink, CharmOperator, FaultStats, FcfsBackfill, ModelExecutor,
+    Policy, PolicyConfig, RecoveryPolicy, RecoveryStrategy, RunMetrics, Schedule, SchedulingPolicy,
+    SubmitRequest,
 };
 use elastic_hpc::federation::{FederationConfig, FederationRuntime, RoundRobin};
 use elastic_hpc::kube::{ControlPlane, KubeletConfig};
-use elastic_hpc::metrics::{Clock, Duration, VirtualClock};
-use elastic_hpc::serving::{IngestConfig, IngestQueue, InstrumentedPolicy, ShardRouter};
+use elastic_hpc::metrics::{Clock, Duration, SimTime, VirtualClock};
+use elastic_hpc::serving::{
+    run_workload_ingest, IngestConfig, IngestQueue, InstrumentedPolicy, ShardRouter,
+};
 use elastic_hpc::sim::experiments::{
     heavy_traffic_workload, SCALE_CAPACITY, SCALE_SUBMISSION_GAP_S,
 };
@@ -101,7 +108,10 @@ fn federated_replay_events_depend_on_shards_not_workers() {
     let workload = heavy_traffic_workload(0, n);
     for (shards, events, turns) in [
         (1, 63_164, 124),
-        (2, 62_283, 123),
+        // 62 283 events in 123 turns until same-instant completions
+        // applied in `JobId` order (the operator's) instead of
+        // queue-push order.
+        (2, 62_230, 122),
         (4, 60_923, 121),
         (8, 59_171, 120),
     ] {
@@ -222,4 +232,97 @@ fn a_submission_storm_costs_batches_not_jobs() {
         assert_eq!(stats.batches, 40, "{shards} shards");
         assert_eq!(counters.submit_bursts(), 5, "{shards} shards");
     }
+}
+
+fn operator(
+    policy: Box<dyn SchedulingPolicy>,
+    nodes: usize,
+    slots_per_node: u32,
+) -> (CharmOperator, VirtualClock) {
+    let clock = VirtualClock::new();
+    let kubelet = KubeletConfig::instant();
+    let plane = ControlPlane::with_nodes(Arc::new(clock.clone()), kubelet, nodes, slots_per_node);
+    let executor = ModelExecutor::ideal(plane.clock());
+    (CharmOperator::new(plane, policy, Box::new(executor)), clock)
+}
+
+/// Replays a fault- and cancellation-free `workload` the way the
+/// harness's drive loop does — submit what fell due, flush, settle,
+/// advance by `tick` — and returns how many instants settled in 1, 2, …
+/// reconcile rounds, with the run's metrics.
+fn settle_histogram(
+    op: &mut CharmOperator,
+    clock: &VirtualClock,
+    sink: &impl ArrivalSink,
+    workload: &WorkloadSpec,
+    tick: Duration,
+) -> (BTreeMap<u32, u32>, RunMetrics) {
+    let schedule = Schedule::from_workload(workload);
+    assert!(schedule.cancellations.is_empty() && workload.faults.events.is_empty());
+    let mut histogram = BTreeMap::new();
+    let mut next = 0;
+    loop {
+        let now = clock.now();
+        while next < schedule.jobs.len() && now - SimTime::ZERO >= schedule.submit_at(next) {
+            let req = SubmitRequest::v1(schedule.jobs[next].clone()).expect("valid spec");
+            sink.submit(req, now);
+            next += 1;
+        }
+        sink.flush(now);
+        *histogram.entry(op.settle()).or_insert(0) += 1;
+        if next == schedule.jobs.len() && sink.pending() == 0 && op.all_complete() {
+            return (histogram, op.metrics());
+        }
+        clock.advance(tick);
+    }
+}
+
+/// How many reconcile rounds an instant takes to settle — a histogram,
+/// not the old harness's constant three. Most instants are idle and
+/// settle in the one round that finds nothing; an instant with a
+/// completion → admit → launch chain takes the rounds that chain needs
+/// plus the echo of the operator's own status writes. The hand loop is
+/// held to the product loop by the metrics it must reproduce.
+#[test]
+fn an_instant_settles_in_these_many_rounds() {
+    let horizon = Duration::from_secs(1e7);
+
+    // The bundled trace, FCFS, 1 s ticks, direct submissions.
+    let trace = bundled_trace(32);
+    let tick = Duration::from_secs(1.0);
+    let (mut op, clock) = operator(fcfs(), 4, 8);
+    let client = op.client();
+    let (histogram, metrics) = settle_histogram(&mut op, &clock, &client, &trace, tick);
+    let (mut op, clock) = operator(fcfs(), 4, 8);
+    let harness = run_workload_virtual(&mut op, &clock, &trace, tick, horizon);
+    assert_eq!(metrics, harness, "bundled trace");
+    let pinned = BTreeMap::from([(1, 2081), (2, 14), (3, 6), (4, 11), (5, 9)]);
+    assert_eq!(histogram, pinned, "bundled trace");
+
+    // `benchmark/`'s op-ingest-replay at seed 0: 240 Poisson arrivals,
+    // elastic policy, 60 s ticks, zero-delay ingest over 4 shards.
+    let storm = poisson_workload(0, 240, Duration::from_secs(20.0));
+    let tick = Duration::from_secs(60.0);
+    let ingest = IngestConfig {
+        shards: 4,
+        shard_capacity: 4096,
+        batch_size: 256,
+        max_delay: Duration::ZERO,
+        retry_after: Duration::ZERO,
+        router: ShardRouter::RoundRobin,
+    };
+    let (mut op, clock) = operator(elastic(), 4, 16);
+    let queue = IngestQueue::new(op.client(), ingest);
+    let (histogram, metrics) = settle_histogram(&mut op, &clock, &queue, &storm, tick);
+    let (mut op, clock) = operator(elastic(), 4, 16);
+    let (harness, _) = run_workload_ingest(&mut op, &clock, &storm, tick, horizon, ingest);
+    assert_eq!(metrics, harness, "op-ingest-replay storm");
+    let pinned = BTreeMap::from([(1, 1974), (2, 61), (3, 3), (4, 4), (5, 114), (6, 116)]);
+    assert_eq!(histogram, pinned, "op-ingest-replay storm");
+    // 2 272 instants, 3 387 rounds; three rounds an instant were 6 816.
+    let rounds = |h: &BTreeMap<u32, u32>| h.iter().map(|(n, instants)| n * instants).sum::<u32>();
+    assert_eq!(
+        (histogram.values().sum::<u32>(), rounds(&histogram)),
+        (2_272, 3_387)
+    );
 }
