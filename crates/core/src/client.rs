@@ -228,15 +228,14 @@ impl SchedulerClient {
     /// The job's current status, or [`SchedulerError::UnknownJob`].
     pub fn job_status(&self, name: &str) -> Result<CharmJobStatus, SchedulerError> {
         self.jobs
-            .get(name)
-            .map(|s| s.obj.status)
+            .read(name, |s| s.obj.status.clone())
             .ok_or_else(|| SchedulerError::UnknownJob(name.to_string()))
     }
 
     /// The job's lifecycle phase, or `None` if it does not exist — the
     /// infallible convenience getter (poll loops prefer it).
     pub fn phase(&self, name: &str) -> Option<JobPhase> {
-        self.jobs.get(name).map(|s| s.obj.status.phase)
+        self.jobs.read(name, |s| s.obj.status.phase)
     }
 
     /// Every job's `(name, status)`, in unspecified order — the
@@ -246,7 +245,7 @@ impl SchedulerClient {
         self.jobs
             .list()
             .into_iter()
-            .map(|s| (s.obj.spec.name.clone(), s.obj.status))
+            .map(|s| (s.obj.spec.name.clone(), s.obj.status.clone()))
             .collect()
     }
 
@@ -258,11 +257,10 @@ impl SchedulerClient {
     /// [`watch_events`]: SchedulerClient::watch_events
     /// [`phase`]: SchedulerClient::phase
     pub fn cancel(&self, name: &str) -> Result<(), SchedulerError> {
-        let stored = self
-            .jobs
-            .get(name)
+        let phase = self
+            .phase(name)
             .ok_or_else(|| SchedulerError::UnknownJob(name.to_string()))?;
-        if stored.obj.status.phase.is_terminal() {
+        if phase.is_terminal() {
             return Err(SchedulerError::AlreadyTerminal(name.to_string()));
         }
         self.jobs
@@ -285,7 +283,7 @@ impl SchedulerClient {
         let known = snapshot
             .into_iter()
             .map(|s| {
-                let j = s.obj;
+                let j = &s.obj;
                 (j.spec.name.clone(), (j.status.phase, j.status.replicas))
             })
             .collect();
@@ -337,12 +335,12 @@ impl JobEventStream {
     /// currently drained (more may arrive later).
     pub fn try_next(&mut self) -> Option<JobEvent> {
         while let Ok(ev) = self.rx.try_recv() {
-            let job = match ev {
-                WatchEvent::Added(s) | WatchEvent::Modified(s) => s.obj,
+            let stored = match ev {
+                WatchEvent::Added(s) | WatchEvent::Modified(s) => s,
                 WatchEvent::Deleted(_) => continue,
             };
-            let name = job.spec.name.clone();
-            let st = &job.status;
+            let name = stored.obj.spec.name.clone();
+            let st = &stored.obj.status;
             let prev = self.known.insert(name.clone(), (st.phase, st.replicas));
             let kind = match (prev, st.phase) {
                 (None, JobPhase::Queued) => Some(JobEventKind::Submitted),

@@ -32,8 +32,9 @@
 //!   added, teardown on cancellation, launch progress on pod phase
 //!   changes) plus a timer pass for poll-only state (executor
 //!   acknowledgements, completions). `tick()` drains the event queues
-//!   and costs O(events + running jobs + live pods) — it never scans
-//!   the job store, however many jobs that has held; `settle()` ticks
+//!   and costs O(events + running jobs + pods that changed) — it never
+//!   scans the job store, however many jobs that has held, nor the pod
+//!   store unless it binds pods; `settle()` ticks
 //!   until the instant has nothing left to reconcile.
 //! * **[`SchedulerClient`]** — the typed client handle, speaking the
 //!   versioned request/response API: build a spec with

@@ -43,17 +43,18 @@
 //! The CharmJob store keeps every job ever submitted, so a round that
 //! scanned it would get slower for as long as the operator stays up.
 //! The rule: one [`tick`](CharmOperator::tick) costs
-//! O(events drained + running jobs + live pods) and never scans or
-//! deep-clones the job store. Names are interned into dense [`JobId`]s
-//! by the [`JobRegistry`] at admission and everything per event is
-//! keyed by id; what the operator needs from a CRD it reads through the
-//! borrowed [`Store::read`]; which jobs are `Running` is the key set of
-//! the executor-handle map; whether everything is terminal
+//! O(events drained + running jobs + pods that changed) and never
+//! scans or deep-clones the job store. Names are interned into dense
+//! [`JobId`]s by the [`JobRegistry`] at admission and everything per
+//! event is keyed by id; what the operator needs from a CRD it reads
+//! through the borrowed [`Store::read`]; which jobs are `Running` is the
+//! key set of the executor-handle map; whether everything is terminal
 //! ([`all_complete`](CharmOperator::all_complete)) is the kernel's
 //! tallies against the store's length; a job's pods come from the pod
-//! store's by-owner index. The pod store *is* scanned each round
-//! (scheduler, kubelet, garbage collection), but borrowed, and it holds
-//! only live pods.
+//! store's by-owner index, and the pod controllers (scheduler, kubelet,
+//! garbage collection) read its lifecycle-stage index: a round in which
+//! no pod moved visits none. What the watch streams deliver are
+//! pointers to the stored objects, not copies.
 //!
 //! [`Store::full_scans`] makes the rule a count tests hold: it does
 //! not move on the job store across `tick`/`all_complete`, except for
@@ -70,11 +71,12 @@
 //! [`JobRegistry`]: crate::registry::JobRegistry
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::sync::Arc;
 
 use crossbeam::channel::Receiver;
 use hpc_metrics::{Duration, JobId, SimTime, UtilizationRecorder};
 use hpc_workload::{FaultEvent, FaultKind, FaultSpec};
-use kube_sim::{ControlPlane, EventLog, Pod, PodRole, Store, WatchEvent};
+use kube_sim::{ControlPlane, EventLog, Pod, PodRole, Store, Stored, WatchEvent};
 
 use elastic_resilience::{LeasePool, Lifecycle, ShutdownPhase, SlotLease};
 
@@ -395,12 +397,12 @@ impl CharmOperator {
             match ev {
                 WatchEvent::Added(s) => {
                     if s.obj.status.phase == JobPhase::Queued {
-                        admissions.push((s.obj.status.submitted_at, s.obj.spec.name));
+                        admissions.push((s.obj.status.submitted_at, s.obj.spec.name.clone()));
                     }
                 }
                 WatchEvent::Modified(s) => {
                     if s.obj.status.cancel_requested && !s.obj.status.phase.is_terminal() {
-                        cancels.push(s.obj.spec.name);
+                        cancels.push(s.obj.spec.name.clone());
                     }
                 }
                 WatchEvent::Deleted(_) => {}
@@ -440,6 +442,7 @@ impl CharmOperator {
         let notices = drain_added(&self.faults_rx, |n| n.at);
         let now = self.plane.now();
         for n in &notices {
+            let n = &n.obj;
             let (kernel, policy, mut fx) = self.split();
             if n.kind == FaultKind::Return {
                 let message = format!("{} slots back", n.slots);
@@ -465,6 +468,7 @@ impl CharmOperator {
         let notices = drain_added(&self.flakies_rx, |n| n.at);
         let now = self.plane.now();
         for n in &notices {
+            let n = &n.obj;
             let (kernel, policy, mut fx) = self.split();
             let outcome = kernel.flaky(n.op, now, policy, &mut fx);
             let message = format!("{} -> {outcome:?}", n.op);
@@ -499,16 +503,17 @@ impl CharmOperator {
     /// only: launch checks for `Starting` jobs whose pods moved.
     /// `true` if any pod had.
     fn reconcile_pod_events(&mut self) -> bool {
-        // Owners sorted and deduplicated in one structure.
-        let mut touched: BTreeSet<String> = BTreeSet::new();
+        // The events' own pods lend their owners' names: sorted and
+        // deduplicated by owner, nothing is cloned.
+        let mut touched: Vec<Arc<Stored<Pod>>> = Vec::new();
         while let Ok(ev) = self.pods_rx.try_recv() {
-            let pod = match ev {
-                WatchEvent::Added(s) | WatchEvent::Modified(s) | WatchEvent::Deleted(s) => s.obj,
-            };
-            touched.insert(pod.owner);
+            let (WatchEvent::Added(s) | WatchEvent::Modified(s) | WatchEvent::Deleted(s)) = ev;
+            touched.push(s);
         }
-        for name in &touched {
-            self.try_launch(name);
+        touched.sort_by(|a, b| a.obj.owner.cmp(&b.obj.owner));
+        touched.dedup_by(|a, b| a.obj.owner == b.obj.owner);
+        for pod in &touched {
+            self.try_launch(&pod.obj.owner);
         }
         !touched.is_empty()
     }
@@ -745,7 +750,7 @@ impl CharmOperator {
             .list()
             .into_iter()
             .filter(|s| s.obj.status.phase == JobPhase::Queued)
-            .map(|s| s.obj.spec.name)
+            .map(|s| s.obj.spec.name.clone())
             .collect()
     }
 
@@ -852,14 +857,14 @@ impl CharmOperator {
 /// instant, then in the order they were posted (the watch stream's; a
 /// notice's name is a label, not a sort key — `fault-10000` does not
 /// precede `fault-9999`).
-fn drain_added<T>(rx: &Receiver<WatchEvent<T>>, at: impl Fn(&T) -> SimTime) -> Vec<T> {
+fn drain_added<T>(rx: &Receiver<WatchEvent<T>>, at: impl Fn(&T) -> SimTime) -> Vec<Arc<Stored<T>>> {
     let added = |ev| match ev {
-        WatchEvent::Added(s) => Some(s.obj),
+        WatchEvent::Added(s) => Some(s),
         _ => None,
     };
     let drained = std::iter::from_fn(|| rx.try_recv().ok());
-    let mut notices: Vec<T> = drained.filter_map(added).collect();
-    notices.sort_by_key(at);
+    let mut notices: Vec<_> = drained.filter_map(added).collect();
+    notices.sort_by_key(|n| at(&n.obj));
     notices
 }
 

@@ -64,7 +64,7 @@ fn live_jobs(op: &CharmOperator) -> Vec<String> {
         .list()
         .into_iter()
         .filter(|s| !s.obj.status.phase.is_terminal())
-        .map(|s| s.obj.spec.name)
+        .map(|s| s.obj.spec.name.clone())
         .collect();
     names.sort();
     names

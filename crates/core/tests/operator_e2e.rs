@@ -58,7 +58,7 @@ fn single_job_lifecycle() {
         "total {}",
         metrics.total_time
     );
-    let job = op.jobs.get("j1").unwrap().obj;
+    let job = op.jobs.get("j1").unwrap().obj.clone();
     assert_eq!(job.status.phase, JobPhase::Completed);
     assert_eq!(op.rescales(), 0);
 }
@@ -72,7 +72,7 @@ fn pods_and_nodelist_follow_job() {
     // Launcher + 8 workers exist and run.
     assert!(op.plane.job_pods_running("j1", PodRole::Worker, 8));
     assert!(op.plane.job_pods_running("j1", PodRole::Launcher, 1));
-    let cm = op.plane.configmaps.get("j1-nodelist").unwrap().obj;
+    let cm = op.plane.configmaps.get("j1-nodelist").unwrap().obj.clone();
     assert_eq!(cm.data["hosts"].lines().count(), 8);
     assert!(cm.data["hosts"].contains("j1-w0007"));
 }
@@ -97,7 +97,7 @@ fn high_priority_submission_shrinks_low_priority_job() {
     op.tick();
     // The shrink was signalled and applied before "hot" could start.
     assert!(!op.events.of_kind("ShrinkSignalled").is_empty());
-    let low_mid = op.jobs.get("low").unwrap().obj;
+    let low_mid = op.jobs.get("low").unwrap().obj.clone();
     assert!(
         low_mid.status.replicas < low_before,
         "low was not shrunk: {} -> {}",
@@ -109,7 +109,7 @@ fn high_priority_submission_shrinks_low_priority_job() {
         clock.advance(Duration::from_secs(1.0));
         op.tick();
     }
-    let hot = op.jobs.get("hot").unwrap().obj;
+    let hot = op.jobs.get("hot").unwrap().obj.clone();
     assert_eq!(
         hot.status.phase,
         JobPhase::Completed,
@@ -159,7 +159,7 @@ fn queued_job_starts_when_slots_free() {
         guard += 1;
         assert!(guard < 10_000, "jobs never completed");
     }
-    let second = op.jobs.get("second").unwrap().obj;
+    let second = op.jobs.get("second").unwrap().obj.clone();
     assert!(second.status.started_at.is_some());
     assert!(!op.events.of_subject("second").is_empty());
 }
@@ -377,7 +377,7 @@ fn evict_mid_expand_with_fault_pending_leaks_no_slots() {
         &op.rebuild_view(),
         "view consistent after evict-mid-expand + fault"
     );
-    let a = op.jobs.get("a").unwrap().obj;
+    let a = op.jobs.get("a").unwrap().obj.clone();
     assert_eq!(a.status.phase, JobPhase::Queued, "a demoted to the queue");
     // Capacity returns: "a" relaunches from its checkpoint and finishes.
     op.faults

@@ -8,6 +8,19 @@
 //! the in-process substitution behaviour-preserving: the policy code
 //! sees the same state-machine surface a real operator would.
 //!
+//! ## Objects are shared, not copied
+//!
+//! Every object lives in one `Arc<Stored<T>>`. The store's map, each
+//! [`WatchEvent`] in each watcher's queue, and the values
+//! [`Store::create`], [`Store::update`], [`Store::delete`],
+//! [`Store::get`], [`Store::list`] and [`Store::list_watch`] return are
+//! pointer clones of it (the client-go shared-informer / kube-rs
+//! reflector idiom): an object costs its memory once, however many
+//! watchers queue it. The one deep copy left is [`Store::update`]'s
+//! copy-on-write — at most one `T::clone` per mutation, and only while
+//! something else (an undrained event, a held snapshot) still points at
+//! the previous version; create and delete copy nothing.
+//!
 //! ## Three kinds of read
 //!
 //! A store outlives most of what it holds (the CharmJob store keeps
@@ -15,16 +28,17 @@
 //! what it returns:
 //!
 //! * **Borrowed** — [`Store::read`] and [`Store::for_each`] hand the
-//!   caller `&Stored<T>` under the store lock and clone nothing. `read`
-//!   is one hash lookup; `for_each` visits every object.
-//! * **Indexed** — a store built with [`Store::indexed`] keeps one
-//!   secondary index (the client-go *Indexer* idiom) up to date inside
+//!   caller the stored object under the store lock. `read` is one hash
+//!   lookup; `for_each` visits every object.
+//! * **Indexed** — a store built with [`Store::indexed`] keeps named
+//!   secondary indexes (the client-go *Indexer* idiom) up to date inside
 //!   `create`/`update`/`delete`; [`Store::for_each_in`] visits only the
-//!   objects filed under one key, in name order.
+//!   objects one index files under one key, in name order.
 //! * **Snapshot** — [`Store::get`], [`Store::list`] and
-//!   [`Store::list_watch`] return deep clones that stay valid after the
-//!   lock is released. They are for cold callers: reports, re-syncs,
-//!   reference rebuilds and tests.
+//!   [`Store::list_watch`] return `Arc`s that stay valid (and keep
+//!   showing the version they were taken at) after the lock is
+//!   released. Holding one across an `update` of the same object is
+//!   what makes that update copy.
 //!
 //! Reconcile loops use the first two; [`Store::full_scans`] counts the
 //! reads that visit every object (`list`, `list_watch`, `for_each`) so
@@ -38,8 +52,10 @@ use std::sync::Arc;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-/// Anything storable: cloneable, named, sendable.
-pub trait Resource: Clone + Send + 'static {
+/// Anything storable: cloneable (for [`Store::update`]'s copy-on-write),
+/// named, and shareable across threads — the store hands out `Arc`s of
+/// what it holds.
+pub trait Resource: Clone + Send + Sync + 'static {
     /// The object's unique-within-store name.
     fn name(&self) -> &str;
 }
@@ -55,15 +71,16 @@ pub struct Stored<T> {
     pub resource_version: u64,
 }
 
-/// A watch stream event.
+/// A watch stream event. The object is shared with the store and with
+/// every other watcher's copy of the event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WatchEvent<T> {
     /// Object created.
-    Added(Stored<T>),
+    Added(Arc<Stored<T>>),
     /// Object mutated.
-    Modified(Stored<T>),
+    Modified(Arc<Stored<T>>),
     /// Object removed.
-    Deleted(Stored<T>),
+    Deleted(Arc<Stored<T>>),
 }
 
 /// Errors returned by store operations.
@@ -86,44 +103,76 @@ impl std::fmt::Display for ApiError {
 
 impl std::error::Error for ApiError {}
 
-/// The optional secondary index: object names filed under the key
-/// `key_of` derives from each object.
+/// What a secondary index files an object under.
+pub type KeyOf<T> = fn(&T) -> &str;
+
+/// One named secondary index: object names filed under the key `key_of`
+/// derives from each object. Keys and names are `Arc<str>`s shared with
+/// the store's map, so moving an object between keys allocates nothing.
 struct Index<T> {
-    key_of: fn(&T) -> &str,
-    names_by_key: HashMap<String, BTreeSet<String>>,
+    name: &'static str,
+    key_of: KeyOf<T>,
+    names_by_key: HashMap<Arc<str>, BTreeSet<Arc<str>>>,
+    /// The key an object about to be mutated is filed under
+    /// ([`Index::mark`] → [`Index::refile`]).
+    marked: Option<Arc<str>>,
 }
 
 impl<T> Index<T> {
-    fn file(&mut self, key: &str, name: &str) {
-        self.names_by_key
-            .entry(key.to_string())
-            .or_default()
-            .insert(name.to_string());
+    fn file(&mut self, obj: &T, name: Arc<str>) {
+        let key = (self.key_of)(obj);
+        match self.names_by_key.get_mut(key) {
+            Some(names) => names.insert(name),
+            None => self
+                .names_by_key
+                .entry(Arc::from(key))
+                .or_default()
+                .insert(name),
+        };
     }
 
-    fn unfile(&mut self, key: &str, name: &str) {
-        if let Some(names) = self.names_by_key.get_mut(key) {
-            names.remove(name);
-            if names.is_empty() {
-                self.names_by_key.remove(key);
-            }
+    /// Unfiles `name` from under `key` and returns the shared name.
+    fn unfile(&mut self, key: &str, name: &str) -> Arc<str> {
+        let names = self.names_by_key.get_mut(key).expect("key is indexed");
+        let name = names.take(name).expect("object is filed under its key");
+        if names.is_empty() {
+            self.names_by_key.remove(key);
+        }
+        name
+    }
+
+    /// Remembers the key `obj` is filed under, before it is mutated.
+    fn mark(&mut self, obj: &T) {
+        let (key, _) = self
+            .names_by_key
+            .get_key_value((self.key_of)(obj))
+            .expect("object is filed under its key");
+        self.marked = Some(Arc::clone(key));
+    }
+
+    /// Moves `name` from the marked key to `obj`'s, if they differ.
+    fn refile(&mut self, obj: &T, name: &str) {
+        let before = self.marked.take().expect("marked before the mutation");
+        if *before != *(self.key_of)(obj) {
+            let name = self.unfile(&before, name);
+            self.file(obj, name);
         }
     }
 }
 
 struct StoreInner<T> {
-    objects: HashMap<String, Stored<T>>,
+    objects: HashMap<Arc<str>, Arc<Stored<T>>>,
     watchers: Vec<Sender<WatchEvent<T>>>,
-    index: Option<Index<T>>,
+    indexes: Vec<Index<T>>,
 }
 
 /// A typed object store. Cloning shares the underlying state.
 ///
-/// See the [module docs](self) for which reads are borrowed, indexed
-/// or snapshots. The closures passed to [`Store::read`],
-/// [`Store::for_each`], [`Store::for_each_in`] and [`Store::update`]
-/// run under the store lock: they must not call back into the same
-/// store.
+/// See the [module docs](self) for what is shared and which reads are
+/// borrowed, indexed or snapshots. The closures passed to
+/// [`Store::read`], [`Store::for_each`], [`Store::for_each_in`] and
+/// [`Store::update`] run under the store lock: they must not call back
+/// into the same store.
 pub struct Store<T: Resource> {
     inner: Arc<Mutex<StoreInner<T>>>,
     next_uid: Arc<AtomicU64>,
@@ -151,25 +200,29 @@ impl<T: Resource> Default for Store<T> {
 impl<T: Resource> Store<T> {
     /// An empty store.
     pub fn new() -> Self {
-        Self::with_index(None)
+        Self::indexed(&[])
     }
 
-    /// An empty store that also files every object under
-    /// `key_of(&obj)`, so [`Store::for_each_in`] can visit one key's
-    /// objects without touching the rest (pods by owning job, say).
-    pub fn indexed(key_of: fn(&T) -> &str) -> Self {
-        Self::with_index(Some(Index {
-            key_of,
-            names_by_key: HashMap::new(),
-        }))
-    }
-
-    fn with_index(index: Option<Index<T>>) -> Self {
+    /// An empty store that also files every object, in each named
+    /// index, under that index's `key_of(&obj)`, so
+    /// [`Store::for_each_in`] can visit one key's objects without
+    /// touching the rest (pods by owning job, say, and by lifecycle
+    /// stage).
+    pub fn indexed(indexes: &[(&'static str, KeyOf<T>)]) -> Self {
+        let indexes = indexes
+            .iter()
+            .map(|&(name, key_of)| Index {
+                name,
+                key_of,
+                names_by_key: HashMap::new(),
+                marked: None,
+            })
+            .collect();
         Store {
             inner: Arc::new(Mutex::new(StoreInner {
                 objects: HashMap::new(),
                 watchers: Vec::new(),
-                index,
+                indexes,
             })),
             next_uid: Arc::new(AtomicU64::new(1)),
             next_rv: Arc::new(AtomicU64::new(1)),
@@ -177,66 +230,76 @@ impl<T: Resource> Store<T> {
         }
     }
 
-    fn notify(inner: &mut StoreInner<T>, event: WatchEvent<T>) {
-        inner.watchers.retain(|w| w.send(event.clone()).is_ok());
+    /// Sends every watcher its own pointer to `stored`, wrapped by
+    /// `kind`, and prunes the watchers that hung up.
+    fn notify(
+        inner: &mut StoreInner<T>,
+        kind: fn(Arc<Stored<T>>) -> WatchEvent<T>,
+        stored: &Arc<Stored<T>>,
+    ) {
+        inner
+            .watchers
+            .retain(|w| w.send(kind(Arc::clone(stored))).is_ok());
     }
 
-    /// Creates `obj`; fails if the name exists.
-    pub fn create(&self, obj: T) -> Result<Stored<T>, ApiError> {
-        let mut inner = self.inner.lock();
-        let name = obj.name().to_string();
-        if inner.objects.contains_key(&name) {
-            return Err(ApiError::AlreadyExists(name));
+    /// Creates `obj`; fails if the name exists. Copies nothing.
+    pub fn create(&self, obj: T) -> Result<Arc<Stored<T>>, ApiError> {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        if inner.objects.contains_key(obj.name()) {
+            return Err(ApiError::AlreadyExists(obj.name().to_string()));
         }
-        let stored = Stored {
+        let name: Arc<str> = Arc::from(obj.name());
+        let stored = Arc::new(Stored {
             obj,
             uid: self.next_uid.fetch_add(1, Ordering::Relaxed),
             resource_version: self.next_rv.fetch_add(1, Ordering::Relaxed),
-        };
-        if let Some(index) = &mut inner.index {
-            index.file((index.key_of)(&stored.obj), &name);
+        });
+        for index in &mut inner.indexes {
+            index.file(&stored.obj, Arc::clone(&name));
         }
-        inner.objects.insert(name, stored.clone());
-        Self::notify(&mut inner, WatchEvent::Added(stored.clone()));
+        inner.objects.insert(name, Arc::clone(&stored));
+        Self::notify(inner, WatchEvent::Added, &stored);
         Ok(stored)
     }
 
-    /// Fetches a snapshot (deep clone) by name. Callers that need a
-    /// field or two use [`Store::read`] instead.
-    pub fn get(&self, name: &str) -> Option<Stored<T>> {
+    /// The named object as of now. Callers that need a field or two use
+    /// [`Store::read`] instead.
+    pub fn get(&self, name: &str) -> Option<Arc<Stored<T>>> {
         self.inner.lock().objects.get(name).cloned()
     }
 
-    /// A snapshot (deep clone) of all objects, in unspecified order.
-    /// Counts as a full scan.
-    pub fn list(&self) -> Vec<Stored<T>> {
+    /// A snapshot of all objects, in unspecified order. Counts as a
+    /// full scan.
+    pub fn list(&self) -> Vec<Arc<Stored<T>>> {
         self.full_scans.fetch_add(1, Ordering::Relaxed);
         self.inner.lock().objects.values().cloned().collect()
     }
 
     /// Borrowed read: runs `f` on the named object under the store
     /// lock and returns its answer, or `None` if the name is unknown.
-    /// Clones nothing.
     pub fn read<R>(&self, name: &str, f: impl FnOnce(&Stored<T>) -> R) -> Option<R> {
-        self.inner.lock().objects.get(name).map(f)
+        self.inner.lock().objects.get(name).map(|s| f(s))
     }
 
     /// Borrowed scan: runs `f` on every object under the store lock
-    /// (unspecified order). Clones nothing; counts as a full scan.
-    pub fn for_each(&self, mut f: impl FnMut(&Stored<T>)) {
+    /// (unspecified order). Counts as a full scan.
+    pub fn for_each(&self, mut f: impl FnMut(&Arc<Stored<T>>)) {
         self.full_scans.fetch_add(1, Ordering::Relaxed);
         self.inner.lock().objects.values().for_each(&mut f);
     }
 
     /// Indexed scan: runs `f`, under the store lock and in name order,
-    /// on exactly the objects whose index key equals `key`. Costs
+    /// on exactly the objects `index` files under `key`. Costs
     /// O(matches), whatever else the store holds.
     ///
     /// # Panics
-    /// If the store was not built with [`Store::indexed`].
-    pub fn for_each_in(&self, key: &str, mut f: impl FnMut(&Stored<T>)) {
+    /// If the store was not built with an index of that name.
+    pub fn for_each_in(&self, index: &str, key: &str, mut f: impl FnMut(&Arc<Stored<T>>)) {
         let inner = self.inner.lock();
-        let index = inner.index.as_ref().expect("store has no index");
+        let index = (inner.indexes.iter())
+            .find(|i| i.name == index)
+            .unwrap_or_else(|| panic!("store has no index {index:?}"));
         for name in index.names_by_key.get(key).into_iter().flatten() {
             f(&inner.objects[name]);
         }
@@ -260,43 +323,45 @@ impl<T: Resource> Store<T> {
     }
 
     /// Applies `mutate` to the named object under the store lock and
-    /// bumps its resource version.
-    pub fn update(&self, name: &str, mutate: impl FnOnce(&mut T)) -> Result<Stored<T>, ApiError> {
+    /// bumps its resource version. Copy-on-write: the object is cloned
+    /// first, once, if anything else still holds the previous version.
+    pub fn update(
+        &self,
+        name: &str,
+        mutate: impl FnOnce(&mut T),
+    ) -> Result<Arc<Stored<T>>, ApiError> {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        let shared = inner
+            .objects
+            .get_mut(name)
+            .ok_or_else(|| ApiError::NotFound(name.to_string()))?;
+        for index in &mut inner.indexes {
+            index.mark(&shared.obj);
+        }
+        let stored = Arc::make_mut(shared);
+        mutate(&mut stored.obj);
+        stored.resource_version = self.next_rv.fetch_add(1, Ordering::Relaxed);
+        for index in &mut inner.indexes {
+            index.refile(&stored.obj, name);
+        }
+        let stored = Arc::clone(shared);
+        Self::notify(inner, WatchEvent::Modified, &stored);
+        Ok(stored)
+    }
+
+    /// Removes by name, returning the last state. Copies nothing.
+    pub fn delete(&self, name: &str) -> Result<Arc<Stored<T>>, ApiError> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
         let stored = inner
             .objects
-            .get_mut(name)
-            .ok_or_else(|| ApiError::NotFound(name.to_string()))?;
-        match &mut inner.index {
-            Some(index) => {
-                let before = (index.key_of)(&stored.obj).to_string();
-                mutate(&mut stored.obj);
-                let after = (index.key_of)(&stored.obj);
-                if before != after {
-                    index.unfile(&before, name);
-                    index.file(after, name);
-                }
-            }
-            None => mutate(&mut stored.obj),
-        }
-        stored.resource_version = self.next_rv.fetch_add(1, Ordering::Relaxed);
-        let snapshot = stored.clone();
-        Self::notify(inner, WatchEvent::Modified(snapshot.clone()));
-        Ok(snapshot)
-    }
-
-    /// Removes by name, returning the last state.
-    pub fn delete(&self, name: &str) -> Result<Stored<T>, ApiError> {
-        let mut inner = self.inner.lock();
-        let stored = inner
-            .objects
             .remove(name)
             .ok_or_else(|| ApiError::NotFound(name.to_string()))?;
-        if let Some(index) = &mut inner.index {
+        for index in &mut inner.indexes {
             index.unfile((index.key_of)(&stored.obj), name);
         }
-        Self::notify(&mut inner, WatchEvent::Deleted(stored.clone()));
+        Self::notify(inner, WatchEvent::Deleted, &stored);
         Ok(stored)
     }
 
@@ -316,8 +381,8 @@ impl<T: Resource> Store<T> {
     /// `watch()` pair races — an object created between the two calls is
     /// missing from the snapshot and produces no event. Informer-style
     /// consumers (the CharmJob reconciler) must use this. The snapshot
-    /// is a deep clone and counts as a full scan.
-    pub fn list_watch(&self) -> (Vec<Stored<T>>, Receiver<WatchEvent<T>>) {
+    /// counts as a full scan.
+    pub fn list_watch(&self) -> (Vec<Arc<Stored<T>>>, Receiver<WatchEvent<T>>) {
         self.full_scans.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock();
         let snapshot = inner.objects.values().cloned().collect();
@@ -510,13 +575,13 @@ mod tests {
 
     fn names_in(store: &Store<Obj>, key: &str) -> Vec<String> {
         let mut names = Vec::new();
-        store.for_each_in(key, |s| names.push(s.obj.name.clone()));
+        store.for_each_in("sign", key, |s| names.push(s.obj.name.clone()));
         names
     }
 
     #[test]
     fn index_follows_create_update_delete() {
-        let store: Store<Obj> = Store::indexed(sign);
+        let store: Store<Obj> = Store::indexed(&[("sign", sign)]);
         store.create(obj("b", 1)).unwrap();
         store.create(obj("a", 2)).unwrap();
         store.create(obj("c", -1)).unwrap();
@@ -540,7 +605,7 @@ mod tests {
     #[should_panic(expected = "no index")]
     fn for_each_in_needs_an_index() {
         let store: Store<Obj> = Store::new();
-        store.for_each_in("k", |_| {});
+        store.for_each_in("sign", "k", |_| {});
     }
 
     proptest::proptest! {
@@ -550,7 +615,7 @@ mod tests {
         fn index_equals_filtered_list(
             ops in proptest::collection::vec(proptest::any::<u32>(), 1..200),
         ) {
-            let store: Store<Obj> = Store::indexed(sign);
+            let store: Store<Obj> = Store::indexed(&[("sign", sign)]);
             for word in ops {
                 let name = format!("o{}", (word >> 2) % 12);
                 let value = i64::from((word >> 8) % 7) - 3;
@@ -570,12 +635,85 @@ mod tests {
                         .list()
                         .into_iter()
                         .filter(|s| sign(&s.obj) == key)
-                        .map(|s| s.obj.name)
+                        .map(|s| s.obj.name.clone())
                         .collect();
                     expected.sort();
                     proptest::prop_assert_eq!(names_in(&store, key), expected);
                 }
             }
+        }
+    }
+
+    /// A resource whose `Clone` counts itself: every deep copy the
+    /// store makes of it shows up in `copies`.
+    #[derive(Debug)]
+    struct Counted {
+        name: String,
+        value: i64,
+        copies: Arc<AtomicU64>,
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.copies.fetch_add(1, Ordering::Relaxed);
+            Counted {
+                name: self.name.clone(),
+                value: self.value,
+                copies: Arc::clone(&self.copies),
+            }
+        }
+    }
+
+    impl Resource for Counted {
+        fn name(&self) -> &str {
+            &self.name
+        }
+    }
+
+    #[test]
+    fn a_mutation_deep_copies_at_most_once_whatever_the_watchers() {
+        for watchers in [0, 1, 3] {
+            let copies = Arc::new(AtomicU64::new(0));
+            let count = || copies.load(Ordering::Relaxed);
+            let store: Store<Counted> = Store::new();
+            let streams: Vec<_> = (0..watchers).map(|_| store.watch()).collect();
+            let counted = Counted {
+                name: "a".into(),
+                value: 1,
+                copies: Arc::clone(&copies),
+            };
+            store.create(counted).unwrap();
+            assert_eq!(count(), 0, "create, {watchers} watchers");
+            // The queued `Added` events still show value 1, so the
+            // update must leave that version alone: one copy for all of
+            // them, none when nobody else points at the object.
+            store.update("a", |o| o.value = 2).unwrap();
+            assert_eq!(count(), u64::from(watchers > 0), "{watchers} watchers");
+            let held = store.get("a").unwrap();
+            let before = count();
+            store.update("a", |o| o.value = 3).unwrap();
+            assert_eq!(count() - before, 1, "a held snapshot is never rewritten");
+            assert_eq!(held.obj.value, 2);
+            let before = count();
+            let last = store.delete("a").unwrap();
+            assert_eq!(count(), before, "delete, {watchers} watchers");
+
+            // Every watcher got the same four objects, not copies.
+            for rx in &streams {
+                let values: Vec<i64> = std::iter::from_fn(|| rx.try_recv().ok())
+                    .map(|ev| {
+                        let (WatchEvent::Added(s)
+                        | WatchEvent::Modified(s)
+                        | WatchEvent::Deleted(s)) = ev;
+                        if s.obj.value == 3 {
+                            assert!(Arc::ptr_eq(&s, &last));
+                        }
+                        s.obj.value
+                    })
+                    .collect();
+                assert_eq!(values, [1, 2, 3, 3]);
+            }
+            assert_eq!(count(), before, "reading events copies nothing");
         }
     }
 

@@ -10,9 +10,9 @@ use std::sync::Arc;
 
 use hpc_metrics::{Clock, SimTime};
 
-use crate::api::Store;
+use crate::api::{Store, Stored};
 use crate::kubelet::{Kubelet, KubeletConfig};
-use crate::resources::{ConfigMap, Node, Pod, PodPhase, PodRole};
+use crate::resources::{ConfigMap, Node, Pod, PodPhase, PodRole, PodStage};
 use crate::scheduler::{PodScheduler, ScheduleOutcome};
 
 /// The in-process cluster control plane.
@@ -32,9 +32,11 @@ impl ControlPlane {
     /// An empty control plane on `clock` with the given kubelet model.
     pub fn new(clock: Arc<dyn Clock>, kubelet_cfg: KubeletConfig) -> Self {
         let nodes: Store<Node> = Store::new();
-        // Indexed by owning job: the per-job reads below (and the
-        // operator's teardown paths) touch only that job's pods.
-        let pods: Store<Pod> = Store::indexed(|p| &p.owner);
+        // Indexed by owning job — the per-job reads below (and the
+        // operator's teardown paths) touch only that job's pods — and
+        // by lifecycle stage, which is all the scheduler, the kubelet
+        // and garbage collection read.
+        let pods = Pod::store();
         let configmaps: Store<ConfigMap> = Store::new();
         let scheduler = PodScheduler::new(nodes.clone(), pods.clone());
         let kubelet = Kubelet::new(pods.clone(), kubelet_cfg);
@@ -128,7 +130,7 @@ impl ControlPlane {
     /// (snapshots of that job's pods only).
     pub fn pods_of_job(&self, job: &str) -> Vec<Pod> {
         let mut pods = Vec::new();
-        self.pods.for_each_in(job, |s| {
+        self.pods.for_each_in(Pod::BY_OWNER, job, |s| {
             if s.obj.consumes_resources() {
                 pods.push(s.obj.clone());
             }
@@ -141,7 +143,7 @@ impl ControlPlane {
     /// teardown and nodelist upkeep need, without cloning the pods.
     pub fn pod_names_of_job(&self, job: &str, role: Option<PodRole>) -> Vec<String> {
         let mut names = Vec::new();
-        self.pods.for_each_in(job, |s| {
+        self.pods.for_each_in(Pod::BY_OWNER, job, |s| {
             if s.obj.consumes_resources() && role.is_none_or(|r| s.obj.role == r) {
                 names.push(s.obj.name.clone());
             }
@@ -165,7 +167,7 @@ impl ControlPlane {
     /// `true` once every pod of `job` with the given role is Running.
     pub fn job_pods_running(&self, job: &str, role: PodRole, expected: usize) -> bool {
         let mut running = 0;
-        self.pods.for_each_in(job, |s| {
+        self.pods.for_each_in(Pod::BY_OWNER, job, |s| {
             if s.obj.role == role && s.obj.phase == PodPhase::Running && !s.obj.deleting {
                 running += 1;
             }
@@ -181,14 +183,12 @@ impl ControlPlane {
     /// Removes Succeeded/Failed pods from the store (garbage collection)
     /// and returns how many were reaped.
     pub fn reap_finished(&self) -> usize {
-        let mut finished = Vec::new();
-        self.pods.for_each(|pod| {
-            if !pod.obj.consumes_resources() {
-                finished.push(pod.obj.name.clone());
-            }
-        });
-        for name in &finished {
-            let _ = self.pods.delete(name);
+        let mut finished: Vec<Arc<Stored<Pod>>> = Vec::new();
+        let stage = PodStage::Finished.as_str();
+        self.pods
+            .for_each_in(Pod::BY_STAGE, stage, |pod| finished.push(Arc::clone(pod)));
+        for pod in &finished {
+            let _ = self.pods.delete(&pod.obj.name);
         }
         finished.len()
     }
@@ -256,7 +256,7 @@ mod tests {
         clock.advance(Duration::from_secs(5.0));
         cp.tick();
         assert!(cp.job_pods_running("j", PodRole::Worker, 1));
-        let pod = cp.pods.get("w").unwrap().obj;
+        let pod = cp.pods.get("w").unwrap().obj.clone();
         assert_eq!(pod.started_at, Some(SimTime::from_secs(5.0)));
     }
 

@@ -4,11 +4,16 @@
 //! (container image pull + start), and deletion-requested pods become
 //! `Succeeded` after a grace period. Driven by explicit `process(now)`
 //! calls so the same code runs under real or virtual time.
+//!
+//! A round reads only the pods the store's lifecycle index files as
+//! starting or terminating; settled pods cost it nothing.
+
+use std::collections::BTreeMap;
 
 use hpc_metrics::{Duration, SimTime};
 
-use crate::api::Store;
-use crate::resources::{Pod, PodPhase};
+use crate::api::{Store, Stored};
+use crate::resources::{Pod, PodPhase, PodStage};
 
 /// Kubelet timing model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,65 +55,63 @@ struct Transition {
 pub struct Kubelet {
     pods: Store<Pod>,
     cfg: KubeletConfig,
-    inflight: std::collections::HashMap<String, Transition>,
+    /// Transitions under way, by pod uid — not by name: a pod deleted
+    /// and re-created under its old name is a new pod with its own
+    /// latency to wait out.
+    inflight: BTreeMap<u64, Transition>,
 }
 
 impl Kubelet {
-    /// A kubelet over the pod store.
+    /// A kubelet over the pod store, which must carry the
+    /// [`Pod::BY_STAGE`] index ([`Pod::store`]).
     pub fn new(pods: Store<Pod>, cfg: KubeletConfig) -> Self {
         Kubelet {
             pods,
             cfg,
-            inflight: std::collections::HashMap::new(),
+            inflight: BTreeMap::new(),
         }
     }
 
     /// Advances pod state machines to `now`. Returns the names of pods
-    /// that changed phase. One borrowed pass over the pod store decides
-    /// which transitions are due; only those pods' names are cloned,
-    /// and the updates run once the store lock is released.
+    /// that changed phase. Two indexed reads decide which transitions
+    /// are due; only those pods' names are cloned, and the updates run
+    /// once the store lock is released. Only the transitions of pods
+    /// this round finds starting or terminating are carried into the
+    /// next: one whose pod left those stages by any hand (or left the
+    /// store) is forgotten.
     pub fn process(&mut self, now: SimTime) -> Vec<String> {
         let Kubelet {
             pods,
             cfg,
             inflight,
         } = self;
-        // Due transitions as `(pod, to_running)`, in scan order.
+        let before = std::mem::take(inflight);
+        // Due transitions as `(pod, to_running)`.
         let mut due: Vec<(String, bool)> = Vec::new();
-        pods.for_each(|stored| {
-            let pod = &stored.obj;
-            match (pod.phase, pod.node.is_some(), pod.deleting) {
-                // Bound pending pod: schedule its start.
-                (PodPhase::Pending, true, false) => {
-                    let t = inflight.entry(pod.name.clone()).or_insert(Transition {
-                        due: now + cfg.startup_latency,
-                        to_running: true,
-                    });
-                    if t.to_running && now >= t.due {
-                        due.push((pod.name.clone(), true));
-                    }
-                }
-                // Deletion requested on a live pod: schedule termination.
-                (PodPhase::Pending | PodPhase::Running, _, true) => {
-                    let entry = inflight.entry(pod.name.clone()).or_insert(Transition {
-                        due: now + cfg.termination_grace,
-                        to_running: false,
-                    });
-                    // A start transition is overridden by deletion.
-                    if entry.to_running {
-                        *entry = Transition {
-                            due: now + cfg.termination_grace,
-                            to_running: false,
-                        };
-                    }
-                    if now >= entry.due {
-                        due.push((pod.name.clone(), false));
-                    }
-                }
-                _ => {
-                    inflight.remove(&pod.name);
-                }
+        let mut track = |pod: &Stored<Pod>, to_running: bool, latency: Duration| {
+            // A transition under way continues, unless the pod changed
+            // direction since (deletion overrides a pending start).
+            let t = match before.get(&pod.uid) {
+                Some(t) if t.to_running == to_running => *t,
+                _ => Transition {
+                    due: now + latency,
+                    to_running,
+                },
+            };
+            if now >= t.due {
+                due.push((pod.obj.name.clone(), to_running));
+            } else {
+                inflight.insert(pod.uid, t);
             }
+        };
+        // Bound pending pods start; live pods with deletion requested
+        // terminate.
+        let (starting, terminating) = (PodStage::Starting, PodStage::Terminating);
+        pods.for_each_in(Pod::BY_STAGE, starting.as_str(), |pod| {
+            track(pod, true, cfg.startup_latency)
+        });
+        pods.for_each_in(Pod::BY_STAGE, terminating.as_str(), |pod| {
+            track(pod, false, cfg.termination_grace)
         });
         for (name, to_running) in &due {
             pods.update(name, |p| {
@@ -120,7 +123,6 @@ impl Kubelet {
                 }
             })
             .expect("pod exists");
-            inflight.remove(name);
         }
         due.into_iter().map(|(name, _)| name).collect()
     }
@@ -140,7 +142,7 @@ mod tests {
 
     #[test]
     fn startup_latency_is_honored() {
-        let pods: Store<Pod> = Store::new();
+        let pods = Pod::store();
         pod_bound(&pods, "w");
         let mut kubelet = Kubelet::new(
             pods.clone(),
@@ -153,14 +155,14 @@ mod tests {
         assert!(kubelet.process(SimTime::from_secs(1.9)).is_empty());
         let changed = kubelet.process(SimTime::from_secs(2.0));
         assert_eq!(changed, vec!["w".to_string()]);
-        let pod = pods.get("w").unwrap().obj;
+        let pod = pods.get("w").unwrap().obj.clone();
         assert_eq!(pod.phase, PodPhase::Running);
         assert_eq!(pod.started_at, Some(SimTime::from_secs(2.0)));
     }
 
     #[test]
     fn instant_kubelet_starts_immediately() {
-        let pods: Store<Pod> = Store::new();
+        let pods = Pod::store();
         pod_bound(&pods, "w");
         let mut kubelet = Kubelet::new(pods.clone(), KubeletConfig::instant());
         let changed = kubelet.process(SimTime::ZERO);
@@ -170,7 +172,7 @@ mod tests {
 
     #[test]
     fn unbound_pods_never_start() {
-        let pods: Store<Pod> = Store::new();
+        let pods = Pod::store();
         pods.create(Pod::worker("w", "j", SimTime::ZERO)).unwrap();
         let mut kubelet = Kubelet::new(pods.clone(), KubeletConfig::instant());
         assert!(kubelet.process(SimTime::from_secs(100.0)).is_empty());
@@ -179,7 +181,7 @@ mod tests {
 
     #[test]
     fn deletion_terminates_after_grace() {
-        let pods: Store<Pod> = Store::new();
+        let pods = Pod::store();
         pod_bound(&pods, "w");
         let mut kubelet = Kubelet::new(
             pods.clone(),
@@ -198,7 +200,7 @@ mod tests {
 
     #[test]
     fn deletion_overrides_pending_start() {
-        let pods: Store<Pod> = Store::new();
+        let pods = Pod::store();
         pod_bound(&pods, "w");
         let mut kubelet = Kubelet::new(
             pods.clone(),
@@ -211,8 +213,53 @@ mod tests {
         pods.update("w", |p| p.deleting = true).unwrap();
         kubelet.process(SimTime::from_secs(1.0));
         // Terminated without ever running.
-        let pod = pods.get("w").unwrap().obj;
+        let pod = pods.get("w").unwrap().obj.clone();
         assert_eq!(pod.phase, PodPhase::Succeeded);
         assert_eq!(pod.started_at, None);
+    }
+
+    #[test]
+    fn a_recreated_pod_waits_out_its_own_startup_latency() {
+        let pods = Pod::store();
+        let mut kubelet = Kubelet::new(
+            pods.clone(),
+            KubeletConfig {
+                startup_latency: Duration::from_secs(5.0),
+                termination_grace: Duration::from_secs(5.0),
+            },
+        );
+        // Bound at t=0 (start due at 5), hard-deleted mid-transition —
+        // what an eviction does to a job's pods — and its name reused
+        // by a pod bound at t=3.
+        pod_bound(&pods, "j-launcher");
+        assert!(kubelet.process(SimTime::ZERO).is_empty());
+        pods.delete("j-launcher").unwrap();
+        pod_bound(&pods, "j-launcher");
+        assert!(kubelet.process(SimTime::from_secs(3.0)).is_empty());
+        let early = kubelet.process(SimTime::from_secs(5.0));
+        assert!(early.is_empty(), "inherited the deleted pod's due time");
+        assert_eq!(kubelet.process(SimTime::from_secs(8.0)), ["j-launcher"]);
+        let started = pods.read("j-launcher", |s| s.obj.started_at).unwrap();
+        assert_eq!(started, Some(SimTime::from_secs(8.0)), "bind + 5 s");
+
+        // The same with a termination under way: the name's next pod is
+        // started, not left waiting on a transition that is not its own.
+        pods.update("j-launcher", |p| p.deleting = true).unwrap();
+        assert!(kubelet.process(SimTime::from_secs(9.0)).is_empty());
+        pods.delete("j-launcher").unwrap();
+        pod_bound(&pods, "j-launcher");
+        assert!(kubelet.process(SimTime::from_secs(10.0)).is_empty());
+        assert_eq!(kubelet.process(SimTime::from_secs(15.0)), ["j-launcher"]);
+        let phase = pods.read("j-launcher", |s| s.obj.phase).unwrap();
+        assert_eq!(phase, PodPhase::Running);
+
+        // A transition does not outlive its pod.
+        pod_bound(&pods, "other");
+        kubelet.process(SimTime::from_secs(16.0));
+        assert_eq!(kubelet.inflight.len(), 1);
+        pods.delete("other").unwrap();
+        pods.delete("j-launcher").unwrap();
+        kubelet.process(SimTime::from_secs(17.0));
+        assert!(pods.is_empty() && kubelet.inflight.is_empty());
     }
 }

@@ -24,6 +24,8 @@
 pub mod api;
 pub mod cluster;
 pub mod events;
+#[cfg(test)]
+mod index_equivalence;
 pub mod kubelet;
 pub mod resources;
 pub mod scheduler;
@@ -32,5 +34,5 @@ pub use api::{ApiError, Resource, Store, Stored, WatchEvent};
 pub use cluster::ControlPlane;
 pub use events::{Event, EventLog};
 pub use kubelet::{Kubelet, KubeletConfig};
-pub use resources::{ConfigMap, Node, Pod, PodPhase, PodRole};
+pub use resources::{ConfigMap, Node, Pod, PodPhase, PodRole, PodStage};
 pub use scheduler::{PodScheduler, ScheduleOutcome};

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 
 use hpc_metrics::SimTime;
 
-use crate::api::Resource;
+use crate::api::{Resource, Store};
 
 /// A worker node.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,6 +65,37 @@ pub enum PodRole {
     Worker,
     /// Anything else (system pods in tests).
     Other,
+}
+
+/// Where a pod is in its lifecycle: a pure function of `phase`, `node`
+/// and `deleting` ([`Pod::stage`]), and what the pod store's
+/// [`Pod::BY_STAGE`] index files it under, so each pod controller reads
+/// only the pods it has work for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PodStage {
+    /// Live, not bound to a node: the scheduler's queue.
+    Unbound,
+    /// Bound and `Pending`: the kubelet is starting it.
+    Starting,
+    /// Live with deletion requested: the kubelet is terminating it.
+    Terminating,
+    /// Bound and `Running`: no controller has anything to do.
+    Settled,
+    /// `Succeeded` or `Failed`: garbage collection's.
+    Finished,
+}
+
+impl PodStage {
+    /// The key the stage is indexed under.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            PodStage::Unbound => "unbound",
+            PodStage::Starting => "starting",
+            PodStage::Terminating => "terminating",
+            PodStage::Settled => "settled",
+            PodStage::Finished => "finished",
+        }
+    }
 }
 
 /// A pod.
@@ -125,6 +156,35 @@ impl Pod {
             deleting: false,
             created_at,
             started_at: None,
+        }
+    }
+
+    /// Pod-store index: pods by owning job.
+    pub const BY_OWNER: &'static str = "owner";
+    /// Pod-store index: pods by [`PodStage`] ([`PodStage::as_str`]).
+    pub const BY_STAGE: &'static str = "stage";
+
+    /// An empty pod store with the indexes the control plane reads:
+    /// [`Pod::BY_OWNER`] for the per-job reads, [`Pod::BY_STAGE`] for
+    /// the scheduler, the kubelet and garbage collection.
+    pub fn store() -> Store<Pod> {
+        fn owner(p: &Pod) -> &str {
+            &p.owner
+        }
+        fn stage(p: &Pod) -> &str {
+            p.stage().as_str()
+        }
+        Store::indexed(&[(Pod::BY_OWNER, owner), (Pod::BY_STAGE, stage)])
+    }
+
+    /// The pod's lifecycle stage.
+    pub fn stage(&self) -> PodStage {
+        match (self.phase, self.node.is_some(), self.deleting) {
+            (PodPhase::Succeeded | PodPhase::Failed, _, _) => PodStage::Finished,
+            (_, _, true) => PodStage::Terminating,
+            (_, false, false) => PodStage::Unbound,
+            (PodPhase::Pending, true, false) => PodStage::Starting,
+            (PodPhase::Running, true, false) => PodStage::Settled,
         }
     }
 
@@ -200,6 +260,25 @@ mod tests {
         assert!(!p.consumes_resources());
         p.phase = PodPhase::Failed;
         assert!(!p.consumes_resources());
+    }
+
+    #[test]
+    fn stage_follows_phase_node_and_deleting() {
+        let mut p = Pod::worker("w", "j", SimTime::ZERO);
+        assert_eq!(p.stage(), PodStage::Unbound);
+        p.deleting = true;
+        assert_eq!(p.stage(), PodStage::Terminating, "deletion needs no node");
+        p.deleting = false;
+        p.node = Some("n0".into());
+        assert_eq!(p.stage(), PodStage::Starting);
+        p.phase = PodPhase::Running;
+        assert_eq!(p.stage(), PodStage::Settled);
+        p.deleting = true;
+        assert_eq!(p.stage(), PodStage::Terminating);
+        for phase in [PodPhase::Succeeded, PodPhase::Failed] {
+            p.phase = phase;
+            assert_eq!(p.stage(), PodStage::Finished, "whatever else is set");
+        }
     }
 
     #[test]

@@ -7,11 +7,15 @@
 //! (keeping a job's PEs close), breaking ties toward the most-allocated
 //! node (bin packing keeps large contiguous holes available for big
 //! jobs), then by name for determinism.
+//!
+//! A pass reads the pod store's unbound pods off its lifecycle index,
+//! so one with nothing pending costs nothing; a pass that binds makes
+//! one placement scan of the store, counting into per-node vectors.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
-use crate::api::Store;
-use crate::resources::{Node, Pod};
+use crate::api::{Store, Stored};
+use crate::resources::{Node, Pod, PodStage};
 
 /// Pod scheduler over the node/pod stores.
 pub struct PodScheduler {
@@ -29,102 +33,107 @@ pub struct ScheduleOutcome {
 }
 
 impl PodScheduler {
-    /// A scheduler reading from the given stores.
+    /// A scheduler reading from the given stores. The pod store must
+    /// carry the [`Pod::BY_STAGE`] index ([`Pod::store`]).
     pub fn new(nodes: Store<Node>, pods: Store<Pod>) -> Self {
         PodScheduler { nodes, pods }
-    }
-
-    /// One borrowed pass over the bound, resource-consuming pods: CPUs
-    /// committed per node, and pods of each affinity group per node
-    /// (keyed group → node, so scoring looks both up by `&str`).
-    fn placements(&self) -> (HashMap<String, u32>, HashMap<String, HashMap<String, u32>>) {
-        let mut alloc: HashMap<String, u32> = HashMap::new();
-        let mut presence: HashMap<String, HashMap<String, u32>> = HashMap::new();
-        self.pods.for_each(|pod| {
-            let p = &pod.obj;
-            let (true, Some(node)) = (p.consumes_resources(), &p.node) else {
-                return;
-            };
-            *alloc.entry(node.clone()).or_insert(0) += p.cpu_request;
-            if let Some(group) = &p.affinity_group {
-                *presence
-                    .entry(group.clone())
-                    .or_default()
-                    .entry(node.clone())
-                    .or_insert(0) += 1;
-            }
-        });
-        (alloc, presence)
     }
 
     /// Runs one scheduling pass: binds every schedulable pending pod.
     ///
     /// Pods are considered in creation order (FIFO, name tie-break),
-    /// like the default scheduler's queue. A pass with nothing pending
-    /// is one borrowed scan of the pod store and clones nothing.
+    /// like the default scheduler's queue.
     pub fn schedule_once(&self) -> ScheduleOutcome {
         let mut outcome = ScheduleOutcome::default();
-        let mut pending: Vec<Pod> = Vec::new();
-        self.pods.for_each(|s| {
-            let p = &s.obj;
-            if p.node.is_none() && p.consumes_resources() && !p.deleting {
-                pending.push(p.clone());
-            }
-        });
+        let mut pending: Vec<Arc<Stored<Pod>>> = Vec::new();
+        let unbound = PodStage::Unbound.as_str();
+        self.pods
+            .for_each_in(Pod::BY_STAGE, unbound, |s| pending.push(Arc::clone(s)));
         if pending.is_empty() {
             return outcome;
         }
         pending.sort_by(|a, b| {
-            a.created_at
-                .cmp(&b.created_at)
-                .then_with(|| a.name.cmp(&b.name))
+            (a.obj.created_at.cmp(&b.obj.created_at)).then_with(|| a.obj.name.cmp(&b.obj.name))
         });
+        // The affinity groups this pass scores by.
+        let mut groups: Vec<&str> = (pending.iter())
+            .filter_map(|p| p.obj.affinity_group.as_deref())
+            .collect();
+        groups.sort_unstable();
+        groups.dedup();
 
-        // Ready nodes as `(name, capacity)`.
-        let mut nodes: Vec<(String, u32)> = Vec::new();
+        // Ready nodes in name order; everything per node is keyed by
+        // its position here.
+        let mut nodes: Vec<Arc<Stored<Node>>> = Vec::new();
         self.nodes.for_each(|n| {
             if n.obj.ready {
-                nodes.push((n.obj.name.clone(), n.obj.cpu_capacity));
+                nodes.push(Arc::clone(n));
             }
         });
-        let (mut alloc, mut presence) = self.placements();
+        nodes.sort_by(|a, b| a.obj.name.cmp(&b.obj.name));
+        let position = |node: &str| {
+            nodes
+                .binary_search_by(|n| n.obj.name.as_str().cmp(node))
+                .ok()
+        };
 
-        for pod in pending {
-            let used = |node: &str| alloc.get(node).copied().unwrap_or(0);
-            let group_presence = pod.affinity_group.as_ref().and_then(|g| presence.get(g));
+        // The placement pass, one borrowed scan of the bound,
+        // resource-consuming pods: CPUs committed per node, and pods of
+        // each scored group per node (`group * nodes + node`).
+        let mut used = vec![0u32; nodes.len()];
+        let mut presence = vec![0u32; groups.len() * nodes.len()];
+        self.pods.for_each(|pod| {
+            let p = &pod.obj;
+            let Some(at) = p.node.as_deref().and_then(position) else {
+                return;
+            };
+            if !p.consumes_resources() {
+                return;
+            }
+            used[at] += p.cpu_request;
+            let group = p.affinity_group.as_deref();
+            if let Some(g) = group.and_then(|g| groups.binary_search(&g).ok()) {
+                presence[g * nodes.len() + at] += 1;
+            }
+        });
+
+        // What binding needs of each pod, so that no pointer to the
+        // version about to be replaced is held across its update: a pod
+        // that waited a round for room is bound in place, not copied,
+        // its `Added` event having been drained since.
+        let queue: Vec<(String, u32, Option<usize>)> = (pending.iter())
+            .map(|pod| {
+                let group = pod.obj.affinity_group.as_deref();
+                let group = group.map(|g| groups.binary_search(&g).expect("collected above"));
+                (pod.obj.name.clone(), pod.obj.cpu_request, group)
+            })
+            .collect();
+        drop(pending);
+
+        for (pod, request, group) in queue {
+            let affinity = |at: usize| group.map_or(0, |g| presence[g * nodes.len() + at]);
             // Filter: ready nodes with room. Score: affinity presence,
-            // then most-allocated, then name.
-            let best = nodes
-                .iter()
-                .filter(|(name, capacity)| capacity.saturating_sub(used(name)) >= pod.cpu_request)
-                .max_by(|(a, _), (b, _)| {
-                    let key = |node: &String| {
-                        let aff = group_presence
-                            .and_then(|on| on.get(node))
-                            .copied()
-                            .unwrap_or(0);
-                        (aff, used(node))
-                    };
-                    key(a).cmp(&key(b)).then_with(|| b.cmp(a))
+            // then most-allocated, then name (= position).
+            let best = (0..nodes.len())
+                .filter(|&at| nodes[at].obj.cpu_capacity.saturating_sub(used[at]) >= request)
+                .max_by(|&a, &b| {
+                    (affinity(a), used[a])
+                        .cmp(&(affinity(b), used[b]))
+                        .then_with(|| b.cmp(&a))
                 });
-            let Some((node_name, _)) = best else {
-                outcome.unschedulable.push(pod.name);
+            let Some(at) = best else {
+                outcome.unschedulable.push(pod);
                 continue;
             };
-            let node_name = node_name.clone();
-            *alloc.entry(node_name.clone()).or_insert(0) += pod.cpu_request;
-            if let Some(group) = &pod.affinity_group {
-                *presence
-                    .entry(group.clone())
-                    .or_default()
-                    .entry(node_name.clone())
-                    .or_insert(0) += 1;
+            used[at] += request;
+            if let Some(g) = group {
+                presence[g * nodes.len() + at] += 1;
             }
-            let bind_target = node_name.clone();
+            let node = &nodes[at].obj.name;
             self.pods
-                .update(&pod.name, move |p| p.node = Some(bind_target))
+                .update(&pod, |p| p.node = Some(node.clone()))
                 .expect("pod exists");
-            outcome.bound.push((pod.name, node_name));
+            outcome.bound.push((pod, node.clone()));
         }
         outcome
     }
@@ -138,7 +147,7 @@ mod tests {
 
     fn setup(nodes: &[(&str, u32)]) -> (Store<Node>, Store<Pod>, PodScheduler) {
         let node_store: Store<Node> = Store::new();
-        let pod_store: Store<Pod> = Store::new();
+        let pod_store = Pod::store();
         for &(name, cap) in nodes {
             node_store.create(Node::new(name, cap)).unwrap();
         }

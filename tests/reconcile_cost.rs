@@ -6,9 +6,10 @@
 //! the job store" is an exact, host-independent number: zero in release
 //! builds, and exactly one per tick in debug builds, where the operator
 //! cross-checks its handle keys and completion counters against a scan.
-//! The pod store *is* scanned each tick (scheduler, kubelet, garbage
-//! collection) but holds only live pods; its scans per tick are a small
-//! constant.
+//! The pod store is not scanned either: the scheduler, the kubelet and
+//! garbage collection read its lifecycle-stage index, so a tick in which
+//! no pod changed visits no pod, however many are settled. The one scan
+//! left is the placement pass of a round that binds pods.
 
 use std::sync::Arc;
 
@@ -16,18 +17,17 @@ use elastic_hpc::core::{
     CharmJobSpec, CharmOperator, JobPhase, ModelExecutor, Policy, PolicyConfig, Schedule,
     SubmitRequest,
 };
-use elastic_hpc::kube::{ControlPlane, KubeletConfig};
+use elastic_hpc::kube::{ControlPlane, KubeletConfig, Pod, PodRole, ScheduleOutcome};
 use elastic_hpc::metrics::{Clock, Duration, SimTime, VirtualClock};
 use elastic_hpc::serving::{run_workload_ingest, IngestConfig, IngestQueue};
 use elastic_hpc::workload::{poisson_workload, WorkloadSpec};
 
 /// Job-store scans the debug-build cross-check adds to every tick.
 const CROSS_CHECK_SCANS_PER_TICK: u64 = cfg!(debug_assertions) as u64;
-/// Pod-store scans of a tick with nothing pending: scheduler, kubelet,
-/// garbage collection. A tick that binds pods adds the scheduler's
-/// placement pass.
-const IDLE_POD_SCANS_PER_TICK: u64 = 3;
-const MAX_POD_SCANS_PER_TICK: u64 = 4;
+/// Pod-store scans of a tick with nothing pending. A tick that binds
+/// pods adds the scheduler's placement pass.
+const IDLE_POD_SCANS_PER_TICK: u64 = 0;
+const MAX_POD_SCANS_PER_TICK: u64 = 1;
 
 fn operator() -> (CharmOperator, VirtualClock) {
     let clock = VirtualClock::new();
@@ -108,6 +108,34 @@ fn idle_ticks_do_not_depend_on_how_many_jobs_the_store_has_held() {
         Some(JobPhase::Queued),
         "nothing moved"
     );
+}
+
+#[test]
+fn idle_ticks_visit_no_settled_pod() {
+    const PODS: usize = 1_000;
+    const TICKS: u64 = 100;
+    let clock = VirtualClock::new();
+    let kubelet = KubeletConfig::instant();
+    let mut plane = ControlPlane::with_nodes(Arc::new(clock.clone()), kubelet, 4, 250);
+    for i in 0..PODS {
+        let pod = Pod::worker(format!("w{i:04}"), format!("j{}", i % 10), plane.now());
+        plane.pods.create(pod).unwrap();
+    }
+    assert_eq!(plane.tick().bound.len(), PODS);
+    assert!(plane.job_pods_running("j0", PodRole::Worker, PODS / 10));
+
+    let scans = plane.pods.full_scans();
+    for _ in 0..TICKS {
+        clock.advance(Duration::from_secs(1.0));
+        assert_eq!(plane.tick(), ScheduleOutcome::default());
+        assert_eq!(plane.reap_finished(), 0);
+    }
+    assert_eq!(
+        plane.pods.full_scans(),
+        scans,
+        "1 000 settled pods, none read"
+    );
+    assert_eq!(plane.pods.len(), PODS);
 }
 
 /// The reconcile rounds a zero-delay ingest replay of `workload` runs:
