@@ -411,7 +411,7 @@ mod tests {
             max_replicas: max,
             priority: 3,
             walltime_estimate: None,
-            app: AppSpec::Modeled { total_iters: 100 },
+            app: AppSpec::linear(100.0, min, max),
         }
     }
 

@@ -8,6 +8,7 @@
 //! are computed from.
 
 use hpc_metrics::{Duration, SimTime};
+use hpc_workload::JobShape;
 use kube_sim::Resource;
 
 use crate::error::SchedulerError;
@@ -39,21 +40,40 @@ pub enum AppSpec {
         /// Iterations per sync window.
         window: u64,
     },
-    /// No real execution: completion is driven by a runtime model
-    /// (virtual-time operator tests and the DES cross-validation).
+    /// No real execution: completion is driven by the execution model
+    /// (`hpc_workload::model`) both engines share — virtual-time
+    /// operator runs and the DES cross-validation.
     Modeled {
-        /// Total iterations of modeled work.
-        total_iters: u64,
+        /// The workload job's own shape: its work (un-rounded), and for
+        /// a class job the scaling curve and state size the models key
+        /// on. The scheduler reads the spec's replica bounds, not the
+        /// shape's.
+        shape: JobShape,
     },
 }
 
 impl AppSpec {
-    /// Total iterations the job must execute to complete.
-    pub fn total_iters(&self) -> u64 {
+    /// A modeled app of `work` units that speeds up linearly between
+    /// `min_replicas` and `max_replicas` (`work / replicas` seconds
+    /// under the default models).
+    pub fn linear(work: f64, min_replicas: u32, max_replicas: u32) -> AppSpec {
+        AppSpec::Modeled {
+            shape: JobShape::Malleable {
+                min_replicas,
+                max_replicas,
+                work,
+            },
+        }
+    }
+
+    /// Total iterations a real app must execute to complete; `None` for
+    /// a modeled job, whose work is its shape's, un-rounded.
+    pub fn total_iters(&self) -> Option<u64> {
         match self {
-            AppSpec::Jacobi { total_iters, .. }
-            | AppSpec::Synthetic { total_iters, .. }
-            | AppSpec::Modeled { total_iters } => *total_iters,
+            AppSpec::Jacobi { total_iters, .. } | AppSpec::Synthetic { total_iters, .. } => {
+                Some(*total_iters)
+            }
+            AppSpec::Modeled { .. } => None,
         }
     }
 }
@@ -92,7 +112,7 @@ impl CharmJobSpec {
                 max_replicas: 1,
                 priority: 3,
                 walltime_estimate: None,
-                app: AppSpec::Modeled { total_iters: 1 },
+                app: AppSpec::linear(1.0, 1, 1),
             },
         }
     }
@@ -177,10 +197,12 @@ impl JobSpecBuilder {
         self
     }
 
-    /// Shorthand for a modeled app of `total_iters` iterations (the
-    /// virtual-time executor's workload shape).
+    /// Shorthand for a linear modeled app of `total_iters` iterations
+    /// ([`AppSpec::linear`] over the replica bounds set so far; only
+    /// the work is read).
     pub fn modeled_iters(self, total_iters: u64) -> Self {
-        self.app(AppSpec::Modeled { total_iters })
+        let (min, max) = (self.spec.min_replicas, self.spec.max_replicas);
+        self.app(AppSpec::linear(total_iters as f64, min, max))
     }
 
     /// Validates and returns the spec; all invariant violations
@@ -364,7 +386,7 @@ mod tests {
             max_replicas: max,
             priority: 3,
             walltime_estimate: None,
-            app: AppSpec::Modeled { total_iters: 100 },
+            app: AppSpec::linear(100.0, min, max),
         }
     }
 
@@ -388,7 +410,10 @@ mod tests {
         assert_eq!(spec.name, "j1");
         assert_eq!((spec.min_replicas, spec.max_replicas), (2, 8));
         assert_eq!(spec.priority, 5);
-        assert_eq!(spec.app.total_iters(), 400);
+        let AppSpec::Modeled { shape } = spec.app else {
+            panic!("modeled_iters builds a modeled app")
+        };
+        assert_eq!(shape.work(), 400.0);
 
         let rigid = CharmJobSpec::builder("r").rigid(4).build().unwrap();
         assert_eq!((rigid.min_replicas, rigid.max_replicas), (4, 4));
@@ -434,7 +459,7 @@ mod tests {
 
     #[test]
     fn app_spec_total_iters() {
-        assert_eq!(AppSpec::Modeled { total_iters: 7 }.total_iters(), 7);
+        assert_eq!(AppSpec::linear(7.5, 1, 2).total_iters(), None);
         assert_eq!(
             AppSpec::Jacobi {
                 grid: 64,
@@ -443,7 +468,7 @@ mod tests {
                 window: 10
             }
             .total_iters(),
-            40
+            Some(40)
         );
     }
 

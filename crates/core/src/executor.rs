@@ -7,11 +7,11 @@
 //!   thread per worker replica, rescaled through the CCS channel exactly
 //!   like the paper's operator signals its Charm++ jobs. Used for the
 //!   "Actual" experiments.
-//! * [`ModelExecutor`] — advances job progress analytically on the
-//!   harness clock using a speed model (iterations/s at a given replica
-//!   count) and a rescale-overhead model. Used for deterministic
-//!   operator tests on virtual time and for operator-vs-DES
-//!   cross-validation.
+//! * [`ModelExecutor`] — runs a job through the execution model the DES
+//!   runs it through (`hpc_workload::model`: the same [`ScalingModel`] /
+//!   [`OverheadModel`] structs, the same [`Progress`] integrator), read
+//!   against the harness clock. Used for deterministic operator tests on
+//!   virtual time and for operator-vs-DES cross-validation.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -20,6 +20,8 @@ use charm_apps::{JacobiApp, JacobiConfig, SyntheticApp, SyntheticConfig};
 use charm_rt::{GreedyLb, RescaleReport, RuntimeConfig};
 use crossbeam::channel::Receiver;
 use hpc_metrics::{Clock, Duration, SimTime};
+use hpc_workload::model::{OverheadModel, Progress, ScalingModel};
+use hpc_workload::JobShape;
 
 use crate::crd::{AppSpec, CharmJobSpec};
 
@@ -51,11 +53,11 @@ pub trait ExecHandle: Send {
     /// Requests early termination and releases resources.
     fn stop(&mut self);
 
-    /// Iterations preserved by the job's most recent periodic
-    /// checkpoint, `rollback` before `now` (the kernel's
-    /// `Stop::Evicted` tail). `None` means the executor cannot recover
-    /// partial progress (the fault layer then restarts the job from
-    /// scratch).
+    /// Work preserved by the job's most recent periodic checkpoint,
+    /// `rollback` before `now` (the kernel's `Stop::Evicted` tail) —
+    /// what [`Executor::launch`] is handed back as `resume` when the job
+    /// relaunches. `None` means the executor cannot recover partial
+    /// progress (the job then resumes from zero).
     fn checkpointed_iters(&mut self, now: SimTime, rollback: Duration) -> Option<f64> {
         let _ = (now, rollback);
         None
@@ -64,8 +66,16 @@ pub trait ExecHandle: Send {
 
 /// Launches jobs.
 pub trait Executor: Send {
-    /// Starts `spec` with `replicas` PEs.
-    fn launch(&mut self, spec: &CharmJobSpec, replicas: u32) -> Box<dyn ExecHandle>;
+    /// Starts `spec` with `replicas` PEs. `resume` is `Some` exactly when
+    /// this is the relaunch of an evicted job: the work its last
+    /// checkpoint preserved ([`ExecHandle::checkpointed_iters`]; zero if
+    /// it never launched). `None` is a fresh start from zero.
+    fn launch(
+        &mut self,
+        spec: &CharmJobSpec,
+        replicas: u32,
+        resume: Option<f64>,
+    ) -> Box<dyn ExecHandle>;
 }
 
 // ---------------------------------------------------------------------
@@ -86,72 +96,59 @@ struct CharmHandle {
 }
 
 impl Executor for CharmExecutor {
-    fn launch(&mut self, spec: &CharmJobSpec, replicas: u32) -> Box<dyn ExecHandle> {
-        let iters = Arc::new(AtomicU64::new(0));
-        let finished = Arc::new(AtomicBool::new(false));
-        let stop = Arc::new(AtomicBool::new(false));
+    fn launch(
+        &mut self,
+        spec: &CharmJobSpec,
+        replicas: u32,
+        _resume: Option<f64>,
+    ) -> Box<dyn ExecHandle> {
         let rt_cfg = RuntimeConfig::new(replicas as usize).with_name(spec.name.clone());
-
-        let (ccs, join) = match &spec.app {
+        let (mut driver, window) = match spec.app {
             AppSpec::Jacobi {
                 grid,
                 blocks,
-                total_iters,
                 window,
+                ..
             } => {
-                let cfg = JacobiConfig::new(*grid, *blocks, *blocks);
-                let mut app = JacobiApp::new(cfg, rt_cfg);
-                let ccs = app.driver.rt.ccs_client();
-                let (total, window) = (*total_iters, (*window).max(1));
-                let (iters, finished, stop) =
-                    (Arc::clone(&iters), Arc::clone(&finished), Arc::clone(&stop));
-                let join = std::thread::spawn(move || {
-                    let mut done = 0u64;
-                    while done < total && !stop.load(Ordering::Acquire) {
-                        let step = window.min(total - done);
-                        if app.run_window(step).is_err() {
-                            break;
-                        }
-                        done += step;
-                        iters.store(done, Ordering::Release);
-                        app.driver.poll_rescale(&GreedyLb);
-                    }
-                    finished.store(true, Ordering::Release);
-                    app.shutdown();
-                });
-                (ccs, join)
+                let cfg = JacobiConfig::new(grid, blocks, blocks);
+                (JacobiApp::new(cfg, rt_cfg).driver, window)
             }
             AppSpec::Synthetic {
                 chares,
                 spin,
-                total_iters,
                 window,
+                ..
             } => {
-                let cfg = SyntheticConfig::uniform(*chares, *spin);
-                let mut app = SyntheticApp::new(cfg, rt_cfg);
-                let ccs = app.driver.rt.ccs_client();
-                let (total, window) = (*total_iters, (*window).max(1));
-                let (iters, finished, stop) =
-                    (Arc::clone(&iters), Arc::clone(&finished), Arc::clone(&stop));
-                let join = std::thread::spawn(move || {
-                    let mut done = 0u64;
-                    while done < total && !stop.load(Ordering::Acquire) {
-                        let step = window.min(total - done);
-                        if app.run_window(step).is_err() {
-                            break;
-                        }
-                        done += step;
-                        iters.store(done, Ordering::Release);
-                        app.driver.poll_rescale(&GreedyLb);
-                    }
-                    finished.store(true, Ordering::Release);
-                    app.shutdown();
-                });
-                (ccs, join)
+                let cfg = SyntheticConfig::uniform(chares, spin);
+                (SyntheticApp::new(cfg, rt_cfg).driver, window)
             }
             AppSpec::Modeled { .. } => {
                 panic!("CharmExecutor cannot run AppSpec::Modeled; use ModelExecutor")
             }
+        };
+        let total = spec.app.total_iters().expect("a real app");
+        let window = window.max(1);
+        let ccs = driver.rt.ccs_client();
+        let iters = Arc::new(AtomicU64::new(0));
+        let finished = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(AtomicBool::new(false));
+        let join = {
+            let (iters, finished, stop) =
+                (Arc::clone(&iters), Arc::clone(&finished), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut done = 0u64;
+                while done < total && !stop.load(Ordering::Acquire) {
+                    let step = window.min(total - done);
+                    if driver.run_window(step).is_err() {
+                        break;
+                    }
+                    done += step;
+                    iters.store(done, Ordering::Release);
+                    driver.poll_rescale(&GreedyLb);
+                }
+                finished.store(true, Ordering::Release);
+                driver.shutdown();
+            })
         };
         Box::new(CharmHandle {
             ccs,
@@ -208,107 +205,91 @@ impl Drop for CharmHandle {
 // Modeled executor
 // ---------------------------------------------------------------------
 
-/// Iterations/second of a job at a given replica count.
-pub type SpeedModel = Arc<dyn Fn(&CharmJobSpec, u32) -> f64 + Send + Sync>;
-/// Wall-clock overhead of a rescale `from → to` replicas.
-pub type OverheadModel = Arc<dyn Fn(&CharmJobSpec, u32, u32) -> Duration + Send + Sync>;
-
-/// Advances job progress analytically on a clock.
-pub struct ModelExecutor {
-    clock: Arc<dyn Clock>,
-    speed: SpeedModel,
+/// What a modeled job runs under; one copy shared by the executor and
+/// every handle it launched.
+struct Models {
+    /// `None`: every shape speeds up linearly (`replicas` work units per
+    /// second) — [`ModelExecutor::ideal`].
+    scaling: Option<ScalingModel>,
     overhead: OverheadModel,
 }
 
-impl ModelExecutor {
-    /// An executor on `clock` with the given models.
-    pub fn new(clock: Arc<dyn Clock>, speed: SpeedModel, overhead: OverheadModel) -> Self {
-        ModelExecutor {
-            clock,
-            speed,
-            overhead,
+impl Models {
+    fn rate(&self, shape: &JobShape, replicas: u32) -> f64 {
+        match &self.scaling {
+            Some(scaling) => scaling.job_rate(shape, replicas),
+            None => f64::from(replicas),
         }
     }
+}
 
-    /// Linear-speedup model (`replicas` iters/s) with zero overhead —
-    /// handy for tests.
+/// Runs jobs through the shared execution model on a clock.
+pub struct ModelExecutor {
+    clock: Arc<dyn Clock>,
+    models: Arc<Models>,
+}
+
+impl ModelExecutor {
+    /// An executor on `clock` under the given models — the structs a
+    /// `sched_sim::SimConfig` carries, so both engines can be handed
+    /// the same pair.
+    pub fn new(clock: Arc<dyn Clock>, scaling: ScalingModel, overhead: OverheadModel) -> Self {
+        Self::under(clock, Some(scaling), overhead)
+    }
+
+    /// Linear speedup for every shape (`replicas` work units per second)
+    /// and no rescale or recovery cost — handy for tests.
     pub fn ideal(clock: Arc<dyn Clock>) -> Self {
-        ModelExecutor::new(
-            clock,
-            Arc::new(|_, replicas| f64::from(replicas)),
-            Arc::new(|_, _, _| Duration::ZERO),
-        )
+        Self::under(clock, None, OverheadModel::zero())
+    }
+
+    fn under(
+        clock: Arc<dyn Clock>,
+        scaling: Option<ScalingModel>,
+        overhead: OverheadModel,
+    ) -> Self {
+        let models = Arc::new(Models { scaling, overhead });
+        ModelExecutor { clock, models }
     }
 }
 
 struct ModelHandle {
     clock: Arc<dyn Clock>,
-    spec: CharmJobSpec,
-    speed: SpeedModel,
-    overhead: OverheadModel,
+    models: Arc<Models>,
+    shape: JobShape,
     replicas: u32,
-    iters: f64,
-    total: f64,
-    last: SimTime,
-    /// In-flight rescale: (completes_at, target, report-to-ack).
-    rescale: Option<(SimTime, u32)>,
-    unacked: Option<RescaleReport>,
+    progress: Progress,
+    /// Target of the in-flight rescale; acknowledged once its pause
+    /// window is over.
+    rescaling_to: Option<u32>,
     stopped: bool,
 }
 
-impl ModelHandle {
-    fn advance(&mut self, now: SimTime) {
-        // Resolve a pending rescale window first: progress is paused
-        // inside it, and the new replica count applies at its end.
-        if let Some((until, target)) = self.rescale {
-            if now >= until {
-                self.last = self.last.max(until);
-                let from = self.replicas;
-                self.replicas = target;
-                self.rescale = None;
-                self.unacked = Some(RescaleReport {
-                    kind: if target < from {
-                        charm_rt::RescaleKind::Shrink
-                    } else {
-                        charm_rt::RescaleKind::Expand
-                    },
-                    // The default OverheadModel curves model the
-                    // paper's checkpoint/restart protocol.
-                    mode: charm_rt::RescaleMode::FullRestart,
-                    from_pes: from as usize,
-                    to_pes: target as usize,
-                    stages: charm_rt::StageTimings::default(),
-                    migrated: 0,
-                    bytes_moved: 0,
-                    checkpoint_bytes: 0,
-                });
-            } else {
-                // Still inside the overhead window: time passes, no work.
-                self.last = self.last.max(now);
-                return;
-            }
-        }
-        if now > self.last {
-            let dt = (now - self.last).as_secs();
-            self.iters += (self.speed)(&self.spec, self.replicas) * dt;
-            self.last = now;
-        }
-    }
-}
-
 impl Executor for ModelExecutor {
-    fn launch(&mut self, spec: &CharmJobSpec, replicas: u32) -> Box<dyn ExecHandle> {
+    fn launch(
+        &mut self,
+        spec: &CharmJobSpec,
+        replicas: u32,
+        resume: Option<f64>,
+    ) -> Box<dyn ExecHandle> {
+        let AppSpec::Modeled { shape } = spec.app else {
+            panic!("ModelExecutor runs AppSpec::Modeled only; use CharmExecutor")
+        };
+        let models = Arc::clone(&self.models);
+        // Restoring from a checkpoint costs the recovery window, as in
+        // the DES; a start from zero costs nothing.
+        let recovery = match resume {
+            Some(_) => models.overhead.recovery_total(&shape, replicas),
+            None => Duration::ZERO,
+        };
+        let (now, rate) = (self.clock.now(), models.rate(&shape, replicas));
         Box::new(ModelHandle {
             clock: Arc::clone(&self.clock),
-            spec: spec.clone(),
-            speed: Arc::clone(&self.speed),
-            overhead: Arc::clone(&self.overhead),
+            models,
+            shape,
             replicas,
-            iters: 0.0,
-            total: spec.app.total_iters() as f64,
-            last: self.clock.now(),
-            rescale: None,
-            unacked: None,
+            progress: Progress::launch(now, resume.unwrap_or(0.0), rate, recovery),
+            rescaling_to: None,
             stopped: false,
         })
     }
@@ -316,28 +297,48 @@ impl Executor for ModelExecutor {
 
 impl ExecHandle for ModelHandle {
     fn request_rescale(&mut self, replicas: u32) {
-        let now = self.clock.now();
-        self.advance(now);
-        let cost = (self.overhead)(&self.spec, self.replicas, replicas);
-        self.rescale = Some((now + cost, replicas));
+        // From the allocation the last request asked for, acknowledged
+        // or not: the new pause window replaces the open one.
+        let from = self.rescaling_to.unwrap_or(self.replicas);
+        let rate = self.models.rate(&self.shape, replicas);
+        let pause = self.models.overhead.job_total(&self.shape, from, replicas);
+        self.progress.resize(self.clock.now(), rate, pause);
+        self.rescaling_to = Some(replicas);
     }
 
     fn status(&mut self) -> ExecStatus {
         let now = self.clock.now();
-        self.advance(now);
-        if self.stopped || self.iters >= self.total {
+        if self.stopped || now >= self.progress.finishes_at(self.shape.work()) {
             ExecStatus::Finished
         } else {
             ExecStatus::Running {
-                iters: self.iters as u64,
+                iters: self.progress.done_at(now) as u64,
             }
         }
     }
 
     fn rescale_acked(&mut self) -> Option<RescaleReport> {
-        let now = self.clock.now();
-        self.advance(now);
-        self.unacked.take()
+        if self.clock.now() < self.progress.pause_until() {
+            return None;
+        }
+        let target = self.rescaling_to.take()?;
+        let from = std::mem::replace(&mut self.replicas, target);
+        Some(RescaleReport {
+            kind: if target < from {
+                charm_rt::RescaleKind::Shrink
+            } else {
+                charm_rt::RescaleKind::Expand
+            },
+            // The default OverheadModel curves model the paper's
+            // checkpoint/restart protocol.
+            mode: charm_rt::RescaleMode::FullRestart,
+            from_pes: from as usize,
+            to_pes: target as usize,
+            stages: charm_rt::StageTimings::default(),
+            migrated: 0,
+            bytes_moved: 0,
+            checkpoint_bytes: 0,
+        })
     }
 
     fn stop(&mut self) {
@@ -345,11 +346,10 @@ impl ExecHandle for ModelHandle {
     }
 
     fn checkpointed_iters(&mut self, now: SimTime, rollback: Duration) -> Option<f64> {
-        self.advance(now);
-        // Progress since the last checkpoint is lost: replay the
-        // modeled speed backwards over that tail.
-        let lost = (self.speed)(&self.spec, self.replicas) * rollback.as_secs();
-        Some((self.iters - lost).max(0.0))
+        // Progress since the last checkpoint is lost.
+        self.progress.advance(now);
+        self.progress.roll_back(rollback);
+        Some(self.progress.done())
     }
 }
 
@@ -365,7 +365,7 @@ mod tests {
             max_replicas: 8,
             priority: 3,
             walltime_estimate: None,
-            app: AppSpec::Modeled { total_iters: total },
+            app: AppSpec::linear(total as f64, 2, 8),
         }
     }
 
@@ -373,7 +373,7 @@ mod tests {
     fn model_progresses_linearly_with_replicas() {
         let clock = VirtualClock::new();
         let mut ex = ModelExecutor::ideal(Arc::new(clock.clone()));
-        let mut h = ex.launch(&spec(100), 4);
+        let mut h = ex.launch(&spec(100), 4, None);
         clock.advance(Duration::from_secs(10.0)); // 40 iters
         assert_eq!(h.status(), ExecStatus::Running { iters: 40 });
         clock.advance(Duration::from_secs(15.0)); // 100 iters total
@@ -385,10 +385,13 @@ mod tests {
         let clock = VirtualClock::new();
         let mut ex = ModelExecutor::new(
             Arc::new(clock.clone()),
-            Arc::new(|_, r| f64::from(r)),
-            Arc::new(|_, _, _| Duration::from_secs(5.0)),
+            ScalingModel::default(),
+            OverheadModel {
+                lb_base: 5.0,
+                ..OverheadModel::zero()
+            },
         );
-        let mut h = ex.launch(&spec(1000), 4);
+        let mut h = ex.launch(&spec(1000), 4, None);
         clock.advance(Duration::from_secs(10.0)); // 40 iters
         h.request_rescale(8);
         assert!(h.rescale_acked().is_none(), "ack only after overhead");
@@ -404,7 +407,7 @@ mod tests {
     fn model_checkpointed_iters_roll_back_to_the_boundary() {
         let clock = VirtualClock::new();
         let mut ex = ModelExecutor::ideal(Arc::new(clock.clone()));
-        let mut h = ex.launch(&spec(100_000), 4);
+        let mut h = ex.launch(&spec(100_000), 4, None);
         // 280 iters at 4/s. Checkpoints every 30 s: last boundary at
         // t=60, 10 s rolled back → 240 iters kept.
         clock.advance(Duration::from_secs(70.0));
@@ -418,9 +421,75 @@ mod tests {
     fn model_stop_finishes_immediately() {
         let clock = VirtualClock::new();
         let mut ex = ModelExecutor::ideal(Arc::new(clock.clone()));
-        let mut h = ex.launch(&spec(1_000_000), 1);
+        let mut h = ex.launch(&spec(1_000_000), 1, None);
         h.stop();
         assert_eq!(h.status(), ExecStatus::Finished);
+    }
+
+    #[test]
+    fn model_status_does_not_depend_on_how_often_it_is_polled() {
+        // One handle polled every tick, one never until the end, through
+        // a rescale with a 5 s pause: `Finished` at the same tick, and
+        // an eviction at any tick retains the same work.
+        let overhead = OverheadModel {
+            lb_base: 5.0,
+            ..OverheadModel::zero()
+        };
+        for evict_at in [Some(37u32), Some(150), None] {
+            let clock = VirtualClock::new();
+            let mut ex =
+                ModelExecutor::new(Arc::new(clock.clone()), ScalingModel::default(), overhead);
+            let mut polled = ex.launch(&spec(1000), 3, None);
+            let mut quiet = ex.launch(&spec(1000), 3, None);
+            let mut finished_at = None;
+            for tick in 1..=200u32 {
+                clock.advance(Duration::from_secs(1.0));
+                if tick == 20 {
+                    polled.request_rescale(7);
+                    quiet.request_rescale(7);
+                }
+                if Some(tick) == evict_at {
+                    let rollback = Duration::from_secs(4.0);
+                    let kept = polled.checkpointed_iters(clock.now(), rollback);
+                    assert_eq!(kept, quiet.checkpointed_iters(clock.now(), rollback));
+                    // 60 at 3/s, 5 s pause, 7/s since t=25, 28 lost.
+                    assert_eq!(kept, Some(60.0 + 7.0 * (f64::from(tick) - 25.0) - 28.0));
+                    break;
+                }
+                if polled.status() == ExecStatus::Finished {
+                    assert_eq!(quiet.status(), ExecStatus::Finished);
+                    finished_at = Some(tick);
+                    break;
+                }
+            }
+            // The remaining 940 at 7/s end 134.3 s after t=25.
+            assert_eq!(finished_at, evict_at.is_none().then_some(160));
+        }
+    }
+
+    #[test]
+    fn model_relaunch_from_a_checkpoint_pays_the_recovery_window() {
+        let overhead = OverheadModel {
+            restart_base: 5.0,
+            ..OverheadModel::zero()
+        };
+        let clock = VirtualClock::new();
+        let mut ex = ModelExecutor::new(Arc::new(clock.clone()), ScalingModel::default(), overhead);
+        // 400 of 1000 retained, 4/s: 5 s of recovery, then 150 s.
+        let mut h = ex.launch(&spec(1000), 4, Some(400.0));
+        clock.advance(Duration::from_secs(5.0));
+        assert_eq!(h.status(), ExecStatus::Running { iters: 400 });
+        clock.advance(Duration::from_secs(149.0));
+        assert_eq!(h.status(), ExecStatus::Running { iters: 996 });
+        clock.advance(Duration::from_secs(1.0));
+        assert_eq!(h.status(), ExecStatus::Finished);
+        // A start from zero, or an ideal executor, pays nothing.
+        let mut fresh = ex.launch(&spec(8), 4, None);
+        let mut ideal =
+            ModelExecutor::ideal(Arc::new(clock.clone())).launch(&spec(8), 4, Some(0.0));
+        clock.advance(Duration::from_secs(2.0));
+        assert_eq!(fresh.status(), ExecStatus::Finished);
+        assert_eq!(ideal.status(), ExecStatus::Finished);
     }
 
     #[test]
@@ -439,7 +508,7 @@ mod tests {
                 window: 5,
             },
         };
-        let mut h = ex.launch(&spec, 2);
+        let mut h = ex.launch(&spec, 2, None);
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         loop {
             match h.status() {
@@ -466,7 +535,7 @@ mod tests {
                 window: 4,
             },
         };
-        let mut h = ex.launch(&spec, 2);
+        let mut h = ex.launch(&spec, 2, None);
         h.request_rescale(4);
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         let report = loop {
@@ -487,6 +556,6 @@ mod tests {
     #[should_panic(expected = "ModelExecutor")]
     fn charm_executor_rejects_modeled_spec() {
         let mut ex = CharmExecutor;
-        let _ = ex.launch(&spec(10), 2);
+        let _ = ex.launch(&spec(10), 2, None);
     }
 }

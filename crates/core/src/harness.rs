@@ -18,12 +18,13 @@
 //! job is through — paces on by one `tick`. `settle` is what makes a
 //! completion → free → admit → launch chain resolve *within one
 //! instant*, as it does in the DES (see its docs for why that takes
-//! more than one reconcile round); with integer-second arrivals,
-//! runtimes and fault times and a linear speed model the operator
-//! replay is then *timestamp-identical* to the DES replay, whatever
-//! collides at an instant — `tests/instant_order.rs` generates the
-//! collisions, the trace cross-validation tests replay the bundled
-//! trace.
+//! more than one reconcile round). A modeled job executes under the
+//! one model both engines embed (`hpc_workload::model`), so with
+//! arrivals, runtimes, fault times and overhead windows that are whole
+//! multiples of `tick` the operator replay is *timestamp-identical* to
+//! the DES replay, whatever collides at an instant —
+//! `tests/instant_order.rs` generates the collisions, the trace
+//! cross-validation tests replay the bundled trace.
 //!
 //! What differs between runs is the sink and the pace:
 //!
@@ -41,7 +42,6 @@
 //! consumer uses, so the bench binaries exercise the real control-plane
 //! API rather than an operator-internal shortcut.
 //!
-//! [`ModelExecutor`]: crate::executor::ModelExecutor
 //! [`SchedulerClient`]: crate::client::SchedulerClient
 
 use std::collections::HashMap;
@@ -85,12 +85,9 @@ impl Schedule {
     }
 
     /// The operator-side rendering of a unified [`WorkloadSpec`]: every
-    /// job becomes a [`CharmJobSpec`] with an [`AppSpec::Modeled`] app
-    /// of `work` iterations (rounded; drive it with a
-    /// `ModelExecutor` whose speed model matches the workload's shape —
-    /// for malleable trace jobs that is the linear
-    /// `ModelExecutor::ideal`), and per-job `cancel_at`s become client
-    /// cancellations.
+    /// job becomes a [`CharmJobSpec`] whose [`AppSpec::Modeled`] app
+    /// carries the job's own shape, and per-job `cancel_at`s become
+    /// client cancellations.
     pub fn from_workload(workload: &WorkloadSpec) -> Self {
         workload.validate().expect("replayable workload");
         let mut jobs = Vec::with_capacity(workload.len());
@@ -107,9 +104,7 @@ impl Schedule {
                 max_replicas: job.max_replicas(),
                 priority: job.priority,
                 walltime_estimate: job.walltime_estimate,
-                app: AppSpec::Modeled {
-                    total_iters: job.work().round().max(1.0) as u64,
-                },
+                app: AppSpec::Modeled { shape: job.shape },
             });
         }
         Self::build(jobs, arrivals).with_cancellations(cancellations)
@@ -335,7 +330,7 @@ mod tests {
             max_replicas: 2,
             priority: 1,
             walltime_estimate: None,
-            app: AppSpec::Modeled { total_iters: 1 },
+            app: AppSpec::linear(1.0, 1, 2),
         }
     }
 
@@ -382,8 +377,8 @@ mod tests {
         assert_eq!(s.jobs[1].priority, 5);
         assert_eq!(
             s.jobs[1].app,
-            AppSpec::Modeled { total_iters: 400 },
-            "work becomes modeled iterations"
+            AppSpec::linear(400.0, 1, 8),
+            "the app is the job's own shape"
         );
         assert_eq!(
             s.cancellations,

@@ -129,6 +129,21 @@ pub trait Effects {
     fn event_done(&mut self) {}
 }
 
+/// How often the kernel — the only caller of a policy hook — dispatched
+/// a burst, and how many jobs went through them: a storm that arrives
+/// batched costs `submit_bursts`, not `submissions`, policy invocations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Dispatches {
+    /// [`Kernel::submit_burst`] dispatches (`on_submit_burst` calls).
+    pub submit_bursts: u64,
+    /// Jobs admitted to a decision inside them.
+    pub submissions: u64,
+    /// [`Kernel::complete_burst`] dispatches (`on_complete_burst` calls).
+    pub complete_bursts: u64,
+    /// Jobs retired inside them.
+    pub completions: u64,
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 enum Phase {
     /// Never admitted.
@@ -185,6 +200,7 @@ pub struct Kernel {
     /// Transient faults are scheduled: completions feed the breaker.
     flaky_scheduled: bool,
     jobs: Vec<Attempt>,
+    dispatches: Dispatches,
 }
 
 impl Kernel {
@@ -204,6 +220,7 @@ impl Kernel {
             recovery,
             flaky_scheduled: false,
             jobs: Vec::new(),
+            dispatches: Dispatches::default(),
         }
     }
 
@@ -263,6 +280,11 @@ impl Kernel {
             breaker_trips: self.resilience.breaker_trips(),
             ..self.faults
         }
+    }
+
+    /// Burst dispatches and the jobs that went through them so far.
+    pub fn dispatches(&self) -> Dispatches {
+        self.dispatches
     }
 
     /// Jobs admitted or expected so far.
@@ -341,6 +363,7 @@ impl Kernel {
         policy: &dyn SchedulingPolicy,
         fx: &mut E,
     ) {
+        self.dispatches.submit_bursts += 1;
         let (kernel, owed) = (self, false);
         policy.on_submit_burst(&mut Burst {
             kernel,
@@ -378,6 +401,7 @@ impl Kernel {
         policy: &dyn SchedulingPolicy,
         fx: &mut E,
     ) {
+        self.dispatches.complete_bursts += 1;
         let (kernel, owed) = (self, false);
         let mut burst = Burst {
             kernel,
@@ -768,6 +792,7 @@ impl<E: Effects> SubmitBurst for Burst<'_, E> {
             // Pre-cancelled submissions are consumed here; the policy
             // only ever sees decidable admissions.
             if let Some(id) = self.kernel.admit(admission, self.now, self.fx) {
+                self.kernel.dispatches.submissions += 1;
                 return Some(id);
             }
         }
@@ -795,6 +820,7 @@ impl<E: Effects> CompleteBurst for Burst<'_, E> {
         }
         let next = self.fx.next_completion();
         if let Some(job) = next {
+            self.kernel.dispatches.completions += 1;
             self.kernel.retire(job, self.now, self.fx);
         }
         self.owed = next.is_some();

@@ -154,7 +154,24 @@
 //! A burst is one policy dispatch however many jobs it carries, and
 //! the default burst hooks replay the per-event decisions exactly: n
 //! submissions cost n O(log n) decisions, not n view rebuilds or n
-//! dispatches.
+//! dispatches. The kernel counts both ([`kernel::Dispatches`], read
+//! through [`CharmOperator::dispatches`]).
+//!
+//! What the kernel decides, a modeled job then *executes* the same way
+//! in both engines too. The execution model is one module,
+//! `hpc_workload::model`: [`ScalingModel`] (work rate of a job shape at
+//! a replica count), [`OverheadModel`] (the pause a rescale costs, the
+//! recovery window a checkpoint relaunch pays first) and the
+//! `Progress` integrator (work done, rate, pause window;
+//! `resize`, `roll_back`, `finishes_at`). The DES keeps a `Progress`
+//! per job and schedules a completion event at `finishes_at`;
+//! [`ModelExecutor`] keeps one per handle and answers `Finished` once
+//! the clock is past it. Both integrate at a job's own events only, so
+//! given the same two structs, a launch, a rescale, an eviction's
+//! rollback and the relaunch after it run through the same arithmetic —
+//! [`AppSpec::Modeled`] carries the workload job's own shape to get
+//! there. [`ModelExecutor::ideal`] is that model with every cost zero
+//! and every shape linear.
 //!
 //! ## Plugging in a fifth policy: how `EasyBackfill` was built
 //!
@@ -294,7 +311,8 @@
 //! * [`registry`] — the [`JobRegistry`] name ↔ [`JobId`] interner.
 //! * [`policy`] — [`SchedulingPolicy`] and the built-in policies.
 //! * [`client`] — [`SchedulerClient`], [`JobTicket`], lifecycle events.
-//! * [`executor`] — real (`charm-rt`) and modeled job execution.
+//! * [`executor`] — real (`charm-rt`) job execution, and modeled
+//!   execution under `hpc_workload::model`.
 //! * [`kernel`] — the transition machine both engines drive.
 //! * [`operator`] — the store/watch adapter around it, with the
 //!   paper's shrink/expand pod sequences.
@@ -333,6 +351,8 @@ pub use error::SchedulerError;
 pub use executor::{CharmExecutor, ExecHandle, ExecStatus, Executor, ModelExecutor};
 pub use harness::{run_real, run_virtual, run_workload_virtual, ArrivalSink, Schedule};
 pub use hpc_metrics::JobId;
+// What `ModelExecutor::new` takes.
+pub use hpc_workload::model::{OverheadModel, ScalingModel};
 pub use operator::CharmOperator;
 pub use policy::{
     AgingSweep, CompleteBurst, EasyBackfill, FcfsBackfill, Policy, PolicyConfig, PolicyKind,

@@ -81,12 +81,10 @@ use kube_sim::{ControlPlane, EventLog, Pod, PodRole, Store, Stored, WatchEvent};
 use elastic_resilience::{LeasePool, Lifecycle, ShutdownPhase, SlotLease};
 
 use crate::client::{SchedulerClient, SubmitRequest};
-use crate::crd::{
-    AppSpec, CharmJob, CharmJobSpec, CharmJobStatus, FaultNotice, FlakyNotice, JobPhase,
-};
+use crate::crd::{CharmJob, CharmJobSpec, CharmJobStatus, FaultNotice, FlakyNotice, JobPhase};
 use crate::error::SchedulerError;
 use crate::executor::{ExecHandle, ExecStatus, Executor};
-use crate::kernel::{Admission, Effects, Kernel, Stop};
+use crate::kernel::{Admission, Dispatches, Effects, Kernel, Stop};
 use crate::policy::SchedulingPolicy;
 use crate::registry::JobRegistry;
 use crate::report::{FaultStats, RunMetrics};
@@ -148,28 +146,36 @@ pub struct CharmOperator {
     lifecycle: Lifecycle,
 }
 
-/// The per-job state the pod choreography keeps: executors, their
+/// Everything held for one launched job. One record, so the executor,
+/// its slot and its rescale flow leave together wherever the job stops.
+struct Running {
+    handle: Box<dyn ExecHandle>,
+    /// RAII slot accounting: the executor holds one leased slot for as
+    /// long as this record exists, so an evicted executor structurally
+    /// cannot leak its slot.
+    _lease: SlotLease,
+    /// The rescale in flight, if any.
+    flow: Option<RescaleFlow>,
+}
+
+/// The per-job state the pod choreography keeps: executors with their
 /// leases and rescale flows, pod serials, checkpointed progress — plus
 /// the two queues a burst is pulled from.
 struct ExecutorPool {
     executor: Box<dyn Executor>,
     /// Name ↔ id interning (admission order).
     registry: JobRegistry,
-    /// Live executor handles. Its keys are exactly the `Running` jobs
-    /// (inserted at launch, removed wherever a job stops), in admission
-    /// order — the timer pass polls these, not the job store.
-    handles: BTreeMap<JobId, Box<dyn ExecHandle>>,
-    flows: BTreeMap<JobId, RescaleFlow>,
+    /// Live executors. The keys are exactly the `Running` jobs (inserted
+    /// at launch, removed wherever a job stops), in admission order —
+    /// the timer pass polls these, not the job store.
+    running: BTreeMap<JobId, Running>,
     /// Next worker-pod serial per job (indexed by `JobId`).
     next_serial: Vec<u32>,
-    /// Checkpointed iterations evicted jobs restart from.
-    retained_iters: HashMap<JobId, f64>,
-    /// RAII slot accounting for live executors: every launched executor
-    /// holds one leased slot until its handle is torn down, so an
-    /// evicted executor structurally cannot leak its slot.
+    /// Work the last checkpoint of an evicted job preserved (zero when it
+    /// never launched), until its relaunch hands it to the executor.
+    checkpointed: HashMap<JobId, f64>,
+    /// Where the executors' slot leases come from.
     leases: LeasePool,
-    /// The per-executor leases (dropped wherever the handle is removed).
-    held: HashMap<JobId, SlotLease>,
     /// Requeue backoffs the kernel asked to be woken for — the
     /// operator's stand-in for an event queue.
     backoffs: BTreeSet<(SimTime, JobId)>,
@@ -220,12 +226,10 @@ impl CharmOperator {
             pool: ExecutorPool {
                 executor,
                 registry: JobRegistry::new(),
-                handles: BTreeMap::new(),
-                flows: BTreeMap::new(),
+                running: BTreeMap::new(),
                 next_serial: Vec::new(),
-                retained_iters: HashMap::new(),
+                checkpointed: HashMap::new(),
                 leases: LeasePool::new(),
-                held: HashMap::new(),
                 backoffs: BTreeSet::new(),
                 admitting: VecDeque::new(),
                 polling: VecDeque::new(),
@@ -264,6 +268,12 @@ impl CharmOperator {
     /// Rescale actions issued so far.
     pub fn rescales(&self) -> u32 {
         self.kernel.rescales()
+    }
+
+    /// How many policy burst dispatches the submissions and completions
+    /// so far cost ([`Kernel::dispatches`]).
+    pub fn dispatches(&self) -> Dispatches {
+        self.kernel.dispatches()
     }
 
     /// Jobs cancelled so far.
@@ -534,27 +544,20 @@ impl CharmOperator {
             let now = self.plane.now();
             let pool = &mut self.pool;
             let id = pool.registry.id(name).expect("starting job was admitted");
-            // The one spec clone of a launch: the executor keeps it.
-            let mut spec = self
+            // The one spec clone of a launch.
+            let spec = self
                 .jobs
                 .read(name, |s| s.obj.spec.clone())
                 .expect("starting job exists");
-            // A job relaunching after an eviction resumes from its last
-            // checkpoint: the executor runs only the remaining modeled
-            // iterations (real apps restart from their own state files).
-            // The ledger entry stays — a later eviction of this attempt
-            // accumulates its own retained progress on top of it.
-            if let Some(done) = pool.retained_iters.get(&id).copied() {
-                if let (true, AppSpec::Modeled { total_iters }) = (done > 0.0, &spec.app) {
-                    let remaining = total_iters.saturating_sub(done.floor() as u64).max(1);
-                    spec.app = AppSpec::Modeled {
-                        total_iters: remaining,
-                    };
-                }
-            }
-            let handle = pool.executor.launch(&spec, desired);
-            pool.handles.insert(id, handle);
-            pool.held.insert(id, pool.leases.lease(1));
+            // A job relaunching after an eviction resumes from what its
+            // last checkpoint preserved.
+            let resume = pool.checkpointed.remove(&id);
+            let launched = Running {
+                handle: pool.executor.launch(&spec, desired, resume),
+                _lease: pool.leases.lease(1),
+                flow: None,
+            };
+            pool.running.insert(id, launched);
             self.kernel.started(id, now);
             self.jobs
                 .update(name, |j| {
@@ -582,20 +585,20 @@ impl CharmOperator {
         let (kernel, policy, mut fx) = self.split();
 
         // Progress rescale flows (BTreeMap: deterministic id order).
-        let flow_jobs: Vec<JobId> = fx.pool.flows.keys().copied().collect();
-        for id in flow_jobs {
-            let flow = fx.pool.flows[&id];
+        let in_flow = |(id, r): (&JobId, &Running)| r.flow.map(|flow| (*id, flow));
+        let flows: Vec<(JobId, RescaleFlow)> = fx.pool.running.iter().filter_map(in_flow).collect();
+        for (id, flow) in flows {
             let name = fx.pool.registry.name(id).to_string();
+            let job = fx.pool.running.get_mut(&id).expect("collected above");
             match flow {
                 RescaleFlow::ShrinkSignalled { target } => {
-                    let acked = fx.pool.handles.get_mut(&id).and_then(|h| h.rescale_acked());
-                    if let Some(report) = acked {
+                    if let Some(report) = job.handle.rescale_acked() {
                         progressed = true;
+                        job.flow = None;
                         fx.remove_excess_workers(&name, target);
                         fx.update_nodelist(&name);
                         fx.mirror(&name, |s| s.replicas = target);
                         kernel.shrunk(id, now);
-                        fx.pool.flows.remove(&id);
                         let message = format!("-> {target} (overhead {})", report.total());
                         fx.events.record(now, &name, "Shrunk", message);
                     }
@@ -607,22 +610,18 @@ impl CharmOperator {
                     {
                         progressed = true;
                         fx.update_nodelist(&name);
-                        if let Some(handle) = fx.pool.handles.get_mut(&id) {
-                            handle.request_rescale(target);
-                        }
-                        fx.pool
-                            .flows
-                            .insert(id, RescaleFlow::ExpandSignalled { target });
+                        let job = fx.pool.running.get_mut(&id).expect("collected above");
+                        job.handle.request_rescale(target);
+                        job.flow = Some(RescaleFlow::ExpandSignalled { target });
                         let message = format!("-> {target}");
                         fx.events.record(now, &name, "ExpandSignalled", message);
                     }
                 }
                 RescaleFlow::ExpandSignalled { target } => {
-                    let acked = fx.pool.handles.get_mut(&id).and_then(|h| h.rescale_acked());
-                    if let Some(report) = acked {
+                    if let Some(report) = job.handle.rescale_acked() {
                         progressed = true;
+                        job.flow = None;
                         fx.mirror(&name, |s| s.replicas = target);
-                        fx.pool.flows.remove(&id);
                         let message = format!("-> {target} (overhead {})", report.total());
                         fx.events.record(now, &name, "Expanded", message);
                     }
@@ -631,14 +630,14 @@ impl CharmOperator {
         }
 
         // Detect completions (executor handles are poll-only): the
-        // handle keys are the `Running` jobs, in id = admission order.
+        // keys of `running` are the `Running` jobs, in id = admission order.
         // The first finished one (polled again by the burst it opens)
         // starts a completion burst, which pulls the rest — each handle
         // polled after the completions before it were applied, because
         // a completion's redistribution may stop or rescale it.
         let pool = &mut *fx.pool;
         pool.polling.clear();
-        pool.polling.extend(pool.handles.keys().copied());
+        pool.polling.extend(pool.running.keys().copied());
         if let Some(first) = fx.next_finished() {
             progressed = true;
             fx.pool.polling.push_front(first);
@@ -658,7 +657,7 @@ impl CharmOperator {
 
     /// Debug builds re-derive, from one full scan of the job store, the
     /// two answers the tick path reads off its own state — which jobs
-    /// are `Running` (the handle keys) and whether every job is
+    /// are `Running` (the executor keys) and whether every job is
     /// terminal ([`CharmOperator::all_complete`]) — and have the kernel
     /// check its books.
     #[cfg(debug_assertions)]
@@ -675,9 +674,9 @@ impl CharmOperator {
             })
             .collect();
         assert!(
-            self.pool.handles.keys().eq(running.iter()),
-            "executor handles {:?} != Running jobs {running:?}",
-            self.pool.handles.keys().collect::<Vec<_>>()
+            self.pool.running.keys().eq(running.iter()),
+            "executors {:?} != Running jobs {running:?}",
+            self.pool.running.keys().collect::<Vec<_>>()
         );
         let scanned = !jobs.is_empty() && jobs.iter().all(|s| s.obj.status.phase.is_terminal());
         assert_eq!(
@@ -817,7 +816,7 @@ impl CharmOperator {
         self.lifecycle.begin_cleanup();
         let now = self.plane.now();
         let (kernel, _, mut fx) = self.split();
-        let live: Vec<JobId> = fx.pool.handles.keys().copied().collect();
+        let live: Vec<JobId> = fx.pool.running.keys().copied().collect();
         for id in live {
             let name = fx.release(id, false);
             fx.mirror(&name, |s| {
@@ -930,11 +929,9 @@ impl Choreography<'_> {
     /// gracefully.
     fn release(&mut self, job: JobId, hard: bool) -> String {
         let name = self.pool.registry.name(job).to_string();
-        if let Some(mut handle) = self.pool.handles.remove(&job) {
-            handle.stop();
+        if let Some(mut launched) = self.pool.running.remove(&job) {
+            launched.handle.stop();
         }
-        self.pool.held.remove(&job);
-        self.pool.flows.remove(&job);
         for pod in self.plane.pod_names_of_job(&name, None) {
             if hard {
                 let _ = self.plane.pods.delete(&pod);
@@ -950,8 +947,8 @@ impl Choreography<'_> {
     /// it finished.
     fn next_finished(&mut self) -> Option<JobId> {
         while let Some(id) = self.pool.polling.pop_front() {
-            let handle = self.pool.handles.get_mut(&id);
-            if handle.is_some_and(|h| h.status() == ExecStatus::Finished) {
+            let launched = self.pool.running.get_mut(&id);
+            if launched.is_some_and(|l| l.handle.status() == ExecStatus::Finished) {
                 return Some(id);
             }
         }
@@ -1033,22 +1030,18 @@ impl Effects for Choreography<'_> {
         if to > from {
             // Paper's expand sequence: pods first, nodelist, then signal.
             self.create_workers(job, &name, to.saturating_sub(current), now);
-            let kind = if self.pool.handles.contains_key(&job) {
-                self.pool
-                    .flows
-                    .insert(job, RescaleFlow::ExpandPodsPending { target: to });
+            let kind = if let Some(launched) = self.pool.running.get_mut(&job) {
+                launched.flow = Some(RescaleFlow::ExpandPodsPending { target: to });
                 "ExpandStarted"
             } else {
                 "ExpandPreLaunch"
             };
             self.events.record(now, &name, kind, format!("-> {to}"));
             true
-        } else if let Some(handle) = self.pool.handles.get_mut(&job) {
+        } else if let Some(launched) = self.pool.running.get_mut(&job) {
             // Paper's shrink sequence: signal first, remove pods on ack.
-            handle.request_rescale(to);
-            self.pool
-                .flows
-                .insert(job, RescaleFlow::ShrinkSignalled { target: to });
+            launched.handle.request_rescale(to);
+            launched.flow = Some(RescaleFlow::ShrinkSignalled { target: to });
             self.events
                 .record(now, &name, "ShrinkSignalled", format!("-> {to}"));
             false
@@ -1065,21 +1058,18 @@ impl Effects for Choreography<'_> {
     fn stop(&mut self, job: JobId, why: Stop, now: SimTime) {
         if let Stop::Evicted { rollback } = why {
             // The checkpoint the relaunch resumes from, asked of the
-            // executor before it is killed. Cumulative across attempts:
-            // the relaunch handle only models the *remaining*
-            // iterations, so its checkpoint count is relative to the
-            // previous attempt's floor — a second eviction adds onto
-            // that floor instead of forgetting it.
-            let retained = self
-                .pool
-                .handles
-                .get_mut(&job)
-                .and_then(|handle| handle.checkpointed_iters(now, rollback));
-            if let Some(kept) = retained.filter(|kept| *kept > 0.0) {
-                *self.pool.retained_iters.entry(job).or_insert(0.0) += kept;
+            // executor before it is killed. Every eviction leaves an
+            // entry — that is what makes the relaunch pay recovery, as
+            // `Des::stop` marks every evicted job: one evicted before
+            // it launched keeps whatever an earlier attempt left.
+            let launched = self.pool.running.get_mut(&job);
+            let kept = launched.and_then(|l| l.handle.checkpointed_iters(now, rollback));
+            let entry = self.pool.checkpointed.entry(job).or_insert(0.0);
+            if let Some(kept) = kept {
+                *entry = kept;
             }
         } else {
-            self.pool.retained_iters.remove(&job);
+            self.pool.checkpointed.remove(&job);
         }
         // An evicted job may be relaunched in the same reconcile
         // instant (a transient-fault eviction frees its own slots with

@@ -14,8 +14,8 @@ use std::sync::Arc;
 
 use elastic_core::{
     run_virtual, Action, AppSpec, CharmJobSpec, CharmOperator, ClusterView, FcfsBackfill,
-    JobEventKind, JobId, JobPhase, ModelExecutor, Policy, PolicyConfig, Schedule, SchedulingPolicy,
-    SubmitRequest,
+    JobEventKind, JobId, JobPhase, ModelExecutor, OverheadModel, Policy, PolicyConfig,
+    ScalingModel, Schedule, SchedulingPolicy, SubmitRequest,
 };
 use hpc_metrics::{Clock, Duration, SimTime, VirtualClock};
 use kube_sim::{ControlPlane, KubeletConfig};
@@ -27,7 +27,7 @@ fn spec(name: &str, prio: u32, min: u32, max: u32, iters: u64) -> CharmJobSpec {
         max_replicas: max,
         priority: prio,
         walltime_estimate: None,
-        app: AppSpec::Modeled { total_iters: iters },
+        app: AppSpec::linear(iters as f64, min, max),
     }
 }
 
@@ -340,8 +340,11 @@ fn operator_with_overhead(
     let plane = ControlPlane::with_nodes(Arc::new(clock.clone()), kubelet, 4, 16);
     let executor = ModelExecutor::new(
         plane.clock(),
-        Arc::new(|_, replicas| f64::from(replicas)),
-        Arc::new(move |_, _, _| Duration::from_secs(overhead_s)),
+        ScalingModel::default(),
+        OverheadModel {
+            lb_base: overhead_s,
+            ..OverheadModel::zero()
+        },
     );
     CharmOperator::new(
         plane,

@@ -13,8 +13,8 @@
 use std::sync::Arc;
 
 use elastic_core::{
-    CharmJobSpec, CharmOperator, FlakyNotice, JobPhase, ModelExecutor, Policy, PolicyConfig,
-    SchedulerClient, SubmitRequest,
+    CharmJobSpec, CharmOperator, FlakyNotice, JobPhase, ModelExecutor, OverheadModel, Policy,
+    PolicyConfig, ScalingModel, SchedulerClient, SubmitRequest,
 };
 use hpc_metrics::{Clock, Duration, VirtualClock};
 use hpc_workload::{FaultSpec, FlakyOp, FlakySpec};
@@ -34,8 +34,11 @@ fn operator(clock: &VirtualClock) -> CharmOperator {
     let plane = ControlPlane::with_nodes(Arc::new(clock.clone()), kubelet, 4, 16);
     let executor = ModelExecutor::new(
         plane.clock(),
-        Arc::new(|_, replicas| f64::from(replicas)),
-        Arc::new(|_, _, _| Duration::from_secs(4.0)),
+        ScalingModel::default(),
+        OverheadModel {
+            lb_base: 4.0,
+            ..OverheadModel::zero()
+        },
     );
     let policy = Policy::elastic(PolicyConfig {
         rescale_gap: Duration::from_secs(1.0),

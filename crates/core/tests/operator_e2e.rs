@@ -5,10 +5,10 @@
 use std::sync::Arc;
 
 use elastic_core::{
-    run_virtual, AppSpec, CharmJobSpec, CharmOperator, JobPhase, ModelExecutor, Policy,
-    PolicyConfig, PolicyKind, Schedule, ShutdownPhase,
+    run_virtual, AppSpec, CharmJobSpec, CharmOperator, JobPhase, ModelExecutor, OverheadModel,
+    Policy, PolicyConfig, PolicyKind, ScalingModel, Schedule, ShutdownPhase,
 };
-use hpc_metrics::{Clock, Duration, VirtualClock};
+use hpc_metrics::{Clock, Duration, SimTime, VirtualClock};
 use kube_sim::{ControlPlane, KubeletConfig, PodRole};
 
 fn spec(name: &str, prio: u32, min: u32, max: u32, iters: u64) -> CharmJobSpec {
@@ -18,7 +18,7 @@ fn spec(name: &str, prio: u32, min: u32, max: u32, iters: u64) -> CharmJobSpec {
         max_replicas: max,
         priority: prio,
         walltime_estimate: None,
-        app: AppSpec::Modeled { total_iters: iters },
+        app: AppSpec::linear(iters as f64, min, max),
     }
 }
 
@@ -244,8 +244,11 @@ fn cancel_mid_shrink_with_fault_pending_leaks_no_slots() {
     let plane = ControlPlane::with_nodes(Arc::new(clock.clone()), KubeletConfig::instant(), 4, 16);
     let executor = ModelExecutor::new(
         plane.clock(),
-        Arc::new(|_, replicas| f64::from(replicas)),
-        Arc::new(|_, _, _| Duration::from_secs(10.0)),
+        ScalingModel::default(),
+        OverheadModel {
+            lb_base: 10.0,
+            ..OverheadModel::zero()
+        },
     );
     let mut op = CharmOperator::new(
         plane,
@@ -405,6 +408,67 @@ fn evict_mid_expand_with_fault_pending_leaks_no_slots() {
     op.tick();
     assert_eq!(op.plane.committed(), 0, "no pod still holds slots");
     assert!(op.fault_stats().wasted_core_seconds > 0.0);
+}
+
+#[test]
+fn a_job_evicted_before_it_launched_still_pays_recovery() {
+    use elastic_core::{FaultNotice, RecoveryPolicy, RecoveryStrategy};
+    use hpc_workload::FaultKind;
+    // Recovery is owed for having been evicted, as in the DES — not for
+    // having had an executor to ask. A 5 s kubelet startup latency
+    // leaves the first attempt `Starting` when the fault evicts it.
+    let clock = VirtualClock::new();
+    let kubelet = KubeletConfig {
+        startup_latency: Duration::from_secs(5.0),
+        termination_grace: Duration::ZERO,
+    };
+    let plane = ControlPlane::with_nodes(Arc::new(clock.clone()), kubelet, 4, 16);
+    let overhead = OverheadModel {
+        restart_base: 5.0,
+        ..OverheadModel::zero()
+    };
+    let executor = ModelExecutor::new(plane.clock(), ScalingModel::default(), overhead);
+    let mut op = CharmOperator::new(
+        plane,
+        Box::new(RecoveryPolicy::new(
+            Box::new(Policy::elastic(cfg(1.0))),
+            RecoveryStrategy::CheckpointRestart,
+        )),
+        Box::new(executor),
+    );
+    let notice = |name: &str, at: SimTime, kind| FaultNotice {
+        name: name.into(),
+        at,
+        slots: 60,
+        kind,
+    };
+    op.submit(spec("a", 3, 4, 4, 400)).unwrap();
+    op.tick();
+    let phase = |op: &CharmOperator| op.jobs.get("a").unwrap().obj.status.phase;
+    assert_eq!(phase(&op), JobPhase::Starting);
+    let at = clock.now() + Duration::from_secs(1.0);
+    op.faults
+        .create(notice("fault-0000", at, FaultKind::Reclaim))
+        .unwrap();
+    clock.advance(Duration::from_secs(1.0));
+    op.tick();
+    assert_eq!(op.fault_stats().evictions, 1, "evicted while Starting");
+    assert_eq!(phase(&op), JobPhase::Queued);
+    let at = clock.now() + Duration::from_secs(1.0);
+    op.faults
+        .create(notice("fault-0001", at, FaultKind::Return))
+        .unwrap();
+    let mut guard = 0;
+    while !op.all_complete() {
+        clock.advance(Duration::from_secs(1.0));
+        op.tick();
+        guard += 1;
+        assert!(guard < 1_000, "a never completed after eviction");
+    }
+    // 400 units at 4/s behind the 5 s recovery window.
+    let status = op.jobs.get("a").unwrap().obj.status.clone();
+    let ran = status.completed_at.unwrap() - status.started_at.unwrap();
+    assert_eq!(ran.as_secs(), 105.0);
 }
 
 #[test]

@@ -21,7 +21,7 @@
 //! * [`interp`] — piecewise-linear interpolation (linear and log–log),
 //!   used to model strong-scaling curves and rescale overheads the same
 //!   way the paper's simulator does (§4.3.1).
-//! * [`recorder`] — utilization and time-series recorders that back the
+//! * [`recorder`] — the utilization recorder that backs the
 //!   cluster-utilization metric and the Fig. 9 profiles.
 //! * [`stats`] — weighted means (response/completion times weighted by
 //!   job priority) and simple summary statistics.
@@ -43,6 +43,6 @@ pub mod time;
 pub use clock::{Clock, ClockRef, RealClock, VirtualClock};
 pub use ids::JobId;
 pub use interp::PiecewiseLinear;
-pub use recorder::{SeriesRecorder, UtilizationRecorder};
+pub use recorder::UtilizationRecorder;
 pub use stats::{Summary, WeightedMean};
 pub use time::{Duration, SimTime};

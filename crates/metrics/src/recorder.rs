@@ -17,7 +17,7 @@ use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::ids::JobId;
-use crate::time::{Duration, SimTime};
+use crate::time::SimTime;
 
 /// One allocation-change event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -168,54 +168,6 @@ fn totals(events: &[AllocEvent]) -> impl Iterator<Item = (SimTime, u32)> + '_ {
         let total = u32::try_from(running_total).expect("total slots fit u32");
         (ev.at, total)
     })
-}
-
-/// A plain `(t, value)` time series with helpers used by the figure
-/// regenerators (per-iteration times, replica-count evolution, …).
-#[derive(Debug, Clone, Default)]
-pub struct SeriesRecorder {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl SeriesRecorder {
-    /// An empty series.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a point.
-    pub fn push(&mut self, at: SimTime, value: f64) {
-        self.points.push((at, value));
-    }
-
-    /// All points in insertion order.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `true` when no points have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Converts to `(seconds, value)` pairs for charting/CSV.
-    pub fn as_xy(&self) -> Vec<(f64, f64)> {
-        self.points.iter().map(|&(t, v)| (t.as_secs(), v)).collect()
-    }
-
-    /// Largest gap between consecutive points — the Fig. 6b "rescale
-    /// gap" detector.
-    pub fn largest_gap(&self) -> Option<(SimTime, Duration)> {
-        self.points
-            .windows(2)
-            .map(|w| (w[0].0, w[1].0 - w[0].0))
-            .max_by(|a, b| a.1.cmp(&b.1))
-    }
 }
 
 #[cfg(test)]
@@ -384,19 +336,5 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn rejects_zero_capacity() {
         let _ = UtilizationRecorder::new(0);
-    }
-
-    #[test]
-    fn series_recorder_basics() {
-        let mut s = SeriesRecorder::new();
-        assert!(s.is_empty());
-        s.push(t(0.0), 1.0);
-        s.push(t(1.0), 2.0);
-        s.push(t(5.0), 3.0); // 4s gap
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.as_xy()[2], (5.0, 3.0));
-        let (at, gap) = s.largest_gap().unwrap();
-        assert_eq!(at, t(1.0));
-        assert_eq!(gap.as_secs(), 4.0);
     }
 }

@@ -18,7 +18,7 @@
 //! store creates the operator's watch drain coalesces into a *single*
 //! [`SchedulingPolicy::on_submit_burst`] dispatch — a 100k-submission
 //! storm costs O(batches) policy invocations, not O(jobs)
-//! ([`InstrumentedPolicy`] counts them; `tests/replay_counters.rs`
+//! (`CharmOperator::dispatches` counts them; `tests/replay_counters.rs`
 //! pins the exact counts). Every submission is answered explicitly:
 //! [`SubmitResponse::Admitted`] (the push completed a batch — the
 //! ticket is real), [`SubmitResponse::Queued`] with the shard depth, or
@@ -58,9 +58,7 @@
 pub mod bus;
 pub mod harness;
 pub mod ingest;
-pub mod instrument;
 
 pub use bus::{BusPoll, EventBus, Subscriber};
 pub use harness::run_workload_ingest;
 pub use ingest::{IngestConfig, IngestQueue, IngestStats, ShardRouter};
-pub use instrument::{DispatchCounters, InstrumentedPolicy};

@@ -1,5 +1,5 @@
-//! The discrete-event simulator: a calendar queue and a progress
-//! integrator around the scheduling kernel.
+//! The discrete-event simulator: a calendar queue around the
+//! scheduling kernel and the shared execution model.
 //!
 //! This file is an **adapter**. It decides nothing: which hook fires
 //! after which view mutation, how an eviction or a requeue is costed,
@@ -20,14 +20,16 @@
 //!   order one operator tick reconciles them in — not the seeding
 //!   order's. [`SimState::step`] pops an event and calls the kernel
 //!   entry point it maps to.
-//! * **Progress.** Each job integrates the shape's `rate(replicas)`
-//!   between events; a rescale pauses progress for the modeled overhead
-//!   window; a checkpoint/restart relaunch pays the FullRestart recovery
-//!   window first. Every launch or resize schedules the job's
-//!   completion and bumps its generation, which turns the previously
-//!   scheduled one into a stale entry. As in the paper's simulator,
-//!   pod-startup overhead is not modeled (§4.3.1): a launch takes hold
-//!   at once.
+//! * **Progress.** How a job executes — rate, rescale pause,
+//!   checkpoint rollback, recovery window — is
+//!   [`hpc_workload::model::Progress`] under the configured
+//!   [`ScalingModel`] / [`OverheadModel`], the same integrator and
+//!   structs the operator's `ModelExecutor` runs. What this file adds
+//!   is the queue side: every launch or resize schedules the job's
+//!   completion at `Progress::finishes_at` and bumps its generation,
+//!   which turns the previously scheduled one into a stale entry. As in
+//!   the paper's simulator, pod-startup overhead is not modeled
+//!   (§4.3.1): a launch takes hold at once.
 //! * **The kernel's effects** ([`Effects`]): launch / resize / stop as
 //!   above; the next admission of a submit burst; the next live
 //!   completion at the burst's instant straight off the queue; and the
@@ -51,7 +53,7 @@ use hpc_metrics::{Duration, JobId, SimTime, UtilizationRecorder};
 use hpc_workload::{FaultEvent, FaultKind, JobSpec, WorkloadSpec};
 
 use crate::events::{Event, EventQueue};
-use crate::model::{OverheadModel, ScalingModel};
+use crate::model::{OverheadModel, Progress, ScalingModel};
 
 /// Simulation parameters. Submission times are *not* here: every job
 /// of the replayed [`WorkloadSpec`] carries its own arrival time
@@ -109,17 +111,16 @@ pub struct SimOutcome {
     pub peak_queue_len_raw: usize,
 }
 
-/// One job's progress integration; everything else about the job is
-/// the kernel's.
+/// One job's execution state — its [`Progress`] and the flags that tell
+/// a live queue entry from a stale one; everything else about the job
+/// is the kernel's.
 #[derive(Clone, Default)]
 struct JobRt {
-    steps_done: f64,
-    last_update: SimTime,
-    pause_until: SimTime,
+    /// Work done, rate and pause window; what an eviction retained
+    /// while the job is queued.
+    progress: Progress,
     /// Bumped whenever the scheduled completion dies.
     generation: u64,
-    /// Steps per second at the current allocation.
-    rate: f64,
     running: bool,
     /// The next launch restores from a checkpoint: pay the FullRestart
     /// recovery overhead before progress resumes.
@@ -130,23 +131,9 @@ struct JobRt {
     cancel_on_arrival: bool,
 }
 
-impl JobRt {
-    /// Integrates progress up to `now` (no progress inside the rescale
-    /// pause window).
-    fn advance(&mut self, now: SimTime) {
-        if self.running {
-            let start = if self.pause_until > self.last_update {
-                self.pause_until.min(now)
-            } else {
-                self.last_update
-            };
-            if now > start {
-                self.steps_done += self.rate * (now - start).as_secs();
-            }
-        }
-        self.last_update = now;
-    }
-}
+/// One job costs the replay 48 bytes of its own (`des-elastic-400k`
+/// runs out of cache).
+const _: () = assert!(std::mem::size_of::<JobRt>() == 48);
 
 /// The queue side of the run: what [`Des`] mechanises the kernel's
 /// effects on.
@@ -204,11 +191,10 @@ struct Des<'a> {
 }
 
 impl Des<'_> {
-    /// Schedules `job`'s completion from its progress, rate and pause.
-    fn schedule_completion(&mut self, job: JobId, now: SimTime) {
+    /// Schedules `job`'s completion where its progress says it ends.
+    fn schedule_completion(&mut self, job: JobId) {
         let j = &self.t.jobs[job.index()];
-        let remaining = (self.specs[job.index()].work() - j.steps_done).max(0.0);
-        let finish = j.pause_until.max(now) + Duration::from_secs(remaining / j.rate);
+        let finish = j.progress.finishes_at(self.specs[job.index()].work());
         let generation = j.generation;
         self.t
             .queue
@@ -240,17 +226,17 @@ impl Effects for Des<'_> {
         let j = &mut self.t.jobs[job.index()];
         debug_assert!(!j.running);
         j.running = true;
-        j.last_update = now;
-        j.rate = self.cfg.scaling.job_rate(shape, replicas);
         // A checkpoint/restart relaunch pays the FullRestart recovery
         // window before any progress; a plain launch (or a
         // kill-and-requeue restart from zero) starts immediately.
-        j.pause_until = if std::mem::take(&mut j.needs_recovery) {
-            now + self.cfg.overhead.recovery_total(shape, replicas)
+        let recovery = if std::mem::take(&mut j.needs_recovery) {
+            self.cfg.overhead.recovery_total(shape, replicas)
         } else {
-            SimTime::NEG_INFINITY
+            Duration::ZERO
         };
-        self.schedule_completion(job, now);
+        let rate = self.cfg.scaling.job_rate(shape, replicas);
+        j.progress = Progress::launch(now, j.progress.done(), rate, recovery);
+        self.schedule_completion(job);
         true
     }
 
@@ -258,12 +244,12 @@ impl Effects for Des<'_> {
         let shape = &self.specs[job.index()].shape;
         let j = &mut self.t.jobs[job.index()];
         debug_assert!(j.running);
-        j.advance(now);
-        j.pause_until = now + self.cfg.overhead.job_total(shape, from, to);
-        j.rate = self.cfg.scaling.job_rate(shape, to);
+        let rate = self.cfg.scaling.job_rate(shape, to);
+        let pause = self.cfg.overhead.job_total(shape, from, to);
+        j.progress.resize(now, rate, pause);
         j.generation += 1;
         self.t.queue.mark_stale(); // the previously scheduled completion died
-        self.schedule_completion(job, now);
+        self.schedule_completion(job);
         true
     }
 
@@ -272,18 +258,18 @@ impl Effects for Des<'_> {
         if why == Stop::Completed {
             return; // `next_completion` already settled it
         }
-        j.advance(now);
         if std::mem::take(&mut j.running) {
+            j.progress.advance(now);
             self.t.queue.mark_stale(); // its scheduled completion died
         }
         j.generation += 1;
         match why {
             Stop::Evicted { rollback } => {
-                j.steps_done = (j.steps_done - j.rate * rollback.as_secs()).max(0.0);
+                j.progress.roll_back(rollback);
                 j.needs_recovery = true;
             }
             Stop::Requeued { back_at, .. } => {
-                j.steps_done = 0.0;
+                j.progress = Progress::default();
                 j.needs_recovery = false;
                 self.t.queue.push(back_at, Event::Requeue { job });
             }
@@ -320,9 +306,8 @@ impl Effects for Des<'_> {
                 self.t.queue.note_stale_popped();
                 continue;
             }
-            j.advance(self.t.now);
             debug_assert!(
-                j.steps_done >= self.specs[job.index()].work() - 1e-3,
+                j.progress.done_at(self.t.now) >= self.specs[job.index()].work() - 1e-3,
                 "completion fired early for {}",
                 self.specs[job.index()].name
             );
@@ -1037,6 +1022,34 @@ mod tests {
             "wasted {} != 56 replicas x 200 s rollback",
             f.wasted_core_seconds
         );
+    }
+
+    #[test]
+    fn an_evicted_job_completes_where_its_progress_says() {
+        use hpc_workload::{FaultEvent, FaultKind, FaultSpec};
+        // 40 slots go for good at t=500: the job is evicted 200 s past
+        // its last checkpoint and relaunches at once on the 23 workers
+        // (+ launcher) that still fit, after the recovery window.
+        let wl = WorkloadSpec::new(vec![JobSpec::malleable("big", 8, 56, 100_000.0, 3)]);
+        let wl = wl.with_faults(FaultSpec::new(vec![FaultEvent {
+            at: Duration::from_secs(500.0),
+            slots: 40,
+            kind: FaultKind::Reclaim,
+        }]));
+        let cfg =
+            SimConfig::paper_default(recovery(elastic_core::RecoveryStrategy::CheckpointRestart));
+        let out = simulate(&cfg, &wl);
+        assert_eq!(out.metrics.faults.evictions, 1);
+
+        let evicted_at = SimTime::from_secs(500.0);
+        let mut p = Progress::launch(SimTime::ZERO, 0.0, 56.0, Duration::ZERO);
+        p.advance(evicted_at);
+        p.roll_back(Duration::from_secs(200.0));
+        assert_eq!(p.done(), 56.0 * 300.0);
+        let recovery = cfg.overhead.recovery_total(&wl.jobs[0].shape, 23);
+        assert!(recovery > Duration::ZERO);
+        let p = Progress::launch(evicted_at, p.done(), 23.0, recovery);
+        assert_eq!(out.metrics.jobs[0].completed_at, p.finishes_at(100_000.0));
     }
 
     #[test]

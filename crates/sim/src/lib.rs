@@ -43,11 +43,13 @@
 //!
 //! * [`events`] — calendar event queue with stale-completion
 //!   invalidation and epoch re-bucketizing.
-//! * [`model`] — strong-scaling curves and overhead stages over the
-//!   workload layer's size classes and job shapes, with a memoized
-//!   per-class rate cache on the replay hot path.
-//! * [`engine`] — the event queue and progress model around the
-//!   scheduling kernel, replaying a `WorkloadSpec`'s own per-job
+//! * [`model`] — re-exports `hpc_workload::model`: strong-scaling
+//!   curves and overhead stages over the workload layer's size classes
+//!   and job shapes (a memoized per-class rate cache on the replay hot
+//!   path) and the `Progress` integrator — the execution model the
+//!   operator's `ModelExecutor` shares.
+//! * [`engine`] — the event queue around the scheduling kernel and
+//!   that execution model, replaying a `WorkloadSpec`'s own per-job
 //!   arrival and cancellation times.
 //! * [`experiments`] — the Fig. 7 / Fig. 8 sweeps, Table 1 rows and
 //!   the parameterized heavy-traffic replay.

@@ -35,6 +35,15 @@
 //! order), and [`WorkloadSpec::scale_work`] scales runtimes to match
 //! when the load factor should stay constant.
 //!
+//! ## How a modeled job executes
+//!
+//! [`model`] holds what both engines run such a job through: the
+//! strong-scaling [`ScalingModel`] and four-stage [`OverheadModel`] of
+//! the paper's simulator (§4.3.1), defined over [`JobShape`], and the
+//! [`Progress`] integrator (work done, rate, the pause a rescale or a
+//! checkpoint recovery opens). It lives here, beside the shapes, so the
+//! DES and the operator's modeled executor embed one copy.
+//!
 //! ## Plugging a new trace format
 //!
 //! A trace loader is just a function producing a [`WorkloadSpec`]: map
@@ -63,12 +72,14 @@
 pub mod fault;
 pub mod generator;
 pub mod malleability;
+pub mod model;
 pub mod spec;
 pub mod swf;
 
 pub use fault::{FaultError, FaultEvent, FaultKind, FaultSpec, FlakyEvent, FlakyOp, FlakySpec};
 pub use generator::{generate_workload, poisson_workload};
 pub use malleability::MalleabilityModel;
+pub use model::{OverheadBreakdown, OverheadModel, Progress, ScalingModel};
 pub use spec::{shard_seed, JobShape, JobSpec, SizeClass, WorkloadError, WorkloadSpec};
 pub use swf::{
     load_workload, workload_records, write_swf, write_workload, SwfError, SwfLoadConfig, SwfRecord,

@@ -19,7 +19,7 @@ fn job(name: &str, priority: u32, min: u32, max: u32, iters: u64) -> CharmJobSpe
         max_replicas: max,
         priority,
         walltime_estimate: None,
-        app: AppSpec::Modeled { total_iters: iters },
+        app: AppSpec::linear(iters as f64, min, max),
     }
 }
 

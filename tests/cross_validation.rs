@@ -3,7 +3,7 @@
 //! Table 1's credibility rests on the Actual and Simulation columns
 //! agreeing in shape. Here we make that a test: the same 16-job
 //! workload runs through (a) the live operator on a virtual clock with
-//! a modeled executor driven by the simulator's own scaling/overhead
+//! a modeled executor under the simulator's own scaling/overhead
 //! models, and (b) the discrete-event simulator — and the resulting
 //! metrics must agree closely. The policy code is shared by
 //! construction; this validates that the *engines* around it agree.
@@ -12,46 +12,25 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use elastic_hpc::core::{
-    run_virtual, CharmJobSpec, CharmOperator, ModelExecutor, Policy, PolicyConfig, PolicyKind,
-    RunMetrics, Schedule,
+    run_virtual, CharmOperator, ModelExecutor, Policy, PolicyConfig, PolicyKind, RunMetrics,
+    Schedule,
 };
 use elastic_hpc::kube::{ControlPlane, KubeletConfig};
 use elastic_hpc::metrics::{Duration, VirtualClock};
-use elastic_hpc::sim::{
-    generate_workload, simulate, OverheadModel, ScalingModel, SimConfig, SizeClass,
-};
+use elastic_hpc::sim::{generate_workload, simulate, OverheadModel, ScalingModel, SimConfig};
 
-/// Runs the operator path: virtual clock, ModelExecutor parameterized
-/// by the simulator's models.
+/// Runs the operator path: virtual clock, `ModelExecutor` under the
+/// simulator's own default models — the structs `SimConfig::paper_default`
+/// carries.
 fn run_operator_path(kind: PolicyKind, seed: u64, submission_gap: f64) -> RunMetrics {
     let workload = generate_workload(seed, 16).spaced_every(Duration::from_secs(submission_gap));
-    let class_of: HashMap<String, SizeClass> = workload
-        .jobs
-        .iter()
-        .map(|j| {
-            (
-                j.name.clone(),
-                j.class().expect("paper generator emits class jobs"),
-            )
-        })
-        .collect();
-    let scaling = ScalingModel::default();
-    let overhead = OverheadModel::default();
-
     let clock = VirtualClock::new();
     let plane = ControlPlane::with_nodes(Arc::new(clock.clone()), KubeletConfig::instant(), 4, 16);
-    let classes = class_of.clone();
-    let speed = {
-        let scaling = scaling.clone();
-        Arc::new(move |spec: &CharmJobSpec, replicas: u32| {
-            scaling.rate(classes[&spec.name], replicas)
-        })
-    };
-    let classes = class_of.clone();
-    let cost = Arc::new(move |spec: &CharmJobSpec, from: u32, to: u32| {
-        overhead.total(classes[&spec.name], from, to)
-    });
-    let executor = ModelExecutor::new(plane.clock(), speed, cost);
+    let executor = ModelExecutor::new(
+        plane.clock(),
+        ScalingModel::default(),
+        OverheadModel::default(),
+    );
     let policy = Policy::of_kind(
         kind,
         PolicyConfig {

@@ -13,9 +13,9 @@
 //!
 //! A scenario is 14 rigid (`min == max`) jobs on 16 slots under
 //! `AgingSweep(RecoveryPolicy(elastic, KillRequeue))` with a 30 s
-//! timer, replayed with 1 s operator ticks. Rigid jobs keep the linear
-//! `ModelExecutor::ideal` and the DES's scaling model on the same
-//! rates; whole-second arrivals, runtimes and fault times put every
+//! timer, replayed with 1 s operator ticks. Both engines run the jobs
+//! through the one execution model (`hpc_workload::model`), here at no
+//! cost; whole-second arrivals, runtimes and fault times put every
 //! event on the tick grid; zero-padded names make the operator's
 //! `(submitted_at, name)` admission order the workload's job order.
 //!

@@ -28,9 +28,7 @@ use elastic_hpc::core::{
 use elastic_hpc::federation::{FederationConfig, FederationRuntime, RoundRobin};
 use elastic_hpc::kube::{ControlPlane, KubeletConfig};
 use elastic_hpc::metrics::{Clock, Duration, SimTime, VirtualClock};
-use elastic_hpc::serving::{
-    run_workload_ingest, IngestConfig, IngestQueue, InstrumentedPolicy, ShardRouter,
-};
+use elastic_hpc::serving::{run_workload_ingest, IngestConfig, IngestQueue, ShardRouter};
 use elastic_hpc::sim::experiments::{
     heavy_traffic_workload, SCALE_CAPACITY, SCALE_SUBMISSION_GAP_S,
 };
@@ -197,8 +195,7 @@ fn a_submission_storm_costs_batches_not_jobs() {
         let clock = Arc::new(VirtualClock::new());
         let plane = ControlPlane::with_nodes(clock.clone(), KubeletConfig::instant(), 4, 16);
         let executor = ModelExecutor::ideal(plane.clock());
-        let (policy, counters) = InstrumentedPolicy::wrap(elastic());
-        let mut op = CharmOperator::new(plane, policy, Box::new(executor));
+        let mut op = CharmOperator::new(plane, elastic(), Box::new(executor));
         let queue = IngestQueue::new(
             op.client(),
             IngestConfig {
@@ -221,16 +218,16 @@ fn a_submission_storm_costs_batches_not_jobs() {
         op.tick();
         op.tick();
 
-        let stats = queue.stats();
+        let (stats, dispatches) = (queue.stats(), op.dispatches());
         let n = n as u64;
         assert_eq!(
-            (stats.accepted, stats.flushed, counters.submit_calls()),
+            (stats.accepted, stats.flushed, dispatches.submissions),
             (n, n, n),
             "every submission reaches the store and the policy once ({shards} shards)"
         );
         assert_eq!((stats.shed, stats.rejected), (0, 0), "{shards} shards");
         assert_eq!(stats.batches, 40, "{shards} shards");
-        assert_eq!(counters.submit_bursts(), 5, "{shards} shards");
+        assert_eq!(dispatches.submit_bursts, 5, "{shards} shards");
     }
 }
 

@@ -29,7 +29,7 @@ use elastic_hpc::core::{
     RecoveryStrategy, RunMetrics,
 };
 use elastic_hpc::kube::{ControlPlane, KubeletConfig};
-use elastic_hpc::metrics::{Duration, VirtualClock};
+use elastic_hpc::metrics::{Clock, Duration, VirtualClock};
 use elastic_hpc::sim::{simulate, OverheadModel, ScalingModel, SimConfig};
 use elastic_hpc::workload::{load_workload, FaultSpec, FlakySpec, SwfLoadConfig, WorkloadSpec};
 
@@ -70,22 +70,39 @@ fn kill_requeue_policy() -> RecoveryPolicy {
 }
 
 fn replay_des(workload: &WorkloadSpec) -> RunMetrics {
+    replay_des_under(OverheadModel::zero(), workload)
+}
+
+fn replay_des_under(overhead: OverheadModel, workload: &WorkloadSpec) -> RunMetrics {
     let cfg = SimConfig {
         capacity: CAPACITY,
         policy: Box::new(kill_requeue_policy()),
         scaling: ScalingModel::default(),
-        overhead: OverheadModel::zero(),
+        overhead,
         cancellations: Vec::new(),
     };
     simulate(&cfg, workload).metrics
 }
 
 fn replay_operator(workload: &WorkloadSpec) -> RunMetrics {
+    replay_operator_on(ModelExecutor::ideal, workload)
+}
+
+/// The operator under the very structs the DES is configured with.
+fn replay_operator_under(overhead: OverheadModel, workload: &WorkloadSpec) -> RunMetrics {
+    let executor = |clock| ModelExecutor::new(clock, ScalingModel::default(), overhead);
+    replay_operator_on(executor, workload)
+}
+
+fn replay_operator_on(
+    executor: impl FnOnce(Arc<dyn Clock>) -> ModelExecutor,
+    workload: &WorkloadSpec,
+) -> RunMetrics {
     let clock = VirtualClock::new();
     // 4 nodes × 8 slots = the DES's 32-slot cluster.
     let plane = ControlPlane::with_nodes(Arc::new(clock.clone()), KubeletConfig::instant(), 4, 8);
     assert_eq!(plane.capacity(), CAPACITY);
-    let executor = ModelExecutor::ideal(plane.clock());
+    let executor = executor(plane.clock());
     let mut op = CharmOperator::new(plane, Box::new(kill_requeue_policy()), Box::new(executor));
     run_workload_virtual(
         &mut op,
@@ -94,6 +111,15 @@ fn replay_operator(workload: &WorkloadSpec) -> RunMetrics {
         Duration::from_secs(1.0),
         Duration::from_secs(100_000.0),
     )
+}
+
+/// A checkpoint relaunch that costs a whole-second recovery window (and
+/// nothing else does): the timestamps stay on the operator's tick grid.
+fn restart_5s() -> OverheadModel {
+    OverheadModel {
+        restart_base: 5.0,
+        ..OverheadModel::zero()
+    }
 }
 
 /// The signature guarantee of the resilience layer: the same flaky
@@ -136,6 +162,34 @@ fn flaky_replays_agree_across_seeds() {
     }
 }
 
+/// The execution model is one module both engines embed: with the same
+/// non-zero [`OverheadModel`] on both sides, every checkpoint-evict
+/// relaunch of the storm pays the same recovery window in the DES and in
+/// the operator's `ModelExecutor`, and the replays stay bit-identical.
+#[test]
+fn flaky_replays_pay_the_same_recovery_window_in_both_engines() {
+    for seed in [11, 3, 77] {
+        let wl =
+            bundled_trace(&SwfLoadConfig::rigid(CAPACITY)).with_faults(faults_with_storm(seed));
+        let des = replay_des_under(restart_5s(), &wl);
+        let op = replay_operator_under(restart_5s(), &wl);
+        for (a, b) in des.jobs.iter().zip(&op.jobs) {
+            assert_eq!(a.name, b.name, "seed {seed}: job order diverged");
+            assert_eq!(a.started_at, b.started_at, "seed {seed}, {}: start", a.name);
+            assert_eq!(
+                a.completed_at, b.completed_at,
+                "seed {seed}, {}: completion",
+                a.name
+            );
+        }
+        assert_eq!(des, op, "engines diverged under storm seed {seed}");
+        // The window is really paid: some relaunch ends later than it
+        // does for free.
+        assert!(des.faults.evictions > 0, "seed {seed}: nothing was evicted");
+        assert_ne!(des, replay_des(&wl), "seed {seed}: recovery cost nothing");
+    }
+}
+
 /// Flaky replays are deterministic per engine (guards the `==` above
 /// from being vacuously flaky).
 #[test]
@@ -172,14 +226,9 @@ fn empty_flaky_spec_is_the_storm_free_replay() {
     assert_eq!(replay_operator(&plain), replay_operator(&with_empty));
 }
 
-/// Edge: a capacity `Reclaim` and a flaky `StuckRescale` eviction land
-/// at the *same instant*. Both engines order capacity faults before
-/// flaky notices at shared instants (the DES seeds them in that order,
-/// the operator's tick reconciles them in that order), so the reclaim's
-/// requeues happen first and the flaky eviction picks its victim from
-/// the survivors — identically.
-#[test]
-fn reclaim_racing_a_same_instant_evict_replays_identically() {
+/// The bundled trace with a capacity `Reclaim` and a flaky
+/// `StuckRescale` eviction at the same instant, t = 500 s.
+fn reclaim_racing_an_evict() -> WorkloadSpec {
     use elastic_hpc::workload::{FaultEvent, FaultKind, FlakyEvent, FlakyOp};
     let faults = FaultSpec {
         events: vec![FaultEvent {
@@ -196,7 +245,18 @@ fn reclaim_racing_a_same_instant_evict_replays_identically() {
         }],
         ..FlakySpec::default()
     });
-    let wl = bundled_trace(&SwfLoadConfig::rigid(CAPACITY)).with_faults(faults);
+    bundled_trace(&SwfLoadConfig::rigid(CAPACITY)).with_faults(faults)
+}
+
+/// Edge: a capacity `Reclaim` and a flaky `StuckRescale` eviction land
+/// at the *same instant*. Both engines order capacity faults before
+/// flaky notices at shared instants (the DES seeds them in that order,
+/// the operator's tick reconciles them in that order), so the reclaim's
+/// requeues happen first and the flaky eviction picks its victim from
+/// the survivors — identically.
+#[test]
+fn reclaim_racing_a_same_instant_evict_replays_identically() {
+    let wl = reclaim_racing_an_evict();
     let des = replay_des(&wl);
     let op = replay_operator(&wl);
     assert_eq!(des, op, "same-instant reclaim + evict diverged");
@@ -205,6 +265,23 @@ fn reclaim_racing_a_same_instant_evict_replays_identically() {
     assert!(des.faults.requeues > 0, "reclaim never requeued");
     assert_eq!(des.faults.evictions, 1, "stuck rescale never evicted");
     assert_eq!(des.faults.transient_faults, 1);
+}
+
+/// The same race with a recovery window to pay: the evicted job's
+/// relaunch is 5 s dearer, identically.
+#[test]
+fn reclaim_evict_relaunch_pays_recovery_identically() {
+    let wl = reclaim_racing_an_evict();
+    let des = replay_des_under(restart_5s(), &wl);
+    let op = replay_operator_under(restart_5s(), &wl);
+    assert_eq!(des, op, "reclaim + evict + paid relaunch diverged");
+    assert_eq!(des.faults.evictions, 1, "stuck rescale never evicted");
+    let free = replay_des(&wl);
+    let later = |paid: &RunMetrics| {
+        let ends = |m: &RunMetrics| m.jobs.iter().map(|j| j.completed_at).max();
+        ends(paid) >= ends(&free) && *paid != free
+    };
+    assert!(later(&des), "the recovery window moved no completion");
 }
 
 /// Edge: a reclaim takes the *entire* cluster, and a later return
