@@ -30,7 +30,10 @@
 //!   acknowledgement; **expand** creates pods first, updates the
 //!   nodelist, then signals (§3.1). Worker pod serials come from a
 //!   per-job counter (never from re-parsing pod names), so creating
-//!   workers is O(count). **Stop** kills the executor, returns its slot
+//!   workers is O(count); every pod of a job shares the registry's one
+//!   `Arc` of the job name as its owner, and a pod's own name is
+//!   allocated once, shared by the pod and the store's name map.
+//!   **Stop** kills the executor, returns its slot
 //!   lease, deletes pods and nodelist. What the kernel cannot see it is
 //!   told: the application started, the shrink was acknowledged.
 //! * **The CRD status mirror.** Phase, replica counts, timestamps and
@@ -183,6 +186,19 @@ struct ExecutorPool {
     admitting: VecDeque<String>,
     /// Running jobs the timer pass has not polled for completion yet.
     polling: VecDeque<JobId>,
+    /// Where pod names are formatted before their one allocation.
+    scratch: String,
+}
+
+impl ExecutorPool {
+    /// A pod name, formatted in the scratch buffer and allocated once,
+    /// as the shared string both the pod and the pod store key it by.
+    fn pod_name(&mut self, name: std::fmt::Arguments<'_>) -> Arc<str> {
+        use std::fmt::Write;
+        self.scratch.clear();
+        (self.scratch.write_fmt(name)).expect("formatting into a String cannot fail");
+        Arc::from(self.scratch.as_str())
+    }
 }
 
 /// The operator's [`Effects`]: the executor pool plus the stores the
@@ -233,6 +249,7 @@ impl CharmOperator {
                 backoffs: BTreeSet::new(),
                 admitting: VecDeque::new(),
                 polling: VecDeque::new(),
+                scratch: String::new(),
             },
             jobs_rx,
             pods_rx,
@@ -588,7 +605,7 @@ impl CharmOperator {
         let in_flow = |(id, r): (&JobId, &Running)| r.flow.map(|flow| (*id, flow));
         let flows: Vec<(JobId, RescaleFlow)> = fx.pool.running.iter().filter_map(in_flow).collect();
         for (id, flow) in flows {
-            let name = fx.pool.registry.name(id).to_string();
+            let name = Arc::clone(fx.pool.registry.shared_name(id));
             let job = fx.pool.running.get_mut(&id).expect("collected above");
             match flow {
                 RescaleFlow::ShrinkSignalled { target } => {
@@ -600,7 +617,7 @@ impl CharmOperator {
                         fx.mirror(&name, |s| s.replicas = target);
                         kernel.shrunk(id, now);
                         let message = format!("-> {target} (overhead {})", report.total());
-                        fx.events.record(now, &name, "Shrunk", message);
+                        fx.events.record(now, &*name, "Shrunk", message);
                     }
                 }
                 RescaleFlow::ExpandPodsPending { target } => {
@@ -614,7 +631,7 @@ impl CharmOperator {
                         job.handle.request_rescale(target);
                         job.flow = Some(RescaleFlow::ExpandSignalled { target });
                         let message = format!("-> {target}");
-                        fx.events.record(now, &name, "ExpandSignalled", message);
+                        fx.events.record(now, &*name, "ExpandSignalled", message);
                     }
                 }
                 RescaleFlow::ExpandSignalled { target } => {
@@ -623,7 +640,7 @@ impl CharmOperator {
                         job.flow = None;
                         fx.mirror(&name, |s| s.replicas = target);
                         let message = format!("-> {target} (overhead {})", report.total());
-                        fx.events.record(now, &name, "Expanded", message);
+                        fx.events.record(now, &*name, "Expanded", message);
                     }
                 }
             }
@@ -826,7 +843,7 @@ impl CharmOperator {
             });
             kernel.withdraw(id, now);
             fx.events
-                .record(now, &name, "Stopped", "executor pool cleanup");
+                .record(now, &*name, "Stopped", "executor pool cleanup");
         }
         self.plane.reap_finished();
     }
@@ -875,8 +892,8 @@ impl Choreography<'_> {
             .expect("job exists");
     }
 
-    /// Names of `job`'s live worker pods, in name (= serial) order.
-    fn worker_pods(&self, job: &str) -> Vec<String> {
+    /// Names of `job`'s live worker pods, in creation (= serial) order.
+    fn worker_pods(&self, job: &str) -> Vec<Arc<str>> {
         self.plane.pod_names_of_job(job, Some(PodRole::Worker))
     }
 
@@ -884,20 +901,20 @@ impl Choreography<'_> {
     /// the per-job counter — pod names are `{job}-w{serial:04}`,
     /// monotonically increasing across expands, without listing or
     /// re-parsing existing pods.
-    fn create_workers(&mut self, job: JobId, name: &str, count: u32, now: SimTime) {
+    fn create_workers(&mut self, job: JobId, name: &Arc<str>, count: u32, now: SimTime) {
         let serials = &mut self.pool.next_serial;
         if job.index() >= serials.len() {
             serials.resize(job.index() + 1, 0);
         }
         let start = serials[job.index()];
+        serials[job.index()] = start + count;
         for serial in start..start + count {
-            let pod_name = format!("{name}-w{serial:04}");
+            let pod_name = self.pool.pod_name(format_args!("{name}-w{serial:04}"));
             self.plane
                 .pods
-                .create(Pod::worker(pod_name, name, now))
+                .create(Pod::worker(pod_name, Arc::clone(name), now))
                 .expect("fresh worker pod");
         }
-        serials[job.index()] = start + count;
     }
 
     fn update_nodelist(&self, job: &str) {
@@ -927,8 +944,8 @@ impl Choreography<'_> {
     /// slot lease, rescale flow, pods and nodelist — and returns its
     /// name. `hard` deletes the pods synchronously instead of
     /// gracefully.
-    fn release(&mut self, job: JobId, hard: bool) -> String {
-        let name = self.pool.registry.name(job).to_string();
+    fn release(&mut self, job: JobId, hard: bool) -> Arc<str> {
+        let name = Arc::clone(self.pool.registry.shared_name(job));
         if let Some(mut launched) = self.pool.running.remove(&job) {
             launched.handle.stop();
         }
@@ -1001,26 +1018,27 @@ impl Effects for Choreography<'_> {
     /// nodelist. The application starts once they all run
     /// (`try_launch`).
     fn launch(&mut self, job: JobId, replicas: u32, now: SimTime) -> bool {
-        let name = self.pool.registry.name(job).to_string();
+        let name = Arc::clone(self.pool.registry.shared_name(job));
         self.mirror(&name, |s| {
             s.phase = JobPhase::Starting;
             s.desired_replicas = replicas;
             s.replicas = replicas;
             s.last_action = now;
         });
+        let launcher = self.pool.pod_name(format_args!("{name}-launcher"));
         self.plane
             .pods
-            .create(Pod::launcher(format!("{name}-launcher"), &name, now))
+            .create(Pod::launcher(launcher, Arc::clone(&name), now))
             .expect("fresh launcher pod");
         self.create_workers(job, &name, replicas, now);
         self.update_nodelist(&name);
         let message = format!("{replicas} replicas");
-        self.events.record(now, &name, "Created", message);
+        self.events.record(now, &*name, "Created", message);
         false
     }
 
     fn resize(&mut self, job: JobId, from: u32, to: u32, now: SimTime) -> bool {
-        let name = self.pool.registry.name(job).to_string();
+        let name = Arc::clone(self.pool.registry.shared_name(job));
         let mut current = 0;
         self.mirror(&name, |s| {
             current = s.replicas;
@@ -1036,21 +1054,21 @@ impl Effects for Choreography<'_> {
             } else {
                 "ExpandPreLaunch"
             };
-            self.events.record(now, &name, kind, format!("-> {to}"));
+            self.events.record(now, &*name, kind, format!("-> {to}"));
             true
         } else if let Some(launched) = self.pool.running.get_mut(&job) {
             // Paper's shrink sequence: signal first, remove pods on ack.
             launched.handle.request_rescale(to);
             launched.flow = Some(RescaleFlow::ShrinkSignalled { target: to });
             self.events
-                .record(now, &name, "ShrinkSignalled", format!("-> {to}"));
+                .record(now, &*name, "ShrinkSignalled", format!("-> {to}"));
             false
         } else {
             // Job hasn't launched yet: adjust pods directly.
             self.remove_excess_workers(&name, to);
             self.mirror(&name, |s| s.replicas = to);
             let message = format!("-> {to} (pre-launch)");
-            self.events.record(now, &name, "Shrunk", message);
+            self.events.record(now, &*name, "Shrunk", message);
             true
         }
     }
@@ -1113,7 +1131,7 @@ impl Effects for Choreography<'_> {
                 Stop::Completed | Stop::Cancelled => {}
             }
         });
-        self.events.record(now, &name, kind, message);
+        self.events.record(now, &*name, kind, message);
     }
 
     fn enqueued(&mut self, job: JobId, now: SimTime) {

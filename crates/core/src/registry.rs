@@ -7,7 +7,9 @@
 //! by) and on the way *out* (pod names, store objects, event logs,
 //! final reports). Nothing between those edges — policy decisions,
 //! [`ClusterView`](crate::view::ClusterView) maintenance, utilization
-//! samples — touches a `String`.
+//! samples — touches a `String`. A name is interned as one `Arc<str>`
+//! ([`JobRegistry::shared_name`]), which the operator hands on to the
+//! job's pods as their owner instead of copying it.
 //!
 //! Ids are assigned contiguously from 0 in interning order, and engines
 //! intern in admission order, so ascending `JobId` is submission order
@@ -16,14 +18,15 @@
 //! scheduling ordering.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use hpc_metrics::JobId;
 
 /// A name ↔ [`JobId`] interning table (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct JobRegistry {
-    names: Vec<String>,
-    by_name: HashMap<String, JobId>,
+    names: Vec<Arc<str>>,
+    by_name: HashMap<Arc<str>, JobId>,
 }
 
 impl JobRegistry {
@@ -39,8 +42,9 @@ impl JobRegistry {
             return id;
         }
         let id = JobId::from_index(self.names.len());
-        self.names.push(name.to_string());
-        self.by_name.insert(name.to_string(), id);
+        let name: Arc<str> = name.into();
+        self.names.push(Arc::clone(&name));
+        self.by_name.insert(name, id);
         id
     }
 
@@ -54,6 +58,14 @@ impl JobRegistry {
     /// Panics on an id this registry never issued — ids are not
     /// transferable between runs.
     pub fn name(&self, id: JobId) -> &str {
+        &self.names[id.index()]
+    }
+
+    /// The name behind `id` as the registry's own shared string: clone
+    /// it (a reference-count bump) to hold the name without copying it.
+    ///
+    /// Panics on an id this registry never issued.
+    pub fn shared_name(&self, id: JobId) -> &Arc<str> {
         &self.names[id.index()]
     }
 
@@ -72,7 +84,7 @@ impl JobRegistry {
         self.names
             .iter()
             .enumerate()
-            .map(|(i, n)| (JobId::from_index(i), n.as_str()))
+            .map(|(i, n)| (JobId::from_index(i), &**n))
     }
 }
 
@@ -90,6 +102,12 @@ mod tests {
         assert_eq!(r.intern("job-a"), a, "re-intern returns the same id");
         assert_eq!(r.len(), 2);
         assert_eq!(r.name(a), "job-a");
+        assert_eq!(&**r.shared_name(a), "job-a");
+        let pinned = Arc::clone(r.shared_name(b));
+        assert!(
+            Arc::ptr_eq(&pinned, r.shared_name(b)),
+            "one string per name"
+        );
         assert_eq!(r.id("job-b"), Some(b));
         assert_eq!(r.id("ghost"), None);
         let pairs: Vec<(JobId, &str)> = r.iter().collect();

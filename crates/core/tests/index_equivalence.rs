@@ -89,12 +89,13 @@ fn check(op: &CharmOperator, context: &str) -> Result<(), TestCaseError> {
     let pods = op.plane.pods.list();
     for job in &jobs {
         let owner = &job.obj.spec.name;
-        let mut scanned: Vec<String> = pods
+        // The owner index files a pod once, at creation: uid order.
+        let mut scanned: Vec<_> = pods
             .iter()
-            .filter(|p| &p.obj.owner == owner && p.obj.consumes_resources())
-            .map(|p| p.obj.name.clone())
+            .filter(|p| *p.obj.owner == **owner && p.obj.consumes_resources())
             .collect();
-        scanned.sort();
+        scanned.sort_by_key(|p| p.uid);
+        let scanned: Vec<_> = scanned.iter().map(|p| Arc::clone(&p.obj.name)).collect();
         prop_assert_eq!(
             op.plane.pod_names_of_job(owner, None),
             scanned,

@@ -10,7 +10,7 @@
 //!
 //! ## Objects are shared, not copied
 //!
-//! Every object lives in one `Arc<Stored<T>>`. The store's map, each
+//! Every object lives in one `Arc<Stored<T>>`. The store's slot, each
 //! [`WatchEvent`] in each watcher's queue, and the values
 //! [`Store::create`], [`Store::update`], [`Store::delete`],
 //! [`Store::get`], [`Store::list`] and [`Store::list_watch`] return are
@@ -20,6 +20,21 @@
 //! copy-on-write — at most one `T::clone` per mutation, and only while
 //! something else (an undrained event, a held snapshot) still points at
 //! the previous version; create and delete copy nothing.
+//!
+//! ## A slab, and indexes that are lists through it
+//!
+//! Objects sit in `Vec` slots recycled through a free list; one hash
+//! map resolves a name to its slot, keyed by the object's own
+//! [`Resource::shared_name`], so a call hashes the name once. Each named
+//! secondary index keeps, per key, a doubly-linked list threaded through
+//! per-slot links. Filing an object, or re-filing it when a mutation
+//! changes its key, is O(1): one hash of the new key — none when the key
+//! is the very string the object's list is keyed by — and pointer
+//! surgery, with no ordered comparison of names and no allocation (an
+//! [`IndexKey`] is a constant or an `Arc<str>` shared with the objects;
+//! the slot, link and list tables only grow to the peak live set). A
+//! key whose list empties is dropped, so index state stays O(live
+//! objects), however many keys the store has ever seen.
 //!
 //! ## Three kinds of read
 //!
@@ -33,7 +48,10 @@
 //! * **Indexed** — a store built with [`Store::indexed`] keeps named
 //!   secondary indexes (the client-go *Indexer* idiom) up to date inside
 //!   `create`/`update`/`delete`; [`Store::for_each_in`] visits only the
-//!   objects one index files under one key, in name order.
+//!   objects one index files under one key, in filing order (the order
+//!   they were created with, or last moved to, that key). It costs
+//!   O(matches): one hash of the key, then a walk of its list, with no
+//!   hashing per object visited.
 //! * **Snapshot** — [`Store::get`], [`Store::list`] and
 //!   [`Store::list_watch`] return `Arc`s that stay valid (and keep
 //!   showing the version they were taken at) after the lock is
@@ -45,9 +63,11 @@
 //! a test can hold "this path does not scan that store" as an exact
 //! count instead of a timing.
 
-use std::collections::{BTreeSet, HashMap};
+use std::borrow::Borrow;
+use std::collections::hash_map::{Entry, HashMap, RandomState};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -58,6 +78,14 @@ use parking_lot::Mutex;
 pub trait Resource: Clone + Send + Sync + 'static {
     /// The object's unique-within-store name.
     fn name(&self) -> &str;
+
+    /// The name as the shared string the store keys the object by. The
+    /// default copies [`Resource::name`] into a fresh `Arc`; a type that
+    /// holds its name as an `Arc<str>` hands out that one, so creating
+    /// it allocates no key.
+    fn shared_name(&self) -> Arc<str> {
+        Arc::from(self.name())
+    }
 }
 
 /// A stored object plus server-assigned metadata.
@@ -104,75 +132,254 @@ impl std::fmt::Display for ApiError {
 impl std::error::Error for ApiError {}
 
 /// What a secondary index files an object under.
-pub type KeyOf<T> = fn(&T) -> &str;
+pub type KeyOf<T> = fn(&T) -> IndexKey<'_>;
 
-/// One named secondary index: object names filed under the key `key_of`
-/// derives from each object. Keys and names are `Arc<str>`s shared with
-/// the store's map, so moving an object between keys allocates nothing.
+/// A key [`KeyOf`] derives: text an index can keep without copying it.
+#[derive(Debug, Clone, Copy)]
+pub enum IndexKey<'a> {
+    /// A string the object shares (its owner's name, say); the index
+    /// keeps it by bumping its count.
+    Shared(&'a Arc<str>),
+    /// A constant (a lifecycle stage, say).
+    Static(&'static str),
+}
+
+/// An [`IndexKey`] as an index keeps it; hashed and compared as its text.
+enum Key {
+    Shared(Arc<str>),
+    Static(&'static str),
+}
+
+impl IndexKey<'_> {
+    fn as_str(&self) -> &str {
+        match self {
+            IndexKey::Shared(key) => key,
+            IndexKey::Static(key) => key,
+        }
+    }
+
+    fn kept(self) -> Key {
+        match self {
+            IndexKey::Shared(key) => Key::Shared(Arc::clone(key)),
+            IndexKey::Static(key) => Key::Static(key),
+        }
+    }
+}
+
+impl Key {
+    fn as_str(&self) -> &str {
+        match self {
+            Key::Shared(key) => key,
+            Key::Static(key) => key,
+        }
+    }
+}
+
+impl Borrow<str> for Key {
+    fn borrow(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        let (a, b) = (self.as_str(), other.as_str());
+        std::ptr::eq(a, b) || a == b
+    }
+}
+
+impl Eq for Key {}
+
+/// A map of the store's, with the hasher every store's maps share: one
+/// random key per process. Names come from clients, so the key stays
+/// random (HashDoS); sharing it makes how a map grows and rehashes under
+/// churn a function of what it holds, not of which map in the process it
+/// is.
+type Map<K> = HashMap<K, u32>;
+
+fn map<K>() -> Map<K> {
+    static STATE: OnceLock<RandomState> = OnceLock::new();
+    HashMap::with_hasher(STATE.get_or_init(RandomState::new).clone())
+}
+
+/// The end of a list.
+const NIL: u32 = u32::MAX;
+
+/// One key's objects: a doubly-linked list through the index's per-slot
+/// [`Link`]s, in filing order.
+struct List {
+    /// The key; `None` while the list is free.
+    key: Option<Key>,
+    head: u32,
+    tail: u32,
+}
+
+/// A slot's place in one index: its list and its neighbours there.
+#[derive(Clone, Copy)]
+struct Link {
+    list: u32,
+    prev: u32,
+    next: u32,
+}
+
+/// One named secondary index (see the module docs).
 struct Index<T> {
     name: &'static str,
     key_of: KeyOf<T>,
-    names_by_key: HashMap<Arc<str>, BTreeSet<Arc<str>>>,
-    /// The key an object about to be mutated is filed under
-    /// ([`Index::mark`] → [`Index::refile`]).
-    marked: Option<Arc<str>>,
+    /// Key → its list. A key is here exactly while its list is non-empty.
+    by_key: Map<Key>,
+    /// The lists, recycled through `free_lists`.
+    lists: Vec<List>,
+    free_lists: Vec<u32>,
+    /// Per store slot (meaningless for a free one).
+    links: Vec<Link>,
 }
 
 impl<T> Index<T> {
-    fn file(&mut self, obj: &T, name: Arc<str>) {
-        let key = (self.key_of)(obj);
-        match self.names_by_key.get_mut(key) {
-            Some(names) => names.insert(name),
-            None => self
-                .names_by_key
-                .entry(Arc::from(key))
-                .or_default()
-                .insert(name),
+    fn new(name: &'static str, key_of: KeyOf<T>) -> Self {
+        Index {
+            name,
+            key_of,
+            by_key: map(),
+            lists: Vec::new(),
+            free_lists: Vec::new(),
+            links: Vec::new(),
+        }
+    }
+
+    /// The list of `key`, opened if the key has none.
+    fn list_of(&mut self, key: IndexKey<'_>) -> u32 {
+        match self.by_key.entry(key.kept()) {
+            Entry::Occupied(known) => *known.get(),
+            Entry::Vacant(new) => {
+                let list = List {
+                    key: Some(key.kept()),
+                    head: NIL,
+                    tail: NIL,
+                };
+                let id = match self.free_lists.pop() {
+                    Some(id) => {
+                        self.lists[id as usize] = list;
+                        id
+                    }
+                    None => {
+                        self.lists.push(list);
+                        slot_number(self.lists.len() - 1)
+                    }
+                };
+                *new.insert(id)
+            }
+        }
+    }
+
+    /// Links `slot` at the tail of list `id`.
+    fn push_back(&mut self, id: u32, slot: u32) {
+        let list = &mut self.lists[id as usize];
+        let prev = list.tail;
+        list.tail = slot;
+        match prev {
+            NIL => list.head = slot,
+            prev => self.links[prev as usize].next = slot,
+        }
+        self.links[slot as usize] = Link {
+            list: id,
+            prev,
+            next: NIL,
         };
     }
 
-    /// Unfiles `name` from under `key` and returns the shared name.
-    fn unfile(&mut self, key: &str, name: &str) -> Arc<str> {
-        let names = self.names_by_key.get_mut(key).expect("key is indexed");
-        let name = names.take(name).expect("object is filed under its key");
-        if names.is_empty() {
-            self.names_by_key.remove(key);
+    /// Files `slot`, which holds `obj`, at the tail of its key's list.
+    fn file(&mut self, slot: u32, obj: &T) {
+        let list = self.list_of((self.key_of)(obj));
+        self.push_back(list, slot);
+    }
+
+    /// Takes `slot` out of its list, dropping the list and its key if
+    /// that empties it.
+    fn unlink(&mut self, slot: u32) {
+        let Link {
+            list: id,
+            prev,
+            next,
+        } = self.links[slot as usize];
+        match prev {
+            NIL => self.lists[id as usize].head = next,
+            prev => self.links[prev as usize].next = next,
         }
-        name
+        match next {
+            NIL => self.lists[id as usize].tail = prev,
+            next => self.links[next as usize].prev = prev,
+        }
+        let list = &mut self.lists[id as usize];
+        if list.head == NIL {
+            let key = list.key.take().expect("a live list has its key");
+            self.by_key.remove(key.as_str());
+            self.free_lists.push(id);
+        }
     }
 
-    /// Remembers the key `obj` is filed under, before it is mutated.
-    fn mark(&mut self, obj: &T) {
-        let (key, _) = self
-            .names_by_key
-            .get_key_value((self.key_of)(obj))
-            .expect("object is filed under its key");
-        self.marked = Some(Arc::clone(key));
-    }
-
-    /// Moves `name` from the marked key to `obj`'s, if they differ.
-    fn refile(&mut self, obj: &T, name: &str) {
-        let before = self.marked.take().expect("marked before the mutation");
-        if *before != *(self.key_of)(obj) {
-            let name = self.unfile(&before, name);
-            self.file(obj, name);
+    /// Moves `slot` to the tail of `obj`'s key's list, unless it is in
+    /// that list already. Hashes nothing when the key is the very string
+    /// its list is keyed by.
+    fn refile(&mut self, slot: u32, obj: &T) {
+        let key = (self.key_of)(obj);
+        let current = self.links[slot as usize].list;
+        let filed_under = self.lists[current as usize].key.as_ref();
+        if filed_under.is_some_and(|filed| std::ptr::eq(filed.as_str(), key.as_str())) {
+            return;
+        }
+        let list = self.list_of(key);
+        if list != current {
+            self.unlink(slot);
+            self.push_back(list, slot);
         }
     }
 }
 
+/// `at` as a slot or list number.
+fn slot_number(at: usize) -> u32 {
+    u32::try_from(at)
+        .ok()
+        .filter(|&n| n != NIL)
+        .expect("fewer than 2³² - 1 objects")
+}
+
 struct StoreInner<T> {
-    objects: HashMap<Arc<str>, Arc<Stored<T>>>,
+    /// The objects; `None` marks a free slot.
+    slots: Vec<Option<Arc<Stored<T>>>>,
+    /// Free slots, the most recently freed last.
+    free: Vec<u32>,
+    /// Name → slot, keyed by each object's [`Resource::shared_name`].
+    by_name: Map<Arc<str>>,
     watchers: Vec<Sender<WatchEvent<T>>>,
     indexes: Vec<Index<T>>,
 }
 
+impl<T> StoreInner<T> {
+    fn get(&self, name: &str) -> Option<&Arc<Stored<T>>> {
+        let slot = *self.by_name.get(name)?;
+        self.slots[slot as usize].as_ref()
+    }
+
+    fn objects(&self) -> impl Iterator<Item = &Arc<Stored<T>>> {
+        self.slots.iter().flatten()
+    }
+}
+
 /// A typed object store. Cloning shares the underlying state.
 ///
-/// See the [module docs](self) for what is shared and which reads are
-/// borrowed, indexed or snapshots. The closures passed to
-/// [`Store::read`], [`Store::for_each`], [`Store::for_each_in`] and
-/// [`Store::update`] run under the store lock: they must not call back
-/// into the same store.
+/// See the [module docs](self) for how objects and indexes are laid out,
+/// what is shared and which reads are borrowed, indexed or snapshots.
+/// The closures passed to [`Store::read`], [`Store::for_each`],
+/// [`Store::for_each_in`] and [`Store::update`] run under the store
+/// lock: they must not call back into the same store, and `update`'s
+/// must not rename the object.
 pub struct Store<T: Resource> {
     inner: Arc<Mutex<StoreInner<T>>>,
     next_uid: Arc<AtomicU64>,
@@ -209,18 +416,14 @@ impl<T: Resource> Store<T> {
     /// touching the rest (pods by owning job, say, and by lifecycle
     /// stage).
     pub fn indexed(indexes: &[(&'static str, KeyOf<T>)]) -> Self {
-        let indexes = indexes
-            .iter()
-            .map(|&(name, key_of)| Index {
-                name,
-                key_of,
-                names_by_key: HashMap::new(),
-                marked: None,
-            })
+        let indexes = (indexes.iter())
+            .map(|&(name, key_of)| Index::new(name, key_of))
             .collect();
         Store {
             inner: Arc::new(Mutex::new(StoreInner {
-                objects: HashMap::new(),
+                slots: Vec::new(),
+                free: Vec::new(),
+                by_name: map(),
                 watchers: Vec::new(),
                 indexes,
             })),
@@ -246,19 +449,31 @@ impl<T: Resource> Store<T> {
     pub fn create(&self, obj: T) -> Result<Arc<Stored<T>>, ApiError> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        if inner.objects.contains_key(obj.name()) {
+        let Entry::Vacant(name) = inner.by_name.entry(obj.shared_name()) else {
             return Err(ApiError::AlreadyExists(obj.name().to_string()));
-        }
-        let name: Arc<str> = Arc::from(obj.name());
+        };
         let stored = Arc::new(Stored {
             obj,
             uid: self.next_uid.fetch_add(1, Ordering::Relaxed),
             resource_version: self.next_rv.fetch_add(1, Ordering::Relaxed),
         });
+        let slot = inner.free.pop().unwrap_or_else(|| {
+            inner.slots.push(None);
+            let unlinked = Link {
+                list: NIL,
+                prev: NIL,
+                next: NIL,
+            };
+            for index in &mut inner.indexes {
+                index.links.push(unlinked);
+            }
+            slot_number(inner.slots.len() - 1)
+        });
+        name.insert(slot);
         for index in &mut inner.indexes {
-            index.file(&stored.obj, Arc::clone(&name));
+            index.file(slot, &stored.obj);
         }
-        inner.objects.insert(name, Arc::clone(&stored));
+        inner.slots[slot as usize] = Some(Arc::clone(&stored));
         Self::notify(inner, WatchEvent::Added, &stored);
         Ok(stored)
     }
@@ -266,30 +481,30 @@ impl<T: Resource> Store<T> {
     /// The named object as of now. Callers that need a field or two use
     /// [`Store::read`] instead.
     pub fn get(&self, name: &str) -> Option<Arc<Stored<T>>> {
-        self.inner.lock().objects.get(name).cloned()
+        self.inner.lock().get(name).cloned()
     }
 
     /// A snapshot of all objects, in unspecified order. Counts as a
     /// full scan.
     pub fn list(&self) -> Vec<Arc<Stored<T>>> {
         self.full_scans.fetch_add(1, Ordering::Relaxed);
-        self.inner.lock().objects.values().cloned().collect()
+        self.inner.lock().objects().cloned().collect()
     }
 
     /// Borrowed read: runs `f` on the named object under the store
     /// lock and returns its answer, or `None` if the name is unknown.
     pub fn read<R>(&self, name: &str, f: impl FnOnce(&Stored<T>) -> R) -> Option<R> {
-        self.inner.lock().objects.get(name).map(|s| f(s))
+        self.inner.lock().get(name).map(|s| f(s))
     }
 
     /// Borrowed scan: runs `f` on every object under the store lock
     /// (unspecified order). Counts as a full scan.
-    pub fn for_each(&self, mut f: impl FnMut(&Arc<Stored<T>>)) {
+    pub fn for_each(&self, f: impl FnMut(&Arc<Stored<T>>)) {
         self.full_scans.fetch_add(1, Ordering::Relaxed);
-        self.inner.lock().objects.values().for_each(&mut f);
+        self.inner.lock().objects().for_each(f);
     }
 
-    /// Indexed scan: runs `f`, under the store lock and in name order,
+    /// Indexed scan: runs `f`, under the store lock and in filing order,
     /// on exactly the objects `index` files under `key`. Costs
     /// O(matches), whatever else the store holds.
     ///
@@ -300,8 +515,15 @@ impl<T: Resource> Store<T> {
         let index = (inner.indexes.iter())
             .find(|i| i.name == index)
             .unwrap_or_else(|| panic!("store has no index {index:?}"));
-        for name in index.names_by_key.get(key).into_iter().flatten() {
-            f(&inner.objects[name]);
+        let Some(&list) = index.by_key.get(key) else {
+            return;
+        };
+        let mut at = index.lists[list as usize].head;
+        while at != NIL {
+            f(inner.slots[at as usize]
+                .as_ref()
+                .expect("a filed slot is full"));
+            at = index.links[at as usize].next;
         }
     }
 
@@ -314,7 +536,7 @@ impl<T: Resource> Store<T> {
 
     /// Number of stored objects.
     pub fn len(&self) -> usize {
-        self.inner.lock().objects.len()
+        self.inner.lock().by_name.len()
     }
 
     /// `true` when the store is empty.
@@ -332,18 +554,16 @@ impl<T: Resource> Store<T> {
     ) -> Result<Arc<Stored<T>>, ApiError> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        let shared = inner
-            .objects
-            .get_mut(name)
-            .ok_or_else(|| ApiError::NotFound(name.to_string()))?;
-        for index in &mut inner.indexes {
-            index.mark(&shared.obj);
-        }
+        let slot =
+            *(inner.by_name.get(name)).ok_or_else(|| ApiError::NotFound(name.to_string()))?;
+        let shared = inner.slots[slot as usize]
+            .as_mut()
+            .expect("a named slot is full");
         let stored = Arc::make_mut(shared);
         mutate(&mut stored.obj);
         stored.resource_version = self.next_rv.fetch_add(1, Ordering::Relaxed);
         for index in &mut inner.indexes {
-            index.refile(&stored.obj, name);
+            index.refile(slot, &stored.obj);
         }
         let stored = Arc::clone(shared);
         Self::notify(inner, WatchEvent::Modified, &stored);
@@ -354,13 +574,15 @@ impl<T: Resource> Store<T> {
     pub fn delete(&self, name: &str) -> Result<Arc<Stored<T>>, ApiError> {
         let mut guard = self.inner.lock();
         let inner = &mut *guard;
-        let stored = inner
-            .objects
-            .remove(name)
-            .ok_or_else(|| ApiError::NotFound(name.to_string()))?;
+        let slot =
+            (inner.by_name.remove(name)).ok_or_else(|| ApiError::NotFound(name.to_string()))?;
+        let stored = inner.slots[slot as usize]
+            .take()
+            .expect("a named slot is full");
         for index in &mut inner.indexes {
-            index.unfile((index.key_of)(&stored.obj), name);
+            index.unlink(slot);
         }
+        inner.free.push(slot);
         Self::notify(inner, WatchEvent::Deleted, &stored);
         Ok(stored)
     }
@@ -385,7 +607,7 @@ impl<T: Resource> Store<T> {
     pub fn list_watch(&self) -> (Vec<Arc<Stored<T>>>, Receiver<WatchEvent<T>>) {
         self.full_scans.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock();
-        let snapshot = inner.objects.values().cloned().collect();
+        let snapshot = inner.objects().cloned().collect();
         let (tx, rx) = unbounded();
         inner.watchers.push(tx);
         (snapshot, rx)
@@ -394,7 +616,52 @@ impl<T: Resource> Store<T> {
 
 #[cfg(test)]
 mod tests {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
     use super::*;
+
+    /// `System`, counting the calls of the thread that makes them, so a
+    /// test can hold "this makes no allocation" while others run.
+    struct Counting;
+
+    thread_local! {
+        static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn count_allocation() {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+
+    // SAFETY: every method forwards its arguments unchanged to `System`;
+    // the counter is a statistic and guards nothing.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count_allocation();
+            System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            count_allocation();
+            System.alloc_zeroed(layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count_allocation();
+            System.realloc(ptr, layout, new_size)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: Counting = Counting;
+
+    fn allocations() -> u64 {
+        ALLOCATIONS.with(Cell::get)
+    }
 
     #[derive(Debug, Clone, PartialEq)]
     struct Obj {
@@ -565,12 +832,8 @@ mod tests {
     }
 
     /// Indexed by the sign of the value: "neg" or "pos".
-    fn sign(o: &Obj) -> &str {
-        if o.value < 0 {
-            "neg"
-        } else {
-            "pos"
-        }
+    fn sign(o: &Obj) -> IndexKey<'static> {
+        IndexKey::Static(if o.value < 0 { "neg" } else { "pos" })
     }
 
     fn names_in(store: &Store<Obj>, key: &str) -> Vec<String> {
@@ -585,20 +848,149 @@ mod tests {
         store.create(obj("b", 1)).unwrap();
         store.create(obj("a", 2)).unwrap();
         store.create(obj("c", -1)).unwrap();
-        assert_eq!(names_in(&store, "pos"), ["a", "b"], "name order");
+        assert_eq!(names_in(&store, "pos"), ["b", "a"], "filing order");
         assert_eq!(names_in(&store, "neg"), ["c"]);
         assert!(names_in(&store, "other").is_empty());
-        // An update that changes the key re-files the object; one that
-        // does not leaves it where it is.
+        // An update that changes the key re-files the object at the new
+        // key's tail; one that does not leaves it where it is.
         store.update("a", |o| o.value = -5).unwrap();
         store.update("b", |o| o.value = 7).unwrap();
         assert_eq!(names_in(&store, "pos"), ["b"]);
-        assert_eq!(names_in(&store, "neg"), ["a", "c"]);
+        assert_eq!(names_in(&store, "neg"), ["c", "a"]);
         store.delete("c").unwrap();
         store.delete("b").unwrap();
         assert!(names_in(&store, "pos").is_empty());
         assert_eq!(names_in(&store, "neg"), ["a"]);
         assert_eq!(store.full_scans(), 0, "indexed reads are not scans");
+    }
+
+    #[test]
+    fn for_each_in_visits_in_filing_order() {
+        let store: Store<Obj> = Store::indexed(&[("sign", sign)]);
+        for name in ["z", "m", "a", "q"] {
+            store.create(obj(name, 1)).unwrap();
+        }
+        assert_eq!(
+            names_in(&store, "pos"),
+            ["z", "m", "a", "q"],
+            "not name order"
+        );
+        // Leaving a key and coming back is filing afresh.
+        store.update("m", |o| o.value = -1).unwrap();
+        store.update("m", |o| o.value = 2).unwrap();
+        // Head, middle and tail unlink alike.
+        store.update("z", |o| o.value = -1).unwrap();
+        assert_eq!(names_in(&store, "pos"), ["a", "q", "m"]);
+        store.update("m", |o| o.value = -2).unwrap();
+        assert_eq!(names_in(&store, "pos"), ["a", "q"]);
+        assert_eq!(names_in(&store, "neg"), ["z", "m"]);
+    }
+
+    #[test]
+    fn a_freed_slot_is_never_visited() {
+        let store: Store<Obj> = Store::indexed(&[("sign", sign)]);
+        for (name, value) in [("a", 1), ("b", 2), ("c", 3)] {
+            store.create(obj(name, value)).unwrap();
+        }
+        store.delete("b").unwrap();
+        assert_eq!(names_in(&store, "pos"), ["a", "c"]);
+        let mut all: Vec<String> = store.list().iter().map(|s| s.obj.name.clone()).collect();
+        all.sort();
+        assert_eq!(all, ["a", "c"], "a full scan skips the free slot");
+        // The freed slot is reused, under another key: neither list
+        // reaches it through a stale link.
+        store.create(obj("d", -1)).unwrap();
+        assert_eq!(store.inner.lock().slots.len(), 3, "b's slot is d's");
+        assert_eq!(names_in(&store, "pos"), ["a", "c"]);
+        assert_eq!(names_in(&store, "neg"), ["d"]);
+        for name in ["a", "c", "d"] {
+            store.delete(name).unwrap();
+        }
+        assert!(names_in(&store, "pos").is_empty() && names_in(&store, "neg").is_empty());
+        assert!(store.list().is_empty());
+    }
+
+    #[test]
+    fn a_recreated_name_is_filed_afresh_at_its_keys_tail() {
+        let store: Store<Obj> = Store::indexed(&[("sign", sign)]);
+        for name in ["a", "b", "c"] {
+            store.create(obj(name, 1)).unwrap();
+        }
+        let first = store.delete("a").unwrap();
+        let again = store.create(obj("a", 1)).unwrap();
+        assert_ne!(first.uid, again.uid);
+        assert_eq!(names_in(&store, "pos"), ["b", "c", "a"]);
+    }
+
+    #[test]
+    fn index_state_is_o_live() {
+        use crate::resources::Pod;
+        use hpc_metrics::SimTime;
+
+        const PODS: usize = 10_000;
+        const LIVE: usize = 500;
+        let owners: Vec<Arc<str>> = (0..1_000).map(|j| format!("j{j}").into()).collect();
+        let pods = Pod::store();
+        let mut peak = 0;
+        for i in 0..PODS {
+            let owner = Arc::clone(&owners[i % owners.len()]);
+            pods.create(Pod::worker(format!("p{i}"), owner, SimTime::ZERO))
+                .unwrap();
+            peak = peak.max(pods.len());
+            // Bound: re-filed from "unbound" to "starting".
+            pods.update(&format!("p{i}"), |p| p.node = Some("n0".into()))
+                .unwrap();
+            if i >= LIVE {
+                pods.delete(&format!("p{}", i - LIVE)).unwrap();
+            }
+        }
+        for i in PODS - LIVE..PODS {
+            pods.delete(&format!("p{i}")).unwrap();
+        }
+        assert_eq!(peak, LIVE + 1);
+        let inner = pods.inner.lock();
+        assert!(inner.by_name.is_empty());
+        assert!(inner.slots.len() <= peak, "{} slots", inner.slots.len());
+        for index in &inner.indexes {
+            assert!(index.by_key.is_empty(), "{} keeps keys", index.name);
+            assert!(index.lists.iter().all(|l| l.key.is_none()));
+            assert_eq!(index.lists.len(), index.free_lists.len());
+            assert_eq!(index.links.len(), inner.slots.len());
+        }
+        assert!(inner.indexes[0].lists.len() <= peak);
+    }
+
+    #[test]
+    fn refiling_allocates_nothing_and_shares_its_keys() {
+        use crate::resources::{Pod, PodPhase};
+        use hpc_metrics::SimTime;
+
+        let owner: Arc<str> = "j".into();
+        let pods = Pod::store();
+        for i in 0..8 {
+            let pod = Pod {
+                node: Some("n0".into()),
+                phase: PodPhase::Running,
+                ..Pod::worker(format!("p{i}"), Arc::clone(&owner), SimTime::ZERO)
+            };
+            pods.create(pod).unwrap();
+        }
+        // Held by the test, by each pod twice (owner and affinity
+        // group), and once each by the owner index's map and list.
+        assert_eq!(Arc::strong_count(&owner), 1 + 2 * 8 + 2, "keys are shared");
+        // Each round moves a pod settled → terminating → settled: two
+        // re-files that empty and re-open the terminating list.
+        let round = |i: usize| {
+            let name = format!("p{}", i % 8);
+            let before = allocations();
+            drop(pods.update(&name, |p| p.deleting = true).unwrap());
+            drop(pods.update(&name, |p| p.deleting = false).unwrap());
+            allocations() - before
+        };
+        round(0);
+        let allocated: u64 = (1..1_000).map(round).sum();
+        assert_eq!(allocated, 0, "an update that re-files allocates nothing");
+        assert_eq!(Arc::strong_count(&owner), 1 + 2 * 8 + 2);
     }
 
     #[test]
@@ -609,36 +1001,60 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// After any create/update/delete sequence, the index answers
-        /// exactly what filtering a full snapshot by key would.
+        /// After any create/update/delete sequence, the index holds
+        /// exactly what filtering a full snapshot by key would, in the
+        /// order a model of filing gives: an object joins its key's tail
+        /// when it is created or its key changes.
         #[test]
         fn index_equals_filtered_list(
             ops in proptest::collection::vec(proptest::any::<u32>(), 1..200),
         ) {
             let store: Store<Obj> = Store::indexed(&[("sign", sign)]);
+            // Every live object, in the order it joined its key.
+            let mut filed: Vec<(String, String)> = Vec::new();
             for word in ops {
                 let name = format!("o{}", (word >> 2) % 12);
                 let value = i64::from((word >> 8) % 7) - 3;
+                let key = sign(&obj(&name, value)).as_str().to_string();
+                let at = filed.iter().position(|(n, _)| *n == name);
                 match word % 4 {
                     0 | 1 => {
-                        let _ = store.create(obj(&name, value));
+                        if store.create(obj(&name, value)).is_ok() {
+                            filed.push((name, key));
+                        }
                     }
                     2 => {
-                        let _ = store.update(&name, |o| o.value = value);
+                        if store.update(&name, |o| o.value = value).is_ok() {
+                            let at = at.expect("updated a live object");
+                            if filed[at].1 != key {
+                                filed.remove(at);
+                                filed.push((name, key));
+                            }
+                        }
                     }
                     _ => {
-                        let _ = store.delete(&name);
+                        if store.delete(&name).is_ok() {
+                            filed.remove(at.expect("deleted a live object"));
+                        }
                     }
                 }
                 for key in ["neg", "pos"] {
+                    let indexed = names_in(&store, key);
                     let mut expected: Vec<String> = store
                         .list()
                         .into_iter()
-                        .filter(|s| sign(&s.obj) == key)
+                        .filter(|s| sign(&s.obj).as_str() == key)
                         .map(|s| s.obj.name.clone())
                         .collect();
                     expected.sort();
-                    proptest::prop_assert_eq!(names_in(&store, key), expected);
+                    let mut members = indexed.clone();
+                    members.sort();
+                    proptest::prop_assert_eq!(members, expected, "membership");
+                    let in_filing_order: Vec<String> = (filed.iter())
+                        .filter(|(_, k)| k == key)
+                        .map(|(n, _)| n.clone())
+                        .collect();
+                    proptest::prop_assert_eq!(indexed, in_filing_order, "filing order");
                 }
             }
         }

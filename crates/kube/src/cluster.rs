@@ -115,18 +115,18 @@ impl ControlPlane {
     }
 
     /// Active (running, non-terminating) worker pods per owning job.
-    pub fn active_workers_by_job(&self) -> BTreeMap<String, u32> {
+    pub fn active_workers_by_job(&self) -> BTreeMap<Arc<str>, u32> {
         let mut map = BTreeMap::new();
         self.pods.for_each(|pod| {
             let p = &pod.obj;
             if p.role == PodRole::Worker && p.is_active() {
-                *map.entry(p.owner.clone()).or_insert(0) += 1;
+                *map.entry(Arc::clone(&p.owner)).or_insert(0) += 1;
             }
         });
         map
     }
 
-    /// All resource-consuming pods owned by `job`, in name order
+    /// All resource-consuming pods owned by `job`, in creation order
     /// (snapshots of that job's pods only).
     pub fn pods_of_job(&self, job: &str) -> Vec<Pod> {
         let mut pods = Vec::new();
@@ -139,13 +139,15 @@ impl ControlPlane {
     }
 
     /// Names of the resource-consuming pods owned by `job` — all of
-    /// them, or only those with the given role — in name order. What
-    /// teardown and nodelist upkeep need, without cloning the pods.
-    pub fn pod_names_of_job(&self, job: &str, role: Option<PodRole>) -> Vec<String> {
+    /// them, or only those with the given role — in creation order (the
+    /// owner index's filing order: a pod's owner never changes). For a
+    /// job's workers that is serial order, past `w9999` too. What
+    /// teardown and nodelist upkeep need, shared rather than copied.
+    pub fn pod_names_of_job(&self, job: &str, role: Option<PodRole>) -> Vec<Arc<str>> {
         let mut names = Vec::new();
         self.pods.for_each_in(Pod::BY_OWNER, job, |s| {
             if s.obj.consumes_resources() && role.is_none_or(|r| s.obj.role == r) {
-                names.push(s.obj.name.clone());
+                names.push(Arc::clone(&s.obj.name));
             }
         });
         names
@@ -153,12 +155,12 @@ impl ControlPlane {
 
     /// Worker slots currently committed per job (for utilization
     /// accounting; excludes launchers).
-    pub fn worker_slots_by_job(&self) -> BTreeMap<String, u32> {
+    pub fn worker_slots_by_job(&self) -> BTreeMap<Arc<str>, u32> {
         let mut map = BTreeMap::new();
         self.pods.for_each(|pod| {
             let p = &pod.obj;
             if p.role == PodRole::Worker && p.consumes_resources() {
-                *map.entry(p.owner.clone()).or_insert(0) += p.cpu_request;
+                *map.entry(Arc::clone(&p.owner)).or_insert(0) += p.cpu_request;
             }
         });
         map
@@ -198,6 +200,10 @@ impl ControlPlane {
 mod tests {
     use super::*;
     use hpc_metrics::{Duration, VirtualClock};
+
+    fn names(names: &[&str]) -> Vec<Arc<str>> {
+        names.iter().map(|&n| Arc::from(n)).collect()
+    }
 
     fn plane() -> (ControlPlane, VirtualClock) {
         let clock = VirtualClock::new();
@@ -309,14 +315,49 @@ mod tests {
         cp.pods.create(Pod::worker("x", "j2", cp.now())).unwrap();
         cp.tick();
         let scans = cp.pods.full_scans();
-        assert_eq!(cp.pod_names_of_job("j1", None), ["j1-l", "j1-w0", "j1-w1"]);
+        assert_eq!(
+            cp.pod_names_of_job("j1", None),
+            names(&["j1-w1", "j1-w0", "j1-l"]),
+            "creation order"
+        );
         assert_eq!(
             cp.pod_names_of_job("j1", Some(PodRole::Worker)),
-            ["j1-w0", "j1-w1"]
+            names(&["j1-w1", "j1-w0"])
         );
         assert!(cp.pod_names_of_job("nobody", None).is_empty());
         assert!(cp.job_pods_running("j1", PodRole::Worker, 2));
         assert_eq!(cp.pods_of_job("j2").len(), 1);
         assert_eq!(cp.pods.full_scans(), scans, "answered from the owner index");
+    }
+
+    #[test]
+    fn a_jobs_workers_come_in_serial_order_past_w9999() {
+        // What the operator's shrink (the highest serials go) and its
+        // nodelist rely on: serial order is creation order, which name
+        // order stops being at `w10000`.
+        let (mut cp, clock) = plane();
+        let owner: Arc<str> = "j".into();
+        cp.pods
+            .create(Pod::launcher("j-launcher", Arc::clone(&owner), cp.now()))
+            .unwrap();
+        for serial in 9_998..10_002 {
+            let name = format!("j-w{serial:04}");
+            cp.pods
+                .create(Pod::worker(name, Arc::clone(&owner), cp.now()))
+                .unwrap();
+        }
+        let workers = names(&["j-w9998", "j-w9999", "j-w10000", "j-w10001"]);
+        assert_eq!(cp.pod_names_of_job("j", Some(PodRole::Worker)), workers);
+        // Binding, starting and a deletion request move pods between
+        // stages, never within their owner's list.
+        cp.tick();
+        cp.delete_pod("j-w9999");
+        assert_eq!(cp.pod_names_of_job("j", Some(PodRole::Worker)), workers);
+        clock.advance(Duration::from_secs(1.0));
+        cp.tick();
+        cp.reap_finished();
+        let mut all = names(&["j-launcher"]);
+        all.extend(workers.into_iter().filter(|w| &**w != "j-w9999"));
+        assert_eq!(cp.pod_names_of_job("j", None), all);
     }
 }

@@ -8,14 +8,15 @@
 //! behind-the-back failures is applied to an indexed world and to a
 //! scanning one, and after every step both must have returned the same
 //! thing and hold the same pods, and every index of the indexed store
-//! must equal the one a full scan of it rebuilds.
+//! must hold what a full scan of it files under each key, in the order a
+//! model fed by the store's own watch stream files it.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use hpc_metrics::{Duration, SimTime, VirtualClock};
 
-use crate::api::Store;
+use crate::api::{Store, WatchEvent};
 use crate::cluster::ControlPlane;
 use crate::kubelet::{Kubelet, KubeletConfig};
 use crate::resources::{Node, Pod, PodPhase, PodStage};
@@ -39,7 +40,7 @@ fn schedule_once_by_scan(nodes: &Store<Node>, pods: &Store<Pod>) -> ScheduleOutc
     let mut ready: Vec<(String, u32)> = Vec::new();
     nodes.for_each(|n| {
         if n.obj.ready {
-            ready.push((n.obj.name.clone(), n.obj.cpu_capacity));
+            ready.push((n.obj.name.to_string(), n.obj.cpu_capacity));
         }
     });
     let mut alloc: HashMap<String, u32> = HashMap::new();
@@ -49,15 +50,15 @@ fn schedule_once_by_scan(nodes: &Store<Node>, pods: &Store<Pod>) -> ScheduleOutc
         let (true, Some(node)) = (p.consumes_resources(), &p.node) else {
             return;
         };
-        *alloc.entry(node.clone()).or_insert(0) += p.cpu_request;
+        *alloc.entry(node.to_string()).or_insert(0) += p.cpu_request;
         if let Some(group) = &p.affinity_group {
-            let on = presence.entry(group.clone()).or_default();
-            *on.entry(node.clone()).or_insert(0) += 1;
+            let on = presence.entry(group.to_string()).or_default();
+            *on.entry(node.to_string()).or_insert(0) += 1;
         }
     });
     for pod in pending {
         let used = |node: &str| alloc.get(node).copied().unwrap_or(0);
-        let group_presence = pod.affinity_group.as_ref().and_then(|g| presence.get(g));
+        let group_presence = (pod.affinity_group.as_deref()).and_then(|g| presence.get(g));
         let best = ready
             .iter()
             .filter(|(name, capacity)| capacity.saturating_sub(used(name)) >= pod.cpu_request)
@@ -75,13 +76,14 @@ fn schedule_once_by_scan(nodes: &Store<Node>, pods: &Store<Pod>) -> ScheduleOutc
         let node_name = node_name.clone();
         *alloc.entry(node_name.clone()).or_insert(0) += pod.cpu_request;
         if let Some(group) = &pod.affinity_group {
-            let on = presence.entry(group.clone()).or_default();
+            let on = presence.entry(group.to_string()).or_default();
             *on.entry(node_name.clone()).or_insert(0) += 1;
         }
-        let bind_target = node_name.clone();
+        let bind_target: Arc<str> = node_name.into();
+        let bound = Arc::clone(&bind_target);
         pods.update(&pod.name, move |p| p.node = Some(bind_target))
             .expect("pod exists");
-        outcome.bound.push((pod.name, node_name));
+        outcome.bound.push((pod.name, bound));
     }
     outcome
 }
@@ -97,9 +99,9 @@ struct KubeletByScan {
 }
 
 impl KubeletByScan {
-    fn process(&mut self, now: SimTime) -> Vec<String> {
+    fn process(&mut self, now: SimTime) -> Vec<Arc<str>> {
         let before = std::mem::take(&mut self.inflight);
-        let mut due: Vec<(String, bool)> = Vec::new();
+        let mut due: Vec<(Arc<str>, bool)> = Vec::new();
         self.pods.for_each(|stored| {
             let pod = &stored.obj;
             let (to_running, latency) = match (pod.phase, pod.node.is_some(), pod.deleting) {
@@ -163,7 +165,7 @@ impl World {
     }
 
     /// Everything the store holds, by name.
-    fn contents(&self) -> BTreeMap<String, Pod> {
+    fn contents(&self) -> BTreeMap<Arc<str>, Pod> {
         let pods = self.pods.list();
         pods.iter()
             .map(|s| (s.obj.name.clone(), s.obj.clone()))
@@ -171,14 +173,63 @@ impl World {
     }
 }
 
-fn sorted(mut names: Vec<String>) -> Vec<String> {
+fn sorted(mut names: Vec<Arc<str>>) -> Vec<Arc<str>> {
     names.sort();
     names
 }
 
-/// Every index of the indexed pod store against a full scan of it.
+/// The key `index` files `pod` under.
+fn key_of(index: &str, pod: &Pod) -> Arc<str> {
+    if index == Pod::BY_STAGE {
+        pod.stage().as_str().into()
+    } else {
+        Arc::clone(&pod.owner)
+    }
+}
+
+/// What each index of a pod store should hold, in filing order, as its
+/// watch stream tells it: a pod joins the tail of its key's list when
+/// it is created or an update changes its key, and leaves it when it is
+/// deleted or an update changes its key.
+#[derive(Default)]
+struct FilingModel {
+    lists: BTreeMap<(&'static str, Arc<str>), Vec<Arc<str>>>,
+    /// `(index, pod)` → the key it is filed under.
+    filed: HashMap<(&'static str, Arc<str>), Arc<str>>,
+}
+
+impl FilingModel {
+    fn apply(&mut self, event: WatchEvent<Pod>) {
+        let (WatchEvent::Added(s) | WatchEvent::Modified(s) | WatchEvent::Deleted(s)) = &event;
+        let live = !matches!(event, WatchEvent::Deleted(_));
+        let name = &s.obj.name;
+        for index in [Pod::BY_STAGE, Pod::BY_OWNER] {
+            let key = key_of(index, &s.obj);
+            let at = (index, Arc::clone(name));
+            if live && self.filed.get(&at) == Some(&key) {
+                continue;
+            }
+            if let Some(old) = self.filed.remove(&at) {
+                let list = self.lists.get_mut(&(index, old.clone())).expect("filed");
+                list.retain(|n| n != name);
+                if list.is_empty() {
+                    self.lists.remove(&(index, old));
+                }
+            }
+            if live {
+                let list = self.lists.entry((index, Arc::clone(&key))).or_default();
+                list.push(Arc::clone(name));
+                self.filed.insert(at, key);
+            }
+        }
+    }
+}
+
+/// Every index of the indexed pod store against a full scan of it
+/// (membership) and against the filing model (order).
 fn assert_indexes_equal_a_scan(
     pods: &Store<Pod>,
+    model: &FilingModel,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let all = pods.list();
     let stages = [
@@ -193,18 +244,19 @@ fn assert_indexes_equal_a_scan(
     let mut filed = 0;
     for (index, key) in by_stage.into_iter().chain(by_owner) {
         let mut indexed = Vec::new();
-        pods.for_each_in(index, &key, |s| indexed.push(s.obj.name.clone()));
-        let scanned = all.iter().filter(|s| {
-            let of = if index == Pod::BY_STAGE {
-                s.obj.stage().as_str()
-            } else {
-                &s.obj.owner
-            };
-            of == key
-        });
-        let scanned = sorted(scanned.map(|s| s.obj.name.clone()).collect());
+        pods.for_each_in(index, &key, |s| indexed.push(Arc::clone(&s.obj.name)));
+        let scanned = all.iter().filter(|s| *key_of(index, &s.obj) == *key);
+        let scanned = sorted(scanned.map(|s| Arc::clone(&s.obj.name)).collect());
         filed += indexed.len();
-        proptest::prop_assert_eq!(indexed, scanned, "{} / {}", index, key);
+        let modelled = model.lists.get(&(index, key.as_str().into()));
+        proptest::prop_assert_eq!(
+            &indexed,
+            modelled.unwrap_or(&Vec::new()),
+            "{} / {}: filing order",
+            index,
+            key
+        );
+        proptest::prop_assert_eq!(sorted(indexed), scanned, "{} / {}", index, key);
     }
     proptest::prop_assert_eq!(filed, 2 * all.len(), "each pod once per index");
     Ok(())
@@ -225,6 +277,8 @@ proptest::proptest! {
         let indexed = World::new(plane.nodes.clone(), plane.pods.clone());
         let scheduler = PodScheduler::new(indexed.nodes.clone(), indexed.pods.clone());
         let mut kubelet = Kubelet::new(indexed.pods.clone(), cfg);
+        let events = indexed.pods.watch();
+        let mut model = FilingModel::default();
         let scanning = World::new(Store::new(), Store::new());
         let mut kubelet_by_scan = KubeletByScan {
             pods: scanning.pods.clone(),
@@ -238,7 +292,7 @@ proptest::proptest! {
             let both = [&indexed, &scanning];
             match word % 16 {
                 0..=3 => {
-                    let owner = format!("j{}", arg % 3);
+                    let owner: Arc<str> = format!("j{}", arg % 3).into();
                     let pod = Pod {
                         cpu_request: 1 + (arg >> 8) % 3,
                         affinity_group: ((arg >> 10) % 4 > 0).then(|| owner.clone()),
@@ -291,7 +345,10 @@ proptest::proptest! {
                 _ => now += Duration::from_secs(f64::from(arg % 4) * 0.5),
             }
             proptest::prop_assert_eq!(indexed.contents(), scanning.contents());
-            assert_indexes_equal_a_scan(&indexed.pods)?;
+            while let Ok(event) = events.try_recv() {
+                model.apply(event);
+            }
+            assert_indexes_equal_a_scan(&indexed.pods, &model)?;
         }
     }
 }

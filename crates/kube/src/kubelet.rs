@@ -9,6 +9,7 @@
 //! starting or terminating; settled pods cost it nothing.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use hpc_metrics::{Duration, SimTime};
 
@@ -74,12 +75,12 @@ impl Kubelet {
 
     /// Advances pod state machines to `now`. Returns the names of pods
     /// that changed phase. Two indexed reads decide which transitions
-    /// are due; only those pods' names are cloned, and the updates run
-    /// once the store lock is released. Only the transitions of pods
-    /// this round finds starting or terminating are carried into the
-    /// next: one whose pod left those stages by any hand (or left the
-    /// store) is forgotten.
-    pub fn process(&mut self, now: SimTime) -> Vec<String> {
+    /// are due; only those pods' names are taken (shared, not copied),
+    /// and the updates run once the store lock is released. Only the
+    /// transitions of pods this round finds starting or terminating are
+    /// carried into the next: one whose pod left those stages by any
+    /// hand (or left the store) is forgotten.
+    pub fn process(&mut self, now: SimTime) -> Vec<Arc<str>> {
         let Kubelet {
             pods,
             cfg,
@@ -87,7 +88,7 @@ impl Kubelet {
         } = self;
         let before = std::mem::take(inflight);
         // Due transitions as `(pod, to_running)`.
-        let mut due: Vec<(String, bool)> = Vec::new();
+        let mut due: Vec<(Arc<str>, bool)> = Vec::new();
         let mut track = |pod: &Stored<Pod>, to_running: bool, latency: Duration| {
             // A transition under way continues, unless the pod changed
             // direction since (deletion overrides a pending start).
@@ -99,7 +100,7 @@ impl Kubelet {
                 },
             };
             if now >= t.due {
-                due.push((pod.obj.name.clone(), to_running));
+                due.push((Arc::clone(&pod.obj.name), to_running));
             } else {
                 inflight.insert(pod.uid, t);
             }
@@ -154,7 +155,7 @@ mod tests {
         assert!(kubelet.process(SimTime::from_secs(0.0)).is_empty());
         assert!(kubelet.process(SimTime::from_secs(1.9)).is_empty());
         let changed = kubelet.process(SimTime::from_secs(2.0));
-        assert_eq!(changed, vec!["w".to_string()]);
+        assert_eq!(changed, [Arc::from("w")]);
         let pod = pods.get("w").unwrap().obj.clone();
         assert_eq!(pod.phase, PodPhase::Running);
         assert_eq!(pod.started_at, Some(SimTime::from_secs(2.0)));
@@ -194,7 +195,7 @@ mod tests {
         pods.update("w", |p| p.deleting = true).unwrap();
         assert!(kubelet.process(SimTime::from_secs(0.5)).is_empty());
         let changed = kubelet.process(SimTime::from_secs(1.5));
-        assert_eq!(changed, vec!["w".to_string()]);
+        assert_eq!(changed, [Arc::from("w")]);
         assert_eq!(pods.get("w").unwrap().obj.phase, PodPhase::Succeeded);
     }
 
@@ -238,7 +239,10 @@ mod tests {
         assert!(kubelet.process(SimTime::from_secs(3.0)).is_empty());
         let early = kubelet.process(SimTime::from_secs(5.0));
         assert!(early.is_empty(), "inherited the deleted pod's due time");
-        assert_eq!(kubelet.process(SimTime::from_secs(8.0)), ["j-launcher"]);
+        assert_eq!(
+            kubelet.process(SimTime::from_secs(8.0)),
+            [Arc::from("j-launcher")]
+        );
         let started = pods.read("j-launcher", |s| s.obj.started_at).unwrap();
         assert_eq!(started, Some(SimTime::from_secs(8.0)), "bind + 5 s");
 
@@ -249,7 +253,10 @@ mod tests {
         pods.delete("j-launcher").unwrap();
         pod_bound(&pods, "j-launcher");
         assert!(kubelet.process(SimTime::from_secs(10.0)).is_empty());
-        assert_eq!(kubelet.process(SimTime::from_secs(15.0)), ["j-launcher"]);
+        assert_eq!(
+            kubelet.process(SimTime::from_secs(15.0)),
+            [Arc::from("j-launcher")]
+        );
         let phase = pods.read("j-launcher", |s| s.obj.phase).unwrap();
         assert_eq!(phase, PodPhase::Running);
 

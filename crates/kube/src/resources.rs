@@ -7,16 +7,17 @@
 //! (the `mpirun` pod of the MPI-operator pattern) from workers.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use hpc_metrics::SimTime;
 
-use crate::api::{Resource, Store};
+use crate::api::{IndexKey, Resource, Store};
 
 /// A worker node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Node {
-    /// Unique node name.
-    pub name: String,
+    /// Unique node name, shared with the pods bound to it.
+    pub name: Arc<str>,
     /// Allocatable CPUs (slots).
     pub cpu_capacity: u32,
     /// Schedulable?
@@ -27,7 +28,7 @@ pub struct Node {
 
 impl Node {
     /// A ready node with `cpu_capacity` slots.
-    pub fn new(name: impl Into<String>, cpu_capacity: u32) -> Node {
+    pub fn new(name: impl Into<Arc<str>>, cpu_capacity: u32) -> Node {
         Node {
             name: name.into(),
             cpu_capacity,
@@ -40,6 +41,10 @@ impl Node {
 impl Resource for Node {
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn shared_name(&self) -> Arc<str> {
+        Arc::clone(&self.name)
     }
 }
 
@@ -98,22 +103,24 @@ impl PodStage {
     }
 }
 
-/// A pod.
+/// A pod. Its names are shared strings: copying a pod (the store's
+/// copy-on-write) bumps reference counts instead of copying text, and
+/// the operator hands every pod of a job the one `Arc` of its name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pod {
     /// Unique pod name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Owning job (empty for unowned pods).
-    pub owner: String,
+    pub owner: Arc<str>,
     /// Launcher / worker / other.
     pub role: PodRole,
     /// CPUs requested.
     pub cpu_request: u32,
     /// Affinity group: the scheduler prefers nodes already hosting pods
     /// of the same group (the operator sets this to the job name).
-    pub affinity_group: Option<String>,
+    pub affinity_group: Option<Arc<str>>,
     /// Node the pod is bound to (set by the scheduler).
-    pub node: Option<String>,
+    pub node: Option<Arc<str>>,
     /// Current phase (managed by the kubelet).
     pub phase: PodPhase,
     /// Deletion requested (graceful termination in progress).
@@ -126,11 +133,15 @@ pub struct Pod {
 
 impl Pod {
     /// A pending worker pod requesting one CPU.
-    pub fn worker(name: impl Into<String>, owner: impl Into<String>, created_at: SimTime) -> Pod {
+    pub fn worker(
+        name: impl Into<Arc<str>>,
+        owner: impl Into<Arc<str>>,
+        created_at: SimTime,
+    ) -> Pod {
         let owner = owner.into();
         Pod {
             name: name.into(),
-            affinity_group: Some(owner.clone()),
+            affinity_group: Some(Arc::clone(&owner)),
             owner,
             role: PodRole::Worker,
             cpu_request: 1,
@@ -143,11 +154,15 @@ impl Pod {
     }
 
     /// A pending launcher pod requesting one CPU.
-    pub fn launcher(name: impl Into<String>, owner: impl Into<String>, created_at: SimTime) -> Pod {
+    pub fn launcher(
+        name: impl Into<Arc<str>>,
+        owner: impl Into<Arc<str>>,
+        created_at: SimTime,
+    ) -> Pod {
         let owner = owner.into();
         Pod {
             name: name.into(),
-            affinity_group: Some(owner.clone()),
+            affinity_group: Some(Arc::clone(&owner)),
             owner,
             role: PodRole::Launcher,
             cpu_request: 1,
@@ -168,11 +183,11 @@ impl Pod {
     /// [`Pod::BY_OWNER`] for the per-job reads, [`Pod::BY_STAGE`] for
     /// the scheduler, the kubelet and garbage collection.
     pub fn store() -> Store<Pod> {
-        fn owner(p: &Pod) -> &str {
-            &p.owner
+        fn owner(p: &Pod) -> IndexKey<'_> {
+            IndexKey::Shared(&p.owner)
         }
-        fn stage(p: &Pod) -> &str {
-            p.stage().as_str()
+        fn stage(p: &Pod) -> IndexKey<'_> {
+            IndexKey::Static(p.stage().as_str())
         }
         Store::indexed(&[(Pod::BY_OWNER, owner), (Pod::BY_STAGE, stage)])
     }
@@ -202,6 +217,10 @@ impl Pod {
 impl Resource for Pod {
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn shared_name(&self) -> Arc<str> {
+        Arc::clone(&self.name)
     }
 }
 
@@ -243,7 +262,7 @@ mod tests {
         assert_eq!(w.phase, PodPhase::Pending);
         let l = Pod::launcher("j1-launcher", "j1", SimTime::ZERO);
         assert_eq!(l.role, PodRole::Launcher);
-        assert_eq!(l.owner, "j1");
+        assert_eq!(&*l.owner, "j1");
     }
 
     #[test]

@@ -27,9 +27,9 @@ pub struct PodScheduler {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScheduleOutcome {
     /// Pods bound this pass, `(pod, node)`.
-    pub bound: Vec<(String, String)>,
+    pub bound: Vec<(Arc<str>, Arc<str>)>,
     /// Pods left pending for lack of a feasible node.
-    pub unschedulable: Vec<String>,
+    pub unschedulable: Vec<Arc<str>>,
 }
 
 impl PodScheduler {
@@ -71,11 +71,7 @@ impl PodScheduler {
             }
         });
         nodes.sort_by(|a, b| a.obj.name.cmp(&b.obj.name));
-        let position = |node: &str| {
-            nodes
-                .binary_search_by(|n| n.obj.name.as_str().cmp(node))
-                .ok()
-        };
+        let position = |node: &str| nodes.binary_search_by(|n| (*n.obj.name).cmp(node)).ok();
 
         // The placement pass, one borrowed scan of the bound,
         // resource-consuming pods: CPUs committed per node, and pods of
@@ -101,11 +97,11 @@ impl PodScheduler {
         // version about to be replaced is held across its update: a pod
         // that waited a round for room is bound in place, not copied,
         // its `Added` event having been drained since.
-        let queue: Vec<(String, u32, Option<usize>)> = (pending.iter())
+        let queue: Vec<(Arc<str>, u32, Option<usize>)> = (pending.iter())
             .map(|pod| {
                 let group = pod.obj.affinity_group.as_deref();
                 let group = group.map(|g| groups.binary_search(&g).expect("collected above"));
-                (pod.obj.name.clone(), pod.obj.cpu_request, group)
+                (Arc::clone(&pod.obj.name), pod.obj.cpu_request, group)
             })
             .collect();
         drop(pending);
@@ -131,9 +127,9 @@ impl PodScheduler {
             }
             let node = &nodes[at].obj.name;
             self.pods
-                .update(&pod, |p| p.node = Some(node.clone()))
+                .update(&pod, |p| p.node = Some(Arc::clone(node)))
                 .expect("pod exists");
-            outcome.bound.push((pod, node.clone()));
+            outcome.bound.push((pod, Arc::clone(node)));
         }
         outcome
     }
@@ -153,6 +149,10 @@ mod tests {
         }
         let sched = PodScheduler::new(node_store.clone(), pod_store.clone());
         (node_store, pod_store, sched)
+    }
+
+    fn names(names: &[&str]) -> Vec<Arc<str>> {
+        names.iter().map(|&n| Arc::from(n)).collect()
     }
 
     fn pod_at(pods: &Store<Pod>, name: &str, owner: &str, t: f64) {
@@ -182,7 +182,7 @@ mod tests {
         }
         let out = sched.schedule_once();
         assert_eq!(out.bound.len(), 2);
-        assert_eq!(out.unschedulable, vec!["w2".to_string()]);
+        assert_eq!(out.unschedulable, names(&["w2"]));
     }
 
     #[test]
@@ -197,7 +197,7 @@ mod tests {
         .unwrap();
         pod_at(&pods, "w1", "j1", 1.0);
         let out = sched.schedule_once();
-        assert_eq!(out.bound, vec![("w1".to_string(), "n1".to_string())]);
+        assert_eq!(out.bound, vec![("w1".into(), "n1".into())]);
     }
 
     #[test]
@@ -212,7 +212,7 @@ mod tests {
         .unwrap();
         pod_at(&pods, "w1", "j1", 1.0);
         let out = sched.schedule_once();
-        assert_eq!(out.bound[0].1, "n1");
+        assert_eq!(&*out.bound[0].1, "n1");
     }
 
     #[test]
@@ -221,7 +221,7 @@ mod tests {
         nodes.update("n0", |n| n.ready = false).unwrap();
         pod_at(&pods, "w1", "j1", 0.0);
         let out = sched.schedule_once();
-        assert_eq!(out.unschedulable, vec!["w1".to_string()]);
+        assert_eq!(out.unschedulable, names(&["w1"]));
     }
 
     #[test]
@@ -244,8 +244,8 @@ mod tests {
         pod_at(&pods, "late", "j1", 10.0);
         pod_at(&pods, "early", "j1", 1.0);
         let out = sched.schedule_once();
-        assert_eq!(out.bound[0].0, "early");
-        assert_eq!(out.unschedulable, vec!["late".to_string()]);
+        assert_eq!(&*out.bound[0].0, "early");
+        assert_eq!(out.unschedulable, names(&["late"]));
     }
 
     #[test]
@@ -253,7 +253,10 @@ mod tests {
         let (_n, pods, sched) = setup(&[("n1", 4), ("n0", 4)]);
         pod_at(&pods, "w", "j1", 0.0);
         let out = sched.schedule_once();
-        assert_eq!(out.bound[0].1, "n0", "empty equal nodes: lowest name wins");
+        assert_eq!(
+            &*out.bound[0].1, "n0",
+            "empty equal nodes: lowest name wins"
+        );
     }
 
     #[test]

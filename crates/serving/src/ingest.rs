@@ -292,17 +292,19 @@ impl IngestQueue {
         wanted
     }
 
-    /// Jobs currently buffered across all shards.
+    /// Jobs currently buffered across all shards. Allocates nothing: the
+    /// drive loop asks every instant.
     pub fn depth(&self) -> usize {
-        self.shard_depths().iter().sum()
+        self.shard_lens().sum()
     }
 
     /// Per-shard buffered job counts.
     pub fn shard_depths(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("ingest shard poisoned").len())
-            .collect()
+        self.shard_lens().collect()
+    }
+
+    fn shard_lens(&self) -> impl Iterator<Item = usize> + '_ {
+        (self.shards.iter()).map(|s| s.lock().expect("ingest shard poisoned").len())
     }
 
     /// Counter snapshot.

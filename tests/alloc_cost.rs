@@ -12,22 +12,28 @@
 //! Measured with this file (`alloc` + `alloc_zeroed` + `realloc` calls
 //! of one replay, and per job):
 //!
-//! | build   | copying, scanning store (PR 21) | shared, indexed store |
-//! |---------|---------------------------------|-----------------------|
-//! | release | 618 357 = 2 576 per job         | 168 717 = 702 per job |
-//! | debug   | 1 419 948 = 5 916 per job       | 181 914 = 757 per job |
+//! | build   | copying, scanning store (PR 21) | shared, indexed store (PR 22) | slab store, shared names (PR 25) |
+//! |---------|---------------------------------|-------------------------------|----------------------------------|
+//! | release | 618 357 = 2 576 per job         | 168 717 = 702 per job         | 51 966 = 216 per job             |
+//! | debug   | 1 419 948 = 5 916 per job       | 181 914 = 757 per job         | 85 228 = 355 per job             |
 //!
 //! (A debug build adds the per-round cross-check's snapshot of the job
-//! store — a deep copy of every job before, one `Vec` of pointers now.)
+//! store — a deep copy of every job before PR 22, one `Vec` of pointers
+//! since.) PR 25 took a pod's four names to `Arc<str>`s shared with its
+//! job, so a copy-on-write copy of a pod bumps counts, and made the
+//! store's indexes lists through its slots instead of sets of names.
 //! The bounds below leave ≈ 10 % of room over the right-hand column: a
-//! change that brings back a second copy per pod mutation, or a map per
+//! change that brings back a copied name per pod mutation, or a map per
 //! binding round, does not fit.
 //!
-//! This file holds one test on purpose: the counter is process-wide,
-//! so nothing else may run beside the replay.
+//! The count is exact, and the two replays must agree: the counter is
+//! the replaying thread's own (libtest's threads allocate beside it),
+//! and every map inside a `kube_sim::Store` hashes with the one random
+//! key of the process, so how a churning map regrows does not depend on
+//! which replay built it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use elastic_hpc::core::{CharmOperator, ModelExecutor, Policy, PolicyConfig};
@@ -36,27 +42,36 @@ use elastic_hpc::metrics::{Duration, VirtualClock};
 use elastic_hpc::serving::{run_workload_ingest, IngestConfig, ShardRouter};
 use elastic_hpc::workload::poisson_workload;
 
-/// `System`, counting every call that can obtain memory.
+/// `System`, counting every call that can obtain memory on the thread
+/// that makes it.
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor: reading it neither
+    // allocates nor can fail, from inside the allocator or at thread exit.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    ALLOCATIONS.set(ALLOCATIONS.get() + 1);
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // whose contract is the one `GlobalAlloc` states; the counter is a
 // statistic and guards nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -69,12 +84,12 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 const JOBS: usize = 240;
-const MAX_ALLOCATIONS_PER_JOB: u64 = if cfg!(debug_assertions) { 840 } else { 780 };
+const MAX_ALLOCATIONS_PER_JOB: u64 = if cfg!(debug_assertions) { 390 } else { 238 };
 
 /// Allocator calls of one replay, workload generation and operator
 /// construction included.
 fn allocations_of_a_replay() -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.get();
     let workload = poisson_workload(0, JOBS, Duration::from_secs(20.0));
     let clock = VirtualClock::new();
     let plane = ControlPlane::with_nodes(Arc::new(clock.clone()), KubeletConfig::instant(), 4, 16);
@@ -104,7 +119,7 @@ fn allocations_of_a_replay() -> u64 {
     assert_eq!(metrics.jobs.len(), JOBS);
     assert_eq!(stats.flushed, JOBS as u64);
     drop((metrics, op, workload));
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.get() - before
 }
 
 #[test]
