@@ -16,6 +16,9 @@ use charm_rt::codec::Writer;
 use charm_rt::{ArrayId, GreedyLb, LbStrategy, MethodId, RescaleReport, Runtime, WaitError};
 use hpc_metrics::Duration;
 
+/// How long a window's (or a query's) reduction may take.
+const REDUCTION_TIMEOUT: StdDuration = StdDuration::from_secs(120);
+
 /// The window-start entry method every windowed app implements.
 /// Payload: `u64` window length (iterations), `u64` reduction epoch.
 pub const M_START: MethodId = 1;
@@ -51,7 +54,6 @@ pub struct IterativeDriver {
     pub arr: ArrayId,
     iter: u64,
     seq: u64,
-    timeout: StdDuration,
 }
 
 impl IterativeDriver {
@@ -62,14 +64,7 @@ impl IterativeDriver {
             arr,
             iter: 0,
             seq: 0,
-            timeout: StdDuration::from_secs(120),
         }
-    }
-
-    /// Sets the per-window reduction timeout (default 120 s).
-    pub fn with_timeout(mut self, timeout: StdDuration) -> Self {
-        self.timeout = timeout;
-        self
     }
 
     /// Iterations completed so far.
@@ -93,7 +88,7 @@ impl IterativeDriver {
         w.u64(iters).u64(seq);
         let started = std::time::Instant::now();
         self.rt.broadcast(self.arr, M_START, w.finish());
-        let red = self.rt.wait_reduction(self.arr, self.timeout)?;
+        let red = self.rt.wait_reduction(self.arr, REDUCTION_TIMEOUT)?;
         debug_assert_eq!(red.seq, seq, "window reductions must complete in order");
         self.iter += iters;
         Ok(WindowResult {
@@ -129,7 +124,7 @@ impl IterativeDriver {
         let mut w = Writer::new();
         w.u64(seq);
         self.rt.broadcast(self.arr, method, w.finish());
-        let red = self.rt.wait_reduction(self.arr, self.timeout)?;
+        let red = self.rt.wait_reduction(self.arr, REDUCTION_TIMEOUT)?;
         Ok(red.vals)
     }
 

@@ -17,7 +17,7 @@
 use elastic_bench::{emit_csv, flag_u64, CsvTable};
 use elastic_core::PolicyKind;
 use hpc_metrics::ascii;
-use sched_sim::{sweep_rescale_gap, sweep_rescale_gap_with_overhead, OverheadModel, SweepPoint};
+use sched_sim::{sweep_rescale_gap, OverheadModel, SweepPoint};
 
 fn emit_points_csv(points: &[SweepPoint], name: &str) {
     let mut table = CsvTable::new([
@@ -75,7 +75,7 @@ fn main() {
         gaps
     );
 
-    let points = sweep_rescale_gap(&gaps, 180.0, seeds, jobs);
+    let points = sweep_rescale_gap(&gaps, 180.0, seeds, jobs, OverheadModel::default());
     emit_points_csv(&points, "fig8_rescale_gap.csv");
 
     chart(
@@ -126,8 +126,7 @@ fn main() {
     // checkpoint/restart cycle, so elastic pays less for every rescale
     // it performs.
     println!("\n== Fig. 8 companion: incremental (in-place) rescale protocol, same grid ==");
-    let inc_points =
-        sweep_rescale_gap_with_overhead(&gaps, 180.0, seeds, jobs, OverheadModel::incremental());
+    let inc_points = sweep_rescale_gap(&gaps, 180.0, seeds, jobs, OverheadModel::incremental());
     emit_points_csv(&inc_points, "fig8_rescale_gap_incremental.csv");
 
     let inc_at = |x: f64, k: PolicyKind| {

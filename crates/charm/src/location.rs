@@ -54,13 +54,6 @@ impl LocationManager {
         self.shard(id).write().insert(id, pe);
     }
 
-    /// Records locations in bulk.
-    pub fn update_bulk(&self, entries: impl IntoIterator<Item = (ChareId, PeId)>) {
-        for (id, pe) in entries {
-            self.update(id, pe);
-        }
-    }
-
     /// Forgets `id` (chare destroyed).
     pub fn remove(&self, id: ChareId) -> Option<PeId> {
         self.shard(id).write().remove(&id)

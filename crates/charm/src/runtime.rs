@@ -36,7 +36,7 @@ use crate::ccs::{CcsClient, CcsEndpoint};
 use crate::chare::{Chare, ChareFactory};
 use crate::ckpt::CheckpointStore;
 use crate::ids::{ArrayId, ChareId, Index, MethodId, PeId};
-use crate::lb::{validate_assignment, ChareStat, GreedyLb, LbStrategy};
+use crate::lb::{validate_assignment, ChareStat, LbStrategy};
 use crate::location::LocationManager;
 use crate::msg::{MainEvent, PeMsg};
 use crate::pe::PeWorker;
@@ -842,10 +842,4 @@ impl Drop for Runtime {
     fn drop(&mut self) {
         self.stop_pes();
     }
-}
-
-/// A default greedy balancer instance, convenient for call sites that
-/// don't care about the strategy.
-pub fn default_lb() -> GreedyLb {
-    GreedyLb
 }

@@ -50,8 +50,8 @@
 //! scans or deep-clones the job store. Names are interned into dense
 //! [`JobId`]s by the [`JobRegistry`] at admission and everything per
 //! event is keyed by id; what the operator needs from a CRD it reads
-//! through the borrowed [`Store::read`]; which jobs are `Running` is the
-//! key set of the executor-handle map; whether everything is terminal
+//! through the borrowed [`Store::read`]; which jobs are `Running` is
+//! the key set of its launched-job records; whether all are terminal
 //! ([`all_complete`](CharmOperator::all_complete)) is the kernel's
 //! tallies against the store's length; a job's pods come from the pod
 //! store's by-owner index, and the pod controllers (scheduler, kubelet,

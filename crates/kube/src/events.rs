@@ -2,7 +2,7 @@
 //!
 //! A timestamped, append-only record of notable control-plane actions
 //! (job admitted, pods created, rescale issued, …). The operator writes
-//! to it; tests and the Fig. 9 profile regenerator read it back.
+//! to it; tests and the examples read it back.
 
 use std::sync::Arc;
 

@@ -44,11 +44,6 @@ impl HealthChecker {
         }
     }
 
-    /// Records a healthy probe: resets `id`'s consecutive count.
-    pub fn record_healthy(&mut self, id: JobId) {
-        self.misses.remove(&id);
-    }
-
     /// Drops all state for `id` (the executor left the pool).
     pub fn forget(&mut self, id: JobId) {
         self.misses.remove(&id);
@@ -57,11 +52,6 @@ impl HealthChecker {
     /// Consecutive misses currently held against `id`.
     pub fn misses(&self, id: JobId) -> u32 {
         self.misses.get(&id).copied().unwrap_or(0)
-    }
-
-    /// Executors currently carrying at least one miss.
-    pub fn tracked(&self) -> usize {
-        self.misses.len()
     }
 }
 
@@ -75,8 +65,8 @@ mod tests {
         let a = JobId(1);
         assert!(!h.record_miss(a));
         assert!(!h.record_miss(a));
-        h.record_healthy(a);
-        assert_eq!(h.misses(a), 0, "a healthy probe resets the count");
+        h.forget(a);
+        assert_eq!(h.misses(a), 0, "forgetting resets the count");
         assert!(!h.record_miss(a));
         assert!(!h.record_miss(a));
         assert!(h.record_miss(a), "third consecutive miss evicts");
@@ -91,6 +81,6 @@ mod tests {
         assert!(h.record_miss(JobId(1)));
         assert_eq!(h.misses(JobId(2)), 1);
         h.forget(JobId(2));
-        assert_eq!(h.tracked(), 0);
+        assert_eq!((h.misses(JobId(1)), h.misses(JobId(2))), (0, 0));
     }
 }

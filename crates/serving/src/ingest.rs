@@ -19,11 +19,9 @@
 //!   the submission was rejected and the client should back off
 //!   `retry_after` before retrying.
 //!
-//! With `max_delay = 0` and a pump before every operator reconcile the
-//! queue degenerates to same-instant coalescing, which is why a trace
-//! driven through it replays bit-identically to the legacy
-//! per-submission client loop (see the workspace `serving_replay`
-//! test).
+//! With `max_delay = 0` the queue degenerates to same-instant
+//! coalescing (see `run_workload_ingest` for the replay that relies on
+//! it).
 //!
 //! [`SchedulingPolicy::on_submit_burst`]:
 //! elastic_core::SchedulingPolicy::on_submit_burst

@@ -31,8 +31,9 @@
 //! per drive-loop round, flushes happen at the enqueue instant and the
 //! operator sorts same-instant admissions canonically, so
 //! [`run_workload_ingest`] replays a trace **bit-identically** to the
-//! legacy per-submission loop, for any shard count (the workspace
-//! `serving_replay` test asserts equality of the full `RunMetrics`).
+//! direct-client replay (`elastic_core::run_workload_virtual`, the same
+//! drive loop), for any shard count (the workspace `serving_replay`
+//! test asserts equality of the full `RunMetrics`).
 //!
 //! ## The lifecycle event bus
 //!

@@ -50,10 +50,10 @@ use std::ops::Range;
 use elastic_core::kernel::{Admission, Effects, Kernel, Stop};
 use elastic_core::{ClusterView, JobState, RunMetrics, SchedulingPolicy};
 use hpc_metrics::{Duration, JobId, SimTime, UtilizationRecorder};
+use hpc_workload::model::{OverheadModel, Progress, ScalingModel};
 use hpc_workload::{FaultEvent, FaultKind, JobSpec, WorkloadSpec};
 
 use crate::events::{Event, EventQueue};
-use crate::model::{OverheadModel, Progress, ScalingModel};
 
 /// Simulation parameters. Submission times are *not* here: every job
 /// of the replayed [`WorkloadSpec`] carries its own arrival time
@@ -599,9 +599,8 @@ pub fn simulate(cfg: &SimConfig, workload: &WorkloadSpec) -> SimOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::SizeClass;
     use elastic_core::{AgingSweep, FcfsBackfill, Policy, PolicyConfig, PolicyKind};
-    use hpc_workload::generate_workload;
+    use hpc_workload::{generate_workload, SizeClass};
 
     fn policy(kind: PolicyKind, gap: f64) -> Box<dyn SchedulingPolicy> {
         Box::new(Policy::of_kind(

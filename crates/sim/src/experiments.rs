@@ -6,10 +6,10 @@
 
 use elastic_core::{Policy, PolicyConfig, PolicyKind, RunMetrics, SchedulingPolicy};
 use hpc_metrics::{Duration, Summary};
+use hpc_workload::model::{OverheadModel, ScalingModel};
 use hpc_workload::{generate_workload, WorkloadSpec};
 
 use crate::engine::{simulate, SimConfig, SimOutcome};
-use crate::model::{OverheadModel, ScalingModel};
 
 /// Paper defaults.
 pub const DEFAULT_JOBS: usize = 16;
@@ -48,67 +48,45 @@ fn policy_of(kind: PolicyKind, rescale_gap_s: f64) -> Policy {
     )
 }
 
-/// Runs one configuration over `seeds` workloads and averages.
-pub fn averaged_point(
-    kind: PolicyKind,
-    submission_gap_s: f64,
-    rescale_gap_s: f64,
+/// Averages every policy at every sweep coordinate in `xs` over
+/// `seeds` workloads of `n_jobs` jobs, under `overhead`; `gaps(x)` is
+/// the (submission, rescale) gap pair, in seconds, that `x` stands for.
+fn sweep(
+    xs: &[f64],
+    gaps: impl Fn(f64) -> (f64, f64),
     seeds: u64,
     n_jobs: usize,
-    x: f64,
-) -> SweepPoint {
-    averaged_point_with_overhead(
-        kind,
-        submission_gap_s,
-        rescale_gap_s,
-        seeds,
-        n_jobs,
-        x,
-        OverheadModel::default(),
-    )
-}
-
-/// [`averaged_point`] under a caller-chosen rescale [`OverheadModel`]
-/// — the knob behind the Fig. 8 incremental-protocol companion sweep.
-pub fn averaged_point_with_overhead(
-    kind: PolicyKind,
-    submission_gap_s: f64,
-    rescale_gap_s: f64,
-    seeds: u64,
-    n_jobs: usize,
-    x: f64,
     overhead: OverheadModel,
-) -> SweepPoint {
-    let mut util = Vec::with_capacity(seeds as usize);
-    let mut total = Vec::with_capacity(seeds as usize);
-    let mut resp = Vec::with_capacity(seeds as usize);
-    let mut comp = Vec::with_capacity(seeds as usize);
-    let mut bsld = Vec::with_capacity(seeds as usize);
-    for seed in 0..seeds {
-        let workload =
-            generate_workload(seed, n_jobs).spaced_every(Duration::from_secs(submission_gap_s));
-        let cfg = SimConfig {
-            overhead,
-            ..SimConfig::paper_default(Box::new(policy_of(kind, rescale_gap_s)))
-        };
-        let out = simulate(&cfg, &workload);
-        util.push(out.metrics.utilization);
-        total.push(out.metrics.total_time);
-        resp.push(out.metrics.weighted_response);
-        comp.push(out.metrics.weighted_completion);
-        bsld.push(out.metrics.mean_bounded_slowdown);
+) -> Vec<SweepPoint> {
+    let mut out = Vec::new();
+    for &x in xs {
+        let (submission_gap_s, rescale_gap_s) = gaps(x);
+        let gap = Duration::from_secs(submission_gap_s);
+        for kind in PolicyKind::ALL {
+            let runs: Vec<RunMetrics> = (0..seeds)
+                .map(|seed| {
+                    let mut cfg =
+                        SimConfig::paper_default(Box::new(policy_of(kind, rescale_gap_s)));
+                    cfg.overhead = overhead;
+                    simulate(&cfg, &generate_workload(seed, n_jobs).spaced_every(gap)).metrics
+                })
+                .collect();
+            let summary = |metric: fn(&RunMetrics) -> f64| {
+                Summary::of(&runs.iter().map(metric).collect::<Vec<_>>()).expect("non-empty")
+            };
+            out.push(SweepPoint {
+                x,
+                policy: kind,
+                utilization: summary(|m| m.utilization).mean,
+                total_time: summary(|m| m.total_time).mean,
+                weighted_response: summary(|m| m.weighted_response).mean,
+                weighted_completion: summary(|m| m.weighted_completion).mean,
+                bounded_slowdown: summary(|m| m.mean_bounded_slowdown).mean,
+                total_time_std: summary(|m| m.total_time).std_dev,
+            });
+        }
     }
-    let mean = |v: &[f64]| Summary::of(v).expect("non-empty").mean;
-    SweepPoint {
-        x,
-        policy: kind,
-        utilization: mean(&util),
-        total_time: mean(&total),
-        weighted_response: mean(&resp),
-        weighted_completion: mean(&comp),
-        bounded_slowdown: mean(&bsld),
-        total_time_std: Summary::of(&total).expect("non-empty").std_dev,
-    }
+    out
 }
 
 /// Fig. 7: metrics vs submission gap (s), `T_rescale_gap` fixed.
@@ -118,59 +96,27 @@ pub fn sweep_submission_gap(
     seeds: u64,
     n_jobs: usize,
 ) -> Vec<SweepPoint> {
-    let mut out = Vec::new();
-    for &gap in gaps_s {
-        for kind in PolicyKind::ALL {
-            out.push(averaged_point(kind, gap, rescale_gap_s, seeds, n_jobs, gap));
-        }
-    }
-    out
+    let gaps = |gap| (gap, rescale_gap_s);
+    sweep(gaps_s, gaps, seeds, n_jobs, OverheadModel::default())
 }
 
-/// Fig. 8: metrics vs `T_rescale_gap` (s), submission gap fixed.
-pub fn sweep_rescale_gap(
-    rescale_gaps_s: &[f64],
-    submission_gap_s: f64,
-    seeds: u64,
-    n_jobs: usize,
-) -> Vec<SweepPoint> {
-    sweep_rescale_gap_with_overhead(
-        rescale_gaps_s,
-        submission_gap_s,
-        seeds,
-        n_jobs,
-        OverheadModel::default(),
-    )
-}
-
-/// [`sweep_rescale_gap`] under a caller-chosen [`OverheadModel`].
+/// Fig. 8: metrics vs `T_rescale_gap` (s), submission gap fixed,
+/// under `overhead`.
 ///
-/// Passing [`OverheadModel::incremental`] produces the Fig. 8
+/// [`OverheadModel::default`] is the paper's checkpoint/restart
+/// protocol; [`OverheadModel::incremental`] produces the Fig. 8
 /// companion: the same `T_rescale_gap` sweep with the in-place rescale
 /// protocol, where cheaper rescales flatten elastic's total-time
 /// penalty and keep its utilization edge at larger gaps.
-pub fn sweep_rescale_gap_with_overhead(
+pub fn sweep_rescale_gap(
     rescale_gaps_s: &[f64],
     submission_gap_s: f64,
     seeds: u64,
     n_jobs: usize,
     overhead: OverheadModel,
 ) -> Vec<SweepPoint> {
-    let mut out = Vec::new();
-    for &rgap in rescale_gaps_s {
-        for kind in PolicyKind::ALL {
-            out.push(averaged_point_with_overhead(
-                kind,
-                submission_gap_s,
-                rgap,
-                seeds,
-                n_jobs,
-                rgap,
-                overhead,
-            ));
-        }
-    }
-    out
+    let gaps = |rgap| (submission_gap_s, rgap);
+    sweep(rescale_gaps_s, gaps, seeds, n_jobs, overhead)
 }
 
 /// Cluster capacity of the heavy-traffic scale scenario (a trace-scale
@@ -294,7 +240,13 @@ mod tests {
     /// that never rescales any job").
     #[test]
     fn elastic_converges_to_moldable_at_large_rescale_gap() {
-        let pts = sweep_rescale_gap(&[10_000.0], 180.0, 6, DEFAULT_JOBS);
+        let pts = sweep_rescale_gap(
+            &[10_000.0],
+            180.0,
+            6,
+            DEFAULT_JOBS,
+            OverheadModel::default(),
+        );
         let get = |k: PolicyKind| pts.iter().find(|p| p.policy == k).unwrap();
         let elastic = get(PolicyKind::Elastic);
         let moldable = get(PolicyKind::Moldable);

@@ -418,12 +418,6 @@ impl FaultSpec {
         self
     }
 
-    /// Builder: sets the kill-and-requeue retry budget.
-    pub fn with_max_attempts(mut self, attempts: u32) -> Self {
-        self.max_attempts = attempts;
-        self
-    }
-
     /// Builder: sets the base requeue backoff.
     pub fn with_backoff_base(mut self, backoff: Duration) -> Self {
         self.backoff_base = backoff;

@@ -1,0 +1,311 @@
+//! Five structural rules, checked on the source: one scheduling kernel,
+//! one measurement estate, one drive loop, no scan in the pod
+//! controllers, one execution model. Each test runs its rule on the tree
+//! as it is, then with one recorded mutation spliced into a real file,
+//! and asserts that the rule fires. Most rules read [`code`]: a file
+//! without its comments, literals and `#[cfg(test)]` items.
+
+use std::fs;
+use std::path::PathBuf;
+
+const ENGINE: &str = "crates/sim/src/engine.rs";
+const OPERATOR: &str = "crates/core/src/operator.rs";
+const EXECUTOR: &str = "crates/core/src/executor.rs";
+const HARNESS: &str = "crates/core/src/harness.rs";
+const API: &str = "crates/kube/src/api.rs";
+const MODEL: &str = "crates/workload/src/model.rs";
+
+const HOOKS: &str = "on_submit|on_complete|on_timer|on_fault|apply_action|fail_slots|restore_slots|on_flaky|on_success|backoff_for|from_outcomes|wasted_core_seconds";
+const KNOBS: &str = "_STRICT|bench_fresh|bench_gate|_MAX_JOBS|_MAX_SHARDS";
+const KERNEL: &str = "{path} decides something the kernel owns (crates/core/src/kernel.rs)";
+const GATES: &str =
+    "wall-clock gate machinery belongs to benchmark/, counters to tests/replay_counters.rs";
+const TICKS: &str = "{path} ticks the operator itself; the drive loop calls settle()";
+const ORDER: &str = "the engines share one within-instant order (elastic_core::kernel::EventClass)";
+const KUBELET: &str = "the kubelet scans the pod store; read Pod::BY_STAGE (Store::for_each_in)";
+const SCANS: &str =
+    "the scheduler scans the pod store {n} times; the placement pass is the only scan";
+const NOTIFY: &str = "Store::notify deep-copies per watcher; send Arc::clone(stored)";
+const NAME_SET: &str =
+    "a store index files names in a BTreeSet again; it is a linked list per key through the slots";
+const ADVANCE: &str = "one integrator: Progress::advance in crates/workload/src/model.rs";
+const INTEGRATES: &str = "{path} integrates progress itself; that is hpc_workload::model::Progress";
+
+type Verdict = Result<(), String>;
+/// A file's text by its path from the repository root.
+type Read<'a> = &'a dyn Fn(&str) -> String;
+
+fn disk(path: &str) -> String {
+    String::from_utf8_lossy(&fs::read(root(path)).expect(path)).into()
+}
+
+fn root(path: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(path)
+}
+
+/// Every file under `dirs`, by path from the repository root.
+fn files(dirs: &[&str]) -> Vec<String> {
+    let mut dirs: Vec<String> = dirs.iter().map(|d| d.to_string()).collect();
+    let mut files = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in fs::read_dir(root(&dir)).into_iter().flatten().flatten() {
+            let path = format!("{dir}/{}", entry.file_name().to_string_lossy());
+            let is_dir = entry.file_type().is_ok_and(|t| t.is_dir());
+            (if is_dir { &mut dirs } else { &mut files }).push(path);
+        }
+    }
+    files
+}
+
+/// `src` with its comments, string and char literals, and then its
+/// `#[cfg(test)]` items blanked; newlines stay, so line numbers hold.
+fn code(src: &str) -> String {
+    let mut c: Vec<char> = src.chars().collect();
+    let mut i = 0;
+    while i < c.len() {
+        if let Some(end) = skipped_end(&c, i) {
+            blank(&mut c[i..end]);
+            i = end;
+        } else {
+            // A whole word at once: the `r` or `b` ending one is no prefix.
+            i += run(&c, i, |x| x.is_alphanumeric() || x == '_').max(1);
+        }
+    }
+    while let Some(attr) = find(&c, "#[cfg(test)]", 0) {
+        let end = item_end(&c, attr);
+        blank(&mut c[attr..end]);
+    }
+    c.into_iter().collect()
+}
+
+/// If a comment or a string or char literal (`"…"`, `b"…"`, `r#"…"#`,
+/// `'x'`, `'\n'`) starts at `i`, the index just past it. Any other `'`
+/// opens a lifetime or a label.
+fn skipped_end(c: &[char], i: usize) -> Option<usize> {
+    if starts(c, i, "//") || starts(c, i, "/*") {
+        let close = if c[i + 1] == '/' { "\n" } else { "*/" };
+        return Some(find(c, close, i + 2).map_or(c.len(), |k| k + close.len()));
+    }
+    let prefix = run(c, i, |x| x == 'b' || x == 'r').min(2);
+    let raw = c[i..i + prefix].contains(&'r');
+    let hashes = run(c, i + prefix, |x| raw && x == '#');
+    let (open, close) = (i + prefix + hashes, format!("\"{}", "#".repeat(hashes)));
+    let escaped =
+        |k: usize| !raw && c[..k].iter().rev().take_while(|&&x| x == '\\').count() % 2 == 1;
+    let end = match c.get(open) {
+        Some('"') => (open + 1..c.len()).find(|&k| starts(c, k, &close) && !escaped(k)),
+        Some('\'') if c.get(open + 1) == Some(&'\\') => find(c, "'", open + 3),
+        Some('\'') if c.get(open + 2) == Some(&'\'') => Some(open + 2),
+        _ => None,
+    };
+    end.map(|k| k + close.len())
+}
+
+/// `code` split around `fn name`: (only that fn, all but that fn).
+fn carve(code: &str, name: &str) -> (String, String) {
+    let c: Vec<char> = code.chars().collect();
+    let start = find(&c, &format!("fn {name}("), 0).expect(name);
+    let end = item_end(&c, start);
+    let (mut only, mut rest) = (c.clone(), c);
+    blank(&mut only[..start]);
+    blank(&mut only[end..]);
+    blank(&mut rest[start..end]);
+    (only.into_iter().collect(), rest.into_iter().collect())
+}
+
+/// The index just past the item that starts at `from`: its balanced
+/// `{ … }`, or a `;` outside every bracket, whichever closes first.
+fn item_end(c: &[char], from: usize) -> usize {
+    let mut depth = 0;
+    for (k, x) in c.iter().enumerate().skip(from) {
+        match x {
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' => depth -= 1,
+            '}' if depth == 1 => return k + 1,
+            '}' => depth -= 1,
+            ';' if depth == 0 => return k + 1,
+            _ => {}
+        }
+    }
+    c.len()
+}
+
+fn run(c: &[char], from: usize, part: impl Fn(char) -> bool) -> usize {
+    c[from..].iter().take_while(|&&x| part(x)).count()
+}
+
+fn starts(c: &[char], i: usize, pat: &str) -> bool {
+    pat.chars().zip(i..).all(|(x, k)| c.get(k) == Some(&x))
+}
+
+fn find(c: &[char], pat: &str, from: usize) -> Option<usize> {
+    (from..c.len()).find(|&i| starts(c, i, pat))
+}
+
+fn blank(c: &mut [char]) {
+    c.iter_mut().filter(|x| **x != '\n').for_each(|x| *x = ' ');
+}
+
+fn any_of(alternatives: &'static str) -> impl Fn(&str) -> bool + Copy {
+    move |line| alternatives.split('|').any(|a| line.contains(a))
+}
+
+/// Fails with `message` (`{path}` filled in) and every `path:line` of
+/// `text` that `hit` matches.
+fn deny(path: &str, text: &str, hit: impl Fn(&str) -> bool, message: &str) -> Verdict {
+    let hits = text.lines().zip(1..).filter(|(l, _)| hit(l));
+    let hits: Vec<_> = hits.map(|(l, n)| format!("{path}:{n}: {l}")).collect();
+    if hits.is_empty() {
+        return Ok(());
+    }
+    let message = message.replace("{path}", path);
+    Err(format!("{message}\n{}", hits.join("\n")))
+}
+
+/// Neither engine adapter names a policy hook or a kernel primitive.
+fn one_kernel(read: Read) -> Verdict {
+    deny(ENGINE, &code(&read(ENGINE)), any_of(HOOKS), KERNEL)?;
+    let operator = carve(&code(&read(OPERATOR)), "rebuild_view").1;
+    deny(OPERATOR, &operator, any_of(HOOKS), KERNEL)
+}
+
+/// No knob of a second, wall-clock gate estate, except in this file.
+fn one_measurement_estate(read: Read) -> Verdict {
+    let paths = files(&["crates", "tests", "examples", "src", ".claude"]);
+    for path in paths.iter().filter(|p| *p != "tests/architecture.rs") {
+        deny(path, &read(path), any_of(KNOBS), GATES)?;
+    }
+    Ok(())
+}
+
+/// The harnesses settle, never tick; no engine orders an instant itself.
+fn one_drive_loop(read: Read) -> Verdict {
+    for path in [HARNESS, "crates/serving/src/harness.rs"] {
+        deny(path, &code(&read(path)), any_of(".tick()"), TICKS)?;
+    }
+    let own_order = any_of("order those two differently");
+    for path in files(&["crates"]) {
+        deny(&path, &read(&path), own_order, ORDER)?;
+    }
+    Ok(())
+}
+
+/// The pod controllers read indexes, and a watch event is a pointer.
+fn no_scan_in_the_pod_controllers(read: Read) -> Verdict {
+    let word = |c: char| c.is_alphanumeric() || c == '_';
+    let scan = |l: &str| {
+        l.match_indices("for_each(")
+            .any(|(i, _)| !l[..i].ends_with(word))
+    };
+    let kubelet = "crates/kube/src/kubelet.rs";
+    deny(kubelet, &code(&read(kubelet)), scan, KUBELET)?;
+    let scheduler = code(&read("crates/kube/src/scheduler.rs"));
+    let scans = scheduler.matches("pods.for_each(").count();
+    if scans > 1 {
+        return Err(SCANS.replace("{n}", &scans.to_string()));
+    }
+    let api = code(&read(API));
+    deny(API, &carve(&api, "notify").0, any_of(".clone()"), NOTIFY)?;
+    deny(API, &api, any_of("BTreeSet<Arc<str>>"), NAME_SET)
+}
+
+/// No engine integrates a modeled job's progress; `Progress` does.
+fn one_execution_model(read: Read) -> Verdict {
+    for path in [ENGINE, EXECUTOR, OPERATOR] {
+        deny(path, &code(&read(path)), integrates, INTEGRATES)?;
+    }
+    for path in files(&["crates/sim/src", "crates/core/src", "crates/workload/src"]) {
+        let defs = read(&path).matches("fn advance(").count();
+        if defs != usize::from(path == MODEL) {
+            return Err(format!("{ADVANCE}\n{path}"));
+        }
+    }
+    Ok(())
+}
+
+/// A rate times an elapsed time: `* (now - `, `* x.as_secs()`,
+/// `as_secs() *`, or a relaunch's `total_iters.saturating_sub`.
+fn integrates(line: &str) -> bool {
+    let after = |i: usize| line[i..].trim_start_matches(' ');
+    let lower = |c: char| c.is_ascii_lowercase() || "_.()".contains(c);
+    let path = |s: &str| s[..s.find(|c| !lower(c)).unwrap_or(s.len())].to_string();
+    let times = |s: &str| s.starts_with("(now - ") || path(s).contains(".as_secs()");
+    let secs_times = |(i, _)| after(i + 9).starts_with('*');
+    line.match_indices('*').any(|(i, _)| times(after(i + 1)))
+        || line.match_indices("as_secs()").any(secs_times)
+        || line.contains("total_iters.saturating_sub")
+}
+
+/// Asserts `rule` holds on the files on disk and fails with `message`
+/// once `path` reads `mutated`; returns the failure.
+fn rail(rule: fn(Read) -> Verdict, path: &str, mutated: &str, message: &str) -> String {
+    rule(&disk).unwrap_or_else(|broken| panic!("{broken}"));
+    let read = |p: &str| if p == path { mutated.into() } else { disk(p) };
+    let broken = rule(&read).expect_err("the rule let its mutation through");
+    let message = message.replace("{path}", path);
+    assert!(broken.starts_with(&message), "{broken}");
+    broken
+}
+
+#[test]
+fn one_kernel_rule() {
+    // The operator calls a policy hook, right above the skipped `rebuild_view`.
+    let hook = "fn admit(&mut self) {\n        self.policy.on_submit(&self.view, now);\n    }\n    pub fn rebuild_view(";
+    let mutated = disk(OPERATOR).replacen("pub fn rebuild_view(", hook, 1);
+    rail(one_kernel, OPERATOR, &mutated, KERNEL);
+}
+
+#[test]
+fn a_test_module_mid_file_hides_nothing_after_it() {
+    // The engine's tests (they name `wasted_core_seconds`) moved above
+    // `simulate`, then a hook call: a reader that drops from the test
+    // attribute to the end of the file misses the call.
+    let engine = disk(ENGINE);
+    let (body, tests) = engine.split_at(engine.find("#[cfg(test)]").expect("engine tests"));
+    let call = tests.to_owned() + "fn admit() { policy.on_submit(now) }\npub fn simulate(";
+    let mutated = body.replacen("pub fn simulate(", &call, 1);
+    let broken = rail(one_kernel, ENGINE, &mutated, KERNEL);
+    assert!(!broken.contains("wasted_core_seconds"), "{broken}");
+}
+
+#[test]
+fn one_measurement_estate_rule() {
+    let knob = "const STRICT: bool = option_env!(\"REPLAY_STRICT\").is_some();\nuse std::";
+    let (path, anchor) = ("tests/replay_counters.rs", "use std::");
+    let mutated = disk(path).replacen(anchor, knob, 1);
+    rail(one_measurement_estate, path, &mutated, GATES);
+}
+
+#[test]
+fn one_drive_loop_rule() {
+    // The literal triple tick comes back in place of `settle()`.
+    let ticks = "for _ in 0..3 {\n            op.tick();\n        }";
+    let mutated = disk(HARNESS).replacen("op.settle();", ticks, 1);
+    rail(one_drive_loop, HARNESS, &mutated, TICKS);
+}
+
+#[test]
+fn no_scan_in_the_pod_controllers_rule() {
+    // Every watcher gets its own deep copy of the stored object.
+    let copy = "kind(Arc::new((**stored).clone()))";
+    let mutated = disk(API).replacen("kind(Arc::clone(stored))", copy, 1);
+    rail(no_scan_in_the_pod_controllers, API, &mutated, NOTIFY);
+}
+
+#[test]
+fn one_execution_model_rule() {
+    // The executor integrates a checkpointed job's work itself.
+    let own = "self.done += self.rate * (now - self.last).as_secs();";
+    let mutated = disk(EXECUTOR).replacen("self.progress.advance(now);", own, 1);
+    rail(one_execution_model, EXECUTOR, &mutated, INTEGRATES);
+}
+
+#[test]
+fn the_reader_drops_comments_literals_and_test_items() {
+    let src = "let s = \"} // {\"; let c = '}'; let r = br#\"#[cfg(test)] \"x\"\"#; // gone\n\
+               #[cfg(test)]\nmod t { fn x<'a>(s: &'a str) -> char { '{' } }\n\
+               /* gone */ fn b(x: [u8; 2]) -> char { '\\'' }\n";
+    let out = code(src).split_whitespace().collect::<Vec<_>>().join(" ");
+    let expected = "let s = ; let c = ; let r = ; fn b(x: [u8; 2]) -> char { }";
+    assert_eq!(out, expected);
+}
