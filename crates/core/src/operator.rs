@@ -12,17 +12,21 @@
 //!
 //! * **Watch drains → kernel entry points.** The operator subscribes
 //!   to the CharmJob, pod, fault-notice and flaky-notice stores with
-//!   the atomic [`Store::list_watch`]; one [`tick`](CharmOperator::tick)
-//!   drains them in a fixed order. CharmJobs added become one
-//!   submission burst (sorted by submission time, staged one by one as
-//!   the policy pulls them; a job whose cancellation is already on
-//!   record is retired undecided); `cancel_requested` becomes a
+//!   the atomic [`Store::list_watch`] — the job and pod stores through
+//!   [`Store::list_watch_where`], filtered to what the drains act on, so
+//!   its own status-mirror writes and the pod churn it does not read
+//!   never reach it. One [`tick`](CharmOperator::tick) drains them in a
+//!   fixed order. CharmJobs added while `Queued` become one submission
+//!   burst (sorted by submission time, staged one by one as the policy
+//!   pulls them; a job whose cancellation is already on record is
+//!   retired undecided); `cancel_requested` on a live job becomes a
 //!   cancel; notices become capacity-lost / capacity-returned / flaky;
-//!   expired requeue backoffs become re-entries; pod phase changes
-//!   progress the owning job's launch. A *timer pass* covers what only
-//!   polling can observe — rescale acknowledgements and completions
-//!   surface on executor handles, not in any store — and the policy's
-//!   periodic deadline.
+//!   expired requeue backoffs become re-entries; a pod reaching
+//!   `Running` — or a pre-launch shrink, which can leave a `Starting`
+//!   job's remaining pods all running — triggers the owning job's
+//!   launch check. A *timer pass* covers what only polling can observe
+//!   — rescale acknowledgements and completions surface on executor
+//!   handles, not in any store — and the policy's periodic deadline.
 //! * **The kernel's effects** ([`Effects`]), as the paper's pod
 //!   sequences: **launch** is launcher pod + N worker pods + a nodelist
 //!   ConfigMap, the application starting once they all run; **shrink**
@@ -57,7 +61,8 @@
 //! store's by-owner index, and the pod controllers (scheduler, kubelet,
 //! garbage collection) read its lifecycle-stage index: a round in which
 //! no pod moved visits none. What the watch streams deliver are
-//! pointers to the stored objects, not copies.
+//! pointers to the stored objects, not copies, and only for the events
+//! a drain acts on.
 //!
 //! [`Store::full_scans`] makes the rule a count tests hold: it does
 //! not move on the job store across `tick`/`all_complete`, except for
@@ -69,6 +74,7 @@
 //! construction tests compare the kernel's view against).
 //!
 //! [`Store::list_watch`]: kube_sim::Store::list_watch
+//! [`Store::list_watch_where`]: kube_sim::Store::list_watch_where
 //! [`Store::read`]: kube_sim::Store::read
 //! [`Store::full_scans`]: kube_sim::Store::full_scans
 //! [`JobRegistry`]: crate::registry::JobRegistry
@@ -79,7 +85,9 @@ use std::sync::Arc;
 use crossbeam::channel::Receiver;
 use hpc_metrics::{Duration, JobId, SimTime, UtilizationRecorder};
 use hpc_workload::{FaultEvent, FaultKind, FaultSpec};
-use kube_sim::{ControlPlane, EventLog, Pod, PodRole, Store, Stored, WatchEvent};
+use kube_sim::{
+    ControlPlane, EventKind, EventLog, Pod, PodPhase, PodRole, Store, Stored, WatchEvent,
+};
 
 use elastic_resilience::{LeasePool, Lifecycle, ShutdownPhase, SlotLease};
 
@@ -134,9 +142,11 @@ pub struct CharmOperator {
     kernel: Kernel,
     /// What the kernel's effects act on.
     pool: ExecutorPool,
-    /// Watch stream over the CharmJob store (admissions, cancellations).
+    /// Watch stream over the CharmJob store: admissions and
+    /// cancellations only ([`job_event_acted_on`]).
     jobs_rx: Receiver<WatchEvent<CharmJob>>,
-    /// Watch stream over the pod store (launch/expand progress).
+    /// Watch stream over the pod store: pods reaching `Running` only
+    /// ([`pod_started`]).
     pods_rx: Receiver<WatchEvent<Pod>>,
     /// Watch stream over the fault-notice store.
     faults_rx: Receiver<WatchEvent<FaultNotice>>,
@@ -186,6 +196,10 @@ struct ExecutorPool {
     admitting: VecDeque<String>,
     /// Running jobs the timer pass has not polled for completion yet.
     polling: VecDeque<JobId>,
+    /// Jobs whose launch the next pod drain checks, beside the owners
+    /// of the pods it drains: those a pre-launch shrink may have made
+    /// launchable without any pod reaching `Running`.
+    launch_checks: Vec<Arc<str>>,
     /// Where pod names are formatted before their one allocation.
     scratch: String,
 }
@@ -226,8 +240,8 @@ impl CharmOperator {
         // created, so the snapshot is empty by construction; the pods
         // snapshot is ignored because pods only exist once this operator
         // creates them).
-        let (_, jobs_rx) = jobs.list_watch();
-        let (_, pods_rx) = plane.pods.list_watch();
+        let (_, jobs_rx) = jobs.list_watch_where(job_event_acted_on);
+        let (_, pods_rx) = plane.pods.list_watch_where(pod_started);
         let (_, faults_rx) = faults.list_watch();
         let (_, flakies_rx) = flakies.list_watch();
         let next_timer = policy.timer_interval().map(|iv| plane.now() + iv);
@@ -249,6 +263,7 @@ impl CharmOperator {
                 backoffs: BTreeSet::new(),
                 admitting: VecDeque::new(),
                 polling: VecDeque::new(),
+                launch_checks: Vec::new(),
                 scratch: String::new(),
             },
             jobs_rx,
@@ -413,8 +428,7 @@ impl CharmOperator {
     /// Drains the CharmJob watch stream: new submissions (in submission
     /// order) become one kernel submission burst — one policy dispatch
     /// per drain, not per job — and cancellation requests are executed.
-    /// `true` if the stream held anything (the operator's own status
-    /// writes echo back through it).
+    /// `true` if the stream held either.
     fn reconcile_job_events(&mut self) -> bool {
         let mut admissions: Vec<(SimTime, String)> = Vec::new();
         let mut cancels: Vec<String> = Vec::new();
@@ -423,16 +437,10 @@ impl CharmOperator {
             drained = true;
             match ev {
                 WatchEvent::Added(s) => {
-                    if s.obj.status.phase == JobPhase::Queued {
-                        admissions.push((s.obj.status.submitted_at, s.obj.spec.name.clone()));
-                    }
+                    admissions.push((s.obj.status.submitted_at, s.obj.spec.name.clone()));
                 }
-                WatchEvent::Modified(s) => {
-                    if s.obj.status.cancel_requested && !s.obj.status.phase.is_terminal() {
-                        cancels.push(s.obj.spec.name.clone());
-                    }
-                }
-                WatchEvent::Deleted(_) => {}
+                WatchEvent::Modified(s) => cancels.push(s.obj.spec.name.clone()),
+                WatchEvent::Deleted(_) => unreachable!("filtered out"),
             }
         }
         let now = self.plane.now();
@@ -526,23 +534,24 @@ impl CharmOperator {
         woke
     }
 
-    /// Drains the pod watch stream and progresses the *owning jobs*
-    /// only: launch checks for `Starting` jobs whose pods moved.
-    /// `true` if any pod had.
+    /// Drains the pod watch stream and runs the launch check of each
+    /// pod's owner, and of each job queued by a pre-launch shrink, once,
+    /// in name order. `true` if there was any.
     fn reconcile_pod_events(&mut self) -> bool {
-        // The events' own pods lend their owners' names: sorted and
-        // deduplicated by owner, nothing is cloned.
-        let mut touched: Vec<Arc<Stored<Pod>>> = Vec::new();
+        let mut owners = std::mem::take(&mut self.pool.launch_checks);
         while let Ok(ev) = self.pods_rx.try_recv() {
             let (WatchEvent::Added(s) | WatchEvent::Modified(s) | WatchEvent::Deleted(s)) = ev;
-            touched.push(s);
+            owners.push(Arc::clone(&s.obj.owner));
         }
-        touched.sort_by(|a, b| a.obj.owner.cmp(&b.obj.owner));
-        touched.dedup_by(|a, b| a.obj.owner == b.obj.owner);
-        for pod in &touched {
-            self.try_launch(&pod.obj.owner);
+        owners.sort_unstable();
+        owners.dedup();
+        for owner in &owners {
+            self.try_launch(owner);
         }
-        !touched.is_empty()
+        let checked = !owners.is_empty();
+        owners.clear();
+        self.pool.launch_checks = owners;
+        checked
     }
 
     /// Launches `name` if it is `Starting` and all its pods run.
@@ -722,24 +731,25 @@ impl CharmOperator {
         progressed |= self.reconcile_fault_events();
         progressed |= self.reconcile_flaky_events();
         progressed |= self.process_due_requeues();
-        self.plane.tick();
+        progressed |= self.plane.tick().moved();
         progressed |= self.reconcile_pod_events();
         progressed | self.timer_pass()
     }
 
     /// Ticks until the instant is settled — until a round drains no
-    /// watch event, wakes no requeue, advances no rescale flow, sees no
-    /// completion, fires no timer and reaps no pod — and returns how
-    /// many rounds that took (the quiet one included, so an idle instant
-    /// settles in 1). More than one is needed whenever a round's effects
-    /// are only observable by the next: a completion frees slots and the
-    /// policy admits a queued job (its pods are created); the kubelet
-    /// terminates the completed job's deleting pods, which hold node
-    /// capacity until then; the admitted job's pods bind and start, so
-    /// it launches at the completion's timestamp. The operator's own
-    /// status-mirror writes echo back through its job watch and cost a
-    /// busy instant a round or two more. Gives up after 64 rounds (a
-    /// real executor can finish something in every one).
+    /// watch event, wakes no requeue, binds or moves no pod, runs no
+    /// launch check, advances no rescale flow, sees no completion, fires
+    /// no timer and reaps no pod — and returns how many rounds that took
+    /// (the quiet one included, so an idle instant settles in 1). More
+    /// than one is needed whenever a round's effects are only observable
+    /// by the next: a completion frees slots and the policy admits a
+    /// queued job (its pods are created); the kubelet terminates the
+    /// completed job's deleting pods, which hold node capacity until
+    /// then; the admitted job's pods bind and start, so it launches at
+    /// the completion's timestamp. Only real work counts: the operator's
+    /// own status-mirror writes are filtered out of its job watch. Gives
+    /// up after 64 rounds (a real executor can finish something in
+    /// every one).
     pub fn settle(&mut self) -> u32 {
         let mut rounds = 1;
         while self.round() && rounds < Self::SETTLE_MAX_ROUNDS {
@@ -867,6 +877,24 @@ impl CharmOperator {
         self.begin_cleanup();
         self.terminate();
     }
+}
+
+/// The job watch's filter: what [`CharmOperator::tick`] acts on — a
+/// job added while `Queued` (a submission) and a cancellation request on
+/// a job still live. Everything else the store sees is the operator's
+/// own status mirror.
+fn job_event_acted_on(kind: EventKind, job: &CharmJob) -> bool {
+    match kind {
+        EventKind::Added => job.status.phase == JobPhase::Queued,
+        EventKind::Modified => job.status.cancel_requested && !job.status.phase.is_terminal(),
+        EventKind::Deleted => false,
+    }
+}
+
+/// The pod watch's filter: a live pod that runs, the only pod news a
+/// launch check can use.
+fn pod_started(kind: EventKind, pod: &Pod) -> bool {
+    kind != EventKind::Deleted && pod.phase == PodPhase::Running && !pod.deleting
 }
 
 /// Every notice added to a watched store since the last drain, by
@@ -1064,9 +1092,12 @@ impl Effects for Choreography<'_> {
                 .record(now, &*name, "ShrinkSignalled", format!("-> {to}"));
             false
         } else {
-            // Job hasn't launched yet: adjust pods directly.
+            // Job hasn't launched yet: adjust pods directly. The pods
+            // left may all run already, with none reaching `Running`
+            // now, so the next pod drain checks the launch.
             self.remove_excess_workers(&name, to);
             self.mirror(&name, |s| s.replicas = to);
+            self.pool.launch_checks.push(Arc::clone(&name));
             let message = format!("-> {to} (pre-launch)");
             self.events.record(now, &*name, "Shrunk", message);
             true

@@ -603,3 +603,64 @@ fn same_instant_notices_reconcile_in_posting_order_not_name_order() {
     );
     assert_eq!(subjects("TransientFault"), ["flaky-9999", "flaky-10000"]);
 }
+
+/// A pre-launch shrink can make a `Starting` job launchable with no pod
+/// reaching `Running`: the pods it removes were the ones still pending.
+/// The job launches at that instant, not whenever another pod moves.
+#[test]
+fn a_pre_launch_shrink_that_leaves_only_running_pods_launches_at_once() {
+    let clock = VirtualClock::new();
+    // One 16-slot node; a finished pod holds its slot through a long
+    // termination grace, so capacity the policy sees freed stays taken.
+    let kubelet = KubeletConfig {
+        startup_latency: Duration::ZERO,
+        termination_grace: Duration::from_secs(100.0),
+    };
+    let plane = ControlPlane::with_nodes(Arc::new(clock.clone()), kubelet, 1, 16);
+    let executor = ModelExecutor::ideal(plane.clock());
+    let policy = Policy::elastic(cfg(1.0));
+    let mut op = CharmOperator::new(plane, Box::new(policy), Box::new(executor));
+
+    // `short` (1 + 3 slots, 10 s) and the rigid `wide` (1 + 8) leave
+    // 3 slots free. Once `short` completes the policy counts 7, but its
+    // pods hold 4 of them through their grace.
+    op.submit(spec("short", 1, 3, 3, 30)).unwrap();
+    op.submit(spec("wide", 1, 8, 8, 1_000_000)).unwrap();
+    op.settle();
+    while op.jobs.get("short").unwrap().obj.status.phase != JobPhase::Completed {
+        clock.advance(tick());
+        op.settle();
+    }
+    // `late` gets 1 + 6 slots: its launcher and two workers run, four
+    // workers wait for `short`'s.
+    op.submit(spec("late", 1, 2, 6, 1_000_000)).unwrap();
+    op.settle();
+    let late = op.jobs.get("late").unwrap().obj.clone();
+    assert_eq!(late.status.phase, JobPhase::Starting);
+    assert_eq!(late.status.desired_replicas, 6);
+    assert!(op.plane.job_pods_running("late", PodRole::Launcher, 1));
+    assert!(op.plane.job_pods_running("late", PodRole::Worker, 2));
+    assert!(!op.plane.job_pods_running("late", PodRole::Worker, 3));
+
+    // A high-priority arrival takes four of `late`'s slots before it
+    // launched: the four waiting workers go, the two running stay.
+    clock.advance(Duration::from_secs(5.0));
+    let now = clock.now();
+    op.submit(spec("hot", 9, 3, 3, 1_000_000)).unwrap();
+    op.settle();
+    let shrunk = op.events.of_kind("Shrunk");
+    assert!(
+        shrunk
+            .iter()
+            .any(|e| e.subject == "late" && e.message.contains("pre-launch")),
+        "{shrunk:?}"
+    );
+    let late = op.jobs.get("late").unwrap().obj.clone();
+    assert_eq!(
+        late.status.phase,
+        JobPhase::Running,
+        "launched at the shrink"
+    );
+    assert_eq!(late.status.replicas, 2);
+    assert_eq!(late.status.started_at, Some(now));
+}

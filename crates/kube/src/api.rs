@@ -21,6 +21,16 @@
 //! something else (an undrained event, a held snapshot) still points at
 //! the previous version; create and delete copy nothing.
 //!
+//! ## Filtered watches
+//!
+//! [`Store::list_watch_where`] is the stand-in's field-selector watch: a
+//! [`WatchFilter`] — a plain `fn(EventKind, &T) -> bool` — runs inside
+//! each mutation, on the object as the mutation left it, before the
+//! pointer is cloned. An event the filter rejects is never queued, so it
+//! costs that watcher no send and costs the next [`Store::update`] no
+//! copy on its account. [`Store::list_watch`] is the accept-all case; a
+//! filtered watcher that hung up is pruned at the next event it accepts.
+//!
 //! ## A slab, and indexes that are lists through it
 //!
 //! Objects sit in `Vec` slots recycled through a free list; one hash
@@ -109,6 +119,36 @@ pub enum WatchEvent<T> {
     Modified(Arc<Stored<T>>),
     /// Object removed.
     Deleted(Arc<Stored<T>>),
+}
+
+/// Which mutation a [`WatchEvent`] reports, as a [`WatchFilter`] sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventKind {
+    /// Object created.
+    Added,
+    /// Object mutated.
+    Modified,
+    /// Object removed.
+    Deleted,
+}
+
+impl EventKind {
+    fn event<T>(self, stored: Arc<Stored<T>>) -> WatchEvent<T> {
+        match self {
+            EventKind::Added => WatchEvent::Added(stored),
+            EventKind::Modified => WatchEvent::Modified(stored),
+            EventKind::Deleted => WatchEvent::Deleted(stored),
+        }
+    }
+}
+
+/// What a filtered watch is sent: a mutation of `kind` that left the
+/// object as the `&T`, when this answers `true`.
+pub type WatchFilter<T> = fn(EventKind, &T) -> bool;
+
+/// The filter of an unfiltered watch.
+fn everything<T>(_: EventKind, _: &T) -> bool {
+    true
 }
 
 /// Errors returned by store operations.
@@ -357,8 +397,14 @@ struct StoreInner<T> {
     free: Vec<u32>,
     /// Name → slot, keyed by each object's [`Resource::shared_name`].
     by_name: Map<Arc<str>>,
-    watchers: Vec<Sender<WatchEvent<T>>>,
+    watchers: Vec<Watcher<T>>,
     indexes: Vec<Index<T>>,
+}
+
+/// One watch stream and what it is sent.
+struct Watcher<T> {
+    accepts: WatchFilter<T>,
+    tx: Sender<WatchEvent<T>>,
 }
 
 impl<T> StoreInner<T> {
@@ -433,16 +479,14 @@ impl<T: Resource> Store<T> {
         }
     }
 
-    /// Sends every watcher its own pointer to `stored`, wrapped by
-    /// `kind`, and prunes the watchers that hung up.
-    fn notify(
-        inner: &mut StoreInner<T>,
-        kind: fn(Arc<Stored<T>>) -> WatchEvent<T>,
-        stored: &Arc<Stored<T>>,
-    ) {
-        inner
-            .watchers
-            .retain(|w| w.send(kind(Arc::clone(stored))).is_ok());
+    /// Sends every watcher whose filter accepts the mutation its own
+    /// pointer to `stored`, as a `kind` event, and prunes the watchers
+    /// that hung up. A watcher that rejects it costs one filter call:
+    /// no pointer, no send — and so no copy-on-write copy later.
+    fn notify(inner: &mut StoreInner<T>, kind: EventKind, stored: &Arc<Stored<T>>) {
+        inner.watchers.retain(|w| {
+            !(w.accepts)(kind, &stored.obj) || w.tx.send(kind.event(Arc::clone(stored))).is_ok()
+        });
     }
 
     /// Creates `obj`; fails if the name exists. Copies nothing.
@@ -474,7 +518,7 @@ impl<T: Resource> Store<T> {
             index.file(slot, &stored.obj);
         }
         inner.slots[slot as usize] = Some(Arc::clone(&stored));
-        Self::notify(inner, WatchEvent::Added, &stored);
+        Self::notify(inner, EventKind::Added, &stored);
         Ok(stored)
     }
 
@@ -566,7 +610,7 @@ impl<T: Resource> Store<T> {
             index.refile(slot, &stored.obj);
         }
         let stored = Arc::clone(shared);
-        Self::notify(inner, WatchEvent::Modified, &stored);
+        Self::notify(inner, EventKind::Modified, &stored);
         Ok(stored)
     }
 
@@ -583,7 +627,7 @@ impl<T: Resource> Store<T> {
             index.unlink(slot);
         }
         inner.free.push(slot);
-        Self::notify(inner, WatchEvent::Deleted, &stored);
+        Self::notify(inner, EventKind::Deleted, &stored);
         Ok(stored)
     }
 
@@ -593,7 +637,8 @@ impl<T: Resource> Store<T> {
     /// both without a gap.)
     pub fn watch(&self) -> Receiver<WatchEvent<T>> {
         let (tx, rx) = unbounded();
-        self.inner.lock().watchers.push(tx);
+        let accepts = everything;
+        self.inner.lock().watchers.push(Watcher { accepts, tx });
         rx
     }
 
@@ -605,11 +650,26 @@ impl<T: Resource> Store<T> {
     /// consumers (the CharmJob reconciler) must use this. The snapshot
     /// counts as a full scan.
     pub fn list_watch(&self) -> (Vec<Arc<Stored<T>>>, Receiver<WatchEvent<T>>) {
+        self.list_watch_where(everything)
+    }
+
+    /// [`Store::list_watch`] narrowed by `accepts` (the stand-in's field
+    /// selector): the snapshot holds the objects it accepts as
+    /// [`EventKind::Added`], and the stream only the mutations it
+    /// accepts, in order. The filter runs inside every mutation, under
+    /// the store lock, on the object as that mutation left it.
+    pub fn list_watch_where(
+        &self,
+        accepts: WatchFilter<T>,
+    ) -> (Vec<Arc<Stored<T>>>, Receiver<WatchEvent<T>>) {
         self.full_scans.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.inner.lock();
-        let snapshot = inner.objects().cloned().collect();
+        let snapshot = (inner.objects())
+            .filter(|s| accepts(EventKind::Added, &s.obj))
+            .cloned()
+            .collect();
         let (tx, rx) = unbounded();
-        inner.watchers.push(tx);
+        inner.watchers.push(Watcher { accepts, tx });
         (snapshot, rx)
     }
 }
@@ -756,18 +816,69 @@ mod tests {
 
     #[test]
     fn list_watch_has_no_gap_and_no_overlap() {
+        type Open = fn(&Store<Obj>) -> (Vec<Arc<Stored<Obj>>>, Receiver<WatchEvent<Obj>>);
+        let opens: [Open; 2] = [Store::list_watch, |s| {
+            s.list_watch_where(|_, o| o.value > 0)
+        }];
+        for open in opens {
+            let store: Store<Obj> = Store::new();
+            store.create(obj("a", 1)).unwrap();
+            store.create(obj("b", 2)).unwrap();
+            let (snapshot, rx) = open(&store);
+            store.create(obj("c", 3)).unwrap();
+            store.update("a", |o| o.value = 10).unwrap();
+            let mut seen: Vec<String> = snapshot.iter().map(|s| s.obj.name.clone()).collect();
+            seen.sort();
+            assert_eq!(seen, vec!["a", "b"], "snapshot is pre-watch state only");
+            assert!(matches!(rx.try_recv().unwrap(), WatchEvent::Added(s) if s.obj.name == "c"));
+            assert!(matches!(rx.try_recv().unwrap(), WatchEvent::Modified(s) if s.obj.value == 10));
+            assert!(rx.try_recv().is_err(), "no replay of snapshot objects");
+        }
+    }
+
+    /// Passes live objects with a positive value.
+    fn positive(kind: EventKind, o: &Obj) -> bool {
+        kind != EventKind::Deleted && o.value > 0
+    }
+
+    #[test]
+    fn a_filtered_watch_gets_exactly_what_it_accepts_in_order() {
         let store: Store<Obj> = Store::new();
         store.create(obj("a", 1)).unwrap();
-        store.create(obj("b", 2)).unwrap();
-        let (snapshot, rx) = store.list_watch();
+        store.create(obj("n", -1)).unwrap();
+        let everything = store.watch();
+        let (snapshot, rx) = store.list_watch_where(positive);
+        let names: Vec<&str> = snapshot.iter().map(|s| s.obj.name()).collect();
+        assert_eq!(names, ["a"], "the snapshot is filtered as if added now");
+
         store.create(obj("c", 3)).unwrap();
-        store.update("a", |o| o.value = 10).unwrap();
-        let mut seen: Vec<String> = snapshot.iter().map(|s| s.obj.name.clone()).collect();
-        seen.sort();
-        assert_eq!(seen, vec!["a", "b"], "snapshot is pre-watch state only");
-        assert!(matches!(rx.try_recv().unwrap(), WatchEvent::Added(s) if s.obj.name == "c"));
-        assert!(matches!(rx.try_recv().unwrap(), WatchEvent::Modified(s) if s.obj.value == 10));
-        assert!(rx.try_recv().is_err(), "no replay of snapshot objects");
+        store.create(obj("m", -2)).unwrap();
+        store.update("a", |o| o.value = -5).unwrap();
+        store.update("m", |o| o.value = 4).unwrap();
+        store.delete("c").unwrap();
+        store.update("a", |o| o.value = 6).unwrap();
+        store.delete("n").unwrap();
+
+        let drain = |rx: &Receiver<WatchEvent<Obj>>| -> Vec<(EventKind, String, i64)> {
+            let events = std::iter::from_fn(|| rx.try_recv().ok());
+            (events.map(|ev| match ev {
+                WatchEvent::Added(s) => (EventKind::Added, s.obj.name.clone(), s.obj.value),
+                WatchEvent::Modified(s) => (EventKind::Modified, s.obj.name.clone(), s.obj.value),
+                WatchEvent::Deleted(s) => (EventKind::Deleted, s.obj.name.clone(), s.obj.value),
+            }))
+            .collect()
+        };
+        let accepted = [
+            (EventKind::Added, "c".to_string(), 3),
+            (EventKind::Modified, "m".to_string(), 4),
+            (EventKind::Modified, "a".to_string(), 6),
+        ];
+        assert_eq!(drain(&rx), accepted);
+        assert_eq!(
+            drain(&everything).len(),
+            7,
+            "an unfiltered watch sees it all"
+        );
     }
 
     #[test]
@@ -1088,11 +1199,17 @@ mod tests {
 
     #[test]
     fn a_mutation_deep_copies_at_most_once_whatever_the_watchers() {
-        for watchers in [0, 1, 3] {
+        /// A watcher told only of modifications.
+        fn modified(kind: EventKind, _: &Counted) -> bool {
+            kind == EventKind::Modified
+        }
+        // Unfiltered watchers, and whether a `modified` one watches too.
+        for (watchers, filtered) in [(0, false), (1, false), (3, false), (0, true)] {
             let copies = Arc::new(AtomicU64::new(0));
             let count = || copies.load(Ordering::Relaxed);
             let store: Store<Counted> = Store::new();
             let streams: Vec<_> = (0..watchers).map(|_| store.watch()).collect();
+            let only_modified = filtered.then(|| store.list_watch_where(modified).1);
             let counted = Counted {
                 name: "a".into(),
                 value: 1,
@@ -1102,7 +1219,8 @@ mod tests {
             assert_eq!(count(), 0, "create, {watchers} watchers");
             // The queued `Added` events still show value 1, so the
             // update must leave that version alone: one copy for all of
-            // them, none when nobody else points at the object.
+            // them, none when nobody else points at the object — a
+            // filtered watcher that rejected the `Added` queued nothing.
             store.update("a", |o| o.value = 2).unwrap();
             assert_eq!(count(), u64::from(watchers > 0), "{watchers} watchers");
             let held = store.get("a").unwrap();
@@ -1128,6 +1246,15 @@ mod tests {
                     })
                     .collect();
                 assert_eq!(values, [1, 2, 3, 3]);
+            }
+            if let Some(rx) = only_modified {
+                let values: Vec<i64> = std::iter::from_fn(|| rx.try_recv().ok())
+                    .map(|ev| match ev {
+                        WatchEvent::Modified(s) => s.obj.value,
+                        _ => panic!("the filter passes modifications only"),
+                    })
+                    .collect();
+                assert_eq!(values, [2, 3]);
             }
             assert_eq!(count(), before, "reading events copies nothing");
         }

@@ -15,6 +15,22 @@ use crate::kubelet::{Kubelet, KubeletConfig};
 use crate::resources::{ConfigMap, Node, Pod, PodPhase, PodRole, PodStage};
 use crate::scheduler::{PodScheduler, ScheduleOutcome};
 
+/// What one [`ControlPlane::tick`] did.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TickOutcome {
+    /// The scheduling pass: pods bound, pods left pending.
+    pub schedule: ScheduleOutcome,
+    /// Pods the kubelet moved to `Running` or `Succeeded`.
+    pub transitioned: Vec<Arc<str>>,
+}
+
+impl TickOutcome {
+    /// `true` if a pod was bound or changed phase.
+    pub fn moved(&self) -> bool {
+        !self.schedule.bound.is_empty() || !self.transitioned.is_empty()
+    }
+}
+
 /// The in-process cluster control plane.
 pub struct ControlPlane {
     /// Node store.
@@ -78,11 +94,15 @@ impl ControlPlane {
     }
 
     /// One control loop round: schedule pending pods, then advance pod
-    /// state machines. Returns the scheduler outcome of the round.
-    pub fn tick(&mut self) -> ScheduleOutcome {
-        let outcome = self.scheduler.schedule_once();
-        self.kubelet.process(self.clock.now());
-        outcome
+    /// state machines. Returns what moved: the scheduler's binds and the
+    /// kubelet's phase transitions.
+    pub fn tick(&mut self) -> TickOutcome {
+        let schedule = self.scheduler.schedule_once();
+        let transitioned = self.kubelet.process(self.clock.now());
+        TickOutcome {
+            schedule,
+            transitioned,
+        }
     }
 
     /// Total CPU capacity over ready nodes.
@@ -238,7 +258,9 @@ mod tests {
         cp.delete_pod("j1-w0");
         cp.delete_pod("j1-l");
         clock.advance(Duration::from_secs(1.0));
-        cp.tick();
+        let terminated = cp.tick();
+        assert!(terminated.schedule.bound.is_empty());
+        assert_eq!(terminated.transitioned.len(), 2);
         assert_eq!(cp.free_slots(), 64);
         assert_eq!(cp.reap_finished(), 2);
         assert!(cp.pods.is_empty());
@@ -257,10 +279,19 @@ mod tests {
             4,
         );
         cp.pods.create(Pod::worker("w", "j", cp.now())).unwrap();
-        cp.tick(); // binds, but not yet running
+        let bound = cp.tick(); // binds, but not yet running
+        assert_eq!(
+            bound.schedule.bound,
+            [(Arc::from("w"), Arc::from("node-0"))]
+        );
+        assert!(bound.transitioned.is_empty());
         assert!(!cp.job_pods_running("j", PodRole::Worker, 1));
-        clock.advance(Duration::from_secs(5.0));
-        cp.tick();
+        clock.advance(Duration::from_secs(4.0));
+        assert!(!cp.tick().moved(), "still starting");
+        clock.advance(Duration::from_secs(1.0));
+        let started = cp.tick();
+        assert!(started.schedule.bound.is_empty());
+        assert_eq!(started.transitioned, names(&["w"]));
         assert!(cp.job_pods_running("j", PodRole::Worker, 1));
         let pod = cp.pods.get("w").unwrap().obj.clone();
         assert_eq!(pod.started_at, Some(SimTime::from_secs(5.0)));
@@ -284,8 +315,9 @@ mod tests {
                 .unwrap();
         }
         let out = cp.tick();
-        assert_eq!(out.bound.len(), 2);
-        assert_eq!(out.unschedulable.len(), 2);
+        assert_eq!(out.schedule.bound.len(), 2);
+        assert_eq!(out.schedule.unschedulable.len(), 2);
+        assert_eq!(out.transitioned.len(), 2, "instant kubelet: bound pods run");
         // free_slots goes negative-safe to 0 (claims exceed capacity).
         assert_eq!(cp.free_slots(), 0);
     }

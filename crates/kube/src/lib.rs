@@ -6,7 +6,7 @@
 //! experiments and deterministic virtual-time tests:
 //!
 //! * [`api`] — typed object stores with resource versions and watch
-//!   streams (the API-server analogue).
+//!   streams, whole or filtered (the API-server analogue).
 //! * [`resources`] — `Node`, `Pod` (launcher/worker roles, affinity
 //!   groups, CPU requests), `ConfigMap` (nodelists).
 //! * [`scheduler`] — a filter/score pod scheduler with the pod-affinity
@@ -30,8 +30,8 @@ pub mod kubelet;
 pub mod resources;
 pub mod scheduler;
 
-pub use api::{ApiError, Resource, Store, Stored, WatchEvent};
-pub use cluster::ControlPlane;
+pub use api::{ApiError, EventKind, Resource, Store, Stored, WatchEvent, WatchFilter};
+pub use cluster::{ControlPlane, TickOutcome};
 pub use events::{Event, EventLog};
 pub use kubelet::{Kubelet, KubeletConfig};
 pub use resources::{ConfigMap, Node, Pod, PodPhase, PodRole, PodStage};

@@ -1,6 +1,7 @@
 //! Five structural rules, checked on the source: one scheduling kernel,
 //! one measurement estate, one drive loop, no scan in the pod
-//! controllers, one execution model. Each test runs its rule on the tree
+//! controllers (nor a copy or a pointer a watcher did not ask for), one
+//! execution model. Each test runs its rule on the tree
 //! as it is, then with one recorded mutation spliced into a real file,
 //! and asserts that the rule fires. Most rules read [`code`]: a file
 //! without its comments, literals and `#[cfg(test)]` items.
@@ -26,6 +27,8 @@ const KUBELET: &str = "the kubelet scans the pod store; read Pod::BY_STAGE (Stor
 const SCANS: &str =
     "the scheduler scans the pod store {n} times; the placement pass is the only scan";
 const NOTIFY: &str = "Store::notify deep-copies per watcher; send Arc::clone(stored)";
+const UNFILTERED: &str =
+    "Store::notify clones before the watcher's filter is asked; call (w.accepts) first";
 const NAME_SET: &str =
     "a store index files names in a BTreeSet again; it is a linked list per key through the slots";
 const ADVANCE: &str = "one integrator: Progress::advance in crates/workload/src/model.rs";
@@ -190,7 +193,8 @@ fn one_drive_loop(read: Read) -> Verdict {
     Ok(())
 }
 
-/// The pod controllers read indexes, and a watch event is a pointer.
+/// The pod controllers read indexes, and a watch event is a pointer,
+/// cloned only for a watcher whose filter accepts it.
 fn no_scan_in_the_pod_controllers(read: Read) -> Verdict {
     let word = |c: char| c.is_alphanumeric() || c == '_';
     let scan = |l: &str| {
@@ -205,7 +209,10 @@ fn no_scan_in_the_pod_controllers(read: Read) -> Verdict {
         return Err(SCANS.replace("{n}", &scans.to_string()));
     }
     let api = code(&read(API));
-    deny(API, &carve(&api, "notify").0, any_of(".clone()"), NOTIFY)?;
+    let notify = carve(&api, "notify").0;
+    deny(API, &notify, any_of(".clone()"), NOTIFY)?;
+    let unfiltered = &notify[..notify.find("(w.accepts)(").unwrap_or(notify.len())];
+    deny(API, unfiltered, any_of("clone("), UNFILTERED)?;
     deny(API, &api, any_of("BTreeSet<Arc<str>>"), NAME_SET)
 }
 
@@ -284,12 +291,29 @@ fn one_drive_loop_rule() {
     rail(one_drive_loop, HARNESS, &mutated, TICKS);
 }
 
+/// The body of `Store::notify`'s `retain`: the filter, then the send.
+const SEND: &str =
+    "!(w.accepts)(kind, &stored.obj) || w.tx.send(kind.event(Arc::clone(stored))).is_ok()";
+
 #[test]
 fn no_scan_in_the_pod_controllers_rule() {
     // Every watcher gets its own deep copy of the stored object.
-    let copy = "kind(Arc::new((**stored).clone()))";
-    let mutated = disk(API).replacen("kind(Arc::clone(stored))", copy, 1);
+    let copy = "kind.event(Arc::new((**stored).clone()))";
+    let mutated = disk(API).replacen("kind.event(Arc::clone(stored))", copy, 1);
     rail(no_scan_in_the_pod_controllers, API, &mutated, NOTIFY);
+}
+
+#[test]
+fn notify_asks_the_filter_before_it_clones() {
+    // The event is built for every watcher, and only then filtered.
+    let eager = "let event = kind.event(Arc::clone(stored));\n            \
+                 !(w.accepts)(kind, &stored.obj) || w.tx.send(event).is_ok()";
+    let mutated = disk(API).replacen(SEND, eager, 1);
+    rail(no_scan_in_the_pod_controllers, API, &mutated, UNFILTERED);
+    // Or never filtered at all.
+    let unfiltered = "w.tx.send(kind.event(Arc::clone(stored))).is_ok()";
+    let mutated = disk(API).replacen(SEND, unfiltered, 1);
+    rail(no_scan_in_the_pod_controllers, API, &mutated, UNFILTERED);
 }
 
 #[test]

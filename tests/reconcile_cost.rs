@@ -17,7 +17,7 @@ use elastic_hpc::core::{
     CharmJobSpec, CharmOperator, JobPhase, ModelExecutor, Policy, PolicyConfig, Schedule,
     SubmitRequest,
 };
-use elastic_hpc::kube::{ControlPlane, KubeletConfig, Pod, PodRole, ScheduleOutcome};
+use elastic_hpc::kube::{ControlPlane, KubeletConfig, Pod, PodRole, TickOutcome};
 use elastic_hpc::metrics::{Clock, Duration, SimTime, VirtualClock};
 use elastic_hpc::serving::{run_workload_ingest, IngestConfig, IngestQueue};
 use elastic_hpc::workload::{poisson_workload, WorkloadSpec};
@@ -121,13 +121,19 @@ fn idle_ticks_visit_no_settled_pod() {
         let pod = Pod::worker(format!("w{i:04}"), format!("j{}", i % 10), plane.now());
         plane.pods.create(pod).unwrap();
     }
-    assert_eq!(plane.tick().bound.len(), PODS);
+    let bound = plane.tick();
+    assert_eq!(bound.schedule.bound.len(), PODS);
+    assert_eq!(
+        bound.transitioned.len(),
+        PODS,
+        "an instant kubelet starts what binds"
+    );
     assert!(plane.job_pods_running("j0", PodRole::Worker, PODS / 10));
 
     let scans = plane.pods.full_scans();
     for _ in 0..TICKS {
         clock.advance(Duration::from_secs(1.0));
-        assert_eq!(plane.tick(), ScheduleOutcome::default());
+        assert_eq!(plane.tick(), TickOutcome::default());
         assert_eq!(plane.reap_finished(), 0);
     }
     assert_eq!(
