@@ -1,4 +1,4 @@
-//! The typed scheduler client and the versioned request/response API.
+//! The typed scheduler client and its request/response API.
 //!
 //! [`SchedulerClient`] is the public control-plane API: everything a
 //! user-facing front end needs — submit, query, cancel, observe — and
@@ -12,7 +12,7 @@
 //!
 //! ## The request/response surface
 //!
-//! Submission is a *versioned* exchange: build a spec with
+//! Submission is a *typed* exchange: build a spec with
 //! [`CharmJobSpec::builder`], wrap it in a [`SubmitRequest`] (validation
 //! happens at construction, so an in-flight request is valid by type),
 //! and pass it to [`SchedulerClient::submit_request`], which answers
@@ -93,38 +93,20 @@ impl std::fmt::Display for JobTicket {
     }
 }
 
-/// A versioned, validated submission. Constructing one runs the full
-/// spec validation, so any `SubmitRequest` in flight is valid by type —
-/// the ingest queues and the client trust it without re-checking.
+/// A validated submission. Constructing one runs the full spec
+/// validation, so any `SubmitRequest` in flight is valid by type — the
+/// ingest queues and the client trust it without re-checking.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubmitRequest {
-    version: u32,
     spec: CharmJobSpec,
 }
 
 impl SubmitRequest {
-    /// The current (and only) submit API version.
-    pub const V1: u32 = 1;
-
-    /// A version-1 request around `spec`; fails with
+    /// A request around `spec`; fails with
     /// [`SchedulerError::InvalidSpec`] if the spec is malformed.
     pub fn v1(spec: CharmJobSpec) -> Result<Self, SchedulerError> {
-        Self::with_version(Self::V1, spec)
-    }
-
-    /// A request at an explicit `version` (wire-compatibility surface);
-    /// rejects versions this control plane does not speak.
-    pub fn with_version(version: u32, spec: CharmJobSpec) -> Result<Self, SchedulerError> {
-        if version != Self::V1 {
-            return Err(SchedulerError::UnsupportedVersion(version));
-        }
         spec.validate().map_err(SchedulerError::InvalidSpec)?;
-        Ok(SubmitRequest { version, spec })
-    }
-
-    /// The request's API version.
-    pub fn version(&self) -> u32 {
-        self.version
+        Ok(SubmitRequest { spec })
     }
 
     /// The validated spec.
@@ -435,20 +417,11 @@ mod tests {
             SubmitRequest::v1(spec("bad", 8, 2)),
             Err(SchedulerError::InvalidSpec(_))
         ));
+        let req = SubmitRequest::v1(spec("j2", 2, 8)).unwrap();
+        assert_eq!(req.name(), "j2");
+        assert_eq!(req.spec().max_replicas, 8);
         assert_eq!(client.phase("j1"), Some(JobPhase::Queued));
         assert_eq!(client.phase("zzz"), None);
-    }
-
-    #[test]
-    fn request_versioning_is_enforced() {
-        let req = SubmitRequest::v1(spec("j1", 2, 8)).unwrap();
-        assert_eq!(req.version(), SubmitRequest::V1);
-        assert_eq!(req.name(), "j1");
-        assert_eq!(req.spec().max_replicas, 8);
-        assert!(matches!(
-            SubmitRequest::with_version(2, spec("j2", 1, 1)),
-            Err(SchedulerError::UnsupportedVersion(2))
-        ));
     }
 
     #[test]

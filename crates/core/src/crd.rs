@@ -330,51 +330,6 @@ impl Resource for CharmJob {
     }
 }
 
-/// A fault notice posted to the control plane: the operator analogue of
-/// the DES fault events. The infrastructure layer (or the harness
-/// replaying a [`hpc_workload::FaultSpec`]) creates one per fault
-/// occurrence; the operator's watch picks it up and drives the policy's
-/// `on_fault` surface.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultNotice {
-    /// Unique notice name (e.g. `fault-0003`).
-    pub name: String,
-    /// When the fault occurred.
-    pub at: SimTime,
-    /// Worker slots lost (or, for returns, restored).
-    pub slots: u32,
-    /// What happened (failure, reclamation or capacity return).
-    pub kind: hpc_workload::FaultKind,
-}
-
-impl Resource for FaultNotice {
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-/// A transient control-plane fault posted to the operator: the analogue
-/// of the DES's flaky events, exactly as [`FaultNotice`] mirrors its
-/// capacity events. The harness replaying a
-/// [`hpc_workload::FlakySpec`] creates one per scheduled occurrence;
-/// the operator's watch picks it up and routes the resilience layer's
-/// decision through the existing requeue/evict machinery.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlakyNotice {
-    /// Unique notice name (e.g. `flaky-0003`).
-    pub name: String,
-    /// When the transient fault occurred.
-    pub at: SimTime,
-    /// Which control-plane operation failed.
-    pub op: hpc_workload::FlakyOp,
-}
-
-impl Resource for FlakyNotice {
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

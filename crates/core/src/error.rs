@@ -21,10 +21,6 @@ pub enum SchedulerError {
     /// The job already reached a terminal phase; cancelling it is
     /// meaningless.
     AlreadyTerminal(String),
-    /// The request carried an API version this control plane does not
-    /// speak (the only supported version today is
-    /// [`SubmitRequest::V1`](crate::client::SubmitRequest::V1)).
-    UnsupportedVersion(u32),
     /// The serving front-end is shutting down (or the operator stopped
     /// accepting); the submission was not enqueued.
     QueueClosed,
@@ -37,9 +33,6 @@ impl std::fmt::Display for SchedulerError {
             SchedulerError::AlreadyExists(n) => write!(f, "job {n:?} already exists"),
             SchedulerError::UnknownJob(n) => write!(f, "job {n:?} not found"),
             SchedulerError::AlreadyTerminal(n) => write!(f, "job {n:?} already finished"),
-            SchedulerError::UnsupportedVersion(v) => {
-                write!(f, "unsupported submit API version {v}")
-            }
             SchedulerError::QueueClosed => write!(f, "submission queue closed"),
         }
     }
@@ -60,10 +53,6 @@ mod tests {
         assert_eq!(
             SchedulerError::UnknownJob("j1".into()).to_string(),
             "job \"j1\" not found"
-        );
-        assert_eq!(
-            SchedulerError::UnsupportedVersion(9).to_string(),
-            "unsupported submit API version 9"
         );
         assert_eq!(
             SchedulerError::QueueClosed.to_string(),

@@ -12,13 +12,15 @@
 //! campaign (`generate_jobs.py submit` + operator, §9.1). Each instant
 //! it hands the submissions that fell due to an [`ArrivalSink`] and
 //! lets the sink flush, issues the due client cancellations (those of
-//! one instant in job order), posts the due [`FaultNotice`]s and
-//! [`FlakyNotice`]s of the workload's `FaultSpec`, calls
-//! [`CharmOperator::settle`], and — unless every submission, notice and
-//! job is through — paces on by one `tick`. `settle` is what makes a
-//! completion → free → admit → launch chain resolve *within one
-//! instant*, as it does in the DES (see its docs for why that takes
-//! more than one reconcile round). A modeled job executes under the
+//! one instant in job order), posts the due capacity and transient
+//! fault events of the workload's `FaultSpec`
+//! ([`CharmOperator::post_fault`], [`CharmOperator::post_flaky`], in
+//! schedule order), calls [`CharmOperator::settle`], and — unless every
+//! submission, fault event and job is through — paces on by one `tick`.
+//! `settle` is what makes a completion → free → admit → launch chain
+//! resolve *within one instant*, as it does in the DES (see its docs
+//! for why that takes more than one reconcile round). A modeled job
+//! executes under the
 //! one model both engines embed (`hpc_workload::model`), so with
 //! arrivals, runtimes, fault times and overhead windows that are whole
 //! multiples of `tick` the operator replay is *timestamp-identical* to
@@ -51,7 +53,7 @@ use hpc_metrics::{Duration, SimTime, VirtualClock};
 use hpc_workload::{FaultSpec, WorkloadSpec};
 
 use crate::client::{SchedulerClient, SubmitRequest};
-use crate::crd::{AppSpec, CharmJobSpec, FaultNotice, FlakyNotice};
+use crate::crd::{AppSpec, CharmJobSpec};
 use crate::operator::CharmOperator;
 use crate::report::RunMetrics;
 
@@ -164,11 +166,10 @@ pub trait ArrivalSink {
     /// `clock` (the one `op`'s control plane reads), submissions
     /// entering here: per-job arrivals and cancellations from the
     /// workload itself, its [`FaultSpec`] installed on the operator and
-    /// its capacity and transient fault events posted as
-    /// [`FaultNotice`]s / [`FlakyNotice`]s as they fall due — the
-    /// operator-side rendering of the DES's fault events. `tick` must
-    /// divide the workload's arrival, cancellation and fault times for
-    /// the event timestamps to be exact. Panics if the replay is not
+    /// its capacity and transient fault events posted to it as they
+    /// fall due — the operator-side rendering of the DES's fault
+    /// events. `tick` must divide the workload's arrival, cancellation
+    /// and fault times for the event timestamps to be exact. Panics if the replay is not
     /// over within `max_time` — a hung schedule is a bug.
     fn replay(
         &self,
@@ -234,28 +235,15 @@ fn drive(
             let _ = client.cancel(&cancels[i].1);
         }
         for i in due(&faults.events, &mut next_fault, |e| elapsed >= e.at) {
-            let e = faults.events[i];
-            let notice = FaultNotice {
-                name: format!("fault-{i:04}"),
-                at: start + e.at,
-                slots: e.slots,
-                kind: e.kind,
-            };
-            op.faults.create(notice).expect("fresh fault notice");
+            op.post_fault(faults.events[i].kind, faults.events[i].slots);
         }
         for i in due(&faults.flaky.events, &mut next_flaky, |e| elapsed >= e.at) {
-            let e = &faults.flaky.events[i];
-            let notice = FlakyNotice {
-                name: format!("flaky-{i:04}"),
-                at: start + e.at,
-                op: e.op,
-            };
-            op.flakies.create(notice).expect("fresh flaky notice");
+            op.post_flaky(faults.flaky.events[i].op);
         }
         op.settle();
         // Tail fault/flaky events past the last completion still count:
         // the DES drains its whole queue, so the run only ends once
-        // every scheduled notice was posted and reconciled.
+        // every scheduled event was posted and reconciled.
         if next_submit == schedule.jobs.len()
             && next_fault == faults.events.len()
             && next_flaky == faults.flaky.events.len()

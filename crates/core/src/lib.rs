@@ -27,17 +27,19 @@
 //!   `Box<dyn SchedulingPolicy>` — a new policy plugs in without
 //!   touching any engine.
 //! * **[`CharmOperator`]** — the watch-driven reconciler. It subscribes
-//!   to the CharmJob and pod stores with the atomic
-//!   `Store::list_watch` and reconciles per event (admission on job
-//!   added, teardown on cancellation, launch progress on pod phase
-//!   changes) plus a timer pass for poll-only state (executor
-//!   acknowledgements, completions). `tick()` drains the event queues
+//!   to the CharmJob and pod stores with the atomic, filtered
+//!   `Store::list_watch_where` and reconciles per event (admission on
+//!   job added, teardown on cancellation, launch progress on pods
+//!   reaching `Running`), applies the capacity changes and transient
+//!   faults it is told of (`post_fault` / `post_flaky`), and runs a
+//!   timer pass for poll-only state (executor acknowledgements,
+//!   completions). `tick()` drains the event queues
 //!   and costs O(events + running jobs + pods that changed) — it never
 //!   scans the job store, however many jobs that has held, nor the pod
 //!   store unless it binds pods; `settle()` ticks
 //!   until the instant has nothing left to reconcile.
 //! * **[`SchedulerClient`]** — the typed client handle, speaking the
-//!   versioned request/response API: build a spec with
+//!   request/response API: build a spec with
 //!   [`CharmJobSpec::builder`] (validation at `build()`), wrap it in a
 //!   [`SubmitRequest`], and `submit_request` answers with a
 //!   [`SubmitResponse`] (`Admitted` with a [`JobTicket`] on the direct
@@ -317,7 +319,7 @@
 //! * [`operator`] — the store/watch adapter around it, with the
 //!   paper's shrink/expand pod sequences.
 //! * [`harness`] — the one drive loop (submissions through an
-//!   [`ArrivalSink`], cancellations and fault notices as they fall due,
+//!   [`ArrivalSink`], cancellations and posted faults as they fall due,
 //!   `settle()`, pace) behind the virtual- and wall-clock runs,
 //!   including the [`run_workload_virtual`] replay of a unified
 //!   `hpc_workload::WorkloadSpec`.
@@ -342,10 +344,7 @@ pub use client::{
     JobEvent, JobEventKind, JobEventStream, JobTicket, SchedulerClient, SubmitRequest,
     SubmitResponse,
 };
-pub use crd::{
-    AppSpec, CharmJob, CharmJobSpec, CharmJobStatus, FaultNotice, FlakyNotice, JobPhase,
-    JobSpecBuilder,
-};
+pub use crd::{AppSpec, CharmJob, CharmJobSpec, CharmJobStatus, JobPhase, JobSpecBuilder};
 pub use elastic_resilience::ShutdownPhase;
 pub use error::SchedulerError;
 pub use executor::{CharmExecutor, ExecHandle, ExecStatus, Executor, ModelExecutor};

@@ -10,21 +10,25 @@
 //! paper's modified MPI operator (§3.1–3.2) the way a real Kubernetes
 //! controller is built:
 //!
-//! * **Watch drains → kernel entry points.** The operator subscribes
-//!   to the CharmJob, pod, fault-notice and flaky-notice stores with
-//!   the atomic [`Store::list_watch`] — the job and pod stores through
-//!   [`Store::list_watch_where`], filtered to what the drains act on, so
-//!   its own status-mirror writes and the pod churn it does not read
-//!   never reach it. One [`tick`](CharmOperator::tick) drains them in a
+//! * **Watch drains and posted faults → kernel entry points.** The
+//!   operator subscribes to the two stores a real controller would, the
+//!   CharmJobs and the pods, with the atomic [`Store::list_watch_where`],
+//!   filtered to what the drains act on, so its own status-mirror writes
+//!   and the pod churn it does not read never reach it. Capacity changes
+//!   and transient control-plane faults are not Kubernetes objects: the
+//!   infrastructure (or the drive loop replaying a [`FaultSpec`]) tells
+//!   the operator with [`post_fault`](CharmOperator::post_fault) and
+//!   [`post_flaky`](CharmOperator::post_flaky), which queue them for the
+//!   next round. One [`tick`](CharmOperator::tick) takes all of it in a
 //!   fixed order. CharmJobs added while `Queued` become one submission
 //!   burst (sorted by submission time, staged one by one as the policy
 //!   pulls them; a job whose cancellation is already on record is
 //!   retired undecided); `cancel_requested` on a live job becomes a
-//!   cancel; notices become capacity-lost / capacity-returned / flaky;
-//!   expired requeue backoffs become re-entries; a pod reaching
-//!   `Running` — or a pre-launch shrink, which can leave a `Starting`
-//!   job's remaining pods all running — triggers the owning job's
-//!   launch check. A *timer pass* covers what only polling can observe
+//!   cancel; posted faults become capacity-lost / capacity-returned /
+//!   flaky, in posting order; expired requeue backoffs become
+//!   re-entries; a pod reaching `Running` — or a pre-launch shrink,
+//!   which can leave a `Starting` job's remaining pods all running —
+//!   triggers the owning job's launch check. A *timer pass* covers what only polling can observe
 //!   — rescale acknowledgements and completions surface on executor
 //!   handles, not in any store — and the policy's periodic deadline.
 //! * **The kernel's effects** ([`Effects`]), as the paper's pod
@@ -37,9 +41,9 @@
 //!   workers is O(count); every pod of a job shares the registry's one
 //!   `Arc` of the job name as its owner, and a pod's own name is
 //!   allocated once, shared by the pod and the store's name map.
-//!   **Stop** kills the executor, returns its slot
-//!   lease, deletes pods and nodelist. What the kernel cannot see it is
-//!   told: the application started, the shrink was acknowledged.
+//!   **Stop** kills the executor and deletes its pods and nodelist.
+//!   What the kernel cannot see it is told: the application started,
+//!   the shrink was acknowledged.
 //! * **The CRD status mirror.** Phase, replica counts, timestamps and
 //!   attempts on each [`CharmJob`] follow the kernel's transitions so
 //!   clients and the event log can watch them; the kernel never reads
@@ -73,7 +77,6 @@
 //! and [`rebuild_view`](CharmOperator::rebuild_view) (the from-scratch
 //! construction tests compare the kernel's view against).
 //!
-//! [`Store::list_watch`]: kube_sim::Store::list_watch
 //! [`Store::list_watch_where`]: kube_sim::Store::list_watch_where
 //! [`Store::read`]: kube_sim::Store::read
 //! [`Store::full_scans`]: kube_sim::Store::full_scans
@@ -84,15 +87,13 @@ use std::sync::Arc;
 
 use crossbeam::channel::Receiver;
 use hpc_metrics::{Duration, JobId, SimTime, UtilizationRecorder};
-use hpc_workload::{FaultEvent, FaultKind, FaultSpec};
-use kube_sim::{
-    ControlPlane, EventKind, EventLog, Pod, PodPhase, PodRole, Store, Stored, WatchEvent,
-};
+use hpc_workload::{FaultEvent, FaultKind, FaultSpec, FlakyOp};
+use kube_sim::{ControlPlane, EventKind, EventLog, Pod, PodPhase, PodRole, Store, WatchEvent};
 
-use elastic_resilience::{LeasePool, Lifecycle, ShutdownPhase, SlotLease};
+use elastic_resilience::{Lifecycle, ShutdownPhase};
 
 use crate::client::{SchedulerClient, SubmitRequest};
-use crate::crd::{CharmJob, CharmJobSpec, CharmJobStatus, FaultNotice, FlakyNotice, JobPhase};
+use crate::crd::{CharmJob, CharmJobSpec, CharmJobStatus, JobPhase};
 use crate::error::SchedulerError;
 use crate::executor::{ExecHandle, ExecStatus, Executor};
 use crate::kernel::{Admission, Dispatches, Effects, Kernel, Stop};
@@ -128,13 +129,6 @@ pub struct CharmOperator {
     pub plane: ControlPlane,
     /// CharmJob CRD store.
     pub jobs: Store<CharmJob>,
-    /// Fault notices posted by the infrastructure layer (or the harness
-    /// replaying a [`FaultSpec`]); the operator watches this store the
-    /// same way it watches jobs and pods.
-    pub faults: Store<FaultNotice>,
-    /// Transient control-plane fault notices (the operator rendering of
-    /// the workload's `FlakySpec`), watched like every other store.
-    pub flakies: Store<FlakyNotice>,
     /// Operator event log.
     pub events: EventLog,
     policy: Box<dyn SchedulingPolicy>,
@@ -148,10 +142,12 @@ pub struct CharmOperator {
     /// Watch stream over the pod store: pods reaching `Running` only
     /// ([`pod_started`]).
     pods_rx: Receiver<WatchEvent<Pod>>,
-    /// Watch stream over the fault-notice store.
-    faults_rx: Receiver<WatchEvent<FaultNotice>>,
-    /// Watch stream over the flaky-notice store.
-    flakies_rx: Receiver<WatchEvent<FlakyNotice>>,
+    /// Capacity changes posted since the last round, in posting order
+    /// ([`CharmOperator::post_fault`]).
+    faults: VecDeque<(FaultKind, u32)>,
+    /// Transient faults posted since the last round, in posting order
+    /// ([`CharmOperator::post_flaky`]).
+    flakies: VecDeque<FlakyOp>,
     /// Next policy-timer deadline, if the policy requested one.
     next_timer: Option<SimTime>,
     /// Shutdown phase of the executor pool (Running until
@@ -159,21 +155,18 @@ pub struct CharmOperator {
     lifecycle: Lifecycle,
 }
 
-/// Everything held for one launched job. One record, so the executor,
-/// its slot and its rescale flow leave together wherever the job stops.
+/// Everything held for one launched job. One record, so the executor
+/// and its rescale flow leave together wherever the job stops, and the
+/// records are the count of live executors.
 struct Running {
     handle: Box<dyn ExecHandle>,
-    /// RAII slot accounting: the executor holds one leased slot for as
-    /// long as this record exists, so an evicted executor structurally
-    /// cannot leak its slot.
-    _lease: SlotLease,
     /// The rescale in flight, if any.
     flow: Option<RescaleFlow>,
 }
 
 /// The per-job state the pod choreography keeps: executors with their
-/// leases and rescale flows, pod serials, checkpointed progress — plus
-/// the two queues a burst is pulled from.
+/// rescale flows, pod serials, checkpointed progress — plus the two
+/// queues a burst is pulled from.
 struct ExecutorPool {
     executor: Box<dyn Executor>,
     /// Name ↔ id interning (admission order).
@@ -187,8 +180,6 @@ struct ExecutorPool {
     /// Work the last checkpoint of an evicted job preserved (zero when it
     /// never launched), until its relaunch hands it to the executor.
     checkpointed: HashMap<JobId, f64>,
-    /// Where the executors' slot leases come from.
-    leases: LeasePool,
     /// Requeue backoffs the kernel asked to be woken for — the
     /// operator's stand-in for an event queue.
     backoffs: BTreeSet<(SimTime, JobId)>,
@@ -233,8 +224,6 @@ impl CharmOperator {
         executor: Box<dyn Executor>,
     ) -> Self {
         let jobs: Store<CharmJob> = Store::new();
-        let faults: Store<FaultNotice> = Store::new();
-        let flakies: Store<FlakyNotice> = Store::new();
         // list+watch atomically: nothing submitted between "now" and the
         // first reconcile can be missed (the jobs store is freshly
         // created, so the snapshot is empty by construction; the pods
@@ -242,15 +231,11 @@ impl CharmOperator {
         // creates them).
         let (_, jobs_rx) = jobs.list_watch_where(job_event_acted_on);
         let (_, pods_rx) = plane.pods.list_watch_where(pod_started);
-        let (_, faults_rx) = faults.list_watch();
-        let (_, flakies_rx) = flakies.list_watch();
         let next_timer = policy.timer_interval().map(|iv| plane.now() + iv);
         CharmOperator {
             kernel: Kernel::new(plane.capacity(), policy.launcher_slots()),
             plane,
             jobs,
-            faults,
-            flakies,
             events: EventLog::new(),
             policy,
             pool: ExecutorPool {
@@ -259,7 +244,6 @@ impl CharmOperator {
                 running: BTreeMap::new(),
                 next_serial: Vec::new(),
                 checkpointed: HashMap::new(),
-                leases: LeasePool::new(),
                 backoffs: BTreeSet::new(),
                 admitting: VecDeque::new(),
                 polling: VecDeque::new(),
@@ -268,8 +252,8 @@ impl CharmOperator {
             },
             jobs_rx,
             pods_rx,
-            faults_rx,
-            flakies_rx,
+            faults: VecDeque::new(),
+            flakies: VecDeque::new(),
             next_timer,
             lifecycle: Lifecycle::new(),
         }
@@ -278,12 +262,28 @@ impl CharmOperator {
     /// Installs the recovery parameters (checkpoint interval, retry
     /// budget, backoff base) the fault layer uses, and rebuilds the
     /// resilience decision core from the spec's `FlakySpec`. The event
-    /// schedules inside `spec` are *not* replayed here — faults reach
-    /// the operator as [`FaultNotice`]s on [`CharmOperator::faults`]
-    /// and transient faults as [`FlakyNotice`]s on
-    /// [`CharmOperator::flakies`].
+    /// schedules inside `spec` are *not* replayed here — whoever replays
+    /// them tells the operator each one as it falls due, with
+    /// [`post_fault`](CharmOperator::post_fault) and
+    /// [`post_flaky`](CharmOperator::post_flaky).
     pub fn set_fault_spec(&mut self, spec: FaultSpec) {
         self.kernel.set_recovery(&spec);
+    }
+
+    /// Tells the operator that `slots` worker slots failed, were
+    /// reclaimed or came back (`kind`) — the operator analogue of the
+    /// DES's capacity events. The next round applies it, after the job
+    /// events, in posting order.
+    pub fn post_fault(&mut self, kind: FaultKind, slots: u32) {
+        self.faults.push_back((kind, slots));
+    }
+
+    /// Tells the operator that a control-plane operation `op` failed
+    /// transiently — the analogue of the DES's flaky events. The next
+    /// round hands it to the kernel after the capacity changes, in
+    /// posting order.
+    pub fn post_flaky(&mut self, op: FlakyOp) {
+        self.flakies.push_back(op);
     }
 
     /// Fault-recovery tallies accumulated so far (including the
@@ -471,45 +471,41 @@ impl CharmOperator {
         drained
     }
 
-    /// Drains the fault-notice watch stream: capacity losses and
-    /// returns, in notice order. `true` if there were any.
+    /// Applies the posted capacity losses and returns, in posting
+    /// order, each stamped with this instant. `true` if there were any.
     fn reconcile_fault_events(&mut self) -> bool {
-        let notices = drain_added(&self.faults_rx, |n| n.at);
         let now = self.plane.now();
-        for n in &notices {
-            let n = &n.obj;
+        let posted = !self.faults.is_empty();
+        while let Some((kind, slots)) = self.faults.pop_front() {
             let (kernel, policy, mut fx) = self.split();
-            if n.kind == FaultKind::Return {
-                let message = format!("{} slots back", n.slots);
-                fx.events.record(now, &n.name, "CapacityReturned", message);
-                kernel.capacity_returned(n.slots, now, policy, &mut fx);
+            if kind == FaultKind::Return {
+                let message = format!("{slots} slots back");
+                fx.events
+                    .record(now, "cluster", "CapacityReturned", message);
+                kernel.capacity_returned(slots, now, policy, &mut fx);
             } else {
-                let message = format!("{} took {} slots", n.kind, n.slots);
-                fx.events.record(now, &n.name, "CapacityLost", message);
-                let fault = FaultEvent {
-                    at: Duration::from_secs(n.at.as_secs()),
-                    slots: n.slots,
-                    kind: n.kind,
-                };
-                kernel.capacity_lost(&fault, now, policy, &mut fx);
+                let message = format!("{kind} took {slots} slots");
+                fx.events.record(now, "cluster", "CapacityLost", message);
+                let at = Duration::from_secs(now.as_secs());
+                kernel.capacity_lost(&FaultEvent { at, slots, kind }, now, policy, &mut fx);
             }
         }
-        !notices.is_empty()
+        posted
     }
 
-    /// Drains the flaky-notice watch stream, in notice order. `true`
-    /// if there were any.
+    /// Hands the posted transient faults to the kernel, in posting
+    /// order. `true` if there were any.
     fn reconcile_flaky_events(&mut self) -> bool {
-        let notices = drain_added(&self.flakies_rx, |n| n.at);
         let now = self.plane.now();
-        for n in &notices {
-            let n = &n.obj;
+        let posted = !self.flakies.is_empty();
+        while let Some(op) = self.flakies.pop_front() {
             let (kernel, policy, mut fx) = self.split();
-            let outcome = kernel.flaky(n.op, now, policy, &mut fx);
-            let message = format!("{} -> {outcome:?}", n.op);
-            fx.events.record(now, &n.name, "TransientFault", message);
+            let outcome = kernel.flaky(op, now, policy, &mut fx);
+            let message = format!("{op} -> {outcome:?}");
+            fx.events
+                .record(now, "control-plane", "TransientFault", message);
         }
-        !notices.is_empty()
+        posted
     }
 
     /// Wakes the kernel for every requeue backoff that has expired.
@@ -580,7 +576,6 @@ impl CharmOperator {
             let resume = pool.checkpointed.remove(&id);
             let launched = Running {
                 handle: pool.executor.launch(&spec, desired, resume),
-                _lease: pool.leases.lease(1),
                 flow: None,
             };
             pool.running.insert(id, launched);
@@ -716,10 +711,11 @@ impl CharmOperator {
     }
 
     /// One reconcile round: drain job events (admissions, then
-    /// cancellations), fault and flaky notices and due requeues, advance
-    /// the control plane, drain pod events (launch progress), then run
-    /// the timer pass (completions, then the policy timer) — the
-    /// kernel's [`EventClass`](crate::kernel::EventClass) order.
+    /// cancellations), then the posted capacity changes and transient
+    /// faults, wake due requeues, advance the control plane, drain pod
+    /// events (launch progress), then run the timer pass (completions,
+    /// then the policy timer) — the kernel's
+    /// [`EventClass`](crate::kernel::EventClass) order.
     pub fn tick(&mut self) {
         self.round();
     }
@@ -737,12 +733,12 @@ impl CharmOperator {
     }
 
     /// Ticks until the instant is settled — until a round drains no
-    /// watch event, wakes no requeue, binds or moves no pod, runs no
-    /// launch check, advances no rescale flow, sees no completion, fires
-    /// no timer and reaps no pod — and returns how many rounds that took
-    /// (the quiet one included, so an idle instant settles in 1). More
-    /// than one is needed whenever a round's effects are only observable
-    /// by the next: a completion frees slots and the policy admits a
+    /// watch event, applies no posted fault, wakes no requeue, binds or
+    /// moves no pod, runs no launch check, advances no rescale flow, sees
+    /// no completion, fires no timer and reaps no pod — and returns how
+    /// many rounds that took (the quiet one included, so an idle instant
+    /// settles in 1). More than one is needed whenever a round's effects
+    /// are only observable by the next: a completion frees slots and the policy admits a
     /// queued job (its pods are created); the kubelet terminates the
     /// completed job's deleting pods, which hold node capacity until
     /// then; the admitted job's pods bind and start, so it launches at
@@ -813,10 +809,9 @@ impl CharmOperator {
         self.lifecycle.phase()
     }
 
-    /// Executor slots currently held by live RAII leases (one per
-    /// launched executor).
+    /// Executors currently launched (one per `Running` job).
     pub fn leased_executors(&self) -> u32 {
-        self.pool.leases.leased()
+        self.pool.running.len() as u32
     }
 
     /// Phase 1 of shutdown: stop admitting. Jobs already queued stay
@@ -834,8 +829,8 @@ impl CharmOperator {
     }
 
     /// Phase 2 of shutdown: tear down every live executor — kill
-    /// signal, pod deletion, lease return — and demote its job back to
-    /// `Queued` (progress is lost; a later operator may resubmit).
+    /// signal, pod deletion — and demote its job back to `Queued`
+    /// (progress is lost; a later operator may resubmit).
     ///
     /// # Panics
     /// If called before [`CharmOperator::begin_drain`].
@@ -858,14 +853,15 @@ impl CharmOperator {
         self.plane.reap_finished();
     }
 
-    /// Phase 3 of shutdown: verify the pool is structurally drained —
-    /// every executor lease returned — and terminate.
+    /// Phase 3 of shutdown: verify the pool is drained — no executor
+    /// left running — and terminate.
     ///
     /// # Panics
     /// If called before [`CharmOperator::begin_cleanup`], or if any
-    /// executor leaked its slot lease past cleanup.
+    /// executor outlived cleanup.
     pub fn terminate(&mut self) {
-        self.pool.leases.assert_drained();
+        let leaked = self.pool.running.len();
+        assert_eq!(leaked, 0, "{leaked} slots leaked past cleanup");
         self.lifecycle.terminate();
         let now = self.plane.now();
         self.events.record(now, "operator", "Terminated", "");
@@ -895,21 +891,6 @@ fn job_event_acted_on(kind: EventKind, job: &CharmJob) -> bool {
 /// launch check can use.
 fn pod_started(kind: EventKind, pod: &Pod) -> bool {
     kind != EventKind::Deleted && pod.phase == PodPhase::Running && !pod.deleting
-}
-
-/// Every notice added to a watched store since the last drain, by
-/// instant, then in the order they were posted (the watch stream's; a
-/// notice's name is a label, not a sort key — `fault-10000` does not
-/// precede `fault-9999`).
-fn drain_added<T>(rx: &Receiver<WatchEvent<T>>, at: impl Fn(&T) -> SimTime) -> Vec<Arc<Stored<T>>> {
-    let added = |ev| match ev {
-        WatchEvent::Added(s) => Some(s),
-        _ => None,
-    };
-    let drained = std::iter::from_fn(|| rx.try_recv().ok());
-    let mut notices: Vec<_> = drained.filter_map(added).collect();
-    notices.sort_by_key(|n| at(&n.obj));
-    notices
 }
 
 impl Choreography<'_> {
@@ -969,9 +950,8 @@ impl Choreography<'_> {
     }
 
     /// Releases everything held for `job` — executor (kill signal),
-    /// slot lease, rescale flow, pods and nodelist — and returns its
-    /// name. `hard` deletes the pods synchronously instead of
-    /// gracefully.
+    /// rescale flow, pods and nodelist — and returns its name. `hard`
+    /// deletes the pods synchronously instead of gracefully.
     fn release(&mut self, job: JobId, hard: bool) -> Arc<str> {
         let name = Arc::clone(self.pool.registry.shared_name(job));
         if let Some(mut launched) = self.pool.running.remove(&job) {

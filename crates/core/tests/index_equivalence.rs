@@ -13,10 +13,10 @@
 use std::sync::Arc;
 
 use elastic_core::{
-    CharmJobSpec, CharmOperator, FlakyNotice, JobPhase, ModelExecutor, OverheadModel, Policy,
-    PolicyConfig, ScalingModel, SchedulerClient, SubmitRequest,
+    CharmJobSpec, CharmOperator, JobPhase, ModelExecutor, OverheadModel, Policy, PolicyConfig,
+    ScalingModel, SchedulerClient, SubmitRequest,
 };
-use hpc_metrics::{Clock, Duration, VirtualClock};
+use hpc_metrics::{Duration, VirtualClock};
 use hpc_workload::{FaultSpec, FlakyOp, FlakySpec};
 use kube_sim::{ControlPlane, KubeletConfig};
 use proptest::prelude::*;
@@ -134,7 +134,6 @@ proptest! {
         let mut op = operator(&clock);
         let client = op.client();
         let mut serial = 0u32;
-        let mut notices = 0u32;
         let mut draining = false;
 
         for step in 0..steps {
@@ -172,14 +171,7 @@ proptest! {
                 7..=9 => {
                     let fault = [FlakyOp::StuckRescale, FlakyOp::LaunchFail, FlakyOp::CrashOnStart]
                         [(action - 7) as usize];
-                    op.flakies
-                        .create(FlakyNotice {
-                            name: format!("flaky-{notices:04}"),
-                            at: clock.now(),
-                            op: fault,
-                        })
-                        .expect("fresh notice");
-                    notices += 1;
+                    op.post_flaky(fault);
                 }
                 // Let work complete.
                 10 => clock.advance(Duration::from_secs(rng.gen_range(5..=40) as f64)),

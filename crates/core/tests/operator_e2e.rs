@@ -8,7 +8,7 @@ use elastic_core::{
     run_virtual, AppSpec, CharmJobSpec, CharmOperator, JobPhase, ModelExecutor, OverheadModel,
     Policy, PolicyConfig, PolicyKind, ScalingModel, Schedule, ShutdownPhase,
 };
-use hpc_metrics::{Clock, Duration, SimTime, VirtualClock};
+use hpc_metrics::{Clock, Duration, VirtualClock};
 use kube_sim::{ControlPlane, KubeletConfig, PodRole};
 
 fn spec(name: &str, prio: u32, min: u32, max: u32, iters: u64) -> CharmJobSpec {
@@ -236,7 +236,6 @@ fn rejects_invalid_spec_and_duplicate_names() {
 
 #[test]
 fn cancel_mid_shrink_with_fault_pending_leaks_no_slots() {
-    use elastic_core::FaultNotice;
     use hpc_workload::FaultKind;
     // A model executor whose rescales take 10 s keeps the ShrinkSignalled
     // flow open across ticks, so the cancel and the fault land mid-flow.
@@ -272,14 +271,7 @@ fn cancel_mid_shrink_with_fault_pending_leaks_no_slots() {
     assert_eq!(op.view(), &op.rebuild_view(), "consistent mid-shrink");
     // Fault pending + cancel of the mid-shrink job, delivered together:
     // the tick reconciles the cancel first, then the capacity loss.
-    op.faults
-        .create(FaultNotice {
-            name: "fault-0000".into(),
-            at: clock.now() + Duration::from_secs(1.0),
-            slots: 50,
-            kind: FaultKind::Reclaim,
-        })
-        .unwrap();
+    op.post_fault(FaultKind::Reclaim, 50);
     op.client().cancel("low").unwrap();
     clock.advance(Duration::from_secs(1.0));
     op.tick();
@@ -293,14 +285,7 @@ fn cancel_mid_shrink_with_fault_pending_leaks_no_slots() {
     );
     // The capacity returns; the survivor (requeued by the default
     // on_fault or still running) finishes on the restored cluster.
-    op.faults
-        .create(FaultNotice {
-            name: "fault-0001".into(),
-            at: clock.now() + Duration::from_secs(1.0),
-            slots: 50,
-            kind: FaultKind::Return,
-        })
-        .unwrap();
+    op.post_fault(FaultKind::Return, 50);
     let mut guard = 0;
     while !op.all_complete() {
         clock.advance(Duration::from_secs(1.0));
@@ -327,7 +312,7 @@ fn cancel_mid_shrink_with_fault_pending_leaks_no_slots() {
 
 #[test]
 fn evict_mid_expand_with_fault_pending_leaks_no_slots() {
-    use elastic_core::{FaultNotice, RecoveryPolicy, RecoveryStrategy};
+    use elastic_core::{RecoveryPolicy, RecoveryStrategy};
     use hpc_workload::FaultKind;
     // A 5 s kubelet startup latency keeps the ExpandPodsPending flow
     // open across ticks; the fault then evicts the expanding job.
@@ -363,14 +348,7 @@ fn evict_mid_expand_with_fault_pending_leaks_no_slots() {
     assert_eq!(op.view(), &op.rebuild_view(), "consistent mid-expand");
     // Fault arrives while the expand pods are still pending: the
     // checkpoint/restart policy evicts "a" mid-flow.
-    op.faults
-        .create(FaultNotice {
-            name: "fault-0000".into(),
-            at: clock.now() + Duration::from_secs(1.0),
-            slots: 60,
-            kind: FaultKind::Reclaim,
-        })
-        .unwrap();
+    op.post_fault(FaultKind::Reclaim, 60);
     clock.advance(Duration::from_secs(1.0));
     op.tick();
     assert_eq!(op.fault_stats().evictions, 1, "a evicted mid-expand");
@@ -383,14 +361,7 @@ fn evict_mid_expand_with_fault_pending_leaks_no_slots() {
     let a = op.jobs.get("a").unwrap().obj.clone();
     assert_eq!(a.status.phase, JobPhase::Queued, "a demoted to the queue");
     // Capacity returns: "a" relaunches from its checkpoint and finishes.
-    op.faults
-        .create(FaultNotice {
-            name: "fault-0001".into(),
-            at: clock.now() + Duration::from_secs(1.0),
-            slots: 60,
-            kind: FaultKind::Return,
-        })
-        .unwrap();
+    op.post_fault(FaultKind::Return, 60);
     let mut guard = 0;
     while !op.all_complete() {
         clock.advance(Duration::from_secs(1.0));
@@ -412,7 +383,7 @@ fn evict_mid_expand_with_fault_pending_leaks_no_slots() {
 
 #[test]
 fn a_job_evicted_before_it_launched_still_pays_recovery() {
-    use elastic_core::{FaultNotice, RecoveryPolicy, RecoveryStrategy};
+    use elastic_core::{RecoveryPolicy, RecoveryStrategy};
     use hpc_workload::FaultKind;
     // Recovery is owed for having been evicted, as in the DES — not for
     // having had an executor to ask. A 5 s kubelet startup latency
@@ -436,28 +407,16 @@ fn a_job_evicted_before_it_launched_still_pays_recovery() {
         )),
         Box::new(executor),
     );
-    let notice = |name: &str, at: SimTime, kind| FaultNotice {
-        name: name.into(),
-        at,
-        slots: 60,
-        kind,
-    };
     op.submit(spec("a", 3, 4, 4, 400)).unwrap();
     op.tick();
     let phase = |op: &CharmOperator| op.jobs.get("a").unwrap().obj.status.phase;
     assert_eq!(phase(&op), JobPhase::Starting);
-    let at = clock.now() + Duration::from_secs(1.0);
-    op.faults
-        .create(notice("fault-0000", at, FaultKind::Reclaim))
-        .unwrap();
+    op.post_fault(FaultKind::Reclaim, 60);
     clock.advance(Duration::from_secs(1.0));
     op.tick();
     assert_eq!(op.fault_stats().evictions, 1, "evicted while Starting");
     assert_eq!(phase(&op), JobPhase::Queued);
-    let at = clock.now() + Duration::from_secs(1.0);
-    op.faults
-        .create(notice("fault-0001", at, FaultKind::Return))
-        .unwrap();
+    op.post_fault(FaultKind::Return, 60);
     let mut guard = 0;
     while !op.all_complete() {
         clock.advance(Duration::from_secs(1.0));
@@ -510,8 +469,7 @@ fn real_jobs_through_operator_wall_clock() {
 
 /// The phased shutdown of the executor pool: drain gates admission
 /// while launched executors keep running, cleanup tears every executor
-/// down and returns its slot lease, terminate asserts the pool is
-/// structurally drained. Each phase is observable via
+/// down, terminate asserts none is left. Each phase is observable via
 /// `shutdown_phase()`.
 #[test]
 fn phased_shutdown_drains_cleans_and_terminates() {
@@ -539,8 +497,8 @@ fn phased_shutdown_drains_cleans_and_terminates() {
 
     op.begin_cleanup();
     assert_eq!(op.shutdown_phase(), ShutdownPhase::Cleanup);
-    // Every executor stopped, every slot lease returned, every job
-    // demoted to Queued with its pods reaped.
+    // Every executor stopped, every job demoted to Queued with its
+    // pods reaped.
     assert_eq!(op.leased_executors(), 0);
     assert_eq!(
         op.jobs.get("j1").unwrap().obj.status.phase,
@@ -564,44 +522,38 @@ fn one_call_shutdown_runs_all_phases() {
     assert_eq!(op.leased_executors(), 0);
 }
 
-/// Same-instant notices are reconciled in the order they were posted.
-/// A notice's name is a label: sorting by it would put `fault-10000`
-/// (the 10 001st of a long schedule) before `fault-9999`.
+/// Faults posted at one instant are reconciled in the order they were
+/// posted, every capacity change before every transient fault (the
+/// kernel's `EventClass` order), whichever way the posts interleave.
 #[test]
-fn same_instant_notices_reconcile_in_posting_order_not_name_order() {
-    use elastic_core::{FaultNotice, FlakyNotice};
+fn posted_faults_reconcile_in_posting_order() {
     use hpc_workload::{FaultKind, FlakyOp};
     let clock = VirtualClock::new();
     let mut op = make_operator(Policy::elastic(cfg(10.0)), &clock);
-    let at = clock.now();
-    let fault = |name: &str, at| FaultNotice {
-        name: name.into(),
-        at,
-        slots: 1,
-        kind: FaultKind::NodeFail,
-    };
-    let flaky = |name: &str| FlakyNotice {
-        name: name.into(),
-        at,
-        op: FlakyOp::HeartbeatMiss,
-    };
-    op.faults.create(fault("fault-9999", at)).unwrap();
-    op.faults.create(fault("fault-10000", at)).unwrap();
-    op.flakies.create(flaky("flaky-9999")).unwrap();
-    op.flakies.create(flaky("flaky-10000")).unwrap();
-    // An earlier instant still goes first, whenever it was posted.
-    let earlier = at - Duration::from_secs(1.0);
-    op.faults.create(fault("fault-late-post", earlier)).unwrap();
+    op.post_flaky(FlakyOp::HeartbeatMiss);
+    op.post_fault(FaultKind::NodeFail, 2);
+    op.post_flaky(FlakyOp::LaunchFail);
+    op.post_fault(FaultKind::Reclaim, 1);
     op.tick();
-    let subjects = |kind: &str| -> Vec<String> {
-        let events = op.events.of_kind(kind);
-        events.into_iter().map(|e| e.subject).collect()
-    };
+    let applied: Vec<String> = (op.events.snapshot().into_iter())
+        .filter(|e| e.kind == "CapacityLost" || e.kind == "TransientFault")
+        .map(|e| {
+            e.message
+                .split(" ->")
+                .next()
+                .unwrap_or_default()
+                .to_string()
+        })
+        .collect();
     assert_eq!(
-        subjects("CapacityLost"),
-        ["fault-late-post", "fault-9999", "fault-10000"]
+        applied,
+        [
+            "node_fail took 2 slots",
+            "reclaim took 1 slots",
+            "heartbeat_miss",
+            "launch_fail"
+        ]
     );
-    assert_eq!(subjects("TransientFault"), ["flaky-9999", "flaky-10000"]);
 }
 
 /// A pre-launch shrink can make a `Starting` job launchable with no pod

@@ -116,6 +116,4 @@ mod runtime;
 pub use elastic_resilience::BreakerState;
 pub use placement::{HashByUser, LeastLoaded, PlacementPolicy, RoundRobin, ShardLoad};
 pub use resilience::ShardBreakerBoard;
-pub use runtime::{
-    BatchedSubmission, FederationConfig, FederationHandle, FederationOutcome, FederationRuntime,
-};
+pub use runtime::{FederationConfig, FederationHandle, FederationOutcome, FederationRuntime};

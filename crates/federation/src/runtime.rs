@@ -149,7 +149,7 @@ impl FederationHandle {
         workload: &WorkloadSpec,
         placement: &mut dyn PlacementPolicy,
     ) -> Vec<usize> {
-        self.open(placement, None).submit_whole(workload)
+        self.open(placement, None).route_all(workload)
     }
 
     /// [`FederationHandle::submit`] with breaker-aware routing: each
@@ -177,45 +177,15 @@ impl FederationHandle {
             self.core.capacities.len(),
             "breaker board shard count must match the federation"
         );
-        self.open(placement, Some(board)).submit_whole(workload)
+        self.open(placement, Some(board)).route_all(workload)
     }
 
-    /// Opens the federation's one submission as a *streaming* session:
-    /// the batched counterpart of [`FederationHandle::submit`] for
-    /// producers (the `elastic-serving` ingest queue foremost) that
-    /// surface arrivals in flushed batches rather than as one complete
-    /// trace. Push arrival-ordered chunks with
-    /// [`BatchedSubmission::push`]; [`BatchedSubmission::finish`]
-    /// partitions and seeds the shards exactly like the one-shot path.
-    ///
-    /// Routing state (the [`PlacementPolicy`] and the load tracker)
-    /// persists *across* pushes, so any chunking of a job sequence
-    /// produces the same assignment as one-shot submission of the whole
-    /// sequence — the `batched_submission_matches_one_shot` test pins
-    /// the equivalence. The session claims the federation's single
-    /// submission at creation: a second `submit`/`batched_submit`
-    /// panics even before `finish`.
-    ///
-    /// The batched path carries jobs only (no fault layer); submit a
-    /// full [`WorkloadSpec`] one-shot when the trace schedules faults.
-    ///
-    /// # Panics
-    /// If called after [`FederationRuntime::start`] or after any other
-    /// submission.
-    pub fn batched_submit<'a>(
-        &self,
-        placement: &'a mut dyn PlacementPolicy,
-    ) -> BatchedSubmission<'a> {
-        self.open(placement, None)
-    }
-
-    /// Claims the federation's one submission. Every submission path
-    /// is this session: the one-shot paths hand it the whole trace.
+    /// Claims the federation's one submission.
     fn open<'a>(
-        &self,
+        &'a self,
         placement: &'a mut dyn PlacementPolicy,
         board: Option<&'a mut ShardBreakerBoard>,
-    ) -> BatchedSubmission<'a> {
+    ) -> Submission<'a> {
         assert!(
             !self.core.started.load(Ordering::Acquire),
             "submit after start: the workload must be routed before workers run"
@@ -224,59 +194,39 @@ impl FederationHandle {
             !self.core.loaded.swap(true, Ordering::AcqRel),
             "a federation accepts exactly one submission"
         );
-        BatchedSubmission {
-            core: Arc::clone(&self.core),
+        Submission {
+            core: &self.core,
             placement,
             board,
             tracker: LoadTracker::new(&self.core.capacities),
-            jobs: Vec::new(),
             assignment: Vec::new(),
         }
     }
 }
 
-/// An open streaming submission (see
-/// [`FederationHandle::batched_submit`]): accumulates arrival-ordered
-/// job chunks, routing each job the moment it is pushed, and seeds the
-/// shards on [`finish`](BatchedSubmission::finish).
-pub struct BatchedSubmission<'a> {
-    core: Arc<Core>,
+/// The federation's one submission while it is routed: the placement
+/// state that advances along the arrival cursor.
+struct Submission<'a> {
+    core: &'a Core,
     placement: &'a mut dyn PlacementPolicy,
     /// Breaker-aware routing (`submit_resilient` only).
     board: Option<&'a mut ShardBreakerBoard>,
     tracker: LoadTracker,
-    /// The pushed chunks; stays empty when the caller holds the whole
-    /// trace (the one-shot paths).
-    jobs: Vec<JobSpec>,
     assignment: Vec<usize>,
 }
 
-impl BatchedSubmission<'_> {
-    /// Routes one arrival-ordered chunk of jobs. Chunk boundaries are
-    /// invisible to placement: the load tracker advances along the
-    /// arrival cursor exactly as the one-shot pass does.
-    ///
-    /// # Panics
-    /// If a job arrives earlier than the previously pushed one, or if
-    /// the placement policy routes out of range.
-    pub fn push(&mut self, jobs: &[JobSpec]) {
-        for job in jobs {
-            if let Some(last) = self.jobs.last() {
-                assert!(
-                    job.arrival >= last.arrival,
-                    "batched pushes must preserve arrival order (job {} at {} after {})",
-                    job.name,
-                    job.arrival,
-                    last.arrival
-                );
-            }
+impl Submission<'_> {
+    /// Routes every job of `workload` in arrival order, then seeds the
+    /// shards; returns the per-job shard assignment.
+    fn route_all(mut self, workload: &WorkloadSpec) -> Vec<usize> {
+        for job in &workload.jobs {
             self.route(job);
-            self.jobs.push(job.clone());
         }
+        self.seed(workload)
     }
 
     /// Routes the next job of the arrival cursor: the federation's one
-    /// placement step, whichever submission path feeds it.
+    /// placement step.
     fn route(&mut self, job: &JobSpec) {
         let shards = self.core.capacities.len();
         let now_s = job.arrival.as_secs();
@@ -300,38 +250,13 @@ impl BatchedSubmission<'_> {
         self.assignment.push(shard);
     }
 
-    /// Jobs routed so far.
-    pub fn routed(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// Partitions the accumulated trace and seeds each non-empty
-    /// shard's event queue, exactly like the tail of the one-shot
-    /// submit. Returns the per-job shard assignment (push order).
-    ///
-    /// # Panics
-    /// If the runtime started while the session was open.
-    pub fn finish(mut self) -> Vec<usize> {
-        let workload = WorkloadSpec::new(std::mem::take(&mut self.jobs));
-        self.seed(&workload)
-    }
-
-    /// The one-shot paths: the caller holds the whole trace (fault
-    /// layer included), so it is routed in place and never copied.
-    fn submit_whole(mut self, workload: &WorkloadSpec) -> Vec<usize> {
-        for job in &workload.jobs {
-            self.route(job);
-        }
-        self.seed(workload)
-    }
-
-    /// Splits `workload` by the assignment routed so far and seeds each
-    /// non-empty shard's event queue. A breaker board's per-shard flaky
-    /// specs replace the partitioned schedules.
+    /// Splits `workload` by the assignment and seeds each non-empty
+    /// shard's event queue. A breaker board's per-shard flaky specs
+    /// replace the partitioned schedules.
     fn seed(self, workload: &WorkloadSpec) -> Vec<usize> {
         assert!(
             !self.core.started.load(Ordering::Acquire),
-            "finish after start: shards were scheduled before they were seeded"
+            "started during submit: shards were scheduled before they were seeded"
         );
         let shards = self.core.capacities.len();
         for (shard, mut part) in workload
@@ -874,63 +799,6 @@ mod tests {
             .expect("join() still blocked 10 s after both workers panicked");
         assert!(panicked, "join must re-raise the worker's panic");
         helper.join().expect("the helper caught join's panic");
-    }
-
-    #[test]
-    fn batched_submission_matches_one_shot() {
-        use crate::placement::LeastLoaded;
-
-        // Load-sensitive placement with expiring committed work: any
-        // divergence in how the batched path advances the tracker
-        // across chunk boundaries would change the assignment.
-        let jobs: Vec<JobSpec> = (0..30)
-            .map(|i| {
-                JobSpec::malleable(format!("j{i:02}"), 1, 2, 15.0 + (i % 5) as f64 * 10.0, 1)
-                    .at(Duration::from_secs(i as f64 * 7.0))
-                    .with_walltime_estimate(Duration::from_secs(60.0 + (i % 3) as f64 * 120.0))
-            })
-            .collect();
-        let wl = WorkloadSpec::new(jobs.clone());
-
-        let mut one_shot =
-            FederationRuntime::new(FederationConfig::new(3).with_workers(2), |_| sim_cfg(8));
-        let direct = one_shot.handle().submit(&wl, &mut LeastLoaded::new());
-        one_shot.start();
-        let direct_out = one_shot.join();
-
-        let mut batched =
-            FederationRuntime::new(FederationConfig::new(3).with_workers(2), |_| sim_cfg(8));
-        let mut placement = LeastLoaded::new();
-        let mut session = batched.handle().batched_submit(&mut placement);
-        for chunk in jobs.chunks(7) {
-            session.push(chunk);
-        }
-        assert_eq!(session.routed(), 30);
-        let chunked = session.finish();
-        batched.start();
-        let batched_out = batched.join();
-
-        assert_eq!(chunked, direct, "chunking must not change placement");
-        assert_eq!(batched_out.merged, direct_out.merged);
-        for (a, b) in batched_out.shards.iter().zip(&direct_out.shards) {
-            assert_eq!(a.metrics, b.metrics);
-        }
-    }
-
-    #[test]
-    fn batched_submission_claims_the_single_submission() {
-        let rt = FederationRuntime::new(FederationConfig::new(2).with_workers(1), |_| sim_cfg(8));
-        let handle = rt.handle();
-        let mut placement = RoundRobin::new();
-        let mut session = handle.batched_submit(&mut placement);
-        session.push(&burst(4, 10.0));
-        // The open session already owns the federation's one
-        // submission: a one-shot submit must panic even before finish.
-        let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle.submit(&WorkloadSpec::new(burst(2, 5.0)), &mut RoundRobin::new())
-        }));
-        assert!(second.is_err(), "concurrent one-shot submit must panic");
-        assert_eq!(session.finish(), vec![0, 1, 0, 1]);
     }
 
     #[test]

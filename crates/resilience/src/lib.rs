@@ -15,10 +15,8 @@
 //!   never exceed `deposit × success rate`.
 //! * [`HealthChecker`] — per-executor consecutive-failure counts with
 //!   threshold eviction, driven from the operator's timer pass.
-//! * [`Lifecycle`] / [`LeasePool`] — phased `drain → cleanup →
-//!   terminate` shutdown (order enforced, skipped phases panic) and
-//!   RAII [`SlotLease`]s so an evicted executor structurally cannot
-//!   leak slots.
+//! * [`Lifecycle`] — phased `drain → cleanup → terminate` shutdown
+//!   (order enforced, skipped phases panic).
 //!
 //! Everything is sim-clock driven ([`hpc_metrics::SimTime`] in, no wall
 //! clocks) and allocation-light, so the primitives replay
@@ -122,5 +120,5 @@ mod state;
 pub use breaker::{BreakerState, CircuitBreaker};
 pub use budget::RetryBudget;
 pub use health::HealthChecker;
-pub use lifecycle::{LeasePool, Lifecycle, ShutdownPhase, SlotLease};
+pub use lifecycle::{Lifecycle, ShutdownPhase};
 pub use state::{FlakyOutcome, ResilienceState};

@@ -1,22 +1,17 @@
-//! Phased shutdown and RAII slot leases.
+//! Phased shutdown.
 //!
 //! Shutting a pool down is three distinct phases, in order (the nebula
 //! resource-manager pattern):
 //!
 //! 1. **Drain** — stop accepting new work; in-flight work finishes (or
 //!    is forcibly retired by the caller's policy).
-//! 2. **Cleanup** — release per-resource state: stop executors, drop
-//!    leases, return slots. Only legal once draining has begun.
+//! 2. **Cleanup** — release per-resource state: stop executors, return
+//!    their slots. Only legal once draining has begun.
 //! 3. **Terminate** — tear down the background machinery (threads,
 //!    queues, stores). Only legal after cleanup.
 //!
 //! [`Lifecycle`] enforces the order at runtime (a skipped phase is a
-//! caller bug and panics), and [`LeasePool`]/[`SlotLease`] make slot
-//! accounting structural: a lease returns its slots on `Drop`, so an
-//! evicted executor can never leak slots — even on a panic unwind.
-
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+//! caller bug and panics).
 
 /// The shutdown phase a pool or runtime is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,64 +97,6 @@ impl Lifecycle {
     }
 }
 
-/// Shared slot-lease accounting for an executor pool. Cheap to clone;
-/// all clones observe the same outstanding count.
-#[derive(Debug, Clone, Default)]
-pub struct LeasePool {
-    leased: Arc<AtomicU32>,
-}
-
-impl LeasePool {
-    /// A pool with no outstanding leases.
-    pub fn new() -> LeasePool {
-        LeasePool::default()
-    }
-
-    /// Takes a lease on `slots` slots. The slots are returned when the
-    /// [`SlotLease`] drops — structurally, not by caller discipline.
-    pub fn lease(&self, slots: u32) -> SlotLease {
-        self.leased.fetch_add(slots, Ordering::AcqRel);
-        SlotLease {
-            slots,
-            pool: Arc::clone(&self.leased),
-        }
-    }
-
-    /// Slots currently leased out.
-    pub fn leased(&self) -> u32 {
-        self.leased.load(Ordering::Acquire)
-    }
-
-    /// Asserts every lease was returned — the cleanup-phase postcondition.
-    ///
-    /// # Panics
-    /// If any slots are still leased.
-    pub fn assert_drained(&self) {
-        let leaked = self.leased();
-        assert_eq!(leaked, 0, "{leaked} slots leaked past cleanup");
-    }
-}
-
-/// An RAII lease on pool slots; returns them on drop.
-#[derive(Debug)]
-pub struct SlotLease {
-    slots: u32,
-    pool: Arc<AtomicU32>,
-}
-
-impl SlotLease {
-    /// Slots this lease holds.
-    pub fn slots(&self) -> u32 {
-        self.slots
-    }
-}
-
-impl Drop for SlotLease {
-    fn drop(&mut self) {
-        self.pool.fetch_sub(self.slots, Ordering::AcqRel);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,24 +117,5 @@ mod tests {
         let mut lc = Lifecycle::new();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| lc.begin_cleanup()));
         assert!(err.is_err(), "cleanup before drain must panic");
-    }
-
-    #[test]
-    fn leases_return_slots_on_drop_even_through_panics() {
-        let pool = LeasePool::new();
-        let a = pool.lease(4);
-        let b = pool.lease(2);
-        assert_eq!(pool.leased(), 6);
-        drop(a);
-        assert_eq!(pool.leased(), 2);
-        // A panic unwind still returns the slots (RAII, not discipline).
-        let p = pool.clone();
-        let _ = std::panic::catch_unwind(move || {
-            let _guard = p.lease(8);
-            panic!("executor died");
-        });
-        assert_eq!(pool.leased(), 2);
-        drop(b);
-        pool.assert_drained();
     }
 }

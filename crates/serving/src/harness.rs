@@ -4,8 +4,8 @@
 //! a different [`ArrivalSink`]: the same drive loop
 //! (`elastic_core::harness`), except every submission enters through an
 //! [`IngestQueue`] (buffer → batch → flush) instead of a direct client
-//! call — faults, flaky notices and cancellations included, since the
-//! loop is the same one. With `max_delay = 0` the queue flushes at the
+//! call — fault events, transient faults and cancellations included,
+//! since the loop is the same one. With `max_delay = 0` the queue flushes at the
 //! enqueue instant, every batch lands with the timestamps the direct
 //! path would have produced, and the operator's admission pass sorts
 //! same-instant arrivals identically — so the replay is

@@ -1,7 +1,8 @@
-//! Five structural rules, checked on the source: one scheduling kernel,
+//! Six structural rules, checked on the source: one scheduling kernel,
 //! one measurement estate, one drive loop, no scan in the pod
 //! controllers (nor a copy or a pointer a watcher did not ask for), one
-//! execution model. Each test runs its rule on the tree
+//! execution model, and an operator that watches two stores. Each test
+//! runs its rule on the tree
 //! as it is, then with one recorded mutation spliced into a real file,
 //! and asserts that the rule fires. Most rules read [`code`]: a file
 //! without its comments, literals and `#[cfg(test)]` items.
@@ -33,6 +34,8 @@ const NAME_SET: &str =
     "a store index files names in a BTreeSet again; it is a linked list per key through the slots";
 const ADVANCE: &str = "one integrator: Progress::advance in crates/workload/src/model.rs";
 const INTEGRATES: &str = "{path} integrates progress itself; that is hpc_workload::model::Progress";
+const WATCHES: &str =
+    "{path} watches other stores than the jobs and the pods; post what it must be told instead";
 
 type Verdict = Result<(), String>;
 /// A file's text by its path from the repository root.
@@ -230,6 +233,19 @@ fn one_execution_model(read: Read) -> Verdict {
     Ok(())
 }
 
+/// The operator subscribes to the CharmJob and pod stores, and nothing
+/// else: two `list_watch` / `list_watch_where` / `watch` calls.
+fn the_operator_watches_two_stores(read: Read) -> Verdict {
+    let operator = code(&read(OPERATOR));
+    let calls = [".list_watch(", ".list_watch_where(", ".watch("];
+    let subscribes = |l: &str| calls.iter().map(|c| l.matches(c).count()).sum::<usize>();
+    if operator.lines().map(subscribes).sum::<usize>() == 2 {
+        return Ok(());
+    }
+    deny(OPERATOR, &operator, |l| subscribes(l) > 0, WATCHES)?;
+    Err(WATCHES.replace("{path}", OPERATOR))
+}
+
 /// A rate times an elapsed time: `* (now - `, `* x.as_secs()`,
 /// `as_secs() *`, or a relaunch's `total_iters.saturating_sub`.
 fn integrates(line: &str) -> bool {
@@ -322,6 +338,15 @@ fn one_execution_model_rule() {
     let own = "self.done += self.rate * (now - self.last).as_secs();";
     let mutated = disk(EXECUTOR).replacen("self.progress.advance(now);", own, 1);
     rail(one_execution_model, EXECUTOR, &mutated, INTEGRATES);
+}
+
+#[test]
+fn the_operator_watches_two_stores_rule() {
+    // A third store comes back beside the job and pod watches.
+    let pods = "let (_, pods_rx) = plane.pods.list_watch_where(pod_started);";
+    let third = format!("{pods}\n        let (_, maps_rx) = plane.configmaps.list_watch();");
+    let mutated = disk(OPERATOR).replacen(pods, &third, 1);
+    rail(the_operator_watches_two_stores, OPERATOR, &mutated, WATCHES);
 }
 
 #[test]

@@ -7,8 +7,8 @@
 //!
 //! * the discrete-event simulator (`sched_sim::simulate`), and
 //! * the watch-driven operator on a virtual clock
-//!   (`elastic_core::run_workload_virtual`, which renders the same
-//!   fault events as `FaultNotice` store objects), and
+//!   (`elastic_core::run_workload_virtual`, which posts the same fault
+//!   events to the operator as they fall due), and
 //!
 //! the two [`RunMetrics`] must be bit-equal — including the
 //! [`FaultStats`] tallies (wasted core-seconds, requeues, permanent

@@ -11,8 +11,8 @@
 //! * the discrete-event simulator (`sched_sim::simulate`), which seeds
 //!   the storm as `Event::Flaky` queue entries, and
 //! * the watch-driven operator on a virtual clock
-//!   (`elastic_core::run_workload_virtual`), which renders the same
-//!   storm as `FlakyNotice` store objects,
+//!   (`elastic_core::run_workload_virtual`), which posts the same
+//!   storm to the operator as it falls due,
 //!
 //! and the two [`RunMetrics`] must be bit-equal — including the
 //! transient-fault / retry / breaker-trip tallies both engines bank
@@ -250,7 +250,7 @@ fn reclaim_racing_an_evict() -> WorkloadSpec {
 
 /// Edge: a capacity `Reclaim` and a flaky `StuckRescale` eviction land
 /// at the *same instant*. Both engines order capacity faults before
-/// flaky notices at shared instants (the DES seeds them in that order,
+/// flaky faults at shared instants (the DES seeds them in that order,
 /// the operator's tick reconciles them in that order), so the reclaim's
 /// requeues happen first and the flaky eviction picks its victim from
 /// the survivors — identically.

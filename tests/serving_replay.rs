@@ -177,7 +177,7 @@ fn reclamation_and_storm() -> FaultSpec {
 }
 
 /// Faults through the ingest path: the queue changes how submissions
-/// reach the store, and nothing about when a notice is posted or what
+/// reach the store, and nothing about when a fault is posted or what
 /// the operator makes of it.
 #[test]
 fn fault_laden_ingest_replays_match_the_direct_replay_and_the_des() {
