@@ -8,8 +8,8 @@
 //! pair, so compute dominates communication — giving the near-ideal
 //! strong scaling of Fig. 4b.
 //!
-//! Simplification vs. full LeanMD (documented in DESIGN.md): atoms stay
-//! assigned to their birth cell (no atom migration between cells). The
+//! Simplification vs. full LeanMD: atoms stay assigned to their birth
+//! cell (no atom migration between cells). The
 //! compute/communication character that the scaling study exercises is
 //! unchanged; only long-horizon physical fidelity is reduced.
 

@@ -102,7 +102,6 @@ fn bench_backlog(c: &mut Criterion) {
             // The head has waited 1e6 s: keep the starvation guard
             // from short-circuiting the backfill being measured.
             backfill_patience: Duration::INFINITY,
-            ..FcfsBackfill::new()
         }),
     ];
     let mut group = c.benchmark_group("backlog");

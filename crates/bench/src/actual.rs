@@ -5,7 +5,7 @@
 //! threads, CCS-signalled rescaling — on a *time-compressed* wall clock
 //! so the paper's 90 s submission gap / 180 s `T_rescale_gap` campaign
 //! finishes in tens of seconds. Problem sizes and replica counts are
-//! scaled to the host per DESIGN.md (quick mode: a 16-slot cluster with
+//! scaled to the host (quick mode: a 16-slot cluster with
 //! class bounds divided by 4; `--full`: the paper's 64-slot bounds).
 
 use elastic_core::{

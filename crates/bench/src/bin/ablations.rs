@@ -1,24 +1,40 @@
-//! Ablations of the design choices called out in DESIGN.md §4.
+//! Ablations of the elastic policy's interpretation decisions (the
+//! numbered list in the `policy/elastic.rs` header of `elastic-core`),
+//! each row one change against `baseline(paper)` (gap 180 s, one
+//! launcher slot, head spared):
 //!
-//! 1. **Head-job sparing** — Fig. 2 iterates `while index > 0`, never
-//!    shrinking the highest-priority running job. On vs off.
-//! 2. **Launcher slot accounting** — the `freeSlots − 1` term. 1 vs 0.
-//! 3. **Out-of-order backfill on completion** — measured indirectly by
-//!    comparing elastic with a large vs small rescale gap (the gap is
-//!    what blocks in-order expansion and forces backfill).
+//! * `no-head-sparing` — Fig. 2 iterates `while index > 0`, never
+//!   shrinking the highest-priority running job; off here.
+//! * `launcher=0` — the `freeSlots − 1` launcher term dropped.
+//! * `gap=0s`, `gap=600s` — out-of-order backfill on completion,
+//!   measured indirectly: the rescale gap is what blocks in-order
+//!   expansion and forces backfill.
+//! * `aging-sweep(600s/90s)` — the §3.2.2 starvation remedy: the policy
+//!   wrapped in `AgingSweep`, a queued job's priority doubling per
+//!   600 s of waiting, swept every 90 s.
 //!
 //! Usage: `ablations [--seeds N]`
 
 use elastic_bench::{emit_csv, flag_u64, CsvTable};
-use elastic_core::{Policy, PolicyConfig, PolicyKind};
+use elastic_core::{AgingSweep, Policy, PolicyConfig, PolicyKind, SchedulingPolicy};
 use hpc_metrics::{Duration, Summary};
 use sched_sim::{generate_workload, simulate, SimConfig};
 
 struct Variant {
     label: &'static str,
     cfg: PolicyConfig,
-    /// Aging rate (priority points per queued second; §3.2.2).
-    aging: f64,
+    /// Wrap the policy in `AgingSweep` (600 s half-life, 90 s sweep).
+    aging_sweep: bool,
+}
+
+fn policy(v: &Variant) -> Box<dyn SchedulingPolicy> {
+    let elastic = Box::new(Policy::of_kind(PolicyKind::Elastic, v.cfg));
+    if v.aging_sweep {
+        let (half_life, every) = (Duration::from_secs(600.0), Duration::from_secs(90.0));
+        Box::new(AgingSweep::new(elastic, half_life, every))
+    } else {
+        elastic
+    }
 }
 
 fn run_variant(v: &Variant, seeds: u64) -> (f64, f64, f64, f64) {
@@ -28,9 +44,7 @@ fn run_variant(v: &Variant, seeds: u64) -> (f64, f64, f64, f64) {
     let mut resc = Vec::new();
     for seed in 0..seeds {
         let wl = generate_workload(seed, 16).spaced_every(Duration::from_secs(90.0));
-        let cfg = SimConfig::paper_default(Box::new(
-            Policy::of_kind(PolicyKind::Elastic, v.cfg).with_aging(v.aging),
-        ));
+        let cfg = SimConfig::paper_default(policy(v));
         let out = simulate(&cfg, &wl);
         util.push(out.metrics.utilization);
         total.push(out.metrics.total_time);
@@ -52,7 +66,7 @@ fn main() {
         Variant {
             label: "baseline(paper)",
             cfg: base,
-            aging: 0.0,
+            aging_sweep: false,
         },
         Variant {
             label: "no-head-sparing",
@@ -60,7 +74,7 @@ fn main() {
                 shrink_spares_head: false,
                 ..base
             },
-            aging: 0.0,
+            aging_sweep: false,
         },
         Variant {
             label: "launcher=0",
@@ -68,7 +82,7 @@ fn main() {
                 launcher_slots: 0,
                 ..base
             },
-            aging: 0.0,
+            aging_sweep: false,
         },
         Variant {
             label: "gap=0s",
@@ -76,7 +90,7 @@ fn main() {
                 rescale_gap: Duration::from_secs(0.0),
                 ..base
             },
-            aging: 0.0,
+            aging_sweep: false,
         },
         Variant {
             label: "gap=600s",
@@ -84,12 +98,12 @@ fn main() {
                 rescale_gap: Duration::from_secs(600.0),
                 ..base
             },
-            aging: 0.0,
+            aging_sweep: false,
         },
         Variant {
-            label: "aging=0.01/s",
+            label: "aging-sweep(600s/90s)",
             cfg: base,
-            aging: 0.01,
+            aging_sweep: true,
         },
     ];
 

@@ -6,7 +6,7 @@
 //! the paper is dominated by MPI job launch, which grows with rank
 //! count; thread relaunch is microseconds, so the runtime charges a
 //! configurable per-PE startup surrogate (`--mpi-startup-ms`, default
-//! 25 ms — the substitution documented in DESIGN.md).
+//! 25 ms).
 //!
 //! The paper's Fig. 5 sub-commands measure the checkpoint/restart
 //! protocol (`RescaleMode::FullRestart`) for fidelity; the `compare`

@@ -13,21 +13,17 @@ use hpc_metrics::ascii;
 use sched_sim::{sweep_submission_gap, SweepPoint};
 
 fn chart(points: &[SweepPoint], metric: fn(&SweepPoint) -> f64, title: &str) {
+    let names = PolicyKind::ALL.map(|kind| kind.to_string());
     let series: Vec<(&str, Vec<(f64, f64)>)> = PolicyKind::ALL
         .iter()
-        .map(|&kind| {
-            let name = match kind {
-                PolicyKind::Elastic => "elastic",
-                PolicyKind::Moldable => "moldable",
-                PolicyKind::RigidMin => "min_replicas",
-                PolicyKind::RigidMax => "max_replicas",
-            };
+        .zip(&names)
+        .map(|(&kind, name)| {
             let pts: Vec<(f64, f64)> = points
                 .iter()
                 .filter(|p| p.policy == kind)
                 .map(|p| (p.x, metric(p)))
                 .collect();
-            (name, pts)
+            (name.as_str(), pts)
         })
         .collect();
     println!("{}", ascii::line_chart(title, &series, 64, 12, false));
@@ -94,7 +90,7 @@ fn main() {
         "Companion: mean bounded slowdown (tau=10s)",
     );
 
-    // Narrative checks from §4.3.1, printed for EXPERIMENTS.md.
+    // The paper's §4.3.1 narrative, checked on this sweep.
     let at = |x: f64, k: PolicyKind| points.iter().find(|p| p.x == x && p.policy == k).unwrap();
     println!("shape checks:");
     println!(

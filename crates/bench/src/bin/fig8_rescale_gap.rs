@@ -46,21 +46,17 @@ fn emit_points_csv(points: &[SweepPoint], name: &str) {
 }
 
 fn chart(points: &[SweepPoint], metric: fn(&SweepPoint) -> f64, title: &str) {
+    let names = PolicyKind::ALL.map(|kind| kind.to_string());
     let series: Vec<(&str, Vec<(f64, f64)>)> = PolicyKind::ALL
         .iter()
-        .map(|&kind| {
-            let name = match kind {
-                PolicyKind::Elastic => "elastic",
-                PolicyKind::Moldable => "moldable",
-                PolicyKind::RigidMin => "min_replicas",
-                PolicyKind::RigidMax => "max_replicas",
-            };
+        .zip(&names)
+        .map(|(&kind, name)| {
             let pts: Vec<(f64, f64)> = points
                 .iter()
                 .filter(|p| p.policy == kind)
                 .map(|p| (p.x, metric(p)))
                 .collect();
-            (name, pts)
+            (name.as_str(), pts)
         })
         .collect();
     println!("{}", ascii::line_chart(title, &series, 64, 12, false));

@@ -4,7 +4,8 @@
 //! submission gap 90 s, `T_rescale_gap` = 180 s; the Actual column from
 //! the EKS run, the Simulation column from the simulator. Here the
 //! Actual column runs the real operator + real Jacobi jobs
-//! (time-compressed, problem sizes scaled per DESIGN.md), the Simulation
+//! (time-compressed, problem sizes scaled to the host as in
+//! `elastic_bench::actual`), the Simulation
 //! column runs the DES at the paper's full scale — the policy *code* is
 //! shared between the two.
 //!

@@ -1,7 +1,6 @@
 //! # elastic-bench — figure/table regenerators and benchmarks
 //!
-//! One binary per paper artifact (see DESIGN.md §5 for the experiment
-//! index):
+//! One binary per paper artifact:
 //!
 //! | binary | regenerates |
 //! |---|---|
@@ -12,7 +11,7 @@
 //! | `fig8_rescale_gap` | Fig. 8a–d simulator sweep |
 //! | `fig9_profiles` | Fig. 9a/9b operator utilization profiles |
 //! | `table1` | Table 1 (Actual + Simulation columns) |
-//! | `ablations` | design-choice ablations (DESIGN.md §4) |
+//! | `ablations` | elastic-policy ablations (rows listed in its module docs) |
 //! | `calibrate` | measures scaling anchors from real runs |
 //!
 //! Beside them sit the policy sweeps (`easy_vs_conservative`,
@@ -26,8 +25,8 @@
 //! Every binary writes CSV under `results/` and prints an ASCII
 //! quick-look chart. All accept `--full` for paper-scale parameters;
 //! the default is a minutes-scale run sized for the host (problem sizes
-//! and replica counts are scaled down per the DESIGN.md substitution
-//! notes — shapes, not absolute numbers, are the reproduction target).
+//! and replica counts are scaled down to the host — shapes, not
+//! absolute numbers, are the reproduction target).
 
 #![warn(missing_docs)]
 
@@ -83,7 +82,7 @@ pub fn emit_csv(table: &CsvTable, name: &str) {
 
 /// Replica counts `1, 2, 4, …` capped at both `limit` and the host's
 /// available parallelism (real-runtime experiments cannot strong-scale
-/// past physical cores; see DESIGN.md substitutions). Set
+/// past physical cores). Set
 /// `ELASTIC_MAX_PES` to override the host-core cap — useful on small
 /// CI machines where PEs are threads and oversubscription is fine.
 pub fn replica_ladder(limit: usize) -> Vec<usize> {

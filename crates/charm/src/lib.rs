@@ -14,7 +14,7 @@
 //! | chare arrays, entry methods, location management | [`ids`], [`chare`], [`location`], [`runtime`] |
 //! | PUP serialization for migration/checkpoint | [`codec`] |
 //! | reductions (`contribute`) | [`reduction`] |
-//! | measurement-based load balancing (Greedy/Refine/Rotate) | [`lb`] |
+//! | measurement-based load balancing (Greedy/Rotate) | [`lb`] |
 //! | in-memory (shared-memory) checkpoint | [`ckpt`] |
 //! | shrink/expand with LB→ckpt→restart→restore staging | [`runtime`], [`rescale`] |
 //! | CCS external control signals | [`ccs`] |
@@ -93,7 +93,7 @@ pub mod runtime;
 pub use ccs::{CcsClient, CcsEndpoint};
 pub use chare::{Chare, ChareFactory, Ctx};
 pub use ids::{ArrayId, ChareId, Index, MethodId, PeId};
-pub use lb::{ChareStat, GreedyLb, LbStrategy, RefineLb, RotateLb};
+pub use lb::{ChareStat, GreedyLb, LbStrategy, RotateLb};
 pub use msg::MainEvent;
 pub use reduction::{ReduceOp, ReductionResult};
 pub use rescale::{RescaleKind, RescaleMode, RescaleReport, StageTimings};

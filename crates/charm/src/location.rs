@@ -6,7 +6,7 @@
 //! element's *home*): lookups and updates contend only within a shard,
 //! and — unlike a cache-plus-forwarding scheme — reads are strongly
 //! consistent, which the boundary-synchronized migration protocol relies
-//! on. See DESIGN.md §2 for why this substitution is behaviour-preserving.
+//! on.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;

@@ -95,13 +95,13 @@
 //!   counters, all updated in O(1) per mutation, `job(id)` in O(1).
 //!   The ordered indexes over it are **pay-per-use**: `BTreeSet`s
 //!   keyed `(Reverse(priority), submitted_at, JobId)` serving
-//!   `running_desc_priority` / `queued_desc_priority`, the running
+//!   `running_scan` / `queued_desc_priority`, the running
 //!   jobs by last scheduling action behind
 //!   [`ClusterView::running_by_last_action`] (the elastic policy's gap
 //!   cursor: the jobs `T_rescale_gap` lets a decision touch are a
 //!   prefix of it — a recency list linked through the arena, O(1)
 //!   upkeep under the engines' non-decreasing clock), the submission
-//!   order behind `queued_submission_order`, the completion frontier,
+//!   order behind `queued_scan`, the completion frontier,
 //!   and the queued-by-minimum-footprint buckets behind
 //!   [`ClusterView::queued_fitting`] are each built from the arena the
 //!   first time a policy reads them and pay their upkeep (O(log n) for

@@ -27,7 +27,7 @@
 
 use hpc_metrics::{Duration, JobId, SimTime};
 
-use crate::view::{Action, ClusterView};
+use crate::view::{Action, ClusterView, JobFields};
 
 use super::SchedulingPolicy;
 
@@ -126,12 +126,12 @@ impl SchedulingPolicy for AgingSweep {
         // The most-starved queued job: highest effective priority,
         // earliest submission (then lowest id) breaking ties.
         let Some(target) = view
-            .queued_submission_order()
+            .queued_scan()
             .map(|j| {
                 (
-                    self.effective_priority(j.priority, now - j.submitted_at),
-                    std::cmp::Reverse(j.submitted_at),
-                    std::cmp::Reverse(j.id),
+                    self.effective_priority(j.priority(), now - j.submitted_at()),
+                    std::cmp::Reverse(j.submitted_at()),
+                    std::cmp::Reverse(j.id()),
                 )
             })
             .max()

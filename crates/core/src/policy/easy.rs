@@ -46,15 +46,12 @@ use hpc_metrics::{Duration, JobId, SimTime};
 
 use crate::view::{Action, ClusterView, JobFields, JobState};
 
-use super::{backfill_fit, greedy_head_walk, SchedulingPolicy};
+use super::{backfill_fit, greedy_head_walk, SchedulingPolicy, LAUNCHER_SLOTS};
 
 /// EASY backfilling (aggressive backfilling with one shadow
 /// reservation) on walltime estimates. See the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EasyBackfill {
-    /// Slots consumed by a job's launcher pod (same accounting as
-    /// [`PolicyConfig::launcher_slots`](super::PolicyConfig)).
-    pub launcher_slots: u32,
     /// Backfill candidate ordering: `false` keeps classic EASY
     /// (candidates behind the reserved head are tried in submission
     /// order); `true` tries shortest estimated walltime first
@@ -109,7 +106,6 @@ impl EasyBackfill {
     /// submission-order backfilling).
     pub fn new() -> Self {
         EasyBackfill {
-            launcher_slots: 1,
             shortest_first: false,
         }
     }
@@ -118,7 +114,6 @@ impl EasyBackfill {
     pub fn sjbf() -> Self {
         EasyBackfill {
             shortest_first: true,
-            ..Self::new()
         }
     }
 
@@ -129,7 +124,7 @@ impl EasyBackfill {
     /// queued job fits right now, or no queued job can ever run on this
     /// cluster.
     pub fn shadow_start(&self, view: &ClusterView, _now: SimTime) -> Option<Reservation> {
-        let (head, free) = greedy_head_walk(view, self.launcher_slots, |_, _| {});
+        let (head, free) = greedy_head_walk(view, |_, _| {});
         head.map(|head| self.plan_reservation(view, &head, free))
     }
 
@@ -144,7 +139,7 @@ impl EasyBackfill {
         head: &impl JobFields,
         free: i64,
     ) -> Reservation {
-        let launcher = i64::from(self.launcher_slots);
+        let launcher = i64::from(LAUNCHER_SLOTS);
         let needed = i64::from(head.min_replicas()) + launcher;
         let mut avail = free;
         for r in view.running_by_estimated_end() {
@@ -178,12 +173,12 @@ impl EasyBackfill {
     /// admitted at that minimum only if they cannot delay the
     /// reservation.
     fn schedule_pass(&self, view: &ClusterView, now: SimTime) -> Vec<Action> {
-        let launcher = i64::from(self.launcher_slots);
+        let launcher = i64::from(LAUNCHER_SLOTS);
         let mut actions = Vec::new();
-        let (head, mut free) = greedy_head_walk(view, self.launcher_slots, |job, replicas| {
+        let (head, mut free) = greedy_head_walk(view, |job, replicas| {
             actions.push(Action::Create { job, replicas })
         });
-        let (Some(head), Some(fit)) = (head, backfill_fit(free, launcher)) else {
+        let (Some(head), Some(fit)) = (head, backfill_fit(free)) else {
             return actions;
         };
         let mut candidates = view.queued_fitting(head.id(), fit);
@@ -212,7 +207,7 @@ impl EasyBackfill {
         } else {
             while let Some(j) = candidates.next() {
                 if offer(&mut free, j.id(), j.min_replicas(), j.walltime_estimate()) {
-                    let Some(fit) = backfill_fit(free, launcher) else {
+                    let Some(fit) = backfill_fit(free) else {
                         break;
                     };
                     candidates.shrink_to(fit);
@@ -243,7 +238,7 @@ impl SchedulingPolicy for EasyBackfill {
     }
 
     fn launcher_slots(&self) -> u32 {
-        self.launcher_slots
+        LAUNCHER_SLOTS
     }
 
     fn on_submit(&self, view: &ClusterView, job: JobId, now: SimTime) -> Vec<Action> {
@@ -644,13 +639,13 @@ mod tests {
         view: &ClusterView,
         now: SimTime,
     ) -> Vec<Action> {
-        let launcher = i64::from(pol.launcher_slots);
-        let cap_workers = i64::from(view.capacity().saturating_sub(pol.launcher_slots).max(1));
+        let launcher = i64::from(pol.launcher_slots());
+        let cap_workers = i64::from(view.capacity().saturating_sub(pol.launcher_slots()).max(1));
         let mut free = i64::from(view.free_slots());
         let mut actions = Vec::new();
         let mut reservation: Option<Reservation> = None;
         let mut candidates: Vec<JobState> = Vec::new();
-        for j in view.queued_submission_order() {
+        for j in view.queued_scan().map(|j| j.snapshot()) {
             let mn = i64::from(j.min_replicas);
             let mx = i64::from(j.max_replicas).min(cap_workers);
             if mn > cap_workers {

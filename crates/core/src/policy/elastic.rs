@@ -17,6 +17,10 @@
 //!    un-strands slots left by gap-blocked earlier passes; the paper
 //!    folds leftovers back into `freeSlots` with the same effect over
 //!    time).
+//! 6. A job never acted on carries `last_action = −∞`
+//!    (`SimTime::NEG_INFINITY`) for the paper's unset `lastAction`, so
+//!    `now − lastAction < T_rescale_gap` can never block its first
+//!    action.
 //!
 //! Both figures walk `runningJobs` in priority order and step over
 //! every job still inside its `T_rescale_gap` — which, on a busy
@@ -32,9 +36,9 @@
 //! for that to pay (more than a sixteenth of them are past it — a quiet
 //! cluster, or the rigid kinds, whose jobs are never rescaled) do the
 //! same passes read the running priority order instead, testing the
-//! gap row by row. With aging the same candidates are sorted by
-//! effective priority, which depends on `now` and so has no static
-//! index.
+//! gap row by row. Neither walk ages a job: the paper's aging remedy
+//! (§3.2.2) is the [`AgingSweep`](super::AgingSweep) decorator, which
+//! re-runs Fig. 2 on a timer against boosted priorities.
 
 use hpc_metrics::{JobId, SimTime};
 
@@ -271,20 +275,16 @@ fn merge_by_priority<'a>(
 ///
 /// The candidates are the running jobs the gap lets this decision
 /// touch and every queued job, walked in decreasing priority until the
-/// free slots are spent. With aging enabled (`Policy::with_aging`) the
-/// order uses *effective* priorities, so long-waiting queued jobs
-/// climb past fresher high-priority work — the paper's §3.2.2
-/// starvation remedy. At the paper's default (rate 0) the order is
-/// exactly Fig. 3's: the two lanes merged, no sort of the queue.
+/// free slots are spent: the two lanes merged, no sort of the queue.
 pub(super) fn plan_complete(policy: &Policy, view: &ClusterView, now: SimTime) -> Vec<Action> {
     if view.free_slots() == 0 {
         return Vec::new();
     }
     match actionable_running(policy, view, now) {
-        Some(few) => redistribute(policy, view, now, few.into_iter()),
+        Some(few) => redistribute(policy, view, few.into_iter()),
         None => {
             let open = |j: &JobRef<'_>| !policy.gap_blocked(j, now);
-            redistribute(policy, view, now, view.running_scan().filter(open))
+            redistribute(policy, view, view.running_scan().filter(open))
         }
     }
 }
@@ -294,7 +294,6 @@ pub(super) fn plan_complete(policy: &Policy, view: &ClusterView, now: SimTime) -
 fn redistribute<'a>(
     policy: &Policy,
     view: &'a ClusterView,
-    now: SimTime,
     running: impl Iterator<Item = JobRef<'a>>,
 ) -> Vec<Action> {
     let launcher = i64::from(policy.cfg.launcher_slots);
@@ -303,45 +302,18 @@ fn redistribute<'a>(
     // A running job already at its maximum takes nothing wherever it
     // ranks: out of the lane, so it costs the walk no comparison.
     let running = running.filter(|j| j.replicas() < effective_bounds(policy, view.capacity(), j).1);
-    let queued = view.queued_desc_priority();
-    if policy.aging_rate > 0.0 {
-        // Aging slow path: effective priorities depend on `now`, so no
-        // static index can serve this order.
-        let mut ordered: Vec<JobState> = running.chain(queued).map(|j| j.snapshot()).collect();
-        ordered.sort_by(|a, b| {
-            policy
-                .effective_priority(b, now)
-                .total_cmp(&policy.effective_priority(a, now))
-                .then_with(|| a.submitted_at.cmp(&b.submitted_at))
-                .then_with(|| a.id.cmp(&b.id))
-        });
-        for j in ordered {
-            if num_workers <= 0 {
-                break;
-            }
-            distribute_to(
-                policy,
-                view.capacity(),
-                launcher,
-                &j,
-                &mut num_workers,
-                &mut actions,
-            );
+    for j in merge_by_priority(running, view.queued_desc_priority()) {
+        if num_workers <= 0 {
+            break;
         }
-    } else {
-        for j in merge_by_priority(running, queued) {
-            if num_workers <= 0 {
-                break;
-            }
-            distribute_to(
-                policy,
-                view.capacity(),
-                launcher,
-                &j,
-                &mut num_workers,
-                &mut actions,
-            );
-        }
+        distribute_to(
+            policy,
+            view.capacity(),
+            launcher,
+            &j,
+            &mut num_workers,
+            &mut actions,
+        );
     }
     actions
 }
@@ -698,55 +670,6 @@ mod tests {
         assert!(pol.on_complete(&v, t(100.0)).is_empty());
     }
 
-    // ---- Aging (paper §3.2.2 starvation remedy) ----------------------
-
-    #[test]
-    fn aging_zero_matches_fig3_order_exactly() {
-        // With the paper's default (no aging), the indexed order must
-        // equal the static priority order for arbitrary views.
-        let pol = Policy::elastic(cfg(180.0));
-        let hi = job(1, 5, 0.0, 4, 16);
-        let lo_old = job(0, 1, 1.0, 4, 16);
-        let v = view(30, vec![lo_old, hi]);
-        let actions = pol.on_complete(&v, t(10_000.0));
-        // Without aging the priority-5 job is created first and takes
-        // the bigger allocation.
-        assert!(
-            matches!(&actions[0], Action::Create { job, replicas } if *job == JobId(1) && *replicas == 16)
-        );
-    }
-
-    #[test]
-    fn aging_promotes_starving_low_priority_job() {
-        // lo_old has waited ~10000s; at 0.001 prio/s it gains ~10
-        // points and outranks the fresh priority-5 job.
-        let pol = Policy::elastic(cfg(180.0)).with_aging(0.001);
-        let hi = job(1, 5, 9_990.0, 4, 16);
-        let lo_old = job(0, 1, 1.0, 4, 16);
-        let v = view(30, vec![lo_old, hi]);
-        let actions = pol.on_complete(&v, t(10_000.0));
-        assert!(
-            matches!(&actions[0], Action::Create { job, .. } if *job == JobId(0)),
-            "aged job should be served first, got {actions:?}"
-        );
-    }
-
-    #[test]
-    fn running_jobs_do_not_age() {
-        let pol = Policy::elastic(cfg(180.0)).with_aging(1.0);
-        let r = running(job(0, 2, 0.0, 4, 16), 4, 0.0);
-        // Huge wait, but running: effective == base.
-        assert_eq!(pol.effective_priority(&r, t(1e6)), 2.0);
-        let q = job(1, 2, 0.0, 4, 16);
-        assert!(pol.effective_priority(&q, t(100.0)) > 2.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "aging rate")]
-    fn negative_aging_rejected() {
-        let _ = Policy::elastic(cfg(180.0)).with_aging(-1.0);
-    }
-
     // ---- Baseline emulations ----------------------------------------
 
     #[test]
@@ -916,17 +839,16 @@ mod tests {
     }
 
     /// Fig. 3 as a walk over every live job, sorted from the job table
-    /// (no index), testing the gap row by row. With aging off the
-    /// effective priority is the priority, so one sort serves both.
+    /// (no index) by `(priority desc, submitted_at, id)`, testing the
+    /// gap row by row.
     fn plan_complete_reference(policy: &Policy, view: &ClusterView, now: SimTime) -> Vec<Action> {
         let launcher = i64::from(policy.cfg.launcher_slots);
         let mut num_workers = i64::from(view.free_slots());
         let mut actions = Vec::new();
         let mut ordered: Vec<JobState> = view.jobs().collect();
         ordered.sort_by(|a, b| {
-            policy
-                .effective_priority(b, now)
-                .total_cmp(&policy.effective_priority(a, now))
+            b.priority
+                .cmp(&a.priority)
                 .then_with(|| a.submitted_at.cmp(&b.submitted_at))
                 .then_with(|| a.id.cmp(&b.id))
         });
@@ -955,9 +877,8 @@ mod tests {
         /// The gap-aware passes (last-action prefix, sorted, merged with
         /// the queued lane) decide exactly what the gap-blind walks
         /// decide, action for action, for every policy kind, with the
-        /// head spared or not and aging off or on — on a fresh view and
-        /// again after their own actions and a completion were folded
-        /// in. The backlog draws from few enough priorities and
+        /// head spared or not — on a fresh view and again after their
+        /// own actions and a completion were folded in. The backlog draws from few enough priorities and
         /// submission instants that whole orders ride on the id
         /// tie-break, holds jobs evicted back into the queue with their
         /// eviction instant on record, and starts its running jobs at
@@ -968,7 +889,6 @@ mod tests {
         fn indexed_pass_equals_full_scan_reference(
             seed in any::<u64>(),
             spares_head in any::<bool>(),
-            aging in any::<bool>(),
         ) {
             let (priorities, instants) = if seed & 1 == 0 { (2, 3) } else { (5, 12) };
             let mut base = crate::view::tests::random_backlog_of(seed, priorities, instants);
@@ -1001,13 +921,10 @@ mod tests {
             }
             base.set_free_slots(free);
             for kind in super::super::PolicyKind::ALL {
-                let mut pol = Policy::of_kind(kind, PolicyConfig {
+                let pol = Policy::of_kind(kind, PolicyConfig {
                     shrink_spares_head: spares_head,
                     ..cfg(4.0)
                 });
-                if aging {
-                    pol = pol.with_aging(0.25);
-                }
                 let mut v = base.clone();
                 for round in 0..4u32 {
                     let now = t(14.0 + f64::from(round * 2) + (seed % 5) as f64);

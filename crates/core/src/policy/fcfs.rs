@@ -32,15 +32,12 @@ use hpc_metrics::{Duration, JobId, SimTime};
 
 use crate::view::{Action, ClusterView, JobFields};
 
-use super::{backfill_fit, greedy_head_walk, SchedulingPolicy};
+use super::{backfill_fit, greedy_head_walk, SchedulingPolicy, LAUNCHER_SLOTS};
 
 /// FCFS + min-footprint backfilling with a starvation guard (see the
 /// module docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FcfsBackfill {
-    /// Slots consumed by a job's launcher pod (same accounting as
-    /// [`PolicyConfig::launcher_slots`](super::PolicyConfig)).
-    pub launcher_slots: u32,
     /// How long the blocked queue head may wait before backfilling is
     /// suspended on its behalf. `Duration::INFINITY` disables the
     /// guard (pure reservation-less backfill).
@@ -50,7 +47,6 @@ pub struct FcfsBackfill {
 impl Default for FcfsBackfill {
     fn default() -> Self {
         FcfsBackfill {
-            launcher_slots: 1,
             backfill_patience: Duration::from_secs(600.0),
         }
     }
@@ -70,9 +66,9 @@ impl FcfsBackfill {
     /// `backfill_patience`, in which case nothing backfills and freed
     /// slots drain toward the head.
     fn schedule_pass(&self, view: &ClusterView, now: SimTime) -> Vec<Action> {
-        let launcher = i64::from(self.launcher_slots);
+        let launcher = i64::from(LAUNCHER_SLOTS);
         let mut actions = Vec::new();
-        let (head, mut free) = greedy_head_walk(view, self.launcher_slots, |job, replicas| {
+        let (head, mut free) = greedy_head_walk(view, |job, replicas| {
             actions.push(Action::Create { job, replicas })
         });
         let Some(head) = head else {
@@ -83,7 +79,7 @@ impl FcfsBackfill {
             // backfilling so frees accumulate.
             return actions;
         }
-        let Some(fit) = backfill_fit(free, launcher) else {
+        let Some(fit) = backfill_fit(free) else {
             return actions;
         };
         let mut candidates = view.queued_fitting(head.id(), fit);
@@ -93,7 +89,7 @@ impl FcfsBackfill {
                 replicas: j.min_replicas(),
             });
             free -= i64::from(j.min_replicas()) + launcher;
-            let Some(fit) = backfill_fit(free, launcher) else {
+            let Some(fit) = backfill_fit(free) else {
                 break;
             };
             candidates.shrink_to(fit);
@@ -108,7 +104,7 @@ impl SchedulingPolicy for FcfsBackfill {
     }
 
     fn launcher_slots(&self) -> u32 {
-        self.launcher_slots
+        LAUNCHER_SLOTS
     }
 
     fn on_submit(&self, view: &ClusterView, job: JobId, now: SimTime) -> Vec<Action> {
@@ -246,7 +242,6 @@ mod tests {
         // Disabling the guard restores pure reservation-less backfill.
         let pure = FcfsBackfill {
             backfill_patience: Duration::INFINITY,
-            ..FcfsBackfill::new()
         };
         let still = pure.on_complete(&v, SimTime::from_secs(700.0));
         assert!(matches!(&still[0], Action::Create { job, .. } if *job == JobId(2)));
@@ -309,33 +304,33 @@ mod tests {
         view: &ClusterView,
         now: SimTime,
     ) -> Vec<Action> {
-        let launcher = i64::from(pol.launcher_slots);
-        let cap_workers = i64::from(view.capacity().saturating_sub(pol.launcher_slots).max(1));
+        let launcher = i64::from(pol.launcher_slots());
+        let cap_workers = i64::from(view.capacity().saturating_sub(pol.launcher_slots()).max(1));
         let mut free = i64::from(view.free_slots());
         let mut actions = Vec::new();
         let mut blocked = false;
-        for j in view.queued_submission_order() {
-            let mn = i64::from(j.min_replicas);
-            let mx = i64::from(j.max_replicas).min(cap_workers);
+        for j in view.queued_scan() {
+            let mn = i64::from(j.min_replicas());
+            let mx = i64::from(j.max_replicas()).min(cap_workers);
             if mn > cap_workers {
                 continue;
             }
             if !blocked && free - launcher >= mn {
                 let replicas = (free - launcher).min(mx);
                 actions.push(Action::Create {
-                    job: j.id,
+                    job: j.id(),
                     replicas: replicas as u32,
                 });
                 free -= replicas + launcher;
             } else {
-                if !blocked && now - j.submitted_at > pol.backfill_patience {
+                if !blocked && now - j.submitted_at() > pol.backfill_patience {
                     break;
                 }
                 blocked = true;
                 if free - launcher >= mn {
                     actions.push(Action::Create {
-                        job: j.id,
-                        replicas: j.min_replicas,
+                        job: j.id(),
+                        replicas: j.min_replicas(),
                     });
                     free -= mn + launcher;
                 }
@@ -367,7 +362,7 @@ mod tests {
                 for a in &actions {
                     apply_action(&mut v, a, now, 1);
                 }
-                let oldest = v.running_desc_priority().map(|j| j.id).min();
+                let oldest = v.running_scan().map(|j| j.id()).min();
                 if let Some(done) = oldest {
                     v.remove(done, 1);
                 }

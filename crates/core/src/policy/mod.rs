@@ -43,7 +43,7 @@ pub use recovery::{RecoveryPolicy, RecoveryStrategy};
 use hpc_metrics::{Duration, JobId, SimTime};
 use hpc_workload::FaultEvent;
 
-use crate::view::{Action, ClusterView, JobFields, JobRef, JobState};
+use crate::view::{Action, ClusterView, JobFields, JobRef};
 
 /// Driver handed to [`SchedulingPolicy::on_submit_burst`]: the engine
 /// side of a same-instant submission burst. The policy pulls jobs out
@@ -155,17 +155,7 @@ pub trait SchedulingPolicy: Send + Sync {
     /// strategy without reimplementing it.
     fn on_fault(&self, view: &ClusterView, fault: &FaultEvent, now: SimTime) -> Vec<Action> {
         let _ = (fault, now);
-        let launcher = self.launcher_slots();
-        let mut deficit = view.deficit();
-        let mut actions = Vec::new();
-        for j in view.running_desc_priority().rev() {
-            if deficit == 0 {
-                break;
-            }
-            actions.push(Action::Requeue { job: j.id });
-            deficit = deficit.saturating_sub(j.replicas + launcher);
-        }
-        actions
+        recovery::preempt_lowest(view, self.launcher_slots(), |job| Action::Requeue { job })
     }
 
     /// Decides a whole same-instant submission burst in one policy
@@ -207,11 +197,10 @@ pub trait SchedulingPolicy: Send + Sync {
 /// business ([`ClusterView::queued_fitting`]), never scanned here.
 fn greedy_head_walk(
     view: &ClusterView,
-    launcher_slots: u32,
     mut start: impl FnMut(JobId, u32),
 ) -> (Option<JobRef<'_>>, i64) {
-    let launcher = i64::from(launcher_slots);
-    let cap_workers = i64::from(view.capacity().saturating_sub(launcher_slots).max(1));
+    let launcher = i64::from(LAUNCHER_SLOTS);
+    let cap_workers = i64::from(view.capacity().saturating_sub(LAUNCHER_SLOTS).max(1));
     let mut free = i64::from(view.free_slots());
     for j in view.queued_scan() {
         let mn = i64::from(j.min_replicas());
@@ -231,9 +220,13 @@ fn greedy_head_walk(
 /// The largest `min_replicas` a backfill can start at out of `free`
 /// slots once its launcher is paid for; `None` when not even a
 /// launcher fits.
-fn backfill_fit(free: i64, launcher: i64) -> Option<u32> {
-    u32::try_from(free - launcher).ok()
+fn backfill_fit(free: i64) -> Option<u32> {
+    u32::try_from(free - i64::from(LAUNCHER_SLOTS)).ok()
 }
+
+/// Slots a launcher pod takes: what [`FcfsBackfill`] and
+/// [`EasyBackfill`] report, and [`PolicyConfig`]'s default.
+const LAUNCHER_SLOTS: u32 = 1;
 
 /// Knobs shared by all policy kinds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -254,7 +247,7 @@ impl Default for PolicyConfig {
     fn default() -> Self {
         PolicyConfig {
             rescale_gap: Duration::from_secs(180.0),
-            launcher_slots: 1,
+            launcher_slots: LAUNCHER_SLOTS,
             shrink_spares_head: true,
         }
     }
@@ -301,11 +294,6 @@ pub struct Policy {
     pub kind: PolicyKind,
     /// Shared knobs.
     pub cfg: PolicyConfig,
-    /// Priority points granted per second a job waits in the queue —
-    /// the *aging* mechanism the paper discusses (§3.2.2) as the remedy
-    /// for low-priority starvation. `0.0` (the default) is the paper's
-    /// evaluated behaviour: no aging.
-    pub aging_rate: f64,
 }
 
 impl Policy {
@@ -331,34 +319,7 @@ impl Policy {
 
     /// A policy of `kind` with config `cfg`.
     pub fn of_kind(kind: PolicyKind, cfg: PolicyConfig) -> Policy {
-        Policy {
-            kind,
-            cfg,
-            aging_rate: 0.0,
-        }
-    }
-
-    /// Enables queue-aging: a queued job's effective priority grows by
-    /// `per_second` priority points per second of waiting.
-    pub fn with_aging(mut self, per_second: f64) -> Policy {
-        assert!(
-            per_second >= 0.0 && per_second.is_finite(),
-            "aging rate must be finite and >= 0"
-        );
-        self.aging_rate = per_second;
-        self
-    }
-
-    /// The priority used in scheduling comparisons at `now`: the user
-    /// priority, plus the aging credit for time spent queued. Running
-    /// jobs keep their base priority (aging rewards *waiting*).
-    pub fn effective_priority(&self, job: &JobState, now: SimTime) -> f64 {
-        let base = f64::from(job.priority);
-        if self.aging_rate <= 0.0 || job.running {
-            return base;
-        }
-        let waited = (now - job.submitted_at).as_secs().max(0.0);
-        base + self.aging_rate * waited
+        Policy { kind, cfg }
     }
 
     /// The `(min, max)` replica bounds this policy treats `job` as
@@ -434,6 +395,7 @@ impl From<Policy> for Box<dyn SchedulingPolicy> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::JobState;
 
     fn job(prio: u32) -> JobState {
         JobState {

@@ -26,7 +26,7 @@
 use hpc_metrics::{Duration, JobId, SimTime};
 use hpc_workload::FaultEvent;
 
-use crate::view::{Action, ClusterView, JobState};
+use crate::view::{Action, ClusterView, JobFields, JobRef};
 
 use super::SchedulingPolicy;
 
@@ -83,23 +83,6 @@ impl RecoveryPolicy {
         self.strategy
     }
 
-    /// Preempts the lowest-priority running jobs with `preempt` until
-    /// the deficit is covered (each preemption releases the job's
-    /// replicas plus its launcher).
-    fn preempt_lowest(&self, view: &ClusterView, preempt: impl Fn(JobId) -> Action) -> Vec<Action> {
-        let launcher = self.inner.launcher_slots();
-        let mut deficit = view.deficit();
-        let mut actions = Vec::new();
-        for j in view.running_desc_priority().rev() {
-            if deficit == 0 {
-                break;
-            }
-            actions.push(preempt(j.id));
-            deficit = deficit.saturating_sub(j.replicas + launcher);
-        }
-        actions
-    }
-
     /// The elastic plan: shrink running jobs toward their minimum,
     /// lowest-priority first, evicting whole jobs only while shrinking
     /// the remainder cannot cover the deficit. Ignores the rescale gap —
@@ -111,32 +94,57 @@ impl RecoveryPolicy {
             return Vec::new();
         }
         // Lowest priority first (reverse of the descending index).
-        let running: Vec<JobState> = view.running_desc_priority().rev().collect();
-        let mut shrinkable: u32 = running.iter().map(|j| j.replicas - j.min_replicas).sum();
+        let running: Vec<JobRef<'_>> = view.running_scan().rev().collect();
+        let mut shrinkable: u32 = running
+            .iter()
+            .map(|j| j.replicas() - j.min_replicas())
+            .sum();
         let mut actions = Vec::new();
         let mut idx = 0;
         while deficit > shrinkable && idx < running.len() {
             let j = &running[idx];
-            actions.push(Action::Evict { job: j.id });
-            deficit = deficit.saturating_sub(j.replicas + launcher);
-            shrinkable -= j.replicas - j.min_replicas;
+            actions.push(Action::Evict { job: j.id() });
+            deficit = deficit.saturating_sub(j.replicas() + launcher);
+            shrinkable -= j.replicas() - j.min_replicas();
             idx += 1;
         }
         for j in &running[idx..] {
             if deficit == 0 {
                 break;
             }
-            let take = (j.replicas - j.min_replicas).min(deficit);
+            let take = (j.replicas() - j.min_replicas()).min(deficit);
             if take > 0 {
                 actions.push(Action::Shrink {
-                    job: j.id,
-                    to_replicas: j.replicas - take,
+                    job: j.id(),
+                    to_replicas: j.replicas() - take,
                 });
                 deficit -= take;
             }
         }
         actions
     }
+}
+
+/// The kill-and-requeue and checkpoint/restart plans: preempts the
+/// lowest-priority running jobs with `preempt` until the deficit is
+/// covered (each preemption releases the job's replicas plus its
+/// `launcher` slots). The trait default
+/// [`SchedulingPolicy::on_fault`] is this with [`Action::Requeue`].
+pub(super) fn preempt_lowest(
+    view: &ClusterView,
+    launcher: u32,
+    preempt: impl Fn(JobId) -> Action,
+) -> Vec<Action> {
+    let mut deficit = view.deficit();
+    let mut actions = Vec::new();
+    for j in view.running_scan().rev() {
+        if deficit == 0 {
+            break;
+        }
+        actions.push(preempt(j.id()));
+        deficit = deficit.saturating_sub(j.replicas() + launcher);
+    }
+    actions
 }
 
 impl SchedulingPolicy for RecoveryPolicy {
@@ -166,13 +174,14 @@ impl SchedulingPolicy for RecoveryPolicy {
 
     fn on_fault(&self, view: &ClusterView, fault: &FaultEvent, now: SimTime) -> Vec<Action> {
         let _ = (fault, now);
+        let launcher = self.inner.launcher_slots();
         match self.strategy {
             RecoveryStrategy::ShrinkOnReclaim => self.shrink_plan(view),
             RecoveryStrategy::CheckpointRestart => {
-                self.preempt_lowest(view, |job| Action::Evict { job })
+                preempt_lowest(view, launcher, |job| Action::Evict { job })
             }
             RecoveryStrategy::KillRequeue => {
-                self.preempt_lowest(view, |job| Action::Requeue { job })
+                preempt_lowest(view, launcher, |job| Action::Requeue { job })
             }
         }
     }

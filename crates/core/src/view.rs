@@ -571,8 +571,7 @@ impl PartialEq for ActionList {
 /// are therefore maintained) — see [`ClusterView::built_indexes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BuiltIndexes {
-    /// Running jobs by descending priority
-    /// (`running_desc_priority`/`running_scan`).
+    /// Running jobs by descending priority (`running_scan`).
     pub running_order: bool,
     /// Running jobs by last scheduling action
     /// (`running_by_last_action`) — the elastic policy's gap cursor.
@@ -580,8 +579,7 @@ pub struct BuiltIndexes {
     /// Queued jobs by descending priority (`queued_desc_priority`) —
     /// the queued lane of the elastic Fig. 3 walk.
     pub queued_priority_order: bool,
-    /// Queued jobs by submission
-    /// (`queued_submission_order`/`queued_scan`).
+    /// Queued jobs by submission (`queued_scan`).
     pub queued_order: bool,
     /// Running jobs by estimated end (`running_by_estimated_end`).
     pub running_end_order: bool,
@@ -886,21 +884,8 @@ impl ClusterView {
     }
 
     /// Running jobs in *decreasing* priority order (the paper's
-    /// `runningJobs` list). O(k) off the index (built on first read),
-    /// no sort.
-    pub fn running_desc_priority(&self) -> impl DoubleEndedIterator<Item = JobState> + '_ {
-        self.running_scan().map(|j| j.snapshot())
-    }
-
-    /// Queued jobs in submission order (earliest first, id-tie-broken) —
-    /// the FCFS queue. O(k), no sort.
-    pub fn queued_submission_order(&self) -> impl DoubleEndedIterator<Item = JobState> + '_ {
-        self.queued_scan().map(|j| j.snapshot())
-    }
-
-    /// Lazy-cursor variant of [`ClusterView::running_desc_priority`]:
-    /// same index, same order, but each item is a [`JobRef`] reading
-    /// columns on demand.
+    /// `runningJobs` list), each a [`JobRef`] reading columns on
+    /// demand. O(k) off the index (built on first read), no sort.
     pub fn running_scan(&self) -> impl DoubleEndedIterator<Item = JobRef<'_>> {
         self.running_order()
             .iter()
@@ -931,9 +916,10 @@ impl ClusterView {
             .map(|&(_, _, id)| self.arena.cursor(id))
     }
 
-    /// Lazy-cursor variant of [`ClusterView::queued_submission_order`]
-    /// — the rigid baselines' head walk, which stops at the first job
-    /// that does not fit.
+    /// Queued jobs in submission order (earliest first, id-tie-broken)
+    /// — the FCFS queue, each a [`JobRef`]: the rigid baselines' head
+    /// walk, which stops at the first job that does not fit. O(k), no
+    /// sort.
     pub fn queued_scan(&self) -> impl DoubleEndedIterator<Item = JobRef<'_>> {
         self.queued_order()
             .iter()
@@ -1416,7 +1402,7 @@ pub(crate) mod tests {
                 job(3, 3, 0.0, 4),   // mid
             ],
         );
-        let order: Vec<JobId> = view.running_desc_priority().map(|j| j.id).collect();
+        let order: Vec<JobId> = view.running_scan().map(|j| j.id()).collect();
         assert_eq!(order, vec![JobId(1), JobId(3), JobId(2), JobId(0)]);
     }
 
@@ -1429,7 +1415,7 @@ pub(crate) mod tests {
             52,
             vec![job(2, 3, 7.0, 4), job(0, 3, 7.0, 4), job(1, 3, 7.0, 4)],
         );
-        let order: Vec<JobId> = view.running_desc_priority().map(|j| j.id).collect();
+        let order: Vec<JobId> = view.running_scan().map(|j| j.id()).collect();
         assert_eq!(order, vec![JobId(0), JobId(1), JobId(2)]);
     }
 
@@ -1442,10 +1428,10 @@ pub(crate) mod tests {
         );
         let order: Vec<JobId> = view.queued_desc_priority().map(|j| j.id()).collect();
         assert_eq!(order, vec![JobId(1), JobId(2)]);
-        assert_eq!(view.running_desc_priority().count(), 1);
+        assert_eq!(view.running_scan().count(), 1);
         assert_eq!(view.running_count(), 1);
         // FCFS order ignores priority entirely.
-        let fcfs: Vec<JobId> = view.queued_submission_order().map(|j| j.id).collect();
+        let fcfs: Vec<JobId> = view.queued_scan().map(|j| j.id()).collect();
         assert_eq!(fcfs, vec![JobId(2), JobId(1)]);
     }
 
@@ -1482,7 +1468,7 @@ pub(crate) mod tests {
         assert!(view.job(a).unwrap().running);
         assert_eq!(view.job(a).unwrap().last_action, now);
         assert_eq!(view.running_count(), 1);
-        assert_eq!(view.queued_submission_order().count(), 0);
+        assert_eq!(view.queued_scan().count(), 0);
 
         apply_action(
             &mut view,
@@ -1832,7 +1818,7 @@ pub(crate) mod tests {
         assert_eq!(j.replicas, 0);
         assert_eq!(view.running_count(), 0);
         // ... at its original submission position, ahead of job 1.
-        let fcfs: Vec<JobId> = view.queued_submission_order().map(|j| j.id).collect();
+        let fcfs: Vec<JobId> = view.queued_scan().map(|j| j.id()).collect();
         assert_eq!(fcfs, vec![JobId(0), JobId(1)]);
         // Returning the slots restores full capacity.
         view.restore_slots(24);

@@ -97,7 +97,7 @@ fn index_orders(v: &ClusterView) -> [Vec<JobId>; 6] {
         v.running_scan().map(|j| j.id()).collect(),
         v.running_by_last_action().map(|j| j.id()).collect(),
         v.queued_desc_priority().map(|j| j.id()).collect(),
-        v.queued_submission_order().map(|j| j.id).collect(),
+        queued,
         v.running_by_estimated_end().map(|j| j.id).collect(),
         fitting,
     ]

@@ -2,10 +2,9 @@
 //!
 //! Bundles the object stores, pod scheduler and kubelet behind one
 //! `tick()`-driven facade, plus the capacity arithmetic the scheduling
-//! policies consume (free slots, per-job usage). The paper's testbed —
+//! policies consume (free slots, a job's pods). The paper's testbed —
 //! 4 × c6g.4xlarge, 16 vCPUs each — is `ControlPlane::with_nodes(4, 16)`.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use hpc_metrics::{Clock, SimTime};
@@ -134,18 +133,6 @@ impl ControlPlane {
         self.capacity().saturating_sub(self.committed())
     }
 
-    /// Active (running, non-terminating) worker pods per owning job.
-    pub fn active_workers_by_job(&self) -> BTreeMap<Arc<str>, u32> {
-        let mut map = BTreeMap::new();
-        self.pods.for_each(|pod| {
-            let p = &pod.obj;
-            if p.role == PodRole::Worker && p.is_active() {
-                *map.entry(Arc::clone(&p.owner)).or_insert(0) += 1;
-            }
-        });
-        map
-    }
-
     /// All resource-consuming pods owned by `job`, in creation order
     /// (snapshots of that job's pods only).
     pub fn pods_of_job(&self, job: &str) -> Vec<Pod> {
@@ -171,19 +158,6 @@ impl ControlPlane {
             }
         });
         names
-    }
-
-    /// Worker slots currently committed per job (for utilization
-    /// accounting; excludes launchers).
-    pub fn worker_slots_by_job(&self) -> BTreeMap<Arc<str>, u32> {
-        let mut map = BTreeMap::new();
-        self.pods.for_each(|pod| {
-            let p = &pod.obj;
-            if p.role == PodRole::Worker && p.consumes_resources() {
-                *map.entry(Arc::clone(&p.owner)).or_insert(0) += p.cpu_request;
-            }
-        });
-        map
     }
 
     /// `true` once every pod of `job` with the given role is Running.
@@ -252,8 +226,6 @@ mod tests {
         cp.tick();
         assert!(cp.job_pods_running("j1", PodRole::Worker, 1));
         assert!(cp.job_pods_running("j1", PodRole::Launcher, 1));
-        assert_eq!(cp.active_workers_by_job()["j1"], 1);
-        assert_eq!(cp.worker_slots_by_job()["j1"], 1);
 
         cp.delete_pod("j1-w0");
         cp.delete_pod("j1-l");

@@ -7,15 +7,13 @@
 //! log–log space (the natural space for strong-scaling curves, which are
 //! close to straight lines on the paper's log–log plots in Fig. 4).
 
-use serde::{Deserialize, Serialize};
-
 /// A piecewise-linear function defined by `(x, y)` anchor points.
 ///
 /// Evaluation between anchors interpolates linearly; outside the anchor
 /// range the nearest segment is extended (linear extrapolation), which
 /// matches how a scaling model calibrated on 4–64 replicas must still
 /// produce values at 2 replicas.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PiecewiseLinear {
     points: Vec<(f64, f64)>,
     log_log: bool,

@@ -134,14 +134,6 @@ impl UtilizationRecorder {
         used_slot_seconds / (window * f64::from(self.capacity))
     }
 
-    /// Utilization over the natural window: first event to `end`.
-    pub fn utilization_until(&self, end: SimTime) -> f64 {
-        match self.events.iter().map(|ev| ev.at).min() {
-            Some(first) => self.average_utilization(first, end),
-            None => 0.0,
-        }
-    }
-
     /// Maximum total allocation ever recorded.
     pub fn peak(&self) -> u32 {
         self.total_series()
@@ -281,17 +273,12 @@ mod tests {
                 assert_eq!(got.to_bits(), expected.to_bits(), "[{from}, {to}]");
             }
         }
-        assert_eq!(
-            shuffled.utilization_until(t(40.0)).to_bits(),
-            in_order.average_utilization(t(0.0), t(40.0)).to_bits()
-        );
     }
 
     #[test]
     fn empty_recorder_reports_zero() {
         let r = UtilizationRecorder::new(8);
         assert_eq!(r.average_utilization(t(0.0), t(1.0)), 0.0);
-        assert_eq!(r.utilization_until(t(5.0)), 0.0);
         assert_eq!(r.peak(), 0);
     }
 

@@ -14,19 +14,20 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 ///
 /// `SimTime` is totally ordered; `NaN` values are rejected at
 /// construction in debug builds and compare via `total_cmp` otherwise.
-#[derive(Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Default)]
 pub struct SimTime(f64);
 
 /// A span between two [`SimTime`]s, in seconds. May be negative when it
 /// is the result of subtracting a later instant from an earlier one.
-#[derive(Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Default)]
 pub struct Duration(f64);
 
 impl SimTime {
     /// The experiment epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0.0);
     /// A time earlier than any real event; used as the "never acted on"
-    /// sentinel for `lastAction` (see DESIGN.md §4, decision 3).
+    /// sentinel for `lastAction` (decision 6 in the `policy/elastic.rs`
+    /// header of `elastic-core`).
     pub const NEG_INFINITY: SimTime = SimTime(f64::NEG_INFINITY);
     /// A time later than any real event.
     pub const INFINITY: SimTime = SimTime(f64::INFINITY);

@@ -179,7 +179,7 @@ const PILE_TARGET: usize = 16;
 ///
 /// Pops in `(time, class, job, insertion)` order (module docs), keeps
 /// the stale-completion accounting compaction runs on, and peeks in
-/// O(1) ([`EventQueue::next_at`]) for the engine's same-instant batch
+/// O(1) ([`EventQueue::peek`]) for the engine's same-instant batch
 /// drain.
 #[derive(Debug)]
 pub struct EventQueue {
@@ -280,16 +280,10 @@ impl EventQueue {
         Some((e.at, e.event))
     }
 
-    /// Timestamp of the earliest pending event without removing it.
-    /// O(1) except when it has to promote the next bucket — the same
-    /// work an immediate [`EventQueue::pop`] would do anyway.
-    pub fn next_at(&mut self) -> Option<SimTime> {
-        self.ensure_front();
-        self.cur.get(self.cur_head).map(|e| e.at)
-    }
-
-    /// Kind of the earliest pending event (with its timestamp), without
-    /// removing it. Drives the engine's same-instant batch drain.
+    /// The earliest pending event (with its timestamp), without
+    /// removing it. Drives the engine's same-instant batch drain. O(1)
+    /// except when it has to promote the next bucket — the same work an
+    /// immediate [`EventQueue::pop`] would do anyway.
     pub fn peek(&mut self) -> Option<(SimTime, Event)> {
         self.ensure_front();
         self.cur.get(self.cur_head).map(|e| (e.at, e.event))

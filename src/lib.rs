@@ -26,9 +26,9 @@
 //! * [`metrics`] — clocks, interpolation and metric recording shared by
 //!   the "actual" and "simulated" experiment paths.
 //!
-//! See `README.md` for a quickstart, `DESIGN.md` for the architecture and
-//! substitution notes, and `EXPERIMENTS.md` for paper-vs-measured results
-//! for every figure and table.
+//! `examples/quickstart.rs` is the shortest end-to-end run, and each
+//! figure and table of the paper is regenerated by one `elastic-bench`
+//! binary (the table in that crate's docs).
 
 pub use charm_apps as apps;
 pub use charm_rt as charm;

@@ -80,7 +80,6 @@ fn a_backlog_that_cannot_start_is_never_walked() {
     }];
     let patient = FcfsBackfill {
         backfill_patience: Duration::INFINITY,
-        ..FcfsBackfill::new()
     };
     let policies: [&dyn SchedulingPolicy; 3] =
         [&EasyBackfill::new(), &EasyBackfill::sjbf(), &patient];
