@@ -240,20 +240,32 @@ impl Churn {
 }
 
 /// One iteration is 1 000 mutations, so the µs/iter printed is the ns
-/// one mutation costs: `bare` with no ordered index built, and
+/// one mutation costs: `bare` with no ordered index built,
 /// `elastic_indexes` with the three the elastic policy reads (running
-/// and queued priority orders, the last-action list) kept current.
+/// and queued priority orders, the last-action list) kept current, and
+/// `easy_indexes` with the three EASY reads (the FCFS queue, its
+/// footprint buckets, the completion frontier).
 fn bench_view_upkeep(c: &mut Criterion) {
     const STEPS: usize = 1000 / Churn::MUTATIONS_PER_STEP;
     let mut group = c.benchmark_group("view_upkeep");
-    for name in ["bare", "elastic_indexes"] {
+    for name in ["bare", "elastic_indexes", "easy_indexes"] {
         let mut churn = Churn::new();
-        if name == "elastic_indexes" {
-            let view = &churn.view;
-            let read = view.running_scan().count()
-                + view.running_by_last_action().count()
-                + view.queued_desc_priority().count();
-            assert_eq!(read, 2 * Churn::JOBS);
+        let view = &churn.view;
+        match name {
+            "elastic_indexes" => {
+                let read = view.running_scan().count()
+                    + view.running_by_last_action().count()
+                    + view.queued_desc_priority().count();
+                assert_eq!(read, 2 * Churn::JOBS);
+            }
+            "easy_indexes" => {
+                let any = JobId::from_index(0);
+                let read = view.queued_scan().count()
+                    + view.queued_fitting(any, u32::MAX).count()
+                    + view.running_by_estimated_end().count();
+                assert_eq!(read, Churn::JOBS);
+            }
+            _ => {}
         }
         group.bench_function(name, |b| {
             b.iter(|| {

@@ -99,15 +99,17 @@
 //!   jobs by last scheduling action behind
 //!   [`ClusterView::running_by_last_action`] (the elastic policy's gap
 //!   cursor: the jobs `T_rescale_gap` lets a decision touch are a
-//!   prefix of it — a recency list linked through the arena, O(1)
-//!   upkeep under the engines' non-decreasing clock), the submission
-//!   order behind `queued_scan`, the completion frontier,
-//!   and the queued-by-minimum-footprint buckets behind
-//!   [`ClusterView::queued_fitting`] are each built from the arena the
-//!   first time a policy reads them and pay their upkeep (O(log n) for
-//!   the trees) in `insert` / `remove` / [`apply_action`] only from
-//!   then on — a run maintains exactly the indexes its policy walks
-//!   ([`ClusterView::built_indexes`]). Reads are O(k); one view per
+//!   prefix of it), the submission order behind `queued_scan`, the
+//!   completion frontier, and the queued-by-minimum-footprint buckets
+//!   behind [`ClusterView::queued_fitting`] are each built from the
+//!   arena the first time a policy reads them and pay their upkeep in
+//!   `insert` / `remove` / [`apply_action`] only from then on — a run
+//!   maintains exactly the indexes its policy walks
+//!   ([`ClusterView::built_indexes`]). Keys that land anywhere (the
+//!   priority orders, the frontier) live in trees at O(log n) per
+//!   mutation; keys that arrive at an end (last action, submission
+//!   order, its footprint buckets) live in lists linked through the
+//!   arena, O(1) upkeep for an arrival. Reads are O(k); one view per
 //!   run, zero rebuilds, zero `String`s.
 //!   A property test (`view_equivalence`) proves any event sequence,
 //!   with the first index read at any step, leaves the incremental
@@ -182,7 +184,7 @@
 //! planned from the running jobs' walltime estimates — implemented
 //! purely against the [`ClusterView`]/[`Action`] contract. It reads
 //! `free_slots` and three indexes, each built on its first read and
-//! kept current (O(log n) per event) only from then on: the queue in
+//! kept current only from then on: the queue in
 //! submission order, walked lazily and only until the head blocks
 //! ([`ClusterView::queued_scan`]); the completion frontier
 //! ([`ClusterView::running_by_estimated_end`]); and the footprint

@@ -84,17 +84,17 @@ impl RecoveryPolicy {
     }
 
     /// The elastic plan: shrink running jobs toward their minimum,
-    /// lowest-priority first, evicting whole jobs only while shrinking
-    /// the remainder cannot cover the deficit. Ignores the rescale gap —
-    /// a fault is an emergency, not a routine rescale.
+    /// lowest-priority first ([`lowest_priority_first`]), evicting
+    /// whole jobs only while shrinking the remainder cannot cover the
+    /// deficit. Ignores the rescale gap — a fault is an emergency, not
+    /// a routine rescale.
     fn shrink_plan(&self, view: &ClusterView) -> Vec<Action> {
         let launcher = self.inner.launcher_slots();
         let mut deficit = view.deficit();
         if deficit == 0 {
             return Vec::new();
         }
-        // Lowest priority first (reverse of the descending index).
-        let running: Vec<JobRef<'_>> = view.running_scan().rev().collect();
+        let running = lowest_priority_first(view);
         let mut shrinkable: u32 = running
             .iter()
             .map(|j| j.replicas() - j.min_replicas())
@@ -125,10 +125,23 @@ impl RecoveryPolicy {
     }
 }
 
+/// The running jobs, lowest priority first: the reverse of every
+/// priority order. A fault asks this rarely, so it sorts the
+/// last-action list (O(1) upkeep, and the transient-fault victim pick
+/// reads it anyway) once per fault instead of having every start and
+/// completion after the first fault keep a running-priority tree
+/// current — which is why a rigid baseline under faults builds no
+/// priority order.
+fn lowest_priority_first(view: &ClusterView) -> Vec<JobRef<'_>> {
+    let mut running: Vec<JobRef<'_>> = view.running_by_last_action().collect();
+    running.sort_unstable_by(|a, b| b.cmp_priority(a));
+    running
+}
+
 /// The kill-and-requeue and checkpoint/restart plans: preempts the
-/// lowest-priority running jobs with `preempt` until the deficit is
-/// covered (each preemption releases the job's replicas plus its
-/// `launcher` slots). The trait default
+/// lowest-priority running jobs ([`lowest_priority_first`]) with
+/// `preempt` until the deficit is covered (each preemption releases
+/// the job's replicas plus its `launcher` slots). The trait default
 /// [`SchedulingPolicy::on_fault`] is this with [`Action::Requeue`].
 pub(super) fn preempt_lowest(
     view: &ClusterView,
@@ -136,8 +149,11 @@ pub(super) fn preempt_lowest(
     preempt: impl Fn(JobId) -> Action,
 ) -> Vec<Action> {
     let mut deficit = view.deficit();
+    if deficit == 0 {
+        return Vec::new();
+    }
     let mut actions = Vec::new();
-    for j in view.running_scan().rev() {
+    for j in lowest_priority_first(view) {
         if deficit == 0 {
             break;
         }

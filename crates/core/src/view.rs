@@ -33,21 +33,33 @@
 //! by minimum footprint — is a pure function of the arena rows, built
 //! from them (O(n log n), once) the first time an accessor reads it
 //! through `&self`, and kept current by `insert`/`remove`/
-//! [`apply_action`] *from then on*. Five of them are `BTreeSet`s, at
-//! O(log n) per mutation. The last-action order is not: its key is
-//! `(last_action, id)` and `last_action` is written from the engine's
-//! clock, so a job entering it (a start, a rescale) belongs at the
-//! tail. It is a doubly-linked list through a `[prev, next]` column
-//! beside the arena: leaving it is an O(1) unlink, entering it a
-//! search back from the tail that is O(1) while `now` never decreases
-//! (it passes only the larger ids already linked at the same instant)
-//! and O(distance from the tail) — still exact — for any other
-//! instant.
+//! [`apply_action`] *from then on*. Which structure holds an order is
+//! picked by where its keys land:
+//!
+//! * **Three `BTreeSet`s, O(log n) per mutation**, for the keys that
+//!   land anywhere. Both priority orders key on
+//!   `(priority, submitted_at, id)`, and a new priority can rank
+//!   anywhere; the completion frontier keys on `(estimated end, id)`,
+//!   and an end is the action instant plus a per-job estimate.
+//! * **Three key-ordered, doubly-linked lists (`KeyedList`) through
+//!   `[prev, next]` link columns beside the arena**, for the keys that
+//!   arrive at an end. The last-action order keys on
+//!   `(last_action, id)`, written from the engine's clock, so a start
+//!   or a rescale belongs at the tail. The FCFS queue and its
+//!   footprint buckets (one list per `min_replicas`, sharing one link
+//!   column — a queued job sits in exactly one bucket) key on
+//!   `(submitted_at, id)`: an arrival lands at the tail, a requeue —
+//!   keyed at its backoff deadline — at the tail too, and an evicted
+//!   job, older work started from the head, near the head. Leaving a
+//!   list is an O(1) unlink; entering it is a search that walks in
+//!   from the head and the tail alternately, O(distance to the nearer
+//!   end) and exact for any key.
 //!
 //! An index no policy of the run ever reads costs nothing: the
 //! elastic policy never pays for the FCFS queue, the completion
 //! frontier or the footprint buckets, EASY never pays for a priority
-//! order or (unless a transient fault picks a victim off it) the
+//! order — not even under faults, whose victims are ranked by sorting
+//! the running jobs once — or (unless a fault needs a victim) the
 //! last-action order. There is no switch and no declaration — reading
 //! is the declaration ([`ClusterView::built_indexes`] reports which
 //! have been read). Once built, a policy reads its order in O(k) with
@@ -74,8 +86,7 @@
 //! costs O(candidates that fit), not O(queue).
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{btree_set, BTreeMap, BTreeSet};
-use std::ops::Bound;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 use hpc_metrics::{Duration, JobId, SimTime};
@@ -383,12 +394,12 @@ impl JobArena {
         (self.estimated_end(idx), JobId(idx as u32))
     }
 
-    fn queue_key(&self, idx: usize) -> QueueKey {
-        (self.submitted_at[idx], JobId(idx as u32))
+    fn queue_key(&self, id: u32) -> QueueKey {
+        (self.submitted_at[id as usize], JobId(id))
     }
 
-    fn action_key(&self, idx: usize) -> QueueKey {
-        (self.hot[idx].last_action, JobId(idx as u32))
+    fn action_key(&self, id: u32) -> QueueKey {
+        (self.hot[id as usize].last_action, JobId(id))
     }
 
     fn cursor(&self, id: JobId) -> JobRef<'_> {
@@ -419,26 +430,18 @@ impl JobArena {
         self.running().map(|i| self.order_key(i)).collect()
     }
 
-    fn running_action_order(&self) -> ActionList {
-        let mut keys: Vec<QueueKey> = self.running().map(|i| self.action_key(i)).collect();
-        keys.sort_unstable();
-        let mut list = ActionList {
-            head: NIL,
-            tail: NIL,
-            links: vec![[NIL; 2]; self.len()],
-        };
-        for (_, JobId(id)) in keys {
-            list.link_after(list.tail, id);
-        }
-        list
+    fn running_action_order(&self) -> OrderList {
+        let keys = self.running().map(|i| self.action_key(i as u32));
+        OrderList::from_keys(self.len(), keys.collect())
     }
 
     fn queued_priority_order(&self) -> BTreeSet<OrderKey> {
         self.queued().map(|i| self.order_key(i)).collect()
     }
 
-    fn queued_order(&self) -> BTreeSet<QueueKey> {
-        self.queued().map(|i| self.queue_key(i)).collect()
+    fn queued_order(&self) -> OrderList {
+        let keys = self.queued().map(|i| self.queue_key(i as u32));
+        OrderList::from_keys(self.len(), keys.collect())
     }
 
     fn running_end_order(&self) -> BTreeSet<QueueKey> {
@@ -446,21 +449,23 @@ impl JobArena {
     }
 
     fn queued_footprint(&self) -> FootprintIndex {
-        let mut buckets = FootprintIndex::new();
-        for i in self.queued() {
-            buckets
-                .entry(self.hot[i].min_replicas)
-                .or_default()
-                .insert(self.queue_key(i));
+        let mut keys: Vec<(u32, QueueKey)> = self
+            .queued()
+            .map(|i| (self.hot[i].min_replicas, self.queue_key(i as u32)))
+            .collect();
+        keys.sort_unstable();
+        let mut buckets = FootprintIndex {
+            ends: BTreeMap::new(),
+            links: vec![[NIL; 2]; self.len()],
+        };
+        for (min, (_, JobId(id))) in keys {
+            let ends = buckets.ends.entry(min).or_insert([NIL; 2]);
+            let tail = ends[PREV];
+            link_after(&mut buckets.links, ends, tail, id);
         }
         buckets
     }
 }
-
-/// Queued jobs bucketed by `min_replicas`, submission order inside each
-/// bucket; an emptied bucket is dropped, so the map is a pure function
-/// of the queued rows.
-type FootprintIndex = BTreeMap<u32, BTreeSet<QueueKey>>;
 
 /// Index upkeep is one call either way round: `enter` inserts `key`,
 /// otherwise it is removed.
@@ -473,97 +478,194 @@ fn toggle<K: Ord>(index: &mut BTreeSet<K>, key: K, enter: bool) {
     debug_assert!(changed, "ordered index out of step with the arena");
 }
 
-/// "No neighbour" in an [`ActionList`] link.
+/// "No neighbour" in a [`KeyedList`] link.
 const NIL: u32 = u32::MAX;
-/// The two halves of an [`ActionList`] link.
+/// The two walk directions: the two halves of a link (`links[id]` is
+/// `[prev, next]`) and the two [`Ends`] (a walk along `NEXT` starts at
+/// the head, one along `PREV` at the tail).
 const PREV: usize = 0;
 const NEXT: usize = 1;
 
-/// The last-action order: running jobs threaded in `(last_action, id)`
-/// order through one `[prev, next]` link column indexed by `JobId`,
-/// beside the arena. The clock the engines write `last_action` from
-/// never runs backwards, so a job entering the order (a start, or a
-/// rescale re-keying it) belongs at the tail — it is a recency list,
-/// and O(1) links keep it where a balanced tree would pay O(log n)
-/// per mutation.
+/// One list's ends, indexed by the direction a walk from them takes:
+/// `[tail, head]`, both `NIL` when the list is empty.
+type Ends = [u32; 2];
+
+/// Key-ordered, doubly-linked lists of job ids threaded through one
+/// `[prev, next]` link column indexed by `JobId`, beside the arena.
+/// `ends` holds one list's [`Ends`] ([`OrderList`]) or one per bucket
+/// ([`FootprintIndex`]): a job sits in at most one list of a column,
+/// so buckets can share it. The keys — an instant, then the id — are
+/// read from the arena on demand, never stored.
+///
+/// Every list the view keeps has keys that arrive at an end (module
+/// docs, "Complexity contract"), so O(1) links keep it where a
+/// balanced tree would pay O(log n) and an allocation per mutation.
 #[derive(Debug, Clone)]
-struct ActionList {
-    head: u32,
-    tail: u32,
+struct KeyedList<E> {
+    ends: E,
     /// Meaningful only for the ids currently linked; grown on demand.
     links: Vec<[u32; 2]>,
 }
 
-impl ActionList {
-    /// Where the link to the node after `prev` lives: `prev`'s `next`,
-    /// or the head.
-    fn next_of(&mut self, prev: u32) -> &mut u32 {
-        match prev {
-            NIL => &mut self.head,
-            _ => &mut self.links[prev as usize][NEXT],
+/// A single key-ordered list: the last-action order and the FCFS queue.
+type OrderList = KeyedList<Ends>;
+
+/// Queued jobs bucketed by `min_replicas`, submission order inside each
+/// bucket; an emptied bucket is dropped, so the map is a pure function
+/// of the queued rows.
+type FootprintIndex = KeyedList<BTreeMap<u32, Ends>>;
+
+/// Where the link leaving `from` along `dir` lives: `from`'s own half
+/// link, or — from outside the list (`NIL`) — the end a walk along
+/// `dir` starts at.
+fn link_of<'a>(
+    links: &'a mut [[u32; 2]],
+    ends: &'a mut Ends,
+    from: u32,
+    dir: usize,
+) -> &'a mut u32 {
+    match from {
+        NIL => &mut ends[dir],
+        _ => &mut links[from as usize][dir],
+    }
+}
+
+/// Links `id` in right after `prev` (`NIL`: at the head).
+fn link_after(links: &mut [[u32; 2]], ends: &mut Ends, prev: u32, id: u32) {
+    let next = std::mem::replace(link_of(links, ends, prev, NEXT), id);
+    *link_of(links, ends, next, PREV) = id;
+    links[id as usize] = [prev, next];
+}
+
+/// Links `id` in at its `key` position, walking in from the tail and
+/// the head alternately: O(distance to the nearer end), exact for any
+/// key. The keys are unique (they end in the id), so the walk from the
+/// tail stops at the first smaller key and the one from the head at
+/// the first larger; after `k` steps both have passed `k` jobs, so the
+/// tail walk reaches a smaller key before the head walk could run off
+/// the list.
+fn link_sorted(links: &mut Vec<[u32; 2]>, ends: &mut Ends, id: u32, key: impl Fn(u32) -> QueueKey) {
+    if id as usize >= links.len() {
+        links.resize(id as usize + 1, [NIL; 2]);
+    }
+    let at = key(id);
+    let [mut back, mut front] = *ends;
+    let prev = loop {
+        if back == NIL || key(back) < at {
+            break back;
         }
-    }
-
-    /// Where the link to the node before `next` lives: `next`'s
-    /// `prev`, or the tail.
-    fn prev_of(&mut self, next: u32) -> &mut u32 {
-        match next {
-            NIL => &mut self.tail,
-            _ => &mut self.links[next as usize][PREV],
+        if key(front) > at {
+            break links[front as usize][PREV];
         }
-    }
+        #[cfg(test)]
+        SEARCH_STEPS.with(|steps| steps.set(steps.get() + 1));
+        back = links[back as usize][PREV];
+        front = links[front as usize][NEXT];
+    };
+    link_after(links, ends, prev, id);
+}
 
-    /// Links `id` in right after `prev` (`NIL`: at the head).
-    fn link_after(&mut self, prev: u32, id: u32) {
-        let next = std::mem::replace(self.next_of(prev), id);
-        *self.prev_of(next) = id;
-        self.links[id as usize] = [prev, next];
-    }
+/// Unlinks `id`, which must be linked in the list `ends` bounds.
+fn unlink(links: &mut [[u32; 2]], ends: &mut Ends, id: u32) {
+    let [prev, next] = links[id as usize];
+    let was_next = std::mem::replace(link_of(links, ends, prev, NEXT), next);
+    let was_prev = std::mem::replace(link_of(links, ends, next, PREV), prev);
+    debug_assert_eq!(
+        [was_next, was_prev],
+        [id; 2],
+        "linked list out of step with the arena"
+    );
+}
 
-    /// Links the running job at `idx` in at its `(last_action, id)`
-    /// position, searching back from the tail: under a non-decreasing
-    /// clock that passes only the same-instant ties with larger ids,
-    /// and for any other instant it still finds the sorted position.
-    fn insert(&mut self, hot: &[HotJob], idx: usize) {
-        if idx >= self.links.len() {
-            self.links.resize(idx + 1, [NIL; 2]);
-        }
-        let id = idx as u32;
-        let key = (hot[idx].last_action, id);
-        let mut prev = self.tail;
-        while prev != NIL && (hot[prev as usize].last_action, prev) > key {
-            prev = self.links[prev as usize][PREV];
-        }
-        self.link_after(prev, id);
-    }
-
-    fn unlink(&mut self, idx: usize) {
-        let [prev, next] = self.links[idx];
-        let was_next = std::mem::replace(self.next_of(prev), next);
-        let was_prev = std::mem::replace(self.prev_of(next), prev);
-        debug_assert_eq!(
-            [was_next, was_prev],
-            [idx as u32; 2],
-            "last-action list out of step with the arena"
-        );
-    }
-
-    /// The linked ids from `from` along the `dir` links.
-    fn walk(&self, from: u32, dir: usize) -> impl Iterator<Item = u32> + '_ {
-        let linked = |id: u32| (id != NIL).then_some(id);
-        std::iter::successors(linked(from), move |&id| {
-            linked(self.links[id as usize][dir])
-        })
-    }
+/// The linked ids from `from` along the `dir` links.
+fn walk(links: &[[u32; 2]], from: u32, dir: usize) -> impl Iterator<Item = u32> + '_ {
+    let linked = |id: u32| (id != NIL).then_some(id);
+    std::iter::successors(linked(from), move |&id| linked(links[id as usize][dir]))
 }
 
 /// The same ids in the same order, read both ways round — so a
 /// maintained list held to its from-scratch definition has its `prev`
 /// links checked along with the `next` links every reader follows.
-impl PartialEq for ActionList {
+fn same_walks(links: &[[u32; 2]], ends: &Ends, other: &[[u32; 2]], other_ends: &Ends) -> bool {
+    [NEXT, PREV]
+        .into_iter()
+        .all(|dir| walk(links, ends[dir], dir).eq(walk(other, other_ends[dir], dir)))
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Search steps [`link_sorted`] has taken on this thread: the list
+    /// traffic the unit tests bound.
+    static SEARCH_STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+impl OrderList {
+    /// The list of the ids in `keys`, in key order.
+    fn from_keys(len: usize, mut keys: Vec<QueueKey>) -> Self {
+        keys.sort_unstable();
+        let mut list = KeyedList {
+            ends: [NIL; 2],
+            links: vec![[NIL; 2]; len],
+        };
+        for (_, JobId(id)) in keys {
+            let tail = list.ends[PREV];
+            link_after(&mut list.links, &mut list.ends, tail, id);
+        }
+        list
+    }
+
+    fn insert(&mut self, id: u32, key: impl Fn(u32) -> QueueKey) {
+        link_sorted(&mut self.links, &mut self.ends, id, key);
+    }
+
+    fn unlink(&mut self, id: u32) {
+        unlink(&mut self.links, &mut self.ends, id);
+    }
+
+    /// The linked ids, head first.
+    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        walk(&self.links, self.ends[NEXT], NEXT)
+    }
+}
+
+impl PartialEq for OrderList {
     fn eq(&self, other: &Self) -> bool {
-        self.walk(self.head, NEXT).eq(other.walk(other.head, NEXT))
-            && self.walk(self.tail, PREV).eq(other.walk(other.tail, PREV))
+        same_walks(&self.links, &self.ends, &other.links, &other.ends)
+    }
+}
+
+impl FootprintIndex {
+    fn insert(&mut self, bucket: u32, id: u32, key: impl Fn(u32) -> QueueKey) {
+        let ends = self.ends.entry(bucket).or_insert([NIL; 2]);
+        link_sorted(&mut self.links, ends, id, key);
+    }
+
+    /// Unlinks `id` from `bucket`, dropping the bucket if that emptied
+    /// it.
+    fn unlink(&mut self, bucket: u32, id: u32) {
+        let ends = self
+            .ends
+            .get_mut(&bucket)
+            .expect("footprint bucket out of step with the arena");
+        unlink(&mut self.links, ends, id);
+        if ends[NEXT] == NIL {
+            self.ends.remove(&bucket);
+        }
+    }
+}
+
+/// The same buckets, each holding the same ids in the same order read
+/// both ways round.
+impl PartialEq for FootprintIndex {
+    fn eq(&self, other: &Self) -> bool {
+        self.ends.len() == other.ends.len()
+            && self
+                .ends
+                .iter()
+                .zip(&other.ends)
+                .all(|((a, ends), (b, other_ends))| {
+                    a == b && same_walks(&self.links, ends, &other.links, other_ends)
+                })
     }
 }
 
@@ -571,19 +673,23 @@ impl PartialEq for ActionList {
 /// are therefore maintained) — see [`ClusterView::built_indexes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BuiltIndexes {
-    /// Running jobs by descending priority (`running_scan`).
+    /// Running jobs by descending priority (`running_scan`), a
+    /// `BTreeSet` — read by the elastic policy only.
     pub running_order: bool,
     /// Running jobs by last scheduling action
-    /// (`running_by_last_action`) — the elastic policy's gap cursor.
+    /// (`running_by_last_action`), a linked list — the elastic
+    /// policy's gap cursor, and what a fault ranks its victims from.
     pub running_action_order: bool,
-    /// Queued jobs by descending priority (`queued_desc_priority`) —
-    /// the queued lane of the elastic Fig. 3 walk.
+    /// Queued jobs by descending priority (`queued_desc_priority`), a
+    /// `BTreeSet` — the queued lane of the elastic Fig. 3 walk.
     pub queued_priority_order: bool,
-    /// Queued jobs by submission (`queued_scan`).
+    /// Queued jobs by submission (`queued_scan`), a linked list.
     pub queued_order: bool,
-    /// Running jobs by estimated end (`running_by_estimated_end`).
+    /// Running jobs by estimated end (`running_by_estimated_end`), a
+    /// `BTreeSet`.
     pub running_end_order: bool,
-    /// Queued jobs bucketed by minimum footprint (`queued_fitting`).
+    /// Queued jobs bucketed by minimum footprint (`queued_fitting`), a
+    /// linked list per bucket through one shared link column.
     pub queued_footprint: bool,
 }
 
@@ -611,9 +717,10 @@ pub struct ClusterView {
     running_order: OnceLock<BTreeSet<OrderKey>>,
     /// Running jobs by `(last_action, id)`: the jobs past any rescale
     /// gap are a prefix of it.
-    running_action_order: OnceLock<ActionList>,
+    running_action_order: OnceLock<OrderList>,
     queued_priority_order: OnceLock<BTreeSet<OrderKey>>,
-    queued_order: OnceLock<BTreeSet<QueueKey>>,
+    /// Queued jobs by `(submitted_at, id)`: the FCFS queue.
+    queued_order: OnceLock<OrderList>,
     /// Running jobs by estimated completion — the frontier EASY-style
     /// reservations walk. Jobs without an estimate key at `INFINITY`.
     running_end_order: OnceLock<BTreeSet<QueueKey>>,
@@ -749,18 +856,19 @@ impl ClusterView {
     /// being indexed: after the write when entering, before it when
     /// leaving.
     fn index_running(&mut self, idx: usize, enter: bool) {
+        let (arena, id) = (&self.arena, idx as u32);
         if let Some(index) = self.running_order.get_mut() {
-            toggle(index, self.arena.order_key(idx), enter);
+            toggle(index, arena.order_key(idx), enter);
         }
         if let Some(list) = self.running_action_order.get_mut() {
             if enter {
-                list.insert(&self.arena.hot, idx);
+                list.insert(id, |id| arena.action_key(id));
             } else {
-                list.unlink(idx);
+                list.unlink(id);
             }
         }
         if let Some(index) = self.running_end_order.get_mut() {
-            toggle(index, self.arena.end_key(idx), enter);
+            toggle(index, arena.end_key(idx), enter);
         }
         if enter {
             self.running += 1;
@@ -771,18 +879,23 @@ impl ClusterView {
 
     /// Index upkeep for the job at `idx` joining or leaving the queue.
     fn index_queued(&mut self, idx: usize, enter: bool) {
+        let (arena, id) = (&self.arena, idx as u32);
         if let Some(index) = self.queued_priority_order.get_mut() {
-            toggle(index, self.arena.order_key(idx), enter);
+            toggle(index, arena.order_key(idx), enter);
         }
-        if let Some(index) = self.queued_order.get_mut() {
-            toggle(index, self.arena.queue_key(idx), enter);
+        if let Some(list) = self.queued_order.get_mut() {
+            if enter {
+                list.insert(id, |id| arena.queue_key(id));
+            } else {
+                list.unlink(id);
+            }
         }
         if let Some(buckets) = self.queued_footprint.get_mut() {
-            let min = self.arena.hot[idx].min_replicas;
-            let bucket = buckets.entry(min).or_default();
-            toggle(bucket, self.arena.queue_key(idx), enter);
-            if bucket.is_empty() {
-                buckets.remove(&min);
+            let min = arena.hot[idx].min_replicas;
+            if enter {
+                buckets.insert(min, id, |id| arena.queue_key(id));
+            } else {
+                buckets.unlink(min, id);
             }
         }
     }
@@ -801,8 +914,9 @@ impl ClusterView {
         self.arena.hot[idx].replicas = to_replicas;
         self.arena.hot[idx].last_action = now;
         if let (true, Some(list)) = (action_key_moves, self.running_action_order.get_mut()) {
-            list.unlink(idx);
-            list.insert(&self.arena.hot, idx);
+            let arena = &self.arena;
+            list.unlink(idx as u32);
+            list.insert(idx as u32, |id| arena.action_key(id));
         }
         if let (Some(old_end), Some(index)) = (old_end, self.running_end_order.get_mut()) {
             let new_end = self.arena.end_key(idx);
@@ -879,10 +993,6 @@ impl ClusterView {
             .get_or_init(|| self.arena.running_order())
     }
 
-    fn queued_order(&self) -> &BTreeSet<QueueKey> {
-        self.queued_order.get_or_init(|| self.arena.queued_order())
-    }
-
     /// Running jobs in *decreasing* priority order (the paper's
     /// `runningJobs` list), each a [`JobRef`] reading columns on
     /// demand. O(k) off the index (built on first read), no sort.
@@ -899,10 +1009,9 @@ impl ClusterView {
     /// — `take_while` that predicate and the blocked rest of the
     /// cluster is never visited.
     pub fn running_by_last_action(&self) -> impl Iterator<Item = JobRef<'_>> {
-        let list = self
-            .running_action_order
-            .get_or_init(|| self.arena.running_action_order());
-        list.walk(list.head, NEXT)
+        self.running_action_order
+            .get_or_init(|| self.arena.running_action_order())
+            .iter()
             .map(|id| self.arena.cursor(JobId(id)))
     }
 
@@ -920,10 +1029,11 @@ impl ClusterView {
     /// — the FCFS queue, each a [`JobRef`]: the rigid baselines' head
     /// walk, which stops at the first job that does not fit. O(k), no
     /// sort.
-    pub fn queued_scan(&self) -> impl DoubleEndedIterator<Item = JobRef<'_>> {
-        self.queued_order()
+    pub fn queued_scan(&self) -> impl Iterator<Item = JobRef<'_>> {
+        self.queued_order
+            .get_or_init(|| self.arena.queued_order())
             .iter()
-            .map(|&(_, id)| self.arena.cursor(id))
+            .map(|id| self.arena.cursor(JobId(id)))
     }
 
     /// Queued jobs *behind* `head` in submission order whose
@@ -932,7 +1042,10 @@ impl ClusterView {
     /// the footprint buckets `≤ fit`, so a deep backlog of jobs too
     /// large for the free slots is never visited; call
     /// [`FittingCursor::shrink_to`] as slots are handed out and the
-    /// buckets that stopped fitting drop out of the merge.
+    /// buckets that stopped fitting drop out of the merge. Each lane
+    /// starts at its bucket's first job keyed after `head`, found by a
+    /// walk from the bucket's front — one step for the queue head,
+    /// which is what the backfill policies pass.
     ///
     /// Panics if `head` is not live.
     pub fn queued_fitting(&self, head: JobId, fit: u32) -> FittingCursor<'_> {
@@ -941,23 +1054,24 @@ impl ClusterView {
             self.arena.is_live(idx),
             "fitting cursor behind unknown {head}"
         );
-        let behind = (Bound::Excluded(self.arena.queue_key(idx)), Bound::Unbounded);
-        let lanes = self
+        let arena = &self.arena;
+        let after = arena.queue_key(head.0);
+        let buckets = self
             .queued_footprint
-            .get_or_init(|| self.arena.queued_footprint())
+            .get_or_init(|| arena.queued_footprint());
+        let lanes = buckets
+            .ends
             .range(..=fit)
-            .filter_map(|(&min_replicas, bucket)| {
-                let mut rest = bucket.range(behind);
-                let next = *rest.next()?;
-                Some(Lane {
-                    min_replicas,
-                    next,
-                    rest,
-                })
+            .filter_map(|(&min_replicas, ends)| {
+                let next = walk(&buckets.links, ends[NEXT], NEXT)
+                    .map(|id| arena.queue_key(id))
+                    .find(|&key| key > after)?;
+                Some(Lane { min_replicas, next })
             })
             .collect();
         FittingCursor {
-            arena: &self.arena,
+            arena,
+            links: &buckets.links,
             lanes,
         }
     }
@@ -975,19 +1089,21 @@ impl ClusterView {
     }
 }
 
-/// One footprint bucket inside a [`FittingCursor`]'s merge.
-struct Lane<'a> {
+/// One footprint bucket inside a [`FittingCursor`]'s merge: the key
+/// of the job it yields next.
+struct Lane {
     min_replicas: u32,
     next: QueueKey,
-    rest: btree_set::Range<'a, QueueKey>,
 }
 
 /// The cursor [`ClusterView::queued_fitting`] returns: yields fitting
 /// queued jobs in submission order, one O(buckets) step each.
 pub struct FittingCursor<'a> {
     arena: &'a JobArena,
+    /// The footprint buckets' shared link column.
+    links: &'a [[u32; 2]],
     /// The buckets still fitting that have a job left to yield.
-    lanes: Vec<Lane<'a>>,
+    lanes: Vec<Lane>,
 }
 
 impl FittingCursor<'_> {
@@ -1006,11 +1122,11 @@ impl<'a> Iterator for FittingCursor<'a> {
         let at = (0..self.lanes.len()).min_by_key(|&i| self.lanes[i].next)?;
         let lane = &mut self.lanes[at];
         let (_, id) = lane.next;
-        match lane.rest.next() {
-            Some(&key) => lane.next = key,
-            None => {
+        match self.links[id.index()][NEXT] {
+            NIL => {
                 self.lanes.swap_remove(at);
             }
+            after => lane.next = self.arena.queue_key(after),
         }
         Some(self.arena.cursor(id))
     }
@@ -1130,8 +1246,10 @@ impl Action {
 /// Applies `action` to a view in place — this is how engines carry the
 /// persistent view across events (and how tests replay decision
 /// sequences). O(1) arena writes plus the upkeep of each *built*
-/// index — O(log n), O(1) for the last-action list (module docs,
-/// "Complexity contract") — never a rebuild.
+/// index — O(log n) for a `BTreeSet`; for a linked list an O(1)
+/// unlink, or a link whose search is O(distance to the nearer end),
+/// O(1) for a key that arrives at an end (module docs, "Complexity
+/// contract") — never a rebuild.
 /// `launcher_slots` is the per-running-job launcher overhead.
 ///
 /// Panics if the action violates capacity or job invariants — a policy
@@ -1788,6 +1906,214 @@ pub(crate) mod tests {
         assert!(!unread.built_indexes().running_action_order);
         assert_eq!(last_action_ids(&unread), last_action_ids(&maintained));
         assert_eq!(unread, maintained);
+    }
+
+    fn queue_ids(v: &ClusterView) -> Vec<u32> {
+        v.queued_scan().map(|j| j.id().0).collect()
+    }
+
+    fn fitting_ids(v: &ClusterView, head: u32, fit: u32) -> Vec<u32> {
+        v.queued_fitting(JobId(head), fit)
+            .map(|j| j.id().0)
+            .collect()
+    }
+
+    /// A queued job with footprint `min`.
+    fn q(id: u32, submitted: f64, min: u32) -> JobState {
+        JobState {
+            min_replicas: min,
+            ..job(id, 3, submitted, 0)
+        }
+    }
+
+    /// Reads (so builds) the FCFS queue and the footprint buckets.
+    fn read_queue_lists(v: &ClusterView) {
+        let head = v.queued_scan().next().expect("a queued job").id();
+        v.queued_fitting(head, v.capacity()).count();
+        let built = v.built_indexes();
+        assert!(built.queued_order && built.queued_footprint);
+    }
+
+    /// Holds `v` equal to a from-scratch view of its jobs, which checks
+    /// every built list walked both ways against its definition.
+    fn assert_lists_current(v: &ClusterView) {
+        assert_eq!(
+            *v,
+            view_of(v.capacity(), v.free_slots(), v.jobs().collect())
+        );
+    }
+
+    #[test]
+    fn an_evicted_job_reenters_the_queue_ahead_of_later_arrivals() {
+        let mut view = view_of(
+            64,
+            64,
+            (0..6)
+                .map(|id| q(id, f64::from(id), 2 + id % 2 * 2))
+                .collect(),
+        );
+        read_queue_lists(&view);
+        let at = SimTime::from_secs(10.0);
+        for job in [0, 3] {
+            apply_action(
+                &mut view,
+                &Action::Create {
+                    job: JobId(job),
+                    replicas: 4,
+                },
+                at,
+                1,
+            );
+        }
+        view.insert(q(6, 10.0, 2), 1);
+        view.insert(q(7, 11.0, 4), 1);
+        assert_eq!(queue_ids(&view), [1, 2, 4, 5, 6, 7]);
+        // Job 3 was backfilled from behind the head: it lands mid-queue.
+        let later = SimTime::from_secs(12.0);
+        apply_action(&mut view, &Action::Evict { job: JobId(3) }, later, 1);
+        assert_eq!(queue_ids(&view), [1, 2, 3, 4, 5, 6, 7]);
+        // Job 0 was the head: it lands at the head again.
+        apply_action(&mut view, &Action::Evict { job: JobId(0) }, later, 1);
+        assert_eq!(queue_ids(&view), [0, 1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(fitting_ids(&view, 0, 2), [2, 4, 6]);
+        assert_eq!(fitting_ids(&view, 0, 4), [1, 2, 3, 4, 5, 6, 7]);
+        assert_lists_current(&view);
+    }
+
+    #[test]
+    fn a_requeued_job_enters_at_its_back_at() {
+        let mut view = view_of(64, 64, vec![q(0, 5.0, 2)]);
+        for (id, at) in [(1, 0.0), (2, 10.0), (3, 20.0), (4, 30.0)] {
+            view.insert(q(id, at, 2), 1);
+        }
+        read_queue_lists(&view);
+        let start = Action::Create {
+            job: JobId(0),
+            replicas: 2,
+        };
+        apply_action(&mut view, &start, SimTime::from_secs(6.0), 1);
+        apply_action(
+            &mut view,
+            &Action::Requeue { job: JobId(0) },
+            SimTime::from_secs(12.0),
+            1,
+        );
+        assert_eq!(queue_ids(&view), [1, 2, 3, 4]);
+        // The engine re-inserts it at its backoff deadline, 25 s:
+        // behind the jobs submitted before that, ahead of the rest.
+        view.insert(q(0, 25.0, 2), 1);
+        view.insert(q(5, 40.0, 2), 1);
+        assert_eq!(queue_ids(&view), [1, 2, 3, 0, 4, 5]);
+        assert_eq!(fitting_ids(&view, 1, 2), [2, 3, 0, 4, 5]);
+        assert_lists_current(&view);
+    }
+
+    #[test]
+    fn same_instant_queue_entries_are_ordered_by_id() {
+        let mut view = view_of(64, 64, vec![q(0, 1.0, 2), q(9, 9.0, 2)]);
+        read_queue_lists(&view);
+        for id in [5, 3, 7, 4] {
+            view.insert(q(id, 7.0, 2), 1);
+        }
+        assert_eq!(queue_ids(&view), [0, 3, 4, 5, 7, 9]);
+        assert_eq!(fitting_ids(&view, 0, 2), [3, 4, 5, 7, 9]);
+        assert_lists_current(&view);
+    }
+
+    #[test]
+    fn a_fitting_lane_behind_a_non_head_job_starts_after_it_in_every_bucket() {
+        let jobs = (0..9).map(|id| q(id, f64::from(id / 2), [2, 4, 8][id as usize % 3]));
+        let mut view = view_of(64, 64, jobs.collect());
+        read_queue_lists(&view);
+        // Submission order: 0 1 | 2 3 | 4 5 | 6 7 | 8, buckets by id % 3.
+        assert_eq!(fitting_ids(&view, 0, 8), [1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(fitting_ids(&view, 4, 8), [5, 6, 7, 8]);
+        assert_eq!(fitting_ids(&view, 4, 4), [6, 7]);
+        // Behind a job that sits in no fitting bucket: the lanes start
+        // at its key all the same.
+        assert_eq!(fitting_ids(&view, 5, 2), [6]);
+        // Behind a running job, whose key is still its submission.
+        let start = Action::Create {
+            job: JobId(3),
+            replicas: 8,
+        };
+        apply_action(&mut view, &start, SimTime::from_secs(9.0), 1);
+        assert_eq!(fitting_ids(&view, 3, 4), [4, 6, 7]);
+        // The last bucket member: its lane is empty.
+        assert_eq!(fitting_ids(&view, 8, 8), [0u32; 0]);
+        assert_lists_current(&view);
+    }
+
+    #[test]
+    fn view_equality_walks_every_list_both_ways() {
+        let mut view = view_of(64, 64, (0..5).map(|id| q(id, f64::from(id), 2)).collect());
+        read_queue_lists(&view);
+        last_action_ids(&view);
+        let start = Action::Create {
+            job: JobId(4),
+            replicas: 2,
+        };
+        apply_action(&mut view, &start, SimTime::from_secs(5.0), 1);
+        let fresh = view_of(64, view.free_slots(), view.jobs().collect());
+        assert_eq!(view, fresh);
+        // A `prev` link no reader follows forwards, broken in each list
+        // in turn: the backward walk sees it.
+        let corrupt = |break_list: fn(&mut ClusterView)| {
+            let mut broken = view.clone();
+            break_list(&mut broken);
+            assert_eq!(queue_ids(&broken), queue_ids(&view), "forward walk intact");
+            assert_ne!(broken, fresh);
+        };
+        corrupt(|v| v.queued_order.get_mut().unwrap().links[3][PREV] = NIL);
+        corrupt(|v| v.queued_footprint.get_mut().unwrap().links[3][PREV] = 1);
+        corrupt(|v| v.running_action_order.get_mut().unwrap().ends[PREV] = NIL);
+    }
+
+    #[test]
+    fn an_arrival_ordered_stream_with_evictions_costs_at_most_two_search_steps_per_insert() {
+        const INSERTS: u32 = 10_000;
+        let submitted: Vec<SimTime> = (0..INSERTS)
+            .map(|i| SimTime::from_secs(f64::from(i)))
+            .collect();
+        let key = |id: u32| (submitted[id as usize], JobId(id));
+        let mut queue = OrderList::from_keys(0, Vec::new());
+        let mut linked = vec![false; INSERTS as usize];
+        let mut started = Vec::new();
+        let mut rng = ChaCha8Rng::seed_from_u64(31);
+        let mut arrivals = 0;
+        let before = SEARCH_STEPS.with(|steps| steps.get());
+        for insert in 1..=INSERTS {
+            // Every 50th insert an eviction: one of the last jobs
+            // started re-enters at its submission key, near the head.
+            // The rest are arrivals, at the tail.
+            let id = if insert % 50 == 0 {
+                let back = rng.gen_range(1..=4);
+                started.remove(started.len() - back)
+            } else {
+                arrivals += 1;
+                arrivals - 1
+            };
+            queue.insert(id, key);
+            linked[id as usize] = true;
+            // Every other insert starts a job: the head, or one a few
+            // places behind it (a backfill).
+            if insert % 2 == 0 {
+                let id = queue
+                    .iter()
+                    .nth(rng.gen_range(0..4))
+                    .expect("queue is deep");
+                queue.unlink(id);
+                linked[id as usize] = false;
+                started.push(id);
+            }
+        }
+        let steps = SEARCH_STEPS.with(|steps| steps.get()) - before;
+        let expected: Vec<u32> = (0..arrivals).filter(|&id| linked[id as usize]).collect();
+        assert_eq!(queue.iter().collect::<Vec<_>>(), expected);
+        assert!(
+            steps <= 2 * u64::from(INSERTS),
+            "{steps} search steps for {INSERTS} inserts"
+        );
     }
 
     #[test]

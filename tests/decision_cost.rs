@@ -15,11 +15,16 @@
 //!   completion frontier or the footprint buckets, and EASY never pays
 //!   for a priority order or the last-action order — under a flaky
 //!   storm it pays for the last-action list (the victim pick reads the
-//!   running ids off it) and still for no priority order.
+//!   running ids off it) and still for no priority order. Capacity
+//!   faults buy EASY and FCFS no priority order either: whether a
+//!   reclamation is answered by checkpoint-restart, kill-requeue or
+//!   shrinking, its victims are ranked by sorting that last-action
+//!   list once per fault, not off a running-priority tree every later
+//!   start and completion would keep current.
 
 use elastic_hpc::core::{
     Action, BuiltIndexes, ClusterView, EasyBackfill, FcfsBackfill, JobFields, JobId, JobState,
-    Policy, PolicyConfig, SchedulingPolicy,
+    Policy, PolicyConfig, RecoveryPolicy, RecoveryStrategy, SchedulingPolicy,
 };
 use elastic_hpc::metrics::{Duration, SimTime};
 use elastic_hpc::sim::{OverheadModel, ScalingModel, SimConfig, SimState};
@@ -223,4 +228,47 @@ fn a_replay_builds_only_the_indexes_its_policy_reads() {
         },
         "a flaky storm adds the last-action list only"
     );
+    // A capacity fault that lands on running work ranks its victims
+    // off that same list, whichever rigid baseline and strategy.
+    let reclaims = FaultSpec::reclamation(
+        12,
+        10,
+        40,
+        Duration::from_secs(60_000.0),
+        Duration::from_secs(600.0),
+    );
+    let easy_faulted = BuiltIndexes {
+        running_action_order: true,
+        ..easy
+    };
+    let fcfs_faulted = BuiltIndexes {
+        running_end_order: false,
+        ..easy_faulted
+    };
+    let legs: [(Box<dyn SchedulingPolicy>, RecoveryStrategy, BuiltIndexes); 3] = [
+        (
+            Box::new(EasyBackfill::new()),
+            RecoveryStrategy::CheckpointRestart,
+            easy_faulted,
+        ),
+        (
+            Box::new(FcfsBackfill::new()),
+            RecoveryStrategy::KillRequeue,
+            fcfs_faulted,
+        ),
+        (
+            Box::new(EasyBackfill::new()),
+            RecoveryStrategy::ShrinkOnReclaim,
+            easy_faulted,
+        ),
+    ];
+    for (inner, strategy, expected) in legs {
+        let policy = RecoveryPolicy::new(inner, strategy);
+        let name = policy.name();
+        assert_eq!(
+            replay(Box::new(policy), reclaims.clone()),
+            expected,
+            "{name}: reclamations add the last-action list, never a priority tree"
+        );
+    }
 }

@@ -6,6 +6,8 @@
 //! * Worker count is invisible: the same workload sharded the same way
 //!   yields identical per-shard and merged metrics whether one worker
 //!   or as many as there are shards drive the queue.
+//! * Both hold for EASY with evictions: checkpoint-restart recovery
+//!   under spot reclamations and a transient-fault storm.
 //! * `RunMetrics::merge` conserves the physical quantities — job
 //!   counts, busy core-seconds, rescales and fault tallies — over any
 //!   randomly generated shard partition (proptest).
@@ -13,13 +15,13 @@
 use std::path::PathBuf;
 
 use elastic_hpc::core::{
-    EasyBackfill, FaultStats, FcfsBackfill, JobOutcome, Policy, PolicyConfig, RunMetrics,
-    SchedulingPolicy,
+    EasyBackfill, FaultStats, FcfsBackfill, JobOutcome, Policy, PolicyConfig, RecoveryPolicy,
+    RecoveryStrategy, RunMetrics, SchedulingPolicy,
 };
 use elastic_hpc::federation::{FederationConfig, FederationOutcome, FederationRuntime, RoundRobin};
-use elastic_hpc::metrics::SimTime;
+use elastic_hpc::metrics::{Duration, SimTime};
 use elastic_hpc::sim::{simulate, OverheadModel, ScalingModel, SimConfig};
-use elastic_hpc::workload::{load_workload, SwfLoadConfig, WorkloadSpec};
+use elastic_hpc::workload::{load_workload, FaultSpec, FlakySpec, SwfLoadConfig, WorkloadSpec};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -120,6 +122,50 @@ fn worker_count_is_invisible_in_federation_results() {
         assert_eq!(a.metrics, b.metrics, "shard {shard} metrics");
         assert_eq!(a.peak_queue_len, b.peak_queue_len, "shard {shard} queue");
     }
+}
+
+/// The benchmark's `fed-easy-faults` shape at test scale: EASY with
+/// checkpoint-restart recovery replays the bundled trace under spot
+/// reclamations and a transient-fault storm, so evicted jobs re-enter
+/// the queue and the victims of every fault are ranked. A 1-shard
+/// federation is bit-identical to the DES, and 4 shards give the same
+/// merged metrics at 1 and 2 workers.
+#[test]
+fn easy_with_evictions_federates_exactly() {
+    let trace = bundled_trace(&SwfLoadConfig::rigid(CAPACITY));
+    let easy = || -> Box<dyn SchedulingPolicy> {
+        Box::new(RecoveryPolicy::new(
+            Box::new(EasyBackfill::new()),
+            RecoveryStrategy::CheckpointRestart,
+        ))
+    };
+    // Quarter-capacity outages spread over the fault-free makespan,
+    // each a third of their spacing long, so no two overlap.
+    let makespan = simulate(&sim_cfg(easy()), &trace).metrics.total_time;
+    const PAIRS: u32 = 6;
+    let outage = makespan / f64::from(3 * (PAIRS + 1));
+    let horizon = Duration::from_secs(makespan);
+    let faults =
+        FaultSpec::reclamation(3, PAIRS, CAPACITY / 4, horizon, Duration::from_secs(outage))
+            .with_flaky(FlakySpec::storm(4, 30, horizon));
+    let faulted = trace.with_faults(faults);
+
+    let des = simulate(&sim_cfg(easy()), &faulted);
+    assert!(
+        des.metrics.faults.evictions > 0 && des.metrics.faults.transient_faults > 0,
+        "the faults must reach running work: {:?}",
+        des.metrics.faults
+    );
+    let fed = federate(&faulted, 1, 1, 7, easy);
+    assert_eq!(fed.merged, des.metrics, "merged metrics");
+    assert_eq!(fed.shards[0].metrics, des.metrics, "shard metrics");
+    assert_eq!(fed.shards[0].rescales, des.rescales, "rescales");
+    assert_eq!(fed.shards[0].cancelled, des.cancelled, "cancelled");
+
+    let serial = federate(&faulted, 4, 1, 16, easy);
+    let parallel = federate(&faulted, 4, 2, 16, easy);
+    assert_eq!(serial.merged, parallel.merged, "merged metrics");
+    assert_eq!(serial.events, parallel.events, "per-shard event counts");
 }
 
 /// A randomly generated shard's metrics: either a completed-jobs run
