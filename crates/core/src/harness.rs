@@ -2,9 +2,8 @@
 //! completion, report metrics.
 //!
 //! A [`Schedule`] carries *per-job submission times* (plus optional
-//! client cancellations). It can be built three ways: the classic fixed
-//! gap ([`Schedule::every`]), explicit arrival times
-//! ([`Schedule::at_times`]), or straight from a unified
+//! client cancellations). It is built one of two ways: the classic fixed
+//! gap ([`Schedule::every`]), or straight from a unified
 //! [`WorkloadSpec`] ([`Schedule::from_workload`]) — the same struct the
 //! DES replays, so one trace drives both engines.
 //!
@@ -80,12 +79,6 @@ impl Schedule {
         Self::build(jobs, arrivals)
     }
 
-    /// A schedule with explicit per-job submission times (nondecreasing).
-    pub fn at_times(entries: Vec<(Duration, CharmJobSpec)>) -> Self {
-        let (arrivals, jobs) = entries.into_iter().unzip();
-        Self::build(jobs, arrivals)
-    }
-
     /// The operator-side rendering of a unified [`WorkloadSpec`]: every
     /// job becomes a [`CharmJobSpec`] whose [`AppSpec::Modeled`] app
     /// carries the job's own shape, and per-job `cancel_at`s become
@@ -112,12 +105,12 @@ impl Schedule {
         Self::build(jobs, arrivals).with_cancellations(cancellations)
     }
 
-    /// Builder: adds client cancellations (`(time, job name)`) and
-    /// keeps the list sorted by time, those of one instant by their
-    /// job's position in the schedule — the DES's order, where a *name*
-    /// order would put `j10` before `j2`. One naming no scheduled job
-    /// (a client no-op) goes last at its instant.
-    pub fn with_cancellations(mut self, cancellations: Vec<(Duration, String)>) -> Self {
+    /// Adds client cancellations (`(time, job name)`) and keeps the
+    /// list sorted by time, those of one instant by their job's
+    /// position in the schedule — the DES's order, where a *name* order
+    /// would put `j10` before `j2`. One naming no scheduled job (a
+    /// client no-op) goes last at its instant.
+    fn with_cancellations(mut self, cancellations: Vec<(Duration, String)>) -> Self {
         self.cancellations.extend(cancellations);
         let names = self.jobs.iter().enumerate();
         let position: HashMap<&str, usize> = names.map(|(i, j)| (j.name.as_str(), i)).collect();
@@ -330,24 +323,9 @@ mod tests {
     }
 
     #[test]
-    fn at_times_keeps_explicit_arrivals() {
-        let s = Schedule::at_times(vec![
-            (Duration::from_secs(5.0), spec("a")),
-            (Duration::from_secs(5.0), spec("b")),
-            (Duration::from_secs(42.0), spec("c")),
-        ]);
-        assert_eq!(s.submit_at(0).as_secs(), 5.0);
-        assert_eq!(s.submit_at(1).as_secs(), 5.0);
-        assert_eq!(s.submit_at(2).as_secs(), 42.0);
-    }
-
-    #[test]
     #[should_panic(expected = "nondecreasing")]
-    fn at_times_rejects_unsorted_arrivals() {
-        let _ = Schedule::at_times(vec![
-            (Duration::from_secs(9.0), spec("a")),
-            (Duration::from_secs(5.0), spec("b")),
-        ]);
+    fn a_negative_gap_is_rejected_as_unsorted_arrivals() {
+        let _ = Schedule::every(vec![spec("a"), spec("b")], Duration::from_secs(-1.0));
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Six structural rules, checked on the source: one scheduling kernel,
-//! one measurement estate, one drive loop, no scan in the pod
+//! Seven structural rules, checked on the source: one scheduling
+//! kernel, one measurement estate, one drive loop, no scan in the pod
 //! controllers (nor a copy or a pointer a watcher did not ask for), one
-//! execution model, and an operator that watches two stores. Each test
-//! runs its rule on the tree
-//! as it is, then with one recorded mutation spliced into a real file,
-//! and asserts that the rule fires. Most rules read [`code`]: a file
-//! without its comments, literals and `#[cfg(test)]` items.
+//! execution model, an operator that watches two stores, and one
+//! differential harness for the cross-engine tests. Each test runs its
+//! rule on the tree as it is, then with one recorded mutation spliced
+//! into a real file, and asserts that the rule fires. Most rules read
+//! [`code`]: a file without its comments, literals and `#[cfg(test)]`
+//! items.
 
 use std::fs;
 use std::path::PathBuf;
@@ -36,6 +37,9 @@ const ADVANCE: &str = "one integrator: Progress::advance in crates/workload/src/
 const INTEGRATES: &str = "{path} integrates progress itself; that is hpc_workload::model::Progress";
 const WATCHES: &str =
     "{path} watches other stores than the jobs and the pods; post what it must be told instead";
+const SCAFFOLD: &str = "fn bundled_trace(|fn replay_des(|fn replay_operator(";
+const SETUP: &str =
+    "{path} builds its own replay scaffolding; write a Scenario for tests/common/mod.rs";
 
 type Verdict = Result<(), String>;
 /// A file's text by its path from the repository root.
@@ -246,6 +250,21 @@ fn the_operator_watches_two_stores(read: Read) -> Verdict {
     Err(WATCHES.replace("{path}", OPERATOR))
 }
 
+/// Outside the harness, no root test loads the bundled trace or
+/// defines its own engine replay. The trace's path is a literal, so it
+/// is looked for in the raw text.
+fn one_differential_harness(read: Read) -> Verdict {
+    let paths = files(&["tests"]);
+    let own = |p: &&String| {
+        p.ends_with(".rs") && !p.starts_with("tests/common/") && *p != "tests/architecture.rs"
+    };
+    for path in paths.iter().filter(own) {
+        deny(path, &code(&read(path)), any_of(SCAFFOLD), SETUP)?;
+        deny(path, &read(path), any_of("sample.swf"), SETUP)?;
+    }
+    Ok(())
+}
+
 /// A rate times an elapsed time: `* (now - `, `* x.as_secs()`,
 /// `as_secs() *`, or a relaunch's `total_iters.saturating_sub`.
 fn integrates(line: &str) -> bool {
@@ -347,6 +366,20 @@ fn the_operator_watches_two_stores_rule() {
     let third = format!("{pods}\n        let (_, maps_rx) = plane.configmaps.list_watch();");
     let mutated = disk(OPERATOR).replacen(pods, &third, 1);
     rail(the_operator_watches_two_stores, OPERATOR, &mutated, WATCHES);
+}
+
+#[test]
+fn one_differential_harness_rule() {
+    // `fault_replay` grows its own DES replay again.
+    let anchor = "/// The acceptance criterion of the fault layer";
+    let own = format!("fn replay_des() -> RunMetrics {{\n    todo!()\n}}\n\n{anchor}");
+    let path = "tests/fault_replay.rs";
+    let mutated = disk(path).replacen(anchor, &own, 1);
+    rail(one_differential_harness, path, &mutated, SETUP);
+    // Or names the trace file, if only in a comment.
+    let path = "tests/trace_replay.rs";
+    let mutated = disk(path).replacen("SWF trace", "SWF trace (tests/data/sample.swf)", 1);
+    rail(one_differential_harness, path, &mutated, SETUP);
 }
 
 #[test]

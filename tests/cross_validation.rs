@@ -2,68 +2,50 @@
 //!
 //! Table 1's credibility rests on the Actual and Simulation columns
 //! agreeing in shape. Here we make that a test: the same 16-job
-//! workload runs through (a) the live operator on a virtual clock with
-//! a modeled executor under the simulator's own scaling/overhead
-//! models, and (b) the discrete-event simulator — and the resulting
-//! metrics must agree closely. The policy code is shared by
-//! construction; this validates that the *engines* around it agree.
+//! generated workload, one job every 90 s (45 s for the rescale count),
+//! runs on the paper's 64-slot testbed under each of the four policy
+//! variants and the simulator's calibrated scaling and overhead models,
+//! in the live operator on a virtual clock and in the discrete-event
+//! simulator, and the resulting metrics must agree closely. The
+//! overhead model puts rescale windows off the operator's 1 s tick grid,
+//! so the agreement is within tolerances, not bit for bit. The policy
+//! code is shared by construction; this validates that the *engines*
+//! around it agree. Beside it: the incremental and full-restart rescale
+//! protocols of the runtime itself, held to the same Jacobi state.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use elastic_hpc::core::{
-    run_virtual, CharmOperator, ModelExecutor, Policy, PolicyConfig, PolicyKind, RunMetrics,
-    Schedule,
-};
-use elastic_hpc::kube::{ControlPlane, KubeletConfig};
-use elastic_hpc::metrics::{Duration, VirtualClock};
-use elastic_hpc::sim::{generate_workload, simulate, OverheadModel, ScalingModel, SimConfig};
+mod common;
 
-/// Runs the operator path: virtual clock, `ModelExecutor` under the
-/// simulator's own default models — the structs `SimConfig::paper_default`
-/// carries.
-fn run_operator_path(kind: PolicyKind, seed: u64, submission_gap: f64) -> RunMetrics {
+use common::{run, Engine, Scenario};
+use elastic_hpc::core::{Policy, PolicyConfig, PolicyKind, RunMetrics};
+use elastic_hpc::metrics::Duration;
+use elastic_hpc::sim::{generate_workload, OverheadModel};
+
+/// The paper's testbed replaying `seed`'s 16 jobs, one every
+/// `submission_gap` seconds, under `kind` and the calibrated models.
+fn testbed(kind: PolicyKind, seed: u64, submission_gap: f64) -> Scenario {
     let workload = generate_workload(seed, 16).spaced_every(Duration::from_secs(submission_gap));
-    let clock = VirtualClock::new();
-    let plane = ControlPlane::with_nodes(Arc::new(clock.clone()), KubeletConfig::instant(), 4, 16);
-    let executor = ModelExecutor::new(
-        plane.clock(),
-        ScalingModel::default(),
-        OverheadModel::default(),
-    );
-    let policy = Policy::of_kind(
-        kind,
-        PolicyConfig {
+    let policy = move || {
+        let cfg = PolicyConfig {
             rescale_gap: Duration::from_secs(180.0),
             launcher_slots: 1,
             shrink_spares_head: true,
-        },
-    );
-    let mut op = CharmOperator::new(plane, Box::new(policy), Box::new(executor));
-    // The unified pipeline: the same WorkloadSpec the DES replays,
-    // rendered to CharmJobSpecs + arrivals by the harness itself.
-    let schedule = Schedule::from_workload(&workload);
-    run_virtual(
-        &mut op,
-        &clock,
-        &schedule,
-        Duration::from_secs(1.0),
-        Duration::from_secs(200_000.0),
-    )
+        };
+        Policy::of_kind(kind, cfg)
+    };
+    Scenario::new(workload, 64, policy)
+        .with_overhead(OverheadModel::default())
+        .with_horizon(Duration::from_secs(200_000.0))
 }
 
-/// Runs the DES path on the identical workload and parameters.
-fn run_sim_path(kind: PolicyKind, seed: u64, submission_gap: f64) -> RunMetrics {
-    let workload = generate_workload(seed, 16).spaced_every(Duration::from_secs(submission_gap));
-    let cfg = SimConfig::paper_default(Box::new(Policy::of_kind(
-        kind,
-        PolicyConfig {
-            rescale_gap: Duration::from_secs(180.0),
-            launcher_slots: 1,
-            shrink_spares_head: true,
-        },
-    )));
-    simulate(&cfg, &workload).metrics
+/// The testbed's metrics on the operator and on the DES.
+fn engines(kind: PolicyKind, seed: u64, submission_gap: f64) -> (RunMetrics, RunMetrics) {
+    let scenario = testbed(kind, seed, submission_gap);
+    (
+        run(&scenario, Engine::Operator),
+        run(&scenario, Engine::Des),
+    )
 }
 
 fn assert_close(label: &str, a: f64, b: f64, rel_tol: f64, abs_tol: f64) {
@@ -78,8 +60,7 @@ fn assert_close(label: &str, a: f64, b: f64, rel_tol: f64, abs_tol: f64) {
 #[test]
 fn engines_agree_for_all_policies() {
     for kind in PolicyKind::ALL {
-        let op = run_operator_path(kind, 0, 90.0);
-        let sim = run_sim_path(kind, 0, 90.0);
+        let (op, sim) = engines(kind, 0, 90.0);
         // The operator quantizes to 1 s ticks and rescales over a
         // handful of reconcile rounds, so exact equality is impossible;
         // agreement must be tight nonetheless.
@@ -114,8 +95,9 @@ fn engines_agree_on_policy_ordering() {
     let mut op_util = HashMap::new();
     let mut sim_util = HashMap::new();
     for kind in PolicyKind::ALL {
-        op_util.insert(kind, run_operator_path(kind, 7, 90.0).utilization);
-        sim_util.insert(kind, run_sim_path(kind, 7, 90.0).utilization);
+        let (op, sim) = engines(kind, 7, 90.0);
+        op_util.insert(kind, op.utilization);
+        sim_util.insert(kind, sim.utilization);
     }
     for table in [&op_util, &sim_util] {
         assert!(
@@ -207,8 +189,7 @@ fn incremental_and_full_restart_rescales_are_equivalent() {
 #[test]
 fn rescale_counts_track_between_engines() {
     let workload_seed = 3;
-    let op = run_operator_path(PolicyKind::Elastic, workload_seed, 45.0);
-    let sim = run_sim_path(PolicyKind::Elastic, workload_seed, 45.0);
+    let (op, sim) = engines(PolicyKind::Elastic, workload_seed, 45.0);
     // Both engines drive the same Fig. 2/3 code; rescale activity may
     // differ slightly from timing quantization but not wildly.
     let (a, b) = (f64::from(op.rescales), f64::from(sim.rescales));

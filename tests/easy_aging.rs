@@ -1,89 +1,43 @@
 //! EASY backfilling and the aging sweep, cross-validated between the
 //! two engines.
 //!
-//! * `EasyBackfill` replays the bundled SWF trace through the DES and
-//!   the watch-driven operator with **bit-identical** `RunMetrics`
-//!   (same machinery as the rigid FCFS cross-validation), and beats
-//!   the conservative `FcfsBackfill` on mean bounded slowdown — the
-//!   point of planning reservations from walltime estimates.
-//! * `AgingSweep` exercises the `on_timer` surface in both engines: a
-//!   starving low-priority job is launched by the periodic sweep long
-//!   before the cluster would otherwise revisit it.
+//! * `EasyBackfill` replays the rigid bundled SWF trace on its 32-slot
+//!   machine through the DES and the watch-driven operator with
+//!   **bit-identical** `RunMetrics`, and beats the conservative
+//!   `FcfsBackfill` on mean bounded slowdown — the point of planning
+//!   reservations from walltime estimates.
+//! * `AgingSweep` exercises the `on_timer` surface in both engines: on
+//!   64 slots, a low-priority job starving behind a 60-worker hog is
+//!   launched by the periodic sweep long before the cluster would
+//!   otherwise revisit it.
 
-use std::path::PathBuf;
-use std::sync::Arc;
+mod common;
 
+use common::{assert_agree, Engine::*, Scenario};
 use elastic_hpc::core::{
-    run_workload_virtual, AgingSweep, CharmOperator, EasyBackfill, FcfsBackfill, ModelExecutor,
-    Policy, PolicyConfig, RunMetrics, SchedulingPolicy,
+    AgingSweep, EasyBackfill, FcfsBackfill, Policy, PolicyConfig, RunMetrics, SchedulingPolicy,
 };
-use elastic_hpc::kube::{ControlPlane, KubeletConfig};
-use elastic_hpc::metrics::{Duration, VirtualClock};
-use elastic_hpc::sim::{simulate, OverheadModel, ScalingModel, SimConfig};
-use elastic_hpc::workload::{load_workload, JobSpec, SwfLoadConfig, WorkloadSpec};
-
-/// The replay cluster: 32 slots (the bundled trace's machine size).
-const CAPACITY: u32 = 32;
-
-fn bundled_trace() -> WorkloadSpec {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/sample.swf");
-    let file = std::fs::File::open(&path).expect("bundled trace exists");
-    let wl = load_workload(
-        std::io::BufReader::new(file),
-        &SwfLoadConfig::rigid(CAPACITY),
-    )
-    .expect("bundled trace parses");
-    wl.validate().expect("bundled trace is replayable");
-    wl
-}
-
-fn replay_des(policy: Box<dyn SchedulingPolicy>, workload: &WorkloadSpec) -> RunMetrics {
-    let cfg = SimConfig {
-        capacity: CAPACITY,
-        policy,
-        scaling: ScalingModel::default(),
-        overhead: OverheadModel::default(),
-        cancellations: Vec::new(),
-    };
-    simulate(&cfg, workload).metrics
-}
-
-fn replay_operator(policy: Box<dyn SchedulingPolicy>, workload: &WorkloadSpec) -> RunMetrics {
-    let clock = VirtualClock::new();
-    let plane = ControlPlane::with_nodes(Arc::new(clock.clone()), KubeletConfig::instant(), 4, 8);
-    assert_eq!(plane.capacity(), CAPACITY);
-    let executor = ModelExecutor::ideal(plane.clock());
-    let mut op = CharmOperator::new(plane, policy, Box::new(executor));
-    run_workload_virtual(
-        &mut op,
-        &clock,
-        workload,
-        Duration::from_secs(1.0),
-        Duration::from_secs(100_000.0),
-    )
-}
+use elastic_hpc::metrics::Duration;
+use elastic_hpc::sim::OverheadModel;
+use elastic_hpc::workload::{JobSpec, WorkloadSpec};
 
 /// The tentpole acceptance criterion: EASY replays the bundled trace
 /// identically in both engines, and its estimate-driven reservations
 /// beat the conservative patience heuristic on mean bounded slowdown.
 #[test]
 fn easy_backfill_replays_bit_identically_and_beats_conservative() {
-    let wl = bundled_trace();
+    let easy = Scenario::trace(EasyBackfill::new);
     assert!(
-        wl.jobs.iter().all(|j| j.walltime_estimate.is_some()),
+        easy.workload
+            .jobs
+            .iter()
+            .all(|j| j.walltime_estimate.is_some()),
         "SWF loads carry walltime estimates for every job"
     );
-    let des = replay_des(Box::new(EasyBackfill::new()), &wl);
-    let op = replay_operator(Box::new(EasyBackfill::new()), &wl);
+    let des = assert_agree(&easy, &[Des, Operator]);
     assert_eq!(des.jobs.len(), 24, "every trace job completes");
-    for (a, b) in des.jobs.iter().zip(&op.jobs) {
-        assert_eq!(a.name, b.name, "job order diverged");
-        assert_eq!(a.started_at, b.started_at, "{}: start", a.name);
-        assert_eq!(a.completed_at, b.completed_at, "{}: completion", a.name);
-    }
-    assert_eq!(des, op, "DES and operator EASY replays must be identical");
 
-    let fcfs = replay_des(Box::new(FcfsBackfill::new()), &wl);
+    let fcfs = common::run(&Scenario::trace(FcfsBackfill::new), Des);
     assert!(
         des.mean_bounded_slowdown < fcfs.mean_bounded_slowdown,
         "EASY bsld {} should beat conservative bsld {}",
@@ -96,77 +50,50 @@ fn easy_backfill_replays_bit_identically_and_beats_conservative() {
 /// EASY stays deterministic per engine (guards the `==` above).
 #[test]
 fn easy_replays_are_deterministic() {
-    let wl = bundled_trace();
-    assert_eq!(
-        replay_des(Box::new(EasyBackfill::new()), &wl),
-        replay_des(Box::new(EasyBackfill::new()), &wl)
-    );
-    assert_eq!(
-        replay_operator(Box::new(EasyBackfill::new()), &wl),
-        replay_operator(Box::new(EasyBackfill::new()), &wl)
-    );
+    let easy = Scenario::trace(EasyBackfill::new);
+    assert_agree(&easy, &[Des, Des]);
+    assert_agree(&easy, &[Operator, Operator]);
 }
 
 /// A hog monopolizes the cluster while a low-priority job starves in
 /// the queue. Under plain elastic scheduling nothing revisits it until
 /// the hog completes; under `AgingSweep` the timer pass promotes it
 /// and shrinks the hog within a few sweep intervals.
-fn starvation_workload() -> WorkloadSpec {
-    WorkloadSpec::new(vec![
+fn starvation<P: SchedulingPolicy + 'static>(policy: impl Fn() -> P + 'static) -> Scenario {
+    let workload = WorkloadSpec::new(vec![
         // Priority 5, grabs 60 workers + launcher on the empty
         // cluster; 60 000 core-seconds -> completes around t = 1000.
         JobSpec::malleable("hog", 4, 60, 60_000.0, 5),
         // Priority 1, needs 8+1 of the 3 remaining slots: starves.
         JobSpec::malleable("starved", 8, 8, 800.0, 1).at(Duration::from_secs(10.0)),
-    ])
+    ]);
+    Scenario::new(workload, 64, policy).with_horizon(Duration::from_secs(50_000.0))
 }
 
-fn aging_policy() -> Box<dyn SchedulingPolicy> {
-    let inner = Policy::elastic(PolicyConfig {
+fn aging_policy() -> AgingSweep {
+    AgingSweep::new(
+        Box::new(plain_elastic()),
+        Duration::from_secs(50.0),
+        Duration::from_secs(30.0),
+    )
+}
+
+fn plain_elastic() -> Policy {
+    Policy::elastic(PolicyConfig {
         rescale_gap: Duration::from_secs(10.0),
         launcher_slots: 1,
         // A single running hog is runningJobs[0]; the sweep must be
         // allowed to shrink it.
         shrink_spares_head: false,
-    });
-    Box::new(AgingSweep::new(
-        Box::new(inner),
-        Duration::from_secs(50.0),
-        Duration::from_secs(30.0),
-    ))
-}
-
-fn plain_elastic() -> Box<dyn SchedulingPolicy> {
-    Box::new(Policy::elastic(PolicyConfig {
-        rescale_gap: Duration::from_secs(10.0),
-        launcher_slots: 1,
-        shrink_spares_head: false,
-    }))
+    })
 }
 
 #[test]
 fn aging_sweep_rescues_a_starving_job_in_the_des() {
-    let wl = starvation_workload();
-    let baseline = {
-        let cfg = SimConfig {
-            capacity: 64,
-            policy: plain_elastic(),
-            scaling: ScalingModel::default(),
-            overhead: OverheadModel::default(),
-            cancellations: Vec::new(),
-        };
-        simulate(&cfg, &wl).metrics
-    };
-    let aged = {
-        let cfg = SimConfig {
-            capacity: 64,
-            policy: aging_policy(),
-            scaling: ScalingModel::default(),
-            overhead: OverheadModel::default(),
-            cancellations: Vec::new(),
-        };
-        simulate(&cfg, &wl).metrics
-    };
+    let des =
+        |scenario: Scenario| common::run(&scenario.with_overhead(OverheadModel::default()), Des);
+    let baseline = des(starvation(plain_elastic));
+    let aged = des(starvation(aging_policy));
     let started = |m: &RunMetrics, name: &str| {
         m.jobs
             .iter()
@@ -196,19 +123,7 @@ fn aging_sweep_rescues_a_starving_job_in_the_des() {
 
 #[test]
 fn aging_sweep_rescues_a_starving_job_through_the_operator() {
-    let wl = starvation_workload();
-    let clock = VirtualClock::new();
-    let plane = ControlPlane::with_nodes(Arc::new(clock.clone()), KubeletConfig::instant(), 8, 8);
-    assert_eq!(plane.capacity(), 64);
-    let executor = ModelExecutor::ideal(plane.clock());
-    let mut op = CharmOperator::new(plane, aging_policy(), Box::new(executor));
-    let metrics = run_workload_virtual(
-        &mut op,
-        &clock,
-        &wl,
-        Duration::from_secs(1.0),
-        Duration::from_secs(50_000.0),
-    );
+    let (metrics, op) = common::operator_replay(&starvation(aging_policy));
     let starved = metrics.jobs.iter().find(|j| j.name == "starved").unwrap();
     let hog = metrics.jobs.iter().find(|j| j.name == "hog").unwrap();
     assert!(

@@ -12,55 +12,32 @@
 //!   counts, busy core-seconds, rescales and fault tallies — over any
 //!   randomly generated shard partition (proptest).
 
-use std::path::PathBuf;
+mod common;
 
+use common::{assert_agree, bundled_trace, des, federate, Engine::*, Scenario, TRACE_CAPACITY};
 use elastic_hpc::core::{
     EasyBackfill, FaultStats, FcfsBackfill, JobOutcome, Policy, PolicyConfig, RecoveryPolicy,
     RecoveryStrategy, RunMetrics, SchedulingPolicy,
 };
-use elastic_hpc::federation::{FederationConfig, FederationOutcome, FederationRuntime, RoundRobin};
 use elastic_hpc::metrics::{Duration, SimTime};
-use elastic_hpc::sim::{simulate, OverheadModel, ScalingModel, SimConfig};
-use elastic_hpc::workload::{load_workload, FaultSpec, FlakySpec, SwfLoadConfig, WorkloadSpec};
+use elastic_hpc::sim::OverheadModel;
+use elastic_hpc::workload::{FaultSpec, FlakySpec, SwfLoadConfig};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// The replay cluster: 32 slots (the bundled trace's machine size).
-const CAPACITY: u32 = 32;
-
-fn bundled_trace(load_cfg: &SwfLoadConfig) -> WorkloadSpec {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/sample.swf");
-    let file = std::fs::File::open(&path).expect("bundled trace exists");
-    load_workload(std::io::BufReader::new(file), load_cfg).expect("bundled trace parses")
+/// The bundled trace under `cfg`'s annotation and `policy`, every shard
+/// its 32-slot machine under the simulator's default models.
+fn trace<P: SchedulingPolicy + 'static>(
+    cfg: &SwfLoadConfig,
+    policy: impl Fn() -> P + 'static,
+) -> Scenario {
+    Scenario::new(bundled_trace(cfg), TRACE_CAPACITY, policy)
+        .with_overhead(OverheadModel::default())
 }
 
-fn sim_cfg(policy: Box<dyn SchedulingPolicy>) -> SimConfig {
-    SimConfig {
-        capacity: CAPACITY,
-        policy,
-        scaling: ScalingModel::default(),
-        overhead: OverheadModel::default(),
-        cancellations: Vec::new(),
-    }
-}
-
-fn federate(
-    workload: &WorkloadSpec,
-    shards: usize,
-    workers: usize,
-    quantum: usize,
-    make_policy: impl Fn() -> Box<dyn SchedulingPolicy>,
-) -> FederationOutcome {
-    let mut fed = FederationRuntime::new(
-        FederationConfig::new(shards)
-            .with_workers(workers)
-            .with_quantum(quantum),
-        |_| sim_cfg(make_policy()),
-    );
-    fed.handle().submit(workload, &mut RoundRobin::new());
-    fed.start();
-    fed.join()
+fn elastic() -> Policy {
+    Policy::elastic(PolicyConfig::default())
 }
 
 /// The tentpole acceptance criterion: a 1-shard, 1-worker federation
@@ -70,15 +47,13 @@ fn federate(
 /// stream into many turns.
 #[test]
 fn single_shard_federation_is_bit_identical_to_the_des() {
-    type PolicyMaker = fn() -> Box<dyn SchedulingPolicy>;
-    let rigid = bundled_trace(&SwfLoadConfig::rigid(CAPACITY));
-    let policies: [(&str, PolicyMaker); 2] = [
-        ("fcfs", || Box::new(FcfsBackfill::new())),
-        ("easy", || Box::new(EasyBackfill::new())),
-    ];
-    for (label, make_policy) in policies {
-        let des = simulate(&sim_cfg(make_policy()), &rigid);
-        let fed = federate(&rigid, 1, 1, 7, make_policy);
+    let rigid = SwfLoadConfig::rigid(TRACE_CAPACITY);
+    for (label, scenario) in [
+        ("fcfs", trace(&rigid, FcfsBackfill::new)),
+        ("easy", trace(&rigid, EasyBackfill::new)),
+    ] {
+        let des = des(&scenario);
+        let fed = federate(&scenario, 1, 1, 7);
         assert_eq!(
             fed.merged, des.metrics,
             "{label}: merged metrics must be bit-identical to the DES"
@@ -95,15 +70,13 @@ fn single_shard_federation_is_bit_identical_to_the_des() {
 
     // The elastic annotation exercises rescale events through the same
     // quantum-sliced path.
-    let open = bundled_trace(&SwfLoadConfig::elastic(CAPACITY));
-    let elastic =
-        || -> Box<dyn SchedulingPolicy> { Box::new(Policy::elastic(PolicyConfig::default())) };
-    let des = simulate(&sim_cfg(elastic()), &open);
-    let fed = federate(&open, 1, 1, 7, elastic);
-    assert_eq!(
-        fed.merged, des.metrics,
-        "elastic annotation, elastic policy"
-    );
+    let open = trace(&SwfLoadConfig::elastic(TRACE_CAPACITY), elastic);
+    let sliced = Federation {
+        shards: 1,
+        workers: 1,
+        quantum: 7,
+    };
+    assert_agree(&open, &[Des, sliced]);
 }
 
 /// Determinism regression: the same workload and shard count replayed
@@ -111,11 +84,9 @@ fn single_shard_federation_is_bit_identical_to_the_des() {
 /// per-shard and merged metrics — thread interleaving is invisible.
 #[test]
 fn worker_count_is_invisible_in_federation_results() {
-    let trace = bundled_trace(&SwfLoadConfig::elastic(CAPACITY));
-    let elastic =
-        || -> Box<dyn SchedulingPolicy> { Box::new(Policy::elastic(PolicyConfig::default())) };
-    let serial = federate(&trace, 4, 1, 16, elastic);
-    let parallel = federate(&trace, 4, 4, 16, elastic);
+    let open = trace(&SwfLoadConfig::elastic(TRACE_CAPACITY), elastic);
+    let serial = federate(&open, 4, 1, 16);
+    let parallel = federate(&open, 4, 4, 16);
     assert_eq!(serial.merged, parallel.merged, "merged metrics");
     assert_eq!(serial.events, parallel.events, "per-shard event counts");
     for (shard, (a, b)) in serial.shards.iter().zip(&parallel.shards).enumerate() {
@@ -132,38 +103,43 @@ fn worker_count_is_invisible_in_federation_results() {
 /// merged metrics at 1 and 2 workers.
 #[test]
 fn easy_with_evictions_federates_exactly() {
-    let trace = bundled_trace(&SwfLoadConfig::rigid(CAPACITY));
-    let easy = || -> Box<dyn SchedulingPolicy> {
-        Box::new(RecoveryPolicy::new(
+    let easy = || {
+        RecoveryPolicy::new(
             Box::new(EasyBackfill::new()),
             RecoveryStrategy::CheckpointRestart,
-        ))
+        )
     };
+    let plain = trace(&SwfLoadConfig::rigid(TRACE_CAPACITY), easy);
     // Quarter-capacity outages spread over the fault-free makespan,
     // each a third of their spacing long, so no two overlap.
-    let makespan = simulate(&sim_cfg(easy()), &trace).metrics.total_time;
+    let makespan = des(&plain).metrics.total_time;
     const PAIRS: u32 = 6;
     let outage = makespan / f64::from(3 * (PAIRS + 1));
     let horizon = Duration::from_secs(makespan);
-    let faults =
-        FaultSpec::reclamation(3, PAIRS, CAPACITY / 4, horizon, Duration::from_secs(outage))
-            .with_flaky(FlakySpec::storm(4, 30, horizon));
-    let faulted = trace.with_faults(faults);
+    let faults = FaultSpec::reclamation(
+        3,
+        PAIRS,
+        TRACE_CAPACITY / 4,
+        horizon,
+        Duration::from_secs(outage),
+    )
+    .with_flaky(FlakySpec::storm(4, 30, horizon));
+    let faulted = plain.with_faults(faults);
 
-    let des = simulate(&sim_cfg(easy()), &faulted);
+    let des = des(&faulted);
     assert!(
         des.metrics.faults.evictions > 0 && des.metrics.faults.transient_faults > 0,
         "the faults must reach running work: {:?}",
         des.metrics.faults
     );
-    let fed = federate(&faulted, 1, 1, 7, easy);
+    let fed = federate(&faulted, 1, 1, 7);
     assert_eq!(fed.merged, des.metrics, "merged metrics");
     assert_eq!(fed.shards[0].metrics, des.metrics, "shard metrics");
     assert_eq!(fed.shards[0].rescales, des.rescales, "rescales");
     assert_eq!(fed.shards[0].cancelled, des.cancelled, "cancelled");
 
-    let serial = federate(&faulted, 4, 1, 16, easy);
-    let parallel = federate(&faulted, 4, 2, 16, easy);
+    let serial = federate(&faulted, 4, 1, 16);
+    let parallel = federate(&faulted, 4, 2, 16);
     assert_eq!(serial.merged, parallel.merged, "merged metrics");
     assert_eq!(serial.events, parallel.events, "per-shard event counts");
 }

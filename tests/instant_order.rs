@@ -6,7 +6,7 @@
 //! scenarios whose events *collide* — two completions at one instant, a
 //! reclamation or a requeue re-entry on a policy-timer firing, a client
 //! cancellation at the instant another job finishes — and holds the two
-//! engines to bit-identical [`RunMetrics`] on every one of them. Which
+//! engines to bit-identical `RunMetrics` on every one of them. Which
 //! of the colliding events the kernel sees first is
 //! `elastic_core::kernel::EventClass`; the DES queue sorts by it and one
 //! operator tick applies it statement by statement.
@@ -29,15 +29,12 @@
 //! queue's unit tests and by `CharmOperator::tick`'s statement order.
 
 use std::cell::Cell;
-use std::sync::Arc;
 
-use elastic_hpc::core::{
-    run_workload_virtual, AgingSweep, CharmOperator, ModelExecutor, Policy, PolicyConfig,
-    RecoveryPolicy, RecoveryStrategy, RunMetrics, SchedulingPolicy,
-};
-use elastic_hpc::kube::{ControlPlane, KubeletConfig};
-use elastic_hpc::metrics::{Duration, VirtualClock};
-use elastic_hpc::sim::{simulate, OverheadModel, ScalingModel, SimConfig};
+mod common;
+
+use common::{agreement, Engine::*, Scenario};
+use elastic_hpc::core::{AgingSweep, Policy, PolicyConfig, RecoveryPolicy, RecoveryStrategy};
+use elastic_hpc::metrics::Duration;
 use elastic_hpc::workload::{FaultEvent, FaultKind, FaultSpec, JobSpec, WorkloadSpec};
 
 const CAPACITY: u32 = 16;
@@ -62,7 +59,7 @@ impl Lcg {
 /// of runtime, arrival gaps of 0–19 s (a zero gap is a same-instant
 /// burst), priorities 1–5. Short runtimes on a narrow cluster make
 /// same-instant completions common.
-fn scenario(seed: u64) -> WorkloadSpec {
+fn generated(seed: u64) -> WorkloadSpec {
     let mut rng = Lcg(seed ^ 0x9e37_79b9_7f4a_7c15);
     let mut arrival = 0u64;
     let jobs = (0..JOBS)
@@ -94,69 +91,23 @@ fn reclaim_at(at_s: f64) -> FaultSpec {
     ])
 }
 
-fn policy() -> Box<dyn SchedulingPolicy> {
+fn policy() -> AgingSweep {
     let elastic = Policy::elastic(PolicyConfig {
         rescale_gap: Duration::from_secs(60.0),
         launcher_slots: 1,
         shrink_spares_head: true,
     });
     let recovering = RecoveryPolicy::new(Box::new(elastic), RecoveryStrategy::KillRequeue);
-    Box::new(AgingSweep::new(
+    AgingSweep::new(
         Box::new(recovering),
         Duration::from_secs(120.0),
         Duration::from_secs(TIMER_S),
-    ))
-}
-
-fn replay_des(workload: &WorkloadSpec) -> RunMetrics {
-    let cfg = SimConfig {
-        capacity: CAPACITY,
-        policy: policy(),
-        scaling: ScalingModel::default(),
-        overhead: OverheadModel::zero(),
-        cancellations: Vec::new(),
-    };
-    simulate(&cfg, workload).metrics
-}
-
-fn replay_operator(workload: &WorkloadSpec) -> RunMetrics {
-    let clock = VirtualClock::new();
-    let plane = ControlPlane::with_nodes(Arc::new(clock.clone()), KubeletConfig::instant(), 2, 8);
-    assert_eq!(plane.capacity(), CAPACITY);
-    let executor = ModelExecutor::ideal(plane.clock());
-    let mut op = CharmOperator::new(plane, policy(), Box::new(executor));
-    run_workload_virtual(
-        &mut op,
-        &clock,
-        workload,
-        Duration::from_secs(1.0),
-        Duration::from_secs(100_000.0),
     )
 }
 
-/// `None` when the engines agree; otherwise the first job they place
-/// differently (or the first aggregate that differs).
-fn divergence(des: &RunMetrics, op: &RunMetrics) -> Option<String> {
-    if des == op {
-        return None;
-    }
-    for (a, b) in des.jobs.iter().zip(&op.jobs) {
-        if a != b {
-            return Some(format!(
-                "{}: DES start {} end {}, operator {} start {} end {}",
-                a.name, a.started_at, a.completed_at, b.name, b.started_at, b.completed_at
-            ));
-        }
-    }
-    Some(format!(
-        "jobs {} vs {}, faults {:?} vs {:?}, utilization {} vs {}",
-        des.jobs.len(),
-        op.jobs.len(),
-        des.faults,
-        op.faults,
-        des.utilization,
-        op.utilization
-    ))
+/// `workload` on the 16-slot cluster under [`policy`].
+fn on_the_cluster(workload: WorkloadSpec) -> Scenario {
+    Scenario::new(workload, CAPACITY, policy)
 }
 
 /// Replays every seed's scenario (as `variant` shapes it) through both
@@ -164,8 +115,8 @@ fn divergence(des: &RunMetrics, op: &RunMetrics) -> Option<String> {
 fn hold_engines_equal(label: &str, variant: impl Fn(WorkloadSpec) -> WorkloadSpec) {
     let diverged: Vec<String> = (0..SEEDS)
         .filter_map(|seed| {
-            let workload = variant(scenario(seed));
-            let found = divergence(&replay_des(&workload), &replay_operator(&workload))?;
+            let scenario = on_the_cluster(variant(generated(seed)));
+            let found = agreement(&scenario, &[Des, Operator]).err()?;
             Some(format!("  seed {seed}: {found}"))
         })
         .collect();
@@ -204,7 +155,7 @@ fn a_reclaim_beside_the_timer_grid_replays_identically() {
 fn a_cancel_colliding_with_a_completion_replays_identically() {
     let collisions = Cell::new(0u64);
     hold_engines_equal("cancel at a completion instant", |mut workload| {
-        let plain = replay_des(&workload);
+        let plain = common::run(&on_the_cluster(workload.clone()), Des);
         // The victim is the first job still running when some other
         // job completes; it is cancelled at that instant.
         let collision = plain.jobs.iter().find_map(|done| {
@@ -251,8 +202,7 @@ fn a_requeue_re_entry_colliding_with_a_completion_replays_identically() {
         rigid("c", 50.0, 1, 40.0),
     ])
     .with_faults(reclaim_at(TIMER_S));
-    let (des, op) = (replay_des(&workload), replay_operator(&workload));
-    assert_eq!(divergence(&des, &op), None);
+    let des = common::assert_agree(&on_the_cluster(workload), &[Des, Operator]);
     let started = |name: &str| {
         let job = des.jobs.iter().find(|j| j.name == name);
         job.expect("every job completes").started_at.as_secs()

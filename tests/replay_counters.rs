@@ -17,62 +17,57 @@
 //! `op-ingest-replay` Poisson storm, settled instant by instant.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
-use std::sync::Arc;
 
+mod common;
+
+use common::{operator, run, Engine, Scenario};
 use elastic_hpc::core::{
-    run_workload_virtual, ArrivalSink, CharmOperator, FaultStats, FcfsBackfill, ModelExecutor,
-    Policy, PolicyConfig, RecoveryPolicy, RecoveryStrategy, RunMetrics, Schedule, SchedulingPolicy,
-    SubmitRequest,
+    ArrivalSink, CharmOperator, FaultStats, FcfsBackfill, Policy, PolicyConfig, RunMetrics,
+    Schedule, SchedulingPolicy, SubmitRequest,
 };
-use elastic_hpc::federation::{FederationConfig, FederationRuntime, RoundRobin};
-use elastic_hpc::kube::{ControlPlane, KubeletConfig};
+use elastic_hpc::federation::FederationConfig;
 use elastic_hpc::metrics::{Clock, Duration, SimTime, VirtualClock};
-use elastic_hpc::serving::{run_workload_ingest, IngestConfig, IngestQueue, ShardRouter};
+use elastic_hpc::serving::{IngestConfig, IngestQueue, ShardRouter};
 use elastic_hpc::sim::experiments::{
     heavy_traffic_workload, SCALE_CAPACITY, SCALE_SUBMISSION_GAP_S,
 };
-use elastic_hpc::sim::{OverheadModel, ScalingModel, SimConfig, SimOutcome, SimState};
-use elastic_hpc::workload::{load_workload, poisson_workload, SwfLoadConfig, WorkloadSpec};
+use elastic_hpc::sim::{OverheadModel, SimOutcome, SimState};
+use elastic_hpc::workload::{poisson_workload, WorkloadSpec};
 
-fn elastic() -> Box<dyn SchedulingPolicy> {
-    Box::new(Policy::elastic(PolicyConfig {
+fn elastic() -> Policy {
+    Policy::elastic(PolicyConfig {
         rescale_gap: Duration::from_secs(180.0),
         launcher_slots: 1,
         shrink_spares_head: true,
-    }))
+    })
 }
 
-fn fcfs() -> Box<dyn SchedulingPolicy> {
-    Box::new(FcfsBackfill::new())
+/// `workload` on `capacity` slots under the simulator's default models.
+fn calibrated<P: SchedulingPolicy + 'static>(
+    workload: WorkloadSpec,
+    capacity: u32,
+    policy: impl Fn() -> P + 'static,
+) -> Scenario {
+    Scenario::new(workload, capacity, policy).with_overhead(OverheadModel::default())
 }
 
-fn sim_cfg(capacity: u32, policy: Box<dyn SchedulingPolicy>) -> SimConfig {
-    SimConfig {
-        capacity,
-        policy,
-        scaling: ScalingModel::default(),
-        overhead: OverheadModel::default(),
-        cancellations: Vec::new(),
-    }
-}
-
-/// Replays `workload` to the end; returns the events popped with the
-/// outcome.
-fn replay(cfg: &SimConfig, workload: &WorkloadSpec) -> (u64, SimOutcome) {
-    let mut state = SimState::new(cfg, workload);
-    while state.step(cfg, workload, 4096) {}
+/// Replays `scenario` through the DES to the end; returns the events
+/// popped with the outcome.
+fn replay(scenario: &Scenario) -> (u64, SimOutcome) {
+    let (cfg, workload) = (common::sim_config(scenario), &scenario.workload);
+    let mut state = SimState::new(&cfg, workload);
+    while state.step(&cfg, workload, 4096) {}
     let events = state.events_processed();
-    (events, state.finish(cfg, workload))
+    (events, state.finish(&cfg, workload))
 }
 
 /// One heavy-traffic scale replay as `(events popped, rescales, jobs
 /// completed, utilization rounded to four decimals x 10^4)`.
-fn scale_replay(
-    policy: Box<dyn SchedulingPolicy>,
+fn scale_replay<P: SchedulingPolicy + 'static>(
+    policy: impl Fn() -> P + 'static,
     workload: &WorkloadSpec,
 ) -> (u64, u32, usize, u64) {
-    let (events, out) = replay(&sim_cfg(SCALE_CAPACITY, policy), workload);
+    let (events, out) = replay(&calibrated(workload.clone(), SCALE_CAPACITY, policy));
     let utilization_e4 = (out.metrics.utilization * 1e4).round() as u64;
     (events, out.rescales, out.metrics.jobs.len(), utilization_e4)
 }
@@ -83,15 +78,21 @@ fn a_heavy_traffic_replay_pops_exactly_these_events() {
     let large = heavy_traffic_workload(0, 10_000);
     // Trace-shaped (bursty) arrivals at the same mean rate.
     let poisson = poisson_workload(0, 10_000, Duration::from_secs(SCALE_SUBMISSION_GAP_S));
-    assert_eq!(scale_replay(elastic(), &small), (2_663, 810, 1_000, 8_148));
-    assert_eq!(scale_replay(fcfs(), &small), (2_000, 0, 1_000, 6_770));
+    assert_eq!(scale_replay(elastic, &small), (2_663, 810, 1_000, 8_148));
     assert_eq!(
-        scale_replay(elastic(), &large),
+        scale_replay(FcfsBackfill::new, &small),
+        (2_000, 0, 1_000, 6_770)
+    );
+    assert_eq!(
+        scale_replay(elastic, &large),
         (31_161, 11_334, 10_000, 9_354)
     );
-    assert_eq!(scale_replay(fcfs(), &large), (20_000, 0, 10_000, 8_983));
     assert_eq!(
-        scale_replay(elastic(), &poisson),
+        scale_replay(FcfsBackfill::new, &large),
+        (20_000, 0, 10_000, 8_983)
+    );
+    assert_eq!(
+        scale_replay(elastic, &poisson),
         (30_453, 10_566, 10_000, 9_373)
     );
 }
@@ -113,14 +114,10 @@ fn federated_replay_events_depend_on_shards_not_workers() {
         (4, 60_923, 121),
         (8, 59_171, 120),
     ] {
+        let shard = calibrated(workload.clone(), SCALE_CAPACITY / shards as u32, elastic);
         for workers in [1, 2] {
-            let mut fed =
-                FederationRuntime::new(FederationConfig::new(shards).with_workers(workers), |_| {
-                    sim_cfg(SCALE_CAPACITY / shards as u32, elastic())
-                });
-            fed.handle().submit(&workload, &mut RoundRobin::new());
-            fed.start();
-            let out = fed.join();
+            let quantum = FederationConfig::DEFAULT_QUANTUM;
+            let out = common::federate(&shard, shards, workers, quantum);
             assert_eq!(
                 out.merged.jobs.len(),
                 n,
@@ -140,29 +137,20 @@ fn federated_replay_events_depend_on_shards_not_workers() {
     }
 }
 
-fn bundled_trace(capacity: u32) -> WorkloadSpec {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/sample.swf");
-    let file = std::fs::File::open(&path).expect("bundled trace exists");
-    let wl = load_workload(
-        std::io::BufReader::new(file),
-        &SwfLoadConfig::rigid(capacity),
-    )
-    .expect("bundled trace parses");
-    wl.validate().expect("bundled trace is replayable");
-    wl
-}
-
 /// Unused means free: with no fault on the schedule, the recovery
 /// wrapper pops exactly the events the bare policy pops, tallies
 /// nothing, and reports the same run.
 #[test]
 fn an_idle_fault_layer_adds_no_event() {
-    let capacity = 32;
-    let workload = bundled_trace(capacity);
-    assert!(workload.faults.events.is_empty() && workload.faults.flaky.is_empty());
-    let (bare_events, bare) = replay(&sim_cfg(capacity, fcfs()), &workload);
-    let recovering = Box::new(RecoveryPolicy::new(fcfs(), RecoveryStrategy::KillRequeue));
-    let (events, wrapped) = replay(&sim_cfg(capacity, recovering), &workload);
+    let bare = Scenario::trace(FcfsBackfill::new).with_overhead(OverheadModel::default());
+    let faults = &bare.workload.faults;
+    assert!(faults.events.is_empty() && faults.flaky.is_empty());
+    let wrapped = calibrated(
+        bare.workload.clone(),
+        bare.capacity,
+        common::kill_requeue_fcfs,
+    );
+    let ((bare_events, bare), (events, wrapped)) = (replay(&bare), replay(&wrapped));
     // 24 jobs, two of them arriving in one coalesced `Submit`.
     assert_eq!((events, bare_events), (47, 47));
     assert_eq!(wrapped.metrics.faults, FaultStats::default());
@@ -191,11 +179,9 @@ fn a_submission_storm_costs_batches_not_jobs() {
         .into_iter()
         .map(|spec| SubmitRequest::v1(spec).expect("generated specs are valid"))
         .collect();
+    let cluster = Scenario::new(workload, 64, elastic).linear();
     for shards in [1, 4] {
-        let clock = Arc::new(VirtualClock::new());
-        let plane = ControlPlane::with_nodes(clock.clone(), KubeletConfig::instant(), 4, 16);
-        let executor = ModelExecutor::ideal(plane.clock());
-        let mut op = CharmOperator::new(plane, elastic(), Box::new(executor));
+        let (mut op, clock) = operator(&cluster);
         let queue = IngestQueue::new(
             op.client(),
             IngestConfig {
@@ -231,29 +217,17 @@ fn a_submission_storm_costs_batches_not_jobs() {
     }
 }
 
-fn operator(
-    policy: Box<dyn SchedulingPolicy>,
-    nodes: usize,
-    slots_per_node: u32,
-) -> (CharmOperator, VirtualClock) {
-    let clock = VirtualClock::new();
-    let kubelet = KubeletConfig::instant();
-    let plane = ControlPlane::with_nodes(Arc::new(clock.clone()), kubelet, nodes, slots_per_node);
-    let executor = ModelExecutor::ideal(plane.clock());
-    (CharmOperator::new(plane, policy, Box::new(executor)), clock)
-}
-
-/// Replays a fault- and cancellation-free `workload` the way the
+/// Replays a fault- and cancellation-free scenario the way the
 /// harness's drive loop does — submit what fell due, flush, settle,
-/// advance by `tick` — and returns how many instants settled in 1, 2, …
-/// reconcile rounds, with the run's metrics.
+/// advance by the scenario's tick — and returns how many instants
+/// settled in 1, 2, … reconcile rounds, with the run's metrics.
 fn settle_histogram(
     op: &mut CharmOperator,
     clock: &VirtualClock,
     sink: &impl ArrivalSink,
-    workload: &WorkloadSpec,
-    tick: Duration,
+    scenario: &Scenario,
 ) -> (BTreeMap<u32, u32>, RunMetrics) {
+    let workload = &scenario.workload;
     let schedule = Schedule::from_workload(workload);
     assert!(schedule.cancellations.is_empty() && workload.faults.events.is_empty());
     let mut histogram = BTreeMap::new();
@@ -270,7 +244,7 @@ fn settle_histogram(
         if next == schedule.jobs.len() && sink.pending() == 0 && op.all_complete() {
             return (histogram, op.metrics());
         }
-        clock.advance(tick);
+        clock.advance(scenario.tick);
     }
 }
 
@@ -283,24 +257,22 @@ fn settle_histogram(
 /// the metrics it must reproduce.
 #[test]
 fn an_instant_settles_in_these_many_rounds() {
-    let horizon = Duration::from_secs(1e7);
-
     // The bundled trace, FCFS, 1 s ticks, direct submissions.
-    let trace = bundled_trace(32);
-    let tick = Duration::from_secs(1.0);
-    let (mut op, clock) = operator(fcfs(), 4, 8);
+    let trace = Scenario::trace(FcfsBackfill::new);
+    let (mut op, clock) = operator(&trace);
     let client = op.client();
-    let (histogram, metrics) = settle_histogram(&mut op, &clock, &client, &trace, tick);
-    let (mut op, clock) = operator(fcfs(), 4, 8);
-    let harness = run_workload_virtual(&mut op, &clock, &trace, tick, horizon);
-    assert_eq!(metrics, harness, "bundled trace");
+    let (histogram, metrics) = settle_histogram(&mut op, &clock, &client, &trace);
+    assert_eq!(metrics, run(&trace, Engine::Operator), "bundled trace");
     let pinned = BTreeMap::from([(1, 2081), (2, 20), (3, 11), (4, 9)]);
     assert_eq!(histogram, pinned, "bundled trace");
 
     // `benchmark/`'s op-ingest-replay at seed 0: 240 Poisson arrivals,
     // elastic policy, 60 s ticks, zero-delay ingest over 4 shards.
     let storm = poisson_workload(0, 240, Duration::from_secs(20.0));
-    let tick = Duration::from_secs(60.0);
+    let storm = Scenario::new(storm, 64, elastic)
+        .linear()
+        .with_tick(Duration::from_secs(60.0))
+        .with_horizon(Duration::from_secs(1e7));
     let ingest = IngestConfig {
         shards: 4,
         shard_capacity: 4096,
@@ -309,11 +281,10 @@ fn an_instant_settles_in_these_many_rounds() {
         retry_after: Duration::ZERO,
         router: ShardRouter::RoundRobin,
     };
-    let (mut op, clock) = operator(elastic(), 4, 16);
+    let (mut op, clock) = operator(&storm);
     let queue = IngestQueue::new(op.client(), ingest);
-    let (histogram, metrics) = settle_histogram(&mut op, &clock, &queue, &storm, tick);
-    let (mut op, clock) = operator(elastic(), 4, 16);
-    let (harness, _) = run_workload_ingest(&mut op, &clock, &storm, tick, horizon, ingest);
+    let (histogram, metrics) = settle_histogram(&mut op, &clock, &queue, &storm);
+    let harness = run(&storm, Engine::Ingest(ingest));
     assert_eq!(metrics, harness, "op-ingest-replay storm");
     let pinned = BTreeMap::from([(1, 1974), (2, 64), (3, 4), (4, 114), (5, 116)]);
     assert_eq!(histogram, pinned, "op-ingest-replay storm");
