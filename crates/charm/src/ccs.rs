@@ -9,10 +9,10 @@
 //! [`RescaleReport`] so the caller sees per-stage overhead.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
 
-use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::Mutex;
+use hpc_metrics::sync::locked;
 
 use crate::rescale::RescaleReport;
 
@@ -21,7 +21,7 @@ pub struct CcsRequest {
     /// Desired PE count.
     pub target_pes: usize,
     /// Where to deliver the acknowledgement.
-    pub reply: Sender<RescaleReport>,
+    pub reply: SyncSender<RescaleReport>,
 }
 
 impl std::fmt::Debug for CcsRequest {
@@ -56,14 +56,14 @@ impl CcsEndpoint {
 
     /// Removes the oldest pending request, if any.
     pub fn take_pending(&self) -> Option<CcsRequest> {
-        self.shared.queue.lock().pop_front()
+        locked(&self.shared.queue).pop_front()
     }
 
     /// Removes all but the newest pending request and returns that one —
     /// a controller that signalled twice before a boundary only wants
     /// the latest target.
     pub fn take_latest(&self) -> Option<CcsRequest> {
-        let mut q = self.shared.queue.lock();
+        let mut q = locked(&self.shared.queue);
         let latest = q.pop_back();
         q.clear();
         latest
@@ -71,7 +71,7 @@ impl CcsEndpoint {
 
     /// Number of requests waiting.
     pub fn pending(&self) -> usize {
-        self.shared.queue.lock().len()
+        locked(&self.shared.queue).len()
     }
 }
 
@@ -87,8 +87,8 @@ impl CcsClient {
     /// sync boundary.
     pub fn request_rescale(&self, target_pes: usize) -> Receiver<RescaleReport> {
         assert!(target_pes >= 1, "cannot rescale to zero PEs");
-        let (tx, rx) = bounded(1);
-        self.shared.queue.lock().push_back(CcsRequest {
+        let (tx, rx) = mpsc::sync_channel(1);
+        locked(&self.shared.queue).push_back(CcsRequest {
             target_pes,
             reply: tx,
         });

@@ -7,9 +7,10 @@
 //! wall time shrinks as replicas grow, the Fig. 5 behaviour.
 
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
+use hpc_metrics::sync::locked;
 
 use crate::ids::{ChareId, PeId};
 
@@ -38,34 +39,34 @@ impl CheckpointStore {
 
     /// Inserts a batch of entries (one lock acquisition per PE batch).
     pub fn insert_batch(&self, entries: impl IntoIterator<Item = (ChareId, CkptEntry)>) {
-        let mut map = self.inner.lock();
+        let mut map = locked(&self.inner);
         map.extend(entries);
     }
 
     /// Removes and returns the full checkpoint (the restore path
     /// consumes it).
     pub fn take(&self) -> HashMap<ChareId, CkptEntry> {
-        std::mem::take(&mut *self.inner.lock())
+        std::mem::take(&mut *locked(&self.inner))
     }
 
     /// Discards any stored checkpoint.
     pub fn clear(&self) {
-        self.inner.lock().clear();
+        locked(&self.inner).clear();
     }
 
     /// Number of checkpointed chares.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        locked(&self.inner).len()
     }
 
     /// `true` if no checkpoint is stored.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        locked(&self.inner).is_empty()
     }
 
     /// Total payload bytes currently stored.
     pub fn total_bytes(&self) -> usize {
-        self.inner.lock().values().map(|e| e.data.len()).sum()
+        locked(&self.inner).values().map(|e| e.data.len()).sum()
     }
 }
 

@@ -11,8 +11,9 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::RwLock;
 
-use parking_lot::RwLock;
+use hpc_metrics::sync::{read, write};
 
 use crate::ids::{ArrayId, ChareId, PeId};
 
@@ -46,29 +47,29 @@ impl LocationManager {
 
     /// Where `id` currently lives, if known.
     pub fn lookup(&self, id: ChareId) -> Option<PeId> {
-        self.shard(id).read().get(&id).copied()
+        read(self.shard(id)).get(&id).copied()
     }
 
     /// Records that `id` lives on `pe`.
     pub fn update(&self, id: ChareId, pe: PeId) {
-        self.shard(id).write().insert(id, pe);
+        write(self.shard(id)).insert(id, pe);
     }
 
     /// Forgets `id` (chare destroyed).
     pub fn remove(&self, id: ChareId) -> Option<PeId> {
-        self.shard(id).write().remove(&id)
+        write(self.shard(id)).remove(&id)
     }
 
     /// Drops every record (restart path).
     pub fn clear(&self) {
         for s in &self.shards {
-            s.write().clear();
+            write(s).clear();
         }
     }
 
     /// Total number of known chares.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.shards.iter().map(|s| read(s).len()).sum()
     }
 
     /// `true` when no chares are registered.
@@ -80,7 +81,7 @@ impl LocationManager {
     pub fn snapshot(&self) -> HashMap<ChareId, PeId> {
         let mut out = HashMap::with_capacity(self.len());
         for s in &self.shards {
-            out.extend(s.read().iter().map(|(k, v)| (*k, *v)));
+            out.extend(read(s).iter().map(|(k, v)| (*k, *v)));
         }
         out
     }
@@ -90,7 +91,7 @@ impl LocationManager {
         let mut out = Vec::new();
         for s in &self.shards {
             out.extend(
-                s.read()
+                read(s)
                     .iter()
                     .filter(|(k, _)| k.array == array)
                     .map(|(k, v)| (*k, *v)),
@@ -105,12 +106,7 @@ impl LocationManager {
     pub fn count_at_or_above(&self, floor: usize) -> usize {
         self.shards
             .iter()
-            .map(|s| {
-                s.read()
-                    .values()
-                    .filter(|pe| pe.as_usize() >= floor)
-                    .count()
-            })
+            .map(|s| read(s).values().filter(|pe| pe.as_usize() >= floor).count())
             .sum()
     }
 
@@ -118,7 +114,7 @@ impl LocationManager {
     pub fn occupancy(&self, num_pes: usize) -> Vec<usize> {
         let mut counts = vec![0usize; num_pes];
         for s in &self.shards {
-            for pe in s.read().values() {
+            for pe in read(s).values() {
                 if let Some(c) = counts.get_mut(pe.as_usize()) {
                     *c += 1;
                 }

@@ -6,8 +6,9 @@
 //! protocol free of distributed termination detection — the driver always
 //! knows exactly how many acknowledgements to await.
 
+use std::sync::mpsc::Sender;
+
 use bytes::Bytes;
-use crossbeam::channel::Sender;
 
 use crate::ids::{ChareId, MethodId};
 use crate::lb::ChareStat;

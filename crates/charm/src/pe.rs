@@ -8,11 +8,12 @@
 //! acknowledged through dedicated reply channels.
 
 use std::collections::HashMap;
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
-use crossbeam::channel::Receiver;
+use hpc_metrics::sync::read;
 
 use crate::chare::{Chare, Contribution, Ctx};
 use crate::ckpt::CkptEntry;
@@ -183,7 +184,7 @@ impl PeWorker {
     fn on_install_packed(&mut self, chares: Vec<(ChareId, Bytes)>) {
         for (id, bytes) in chares {
             let factory = {
-                let arrays = self.shared.arrays.read();
+                let arrays = read(&self.shared.arrays);
                 arrays
                     .get(&id.array)
                     .unwrap_or_else(|| panic!("install for unregistered array {}", id.array))

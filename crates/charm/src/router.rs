@@ -9,8 +9,10 @@
 //! ones on expand — so surviving PEs keep their queues (and any queued
 //! messages) untouched.
 
-use crossbeam::channel::Sender;
-use parking_lot::RwLock;
+use std::sync::mpsc::Sender;
+use std::sync::RwLock;
+
+use hpc_metrics::sync::{read, write};
 
 use crate::ids::PeId;
 use crate::msg::PeMsg;
@@ -36,7 +38,7 @@ impl Router {
     /// Replaces the endpoint table; called at startup and on restart.
     /// Returns the new generation number.
     pub fn set_endpoints(&self, txs: Vec<Sender<PeMsg>>) -> u64 {
-        let mut ep = self.endpoints.write();
+        let mut ep = write(&self.endpoints);
         ep.txs = txs;
         ep.generation += 1;
         ep.generation
@@ -44,7 +46,7 @@ impl Router {
 
     /// Number of live PEs.
     pub fn len(&self) -> usize {
-        self.endpoints.read().txs.len()
+        read(&self.endpoints).txs.len()
     }
 
     /// `true` when no endpoints are installed.
@@ -55,13 +57,13 @@ impl Router {
     /// The current endpoint-table generation (bumps on every restart or
     /// in-place resize).
     pub fn generation(&self) -> u64 {
-        self.endpoints.read().generation
+        read(&self.endpoints).generation
     }
 
     /// Appends endpoints for newly spawned PEs (incremental expand),
     /// keeping every existing endpoint live. Returns the new generation.
     pub fn extend(&self, txs: Vec<Sender<PeMsg>>) -> u64 {
-        let mut ep = self.endpoints.write();
+        let mut ep = write(&self.endpoints);
         ep.txs.extend(txs);
         ep.generation += 1;
         ep.generation
@@ -71,7 +73,7 @@ impl Router {
     /// retired queues disconnect once their workers drain and exit.
     /// Returns the new generation.
     pub fn truncate(&self, new_len: usize) -> u64 {
-        let mut ep = self.endpoints.write();
+        let mut ep = write(&self.endpoints);
         assert!(
             new_len <= ep.txs.len(),
             "truncate {new_len} beyond {} endpoints",
@@ -87,7 +89,7 @@ impl Router {
     /// boundaries treat that as a protocol bug, in-flight app code treats
     /// it as a drop.
     pub fn send(&self, pe: PeId, msg: PeMsg) -> bool {
-        let ep = self.endpoints.read();
+        let ep = read(&self.endpoints);
         match ep.txs.get(pe.as_usize()) {
             Some(tx) => tx.send(msg).is_ok(),
             None => false,
@@ -96,7 +98,7 @@ impl Router {
 
     /// Sends `Stop` to every PE.
     pub fn stop_all(&self) {
-        let ep = self.endpoints.read();
+        let ep = read(&self.endpoints);
         for tx in &ep.txs {
             let _ = tx.send(PeMsg::Stop);
         }
@@ -106,13 +108,13 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use std::sync::mpsc::channel;
 
     #[test]
     fn routes_to_correct_pe() {
         let router = Router::new();
-        let (tx0, rx0) = unbounded();
-        let (tx1, rx1) = unbounded();
+        let (tx0, rx0) = channel();
+        let (tx1, rx1) = channel();
         router.set_endpoints(vec![tx0, tx1]);
         assert_eq!(router.len(), 2);
         assert!(router.send(PeId(1), PeMsg::Stop));
@@ -139,7 +141,7 @@ mod tests {
     #[test]
     fn disconnected_queue_reports_failure() {
         let router = Router::new();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         router.set_endpoints(vec![tx]);
         drop(rx);
         assert!(!router.send(PeId(0), PeMsg::Stop));
@@ -148,10 +150,10 @@ mod tests {
     #[test]
     fn extend_keeps_existing_endpoints_live() {
         let router = Router::new();
-        let (tx0, rx0) = unbounded();
+        let (tx0, rx0) = channel();
         router.set_endpoints(vec![tx0]);
         let g1 = router.generation();
-        let (tx1, rx1) = unbounded();
+        let (tx1, rx1) = channel();
         let g2 = router.extend(vec![tx1]);
         assert!(g2 > g1);
         assert_eq!(router.len(), 2);
@@ -164,8 +166,8 @@ mod tests {
     #[test]
     fn truncate_retires_top_endpoints_only() {
         let router = Router::new();
-        let (tx0, rx0) = unbounded();
-        let (tx1, rx1) = unbounded();
+        let (tx0, rx0) = channel();
+        let (tx1, rx1) = channel();
         router.set_endpoints(vec![tx0, tx1]);
         router.truncate(1);
         assert_eq!(router.len(), 1);
@@ -186,8 +188,8 @@ mod tests {
     #[test]
     fn stop_all_reaches_every_pe() {
         let router = Router::new();
-        let (tx0, rx0) = unbounded();
-        let (tx1, rx1) = unbounded();
+        let (tx0, rx0) = channel();
+        let (tx1, rx1) = channel();
         router.set_endpoints(vec![tx0, tx1]);
         router.stop_all();
         assert!(matches!(rx0.try_recv().unwrap(), PeMsg::Stop));

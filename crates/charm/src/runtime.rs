@@ -24,13 +24,13 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use hpc_metrics::sync::{read, write};
 use hpc_metrics::Duration;
-use parking_lot::RwLock;
 
 use crate::ccs::{CcsClient, CcsEndpoint};
 use crate::chare::{Chare, ChareFactory};
@@ -214,7 +214,7 @@ pub struct Runtime {
 impl Runtime {
     /// Boots a runtime with `cfg.pes` PE threads.
     pub fn new(cfg: RuntimeConfig) -> Runtime {
-        let (main_tx, main_rx) = unbounded();
+        let (main_tx, main_rx) = mpsc::channel();
         let shared = Arc::new(RtShared {
             router: Router::new(),
             location: LocationManager::default(),
@@ -256,9 +256,7 @@ impl Runtime {
 
     /// Number of elements registered in `array`.
     pub fn array_len(&self, array: ArrayId) -> usize {
-        self.shared
-            .arrays
-            .read()
+        read(&self.shared.arrays)
             .get(&array)
             .map(|m| m.elements.len())
             .unwrap_or(0)
@@ -274,7 +272,7 @@ impl Runtime {
     fn spawn_pe_range(&mut self, lo: usize, hi: usize) -> Vec<Sender<PeMsg>> {
         let mut txs = Vec::with_capacity(hi - lo);
         for i in lo..hi {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = mpsc::channel();
             txs.push(tx);
             self.handles.push(PeWorker::spawn(
                 PeId(i as u32),
@@ -302,9 +300,7 @@ impl Runtime {
 
     fn stop_pes(&mut self) {
         self.shared.router.stop_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        join_all(self.handles.drain(..));
     }
 
     /// Retires PEs `new_pes..` in place: each dying worker drains its
@@ -322,9 +318,7 @@ impl Runtime {
         }
         self.shared.router.truncate(new_pes);
         self.shared.num_pes.store(new_pes, Ordering::Release);
-        for h in self.handles.drain(new_pes..) {
-            let _ = h.join();
-        }
+        join_all(self.handles.drain(new_pes..));
     }
 
     /// Grows the pool in place to `new_pes`: fresh workers spawn (their
@@ -356,7 +350,7 @@ impl Runtime {
         elements.sort_by_key(|(idx, _)| *idx);
         let roster: Vec<Index> = elements.iter().map(|(idx, _)| *idx).collect();
         {
-            let mut arrays = self.shared.arrays.write();
+            let mut arrays = write(&self.shared.arrays);
             arrays.insert(
                 id,
                 ArrayMeta {
@@ -375,7 +369,7 @@ impl Runtime {
             self.shared.location.update(cid, pe);
             per_pe.entry(pe).or_default().push((cid, chare));
         }
-        let (ack_tx, ack_rx) = unbounded();
+        let (ack_tx, ack_rx) = mpsc::channel();
         let batches = per_pe.len();
         for (pe, chares) in per_pe {
             let sent = self.shared.router.send(
@@ -411,7 +405,7 @@ impl Runtime {
     /// Sends `data` to entry `method` of every element of `array`.
     pub fn broadcast(&self, array: ArrayId, method: MethodId, data: Bytes) {
         let roster = {
-            let arrays = self.shared.arrays.read();
+            let arrays = read(&self.shared.arrays);
             arrays
                 .get(&array)
                 .unwrap_or_else(|| panic!("broadcast to unregistered {array}"))
@@ -490,7 +484,7 @@ impl Runtime {
     /// resets the accumulators).
     pub fn collect_stats(&self) -> Vec<ChareStat> {
         let n = self.num_pes();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         for i in 0..n {
             let ok = self
                 .shared
@@ -530,7 +524,7 @@ impl Runtime {
         let migrated: usize = dest_of.len();
 
         // Phase 1: extract packed state from the sources.
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         let sources = by_source.len();
         for (pe, ids) in by_source {
             let ok = self.shared.router.send(
@@ -556,7 +550,7 @@ impl Runtime {
         for (&id, &pe) in &dest_of {
             self.shared.location.update(id, pe);
         }
-        let (ack_tx, ack_rx) = unbounded();
+        let (ack_tx, ack_rx) = mpsc::channel();
         let dests = by_dest.len();
         for (pe, chares) in by_dest {
             let ok = self.shared.router.send(
@@ -621,7 +615,7 @@ impl Runtime {
         let started = Instant::now();
         self.shared.ckpt.clear();
         let n = self.num_pes();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         for i in 0..n {
             let ok = self
                 .shared
@@ -676,7 +670,7 @@ impl Runtime {
             self.shared.location.update(id, entry.pe);
             by_pe.entry(entry.pe).or_default().push((id, entry.data));
         }
-        let (ack_tx, ack_rx) = unbounded();
+        let (ack_tx, ack_rx) = mpsc::channel();
         let batches = by_pe.len();
         for (pe, chares) in by_pe {
             let ok = self.shared.router.send(
@@ -832,7 +826,9 @@ impl Runtime {
         Some(report)
     }
 
-    /// Stops all PE threads and drops the runtime.
+    /// Stops all PE threads and drops the runtime. Panics with the first
+    /// PE's panic if an entry method panicked (so does a rescale that
+    /// retires or restarts that PE, and so does dropping the runtime).
     pub fn shutdown(mut self) {
         self.stop_pes();
     }
@@ -841,5 +837,23 @@ impl Runtime {
 impl Drop for Runtime {
     fn drop(&mut self) {
         self.stop_pes();
+    }
+}
+
+/// Joins every PE thread, then re-raises the first one's panic (an entry
+/// method that panicked) on the driver thread. A driver that is already
+/// unwinding — a runtime dropped mid-panic — does not re-raise: a second
+/// panic would abort the process.
+fn join_all(handles: impl Iterator<Item = std::thread::JoinHandle<()>>) {
+    let mut first_panic = None;
+    for h in handles {
+        if let Err(panic) = h.join() {
+            first_panic.get_or_insert(panic);
+        }
+    }
+    if let Some(panic) = first_panic {
+        if !std::thread::panicking() {
+            std::panic::resume_unwind(panic);
+        }
     }
 }

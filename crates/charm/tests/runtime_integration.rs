@@ -563,6 +563,15 @@ fn ccs_burst_collapses_to_latest_target() {
 }
 
 #[test]
+#[should_panic(expected = "unknown method 99")]
+fn a_panicking_entry_method_reaches_shutdown() {
+    let (rt, arr) = make_runtime(2, 4);
+    // The chare's PE runs the delivery before the `Stop` shutdown sends.
+    rt.send(charm_rt::ChareId::new(arr, Index::d1(1)), 99, Bytes::new());
+    rt.shutdown();
+}
+
+#[test]
 fn poll_rescale_without_request_is_none() {
     let (mut rt, _arr) = make_runtime(2, 4);
     assert!(rt.poll_rescale(&GreedyLb).is_none());

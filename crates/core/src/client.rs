@@ -66,9 +66,9 @@
 //! [`CharmOperator::client`]: crate::operator::CharmOperator::client
 
 use std::collections::HashMap;
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
-use crossbeam::channel::Receiver;
 use hpc_metrics::{Clock, Duration, SimTime};
 use kube_sim::{ApiError, Store, WatchEvent};
 

@@ -14,11 +14,11 @@
 //!   virtual time and for operator-vs-DES cross-validation.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
 use charm_apps::{JacobiApp, JacobiConfig, SyntheticApp, SyntheticConfig};
 use charm_rt::{GreedyLb, RescaleReport, RuntimeConfig};
-use crossbeam::channel::Receiver;
 use hpc_metrics::{Clock, Duration, SimTime};
 use hpc_workload::model::{OverheadModel, Progress, ScalingModel};
 use hpc_workload::JobShape;

@@ -83,9 +83,9 @@
 //! [`JobRegistry`]: crate::registry::JobRegistry
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
-use crossbeam::channel::Receiver;
 use hpc_metrics::{Duration, JobId, SimTime, UtilizationRecorder};
 use hpc_workload::{FaultEvent, FaultKind, FaultSpec, FlakyOp};
 use kube_sim::{ControlPlane, EventKind, EventLog, Pod, PodPhase, PodRole, Store, WatchEvent};

@@ -28,10 +28,11 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use elastic_core::RunMetrics;
+use hpc_metrics::sync::locked;
 use hpc_metrics::{SimTime, UtilizationRecorder};
 use hpc_workload::{JobSpec, WorkloadSpec};
 use sched_sim::{SimConfig, SimOutcome, SimState};
@@ -103,7 +104,11 @@ struct ShardCell {
     turns: u64,
 }
 
-/// State shared between the runtime, its handles and its workers.
+/// State shared between the runtime, its handles and its workers. A
+/// replay never meets one of its mutexes poisoned: the queue and the
+/// drain order are not held across a step, a shard whose step panicked
+/// is never queued again, and `join` re-raises that panic before it
+/// reads a cell.
 struct Core {
     cfg: FederationConfig,
     /// Shards with events left that no worker holds, in FIFO order.
@@ -114,14 +119,6 @@ struct Core {
     drain_order: Mutex<Vec<usize>>,
     loaded: AtomicBool,
     started: AtomicBool,
-}
-
-/// Locks one of the federation's mutexes. A replay never observes one
-/// poisoned: the queue and the drain order are not held across a step,
-/// a shard whose step panicked is never queued again, and `join`
-/// re-raises that panic before it reads a cell.
-fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().expect("poisoned by an earlier panic")
 }
 
 /// Cheap, cloneable submission surface of a federation. All clones

@@ -77,10 +77,10 @@ use std::borrow::Borrow;
 use std::collections::hash_map::{Entry, HashMap, RandomState};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
+use hpc_metrics::sync::locked;
 
 /// Anything storable: cloneable (for [`Store::update`]'s copy-on-write),
 /// named, and shareable across threads — the store hands out `Arc`s of
@@ -425,7 +425,8 @@ impl<T> StoreInner<T> {
 /// The closures passed to [`Store::read`], [`Store::for_each`],
 /// [`Store::for_each_in`] and [`Store::update`] run under the store
 /// lock: they must not call back into the same store, and `update`'s
-/// must not rename the object.
+/// must not rename the object. A panic in one of them poisons the store
+/// (`hpc_metrics::sync`), and every later call on it panics.
 pub struct Store<T: Resource> {
     inner: Arc<Mutex<StoreInner<T>>>,
     next_uid: Arc<AtomicU64>,
@@ -491,7 +492,7 @@ impl<T: Resource> Store<T> {
 
     /// Creates `obj`; fails if the name exists. Copies nothing.
     pub fn create(&self, obj: T) -> Result<Arc<Stored<T>>, ApiError> {
-        let mut guard = self.inner.lock();
+        let mut guard = locked(&self.inner);
         let inner = &mut *guard;
         let Entry::Vacant(name) = inner.by_name.entry(obj.shared_name()) else {
             return Err(ApiError::AlreadyExists(obj.name().to_string()));
@@ -525,27 +526,27 @@ impl<T: Resource> Store<T> {
     /// The named object as of now. Callers that need a field or two use
     /// [`Store::read`] instead.
     pub fn get(&self, name: &str) -> Option<Arc<Stored<T>>> {
-        self.inner.lock().get(name).cloned()
+        locked(&self.inner).get(name).cloned()
     }
 
     /// A snapshot of all objects, in unspecified order. Counts as a
     /// full scan.
     pub fn list(&self) -> Vec<Arc<Stored<T>>> {
         self.full_scans.fetch_add(1, Ordering::Relaxed);
-        self.inner.lock().objects().cloned().collect()
+        locked(&self.inner).objects().cloned().collect()
     }
 
     /// Borrowed read: runs `f` on the named object under the store
     /// lock and returns its answer, or `None` if the name is unknown.
     pub fn read<R>(&self, name: &str, f: impl FnOnce(&Stored<T>) -> R) -> Option<R> {
-        self.inner.lock().get(name).map(|s| f(s))
+        locked(&self.inner).get(name).map(|s| f(s))
     }
 
     /// Borrowed scan: runs `f` on every object under the store lock
     /// (unspecified order). Counts as a full scan.
     pub fn for_each(&self, f: impl FnMut(&Arc<Stored<T>>)) {
         self.full_scans.fetch_add(1, Ordering::Relaxed);
-        self.inner.lock().objects().for_each(f);
+        locked(&self.inner).objects().for_each(f);
     }
 
     /// Indexed scan: runs `f`, under the store lock and in filing order,
@@ -555,7 +556,7 @@ impl<T: Resource> Store<T> {
     /// # Panics
     /// If the store was not built with an index of that name.
     pub fn for_each_in(&self, index: &str, key: &str, mut f: impl FnMut(&Arc<Stored<T>>)) {
-        let inner = self.inner.lock();
+        let inner = locked(&self.inner);
         let index = (inner.indexes.iter())
             .find(|i| i.name == index)
             .unwrap_or_else(|| panic!("store has no index {index:?}"));
@@ -580,7 +581,7 @@ impl<T: Resource> Store<T> {
 
     /// Number of stored objects.
     pub fn len(&self) -> usize {
-        self.inner.lock().by_name.len()
+        locked(&self.inner).by_name.len()
     }
 
     /// `true` when the store is empty.
@@ -596,7 +597,7 @@ impl<T: Resource> Store<T> {
         name: &str,
         mutate: impl FnOnce(&mut T),
     ) -> Result<Arc<Stored<T>>, ApiError> {
-        let mut guard = self.inner.lock();
+        let mut guard = locked(&self.inner);
         let inner = &mut *guard;
         let slot =
             *(inner.by_name.get(name)).ok_or_else(|| ApiError::NotFound(name.to_string()))?;
@@ -616,7 +617,7 @@ impl<T: Resource> Store<T> {
 
     /// Removes by name, returning the last state. Copies nothing.
     pub fn delete(&self, name: &str) -> Result<Arc<Stored<T>>, ApiError> {
-        let mut guard = self.inner.lock();
+        let mut guard = locked(&self.inner);
         let inner = &mut *guard;
         let slot =
             (inner.by_name.remove(name)).ok_or_else(|| ApiError::NotFound(name.to_string()))?;
@@ -636,9 +637,9 @@ impl<T: Resource> Store<T> {
     /// first, like informers do, or use [`Store::list_watch`] to get
     /// both without a gap.)
     pub fn watch(&self) -> Receiver<WatchEvent<T>> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         let accepts = everything;
-        self.inner.lock().watchers.push(Watcher { accepts, tx });
+        locked(&self.inner).watchers.push(Watcher { accepts, tx });
         rx
     }
 
@@ -663,12 +664,12 @@ impl<T: Resource> Store<T> {
         accepts: WatchFilter<T>,
     ) -> (Vec<Arc<Stored<T>>>, Receiver<WatchEvent<T>>) {
         self.full_scans.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.lock();
+        let mut inner = locked(&self.inner);
         let snapshot = (inner.objects())
             .filter(|s| accepts(EventKind::Added, &s.obj))
             .cloned()
             .collect();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         inner.watchers.push(Watcher { accepts, tx });
         (snapshot, rx)
     }
@@ -1011,7 +1012,7 @@ mod tests {
         // The freed slot is reused, under another key: neither list
         // reaches it through a stale link.
         store.create(obj("d", -1)).unwrap();
-        assert_eq!(store.inner.lock().slots.len(), 3, "b's slot is d's");
+        assert_eq!(locked(&store.inner).slots.len(), 3, "b's slot is d's");
         assert_eq!(names_in(&store, "pos"), ["a", "c"]);
         assert_eq!(names_in(&store, "neg"), ["d"]);
         for name in ["a", "c", "d"] {
@@ -1019,6 +1020,26 @@ mod tests {
         }
         assert!(names_in(&store, "pos").is_empty() && names_in(&store, "neg").is_empty());
         assert!(store.list().is_empty());
+    }
+
+    #[test]
+    fn a_panic_in_an_update_poisons_the_store() {
+        let store: Store<Obj> = Store::indexed(&[("sign", sign)]);
+        store.create(obj("a", 1)).unwrap();
+        // The closure has changed the object but the store has not yet
+        // re-filed it, bumped its version or told a watcher: a store
+        // that served it now would serve `-5` under "pos".
+        let half_applied = std::panic::catch_unwind(|| {
+            store
+                .update("a", |o| {
+                    o.value = -5;
+                    panic!("mid-update");
+                })
+                .unwrap();
+        });
+        assert!(half_applied.is_err());
+        let later = std::panic::catch_unwind(|| store.get("a"));
+        assert!(later.is_err(), "a poisoned store must not serve the object");
     }
 
     #[test]
@@ -1059,7 +1080,7 @@ mod tests {
             pods.delete(&format!("p{i}")).unwrap();
         }
         assert_eq!(peak, LIVE + 1);
-        let inner = pods.inner.lock();
+        let inner = locked(&pods.inner);
         assert!(inner.by_name.is_empty());
         assert!(inner.slots.len() <= peak, "{} slots", inner.slots.len());
         for index in &inner.indexes {

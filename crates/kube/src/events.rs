@@ -4,10 +4,10 @@
 //! (job admitted, pods created, rescale issued, …). The operator writes
 //! to it; tests and the examples read it back.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
+use hpc_metrics::sync::locked;
 use hpc_metrics::SimTime;
-use parking_lot::Mutex;
 
 /// One recorded event.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,7 +42,7 @@ impl EventLog {
         kind: impl Into<String>,
         message: impl Into<String>,
     ) {
-        self.inner.lock().push(Event {
+        locked(&self.inner).push(Event {
             at,
             subject: subject.into(),
             kind: kind.into(),
@@ -52,13 +52,12 @@ impl EventLog {
 
     /// A snapshot of all events in record order.
     pub fn snapshot(&self) -> Vec<Event> {
-        self.inner.lock().clone()
+        locked(&self.inner).clone()
     }
 
     /// Events of a given kind.
     pub fn of_kind(&self, kind: &str) -> Vec<Event> {
-        self.inner
-            .lock()
+        locked(&self.inner)
             .iter()
             .filter(|e| e.kind == kind)
             .cloned()
@@ -67,8 +66,7 @@ impl EventLog {
 
     /// Events concerning a subject.
     pub fn of_subject(&self, subject: &str) -> Vec<Event> {
-        self.inner
-            .lock()
+        locked(&self.inner)
             .iter()
             .filter(|e| e.subject == subject)
             .cloned()
@@ -77,7 +75,7 @@ impl EventLog {
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        locked(&self.inner).len()
     }
 
     /// `true` when nothing has been recorded.

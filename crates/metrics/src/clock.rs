@@ -7,11 +7,10 @@
 //! tests run on a [`VirtualClock`] that only moves when told to, which
 //! makes scheduling decisions fully deterministic.
 
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex};
-
+use crate::sync::{locked, POISONED};
 use crate::time::{Duration, SimTime};
 
 /// A source of experiment time.
@@ -128,7 +127,7 @@ impl VirtualClock {
     pub fn advance(&self, d: Duration) {
         assert!(d.as_secs() >= 0.0, "cannot advance time backwards");
         let (lock, cvar) = &*self.state;
-        let mut st = lock.lock();
+        let mut st = locked(lock);
         st.now += d;
         cvar.notify_all();
     }
@@ -136,7 +135,7 @@ impl VirtualClock {
     /// Jumps time to `t`. Panics if `t` is in the past.
     pub fn advance_to(&self, t: SimTime) {
         let (lock, cvar) = &*self.state;
-        let mut st = lock.lock();
+        let mut st = locked(lock);
         assert!(t >= st.now, "cannot advance time backwards");
         st.now = t;
         cvar.notify_all();
@@ -151,15 +150,14 @@ impl Default for VirtualClock {
 
 impl Clock for VirtualClock {
     fn now(&self) -> SimTime {
-        self.state.0.lock().now
+        locked(&self.state.0).now
     }
 
     fn sleep_until(&self, deadline: SimTime) {
         let (lock, cvar) = &*self.state;
-        let mut st = lock.lock();
-        while st.now < deadline {
-            cvar.wait(&mut st);
-        }
+        let _woken = cvar
+            .wait_while(locked(lock), |st| st.now < deadline)
+            .expect(POISONED);
     }
 }
 

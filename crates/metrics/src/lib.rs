@@ -25,6 +25,9 @@
 //!   cluster-utilization metric and the Fig. 9 profiles.
 //! * [`stats`] — weighted means (response/completion times weighted by
 //!   job priority) and simple summary statistics.
+//! * [`sync`] — the workspace's one lock policy: every `std` lock is
+//!   taken through [`sync::locked`], [`sync::read`] or [`sync::write`],
+//!   and a poisoned one propagates the panic.
 //! * [`csv`] — a minimal CSV emitter for experiment outputs.
 //! * [`ascii`] — terminal line/stack charts so every figure regenerator
 //!   can render its result without a plotting stack.
@@ -38,6 +41,7 @@ pub mod ids;
 pub mod interp;
 pub mod recorder;
 pub mod stats;
+pub mod sync;
 pub mod time;
 
 pub use clock::{Clock, ClockRef, RealClock, VirtualClock};

@@ -25,6 +25,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use elastic_core::{CharmJobStatus, JobEvent, JobEventStream, SchedulerClient};
+use hpc_metrics::sync::locked;
 
 /// What a [`Subscriber`] poll produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,7 +82,7 @@ impl EventBus {
     /// Publishes one event, evicting the oldest retained event if the
     /// ring is full.
     pub fn publish(&self, event: JobEvent) {
-        let mut ring = self.ring.lock().expect("event ring poisoned");
+        let mut ring = locked(&self.ring);
         if ring.buf.len() == ring.capacity {
             ring.buf.pop_front();
         }
@@ -105,7 +106,7 @@ impl EventBus {
     /// A new subscriber, positioned at the *current head*: it sees
     /// events published after this call, never history.
     pub fn subscribe(&self) -> Subscriber {
-        let cursor = self.ring.lock().expect("event ring poisoned").next_seq;
+        let cursor = locked(&self.ring).next_seq;
         Subscriber {
             ring: Arc::clone(&self.ring),
             cursor,
@@ -114,7 +115,7 @@ impl EventBus {
 
     /// Total events ever published.
     pub fn published(&self) -> u64 {
-        self.ring.lock().expect("event ring poisoned").next_seq
+        locked(&self.ring).next_seq
     }
 }
 
@@ -130,7 +131,7 @@ impl Subscriber {
     /// semantics: the lag is reported once, then reading resumes from
     /// the oldest retained event), or [`BusPoll::Empty`].
     pub fn poll(&mut self) -> BusPoll {
-        let ring = self.ring.lock().expect("event ring poisoned");
+        let ring = locked(&self.ring);
         let base = ring.base();
         if self.cursor < base {
             let missed = base - self.cursor;
@@ -154,7 +155,7 @@ impl Subscriber {
     /// say, which is safe because the snapshot carries current state,
     /// not deltas.
     pub fn resync(&mut self, client: &SchedulerClient) -> Vec<(String, CharmJobStatus)> {
-        let ring = self.ring.lock().expect("event ring poisoned");
+        let ring = locked(&self.ring);
         let snapshot = client.list_status();
         self.cursor = ring.next_seq;
         snapshot
@@ -163,7 +164,7 @@ impl Subscriber {
     /// Events currently buffered ahead of this subscriber (saturates at
     /// the ring capacity once lagging).
     pub fn backlog(&self) -> u64 {
-        let ring = self.ring.lock().expect("event ring poisoned");
+        let ring = locked(&self.ring);
         ring.next_seq - self.cursor.max(ring.base())
     }
 }

@@ -33,6 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use elastic_core::{JobTicket, SchedulerClient, SchedulerError, SubmitRequest, SubmitResponse};
+use hpc_metrics::sync::locked;
 use hpc_metrics::{Clock, Duration, SimTime};
 
 /// How submissions are routed to ingest shards.
@@ -197,7 +198,7 @@ impl IngestQueue {
             return Err(SchedulerError::QueueClosed);
         }
         let shard = self.route(req.name());
-        let mut buf = self.shards[shard].lock().expect("ingest shard poisoned");
+        let mut buf = locked(&self.shards[shard]);
         if buf.len() >= self.cfg.shard_capacity {
             self.shed.fetch_add(1, Ordering::Relaxed);
             return Ok(SubmitResponse::Shed {
@@ -219,7 +220,7 @@ impl IngestQueue {
                 return Ok(SubmitResponse::Admitted { ticket });
             }
             // Our own creation failed (duplicate name): surface it.
-            let mut ledger = self.ledger.lock().expect("ledger poisoned");
+            let mut ledger = locked(&self.ledger);
             if let Some(pos) = ledger.errors.iter().position(|(n, _)| n == &name) {
                 let (_, err) = ledger.errors.remove(pos);
                 ledger.rejected -= 1;
@@ -237,7 +238,7 @@ impl IngestQueue {
     pub fn pump(&self, now: SimTime) -> usize {
         let mut flushed = 0;
         for shard in &self.shards {
-            let mut buf = shard.lock().expect("ingest shard poisoned");
+            let mut buf = locked(shard);
             let due = buf
                 .front()
                 .is_some_and(|p| now - p.enqueued_at >= self.cfg.max_delay);
@@ -253,7 +254,7 @@ impl IngestQueue {
     pub fn flush_all(&self) -> usize {
         let mut flushed = 0;
         for shard in &self.shards {
-            let mut buf = shard.lock().expect("ingest shard poisoned");
+            let mut buf = locked(shard);
             flushed += buf.len();
             self.flush_buf(&mut buf, None);
         }
@@ -267,7 +268,7 @@ impl IngestQueue {
             return None;
         }
         let now = self.clock.now();
-        let mut ledger = self.ledger.lock().expect("ledger poisoned");
+        let mut ledger = locked(&self.ledger);
         ledger.batches += 1;
         ledger.sorted = false;
         let mut wanted = None;
@@ -302,12 +303,12 @@ impl IngestQueue {
     }
 
     fn shard_lens(&self) -> impl Iterator<Item = usize> + '_ {
-        (self.shards.iter()).map(|s| s.lock().expect("ingest shard poisoned").len())
+        (self.shards.iter()).map(|s| locked(s).len())
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> IngestStats {
-        let ledger = self.ledger.lock().expect("ledger poisoned");
+        let ledger = locked(&self.ledger);
         IngestStats {
             accepted: self.accepted.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
@@ -321,7 +322,7 @@ impl IngestQueue {
     /// flushed job, or `None` before the first flush.
     pub fn latency_quantile(&self, q: f64) -> Option<Duration> {
         assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        let mut ledger = self.ledger.lock().expect("ledger poisoned");
+        let mut ledger = locked(&self.ledger);
         if ledger.latencies.is_empty() {
             return None;
         }
@@ -338,7 +339,7 @@ impl IngestQueue {
     /// Drains the store-level errors collected at flush time
     /// (`(job name, error)` pairs — duplicates, mostly).
     pub fn take_errors(&self) -> Vec<(String, SchedulerError)> {
-        std::mem::take(&mut self.ledger.lock().expect("ledger poisoned").errors)
+        std::mem::take(&mut locked(&self.ledger).errors)
     }
 
     /// Closes the queue: subsequent [`submit`](IngestQueue::submit)s

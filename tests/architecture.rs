@@ -1,8 +1,9 @@
-//! Seven structural rules, checked on the source: one scheduling
+//! Eight structural rules, checked on the source: one scheduling
 //! kernel, one measurement estate, one drive loop, no scan in the pod
 //! controllers (nor a copy or a pointer a watcher did not ask for), one
-//! execution model, an operator that watches two stores, and one
-//! differential harness for the cross-engine tests. Each test runs its
+//! execution model, an operator that watches two stores, one
+//! differential harness for the cross-engine tests, and one lock
+//! policy. Each test runs its
 //! rule on the tree as it is, then with one recorded mutation spliced
 //! into a real file, and asserts that the rule fires. Most rules read
 //! [`code`]: a file without its comments, literals and `#[cfg(test)]`
@@ -17,6 +18,7 @@ const EXECUTOR: &str = "crates/core/src/executor.rs";
 const HARNESS: &str = "crates/core/src/harness.rs";
 const API: &str = "crates/kube/src/api.rs";
 const MODEL: &str = "crates/workload/src/model.rs";
+const SYNC: &str = "crates/metrics/src/sync.rs";
 
 const HOOKS: &str = "on_submit|on_complete|on_timer|on_fault|apply_action|fail_slots|restore_slots|on_flaky|on_success|backoff_for|from_outcomes|wasted_core_seconds";
 const KNOBS: &str = "_STRICT|bench_fresh|bench_gate|_MAX_JOBS|_MAX_SHARDS";
@@ -40,6 +42,8 @@ const WATCHES: &str =
 const SCAFFOLD: &str = "fn bundled_trace(|fn replay_des(|fn replay_operator(";
 const SETUP: &str =
     "{path} builds its own replay scaffolding; write a Scenario for tests/common/mod.rs";
+const LOCKING: &str = "PoisonError|.lock()|.read()|.write()";
+const POLICY: &str = "{path} decides what a poisoned lock means; take it through hpc_metrics::sync";
 
 type Verdict = Result<(), String>;
 /// A file's text by its path from the repository root.
@@ -265,6 +269,18 @@ fn one_differential_harness(read: Read) -> Verdict {
     Ok(())
 }
 
+/// Every lock in the crates' sources is taken through
+/// `hpc_metrics::sync`, the one module that says what a poisoned lock
+/// means: no other file names `PoisonError` or calls an argument-less
+/// `.lock()`, `.read()` or `.write()` outside its tests.
+fn one_lock_policy(read: Read) -> Verdict {
+    let source = |p: &&String| p.contains("/src/") && p.ends_with(".rs") && *p != SYNC;
+    for path in files(&["crates"]).iter().filter(source) {
+        deny(path, &code(&read(path)), any_of(LOCKING), POLICY)?;
+    }
+    Ok(())
+}
+
 /// A rate times an elapsed time: `* (now - `, `* x.as_secs()`,
 /// `as_secs() *`, or a relaunch's `total_iters.saturating_sub`.
 fn integrates(line: &str) -> bool {
@@ -380,6 +396,14 @@ fn one_differential_harness_rule() {
     let path = "tests/trace_replay.rs";
     let mutated = disk(path).replacen("SWF trace", "SWF trace (tests/data/sample.swf)", 1);
     rail(one_differential_harness, path, &mutated, SETUP);
+}
+
+#[test]
+fn one_lock_policy_rule() {
+    // The store recovers a poisoned guard again, as the old shim did.
+    let recover = "self.inner.lock().unwrap_or_else(PoisonError::into_inner)";
+    let mutated = disk(API).replacen("locked(&self.inner)", recover, 1);
+    rail(one_lock_policy, API, &mutated, POLICY);
 }
 
 #[test]
