@@ -11,9 +11,8 @@
 use std::collections::HashSet;
 use std::time::Duration as StdDuration;
 
-use bytes::Bytes;
 use charm_rt::codec::Writer;
-use charm_rt::{ArrayId, GreedyLb, LbStrategy, MethodId, RescaleReport, Runtime, WaitError};
+use charm_rt::{ArrayId, Bytes, GreedyLb, LbStrategy, MethodId, RescaleReport, Runtime, WaitError};
 use hpc_metrics::Duration;
 
 /// How long a window's (or a query's) reduction may take.

@@ -21,10 +21,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use charm_rt::codec::{Reader, Writer};
 use charm_rt::{
-    Chare, ChareFactory, Ctx, Index, MainEvent, MethodId, ReduceOp, Runtime, RuntimeConfig,
+    Bytes, Chare, ChareFactory, Ctx, Index, MainEvent, MethodId, ReduceOp, Runtime, RuntimeConfig,
     WaitError,
 };
 
@@ -464,7 +463,7 @@ impl JacobiApp {
     /// equivalence tests. O(grid²) memory; intended for small problems.
     pub fn gather_grid(&mut self) -> Result<Vec<f64>, WaitError> {
         let blocks = self.cfg.num_blocks();
-        self.driver.broadcast(M_GATHER, Bytes::new());
+        self.driver.broadcast(M_GATHER, Bytes::default());
         let (bw, bh) = self.cfg.block_dims();
         let n = self.cfg.grid;
         let mut grid = vec![0.0f64; n * n];

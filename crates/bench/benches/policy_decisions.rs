@@ -1,4 +1,4 @@
-//! Criterion benches: scheduling-decision latency.
+//! Benches: scheduling-decision latency.
 //!
 //! The paper claims the operator handles "a much larger number of jobs"
 //! than prior work; decision cost per submission/completion is the
@@ -14,13 +14,48 @@
 //! running population. `view_upkeep` is the other side of those
 //! indexes: what a view *mutation* costs with none of them built and
 //! with the three the elastic policy reads.
+//!
+//! Each case prints one `bench <group>/<case>` line: the median over
+//! ten samples of the time one call takes.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::hint::black_box;
+use std::time::Instant;
+
 use elastic_core::{
     apply_action, Action, ClusterView, EasyBackfill, FcfsBackfill, JobId, JobState, Policy,
     PolicyConfig, PolicyKind, SchedulingPolicy,
 };
 use hpc_metrics::{Duration, SimTime};
+
+/// Samples per case; the printed time is their median.
+const SAMPLES: usize = 10;
+
+/// Times `routine` and prints its median time per call. A sample is one
+/// warm-up call, then a batch of calls sized to about 10 ms (at most
+/// 1 000; one call if the warm-up took a millisecond or more), timed
+/// as a whole and divided by its length.
+fn bench<O>(label: &str, mut routine: impl FnMut() -> O) {
+    let mut samples: Vec<f64> = (0..SAMPLES)
+        .map(|_| {
+            let started = Instant::now();
+            black_box(routine());
+            let probe_ns = started.elapsed().as_nanos().max(1);
+            let calls = if probe_ns < 1_000_000 {
+                (10_000_000 / probe_ns).clamp(1, 1000) as u32
+            } else {
+                1
+            };
+            let started = Instant::now();
+            for _ in 0..calls {
+                black_box(routine());
+            }
+            (started.elapsed() / calls).as_secs_f64()
+        })
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    let median_us = samples[SAMPLES / 2] * 1e6;
+    println!("bench {label:<48} {median_us:>12.3} us/iter");
+}
 
 /// `n` running jobs, job `i` last acted on at `acted_at(i)` seconds,
 /// plus one queued newcomer (id `n`).
@@ -93,7 +128,7 @@ fn deep_backlog(queue: usize, free: u32) -> ClusterView {
     view
 }
 
-fn bench_backlog(c: &mut Criterion) {
+fn bench_backlog() {
     let now = SimTime::from_secs(1e6);
     let policies: [Box<dyn SchedulingPolicy>; 3] = [
         Box::new(EasyBackfill::new()),
@@ -104,19 +139,15 @@ fn bench_backlog(c: &mut Criterion) {
             backfill_patience: Duration::INFINITY,
         }),
     ];
-    let mut group = c.benchmark_group("backlog");
     for &queue in &[100usize, 1000, 10_000] {
         for &free in &[0u32, 3, 64] {
             let view = deep_backlog(queue, free);
             for policy in &policies {
-                let name = format!("on_complete/{}/free{free}", policy.name());
-                group.bench_with_input(BenchmarkId::new(name, queue), &view, |b, v| {
-                    b.iter(|| policy.on_complete(v, now))
-                });
+                let label = format!("backlog/on_complete/{}/free{free}/{queue}", policy.name());
+                bench(&label, || policy.on_complete(&view, now));
             }
         }
     }
-    group.finish();
 }
 
 fn elastic_cfg() -> PolicyConfig {
@@ -130,27 +161,24 @@ fn elastic_cfg() -> PolicyConfig {
 /// Every running job rescaled 1..=170 s ago, inside the 180 s gap: the
 /// newcomer cannot be made room for and nothing may expand, and
 /// finding that out must not cost a walk over the running jobs.
-fn bench_inside_gap(c: &mut Criterion) {
+fn bench_inside_gap() {
     let now_s = 2e6;
     let now = SimTime::from_secs(now_s);
     let policy = Policy::elastic(elastic_cfg());
-    let mut group = c.benchmark_group("inside_gap");
     for &n in &[256usize, 4096] {
         let (view, newcomer) = view_with_jobs(n, |i| now_s - 1.0 - (i % 170) as f64);
-        group.bench_with_input(BenchmarkId::new("on_submit/elastic", n), &view, |b, v| {
-            b.iter(|| policy.on_submit(v, newcomer, now))
+        bench(&format!("inside_gap/on_submit/elastic/{n}"), || {
+            policy.on_submit(&view, newcomer, now)
         });
-        group.bench_with_input(BenchmarkId::new("on_complete/elastic", n), &view, |b, v| {
-            b.iter(|| policy.on_complete(v, now))
+        bench(&format!("inside_gap/on_complete/elastic/{n}"), || {
+            policy.on_complete(&view, now)
         });
     }
-    group.finish();
 }
 
-fn bench_decisions(c: &mut Criterion) {
+fn bench_decisions() {
     let cfg = elastic_cfg();
     let now = SimTime::from_secs(2e6);
-    let mut group = c.benchmark_group("policy");
     for &n in &[16usize, 128, 1024] {
         let (view, newcomer) = view_with_jobs(n, |i| i as f64);
         // Every policy goes through the same trait surface the
@@ -161,18 +189,15 @@ fn bench_decisions(c: &mut Criterion) {
             .collect();
         policies.push(Box::new(FcfsBackfill::new()));
         for policy in &policies {
-            group.bench_with_input(
-                BenchmarkId::new(format!("on_submit/{}", policy.name()), n),
-                &view,
-                |b, v| b.iter(|| policy.on_submit(v, newcomer, now)),
-            );
+            bench(&format!("policy/on_submit/{}/{n}", policy.name()), || {
+                policy.on_submit(&view, newcomer, now)
+            });
         }
         let policy: Box<dyn SchedulingPolicy> = Box::new(Policy::elastic(cfg));
-        group.bench_with_input(BenchmarkId::new("on_complete/elastic", n), &view, |b, v| {
-            b.iter(|| policy.on_complete(v, now))
+        bench(&format!("policy/on_complete/elastic/{n}"), || {
+            policy.on_complete(&view, now)
         });
     }
-    group.finish();
 }
 
 /// The mutations a replay puts its view through, in steady state over
@@ -245,9 +270,8 @@ impl Churn {
 /// and queued priority orders, the last-action list) kept current, and
 /// `easy_indexes` with the three EASY reads (the FCFS queue, its
 /// footprint buckets, the completion frontier).
-fn bench_view_upkeep(c: &mut Criterion) {
+fn bench_view_upkeep() {
     const STEPS: usize = 1000 / Churn::MUTATIONS_PER_STEP;
-    let mut group = c.benchmark_group("view_upkeep");
     for name in ["bare", "elastic_indexes", "easy_indexes"] {
         let mut churn = Churn::new();
         let view = &churn.view;
@@ -267,22 +291,17 @@ fn bench_view_upkeep(c: &mut Criterion) {
             }
             _ => {}
         }
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                for _ in 0..STEPS {
-                    churn.step();
-                }
-            })
+        bench(&format!("view_upkeep/{name}"), || {
+            for _ in 0..STEPS {
+                churn.step();
+            }
         });
     }
-    group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_decisions,
-    bench_inside_gap,
-    bench_backlog,
-    bench_view_upkeep
-);
-criterion_main!(benches);
+fn main() {
+    bench_decisions();
+    bench_inside_gap();
+    bench_backlog();
+    bench_view_upkeep();
+}

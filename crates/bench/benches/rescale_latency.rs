@@ -1,4 +1,4 @@
-//! Criterion bench: incremental vs full-restart rescale latency.
+//! Bench: incremental vs full-restart rescale latency.
 //!
 //! The tentpole claim of the in-place rescale protocol is that overhead
 //! scales with the bytes actually moved instead of the cluster size.
@@ -20,12 +20,11 @@
 //! a capped run still asserts the floor but never overwrites the
 //! tracked `BENCH_rescale.json` trajectory.
 
-use std::path::PathBuf;
 use std::time::Instant;
 
 use charm_apps::{JacobiApp, JacobiConfig};
 use charm_rt::{GreedyLb, RescaleMode, RescaleReport, RuntimeConfig};
-use criterion::{criterion_group, criterion_main, Criterion};
+use elastic_bench::workspace_root;
 
 /// PE count the acceptance criterion is stated at.
 const FULL_PES: usize = 64;
@@ -99,14 +98,6 @@ fn measure_cases() -> Vec<Case> {
         .collect()
 }
 
-fn workspace_root() -> PathBuf {
-    // crates/bench -> workspace root.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .expect("workspace root resolves")
-}
-
 fn emit_json(cases: &[Case]) {
     let pes = pes();
     if pes != FULL_PES {
@@ -157,7 +148,7 @@ fn emit_json(cases: &[Case]) {
     println!("wrote {}", path.display());
 }
 
-fn bench_rescale(c: &mut Criterion) {
+fn main() {
     let cases = measure_cases();
     emit_json(&cases);
     for case in &cases {
@@ -178,27 +169,4 @@ fn bench_rescale(c: &mut Criterion) {
             case.name
         );
     }
-
-    // A conventional criterion timing of the steady-state incremental
-    // shrink+expand cycle at a smaller scale, for run-to-run tracking.
-    let mut group = c.benchmark_group("rescale_cycle_8pe");
-    group.sample_size(5);
-    for mode in [RescaleMode::Incremental, RescaleMode::FullRestart] {
-        group.bench_function(format!("{mode}"), |b| {
-            let rt_cfg = RuntimeConfig::new(8)
-                .with_startup_delay(std::time::Duration::from_millis(1))
-                .with_rescale_mode(mode);
-            let mut app = JacobiApp::new(JacobiConfig::new(128, 8, 8), rt_cfg);
-            app.run_window(2).expect("warmup");
-            b.iter(|| {
-                app.driver.rt.rescale_with_mode(4, &GreedyLb, mode);
-                app.driver.rt.rescale_with_mode(8, &GreedyLb, mode);
-            });
-            app.shutdown();
-        });
-    }
-    group.finish();
 }
-
-criterion_group!(benches, bench_rescale);
-criterion_main!(benches);

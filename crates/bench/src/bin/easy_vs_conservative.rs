@@ -21,30 +21,14 @@
 //!
 //! Usage: `easy_vs_conservative [--trace path.swf] [--capacity N]`
 
-use std::io::BufRead;
-
-use elastic_bench::{emit_csv, flag_u64, flag_value, CsvTable};
+use elastic_bench::{emit_csv, flag_u64, load_trace, trace_path, CsvTable};
 use elastic_core::{EasyBackfill, FcfsBackfill, RunMetrics, SchedulingPolicy};
 use hpc_metrics::ascii;
-use sched_sim::{load_workload, SwfLoadConfig, WorkloadSpec};
 use sched_sim::{simulate, OverheadModel, ScalingModel, SimConfig};
+use sched_sim::{SwfLoadConfig, WorkloadSpec};
 
 /// Arrival-compression factors swept (1 = the trace's own timeline).
 const FACTORS: [f64; 5] = [0.5, 1.0, 2.0, 4.0, 8.0];
-
-fn bundled_trace_path() -> String {
-    // crates/bench -> workspace root.
-    format!("{}/../../tests/data/sample.swf", env!("CARGO_MANIFEST_DIR"))
-}
-
-fn load(path: &str, capacity: u32) -> WorkloadSpec {
-    let file = std::fs::File::open(path).unwrap_or_else(|e| panic!("open {path}: {e}"));
-    let reader: Box<dyn BufRead> = Box::new(std::io::BufReader::new(file));
-    let wl = load_workload(reader, &SwfLoadConfig::rigid(capacity))
-        .unwrap_or_else(|e| panic!("parse {path}: {e}"));
-    wl.validate().expect("trace is replayable");
-    wl
-}
 
 fn replay(policy: Box<dyn SchedulingPolicy>, capacity: u32, wl: &WorkloadSpec) -> RunMetrics {
     let cfg = SimConfig {
@@ -59,8 +43,8 @@ fn replay(policy: Box<dyn SchedulingPolicy>, capacity: u32, wl: &WorkloadSpec) -
 
 fn main() {
     let capacity = flag_u64("--capacity", 32) as u32;
-    let path = flag_value("--trace").unwrap_or_else(bundled_trace_path);
-    let base = load(&path, capacity);
+    let path = trace_path();
+    let base = load_trace(&path, &SwfLoadConfig::rigid(capacity));
     println!(
         "== EASY vs conservative backfilling: {} jobs from {path}, {capacity} slots ==",
         base.len()

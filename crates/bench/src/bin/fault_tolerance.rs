@@ -32,51 +32,17 @@
 //!
 //! Usage: `fault_tolerance [--trace path.swf] [--capacity N] [--slots N]`
 
-use std::io::BufRead;
-
-use elastic_bench::{emit_csv, flag_u64, flag_value, CsvTable};
+use elastic_bench::{emit_csv, flag_u64, load_trace, trace_horizon, trace_path, CsvTable};
 use elastic_core::{Policy, PolicyConfig, RecoveryPolicy, RecoveryStrategy, RunMetrics};
 use hpc_metrics::{ascii, Duration};
-use sched_sim::{load_workload, FaultSpec, SwfLoadConfig, WorkloadSpec};
 use sched_sim::{simulate, OverheadModel, ScalingModel, SimConfig};
+use sched_sim::{FaultSpec, SwfLoadConfig, WorkloadSpec};
 
 /// Reclaim/return pairs injected over the trace horizon.
 const INTENSITIES: [u32; 4] = [0, 1, 2, 4];
 
 /// Seed for the deterministic reclamation schedule.
 const SEED: u64 = 7;
-
-fn bundled_trace_path() -> String {
-    // crates/bench -> workspace root.
-    format!("{}/../../tests/data/sample.swf", env!("CARGO_MANIFEST_DIR"))
-}
-
-fn load(path: &str, capacity: u32) -> WorkloadSpec {
-    let file = std::fs::File::open(path).unwrap_or_else(|e| panic!("open {path}: {e}"));
-    let reader: Box<dyn BufRead> = Box::new(std::io::BufReader::new(file));
-    let wl = load_workload(reader, &SwfLoadConfig::elastic(capacity))
-        .unwrap_or_else(|e| panic!("parse {path}: {e}"));
-    wl.validate().expect("trace is replayable");
-    wl
-}
-
-/// Last arrival plus the longest walltime estimate: a horizon that
-/// keeps every reclamation inside the busy part of the replay.
-fn horizon(wl: &WorkloadSpec) -> Duration {
-    let last = wl
-        .jobs
-        .iter()
-        .map(|j| j.arrival)
-        .max()
-        .unwrap_or(Duration::ZERO);
-    let longest = wl
-        .jobs
-        .iter()
-        .filter_map(|j| j.walltime_estimate)
-        .max()
-        .unwrap_or(Duration::ZERO);
-    last + longest
-}
 
 fn replay(strategy: RecoveryStrategy, capacity: u32, wl: &WorkloadSpec) -> RunMetrics {
     let cfg = SimConfig {
@@ -111,9 +77,9 @@ fn mean_recovery_cost(wl: &WorkloadSpec, overhead: &OverheadModel) -> Duration {
 fn main() {
     let capacity = flag_u64("--capacity", 32) as u32;
     let slots = flag_u64("--slots", (capacity / 4).max(1).into()) as u32;
-    let path = flag_value("--trace").unwrap_or_else(bundled_trace_path);
-    let base = load(&path, capacity);
-    let horizon = horizon(&base);
+    let path = trace_path();
+    let base = load_trace(&path, &SwfLoadConfig::elastic(capacity));
+    let horizon = trace_horizon(&base);
     println!(
         "== Fault tolerance: {} jobs from {path}, {capacity} slots, \
          reclamations of {slots} slots over {:.0}s ==",

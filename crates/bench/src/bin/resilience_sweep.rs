@@ -25,51 +25,17 @@
 //!
 //! Usage: `resilience_sweep [--trace path.swf] [--capacity N]`
 
-use std::io::BufRead;
-
-use elastic_bench::{emit_csv, flag_u64, flag_value, CsvTable};
+use elastic_bench::{emit_csv, flag_u64, load_trace, trace_horizon, trace_path, CsvTable};
 use elastic_core::{FcfsBackfill, RecoveryPolicy, RecoveryStrategy, RunMetrics};
 use hpc_metrics::{ascii, Duration};
-use sched_sim::{load_workload, FaultSpec, FlakySpec, SwfLoadConfig, WorkloadSpec};
 use sched_sim::{simulate, OverheadModel, ScalingModel, SimConfig};
+use sched_sim::{FaultSpec, FlakySpec, SwfLoadConfig, WorkloadSpec};
 
 /// Transient-fault storm sizes swept over the trace horizon.
 const INTENSITIES: [u32; 5] = [0, 8, 16, 32, 64];
 
 /// Seed for the deterministic storm schedules.
 const SEED: u64 = 13;
-
-fn bundled_trace_path() -> String {
-    // crates/bench -> workspace root.
-    format!("{}/../../tests/data/sample.swf", env!("CARGO_MANIFEST_DIR"))
-}
-
-fn load(path: &str, capacity: u32) -> WorkloadSpec {
-    let file = std::fs::File::open(path).unwrap_or_else(|e| panic!("open {path}: {e}"));
-    let reader: Box<dyn BufRead> = Box::new(std::io::BufReader::new(file));
-    let wl = load_workload(reader, &SwfLoadConfig::rigid(capacity))
-        .unwrap_or_else(|e| panic!("parse {path}: {e}"));
-    wl.validate().expect("trace is replayable");
-    wl
-}
-
-/// Last arrival plus the longest walltime estimate: keeps every storm
-/// event inside the busy part of the replay.
-fn horizon(wl: &WorkloadSpec) -> Duration {
-    let last = wl
-        .jobs
-        .iter()
-        .map(|j| j.arrival)
-        .max()
-        .unwrap_or(Duration::ZERO);
-    let longest = wl
-        .jobs
-        .iter()
-        .filter_map(|j| j.walltime_estimate)
-        .max()
-        .unwrap_or(Duration::ZERO);
-    last + longest
-}
 
 fn replay(capacity: u32, wl: &WorkloadSpec) -> RunMetrics {
     let cfg = SimConfig {
@@ -110,9 +76,9 @@ fn disciplines(storm: FlakySpec) -> [(&'static str, FlakySpec); 3] {
 
 fn main() {
     let capacity = flag_u64("--capacity", 32) as u32;
-    let path = flag_value("--trace").unwrap_or_else(bundled_trace_path);
-    let base = load(&path, capacity);
-    let horizon = horizon(&base);
+    let path = trace_path();
+    let base = load_trace(&path, &SwfLoadConfig::rigid(capacity));
+    let horizon = trace_horizon(&base);
     println!(
         "== Resilience sweep: {} jobs from {path}, {capacity} slots, \
          storms over {:.0}s ==",

@@ -15,8 +15,10 @@
 //! | `calibrate` | measures scaling anchors from real runs |
 //!
 //! Beside them sit the policy sweeps (`easy_vs_conservative`,
-//! `fault_tolerance`, `resilience_sweep`) and the criterion benches;
-//! `rescale_latency` asserts its own 5x floor and writes
+//! `fault_tolerance`, `resilience_sweep`), which replay the bundled SWF
+//! trace through [`load_trace`], and two `harness = false` benches:
+//! `policy_decisions` prints the median time of each scheduling
+//! decision, and `rescale_latency` asserts its own 5x floor and writes
 //! `BENCH_rescale.json`. No binary here compares a wall-clock number
 //! against a committed one: replay work is pinned by count in
 //! `tests/replay_counters.rs`, and end-to-end time is the `benchmark/`
@@ -32,9 +34,45 @@
 
 pub mod actual;
 
+use std::io::BufReader;
 use std::path::PathBuf;
 
+use hpc_metrics::Duration;
+use sched_sim::{load_workload, SwfLoadConfig, WorkloadSpec};
+
 pub use hpc_metrics::csv::CsvTable;
+
+/// The workspace root (this package lives at `crates/bench`).
+pub fn workspace_root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .expect("workspace root resolves")
+}
+
+/// The SWF trace a sweep replays: `--trace <path>`, or the bundled
+/// `tests/data/sample.swf`.
+pub fn trace_path() -> String {
+    flag_value("--trace")
+        .unwrap_or_else(|| format!("{}/../../tests/data/sample.swf", env!("CARGO_MANIFEST_DIR")))
+}
+
+/// Loads the SWF trace at `path` under `cfg` and checks it replays.
+pub fn load_trace(path: &str, cfg: &SwfLoadConfig) -> WorkloadSpec {
+    let file = std::fs::File::open(path).unwrap_or_else(|e| panic!("open {path}: {e}"));
+    let wl =
+        load_workload(BufReader::new(file), cfg).unwrap_or_else(|e| panic!("parse {path}: {e}"));
+    wl.validate().expect("trace is replayable");
+    wl
+}
+
+/// Last arrival plus the longest walltime estimate: a horizon that
+/// keeps every injected fault inside the busy part of the replay.
+pub fn trace_horizon(wl: &WorkloadSpec) -> Duration {
+    let last = wl.jobs.iter().map(|j| j.arrival).max();
+    let longest = wl.jobs.iter().filter_map(|j| j.walltime_estimate).max();
+    last.unwrap_or(Duration::ZERO) + longest.unwrap_or(Duration::ZERO)
+}
 
 /// Returns the `results/` output directory, creating it if needed.
 pub fn results_dir() -> PathBuf {

@@ -11,9 +11,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use bytes::Bytes;
-
-use crate::codec::{Reader, Writer};
+use crate::codec::{Bytes, Reader, Writer};
 use crate::ids::{ArrayId, ChareId, Index, MethodId, PeId};
 use crate::msg::{MainEvent, PeMsg};
 use crate::reduction::ReduceOp;

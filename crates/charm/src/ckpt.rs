@@ -9,9 +9,9 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use bytes::Bytes;
 use hpc_metrics::sync::locked;
 
+use crate::codec::Bytes;
 use crate::ids::{ChareId, PeId};
 
 /// One chare's checkpointed state.

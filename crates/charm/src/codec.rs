@@ -7,7 +7,11 @@
 //! keeps pack/unpack costs proportional to the data moved (the quantity
 //! the rescale-overhead experiments measure).
 
-use bytes::{BufMut, Bytes, BytesMut};
+use std::sync::Arc;
+
+/// An immutable packed buffer. Cloning or sending one is a refcount
+/// bump; [`Writer::finish`] copies the encoded bytes into it once.
+pub type Bytes = Arc<[u8]>;
 
 /// Errors raised while decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,7 +52,7 @@ const MAX_SEQ_LEN: u64 = 1 << 30;
 /// An append-only encoder.
 #[derive(Debug, Default)]
 pub struct Writer {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl Writer {
@@ -60,7 +64,7 @@ impl Writer {
     /// A writer with pre-reserved capacity.
     pub fn with_capacity(cap: usize) -> Self {
         Writer {
-            buf: BytesMut::with_capacity(cap),
+            buf: Vec::with_capacity(cap),
         }
     }
 
@@ -76,37 +80,37 @@ impl Writer {
 
     /// Appends a `u8`.
     pub fn u8(&mut self, v: u8) -> &mut Self {
-        self.buf.put_u8(v);
+        self.buf.push(v);
         self
     }
 
     /// Appends a `u16`.
     pub fn u16(&mut self, v: u16) -> &mut Self {
-        self.buf.put_u16_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Appends a `u32`.
     pub fn u32(&mut self, v: u32) -> &mut Self {
-        self.buf.put_u32_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Appends a `u64`.
     pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.buf.put_u64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Appends an `i64`.
     pub fn i64(&mut self, v: i64) -> &mut Self {
-        self.buf.put_i64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
     /// Appends an `f64`.
     pub fn f64(&mut self, v: f64) -> &mut Self {
-        self.buf.put_f64_le(v);
+        self.buf.extend_from_slice(&v.to_le_bytes());
         self
     }
 
@@ -132,13 +136,13 @@ impl Writer {
             let raw = unsafe {
                 std::slice::from_raw_parts(v.as_ptr().cast::<u8>(), std::mem::size_of_val(v))
             };
-            self.buf.put_slice(raw);
+            self.buf.extend_from_slice(raw);
         }
         #[cfg(not(target_endian = "little"))]
         {
             self.buf.reserve(v.len() * 8);
             for &x in v {
-                self.buf.put_f64_le(x);
+                self.buf.extend_from_slice(&x.to_le_bytes());
             }
         }
         self
@@ -155,13 +159,13 @@ impl Writer {
             let raw = unsafe {
                 std::slice::from_raw_parts(v.as_ptr().cast::<u8>(), std::mem::size_of_val(v))
             };
-            self.buf.put_slice(raw);
+            self.buf.extend_from_slice(raw);
         }
         #[cfg(not(target_endian = "little"))]
         {
             self.buf.reserve(v.len() * 8);
             for &x in v {
-                self.buf.put_u64_le(x);
+                self.buf.extend_from_slice(&x.to_le_bytes());
             }
         }
         self
@@ -170,7 +174,7 @@ impl Writer {
     /// Appends length-prefixed raw bytes.
     pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
         self.u64(v.len() as u64);
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
         self
     }
 
@@ -181,12 +185,7 @@ impl Writer {
 
     /// Finishes encoding, yielding an immutable buffer.
     pub fn finish(self) -> Bytes {
-        self.buf.freeze()
-    }
-
-    /// Finishes encoding into a plain vector.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.buf.to_vec()
+        Arc::from(self.buf)
     }
 }
 

@@ -42,7 +42,6 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use bytes::Bytes;
 //! use charm_rt::codec::{Reader, Writer};
 //! use charm_rt::{Chare, Ctx, Index, MethodId, ReduceOp, Runtime, RuntimeConfig};
 //!
@@ -92,6 +91,7 @@ pub mod runtime;
 
 pub use ccs::{CcsClient, CcsEndpoint};
 pub use chare::{Chare, ChareFactory, Ctx};
+pub use codec::Bytes;
 pub use ids::{ArrayId, ChareId, Index, MethodId, PeId};
 pub use lb::{ChareStat, GreedyLb, LbStrategy, RotateLb};
 pub use msg::MainEvent;

@@ -8,8 +8,7 @@
 
 use std::sync::mpsc::Sender;
 
-use bytes::Bytes;
-
+use crate::codec::Bytes;
 use crate::ids::{ChareId, MethodId};
 use crate::lb::ChareStat;
 
@@ -45,7 +44,8 @@ pub enum PeMsg {
     ExtractChares {
         /// Chares to remove (must be resident).
         ids: Vec<ChareId>,
-        /// Receives the packed states (zero-copy [`Bytes`]).
+        /// Receives the packed states: sending a [`Bytes`] is a refcount
+        /// bump; the one copy was [`Writer::finish`](crate::codec::Writer::finish)'s.
         reply: Sender<Vec<(ChareId, Bytes)>>,
     },
     /// Report (and reset) measured per-chare loads.

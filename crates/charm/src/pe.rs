@@ -12,12 +12,11 @@ use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Instant;
 
-use bytes::Bytes;
 use hpc_metrics::sync::read;
 
 use crate::chare::{Chare, Contribution, Ctx};
 use crate::ckpt::CkptEntry;
-use crate::codec::{Reader, Writer};
+use crate::codec::{Bytes, Reader, Writer};
 use crate::ids::{ArrayId, ChareId, Index, MethodId, PeId};
 use crate::lb::ChareStat;
 use crate::msg::{MainEvent, PeMsg};

@@ -28,13 +28,13 @@ use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-use bytes::Bytes;
 use hpc_metrics::sync::{read, write};
 use hpc_metrics::Duration;
 
 use crate::ccs::{CcsClient, CcsEndpoint};
 use crate::chare::{Chare, ChareFactory};
 use crate::ckpt::CheckpointStore;
+use crate::codec::Bytes;
 use crate::ids::{ArrayId, ChareId, Index, MethodId, PeId};
 use crate::lb::{validate_assignment, ChareStat, LbStrategy};
 use crate::location::LocationManager;

@@ -6,12 +6,11 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
 use charm_apps::{JacobiApp, JacobiConfig};
 use charm_rt::codec::{Reader, Writer};
 use charm_rt::{
-    Chare, ChareFactory, Ctx, GreedyLb, Index, MethodId, PeId, ReduceOp, RescaleKind, RescaleMode,
-    RotateLb, Runtime, RuntimeConfig, WaitError,
+    Bytes, Chare, ChareFactory, Ctx, GreedyLb, Index, MethodId, PeId, ReduceOp, RescaleKind,
+    RescaleMode, RotateLb, Runtime, RuntimeConfig, WaitError,
 };
 
 const TIMEOUT: Duration = Duration::from_secs(10);
@@ -79,7 +78,7 @@ impl Chare for Cell {
                     w.u64_slice(rest);
                     ctx.send(Index::d1(next), M_RELAY, w.finish());
                 } else {
-                    ctx.send_main(7, Bytes::new());
+                    ctx.send_main(7, Bytes::default());
                 }
             }
             M_TO_MAIN => {
@@ -567,7 +566,11 @@ fn ccs_burst_collapses_to_latest_target() {
 fn a_panicking_entry_method_reaches_shutdown() {
     let (rt, arr) = make_runtime(2, 4);
     // The chare's PE runs the delivery before the `Stop` shutdown sends.
-    rt.send(charm_rt::ChareId::new(arr, Index::d1(1)), 99, Bytes::new());
+    rt.send(
+        charm_rt::ChareId::new(arr, Index::d1(1)),
+        99,
+        Bytes::default(),
+    );
     rt.shutdown();
 }
 

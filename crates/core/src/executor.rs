@@ -193,10 +193,15 @@ impl ExecHandle for CharmHandle {
 }
 
 impl Drop for CharmHandle {
+    /// Stops the app driver and joins it, re-raising its panic (a PE's,
+    /// which the runtime re-raises on the driver) unless this thread is
+    /// already unwinding.
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
+        if let Some(Err(panic)) = self.join.take().map(|join| join.join()) {
+            if !std::thread::panicking() {
+                std::panic::resume_unwind(panic);
+            }
         }
     }
 }
@@ -367,6 +372,20 @@ mod tests {
             walltime_estimate: None,
             app: AppSpec::linear(total as f64, 2, 8),
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "app driver died")]
+    fn dropping_a_handle_re_raises_its_driver_panic() {
+        let handle = CharmHandle {
+            ccs: charm_rt::CcsEndpoint::new().client(),
+            iters: Arc::default(),
+            finished: Arc::default(),
+            stop: Arc::default(),
+            pending_ack: None,
+            join: Some(std::thread::spawn(|| panic!("app driver died"))),
+        };
+        drop(handle);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Eight structural rules, checked on the source: one scheduling
+//! Nine structural rules, checked on the source: one scheduling
 //! kernel, one measurement estate, one drive loop, no scan in the pod
 //! controllers (nor a copy or a pointer a watcher did not ask for), one
 //! execution model, an operator that watches two stores, one
-//! differential harness for the cross-engine tests, and one lock
-//! policy. Each test runs its
+//! differential harness for the cross-engine tests, one lock policy,
+//! and no dependency a package's sources never name. Each test runs its
 //! rule on the tree as it is, then with one recorded mutation spliced
 //! into a real file, and asserts that the rule fires. Most rules read
 //! [`code`]: a file without its comments, literals and `#[cfg(test)]`
@@ -44,6 +44,7 @@ const SETUP: &str =
     "{path} builds its own replay scaffolding; write a Scenario for tests/common/mod.rs";
 const LOCKING: &str = "PoisonError|.lock()|.read()|.write()";
 const POLICY: &str = "{path} decides what a poisoned lock means; take it through hpc_metrics::sync";
+const UNUSED: &str = "{path} declares a dependency its package's sources never name; drop it";
 
 type Verdict = Result<(), String>;
 /// A file's text by its path from the repository root.
@@ -281,6 +282,56 @@ fn one_lock_policy(read: Read) -> Verdict {
     Ok(())
 }
 
+/// Every dependency the root and `crates/*` manifests declare, under
+/// `[dependencies]` or `[dev-dependencies]`, is named in its package's
+/// `src`, `tests`, `benches` or `examples` as `name::`, `use name` or
+/// `extern crate name` (with `-` read as `_`). Doc comments and test
+/// modules count: a dev-dependency may be used only there.
+fn no_unused_dependency(read: Read) -> Verdict {
+    let members = files(&["crates"]).into_iter();
+    let members = members.filter(|p| p.ends_with("/Cargo.toml") && p.matches('/').count() == 2);
+    for manifest in std::iter::once("Cargo.toml".to_string()).chain(members) {
+        let package = manifest.trim_end_matches("Cargo.toml");
+        let dirs = ["src", "tests", "benches", "examples"].map(|d| format!("{package}{d}"));
+        let dirs: Vec<&str> = dirs.iter().map(String::as_str).collect();
+        let rust = files(&dirs).into_iter().filter(|p| p.ends_with(".rs"));
+        let sources: String = rust.map(|p| read(&p)).collect();
+        let unused = |line: &str| {
+            let name = line.split_once('=').map_or("", |(name, _)| name.trim());
+            !name.is_empty() && !names(&sources, &name.replace('-', "_"))
+        };
+        deny(&manifest, &dependencies(&read(&manifest)), unused, UNUSED)?;
+    }
+    Ok(())
+}
+
+/// `manifest` with every line outside `[dependencies]` and
+/// `[dev-dependencies]` blanked, so line numbers hold.
+fn dependencies(manifest: &str) -> String {
+    let mut listed = false;
+    let mut kept = Vec::new();
+    for line in manifest.lines() {
+        if line.starts_with('[') {
+            listed = line == "[dependencies]" || line == "[dev-dependencies]";
+        }
+        let declares = listed && !line.starts_with(['[', '#']);
+        kept.push(if declares { line } else { "" });
+    }
+    kept.join("\n")
+}
+
+/// `src` names the crate `name` as `name::`, `use name` or
+/// `extern crate name`.
+fn names(src: &str, name: &str) -> bool {
+    let word = |c: char| c.is_alphanumeric() || c == '_';
+    src.match_indices(name).any(|(i, _)| {
+        let (before, after) = (&src[..i], &src[i + name.len()..]);
+        let whole = !before.ends_with(word) && !after.starts_with(word);
+        let used = after.starts_with("::") || before.ends_with("use ");
+        whole && (used || before.ends_with("extern crate "))
+    })
+}
+
 /// A rate times an elapsed time: `* (now - `, `* x.as_secs()`,
 /// `as_secs() *`, or a relaunch's `total_iters.saturating_sub`.
 fn integrates(line: &str) -> bool {
@@ -404,6 +455,16 @@ fn one_lock_policy_rule() {
     let recover = "self.inner.lock().unwrap_or_else(PoisonError::into_inner)";
     let mutated = disk(API).replacen("locked(&self.inner)", recover, 1);
     rail(one_lock_policy, API, &mutated, POLICY);
+}
+
+#[test]
+fn no_unused_dependency_rule() {
+    // The pod store's crate takes a dependency it never calls.
+    let path = "crates/kube/Cargo.toml";
+    let unused = "[dev-dependencies]\nrand_chacha = { path = \"../../vendor/rand_chacha\" }";
+    let mutated = disk(path).replacen("[dev-dependencies]", unused, 1);
+    let broken = rail(no_unused_dependency, path, &mutated, UNUSED);
+    assert!(broken.contains(&format!("{path}:")), "{broken}");
 }
 
 #[test]
