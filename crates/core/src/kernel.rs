@@ -17,12 +17,12 @@
 //! kernel under both engines"); the order in which the events of one
 //! instant arrive is [`EventClass`].
 
-use elastic_resilience::{FlakyOutcome, ResilienceState};
 use hpc_metrics::{Duration, JobId, SimTime, UtilizationRecorder};
 use hpc_workload::{FaultEvent, FaultKind, FaultSpec, FlakyOp};
 
 use crate::policy::{CompleteBurst, SchedulingPolicy, SubmitBurst};
 use crate::report::{FaultStats, JobOutcome, RunMetrics};
+use crate::resilience::{FlakyOutcome, ResilienceState};
 use crate::view::{apply_action, Action, ClusterView, JobFields, JobState};
 
 /// The kind of event an entry point stands for. **The declaration
@@ -152,7 +152,7 @@ enum Phase {
     /// In the view, queued or running.
     Live,
     /// Alive but out of the view: waiting out a requeue backoff until
-    /// the instant, or withdrawn for good ([`SimTime::INFINITY`]).
+    /// the instant.
     Away(SimTime),
     Completed(SimTime),
     Cancelled,
@@ -384,7 +384,7 @@ impl Kernel {
         policy: &dyn SchedulingPolicy,
         fx: &mut E,
     ) -> bool {
-        if !matches!(self.jobs[job.index()].phase, Phase::Away(due) if due.is_finite()) {
+        if !matches!(self.jobs[job.index()].phase, Phase::Away(_)) {
             return false;
         }
         self.submit_burst(now, policy, fx);
@@ -540,17 +540,6 @@ impl Kernel {
     /// on it occupies only what it is entitled to.
     pub fn shrunk(&mut self, job: JobId, now: SimTime) {
         self.util.set(now, job, self.jobs[job.index()].replicas);
-    }
-
-    /// The engine tore `job`'s executor down on shutdown: the job
-    /// leaves the view for good but is not terminal (a later control
-    /// plane may resubmit it).
-    pub fn withdraw(&mut self, job: JobId, now: SimTime) {
-        self.view.remove(job, self.launcher);
-        self.util.set(now, job, 0);
-        let a = &mut self.jobs[job.index()];
-        a.replicas = 0;
-        a.phase = Phase::Away(SimTime::INFINITY);
     }
 
     /// Final run metrics over the jobs that completed normally, in

@@ -318,6 +318,8 @@
 //! * [`executor`] — real (`charm-rt`) job execution, and modeled
 //!   execution under `hpc_workload::model`.
 //! * [`kernel`] — the transition machine both engines drive.
+//! * [`resilience`] — the circuit breaker, retry budget and health
+//!   checker the kernel consults on a transient fault.
 //! * [`operator`] — the store/watch adapter around it, with the
 //!   paper's shrink/expand pod sequences.
 //! * [`harness`] — the one drive loop (submissions through an
@@ -340,6 +342,7 @@ pub mod operator;
 pub mod policy;
 pub mod registry;
 pub mod report;
+pub mod resilience;
 pub mod view;
 
 pub use client::{
@@ -347,7 +350,6 @@ pub use client::{
     SubmitResponse,
 };
 pub use crd::{AppSpec, CharmJob, CharmJobSpec, CharmJobStatus, JobPhase, JobSpecBuilder};
-pub use elastic_resilience::ShutdownPhase;
 pub use error::SchedulerError;
 pub use executor::{CharmExecutor, ExecHandle, ExecStatus, Executor, ModelExecutor};
 pub use harness::{run_real, run_virtual, run_workload_virtual, ArrivalSink, Schedule};

@@ -90,8 +90,6 @@ use hpc_metrics::{Duration, JobId, SimTime, UtilizationRecorder};
 use hpc_workload::{FaultEvent, FaultKind, FaultSpec, FlakyOp};
 use kube_sim::{ControlPlane, EventKind, EventLog, Pod, PodPhase, PodRole, Store, WatchEvent};
 
-use elastic_resilience::{Lifecycle, ShutdownPhase};
-
 use crate::client::{SchedulerClient, SubmitRequest};
 use crate::crd::{CharmJob, CharmJobSpec, CharmJobStatus, JobPhase};
 use crate::error::SchedulerError;
@@ -150,9 +148,6 @@ pub struct CharmOperator {
     flakies: VecDeque<FlakyOp>,
     /// Next policy-timer deadline, if the policy requested one.
     next_timer: Option<SimTime>,
-    /// Shutdown phase of the executor pool (Running until
-    /// [`CharmOperator::begin_drain`]).
-    lifecycle: Lifecycle,
 }
 
 /// Everything held for one launched job. One record, so the executor
@@ -255,7 +250,6 @@ impl CharmOperator {
             faults: VecDeque::new(),
             flakies: VecDeque::new(),
             next_timer,
-            lifecycle: Lifecycle::new(),
         }
     }
 
@@ -444,9 +438,7 @@ impl CharmOperator {
             }
         }
         let now = self.plane.now();
-        // A draining (or further shut down) operator admits nothing:
-        // the jobs stay queued for a future operator generation.
-        if !admissions.is_empty() && self.lifecycle.is_accepting() {
+        if !admissions.is_empty() {
             admissions.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
             let (kernel, policy, mut fx) = self.split();
             fx.pool
@@ -456,16 +448,10 @@ impl CharmOperator {
         }
         for name in cancels {
             let (kernel, policy, mut fx) = self.split();
-            match fx.pool.registry.id(&name) {
-                Some(id) => {
-                    kernel.cancel(id, now, policy, &mut fx);
-                }
-                // Never admitted (the operator is draining): with its
-                // cancellation on record, admission retires it.
-                None => {
-                    fx.pool.admitting.push_back(name);
-                    kernel.submit_burst(now, policy, &mut fx);
-                }
+            // Every stored submission is admitted before its cancel
+            // arrives, so an unknown name has nothing to cancel.
+            if let Some(id) = fx.pool.registry.id(&name) {
+                kernel.cancel(id, now, policy, &mut fx);
             }
         }
         drained
@@ -759,8 +745,7 @@ impl CharmOperator {
     /// `true` once every submitted job reached a terminal phase
     /// (completed, cancelled or failed). O(1): every job in the store
     /// has been taken on by the kernel and all of those are terminal —
-    /// so a submission not yet reconciled, or one a draining operator
-    /// refuses to admit, still answers `false`.
+    /// so a submission not yet reconciled still answers `false`.
     pub fn all_complete(&self) -> bool {
         let stored = self.jobs.len();
         stored > 0 && stored == self.kernel.known_jobs() && self.kernel.all_terminal()
@@ -803,75 +788,9 @@ impl CharmOperator {
         })
     }
 
-    /// Shutdown phase of the executor pool ([`ShutdownPhase::Running`]
-    /// until [`CharmOperator::begin_drain`]).
-    pub fn shutdown_phase(&self) -> ShutdownPhase {
-        self.lifecycle.phase()
-    }
-
     /// Executors currently launched (one per `Running` job).
     pub fn leased_executors(&self) -> u32 {
         self.pool.running.len() as u32
-    }
-
-    /// Phase 1 of shutdown: stop admitting. Jobs already queued stay
-    /// queued (their admission decisions no longer run); executors
-    /// already launched keep running until
-    /// [`CharmOperator::begin_cleanup`].
-    ///
-    /// # Panics
-    /// If shutdown already began.
-    pub fn begin_drain(&mut self) {
-        self.lifecycle.begin_drain();
-        let now = self.plane.now();
-        self.events
-            .record(now, "operator", "Draining", "admissions stopped");
-    }
-
-    /// Phase 2 of shutdown: tear down every live executor — kill
-    /// signal, pod deletion — and demote its job back to `Queued`
-    /// (progress is lost; a later operator may resubmit).
-    ///
-    /// # Panics
-    /// If called before [`CharmOperator::begin_drain`].
-    pub fn begin_cleanup(&mut self) {
-        self.lifecycle.begin_cleanup();
-        let now = self.plane.now();
-        let (kernel, _, mut fx) = self.split();
-        let live: Vec<JobId> = fx.pool.running.keys().copied().collect();
-        for id in live {
-            let name = fx.release(id, false);
-            fx.mirror(&name, |s| {
-                s.phase = JobPhase::Queued;
-                s.replicas = 0;
-                s.desired_replicas = 0;
-            });
-            kernel.withdraw(id, now);
-            fx.events
-                .record(now, &*name, "Stopped", "executor pool cleanup");
-        }
-        self.plane.reap_finished();
-    }
-
-    /// Phase 3 of shutdown: verify the pool is drained — no executor
-    /// left running — and terminate.
-    ///
-    /// # Panics
-    /// If called before [`CharmOperator::begin_cleanup`], or if any
-    /// executor outlived cleanup.
-    pub fn terminate(&mut self) {
-        let leaked = self.pool.running.len();
-        assert_eq!(leaked, 0, "{leaked} slots leaked past cleanup");
-        self.lifecycle.terminate();
-        let now = self.plane.now();
-        self.events.record(now, "operator", "Terminated", "");
-    }
-
-    /// Runs the full phased shutdown: drain → cleanup → terminate.
-    pub fn shutdown(&mut self) {
-        self.begin_drain();
-        self.begin_cleanup();
-        self.terminate();
     }
 }
 

@@ -1,9 +1,9 @@
 //! The circuit breaker: Closed → Open → HalfOpen.
 //!
-//! A breaker fronts an unreliable dependency (a flaky executor pool, a
-//! sick federation shard). While *Closed* it passes operations through
-//! and counts consecutive failures; at the trip threshold it snaps
-//! *Open* and fast-fails everything — no kills, no retries, no load on
+//! A breaker fronts an unreliable dependency (a flaky executor pool).
+//! While *Closed* it passes operations through and counts consecutive
+//! failures; at the trip threshold it snaps *Open* and fast-fails
+//! everything — no kills, no retries, no load on
 //! the sick dependency — until the cooldown elapses, when it
 //! *half-opens* and lets one probe decide: a success closes it, a
 //! failure re-trips it for another cooldown.
@@ -55,14 +55,9 @@ impl CircuitBreaker {
         }
     }
 
-    /// Resolves the lazy Open → HalfOpen transition at `now`.
-    fn advance(&mut self, now: SimTime) {
-        if self.state == BreakerState::Open && now >= self.open_until {
-            self.state = BreakerState::HalfOpen;
-        }
-    }
-
-    /// The breaker's state as of `now` (without mutating it).
+    /// The breaker's state as of `now` (without mutating it). Every
+    /// mutating call first stores it: that resolves the lazy
+    /// Open → HalfOpen transition.
     pub fn state(&self, now: SimTime) -> BreakerState {
         if self.state == BreakerState::Open && now >= self.open_until {
             BreakerState::HalfOpen
@@ -75,14 +70,14 @@ impl CircuitBreaker {
     /// the breaker is open and the caller must fast-fail (absorb) the
     /// operation instead of attempting it.
     pub fn allows(&mut self, now: SimTime) -> bool {
-        self.advance(now);
+        self.state = self.state(now);
         self.state != BreakerState::Open
     }
 
     /// Records a failed attempt at `now`. In Closed, accrues toward the
     /// threshold; in HalfOpen, re-trips immediately (the probe failed).
     pub fn record_failure(&mut self, now: SimTime) {
-        self.advance(now);
+        self.state = self.state(now);
         match self.state {
             BreakerState::Closed => {
                 self.consecutive_failures = self.consecutive_failures.saturating_add(1);
@@ -100,7 +95,7 @@ impl CircuitBreaker {
     /// Records a successful operation at `now`: resets the consecutive
     /// count, and closes a half-open breaker.
     pub fn record_success(&mut self, now: SimTime) {
-        self.advance(now);
+        self.state = self.state(now);
         self.consecutive_failures = 0;
         if self.state == BreakerState::HalfOpen {
             self.state = BreakerState::Closed;

@@ -12,9 +12,9 @@
 use hpc_metrics::{JobId, SimTime};
 use hpc_workload::{FlakyOp, FlakySpec};
 
-use crate::breaker::CircuitBreaker;
-use crate::budget::RetryBudget;
-use crate::health::HealthChecker;
+use super::breaker::CircuitBreaker;
+use super::budget::RetryBudget;
+use super::health::HealthChecker;
 
 /// What an engine must do about one transient fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +38,7 @@ pub enum FlakyOutcome {
 /// Breaker + budget + health checker plus the transient-fault tallies
 /// [`RunMetrics`]-style reports carry. One instance per engine run.
 ///
-/// [`RunMetrics`]: https://docs.rs/elastic-core
+/// [`RunMetrics`]: crate::RunMetrics
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResilienceState {
     /// Cluster-level circuit breaker over control-plane operations.

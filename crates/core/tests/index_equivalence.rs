@@ -5,7 +5,7 @@
 //! and a job's pods come from the pod store's by-owner index. This test
 //! drives random sequences of submit / cancel (before the reconciler
 //! saw the job, and while a shrink or expand is in flight) / complete /
-//! evict / requeue / drain through the public surface and holds, before
+//! evict / requeue through the public surface and holds, before
 //! and after every reconcile, that each of those answers equals the
 //! full-scan answer it replaced. Debug builds additionally assert the
 //! exact handle-key set inside every `tick()`.
@@ -134,10 +134,9 @@ proptest! {
         let mut op = operator(&clock);
         let client = op.client();
         let mut serial = 0u32;
-        let mut draining = false;
 
         for step in 0..steps {
-            let action = rng.gen_range(0..12u32);
+            let action = rng.gen_range(0..11u32);
             match action {
                 // Submit; sometimes cancel before the reconciler looks.
                 0..=4 => {
@@ -174,14 +173,7 @@ proptest! {
                     op.post_flaky(fault);
                 }
                 // Let work complete.
-                10 => clock.advance(Duration::from_secs(rng.gen_range(5..=40) as f64)),
-                // Stop admitting, once, late in a long run.
-                _ => {
-                    if !draining && step > 40 {
-                        op.begin_drain();
-                        draining = true;
-                    }
-                }
+                _ => clock.advance(Duration::from_secs(rng.gen_range(5..=40) as f64)),
             }
             check(&op, &format!("step {step} (action {action}) before tick"))?;
             clock.advance(Duration::from_secs(rng.gen_range(1..=3) as f64));
@@ -189,15 +181,12 @@ proptest! {
             check(&op, &format!("step {step} (action {action}) after tick"))?;
         }
 
-        // Run dry: everything still live completes, fails for good, or
-        // — on a draining operator — waits unadmitted in the queue.
+        // Run dry: everything still live completes or fails for good.
         for _ in 0..400 {
             clock.advance(Duration::from_secs(5.0));
             op.tick();
         }
         check(&op, "after the run")?;
-        if !draining {
-            prop_assert!(op.all_complete(), "live after the run: {:?}", live_jobs(&op));
-        }
+        prop_assert!(op.all_complete(), "live after the run: {:?}", live_jobs(&op));
     }
 }

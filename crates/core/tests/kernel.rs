@@ -13,11 +13,11 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Mutex;
 
 use elastic_core::kernel::{Admission, Effects, Kernel, Stop};
+use elastic_core::resilience::FlakyOutcome;
 use elastic_core::{
     Action, ClusterView, JobId, JobState, Policy, PolicyConfig, RecoveryPolicy, RecoveryStrategy,
     SchedulingPolicy,
 };
-use elastic_resilience::FlakyOutcome;
 use hpc_metrics::{Duration, SimTime};
 use hpc_workload::{FaultEvent, FaultKind, FaultSpec, FlakyOp, FlakySpec};
 use proptest::prelude::*;

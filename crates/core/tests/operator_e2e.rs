@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use elastic_core::{
     run_virtual, AppSpec, CharmJobSpec, CharmOperator, JobPhase, ModelExecutor, OverheadModel,
-    Policy, PolicyConfig, PolicyKind, ScalingModel, Schedule, ShutdownPhase,
+    Policy, PolicyConfig, PolicyKind, ScalingModel, Schedule,
 };
 use hpc_metrics::{Clock, Duration, VirtualClock};
 use kube_sim::{ControlPlane, KubeletConfig, PodRole};
@@ -465,61 +465,6 @@ fn real_jobs_through_operator_wall_clock() {
     );
     assert_eq!(metrics.jobs.len(), 2);
     assert!(op.all_complete());
-}
-
-/// The phased shutdown of the executor pool: drain gates admission
-/// while launched executors keep running, cleanup tears every executor
-/// down, terminate asserts none is left. Each phase is observable via
-/// `shutdown_phase()`.
-#[test]
-fn phased_shutdown_drains_cleans_and_terminates() {
-    let clock = VirtualClock::new();
-    let mut op = make_operator(Policy::elastic(cfg(10.0)), &clock);
-    op.submit(spec("j1", 3, 4, 8, 1_000_000)).unwrap();
-    op.tick();
-    assert_eq!(op.shutdown_phase(), ShutdownPhase::Running);
-    assert_eq!(op.leased_executors(), 1);
-    assert!(op.plane.job_pods_running("j1", PodRole::Worker, 8));
-
-    op.begin_drain();
-    assert_eq!(op.shutdown_phase(), ShutdownPhase::Draining);
-    // A submission during drain is stored but never admitted: it stays
-    // queued for a future operator generation.
-    op.submit(spec("j2", 3, 4, 8, 100)).unwrap();
-    op.tick();
-    assert_eq!(
-        op.jobs.get("j2").unwrap().obj.status.phase,
-        JobPhase::Queued
-    );
-    // The executor launched before the drain keeps running through it.
-    assert_eq!(op.leased_executors(), 1);
-    assert!(op.plane.job_pods_running("j1", PodRole::Worker, 8));
-
-    op.begin_cleanup();
-    assert_eq!(op.shutdown_phase(), ShutdownPhase::Cleanup);
-    // Every executor stopped, every job demoted to Queued with its
-    // pods reaped.
-    assert_eq!(op.leased_executors(), 0);
-    assert_eq!(
-        op.jobs.get("j1").unwrap().obj.status.phase,
-        JobPhase::Queued
-    );
-    assert!(!op.plane.job_pods_running("j1", PodRole::Worker, 1));
-
-    op.terminate();
-    assert_eq!(op.shutdown_phase(), ShutdownPhase::Terminated);
-}
-
-/// `shutdown()` is the one-call composition of the three phases.
-#[test]
-fn one_call_shutdown_runs_all_phases() {
-    let clock = VirtualClock::new();
-    let mut op = make_operator(Policy::elastic(cfg(10.0)), &clock);
-    op.submit(spec("j1", 3, 4, 8, 1_000)).unwrap();
-    op.tick();
-    op.shutdown();
-    assert_eq!(op.shutdown_phase(), ShutdownPhase::Terminated);
-    assert_eq!(op.leased_executors(), 0);
 }
 
 /// Faults posted at one instant are reconciled in the order they were

@@ -9,8 +9,7 @@
 //!
 //! * **Placement** ([`PlacementPolicy`]) — which *cluster* gets each
 //!   job, decided once at submit time against deterministic per-shard
-//!   load snapshots. Built-ins: [`RoundRobin`], [`LeastLoaded`],
-//!   [`HashByUser`].
+//!   load snapshots. Built-ins: [`RoundRobin`], [`LeastLoaded`].
 //! * **Scheduling** (`elastic_core::SchedulingPolicy`) — which *slots*
 //!   inside a cluster, decided per shard by that shard's own policy
 //!   instance, unchanged from the single-cluster simulator.
@@ -23,12 +22,6 @@
 //!   shard is in another worker's hands — and `join()` is joining the
 //!   worker threads; a worker's panic is re-raised there once all are
 //!   reaped.
-//! * **Resilience** ([`ShardBreakerBoard`]) — one circuit breaker per
-//!   shard, fed by that shard's transient-fault schedule. Routed via
-//!   [`FederationHandle::submit_resilient`], an open-breaker shard
-//!   advertises worst-case load so [`LeastLoaded`] (and any other
-//!   load-sensitive policy) stops sending it submits until the breaker
-//!   half-opens.
 //!
 //! Determinism is the design invariant: placement is a single-threaded
 //! pre-pass, shards share no mutable state, and quantum-sliced
@@ -110,10 +103,7 @@
 #![warn(missing_docs)]
 
 mod placement;
-mod resilience;
 mod runtime;
 
-pub use elastic_resilience::BreakerState;
-pub use placement::{HashByUser, LeastLoaded, PlacementPolicy, RoundRobin, ShardLoad};
-pub use resilience::ShardBreakerBoard;
+pub use placement::{LeastLoaded, PlacementPolicy, RoundRobin, ShardLoad};
 pub use runtime::{FederationConfig, FederationHandle, FederationOutcome, FederationRuntime};

@@ -106,41 +106,6 @@ impl PlacementPolicy for LeastLoaded {
     }
 }
 
-/// Affinity placement: jobs hash to a shard by their user/name label
-/// (FNV-1a, stable across platforms and releases — `DefaultHasher`
-/// makes no such promise), so one user's jobs land on one cluster.
-/// SWF user ids ride in the job names our trace loader produces; any
-/// stable label works.
-#[derive(Debug, Default)]
-pub struct HashByUser;
-
-impl HashByUser {
-    /// The affinity router.
-    pub fn new() -> HashByUser {
-        HashByUser
-    }
-}
-
-/// Stable 64-bit FNV-1a.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-impl PlacementPolicy for HashByUser {
-    fn name(&self) -> String {
-        "hash_by_user".into()
-    }
-
-    fn place(&mut self, job: &JobSpec, loads: &[ShardLoad]) -> usize {
-        (fnv1a(job.name.as_bytes()) % loads.len() as u64) as usize
-    }
-}
-
 /// An in-flight job: estimated completion instant plus committed work,
 /// ordered by completion for the expiry heap.
 #[derive(Debug, PartialEq)]
@@ -287,34 +252,5 @@ mod tests {
         tracker.commit(0, &job("x", 10.0), 0.0);
         let mut ll = LeastLoaded::new();
         assert_eq!(ll.place(&job("y", 10.0), tracker.loads()), 1);
-    }
-
-    #[test]
-    fn hash_by_user_is_stable_and_spreads() {
-        let tracker = LoadTracker::new(&[8; 8]);
-        let mut h = HashByUser::new();
-        let picks: Vec<usize> = (0..64)
-            .map(|i| {
-                h.place(
-                    &job(&format!("user{}.job{i}", i % 7), 10.0),
-                    tracker.loads(),
-                )
-            })
-            .collect();
-        let again: Vec<usize> = (0..64)
-            .map(|i| {
-                h.place(
-                    &job(&format!("user{}.job{i}", i % 7), 10.0),
-                    tracker.loads(),
-                )
-            })
-            .collect();
-        assert_eq!(picks, again, "pure function of the name");
-        let mut used = picks.clone();
-        used.sort_unstable();
-        used.dedup();
-        assert!(used.len() > 2, "names spread over shards, got {used:?}");
-        // FNV-1a reference vector ("a" = 0xaf63dc4c8601ec8c).
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

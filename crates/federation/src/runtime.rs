@@ -26,6 +26,7 @@
 //! stream is sliced into quanta — so worker count and pop interleaving
 //! cannot change any shard's outcome.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -33,26 +34,26 @@ use std::thread::JoinHandle;
 
 use elastic_core::RunMetrics;
 use hpc_metrics::sync::locked;
-use hpc_metrics::{SimTime, UtilizationRecorder};
-use hpc_workload::{JobSpec, WorkloadSpec};
+use hpc_metrics::UtilizationRecorder;
+use hpc_workload::WorkloadSpec;
 use sched_sim::{SimConfig, SimOutcome, SimState};
 
 use crate::placement::{LoadTracker, PlacementPolicy};
-use crate::resilience::ShardBreakerBoard;
 
 /// Shape of a federation: how many shards, how many workers drive
 /// them, and how many events one worker drains per shard turn.
+/// [`FederationRuntime::new`] checks it, however it was built.
 #[derive(Debug, Clone)]
 pub struct FederationConfig {
-    /// Number of shards (single-cluster simulations).
+    /// Number of shards (single-cluster simulations); at least one.
     pub shards: usize,
-    /// Worker OS threads. More workers than shards is wasted; the
-    /// constructor clamps to `min(available_parallelism, shards)`.
+    /// Worker OS threads; at least one. More workers than shards is
+    /// wasted: the runtime clamps to one per shard.
     pub workers: usize,
     /// Time quantum: events drained per shard turn before the worker
-    /// yields the shard back to the queue tail. This is the fairness
-    /// knob — a hot shard gets at most `quantum` events ahead of a
-    /// cold one per round.
+    /// yields the shard back to the queue tail; at least one. This is
+    /// the fairness knob — a hot shard gets at most `quantum` events
+    /// ahead of a cold one per round.
     pub quantum: usize,
 }
 
@@ -63,29 +64,26 @@ impl FederationConfig {
     pub const DEFAULT_QUANTUM: usize = 512;
 
     /// A federation of `shards` clusters with as many workers as the
-    /// host offers (capped at one per shard) and the default quantum.
+    /// host offers and the default quantum.
     pub fn new(shards: usize) -> FederationConfig {
-        assert!(shards > 0, "a federation needs at least one shard");
         let host = std::thread::available_parallelism()
             .map(|p| p.get())
             .unwrap_or(1);
         FederationConfig {
             shards,
-            workers: host.min(shards),
+            workers: host,
             quantum: Self::DEFAULT_QUANTUM,
         }
     }
 
-    /// Builder: pins the worker count (still capped at one per shard).
+    /// Builder: pins the worker count.
     pub fn with_workers(mut self, workers: usize) -> FederationConfig {
-        assert!(workers > 0, "at least one worker");
-        self.workers = workers.min(self.shards);
+        self.workers = workers;
         self
     }
 
     /// Builder: sets the per-turn event quantum.
     pub fn with_quantum(mut self, quantum: usize) -> FederationConfig {
-        assert!(quantum > 0, "a zero quantum would never make progress");
         self.quantum = quantum;
         self
     }
@@ -146,131 +144,46 @@ impl FederationHandle {
         workload: &WorkloadSpec,
         placement: &mut dyn PlacementPolicy,
     ) -> Vec<usize> {
-        self.open(placement, None).route_all(workload)
-    }
-
-    /// [`FederationHandle::submit`] with breaker-aware routing: each
-    /// shard's [`ShardBreakerBoard`] breaker is fed that shard's flaky
-    /// schedule along the arrival cursor, and while a breaker is open
-    /// the shard advertises worst-case load, so load-sensitive policies
-    /// ([`LeastLoaded`](crate::LeastLoaded) foremost) stop routing
-    /// submits there until the cooldown half-opens it. If every breaker
-    /// is open, routing falls back to the true loads. The board's
-    /// per-shard flaky specs also replace the partitioned shard
-    /// workloads' schedules, so each shard simulates the same faults
-    /// its breaker saw.
-    ///
-    /// # Panics
-    /// As [`FederationHandle::submit`], or if the board's shard count
-    /// differs from the federation's.
-    pub fn submit_resilient(
-        &self,
-        workload: &WorkloadSpec,
-        placement: &mut dyn PlacementPolicy,
-        board: &mut ShardBreakerBoard,
-    ) -> Vec<usize> {
-        assert_eq!(
-            board.shards(),
-            self.core.capacities.len(),
-            "breaker board shard count must match the federation"
-        );
-        self.open(placement, Some(board)).route_all(workload)
-    }
-
-    /// Claims the federation's one submission.
-    fn open<'a>(
-        &'a self,
-        placement: &'a mut dyn PlacementPolicy,
-        board: Option<&'a mut ShardBreakerBoard>,
-    ) -> Submission<'a> {
+        let core = &*self.core;
         assert!(
-            !self.core.started.load(Ordering::Acquire),
+            !core.started.load(Ordering::Acquire),
             "submit after start: the workload must be routed before workers run"
         );
         assert!(
-            !self.core.loaded.swap(true, Ordering::AcqRel),
+            !core.loaded.swap(true, Ordering::AcqRel),
             "a federation accepts exactly one submission"
         );
-        Submission {
-            core: &self.core,
-            placement,
-            board,
-            tracker: LoadTracker::new(&self.core.capacities),
-            assignment: Vec::new(),
-        }
-    }
-}
-
-/// The federation's one submission while it is routed: the placement
-/// state that advances along the arrival cursor.
-struct Submission<'a> {
-    core: &'a Core,
-    placement: &'a mut dyn PlacementPolicy,
-    /// Breaker-aware routing (`submit_resilient` only).
-    board: Option<&'a mut ShardBreakerBoard>,
-    tracker: LoadTracker,
-    assignment: Vec<usize>,
-}
-
-impl Submission<'_> {
-    /// Routes every job of `workload` in arrival order, then seeds the
-    /// shards; returns the per-job shard assignment.
-    fn route_all(mut self, workload: &WorkloadSpec) -> Vec<usize> {
+        let shards = core.capacities.len();
+        let mut tracker = LoadTracker::new(&core.capacities);
+        let mut assignment = Vec::with_capacity(workload.jobs.len());
         for job in &workload.jobs {
-            self.route(job);
+            let now_s = job.arrival.as_secs();
+            tracker.advance_to(now_s);
+            let shard = placement.place(job, tracker.loads());
+            assert!(
+                shard < shards,
+                "placement routed job {} to shard {shard} of a {shards}-shard federation",
+                job.name
+            );
+            tracker.commit(shard, job, now_s);
+            assignment.push(shard);
         }
-        self.seed(workload)
-    }
-
-    /// Routes the next job of the arrival cursor: the federation's one
-    /// placement step.
-    fn route(&mut self, job: &JobSpec) {
-        let shards = self.core.capacities.len();
-        let now_s = job.arrival.as_secs();
-        let now = SimTime::ZERO + job.arrival;
-        self.tracker.advance_to(now_s);
-        let masked = self.board.as_deref_mut().map(|board| {
-            board.advance_to(now);
-            board.masked_loads(self.tracker.loads(), now)
-        });
-        let loads = masked.as_deref().unwrap_or(self.tracker.loads());
-        let shard = self.placement.place(job, loads);
         assert!(
-            shard < shards,
-            "placement routed job {} to shard {shard} of a {shards}-shard federation",
-            job.name
-        );
-        if let Some(board) = self.board.as_deref_mut() {
-            board.on_commit(shard, now);
-        }
-        self.tracker.commit(shard, job, now_s);
-        self.assignment.push(shard);
-    }
-
-    /// Splits `workload` by the assignment and seeds each non-empty
-    /// shard's event queue. A breaker board's per-shard flaky specs
-    /// replace the partitioned schedules.
-    fn seed(self, workload: &WorkloadSpec) -> Vec<usize> {
-        assert!(
-            !self.core.started.load(Ordering::Acquire),
+            !core.started.load(Ordering::Acquire),
             "started during submit: shards were scheduled before they were seeded"
         );
-        let shards = self.core.capacities.len();
-        for (shard, mut part) in workload
-            .partition(&self.assignment, shards)
+        for (shard, part) in workload
+            .partition(&assignment, shards)
             .into_iter()
             .enumerate()
         {
-            if let Some(board) = self.board.as_deref() {
-                part.faults.flaky = board.spec(shard).clone();
-            }
             if !part.jobs.is_empty() {
-                let mut cell = locked(&self.core.cells[shard]);
+                let mut cell = locked(&core.cells[shard]);
                 let state = SimState::new(&cell.cfg, &part);
                 cell.replay = Some((part, state));
             }
         }
-        self.assignment
+        assignment
     }
 }
 
@@ -312,8 +225,20 @@ pub struct FederationRuntime {
 impl FederationRuntime {
     /// Builds a federation whose shard `i` runs the `SimConfig`
     /// returned by `make_sim(i)` — each shard gets its *own* policy
-    /// instance; nothing is shared across shards.
-    pub fn new(cfg: FederationConfig, make_sim: impl Fn(usize) -> SimConfig) -> FederationRuntime {
+    /// instance; nothing is shared across shards. Clamps `cfg.workers`
+    /// to one per shard.
+    ///
+    /// # Panics
+    /// If `cfg` has no shard, no worker or a zero quantum (which would
+    /// never make progress).
+    pub fn new(
+        mut cfg: FederationConfig,
+        make_sim: impl Fn(usize) -> SimConfig,
+    ) -> FederationRuntime {
+        assert!(cfg.shards > 0, "a federation needs at least one shard");
+        assert!(cfg.workers > 0, "a federation needs at least one worker");
+        assert!(cfg.quantum > 0, "a zero quantum would never make progress");
+        cfg.workers = cfg.workers.min(cfg.shards);
         let sims: Vec<SimConfig> = (0..cfg.shards).map(make_sim).collect();
         FederationRuntime {
             core: Arc::new(Core {
@@ -393,13 +318,7 @@ impl FederationRuntime {
             self.core.started.load(Ordering::Acquire),
             "join before start"
         );
-        let mut first_panic = None;
-        for worker in std::mem::take(&mut self.workers) {
-            if let Err(panic) = worker.join() {
-                first_panic.get_or_insert(panic);
-            }
-        }
-        if let Some(panic) = first_panic {
+        if let Some(panic) = self.reap() {
             std::panic::resume_unwind(panic);
         }
 
@@ -451,13 +370,28 @@ impl FederationRuntime {
     }
 }
 
-impl Drop for FederationRuntime {
-    fn drop(&mut self) {
-        // join() took the workers; an early drop (panic unwind, test
-        // teardown) waits for them to finish the replay. A worker's
-        // panic is dropped with it: Drop must not panic.
+impl FederationRuntime {
+    /// Joins every worker thread; the first one's panic, if any.
+    fn reap(&mut self) -> Option<Box<dyn Any + Send>> {
+        let mut first_panic = None;
         for worker in std::mem::take(&mut self.workers) {
-            let _ = worker.join();
+            if let Err(panic) = worker.join() {
+                first_panic.get_or_insert(panic);
+            }
+        }
+        first_panic
+    }
+}
+
+impl Drop for FederationRuntime {
+    /// Waits the workers out when [`FederationRuntime::join`] did not
+    /// (an early return after `start`), re-raising the first worker's
+    /// panic unless this thread is already unwinding.
+    fn drop(&mut self) {
+        if let Some(panic) = self.reap() {
+            if !std::thread::panicking() {
+                std::panic::resume_unwind(panic);
+            }
         }
     }
 }
@@ -488,8 +422,8 @@ fn worker_loop(core: &Core) {
 mod tests {
     use super::*;
     use crate::placement::RoundRobin;
-    use elastic_core::{Policy, PolicyConfig};
-    use hpc_metrics::Duration;
+    use elastic_core::{Action, ClusterView, JobId, Policy, PolicyConfig, SchedulingPolicy};
+    use hpc_metrics::{Duration, SimTime};
     use hpc_workload::JobSpec;
     use sched_sim::{OverheadModel, ScalingModel};
 
@@ -657,124 +591,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn least_loaded_skips_open_breaker_shards() {
-        use crate::placement::LeastLoaded;
-        use hpc_workload::{FlakyEvent, FlakyOp, FlakySpec};
-
-        // Shard 1's schedule trips its breaker at t = 0 (threshold 1);
-        // the cooldown half-opens it at t = 300.
-        let flaky = FlakySpec::new(vec![FlakyEvent {
-            at: Duration::from_secs(0.0),
-            op: FlakyOp::LaunchFail,
-        }])
-        .with_breaker(1, Duration::from_secs(300.0));
-        let mut board =
-            ShardBreakerBoard::new(2, &FlakySpec::new(Vec::new())).with_shard_spec(1, flaky);
-
-        // Long-estimated jobs so shard 0's committed load keeps
-        // growing — an unmasked LeastLoaded would alternate shards.
-        let jobs: Vec<JobSpec> = (0..8)
-            .map(|i| {
-                JobSpec::malleable(format!("j{i:02}"), 1, 2, 20.0, 1)
-                    .at(Duration::from_secs(i as f64 * 50.0))
-                    .with_walltime_estimate(Duration::from_secs(10_000.0))
-            })
-            .collect();
-        let wl = WorkloadSpec::new(jobs);
-
-        let rt = FederationRuntime::new(FederationConfig::new(2).with_workers(1), |_| sim_cfg(8));
-        let assignment = rt
-            .handle()
-            .submit_resilient(&wl, &mut LeastLoaded::new(), &mut board);
-
-        // Arrivals before the t = 300 half-open all avoid shard 1, even
-        // though shard 0 grows ever more loaded; the first arrival at
-        // or past 300 is the probe that lands on (and closes) shard 1.
-        for (i, &shard) in assignment.iter().enumerate() {
-            let at = i as f64 * 50.0;
-            if at < 300.0 {
-                assert_eq!(shard, 0, "open breaker must mask shard 1 at t={at}");
-            }
+    struct PanicsOnSubmit;
+    impl SchedulingPolicy for PanicsOnSubmit {
+        fn name(&self) -> String {
+            "panics_on_submit".into()
         }
-        assert_eq!(
-            assignment[6], 1,
-            "half-open probe at t=300 routes to the now-least-loaded shard 1"
-        );
-        assert!(
-            assignment[7] == 1,
-            "probe success closed the breaker; shard 1 is least loaded"
-        );
-        assert_eq!(board.trips(1), 1);
-    }
-
-    #[test]
-    fn all_open_breakers_still_route_somewhere() {
-        use crate::placement::LeastLoaded;
-        use hpc_workload::{FlakyEvent, FlakyOp, FlakySpec};
-
-        let flaky = FlakySpec::new(vec![FlakyEvent {
-            at: Duration::from_secs(0.0),
-            op: FlakyOp::LaunchFail,
-        }])
-        .with_breaker(1, Duration::from_secs(1e6));
-        let mut board = ShardBreakerBoard::new(2, &flaky);
-        let wl = WorkloadSpec::new(burst(4, 10.0));
-        let mut rt =
-            FederationRuntime::new(FederationConfig::new(2).with_workers(1), |_| sim_cfg(8));
-        let assignment = rt
-            .handle()
-            .submit_resilient(&wl, &mut LeastLoaded::new(), &mut board);
-        assert_eq!(assignment.len(), 4, "every job still routed");
-        rt.start();
-        assert_eq!(rt.join().merged.jobs.len(), 4);
-    }
-
-    #[test]
-    fn board_specs_override_partitioned_flaky_schedules() {
-        use crate::placement::RoundRobin;
-        use hpc_workload::FlakySpec;
-
-        // The workload itself carries no flaky schedule; the board
-        // does (threshold high enough never to trip during routing).
-        let storm = FlakySpec::storm(7, 6, Duration::from_secs(400.0))
-            .with_breaker(u32::MAX, Duration::from_secs(120.0));
-        let mut board = ShardBreakerBoard::new(1, &storm);
-        let wl = WorkloadSpec::new(burst(12, 40.0));
-        assert!(wl.faults.flaky.is_empty());
-
-        let mut rt =
-            FederationRuntime::new(FederationConfig::new(1).with_workers(1), |_| sim_cfg(4));
-        rt.handle()
-            .submit_resilient(&wl, &mut RoundRobin::new(), &mut board);
-        rt.start();
-        let out = rt.join();
-        assert!(
-            out.merged.faults.transient_faults > 0,
-            "the shard replayed the board's flaky schedule"
-        );
-    }
-
-    #[test]
-    fn a_worker_panic_reaches_join() {
-        use elastic_core::{Action, ClusterView, JobId, SchedulingPolicy};
-
-        struct PanicsOnSubmit;
-        impl SchedulingPolicy for PanicsOnSubmit {
-            fn name(&self) -> String {
-                "panics_on_submit".into()
-            }
-            fn launcher_slots(&self) -> u32 {
-                0
-            }
-            fn on_submit(&self, _: &ClusterView, _: JobId, _: SimTime) -> Vec<Action> {
-                panic!("policy bug")
-            }
-            fn on_complete(&self, _: &ClusterView, _: SimTime) -> Vec<Action> {
-                Vec::new()
-            }
+        fn launcher_slots(&self) -> u32 {
+            0
         }
+        fn on_submit(&self, _: &ClusterView, _: JobId, _: SimTime) -> Vec<Action> {
+            panic!("policy bug")
+        }
+        fn on_complete(&self, _: &ClusterView, _: SimTime) -> Vec<Action> {
+            Vec::new()
+        }
+    }
 
+    /// A started two-shard federation whose policy hooks panic.
+    fn started_panicking_runtime() -> FederationRuntime {
         let mut rt =
             FederationRuntime::new(FederationConfig::new(2).with_workers(2), |_| SimConfig {
                 policy: Box::new(PanicsOnSubmit),
@@ -783,6 +617,12 @@ mod tests {
         rt.handle()
             .submit(&WorkloadSpec::new(burst(8, 5.0)), &mut RoundRobin::new());
         rt.start();
+        rt
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_join() {
+        let rt = started_panicking_runtime();
 
         // join() on a helper thread: a join that waits for shards the
         // dead workers will never finish must fail this test, not hang it.
@@ -806,5 +646,22 @@ mod tests {
             .submit(&WorkloadSpec::new(burst(8, 5.0)), &mut RoundRobin::new());
         rt.start();
         drop(rt); // must not hang or leak threads
+    }
+
+    #[test]
+    #[should_panic(expected = "policy bug")]
+    fn dropping_a_started_runtime_reraises_a_worker_panic() {
+        drop(started_panicking_runtime());
+    }
+
+    #[test]
+    #[should_panic(expected = "a zero quantum would never make progress")]
+    fn a_literal_config_is_checked_where_it_is_used() {
+        let cfg = FederationConfig {
+            shards: 2,
+            workers: 1,
+            quantum: 0,
+        };
+        FederationRuntime::new(cfg, |_| sim_cfg(8));
     }
 }

@@ -156,8 +156,8 @@ pub struct FlakyEvent {
 
 /// The operation-level transient-fault layer: a deterministic schedule
 /// of [`FlakyEvent`]s plus the resilience parameters both engines feed
-/// to `elastic-resilience` (circuit breaker, retry budget, health
-/// checker). The [`Default`] spec has no events and is zero-cost to
+/// to the kernel's `elastic_core::resilience` (circuit breaker, retry
+/// budget, health checker). The [`Default`] spec has no events and is zero-cost to
 /// replay — engines seed nothing and consult nothing when
 /// [`FlakySpec::is_empty`].
 #[derive(Debug, Clone, PartialEq)]

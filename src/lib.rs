@@ -10,8 +10,9 @@
 //!   load balancing and shrink/expand (paper contribution C1).
 //! * [`apps`] — Jacobi2D and LeanMD mini-apps written against it.
 //! * [`kube`] — an in-process simulated Kubernetes control plane.
-//! * [`core`] — the CharmJob operator and the four scheduling policies
-//!   (elastic, moldable, rigid-min, rigid-max) — contribution C2.
+//! * [`core`] — the CharmJob operator, the scheduling kernel with its
+//!   resilience layer, and the four scheduling policies (elastic,
+//!   moldable, rigid-min, rigid-max) — contribution C2.
 //! * [`sim`] — the discrete-event scheduling simulator — contribution C3.
 //! * [`serving`] — the production submission front-end: sharded
 //!   batched ingest queues with explicit backpressure and a bounded
@@ -33,7 +34,6 @@
 pub use charm_apps as apps;
 pub use charm_rt as charm;
 pub use elastic_core as core;
-pub use elastic_resilience as resilience;
 pub use elastic_serving as serving;
 pub use hpc_federation as federation;
 pub use hpc_metrics as metrics;

@@ -10,7 +10,7 @@
 //! operator is told each fault as it falls due, and the two
 //! `RunMetrics` must be bit-equal, including the transient-fault /
 //! retry / breaker-trip tallies both engines bank from the shared
-//! `elastic_resilience::ResilienceState` at the same event boundaries.
+//! `elastic_core::resilience::ResilienceState` at the same event boundaries.
 //! Every breaker, budget and health decision lives in that shared
 //! state, so a divergence here means an engine consulted it at a
 //! different instant or translated an outcome differently. Beside the
