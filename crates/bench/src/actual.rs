@@ -12,9 +12,14 @@ use elastic_core::{
     run_real, AppSpec, CharmExecutor, CharmJobSpec, CharmOperator, JobRegistry, Policy,
     PolicyConfig, PolicyKind, RunMetrics, Schedule,
 };
-use hpc_metrics::{Duration, RealClock, UtilizationRecorder};
+use hpc_metrics::{ascii, Duration, RealClock, UtilizationRecorder};
 use kube_sim::{ControlPlane, EventLog, KubeletConfig};
 use sched_sim::{generate_workload, SizeClass};
+
+use crate::{CsvTable, Options, Report};
+
+/// Experiment seconds per wall second of every campaign.
+const COMPRESSION: f64 = 60.0;
 
 /// Scaled problem definition for one size class.
 #[derive(Debug, Clone, Copy)]
@@ -150,11 +155,11 @@ pub struct CampaignResult {
     pub capacity: u32,
 }
 
-/// Runs the full 16-job campaign under `kind`, wall-clock compressed by
-/// `compression` (experiment seconds per wall second).
-pub fn run_campaign(kind: PolicyKind, seed: u64, compression: f64, full: bool) -> CampaignResult {
+/// Runs the full 16-job campaign under `kind` on a wall clock
+/// compressed 60-fold (experiment seconds per wall second).
+pub fn run_campaign(kind: PolicyKind, seed: u64, full: bool) -> CampaignResult {
     let slots_per_node = if full { 16 } else { 4 };
-    let clock = std::sync::Arc::new(RealClock::with_compression(compression));
+    let clock = std::sync::Arc::new(RealClock::with_compression(COMPRESSION));
     let plane = ControlPlane::with_nodes(
         clock,
         KubeletConfig {
@@ -187,5 +192,106 @@ pub fn run_campaign(kind: PolicyKind, seed: u64, compression: f64, full: bool) -
         registry: op.registry().clone(),
         events: op.events.clone(),
         capacity,
+    }
+}
+
+/// Fig. 9: measured cluster-utilization profiles of the four
+/// schedulers (9a), and the replica evolution of the first xlarge job
+/// under elastic (9b).
+///
+/// Paper: the 16-job campaign on EKS (90 s submission gap,
+/// `T_rescale_gap` = 180 s), utilization tracked per pod. Here the same
+/// campaign runs the real operator + real Jacobi jobs under a
+/// compressed wall clock.
+pub fn fig9(options: &Options) -> Report {
+    let Options { full, seed, .. } = *options;
+    println!(
+        "== Fig. 9: utilization profiles (seed {seed}, compression {COMPRESSION}x, {} mode) ==",
+        if full { "full" } else { "quick" }
+    );
+    for spec in scaled_jobs(seed, full) {
+        println!(
+            "  {}: prio {} replicas [{}, {}]",
+            spec.name, spec.priority, spec.min_replicas, spec.max_replicas
+        );
+    }
+
+    let mut tables = Vec::new();
+    let mut profile_csv = CsvTable::new(["policy", "time_s", "job", "worker_slots"]);
+    for kind in PolicyKind::ALL {
+        println!("\n-- running {kind} campaign --");
+        let res = run_campaign(kind, seed, full);
+        println!("  {}", res.metrics.table_row());
+
+        for ev in res.util.events() {
+            profile_csv.row([
+                kind.to_string(),
+                format!("{:.2}", ev.at.as_secs()),
+                res.registry.name(ev.job).to_string(),
+                ev.slots.to_string(),
+            ]);
+        }
+
+        // Fig. 9a quick-look: total occupancy sampled over the run.
+        let total: Vec<(f64, f64)> = res
+            .util
+            .total_series()
+            .iter()
+            .map(|&(t, v)| (t.as_secs(), f64::from(v)))
+            .collect();
+        if let (Some(first), Some(last)) = (total.first(), total.last()) {
+            println!(
+                "{}",
+                ascii::step_profile(
+                    &kind.to_string(),
+                    &total,
+                    first.0,
+                    last.0,
+                    f64::from(res.capacity),
+                    64,
+                )
+            );
+        }
+
+        // Fig. 9b: replica evolution of the first xlarge job (elastic).
+        if kind == PolicyKind::Elastic {
+            let xlarge = generate_workload(seed, 16)
+                .jobs
+                .into_iter()
+                .find(|j| j.class() == Some(SizeClass::XLarge))
+                .map(|j| j.name);
+            if let Some(name) = xlarge {
+                if let Some(series) = res
+                    .registry
+                    .id(&name)
+                    .and_then(|id| res.util.per_job_series().remove(&id))
+                {
+                    let pts: Vec<(f64, f64)> = series
+                        .iter()
+                        .map(|&(t, v)| (t.as_secs(), f64::from(v)))
+                        .collect();
+                    println!(
+                        "{}",
+                        ascii::line_chart(
+                            &format!("Fig 9b: {name} replicas over time (elastic)"),
+                            &[("replicas", pts.clone())],
+                            64,
+                            10,
+                            false,
+                        )
+                    );
+                    let mut t9b = CsvTable::new(["time_s", "replicas"]);
+                    for (t, v) in pts {
+                        t9b.row_f64([t, v]);
+                    }
+                    tables.push(("fig9b_xlarge_replicas.csv", t9b));
+                }
+            }
+        }
+    }
+    tables.push(("fig9a_utilization_profiles.csv", profile_csv));
+    Report {
+        tables,
+        claims: Vec::new(),
     }
 }

@@ -1,46 +1,137 @@
-//! # elastic-bench — figure/table regenerators and benchmarks
+//! # elastic-bench — the paper's figures and tables, reproduced
 //!
-//! One binary per paper artifact:
+//! One binary, `reproduce <artifact|all> [--full] [--seed N] [--trace
+//! PATH]`, runs the artifacts of [`ARTIFACTS`]:
 //!
-//! | binary | regenerates |
-//! |---|---|
-//! | `fig4_scaling` | Fig. 4a/4b strong scaling (real `charm-rt` runs) |
-//! | `fig5_rescale` | Fig. 5a/5b/5c rescale-overhead breakdowns |
-//! | `fig6_timeline` | Fig. 6a/6b shrink/expand timeline |
-//! | `fig7_submission_gap` | Fig. 7a–d simulator sweep |
-//! | `fig8_rescale_gap` | Fig. 8a–d simulator sweep |
-//! | `fig9_profiles` | Fig. 9a/9b operator utilization profiles |
-//! | `table1` | Table 1 (Actual + Simulation columns) |
-//! | `ablations` | elastic-policy ablations (rows listed in its module docs) |
-//! | `calibrate` | measures scaling anchors from real runs |
+//! | artifact | regenerates | claims |
+//! |---|---|---|
+//! | `fig4` | Fig. 4a/4b strong scaling (real `charm-rt` runs) | |
+//! | `fig5` | Fig. 5a/5b/5c rescale-overhead breakdowns | |
+//! | `fig5_compare` | full-restart vs incremental rescale, per rung | |
+//! | `fig6` | Fig. 6a/6b shrink/expand timeline | |
+//! | `fig7` | Fig. 7a–d simulator sweep | 4 |
+//! | `fig8` | Fig. 8a–d simulator sweep and its incremental companion | 4 |
+//! | `fig9` | Fig. 9a/9b operator utilization profiles | |
+//! | `table1` | Table 1 (Actual + Simulation columns) | 4 |
+//! | `ablations` | elastic-policy ablations (rows listed in [`des::ablations`]) | |
+//! | `calibrate` | measures scaling anchors from real runs | |
+//! | `easy_vs_conservative` | EASY vs FCFS backfill on the SWF trace | 1 |
+//! | `fault_tolerance` | recovery strategies under spot reclamation | |
+//! | `resilience_sweep` | retry disciplines under transient-fault storms | |
 //!
-//! Beside them sit the policy sweeps (`easy_vs_conservative`,
-//! `fault_tolerance`, `resilience_sweep`), which replay the bundled SWF
-//! trace through [`load_trace`], and two `harness = false` benches:
-//! `policy_decisions` prints the median time of each scheduling
-//! decision, and `rescale_latency` asserts its own 5x floor and writes
-//! `BENCH_rescale.json`. No binary here compares a wall-clock number
+//! Each artifact is a function that returns a [`Report`]: its CSV
+//! tables, which `reproduce` writes under `results/` (or
+//! `$ELASTIC_RESULTS_DIR`), and its [`Claim`]s, the paper's statements
+//! checked on the artifact's numbers. It prints its own progress and
+//! ASCII quick-look charts. `--full` gives the real-path artifacts
+//! (fig4/5/6/9, calibrate, Table 1 Actual) paper-scale problem sizes;
+//! the default is sized for the host (shapes, not absolute numbers,
+//! are the reproduction target). `--seed` picks Table 1's and Fig. 9's
+//! workload, `--trace` the SWF file the three policy sweeps replay.
+//! `crates/bench/tests/paper_claims.rs` asserts every claim of the
+//! DES-side artifacts at the rate it has.
+//!
+//! Beside them sit two `harness = false` benches: `policy_decisions`
+//! prints the median time of each scheduling decision, and
+//! `rescale_latency` asserts its own 5x floor and writes
+//! `BENCH_rescale.json`. Nothing here compares a wall-clock number
 //! against a committed one: replay work is pinned by count in
 //! `tests/replay_counters.rs`, and end-to-end time is the `benchmark/`
 //! package's job.
-//!
-//! Every binary writes CSV under `results/` and prints an ASCII
-//! quick-look chart. All accept `--full` for paper-scale parameters;
-//! the default is a minutes-scale run sized for the host (problem sizes
-//! and replica counts are scaled down to the host — shapes, not
-//! absolute numbers, are the reproduction target).
 
 #![warn(missing_docs)]
 
 pub mod actual;
+pub mod des;
+pub mod real;
+pub mod traces;
 
+use std::fmt;
 use std::io::BufReader;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use hpc_metrics::Duration;
 use sched_sim::{load_workload, SwfLoadConfig, WorkloadSpec};
 
 pub use hpc_metrics::csv::CsvTable;
+
+/// An artifact: runs it under the given settings.
+pub type Artifact = fn(&Options) -> Report;
+
+/// Every artifact `reproduce` knows, by name, in the order `all` runs
+/// them.
+pub const ARTIFACTS: [(&str, Artifact); 13] = [
+    ("fig4", real::fig4),
+    ("fig5", real::fig5),
+    ("fig5_compare", real::fig5_compare),
+    ("fig6", real::fig6),
+    ("fig7", des::fig7),
+    ("fig8", des::fig8),
+    ("fig9", actual::fig9),
+    ("table1", des::table1),
+    ("ablations", des::ablations),
+    ("calibrate", real::calibrate),
+    ("easy_vs_conservative", traces::easy_vs_conservative),
+    ("fault_tolerance", traces::fault_tolerance),
+    ("resilience_sweep", traces::resilience_sweep),
+];
+
+/// The settings an artifact reads; every other parameter is a
+/// constant of the artifact.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Options {
+    /// Paper-scale problem sizes for the real-path artifacts.
+    pub full: bool,
+    /// The workload seed of Table 1 and Fig. 9.
+    pub seed: u64,
+    /// The SWF trace the policy sweeps replay.
+    pub trace: PathBuf,
+}
+
+impl Default for Options {
+    /// Host scale, seed 0, the bundled `tests/data/sample.swf`.
+    fn default() -> Self {
+        Options {
+            full: false,
+            seed: 0,
+            trace: workspace_root().join("tests/data/sample.swf"),
+        }
+    }
+}
+
+/// What an artifact produces.
+#[derive(Debug)]
+pub struct Report {
+    /// CSV tables, by file name under `results/`.
+    pub tables: Vec<(&'static str, CsvTable)>,
+    /// The paper's statements, checked on the artifact's numbers.
+    pub claims: Vec<Claim>,
+}
+
+/// One statement of the paper, checked on an artifact's numbers.
+#[derive(Debug)]
+pub struct Claim {
+    /// The artifact the numbers come from.
+    pub artifact: &'static str,
+    /// The statement, as the check reads it.
+    pub statement: &'static str,
+    /// Whether the numbers bear it out.
+    pub holds: bool,
+    /// The numbers the verdict was read from.
+    pub detail: String,
+}
+
+impl fmt::Display for Claim {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Claim {
+            artifact,
+            statement,
+            holds,
+            detail,
+        } = self;
+        write!(f, "{artifact}: {statement}: {holds} ({detail})")
+    }
+}
 
 /// The workspace root (this package lives at `crates/bench`).
 pub fn workspace_root() -> PathBuf {
@@ -50,18 +141,12 @@ pub fn workspace_root() -> PathBuf {
         .expect("workspace root resolves")
 }
 
-/// The SWF trace a sweep replays: `--trace <path>`, or the bundled
-/// `tests/data/sample.swf`.
-pub fn trace_path() -> String {
-    flag_value("--trace")
-        .unwrap_or_else(|| format!("{}/../../tests/data/sample.swf", env!("CARGO_MANIFEST_DIR")))
-}
-
 /// Loads the SWF trace at `path` under `cfg` and checks it replays.
-pub fn load_trace(path: &str, cfg: &SwfLoadConfig) -> WorkloadSpec {
-    let file = std::fs::File::open(path).unwrap_or_else(|e| panic!("open {path}: {e}"));
+pub fn load_trace(path: &Path, cfg: &SwfLoadConfig) -> WorkloadSpec {
+    let shown = path.display();
+    let file = std::fs::File::open(path).unwrap_or_else(|e| panic!("open {shown}: {e}"));
     let wl =
-        load_workload(BufReader::new(file), cfg).unwrap_or_else(|e| panic!("parse {path}: {e}"));
+        load_workload(BufReader::new(file), cfg).unwrap_or_else(|e| panic!("parse {shown}: {e}"));
     wl.validate().expect("trace is replayable");
     wl
 }
@@ -72,50 +157,6 @@ pub fn trace_horizon(wl: &WorkloadSpec) -> Duration {
     let last = wl.jobs.iter().map(|j| j.arrival).max();
     let longest = wl.jobs.iter().filter_map(|j| j.walltime_estimate).max();
     last.unwrap_or(Duration::ZERO) + longest.unwrap_or(Duration::ZERO)
-}
-
-/// Returns the `results/` output directory, creating it if needed.
-pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("ELASTIC_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("results"));
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    dir
-}
-
-/// Simple CLI argument check: `true` if `flag` appears in argv.
-pub fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
-}
-
-/// Returns the value following `--key` in argv, if present.
-pub fn flag_value(key: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Parses `--key <number>` with a default.
-pub fn flag_f64(key: &str, default: f64) -> f64 {
-    flag_value(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Parses `--key <integer>` with a default.
-pub fn flag_u64(key: &str, default: u64) -> u64 {
-    flag_value(key)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-/// Writes `table` to `results/<name>` and reports the path on stdout.
-pub fn emit_csv(table: &CsvTable, name: &str) {
-    let path = results_dir().join(name);
-    table.write_to(&path).expect("write csv");
-    println!("  wrote {}", path.display());
 }
 
 /// Replica counts `1, 2, 4, …` capped at both `limit` and the host's
@@ -163,14 +204,5 @@ mod tests {
         for p in replica_ladder(64) {
             assert!(p <= 64);
         }
-    }
-
-    #[test]
-    fn flags_parse_from_env_args() {
-        // argv of the test harness won't contain these; defaults apply.
-        assert!(!has_flag("--definitely-not-set"));
-        assert_eq!(flag_f64("--nope", 1.5), 1.5);
-        assert_eq!(flag_u64("--nope", 7), 7);
-        assert_eq!(flag_value("--nope"), None);
     }
 }

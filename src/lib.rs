@@ -27,9 +27,11 @@
 //! * [`metrics`] — clocks, interpolation and metric recording shared by
 //!   the "actual" and "simulated" experiment paths.
 //!
-//! `examples/quickstart.rs` is the shortest end-to-end run, and each
-//! figure and table of the paper is regenerated by one `elastic-bench`
-//! binary (the table in that crate's docs).
+//! `examples/quickstart.rs` is the shortest end-to-end run, and every
+//! figure and table of the paper is regenerated by the one `reproduce`
+//! binary of `elastic-bench` (`reproduce <artifact|all>`; the artifact
+//! table is in that crate's docs), which also prints the paper's claims
+//! checked on the numbers.
 
 pub use charm_apps as apps;
 pub use charm_rt as charm;

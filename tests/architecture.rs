@@ -1,9 +1,10 @@
-//! Nine structural rules, checked on the source: one scheduling
+//! Ten structural rules, checked on the source: one scheduling
 //! kernel, one measurement estate, one drive loop, no scan in the pod
 //! controllers (nor a copy or a pointer a watcher did not ask for), one
 //! execution model, an operator that watches two stores, one
 //! differential harness for the cross-engine tests, one lock policy,
-//! and no dependency a package's sources never name. Each test runs its
+//! no dependency a package's sources never name, and one entry point
+//! for the paper's artifacts. Each test runs its
 //! rule on the tree as it is, then with one recorded mutation spliced
 //! into a real file, and asserts that the rule fires. Most rules read
 //! [`code`]: a file without its comments, literals and `#[cfg(test)]`
@@ -45,6 +46,11 @@ const SETUP: &str =
 const LOCKING: &str = "PoisonError|.lock()|.read()|.write()";
 const POLICY: &str = "{path} decides what a poisoned lock means; take it through hpc_metrics::sync";
 const UNUSED: &str = "{path} declares a dependency its package's sources never name; drop it";
+const BINS: &str = "crates/bench/src/bin/";
+const REPRODUCE: &str = "crates/bench/src/bin/reproduce.rs";
+const ENTRY_POINTS: &str =
+    "{path} is a second entry point; add the artifact to elastic_bench::ARTIFACTS instead";
+const ARGV: &str = "{path} reads the command line; reproduce parses it once into Options";
 
 type Verdict = Result<(), String>;
 /// A file's text by its path from the repository root.
@@ -305,6 +311,20 @@ fn no_unused_dependency(read: Read) -> Verdict {
     Ok(())
 }
 
+/// The paper's artifacts run from one binary: `crates/bench/src/bin`
+/// holds only `reproduce.rs`, and no other file of `paths` reads the
+/// command line. The listing is an argument so that a test can add a
+/// file to it.
+fn one_reproduction_entry_point(paths: &[String], read: Read) -> Verdict {
+    for path in paths.iter().filter(|p| *p != REPRODUCE) {
+        if path.starts_with(BINS) {
+            return Err(ENTRY_POINTS.replace("{path}", path));
+        }
+        deny(path, &code(&read(path)), any_of("env::args"), ARGV)?;
+    }
+    Ok(())
+}
+
 /// `manifest` with every line outside `[dependencies]` and
 /// `[dev-dependencies]` blanked, so line numbers hold.
 fn dependencies(manifest: &str) -> String {
@@ -465,6 +485,28 @@ fn no_unused_dependency_rule() {
     let mutated = disk(path).replacen("[dev-dependencies]", unused, 1);
     let broken = rail(no_unused_dependency, path, &mutated, UNUSED);
     assert!(broken.contains(&format!("{path}:")), "{broken}");
+}
+
+#[test]
+fn one_reproduction_entry_point_rule() {
+    let listed = files(&["crates/bench/src"]);
+    one_reproduction_entry_point(&listed, &disk).unwrap_or_else(|broken| panic!("{broken}"));
+    // The Fig. 7 binary comes back with its own flag parsing.
+    let path = "crates/bench/src/bin/fig7_submission_gap.rs";
+    let main = "fn main() {\n    let seeds = std::env::args().nth(2);\n}\n";
+    let read = |p: &str| if p == path { main.into() } else { disk(p) };
+    let readded = [listed.clone(), vec![path.to_string()]].concat();
+    let broken = one_reproduction_entry_point(&readded, &read).expect_err("a second binary");
+    assert_eq!(broken, ENTRY_POINTS.replace("{path}", path));
+    // Or the library reads a flag from argv again.
+    let lib = "crates/bench/src/lib.rs";
+    let flag =
+        "pub fn has_flag(flag: &str) -> bool {\n    std::env::args().any(|a| a == flag)\n}\n";
+    let mutated = format!("{flag}{}", disk(lib));
+    let read = |p: &str| if p == lib { mutated.clone() } else { disk(p) };
+    let broken = one_reproduction_entry_point(&listed, &read).expect_err("argv in the library");
+    assert!(broken.starts_with(&ARGV.replace("{path}", lib)), "{broken}");
+    assert!(broken.contains(&format!("{lib}:2:")), "{broken}");
 }
 
 #[test]
