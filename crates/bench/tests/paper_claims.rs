@@ -5,10 +5,12 @@
 //! 0–19: two hold on every seed and are asserted per seed; the two
 //! elastic ones hold on 11 and 12 of the 20 and are asserted at those
 //! rates, so a change that makes them fail more often fails here.
+//! One real-path claim is asserted too: `fig5_compare`'s byte counts,
+//! which do not depend on the host's speed.
 
 use std::collections::BTreeMap;
 
-use elastic_bench::{des, traces, Claim, Options};
+use elastic_bench::{des, real, traces, Claim, Options};
 
 /// Every claim of `claims` that does not hold, printed.
 fn failing(claims: &[Claim]) -> Vec<String> {
@@ -66,4 +68,11 @@ fn table1_claims_hold_at_their_rate_over_seeds_0_to_19() {
             20 - failed.len()
         );
     }
+}
+
+#[test]
+fn incremental_rescale_moves_fewer_bytes_than_full_restart() {
+    let claims = real::fig5_compare(&Options::default()).claims;
+    assert_eq!(claims.len(), 1);
+    assert_eq!(failing(&claims), Vec::<String>::new());
 }

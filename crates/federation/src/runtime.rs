@@ -540,10 +540,11 @@ mod tests {
         // The one-shard federation must be indistinguishable from a
         // monolithic single-cluster drain even when the work-queue
         // scheduler slices the replay into tiny `step(max_events)`
-        // quanta — and the arrival span here is wide enough that those
-        // quantum boundaries repeatedly land across the calendar
-        // queue's bucket-epoch rebuilds (the far list re-bucketizes
-        // several times as the run advances).
+        // quanta. The replay is 240 events. A quantum of 3 slices it
+        // mid-burst: some of its steps end between two events of one
+        // instant, and the next step must resume that instant exactly
+        // where the last one stopped. 17 slices it between instants
+        // only, and 1000 drains it in one step.
         let wl = WorkloadSpec::new(burst(120, 15.0));
         let mono = sched_sim::simulate(&sim_cfg(8), &wl);
         for quantum in [3usize, 17, 1000] {

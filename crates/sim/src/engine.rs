@@ -1,4 +1,4 @@
-//! The discrete-event simulator: a calendar queue around the
+//! The discrete-event simulator: an event queue around the
 //! scheduling kernel and the shared execution model.
 //!
 //! This file is an **adapter**. It decides nothing: which hook fires

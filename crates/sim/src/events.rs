@@ -1,11 +1,5 @@
 //! The discrete-event queue.
 //!
-//! A deterministic **calendar (ladder) queue**: events are spread over
-//! an array of time buckets so that push and pop are O(1) amortized
-//! instead of the O(log n) of a binary heap — at trace scale the heap
-//! holds millions of entries and every sift walks ~20 cache-missing
-//! levels, which made it the hottest structure in the engine.
-//!
 //! Pop order is one total order over the pending entries: timestamp,
 //! then the kernel's [`EventClass`] (the within-instant order the
 //! operator's tick applies too), then the job the event names, then
@@ -15,26 +9,21 @@
 //! next if its class is lower than the one just popped, never before
 //! the cursor. Runs are exactly reproducible.
 //!
-//! Structure:
+//! Structure: a **sorted run** plus a **binary heap**.
 //!
-//! * **Current bucket** (`cur`) — the bucket being drained, sorted by
-//!   that order and consumed through a cursor. Pushes that land inside
-//!   its time window (the common "completion scheduled soon" case, and
-//!   the only-correctness case of a push at or before `now`) are
-//!   binary-inserted behind the cursor.
-//! * **Epoch piles** (`piles`) — the rest of the near horizon, split
-//!   into equal-width windows. A push appends to its pile unsorted in
-//!   O(1); a pile is sorted once, when it becomes the current bucket.
-//! * **Far list** (`far`) — everything beyond the horizon (or with a
-//!   non-finite timestamp), kept unsorted with O(1) appends. When the
-//!   epoch's piles are exhausted the far list is re-bucketized into a
-//!   fresh epoch spanning its own min..max; a degenerate span (all one
-//!   instant, or non-finite) falls back to sorting the whole list as a
-//!   single terminal bucket, which is always correct.
+//! * **Run** (`run`) — a `Vec` in pop order, consumed through a
+//!   cursor. A push that sorts at or after the run's last entry appends
+//!   to it in O(1).
+//! * **Heap** (`heap`) — every push that sorts before the run's last
+//!   entry, min-first in O(log n).
 //!
-//! Bucket assignment is a monotone function of the timestamp alone and
-//! every bucket is sorted by the whole key when it is promoted, so no
-//! routing choice can invert the total order.
+//! A pop or peek takes the smaller of the two heads. The split fits
+//! the traffic a replay makes. `WorkloadSpec::validate` rejects
+//! unsorted arrivals, so the submissions `SimState::new` seeds — the
+//! bulk of a trace-scale queue — come in pop order and all land in the
+//! run. What a replay schedules out of order (completions, requeues,
+//! timers, faults) goes to the heap, which stays a few hundred entries
+//! deep even on a 400 000-job replay.
 //!
 //! Completion events carry a per-job generation number; rescaling a job
 //! bumps its generation, turning any previously scheduled completion
@@ -48,9 +37,10 @@
 //! * **Stale compaction** — the engine reports each invalidated
 //!   completion via [`EventQueue::mark_stale`]; once more than half the
 //!   queue is stale the engine sweeps it with [`EventQueue::compact`],
-//!   which filters each bucket in place (a bucket is already in pop
-//!   order or about to be sorted into it), so
-//!   rescale-heavy runs cannot accumulate dead entries without bound.
+//!   so rescale-heavy runs cannot accumulate dead entries without bound.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use elastic_core::kernel::EventClass;
 use hpc_metrics::{JobId, SimTime};
@@ -165,72 +155,24 @@ const COMPACT_STALE_FRACTION: (usize, usize) = (1, 2);
 /// No compaction below this queue size — sweeping a tiny queue is more
 /// work than letting the stale entries pop out naturally.
 const COMPACT_MIN_LEN: usize = 64;
-/// An epoch with fewer far-list entries than this is not worth
-/// bucketizing: sorting it once as a single terminal bucket is cheaper.
-const MIN_BUCKETIZE: usize = 32;
-/// Epoch pile-count bounds; the count scales with the far-list size so
-/// piles stay around [`PILE_TARGET`] entries.
-const MIN_PILES: usize = 16;
-const MAX_PILES: usize = 1 << 16;
-/// Aimed-for entries per pile at re-bucketize time.
-const PILE_TARGET: usize = 16;
 
-/// Deterministic calendar event queue with stale-entry accounting.
+/// Deterministic event queue with stale-entry accounting.
 ///
 /// Pops in `(time, class, job, insertion)` order (module docs), keeps
 /// the stale-completion accounting compaction runs on, and peeks in
 /// O(1) ([`EventQueue::peek`]) for the engine's same-instant batch
 /// drain.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct EventQueue {
-    /// The bucket currently being drained: sorted in pop order,
-    /// `cur[cur_head..]` still pending.
-    cur: Vec<Entry>,
-    cur_head: usize,
-    /// Exclusive upper edge of `cur`'s time window.
-    cur_end: f64,
-    /// The current bucket is the epoch's last: it additionally owns
-    /// every timestamp up to and including `epoch_max`.
-    cur_last: bool,
-    /// Future piles of the current epoch (unsorted append piles).
-    piles: Vec<Vec<Entry>>,
-    /// Next pile to promote; piles before it are empty (drained).
-    pile_idx: usize,
-    /// Low edge of pile 0's window.
-    epoch_lo: f64,
-    /// Pile window width (seconds).
-    width: f64,
-    /// Largest timestamp the epoch covers (inclusive).
-    epoch_max: SimTime,
-    /// Everything beyond the epoch horizon, unsorted.
-    far: Vec<Entry>,
-    /// Whether an epoch is materialized (false until the first pop
-    /// after seeding, and again whenever the queue fully drains).
-    active: bool,
-    len: usize,
+    /// Entries pushed in pop order: `run[head..]` is still pending and
+    /// sorted. Cleared whenever it drains, so its tail is always
+    /// pending.
+    run: Vec<Entry>,
+    head: usize,
+    /// Entries pushed before the run's tail.
+    heap: BinaryHeap<Reverse<Entry>>,
     next_seq: u64,
     stale: usize,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self {
-            cur: Vec::new(),
-            cur_head: 0,
-            cur_end: f64::NEG_INFINITY,
-            cur_last: false,
-            piles: Vec::new(),
-            pile_idx: 0,
-            epoch_lo: 0.0,
-            width: 0.0,
-            epoch_max: SimTime::NEG_INFINITY,
-            far: Vec::new(),
-            active: false,
-            len: 0,
-            next_seq: 0,
-            stale: 0,
-        }
-    }
 }
 
 impl EventQueue {
@@ -244,169 +186,64 @@ impl EventQueue {
         let seq = self.next_seq;
         self.next_seq += 1;
         let e = Entry { at, seq, event };
-        self.len += 1;
-        if !self.active {
-            // Seeding phase (or fully drained): accumulate unsorted;
-            // the first pop bucketizes everything at once.
-            self.far.push(e);
-            return;
-        }
-        if at.as_secs() < self.cur_end || (self.cur_last && at <= self.epoch_max) {
-            // Lands in the bucket being drained: binary-insert behind
-            // the cursor, by the whole key. An entry that sorts before
-            // everything pending — a push before the last popped
-            // instant, or at it with a lower class — lands at
-            // `cur_head`, i.e. it pops next.
-            let pos = self.cur_head + self.cur[self.cur_head..].partition_point(|p| *p <= e);
-            self.cur.insert(pos, e);
-        } else if self.pile_idx < self.piles.len() && at <= self.epoch_max {
-            let idx =
-                pile_of(self.epoch_lo, self.width, at).clamp(self.pile_idx, self.piles.len() - 1);
-            self.piles[idx].push(e);
-        } else {
-            self.far.push(e);
+        match self.run.last() {
+            Some(tail) if e < *tail => self.heap.push(Reverse(e)),
+            _ => self.run.push(e),
         }
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.ensure_front();
-        let e = *self.cur.get(self.cur_head)?;
-        self.cur_head += 1;
-        self.len -= 1;
-        if self.len == 0 {
-            self.reset_empty();
-        }
+        let e = if self.run_first()? {
+            let e = self.run[self.head];
+            self.head += 1;
+            if self.head == self.run.len() {
+                self.run.clear();
+                self.head = 0;
+            }
+            e
+        } else {
+            self.heap.pop()?.0
+        };
         Some((e.at, e.event))
     }
 
     /// The earliest pending event (with its timestamp), without
-    /// removing it. Drives the engine's same-instant batch drain. O(1)
-    /// except when it has to promote the next bucket — the same work an
-    /// immediate [`EventQueue::pop`] would do anyway.
-    pub fn peek(&mut self) -> Option<(SimTime, Event)> {
-        self.ensure_front();
-        self.cur.get(self.cur_head).map(|e| (e.at, e.event))
+    /// removing it. Drives the engine's same-instant batch drain.
+    pub fn peek(&self) -> Option<(SimTime, Event)> {
+        let e = if self.run_first()? {
+            &self.run[self.head]
+        } else {
+            &self.heap.peek()?.0
+        };
+        Some((e.at, e.event))
     }
 
-    /// Makes `cur[cur_head]` the global minimum entry, promoting piles
-    /// and re-bucketizing the far list as needed.
-    fn ensure_front(&mut self) {
-        while self.cur_head >= self.cur.len() {
-            if self.active {
-                // Promote the next non-empty pile of this epoch.
-                while self.pile_idx < self.piles.len() {
-                    let idx = self.pile_idx;
-                    self.pile_idx += 1;
-                    if !self.piles[idx].is_empty() {
-                        self.cur = std::mem::take(&mut self.piles[idx]);
-                        self.cur.sort_unstable();
-                        self.cur_head = 0;
-                        self.cur_end = self.epoch_lo + self.pile_idx as f64 * self.width;
-                        self.cur_last = self.pile_idx == self.piles.len();
-                        break;
-                    }
-                }
-                if self.cur_head < self.cur.len() {
-                    continue; // re-check the loop condition (promoted)
-                }
-                if self.pile_idx < self.piles.len() {
-                    continue; // promoted an empty tail? (unreachable)
-                }
-            }
-            if self.far.is_empty() {
-                return; // genuinely empty
-            }
-            self.rebuild_epoch();
+    /// Whether the earliest entry is the run's head rather than the
+    /// heap's; `None` when both are empty.
+    fn run_first(&self) -> Option<bool> {
+        match (self.run.get(self.head), self.heap.peek()) {
+            (None, None) => None,
+            (Some(r), Some(Reverse(h))) => Some(r < h),
+            (r, _) => Some(r.is_some()),
         }
-    }
-
-    /// Spreads the far list over a fresh epoch of piles and promotes
-    /// the first bucket. Degenerate spans (single instant, non-finite
-    /// bounds) sort the whole list as one terminal bucket instead —
-    /// always correct, just unbucketed.
-    fn rebuild_epoch(&mut self) {
-        debug_assert!(!self.far.is_empty());
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        for e in &self.far {
-            let t = e.at.as_secs();
-            lo = lo.min(t);
-            hi = hi.max(t);
-        }
-        let span = hi - lo;
-        let n = self.far.len();
-        self.active = true;
-        if n < MIN_BUCKETIZE || !span.is_finite() || span <= 0.0 {
-            // Terminal single bucket covering everything seen so far.
-            self.cur = std::mem::take(&mut self.far);
-            self.cur.sort_unstable();
-            self.cur_head = 0;
-            self.cur_end = hi;
-            self.cur_last = true;
-            self.epoch_max = self.cur.last().expect("non-empty").at;
-            self.piles.clear();
-            self.pile_idx = 0;
-            return;
-        }
-        let nb = (n / PILE_TARGET).clamp(MIN_PILES, MAX_PILES);
-        let width = span / nb as f64;
-        if !width.is_normal() {
-            // Subnormal width: indistinguishable instants — fall back.
-            self.cur = std::mem::take(&mut self.far);
-            self.cur.sort_unstable();
-            self.cur_head = 0;
-            self.cur_end = hi;
-            self.cur_last = true;
-            self.epoch_max = self.cur.last().expect("non-empty").at;
-            self.piles.clear();
-            self.pile_idx = 0;
-            return;
-        }
-        self.piles.clear();
-        self.piles.resize_with(nb, Vec::new);
-        self.epoch_lo = lo;
-        self.width = width;
-        self.epoch_max = SimTime::from_secs(hi);
-        for e in self.far.drain(..) {
-            let idx = pile_of(lo, width, e.at).min(nb - 1);
-            self.piles[idx].push(e);
-        }
-        self.pile_idx = 0;
-        self.cur.clear();
-        self.cur_head = 0;
-        self.cur_end = lo;
-        self.cur_last = false;
-        // The outer ensure_front loop promotes the first pile.
-    }
-
-    /// Drops drained storage once the queue is fully empty so the next
-    /// seeding phase starts clean.
-    fn reset_empty(&mut self) {
-        self.cur.clear();
-        self.cur_head = 0;
-        self.cur_end = f64::NEG_INFINITY;
-        self.cur_last = false;
-        self.piles.clear();
-        self.pile_idx = 0;
-        self.epoch_max = SimTime::NEG_INFINITY;
-        self.active = false;
     }
 
     /// Number of pending events (including stale completions).
     pub fn len(&self) -> usize {
-        self.len
+        self.run.len() - self.head + self.heap.len()
     }
 
     /// Pending events not known to be stale — the live backlog the
     /// engine's `peak_queue_len` high-water mark tracks.
     pub fn live_len(&self) -> usize {
-        self.len - self.stale.min(self.len)
+        let len = self.len();
+        len - self.stale.min(len)
     }
 
     /// `true` when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Records that one pending completion was invalidated (its job
@@ -430,43 +267,20 @@ impl EventQueue {
     /// `true` once more than half the (non-trivial) queue is stale.
     pub fn should_compact(&self) -> bool {
         let (num, den) = COMPACT_STALE_FRACTION;
-        self.len >= COMPACT_MIN_LEN && self.stale * den > self.len * num
+        let len = self.len();
+        len >= COMPACT_MIN_LEN && self.stale * den > len * num
     }
 
     /// Sweeps the queue, keeping only entries for which `is_live`
-    /// returns true. Each bucket filters in place — the current bucket
-    /// keeps its sorted order, piles and far list are sorted when
-    /// promoted — so the pop order of the survivors is unchanged. Resets
-    /// the stale counter.
+    /// returns true. The run filters in place and stays sorted, the
+    /// heap re-heapifies what is left, so the pop order of the
+    /// survivors is unchanged. Resets the stale counter.
     pub fn compact(&mut self, mut is_live: impl FnMut(&Event) -> bool) {
-        if self.cur_head > 0 {
-            self.cur.drain(..self.cur_head);
-            self.cur_head = 0;
-        }
-        self.cur.retain(|e| is_live(&e.event));
-        let first_pending = self.pile_idx.min(self.piles.len());
-        for pile in &mut self.piles[first_pending..] {
-            pile.retain(|e| is_live(&e.event));
-        }
-        self.far.retain(|e| is_live(&e.event));
-        self.len = self.cur.len() + self.piles.iter().map(Vec::len).sum::<usize>() + self.far.len();
+        self.run.drain(..self.head);
+        self.head = 0;
+        self.run.retain(|e| is_live(&e.event));
+        self.heap.retain(|Reverse(e)| is_live(&e.event));
         self.stale = 0;
-        if self.len == 0 {
-            self.reset_empty();
-        }
-    }
-}
-
-/// Pile index of `at` in an epoch anchored at `lo` with the given
-/// width. Monotone in `at` (IEEE subtraction, division and floor are
-/// monotone for a fixed `lo`/`width`), which is what makes the bucket
-/// routing order-safe.
-fn pile_of(lo: f64, width: f64, at: SimTime) -> usize {
-    let rel = (at.as_secs() - lo) / width;
-    if rel <= 0.0 {
-        0
-    } else {
-        rel as usize // saturates at usize::MAX for huge/overflowed rel
     }
 }
 
@@ -656,10 +470,10 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_push_pop_across_epochs() {
+    fn interleaved_push_pop_stays_in_time_order() {
         // Seeds a wide horizon, then keeps pushing near-future events
-        // while draining — exercising cur-window inserts, pile routing
-        // and at least one far-list re-bucketize.
+        // while draining — each lands before the run's tail, in the
+        // heap, and must interleave with the run's entries by time.
         let mut q = EventQueue::new();
         for i in 0..1000u32 {
             q.push(t(f64::from(i) * 10.0), submit(i));
@@ -682,18 +496,18 @@ mod tests {
     }
 
     #[test]
-    fn event_exactly_at_bucket_horizon_rollover() {
-        // Satellite: an event scheduled exactly at the epoch horizon
-        // (== max of the seeded span) and one just past it must pop in
-        // timestamp order across the epoch boundary.
+    fn events_at_and_just_past_the_run_tail_pop_in_order() {
+        // An event scheduled exactly at the run's last instant and one
+        // just past it must pop in timestamp order after the seeded
+        // span.
         let mut q = EventQueue::new();
         for i in 0..64u32 {
             q.push(t(f64::from(i)), submit(i));
         }
-        // Trigger epoch build (horizon becomes [0, 63]).
+        // Start draining (the run's tail stays at 63).
         assert_eq!(first_of(q.pop().unwrap().1), 0);
-        // Exactly at the inclusive horizon edge → last pile; just past
-        // it → far list; re-bucketized later but still in order.
+        // Exactly at the tail instant with a higher job, just past it,
+        // and later still: all three append to the run, in order.
         q.push(t(63.0), submit(1000));
         q.push(t(63.0 + f64::EPSILON * 64.0), submit(1001));
         q.push(t(70.0), submit(1002));
@@ -798,6 +612,80 @@ mod tests {
         assert_eq!(drain(&mut q), expect);
     }
 
+    #[test]
+    fn the_seeding_shape_fills_the_run_and_leaves_the_heap_empty() {
+        // Ascending submit batches as `SimState::new` pushes them: one
+        // per instant with several jobs coalesced, instants repeating
+        // across batches with the next first job.
+        let mut q = EventQueue::new();
+        let mut first = 0u32;
+        for (at, count) in [(0.0, 3), (0.0, 1), (2.5, 1), (2.5, 4), (9.0, 2), (30.0, 1)] {
+            q.push(
+                t(at),
+                Event::Submit {
+                    first: JobId(first),
+                    count,
+                },
+            );
+            first += count;
+        }
+        assert!(q.heap.is_empty());
+        assert_eq!(q.run.len(), 6);
+        let firsts: Vec<u32> = std::iter::from_fn(|| q.pop())
+            .map(|(_, e)| first_of(e))
+            .collect();
+        assert_eq!(firsts, vec![0, 3, 4, 5, 9, 11]);
+    }
+
+    #[test]
+    fn a_push_before_the_run_tail_goes_to_the_heap_and_pops_in_reference_order() {
+        let mut q = EventQueue::new();
+        let mut r = RefQueue::new();
+        let mut both = |q: &mut EventQueue, at: f64, e: Event| {
+            q.push(t(at), e);
+            r.push(t(at), e);
+        };
+        for i in 0..3u32 {
+            both(&mut q, f64::from(i) * 10.0, submit(i));
+        }
+        both(&mut q, 30.0, Event::Timer);
+        assert_eq!((q.run.len(), q.heap.len()), (4, 0));
+        // Before the tail's instant.
+        both(&mut q, 15.0, completion(0, 0));
+        // At the tail's instant, with a lower class than its Timer.
+        both(&mut q, 30.0, Event::Requeue { job: JobId(2) });
+        assert_eq!((q.run.len(), q.heap.len()), (4, 2));
+        let want: Vec<Event> = std::iter::from_fn(|| r.pop()).map(|(_, e)| e).collect();
+        assert_eq!(
+            want,
+            vec![
+                submit(0),
+                submit(1),
+                completion(0, 0),
+                submit(2),
+                Event::Requeue { job: JobId(2) },
+                Event::Timer,
+            ]
+        );
+        assert_eq!(drain(&mut q), want);
+    }
+
+    #[test]
+    fn an_equal_key_push_appends_to_the_run() {
+        // Same instant, class and job: only the later sequence number
+        // tells them apart, and it sorts after the tail.
+        let mut q = EventQueue::new();
+        q.push(t(5.0), completion(3, 0));
+        q.push(t(5.0), completion(3, 1));
+        q.push(t(5.0), completion(3, 2));
+        assert!(q.heap.is_empty());
+        assert_eq!(q.run.len(), 3);
+        assert_eq!(
+            drain(&mut q),
+            vec![completion(3, 0), completion(3, 1), completion(3, 2)]
+        );
+    }
+
     /// The within-instant rank of the reference model, written out
     /// rather than read off `Event::order`: Submit < Cancel < capacity
     /// fault < Flaky < Requeue < Completion < Timer, then the job named.
@@ -815,7 +703,7 @@ mod tests {
         }
     }
 
-    /// Reference model for the calendar queue: pop the minimum of what
+    /// Reference model for the event queue: pop the minimum of what
     /// is pending by `(timestamp, class rank, job, push sequence)` —
     /// implemented as an O(n^2) sorted-drain Vec so the model itself is
     /// too simple to be wrong.
@@ -855,15 +743,17 @@ mod tests {
     }
 
     proptest! {
-        /// The calendar queue pops in exactly the reference order (what
+        /// The event queue pops in exactly the reference order (what
         /// a binary heap keyed by time, class, job and push sequence
         /// would pop) under arbitrary
         /// interleavings of pushes of every event kind (with
         /// deliberately repeated timestamps and job ids, and pushes *at*
         /// the instant being drained), pops, stale marks and compaction
-        /// sweeps crossing bucket epochs.
+        /// sweeps. Each case first seeds an ascending prefix of submit
+        /// batches, as `SimState::new` does, so the random phase works
+        /// on both the run and the heap.
         #[test]
-        fn calendar_queue_matches_reference_heap(seed in any::<u64>()) {
+        fn event_queue_matches_reference_heap(seed in any::<u64>()) {
             use rand::{Rng, SeedableRng};
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
             let mut q = EventQueue::new();
@@ -872,12 +762,29 @@ mod tests {
             let mut pushed: Vec<Event> = Vec::new();
             let mut times: Vec<f64> = Vec::new();
             let mut now = 0.0f64;
+            // The seeding shape: ascending instants (some repeated),
+            // each a batch with ascending first job.
+            let mut at = 0.0f64;
+            let mut first = 0u32;
+            for _ in 0..rng.gen_range(0usize..40) {
+                if rng.gen_bool(0.7) {
+                    at += rng.gen_range(0.0..50.0);
+                }
+                let count = rng.gen_range(1u32..4);
+                let e = Event::Submit { first: JobId(first), count };
+                first += count;
+                times.push(at);
+                pushed.push(e);
+                q.push(t(at), e);
+                r.push(t(at), e);
+            }
+            prop_assert!(q.heap.is_empty(), "an ascending push went to the heap");
             for _ in 0..rng.gen_range(1..60) {
                 match rng.gen_range(0u32..10) {
                     // Push a burst (often reusing an earlier timestamp or
                     // the instant just popped so same-instant ties are
-                    // common, sometimes far in the future so the far
-                    // list and epoch rebuilds engage).
+                    // common, sometimes far in the future so later
+                    // pushes land before the run's tail).
                     0..=5 => {
                         for _ in 0..rng.gen_range(1usize..8) {
                             let at = if rng.gen_bool(0.2) {
