@@ -13,22 +13,21 @@
 //! * **Scheduling** (`elastic_core::SchedulingPolicy`) — which *slots*
 //!   inside a cluster, decided per shard by that shard's own policy
 //!   instance, unchanged from the single-cluster simulator.
-//! * **Execution** ([`FederationRuntime`]) — one FIFO run queue of
-//!   shard indices: a worker pops the front shard, drains at most one
-//!   *quantum* of events, and pushes the shard back at the tail while
-//!   it has events left, so a hot shard cannot starve the rest. The
-//!   batch is closed (one submission, seeded before any worker runs),
-//!   so a worker that finds the queue empty exits — every unfinished
-//!   shard is in another worker's hands — and `join()` is joining the
-//!   worker threads; a worker's panic is re-raised there once all are
-//!   reaped.
+//! * **Execution** ([`FederationRuntime`]) — one atomic cursor over
+//!   the shard indices: a worker claims the next shard and drains it
+//!   to the end, then claims another. The batch is closed (one
+//!   submission, seeded before any worker runs) and the only thing a
+//!   caller observes is `join()`, so there is nothing to time-slice: a
+//!   worker whose claim runs past the last shard exits, and `join()`
+//!   is joining the worker threads; a worker's panic is re-raised
+//!   there once all are reaped.
 //!
 //! Determinism is the design invariant: placement is a single-threaded
-//! pre-pass, shards share no mutable state, and quantum-sliced
-//! stepping is bit-identical to a monolithic drain — so the outcome is
-//! a pure function of (workload, shard configs, placement policy),
-//! never of worker count or thread interleaving. A 1-shard federation
-//! reproduces `sched_sim::simulate` bit-for-bit.
+//! pre-pass, shards share no mutable state, and each shard is drained
+//! by exactly one worker — so the outcome is a pure function of
+//! (workload, shard configs, placement policy), never of worker count
+//! or thread interleaving. A 1-shard federation reproduces
+//! `sched_sim::simulate` bit-for-bit.
 //!
 //! ## Writing a placement policy
 //!

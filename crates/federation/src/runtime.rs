@@ -1,5 +1,5 @@
 //! The federation runtime: N sharded clusters, M worker threads, one
-//! FIFO run queue.
+//! shard cursor.
 //!
 //! The runtime/handle split follows the async-runtime idiom: the
 //! non-cloneable [`FederationRuntime`] *owns* the worker OS threads and
@@ -8,27 +8,23 @@
 //! the runtime where the threads must eventually be joined.
 //!
 //! Each shard is a complete single-cluster simulation (its own
-//! `SimConfig`, its own policy instance, its own event queue), stepped
-//! a *quantum* of events at a time by whichever worker pops it off the
-//! run queue, and pushed back at the tail while it has events left.
+//! `SimConfig`, its own policy instance, its own event queue). A worker
+//! claims the next shard index off an atomic cursor and drains that
+//! shard to its end in one `SimState::step`, then claims another.
 //!
 //! A federation replays a *closed* batch: one submission, seeded
-//! before any worker exists, and nothing adds work afterwards. Every
-//! unfinished shard is therefore in the queue or in the hands of a
-//! worker that will push it back and pop again itself — so a worker
-//! that finds the queue empty has nothing to wait for and **exits**,
-//! and the replay is over when the worker threads have returned.
+//! before any worker exists, and nothing adds work afterwards. No
+//! shard is ever handed back, so a worker whose claim runs past the
+//! last shard has nothing to wait for and **exits**, and the replay is
+//! over when the worker threads have returned.
 //!
-//! Determinism holds by construction: shards share no mutable state, a
-//! shard index is in the queue or with one worker and never both (a
-//! worker pushes back only what it popped), and `SimState::step` is
-//! bit-identical to a monolithic drain regardless of how the event
-//! stream is sliced into quanta — so worker count and pop interleaving
-//! cannot change any shard's outcome.
+//! Determinism holds by construction: shards share no mutable state,
+//! the cursor hands each shard index to exactly one worker, and a
+//! shard's replay is the same whichever worker drains it — so worker
+//! count and claim interleaving cannot change any shard's outcome.
 
 use std::any::Any;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -40,9 +36,8 @@ use sched_sim::{SimConfig, SimOutcome, SimState};
 
 use crate::placement::{LoadTracker, PlacementPolicy};
 
-/// Shape of a federation: how many shards, how many workers drive
-/// them, and how many events one worker drains per shard turn.
-/// [`FederationRuntime::new`] checks it, however it was built.
+/// Shape of a federation: how many shards and how many workers drive
+/// them. [`FederationRuntime::new`] checks it, however it was built.
 #[derive(Debug, Clone)]
 pub struct FederationConfig {
     /// Number of shards (single-cluster simulations); at least one.
@@ -50,21 +45,11 @@ pub struct FederationConfig {
     /// Worker OS threads; at least one. More workers than shards is
     /// wasted: the runtime clamps to one per shard.
     pub workers: usize,
-    /// Time quantum: events drained per shard turn before the worker
-    /// yields the shard back to the queue tail; at least one. This is
-    /// the fairness knob — a hot shard gets at most `quantum` events
-    /// ahead of a cold one per round.
-    pub quantum: usize,
 }
 
 impl FederationConfig {
-    /// Default quantum: large enough to amortize a queue round-trip,
-    /// small enough that an interactive shard waits at most a few
-    /// thousand events behind a hot one.
-    pub const DEFAULT_QUANTUM: usize = 512;
-
     /// A federation of `shards` clusters with as many workers as the
-    /// host offers and the default quantum.
+    /// host offers.
     pub fn new(shards: usize) -> FederationConfig {
         let host = std::thread::available_parallelism()
             .map(|p| p.get())
@@ -72,7 +57,6 @@ impl FederationConfig {
         FederationConfig {
             shards,
             workers: host,
-            quantum: Self::DEFAULT_QUANTUM,
         }
     }
 
@@ -81,16 +65,10 @@ impl FederationConfig {
         self.workers = workers;
         self
     }
-
-    /// Builder: sets the per-turn event quantum.
-    pub fn with_quantum(mut self, quantum: usize) -> FederationConfig {
-        self.quantum = quantum;
-        self
-    }
 }
 
 /// One shard's simulation. A cell is only ever touched by the worker
-/// that popped its shard, so the mutex is uncontended in steady state.
+/// that claimed its shard, so the mutex is uncontended.
 struct ShardCell {
     /// The shard's cluster, its own policy instance included.
     cfg: SimConfig,
@@ -98,23 +76,21 @@ struct ShardCell {
     /// `None` until submission seeds it, and for good when placement
     /// left the shard empty.
     replay: Option<(WorkloadSpec, SimState)>,
-    /// Run-queue turns this shard was granted.
-    turns: u64,
 }
 
 /// State shared between the runtime, its handles and its workers. A
-/// replay never meets one of its mutexes poisoned: the queue and the
-/// drain order are not held across a step, a shard whose step panicked
-/// is never queued again, and `join` re-raises that panic before it
-/// reads a cell.
+/// replay never meets one of its mutexes poisoned: a shard whose drain
+/// panicked is never claimed again, and `join` re-raises that panic
+/// before it reads a cell.
 struct Core {
     cfg: FederationConfig,
-    /// Shards with events left that no worker holds, in FIFO order.
-    run_queue: Mutex<VecDeque<usize>>,
     cells: Vec<Mutex<ShardCell>>,
     capacities: Vec<u32>,
-    /// Shard indices in the order they ran dry (fairness diagnostics).
-    drain_order: Mutex<Vec<usize>>,
+    /// The next shard index a worker claims; at or past `cells.len()`
+    /// every shard is claimed. `Relaxed` suffices: it publishes no
+    /// data — the cells are behind their mutexes and were seeded
+    /// before any worker was spawned.
+    next: AtomicUsize,
     loaded: AtomicBool,
     started: AtomicBool,
 }
@@ -200,11 +176,9 @@ pub struct FederationOutcome {
     pub capacities: Vec<u32>,
     /// Events each shard processed.
     pub events: Vec<u64>,
-    /// Run-queue turns each shard was granted.
+    /// Turns each shard was granted: 1 for a seeded shard, drained in
+    /// one go, and 0 for one the placement left empty.
     pub turns: Vec<u64>,
-    /// Shard indices in drain order — under a small quantum, light
-    /// shards finish before heavy ones regardless of index order.
-    pub drain_order: Vec<usize>,
 }
 
 impl FederationOutcome {
@@ -229,32 +203,23 @@ impl FederationRuntime {
     /// to one per shard.
     ///
     /// # Panics
-    /// If `cfg` has no shard, no worker or a zero quantum (which would
-    /// never make progress).
+    /// If `cfg` has no shard or no worker.
     pub fn new(
         mut cfg: FederationConfig,
         make_sim: impl Fn(usize) -> SimConfig,
     ) -> FederationRuntime {
         assert!(cfg.shards > 0, "a federation needs at least one shard");
         assert!(cfg.workers > 0, "a federation needs at least one worker");
-        assert!(cfg.quantum > 0, "a zero quantum would never make progress");
         cfg.workers = cfg.workers.min(cfg.shards);
         let sims: Vec<SimConfig> = (0..cfg.shards).map(make_sim).collect();
         FederationRuntime {
             core: Arc::new(Core {
-                run_queue: Mutex::new(VecDeque::with_capacity(cfg.shards)),
                 capacities: sims.iter().map(|sim| sim.capacity).collect(),
                 cells: sims
                     .into_iter()
-                    .map(|cfg| {
-                        Mutex::new(ShardCell {
-                            cfg,
-                            replay: None,
-                            turns: 0,
-                        })
-                    })
+                    .map(|cfg| Mutex::new(ShardCell { cfg, replay: None }))
                     .collect(),
-                drain_order: Mutex::new(Vec::with_capacity(cfg.shards)),
+                next: AtomicUsize::new(0),
                 loaded: AtomicBool::new(false),
                 started: AtomicBool::new(false),
                 cfg,
@@ -276,9 +241,8 @@ impl FederationRuntime {
         &self.core.cfg
     }
 
-    /// Queues every loaded shard (in index order, for a deterministic
-    /// initial queue) and spawns the worker threads. Shards the
-    /// placement left empty are never queued.
+    /// Spawns the worker threads, which claim the shards in index
+    /// order. Shards the placement left empty are skipped.
     ///
     /// # Panics
     /// If no workload was submitted, or if called twice.
@@ -291,8 +255,6 @@ impl FederationRuntime {
             !self.core.started.swap(true, Ordering::AcqRel),
             "a federation starts exactly once"
         );
-        let seeded = |shard: &usize| locked(&self.core.cells[*shard]).replay.is_some();
-        locked(&self.core.run_queue).extend((0..self.core.cfg.shards).filter(seeded));
         for w in 0..self.core.cfg.workers {
             let core = Arc::clone(&self.core);
             let handle = std::thread::Builder::new()
@@ -304,7 +266,7 @@ impl FederationRuntime {
     }
 
     /// Waits for the replay to end — which *is* the worker threads
-    /// returning: each exits when it finds the run queue empty — then
+    /// returning: each exits when no shard is left to claim — then
     /// collects and merges the shard outcomes.
     ///
     /// # Panics
@@ -327,7 +289,7 @@ impl FederationRuntime {
         let mut turns = Vec::with_capacity(self.core.cfg.shards);
         for cell in &self.core.cells {
             let mut cell = locked(cell);
-            turns.push(cell.turns);
+            turns.push(u64::from(cell.replay.is_some()));
             // Taken by value: the shard's slice of the trace and its
             // DES state are freed before the next outcome is built.
             match cell.replay.take() {
@@ -365,7 +327,6 @@ impl FederationRuntime {
             capacities: self.core.capacities.clone(),
             events,
             turns,
-            drain_order: std::mem::take(&mut *locked(&self.core.drain_order)),
         }
     }
 }
@@ -396,24 +357,15 @@ impl Drop for FederationRuntime {
     }
 }
 
-/// One worker: pop the front shard, step it one quantum, push it back
-/// at the tail while it has events left. An empty queue means every
-/// unfinished shard is in another worker's hands — who will push it
-/// back and pop it again — and nothing ever adds a shard: exit.
+/// One worker: claim the next shard and drain it to the end, until a
+/// claim runs past the last shard — every other shard is then done or
+/// in another worker's hands, and nothing ever adds one: exit.
 fn worker_loop(core: &Core) {
-    let pop = || locked(&core.run_queue).pop_front();
-    while let Some(shard) = pop() {
-        let more = {
-            let mut cell = locked(&core.cells[shard]);
-            cell.turns += 1;
-            let ShardCell { cfg, replay, .. } = &mut *cell;
-            let (workload, state) = replay.as_mut().expect("only seeded shards are queued");
-            state.step(cfg, workload, core.cfg.quantum)
-        };
-        if more {
-            locked(&core.run_queue).push_back(shard);
-        } else {
-            locked(&core.drain_order).push(shard);
+    while let Some(cell) = core.cells.get(core.next.fetch_add(1, Ordering::Relaxed)) {
+        let mut cell = locked(cell);
+        let ShardCell { cfg, replay } = &mut *cell;
+        if let Some((workload, state)) = replay {
+            state.step(cfg, workload, usize::MAX);
         }
     }
 }
@@ -481,104 +433,37 @@ mod tests {
         assert!(out.events[0] > 0);
         assert_eq!(out.shards[1].metrics.jobs.len(), 0);
         assert_eq!(out.merged.jobs.len(), 6);
+        assert_eq!(out.turns[0], 1, "a seeded shard drains in one turn");
         assert_eq!(out.turns[1], 0, "unloaded shards never get a turn");
     }
 
     #[test]
-    fn small_quantum_lets_light_shards_drain_first() {
-        // One worker so turn order is the queue order; a tiny quantum
-        // forces round-robin between the heavy shard 0 and light shard 1.
-        struct ByIndex(usize);
-        impl PlacementPolicy for ByIndex {
-            fn name(&self) -> String {
-                "by_index".into()
-            }
-            fn place(&mut self, _: &JobSpec, _: &[crate::placement::ShardLoad]) -> usize {
-                let s = if self.0 < 40 { 0 } else { 1 };
-                self.0 += 1;
-                s
-            }
-        }
-        // Heavy shard: 40 jobs; light shard: 2 jobs.
-        let jobs = burst(42, 5.0);
-        let wl = WorkloadSpec::new(jobs);
-
-        let run = |quantum: usize| {
-            let mut rt = FederationRuntime::new(
-                FederationConfig::new(2)
-                    .with_workers(1)
-                    .with_quantum(quantum),
-                |_| sim_cfg(8),
-            );
-            rt.handle().submit(&wl, &mut ByIndex(0));
-            rt.start();
-            rt.join()
-        };
-
-        let fair = run(2);
-        assert_eq!(
-            fair.drain_order,
-            vec![1, 0],
-            "under a small quantum the light shard finishes first"
-        );
-        assert!(fair.turns[0] > fair.turns[1]);
-
-        let hog = run(usize::MAX);
-        assert_eq!(
-            hog.drain_order,
-            vec![0, 1],
-            "an unbounded quantum drains shards in schedule order"
-        );
-        assert_eq!(hog.turns[0], 1, "one turn drains everything");
-
-        // Fairness is a latency property; outcomes stay identical.
-        assert_eq!(fair.merged, hog.merged);
-    }
-
-    #[test]
-    fn one_shard_quantum_replay_is_bit_identical_to_single_cluster() {
+    fn one_shard_replay_is_bit_identical_to_single_cluster() {
         // The one-shard federation must be indistinguishable from a
-        // monolithic single-cluster drain even when the work-queue
-        // scheduler slices the replay into tiny `step(max_events)`
-        // quanta. The replay is 240 events. A quantum of 3 slices it
-        // mid-burst: some of its steps end between two events of one
-        // instant, and the next step must resume that instant exactly
-        // where the last one stopped. 17 slices it between instants
-        // only, and 1000 drains it in one step.
+        // monolithic single-cluster drain.
         let wl = WorkloadSpec::new(burst(120, 15.0));
         let mono = sched_sim::simulate(&sim_cfg(8), &wl);
-        for quantum in [3usize, 17, 1000] {
-            let mut rt = FederationRuntime::new(
-                FederationConfig::new(1)
-                    .with_workers(1)
-                    .with_quantum(quantum),
-                |_| sim_cfg(8),
-            );
-            rt.handle().submit(&wl, &mut RoundRobin::new());
-            rt.start();
-            let out = rt.join();
-            assert_eq!(out.shards.len(), 1);
-            assert_eq!(
-                out.shards[0].metrics, mono.metrics,
-                "quantum {quantum} diverged from the monolithic replay"
-            );
-            assert_eq!(out.merged, mono.metrics);
-            assert_eq!(out.shards[0].rescales, mono.rescales);
-            assert_eq!(out.shards[0].peak_queue_len, mono.peak_queue_len);
-            assert_eq!(out.shards[0].peak_queue_len_raw, mono.peak_queue_len_raw);
-        }
+        let mut rt =
+            FederationRuntime::new(FederationConfig::new(1).with_workers(1), |_| sim_cfg(8));
+        rt.handle().submit(&wl, &mut RoundRobin::new());
+        rt.start();
+        let out = rt.join();
+        assert_eq!(out.shards.len(), 1);
+        assert_eq!(out.shards[0].metrics, mono.metrics);
+        assert_eq!(out.merged, mono.metrics);
+        assert_eq!(out.shards[0].rescales, mono.rescales);
+        assert_eq!(out.shards[0].peak_queue_len, mono.peak_queue_len);
+        assert_eq!(out.shards[0].peak_queue_len_raw, mono.peak_queue_len_raw);
     }
 
     #[test]
     fn worker_count_does_not_change_the_outcome() {
         let wl = WorkloadSpec::new(burst(60, 12.0));
         let run = |workers: usize| {
-            let mut rt = FederationRuntime::new(
-                FederationConfig::new(4)
-                    .with_workers(workers)
-                    .with_quantum(8),
-                |_| sim_cfg(8),
-            );
+            let mut rt =
+                FederationRuntime::new(FederationConfig::new(4).with_workers(workers), |_| {
+                    sim_cfg(8)
+                });
             rt.handle().submit(&wl, &mut RoundRobin::new());
             rt.start();
             rt.join()
@@ -656,12 +541,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "a zero quantum would never make progress")]
+    #[should_panic(expected = "a federation needs at least one worker")]
     fn a_literal_config_is_checked_where_it_is_used() {
         let cfg = FederationConfig {
             shards: 2,
-            workers: 1,
-            quantum: 0,
+            workers: 0,
         };
         FederationRuntime::new(cfg, |_| sim_cfg(8));
     }

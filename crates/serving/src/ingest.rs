@@ -32,7 +32,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use elastic_core::{JobTicket, SchedulerClient, SchedulerError, SubmitRequest, SubmitResponse};
+use elastic_core::{SchedulerClient, SchedulerError, SubmitRequest, SubmitResponse};
 use hpc_metrics::sync::locked;
 use hpc_metrics::{Clock, Duration, SimTime};
 
@@ -96,7 +96,9 @@ pub struct IngestStats {
     pub flushed: u64,
     /// Jobs that reached a flush but failed store creation (duplicate
     /// names, …); the errors are retrievable via
-    /// [`IngestQueue::take_errors`].
+    /// [`IngestQueue::take_errors`]. A submission whose own push
+    /// flushed the batch gets its error from `submit` instead and is
+    /// not counted.
     pub rejected: u64,
 }
 
@@ -192,7 +194,9 @@ impl IngestQueue {
     /// store: the request is buffered ([`SubmitResponse::Queued`]),
     /// completes a size-K batch inline ([`SubmitResponse::Admitted`]),
     /// or is rejected by backpressure ([`SubmitResponse::Shed`]).
-    /// Errors only for a closed queue.
+    /// Errors for a closed queue, and with the store's own error when
+    /// the push completed a batch and this submission's create failed
+    /// (a duplicate name).
     pub fn submit(&self, req: SubmitRequest) -> Result<SubmitResponse, SchedulerError> {
         if self.closed.load(Ordering::Acquire) {
             return Err(SchedulerError::QueueClosed);
@@ -205,7 +209,6 @@ impl IngestQueue {
                 retry_after: self.cfg.retry_after,
             });
         }
-        let name = req.name().to_string();
         buf.push_back(Pending {
             req,
             enqueued_at: self.clock.now(),
@@ -214,27 +217,18 @@ impl IngestQueue {
         self.accepted.fetch_add(1, Ordering::Relaxed);
         if depth >= self.cfg.batch_size {
             // The push completed a batch: flush inline and answer with
-            // this submission's real ticket.
-            let ticket = self.flush_buf(&mut buf, Some(&name));
-            if let Some(ticket) = ticket {
-                return Ok(SubmitResponse::Admitted { ticket });
-            }
-            // Our own creation failed (duplicate name): surface it.
-            let mut ledger = locked(&self.ledger);
-            if let Some(pos) = ledger.errors.iter().position(|(n, _)| n == &name) {
-                let (_, err) = ledger.errors.remove(pos);
-                ledger.rejected -= 1;
-                return Err(err);
-            }
-            unreachable!("inline flush neither admitted nor rejected {name}");
+            // this submission's real ticket, or its own store error.
+            return self
+                .flush_buf(&mut buf, true)
+                .expect("the batch holds this submission");
         }
         Ok(SubmitResponse::Queued { depth })
     }
 
     /// Flushes every shard whose oldest entry has waited at least
     /// [`IngestConfig::max_delay`] by `now`. Returns the number of jobs
-    /// pushed into the store. Call once per serving loop iteration
-    /// (before the operator reconcile).
+    /// flushed, the store's rejects included. Call once per serving
+    /// loop iteration (before the operator reconcile).
     pub fn pump(&self, now: SimTime) -> usize {
         let mut flushed = 0;
         for shard in &self.shards {
@@ -244,7 +238,7 @@ impl IngestQueue {
                 .is_some_and(|p| now - p.enqueued_at >= self.cfg.max_delay);
             if due {
                 flushed += buf.len();
-                self.flush_buf(&mut buf, None);
+                self.flush_buf(&mut buf, false);
             }
         }
         flushed
@@ -256,14 +250,20 @@ impl IngestQueue {
         for shard in &self.shards {
             let mut buf = locked(shard);
             flushed += buf.len();
-            self.flush_buf(&mut buf, None);
+            self.flush_buf(&mut buf, false);
         }
         flushed
     }
 
-    /// Flushes `buf` into the store as one batch; when `want` names one
-    /// of the buffered jobs, returns its ticket.
-    fn flush_buf(&self, buf: &mut VecDeque<Pending>, want: Option<&str>) -> Option<JobTicket> {
+    /// Flushes `buf` into the store as one batch. With `answer_last`,
+    /// returns the store's answer for the buffer's last entry — the
+    /// submission whose push completed the batch — and keeps a failure
+    /// of that entry out of the ledger: its submitter gets it instead.
+    fn flush_buf(
+        &self,
+        buf: &mut VecDeque<Pending>,
+        answer_last: bool,
+    ) -> Option<Result<SubmitResponse, SchedulerError>> {
         if buf.is_empty() {
             return None;
         }
@@ -271,24 +271,27 @@ impl IngestQueue {
         let mut ledger = locked(&self.ledger);
         ledger.batches += 1;
         ledger.sorted = false;
-        let mut wanted = None;
-        for pending in buf.drain(..) {
+        let last = buf.len() - 1;
+        let mut answer = None;
+        for (i, pending) in buf.drain(..).enumerate() {
+            let answers = answer_last && i == last;
             let name = pending.req.name().to_string();
             match self.client.submit_request(pending.req) {
                 Ok(resp) => {
                     ledger.flushed += 1;
                     ledger.latencies.push((now - pending.enqueued_at).as_secs());
-                    if want == Some(name.as_str()) {
-                        wanted = resp.ticket().cloned();
+                    if answers {
+                        answer = Some(Ok(resp));
                     }
                 }
+                Err(err) if answers => answer = Some(Err(err)),
                 Err(err) => {
                     ledger.rejected += 1;
                     ledger.errors.push((name, err));
                 }
             }
         }
-        wanted
+        answer
     }
 
     /// Jobs currently buffered across all shards. Allocates nothing: the
@@ -513,6 +516,44 @@ mod tests {
         assert_eq!(errors.len(), 1);
         assert!(matches!(errors[0].1, SchedulerError::AlreadyExists(_)));
         assert!(q.take_errors().is_empty(), "errors drain once");
+    }
+
+    #[test]
+    fn an_inline_flush_answers_for_the_submission_that_completed_it() {
+        let (q, jobs, clock) = queue(IngestConfig {
+            shards: 1,
+            batch_size: 2,
+            max_delay: Duration::ZERO,
+            ..Default::default()
+        });
+        // The second "dup" completes the batch: the first is created,
+        // the second is not, and the second's answer must say so rather
+        // than hand back the first one's ticket.
+        q.submit(req("dup")).unwrap();
+        assert!(matches!(
+            q.submit(req("dup")),
+            Err(SchedulerError::AlreadyExists(_))
+        ));
+        assert_eq!(jobs.len(), 1);
+        let stats = q.stats();
+        assert_eq!((stats.batches, stats.flushed, stats.rejected), (1, 1, 0));
+        assert!(q.take_errors().is_empty(), "the submitter got its error");
+
+        // An older reject of the same name stays in the ledger, in its
+        // place: the inline answer is the submitter's own error.
+        q.submit(req("b")).unwrap();
+        q.pump(clock.now());
+        q.submit(req("dup")).unwrap();
+        q.pump(clock.now());
+        q.submit(req("b")).unwrap();
+        assert!(q.submit(req("dup")).is_err());
+        let names: Vec<String> = q.take_errors().into_iter().map(|(n, _)| n).collect();
+        assert_eq!(
+            names,
+            ["dup", "b"],
+            "the pump's reject, then the batch's first"
+        );
+        assert_eq!(q.stats().rejected, 2);
     }
 
     #[test]

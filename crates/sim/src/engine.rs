@@ -323,13 +323,13 @@ impl Effects for Des<'_> {
 
 /// Resumable simulation state — the per-shard DES drive.
 ///
-/// [`simulate`] builds one of these and drains it in a single call. The
-/// federation layer (`hpc-federation`) instead keeps one `SimState` per
-/// shard and drains each a bounded number of events at a time (its
-/// run-queue *time quantum*), interleaving many shards over a small
-/// pool of worker threads. Stepping in any quantum size is
-/// **bit-identical** to one monolithic run: events pop in the same
-/// deterministic order regardless of where the drain pauses.
+/// [`simulate`] builds one of these and drains it in a single call, and
+/// so does each federation worker (`hpc-federation`) for the shard it
+/// claimed. A caller that times a replay in segments — construction,
+/// each bounded [`SimState::step`], [`SimState::finish`] — steps it a
+/// bounded number of events at a time instead. Stepping in any segment
+/// size is **bit-identical** to one monolithic run: events pop in the
+/// same deterministic order regardless of where the drain pauses.
 ///
 /// The state does not own the [`SimConfig`] or [`WorkloadSpec`] it was
 /// built from (the policy box is not cloneable; owners keep both next
@@ -450,9 +450,8 @@ impl SimState {
 
     /// Pops and processes at most `max_events` events; returns `true`
     /// while events remain afterwards. `step(cfg, wl, usize::MAX)`
-    /// drains the run in one call; a federation worker passes its
-    /// quantum and pushes the shard back on its run queue while this
-    /// returns `true`.
+    /// drains the run in one call; a smaller bound ends the call
+    /// mid-run, so a caller can time the replay segment by segment.
     ///
     /// Each event maps to one kernel entry point. Submissions and
     /// completions go through the kernel's burst drivers: every event
@@ -460,7 +459,7 @@ impl SimState {
     /// invocation, with the per-event primitive sequence (consume →
     /// staleness check → effects → decide → apply → peak sample →
     /// compaction check) driven from inside the burst — so replay
-    /// output and the quantum-stepping contract are identical to a
+    /// output and the segment-stepping contract are identical to a
     /// one-event-one-call loop. An event the kernel retires as a no-op
     /// (a cancel or requeue of a terminal job, a timer after the last
     /// job) skips the per-event bookkeeping.
@@ -918,27 +917,59 @@ mod tests {
 
     #[test]
     fn quantum_stepping_is_bit_identical_to_monolithic_drain() {
-        // The federation scheduler drains shards a few events at a
-        // time; any quantum size must reproduce the monolithic run
-        // exactly — metrics, rescales, peaks, everything.
-        let wl = spaced(generate_workload(11, 16), 30.0);
-        let cfg = SimConfig::paper_default(policy(PolicyKind::Elastic, 60.0));
-        let whole = simulate(&cfg, &wl);
-        for quantum in [1usize, 3, 7, 64] {
-            let cfg_q = SimConfig::paper_default(policy(PolicyKind::Elastic, 60.0));
-            let mut st = SimState::new(&cfg_q, &wl);
-            let mut turns = 0u32;
-            while st.step(&cfg_q, &wl, quantum) {
-                turns += 1;
+        // A caller that times a replay in segments steps it a bounded
+        // number of events at a time; any quantum size must reproduce
+        // the monolithic run exactly — metrics, rescales, peaks,
+        // everything.
+        let elastic = || SimConfig::paper_default(policy(PolicyKind::Elastic, 60.0));
+        // 120 jobs a second apart on 8 slots: 240 events. A quantum of
+        // 3 slices it mid-burst: some of its steps end between two
+        // events of one instant, and the next step must resume that
+        // instant exactly where the last one stopped. 17 slices it
+        // between instants only, and 1000 drains it in one step.
+        let rigid = || SimConfig {
+            capacity: 8,
+            policy: Box::new(Policy::rigid_max(PolicyConfig::default())),
+            scaling: ScalingModel::default(),
+            overhead: OverheadModel::default(),
+            cancellations: Vec::new(),
+        };
+        let burst = WorkloadSpec::new(
+            (0..120)
+                .map(|i| {
+                    JobSpec::malleable(format!("j{i:03}"), 1, 2, 15.0, 1)
+                        .at(Duration::from_secs(f64::from(i)))
+                })
+                .collect(),
+        );
+        let check = |make: &dyn Fn() -> SimConfig, wl: &WorkloadSpec, quanta: &[usize]| {
+            let whole = simulate(&make(), wl);
+            for &quantum in quanta {
+                let cfg = make();
+                let mut st = SimState::new(&cfg, wl);
+                let mut turns = 0u32;
+                while st.step(&cfg, wl, quantum) {
+                    turns += 1;
+                }
+                let out = st.finish(&cfg, wl);
+                let at = format!("{} jobs, quantum {quantum}", wl.jobs.len());
+                assert_eq!(out.metrics, whole.metrics, "{at} diverged");
+                assert_eq!(out.rescales, whole.rescales, "{at}");
+                assert_eq!(out.peak_queue_len, whole.peak_queue_len, "{at}");
+                assert_eq!(out.peak_queue_len_raw, whole.peak_queue_len_raw, "{at}");
+                assert_eq!(out.cancelled, whole.cancelled, "{at}");
+                assert!(
+                    quantum >= 64 || turns > 1,
+                    "{at}: a tiny quantum must yield"
+                );
             }
-            let out = st.finish(&cfg_q, &wl);
-            assert_eq!(out.metrics, whole.metrics, "quantum {quantum} diverged");
-            assert_eq!(out.rescales, whole.rescales);
-            assert_eq!(out.peak_queue_len, whole.peak_queue_len);
-            assert_eq!(out.peak_queue_len_raw, whole.peak_queue_len_raw);
-            assert_eq!(out.cancelled, whole.cancelled);
-            assert!(quantum >= 64 || turns > 1, "tiny quantum must yield");
-        }
+        };
+        check(
+            &elastic,
+            &spaced(generate_workload(11, 16), 30.0),
+            &[1, 3, 7, 64],
+        );
+        check(&rigid, &burst, &[3, 17, 1000]);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! Loads the bundled Standard Workload Format trace
 //! (`tests/data/sample.swf`), routes it across a 4-shard federation
 //! with the least-loaded placement policy (each shard an 8-slot
-//! cluster running its own EASY-backfilling instance), replays all
-//! shards off one FIFO run queue (a worker that finds it empty is
-//! done: the batch is closed), and prints a per-shard
-//! utilization table next to the merged federation-level metrics.
+//! cluster running its own EASY-backfilling instance), replays the
+//! shards on worker threads that each drain whole shards until none is
+//! left (the batch is closed), and prints a per-shard utilization
+//! table next to the merged federation-level metrics.
 //!
 //! Run with: `cargo run --release --example federation`
 
@@ -47,9 +47,8 @@ fn main() {
         cancellations: Vec::new(),
     });
     println!(
-        "   (workers: {}, quantum: {} events/turn, placement: least-loaded)",
-        fed.config().workers,
-        fed.config().quantum
+        "   (workers: {}, placement: least-loaded)",
+        fed.config().workers
     );
 
     let assignment = fed.handle().submit(&workload, &mut LeastLoaded::new());
@@ -57,22 +56,17 @@ fn main() {
     let out = fed.join();
 
     println!();
-    println!("shard  jobs  events  turns  util     makespan");
-    println!("-----  ----  ------  -----  -------  ---------");
+    println!("shard  jobs  events  util     makespan");
+    println!("-----  ----  ------  -------  ---------");
     for (shard, sim) in out.shards.iter().enumerate() {
         let jobs = assignment.iter().filter(|&&s| s == shard).count();
         println!(
-            "{shard:>5}  {jobs:>4}  {:>6}  {:>5}  {:>6.1}%  {:>8.0}s",
+            "{shard:>5}  {jobs:>4}  {:>6}  {:>6.1}%  {:>8.0}s",
             out.events[shard],
-            out.turns[shard],
             sim.metrics.utilization * 100.0,
             sim.metrics.total_time,
         );
     }
-    println!(
-        "drain order: {:?} (light shards finish first under the quantum)",
-        out.drain_order
-    );
 
     println!();
     println!("-- merged federation metrics --");

@@ -18,8 +18,8 @@
 //!   batched ingest queues with explicit backpressure and a bounded
 //!   lifecycle event bus over the core client API.
 //! * [`federation`] — sharded multi-cluster federation: cross-shard
-//!   job placement plus a FIFO run queue that replays one workload
-//!   across N cluster simulations on M worker threads.
+//!   job placement, then M worker threads that each drain whole
+//!   shards, replaying one workload across N cluster simulations.
 //! * [`workload`] — the unified workload layer: one `WorkloadSpec`
 //!   model with SWF trace replay, the paper's seeded generator and
 //!   Poisson heavy-traffic arrivals, consumed identically by the DES

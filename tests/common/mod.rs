@@ -162,11 +162,7 @@ pub enum Engine {
     /// The operator, submissions through a batching ingest queue.
     Ingest(IngestConfig),
     /// DES shards fed round-robin; metrics merged.
-    Federation {
-        shards: usize,
-        workers: usize,
-        quantum: usize,
-    },
+    Federation { shards: usize, workers: usize },
 }
 
 /// Replays `scenario` on `engine`.
@@ -175,11 +171,7 @@ pub fn run(scenario: &Scenario, engine: Engine) -> RunMetrics {
         Engine::Des => des(scenario).metrics,
         Engine::Operator => operator_replay(scenario).0,
         Engine::Ingest(cfg) => ingest(scenario, cfg).0,
-        Engine::Federation {
-            shards,
-            workers,
-            quantum,
-        } => federate(scenario, shards, workers, quantum).merged,
+        Engine::Federation { shards, workers } => federate(scenario, shards, workers).merged,
     }
 }
 
@@ -275,15 +267,8 @@ pub fn ingest(scenario: &Scenario, cfg: IngestConfig) -> (RunMetrics, IngestStat
 
 /// `scenario`'s workload dealt round-robin over `shards` clusters of
 /// `scenario.capacity` slots each.
-pub fn federate(
-    scenario: &Scenario,
-    shards: usize,
-    workers: usize,
-    quantum: usize,
-) -> FederationOutcome {
-    let cfg = FederationConfig::new(shards)
-        .with_workers(workers)
-        .with_quantum(quantum);
+pub fn federate(scenario: &Scenario, shards: usize, workers: usize) -> FederationOutcome {
+    let cfg = FederationConfig::new(shards).with_workers(workers);
     let mut fed = FederationRuntime::new(cfg, |_| sim_config(scenario));
     fed.handle()
         .submit(&scenario.workload, &mut RoundRobin::new());

@@ -2,10 +2,10 @@
 //!
 //! * A 1-shard federation is **bit-identical** to the single-cluster
 //!   DES: same trace, same policy instance type, `RunMetrics ==` —
-//!   quantum-sliced parallel stepping must not perturb a single bit.
+//!   the runtime's threads must not perturb a single bit.
 //! * Worker count is invisible: the same workload sharded the same way
 //!   yields identical per-shard and merged metrics whether one worker
-//!   or as many as there are shards drive the queue.
+//!   or as many as there are shards claim the shards.
 //! * Both hold for EASY with evictions: checkpoint-restart recovery
 //!   under spot reclamations and a transient-fault storm.
 //! * `RunMetrics::merge` conserves the physical quantities — job
@@ -43,8 +43,7 @@ fn elastic() -> Policy {
 /// The tentpole acceptance criterion: a 1-shard, 1-worker federation
 /// replaying the bundled trace produces the *exact* `RunMetrics` the
 /// single-cluster DES produces — for the rigid FCFS baseline and for
-/// EASY backfilling — even under a tiny quantum that slices the event
-/// stream into many turns.
+/// EASY backfilling.
 #[test]
 fn single_shard_federation_is_bit_identical_to_the_des() {
     let rigid = SwfLoadConfig::rigid(TRACE_CAPACITY);
@@ -53,7 +52,7 @@ fn single_shard_federation_is_bit_identical_to_the_des() {
         ("easy", trace(&rigid, EasyBackfill::new)),
     ] {
         let des = des(&scenario);
-        let fed = federate(&scenario, 1, 1, 7);
+        let fed = federate(&scenario, 1, 1);
         assert_eq!(
             fed.merged, des.metrics,
             "{label}: merged metrics must be bit-identical to the DES"
@@ -61,22 +60,16 @@ fn single_shard_federation_is_bit_identical_to_the_des() {
         assert_eq!(fed.shards[0].metrics, des.metrics, "{label}: shard metrics");
         assert_eq!(fed.shards[0].rescales, des.rescales, "{label}: rescales");
         assert_eq!(fed.shards[0].cancelled, des.cancelled, "{label}: cancelled");
-        assert!(
-            fed.turns[0] > 1,
-            "{label}: a quantum of 7 must take several turns, got {}",
-            fed.turns[0]
-        );
     }
 
     // The elastic annotation exercises rescale events through the same
-    // quantum-sliced path.
+    // path.
     let open = trace(&SwfLoadConfig::elastic(TRACE_CAPACITY), elastic);
-    let sliced = Federation {
+    let one = Federation {
         shards: 1,
         workers: 1,
-        quantum: 7,
     };
-    assert_agree(&open, &[Des, sliced]);
+    assert_agree(&open, &[Des, one]);
 }
 
 /// Determinism regression: the same workload and shard count replayed
@@ -85,8 +78,8 @@ fn single_shard_federation_is_bit_identical_to_the_des() {
 #[test]
 fn worker_count_is_invisible_in_federation_results() {
     let open = trace(&SwfLoadConfig::elastic(TRACE_CAPACITY), elastic);
-    let serial = federate(&open, 4, 1, 16);
-    let parallel = federate(&open, 4, 4, 16);
+    let serial = federate(&open, 4, 1);
+    let parallel = federate(&open, 4, 4);
     assert_eq!(serial.merged, parallel.merged, "merged metrics");
     assert_eq!(serial.events, parallel.events, "per-shard event counts");
     for (shard, (a, b)) in serial.shards.iter().zip(&parallel.shards).enumerate() {
@@ -132,14 +125,14 @@ fn easy_with_evictions_federates_exactly() {
         "the faults must reach running work: {:?}",
         des.metrics.faults
     );
-    let fed = federate(&faulted, 1, 1, 7);
+    let fed = federate(&faulted, 1, 1);
     assert_eq!(fed.merged, des.metrics, "merged metrics");
     assert_eq!(fed.shards[0].metrics, des.metrics, "shard metrics");
     assert_eq!(fed.shards[0].rescales, des.rescales, "rescales");
     assert_eq!(fed.shards[0].cancelled, des.cancelled, "cancelled");
 
-    let serial = federate(&faulted, 4, 1, 16);
-    let parallel = federate(&faulted, 4, 2, 16);
+    let serial = federate(&faulted, 4, 1);
+    let parallel = federate(&faulted, 4, 2);
     assert_eq!(serial.merged, parallel.merged, "merged metrics");
     assert_eq!(serial.events, parallel.events, "per-shard event counts");
 }

@@ -25,7 +25,6 @@ use elastic_hpc::core::{
     ArrivalSink, CharmOperator, FaultStats, FcfsBackfill, Policy, PolicyConfig, RunMetrics,
     Schedule, SchedulingPolicy, SubmitRequest,
 };
-use elastic_hpc::federation::FederationConfig;
 use elastic_hpc::metrics::{Clock, Duration, SimTime, VirtualClock};
 use elastic_hpc::serving::{IngestConfig, IngestQueue, ShardRouter};
 use elastic_hpc::sim::experiments::{
@@ -99,25 +98,24 @@ fn a_heavy_traffic_replay_pops_exactly_these_events() {
 
 /// The scale trace split round-robin over equal shards: the events the
 /// whole federation processes are a function of the shard count alone —
-/// worker threads only change who pops them. So are the run-queue turns:
-/// a shard is popped once per quantum of its own events, whoever pops it.
+/// worker threads only change who drains them. So are the turns: a
+/// worker drains a claimed shard to its end in one turn, so every
+/// shard the round-robin deal seeds costs exactly one.
 #[test]
 fn federated_replay_events_depend_on_shards_not_workers() {
     let n = 20_000;
     let workload = heavy_traffic_workload(0, n);
     for (shards, events, turns) in [
-        (1, 63_164, 124),
-        // 62 283 events in 123 turns until same-instant completions
-        // applied in `JobId` order (the operator's) instead of
-        // queue-push order.
-        (2, 62_230, 122),
-        (4, 60_923, 121),
-        (8, 59_171, 120),
+        (1, 63_164, 1),
+        // 62 283 events until same-instant completions applied in
+        // `JobId` order (the operator's) instead of queue-push order.
+        (2, 62_230, 2),
+        (4, 60_923, 4),
+        (8, 59_171, 8),
     ] {
         let shard = calibrated(workload.clone(), SCALE_CAPACITY / shards as u32, elastic);
         for workers in [1, 2] {
-            let quantum = FederationConfig::DEFAULT_QUANTUM;
-            let out = common::federate(&shard, shards, workers, quantum);
+            let out = common::federate(&shard, shards, workers);
             assert_eq!(
                 out.merged.jobs.len(),
                 n,
