@@ -170,12 +170,12 @@ fn leanmd_kinetic_energy_evolves() {
 #[test]
 fn jacobi_rescale_report_has_all_stages() {
     let cfg = JacobiConfig::new(64, 4, 4);
-    let mut app = JacobiApp::new(
-        cfg,
-        RuntimeConfig::new(4).with_rescale_mode(RescaleMode::FullRestart),
-    );
+    let mut app = JacobiApp::new(cfg, RuntimeConfig::new(4));
     app.run_window(5).unwrap();
-    let report = app.driver.rescale(2);
+    let report = app
+        .driver
+        .rt
+        .rescale_with_mode(2, &GreedyLb, RescaleMode::FullRestart);
     assert!(
         report.checkpoint_bytes > cfg.state_bytes() / 2,
         "checkpoint should carry the grid"

@@ -51,9 +51,8 @@ fn jacobi_cfg() -> JacobiConfig {
 }
 
 fn one_rescale(from: usize, to: usize, mode: RescaleMode) -> (f64, RescaleReport) {
-    let rt_cfg = RuntimeConfig::new(from)
-        .with_startup_delay(std::time::Duration::from_millis(STARTUP_MS))
-        .with_rescale_mode(mode);
+    let rt_cfg =
+        RuntimeConfig::new(from).with_startup_delay(std::time::Duration::from_millis(STARTUP_MS));
     let mut app = JacobiApp::new(jacobi_cfg(), rt_cfg);
     app.run_window(2).expect("warmup window");
     let started = Instant::now();

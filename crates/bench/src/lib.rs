@@ -7,7 +7,7 @@
 //! |---|---|---|
 //! | `fig4` | Fig. 4a/4b strong scaling (real `charm-rt` runs) | |
 //! | `fig5` | Fig. 5a/5b/5c rescale-overhead breakdowns | |
-//! | `fig5_compare` | full-restart vs incremental rescale, per rung | 1 |
+//! | `fig5_compare` | full-restart vs incremental rescale, per rung | 2 |
 //! | `fig6` | Fig. 6a/6b shrink/expand timeline | |
 //! | `fig7` | Fig. 7a–d simulator sweep | 4 |
 //! | `fig8` | Fig. 8a–d simulator sweep and its incremental companion | 4 |

@@ -116,21 +116,21 @@ fn rescaled_problem(full: bool) -> Problem {
 }
 
 /// One `from -> to` rescale of a Jacobi app under `mode`, after a
-/// 5-iteration warm-up.
+/// 5-iteration warm-up, and how many chares sat on PEs `to..from` (the
+/// ones a shrink retires) just before it.
 fn rescale_once(
     (grid, blocks): Problem,
     from: usize,
     to: usize,
     mode: RescaleMode,
-) -> RescaleReport {
-    let rt_cfg = RuntimeConfig::new(from)
-        .with_startup_delay(MPI_STARTUP)
-        .with_rescale_mode(mode);
+) -> (RescaleReport, usize) {
+    let rt_cfg = RuntimeConfig::new(from).with_startup_delay(MPI_STARTUP);
     let mut app = JacobiApp::new(JacobiConfig::new(grid, blocks, blocks), rt_cfg);
     app.run_window(5).expect("warmup");
+    let dying = app.driver.rt.occupancy().iter().skip(to).sum();
     let report = app.driver.rt.rescale_with_mode(to, &GreedyLb, mode);
     app.shutdown();
-    report
+    (report, dying)
 }
 
 /// One Fig. 5 panel: a full-restart rescale per rung `(x, problem,
@@ -140,7 +140,7 @@ fn stage_panel(title: &str, x_column: &str, rungs: &[(usize, Problem, usize, usi
     let mut table = CsvTable::new([x_column, "lb", "ckpt", "restart", "restore", "total"]);
     let mut rows = Vec::new();
     for &(x, problem, from, to) in rungs {
-        let r = rescale_once(problem, from, to, RescaleMode::FullRestart);
+        let (r, _) = rescale_once(problem, from, to, RescaleMode::FullRestart);
         println!(
             "  {:<18} lb={:<8.4} ckpt={:<8.4} restart={:<8.4} restore={:<8.4} total={:<8.4}",
             format!("{x_column}={x} {from}->{to}"),
@@ -252,11 +252,11 @@ pub fn fig5_compare(options: &Options) -> Report {
         "incremental_bytes",
     ]);
     let (mut full_shrinks, mut inc_shrinks) = (Vec::new(), Vec::new());
-    let mut bytes = Vec::new();
+    let (mut bytes, mut evacuations) = (Vec::new(), Vec::new());
     for &p in replica_ladder(64).iter().filter(|&&p| p >= 2) {
         for (dir, from, to) in [("shrink", p, p / 2), ("expand", p / 2, p)] {
-            let full = rescale_once(problem, from, to, RescaleMode::FullRestart);
-            let inc = rescale_once(problem, from, to, RescaleMode::Incremental);
+            let (full, _) = rescale_once(problem, from, to, RescaleMode::FullRestart);
+            let (inc, dying) = rescale_once(problem, from, to, RescaleMode::Incremental);
             let speedup = full.total().as_secs() / inc.total().as_secs().max(1e-9);
             let full_bytes = full.checkpoint_bytes + full.bytes_moved;
             println!(
@@ -277,6 +277,7 @@ pub fn fig5_compare(options: &Options) -> Report {
                 inc.bytes_moved.to_string(),
             ]);
             if dir == "shrink" {
+                evacuations.push((format!("{from}->{to}"), inc.migrated, dying));
                 full_shrinks.push((p as f64, full.total().as_secs().max(1e-6)));
                 inc_shrinks.push((p as f64, inc.total().as_secs().max(1e-6)));
             }
@@ -293,18 +294,29 @@ pub fn fig5_compare(options: &Options) -> Report {
             true
         )
     );
-    let detail: Vec<String> = bytes
-        .iter()
-        .map(|(rescale, inc, full)| format!("{rescale} {inc} vs {full}"))
-        .collect();
+    let detail = |rows: &[(String, usize, usize)]| {
+        rows.iter()
+            .map(|(rescale, a, b)| format!("{rescale} {a} vs {b}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
     Report {
         tables: vec![("fig5_compare_modes.csv", table)],
-        claims: vec![Claim {
-            artifact: "fig5_compare",
-            statement: "incremental rescale moves fewer bytes than full restart (checkpoint + moved), each direction, every rung",
-            holds: !bytes.is_empty() && bytes.iter().all(|(_, inc, full)| inc < full),
-            detail: detail.join(", "),
-        }],
+        claims: vec![
+            Claim {
+                artifact: "fig5_compare",
+                statement: "incremental rescale moves fewer bytes than full restart (checkpoint + moved), each direction, every rung",
+                holds: !bytes.is_empty() && bytes.iter().all(|(_, inc, full)| inc < full),
+                detail: detail(&bytes),
+            },
+            Claim {
+                artifact: "fig5_compare",
+                statement: "an incremental shrink migrates exactly the chares on the dying PEs, every rung",
+                holds: !evacuations.is_empty()
+                    && evacuations.iter().all(|(_, migrated, dying)| migrated == dying),
+                detail: detail(&evacuations),
+            },
+        ],
     }
 }
 
@@ -329,28 +341,32 @@ pub fn fig6(options: &Options) -> Report {
 
     println!("== Fig. 6: Jacobi2D {grid}x{grid}, {total_iters} iters, shrink {high}->{low} at {shrink_at}, expand back at {expand_at} ==");
 
-    // Paper fidelity: Fig. 6's gaps are the checkpoint/restart
-    // protocol's overhead, so pin FullRestart rather than inheriting
-    // the incremental default.
     let mut app = JacobiApp::new(
         JacobiConfig::new(grid, 8, 8),
-        RuntimeConfig::new(high)
-            .with_startup_delay(MPI_STARTUP)
-            .with_rescale_mode(RescaleMode::FullRestart),
+        RuntimeConfig::new(high).with_startup_delay(MPI_STARTUP),
     );
     let started = std::time::Instant::now();
     let mut per_window = Vec::new(); // (iteration, window seconds)
     let mut timeline = Vec::new(); // (iteration, completion timestamp)
     let mut marks = Vec::new();
     let mut iter = 0u64;
+    // Paper fidelity: Fig. 6's gaps are the checkpoint/restart
+    // protocol's overhead, so both rescales run FullRestart rather
+    // than the incremental default.
     while iter < total_iters {
         if iter == shrink_at {
-            let r = app.driver.rescale(low);
+            let r = app
+                .driver
+                .rt
+                .rescale_with_mode(low, &GreedyLb, RescaleMode::FullRestart);
             println!("  shrink at iter {iter}: {r}");
             marks.push(("shrink", started.elapsed().as_secs_f64()));
         }
         if iter == expand_at {
-            let r = app.driver.rescale(high);
+            let r = app
+                .driver
+                .rt
+                .rescale_with_mode(high, &GreedyLb, RescaleMode::FullRestart);
             println!("  expand at iter {iter}: {r}");
             marks.push(("expand", started.elapsed().as_secs_f64()));
         }

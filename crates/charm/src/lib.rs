@@ -21,9 +21,11 @@
 //!
 //! ## Rescale modes
 //!
-//! [`Runtime::rescale`](runtime::Runtime::rescale) supports two
-//! protocols, selected via
-//! [`RuntimeConfig::with_rescale_mode`](runtime::RuntimeConfig::with_rescale_mode):
+//! The runtime has two rescale protocols.
+//! [`Runtime::rescale`](runtime::Runtime::rescale) and
+//! [`Runtime::poll_rescale`](runtime::Runtime::poll_rescale) run the
+//! first; [`Runtime::rescale_with_mode`](runtime::Runtime::rescale_with_mode)
+//! picks one per call:
 //!
 //! * [`RescaleMode::Incremental`] (**default**) — resize the live PE
 //!   pool in place. Shrink evacuates only the chares on dying PEs (via
@@ -33,10 +35,9 @@
 //!   untouched chares never serialize, so overhead is proportional to
 //!   [`RescaleReport::bytes_moved`], not to total state.
 //! * [`RescaleMode::FullRestart`] — the paper's checkpoint → restart →
-//!   restore protocol, kept for the Fig. 5 MPI-relaunch reproductions.
-//!   `Runtime::rescale_with_mode` forces a specific protocol per call;
-//!   both report through the same [`StageTimings`] stages so their
-//!   costs compare directly.
+//!   restore protocol, kept for the Fig. 5/6 MPI-relaunch
+//!   reproductions. Both report through the same [`StageTimings`]
+//!   stages so their costs compare directly.
 //!
 //! ## Quick example
 //!

@@ -6,8 +6,9 @@
 //! waits on reductions, and — at application sync boundaries — applies
 //! pending CCS rescale requests.
 //!
-//! Two rescale protocols are supported (selected by
-//! [`RescaleMode`], default incremental):
+//! Two rescale protocols are supported ([`RescaleMode`]):
+//! [`Runtime::rescale`] runs the incremental one and
+//! [`Runtime::rescale_with_mode`] picks per call:
 //!
 //! * **Incremental (in-place)** — on shrink, the evacuation LB moves
 //!   exactly the chares living on dying PEs to survivors, the dying
@@ -118,21 +119,17 @@ pub struct RuntimeConfig {
     /// expand hot-adds workers whose containers start in parallel, so it
     /// is charged `delay` once; an incremental shrink launches nothing.
     pub startup_delay_per_pe: std::time::Duration,
-    /// Which shrink/expand protocol [`Runtime::rescale`] uses.
-    pub rescale_mode: RescaleMode,
     /// A label for thread names and reports.
     pub name: String,
 }
 
 impl RuntimeConfig {
-    /// A config with `pes` PEs, no startup surrogate and the default
-    /// (incremental) rescale protocol.
+    /// A config with `pes` PEs and no startup surrogate.
     pub fn new(pes: usize) -> Self {
         assert!(pes >= 1, "need at least one PE");
         RuntimeConfig {
             pes,
             startup_delay_per_pe: std::time::Duration::ZERO,
-            rescale_mode: RescaleMode::default(),
             name: "charm".to_string(),
         }
     }
@@ -140,12 +137,6 @@ impl RuntimeConfig {
     /// Sets the per-PE restart surrogate delay.
     pub fn with_startup_delay(mut self, per_pe: std::time::Duration) -> Self {
         self.startup_delay_per_pe = per_pe;
-        self
-    }
-
-    /// Sets the rescale protocol.
-    pub fn with_rescale_mode(mut self, mode: RescaleMode) -> Self {
-        self.rescale_mode = mode;
         self
     }
 
@@ -689,17 +680,17 @@ impl Runtime {
         (count, Duration::from_secs(started.elapsed().as_secs_f64()))
     }
 
-    /// Rescales the PE pool to `new_pes` using the configured
-    /// [`RescaleMode`], reporting per-stage timings.
+    /// Rescales the PE pool to `new_pes` in place
+    /// ([`RescaleMode::Incremental`]), reporting per-stage timings.
     ///
     /// Must be called at a sync boundary.
     pub fn rescale(&mut self, new_pes: usize, lb: &dyn LbStrategy) -> RescaleReport {
-        self.rescale_with_mode(new_pes, lb, self.cfg.rescale_mode)
+        self.rescale_with_mode(new_pes, lb, RescaleMode::Incremental)
     }
 
-    /// Rescales with an explicit protocol, regardless of the configured
-    /// default — used by mode-comparison benchmarks and the
-    /// full-vs-incremental equivalence tests.
+    /// Rescales with an explicit protocol — the Fig. 5/6 reproductions
+    /// and the full-vs-incremental equivalence tests pick
+    /// [`RescaleMode::FullRestart`] here.
     pub fn rescale_with_mode(
         &mut self,
         new_pes: usize,

@@ -13,14 +13,13 @@
 //! * **Scheduling** (`elastic_core::SchedulingPolicy`) — which *slots*
 //!   inside a cluster, decided per shard by that shard's own policy
 //!   instance, unchanged from the single-cluster simulator.
-//! * **Execution** ([`FederationRuntime`]) — one atomic cursor over
-//!   the shard indices: a worker claims the next shard and drains it
-//!   to the end, then claims another. The batch is closed (one
-//!   submission, seeded before any worker runs) and the only thing a
-//!   caller observes is `join()`, so there is nothing to time-slice: a
-//!   worker whose claim runs past the last shard exits, and `join()`
-//!   is joining the worker threads; a worker's panic is re-raised
-//!   there once all are reaped.
+//! * **Execution** ([`FederationRuntime`]) — `start()` drains the
+//!   batch on scoped worker threads: a worker claims the next shard
+//!   and drains it to the end, then claims another, and exits when
+//!   none is left. The batch is closed (one submission, seeded before
+//!   any worker runs), so `start()` returns only once every shard is
+//!   drained, re-raising the first worker's panic, and `join()` only
+//!   collects and merges.
 //!
 //! Determinism is the design invariant: placement is a single-threaded
 //! pre-pass, shards share no mutable state, and each shard is drained
@@ -53,10 +52,6 @@
 //! }
 //!
 //! impl PlacementPolicy for PriorityTier {
-//!     fn name(&self) -> String {
-//!         format!("priority_tier(>={})", self.urgent)
-//!     }
-//!
 //!     fn place(&mut self, job: &JobSpec, loads: &[ShardLoad]) -> usize {
 //!         if job.priority >= self.urgent || loads.len() == 1 {
 //!             return 0;
@@ -77,7 +72,7 @@
 //! let mut fed = FederationRuntime::new(FederationConfig::new(3).with_workers(2), |_| {
 //!     SimConfig::paper_default(Box::new(Policy::elastic(PolicyConfig::default())))
 //! });
-//! let assignment = fed.handle().submit(
+//! let assignment = fed.submit(
 //!     &workload,
 //!     &mut PriorityTier { urgent: 4, spill: LeastLoaded::new() },
 //! );
@@ -105,4 +100,4 @@ mod placement;
 mod runtime;
 
 pub use placement::{LeastLoaded, PlacementPolicy, RoundRobin, ShardLoad};
-pub use runtime::{FederationConfig, FederationHandle, FederationOutcome, FederationRuntime};
+pub use runtime::{FederationConfig, FederationOutcome, FederationRuntime};

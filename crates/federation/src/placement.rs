@@ -36,9 +36,6 @@ pub struct ShardLoad {
 /// `place` calls) — never of wall-clock time — so that a replay
 /// partitions identically regardless of worker count.
 pub trait PlacementPolicy: Send {
-    /// Human-readable policy label.
-    fn name(&self) -> String;
-
     /// Chooses a shard index (`< loads.len()`) for `job`.
     fn place(&mut self, job: &JobSpec, loads: &[ShardLoad]) -> usize;
 }
@@ -57,10 +54,6 @@ impl RoundRobin {
 }
 
 impl PlacementPolicy for RoundRobin {
-    fn name(&self) -> String {
-        "round_robin".into()
-    }
-
     fn place(&mut self, _job: &JobSpec, loads: &[ShardLoad]) -> usize {
         let shard = self.next % loads.len();
         self.next = (self.next + 1) % loads.len();
@@ -82,10 +75,6 @@ impl LeastLoaded {
 }
 
 impl PlacementPolicy for LeastLoaded {
-    fn name(&self) -> String {
-        "least_loaded".into()
-    }
-
     fn place(&mut self, _job: &JobSpec, loads: &[ShardLoad]) -> usize {
         loads
             .iter()

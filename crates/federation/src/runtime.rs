@@ -1,32 +1,23 @@
-//! The federation runtime: N sharded clusters, M worker threads, one
-//! shard cursor.
-//!
-//! The runtime/handle split follows the async-runtime idiom: the
-//! non-cloneable [`FederationRuntime`] *owns* the worker OS threads and
-//! the shard cells, while the cheap, cloneable [`FederationHandle`] is
-//! the submission surface — hand copies to whoever produces work, keep
-//! the runtime where the threads must eventually be joined.
+//! The federation runtime: N sharded clusters drained by M scoped
+//! worker threads.
 //!
 //! Each shard is a complete single-cluster simulation (its own
-//! `SimConfig`, its own policy instance, its own event queue). A worker
-//! claims the next shard index off an atomic cursor and drains that
-//! shard to its end in one `SimState::step`, then claims another.
+//! `SimConfig`, its own policy instance, its own event queue).
 //!
 //! A federation replays a *closed* batch: one submission, seeded
-//! before any worker exists, and nothing adds work afterwards. No
-//! shard is ever handed back, so a worker whose claim runs past the
-//! last shard has nothing to wait for and **exits**, and the replay is
-//! over when the worker threads have returned.
+//! before any worker exists, and nothing adds work afterwards.
+//! [`FederationRuntime::start`] therefore drains the whole batch in one
+//! call: it spawns the workers inside one `std::thread::scope`, each
+//! claims the next shard and drains it to its end in one
+//! `SimState::step`, then claims another, and `start` returns once
+//! every worker has — no worker outlives it.
 //!
 //! Determinism holds by construction: shards share no mutable state,
-//! the cursor hands each shard index to exactly one worker, and a
-//! shard's replay is the same whichever worker drains it — so worker
-//! count and claim interleaving cannot change any shard's outcome.
+//! each shard is claimed by exactly one worker, and a shard's replay is
+//! the same whichever worker drains it — so worker count and claim
+//! interleaving cannot change any shard's outcome.
 
-use std::any::Any;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Mutex;
 
 use elastic_core::RunMetrics;
 use hpc_metrics::sync::locked;
@@ -67,8 +58,7 @@ impl FederationConfig {
     }
 }
 
-/// One shard's simulation. A cell is only ever touched by the worker
-/// that claimed its shard, so the mutex is uncontended.
+/// One shard's simulation.
 struct ShardCell {
     /// The shard's cluster, its own policy instance included.
     cfg: SimConfig,
@@ -76,91 +66,6 @@ struct ShardCell {
     /// `None` until submission seeds it, and for good when placement
     /// left the shard empty.
     replay: Option<(WorkloadSpec, SimState)>,
-}
-
-/// State shared between the runtime, its handles and its workers. A
-/// replay never meets one of its mutexes poisoned: a shard whose drain
-/// panicked is never claimed again, and `join` re-raises that panic
-/// before it reads a cell.
-struct Core {
-    cfg: FederationConfig,
-    cells: Vec<Mutex<ShardCell>>,
-    capacities: Vec<u32>,
-    /// The next shard index a worker claims; at or past `cells.len()`
-    /// every shard is claimed. `Relaxed` suffices: it publishes no
-    /// data — the cells are behind their mutexes and were seeded
-    /// before any worker was spawned.
-    next: AtomicUsize,
-    loaded: AtomicBool,
-    started: AtomicBool,
-}
-
-/// Cheap, cloneable submission surface of a federation. All clones
-/// point at the same runtime; a federation accepts exactly one
-/// submission (a `WorkloadSpec` *is* the whole trace).
-#[derive(Clone)]
-pub struct FederationHandle {
-    core: Arc<Core>,
-}
-
-impl FederationHandle {
-    /// Routes every job of `workload` to a shard via `placement`,
-    /// partitions the trace and seeds each non-empty shard's event
-    /// queue. Returns the per-job shard assignment (workload order).
-    ///
-    /// The placement pre-pass is single-threaded and deterministic —
-    /// the partition is fixed before any worker thread observes it, so
-    /// replay results cannot depend on worker count.
-    ///
-    /// # Panics
-    /// If called after [`FederationRuntime::start`], called twice, or
-    /// if `placement` routes a job out of range.
-    pub fn submit(
-        &self,
-        workload: &WorkloadSpec,
-        placement: &mut dyn PlacementPolicy,
-    ) -> Vec<usize> {
-        let core = &*self.core;
-        assert!(
-            !core.started.load(Ordering::Acquire),
-            "submit after start: the workload must be routed before workers run"
-        );
-        assert!(
-            !core.loaded.swap(true, Ordering::AcqRel),
-            "a federation accepts exactly one submission"
-        );
-        let shards = core.capacities.len();
-        let mut tracker = LoadTracker::new(&core.capacities);
-        let mut assignment = Vec::with_capacity(workload.jobs.len());
-        for job in &workload.jobs {
-            let now_s = job.arrival.as_secs();
-            tracker.advance_to(now_s);
-            let shard = placement.place(job, tracker.loads());
-            assert!(
-                shard < shards,
-                "placement routed job {} to shard {shard} of a {shards}-shard federation",
-                job.name
-            );
-            tracker.commit(shard, job, now_s);
-            assignment.push(shard);
-        }
-        assert!(
-            !core.started.load(Ordering::Acquire),
-            "started during submit: shards were scheduled before they were seeded"
-        );
-        for (shard, part) in workload
-            .partition(&assignment, shards)
-            .into_iter()
-            .enumerate()
-        {
-            if !part.jobs.is_empty() {
-                let mut cell = locked(&core.cells[shard]);
-                let state = SimState::new(&cell.cfg, &part);
-                cell.replay = Some((part, state));
-            }
-        }
-        assignment
-    }
 }
 
 /// Everything a finished federation replay produced.
@@ -172,8 +77,6 @@ pub struct FederationOutcome {
     /// Per-shard outcomes, indexed by shard. Shards the placement left
     /// empty carry empty metrics and an untouched recorder.
     pub shards: Vec<SimOutcome>,
-    /// Per-shard cluster capacities (slots), indexed by shard.
-    pub capacities: Vec<u32>,
     /// Events each shard processed.
     pub events: Vec<u64>,
     /// Turns each shard was granted: 1 for a seeded shard, drained in
@@ -188,12 +91,15 @@ impl FederationOutcome {
     }
 }
 
-/// The federation runtime: owns the shard cells and the worker OS
-/// threads. Not cloneable — [`FederationRuntime::join`] (or dropping
-/// it) waits the workers out.
+/// The federation runtime: owns the shard cells. A replay is
+/// [`submit`](FederationRuntime::submit) →
+/// [`start`](FederationRuntime::start) →
+/// [`join`](FederationRuntime::join), each exactly once.
 pub struct FederationRuntime {
-    core: Arc<Core>,
-    workers: Vec<JoinHandle<()>>,
+    cfg: FederationConfig,
+    cells: Vec<ShardCell>,
+    submitted: bool,
+    started: bool,
 }
 
 impl FederationRuntime {
@@ -211,98 +117,152 @@ impl FederationRuntime {
         assert!(cfg.shards > 0, "a federation needs at least one shard");
         assert!(cfg.workers > 0, "a federation needs at least one worker");
         cfg.workers = cfg.workers.min(cfg.shards);
-        let sims: Vec<SimConfig> = (0..cfg.shards).map(make_sim).collect();
         FederationRuntime {
-            core: Arc::new(Core {
-                capacities: sims.iter().map(|sim| sim.capacity).collect(),
-                cells: sims
-                    .into_iter()
-                    .map(|cfg| Mutex::new(ShardCell { cfg, replay: None }))
-                    .collect(),
-                next: AtomicUsize::new(0),
-                loaded: AtomicBool::new(false),
-                started: AtomicBool::new(false),
-                cfg,
-            }),
-            workers: Vec::new(),
+            cells: (0..cfg.shards)
+                .map(|i| ShardCell {
+                    cfg: make_sim(i),
+                    replay: None,
+                })
+                .collect(),
+            cfg,
+            submitted: false,
+            started: false,
         }
     }
 
-    /// A cloneable submission handle.
-    pub fn handle(&self) -> FederationHandle {
-        FederationHandle {
-            core: Arc::clone(&self.core),
-        }
+    /// The runtime itself, so `fed.handle().submit(..)` is
+    /// `fed.submit(..)`; kept for `benchmark/`, which spells a
+    /// submission that way.
+    pub fn handle(&mut self) -> &mut FederationRuntime {
+        self
     }
 
     /// The configuration this runtime was built with (workers already
     /// clamped).
     pub fn config(&self) -> &FederationConfig {
-        &self.core.cfg
+        &self.cfg
     }
 
-    /// Spawns the worker threads, which claim the shards in index
-    /// order. Shards the placement left empty are skipped.
+    /// Routes every job of `workload` to a shard via `placement`,
+    /// partitions the trace and seeds each non-empty shard's event
+    /// queue. Returns the per-job shard assignment (workload order).
+    ///
+    /// The placement pre-pass is single-threaded and deterministic —
+    /// the partition is fixed before any worker thread exists, so
+    /// replay results cannot depend on worker count.
     ///
     /// # Panics
-    /// If no workload was submitted, or if called twice.
-    pub fn start(&mut self) {
+    /// If called after [`FederationRuntime::start`], called twice, or
+    /// if `placement` routes a job out of range.
+    pub fn submit(
+        &mut self,
+        workload: &WorkloadSpec,
+        placement: &mut dyn PlacementPolicy,
+    ) -> Vec<usize> {
         assert!(
-            self.core.loaded.load(Ordering::Acquire),
-            "start before submit: nothing to replay"
+            !self.started,
+            "submit after start: the workload must be routed before workers run"
         );
         assert!(
-            !self.core.started.swap(true, Ordering::AcqRel),
-            "a federation starts exactly once"
+            !self.submitted,
+            "a federation accepts exactly one submission"
         );
-        for w in 0..self.core.cfg.workers {
-            let core = Arc::clone(&self.core);
-            let handle = std::thread::Builder::new()
-                .name(format!("fed-worker-{w}"))
-                .spawn(move || worker_loop(&core))
-                .expect("spawn federation worker");
-            self.workers.push(handle);
+        self.submitted = true;
+        let capacities: Vec<u32> = self.cells.iter().map(|cell| cell.cfg.capacity).collect();
+        let shards = capacities.len();
+        let mut tracker = LoadTracker::new(&capacities);
+        let mut assignment = Vec::with_capacity(workload.jobs.len());
+        for job in &workload.jobs {
+            let now_s = job.arrival.as_secs();
+            tracker.advance_to(now_s);
+            let shard = placement.place(job, tracker.loads());
+            assert!(
+                shard < shards,
+                "placement routed job {} to shard {shard} of a {shards}-shard federation",
+                job.name
+            );
+            tracker.commit(shard, job, now_s);
+            assignment.push(shard);
         }
+        for (cell, part) in self
+            .cells
+            .iter_mut()
+            .zip(workload.partition(&assignment, shards))
+        {
+            if !part.jobs.is_empty() {
+                let state = SimState::new(&cell.cfg, &part);
+                cell.replay = Some((part, state));
+            }
+        }
+        assignment
     }
 
-    /// Waits for the replay to end — which *is* the worker threads
-    /// returning: each exits when no shard is left to claim — then
-    /// collects and merges the shard outcomes.
+    /// Drains every seeded shard on `workers` threads named
+    /// `fed-worker-{w}`, which claim the shards in index order; shards
+    /// the placement left empty are skipped. Returns when every worker
+    /// has returned.
     ///
     /// # Panics
-    /// If called before [`FederationRuntime::start`]. If a worker
-    /// thread panicked (a policy hook, say), the other workers still
-    /// drain every shard they can reach, every worker is reaped, and
-    /// the first panic is then re-raised here; no outcome is built and
-    /// the shard cells are left as the workers left them.
-    pub fn join(mut self) -> FederationOutcome {
-        assert!(
-            self.core.started.load(Ordering::Acquire),
-            "join before start"
-        );
-        if let Some(panic) = self.reap() {
+    /// If no workload was submitted, or if called twice. If a worker
+    /// panicked (a policy hook, say), the other workers still drain
+    /// every shard they can reach, and the first worker's own panic is
+    /// then re-raised here; the shards are left as the workers left
+    /// them.
+    pub fn start(&mut self) {
+        assert!(self.submitted, "start before submit: nothing to replay");
+        assert!(!self.started, "a federation starts exactly once");
+        self.started = true;
+        // A claim holds the lock only for `next()`: a panicking drain
+        // never poisons it.
+        let claims = Mutex::new(self.cells.iter_mut());
+        let first_panic = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..self.cfg.workers)
+                .map(|w| {
+                    std::thread::Builder::new()
+                        .name(format!("fed-worker-{w}"))
+                        .spawn_scoped(scope, || drain(&claims))
+                        .expect("spawn federation worker")
+                })
+                .collect();
+            // Every worker joined by hand: a panic the scope itself
+            // caught would re-raise as its own message, not the worker's.
+            let mut first_panic = None;
+            for worker in workers {
+                if let Err(panic) = worker.join() {
+                    first_panic.get_or_insert(panic);
+                }
+            }
+            first_panic
+        });
+        if let Some(panic) = first_panic {
             std::panic::resume_unwind(panic);
         }
+    }
 
-        let mut shards = Vec::with_capacity(self.core.cfg.shards);
-        let mut events = Vec::with_capacity(self.core.cfg.shards);
-        let mut turns = Vec::with_capacity(self.core.cfg.shards);
-        for cell in &self.core.cells {
-            let mut cell = locked(cell);
-            turns.push(u64::from(cell.replay.is_some()));
-            // Taken by value: the shard's slice of the trace and its
-            // DES state are freed before the next outcome is built.
-            match cell.replay.take() {
+    /// Collects and merges the shard outcomes of a drained replay.
+    ///
+    /// # Panics
+    /// If called before [`FederationRuntime::start`].
+    pub fn join(mut self) -> FederationOutcome {
+        assert!(self.started, "join before start");
+        let (mut capacities, mut shards) = (Vec::new(), Vec::new());
+        let (mut events, mut turns) = (Vec::new(), Vec::new());
+        for ShardCell { cfg, replay } in &mut self.cells {
+            capacities.push(cfg.capacity);
+            turns.push(u64::from(replay.is_some()));
+            // Taken: the shard's slice of the trace and its DES state
+            // are freed before the next outcome is built.
+            match replay.take() {
                 Some((workload, state)) => {
                     events.push(state.events_processed());
-                    shards.push(state.finish(&cell.cfg, &workload));
+                    shards.push(state.finish(cfg, &workload));
                 }
                 None => {
                     // Never loaded: an empty single-cluster outcome.
                     events.push(0);
                     shards.push(SimOutcome {
-                        metrics: RunMetrics::empty(cell.cfg.policy.name(), 0),
-                        util: UtilizationRecorder::new(cell.cfg.capacity),
+                        metrics: RunMetrics::empty(cfg.policy.name(), 0),
+                        util: UtilizationRecorder::new(cfg.capacity),
                         rescales: 0,
                         cancelled: 0,
                         names: Vec::new(),
@@ -313,57 +273,30 @@ impl FederationRuntime {
             }
         }
         let merged = RunMetrics::merge(
-            &self
-                .core
-                .capacities
-                .iter()
+            &capacities
+                .into_iter()
                 .zip(&shards)
-                .map(|(&cap, outcome)| (cap, &outcome.metrics))
+                .map(|(cap, outcome)| (cap, &outcome.metrics))
                 .collect::<Vec<_>>(),
         );
         FederationOutcome {
             merged,
             shards,
-            capacities: self.core.capacities.clone(),
             events,
             turns,
         }
     }
 }
 
-impl FederationRuntime {
-    /// Joins every worker thread; the first one's panic, if any.
-    fn reap(&mut self) -> Option<Box<dyn Any + Send>> {
-        let mut first_panic = None;
-        for worker in std::mem::take(&mut self.workers) {
-            if let Err(panic) = worker.join() {
-                first_panic.get_or_insert(panic);
-            }
-        }
-        first_panic
-    }
-}
-
-impl Drop for FederationRuntime {
-    /// Waits the workers out when [`FederationRuntime::join`] did not
-    /// (an early return after `start`), re-raising the first worker's
-    /// panic unless this thread is already unwinding.
-    fn drop(&mut self) {
-        if let Some(panic) = self.reap() {
-            if !std::thread::panicking() {
-                std::panic::resume_unwind(panic);
-            }
-        }
-    }
-}
-
-/// One worker: claim the next shard and drain it to the end, until a
-/// claim runs past the last shard — every other shard is then done or
-/// in another worker's hands, and nothing ever adds one: exit.
-fn worker_loop(core: &Core) {
-    while let Some(cell) = core.cells.get(core.next.fetch_add(1, Ordering::Relaxed)) {
-        let mut cell = locked(cell);
-        let ShardCell { cfg, replay } = &mut *cell;
+/// One worker: claim the next shard and drain it to the end, until no
+/// shard is left to claim.
+fn drain(claims: &Mutex<std::slice::IterMut<'_, ShardCell>>) {
+    loop {
+        // Its own statement, so the lock is released before the drain.
+        let claim = locked(claims).next();
+        let Some(ShardCell { cfg, replay }) = claim else {
+            return;
+        };
         if let Some((workload, state)) = replay {
             state.step(cfg, workload, usize::MAX);
         }
@@ -400,14 +333,25 @@ mod tests {
 
     #[test]
     fn single_submission_is_enforced() {
-        let rt = FederationRuntime::new(FederationConfig::new(2).with_workers(1), |_| sim_cfg(8));
-        let handle = rt.handle();
+        let mut rt =
+            FederationRuntime::new(FederationConfig::new(2).with_workers(1), |_| sim_cfg(8));
         let wl = WorkloadSpec::new(burst(4, 10.0));
-        handle.submit(&wl, &mut RoundRobin::new());
+        rt.handle().submit(&wl, &mut RoundRobin::new());
         let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle.submit(&wl, &mut RoundRobin::new())
+            rt.handle().submit(&wl, &mut RoundRobin::new())
         }));
         assert!(second.is_err(), "second submission must panic");
+    }
+
+    #[test]
+    #[should_panic(expected = "submit after start")]
+    fn submit_after_start_is_refused() {
+        let mut rt =
+            FederationRuntime::new(FederationConfig::new(2).with_workers(1), |_| sim_cfg(8));
+        rt.submit(&WorkloadSpec::new(burst(4, 10.0)), &mut RoundRobin::new());
+        rt.start();
+        // A drained shard must not be re-seeded.
+        rt.submit(&WorkloadSpec::new(burst(4, 10.0)), &mut RoundRobin::new());
     }
 
     #[test]
@@ -415,17 +359,13 @@ mod tests {
         // 3 shards, all jobs forced onto shard 0.
         struct Pin;
         impl PlacementPolicy for Pin {
-            fn name(&self) -> String {
-                "pin".into()
-            }
             fn place(&mut self, _: &JobSpec, _: &[crate::placement::ShardLoad]) -> usize {
                 0
             }
         }
         let mut rt =
             FederationRuntime::new(FederationConfig::new(3).with_workers(2), |_| sim_cfg(8));
-        rt.handle()
-            .submit(&WorkloadSpec::new(burst(6, 5.0)), &mut Pin);
+        rt.submit(&WorkloadSpec::new(burst(6, 5.0)), &mut Pin);
         rt.start();
         let out = rt.join();
         assert_eq!(out.events[1], 0);
@@ -445,7 +385,7 @@ mod tests {
         let mono = sched_sim::simulate(&sim_cfg(8), &wl);
         let mut rt =
             FederationRuntime::new(FederationConfig::new(1).with_workers(1), |_| sim_cfg(8));
-        rt.handle().submit(&wl, &mut RoundRobin::new());
+        rt.submit(&wl, &mut RoundRobin::new());
         rt.start();
         let out = rt.join();
         assert_eq!(out.shards.len(), 1);
@@ -464,7 +404,7 @@ mod tests {
                 FederationRuntime::new(FederationConfig::new(4).with_workers(workers), |_| {
                     sim_cfg(8)
                 });
-            rt.handle().submit(&wl, &mut RoundRobin::new());
+            rt.submit(&wl, &mut RoundRobin::new());
             rt.start();
             rt.join()
         };
@@ -493,51 +433,38 @@ mod tests {
         }
     }
 
-    /// A started two-shard federation whose policy hooks panic.
-    fn started_panicking_runtime() -> FederationRuntime {
+    #[test]
+    fn a_worker_panic_reaches_start() {
         let mut rt =
             FederationRuntime::new(FederationConfig::new(2).with_workers(2), |_| SimConfig {
                 policy: Box::new(PanicsOnSubmit),
                 ..sim_cfg(8)
             });
-        rt.handle()
-            .submit(&WorkloadSpec::new(burst(8, 5.0)), &mut RoundRobin::new());
-        rt.start();
-        rt
-    }
+        rt.submit(&WorkloadSpec::new(burst(8, 5.0)), &mut RoundRobin::new());
 
-    #[test]
-    fn a_worker_panic_reaches_join() {
-        let rt = started_panicking_runtime();
-
-        // join() on a helper thread: a join that waits for shards the
+        // start() on a helper thread: a start that waits for shards the
         // dead workers will never finish must fail this test, not hang it.
         let (answer, watchdog) = std::sync::mpsc::channel();
         let helper = std::thread::spawn(move || {
-            let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.join()));
-            let _ = answer.send(joined.is_err());
+            let started = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.start()));
+            let payload = started.err().map(|panic| {
+                panic
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+            });
+            let _ = answer.send(payload);
         });
-        let panicked = watchdog
+        let payload = watchdog
             .recv_timeout(std::time::Duration::from_secs(10))
-            .expect("join() still blocked 10 s after both workers panicked");
-        assert!(panicked, "join must re-raise the worker's panic");
-        helper.join().expect("the helper caught join's panic");
-    }
-
-    #[test]
-    fn drop_without_join_reaps_workers() {
-        let mut rt =
-            FederationRuntime::new(FederationConfig::new(2).with_workers(2), |_| sim_cfg(8));
-        rt.handle()
-            .submit(&WorkloadSpec::new(burst(8, 5.0)), &mut RoundRobin::new());
-        rt.start();
-        drop(rt); // must not hang or leak threads
-    }
-
-    #[test]
-    #[should_panic(expected = "policy bug")]
-    fn dropping_a_started_runtime_reraises_a_worker_panic() {
-        drop(started_panicking_runtime());
+            .expect("start() still blocked 10 s after both workers panicked")
+            .expect("start must re-raise the worker's panic");
+        assert_eq!(
+            payload.as_deref(),
+            Some("policy bug"),
+            "start must re-raise the policy's own payload"
+        );
+        helper.join().expect("the helper caught start's panic");
     }
 
     #[test]

@@ -51,7 +51,7 @@ fn main() {
         fed.config().workers
     );
 
-    let assignment = fed.handle().submit(&workload, &mut LeastLoaded::new());
+    let assignment = fed.submit(&workload, &mut LeastLoaded::new());
     fed.start();
     let out = fed.join();
 

@@ -270,8 +270,7 @@ pub fn ingest(scenario: &Scenario, cfg: IngestConfig) -> (RunMetrics, IngestStat
 pub fn federate(scenario: &Scenario, shards: usize, workers: usize) -> FederationOutcome {
     let cfg = FederationConfig::new(shards).with_workers(workers);
     let mut fed = FederationRuntime::new(cfg, |_| sim_config(scenario));
-    fed.handle()
-        .submit(&scenario.workload, &mut RoundRobin::new());
+    fed.submit(&scenario.workload, &mut RoundRobin::new());
     fed.start();
     fed.join()
 }
