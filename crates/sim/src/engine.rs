@@ -8,18 +8,14 @@
 //! drives — so the Simulation and Actual columns of Table 1 cannot
 //! diverge. What it *mechanises*:
 //!
-//! * **The timeline.** [`SimState::new`] seeds one [`EventQueue`] from
-//!   the [`WorkloadSpec`]: submissions at the per-job arrival times
-//!   (same-instant arrivals coalesced into one [`Event::Submit`]),
-//!   cancellations (per-job `cancel_at` and [`SimConfig::cancellations`];
-//!   one timed exactly at its job's arrival is *on record* when the job
-//!   is admitted, so the kernel retires it undecided), the policy timer,
-//!   the `FaultSpec`'s capacity events and the `FlakySpec`'s transient
-//!   faults. Which of several events at one instant pops first is the
-//!   queue's business — it sorts by the kernel's `EventClass`, the
-//!   order one operator tick reconciles them in — not the seeding
-//!   order's. [`SimState::step`] pops an event and calls the kernel
-//!   entry point it maps to.
+//! * **The timeline.** The [`WorkloadSpec`]'s arrivals and faults are
+//!   read in place through cursors ([`crate::events`]); the
+//!   [`EventQueue`] holds what the run creates plus the cancellations
+//!   (one timed exactly at its job's arrival is *on record* when the
+//!   job is admitted, so the kernel retires it undecided). Same-instant
+//!   events pop in the kernel's `EventClass` order, the one an operator
+//!   tick reconciles them in. [`SimState::step`] pops an event and
+//!   calls the kernel entry point it maps to.
 //! * **Progress.** How a job executes — rate, rescale pause,
 //!   checkpoint rollback, recovery window — is
 //!   [`hpc_workload::model::Progress`] under the configured
@@ -36,14 +32,11 @@
 //!   per-event bookkeeping (queue high-water marks, stale compaction)
 //!   after each one.
 //!
-//! ## Trace-scale throughput
-//!
 //! Per-event cost is O(log n), not O(n): one persistent `ClusterView`
-//! (inside the kernel) across the whole run, dense [`JobId`]s and no
-//! `String` on the loop (names surface only in [`SimOutcome::names`]),
-//! one queue entry and one policy dispatch per same-instant burst, and
-//! stale completions compacted away once they exceed half the queue
-//! ([`SimOutcome::peak_queue_len`] exposes the high-water mark).
+//! (inside the kernel), dense [`JobId`]s and no `String` on the loop
+//! (names surface only in [`SimOutcome::names`]), one event and one
+//! policy dispatch per same-instant burst, and a heap that holds only
+//! what the run creates, stale completions swept.
 
 use std::ops::Range;
 
@@ -51,9 +44,9 @@ use elastic_core::kernel::{Admission, Effects, Kernel, Stop};
 use elastic_core::{ClusterView, JobState, RunMetrics, SchedulingPolicy};
 use hpc_metrics::{Duration, JobId, SimTime, UtilizationRecorder};
 use hpc_workload::model::{OverheadModel, Progress, ScalingModel};
-use hpc_workload::{FaultEvent, FaultKind, JobSpec, WorkloadSpec};
+use hpc_workload::{FaultEvent, FaultKind, WorkloadSpec};
 
-use crate::events::{Event, EventQueue};
+use crate::events::{Event, EventQueue, Inputs};
 
 /// Simulation parameters. Submission times are *not* here: every job
 /// of the replayed [`WorkloadSpec`] carries its own arrival time
@@ -101,13 +94,12 @@ pub struct SimOutcome {
     /// Job names indexed by [`JobId`] (= workload order) — the
     /// reporting edge of the id-keyed run.
     pub names: Vec<String>,
-    /// Event-queue high-water mark counting *live* (non-stale) events
-    /// only — the figure that tracks real future work; with stale
-    /// compaction this stays O(live jobs) even on rescale-heavy runs.
+    /// High-water mark of the *live* pending events: heap entries not
+    /// known stale plus unread inputs (arrival instants, faults, flaky
+    /// events), as the frozen `benchmark/expected` fingerprints count.
     pub peak_queue_len: usize,
-    /// Raw event-queue high-water mark including stale entries awaiting
-    /// compaction — the historical semantics, kept for the queue-bound
-    /// regression test (it bounds *storage*, not live work).
+    /// The same mark with the stale heap entries awaiting compaction
+    /// counted too (the queue-bound regression test bounds it).
     pub peak_queue_len_raw: usize,
 }
 
@@ -141,6 +133,7 @@ const _: () = assert!(std::mem::size_of::<JobRt>() == 48);
 struct Timeline {
     jobs: Vec<JobRt>,
     queue: EventQueue,
+    inputs: Inputs,
     peak_queue_len: usize,
     peak_queue_len_raw: usize,
     events_processed: u64,
@@ -156,20 +149,26 @@ struct Timeline {
 }
 
 impl Timeline {
-    fn pop(&mut self) -> Option<(SimTime, Event)> {
-        let next = self.queue.pop()?;
+    fn pop(&mut self, wl: &WorkloadSpec) -> Option<(SimTime, Event)> {
+        let next = self.queue.pop_with(&mut self.inputs, wl)?;
         self.budget -= 1;
         self.events_processed += 1;
         self.now = next.0;
         Some(next)
     }
 
-    /// Per-event bookkeeping: sample the queue high-water marks and
+    /// Pending events: heap entries plus unread inputs.
+    fn pending(&self) -> usize {
+        self.queue.len() + self.inputs.unread
+    }
+
+    /// Per-event bookkeeping: sample the pending high-water marks and
     /// sweep stale entries away when the compaction threshold trips.
     fn event_done(&mut self) {
-        self.peak_queue_len = self.peak_queue_len.max(self.queue.live_len());
-        self.peak_queue_len_raw = self.peak_queue_len_raw.max(self.queue.len());
-        if self.queue.should_compact() {
+        let unread = self.inputs.unread;
+        self.peak_queue_len = self.peak_queue_len.max(self.queue.live_len(unread));
+        self.peak_queue_len_raw = self.peak_queue_len_raw.max(self.pending());
+        if self.queue.should_compact(unread) {
             let jobs = &self.jobs;
             self.queue.compact(|e| match e {
                 Event::Completion { job, generation } => {
@@ -182,19 +181,19 @@ impl Timeline {
     }
 }
 
-/// The DES's [`Effects`]: the timeline plus the models and specs the
-/// caller owns.
+/// The DES's [`Effects`]: the timeline plus the models and workload
+/// the caller owns.
 struct Des<'a> {
     t: &'a mut Timeline,
     cfg: &'a SimConfig,
-    specs: &'a [JobSpec],
+    wl: &'a WorkloadSpec,
 }
 
 impl Des<'_> {
     /// Schedules `job`'s completion where its progress says it ends.
     fn schedule_completion(&mut self, job: JobId) {
         let j = &self.t.jobs[job.index()];
-        let finish = j.progress.finishes_at(self.specs[job.index()].work());
+        let finish = j.progress.finishes_at(self.wl.jobs[job.index()].work());
         let generation = j.generation;
         self.t
             .queue
@@ -205,7 +204,7 @@ impl Des<'_> {
 impl Effects for Des<'_> {
     fn next_admission(&mut self) -> Option<Admission> {
         let idx = self.t.admitting.next()?;
-        let spec = &self.specs[idx];
+        let spec = &self.wl.jobs[idx];
         let job = JobState {
             id: JobId::from_index(idx),
             min_replicas: spec.min_replicas(),
@@ -222,7 +221,7 @@ impl Effects for Des<'_> {
     }
 
     fn launch(&mut self, job: JobId, replicas: u32, now: SimTime) -> bool {
-        let shape = &self.specs[job.index()].shape;
+        let shape = &self.wl.jobs[job.index()].shape;
         let j = &mut self.t.jobs[job.index()];
         debug_assert!(!j.running);
         j.running = true;
@@ -241,7 +240,7 @@ impl Effects for Des<'_> {
     }
 
     fn resize(&mut self, job: JobId, from: u32, to: u32, now: SimTime) -> bool {
-        let shape = &self.specs[job.index()].shape;
+        let shape = &self.wl.jobs[job.index()].shape;
         let j = &mut self.t.jobs[job.index()];
         debug_assert!(j.running);
         let rate = self.cfg.scaling.job_rate(shape, to);
@@ -289,14 +288,14 @@ impl Effects for Des<'_> {
                     if self.t.budget == 0 {
                         return None;
                     }
-                    match self.t.queue.peek() {
+                    match self.t.queue.peek_with(&self.t.inputs) {
                         Some((t, Event::Completion { .. })) if t == self.t.now => {}
                         _ => return None,
                     }
-                    let Some((_, Event::Completion { job, generation })) = self.t.pop() else {
-                        unreachable!("peek promised a completion")
-                    };
-                    (job, generation)
+                    match self.t.pop(self.wl) {
+                        Some((_, Event::Completion { job, generation })) => (job, generation),
+                        _ => unreachable!("peek promised a completion"),
+                    }
                 }
             };
             let j = &mut self.t.jobs[job.index()];
@@ -307,9 +306,9 @@ impl Effects for Des<'_> {
                 continue;
             }
             debug_assert!(
-                j.progress.done_at(self.t.now) >= self.specs[job.index()].work() - 1e-3,
+                j.progress.done_at(self.t.now) >= self.wl.jobs[job.index()].work() - 1e-3,
                 "completion fired early for {}",
-                self.specs[job.index()].name
+                self.wl.jobs[job.index()].name
             );
             j.running = false;
             return Some(job);
@@ -341,35 +340,15 @@ pub struct SimState {
 }
 
 impl SimState {
-    /// Validates `workload` and seeds the event queue (submissions
-    /// coalesced per timestamp, cancellations, the policy timer, fault
-    /// events) exactly as a monolithic [`simulate`] run does.
+    /// Validates `workload`, sets the input cursors at its start and
+    /// pushes only the cancellations and the policy timer: arrivals,
+    /// faults and flaky events are read in place as the run nears them.
     pub fn new(cfg: &SimConfig, workload: &WorkloadSpec) -> SimState {
         workload
             .validate()
             .unwrap_or_else(|e| panic!("workload not replayable: {e}"));
         let mut jobs = vec![JobRt::default(); workload.jobs.len()];
         let mut queue = EventQueue::new();
-
-        // Submit coalescing: consecutive jobs whose arrival instants
-        // coincide (zero gaps, or trace bursts) share one Submit event.
-        let submit_at = |i: usize| SimTime::ZERO + workload.jobs[i].arrival;
-        let mut i = 0usize;
-        while i < jobs.len() {
-            let at = submit_at(i);
-            let mut count = 1usize;
-            while i + count < jobs.len() && submit_at(i + count) == at {
-                count += 1;
-            }
-            queue.push(
-                at,
-                Event::Submit {
-                    first: JobId::from_index(i),
-                    count: count as u32,
-                },
-            );
-            i += count;
-        }
         // A cancellation timed exactly at its job's arrival is on record
         // when the Submit (popped first: the lower class) admits the
         // job; the Cancel event then finds it terminal. One timed
@@ -384,10 +363,8 @@ impl SimState {
                 cancel(&mut queue, at, i);
             }
         }
-        // Policy timer: the DES analogue of the operator's periodic
-        // timer pass. First firing one interval past the epoch; each
-        // firing reschedules the next while any job is still
-        // non-terminal.
+        // Policy timer: the DES analogue of the operator's periodic timer
+        // pass, first firing one interval past the epoch (`step` re-arms).
         let timer_interval = cfg.policy.timer_interval();
         if let Some(iv) = timer_interval {
             assert!(
@@ -404,19 +381,6 @@ impl SimState {
                 .unwrap_or_else(|| panic!("cancellation for unknown job {name}"));
             cancel(&mut queue, *at, i);
         }
-        // Same-instant capacity events keep the spec's order (they tie
-        // on class and name no job, so insertion decides).
-        for e in &workload.faults.events {
-            let ev = match e.kind {
-                FaultKind::NodeFail => Event::NodeFail { slots: e.slots },
-                FaultKind::Reclaim => Event::CapacityReclaim { slots: e.slots },
-                FaultKind::Return => Event::CapacityReturn { slots: e.slots },
-            };
-            queue.push(SimTime::ZERO + e.at, ev);
-        }
-        for (i, e) in workload.faults.flaky.events.iter().enumerate() {
-            queue.push(SimTime::ZERO + e.at, Event::Flaky { index: i as u32 });
-        }
 
         let mut kernel = Kernel::new(cfg.capacity, cfg.policy.launcher_slots());
         kernel.set_recovery(&workload.faults);
@@ -427,15 +391,18 @@ impl SimState {
             timeline: Timeline {
                 jobs,
                 queue,
+                inputs: Inputs::new(workload),
                 timer_interval,
                 ..Timeline::default()
             },
         }
     }
 
-    /// Pending events (including stale completions awaiting compaction).
+    /// Pending events: heap entries (stale completions included) plus
+    /// unread inputs, an arrival instant counting once. The inputs count
+    /// because the frozen `peak_queue_len` fingerprints record them.
     pub fn pending_events(&self) -> usize {
-        self.timeline.queue.len()
+        self.timeline.pending()
     }
 
     /// Events popped so far across all [`SimState::step`] calls.
@@ -474,11 +441,11 @@ impl SimState {
         let mut des = Des {
             t: &mut self.timeline,
             cfg,
-            specs: &workload.jobs,
+            wl: workload,
         };
         des.t.budget = max_events;
         while des.t.budget > 0 {
-            let Some((now, event)) = des.t.pop() else {
+            let Some((now, event)) = des.t.pop(workload) else {
                 return false;
             };
             let booked = match event {
@@ -527,7 +494,7 @@ impl SimState {
                     // the same nothing — re-arming would hang the run
                     // forever on a permanently starved job instead of
                     // letting it reach the starvation diagnostic.
-                    if fired && !des.t.queue.is_empty() {
+                    if fired && des.t.pending() > 0 {
                         let iv = des
                             .t
                             .timer_interval
@@ -541,7 +508,7 @@ impl SimState {
                 des.t.event_done();
             }
         }
-        !des.t.queue.is_empty()
+        des.t.pending() > 0
     }
 
     /// Consumes the drained state into a [`SimOutcome`].
@@ -551,11 +518,8 @@ impl SimState {
     /// starved in the queue forever.
     pub fn finish(self, cfg: &SimConfig, workload: &WorkloadSpec) -> SimOutcome {
         let SimState { kernel, timeline } = self;
-        assert!(
-            timeline.queue.is_empty(),
-            "finish called with {} events pending",
-            timeline.queue.len()
-        );
+        let pending = timeline.pending();
+        assert!(pending == 0, "finish called with {pending} events pending");
         // Starvation first: it is the *cause* of a non-drained view, so
         // it owns the diagnostic.
         if let Some(job) = kernel.unfinished().next() {
@@ -599,7 +563,7 @@ pub fn simulate(cfg: &SimConfig, workload: &WorkloadSpec) -> SimOutcome {
 mod tests {
     use super::*;
     use elastic_core::{AgingSweep, FcfsBackfill, Policy, PolicyConfig, PolicyKind};
-    use hpc_workload::{generate_workload, SizeClass};
+    use hpc_workload::{generate_workload, FlakyEvent, FlakyOp, FlakySpec, JobSpec, SizeClass};
 
     fn policy(kind: PolicyKind, gap: f64) -> Box<dyn SchedulingPolicy> {
         Box::new(Policy::of_kind(
@@ -970,6 +934,91 @@ mod tests {
             &[1, 3, 7, 64],
         );
         check(&rigid, &burst, &[3, 17, 1000]);
+        // Capacity and flaky faults on arrival and completion instants,
+        // and a cancellation at its job's arrival: a quantum of 1 ends
+        // steps between the inputs of one instant, and the next step
+        // must resume every cursor exactly there.
+        let wl = faulted_workload();
+        let faulted = || SimConfig {
+            capacity: 8,
+            ..SimConfig::paper_default(recovery(elastic_core::RecoveryStrategy::KillRequeue))
+        };
+        let whole = simulate(&faulted(), &wl);
+        let fault_at = wl.faults.events.iter().map(|e| e.at);
+        let flaky_at = wl.faults.flaky.events.iter().map(|e| e.at);
+        let completed = |at: Duration| {
+            let at = SimTime::ZERO + at;
+            whole.metrics.jobs.iter().any(|j| j.completed_at == at)
+        };
+        assert!(fault_at.clone().any(completed) && flaky_at.clone().any(completed));
+        let arrived = |at: Duration| wl.jobs.iter().any(|j| j.arrival == at);
+        assert!(fault_at.clone().any(arrived) && flaky_at.clone().any(arrived));
+        assert_eq!(whole.cancelled, 1);
+        check(&faulted, &wl, &[1, 3, 7]);
+    }
+
+    /// Two-replica rigid jobs (30 s each, three slots with the
+    /// launcher) arriving in same-instant bursts, one cancelled at its
+    /// arrival, under capacity and flaky faults timed on arrival and
+    /// completion instants.
+    fn faulted_workload() -> WorkloadSpec {
+        use hpc_workload::{FaultEvent, FaultSpec};
+        let secs = Duration::from_secs;
+        let arrivals = [0.0, 0.0, 0.0, 10.0, 10.0, 30.0, 30.0, 40.0, 40.0, 70.0];
+        let jobs = arrivals.iter().enumerate().map(|(i, &at)| {
+            let job = JobSpec::malleable(format!("f{i}"), 2, 2, 60.0, 1).at(secs(at));
+            if i == 4 {
+                job.cancelled_at(secs(at))
+            } else {
+                job
+            }
+        });
+        let fault = |at, slots, kind| FaultEvent {
+            at: secs(at),
+            slots,
+            kind,
+        };
+        let faults = FaultSpec::new(vec![
+            fault(10.0, 2, FaultKind::Reclaim),
+            fault(30.0, 2, FaultKind::Return),
+            fault(30.0, 1, FaultKind::Reclaim),
+            fault(70.0, 1, FaultKind::Return),
+        ]);
+        let flaky = |at, op| FlakyEvent { at: secs(at), op };
+        let flaky = FlakySpec::new(vec![
+            flaky(10.0, FlakyOp::HeartbeatMiss),
+            flaky(30.0, FlakyOp::LaunchFail),
+            flaky(30.0, FlakyOp::HeartbeatMiss),
+            flaky(60.0, FlakyOp::CrashOnStart),
+        ]);
+        WorkloadSpec::new(jobs.collect()).with_faults(faults.with_flaky(flaky))
+    }
+
+    #[test]
+    fn new_pushes_only_the_timer_and_the_cancellations() {
+        let policy = AgingSweep::new(
+            Box::new(FcfsBackfill::new()),
+            Duration::from_secs(50.0),
+            Duration::from_secs(30.0),
+        );
+        let mut cfg = SimConfig::paper_default(Box::new(policy));
+        cfg.cancellations = vec![(Duration::from_secs(20.0), "f0".into())];
+        let wl = faulted_workload();
+        let mut st = SimState::new(&cfg, &wl);
+        // Five arrival instants, four faults, four flaky faults unread.
+        assert_eq!(st.pending_events(), 3 + 5 + 4 + 4);
+        let mut seeded = Vec::new();
+        while let Some((_, e)) = st.timeline.queue.pop() {
+            seeded.push(e);
+        }
+        assert_eq!(
+            seeded,
+            vec![
+                Event::Cancel { job: JobId(4) },
+                Event::Cancel { job: JobId(0) },
+                Event::Timer,
+            ]
+        );
     }
 
     #[test]

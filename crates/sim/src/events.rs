@@ -1,49 +1,39 @@
-//! The discrete-event queue.
+//! The discrete-event queue and the cursors over a run's inputs.
 //!
-//! Pop order is one total order over the pending entries: timestamp,
+//! Pop order is one total order over the pending events: timestamp,
 //! then the kernel's [`EventClass`] (the within-instant order the
 //! operator's tick applies too), then the job the event names, then
-//! insertion sequence — `(at, class, job, seq)`, every part computed
-//! from the entry itself. A pop returns the minimum of what is pending
-//! *at that moment*: an entry pushed at the instant being drained pops
-//! next if its class is lower than the one just popped, never before
-//! the cursor. Runs are exactly reproducible.
+//! insertion sequence — `(at, class, job, seq)`. A pop returns the
+//! minimum of what is pending *at that moment*: an event pushed at the
+//! instant being drained pops next if its class is lower than the one
+//! just popped, never before the cursor. Runs are exactly reproducible.
 //!
-//! Structure: a **sorted run** plus a **binary heap**.
+//! What is pending lives in two places; a merged pop (`pop_with`)
+//! takes the lesser head:
 //!
-//! * **Run** (`run`) — a `Vec` in pop order, consumed through a
-//!   cursor. A push that sorts at or after the run's last entry appends
-//!   to it in O(1).
-//! * **Heap** (`heap`) — every push that sorts before the run's last
-//!   entry, min-first in O(log n).
-//!
-//! A pop or peek takes the smaller of the two heads. The split fits
-//! the traffic a replay makes. `WorkloadSpec::validate` rejects
-//! unsorted arrivals, so the submissions `SimState::new` seeds — the
-//! bulk of a trace-scale queue — come in pop order and all land in the
-//! run. What a replay schedules out of order (completions, requeues,
-//! timers, faults) goes to the heap, which stays a few hundred entries
-//! deep even on a 400 000-job replay.
+//! * the workload's arrivals, capacity faults and flaky faults, read in
+//!   place through three `Inputs` cursors as the operator's drive loop
+//!   reads them (`WorkloadSpec::validate` holds each list sorted). They
+//!   count as pushed first, so a cursor wins a tie on `(at, class,
+//!   job)`, and one instant's arrivals come off as one [`Event::Submit`];
+//! * the [`EventQueue`] heap: what the run creates (completions,
+//!   requeues, the timer) plus the cancellations — a few hundred
+//!   entries even on a 400 000-job replay.
 //!
 //! Completion events carry a per-job generation number; rescaling a job
 //! bumps its generation, turning any previously scheduled completion
 //! into a harmless stale event (the standard DES invalidation idiom).
-//!
-//! Two scale features keep the queue O(live jobs) on trace-scale runs:
-//!
-//! * **Submit coalescing** — a burst of submissions at one timestamp is
-//!   a single [`Event::Submit`] carrying a contiguous id range, not n
-//!   queue entries.
-//! * **Stale compaction** — the engine reports each invalidated
-//!   completion via [`EventQueue::mark_stale`]; once more than half the
-//!   queue is stale the engine sweeps it with [`EventQueue::compact`],
-//!   so rescale-heavy runs cannot accumulate dead entries without bound.
+//! The engine reports each via [`EventQueue::mark_stale`] and sweeps the
+//! heap with [`EventQueue::compact`] once more than half of what is
+//! pending is stale, so rescale-heavy runs cannot pile up dead entries.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use elastic_core::kernel::EventClass;
 use hpc_metrics::{JobId, SimTime};
+use hpc_workload::{FaultKind, JobSpec, WorkloadSpec};
 
 /// A scheduled simulation event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,27 +139,17 @@ impl Ord for Entry {
     }
 }
 
-/// How full of stale entries the queue may get (numerator/denominator)
-/// before [`EventQueue::should_compact`] asks for a sweep.
+/// The stale share of what is pending (numerator/denominator) past
+/// which [`EventQueue::should_compact`] asks for a sweep.
 const COMPACT_STALE_FRACTION: (usize, usize) = (1, 2);
-/// No compaction below this queue size — sweeping a tiny queue is more
-/// work than letting the stale entries pop out naturally.
+/// No compaction below this many pending events — sweeping a tiny heap
+/// is more work than letting the stale entries pop out naturally.
 const COMPACT_MIN_LEN: usize = 64;
 
-/// Deterministic event queue with stale-entry accounting.
-///
-/// Pops in `(time, class, job, insertion)` order (module docs), keeps
-/// the stale-completion accounting compaction runs on, and peeks in
-/// O(1) ([`EventQueue::peek`]) for the engine's same-instant batch
-/// drain.
+/// Deterministic event heap with stale-entry accounting. A count of
+/// everything pending takes the `unread` inputs the heap does not hold.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    /// Entries pushed in pop order: `run[head..]` is still pending and
-    /// sorted. Cleared whenever it drains, so its tail is always
-    /// pending.
-    run: Vec<Entry>,
-    head: usize,
-    /// Entries pushed before the run's tail.
     heap: BinaryHeap<Reverse<Entry>>,
     next_seq: u64,
     stale: usize,
@@ -185,65 +165,52 @@ impl EventQueue {
     pub fn push(&mut self, at: SimTime, event: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let e = Entry { at, seq, event };
-        match self.run.last() {
-            Some(tail) if e < *tail => self.heap.push(Reverse(e)),
-            _ => self.run.push(e),
-        }
+        self.heap.push(Reverse(Entry { at, seq, event }));
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        let e = if self.run_first()? {
-            let e = self.run[self.head];
-            self.head += 1;
-            if self.head == self.run.len() {
-                self.run.clear();
-                self.head = 0;
-            }
-            e
-        } else {
-            self.heap.pop()?.0
-        };
-        Some((e.at, e.event))
+        self.heap.pop().map(|Reverse(e)| (e.at, e.event))
     }
 
-    /// The earliest pending event (with its timestamp), without
-    /// removing it. Drives the engine's same-instant batch drain.
+    /// The earliest event (with its timestamp), without removing it.
     pub fn peek(&self) -> Option<(SimTime, Event)> {
-        let e = if self.run_first()? {
-            &self.run[self.head]
-        } else {
-            &self.heap.peek()?.0
-        };
-        Some((e.at, e.event))
+        self.heap.peek().map(|Reverse(e)| (e.at, e.event))
     }
 
-    /// Whether the earliest entry is the run's head rather than the
-    /// heap's; `None` when both are empty.
-    fn run_first(&self) -> Option<bool> {
-        match (self.run.get(self.head), self.heap.peek()) {
-            (None, None) => None,
-            (Some(r), Some(Reverse(h))) => Some(r < h),
-            (r, _) => Some(r.is_some()),
+    /// [`EventQueue::pop`] over the heap and `wl`'s unread `inputs`.
+    pub(crate) fn pop_with(
+        &mut self,
+        inputs: &mut Inputs,
+        wl: &WorkloadSpec,
+    ) -> Option<(SimTime, Event)> {
+        let next = self.peek_with(inputs)?;
+        if Some(next) == inputs.head {
+            inputs.pop(wl)
+        } else {
+            self.pop()
         }
     }
 
-    /// Number of pending events (including stale completions).
-    pub fn len(&self) -> usize {
-        self.run.len() - self.head + self.heap.len()
+    /// [`EventQueue::peek`] over the heap and the unread `inputs`; an
+    /// input wins an equal `(at, class, job)`.
+    pub(crate) fn peek_with(&self, inputs: &Inputs) -> Option<(SimTime, Event)> {
+        match (inputs.head, self.peek()) {
+            (Some(i), Some(h)) if (h.0, h.1.order()) < (i.0, i.1.order()) => Some(h),
+            (i, h) => i.or(h),
+        }
     }
 
-    /// Pending events not known to be stale — the live backlog the
-    /// engine's `peak_queue_len` high-water mark tracks.
-    pub fn live_len(&self) -> usize {
-        let len = self.len();
+    /// Events in the heap (including stale completions).
+    pub(crate) fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Pending events not known to be stale, `unread` inputs included —
+    /// the live backlog the engine's `peak_queue_len` tracks.
+    pub fn live_len(&self, unread: usize) -> usize {
+        let len = self.len() + unread;
         len - self.stale.min(len)
-    }
-
-    /// `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Records that one pending completion was invalidated (its job
@@ -259,29 +226,97 @@ impl EventQueue {
         self.stale = self.stale.saturating_sub(1);
     }
 
-    /// Known-stale entries still in the queue.
+    /// Known-stale entries still in the heap.
     pub fn stale_len(&self) -> usize {
         self.stale
     }
 
-    /// `true` once more than half the (non-trivial) queue is stale.
-    pub fn should_compact(&self) -> bool {
+    /// `true` once more than half of a non-trivial pending count (the
+    /// heap plus `unread` inputs) is stale.
+    pub fn should_compact(&self, unread: usize) -> bool {
         let (num, den) = COMPACT_STALE_FRACTION;
-        let len = self.len();
+        let len = self.len() + unread;
         len >= COMPACT_MIN_LEN && self.stale * den > len * num
     }
 
-    /// Sweeps the queue, keeping only entries for which `is_live`
-    /// returns true. The run filters in place and stays sorted, the
-    /// heap re-heapifies what is left, so the pop order of the
-    /// survivors is unchanged. Resets the stale counter.
+    /// Sweeps the heap, keeping only entries for which `is_live` returns
+    /// true (their pop order is unchanged). Resets the stale counter.
     pub fn compact(&mut self, mut is_live: impl FnMut(&Event) -> bool) {
-        self.run.drain(..self.head);
-        self.head = 0;
-        self.run.retain(|e| is_live(&e.event));
         self.heap.retain(|Reverse(e)| is_live(&e.event));
         self.stale = 0;
     }
+}
+
+/// Cursors over a workload's sorted arrivals, capacity faults and flaky
+/// faults; every call takes the workload they were built from.
+#[derive(Debug, Default)]
+pub(crate) struct Inputs {
+    /// The least unread input.
+    head: Option<(SimTime, Event)>,
+    /// The jobs of the next arrival instant.
+    arrivals: Range<usize>,
+    fault: usize,
+    flaky: usize,
+    /// Inputs not read yet; an arrival instant counts once.
+    pub(crate) unread: usize,
+}
+
+impl Inputs {
+    pub(crate) fn new(wl: &WorkloadSpec) -> Self {
+        let faults = wl.faults.events.len() + wl.faults.flaky.events.len();
+        let instants = wl.jobs.chunk_by(|a, b| a.arrival == b.arrival).count();
+        let mut inputs = Inputs {
+            arrivals: burst(&wl.jobs, 0),
+            unread: instants + faults,
+            ..Inputs::default()
+        };
+        inputs.head = inputs.least(wl);
+        inputs
+    }
+
+    /// The least cursor head (the classes differ, so never a tie).
+    fn least(&self, wl: &WorkloadSpec) -> Option<(SimTime, Event)> {
+        let at = |d| SimTime::ZERO + d;
+        let first = JobId::from_index(self.arrivals.start);
+        let count = self.arrivals.len() as u32;
+        let submit = wl.jobs.get(first.index()).filter(|_| count > 0);
+        let submit = submit.map(|j| (at(j.arrival), Event::Submit { first, count }));
+        let fault = wl.faults.events.get(self.fault).map(|e| {
+            let slots = e.slots;
+            let event = match e.kind {
+                FaultKind::NodeFail => Event::NodeFail { slots },
+                FaultKind::Reclaim => Event::CapacityReclaim { slots },
+                FaultKind::Return => Event::CapacityReturn { slots },
+            };
+            (at(e.at), event)
+        });
+        let index = self.flaky as u32;
+        let flaky = wl.faults.flaky.events.get(self.flaky);
+        let flaky = flaky.map(|e| (at(e.at), Event::Flaky { index }));
+        [submit, fault, flaky]
+            .into_iter()
+            .flatten()
+            .min_by_key(|(at, e)| (*at, e.order()))
+    }
+
+    /// Reads the head and advances the cursor it came from.
+    fn pop(&mut self, wl: &WorkloadSpec) -> Option<(SimTime, Event)> {
+        let next = self.head?;
+        match next.1 {
+            Event::Submit { .. } => self.arrivals = burst(&wl.jobs, self.arrivals.end),
+            Event::Flaky { .. } => self.flaky += 1,
+            _ => self.fault += 1,
+        }
+        self.unread -= 1;
+        self.head = self.least(wl);
+        Some(next)
+    }
+}
+
+/// The jobs from `from` on that arrive at job `from`'s instant.
+fn burst(jobs: &[JobSpec], from: usize) -> Range<usize> {
+    let same = |j: &&JobSpec| j.arrival == jobs[from].arrival;
+    from..from + jobs[from..].iter().take_while(same).count()
 }
 
 #[cfg(test)]
@@ -351,7 +386,6 @@ mod tests {
                 generation: 2
             }
         );
-        assert!(q.is_empty());
         assert_eq!(q.len(), 0);
     }
 
@@ -369,7 +403,7 @@ mod tests {
             q.mark_stale();
         }
         // 100% stale but below COMPACT_MIN_LEN: no sweep requested.
-        assert!(!q.should_compact());
+        assert!(!q.should_compact(0));
         for g in 0..COMPACT_MIN_LEN as u64 {
             q.push(
                 t(2.0),
@@ -380,12 +414,14 @@ mod tests {
             );
         }
         // 10 stale of 74: under half.
-        assert!(!q.should_compact());
+        assert!(!q.should_compact(0));
         for _ in 0..28 {
             q.mark_stale();
         }
         assert_eq!(q.stale_len(), 38);
-        assert!(q.should_compact(), "38 of 74 stale crosses the half mark");
+        assert!(q.should_compact(0), "38 of 74 stale crosses the half mark");
+        // Unread inputs are pending too: 38 of 77 is not over half.
+        assert!(!q.should_compact(3));
     }
 
     #[test]
@@ -462,18 +498,20 @@ mod tests {
                 },
             );
         }
-        assert_eq!(q.live_len(), 4);
+        assert_eq!(q.live_len(0), 4);
         q.mark_stale();
         q.mark_stale();
         assert_eq!(q.len(), 4);
-        assert_eq!(q.live_len(), 2);
+        assert_eq!(q.live_len(0), 2);
+        // Unread inputs are live.
+        assert_eq!(q.live_len(5), 7);
     }
 
     #[test]
     fn interleaved_push_pop_stays_in_time_order() {
         // Seeds a wide horizon, then keeps pushing near-future events
-        // while draining — each lands before the run's tail, in the
-        // heap, and must interleave with the run's entries by time.
+        // while draining: each must interleave with the seeded entries
+        // by time.
         let mut q = EventQueue::new();
         for i in 0..1000u32 {
             q.push(t(f64::from(i) * 10.0), submit(i));
@@ -493,30 +531,6 @@ mod tests {
         sorted.sort_by_key(|a| a.0);
         // Same multiset order by time (ties impossible here by construction).
         assert_eq!(popped, sorted);
-    }
-
-    #[test]
-    fn events_at_and_just_past_the_run_tail_pop_in_order() {
-        // An event scheduled exactly at the run's last instant and one
-        // just past it must pop in timestamp order after the seeded
-        // span.
-        let mut q = EventQueue::new();
-        for i in 0..64u32 {
-            q.push(t(f64::from(i)), submit(i));
-        }
-        // Start draining (the run's tail stays at 63).
-        assert_eq!(first_of(q.pop().unwrap().1), 0);
-        // Exactly at the tail instant with a higher job, just past it,
-        // and later still: all three append to the run, in order.
-        q.push(t(63.0), submit(1000));
-        q.push(t(63.0 + f64::EPSILON * 64.0), submit(1001));
-        q.push(t(70.0), submit(1002));
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| first_of(e))
-            .collect();
-        let mut expect: Vec<u32> = (1..64).collect();
-        expect.extend([1000, 1001, 1002]);
-        assert_eq!(order, expect);
     }
 
     fn completion(job: u32, generation: u64) -> Event {
@@ -612,80 +626,6 @@ mod tests {
         assert_eq!(drain(&mut q), expect);
     }
 
-    #[test]
-    fn the_seeding_shape_fills_the_run_and_leaves_the_heap_empty() {
-        // Ascending submit batches as `SimState::new` pushes them: one
-        // per instant with several jobs coalesced, instants repeating
-        // across batches with the next first job.
-        let mut q = EventQueue::new();
-        let mut first = 0u32;
-        for (at, count) in [(0.0, 3), (0.0, 1), (2.5, 1), (2.5, 4), (9.0, 2), (30.0, 1)] {
-            q.push(
-                t(at),
-                Event::Submit {
-                    first: JobId(first),
-                    count,
-                },
-            );
-            first += count;
-        }
-        assert!(q.heap.is_empty());
-        assert_eq!(q.run.len(), 6);
-        let firsts: Vec<u32> = std::iter::from_fn(|| q.pop())
-            .map(|(_, e)| first_of(e))
-            .collect();
-        assert_eq!(firsts, vec![0, 3, 4, 5, 9, 11]);
-    }
-
-    #[test]
-    fn a_push_before_the_run_tail_goes_to_the_heap_and_pops_in_reference_order() {
-        let mut q = EventQueue::new();
-        let mut r = RefQueue::new();
-        let mut both = |q: &mut EventQueue, at: f64, e: Event| {
-            q.push(t(at), e);
-            r.push(t(at), e);
-        };
-        for i in 0..3u32 {
-            both(&mut q, f64::from(i) * 10.0, submit(i));
-        }
-        both(&mut q, 30.0, Event::Timer);
-        assert_eq!((q.run.len(), q.heap.len()), (4, 0));
-        // Before the tail's instant.
-        both(&mut q, 15.0, completion(0, 0));
-        // At the tail's instant, with a lower class than its Timer.
-        both(&mut q, 30.0, Event::Requeue { job: JobId(2) });
-        assert_eq!((q.run.len(), q.heap.len()), (4, 2));
-        let want: Vec<Event> = std::iter::from_fn(|| r.pop()).map(|(_, e)| e).collect();
-        assert_eq!(
-            want,
-            vec![
-                submit(0),
-                submit(1),
-                completion(0, 0),
-                submit(2),
-                Event::Requeue { job: JobId(2) },
-                Event::Timer,
-            ]
-        );
-        assert_eq!(drain(&mut q), want);
-    }
-
-    #[test]
-    fn an_equal_key_push_appends_to_the_run() {
-        // Same instant, class and job: only the later sequence number
-        // tells them apart, and it sorts after the tail.
-        let mut q = EventQueue::new();
-        q.push(t(5.0), completion(3, 0));
-        q.push(t(5.0), completion(3, 1));
-        q.push(t(5.0), completion(3, 2));
-        assert!(q.heap.is_empty());
-        assert_eq!(q.run.len(), 3);
-        assert_eq!(
-            drain(&mut q),
-            vec![completion(3, 0), completion(3, 1), completion(3, 2)]
-        );
-    }
-
     /// The within-instant rank of the reference model, written out
     /// rather than read off `Event::order`: Submit < Cancel < capacity
     /// fault < Flaky < Requeue < Completion < Timer, then the job named.
@@ -743,53 +683,95 @@ mod tests {
     }
 
     proptest! {
-        /// The event queue pops in exactly the reference order (what
+        /// The merged queue pops in exactly the reference order (what
         /// a binary heap keyed by time, class, job and push sequence
-        /// would pop) under arbitrary
-        /// interleavings of pushes of every event kind (with
-        /// deliberately repeated timestamps and job ids, and pushes *at*
-        /// the instant being drained), pops, stale marks and compaction
-        /// sweeps. Each case first seeds an ascending prefix of submit
-        /// batches, as `SimState::new` does, so the random phase works
-        /// on both the run and the heap.
+        /// would pop) when the reference gets every input pushed first
+        /// and the merged side reads the same inputs through its
+        /// cursors: sorted arrivals, capacity faults and flaky faults,
+        /// each with repeated instants. Dynamic pushes of every event
+        /// kind (with deliberately repeated timestamps and job ids, at
+        /// input instants, and *at* the instant being drained), pops,
+        /// stale marks and compaction sweeps interleave at random.
         #[test]
         fn event_queue_matches_reference_heap(seed in any::<u64>()) {
+            use hpc_metrics::Duration;
+            use hpc_workload::{FaultEvent, FaultSpec, FlakyEvent, FlakyOp, FlakySpec};
             use rand::{Rng, SeedableRng};
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            // Ascending instants, about half of them repeated.
+            let mut sorted = |n: usize| -> Vec<f64> {
+                let mut at = 0.0f64;
+                (0..n)
+                    .map(|_| {
+                        if rng.gen_bool(0.5) {
+                            at += f64::from(rng.gen_range(1u32..40));
+                        }
+                        at
+                    })
+                    .collect()
+            };
+            let (arrivals, fault_at, flaky_at) = (sorted(40), sorted(12), sorted(12));
+            let (n_jobs, n_faults, n_flaky) =
+                (rng.gen_range(1..40), rng.gen_range(0..12), rng.gen_range(0..12));
+            let secs = Duration::from_secs;
+            let jobs = arrivals[..n_jobs].iter().enumerate().map(|(i, &at)| {
+                JobSpec::malleable(format!("j{i}"), 1, 1, 1.0, 1).at(secs(at))
+            });
+            let kinds = [FaultKind::NodeFail, FaultKind::Reclaim, FaultKind::Return];
+            let faults = fault_at[..n_faults].iter().map(|&at| FaultEvent {
+                at: secs(at),
+                slots: rng.gen_range(1u32..4),
+                kind: kinds[rng.gen_range(0..3)],
+            });
+            let flaky = flaky_at[..n_flaky].iter().map(|&at| FlakyEvent {
+                at: secs(at),
+                op: FlakyOp::LaunchFail,
+            });
+            let flaky = FlakySpec::new(flaky.collect());
+            let wl = WorkloadSpec::new(jobs.collect())
+                .with_faults(FaultSpec::new(faults.collect()).with_flaky(flaky));
+
             let mut q = EventQueue::new();
+            let mut inputs = Inputs::new(&wl);
             let mut r = RefQueue::new();
+            // The reference's inputs: one submit per run of equal
+            // arrivals, then the faults and flaky faults in spec order.
+            let mut first = 0;
+            while first < n_jobs {
+                let at = arrivals[first];
+                let count = arrivals[first..n_jobs].iter().take_while(|&&a| a == at).count();
+                let first_job = JobId(first as u32);
+                r.push(t(at), Event::Submit { first: first_job, count: count as u32 });
+                first += count;
+            }
+            for e in &wl.faults.events {
+                let slots = e.slots;
+                let event = match e.kind {
+                    FaultKind::NodeFail => Event::NodeFail { slots },
+                    FaultKind::Reclaim => Event::CapacityReclaim { slots },
+                    FaultKind::Return => Event::CapacityReturn { slots },
+                };
+                r.push(SimTime::ZERO + e.at, event);
+            }
+            for (index, e) in wl.faults.flaky.events.iter().enumerate() {
+                r.push(SimTime::ZERO + e.at, Event::Flaky { index: index as u32 });
+            }
+            prop_assert_eq!(inputs.unread, r.entries.len());
+
+            let mut times: Vec<f64> = r.entries.iter().map(|e| e.0.as_secs()).collect();
             let mut dead: Vec<Event> = Vec::new();
             let mut pushed: Vec<Event> = Vec::new();
-            let mut times: Vec<f64> = Vec::new();
             let mut now = 0.0f64;
-            // The seeding shape: ascending instants (some repeated),
-            // each a batch with ascending first job.
-            let mut at = 0.0f64;
-            let mut first = 0u32;
-            for _ in 0..rng.gen_range(0usize..40) {
-                if rng.gen_bool(0.7) {
-                    at += rng.gen_range(0.0..50.0);
-                }
-                let count = rng.gen_range(1u32..4);
-                let e = Event::Submit { first: JobId(first), count };
-                first += count;
-                times.push(at);
-                pushed.push(e);
-                q.push(t(at), e);
-                r.push(t(at), e);
-            }
-            prop_assert!(q.heap.is_empty(), "an ascending push went to the heap");
             for _ in 0..rng.gen_range(1..60) {
                 match rng.gen_range(0u32..10) {
-                    // Push a burst (often reusing an earlier timestamp or
-                    // the instant just popped so same-instant ties are
-                    // common, sometimes far in the future so later
-                    // pushes land before the run's tail).
+                    // Push a burst: often at the instant just popped or
+                    // at an input's instant, so same-key ties with the
+                    // cursors are common, sometimes far in the future.
                     0..=5 => {
                         for _ in 0..rng.gen_range(1usize..8) {
                             let at = if rng.gen_bool(0.2) {
                                 now
-                            } else if !times.is_empty() && rng.gen_bool(0.3) {
+                            } else if rng.gen_bool(0.3) {
                                 times[rng.gen_range(0..times.len())]
                             } else if rng.gen_bool(0.15) {
                                 rng.gen_range(0.0..1e6)
@@ -814,11 +796,13 @@ mod tests {
                             r.push(t(at), e);
                         }
                     }
-                    // Pop a few; each pop must agree exactly. Popped
-                    // dead entries feed the stale-pop bookkeeping.
+                    // Pop a few; each peek and pop must agree exactly.
+                    // Popped dead entries feed the stale-pop bookkeeping.
                     6..=8 => {
                         for _ in 0..rng.gen_range(1usize..6) {
-                            let got = q.pop();
+                            let peeked = q.peek_with(&inputs);
+                            let got = q.pop_with(&mut inputs, &wl);
+                            prop_assert_eq!(peeked, got);
                             prop_assert_eq!(got, r.pop());
                             if let Some((at, e)) = got {
                                 now = at.as_secs();
@@ -828,11 +812,17 @@ mod tests {
                             }
                         }
                     }
-                    // Kill every copy of a random pushed event and
+                    // Kill every copy of a pushed completion or requeue
+                    // (what the engine invalidates; never an input) and
                     // compact both sides.
                     _ => {
-                        if !pushed.is_empty() {
-                            let victim = pushed[rng.gen_range(0..pushed.len())];
+                        let mortal: Vec<Event> = pushed
+                            .iter()
+                            .copied()
+                            .filter(|e| matches!(e, Event::Completion { .. } | Event::Requeue { .. }))
+                            .collect();
+                        if !mortal.is_empty() {
+                            let victim = mortal[rng.gen_range(0..mortal.len())];
                             if !dead.contains(&victim) {
                                 dead.push(victim);
                                 q.mark_stale();
@@ -842,17 +832,18 @@ mod tests {
                         r.compact(|e| !dead.contains(e));
                     }
                 }
-                prop_assert_eq!(q.len(), r.entries.len(), "length diverged");
+                let pending = q.len() + inputs.unread;
+                prop_assert_eq!(pending, r.entries.len(), "pending length diverged");
             }
             // Drain: the tails must be identical too.
             loop {
-                let (a, b) = (q.pop(), r.pop());
+                let (a, b) = (q.pop_with(&mut inputs, &wl), r.pop());
                 prop_assert_eq!(a, b);
                 if a.is_none() {
                     break;
                 }
             }
-            prop_assert!(q.is_empty());
+            prop_assert!(q.len() == 0 && inputs.unread == 0);
         }
     }
 }

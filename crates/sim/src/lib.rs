@@ -12,12 +12,13 @@
 //!
 //! The replay loop is built for million-job traces:
 //!
-//! * [`events`] — the event queue: a sorted run that takes the
-//!   in-order pushes (the seeded arrivals) in O(1), plus a binary heap
-//!   for the rest. It pops in one total order, `(time, EventClass,
-//!   JobId, insertion)`: the kernel's within-instant order, which the
-//!   operator's tick applies too. Stale completions (superseded by a
-//!   rescale) are swept once more than half the queue is stale.
+//! * [`events`] — the event queue: a binary heap of what the run
+//!   creates, merged with cursors that read the workload's sorted
+//!   arrivals and faults in place. It pops in one total order,
+//!   `(time, EventClass, JobId, insertion)`: the kernel's
+//!   within-instant order, which the operator's tick applies too. Stale
+//!   completions (superseded by a rescale) are swept once more than
+//!   half of what is pending is stale.
 //! * [`engine`] — the event queue around the scheduling kernel
 //!   (`elastic_core::kernel`, shared with the operator: one policy
 //!   dispatch per same-instant burst) and the execution model of

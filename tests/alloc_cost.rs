@@ -1,4 +1,5 @@
-//! The operator path's allocation ledger — held by count, not by clock.
+//! The allocation ledgers of the operator path and of the DES — held by
+//! count, not by clock.
 //!
 //! One zero-delay ingest replay of the shape `benchmark/`'s
 //! `op-ingest-replay` runs (seed 0, 240 Poisson jobs 20 s apart, 60 s
@@ -43,6 +44,21 @@
 //! and every map inside a `kube_sim::Store` hashes with the one random
 //! key of the process, so how a churning map regrows does not depend on
 //! which replay built it.
+//!
+//! The same allocator also keeps the thread's live bytes and their
+//! peak. One DES replay of the heavy-traffic scale scenario (seed 0,
+//! 10 000 jobs, the elastic policy) is held by its peak live bytes
+//! above what the generated workload already holds, per job:
+//!
+//! | build   | event queue holding every seeded input | inputs read through cursors |
+//! |---------|----------------------------------------|-----------------------------|
+//! | release | 4 339 048 B = 433 per job              | 3 814 760 B = 381 per job   |
+//! | debug   | 4 339 048 B = 433 per job              | 3 814 760 B = 381 per job   |
+//!
+//! The difference is exactly 524 288 B: a queue that held its inputs
+//! kept the 10 000 seeded arrivals in a 16 384-entry × 32 B buffer
+//! until the replay ended. The bound leaves ≈ 2 % of room over the
+//! cursor measurement, so such a copy of the inputs does not fit.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -52,48 +68,74 @@ use elastic_hpc::core::{CharmOperator, ModelExecutor, Policy, PolicyConfig};
 use elastic_hpc::kube::{ControlPlane, KubeletConfig};
 use elastic_hpc::metrics::{Duration, VirtualClock};
 use elastic_hpc::serving::{run_workload_ingest, IngestConfig, ShardRouter};
+use elastic_hpc::sim::{heavy_traffic_replay, heavy_traffic_workload};
 use elastic_hpc::workload::poisson_workload;
 
 /// `System`, counting every call that can obtain memory on the thread
-/// that makes it.
+/// that makes it, and the bytes that thread holds.
 struct Counting;
 
 thread_local! {
     // Const-initialised and without a destructor: reading it neither
     // allocates nor can fail, from inside the allocator or at thread exit.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    // Bytes obtained minus bytes released on this thread, and the
+    // highest that difference has been since `peak_bytes_of` reset it.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count() {
     ALLOCATIONS.set(ALLOCATIONS.get() + 1);
 }
 
+/// Books `bytes` more (or, negative, fewer) live bytes when `ptr` says
+/// the call succeeded; passes `ptr` through.
+fn hold(ptr: *mut u8, bytes: i64) -> *mut u8 {
+    if !ptr.is_null() {
+        let live = LIVE.get() + bytes;
+        LIVE.set(live);
+        PEAK.set(PEAK.get().max(live));
+    }
+    ptr
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// whose contract is the one `GlobalAlloc` states; the counter is a
-// statistic and guards nothing.
+// whose contract is the one `GlobalAlloc` states; the counters are
+// statistics and guard nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
-        System.alloc(layout)
+        hold(System.alloc(layout), layout.size() as i64)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count();
-        System.alloc_zeroed(layout)
+        hold(System.alloc_zeroed(layout), layout.size() as i64)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
-        System.realloc(ptr, layout, new_size)
+        let grown = new_size as i64 - layout.size() as i64;
+        hold(System.realloc(ptr, layout, new_size), grown)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        System.dealloc(ptr, layout);
+        hold(ptr, -(layout.size() as i64));
     }
 }
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
+
+fn elastic() -> Policy {
+    Policy::elastic(PolicyConfig {
+        rescale_gap: Duration::from_secs(180.0),
+        launcher_slots: 1,
+        shrink_spares_head: true,
+    })
+}
 
 const JOBS: usize = 240;
 const MAX_ALLOCATIONS_PER_JOB: u64 = if cfg!(debug_assertions) { 305 } else { 163 };
@@ -106,12 +148,7 @@ fn allocations_of_a_replay() -> u64 {
     let clock = VirtualClock::new();
     let plane = ControlPlane::with_nodes(Arc::new(clock.clone()), KubeletConfig::instant(), 4, 16);
     let executor = ModelExecutor::ideal(plane.clock());
-    let policy = Policy::elastic(PolicyConfig {
-        rescale_gap: Duration::from_secs(180.0),
-        launcher_slots: 1,
-        shrink_spares_head: true,
-    });
-    let mut op = CharmOperator::new(plane, Box::new(policy), Box::new(executor));
+    let mut op = CharmOperator::new(plane, Box::new(elastic()), Box::new(executor));
     let ingest = IngestConfig {
         shards: 4,
         shard_capacity: 4096,
@@ -144,5 +181,34 @@ fn an_ingest_replay_stays_inside_its_allocation_budget() {
     assert!(
         per_job <= MAX_ALLOCATIONS_PER_JOB,
         "{first} allocations = {per_job} per job, over the {MAX_ALLOCATIONS_PER_JOB} budget"
+    );
+}
+
+const DES_JOBS: usize = 10_000;
+const MAX_PEAK_BYTES_PER_JOB: u64 = 389;
+
+/// The most bytes `f` held at once on this thread beyond those live
+/// when it started, with what `f` returned.
+fn peak_bytes_of<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let base = LIVE.get();
+    PEAK.set(base);
+    let out = f();
+    ((PEAK.get() - base) as u64, out)
+}
+
+#[test]
+fn a_des_replay_holds_no_copy_of_its_inputs() {
+    let workload = heavy_traffic_workload(0, DES_JOBS);
+    let replay = || heavy_traffic_replay(Box::new(elastic()), &workload);
+    let (first, out) = peak_bytes_of(replay);
+    assert_eq!(out.metrics.jobs.len(), DES_JOBS);
+    drop(out);
+    let (second, _) = peak_bytes_of(replay);
+    assert_eq!(first, second, "the peak is a function of the input");
+    let per_job = first / DES_JOBS as u64;
+    println!("peak {first} live bytes, {per_job} per job");
+    assert!(
+        per_job <= MAX_PEAK_BYTES_PER_JOB,
+        "peak {first} live bytes = {per_job} per job, over the {MAX_PEAK_BYTES_PER_JOB} budget"
     );
 }
