@@ -537,7 +537,7 @@ impl CharmOperator {
     }
 
     /// Launches `name` if it is `Starting` and all its pods run.
-    fn try_launch(&mut self, name: &str) {
+    fn try_launch(&mut self, name: &Arc<str>) {
         let status = self.jobs.read(name, |s| {
             (s.obj.status.phase, s.obj.status.desired_replicas)
         });
@@ -573,7 +573,7 @@ impl CharmOperator {
                     j.status.started_at = Some(now);
                 })
                 .expect("job exists");
-            self.events.record(now, name, "Started", "");
+            self.events.record(now, Arc::clone(name), "Started", "");
         }
     }
 
@@ -607,7 +607,7 @@ impl CharmOperator {
                         fx.mirror(&name, |s| s.replicas = target);
                         kernel.shrunk(id, now);
                         let message = format!("-> {target} (overhead {})", report.total());
-                        fx.events.record(now, &*name, "Shrunk", message);
+                        fx.events.record(now, Arc::clone(&name), "Shrunk", message);
                     }
                 }
                 RescaleFlow::ExpandPodsPending { target } => {
@@ -621,7 +621,8 @@ impl CharmOperator {
                         job.handle.request_rescale(target);
                         job.flow = Some(RescaleFlow::ExpandSignalled { target });
                         let message = format!("-> {target}");
-                        fx.events.record(now, &*name, "ExpandSignalled", message);
+                        fx.events
+                            .record(now, Arc::clone(&name), "ExpandSignalled", message);
                     }
                 }
                 RescaleFlow::ExpandSignalled { target } => {
@@ -630,7 +631,8 @@ impl CharmOperator {
                         job.flow = None;
                         fx.mirror(&name, |s| s.replicas = target);
                         let message = format!("-> {target} (overhead {})", report.total());
-                        fx.events.record(now, &*name, "Expanded", message);
+                        fx.events
+                            .record(now, Arc::clone(&name), "Expanded", message);
                     }
                 }
             }
@@ -820,11 +822,6 @@ impl Choreography<'_> {
             .expect("job exists");
     }
 
-    /// Names of `job`'s live worker pods, in creation (= serial) order.
-    fn worker_pods(&self, job: &str) -> Vec<Arc<str>> {
-        self.plane.pod_names_of_job(job, Some(PodRole::Worker))
-    }
-
     /// Creates `count` fresh worker pods for `job`. Serials come from
     /// the per-job counter — pod names are `{job}-w{serial:04}`,
     /// monotonically increasing across expands, without listing or
@@ -846,7 +843,9 @@ impl Choreography<'_> {
     }
 
     fn update_nodelist(&self, job: &str) {
-        let hosts = self.worker_pods(job).join("\n");
+        // The live workers, in creation (= serial) order.
+        let workers = self.plane.pod_names_of_job(job, Some(PodRole::Worker));
+        let hosts = workers.join("\n");
         let cm_name = format!("{job}-nodelist");
         if self.plane.configmaps.read(&cm_name, |_| ()).is_some() {
             self.plane
@@ -863,9 +862,7 @@ impl Choreography<'_> {
     }
 
     fn remove_excess_workers(&self, job: &str, target: u32) {
-        for pod in self.worker_pods(job).iter().skip(target as usize) {
-            self.plane.delete_pod(pod);
-        }
+        (self.plane).terminate_pods_of_job(job, Some(PodRole::Worker), target as usize);
     }
 
     /// Releases everything held for `job` — executor (kill signal),
@@ -876,12 +873,10 @@ impl Choreography<'_> {
         if let Some(mut launched) = self.pool.running.remove(&job) {
             launched.handle.stop();
         }
-        for pod in self.plane.pod_names_of_job(&name, None) {
-            if hard {
-                let _ = self.plane.pods.delete(&pod);
-            } else {
-                self.plane.delete_pod(&pod);
-            }
+        if hard {
+            self.plane.delete_pods_of_job(&name);
+        } else {
+            self.plane.terminate_pods_of_job(&name, None, 0);
         }
         let _ = self.plane.configmaps.delete(&format!("{name}-nodelist"));
         name
@@ -926,6 +921,7 @@ impl Choreography<'_> {
         } else {
             ("Submitted", "")
         };
+        let name = Arc::clone(self.pool.registry.shared_name(admission.job.id));
         self.events.record(self.plane.now(), name, kind, message);
         Some(admission)
     }
@@ -960,7 +956,8 @@ impl Effects for Choreography<'_> {
         self.create_workers(job, &name, replicas, now);
         self.update_nodelist(&name);
         let message = format!("{replicas} replicas");
-        self.events.record(now, &*name, "Created", message);
+        self.events
+            .record(now, Arc::clone(&name), "Created", message);
         false
     }
 
@@ -981,14 +978,19 @@ impl Effects for Choreography<'_> {
             } else {
                 "ExpandPreLaunch"
             };
-            self.events.record(now, &*name, kind, format!("-> {to}"));
+            self.events
+                .record(now, Arc::clone(&name), kind, format!("-> {to}"));
             true
         } else if let Some(launched) = self.pool.running.get_mut(&job) {
             // Paper's shrink sequence: signal first, remove pods on ack.
             launched.handle.request_rescale(to);
             launched.flow = Some(RescaleFlow::ShrinkSignalled { target: to });
-            self.events
-                .record(now, &*name, "ShrinkSignalled", format!("-> {to}"));
+            self.events.record(
+                now,
+                Arc::clone(&name),
+                "ShrinkSignalled",
+                format!("-> {to}"),
+            );
             false
         } else {
             // Job hasn't launched yet: adjust pods directly. The pods
@@ -998,7 +1000,8 @@ impl Effects for Choreography<'_> {
             self.mirror(&name, |s| s.replicas = to);
             self.pool.launch_checks.push(Arc::clone(&name));
             let message = format!("-> {to} (pre-launch)");
-            self.events.record(now, &*name, "Shrunk", message);
+            self.events
+                .record(now, Arc::clone(&name), "Shrunk", message);
             true
         }
     }
@@ -1061,11 +1064,11 @@ impl Effects for Choreography<'_> {
                 Stop::Completed | Stop::Cancelled => {}
             }
         });
-        self.events.record(now, &*name, kind, message);
+        self.events.record(now, Arc::clone(&name), kind, message);
     }
 
     fn enqueued(&mut self, job: JobId, now: SimTime) {
-        let name = self.pool.registry.name(job);
+        let name = Arc::clone(self.pool.registry.shared_name(job));
         self.events
             .record(now, name, "Enqueued", "no resources available");
     }

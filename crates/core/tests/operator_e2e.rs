@@ -549,7 +549,7 @@ fn a_pre_launch_shrink_that_leaves_only_running_pods_launches_at_once() {
     assert!(
         shrunk
             .iter()
-            .any(|e| e.subject == "late" && e.message.contains("pre-launch")),
+            .any(|e| &*e.subject == "late" && e.message.contains("pre-launch")),
         "{shrunk:?}"
     );
     let late = op.jobs.get("late").unwrap().obj.clone();

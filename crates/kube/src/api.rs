@@ -46,6 +46,13 @@
 //! key whose list empties is dropped, so index state stays O(live
 //! objects), however many keys the store has ever seen.
 //!
+//! A constant key ([`IndexKey::Static`]) is resolved by its pointer, not
+//! its text: each index remembers, for a few constants, the list their
+//! text was last filed under, and opening a list for that text updates
+//! the entry, so an entry whose list was freed (or reused for another
+//! key) answers that the text has no list. A stage change, or a walk of
+//! an empty stage, hashes no stage name.
+//!
 //! ## Three kinds of read
 //!
 //! A store outlives most of what it holds (the CharmJob store keeps
@@ -72,6 +79,23 @@
 //! reads that visit every object (`list`, `list_watch`, `for_each`) so
 //! a test can hold "this path does not scan that store" as an exact
 //! count instead of a timing.
+//!
+//! ## Batched edits
+//!
+//! A controller that reads a list of objects to decide which to change
+//! does both in one call, so it never looks up a name it has just read.
+//! [`Store::update_in`] and [`Store::delete_in`] take the store lock
+//! once and walk one index key's list in filing order, offering each
+//! object to a `pick` closure; what it picks is updated (or deleted)
+//! there and then, object by object, with everything
+//! [`Store::update`] (or [`Store::delete`]) does: the copy-on-write, a
+//! fresh resource version, the re-filing and the filtered notification.
+//! A walk survives its own edits moving objects out of the walked list,
+//! or emptying it, and every watcher is sent exactly the per-object
+//! events, in the order, a loop of per-name calls over the same objects
+//! would have sent. [`Store::update_each`] is the name-keyed form, for
+//! edits decided in an order of the caller's own. The closures run
+//! under the store lock and must not call back into the store.
 
 use std::borrow::Borrow;
 use std::collections::hash_map::{Entry, HashMap, RandomState};
@@ -268,12 +292,20 @@ struct Link {
     next: u32,
 }
 
+/// How many constant keys an index resolves by pointer.
+const CONSTANTS: usize = 8;
+
 /// One named secondary index (see the module docs).
 struct Index<T> {
     name: &'static str,
     key_of: KeyOf<T>,
     /// Key → its list. A key is here exactly while its list is non-empty.
     by_key: Map<Key>,
+    /// Constant keys, each with the list its text was last filed
+    /// under. Opening a list updates every entry of its text, so an
+    /// entry whose list is now keyed otherwise (freed, or reused for
+    /// another key) says that its text has no list.
+    constants: Vec<(&'static str, u32)>,
     /// The lists, recycled through `free_lists`.
     lists: Vec<List>,
     free_lists: Vec<u32>,
@@ -287,14 +319,50 @@ impl<T> Index<T> {
             name,
             key_of,
             by_key: map(),
+            constants: Vec::new(),
             lists: Vec::new(),
             free_lists: Vec::new(),
             links: Vec::new(),
         }
     }
 
+    /// What the entry of a constant `key`, found by pointer, knows:
+    /// `None` if it has none, else the text's live list, if any.
+    fn constant(&self, key: &str) -> Option<Option<u32>> {
+        let &(_, id) = (self.constants.iter()).find(|(known, _)| std::ptr::eq(*known, key))?;
+        let filed = self.lists[id as usize].key.as_ref();
+        Some(
+            filed
+                .is_some_and(|filed| filed.as_str() == key)
+                .then_some(id),
+        )
+    }
+
+    /// The live list of `key`, if it has one.
+    fn live(&self, key: &str) -> Option<u32> {
+        (self.constant(key)).unwrap_or_else(|| self.by_key.get(key).copied())
+    }
+
     /// The list of `key`, opened if the key has none.
     fn list_of(&mut self, key: IndexKey<'_>) -> u32 {
+        let IndexKey::Static(constant) = key else {
+            return self.list_by_text(key);
+        };
+        if let Some(Some(id)) = self.constant(constant) {
+            return id;
+        }
+        let id = self.list_by_text(key);
+        let known = (self.constants.iter()).position(|(k, _)| std::ptr::eq(*k, constant));
+        match known {
+            Some(at) => self.constants[at].1 = id,
+            None if self.constants.len() < CONSTANTS => self.constants.push((constant, id)),
+            None => {}
+        }
+        id
+    }
+
+    /// The list of `key`, looked up (or opened) by its text.
+    fn list_by_text(&mut self, key: IndexKey<'_>) -> u32 {
         match self.by_key.entry(key.kept()) {
             Entry::Occupied(known) => *known.get(),
             Entry::Vacant(new) => {
@@ -313,6 +381,11 @@ impl<T> Index<T> {
                         slot_number(self.lists.len() - 1)
                     }
                 };
+                for entry in &mut self.constants {
+                    if entry.0 == key.as_str() {
+                        entry.1 = id;
+                    }
+                }
                 *new.insert(id)
             }
         }
@@ -413,6 +486,31 @@ impl<T> StoreInner<T> {
         self.slots[slot as usize].as_ref()
     }
 
+    /// The position of the index called `name`.
+    ///
+    /// # Panics
+    /// If the store has no index of that name.
+    fn index(&self, name: &str) -> usize {
+        (self.indexes.iter())
+            .position(|i| i.name == name)
+            .unwrap_or_else(|| panic!("store has no index {name:?}"))
+    }
+
+    /// The first slot index `at` files under `key`, or [`NIL`].
+    fn head(&self, at: usize, key: &str) -> u32 {
+        let index = &self.indexes[at];
+        index
+            .live(key)
+            .map_or(NIL, |list| index.lists[list as usize].head)
+    }
+
+    /// The object in a filed slot.
+    fn filed(&self, slot: u32) -> &Arc<Stored<T>> {
+        self.slots[slot as usize]
+            .as_ref()
+            .expect("a filed slot is full")
+    }
+
     fn objects(&self) -> impl Iterator<Item = &Arc<Stored<T>>> {
         self.slots.iter().flatten()
     }
@@ -423,9 +521,10 @@ impl<T> StoreInner<T> {
 /// See the [module docs](self) for how objects and indexes are laid out,
 /// what is shared and which reads are borrowed, indexed or snapshots.
 /// The closures passed to [`Store::read`], [`Store::for_each`],
-/// [`Store::for_each_in`] and [`Store::update`] run under the store
-/// lock: they must not call back into the same store, and `update`'s
-/// must not rename the object. A panic in one of them poisons the store
+/// [`Store::for_each_in`], [`Store::update`], [`Store::update_each`],
+/// [`Store::update_in`] and [`Store::delete_in`] run under the store
+/// lock: they must not call back into the same store, and no edit may
+/// rename the object. A panic in one of them poisons the store
 /// (`hpc_metrics::sync`), and every later call on it panics.
 pub struct Store<T: Resource> {
     inner: Arc<Mutex<StoreInner<T>>>,
@@ -556,20 +655,79 @@ impl<T: Resource> Store<T> {
     /// # Panics
     /// If the store was not built with an index of that name.
     pub fn for_each_in(&self, index: &str, key: &str, mut f: impl FnMut(&Arc<Stored<T>>)) {
-        let inner = locked(&self.inner);
-        let index = (inner.indexes.iter())
-            .find(|i| i.name == index)
-            .unwrap_or_else(|| panic!("store has no index {index:?}"));
-        let Some(&list) = index.by_key.get(key) else {
-            return;
-        };
-        let mut at = index.lists[list as usize].head;
+        let mut inner = locked(&self.inner);
+        Self::walk(&mut inner, index, key, |inner, at| f(inner.filed(at)));
+    }
+
+    /// Runs `visit` on each slot `index` files under `key`, in filing
+    /// order. `visit` may move the slot it is given to another list, or
+    /// free it; the walk goes on with the slot that followed it.
+    fn walk(
+        inner: &mut StoreInner<T>,
+        index: &str,
+        key: &str,
+        mut visit: impl FnMut(&mut StoreInner<T>, u32),
+    ) {
+        let index = inner.index(index);
+        let mut at = inner.head(index, key);
         while at != NIL {
-            f(inner.slots[at as usize]
-                .as_ref()
-                .expect("a filed slot is full"));
-            at = index.links[at as usize].next;
+            let next = inner.indexes[index].links[at as usize].next;
+            visit(inner, at);
+            at = next;
         }
+    }
+
+    /// Indexed edit: walks, under one store lock and in filing order,
+    /// the objects `index` files under `key`, and updates each one
+    /// `pick` returns an edit for, there and then, exactly as
+    /// [`Store::update`] would (see the module docs' *Batched edits*).
+    /// An edit may move its object to another key's list; the walk goes
+    /// on with the object that followed it. Returns how many objects
+    /// were updated.
+    ///
+    /// # Panics
+    /// If the store was not built with an index of that name.
+    pub fn update_in<E: FnOnce(&mut T)>(
+        &self,
+        index: &str,
+        key: &str,
+        mut pick: impl FnMut(&Stored<T>) -> Option<E>,
+    ) -> usize {
+        let mut updated = 0;
+        Self::walk(&mut locked(&self.inner), index, key, |inner, at| {
+            if let Some(edit) = pick(inner.filed(at)) {
+                self.edit(inner, at, edit);
+                updated += 1;
+            }
+        });
+        updated
+    }
+
+    /// Indexed delete: walks, under one store lock and in filing order,
+    /// the objects `index` files under `key`, and deletes each one
+    /// `pick` answers `true` for, there and then, exactly as
+    /// [`Store::delete`] would. Returns how many objects were deleted.
+    ///
+    /// # Panics
+    /// If the store was not built with an index of that name.
+    pub fn delete_in(
+        &self,
+        index: &str,
+        key: &str,
+        mut pick: impl FnMut(&Stored<T>) -> bool,
+    ) -> usize {
+        let mut deleted = 0;
+        Self::walk(&mut locked(&self.inner), index, key, |inner, at| {
+            let stored = inner.slots[at as usize]
+                .as_ref()
+                .expect("a filed slot is full");
+            if pick(stored) {
+                inner.by_name.remove(stored.obj.name());
+                Self::remove(inner, at);
+                deleted += 1;
+            }
+        });
+        deleted
     }
 
     /// How many reads have visited every object so far ([`Store::list`],
@@ -599,8 +757,41 @@ impl<T: Resource> Store<T> {
     ) -> Result<Arc<Stored<T>>, ApiError> {
         let mut guard = locked(&self.inner);
         let inner = &mut *guard;
-        let slot =
-            *(inner.by_name.get(name)).ok_or_else(|| ApiError::NotFound(name.to_string()))?;
+        let slot = Self::slot_of(inner, name)?;
+        Ok(self.edit(inner, slot, mutate))
+    }
+
+    /// [`Store::update`] of each named object in turn, under one store
+    /// lock: the edits are applied, and their events sent, in the order
+    /// given. Fails at the first unknown name, with the edits before it
+    /// applied.
+    pub fn update_each<N: AsRef<str>, E: FnOnce(&mut T)>(
+        &self,
+        edits: impl IntoIterator<Item = (N, E)>,
+    ) -> Result<(), ApiError> {
+        let mut guard = locked(&self.inner);
+        let inner = &mut *guard;
+        for (name, edit) in edits {
+            let slot = Self::slot_of(inner, name.as_ref())?;
+            self.edit(inner, slot, edit);
+        }
+        Ok(())
+    }
+
+    /// The slot of the object called `name`.
+    fn slot_of(inner: &StoreInner<T>, name: &str) -> Result<u32, ApiError> {
+        (inner.by_name.get(name).copied()).ok_or_else(|| ApiError::NotFound(name.to_string()))
+    }
+
+    /// Applies `mutate` to the object in `slot`, copying it first if
+    /// anything else still points at it, bumps its resource version,
+    /// re-files it and tells the watchers.
+    fn edit(
+        &self,
+        inner: &mut StoreInner<T>,
+        slot: u32,
+        mutate: impl FnOnce(&mut T),
+    ) -> Arc<Stored<T>> {
         let shared = inner.slots[slot as usize]
             .as_mut()
             .expect("a named slot is full");
@@ -612,7 +803,7 @@ impl<T: Resource> Store<T> {
         }
         let stored = Arc::clone(shared);
         Self::notify(inner, EventKind::Modified, &stored);
-        Ok(stored)
+        stored
     }
 
     /// Removes by name, returning the last state. Copies nothing.
@@ -621,6 +812,12 @@ impl<T: Resource> Store<T> {
         let inner = &mut *guard;
         let slot =
             (inner.by_name.remove(name)).ok_or_else(|| ApiError::NotFound(name.to_string()))?;
+        Ok(Self::remove(inner, slot))
+    }
+
+    /// Empties `slot`, whose name is already unmapped: unlinks it from
+    /// every index, frees it and tells the watchers.
+    fn remove(inner: &mut StoreInner<T>, slot: u32) -> Arc<Stored<T>> {
         let stored = inner.slots[slot as usize]
             .take()
             .expect("a named slot is full");
@@ -629,7 +826,7 @@ impl<T: Resource> Store<T> {
         }
         inner.free.push(slot);
         Self::notify(inner, EventKind::Deleted, &stored);
-        Ok(stored)
+        stored
     }
 
     /// Opens a watch stream; events for subsequent mutations are
@@ -1123,6 +1320,187 @@ mod tests {
         let allocated: u64 = (1..1_000).map(round).sum();
         assert_eq!(allocated, 0, "an update that re-files allocates nothing");
         assert_eq!(Arc::strong_count(&owner), 1 + 2 * 8 + 2);
+    }
+
+    /// Every event a watch was sent, as `(kind, name, value, version)`.
+    fn drained(rx: &Receiver<WatchEvent<Obj>>) -> Vec<(EventKind, String, i64, u64)> {
+        let events = std::iter::from_fn(|| rx.try_recv().ok());
+        (events.map(|ev| {
+            let (kind, s) = match ev {
+                WatchEvent::Added(s) => (EventKind::Added, s),
+                WatchEvent::Modified(s) => (EventKind::Modified, s),
+                WatchEvent::Deleted(s) => (EventKind::Deleted, s),
+            };
+            (kind, s.obj.name.clone(), s.obj.value, s.resource_version)
+        }))
+        .collect()
+    }
+
+    /// A store with two watches on it.
+    type Watched = (Store<Obj>, [Receiver<WatchEvent<Obj>>; 2]);
+
+    /// Two stores holding the same objects, created in the same order,
+    /// each with an unfiltered watch and one that sees only negatives.
+    fn twins() -> [Watched; 2] {
+        fn negative(_: EventKind, o: &Obj) -> bool {
+            o.value < 0
+        }
+        [(); 2].map(|_| {
+            let store = Store::indexed(&[("sign", sign)]);
+            let streams = [store.watch(), store.list_watch_where(negative).1];
+            for (name, value) in [("a", 1), ("b", 2), ("n", -1), ("c", 3), ("d", 4)] {
+                store.create(obj(name, value)).unwrap();
+            }
+            (store, streams)
+        })
+    }
+
+    /// The two stores hold the same lists, and sent the same events.
+    fn assert_twins_agree(twins: &[Watched; 2]) {
+        let [(walked, walked_streams), (looped, looped_streams)] = twins;
+        for key in ["pos", "neg"] {
+            assert_eq!(names_in(walked, key), names_in(looped, key), "{key}");
+        }
+        for (a, b) in walked_streams.iter().zip(looped_streams) {
+            assert_eq!(drained(a), drained(b));
+        }
+    }
+
+    #[test]
+    fn a_walk_edits_exactly_as_the_per_name_loop_does() {
+        // Odd values leave the walked list; even ones stay in it. Then
+        // every object left leaves it, which empties it mid-walk.
+        let edits: [fn(&Obj) -> Option<i64>; 2] = [
+            |o| {
+                Some(if o.value % 2 == 1 {
+                    -o.value
+                } else {
+                    o.value + 10
+                })
+            },
+            |o| Some(-o.value),
+        ];
+        let twins = twins();
+        for new_value in edits {
+            let [(walked, _), (looped, _)] = &twins;
+            let edited = walked.update_in("sign", "pos", |s| {
+                let value = new_value(&s.obj)?;
+                Some(move |o: &mut Obj| o.value = value)
+            });
+            let mut loop_over = Vec::new();
+            looped.for_each_in("sign", "pos", |s| loop_over.push(s.obj.clone()));
+            for o in &loop_over {
+                let value = new_value(o).unwrap();
+                looped.update(&o.name, |o| o.value = value).unwrap();
+            }
+            assert_eq!(edited, loop_over.len());
+            assert_twins_agree(&twins);
+        }
+        let [(walked, _), _] = &twins;
+        assert!(names_in(walked, "pos").is_empty());
+        assert_eq!(names_in(walked, "neg"), ["n", "a", "c", "b", "d"]);
+        assert_eq!(
+            walked.full_scans(),
+            1,
+            "the watch's snapshot; no walk scans"
+        );
+    }
+
+    #[test]
+    fn a_walk_deletes_exactly_as_the_per_name_loop_does() {
+        let picks: [fn(&Obj) -> bool; 2] = [|o| o.value != 3, |_| true];
+        let twins = twins();
+        for pick in picks {
+            let [(walked, _), (looped, _)] = &twins;
+            let deleted = walked.delete_in("sign", "pos", |s| pick(&s.obj));
+            let mut names = Vec::new();
+            looped.for_each_in("sign", "pos", |s| {
+                if pick(&s.obj) {
+                    names.push(s.obj.name.clone());
+                }
+            });
+            for name in &names {
+                looped.delete(name).unwrap();
+            }
+            assert_eq!(deleted, names.len());
+            assert_twins_agree(&twins);
+        }
+        let [(walked, _), _] = &twins;
+        assert!(names_in(walked, "pos").is_empty());
+        assert_eq!(walked.len(), 1);
+        // The freed slots and the emptied list are reused cleanly.
+        walked.create(obj("e", 5)).unwrap();
+        assert_eq!(names_in(walked, "pos"), ["e"]);
+    }
+
+    /// Constant keys with one address each, whatever the call site.
+    static POS: &str = "pos";
+    static NEG: &str = "neg";
+
+    fn sign_constant(o: &Obj) -> IndexKey<'static> {
+        IndexKey::Static(if o.value < 0 { NEG } else { POS })
+    }
+
+    #[test]
+    fn a_constant_key_is_never_resolved_to_a_list_recycled_under_another() {
+        let store: Store<Obj> = Store::indexed(&[("sign", sign_constant)]);
+        let resolved = |key: &str| locked(&store.inner).indexes[0].live(key);
+        store.create(obj("a", 1)).unwrap();
+        let pos = resolved(POS).expect("resolved by pointer");
+        // "pos" empties, and its list is reopened for "neg".
+        store.delete("a").unwrap();
+        store.create(obj("b", -1)).unwrap();
+        assert_eq!(resolved(NEG), Some(pos), "the freed list is reused");
+        assert_eq!(resolved(POS), None, "the stale entry answers: no list");
+        assert!(names_in(&store, POS).is_empty());
+        let visited = store.update_in("sign", POS, |_| Some(|o: &mut Obj| o.value = 0));
+        assert_eq!(visited, 0);
+        // Reopening "pos" files under a list of its own.
+        store.create(obj("c", 2)).unwrap();
+        assert_ne!(resolved(POS), Some(pos));
+        assert_eq!(names_in(&store, POS), ["c"]);
+        assert_eq!(names_in(&store, NEG), ["b"]);
+        // An object moving back and forth uses the remembered lists.
+        store.update("b", |o| o.value = 4).unwrap();
+        store.update("c", |o| o.value = -4).unwrap();
+        assert_eq!(names_in(&store, POS), ["b"]);
+        assert_eq!(names_in(&store, NEG), ["c"]);
+        // The same text at another address is the same key.
+        let text = String::from("neg");
+        assert_eq!(names_in(&store, &text), ["c"]);
+    }
+
+    /// A second constant "pos", at an address of its own.
+    fn pos_elsewhere() -> &'static str {
+        static KEY: OnceLock<&'static str> = OnceLock::new();
+        KEY.get_or_init(|| Box::leak(Box::from("pos")))
+    }
+
+    /// [`sign_constant`], with zero filed under [`pos_elsewhere`].
+    fn sign_two_constants(o: &Obj) -> IndexKey<'static> {
+        let pos = if o.value == 0 { pos_elsewhere() } else { POS };
+        IndexKey::Static(if o.value < 0 { NEG } else { pos })
+    }
+
+    #[test]
+    fn a_list_opened_by_another_constant_of_the_same_text_is_found() {
+        let store: Store<Obj> = Store::indexed(&[("sign", sign_two_constants)]);
+        assert!(!std::ptr::eq(POS, pos_elsewhere()));
+        store.create(obj("a", 1)).unwrap();
+        store.delete("a").unwrap();
+        // "pos"'s list is reused for "neg", then "pos" is reopened
+        // through the other constant: the first one's entry must learn
+        // of the new list.
+        store.create(obj("n", -1)).unwrap();
+        store.create(obj("z", 0)).unwrap();
+        assert_eq!(names_in(&store, POS), ["z"]);
+        store.create(obj("b", 2)).unwrap();
+        assert_eq!(names_in(&store, POS), ["z", "b"]);
+        assert_eq!(names_in(&store, pos_elsewhere()), ["z", "b"]);
+        store.delete("z").unwrap();
+        store.delete("b").unwrap();
+        assert!(names_in(&store, POS).is_empty());
+        assert!(names_in(&store, pos_elsewhere()).is_empty());
     }
 
     #[test]

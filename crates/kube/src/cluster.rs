@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use hpc_metrics::{Clock, SimTime};
 
-use crate::api::{Store, Stored};
+use crate::api::Store;
 use crate::kubelet::{Kubelet, KubeletConfig};
 use crate::resources::{ConfigMap, Node, Pod, PodPhase, PodRole, PodStage};
 use crate::scheduler::{PodScheduler, ScheduleOutcome};
@@ -149,7 +149,7 @@ impl ControlPlane {
     /// them, or only those with the given role — in creation order (the
     /// owner index's filing order: a pod's owner never changes). For a
     /// job's workers that is serial order, past `w9999` too. What
-    /// teardown and nodelist upkeep need, shared rather than copied.
+    /// nodelist upkeep needs, shared rather than copied.
     pub fn pod_names_of_job(&self, job: &str, role: Option<PodRole>) -> Vec<Arc<str>> {
         let mut names = Vec::new();
         self.pods.for_each_in(Pod::BY_OWNER, job, |s| {
@@ -171,22 +171,36 @@ impl ControlPlane {
         running >= expected
     }
 
-    /// Requests graceful deletion of a pod (kubelet completes it).
-    pub fn delete_pod(&self, name: &str) {
-        let _ = self.pods.update(name, |p| p.deleting = true);
+    /// Requests graceful deletion (the kubelet completes it) of the
+    /// resource-consuming pods of `job` with the given role (any, for
+    /// `None`) past the first `keep` of them in creation order — a
+    /// shrink's excess workers, or with `keep` 0 all of a job's pods.
+    /// One walk of the job's pods, editing them where it finds them.
+    /// Returns how many were asked to terminate.
+    pub fn terminate_pods_of_job(&self, job: &str, role: Option<PodRole>, keep: usize) -> usize {
+        let mut seen = 0;
+        let terminate = |p: &mut Pod| p.deleting = true;
+        self.pods.update_in(Pod::BY_OWNER, job, |s| {
+            let pod = &s.obj;
+            if !pod.consumes_resources() || role.is_some_and(|r| pod.role != r) {
+                return None;
+            }
+            seen += 1;
+            (seen > keep).then_some(terminate)
+        })
+    }
+
+    /// Deletes every resource-consuming pod of `job` at once, without
+    /// a grace period. Returns how many went.
+    pub fn delete_pods_of_job(&self, job: &str) -> usize {
+        (self.pods).delete_in(Pod::BY_OWNER, job, |s| s.obj.consumes_resources())
     }
 
     /// Removes Succeeded/Failed pods from the store (garbage collection)
     /// and returns how many were reaped.
     pub fn reap_finished(&self) -> usize {
-        let mut finished: Vec<Arc<Stored<Pod>>> = Vec::new();
-        let stage = PodStage::Finished.as_str();
-        self.pods
-            .for_each_in(Pod::BY_STAGE, stage, |pod| finished.push(Arc::clone(pod)));
-        for pod in &finished {
-            let _ = self.pods.delete(&pod.obj.name);
-        }
-        finished.len()
+        let finished = PodStage::Finished.as_str();
+        self.pods.delete_in(Pod::BY_STAGE, finished, |_| true)
     }
 }
 
@@ -227,8 +241,7 @@ mod tests {
         assert!(cp.job_pods_running("j1", PodRole::Worker, 1));
         assert!(cp.job_pods_running("j1", PodRole::Launcher, 1));
 
-        cp.delete_pod("j1-w0");
-        cp.delete_pod("j1-l");
+        assert_eq!(cp.terminate_pods_of_job("j1", None, 0), 2);
         clock.advance(Duration::from_secs(1.0));
         let terminated = cp.tick();
         assert!(terminated.schedule.bound.is_empty());
@@ -355,7 +368,7 @@ mod tests {
         // Binding, starting and a deletion request move pods between
         // stages, never within their owner's list.
         cp.tick();
-        cp.delete_pod("j-w9999");
+        cp.pods.update("j-w9999", |p| p.deleting = true).unwrap();
         assert_eq!(cp.pod_names_of_job("j", Some(PodRole::Worker)), workers);
         clock.advance(Duration::from_secs(1.0));
         cp.tick();

@@ -9,15 +9,17 @@ use std::sync::{Arc, Mutex};
 use hpc_metrics::sync::locked;
 use hpc_metrics::SimTime;
 
-/// One recorded event.
+/// One recorded event. The kind is a constant and the subject a shared
+/// name (the operator passes the one its job registry holds), so an
+/// entry copies neither.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// When it happened.
     pub at: SimTime,
     /// Subject (job or pod name).
-    pub subject: String,
-    /// What happened (free-form kind, e.g. "Created", "Shrink").
-    pub kind: String,
+    pub subject: Arc<str>,
+    /// What happened (e.g. "Created", "Shrunk").
+    pub kind: &'static str,
     /// Human-readable detail.
     pub message: String,
 }
@@ -38,14 +40,14 @@ impl EventLog {
     pub fn record(
         &self,
         at: SimTime,
-        subject: impl Into<String>,
-        kind: impl Into<String>,
+        subject: impl Into<Arc<str>>,
+        kind: &'static str,
         message: impl Into<String>,
     ) {
         locked(&self.inner).push(Event {
             at,
             subject: subject.into(),
-            kind: kind.into(),
+            kind,
             message: message.into(),
         });
     }
@@ -68,7 +70,7 @@ impl EventLog {
     pub fn of_subject(&self, subject: &str) -> Vec<Event> {
         locked(&self.inner)
             .iter()
-            .filter(|e| e.subject == subject)
+            .filter(|e| *e.subject == *subject)
             .cloned()
             .collect()
     }

@@ -1,11 +1,13 @@
 //! Index == scan, generated.
 //!
-//! The pod controllers read the pod store's lifecycle-stage index. The
-//! versions they replaced — one full borrowed scan each, and the
-//! `String`-keyed placement maps — live on here as the references: the
-//! same generated history of pod creates, binding rounds, kubelet
-//! rounds, deletion requests, hard deletes, garbage collections and
-//! behind-the-back failures is applied to an indexed world and to a
+//! The pod controllers walk the pod store's lifecycle-stage index, and
+//! a job's teardown its owner index, editing as they go. The versions
+//! they replaced — one full borrowed scan each, the `String`-keyed
+//! placement maps, and a per-name call for each pod read — live on here
+//! as the references: the same generated history of pod creates,
+//! binding rounds, kubelet rounds, deletion requests, hard deletes, a
+//! job's graceful (past a count) or hard release, garbage collections
+//! and behind-the-back failures is applied to an indexed world and to a
 //! scanning one, and after every step both must have returned the same
 //! thing and hold the same pods, and every index of the indexed store
 //! must hold what a full scan of it files under each key, in the order a
@@ -19,7 +21,7 @@ use hpc_metrics::{Duration, SimTime, VirtualClock};
 use crate::api::{Store, WatchEvent};
 use crate::cluster::ControlPlane;
 use crate::kubelet::{Kubelet, KubeletConfig};
-use crate::resources::{Node, Pod, PodPhase, PodStage};
+use crate::resources::{Node, Pod, PodPhase, PodRole, PodStage};
 use crate::scheduler::{PodScheduler, ScheduleOutcome};
 
 /// The scanning scheduler pass: pending pods cloned out of a full scan,
@@ -149,6 +151,35 @@ fn reap_finished_by_scan(pods: &Store<Pod>) -> usize {
         pods.delete(name).expect("just seen");
     }
     finished.len()
+}
+
+/// The per-name teardown of `job`'s pods: its resource-consuming pods
+/// of `role` (any, for `None`) found by a full scan and put in creation
+/// (= uid) order; each past the first `keep` is deleted by name if
+/// `hard`, or else asked by name to terminate. Returns how many.
+fn release_by_scan(
+    pods: &Store<Pod>,
+    job: &str,
+    role: Option<PodRole>,
+    keep: usize,
+    hard: bool,
+) -> usize {
+    let mut owned: Vec<(u64, Arc<str>)> = Vec::new();
+    pods.for_each(|s| {
+        let p = &s.obj;
+        if *p.owner == *job && p.consumes_resources() && role.is_none_or(|r| p.role == r) {
+            owned.push((s.uid, Arc::clone(&p.name)));
+        }
+    });
+    owned.sort();
+    for (_, name) in owned.iter().skip(keep) {
+        if hard {
+            pods.delete(name).expect("just seen");
+        } else {
+            pods.update(name, |p| p.deleting = true).expect("just seen");
+        }
+    }
+    owned.len().saturating_sub(keep)
 }
 
 struct World {
@@ -290,7 +321,7 @@ proptest::proptest! {
             let arg = word >> 4;
             let name = format!("p{}", arg % 12);
             let both = [&indexed, &scanning];
-            match word % 16 {
+            match word % 18 {
                 0..=3 => {
                     let owner: Arc<str> = format!("j{}", arg % 3).into();
                     let pod = Pod {
@@ -341,6 +372,22 @@ proptest::proptest! {
                     for world in both {
                         let _ = world.nodes.update(&node, |n| n.ready = !n.ready);
                     }
+                }
+                // A shrink's excess workers, or a job's graceful release.
+                15 => {
+                    let job = format!("j{}", arg % 3);
+                    let role = (arg & 4 > 0).then_some(PodRole::Worker);
+                    let keep = (arg >> 3) as usize % 3;
+                    let terminated = plane.terminate_pods_of_job(&job, role, keep);
+                    let by_scan = release_by_scan(&scanning.pods, &job, role, keep, false);
+                    proptest::prop_assert_eq!(terminated, by_scan);
+                }
+                // A job's hard release.
+                16 => {
+                    let job = format!("j{}", arg % 3);
+                    let deleted = plane.delete_pods_of_job(&job);
+                    let by_scan = release_by_scan(&scanning.pods, &job, None, 0, true);
+                    proptest::prop_assert_eq!(deleted, by_scan);
                 }
                 _ => now += Duration::from_secs(f64::from(arg % 4) * 0.5),
             }

@@ -5,8 +5,9 @@
 //! `Succeeded` after a grace period. Driven by explicit `process(now)`
 //! calls so the same code runs under real or virtual time.
 //!
-//! A round reads only the pods the store's lifecycle index files as
-//! starting or terminating; settled pods cost it nothing.
+//! A round walks only the pods the store's lifecycle index files as
+//! starting or terminating, and moves the due ones as it goes; settled
+//! pods cost it nothing.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -74,12 +75,12 @@ impl Kubelet {
     }
 
     /// Advances pod state machines to `now`. Returns the names of pods
-    /// that changed phase. Two indexed reads decide which transitions
-    /// are due; only those pods' names are taken (shared, not copied),
-    /// and the updates run once the store lock is released. Only the
-    /// transitions of pods this round finds starting or terminating are
-    /// carried into the next: one whose pod left those stages by any
-    /// hand (or left the store) is forgotten.
+    /// that changed phase. Two indexed walks, one per stage, decide
+    /// which transitions are due and make them on the spot, under the
+    /// store lock ([`Store::update_in`]). Only the transitions of pods
+    /// this round finds starting or terminating are carried into the
+    /// next: one whose pod left those stages by any hand (or left the
+    /// store) is forgotten.
     pub fn process(&mut self, now: SimTime) -> Vec<Arc<str>> {
         let Kubelet {
             pods,
@@ -87,9 +88,10 @@ impl Kubelet {
             inflight,
         } = self;
         let before = std::mem::take(inflight);
-        // Due transitions as `(pod, to_running)`.
-        let mut due: Vec<(Arc<str>, bool)> = Vec::new();
-        let mut track = |pod: &Stored<Pod>, to_running: bool, latency: Duration| {
+        let mut changed: Vec<Arc<str>> = Vec::new();
+        // Whether `pod`'s transition is due now; one that is not is
+        // carried into the next round.
+        let mut due = |pod: &Stored<Pod>, to_running: bool, latency: Duration| {
             // A transition under way continues, unless the pod changed
             // direction since (deletion overrides a pending start).
             let t = match before.get(&pod.uid) {
@@ -100,32 +102,26 @@ impl Kubelet {
                 },
             };
             if now >= t.due {
-                due.push((Arc::clone(&pod.obj.name), to_running));
+                changed.push(Arc::clone(&pod.obj.name));
             } else {
                 inflight.insert(pod.uid, t);
             }
+            now >= t.due
         };
         // Bound pending pods start; live pods with deletion requested
         // terminate.
-        let (starting, terminating) = (PodStage::Starting, PodStage::Terminating);
-        pods.for_each_in(Pod::BY_STAGE, starting.as_str(), |pod| {
-            track(pod, true, cfg.startup_latency)
+        let start = move |p: &mut Pod| {
+            p.phase = PodPhase::Running;
+            p.started_at = Some(now);
+        };
+        let terminate = |p: &mut Pod| p.phase = PodPhase::Succeeded;
+        pods.update_in(Pod::BY_STAGE, PodStage::Starting.as_str(), |pod| {
+            due(pod, true, cfg.startup_latency).then_some(start)
         });
-        pods.for_each_in(Pod::BY_STAGE, terminating.as_str(), |pod| {
-            track(pod, false, cfg.termination_grace)
+        pods.update_in(Pod::BY_STAGE, PodStage::Terminating.as_str(), |pod| {
+            due(pod, false, cfg.termination_grace).then_some(terminate)
         });
-        for (name, to_running) in &due {
-            pods.update(name, |p| {
-                if *to_running {
-                    p.phase = PodPhase::Running;
-                    p.started_at = Some(now);
-                } else {
-                    p.phase = PodPhase::Succeeded;
-                }
-            })
-            .expect("pod exists");
-        }
-        due.into_iter().map(|(name, _)| name).collect()
+        changed
     }
 }
 

@@ -91,15 +91,11 @@ pub enum PodStage {
 }
 
 impl PodStage {
-    /// The key the stage is indexed under.
+    /// The key the stage is indexed under: one string at one address
+    /// however many crates ask, so the index resolves it by pointer.
     pub fn as_str(self) -> &'static str {
-        match self {
-            PodStage::Unbound => "unbound",
-            PodStage::Starting => "starting",
-            PodStage::Terminating => "terminating",
-            PodStage::Settled => "settled",
-            PodStage::Finished => "finished",
-        }
+        static KEYS: [&str; 5] = ["unbound", "starting", "terminating", "settled", "finished"];
+        KEYS[self as usize]
     }
 }
 

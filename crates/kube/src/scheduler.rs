@@ -10,7 +10,11 @@
 //!
 //! A pass reads the pod store's unbound pods off its lifecycle index,
 //! so one with nothing pending costs nothing; a pass that binds makes
-//! one placement scan of the store, counting into per-node vectors.
+//! one placement scan of the store, counting into per-node vectors, and
+//! then binds in one store call. The scan matches a bound pod to its
+//! node, and to the affinity group it scores, by the shared `Arc<str>`
+//! first (the scheduler binds a pod to its node's own name, and a job's
+//! pods share one group string) and by text only when that misses.
 
 use std::sync::Arc;
 
@@ -55,12 +59,17 @@ impl PodScheduler {
         pending.sort_by(|a, b| {
             (a.obj.created_at.cmp(&b.obj.created_at)).then_with(|| a.obj.name.cmp(&b.obj.name))
         });
-        // The affinity groups this pass scores by.
-        let mut groups: Vec<&str> = (pending.iter())
-            .filter_map(|p| p.obj.affinity_group.as_deref())
+        // The affinity groups this pass scores by, in text order.
+        let mut groups: Vec<&Arc<str>> = (pending.iter())
+            .filter_map(|p| p.obj.affinity_group.as_ref())
             .collect();
         groups.sort_unstable();
         groups.dedup();
+        let shared_groups = by_address(groups.iter().copied());
+        let group_of = |g: &Arc<str>| {
+            (find(&shared_groups, g))
+                .or_else(|| groups.binary_search_by(|known| (*known).cmp(g)).ok())
+        };
 
         // Ready nodes in name order; everything per node is keyed by
         // its position here.
@@ -71,7 +80,11 @@ impl PodScheduler {
             }
         });
         nodes.sort_by(|a, b| a.obj.name.cmp(&b.obj.name));
-        let position = |node: &str| nodes.binary_search_by(|n| (*n.obj.name).cmp(node)).ok();
+        let shared_names = by_address(nodes.iter().map(|n| &n.obj.name));
+        let position = |node: &Arc<str>| {
+            (find(&shared_names, node))
+                .or_else(|| nodes.binary_search_by(|n| n.obj.name.cmp(node)).ok())
+        };
 
         // The placement pass, one borrowed scan of the bound,
         // resource-consuming pods: CPUs committed per node, and pods of
@@ -80,15 +93,14 @@ impl PodScheduler {
         let mut presence = vec![0u32; groups.len() * nodes.len()];
         self.pods.for_each(|pod| {
             let p = &pod.obj;
-            let Some(at) = p.node.as_deref().and_then(position) else {
-                return;
-            };
             if !p.consumes_resources() {
                 return;
             }
+            let Some(at) = p.node.as_ref().and_then(position) else {
+                return;
+            };
             used[at] += p.cpu_request;
-            let group = p.affinity_group.as_deref();
-            if let Some(g) = group.and_then(|g| groups.binary_search(&g).ok()) {
+            if let Some(g) = p.affinity_group.as_ref().and_then(group_of) {
                 presence[g * nodes.len() + at] += 1;
             }
         });
@@ -99,8 +111,8 @@ impl PodScheduler {
         // its `Added` event having been drained since.
         let queue: Vec<(Arc<str>, u32, Option<usize>)> = (pending.iter())
             .map(|pod| {
-                let group = pod.obj.affinity_group.as_deref();
-                let group = group.map(|g| groups.binary_search(&g).expect("collected above"));
+                let group = pod.obj.affinity_group.as_ref();
+                let group = group.map(|g| group_of(g).expect("collected above"));
                 (Arc::clone(&pod.obj.name), pod.obj.cpu_request, group)
             })
             .collect();
@@ -125,14 +137,34 @@ impl PodScheduler {
             if let Some(g) = group {
                 presence[g * nodes.len() + at] += 1;
             }
-            let node = &nodes[at].obj.name;
-            self.pods
-                .update(&pod, |p| p.node = Some(Arc::clone(node)))
-                .expect("pod exists");
-            outcome.bound.push((pod, Arc::clone(node)));
+            outcome.bound.push((pod, Arc::clone(&nodes[at].obj.name)));
         }
+        // The binds, in the order they were decided.
+        let binds = (outcome.bound.iter())
+            .map(|(pod, node)| (pod, move |p: &mut Pod| p.node = Some(Arc::clone(node))));
+        self.pods.update_each(binds).expect("pod exists");
         outcome
     }
+}
+
+/// Where a string sits in its list, keyed by the address of its text:
+/// `(address, position)` per string, sorted by address.
+type Addresses = Vec<(usize, usize)>;
+
+/// The [`Addresses`] of `names`, positioned in the order given.
+fn by_address<'a>(names: impl Iterator<Item = &'a Arc<str>>) -> Addresses {
+    let address = |(at, name): (usize, &Arc<str>)| (Arc::as_ptr(name).cast::<u8>() as usize, at);
+    let mut addresses: Addresses = names.enumerate().map(address).collect();
+    addresses.sort_unstable();
+    addresses
+}
+
+/// The position of the very string `name` shares, if it is listed,
+/// found without reading any text.
+fn find(addresses: &Addresses, name: &Arc<str>) -> Option<usize> {
+    let address = Arc::as_ptr(name).cast::<u8>() as usize;
+    let at = addresses.binary_search_by_key(&address, |&(a, _)| a).ok()?;
+    Some(addresses[at].1)
 }
 
 #[cfg(test)]

@@ -7,6 +7,7 @@
 //! tests run on a [`VirtualClock`] that only moves when told to, which
 //! makes scheduling decisions fully deterministic.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -97,17 +98,28 @@ impl Clock for RealClock {
     }
 }
 
-struct VirtualState {
-    now: SimTime,
-}
-
 /// A clock that advances only under program control.
 ///
 /// Cloning the handle shares the underlying timeline. Sleeping threads
 /// are woken whenever the time is advanced past their deadline.
+///
+/// Reading the time takes no lock: the time lives in an atomic, which
+/// only [`advance`](VirtualClock::advance) and
+/// [`advance_to`](VirtualClock::advance_to) write, each while holding
+/// the mutex [`sleep_until`](Clock::sleep_until) waits on, so no
+/// sleeper can miss the move that wakes it.
 #[derive(Clone)]
 pub struct VirtualClock {
-    state: Arc<(Mutex<VirtualState>, Condvar)>,
+    state: Arc<VirtualState>,
+}
+
+struct VirtualState {
+    /// The current time's `f64` bits.
+    now: AtomicU64,
+    /// Held by every write of `now`, and by sleepers between checking
+    /// the time and waiting.
+    moving: Mutex<()>,
+    moved: Condvar,
 }
 
 impl VirtualClock {
@@ -119,26 +131,34 @@ impl VirtualClock {
     /// A virtual clock starting at `start`.
     pub fn starting_at(start: SimTime) -> Self {
         VirtualClock {
-            state: Arc::new((Mutex::new(VirtualState { now: start }), Condvar::new())),
+            state: Arc::new(VirtualState {
+                now: AtomicU64::new(start.as_secs().to_bits()),
+                moving: Mutex::new(()),
+                moved: Condvar::new(),
+            }),
         }
     }
 
     /// Moves time forward by `d`. Panics if `d` is negative.
     pub fn advance(&self, d: Duration) {
         assert!(d.as_secs() >= 0.0, "cannot advance time backwards");
-        let (lock, cvar) = &*self.state;
-        let mut st = locked(lock);
-        st.now += d;
-        cvar.notify_all();
+        let _moving = locked(&self.state.moving);
+        self.set(self.now() + d);
     }
 
     /// Jumps time to `t`. Panics if `t` is in the past.
     pub fn advance_to(&self, t: SimTime) {
-        let (lock, cvar) = &*self.state;
-        let mut st = locked(lock);
-        assert!(t >= st.now, "cannot advance time backwards");
-        st.now = t;
-        cvar.notify_all();
+        let _moving = locked(&self.state.moving);
+        assert!(t >= self.now(), "cannot advance time backwards");
+        self.set(t);
+    }
+
+    /// Publishes `t` and wakes the sleepers; the caller holds `moving`.
+    fn set(&self, t: SimTime) {
+        self.state
+            .now
+            .store(t.as_secs().to_bits(), Ordering::Release);
+        self.state.moved.notify_all();
     }
 }
 
@@ -150,13 +170,13 @@ impl Default for VirtualClock {
 
 impl Clock for VirtualClock {
     fn now(&self) -> SimTime {
-        locked(&self.state.0).now
+        SimTime::from_secs(f64::from_bits(self.state.now.load(Ordering::Acquire)))
     }
 
     fn sleep_until(&self, deadline: SimTime) {
-        let (lock, cvar) = &*self.state;
-        let _woken = cvar
-            .wait_while(locked(lock), |st| st.now < deadline)
+        let state = &*self.state;
+        let _woken = (state.moved)
+            .wait_while(locked(&state.moving), |_| self.now() < deadline)
             .expect(POISONED);
     }
 }
@@ -226,6 +246,26 @@ mod tests {
         c.advance(Duration::from_secs(5.0));
         let woke_at = h.join().unwrap();
         assert!(woke_at.as_secs() >= 5.0);
+    }
+
+    #[test]
+    fn a_sleeper_woken_by_an_advance_reads_the_time_it_was_advanced_to() {
+        let c = VirtualClock::new();
+        let t = SimTime::from_secs(7.25);
+        let sleeper = {
+            let c = c.clone();
+            std::thread::spawn(move || {
+                c.sleep_until(t);
+                c.now()
+            })
+        };
+        // Short of the deadline: the sleeper keeps waiting.
+        c.advance(Duration::from_secs(3.0));
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        assert!(!sleeper.is_finished());
+        c.advance_to(t);
+        assert_eq!(sleeper.join().unwrap(), t, "read without the lock");
+        assert_eq!(c.now(), t);
     }
 
     #[test]

@@ -9,7 +9,13 @@
 //! The pod store is not scanned either: the scheduler, the kubelet and
 //! garbage collection read its lifecycle-stage index, so a tick in which
 //! no pod changed visits no pod, however many are settled. The one scan
-//! left is the placement pass of a round that binds pods.
+//! left is the placement pass of a round that binds pods. What those
+//! reads find is edited where it is found: the kubelet and garbage
+//! collection walk their stage's list and update or delete each due pod
+//! in the same call (`Store::update_in` / `Store::delete_in`), a job's
+//! teardown walks its owner list the same way, and a binding round's
+//! binds go through one `Store::update_each`. None of them counts as a
+//! scan, so the counts below are those of the reads alone.
 
 use std::sync::Arc;
 
