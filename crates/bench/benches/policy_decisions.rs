@@ -8,7 +8,11 @@
 //! the rigid baselines' `on_complete` against a blocked head with
 //! a deep backlog behind it (queue 100 / 1 000 / 10 000 × free slots
 //! 0 / 3 / 64): the cost must follow the candidates that fit the free
-//! slots, not the queue depth; and the elastic policy's two decisions
+//! slots, not the queue depth; the elastic policy's completion over
+//! that backlog with 2 free slots, which no queued job fits once its
+//! launcher is paid (Fig. 3's queued lane drops every footprint
+//! bucket, so the cost must stay flat in the queue depth); and the
+//! elastic policy's two decisions
 //! with every running job (256 / 4 096) inside its rescale gap: the
 //! cost must follow the jobs the gap lets it touch — none — not the
 //! running population. `view_upkeep` is the other side of those
@@ -139,6 +143,7 @@ fn bench_backlog() {
             backfill_patience: Duration::INFINITY,
         }),
     ];
+    let elastic = Policy::elastic(elastic_cfg());
     for &queue in &[100usize, 1000, 10_000] {
         for &free in &[0u32, 3, 64] {
             let view = deep_backlog(queue, free);
@@ -147,6 +152,13 @@ fn bench_backlog() {
                 bench(&label, || policy.on_complete(&view, now));
             }
         }
+        // The running jobs sit at their maximum, so nothing takes the
+        // leftover: the walk must end without visiting the queue.
+        let view = deep_backlog(queue, 2);
+        bench(
+            &format!("backlog/on_complete/elastic/free2/{queue}"),
+            || elastic.on_complete(&view, now),
+        );
     }
 }
 

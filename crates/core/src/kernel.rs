@@ -573,8 +573,13 @@ impl Kernel {
                 .with_fault_stats(self.fault_stats());
         };
         // Stable: ties keep id (= admission) order, so the float sums
-        // inside the metrics are reproducible run to run.
-        outcomes.sort_by_key(|o| o.submitted_at);
+        // inside the metrics are reproducible run to run. Ids are
+        // workload order in a replay, so the outcomes usually arrive
+        // sorted, and a stable sort of a sorted slice is the identity:
+        // skip it, and the scratch buffer it would allocate.
+        if !outcomes.is_sorted_by_key(|o| o.submitted_at) {
+            outcomes.sort_by_key(|o| o.submitted_at);
+        }
         let utilization = self.util.average_utilization(first, last);
         RunMetrics::from_outcomes(policy.name(), outcomes, utilization, self.rescales)
             .with_fault_stats(self.fault_stats())
@@ -747,7 +752,7 @@ impl Kernel {
     fn flaky_victim(&self, op: FlakyOp) -> Option<JobId> {
         // Any order over the running set yields the same extreme id;
         // the last-action list is the one whose upkeep is O(1), so a
-        // flaky storm builds no priority tree under an EASY/FCFS run.
+        // flaky storm builds no priority order under an EASY/FCFS run.
         let holding = self.view.running_by_last_action().map(|j| j.id());
         match op {
             FlakyOp::CrashOnStart => holding.max(),

@@ -93,10 +93,11 @@
 //!   cache line per visited job — with submission time and walltime
 //!   estimate in cold columns) and carried `free_slots` / job
 //!   counters, all updated in O(1) per mutation, `job(id)` in O(1).
-//!   The ordered indexes over it are **pay-per-use**: `BTreeSet`s
-//!   keyed `(Reverse(priority), submitted_at, JobId)` serving
-//!   `running_scan` / `queued_desc_priority`, the running
-//!   jobs by last scheduling action behind
+//!   The ordered indexes over it are **pay-per-use**: the priority
+//!   orders behind `running_scan` / `queued_desc_priority` (and
+//!   [`ClusterView::queued_fitting_by_priority`], Fig. 3's queued lane,
+//!   which skips the footprint buckets the leftover cannot start), the
+//!   running jobs by last scheduling action behind
 //!   [`ClusterView::running_by_last_action`] (the elastic policy's gap
 //!   cursor: the jobs `T_rescale_gap` lets a decision touch are a
 //!   prefix of it), the submission order behind `queued_scan`, the
@@ -106,9 +107,9 @@
 //!   `insert` / `remove` / [`apply_action`] only from then on — a run
 //!   maintains exactly the indexes its policy walks
 //!   ([`ClusterView::built_indexes`]). Keys that land anywhere (the
-//!   priority orders, the frontier) live in trees at O(log n) per
-//!   mutation; keys that arrive at an end (last action, submission
-//!   order, its footprint buckets) live in lists linked through the
+//!   frontier) live in a tree at O(log n) per mutation; keys that
+//!   arrive at an end (last action, submission order within a
+//!   footprint or priority bucket) live in lists linked through the
 //!   arena, O(1) upkeep for an arrival. Reads are O(k); one view per
 //!   run, zero rebuilds, zero `String`s.
 //!   A property test (`view_equivalence`) proves any event sequence,

@@ -39,6 +39,16 @@
 //! gap row by row. Neither walk ages a job: the paper's aging remedy
 //! (§3.2.2) is the [`AgingSweep`](super::AgingSweep) decorator, which
 //! re-runs Fig. 2 on a timer against boosted priorities.
+//!
+//! Nor does Fig. 3 walk the whole queue when the leftover slots start
+//! none of it. Its queued lane is
+//! [`ClusterView::queued_fitting_by_priority`]: queued jobs in priority
+//! order, drawn from footprint buckets, shrunk to the workers left
+//! after every grant. A queued job whose spec minimum exceeds them can
+//! never act (no kind's effective minimum is below the spec one), and
+//! the budget only falls along the walk, so the rows the lane skips
+//! are exactly those the full walk would have passed over. Fig. 3 then
+//! costs O(jobs it may act on + buckets), not O(queue).
 
 use hpc_metrics::{JobId, SimTime};
 
@@ -46,27 +56,24 @@ use crate::view::{Action, ClusterView, JobFields, JobRef, JobState};
 
 use super::Policy;
 
-/// The policy's replica bounds for `job`, clamped so that the job plus
-/// its launcher can physically fit the cluster. The clamp matters only
-/// for the rigid-max emulation: an XLarge job pinned to 64 replicas
-/// can never coexist with its launcher on a 64-slot cluster (on the
-/// paper's EKS testbed the launcher pod is not CPU-bound, so their
-/// emulation still fit).
+/// The policy's replica bounds for `job`, the maximum clamped so that
+/// the job plus its launcher can physically fit the cluster. The clamp
+/// matters most for the rigid-max emulation: an XLarge job pinned to 64
+/// replicas can never coexist with its launcher on a 64-slot cluster
+/// (on the paper's EKS testbed the launcher pod is not CPU-bound, so
+/// their emulation still fit), so its pin follows the clamped maximum.
+///
+/// The minimum is never below the spec minimum, for any kind: a job
+/// whose spec minimum cannot fit stays queued. So a queued job whose
+/// spec minimum exceeds the workers on offer is one no kind can start
+/// — what lets Fig. 3's queued lane skip its footprint bucket.
 fn effective_bounds<J: JobFields>(policy: &Policy, capacity: u32, job: &J) -> (u32, u32) {
     let cap_workers = capacity.saturating_sub(policy.cfg.launcher_slots).max(1);
+    let (mn, mx) = policy.bounds(job);
+    let mx = mx.min(cap_workers);
     match policy.kind {
-        // The rigid-max *emulation* pinned the minimum; clamping it is
-        // an emulation detail, not a spec violation.
-        super::PolicyKind::RigidMax => {
-            let m = job.max_replicas().min(cap_workers);
-            (m, m)
-        }
-        // A user-specified minimum is never silently lowered — a job
-        // whose spec minimum cannot fit stays queued (guarded below).
-        _ => {
-            let (mn, mx) = policy.bounds(job);
-            (mn, mx.min(cap_workers))
-        }
+        super::PolicyKind::RigidMax => (mx.max(job.min_replicas()), mx),
+        _ => (mn, mx),
     }
 }
 
@@ -79,17 +86,26 @@ fn effective_bounds<J: JobFields>(policy: &Policy, capacity: u32, job: &J) -> (u
 /// gap: sorting that many costs more than the walk it replaces (which
 /// ends early, and at worst visits each running job once), so the
 /// caller filters the running priority order instead.
+///
+/// A non-empty list is sized up front for the most rows it can take:
+/// collected from a `take_while`, it would start at four and regrow,
+/// and this runs on every decision.
 fn actionable_running<'a>(
     policy: &Policy,
     view: &'a ClusterView,
     now: SimTime,
 ) -> Option<Vec<JobRef<'a>>> {
     let handful = view.running_count() / 16;
-    let mut jobs: Vec<JobRef<'a>> = view
+    let mut open = view
         .running_by_last_action()
         .take_while(|j| !policy.gap_blocked(j, now))
         .take(handful + 1)
-        .collect();
+        .peekable();
+    if open.peek().is_none() {
+        return Some(Vec::new());
+    }
+    let mut jobs = Vec::with_capacity(handful + 1);
+    jobs.extend(open);
     if jobs.len() > handful {
         return None;
     }
@@ -258,24 +274,12 @@ fn distribute_to<J: JobFields>(
     }
 }
 
-/// Two lanes, each already in decreasing priority order, as one.
-fn merge_by_priority<'a>(
-    a: impl Iterator<Item = JobRef<'a>>,
-    b: impl Iterator<Item = JobRef<'a>>,
-) -> impl Iterator<Item = JobRef<'a>> {
-    let (mut a, mut b) = (a.peekable(), b.peekable());
-    std::iter::from_fn(move || match (a.peek(), b.peek()) {
-        (Some(x), Some(y)) if y.cmp_priority(x).is_lt() => b.next(),
-        (Some(_), _) => a.next(),
-        (None, _) => b.next(),
-    })
-}
-
 /// Fig. 3: redistribution when slots free up (a job completed).
 ///
 /// The candidates are the running jobs the gap lets this decision
-/// touch and every queued job, walked in decreasing priority until the
-/// free slots are spent: the two lanes merged, no sort of the queue.
+/// touch and every queued job the leftover can start, walked in
+/// decreasing priority until the free slots are spent: the two lanes
+/// merged, no sort of the queue.
 pub(super) fn plan_complete(policy: &Policy, view: &ClusterView, now: SimTime) -> Vec<Action> {
     if view.free_slots() == 0 {
         return Vec::new();
@@ -290,7 +294,8 @@ pub(super) fn plan_complete(policy: &Policy, view: &ClusterView, now: SimTime) -
 }
 
 /// Fig. 3 over `running` — the running jobs this decision may expand,
-/// highest priority first — and the queue.
+/// highest priority first — and the queued jobs that fit the workers
+/// left at each step.
 fn redistribute<'a>(
     policy: &Policy,
     view: &'a ClusterView,
@@ -298,14 +303,23 @@ fn redistribute<'a>(
 ) -> Vec<Action> {
     let launcher = i64::from(policy.cfg.launcher_slots);
     let mut num_workers = i64::from(view.free_slots());
+    // The largest spec minimum a queued job can start at with its
+    // launcher paid for (`distribute_to`'s queued branch).
+    let fit = |num_workers: i64| u32::try_from(num_workers - launcher).unwrap_or(0);
     let mut actions = Vec::new();
     // A running job already at its maximum takes nothing wherever it
     // ranks: out of the lane, so it costs the walk no comparison.
-    let running = running.filter(|j| j.replicas() < effective_bounds(policy, view.capacity(), j).1);
-    for j in merge_by_priority(running, view.queued_desc_priority()) {
-        if num_workers <= 0 {
-            break;
-        }
+    let mut running = running
+        .filter(|j| j.replicas() < effective_bounds(policy, view.capacity(), j).1)
+        .peekable();
+    let mut queued = view.queued_fitting_by_priority(fit(num_workers));
+    while num_workers > 0 {
+        let j = match (running.peek(), queued.peek()) {
+            (Some(r), Some(q)) if q.cmp_priority(r).is_lt() => queued.next(),
+            (Some(_), _) => running.next(),
+            (None, _) => queued.next(),
+        };
+        let Some(j) = j else { break };
         distribute_to(
             policy,
             view.capacity(),
@@ -314,6 +328,7 @@ fn redistribute<'a>(
             &mut num_workers,
             &mut actions,
         );
+        queued.shrink_to(fit(num_workers));
     }
     actions
 }
@@ -692,6 +707,29 @@ mod tests {
     }
 
     #[test]
+    fn rigid_max_never_starts_a_job_below_its_spec_minimum() {
+        // Min 70 cannot fit 64 slots: the clamp that pins rigid-max
+        // jobs to the cluster's 63 workers must not start it at 63.
+        let pol = Policy::rigid_max(cfg(180.0));
+        let v = view(64, vec![job(0, 3, 0.0, 70, 80)]);
+        assert_eq!(
+            pol.on_submit(&v, JobId(0), t(0.0)),
+            vec![Action::Enqueue { job: JobId(0) }]
+        );
+        assert!(pol.on_complete(&v, t(0.0)).is_empty());
+        // The pin still follows the clamped maximum for a job whose
+        // minimum fits: 64 replicas is capped at 63.
+        let v = view(64, vec![job(0, 3, 0.0, 8, 64)]);
+        assert_eq!(
+            pol.on_submit(&v, JobId(0), t(0.0)),
+            vec![Action::Create {
+                job: JobId(0),
+                replicas: 63
+            }]
+        );
+    }
+
+    #[test]
     fn rigid_min_never_uses_extra_room() {
         let pol = Policy::rigid_min(cfg(180.0));
         let new = job(0, 3, 0.0, 4, 16);
@@ -892,18 +930,6 @@ mod tests {
         ) {
             let (priorities, instants) = if seed & 1 == 0 { (2, 3) } else { (5, 12) };
             let mut base = crate::view::tests::random_backlog_of(seed, priorities, instants);
-            // Jobs no cluster this size can hold are not this test's
-            // business (rigid-max's clamp would start them below their
-            // spec minimum, which `apply_action` rejects).
-            let cap_workers = base.capacity() - 1;
-            let impossible: Vec<JobId> = base
-                .queued_scan()
-                .filter(|j| j.min_replicas() > cap_workers)
-                .map(|j| j.id())
-                .collect();
-            for id in impossible {
-                base.remove(id, 1);
-            }
             // Two cases in three, pad the cluster with small running
             // jobs: most acted on after every `now` below (blocked
             // throughout), up to three never acted on and free to

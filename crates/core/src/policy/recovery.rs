@@ -129,7 +129,7 @@ impl RecoveryPolicy {
 /// priority order. A fault asks this rarely, so it sorts the
 /// last-action list (O(1) upkeep, and the transient-fault victim pick
 /// reads it anyway) once per fault instead of having every start and
-/// completion after the first fault keep a running-priority tree
+/// completion after the first fault keep the running priority order
 /// current — which is why a rigid baseline under faults builds no
 /// priority order.
 fn lowest_priority_first(view: &ClusterView) -> Vec<JobRef<'_>> {

@@ -14,8 +14,8 @@
 //! (`HotJob`: replica bounds, priority, live replicas, last action,
 //! liveness flags) holds everything the hot policy scans (priority
 //! walks, gap checks, footprint sums) and per-action updates touch —
-//! one cache line per visited job even when the `BTreeSet` priority
-//! order is random in index space — while the cold columns
+//! one cache line per visited job even when an index's order is
+//! random in id space — while the cold columns
 //! (`submitted_at`, `walltime_estimate`) stay off the scan path.
 //! [`JobState`] is a plain `Copy` value *assembled from* the arena on
 //! read; [`JobRef`] is the lazy cursor that loads only the columns a
@@ -32,28 +32,35 @@
 //! end; queued jobs by descending priority, by submission and bucketed
 //! by minimum footprint — is a pure function of the arena rows, built
 //! from them (O(n log n), once) the first time an accessor reads it
-//! through `&self`, and kept current by `insert`/`remove`/
+//! through `&self` (the two priority orders, which share storage, are
+//! built together), and kept current by `insert`/`remove`/
 //! [`apply_action`] *from then on*. Which structure holds an order is
 //! picked by where its keys land:
 //!
-//! * **Three `BTreeSet`s, O(log n) per mutation**, for the keys that
-//!   land anywhere. Both priority orders key on
-//!   `(priority, submitted_at, id)`, and a new priority can rank
-//!   anywhere; the completion frontier keys on `(estimated end, id)`,
+//! * **One `BTreeSet`, O(log n) per mutation**, for the keys that land
+//!   anywhere: the completion frontier keys on `(estimated end, id)`,
 //!   and an end is the action instant plus a per-job estimate.
-//! * **Three key-ordered, doubly-linked lists (`KeyedList`) through
+//! * **Key-ordered, doubly-linked lists (`KeyedList`) through
 //!   `[prev, next]` link columns beside the arena**, for the keys that
 //!   arrive at an end. The last-action order keys on
 //!   `(last_action, id)`, written from the engine's clock, so a start
-//!   or a rescale belongs at the tail. The FCFS queue and its
-//!   footprint buckets (one list per `min_replicas`, sharing one link
-//!   column — a queued job sits in exactly one bucket) key on
-//!   `(submitted_at, id)`: an arrival lands at the tail, a requeue —
-//!   keyed at its backoff deadline — at the tail too, and an evicted
-//!   job, older work started from the head, near the head. Leaving a
-//!   list is an O(1) unlink; entering it is a search that walks in
-//!   from the head and the tail alternately, O(distance to the nearer
-//!   end) and exact for any key.
+//!   or a rescale belongs at the tail. Every other list keys on
+//!   `(submitted_at, id)`: the FCFS queue, its footprint buckets (one
+//!   list per `min_replicas`), and the two priority orders, bucketed
+//!   so that inside a bucket only that key is left — running jobs one
+//!   list per priority, read in descending priority, and queued jobs
+//!   one per `(min_replicas, priority)`, merged by priority. Buckets
+//!   share their index's link column (a job sits in at most one of
+//!   them), and so do the two priority orders, since a job is running
+//!   or queued, never both. An arrival lands at its bucket's tail, a
+//!   requeue — keyed at its backoff deadline — at the tail too, an
+//!   evicted job, older work started from the head, near the head, and
+//!   a start near the tail of its running list (most of what runs was
+//!   submitted before it; what was submitted after it and started
+//!   first is what it walks past). Leaving a list is an O(1) unlink;
+//!   entering it is a search that walks in from the head and the tail
+//!   alternately, O(distance to the nearer end) and exact for any key,
+//!   plus an O(log buckets) lookup of its bucket.
 //!
 //! An index no policy of the run ever reads costs nothing: the
 //! elastic policy never pays for the FCFS queue, the completion
@@ -77,6 +84,13 @@
 //! walk when so few jobs are inside the gap that the prefix is most of
 //! the cluster.
 //!
+//! The queued priority lane answers Fig. 3's question — *which queued
+//! jobs, highest priority first, can the workers left start?* —
+//! through [`ClusterView::queued_fitting_by_priority`]: the queued
+//! priority buckets whose footprint fits, merged by priority and then
+//! submission, each dropped as the workers left fall below its
+//! footprint. A queue the leftover cannot start is never walked.
+//!
 //! The footprint index answers the one question the rigid baselines
 //! ask of a deep backlog — *which queued jobs behind the blocked head
 //! still fit the free slots?* — through
@@ -86,21 +100,19 @@
 //! costs O(candidates that fit), not O(queue).
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 use hpc_metrics::{Duration, JobId, SimTime};
 
-/// Priority ordering key: higher priority first, then earlier
-/// submission (paper §3.2.1), then the interned id — the final
-/// tie-breaker that makes equal-`(priority, submitted_at)` jobs order
-/// identically in the operator and the simulator (ids are assigned in
-/// admission order in both).
-type OrderKey = (Reverse<u32>, SimTime, JobId);
-
 /// Queue ordering key: submission time, then the interned id. (The
 /// estimated-end and last-action indexes share the shape: an instant,
-/// then id.)
+/// then id.) Inside one priority bucket it is also the priority order:
+/// higher priority first, then earlier submission (paper §3.2.1), then
+/// the interned id — the final tie-breaker that makes
+/// equal-`(priority, submitted_at)` jobs order identically in the
+/// operator and the simulator (ids are assigned in admission order in
+/// both).
 type QueueKey = (SimTime, JobId);
 
 /// A job as the policy sees it: a by-value snapshot assembled from the
@@ -215,24 +227,18 @@ impl JobRef<'_> {
         self.arena.walltime_estimate[self.idx]
     }
 
-    /// Where `self` stands relative to `other` in every priority order
-    /// (the indexes' `OrderKey`): higher priority first, then earlier
-    /// submission, then the interned id. The submission times (a
-    /// cold-column load each) are read only to break a priority tie —
-    /// for a caller that sorts or merges what the time-ordered scans
-    /// selected.
+    /// Where `self` stands relative to `other` in every priority order:
+    /// higher priority first, then earlier submission, then the
+    /// interned id. The submission times (a cold-column load each) are
+    /// read only to break a priority tie — for a caller that sorts or
+    /// merges what the time-ordered scans selected.
     #[inline]
     pub fn cmp_priority(&self, other: &Self) -> Ordering {
-        let ordering = other
+        other
             .priority()
             .cmp(&self.priority())
             .then_with(|| self.submitted_at().cmp(&other.submitted_at()))
-            .then_with(|| self.idx.cmp(&other.idx));
-        debug_assert_eq!(
-            ordering,
-            (self.arena.order_key(self.idx)).cmp(&other.arena.order_key(other.idx))
-        );
-        ordering
+            .then_with(|| self.idx.cmp(&other.idx))
     }
 
     /// The whole job assembled by value — for the slow paths that sort
@@ -374,14 +380,6 @@ impl JobArena {
         self.walltime_estimate[idx] = job.walltime_estimate;
     }
 
-    fn order_key(&self, idx: usize) -> OrderKey {
-        (
-            Reverse(self.hot[idx].priority),
-            self.submitted_at[idx],
-            JobId(idx as u32),
-        )
-    }
-
     /// Column-level [`JobState::estimated_end`].
     fn estimated_end(&self, idx: usize) -> SimTime {
         match (self.is_running(idx), self.walltime_estimate[idx]) {
@@ -426,17 +424,31 @@ impl JobArena {
     // read builds, and what `ClusterView::eq` holds a maintained index
     // to.
 
-    fn running_order(&self) -> BTreeSet<OrderKey> {
-        self.running().map(|i| self.order_key(i)).collect()
+    /// The running jobs' bucket: their priority, highest first.
+    fn running_bucket(&self, idx: usize) -> RunningBucket {
+        Reverse(self.hot[idx].priority)
+    }
+
+    /// The queued jobs' bucket: footprint, then priority, highest first.
+    fn queued_bucket(&self, idx: usize) -> QueuedBucket {
+        (self.hot[idx].min_replicas, Reverse(self.hot[idx].priority))
+    }
+
+    fn priority_orders(&self) -> PriorityIndex {
+        let mut links = vec![[NIL; 2]; self.len()];
+        let keyed = |i: usize| self.queue_key(i as u32);
+        let running = self.running().map(|i| (self.running_bucket(i), keyed(i)));
+        let queued = self.queued().map(|i| (self.queued_bucket(i), keyed(i)));
+        let ends = PriorityBuckets {
+            running: bucketed(&mut links, running.collect()),
+            queued: bucketed(&mut links, queued.collect()),
+        };
+        KeyedList { ends, links }
     }
 
     fn running_action_order(&self) -> OrderList {
         let keys = self.running().map(|i| self.action_key(i as u32));
         OrderList::from_keys(self.len(), keys.collect())
-    }
-
-    fn queued_priority_order(&self) -> BTreeSet<OrderKey> {
-        self.queued().map(|i| self.order_key(i)).collect()
     }
 
     fn queued_order(&self) -> OrderList {
@@ -449,21 +461,12 @@ impl JobArena {
     }
 
     fn queued_footprint(&self) -> FootprintIndex {
-        let mut keys: Vec<(u32, QueueKey)> = self
+        let mut links = vec![[NIL; 2]; self.len()];
+        let keys = self
             .queued()
-            .map(|i| (self.hot[i].min_replicas, self.queue_key(i as u32)))
-            .collect();
-        keys.sort_unstable();
-        let mut buckets = FootprintIndex {
-            ends: BTreeMap::new(),
-            links: vec![[NIL; 2]; self.len()],
-        };
-        for (min, (_, JobId(id))) in keys {
-            let ends = buckets.ends.entry(min).or_insert([NIL; 2]);
-            let tail = ends[PREV];
-            link_after(&mut buckets.links, ends, tail, id);
-        }
-        buckets
+            .map(|i| (self.hot[i].min_replicas, self.queue_key(i as u32)));
+        let ends = bucketed(&mut links, keys.collect());
+        KeyedList { ends, links }
     }
 }
 
@@ -493,9 +496,9 @@ type Ends = [u32; 2];
 /// Key-ordered, doubly-linked lists of job ids threaded through one
 /// `[prev, next]` link column indexed by `JobId`, beside the arena.
 /// `ends` holds one list's [`Ends`] ([`OrderList`]) or one per bucket
-/// ([`FootprintIndex`]): a job sits in at most one list of a column,
-/// so buckets can share it. The keys — an instant, then the id — are
-/// read from the arena on demand, never stored.
+/// ([`FootprintIndex`], [`PriorityIndex`]): a job sits in at most one
+/// list of a column, so buckets can share it. The keys — an instant,
+/// then the id — are read from the arena on demand, never stored.
 ///
 /// Every list the view keeps has keys that arrive at an end (module
 /// docs, "Complexity contract"), so O(1) links keep it where a
@@ -510,10 +513,43 @@ struct KeyedList<E> {
 /// A single key-ordered list: the last-action order and the FCFS queue.
 type OrderList = KeyedList<Ends>;
 
+/// Lists keyed by bucket, each in `(instant, id)` order through the
+/// column they share, in bucket order; an emptied bucket is dropped,
+/// so the buckets are a pure function of the rows they hold. A sorted
+/// vector, not a tree: buckets are few (one per priority or footprint
+/// class), found by binary search, and they come and go all through a
+/// replay — a vector keeps its storage where a tree would free and
+/// allocate nodes.
+type Buckets<K> = Vec<(K, Ends)>;
+
+/// The leading buckets keyed at most `last`.
+fn up_to<'a, K: Ord>(buckets: &'a Buckets<K>, last: &K) -> &'a [(K, Ends)] {
+    &buckets[..buckets.partition_point(|(bucket, _)| bucket <= last)]
+}
+
 /// Queued jobs bucketed by `min_replicas`, submission order inside each
-/// bucket; an emptied bucket is dropped, so the map is a pure function
-/// of the queued rows.
-type FootprintIndex = KeyedList<BTreeMap<u32, Ends>>;
+/// bucket.
+type FootprintIndex = KeyedList<Buckets<u32>>;
+
+/// A running job's priority bucket: its priority, highest first.
+type RunningBucket = Reverse<u32>;
+
+/// A queued job's priority bucket: its `min_replicas`, then its
+/// priority, highest first — so the buckets a fit can start lead.
+type QueuedBucket = (u32, Reverse<u32>);
+
+/// The two priority orders, bucketed so that only `(submitted_at, id)`
+/// orders a bucket: the running buckets are read in descending
+/// priority, the queued ones merged by it. A job is running or queued,
+/// never both, so the two share one link column.
+#[derive(Debug, Clone)]
+struct PriorityBuckets {
+    running: Buckets<RunningBucket>,
+    queued: Buckets<QueuedBucket>,
+}
+
+/// Running jobs by priority and queued jobs by priority and footprint.
+type PriorityIndex = KeyedList<PriorityBuckets>;
 
 /// Where the link leaving `from` along `dir` lives: `from`'s own half
 /// link, or — from outside the list (`NIL`) — the end a walk along
@@ -577,19 +613,120 @@ fn unlink(links: &mut [[u32; 2]], ends: &mut Ends, id: u32) {
     );
 }
 
-/// The linked ids from `from` along the `dir` links.
-fn walk(links: &[[u32; 2]], from: u32, dir: usize) -> impl Iterator<Item = u32> + '_ {
-    let linked = |id: u32| (id != NIL).then_some(id);
-    std::iter::successors(linked(from), move |&id| linked(links[id as usize][dir]))
+/// The linked ids of the list `ends` bounds, head first — or tail
+/// first, `.rev()`.
+fn walk(links: &[[u32; 2]], ends: Ends) -> Walk<'_> {
+    Walk { links, ends }
+}
+
+/// [`walk`]'s iterator: a list read from both ends at once, the two
+/// walks stopping where they meet.
+struct Walk<'a> {
+    links: &'a [[u32; 2]],
+    /// The stretch not yielded yet, as the list's [`Ends`].
+    ends: Ends,
+}
+
+impl Walk<'_> {
+    /// Yields the end a walk along `dir` starts at and moves it on.
+    #[inline]
+    fn step(&mut self, dir: usize) -> Option<u32> {
+        let id = self.ends[dir];
+        if id == NIL {
+            return None;
+        }
+        if id == self.ends[dir ^ 1] {
+            self.ends = [NIL; 2];
+        } else {
+            self.ends[dir] = self.links[id as usize][dir];
+        }
+        Some(id)
+    }
+}
+
+impl Iterator for Walk<'_> {
+    type Item = u32;
+
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        self.step(NEXT)
+    }
+}
+
+impl DoubleEndedIterator for Walk<'_> {
+    #[inline]
+    fn next_back(&mut self) -> Option<u32> {
+        self.step(PREV)
+    }
 }
 
 /// The same ids in the same order, read both ways round — so a
 /// maintained list held to its from-scratch definition has its `prev`
 /// links checked along with the `next` links every reader follows.
 fn same_walks(links: &[[u32; 2]], ends: &Ends, other: &[[u32; 2]], other_ends: &Ends) -> bool {
-    [NEXT, PREV]
-        .into_iter()
-        .all(|dir| walk(links, ends[dir], dir).eq(walk(other, other_ends[dir], dir)))
+    walk(links, *ends).eq(walk(other, *other_ends))
+        && walk(links, *ends).rev().eq(walk(other, *other_ends).rev())
+}
+
+/// The same buckets, each holding the same ids in the same order read
+/// both ways round.
+fn same_buckets<K: Ord>(
+    links: &[[u32; 2]],
+    buckets: &Buckets<K>,
+    other: &[[u32; 2]],
+    other_buckets: &Buckets<K>,
+) -> bool {
+    buckets.len() == other_buckets.len()
+        && buckets
+            .iter()
+            .zip(other_buckets)
+            .all(|((a, ends), (b, other_ends))| {
+                a == b && same_walks(links, ends, other, other_ends)
+            })
+}
+
+/// The buckets of the ids in `keys` (`(bucket, key)` pairs), each a
+/// list in key order linked through `links`.
+fn bucketed<K: Ord>(links: &mut [[u32; 2]], mut keys: Vec<(K, QueueKey)>) -> Buckets<K> {
+    keys.sort_unstable();
+    let mut buckets: Buckets<K> = Vec::new();
+    for (bucket, (_, JobId(id))) in keys {
+        if buckets.last().is_none_or(|(last, _)| *last != bucket) {
+            buckets.push((bucket, [NIL; 2]));
+        }
+        let (_, ends) = buckets.last_mut().expect("a bucket was just pushed");
+        let tail = ends[PREV];
+        link_after(links, ends, tail, id);
+    }
+    buckets
+}
+
+/// Bucket upkeep is one call either way round: `enter` links `id` into
+/// `bucket` at its `key` position, opening the bucket if it is new;
+/// otherwise it is unlinked, and a bucket that emptied is dropped.
+fn toggle_bucketed<K: Ord>(
+    buckets: &mut Buckets<K>,
+    links: &mut Vec<[u32; 2]>,
+    bucket: K,
+    id: u32,
+    key: impl Fn(u32) -> QueueKey,
+    enter: bool,
+) {
+    let found = buckets.binary_search_by(|(other, _)| other.cmp(&bucket));
+    match (found, enter) {
+        (Ok(at), true) => link_sorted(links, &mut buckets[at].1, id, key),
+        (Err(at), true) => {
+            buckets.insert(at, (bucket, [NIL; 2]));
+            link_sorted(links, &mut buckets[at].1, id, key);
+        }
+        (Ok(at), false) => {
+            unlink(links, &mut buckets[at].1, id);
+            if buckets[at].1[NEXT] == NIL {
+                buckets.remove(at);
+            }
+        }
+        (Err(_), false) => panic!("bucket out of step with the arena"),
+    }
 }
 
 #[cfg(test)]
@@ -623,8 +760,8 @@ impl OrderList {
     }
 
     /// The linked ids, head first.
-    fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        walk(&self.links, self.ends[NEXT], NEXT)
+    fn iter(&self) -> Walk<'_> {
+        walk(&self.links, self.ends)
     }
 }
 
@@ -634,38 +771,17 @@ impl PartialEq for OrderList {
     }
 }
 
-impl FootprintIndex {
-    fn insert(&mut self, bucket: u32, id: u32, key: impl Fn(u32) -> QueueKey) {
-        let ends = self.ends.entry(bucket).or_insert([NIL; 2]);
-        link_sorted(&mut self.links, ends, id, key);
-    }
-
-    /// Unlinks `id` from `bucket`, dropping the bucket if that emptied
-    /// it.
-    fn unlink(&mut self, bucket: u32, id: u32) {
-        let ends = self
-            .ends
-            .get_mut(&bucket)
-            .expect("footprint bucket out of step with the arena");
-        unlink(&mut self.links, ends, id);
-        if ends[NEXT] == NIL {
-            self.ends.remove(&bucket);
-        }
+impl PartialEq for FootprintIndex {
+    fn eq(&self, other: &Self) -> bool {
+        same_buckets(&self.links, &self.ends, &other.links, &other.ends)
     }
 }
 
-/// The same buckets, each holding the same ids in the same order read
-/// both ways round.
-impl PartialEq for FootprintIndex {
+impl PartialEq for PriorityIndex {
     fn eq(&self, other: &Self) -> bool {
-        self.ends.len() == other.ends.len()
-            && self
-                .ends
-                .iter()
-                .zip(&other.ends)
-                .all(|((a, ends), (b, other_ends))| {
-                    a == b && same_walks(&self.links, ends, &other.links, other_ends)
-                })
+        let (ours, theirs) = (&self.ends, &other.ends);
+        same_buckets(&self.links, &ours.running, &other.links, &theirs.running)
+            && same_buckets(&self.links, &ours.queued, &other.links, &theirs.queued)
     }
 }
 
@@ -673,15 +789,17 @@ impl PartialEq for FootprintIndex {
 /// are therefore maintained) — see [`ClusterView::built_indexes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BuiltIndexes {
-    /// Running jobs by descending priority (`running_scan`), a
-    /// `BTreeSet` — read by the elastic policy only.
+    /// Running jobs by descending priority (`running_scan`), a linked
+    /// list per priority — read by the elastic policy only, and built
+    /// with `queued_priority_order`, whose lists share its link column.
     pub running_order: bool,
     /// Running jobs by last scheduling action
     /// (`running_by_last_action`), a linked list — the elastic
     /// policy's gap cursor, and what a fault ranks its victims from.
     pub running_action_order: bool,
-    /// Queued jobs by descending priority (`queued_desc_priority`), a
-    /// `BTreeSet` — the queued lane of the elastic Fig. 3 walk.
+    /// Queued jobs by descending priority (`queued_desc_priority`,
+    /// `queued_fitting_by_priority`), a linked list per priority and
+    /// minimum footprint — the queued lane of the elastic Fig. 3 walk.
     pub queued_priority_order: bool,
     /// Queued jobs by submission (`queued_scan`), a linked list.
     pub queued_order: bool,
@@ -714,11 +832,12 @@ pub struct ClusterView {
     running: usize,
     // The pay-per-use ordered indexes: unset until first read, then
     // maintained by every mutation (module docs, "Complexity contract").
-    running_order: OnceLock<BTreeSet<OrderKey>>,
+    /// Both priority orders, bucketed: built together, since their
+    /// lists share one link column.
+    priority_orders: OnceLock<PriorityIndex>,
     /// Running jobs by `(last_action, id)`: the jobs past any rescale
     /// gap are a prefix of it.
     running_action_order: OnceLock<OrderList>,
-    queued_priority_order: OnceLock<BTreeSet<OrderKey>>,
     /// Queued jobs by `(submitted_at, id)`: the FCFS queue.
     queued_order: OnceLock<OrderList>,
     /// Running jobs by estimated completion — the frontier EASY-style
@@ -738,9 +857,8 @@ impl ClusterView {
             arena: JobArena::default(),
             live: 0,
             running: 0,
-            running_order: OnceLock::new(),
+            priority_orders: OnceLock::new(),
             running_action_order: OnceLock::new(),
-            queued_priority_order: OnceLock::new(),
             queued_order: OnceLock::new(),
             running_end_order: OnceLock::new(),
             queued_footprint: OnceLock::new(),
@@ -840,10 +958,11 @@ impl ClusterView {
     /// paying their upkeep on every mutation. Introspection for cost
     /// tests — a policy never needs it.
     pub fn built_indexes(&self) -> BuiltIndexes {
+        let priority_orders = self.priority_orders.get().is_some();
         BuiltIndexes {
-            running_order: self.running_order.get().is_some(),
+            running_order: priority_orders,
             running_action_order: self.running_action_order.get().is_some(),
-            queued_priority_order: self.queued_priority_order.get().is_some(),
+            queued_priority_order: priority_orders,
             queued_order: self.queued_order.get().is_some(),
             running_end_order: self.running_end_order.get().is_some(),
             queued_footprint: self.queued_footprint.get().is_some(),
@@ -857,8 +976,10 @@ impl ClusterView {
     /// leaving.
     fn index_running(&mut self, idx: usize, enter: bool) {
         let (arena, id) = (&self.arena, idx as u32);
-        if let Some(index) = self.running_order.get_mut() {
-            toggle(index, arena.order_key(idx), enter);
+        let key = |id: u32| arena.queue_key(id);
+        if let Some(index) = self.priority_orders.get_mut() {
+            let (buckets, links) = (&mut index.ends.running, &mut index.links);
+            toggle_bucketed(buckets, links, arena.running_bucket(idx), id, key, enter);
         }
         if let Some(list) = self.running_action_order.get_mut() {
             if enter {
@@ -880,23 +1001,21 @@ impl ClusterView {
     /// Index upkeep for the job at `idx` joining or leaving the queue.
     fn index_queued(&mut self, idx: usize, enter: bool) {
         let (arena, id) = (&self.arena, idx as u32);
-        if let Some(index) = self.queued_priority_order.get_mut() {
-            toggle(index, arena.order_key(idx), enter);
+        let key = |id: u32| arena.queue_key(id);
+        if let Some(index) = self.priority_orders.get_mut() {
+            let (buckets, links) = (&mut index.ends.queued, &mut index.links);
+            toggle_bucketed(buckets, links, arena.queued_bucket(idx), id, key, enter);
         }
         if let Some(list) = self.queued_order.get_mut() {
             if enter {
-                list.insert(id, |id| arena.queue_key(id));
+                list.insert(id, key);
             } else {
                 list.unlink(id);
             }
         }
-        if let Some(buckets) = self.queued_footprint.get_mut() {
+        if let Some(index) = self.queued_footprint.get_mut() {
             let min = arena.hot[idx].min_replicas;
-            if enter {
-                buckets.insert(min, id, |id| arena.queue_key(id));
-            } else {
-                buckets.unlink(min, id);
-            }
+            toggle_bucketed(&mut index.ends, &mut index.links, min, id, key, enter);
         }
     }
 
@@ -988,18 +1107,20 @@ impl ClusterView {
         self.arena.live().map(|i| self.arena.get(i))
     }
 
-    fn running_order(&self) -> &BTreeSet<OrderKey> {
-        self.running_order
-            .get_or_init(|| self.arena.running_order())
+    fn priority_orders(&self) -> &PriorityIndex {
+        self.priority_orders
+            .get_or_init(|| self.arena.priority_orders())
     }
 
     /// Running jobs in *decreasing* priority order (the paper's
     /// `runningJobs` list), each a [`JobRef`] reading columns on
-    /// demand. O(k) off the index (built on first read), no sort.
+    /// demand: the priority buckets in turn, each in submission order.
+    /// O(k + priorities) off the index (built on first read), no sort.
     pub fn running_scan(&self) -> impl DoubleEndedIterator<Item = JobRef<'_>> {
-        self.running_order()
-            .iter()
-            .map(|&(_, _, id)| self.arena.cursor(id))
+        let index = self.priority_orders();
+        let ids = index.ends.running.iter();
+        ids.flat_map(move |&(_, ends)| walk(&index.links, ends))
+            .map(|id| self.arena.cursor(JobId(id)))
     }
 
     /// Running jobs by increasing `last_action` (id-tie-broken): the
@@ -1015,14 +1136,35 @@ impl ClusterView {
             .map(|id| self.arena.cursor(JobId(id)))
     }
 
-    /// Queued jobs in *decreasing* priority order — the queued half of
-    /// the paper's `allJobs` list (Fig. 3), which the elastic policy
-    /// merges with the running jobs it may touch.
-    pub fn queued_desc_priority(&self) -> impl DoubleEndedIterator<Item = JobRef<'_>> {
-        self.queued_priority_order
-            .get_or_init(|| self.arena.queued_priority_order())
+    /// Queued jobs in *decreasing* priority order (earlier submission,
+    /// then id, first among equals) — the queued half of the paper's
+    /// `allJobs` list (Fig. 3).
+    pub fn queued_desc_priority(&self) -> impl Iterator<Item = JobRef<'_>> {
+        self.queued_fitting_by_priority(u32::MAX)
+    }
+
+    /// The queued jobs of [`ClusterView::queued_desc_priority`] whose
+    /// `min_replicas` is at most `fit`, in the same order: the queued
+    /// lane the elastic policy merges with the running jobs it may
+    /// touch. A k-way merge by priority over the `(min_replicas,
+    /// priority)` buckets whose minimum is `≤ fit`; call
+    /// [`FittingCursor::shrink_to`] as workers are handed out and the
+    /// buckets that stopped fitting drop out of the merge. A queued job
+    /// the fit rules out is never visited, so a walk costs O(buckets ×
+    /// jobs yielded), not O(queue), and one whose fit starts nothing
+    /// ends at once.
+    pub fn queued_fitting_by_priority(&self, fit: u32) -> FittingCursor<'_> {
+        let index = self.priority_orders();
+        let arena = &self.arena;
+        let lanes = up_to(&index.ends.queued, &(fit, Reverse(0)))
             .iter()
-            .map(|&(_, _, id)| self.arena.cursor(id))
+            .map(|&((min_replicas, priority), ends)| Lane {
+                priority,
+                next: arena.queue_key(ends[NEXT]),
+                min_replicas,
+            })
+            .collect();
+        FittingCursor::new(arena, &index.links, lanes)
     }
 
     /// Queued jobs in submission order (earliest first, id-tie-broken)
@@ -1059,21 +1201,20 @@ impl ClusterView {
         let buckets = self
             .queued_footprint
             .get_or_init(|| arena.queued_footprint());
-        let lanes = buckets
-            .ends
-            .range(..=fit)
-            .filter_map(|(&min_replicas, ends)| {
-                let next = walk(&buckets.links, ends[NEXT], NEXT)
+        let lanes = up_to(&buckets.ends, &fit)
+            .iter()
+            .filter_map(|&(min_replicas, ends)| {
+                let next = walk(&buckets.links, ends)
                     .map(|id| arena.queue_key(id))
                     .find(|&key| key > after)?;
-                Some(Lane { min_replicas, next })
+                Some(Lane {
+                    priority: Reverse(0),
+                    next,
+                    min_replicas,
+                })
             })
             .collect();
-        FittingCursor {
-            arena,
-            links: &buckets.links,
-            lanes,
-        }
+        FittingCursor::new(arena, &buckets.links, lanes)
     }
 
     /// Running jobs by increasing [`JobState::estimated_end`] — the
@@ -1089,42 +1230,83 @@ impl ClusterView {
     }
 }
 
-/// One footprint bucket inside a [`FittingCursor`]'s merge: the key
-/// of the job it yields next.
+/// One bucket inside a [`FittingCursor`]'s merge: its priority
+/// (one constant for the submission-order cursor) and the key of the
+/// job it yields next.
 struct Lane {
-    min_replicas: u32,
+    priority: Reverse<u32>,
     next: QueueKey,
+    min_replicas: u32,
 }
 
-/// The cursor [`ClusterView::queued_fitting`] returns: yields fitting
-/// queued jobs in submission order, one O(buckets) step each.
+/// The cursor [`ClusterView::queued_fitting`] and
+/// [`ClusterView::queued_fitting_by_priority`] return: yields fitting
+/// queued jobs in submission order — by priority first, for the
+/// latter — one step each, O(the buckets of the top priority left).
 pub struct FittingCursor<'a> {
     arena: &'a JobArena,
-    /// The footprint buckets' shared link column.
+    /// The buckets' shared link column.
     links: &'a [[u32; 2]],
-    /// The buckets still fitting that have a job left to yield.
+    /// The buckets still fitting that have a job left to yield, highest
+    /// priority first: the next job is in one of the leading lanes that
+    /// share the top priority.
     lanes: Vec<Lane>,
 }
 
-impl FittingCursor<'_> {
+impl<'a> FittingCursor<'a> {
+    fn new(arena: &'a JobArena, links: &'a [[u32; 2]], mut lanes: Vec<Lane>) -> Self {
+        lanes.sort_unstable_by_key(|lane| lane.priority);
+        FittingCursor {
+            arena,
+            links,
+            lanes,
+        }
+    }
+
     /// Tightens the fit: jobs with `min_replicas > fit` are no longer
     /// yielded. The fit only ever shrinks — a dropped bucket never
     /// comes back.
+    #[inline]
     pub fn shrink_to(&mut self, fit: u32) {
         self.lanes.retain(|lane| lane.min_replicas <= fit);
+    }
+
+    /// The job [`Iterator::next`] yields next, without moving past it.
+    #[inline]
+    pub(crate) fn peek(&self) -> Option<JobRef<'a>> {
+        let (_, id) = self.lanes[self.head()?].next;
+        Some(self.arena.cursor(id))
+    }
+
+    /// The lane holding the next job: the least key among the lanes of
+    /// the top priority.
+    #[inline]
+    fn head(&self) -> Option<usize> {
+        let top = self.lanes.first()?;
+        let mut at = 0;
+        for (i, lane) in self.lanes.iter().enumerate().skip(1) {
+            if lane.priority != top.priority {
+                break;
+            }
+            if lane.next < self.lanes[at].next {
+                at = i;
+            }
+        }
+        Some(at)
     }
 }
 
 impl<'a> Iterator for FittingCursor<'a> {
     type Item = JobRef<'a>;
 
+    #[inline]
     fn next(&mut self) -> Option<JobRef<'a>> {
-        let at = (0..self.lanes.len()).min_by_key(|&i| self.lanes[i].next)?;
+        let at = self.head()?;
         let lane = &mut self.lanes[at];
         let (_, id) = lane.next;
         match self.links[id.index()][NEXT] {
             NIL => {
-                self.lanes.swap_remove(at);
+                self.lanes.remove(at);
             }
             after => lane.next = self.arena.queue_key(after),
         }
@@ -1162,11 +1344,8 @@ impl ClusterView {
         let arena = &self.arena;
         self.live == arena.live().count()
             && self.running == arena.running().count()
-            && current(&self.running_order, || arena.running_order())
+            && current(&self.priority_orders, || arena.priority_orders())
             && current(&self.running_action_order, || arena.running_action_order())
-            && current(&self.queued_priority_order, || {
-                arena.queued_priority_order()
-            })
             && current(&self.queued_order, || arena.queued_order())
             && current(&self.running_end_order, || arena.running_end_order())
             && current(&self.queued_footprint, || arena.queued_footprint())
@@ -2067,6 +2246,121 @@ pub(crate) mod tests {
         corrupt(|v| v.queued_order.get_mut().unwrap().links[3][PREV] = NIL);
         corrupt(|v| v.queued_footprint.get_mut().unwrap().links[3][PREV] = 1);
         corrupt(|v| v.running_action_order.get_mut().unwrap().ends[PREV] = NIL);
+        view.running_scan().count();
+        corrupt(|v| v.priority_orders.get_mut().unwrap().links[3][PREV] = NIL);
+    }
+
+    fn ids<'a>(jobs: impl Iterator<Item = JobRef<'a>>) -> Vec<u32> {
+        jobs.map(|j| j.id().0).collect()
+    }
+
+    /// The buckets the priority index holds: running priorities and
+    /// queued `(min_replicas, priority)` pairs.
+    fn priority_buckets(v: &ClusterView) -> (Vec<u32>, Vec<(u32, u32)>) {
+        let buckets = &v.priority_orders.get().expect("read").ends;
+        (
+            buckets.running.iter().map(|(p, _)| p.0).collect(),
+            buckets
+                .queued
+                .iter()
+                .map(|&((min, p), _)| (min, p.0))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn priority_buckets_share_one_column_as_jobs_start_and_leave() {
+        let pq = |id: u32, prio: u32, submitted: f64, min: u32| JobState {
+            min_replicas: min,
+            ..job(id, prio, submitted, 0)
+        };
+        let mut view = view_of(
+            64,
+            20,
+            vec![
+                job(0, 3, 5.0, 4),
+                job(1, 5, 9.0, 4),
+                job(2, 3, 1.0, 4),
+                pq(3, 3, 0.0, 2),
+                pq(4, 5, 2.0, 4),
+                pq(5, 3, 3.0, 4),
+                pq(6, 3, 4.0, 2),
+            ],
+        );
+        assert_eq!(ids(view.running_scan()), [1, 2, 0]);
+        assert_eq!(ids(view.running_scan().rev()), [0, 2, 1]);
+        // Read from both ends at once, the walks meet and stop.
+        let mut both = view.running_scan().map(|j| j.id().0);
+        let ends = [both.next(), both.next_back(), both.next(), both.next()];
+        assert_eq!(ends, [Some(1), Some(0), Some(2), None]);
+        drop(both);
+        assert_eq!(ids(view.queued_desc_priority()), [4, 3, 5, 6]);
+        assert_eq!(
+            priority_buckets(&view),
+            (vec![5, 3], vec![(2, 3), (4, 5), (4, 3)])
+        );
+        // A start leaves its queued bucket (the last job of one drops
+        // it) and enters its priority's running list, in submission
+        // order, through the same link slot.
+        let at = SimTime::from_secs(10.0);
+        let start = |job| Action::Create {
+            job: JobId(job),
+            replicas: 4,
+        };
+        apply_action(&mut view, &start(4), at, 1);
+        apply_action(&mut view, &start(5), at, 1);
+        assert_eq!(ids(view.running_scan()), [4, 1, 2, 5, 0]);
+        assert_eq!(ids(view.queued_desc_priority()), [3, 6]);
+        assert_eq!(priority_buckets(&view), (vec![5, 3], vec![(2, 3)]));
+        // An eviction goes back the other way; a completion empties
+        // and drops a running bucket.
+        apply_action(&mut view, &Action::Evict { job: JobId(2) }, at, 1);
+        view.remove(JobId(4), 1);
+        view.remove(JobId(1), 1);
+        assert_eq!(ids(view.running_scan()), [5, 0]);
+        assert_eq!(ids(view.queued_desc_priority()), [3, 2, 6]);
+        assert_eq!(priority_buckets(&view), (vec![3], vec![(2, 3)]));
+        assert_lists_current(&view);
+    }
+
+    #[test]
+    fn the_priority_lane_merges_the_fitting_buckets_and_drops_what_stops_fitting() {
+        let pq = |id: u32, prio: u32, submitted: f64, min: u32| JobState {
+            min_replicas: min,
+            ..job(id, prio, submitted, 0)
+        };
+        let view = view_of(
+            64,
+            64,
+            vec![
+                pq(0, 5, 0.0, 8), // never fits 4
+                pq(1, 4, 3.0, 2),
+                pq(2, 4, 1.0, 4),
+                pq(3, 4, 2.0, 2),
+                pq(4, 2, 0.0, 8),
+                pq(5, 2, 4.0, 1),
+                pq(6, 1, 0.0, 4),
+                pq(7, 4, 5.0, 4),
+            ],
+        );
+        let lane = |fit| ids(view.queued_fitting_by_priority(fit));
+        assert_eq!(lane(u32::MAX), ids(view.queued_desc_priority()));
+        assert_eq!(lane(8), [0, 2, 3, 1, 7, 4, 5, 6]);
+        // Priority 5's only bucket does not fit 4; priority 4 merges two.
+        assert_eq!(lane(4), [2, 3, 1, 7, 5, 6]);
+        assert_eq!(lane(1), [5]);
+        assert_eq!(lane(0), [0u32; 0]);
+        // Shrunk mid-priority: the min-4 buckets drop out, priority 4's
+        // with a job still in it.
+        let mut cursor = view.queued_fitting_by_priority(4);
+        assert_eq!(cursor.next().map(|j| j.id().0), Some(2));
+        assert_eq!(cursor.peek().map(|j| j.id().0), Some(3));
+        cursor.shrink_to(2);
+        assert_eq!(ids(cursor.by_ref()), [3, 1, 5]);
+        // The fit never grows back.
+        let mut cursor = view.queued_fitting_by_priority(2);
+        cursor.shrink_to(8);
+        assert_eq!(ids(cursor), lane(2));
     }
 
     #[test]

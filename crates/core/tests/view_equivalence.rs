@@ -20,9 +20,13 @@
 //! not move; on a few it steps *backwards*, and some jobs arrive
 //! already running with a drawn `last_action` — no engine does either,
 //! but the last-action list must stay sorted for any instant, and only
-//! then does its insert search past the tail.
+//! then does its insert search past the tail. Fig. 3's fitting lane is
+//! read at a fit that moves with the step, shrunk once partway, and
+//! held both to the rebuilt view's lane and to the whole queued
+//! priority order filtered by that fit — so priority buckets open,
+//! fill mid-list, empty and drop under it.
 
-use elastic_core::{apply_action, Action, ClusterView, JobFields, JobId, JobState};
+use elastic_core::{apply_action, Action, ClusterView, JobFields, JobId, JobRef, JobState};
 use hpc_metrics::{Duration, SimTime};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -83,11 +87,52 @@ impl Shadow {
     }
 }
 
+/// Where the priority-ordered fitting lane is read: at `fit`, shrunk
+/// to `shrunk` after its first `after` jobs.
+#[derive(Clone, Copy, Debug)]
+struct LaneRead {
+    fit: u32,
+    shrunk: u32,
+    after: usize,
+}
+
+impl LaneRead {
+    /// The lane as the cursor yields it.
+    fn read(self, v: &ClusterView) -> Vec<JobId> {
+        let mut lane = v.queued_fitting_by_priority(self.fit);
+        let mut ids: Vec<JobId> = lane.by_ref().take(self.after).map(|j| j.id()).collect();
+        lane.shrink_to(self.shrunk);
+        ids.extend(lane.map(|j| j.id()));
+        ids
+    }
+
+    /// The lane as the whole queued priority order, filtered by
+    /// `min_replicas ≤ fit` — the tighter fit once `after` jobs passed.
+    fn reference(self, v: &ClusterView) -> Vec<JobId> {
+        let mut passed = 0;
+        let fits = |j: &JobRef<'_>| {
+            let fit = if passed < self.after {
+                self.fit
+            } else {
+                self.fit.min(self.shrunk)
+            };
+            let fits = j.min_replicas() <= fit;
+            passed += usize::from(fits);
+            fits
+        };
+        v.queued_desc_priority()
+            .filter(fits)
+            .map(|j| j.id())
+            .collect()
+    }
+}
+
 /// Every ordered index as the id sequence its public accessor yields
 /// (reading them builds whichever are not built yet). The fitting
 /// cursor is read behind each queued job at a footprint that cuts the
-/// 1..=8 minimums in half.
-fn index_orders(v: &ClusterView) -> [Vec<JobId>; 6] {
+/// 1..=8 minimums in half, and the priority-ordered fitting lane as
+/// `lane` says.
+fn index_orders(v: &ClusterView, lane: LaneRead) -> [Vec<JobId>; 7] {
     let queued: Vec<JobId> = v.queued_scan().map(|j| j.id()).collect();
     let fitting = queued
         .iter()
@@ -100,6 +145,7 @@ fn index_orders(v: &ClusterView) -> [Vec<JobId>; 6] {
         queued,
         v.running_by_estimated_end().map(|j| j.id).collect(),
         fitting,
+        lane.read(v),
     ]
 }
 
@@ -115,6 +161,9 @@ proptest! {
         seed in any::<u64>(),
         steps in 1usize..120,
         first_read in 0usize..120,
+        fit in 0u32..=9,
+        shrunk in 0u32..=9,
+        after in 0usize..4,
     ) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut view = ClusterView::new(CAPACITY);
@@ -289,9 +338,16 @@ proptest! {
                 "diverged after step {} (op {})", step, op
             );
             if step >= first_read {
+                // The lane's fit moves with the step, so one case reads
+                // it at many.
+                let lane = LaneRead { fit: (fit + step as u32) % 10, shrunk, after };
                 prop_assert_eq!(
-                    index_orders(&view), index_orders(&rebuilt),
+                    index_orders(&view, lane), index_orders(&rebuilt, lane),
                     "index diverged after step {} (op {}), first read at {}", step, op, first_read
+                );
+                prop_assert_eq!(
+                    lane.read(&view), lane.reference(&view),
+                    "fitting lane {:?} diverged after step {} (op {})", lane, step, op
                 );
             } else {
                 prop_assert!(

@@ -1,12 +1,17 @@
 //! A scheduling decision costs what it can start, and a view index
 //! costs nothing until a policy reads it — held by count, not by clock.
 //!
-//! Three exact, host-independent numbers from outside the crates:
+//! Four exact, host-independent numbers from outside the crates:
 //!
 //! * the backfill candidate cursor over a 10 000-deep backlog of jobs
 //!   too large for the free slots yields exactly the two jobs that fit,
 //!   and both rigid baselines decide that backlog to the same single
 //!   `Create` the full scan did;
+//! * the elastic policy's queued lane over the same kind of backlog,
+//!   spread over every priority, yields exactly the two jobs the
+//!   leftover of a completion can start — the buckets of the rest drop
+//!   out of Fig. 3's walk — and the decision is the single `Create`
+//!   the walk over all 10 002 made;
 //! * with 512 running jobs inside their rescale gap and one past it,
 //!   the elastic policy's gap cursor yields exactly that one job, and
 //!   both of its decisions are the ones the walk over all 513 made;
@@ -19,7 +24,7 @@
 //!   faults buy EASY and FCFS no priority order either: whether a
 //!   reclamation is answered by checkpoint-restart, kill-requeue or
 //!   shrinking, its victims are ranked by sorting that last-action
-//!   list once per fault, not off a running-priority tree every later
+//!   list once per fault, not off a running priority order every later
 //!   start and completion would keep current.
 
 use elastic_hpc::core::{
@@ -99,6 +104,57 @@ fn a_backlog_that_cannot_start_is_never_walked() {
     assert!(
         !view.built_indexes().queued_priority_order && !view.built_indexes().running_order,
         "the rigid baselines never read a priority order"
+    );
+}
+
+#[test]
+fn a_queue_the_leftover_cannot_start_is_never_walked() {
+    // 64 slots: a job at its maximum of 60 and one of 2 run, and 10 000
+    // `min 8` jobs queue behind them over all five priorities, with a
+    // `min 2` job at priority 2 early on and another at priority 4 at
+    // the very end.
+    let small = [JobId(BACKLOG + 3), JobId(3)];
+    let mut view = ClusterView::new(64);
+    let running = |id: u32, replicas: u32| JobState {
+        replicas,
+        running: true,
+        last_action: SimTime::ZERO,
+        ..queued(id, replicas)
+    };
+    view.insert(running(0, 60), 1);
+    view.insert(running(1, 2), 1);
+    for id in 2..=BACKLOG + 3 {
+        let (min, priority) = match small.iter().position(|&s| s == JobId(id)) {
+            Some(0) => (2, 4),
+            Some(_) => (2, 2),
+            None => (8, 1 + id % 5),
+        };
+        view.insert(
+            JobState {
+                priority,
+                ..queued(id, min)
+            },
+            1,
+        );
+    }
+    // A completion leaves 3 free slots: a launcher and 2 workers.
+    view.remove(JobId(1), 1);
+    assert_eq!(view.free_slots(), 3);
+    assert_eq!(view.queued_desc_priority().count(), BACKLOG as usize + 2);
+
+    let fitting: Vec<JobId> = view.queued_fitting_by_priority(2).map(|j| j.id()).collect();
+    assert_eq!(fitting, small, "the lane yields the startable jobs only");
+    // The walk over every queued job starts the first row a 2-worker
+    // leftover fits, and nothing after it: that spends the slots.
+    let first_fit = view.queued_desc_priority().find(|j| j.min_replicas() <= 2);
+    assert_eq!(first_fit.map(|j| j.id()), Some(small[0]));
+    let now = SimTime::from_secs(20_000.0);
+    assert_eq!(
+        elastic().on_complete(&view, now),
+        [Action::Create {
+            job: small[0],
+            replicas: 2
+        }]
     );
 }
 
@@ -215,7 +271,7 @@ fn a_replay_builds_only_the_indexes_its_policy_reads() {
     );
     // A transient fault picks its victim by id off the running set:
     // that read costs EASY the O(1)-upkeep last-action list, never a
-    // priority tree.
+    // priority order.
     let storm = FlakySpec::storm(5, 40, Duration::from_secs(50_000.0));
     assert_eq!(
         replay(
