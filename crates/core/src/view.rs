@@ -660,12 +660,24 @@ impl DoubleEndedIterator for Walk<'_> {
     }
 }
 
+/// The linked ids from `from` along the `dir` links, up to the first
+/// `NIL`.
+fn chain(links: &[[u32; 2]], from: u32, dir: usize) -> impl Iterator<Item = u32> + '_ {
+    let linked = |id: u32| (id != NIL).then_some(id);
+    std::iter::successors(linked(from), move |&id| linked(links[id as usize][dir]))
+}
+
 /// The same ids in the same order, read both ways round — so a
 /// maintained list held to its from-scratch definition has its `prev`
 /// links checked along with the `next` links every reader follows.
+/// Each walk follows links until `NIL`, not until the other end: the
+/// end links are read as the list's edge ([`FittingCursor`] ends a
+/// lane at a `NIL` `next`, [`link_sorted`] and [`unlink`] write
+/// through them), so a stale one must fail the check.
 fn same_walks(links: &[[u32; 2]], ends: &Ends, other: &[[u32; 2]], other_ends: &Ends) -> bool {
-    walk(links, *ends).eq(walk(other, *other_ends))
-        && walk(links, *ends).rev().eq(walk(other, *other_ends).rev())
+    [NEXT, PREV]
+        .into_iter()
+        .all(|dir| chain(links, ends[dir], dir).eq(chain(other, other_ends[dir], dir)))
 }
 
 /// The same buckets, each holding the same ids in the same order read
@@ -733,7 +745,7 @@ fn toggle_bucketed<K: Ord>(
 thread_local! {
     /// Search steps [`link_sorted`] has taken on this thread: the list
     /// traffic the unit tests bound.
-    static SEARCH_STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    pub(crate) static SEARCH_STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl OrderList {
@@ -1138,7 +1150,9 @@ impl ClusterView {
 
     /// Queued jobs in *decreasing* priority order (earlier submission,
     /// then id, first among equals) — the queued half of the paper's
-    /// `allJobs` list (Fig. 3).
+    /// `allJobs` list (Fig. 3). The unfiltered
+    /// [`ClusterView::queued_fitting_by_priority`], kept under this name
+    /// for the tests and the `policy_decisions` bench that read it.
     pub fn queued_desc_priority(&self) -> impl Iterator<Item = JobRef<'_>> {
         self.queued_fitting_by_priority(u32::MAX)
     }
@@ -2248,6 +2262,14 @@ pub(crate) mod tests {
         corrupt(|v| v.running_action_order.get_mut().unwrap().ends[PREV] = NIL);
         view.running_scan().count();
         corrupt(|v| v.priority_orders.get_mut().unwrap().links[3][PREV] = NIL);
+        // A stale link out of either end of a list, which a walk that
+        // stops at the other end would never read: a tail's `next`, a
+        // head's `prev` (job 4 has left the queue; queue 0..=3, job 4
+        // alone in its running list).
+        corrupt(|v| v.queued_order.get_mut().unwrap().links[3][NEXT] = 4);
+        corrupt(|v| v.queued_footprint.get_mut().unwrap().links[0][PREV] = 4);
+        corrupt(|v| v.priority_orders.get_mut().unwrap().links[4][NEXT] = 2);
+        corrupt(|v| v.priority_orders.get_mut().unwrap().links[4][PREV] = 0);
     }
 
     fn ids<'a>(jobs: impl Iterator<Item = JobRef<'a>>) -> Vec<u32> {

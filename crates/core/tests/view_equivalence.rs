@@ -22,11 +22,13 @@
 //! but the last-action list must stay sorted for any instant, and only
 //! then does its insert search past the tail. Fig. 3's fitting lane is
 //! read at a fit that moves with the step, shrunk once partway, and
-//! held both to the rebuilt view's lane and to the whole queued
-//! priority order filtered by that fit — so priority buckets open,
-//! fill mid-list, empty and drop under it.
+//! held both to the rebuilt view's lane and to the model's queued jobs,
+//! sorted by priority in the test and filtered by that fit — so
+//! priority buckets open, fill mid-list, empty and drop under it.
 
-use elastic_core::{apply_action, Action, ClusterView, JobFields, JobId, JobRef, JobState};
+use std::cmp::Reverse;
+
+use elastic_core::{apply_action, Action, ClusterView, JobFields, JobId, JobState};
 use hpc_metrics::{Duration, SimTime};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -76,6 +78,15 @@ impl Shadow {
         v
     }
 
+    /// The queued jobs in priority order, sorted here rather than read
+    /// from any view index: higher priority first, then earlier
+    /// submission, then id.
+    fn queued_by_priority(&self) -> Vec<&JobState> {
+        let mut queued: Vec<&JobState> = self.jobs.iter().filter(|j| !j.running).collect();
+        queued.sort_by_key(|j| (Reverse(j.priority), j.submitted_at, j.id));
+        queued
+    }
+
     fn pick<'a>(&'a self, rng: &mut ChaCha8Rng, running: bool) -> Option<&'a JobState> {
         let candidates: Vec<&JobState> =
             self.jobs.iter().filter(|j| j.running == running).collect();
@@ -106,23 +117,26 @@ impl LaneRead {
         ids
     }
 
-    /// The lane as the whole queued priority order, filtered by
-    /// `min_replicas ≤ fit` — the tighter fit once `after` jobs passed.
-    fn reference(self, v: &ClusterView) -> Vec<JobId> {
+    /// The lane as the model's queued jobs sorted by priority from
+    /// scratch, filtered by `min_replicas ≤ fit` — the tighter fit
+    /// once `after` jobs passed.
+    fn reference(self, shadow: &Shadow) -> Vec<JobId> {
         let mut passed = 0;
-        let fits = |j: &JobRef<'_>| {
+        let fits = |j: &&JobState| {
             let fit = if passed < self.after {
                 self.fit
             } else {
                 self.fit.min(self.shrunk)
             };
-            let fits = j.min_replicas() <= fit;
+            let fits = j.min_replicas <= fit;
             passed += usize::from(fits);
             fits
         };
-        v.queued_desc_priority()
+        shadow
+            .queued_by_priority()
+            .into_iter()
             .filter(fits)
-            .map(|j| j.id())
+            .map(|j| j.id)
             .collect()
     }
 }
@@ -346,8 +360,14 @@ proptest! {
                     "index diverged after step {} (op {}), first read at {}", step, op, first_read
                 );
                 prop_assert_eq!(
-                    lane.read(&view), lane.reference(&view),
+                    lane.read(&view), lane.reference(&shadow),
                     "fitting lane {:?} diverged after step {} (op {})", lane, step, op
+                );
+                let everything = LaneRead { fit: u32::MAX, shrunk: u32::MAX, after: 0 };
+                prop_assert_eq!(
+                    view.queued_desc_priority().map(|j| j.id()).collect::<Vec<_>>(),
+                    everything.reference(&shadow),
+                    "queued priority order diverged after step {} (op {})", step, op
                 );
             } else {
                 prop_assert!(
