@@ -291,7 +291,7 @@ fn bench_view_upkeep() {
             "elastic_indexes" => {
                 let read = view.running_scan().count()
                     + view.running_by_last_action().count()
-                    + view.queued_desc_priority().count();
+                    + view.queued_fitting_by_priority(u32::MAX).count();
                 assert_eq!(read, 2 * Churn::JOBS);
             }
             "easy_indexes" => {

@@ -124,7 +124,7 @@ pub fn scaled_jobs(seed: u64, full: bool) -> Vec<CharmJobSpec> {
         .map(|j| {
             let sc = scaled_class(j.class().expect("paper generator emits class jobs"), full);
             CharmJobSpec {
-                name: j.name,
+                name: j.name.to_string(),
                 min_replicas: sc.min,
                 max_replicas: sc.max,
                 priority: j.priority,

@@ -90,11 +90,11 @@ impl Schedule {
         let mut cancellations = Vec::new();
         for job in &workload.jobs {
             if let Some(t) = job.cancel_at {
-                cancellations.push((t, job.name.clone()));
+                cancellations.push((t, job.name.to_string()));
             }
             arrivals.push(job.arrival);
             jobs.push(CharmJobSpec {
-                name: job.name.clone(),
+                name: job.name.to_string(),
                 min_replicas: job.min_replicas(),
                 max_replicas: job.max_replicas(),
                 priority: job.priority,

@@ -17,6 +17,8 @@
 //! kernel under both engines"); the order in which the events of one
 //! instant arrive is [`EventClass`].
 
+use std::sync::Arc;
+
 use hpc_metrics::{Duration, JobId, SimTime, UtilizationRecorder};
 use hpc_workload::{FaultEvent, FaultKind, FaultSpec, FlakyOp};
 
@@ -545,11 +547,12 @@ impl Kernel {
     /// Final run metrics over the jobs that completed normally, in
     /// `(submitted_at, id)` order. `identify` supplies what only the
     /// reporting edge knows about a job: name, priority, submission
-    /// instant.
+    /// instant. The name is the caller's shared string (the workload's,
+    /// or the job registry's), so a report holds no copy of it.
     pub fn metrics(
         &self,
         policy: &dyn SchedulingPolicy,
-        mut identify: impl FnMut(JobId) -> (String, u32, SimTime),
+        mut identify: impl FnMut(JobId) -> (Arc<str>, u32, SimTime),
     ) -> RunMetrics {
         let mut outcomes = Vec::with_capacity(self.completed as usize);
         for (i, a) in self.jobs.iter().enumerate() {

@@ -94,8 +94,8 @@
 //!   estimate in cold columns) and carried `free_slots` / job
 //!   counters, all updated in O(1) per mutation, `job(id)` in O(1).
 //!   The ordered indexes over it are **pay-per-use**: the priority
-//!   orders behind `running_scan` / `queued_desc_priority` (and
-//!   [`ClusterView::queued_fitting_by_priority`], Fig. 3's queued lane,
+//!   orders behind `running_scan` and
+//!   [`ClusterView::queued_fitting_by_priority`] (Fig. 3's queued lane,
 //!   which skips the footprint buckets the leftover cannot start), the
 //!   running jobs by last scheduling action behind
 //!   [`ClusterView::running_by_last_action`] (the elastic policy's gap

@@ -777,16 +777,13 @@ impl CharmOperator {
                     .registry
                     .id(&job.spec.name)
                     .expect("completed job was admitted");
-                let known = (
-                    job.spec.name.clone(),
-                    job.spec.priority,
-                    job.status.submitted_at,
-                );
-                identity[id.index()] = Some(known);
+                identity[id.index()] = Some((job.spec.priority, job.status.submitted_at));
             }
         });
+        let registry = &self.pool.registry;
         self.kernel.metrics(self.policy.as_ref(), |id| {
-            (identity[id.index()].take()).expect("completed job is stored")
+            let (priority, submitted_at) = identity[id.index()].expect("completed job is stored");
+            (Arc::clone(registry.shared_name(id)), priority, submitted_at)
         })
     }
 

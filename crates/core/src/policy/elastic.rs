@@ -25,20 +25,22 @@
 //! Both figures walk `runningJobs` in priority order and step over
 //! every job still inside its `T_rescale_gap` — which, on a busy
 //! cluster, is nearly all of them. So the walks do not start from the
-//! priority order: [`actionable_running`] takes the view's last-action
-//! order up to the first job the gap still blocks (the *exact*
+//! priority order: [`actionable_running`] walks the view's last-action
+//! order once, up to the first job the gap still blocks (the *exact*
 //! [`Policy::gap_blocked`] predicate — `now − last_action` only falls
-//! along that order, so the first blocked row ends the eligible set)
-//! and sorts that handful by priority. Fig. 2's two passes read the
-//! one list; Fig. 3 merges it with the view's queued-by-priority lane,
-//! whose rows the gap never binds. A decision then costs O(jobs it may
-//! act on), not O(running jobs). Only when the gap blocks too few jobs
-//! for that to pay (more than a sixteenth of them are past it — a quiet
-//! cluster, or the rigid kinds, whose jobs are never rescaled) do the
-//! same passes read the running priority order instead, testing the
-//! gap row by row. Neither walk ages a job: the paper's aging remedy
-//! (§3.2.2) is the [`AgingSweep`](super::AgingSweep) decorator, which
-//! re-runs Fig. 2 on a timer against boosted priorities.
+//! along that order, so the first blocked row ends the eligible set),
+//! and inserts each row into a fixed-size buffer on the stack kept in
+//! priority order. Fig. 2's two passes read the one buffer; Fig. 3
+//! merges it with the view's queued-by-priority lane, whose rows the
+//! gap never binds. A decision then costs O(jobs it may act on), not
+//! O(running jobs). Only when the gap blocks too few jobs for that to
+//! pay (more than a sixteenth of them are past it — a quiet cluster,
+//! or the rigid kinds, whose jobs are never rescaled — or more than
+//! the buffer holds) do the same passes read the running priority
+//! order instead, testing the gap row by row. Neither walk ages a job:
+//! the paper's aging remedy (§3.2.2) is the
+//! [`AgingSweep`](super::AgingSweep) decorator, which re-runs Fig. 2 on
+//! a timer against boosted priorities.
 //!
 //! Nor does Fig. 3 walk the whole queue when the leftover slots start
 //! none of it. Its queued lane is
@@ -77,38 +79,67 @@ fn effective_bounds<J: JobFields>(policy: &Policy, capacity: u32, job: &J) -> (u
     }
 }
 
+/// The most rows [`actionable_running`] keeps. On `des-elastic-400k`'s
+/// 4 096 slots a sixteenth of the running jobs stayed at or under 15
+/// throughout a seed-3 replay, so the buffer never binds there.
+const FEW: usize = 32;
+
+/// The running jobs a decision may touch, highest priority first, held
+/// on the stack: no decision allocates for them.
+struct Few<'a> {
+    rows: [Option<JobRef<'a>>; FEW],
+    len: usize,
+}
+
+impl<'a> Few<'a> {
+    /// Inserts `job` at its place in priority order, moving each row it
+    /// outranks up by one.
+    fn insert(&mut self, job: JobRef<'a>) {
+        let mut at = self.len;
+        while let Some(prev) = at.checked_sub(1).and_then(|p| self.rows[p]) {
+            if job.cmp_priority(&prev).is_ge() {
+                break;
+            }
+            self.rows[at] = Some(prev);
+            at -= 1;
+        }
+        self.rows[at] = Some(job);
+        self.len += 1;
+    }
+
+    /// The rows from the `from`-th on, highest priority first.
+    fn from(&self, from: usize) -> impl DoubleEndedIterator<Item = JobRef<'a>> + '_ {
+        self.rows[from..self.len].iter().flatten().copied()
+    }
+}
+
 /// The running jobs `T_rescale_gap` lets a decision at `now` touch, in
 /// decreasing priority order: the unblocked prefix of the view's
-/// last-action order, sorted by the priority key. Every running job it
-/// leaves out is one the figures' walks would have stepped over.
+/// last-action order, read once into a [`Few`] kept in priority order.
+/// Every running job it leaves out is one the figures' walks would
+/// have stepped over.
 ///
 /// `None` when more than a sixteenth of the running jobs are past their
-/// gap: sorting that many costs more than the walk it replaces (which
-/// ends early, and at worst visits each running job once), so the
-/// caller filters the running priority order instead.
-///
-/// The rows are counted before they are collected, so the list is
-/// allocated once at its exact length: collected from a `take_while`,
-/// it would start at four rows and regrow, and this runs on every
-/// decision.
-fn actionable_running<'a>(
-    policy: &Policy,
-    view: &'a ClusterView,
-    now: SimTime,
-) -> Option<Vec<JobRef<'a>>> {
-    let handful = view.running_count() / 16;
-    let open = view
-        .running_by_last_action()
-        .take_while(|j| !policy.gap_blocked(j, now))
-        .take(handful + 1)
-        .count();
-    if open > handful {
-        return None;
+/// gap, or more than [`FEW`]: ordering that many costs more than the
+/// walk it replaces (which ends early, and at worst visits each running
+/// job once), so the caller filters the running priority order
+/// instead. The walk stops at the first row past that limit.
+fn actionable_running<'a>(policy: &Policy, view: &'a ClusterView, now: SimTime) -> Option<Few<'a>> {
+    let limit = (view.running_count() / 16).min(FEW);
+    let mut few = Few {
+        rows: [None; FEW],
+        len: 0,
+    };
+    for job in view.running_by_last_action() {
+        if policy.gap_blocked(&job, now) {
+            break;
+        }
+        if few.len == limit {
+            return None;
+        }
+        few.insert(job);
     }
-    let mut jobs = Vec::with_capacity(open);
-    jobs.extend(view.running_by_last_action().take(open));
-    jobs.sort_unstable_by(JobRef::cmp_priority);
-    Some(jobs)
+    Some(few)
 }
 
 /// Fig. 2: decision for a newly submitted job.
@@ -149,12 +180,12 @@ pub(super) fn plan_submit(
         Some(few) => {
             // The head outranks every running job: if the gap leaves
             // it open it is the first of the few.
-            let is_head = |first: &JobRef<'_>| {
+            let is_head = |first: JobRef<'_>| {
                 let head = view.running_scan().next().expect("a job is running");
                 first.id() == head.id()
             };
-            let spared = usize::from(spares_head && few.first().is_some_and(is_head));
-            shrink_to_fit(policy, view, &job, || few[spared..].iter().rev().copied())
+            let spared = usize::from(spares_head && few.from(0).next().is_some_and(is_head));
+            shrink_to_fit(policy, view, &job, || few.from(spared).rev())
         }
         None => shrink_to_fit(policy, view, &job, || {
             let below_head = view
@@ -283,7 +314,7 @@ pub(super) fn plan_complete(policy: &Policy, view: &ClusterView, now: SimTime) -
         return Vec::new();
     }
     match actionable_running(policy, view, now) {
-        Some(few) => redistribute(policy, view, few.into_iter()),
+        Some(few) => redistribute(policy, view, few.from(0)),
         None => {
             let open = |j: &JobRef<'_>| !policy.gap_blocked(j, now);
             redistribute(policy, view, view.running_scan().filter(open))

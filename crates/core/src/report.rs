@@ -5,6 +5,8 @@
 //! total time, average cluster utilization, and priority-weighted mean
 //! response/completion times (§4.3's metric definitions).
 
+use std::sync::Arc;
+
 use hpc_metrics::{SimTime, WeightedMean};
 
 /// Bounded-slowdown threshold τ in seconds (the standard trace-replay
@@ -14,8 +16,9 @@ pub const BSLD_TAU_S: f64 = 10.0;
 /// Per-job outcome extracted at the end of a run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobOutcome {
-    /// Job name.
-    pub name: String,
+    /// Job name: the workload's or the job registry's own string,
+    /// shared, never copied.
+    pub name: Arc<str>,
     /// User priority (the metric weight).
     pub priority: u32,
     /// Submission time.

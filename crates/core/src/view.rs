@@ -809,8 +809,8 @@ pub struct BuiltIndexes {
     /// (`running_by_last_action`), a linked list — the elastic
     /// policy's gap cursor, and what a fault ranks its victims from.
     pub running_action_order: bool,
-    /// Queued jobs by descending priority (`queued_desc_priority`,
-    /// `queued_fitting_by_priority`), a linked list per priority and
+    /// Queued jobs by descending priority
+    /// (`queued_fitting_by_priority`), a linked list per priority and
     /// minimum footprint — the queued lane of the elastic Fig. 3 walk.
     pub queued_priority_order: bool,
     /// Queued jobs by submission (`queued_scan`), a linked list.
@@ -1148,19 +1148,12 @@ impl ClusterView {
             .map(|id| self.arena.cursor(JobId(id)))
     }
 
-    /// Queued jobs in *decreasing* priority order (earlier submission,
-    /// then id, first among equals) — the queued half of the paper's
-    /// `allJobs` list (Fig. 3). The unfiltered
-    /// [`ClusterView::queued_fitting_by_priority`], kept under this name
-    /// for the tests and the `policy_decisions` bench that read it.
-    pub fn queued_desc_priority(&self) -> impl Iterator<Item = JobRef<'_>> {
-        self.queued_fitting_by_priority(u32::MAX)
-    }
-
-    /// The queued jobs of [`ClusterView::queued_desc_priority`] whose
-    /// `min_replicas` is at most `fit`, in the same order: the queued
-    /// lane the elastic policy merges with the running jobs it may
-    /// touch. A k-way merge by priority over the `(min_replicas,
+    /// The queued jobs whose `min_replicas` is at most `fit`, in
+    /// *decreasing* priority order (earlier submission, then id, first
+    /// among equals): the queued lane the elastic policy merges with
+    /// the running jobs it may touch — the queued half of the paper's
+    /// `allJobs` list (Fig. 3). `fit = u32::MAX` reads every queued job
+    /// in that order. A k-way merge by priority over the `(min_replicas,
     /// priority)` buckets whose minimum is `≤ fit`; call
     /// [`FittingCursor::shrink_to`] as workers are handed out and the
     /// buckets that stopped fitting drop out of the merge. A queued job
@@ -1737,7 +1730,10 @@ pub(crate) mod tests {
             60,
             vec![job(0, 1, 0.0, 4), job(1, 5, 1.0, 0), job(2, 2, 0.5, 0)],
         );
-        let order: Vec<JobId> = view.queued_desc_priority().map(|j| j.id()).collect();
+        let order: Vec<JobId> = view
+            .queued_fitting_by_priority(u32::MAX)
+            .map(|j| j.id())
+            .collect();
         assert_eq!(order, vec![JobId(1), JobId(2)]);
         assert_eq!(view.running_scan().count(), 1);
         assert_eq!(view.running_count(), 1);
@@ -1885,7 +1881,7 @@ pub(crate) mod tests {
         );
         assert_eq!(view.free_slots(), 32);
         assert!(view.is_empty());
-        assert_eq!(view.queued_desc_priority().count(), 0);
+        assert_eq!(view.queued_fitting_by_priority(u32::MAX).count(), 0);
     }
 
     #[test]
@@ -2316,7 +2312,7 @@ pub(crate) mod tests {
         let ends = [both.next(), both.next_back(), both.next(), both.next()];
         assert_eq!(ends, [Some(1), Some(0), Some(2), None]);
         drop(both);
-        assert_eq!(ids(view.queued_desc_priority()), [4, 3, 5, 6]);
+        assert_eq!(ids(view.queued_fitting_by_priority(u32::MAX)), [4, 3, 5, 6]);
         assert_eq!(
             priority_buckets(&view),
             (vec![5, 3], vec![(2, 3), (4, 5), (4, 3)])
@@ -2332,7 +2328,7 @@ pub(crate) mod tests {
         apply_action(&mut view, &start(4), at, 1);
         apply_action(&mut view, &start(5), at, 1);
         assert_eq!(ids(view.running_scan()), [4, 1, 2, 5, 0]);
-        assert_eq!(ids(view.queued_desc_priority()), [3, 6]);
+        assert_eq!(ids(view.queued_fitting_by_priority(u32::MAX)), [3, 6]);
         assert_eq!(priority_buckets(&view), (vec![5, 3], vec![(2, 3)]));
         // An eviction goes back the other way; a completion empties
         // and drops a running bucket.
@@ -2340,7 +2336,7 @@ pub(crate) mod tests {
         view.remove(JobId(4), 1);
         view.remove(JobId(1), 1);
         assert_eq!(ids(view.running_scan()), [5, 0]);
-        assert_eq!(ids(view.queued_desc_priority()), [3, 2, 6]);
+        assert_eq!(ids(view.queued_fitting_by_priority(u32::MAX)), [3, 2, 6]);
         assert_eq!(priority_buckets(&view), (vec![3], vec![(2, 3)]));
         assert_lists_current(&view);
     }
@@ -2366,7 +2362,7 @@ pub(crate) mod tests {
             ],
         );
         let lane = |fit| ids(view.queued_fitting_by_priority(fit));
-        assert_eq!(lane(u32::MAX), ids(view.queued_desc_priority()));
+        assert_eq!(lane(u32::MAX), [0, 2, 3, 1, 7, 4, 5, 6]);
         assert_eq!(lane(8), [0, 2, 3, 1, 7, 4, 5, 6]);
         // Priority 5's only bucket does not fit 4; priority 4 merges two.
         assert_eq!(lane(4), [2, 3, 1, 7, 5, 6]);

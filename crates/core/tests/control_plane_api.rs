@@ -282,7 +282,7 @@ fn cancel_frees_slots_the_policy_reassigns_in_the_same_run() {
     // Cancelled jobs are excluded from the metrics outcomes.
     let metrics = op.metrics();
     assert_eq!(metrics.jobs.len(), 1);
-    assert_eq!(metrics.jobs[0].name, "waiting");
+    assert_eq!(&*metrics.jobs[0].name, "waiting");
     // Nothing leaked: every pod is gone once the kubelet finishes
     // terminating (one more round).
     clock.advance(Duration::from_secs(1.0));

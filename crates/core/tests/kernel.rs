@@ -531,8 +531,8 @@ fn a_completion_burst_settles_each_event_before_pulling_the_next() {
 
     // Metrics: completed jobs in (submitted_at, id) order, identified at
     // the reporting edge; utilization over first submit → last complete.
-    let metrics = kernel.metrics(&policy, |id| (format!("j{id}"), 2, t(0.0)));
-    let names: Vec<&str> = metrics.jobs.iter().map(|j| j.name.as_str()).collect();
+    let metrics = kernel.metrics(&policy, |id| (format!("j{id}").into(), 2, t(0.0)));
+    let names: Vec<&str> = metrics.jobs.iter().map(|j| &*j.name).collect();
     assert_eq!(names, ["j0", "j1", "j2"]);
     assert_eq!(metrics.jobs[2].started_at, t(100.0));
     assert_eq!(metrics.total_time, 150.0);

@@ -155,7 +155,9 @@ fn index_orders(v: &ClusterView, lane: LaneRead) -> [Vec<JobId>; 7] {
     [
         v.running_scan().map(|j| j.id()).collect(),
         v.running_by_last_action().map(|j| j.id()).collect(),
-        v.queued_desc_priority().map(|j| j.id()).collect(),
+        v.queued_fitting_by_priority(u32::MAX)
+            .map(|j| j.id())
+            .collect(),
         queued,
         v.running_by_estimated_end().map(|j| j.id).collect(),
         fitting,
@@ -365,7 +367,7 @@ proptest! {
                 );
                 let everything = LaneRead { fit: u32::MAX, shrunk: u32::MAX, after: 0 };
                 prop_assert_eq!(
-                    view.queued_desc_priority().map(|j| j.id()).collect::<Vec<_>>(),
+                    view.queued_fitting_by_priority(u32::MAX).map(|j| j.id()).collect::<Vec<_>>(),
                     everything.reference(&shadow),
                     "queued priority order diverged after step {} (op {})", step, op
                 );

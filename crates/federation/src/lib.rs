@@ -13,16 +13,23 @@
 //! * **Scheduling** (`elastic_core::SchedulingPolicy`) — which *slots*
 //!   inside a cluster, decided per shard by that shard's own policy
 //!   instance, unchanged from the single-cluster simulator.
-//! * **Execution** ([`FederationRuntime`]) — `start()` drains the
-//!   batch on scoped worker threads: a worker claims the next shard
-//!   and drains it to the end, then claims another, and exits when
-//!   none is left. The batch is closed (one submission, seeded before
-//!   any worker runs), so `start()` returns only once every shard is
-//!   drained, re-raising the first worker's panic, and `join()` only
-//!   collects and merges.
+//! * **Execution** ([`FederationRuntime`]) — `submit()` only routes
+//!   and partitions; `start()` replays the batch on scoped worker
+//!   threads: a worker claims the next shard, builds its simulation
+//!   from the shard's slice of the trace, drains it to the end,
+//!   finishes it into the shard's outcome and drops the slice, then
+//!   claims another, and exits when none is left. The batch is closed
+//!   (one submission, routed before any worker runs), so `start()`
+//!   returns only once every shard is finished, re-raising the first
+//!   worker's panic — an unreplayable slice of the workload panics
+//!   there, when its worker validates it — and `join()` only merges.
+//!
+//! A job's name is one shared `Arc<str>` from the submitted workload
+//! through the shards' slices to every outcome, merged or per-shard:
+//! a replay copies no name.
 //!
 //! Determinism is the design invariant: placement is a single-threaded
-//! pre-pass, shards share no mutable state, and each shard is drained
+//! pre-pass, shards share no mutable state, and each shard is replayed
 //! by exactly one worker — so the outcome is a pure function of
 //! (workload, shard configs, placement policy), never of worker count
 //! or thread interleaving. A 1-shard federation reproduces

@@ -4,13 +4,18 @@
 //! Each shard is a complete single-cluster simulation (its own
 //! `SimConfig`, its own policy instance, its own event queue).
 //!
-//! A federation replays a *closed* batch: one submission, seeded
-//! before any worker exists, and nothing adds work afterwards.
-//! [`FederationRuntime::start`] therefore drains the whole batch in one
-//! call: it spawns the workers inside one `std::thread::scope`, each
-//! claims the next shard and drains it to its end in one
-//! `SimState::step`, then claims another, and `start` returns once
-//! every worker has — no worker outlives it.
+//! A federation replays a *closed* batch: one submission, routed and
+//! partitioned before any worker exists, and nothing adds work
+//! afterwards. [`FederationRuntime::start`] therefore replays the whole
+//! batch in one call: it spawns the workers inside one
+//! `std::thread::scope`, each claims the next shard, builds its
+//! `SimState` from the shard's slice of the trace, drains it to its end
+//! in one `SimState::step`, finishes it into the shard's outcome and
+//! drops the slice, then claims another; `start` returns once every
+//! worker has — no worker outlives it. The calling thread only routes
+//! ([`FederationRuntime::submit`]) and merges
+//! ([`FederationRuntime::join`]): no per-job work of a shard's replay
+//! runs on it.
 //!
 //! Determinism holds by construction: shards share no mutable state,
 //! each shard is claimed by exactly one worker, and a shard's replay is
@@ -62,10 +67,14 @@ impl FederationConfig {
 struct ShardCell {
     /// The shard's cluster, its own policy instance included.
     cfg: SimConfig,
-    /// The shard's slice of the trace and the live DES state over it:
-    /// `None` until submission seeds it, and for good when placement
-    /// left the shard empty.
-    replay: Option<(WorkloadSpec, SimState)>,
+    /// The shard's slice of the trace: `None` until submission routes
+    /// a job here, and for good when placement left the shard empty.
+    /// The worker that claims the shard takes it and drops it once the
+    /// replay is finished.
+    part: Option<WorkloadSpec>,
+    /// What that worker left: the shard's outcome and the events its
+    /// replay popped.
+    done: Option<(SimOutcome, u64)>,
 }
 
 /// Everything a finished federation replay produced.
@@ -79,8 +88,8 @@ pub struct FederationOutcome {
     pub shards: Vec<SimOutcome>,
     /// Events each shard processed.
     pub events: Vec<u64>,
-    /// Turns each shard was granted: 1 for a seeded shard, drained in
-    /// one go, and 0 for one the placement left empty.
+    /// Turns each shard was granted: 1 for a loaded shard, replayed in
+    /// one go by one worker, and 0 for one the placement left empty.
     pub turns: Vec<u64>,
 }
 
@@ -121,7 +130,8 @@ impl FederationRuntime {
             cells: (0..cfg.shards)
                 .map(|i| ShardCell {
                     cfg: make_sim(i),
-                    replay: None,
+                    part: None,
+                    done: None,
                 })
                 .collect(),
             cfg,
@@ -143,13 +153,21 @@ impl FederationRuntime {
         &self.cfg
     }
 
-    /// Routes every job of `workload` to a shard via `placement`,
-    /// partitions the trace and seeds each non-empty shard's event
-    /// queue. Returns the per-job shard assignment (workload order).
+    /// Routes every job of `workload` to a shard via `placement` and
+    /// partitions the trace into the shards' slices; nothing more; the
+    /// shards' simulations are built by the workers in
+    /// [`FederationRuntime::start`]. Returns the per-job shard
+    /// assignment (workload order).
     ///
     /// The placement pre-pass is single-threaded and deterministic —
     /// the partition is fixed before any worker thread exists, so
-    /// replay results cannot depend on worker count.
+    /// replay results cannot depend on worker count. A slice shares its
+    /// jobs' names with `workload`; no name is copied.
+    ///
+    /// The workload is not validated here: each shard's slice is, when
+    /// its worker builds the shard's `SimState`, and an unreplayable
+    /// slice panics that worker, which [`FederationRuntime::start`]
+    /// re-raises.
     ///
     /// # Panics
     /// If called after [`FederationRuntime::start`], called twice, or
@@ -189,25 +207,24 @@ impl FederationRuntime {
             .iter_mut()
             .zip(workload.partition(&assignment, shards))
         {
-            if !part.jobs.is_empty() {
-                let state = SimState::new(&cell.cfg, &part);
-                cell.replay = Some((part, state));
-            }
+            cell.part = (!part.jobs.is_empty()).then_some(part);
         }
         assignment
     }
 
-    /// Drains every seeded shard on `workers` threads named
+    /// Replays every loaded shard on `workers` threads named
     /// `fed-worker-{w}`, which claim the shards in index order; shards
-    /// the placement left empty are skipped. Returns when every worker
-    /// has returned.
+    /// the placement left empty are skipped. The worker that claims a
+    /// shard builds its `SimState` (validating the shard's slice),
+    /// drains it, finishes it into the shard's outcome and drops the
+    /// slice. Returns when every worker has returned.
     ///
     /// # Panics
     /// If no workload was submitted, or if called twice. If a worker
-    /// panicked (a policy hook, say), the other workers still drain
-    /// every shard they can reach, and the first worker's own panic is
-    /// then re-raised here; the shards are left as the workers left
-    /// them.
+    /// panicked (an unreplayable slice, or a policy hook, say), the
+    /// other workers still replay every shard they can reach, and the
+    /// first worker's own panic is then re-raised here; a shard whose
+    /// worker panicked has no outcome.
     pub fn start(&mut self) {
         assert!(self.submitted, "start before submit: nothing to replay");
         assert!(!self.started, "a federation starts exactly once");
@@ -239,23 +256,23 @@ impl FederationRuntime {
         }
     }
 
-    /// Collects and merges the shard outcomes of a drained replay.
+    /// Merges the shard outcomes the workers left. Nothing is replayed
+    /// or finished here: a shard the placement left empty gets an empty
+    /// outcome, and every other one is already finished.
     ///
     /// # Panics
     /// If called before [`FederationRuntime::start`].
-    pub fn join(mut self) -> FederationOutcome {
+    pub fn join(self) -> FederationOutcome {
         assert!(self.started, "join before start");
         let (mut capacities, mut shards) = (Vec::new(), Vec::new());
         let (mut events, mut turns) = (Vec::new(), Vec::new());
-        for ShardCell { cfg, replay } in &mut self.cells {
+        for ShardCell { cfg, done, .. } in self.cells {
             capacities.push(cfg.capacity);
-            turns.push(u64::from(replay.is_some()));
-            // Taken: the shard's slice of the trace and its DES state
-            // are freed before the next outcome is built.
-            match replay.take() {
-                Some((workload, state)) => {
-                    events.push(state.events_processed());
-                    shards.push(state.finish(cfg, &workload));
+            turns.push(u64::from(done.is_some()));
+            match done {
+                Some((outcome, popped)) => {
+                    events.push(popped);
+                    shards.push(outcome);
                 }
                 None => {
                     // Never loaded: an empty single-cluster outcome.
@@ -265,7 +282,6 @@ impl FederationRuntime {
                         util: UtilizationRecorder::new(cfg.capacity),
                         rescales: 0,
                         cancelled: 0,
-                        names: Vec::new(),
                         peak_queue_len: 0,
                         peak_queue_len_raw: 0,
                     });
@@ -288,17 +304,22 @@ impl FederationRuntime {
     }
 }
 
-/// One worker: claim the next shard and drain it to the end, until no
-/// shard is left to claim.
+/// One worker: claim the next shard and replay it — build, drain to
+/// the end, finish — until no shard is left to claim.
 fn drain(claims: &Mutex<std::slice::IterMut<'_, ShardCell>>) {
     loop {
-        // Its own statement, so the lock is released before the drain.
+        // Its own statement, so the lock is released before the replay.
         let claim = locked(claims).next();
-        let Some(ShardCell { cfg, replay }) = claim else {
+        let Some(ShardCell { cfg, part, done }) = claim else {
             return;
         };
-        if let Some((workload, state)) = replay {
-            state.step(cfg, workload, usize::MAX);
+        // Taken: the slice is dropped here, on this worker, as soon as
+        // its outcome is built.
+        if let Some(workload) = part.take() {
+            let mut state = SimState::new(cfg, &workload);
+            state.step(cfg, &workload, usize::MAX);
+            let events = state.events_processed();
+            *done = Some((state.finish(cfg, &workload), events));
         }
     }
 }
@@ -465,6 +486,23 @@ mod tests {
             "start must re-raise the policy's own payload"
         );
         helper.join().expect("the helper caught start's panic");
+    }
+
+    #[test]
+    fn an_unreplayable_slice_panics_in_start_not_submit() {
+        let mut rt =
+            FederationRuntime::new(FederationConfig::new(2).with_workers(2), |_| sim_cfg(8));
+        // Job 3 (shard 1 under round-robin) has no replica to run on.
+        let mut jobs = burst(4, 5.0);
+        jobs[3] = JobSpec::malleable("j003", 0, 2, 5.0, 1).at(Duration::from_secs(3.0));
+        rt.submit(&WorkloadSpec::new(jobs), &mut RoundRobin::new());
+        let started = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| rt.start()));
+        let panic = started.expect_err("the worker that validates shard 1 panics");
+        let message = panic.downcast_ref::<String>().expect("a formatted message");
+        assert!(
+            message.starts_with("workload not replayable: j003: bad replica bounds"),
+            "{message}"
+        );
     }
 
     #[test]

@@ -33,12 +33,14 @@
 //!   after each one.
 //!
 //! Per-event cost is O(log n), not O(n): one persistent `ClusterView`
-//! (inside the kernel), dense [`JobId`]s and no `String` on the loop
-//! (names surface only in [`SimOutcome::names`]), one event and one
-//! policy dispatch per same-instant burst, and a heap that holds only
-//! what the run creates, stale completions swept.
+//! (inside the kernel), dense [`JobId`]s and no name on the loop (a
+//! name surfaces only in the report, as the workload's own shared
+//! string), one event and one policy dispatch per same-instant burst,
+//! and a heap that holds only what the run creates, stale completions
+//! swept.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use elastic_core::kernel::{Admission, Effects, Kernel, Stop};
 use elastic_core::{ClusterView, JobState, RunMetrics, SchedulingPolicy};
@@ -81,19 +83,21 @@ impl SimConfig {
 }
 
 /// Full result of one simulation run.
+///
+/// It holds no name list: a [`JobId`] is the job's index in the
+/// replayed [`WorkloadSpec`], and each `JobOutcome` in `metrics` names
+/// its job with the workload's own shared string (`Arc::ptr_eq` to
+/// `JobSpec::name`), so a finished run copies no name.
 pub struct SimOutcome {
     /// Aggregate metrics (Table 1 columns; completed jobs only).
     pub metrics: RunMetrics,
     /// Per-job slot allocation over time (Fig. 9 profiles), keyed by
-    /// [`JobId`]; resolve names through [`SimOutcome::names`].
+    /// [`JobId`]: `workload.jobs[id.index()].name` is the job's name.
     pub util: UtilizationRecorder,
     /// Number of rescale actions applied.
     pub rescales: u32,
     /// Number of jobs cancelled before completing.
     pub cancelled: u32,
-    /// Job names indexed by [`JobId`] (= workload order) — the
-    /// reporting edge of the id-keyed run.
-    pub names: Vec<String>,
     /// High-water mark of the *live* pending events: heap entries not
     /// known stale plus unread inputs (arrival instants, faults, flaky
     /// events), as the frozen `benchmark/expected` fingerprints count.
@@ -377,7 +381,7 @@ impl SimState {
             let i = workload
                 .jobs
                 .iter()
-                .position(|j| j.name == *name)
+                .position(|j| &*j.name == name.as_str())
                 .unwrap_or_else(|| panic!("cancellation for unknown job {name}"));
             cancel(&mut queue, *at, i);
         }
@@ -533,7 +537,7 @@ impl SimState {
         let metrics = kernel.metrics(cfg.policy.as_ref(), |id| {
             let spec = &workload.jobs[id.index()];
             (
-                spec.name.clone(),
+                Arc::clone(&spec.name),
                 spec.priority,
                 SimTime::ZERO + spec.arrival,
             )
@@ -543,7 +547,6 @@ impl SimState {
             rescales: kernel.rescales(),
             cancelled: kernel.cancelled(),
             util: kernel.into_utilization(),
-            names: workload.jobs.iter().map(|j| j.name.clone()).collect(),
             peak_queue_len: timeline.peak_queue_len,
             peak_queue_len_raw: timeline.peak_queue_len_raw,
         }
@@ -587,7 +590,8 @@ mod tests {
     #[test]
     fn single_job_runtime_matches_model() {
         let cfg = SimConfig::paper_default(policy(PolicyKind::Elastic, 180.0));
-        let out = simulate(&cfg, &one_job(SizeClass::Medium));
+        let wl = one_job(SizeClass::Medium);
+        let out = simulate(&cfg, &wl);
         // Empty cluster: job runs at max replicas the whole time.
         let expect = cfg.scaling.runtime(SizeClass::Medium, 16);
         assert!(
@@ -597,7 +601,8 @@ mod tests {
         );
         assert_eq!(out.rescales, 0);
         assert_eq!(out.metrics.weighted_response, 0.0);
-        assert_eq!(out.names, vec!["j0".to_string()]);
+        // The report names the job with the workload's own string.
+        assert!(Arc::ptr_eq(&out.metrics.jobs[0].name, &wl.jobs[0].name));
     }
 
     #[test]
@@ -720,8 +725,8 @@ mod tests {
         let out = simulate(&cfg, &wl);
         assert_eq!(out.cancelled, 1);
         assert_eq!(out.metrics.jobs.len(), 2, "victim excluded from outcomes");
-        assert!(out.metrics.jobs.iter().all(|j| j.name != "a"));
-        let c = out.metrics.jobs.iter().find(|j| j.name == "c").unwrap();
+        assert!(out.metrics.jobs.iter().all(|j| &*j.name != "a"));
+        let c = out.metrics.jobs.iter().find(|j| &*j.name == "c").unwrap();
         assert_eq!(
             c.started_at,
             SimTime::from_secs(100.0),
@@ -747,7 +752,7 @@ mod tests {
         let wl = spaced(generate_workload(5, 6), 10.0);
         // Cancel the last job the moment it sits in the queue under
         // heavy traffic (it is submitted at 5 * 10 = 50s).
-        let victim = wl.jobs[5].name.clone();
+        let victim = wl.jobs[5].name.to_string();
         let mut cfg = SimConfig::paper_default(policy(PolicyKind::RigidMax, 180.0));
         cfg.cancellations = vec![(Duration::from_secs(55.0), victim)];
         let out = simulate(&cfg, &wl);
@@ -822,7 +827,7 @@ mod tests {
         let out = simulate(&cfg, &wl);
         assert_eq!(out.cancelled, 1);
         assert_eq!(out.metrics.jobs.len(), 1);
-        assert_eq!(out.metrics.jobs[0].name, "keep");
+        assert_eq!(&*out.metrics.jobs[0].name, "keep");
     }
 
     #[test]

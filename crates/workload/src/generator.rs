@@ -11,6 +11,8 @@
 //!   trace-shaped arrival model of the malleable-scheduling
 //!   literature.
 
+use std::fmt::Write as _;
+
 use hpc_metrics::Duration;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -33,11 +35,16 @@ pub fn pad_width(n_jobs: usize) -> usize {
 pub fn generate_workload(seed: u64, n_jobs: usize) -> WorkloadSpec {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let width = pad_width(n_jobs);
+    // Each name is formatted into one reused buffer and allocated once,
+    // as the job's shared string.
+    let mut name = String::new();
     let jobs = (0..n_jobs)
         .map(|i| {
             let class = SizeClass::ALL[rng.gen_range(0..SizeClass::ALL.len())];
             let priority = rng.gen_range(1..=5);
-            JobSpec::of_class(format!("job{i:0width$}"), class, priority)
+            name.clear();
+            write!(name, "job{i:0width$}").expect("a String takes any write");
+            JobSpec::of_class(name.as_str(), class, priority)
         })
         .collect();
     WorkloadSpec::new(jobs)
@@ -109,14 +116,14 @@ mod tests {
     #[test]
     fn names_are_ordered_and_unique_at_any_scale() {
         let small = generate_workload(5, 16);
-        assert_eq!(small.jobs[0].name, "job00");
-        assert_eq!(small.jobs[15].name, "job15");
+        assert_eq!(&*small.jobs[0].name, "job00");
+        assert_eq!(&*small.jobs[15].name, "job15");
 
         // Past 100 jobs the pad widens so name order stays submission
         // order (job099 < job100 lexicographically).
         for n in [16usize, 100, 101, 1000, 2500] {
             let wl = generate_workload(5, n);
-            let names: Vec<&str> = wl.jobs.iter().map(|j| j.name.as_str()).collect();
+            let names: Vec<&str> = wl.jobs.iter().map(|j| &*j.name).collect();
             let mut sorted = names.clone();
             sorted.sort_unstable();
             assert_eq!(sorted, names, "n={n}: lexicographic != submission order");

@@ -6,6 +6,8 @@
 //! benches) replays the same struct; producers (SWF traces, the paper
 //! generator, the Poisson generator) only ever build it.
 
+use std::sync::Arc;
+
 use hpc_metrics::Duration;
 
 use crate::fault::{FaultError, FaultSpec};
@@ -154,7 +156,9 @@ pub struct JobSpec {
     /// Unique job name. Producers pad numeric suffixes so that
     /// lexicographic order equals submission order (the engines use
     /// names as the final deterministic tie-breaker at the report edge).
-    pub name: String,
+    /// Shared, not copied: a shard's slice of the workload and every
+    /// report of the job hold this one string.
+    pub name: Arc<str>,
     /// Arrival (submission) time relative to the workload epoch.
     pub arrival: Duration,
     /// Priority, larger = more important (the paper uses 1–5).
@@ -178,7 +182,7 @@ pub struct JobSpec {
 impl JobSpec {
     /// A job of `class` with the class's replica bounds, arriving at
     /// the epoch.
-    pub fn of_class(name: impl Into<String>, class: SizeClass, priority: u32) -> Self {
+    pub fn of_class(name: impl Into<Arc<str>>, class: SizeClass, priority: u32) -> Self {
         JobSpec {
             name: name.into(),
             arrival: Duration::ZERO,
@@ -192,7 +196,7 @@ impl JobSpec {
     /// A malleable job with explicit bounds and `work` core-seconds,
     /// arriving at the epoch.
     pub fn malleable(
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         min_replicas: u32,
         max_replicas: u32,
         work: f64,
@@ -440,9 +444,18 @@ impl WorkloadSpec {
             self.jobs.len(),
             "one shard index per job required"
         );
-        let mut parts: Vec<WorkloadSpec> = (0..n).map(|_| WorkloadSpec::default()).collect();
+        let mut sizes = vec![0; n];
         for (job, &shard) in self.jobs.iter().zip(assignment) {
             assert!(shard < n, "job {} routed to shard {shard} of {n}", job.name);
+            sizes[shard] += 1;
+        }
+        // Each part allocated once at its size; a job's clone shares
+        // its name.
+        let mut parts: Vec<WorkloadSpec> = sizes
+            .into_iter()
+            .map(|size| WorkloadSpec::new(Vec::with_capacity(size)))
+            .collect();
+        for (job, &shard) in self.jobs.iter().zip(assignment) {
             parts[shard].jobs.push(job.clone());
         }
         for part in &mut parts {
@@ -459,7 +472,7 @@ impl WorkloadSpec {
         if self.jobs.is_empty() {
             return Err(WorkloadError::Empty);
         }
-        let mut names: Vec<&str> = self.jobs.iter().map(|j| j.name.as_str()).collect();
+        let mut names: Vec<&str> = self.jobs.iter().map(|j| &*j.name).collect();
         names.sort_unstable();
         if let Some(w) = names.windows(2).find(|w| w[0] == w[1]) {
             return Err(WorkloadError::DuplicateName(w[0].to_string()));
@@ -469,7 +482,7 @@ impl WorkloadSpec {
             let (min, max) = (job.min_replicas(), job.max_replicas());
             if min == 0 || min > max {
                 return Err(WorkloadError::BadBounds {
-                    name: job.name.clone(),
+                    name: job.name.to_string(),
                     min,
                     max,
                 });
@@ -477,7 +490,7 @@ impl WorkloadSpec {
             let work = job.work();
             if !(work.is_finite() && work > 0.0) {
                 return Err(WorkloadError::BadWork {
-                    name: job.name.clone(),
+                    name: job.name.to_string(),
                     work,
                 });
             }
@@ -485,14 +498,14 @@ impl WorkloadSpec {
                 let estimate_s = est.as_secs();
                 if !(estimate_s.is_finite() && estimate_s > 0.0) {
                     return Err(WorkloadError::BadWalltime {
-                        name: job.name.clone(),
+                        name: job.name.to_string(),
                         estimate_s,
                     });
                 }
             }
             if job.arrival < prev {
                 return Err(WorkloadError::UnsortedArrivals {
-                    name: job.name.clone(),
+                    name: job.name.to_string(),
                 });
             }
             prev = job.arrival;
@@ -725,7 +738,9 @@ mod tests {
         ]));
         let parts = wl.partition(&[0, 1, 0, 1], 3);
         assert_eq!(parts.len(), 3);
-        let names = |p: &WorkloadSpec| p.jobs.iter().map(|j| j.name.clone()).collect::<Vec<_>>();
+        fn names(p: &WorkloadSpec) -> Vec<&str> {
+            p.jobs.iter().map(|j| &*j.name).collect()
+        }
         assert_eq!(names(&parts[0]), vec!["a", "c"]);
         assert_eq!(names(&parts[1]), vec!["b", "d"]);
         assert!(parts[2].is_empty());

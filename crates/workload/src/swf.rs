@@ -612,7 +612,7 @@ mod tests {
 ";
         let wl = load_workload(text.as_bytes(), &SwfLoadConfig::rigid(64)).unwrap();
         assert_eq!(wl.len(), 2);
-        assert_eq!(wl.jobs[0].name, "swf0000001");
+        assert_eq!(&*wl.jobs[0].name, "swf0000001");
         assert_eq!(wl.jobs[0].arrival.as_secs(), 0.0);
         assert_eq!(wl.jobs[0].work(), 400.0); // 100 s × 4 procs
         assert_eq!(
@@ -811,7 +811,7 @@ mod tests {
         let mut buf = Vec::new();
         write_workload(&mut buf, &original).unwrap();
         let loaded = load_workload(buf.as_slice(), &SwfLoadConfig::rigid(64)).unwrap();
-        assert_eq!(loaded.jobs[0].name, "swf0000003");
+        assert_eq!(&*loaded.jobs[0].name, "swf0000003");
         assert_eq!(loaded.jobs[0].work(), 400.0);
         assert_eq!(loaded.jobs[0].priority, 2);
         assert_eq!(

@@ -140,13 +140,18 @@ fn a_queue_the_leftover_cannot_start_is_never_walked() {
     // A completion leaves 3 free slots: a launcher and 2 workers.
     view.remove(JobId(1), 1);
     assert_eq!(view.free_slots(), 3);
-    assert_eq!(view.queued_desc_priority().count(), BACKLOG as usize + 2);
+    assert_eq!(
+        view.queued_fitting_by_priority(u32::MAX).count(),
+        BACKLOG as usize + 2
+    );
 
     let fitting: Vec<JobId> = view.queued_fitting_by_priority(2).map(|j| j.id()).collect();
     assert_eq!(fitting, small, "the lane yields the startable jobs only");
     // The walk over every queued job starts the first row a 2-worker
     // leftover fits, and nothing after it: that spends the slots.
-    let first_fit = view.queued_desc_priority().find(|j| j.min_replicas() <= 2);
+    let first_fit = view
+        .queued_fitting_by_priority(u32::MAX)
+        .find(|j| j.min_replicas() <= 2);
     assert_eq!(first_fit.map(|j| j.id()), Some(small[0]));
     let now = SimTime::from_secs(20_000.0);
     assert_eq!(

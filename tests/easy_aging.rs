@@ -97,7 +97,7 @@ fn aging_sweep_rescues_a_starving_job_in_the_des() {
     let started = |m: &RunMetrics, name: &str| {
         m.jobs
             .iter()
-            .find(|j| j.name == name)
+            .find(|j| &*j.name == name)
             .unwrap_or_else(|| panic!("{name} completed"))
             .started_at
     };
@@ -105,7 +105,7 @@ fn aging_sweep_rescues_a_starving_job_in_the_des() {
     let hog_done = baseline
         .jobs
         .iter()
-        .find(|j| j.name == "hog")
+        .find(|j| &*j.name == "hog")
         .unwrap()
         .completed_at;
     assert!(started(&baseline, "starved") >= hog_done);
@@ -124,8 +124,8 @@ fn aging_sweep_rescues_a_starving_job_in_the_des() {
 #[test]
 fn aging_sweep_rescues_a_starving_job_through_the_operator() {
     let (metrics, op) = common::operator_replay(&starvation(aging_policy));
-    let starved = metrics.jobs.iter().find(|j| j.name == "starved").unwrap();
-    let hog = metrics.jobs.iter().find(|j| j.name == "hog").unwrap();
+    let starved = metrics.jobs.iter().find(|j| &*j.name == "starved").unwrap();
+    let hog = metrics.jobs.iter().find(|j| &*j.name == "hog").unwrap();
     assert!(
         starved.started_at < hog.completed_at,
         "operator timer pass must rescue the starving job (started {}, hog done {})",

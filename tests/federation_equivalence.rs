@@ -162,7 +162,7 @@ fn random_shard(rng: &mut ChaCha8Rng, shard: usize) -> (u32, RunMetrics) {
                 let started = submitted + rng.gen_range(0.0..500.0);
                 let completed = started + rng.gen_range(1.0..2000.0);
                 JobOutcome {
-                    name: format!("s{shard}-j{j}"),
+                    name: format!("s{shard}-j{j}").into(),
                     priority: rng.gen_range(1u32..=5),
                     submitted_at: SimTime::from_secs(submitted),
                     started_at: SimTime::from_secs(started),

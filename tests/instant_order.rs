@@ -204,7 +204,7 @@ fn a_requeue_re_entry_colliding_with_a_completion_replays_identically() {
     .with_faults(reclaim_at(TIMER_S));
     let des = common::assert_agree(&on_the_cluster(workload), &[Des, Operator]);
     let started = |name: &str| {
-        let job = des.jobs.iter().find(|j| j.name == name);
+        let job = des.jobs.iter().find(|j| &*j.name == name);
         job.expect("every job completes").started_at.as_secs()
     };
     assert_eq!(des.faults.requeues, 1);

@@ -25,7 +25,7 @@ fn bundled_trace_parses_with_expected_shape() {
     let wl = bundled_trace(&SwfLoadConfig::rigid(TRACE_CAPACITY));
     assert_eq!(wl.len(), 24);
     // Names are zero-padded, so lexicographic order == submission order.
-    let names: Vec<&str> = wl.jobs.iter().map(|j| j.name.as_str()).collect();
+    let names: Vec<&str> = wl.jobs.iter().map(|j| &*j.name).collect();
     let mut sorted = names.clone();
     sorted.sort_unstable();
     assert_eq!(sorted, names);
@@ -35,9 +35,9 @@ fn bundled_trace_parses_with_expected_shape() {
     assert!(wl.jobs.iter().all(|j| j.min_replicas() == j.max_replicas()));
     // The -1 fallbacks: job 7 took processors from the allocated field,
     // job 9 its runtime from the requested time.
-    let j7 = wl.jobs.iter().find(|j| j.name == "swf0000007").unwrap();
+    let j7 = wl.jobs.iter().find(|j| &*j.name == "swf0000007").unwrap();
     assert_eq!((j7.min_replicas(), j7.work()), (1, 150.0));
-    let j9 = wl.jobs.iter().find(|j| j.name == "swf0000009").unwrap();
+    let j9 = wl.jobs.iter().find(|j| &*j.name == "swf0000009").unwrap();
     assert_eq!(j9.work(), 90.0 * 2.0);
 }
 
@@ -142,7 +142,7 @@ fn cancellations_replay_identically_in_both_engines() {
     assert_eq!((des.cancelled, op.cancellations()), (2, 2));
     assert_eq!((des.rescales, op.rescales()), (5, 5));
     let done: Vec<(&str, f64)> = (des.metrics.jobs.iter())
-        .map(|j| (j.name.as_str(), j.completed_at.as_secs()))
+        .map(|j| (&*j.name, j.completed_at.as_secs()))
         .collect();
     assert_eq!(done, [("c", 370.0), ("d", 270.0)]);
     assert_eq!(common::divergence(&des.metrics, &op_metrics), None);
