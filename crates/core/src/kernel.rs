@@ -146,7 +146,9 @@ pub struct Dispatches {
     pub completions: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// Where a job is in its life. The instant a phase needs is the row's
+/// [`Attempt::at`], so the tag is one byte.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Phase {
     /// Never admitted.
     #[default]
@@ -154,35 +156,60 @@ enum Phase {
     /// In the view, queued or running.
     Live,
     /// Alive but out of the view: waiting out a requeue backoff until
-    /// the instant.
-    Away(SimTime),
-    Completed(SimTime),
+    /// [`Attempt::at`].
+    Away,
+    /// Completed at [`Attempt::at`].
+    Completed,
     Cancelled,
     Failed,
 }
 
+/// [`Attempt::started_at`] of an attempt whose application has not
+/// started.
+const NOT_STARTED: SimTime = SimTime::NEG_INFINITY;
+
 /// One row of the attempt ledger.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct Attempt {
     phase: Phase,
     /// Workers the job is entitled to (0 unless running).
     replicas: u32,
     /// Kill-and-requeue attempts consumed.
     attempts: u32,
-    /// When the application of the current attempt started.
-    started_at: Option<SimTime>,
+    /// When the application of the current attempt started, or
+    /// [`NOT_STARTED`].
+    started_at: SimTime,
     /// Core-seconds of the current attempt, banked at every allocation
     /// change (never per tick), so requeue waste does not depend on how
     /// often an engine looks.
     banked: f64,
-    /// When the current allocation began.
-    alloc_since: SimTime,
+    /// The phase's instant: while `Live` and running, when the current
+    /// allocation began; while `Away`, when the backoff ends; once
+    /// `Completed`, when the job completed.
+    at: SimTime,
+}
+
+/// The ledger has a row for every job ever submitted, for the whole
+/// run: no padding (a 400 000-job replay holds 16 MB of them).
+const _: () = assert!(std::mem::size_of::<Attempt>() <= 40);
+
+impl Default for Attempt {
+    fn default() -> Self {
+        Attempt {
+            phase: Phase::Unknown,
+            replicas: 0,
+            attempts: 0,
+            started_at: NOT_STARTED,
+            banked: 0.0,
+            at: SimTime::ZERO,
+        }
+    }
 }
 
 impl Attempt {
     fn bank(&mut self, now: SimTime) {
-        self.banked += f64::from(self.replicas) * (now - self.alloc_since).as_secs();
-        self.alloc_since = now;
+        self.banked += f64::from(self.replicas) * (now - self.at).as_secs();
+        self.at = now;
     }
 }
 
@@ -259,11 +286,6 @@ impl Kernel {
         &self.util
     }
 
-    /// Consumes the kernel for its utilization record.
-    pub fn into_utilization(self) -> UtilizationRecorder {
-        self.util
-    }
-
     /// Rescale actions applied so far.
     pub fn rescales(&self) -> u32 {
         self.rescales
@@ -303,7 +325,7 @@ impl Kernel {
 
     /// Known jobs that are not terminal, in id order (diagnostics).
     pub fn unfinished(&self) -> impl Iterator<Item = JobId> + '_ {
-        let terminal = |p| matches!(p, Phase::Completed(_) | Phase::Cancelled | Phase::Failed);
+        let terminal = |p| matches!(p, Phase::Completed | Phase::Cancelled | Phase::Failed);
         self.jobs
             .iter()
             .enumerate()
@@ -336,10 +358,10 @@ impl Kernel {
         let (mut completed, mut cancelled, mut failed) = (0, 0, 0);
         for (i, a) in self.jobs.iter().enumerate() {
             match a.phase {
-                Phase::Completed(_) => completed += 1,
+                Phase::Completed => completed += 1,
                 Phase::Cancelled => cancelled += 1,
                 Phase::Failed => failed += 1,
-                Phase::Unknown | Phase::Live | Phase::Away(_) => {}
+                Phase::Unknown | Phase::Live | Phase::Away => {}
             }
             let in_view = v.job(JobId::from_index(i)).is_some();
             assert_eq!(in_view, a.phase == Phase::Live, "job {i} is {:?}", a.phase);
@@ -386,7 +408,7 @@ impl Kernel {
         policy: &dyn SchedulingPolicy,
         fx: &mut E,
     ) -> bool {
-        if !matches!(self.jobs[job.index()].phase, Phase::Away(_)) {
+        if self.jobs[job.index()].phase != Phase::Away {
             return false;
         }
         self.submit_burst(now, policy, fx);
@@ -534,7 +556,7 @@ impl Kernel {
     /// `job`'s application started at `now` (after an
     /// [`Effects::launch`] that answered `false`).
     pub fn started(&mut self, job: JobId, now: SimTime) {
-        self.jobs[job.index()].started_at = Some(now);
+        self.jobs[job.index()].started_at = now;
     }
 
     /// `job`'s application acknowledged the pending shrink at `now`
@@ -548,7 +570,9 @@ impl Kernel {
     /// `(submitted_at, id)` order. `identify` supplies what only the
     /// reporting edge knows about a job: name, priority, submission
     /// instant. The name is the caller's shared string (the workload's,
-    /// or the job registry's), so a report holds no copy of it.
+    /// or the job registry's), so a report holds no copy of it. The
+    /// operator, which runs on after a report, calls this; an engine
+    /// done with the kernel calls [`Kernel::into_report`].
     pub fn metrics(
         &self,
         policy: &dyn SchedulingPolicy,
@@ -556,14 +580,15 @@ impl Kernel {
     ) -> RunMetrics {
         let mut outcomes = Vec::with_capacity(self.completed as usize);
         for (i, a) in self.jobs.iter().enumerate() {
-            if let Phase::Completed(completed_at) = a.phase {
+            if a.phase == Phase::Completed {
+                assert!(a.started_at != NOT_STARTED, "a completed job started");
                 let (name, priority, submitted_at) = identify(JobId::from_index(i));
                 outcomes.push(JobOutcome {
                     name,
                     priority,
                     submitted_at,
-                    started_at: a.started_at.expect("a completed job started"),
-                    completed_at,
+                    started_at: a.started_at,
+                    completed_at: a.at,
                 });
             }
         }
@@ -586,6 +611,22 @@ impl Kernel {
         let utilization = self.util.average_utilization(first, last);
         RunMetrics::from_outcomes(policy.name(), outcomes, utilization, self.rescales)
             .with_fault_stats(self.fault_stats())
+    }
+
+    /// Consumes the finished kernel into its report: [`Kernel::metrics`]
+    /// and the utilization record. The view is freed *before* the
+    /// outcomes are allocated — nothing reads it again — so an engine
+    /// that also frees its own replay state first peaks at its run
+    /// state, not at the run state plus the report. The attempt ledger
+    /// the outcomes are read from lives until they are built.
+    pub fn into_report(
+        mut self,
+        policy: &dyn SchedulingPolicy,
+        identify: impl FnMut(JobId) -> (Arc<str>, u32, SimTime),
+    ) -> (RunMetrics, UtilizationRecorder) {
+        self.view = ClusterView::new(0);
+        let metrics = self.metrics(policy, identify);
+        (metrics, self.util)
     }
 
     // -----------------------------------------------------------------
@@ -620,9 +661,13 @@ impl Kernel {
                 // charges only from this launch onward.
                 a.replicas = replicas;
                 a.banked = 0.0;
-                a.alloc_since = now;
+                a.at = now;
                 self.util.set(now, job, replicas);
-                a.started_at = fx.launch(job, replicas, now).then_some(now);
+                a.started_at = if fx.launch(job, replicas, now) {
+                    now
+                } else {
+                    NOT_STARTED
+                };
             }
             Action::Shrink { job, to_replicas } | Action::Expand { job, to_replicas } => {
                 a.bank(now);
@@ -636,11 +681,13 @@ impl Kernel {
             Action::Evict { job } => {
                 // Only the tail since the last checkpoint boundary of
                 // this attempt is lost.
-                let rollback = a.started_at.map_or(0.0, |started_at| {
+                let rollback = if a.started_at == NOT_STARTED {
+                    0.0
+                } else {
                     let t = self.recovery.checkpoint_interval.as_secs();
-                    let elapsed = (now - started_at).as_secs();
+                    let elapsed = (now - a.started_at).as_secs();
                     elapsed - (elapsed / t).floor() * t
-                });
+                };
                 self.faults.wasted_core_seconds += f64::from(a.replicas) * rollback;
                 self.faults.evictions += 1;
                 a.replicas = 0;
@@ -667,7 +714,8 @@ impl Kernel {
                     }
                 } else {
                     let back_at = now + self.recovery.backoff_for(a.attempts);
-                    a.phase = Phase::Away(back_at);
+                    a.phase = Phase::Away;
+                    a.at = back_at;
                     Stop::Requeued {
                         attempt: a.attempts,
                         back_at,
@@ -692,7 +740,7 @@ impl Kernel {
         let a = &mut self.jobs[job.id.index()];
         match a.phase {
             Phase::Unknown => {}
-            Phase::Away(back_at) => job.submitted_at = back_at,
+            Phase::Away => job.submitted_at = a.at,
             phase => panic!("admission of {}, which is {phase:?}", job.id),
         }
         if cancelled {
@@ -710,7 +758,8 @@ impl Kernel {
     fn retire<E: Effects>(&mut self, job: JobId, now: SimTime, fx: &mut E) {
         let a = &mut self.jobs[job.index()];
         debug_assert_eq!(a.phase, Phase::Live, "completion of {job}");
-        a.phase = Phase::Completed(now);
+        a.phase = Phase::Completed;
+        a.at = now;
         a.replicas = 0;
         self.completed += 1;
         self.util.set(now, job, 0);
@@ -732,7 +781,7 @@ impl Kernel {
         fx: &mut E,
     ) -> Option<bool> {
         let a = self.jobs.get_mut(job.index())?;
-        if !matches!(a.phase, Phase::Live | Phase::Away(_)) {
+        if !matches!(a.phase, Phase::Live | Phase::Away) {
             return None;
         }
         a.phase = Phase::Cancelled;

@@ -84,7 +84,9 @@ impl SimConfig {
 
 /// Full result of one simulation run.
 ///
-/// It holds no name list: a [`JobId`] is the job's index in the
+/// [`SimState::finish`] builds it only after the run's timeline and
+/// the kernel's view are freed, so a replay peaks while it steps, not
+/// while it reports. It holds no name list: a [`JobId`] is the job's index in the
 /// replayed [`WorkloadSpec`], and each `JobOutcome` in `metrics` names
 /// its job with the workload's own shared string (`Arc::ptr_eq` to
 /// `JobSpec::name`), so a finished run copies no name.
@@ -115,8 +117,9 @@ struct JobRt {
     /// Work done, rate and pause window; what an eviction retained
     /// while the job is queued.
     progress: Progress,
-    /// Bumped whenever the scheduled completion dies.
-    generation: u64,
+    /// Bumped whenever the scheduled completion dies; widened into
+    /// [`Event::Completion`]'s `u64`.
+    generation: u32,
     running: bool,
     /// The next launch restores from a checkpoint: pay the FullRestart
     /// recovery overhead before progress resumes.
@@ -127,9 +130,9 @@ struct JobRt {
     cancel_on_arrival: bool,
 }
 
-/// One job costs the replay 48 bytes of its own (`des-elastic-400k`
-/// runs out of cache).
-const _: () = assert!(std::mem::size_of::<JobRt>() == 48);
+/// One job costs the replay 40 bytes of its own (`des-elastic-400k`
+/// runs out of cache): a `u32` generation leaves no padding.
+const _: () = assert!(std::mem::size_of::<JobRt>() == 40);
 
 /// The queue side of the run: what [`Des`] mechanises the kernel's
 /// effects on.
@@ -176,7 +179,7 @@ impl Timeline {
             let jobs = &self.jobs;
             self.queue.compact(|e| match e {
                 Event::Completion { job, generation } => {
-                    jobs[job.index()].generation == *generation
+                    u64::from(jobs[job.index()].generation) == *generation
                 }
                 Event::Requeue { job } => !jobs[job.index()].cancelled,
                 _ => true,
@@ -198,7 +201,7 @@ impl Des<'_> {
     fn schedule_completion(&mut self, job: JobId) {
         let j = &self.t.jobs[job.index()];
         let finish = j.progress.finishes_at(self.wl.jobs[job.index()].work());
-        let generation = j.generation;
+        let generation = u64::from(j.generation);
         self.t
             .queue
             .push(finish, Event::Completion { job, generation });
@@ -303,7 +306,7 @@ impl Effects for Des<'_> {
                 }
             };
             let j = &mut self.t.jobs[job.index()];
-            if j.generation != generation {
+            if u64::from(j.generation) != generation {
                 // Stale: the job was rescaled, preempted or cancelled
                 // meanwhile.
                 self.t.queue.note_stale_popped();
@@ -517,6 +520,14 @@ impl SimState {
 
     /// Consumes the drained state into a [`SimOutcome`].
     ///
+    /// The replay state goes before the report is built: once the peaks
+    /// are read and the starvation and (debug) book checks have run,
+    /// the timeline — the per-job `JobRt` column, the event heap and
+    /// the input cursors — is dropped, and [`Kernel::into_report`]
+    /// frees the view before it allocates the outcomes. So a replay's
+    /// memory peaks at its run state, not at the run state plus the
+    /// report.
+    ///
     /// # Panics
     /// If events are still pending, or (diagnostically) if a job
     /// starved in the queue forever.
@@ -534,7 +545,11 @@ impl SimState {
         }
         #[cfg(debug_assertions)]
         kernel.check();
-        let metrics = kernel.metrics(cfg.policy.as_ref(), |id| {
+        let (peak_queue_len, peak_queue_len_raw) =
+            (timeline.peak_queue_len, timeline.peak_queue_len_raw);
+        drop(timeline);
+        let (rescales, cancelled) = (kernel.rescales(), kernel.cancelled());
+        let (metrics, util) = kernel.into_report(cfg.policy.as_ref(), |id| {
             let spec = &workload.jobs[id.index()];
             (
                 Arc::clone(&spec.name),
@@ -544,11 +559,11 @@ impl SimState {
         });
         SimOutcome {
             metrics,
-            rescales: kernel.rescales(),
-            cancelled: kernel.cancelled(),
-            util: kernel.into_utilization(),
-            peak_queue_len: timeline.peak_queue_len,
-            peak_queue_len_raw: timeline.peak_queue_len_raw,
+            util,
+            rescales,
+            cancelled,
+            peak_queue_len,
+            peak_queue_len_raw,
         }
     }
 }

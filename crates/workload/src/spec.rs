@@ -472,10 +472,15 @@ impl WorkloadSpec {
         if self.jobs.is_empty() {
             return Err(WorkloadError::Empty);
         }
-        let mut names: Vec<&str> = self.jobs.iter().map(|j| &*j.name).collect();
-        names.sort_unstable();
-        if let Some(w) = names.windows(2).find(|w| w[0] == w[1]) {
-            return Err(WorkloadError::DuplicateName(w[0].to_string()));
+        // Names that strictly increase are unique, and the generators'
+        // padded names and the SWF parser's do: one pass proves it. Only
+        // names out of order are sorted to find a duplicate.
+        if !self.jobs.windows(2).all(|w| w[0].name < w[1].name) {
+            let mut names: Vec<&str> = self.jobs.iter().map(|j| &*j.name).collect();
+            names.sort_unstable();
+            if let Some(w) = names.windows(2).find(|w| w[0] == w[1]) {
+                return Err(WorkloadError::DuplicateName(w[0].to_string()));
+            }
         }
         let mut prev = Duration::ZERO;
         for job in &self.jobs {
@@ -610,6 +615,39 @@ mod tests {
             unsorted.validate(),
             Err(WorkloadError::UnsortedArrivals { .. })
         ));
+    }
+
+    fn named(names: &[&str]) -> WorkloadSpec {
+        WorkloadSpec::new(
+            names
+                .iter()
+                .map(|&n| JobSpec::of_class(n, SizeClass::Small, 1))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn validate_accepts_increasing_names_in_one_pass() {
+        assert_eq!(named(&["job0", "job1", "job2"]).validate(), Ok(()));
+        assert_eq!(named(&["only"]).validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_catches_an_adjacent_duplicate() {
+        assert_eq!(
+            named(&["a", "b", "b", "c"]).validate(),
+            Err(WorkloadError::DuplicateName("b".into()))
+        );
+    }
+
+    #[test]
+    fn validate_catches_a_duplicate_among_unsorted_names() {
+        assert_eq!(
+            named(&["c", "a", "b", "a"]).validate(),
+            Err(WorkloadError::DuplicateName("a".into()))
+        );
+        // Unsorted but unique is fine.
+        assert_eq!(named(&["c", "a", "b"]).validate(), Ok(()));
     }
 
     #[test]

@@ -100,8 +100,26 @@
 //! | release | 3 288 024 B = 328 per job  |
 //! | debug   | 3 288 024 B = 328 per job  |
 //!
+//! Until then the peak fell inside `SimState::finish`: the outcome list
+//! was allocated while the timeline's per-job column and heap and the
+//! kernel's view were still alive, though neither is read again. Now
+//! `finish` drops the timeline and the kernel drops its view before the
+//! outcomes are built, so the replay peaks while it steps, and `finish`
+//! raises the peak by nothing (held below, with the steps' own peak
+//! within one decision's scratch of their end state). The two per-job
+//! rows that live through the whole run then lost their padding: the
+//! timeline's from 48 to 40 B (a `u32` generation), the kernel's attempt
+//! row from 56 to 40 B (sentinel instants in place of `Option` and
+//! enum payloads):
+//!
+//! | build   | replay state freed before the report | and 40 B per-job rows     |
+//! |---------|--------------------------------------|---------------------------|
+//! | release | 2 742 800 B = 274 per job            | 2 502 800 B = 250 per job |
+//! | debug   | 2 742 800 B = 274 per job            | 2 502 800 B = 250 per job |
+//!
 //! The bound leaves ≈ 2 % of room over the last measurement, so neither
-//! a copy of the inputs, nor the sort's scratch, nor a copy of the names
+//! a copy of the inputs, nor the sort's scratch, nor a copy of the
+//! names, nor a report built beside the run state, nor a padded row
 //! fits.
 //!
 //! The same counter holds a 4-shard federation's calling thread (seed-0
@@ -131,8 +149,9 @@ use elastic_hpc::federation::{FederationConfig, FederationRuntime, LeastLoaded};
 use elastic_hpc::kube::{ControlPlane, KubeletConfig};
 use elastic_hpc::metrics::{Duration, VirtualClock};
 use elastic_hpc::serving::{run_workload_ingest, IngestConfig, ShardRouter};
+use elastic_hpc::sim::experiments::SCALE_CAPACITY;
 use elastic_hpc::sim::{
-    heavy_traffic_replay, heavy_traffic_workload, OverheadModel, ScalingModel, SimConfig,
+    heavy_traffic_replay, heavy_traffic_workload, OverheadModel, ScalingModel, SimConfig, SimState,
 };
 use elastic_hpc::workload::poisson_workload;
 
@@ -250,7 +269,7 @@ fn an_ingest_replay_stays_inside_its_allocation_budget() {
 }
 
 const DES_JOBS: usize = 10_000;
-const MAX_PEAK_BYTES_PER_JOB: u64 = 335;
+const MAX_PEAK_BYTES_PER_JOB: u64 = 255;
 
 /// The most bytes `f` held at once on this thread beyond those live
 /// when it started, with what `f` returned.
@@ -275,6 +294,44 @@ fn a_des_replay_holds_no_copy_of_its_inputs() {
     assert!(
         per_job <= MAX_PEAK_BYTES_PER_JOB,
         "peak {first} live bytes = {per_job} per job, over the {MAX_PEAK_BYTES_PER_JOB} budget"
+    );
+}
+
+/// One heavy-traffic DES replay (the scenario `heavy_traffic_replay`
+/// runs), stepped by hand: its live bytes at the end of its last
+/// `step`, its peak up to then and its peak with `finish`, each above
+/// what was live when it began.
+#[test]
+fn a_des_replay_peaks_at_its_run_state_not_its_report() {
+    let workload = heavy_traffic_workload(0, DES_JOBS);
+    let cfg = SimConfig {
+        capacity: SCALE_CAPACITY,
+        policy: Box::new(elastic()),
+        scaling: ScalingModel::default(),
+        overhead: OverheadModel::default(),
+        cancellations: Vec::new(),
+    };
+    let base = LIVE.get();
+    PEAK.set(base);
+    let mut state = SimState::new(&cfg, &workload);
+    while state.step(&cfg, &workload, usize::MAX) {}
+    let step_end = LIVE.get() - base;
+    let stepping = PEAK.get() - base;
+    let out = state.finish(&cfg, &workload);
+    let peak = PEAK.get() - base;
+    assert_eq!(out.metrics.jobs.len(), DES_JOBS);
+    println!("live at the last step's end {step_end} B, peak while stepping {stepping} B, with finish {peak} B");
+    assert_eq!(
+        peak,
+        stepping,
+        "finish raised the peak {} B above the run state",
+        peak - stepping
+    );
+    // What the steps peak above their end is one decision's scratch.
+    assert!(
+        stepping - step_end <= 1024,
+        "the steps peaked {} B above their end state",
+        stepping - step_end
     );
 }
 
