@@ -66,11 +66,6 @@ impl IterativeDriver {
         }
     }
 
-    /// Iterations completed so far.
-    pub fn iterations(&self) -> u64 {
-        self.iter
-    }
-
     /// Current PE count.
     pub fn num_pes(&self) -> usize {
         self.rt.num_pes()

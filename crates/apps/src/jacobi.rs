@@ -30,11 +30,11 @@ use charm_rt::{
 use crate::driver::{IterativeDriver, WindowResult, M_START};
 
 /// Halo-exchange entry method.
-pub const M_HALO: MethodId = 2;
+const M_HALO: MethodId = 2;
 /// Checksum query: contributes the sum of interior cells.
 pub const M_CHECKSUM: MethodId = 3;
 /// Gather: each block sends its interior to the driver.
-pub const M_GATHER: MethodId = 4;
+const M_GATHER: MethodId = 4;
 
 const DIR_LEFT: u8 = 0;
 const DIR_RIGHT: u8 = 1;
@@ -78,7 +78,7 @@ impl JacobiConfig {
     }
 
     /// Interior width/height of one block.
-    pub fn block_dims(&self) -> (usize, usize) {
+    fn block_dims(&self) -> (usize, usize) {
         (
             self.grid / self.blocks_x as usize,
             self.grid / self.blocks_y as usize,

@@ -24,7 +24,7 @@ use charm_rt::{
 use crate::driver::{IterativeDriver, WindowResult, M_START};
 
 /// Neighbour position exchange.
-pub const M_ATOMS: MethodId = 2;
+const M_ATOMS: MethodId = 2;
 /// Checksum query (sum of coordinates).
 pub const M_CHECKSUM: MethodId = 3;
 
@@ -58,13 +58,8 @@ impl LeanMdConfig {
     }
 
     /// Total cell (chare) count.
-    pub fn num_cells(&self) -> u64 {
+    fn num_cells(&self) -> u64 {
         self.cells.0 * self.cells.1 * self.cells.2
-    }
-
-    /// Total atom count.
-    pub fn num_atoms(&self) -> u64 {
-        self.num_cells() * self.atoms_per_cell as u64
     }
 }
 
@@ -491,6 +486,5 @@ mod tests {
     fn config_totals() {
         let cfg = LeanMdConfig::new((4, 4, 8), 10);
         assert_eq!(cfg.num_cells(), 128);
-        assert_eq!(cfg.num_atoms(), 1280);
     }
 }

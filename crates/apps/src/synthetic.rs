@@ -18,7 +18,7 @@ use charm_rt::{
 use crate::driver::{IterativeDriver, WindowResult, M_START};
 
 /// Ring-token exchange.
-pub const M_TOKEN: MethodId = 2;
+const M_TOKEN: MethodId = 2;
 
 /// Per-chare work weighting.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,15 +64,6 @@ impl SyntheticConfig {
             chares,
             spin_per_unit,
             weights: Weights::Uniform,
-        }
-    }
-
-    /// Sawtooth-imbalanced variant.
-    pub fn sawtooth(chares: u64, spin_per_unit: u64, modulus: u64) -> Self {
-        SyntheticConfig {
-            chares,
-            spin_per_unit,
-            weights: Weights::Sawtooth { modulus },
         }
     }
 }
@@ -282,8 +273,12 @@ mod tests {
 
     #[test]
     fn survives_rescale_between_windows() {
-        let mut app =
-            SyntheticApp::new(SyntheticConfig::sawtooth(12, 200, 3), RuntimeConfig::new(3));
+        let cfg = SyntheticConfig {
+            chares: 12,
+            spin_per_unit: 200,
+            weights: Weights::Sawtooth { modulus: 3 },
+        };
+        let mut app = SyntheticApp::new(cfg, RuntimeConfig::new(3));
         app.run_window(4).unwrap();
         let report = app.driver.rescale(2);
         assert_eq!(report.to_pes, 2);

@@ -41,7 +41,7 @@ pub struct ScaledClass {
 /// Scaled parameters for `class`. Quick mode divides the paper's
 /// replica bounds by 4 (16-slot cluster) and shrinks grids/iterations
 /// so each job runs seconds of wall time.
-pub fn scaled_class(class: SizeClass, full: bool) -> ScaledClass {
+fn scaled_class(class: SizeClass, full: bool) -> ScaledClass {
     if full {
         match class {
             SizeClass::Small => ScaledClass {
@@ -117,7 +117,7 @@ pub fn scaled_class(class: SizeClass, full: bool) -> ScaledClass {
 
 /// The scaled job set for workload `seed` (16 jobs, same class and
 /// priority draws as the simulator's workload generator).
-pub fn scaled_jobs(seed: u64, full: bool) -> Vec<CharmJobSpec> {
+fn scaled_jobs(seed: u64, full: bool) -> Vec<CharmJobSpec> {
     generate_workload(seed, 16)
         .jobs
         .into_iter()

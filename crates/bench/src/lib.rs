@@ -9,7 +9,7 @@
 //! | `fig5` | Fig. 5a/5b/5c rescale-overhead breakdowns | |
 //! | `fig5_compare` | full-restart vs incremental rescale, per rung | 2 |
 //! | `fig6` | Fig. 6a/6b shrink/expand timeline | |
-//! | `fig7` | Fig. 7a–d simulator sweep | 4 |
+//! | `fig7` | Fig. 7a–d simulator sweep | 6 |
 //! | `fig8` | Fig. 8a–d simulator sweep and its incremental companion | 4 |
 //! | `fig9` | Fig. 9a/9b operator utilization profiles | |
 //! | `table1` | Table 1 (Actual + Simulation columns) | 4 |
@@ -175,7 +175,7 @@ pub fn replica_ladder(limit: usize) -> Vec<usize> {
 
 /// The doubling ladder `1, 2, 4, …` capped at `limit.min(cap)`, with
 /// the cap itself appended when it is not a power of two.
-pub fn ladder_with_cap(limit: usize, cap: usize) -> Vec<usize> {
+fn ladder_with_cap(limit: usize, cap: usize) -> Vec<usize> {
     let cap = limit.min(cap).max(1);
     let mut v = Vec::new();
     let mut p = 1;

@@ -4,7 +4,9 @@
 //! holds. Table 1 is one workload, so its claims are read over seeds
 //! 0–19: two hold on every seed and are asserted per seed; the two
 //! elastic ones hold on 11 and 12 of the 20 and are asserted at those
-//! rates, so a change that makes them fail more often fails here.
+//! rates, so a change that makes them fail more often fails here. Over
+//! the population of workloads both elastic statements hold: they are
+//! fig7's two claims on the 100-seed means at gap 90 s.
 //! Two real-path claims are asserted too: `fig5_compare`'s byte counts
 //! and its migrated-chare counts, which do not depend on the host's
 //! speed.
@@ -25,7 +27,7 @@ fn failing(claims: &[Claim]) -> Vec<String> {
 #[test]
 fn every_fig7_claim_holds() {
     let claims = des::fig7(&Options::default()).claims;
-    assert_eq!(claims.len(), 4);
+    assert_eq!(claims.len(), 6);
     assert_eq!(failing(&claims), Vec::<String>::new());
 }
 

@@ -54,11 +54,6 @@ impl CcsEndpoint {
         }
     }
 
-    /// Removes the oldest pending request, if any.
-    pub fn take_pending(&self) -> Option<CcsRequest> {
-        locked(&self.shared.queue).pop_front()
-    }
-
     /// Removes all but the newest pending request and returns that one —
     /// a controller that signalled twice before a boundary only wants
     /// the latest target.
@@ -105,23 +100,11 @@ mod tests {
         let ep = CcsEndpoint::new();
         let client = ep.client();
         let ack = client.request_rescale(8);
-        let req = ep.take_pending().expect("request queued");
+        let req = ep.take_latest().expect("request queued");
         assert_eq!(req.target_pes, 8);
         req.reply.send(RescaleReport::noop(8)).unwrap();
         let report = ack.recv().unwrap();
         assert_eq!(report.to_pes, 8);
-    }
-
-    #[test]
-    fn requests_are_fifo() {
-        let ep = CcsEndpoint::new();
-        let client = ep.client();
-        let _a1 = client.request_rescale(4);
-        let _a2 = client.request_rescale(16);
-        assert_eq!(ep.pending(), 2);
-        assert_eq!(ep.take_pending().unwrap().target_pes, 4);
-        assert_eq!(ep.take_pending().unwrap().target_pes, 16);
-        assert!(ep.take_pending().is_none());
     }
 
     #[test]
@@ -140,7 +123,7 @@ mod tests {
         let ep = CcsEndpoint::new();
         let client = ep.client();
         drop(client.request_rescale(4));
-        let req = ep.take_pending().unwrap();
+        let req = ep.take_latest().unwrap();
         // Sending to a dropped receiver must be a clean error, not a panic.
         assert!(req.reply.send(RescaleReport::noop(4)).is_err());
     }

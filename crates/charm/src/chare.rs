@@ -65,12 +65,6 @@ impl Ctx<'_> {
         self.index
     }
 
-    /// The array the chare belongs to.
-    #[inline]
-    pub fn array(&self) -> ArrayId {
-        self.array
-    }
-
     /// The PE currently executing this chare.
     #[inline]
     pub fn pe(&self) -> PeId {
@@ -90,13 +84,13 @@ impl Ctx<'_> {
     }
 
     /// Sends to an element of any array.
-    pub fn send_to(&mut self, to: ChareId, method: MethodId, data: Bytes) {
+    fn send_to(&mut self, to: ChareId, method: MethodId, data: Bytes) {
         let dest = self
             .shared
             .location
             .lookup(to)
             .unwrap_or_else(|| panic!("send to unknown chare {to}"));
-        self.shared.stats.note_message(data.len());
+        self.shared.stats.note_message();
         self.shared
             .router
             .send(dest, PeMsg::Deliver { to, method, data });

@@ -65,7 +65,8 @@ impl CheckpointStore {
     }
 
     /// Total payload bytes currently stored.
-    pub fn total_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn total_bytes(&self) -> usize {
         locked(&self.inner).values().map(|e| e.data.len()).sum()
     }
 }

@@ -201,11 +201,6 @@ impl<'a> Reader<'a> {
         Reader { buf }
     }
 
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len()
-    }
-
     fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CodecError> {
         if self.buf.len() < n {
             return Err(CodecError::UnexpectedEnd { what });
@@ -323,7 +318,7 @@ mod tests {
         assert!(r.bool().unwrap());
         assert!(!r.bool().unwrap());
         assert_eq!(r.str().unwrap(), "hello");
-        assert_eq!(r.remaining(), 0);
+        assert_eq!(r.buf.len(), 0);
     }
 
     #[test]
@@ -436,7 +431,7 @@ mod tests {
             prop_assert_eq!(r.str().unwrap(), s);
             prop_assert_eq!(r.i64().unwrap(), b);
             prop_assert_eq!(r.u64_vec().unwrap(), v);
-            prop_assert_eq!(r.remaining(), 0);
+            prop_assert_eq!(r.buf.len(), 0);
         }
 
         #[test]

@@ -40,7 +40,7 @@ impl fmt::Display for ArrayId {
 const DIM_BITS: u64 = 20;
 const DIM_MASK: u64 = (1 << DIM_BITS) - 1;
 /// Largest coordinate storable in one dimension.
-pub const MAX_COORD: u64 = DIM_MASK;
+const MAX_COORD: u64 = DIM_MASK;
 
 /// A chare index: up to three packed 20-bit coordinates.
 ///
@@ -95,18 +95,6 @@ impl Index {
     #[inline]
     pub fn z(self) -> u64 {
         (self.0 >> (2 * DIM_BITS)) & DIM_MASK
-    }
-
-    /// Raw packed value (stable across processes; used by the codec).
-    #[inline]
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-
-    /// Rebuilds an index from its raw packed value.
-    #[inline]
-    pub fn from_raw(raw: u64) -> Index {
-        Index(raw)
     }
 }
 
@@ -164,12 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn index_raw_round_trip() {
-        let i = Index::d3(MAX_COORD, 0, MAX_COORD);
-        assert_eq!(Index::from_raw(i.raw()), i);
-    }
-
-    #[test]
     #[should_panic(expected = "exceeds")]
     fn index_rejects_oversized_coordinate() {
         let _ = Index::d1(MAX_COORD + 1);
@@ -196,7 +178,6 @@ mod tests {
         fn packing_is_bijective(x in 0..=MAX_COORD, y in 0..=MAX_COORD, z in 0..=MAX_COORD) {
             let i = Index::d3(x, y, z);
             prop_assert_eq!((i.x(), i.y(), i.z()), (x, y, z));
-            prop_assert_eq!(Index::from_raw(i.raw()), i);
         }
 
         #[test]

@@ -66,7 +66,7 @@ impl LbStrategy for GreedyLb {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{imbalance, pe_loads, testutil::mk_stats};
+    use super::super::testutil::{imbalance, mk_stats, pe_loads};
     use super::*;
 
     #[test]

@@ -78,11 +78,7 @@ pub trait LbStrategy: Send + Sync {
 /// The default evacuation-only assignment (see
 /// [`LbStrategy::assign_evacuation`]): survivors stay put, evacuees go
 /// LPT-first onto the least-loaded surviving PE.
-pub fn evacuation_only(
-    stats: &[ChareStat],
-    num_pes: usize,
-    evacuate: &HashSet<PeId>,
-) -> Assignment {
+fn evacuation_only(stats: &[ChareStat], num_pes: usize, evacuate: &HashSet<PeId>) -> Assignment {
     let targets = allowed_pes(num_pes, evacuate);
     assert!(!targets.is_empty(), "no PEs left after evacuation");
     let stats = effective_stats(stats);
@@ -118,7 +114,7 @@ pub fn evacuation_only(
 /// chares off the most-loaded veteran PEs until each fresh PE reaches
 /// the post-expand average, then stops. Every chare not needed to fill
 /// the fresh PEs keeps its placement.
-pub fn expansion_fill(stats: &[ChareStat], num_pes: usize, fresh: &HashSet<PeId>) -> Assignment {
+fn expansion_fill(stats: &[ChareStat], num_pes: usize, fresh: &HashSet<PeId>) -> Assignment {
     let stats = effective_stats(stats);
     let mut out = Assignment::with_capacity(stats.len());
     let mut loads = vec![0.0f64; num_pes];
@@ -223,30 +219,6 @@ pub fn validate_assignment(
     }
 }
 
-/// Per-PE total load under an assignment.
-pub fn pe_loads(assignment: &Assignment, stats: &[ChareStat], num_pes: usize) -> Vec<f64> {
-    let mut loads = vec![0.0; num_pes];
-    for s in stats {
-        if let Some(pe) = assignment.get(&s.id) {
-            loads[pe.as_usize()] += s.load;
-        }
-    }
-    loads
-}
-
-/// Max/average load ratio (1.0 = perfectly balanced); `None` if total
-/// load is zero.
-pub fn imbalance(assignment: &Assignment, stats: &[ChareStat], num_pes: usize) -> Option<f64> {
-    let loads = pe_loads(assignment, stats, num_pes);
-    let total: f64 = loads.iter().sum();
-    if total <= 0.0 {
-        return None;
-    }
-    let avg = total / num_pes as f64;
-    let max = loads.iter().copied().fold(0.0, f64::max);
-    Some(max / avg)
-}
-
 /// The PEs allowed to receive chares: `0..num_pes` minus `evacuate`,
 /// sorted — shared by strategies for deterministic iteration order.
 pub(crate) fn allowed_pes(num_pes: usize, evacuate: &HashSet<PeId>) -> Vec<PeId> {
@@ -296,8 +268,40 @@ pub(crate) mod testutil {
     use super::*;
     use crate::ids::{ArrayId, Index};
 
+    /// Per-PE total load under an assignment.
+    pub(crate) fn pe_loads(
+        assignment: &Assignment,
+        stats: &[ChareStat],
+        num_pes: usize,
+    ) -> Vec<f64> {
+        let mut loads = vec![0.0; num_pes];
+        for s in stats {
+            if let Some(pe) = assignment.get(&s.id) {
+                loads[pe.as_usize()] += s.load;
+            }
+        }
+        loads
+    }
+
+    /// Max/average load ratio (1.0 = perfectly balanced); `None` if total
+    /// load is zero.
+    pub(crate) fn imbalance(
+        assignment: &Assignment,
+        stats: &[ChareStat],
+        num_pes: usize,
+    ) -> Option<f64> {
+        let loads = pe_loads(assignment, stats, num_pes);
+        let total: f64 = loads.iter().sum();
+        if total <= 0.0 {
+            return None;
+        }
+        let avg = total / num_pes as f64;
+        let max = loads.iter().copied().fold(0.0, f64::max);
+        Some(max / avg)
+    }
+
     /// Builds stats: chare i on PE (i % pes) with the given load.
-    pub fn mk_stats(loads: &[f64], pes: usize) -> Vec<ChareStat> {
+    pub(crate) fn mk_stats(loads: &[f64], pes: usize) -> Vec<ChareStat> {
         loads
             .iter()
             .enumerate()
@@ -312,7 +316,7 @@ pub(crate) mod testutil {
 
 #[cfg(test)]
 mod tests {
-    use super::testutil::mk_stats;
+    use super::testutil::{imbalance, mk_stats, pe_loads};
     use super::*;
     use crate::ids::{ArrayId, Index};
     use proptest::prelude::*;

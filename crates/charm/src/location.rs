@@ -15,7 +15,7 @@ use std::sync::RwLock;
 
 use hpc_metrics::sync::{read, write};
 
-use crate::ids::{ArrayId, ChareId, PeId};
+use crate::ids::{ChareId, PeId};
 
 const DEFAULT_SHARDS: usize = 16;
 
@@ -86,20 +86,6 @@ impl LocationManager {
         out
     }
 
-    /// All elements of `array`, with their PEs.
-    pub fn elements_of(&self, array: ArrayId) -> Vec<(ChareId, PeId)> {
-        let mut out = Vec::new();
-        for s in &self.shards {
-            out.extend(
-                read(s)
-                    .iter()
-                    .filter(|(k, _)| k.array == array)
-                    .map(|(k, v)| (*k, *v)),
-            );
-        }
-        out
-    }
-
     /// Number of chares recorded on PEs `floor..` — used by the
     /// incremental shrink path to assert the evacuation drained every
     /// dying PE before its thread retires.
@@ -127,7 +113,7 @@ impl LocationManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::Index;
+    use crate::ids::{ArrayId, Index};
     use std::sync::Arc;
 
     fn cid(a: u32, i: u64) -> ChareId {
@@ -158,17 +144,6 @@ mod tests {
         assert_eq!(snap[&cid(0, 17)], PeId(1));
         lm.clear();
         assert!(lm.is_empty());
-    }
-
-    #[test]
-    fn elements_of_filters_by_array() {
-        let lm = LocationManager::default();
-        lm.update(cid(0, 1), PeId(0));
-        lm.update(cid(1, 1), PeId(1));
-        lm.update(cid(1, 2), PeId(2));
-        let mut els = lm.elements_of(ArrayId(1));
-        els.sort();
-        assert_eq!(els, vec![(cid(1, 1), PeId(1)), (cid(1, 2), PeId(2))]);
     }
 
     #[test]

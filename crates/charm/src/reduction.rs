@@ -29,7 +29,7 @@ pub enum ReduceOp {
 impl ReduceOp {
     /// Folds `vals` into `acc` element-wise. `acc` is resized (with the
     /// operator's identity) if `vals` is longer.
-    pub fn combine(self, acc: &mut Vec<f64>, vals: &[f64]) {
+    fn combine(self, acc: &mut Vec<f64>, vals: &[f64]) {
         if acc.len() < vals.len() {
             acc.resize(vals.len(), self.identity());
         }
@@ -43,30 +43,11 @@ impl ReduceOp {
     }
 
     /// The operator identity element.
-    pub fn identity(self) -> f64 {
+    fn identity(self) -> f64 {
         match self {
             ReduceOp::Sum => 0.0,
             ReduceOp::Max => f64::NEG_INFINITY,
             ReduceOp::Min => f64::INFINITY,
-        }
-    }
-
-    /// Stable numeric tag for the codec.
-    pub fn tag(self) -> u8 {
-        match self {
-            ReduceOp::Sum => 0,
-            ReduceOp::Max => 1,
-            ReduceOp::Min => 2,
-        }
-    }
-
-    /// Inverse of [`ReduceOp::tag`].
-    pub fn from_tag(t: u8) -> Option<ReduceOp> {
-        match t {
-            0 => Some(ReduceOp::Sum),
-            1 => Some(ReduceOp::Max),
-            2 => Some(ReduceOp::Min),
-            _ => None,
         }
     }
 }
@@ -170,11 +151,6 @@ impl ReductionCollector {
             None
         }
     }
-
-    /// Number of incomplete epochs.
-    pub fn pending_epochs(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 #[cfg(test)]
@@ -206,14 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn tags_round_trip() {
-        for op in [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min] {
-            assert_eq!(ReduceOp::from_tag(op.tag()), Some(op));
-        }
-        assert_eq!(ReduceOp::from_tag(99), None);
-    }
-
-    #[test]
     fn partial_accumulates() {
         let mut p = Partial::first(ReduceOp::Sum, &[1.0]);
         p.add(ReduceOp::Sum, &[2.0]);
@@ -235,7 +203,7 @@ mod tests {
         let done = c.offer(a, 1, ReduceOp::Sum, &[3.0], 1, 5).unwrap();
         assert_eq!(done.vals, vec![6.0]);
         assert_eq!(done.seq, 1);
-        assert_eq!(c.pending_epochs(), 0);
+        assert_eq!(c.pending.len(), 0);
     }
 
     #[test]
@@ -244,7 +212,7 @@ mod tests {
         let a = ArrayId(0);
         assert!(c.offer(a, 1, ReduceOp::Max, &[1.0], 1, 2).is_none());
         assert!(c.offer(a, 2, ReduceOp::Max, &[9.0], 1, 2).is_none());
-        assert_eq!(c.pending_epochs(), 2);
+        assert_eq!(c.pending.len(), 2);
         let r1 = c.offer(a, 1, ReduceOp::Max, &[5.0], 1, 2).unwrap();
         assert_eq!(r1.vals, vec![5.0]);
         let r2 = c.offer(a, 2, ReduceOp::Max, &[3.0], 1, 2).unwrap();

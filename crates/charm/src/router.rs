@@ -56,7 +56,8 @@ impl Router {
 
     /// The current endpoint-table generation (bumps on every restart or
     /// in-place resize).
-    pub fn generation(&self) -> u64 {
+    #[cfg(test)]
+    fn generation(&self) -> u64 {
         read(&self.endpoints).generation
     }
 

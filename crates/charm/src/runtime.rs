@@ -49,26 +49,18 @@ use crate::router::Router;
 #[derive(Debug, Default)]
 pub struct RtStats {
     messages: AtomicU64,
-    message_bytes: AtomicU64,
     migrations: AtomicU64,
     checkpoints: AtomicU64,
 }
 
 impl RtStats {
-    pub(crate) fn note_message(&self, bytes: usize) {
+    pub(crate) fn note_message(&self) {
         self.messages.fetch_add(1, Ordering::Relaxed);
-        self.message_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
     /// Total entry-method messages sent.
     pub fn messages(&self) -> u64 {
         self.messages.load(Ordering::Relaxed)
-    }
-
-    /// Total entry-method payload bytes sent.
-    pub fn message_bytes(&self) -> u64 {
-        self.message_bytes.load(Ordering::Relaxed)
     }
 
     /// Total chare migrations performed.
@@ -246,7 +238,7 @@ impl Runtime {
     }
 
     /// Number of elements registered in `array`.
-    pub fn array_len(&self, array: ArrayId) -> usize {
+    fn array_len(&self, array: ArrayId) -> usize {
         read(&self.shared.arrays)
             .get(&array)
             .map(|m| m.elements.len())
@@ -385,7 +377,7 @@ impl Runtime {
             .location
             .lookup(to)
             .unwrap_or_else(|| panic!("send to unknown chare {to}"));
-        self.shared.stats.note_message(data.len());
+        self.shared.stats.note_message();
         let ok = self
             .shared
             .router
@@ -473,7 +465,7 @@ impl Runtime {
 
     /// Collects fresh per-chare load measurements from every PE (and
     /// resets the accumulators).
-    pub fn collect_stats(&self) -> Vec<ChareStat> {
+    fn collect_stats(&self) -> Vec<ChareStat> {
         let n = self.num_pes();
         let (tx, rx) = mpsc::channel();
         for i in 0..n {

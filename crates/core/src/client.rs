@@ -120,7 +120,7 @@ impl SubmitRequest {
     }
 
     /// Unwraps the validated spec.
-    pub fn into_spec(self) -> CharmJobSpec {
+    fn into_spec(self) -> CharmJobSpec {
         self.spec
     }
 }

@@ -192,7 +192,7 @@ impl JobSpecBuilder {
     }
 
     /// The application to execute.
-    pub fn app(mut self, app: AppSpec) -> Self {
+    fn app(mut self, app: AppSpec) -> Self {
         self.spec.app = app;
         self
     }
@@ -293,16 +293,6 @@ impl CharmJobStatus {
             attempts: 0,
         }
     }
-
-    /// Response time (start − submit), if started.
-    pub fn response_time(&self) -> Option<hpc_metrics::Duration> {
-        self.started_at.map(|s| s - self.submitted_at)
-    }
-
-    /// Completion time (complete − submit), if completed.
-    pub fn completion_time(&self) -> Option<hpc_metrics::Duration> {
-        self.completed_at.map(|c| c - self.submitted_at)
-    }
 }
 
 /// The stored custom resource: spec + status.
@@ -391,14 +381,11 @@ mod tests {
 
     #[test]
     fn status_lifecycle_metrics() {
-        let mut st = CharmJobStatus::submitted(SimTime::from_secs(10.0));
+        let st = CharmJobStatus::submitted(SimTime::from_secs(10.0));
         assert_eq!(st.phase, JobPhase::Queued);
         assert_eq!(st.last_action, SimTime::NEG_INFINITY);
-        assert!(st.response_time().is_none());
-        st.started_at = Some(SimTime::from_secs(25.0));
-        st.completed_at = Some(SimTime::from_secs(100.0));
-        assert_eq!(st.response_time().unwrap().as_secs(), 15.0);
-        assert_eq!(st.completion_time().unwrap().as_secs(), 90.0);
+        assert_eq!(st.started_at, None);
+        assert_eq!(st.completed_at, None);
     }
 
     #[test]

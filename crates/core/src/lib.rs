@@ -222,8 +222,6 @@
 //!
 //! let policy = EasyBackfill::new();
 //! let now = SimTime::from_secs(100.0);
-//! let reservation = policy.shadow_start(&view, now).expect("head is blocked");
-//! assert_eq!(reservation.shadow_start, SimTime::from_secs(1000.0));
 //! let actions = policy.on_complete(&view, now);
 //! assert_eq!(actions, vec![Action::Create { job: JobId(2), replicas: 4 }]);
 //! ```

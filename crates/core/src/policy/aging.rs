@@ -72,7 +72,7 @@ impl AgingSweep {
 
     /// The effective priority of a job that has waited `waited` at base
     /// priority `priority`: doubling per half-life, saturating.
-    pub fn effective_priority(&self, priority: u32, waited: Duration) -> u32 {
+    fn effective_priority(&self, priority: u32, waited: Duration) -> u32 {
         let halves = (waited.as_secs() / self.half_life.as_secs()).max(0.0);
         let boosted = f64::from(priority) * halves.exp2();
         if boosted >= f64::from(u32::MAX) {

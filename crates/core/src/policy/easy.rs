@@ -123,7 +123,8 @@ impl EasyBackfill {
     /// accumulates. Returns `None` when the queue is empty, every
     /// queued job fits right now, or no queued job can ever run on this
     /// cluster.
-    pub fn shadow_start(&self, view: &ClusterView, _now: SimTime) -> Option<Reservation> {
+    #[cfg(test)]
+    fn shadow_start(&self, view: &ClusterView, _now: SimTime) -> Option<Reservation> {
         let (head, free) = greedy_head_walk(view, |_, _| {});
         head.map(|head| self.plan_reservation(view, &head, free))
     }

@@ -365,7 +365,7 @@ fn redistribute<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{Policy, PolicyConfig};
+    use crate::policy::{Policy, PolicyConfig, PolicyKind};
     use crate::view::{apply_action, JobState};
     use hpc_metrics::Duration;
     use proptest::prelude::*;
@@ -718,7 +718,7 @@ mod tests {
 
     #[test]
     fn rigid_max_all_or_nothing() {
-        let pol = Policy::rigid_max(cfg(180.0));
+        let pol = Policy::of_kind(PolicyKind::RigidMax, cfg(180.0));
         let new = job(0, 3, 0.0, 4, 16);
         let fits = view(17, vec![new]);
         assert_eq!(
@@ -739,7 +739,7 @@ mod tests {
     fn rigid_max_never_starts_a_job_below_its_spec_minimum() {
         // Min 70 cannot fit 64 slots: the clamp that pins rigid-max
         // jobs to the cluster's 63 workers must not start it at 63.
-        let pol = Policy::rigid_max(cfg(180.0));
+        let pol = Policy::of_kind(PolicyKind::RigidMax, cfg(180.0));
         let v = view(64, vec![job(0, 3, 0.0, 70, 80)]);
         assert_eq!(
             pol.on_submit(&v, JobId(0), t(0.0)),
@@ -760,7 +760,7 @@ mod tests {
 
     #[test]
     fn rigid_min_never_uses_extra_room() {
-        let pol = Policy::rigid_min(cfg(180.0));
+        let pol = Policy::of_kind(PolicyKind::RigidMin, cfg(180.0));
         let new = job(0, 3, 0.0, 4, 16);
         let v = view(64, vec![new]);
         assert_eq!(
@@ -774,7 +774,10 @@ mod tests {
 
     #[test]
     fn rigid_jobs_never_rescale_on_completion() {
-        for pol in [Policy::rigid_min(cfg(180.0)), Policy::rigid_max(cfg(180.0))] {
+        for pol in [
+            Policy::of_kind(PolicyKind::RigidMin, cfg(180.0)),
+            Policy::of_kind(PolicyKind::RigidMax, cfg(180.0)),
+        ] {
             let a = running(job(0, 5, 0.0, 8, 8), 8, 0.0);
             let v = view(40, vec![a]);
             assert!(
@@ -852,7 +855,7 @@ mod tests {
 
         let workload = generate_workload(0, JOBS).spaced_every(Duration::from_secs(1.5));
         let (scaling, overhead) = (ScalingModel::default(), OverheadModel::default());
-        let pol = Policy::of_kind(super::super::PolicyKind::Elastic, PolicyConfig::default());
+        let pol = Policy::of_kind(PolicyKind::Elastic, PolicyConfig::default());
         let launcher = pol.cfg.launcher_slots;
         let steps = || crate::view::SEARCH_STEPS.with(|steps| steps.get());
         let apply = |r: &mut Replay, actions: Vec<Action>, now: SimTime| {
@@ -1103,7 +1106,7 @@ mod tests {
                 base.insert(running(filler, 2, acted_at), 1);
             }
             base.set_free_slots(free);
-            for kind in super::super::PolicyKind::ALL {
+            for kind in PolicyKind::ALL {
                 let pol = Policy::of_kind(kind, PolicyConfig {
                     shrink_spares_head: spares_head,
                     ..cfg(4.0)
@@ -1174,7 +1177,7 @@ mod tests {
             jobs.push(job(new_id.0, rng.gen_range(1..=5), 999.0, nmin, nmax));
             let v = view(free, jobs);
             let now = t(500.0);
-            for kind in super::super::PolicyKind::ALL {
+            for kind in PolicyKind::ALL {
                 let pol = Policy::of_kind(kind, cfg(180.0));
                 let mut scratch = v.clone();
                 let actions = pol.on_submit(&scratch, new_id, now);
@@ -1289,7 +1292,7 @@ mod tests {
             let free = free.min(64 - used);
             let v = view(free, jobs);
             let now = t(500.0);
-            for kind in super::super::PolicyKind::ALL {
+            for kind in PolicyKind::ALL {
                 let pol = Policy::of_kind(kind, cfg(180.0));
                 let mut scratch = v.clone();
                 for a in pol.on_complete(&scratch, now) {

@@ -307,16 +307,6 @@ impl Policy {
         Self::of_kind(PolicyKind::Moldable, cfg)
     }
 
-    /// The rigid `min_replicas` baseline.
-    pub fn rigid_min(cfg: PolicyConfig) -> Policy {
-        Self::of_kind(PolicyKind::RigidMin, cfg)
-    }
-
-    /// The rigid `max_replicas` baseline.
-    pub fn rigid_max(cfg: PolicyConfig) -> Policy {
-        Self::of_kind(PolicyKind::RigidMax, cfg)
-    }
-
     /// A policy of `kind` with config `cfg`.
     pub fn of_kind(kind: PolicyKind, cfg: PolicyConfig) -> Policy {
         Policy { kind, cfg }
@@ -335,7 +325,7 @@ impl Policy {
     }
 
     /// The effective rescale gap — infinite for moldable (§4.3.2).
-    pub fn gap(&self) -> Duration {
+    fn gap(&self) -> Duration {
         if self.kind == PolicyKind::Moldable {
             Duration::INFINITY
         } else {
@@ -417,8 +407,14 @@ mod tests {
         let cfg = PolicyConfig::default();
         assert_eq!(Policy::elastic(cfg).bounds(&j), (2, 8));
         assert_eq!(Policy::moldable(cfg).bounds(&j), (2, 8));
-        assert_eq!(Policy::rigid_min(cfg).bounds(&j), (2, 2));
-        assert_eq!(Policy::rigid_max(cfg).bounds(&j), (8, 8));
+        assert_eq!(
+            Policy::of_kind(PolicyKind::RigidMin, cfg).bounds(&j),
+            (2, 2)
+        );
+        assert_eq!(
+            Policy::of_kind(PolicyKind::RigidMax, cfg).bounds(&j),
+            (8, 8)
+        );
     }
 
     #[test]

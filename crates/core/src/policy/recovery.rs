@@ -78,11 +78,6 @@ impl RecoveryPolicy {
         RecoveryPolicy { inner, strategy }
     }
 
-    /// The wrapped strategy.
-    pub fn strategy(&self) -> RecoveryStrategy {
-        self.strategy
-    }
-
     /// The elastic plan: shrink running jobs toward their minimum,
     /// lowest-priority first ([`lowest_priority_first`]), evicting
     /// whole jobs only while shrinking the remainder cannot cover the
@@ -319,7 +314,7 @@ mod tests {
         assert_eq!(p.name(), "elastic+kill_requeue");
         assert_eq!(p.launcher_slots(), 1);
         assert_eq!(p.timer_interval(), None);
-        assert_eq!(p.strategy(), RecoveryStrategy::KillRequeue);
+        assert_eq!(p.strategy, RecoveryStrategy::KillRequeue);
         assert_eq!(RecoveryStrategy::ALL.len(), 3);
     }
 

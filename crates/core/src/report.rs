@@ -35,7 +35,7 @@ impl JobOutcome {
     /// trace-replay literature. Computed from the same three timestamps
     /// in both engines, so DES and operator replays agree by
     /// construction.
-    pub fn bounded_slowdown(&self) -> f64 {
+    fn bounded_slowdown(&self) -> f64 {
         let wait = (self.started_at - self.submitted_at).as_secs();
         let run = (self.completed_at - self.started_at).as_secs();
         ((wait + run) / run.max(BSLD_TAU_S)).max(1.0)
@@ -85,7 +85,7 @@ pub struct RunMetrics {
     /// Priority-weighted mean completion time (complete − submit), s.
     pub weighted_completion: f64,
     /// Mean bounded slowdown over completed jobs (τ = [`BSLD_TAU_S`];
-    /// see [`JobOutcome::bounded_slowdown`]).
+    /// see `JobOutcome::bounded_slowdown`).
     pub mean_bounded_slowdown: f64,
     /// Scheduling actions that rescaled a running job.
     pub rescales: u32,

@@ -58,7 +58,7 @@ impl CircuitBreaker {
     /// The breaker's state as of `now` (without mutating it). Every
     /// mutating call first stores it: that resolves the lazy
     /// Open → HalfOpen transition.
-    pub fn state(&self, now: SimTime) -> BreakerState {
+    fn state(&self, now: SimTime) -> BreakerState {
         if self.state == BreakerState::Open && now >= self.open_until {
             BreakerState::HalfOpen
         } else {
@@ -116,7 +116,8 @@ impl CircuitBreaker {
     }
 
     /// Consecutive failures accrued toward the next trip.
-    pub fn consecutive_failures(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn consecutive_failures(&self) -> u32 {
         self.consecutive_failures
     }
 }

@@ -17,7 +17,6 @@ pub struct RetryBudget {
     balance: f64,
     cap: f64,
     deposit_per_success: f64,
-    deposited: f64,
     withdrawn: u64,
 }
 
@@ -37,7 +36,6 @@ impl RetryBudget {
             balance: initial,
             cap: initial,
             deposit_per_success,
-            deposited: 0.0,
             withdrawn: 0,
         }
     }
@@ -56,28 +54,12 @@ impl RetryBudget {
 
     /// Deposits `deposit_per_success` tokens (saturating at the cap).
     pub fn record_success(&mut self) {
-        self.deposited += self.deposit_per_success;
         self.balance = (self.balance + self.deposit_per_success).min(self.cap);
-    }
-
-    /// Tokens currently available.
-    pub fn balance(&self) -> f64 {
-        self.balance
     }
 
     /// Total withdrawals (approved retries) over the budget's lifetime.
     pub fn withdrawn(&self) -> u64 {
         self.withdrawn
-    }
-
-    /// Gross tokens deposited (before the cap) over the lifetime.
-    pub fn deposited(&self) -> f64 {
-        self.deposited
-    }
-
-    /// The bucket cap (= the initial allowance).
-    pub fn cap(&self) -> f64 {
-        self.cap
     }
 }
 
@@ -104,7 +86,7 @@ mod tests {
         let mut b = RetryBudget::new(1.0, 10.0);
         b.record_success();
         b.record_success();
-        assert_eq!(b.balance(), 1.0, "balance never exceeds the cap");
+        assert_eq!(b.balance, 1.0, "balance never exceeds the cap");
         assert!(b.try_withdraw());
         assert!(!b.try_withdraw());
     }
@@ -129,18 +111,20 @@ mod tests {
             ops in proptest::collection::vec(0u8..2, 0..128),
         ) {
             let mut b = RetryBudget::new(initial, deposit);
+            let mut deposited = 0.0;
             for op in ops {
                 if op == 0 {
                     let _ = b.try_withdraw();
                 } else {
                     b.record_success();
+                    deposited += deposit;
                 }
-                prop_assert!(b.balance() >= 0.0);
-                prop_assert!(b.balance() <= b.cap() + 1e-9);
+                prop_assert!(b.balance >= 0.0);
+                prop_assert!(b.balance <= b.cap + 1e-9);
                 prop_assert!(
-                    b.withdrawn() as f64 <= initial + b.deposited() + 1e-9,
+                    b.withdrawn() as f64 <= initial + deposited + 1e-9,
                     "withdrew {} with only {} initial + {} deposited",
-                    b.withdrawn(), initial, b.deposited()
+                    b.withdrawn(), initial, deposited
                 );
             }
         }

@@ -50,7 +50,8 @@ impl HealthChecker {
     }
 
     /// Consecutive misses currently held against `id`.
-    pub fn misses(&self, id: JobId) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn misses(&self, id: JobId) -> u32 {
         self.misses.get(&id).copied().unwrap_or(0)
     }
 }

@@ -131,7 +131,7 @@ pub(crate) struct LoadTracker {
 }
 
 impl LoadTracker {
-    pub fn new(capacities: &[u32]) -> LoadTracker {
+    pub(crate) fn new(capacities: &[u32]) -> LoadTracker {
         LoadTracker {
             loads: capacities
                 .iter()
@@ -158,7 +158,7 @@ impl LoadTracker {
 
     /// Expires every job whose estimated completion is at or before
     /// `now_s`.
-    pub fn advance_to(&mut self, now_s: f64) {
+    pub(crate) fn advance_to(&mut self, now_s: f64) {
         for (load, heap) in self.loads.iter_mut().zip(&mut self.inflight) {
             while let Some(std::cmp::Reverse(head)) = heap.peek() {
                 if head.finish_s > now_s {
@@ -175,7 +175,7 @@ impl LoadTracker {
     }
 
     /// Records that `job` (arriving at `now_s`) was routed to `shard`.
-    pub fn commit(&mut self, shard: usize, job: &JobSpec, now_s: f64) {
+    pub(crate) fn commit(&mut self, shard: usize, job: &JobSpec, now_s: f64) {
         let work = job.work();
         self.inflight[shard].push(std::cmp::Reverse(InFlight {
             finish_s: now_s + Self::estimated_runtime_s(job),
@@ -185,7 +185,7 @@ impl LoadTracker {
         self.loads[shard].queue_depth = self.inflight[shard].len();
     }
 
-    pub fn loads(&self) -> &[ShardLoad] {
+    pub(crate) fn loads(&self) -> &[ShardLoad] {
         &self.loads
     }
 }

@@ -328,7 +328,9 @@ fn drain(claims: &Mutex<std::slice::IterMut<'_, ShardCell>>) {
 mod tests {
     use super::*;
     use crate::placement::RoundRobin;
-    use elastic_core::{Action, ClusterView, JobId, Policy, PolicyConfig, SchedulingPolicy};
+    use elastic_core::{
+        Action, ClusterView, JobId, Policy, PolicyConfig, PolicyKind, SchedulingPolicy,
+    };
     use hpc_metrics::{Duration, SimTime};
     use hpc_workload::JobSpec;
     use sched_sim::{OverheadModel, ScalingModel};
@@ -336,7 +338,10 @@ mod tests {
     fn sim_cfg(capacity: u32) -> SimConfig {
         SimConfig {
             capacity,
-            policy: Box::new(Policy::rigid_max(PolicyConfig::default())),
+            policy: Box::new(Policy::of_kind(
+                PolicyKind::RigidMax,
+                PolicyConfig::default(),
+            )),
             scaling: ScalingModel::default(),
             overhead: OverheadModel::default(),
             cancellations: Vec::new(),

@@ -203,11 +203,6 @@ impl Pod {
     pub fn consumes_resources(&self) -> bool {
         !matches!(self.phase, PodPhase::Succeeded | PodPhase::Failed)
     }
-
-    /// `true` once running and not terminating.
-    pub fn is_active(&self) -> bool {
-        self.phase == PodPhase::Running && !self.deleting
-    }
 }
 
 impl Resource for Pod {
@@ -265,12 +260,9 @@ mod tests {
     fn resource_consumption_by_phase() {
         let mut p = Pod::worker("w", "j", SimTime::ZERO);
         assert!(p.consumes_resources());
-        assert!(!p.is_active());
         p.phase = PodPhase::Running;
-        assert!(p.is_active());
         p.deleting = true;
         assert!(p.consumes_resources());
-        assert!(!p.is_active());
         p.phase = PodPhase::Succeeded;
         assert!(!p.consumes_resources());
         p.phase = PodPhase::Failed;

@@ -89,22 +89,6 @@ pub fn line_chart(
     out
 }
 
-/// Renders a horizontal bar: `value` out of `max`, `width` cells wide.
-pub fn bar(value: f64, max: f64, width: usize) -> String {
-    let width = width.max(1);
-    let frac = if max > 0.0 {
-        (value / max).clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
-    let filled = (frac * width as f64).round() as usize;
-    let mut s = String::with_capacity(width);
-    for i in 0..width {
-        s.push(if i < filled { '█' } else { '·' });
-    }
-    s
-}
-
 /// Renders a step-function utilization profile (Fig. 9a style): one
 /// row of blocks sampled at `cols` points over `[t0, t1]`.
 pub fn step_profile(
@@ -184,13 +168,6 @@ mod tests {
         // Only one glyph plotted (the positive one).
         let stars = s.matches('*').count();
         assert_eq!(stars, 2); // one in grid, one in legend
-    }
-
-    #[test]
-    fn bar_renders_fraction() {
-        assert_eq!(bar(0.5, 1.0, 10), "█████·····");
-        assert_eq!(bar(2.0, 1.0, 4), "████"); // clamped
-        assert_eq!(bar(1.0, 0.0, 4), "····"); // zero max
     }
 
     #[test]

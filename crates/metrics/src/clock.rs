@@ -68,11 +68,6 @@ impl RealClock {
             compression,
         }
     }
-
-    /// The configured compression factor.
-    pub fn compression(&self) -> f64 {
-        self.compression
-    }
 }
 
 impl Default for RealClock {
@@ -129,7 +124,7 @@ impl VirtualClock {
     }
 
     /// A virtual clock starting at `start`.
-    pub fn starting_at(start: SimTime) -> Self {
+    fn starting_at(start: SimTime) -> Self {
         VirtualClock {
             state: Arc::new(VirtualState {
                 now: AtomicU64::new(start.as_secs().to_bits()),
@@ -199,7 +194,7 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         // 20ms wall should read as >= 2 experiment-seconds.
         assert!(c.now().as_secs() >= 2.0, "got {}", c.now());
-        assert_eq!(c.compression(), 100.0);
+        assert_eq!(c.compression, 100.0);
     }
 
     #[test]

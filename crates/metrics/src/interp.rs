@@ -50,13 +50,8 @@ impl PiecewiseLinear {
         PiecewiseLinear { points, log_log }
     }
 
-    /// The anchor points, sorted by `x`.
-    pub fn points(&self) -> &[(f64, f64)] {
-        &self.points
-    }
-
     /// Evaluates the interpolant at `x`.
-    pub fn eval(&self, x: f64) -> f64 {
+    fn eval(&self, x: f64) -> f64 {
         if self.points.len() == 1 {
             return self.points[0].1;
         }
@@ -90,20 +85,6 @@ impl PiecewiseLinear {
     /// for time models where extrapolation must never go non-positive.
     pub fn eval_clamped(&self, x: f64, floor: f64) -> f64 {
         self.eval(x).max(floor)
-    }
-
-    /// `true` if `y` never increases as `x` increases over the anchors
-    /// (the expected shape of a strong-scaling time curve).
-    pub fn is_non_increasing(&self) -> bool {
-        self.points.windows(2).all(|w| w[1].1 <= w[0].1)
-    }
-
-    /// Domain of the anchors as `(x_min, x_max)`.
-    pub fn domain(&self) -> (f64, f64) {
-        (
-            self.points.first().unwrap().0,
-            self.points.last().unwrap().0,
-        )
     }
 }
 
@@ -145,7 +126,7 @@ mod tests {
     #[test]
     fn sorts_unsorted_input() {
         let f = PiecewiseLinear::new(vec![(4.0, 1.0), (1.0, 4.0)]);
-        assert_eq!(f.domain(), (1.0, 4.0));
+        assert_eq!(f.points, [(1.0, 4.0), (4.0, 1.0)]);
         assert_eq!(f.eval(2.5), 2.5);
     }
 
@@ -178,14 +159,6 @@ mod tests {
         let _ = PiecewiseLinear::log_log(vec![(0.0, 1.0), (1.0, 1.0)]);
     }
 
-    #[test]
-    fn monotonicity_detector() {
-        let dec = PiecewiseLinear::new(vec![(1.0, 10.0), (2.0, 5.0), (4.0, 5.0)]);
-        assert!(dec.is_non_increasing());
-        let bump = PiecewiseLinear::new(vec![(1.0, 10.0), (2.0, 11.0)]);
-        assert!(!bump.is_non_increasing());
-    }
-
     proptest! {
         #[test]
         fn eval_between_anchor_extremes(
@@ -195,7 +168,7 @@ mod tests {
             let pts: Vec<(f64, f64)> =
                 anchors.into_iter().map(|(x, y)| (x as f64, y)).collect();
             let f = PiecewiseLinear::new(pts.clone());
-            let (lo, hi) = f.domain();
+            let (lo, hi) = (pts[0].0, pts[pts.len() - 1].0);
             let q = lo + (hi - lo) * (q / 1000.0);
             let y = f.eval(q);
             let ymin = pts.iter().map(|p| p.1).fold(f64::INFINITY, f64::min);

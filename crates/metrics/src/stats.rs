@@ -37,7 +37,7 @@ impl WeightedMean {
     }
 
     /// The weighted mean, or `None` if total weight is zero.
-    pub fn mean(&self) -> Option<f64> {
+    fn mean(&self) -> Option<f64> {
         (self.weight_total > 0.0).then(|| self.weighted_sum / self.weight_total)
     }
 

@@ -104,18 +104,6 @@ impl Duration {
         self.0 * 1e3
     }
 
-    /// Converts to a `std::time::Duration`, clamping negatives to zero
-    /// and saturating infinities.
-    pub fn to_std(self) -> std::time::Duration {
-        if self.0 <= 0.0 {
-            std::time::Duration::ZERO
-        } else if self.0.is_infinite() {
-            std::time::Duration::MAX
-        } else {
-            std::time::Duration::from_secs_f64(self.0)
-        }
-    }
-
     /// Absolute value of the span.
     #[inline]
     pub fn abs(self) -> Duration {
@@ -298,15 +286,6 @@ mod tests {
     fn duration_conversions() {
         assert_eq!(Duration::from_millis(1500.0).as_secs(), 1.5);
         assert_eq!(Duration::from_secs(2.0).as_millis(), 2000.0);
-        assert_eq!(
-            Duration::from_secs(-3.0).to_std(),
-            std::time::Duration::ZERO
-        );
-        assert_eq!(
-            Duration::from_secs(0.25).to_std(),
-            std::time::Duration::from_millis(250)
-        );
-        assert_eq!(Duration::INFINITY.to_std(), std::time::Duration::MAX);
         let std = std::time::Duration::from_millis(125);
         assert_eq!(Duration::from(std).as_millis(), 125.0);
     }

@@ -81,7 +81,7 @@ impl EventBus {
 
     /// Publishes one event, evicting the oldest retained event if the
     /// ring is full.
-    pub fn publish(&self, event: JobEvent) {
+    fn publish(&self, event: JobEvent) {
         let mut ring = locked(&self.ring);
         if ring.buf.len() == ring.capacity {
             ring.buf.pop_front();
@@ -160,13 +160,6 @@ impl Subscriber {
         self.cursor = ring.next_seq;
         snapshot
     }
-
-    /// Events currently buffered ahead of this subscriber (saturates at
-    /// the ring capacity once lagging).
-    pub fn backlog(&self) -> u64 {
-        let ring = locked(&self.ring);
-        ring.next_seq - self.cursor.max(ring.base())
-    }
 }
 
 #[cfg(test)]
@@ -195,7 +188,6 @@ mod tests {
         assert_eq!(fast.poll(), BusPoll::Empty);
         // The slow subscriber still sees everything, from its own
         // cursor.
-        assert_eq!(slow.backlog(), 2);
         assert_eq!(slow.poll(), BusPoll::Event(ev("a", 1.0)));
         assert_eq!(slow.poll(), BusPoll::Event(ev("b", 2.0)));
     }
@@ -226,16 +218,5 @@ mod tests {
         assert_eq!(sub.poll(), BusPoll::Event(ev("j7", 7.0)));
         assert_eq!(sub.poll(), BusPoll::Empty);
         assert_eq!(bus.published(), 8);
-    }
-
-    #[test]
-    fn backlog_saturates_at_capacity_when_lagging() {
-        let bus = EventBus::new(2);
-        let mut sub = bus.subscribe();
-        for i in 0..10 {
-            bus.publish(ev(&format!("j{i}"), i as f64));
-        }
-        assert_eq!(sub.backlog(), 2);
-        assert!(matches!(sub.poll(), BusPoll::Lagged { missed: 8 }));
     }
 }

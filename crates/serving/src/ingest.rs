@@ -300,11 +300,6 @@ impl IngestQueue {
         self.shard_lens().sum()
     }
 
-    /// Per-shard buffered job counts.
-    pub fn shard_depths(&self) -> Vec<usize> {
-        self.shard_lens().collect()
-    }
-
     fn shard_lens(&self) -> impl Iterator<Item = usize> + '_ {
         (self.shards.iter()).map(|s| locked(s).len())
     }
@@ -492,7 +487,7 @@ mod tests {
         // Two distinct names → at most two occupied shards, each with
         // all copies of its name... except duplicates: use unique names
         // per shard check instead.
-        let occupied: Vec<usize> = q.shard_depths().into_iter().filter(|&d| d > 0).collect();
+        let occupied: Vec<usize> = q.shard_lens().filter(|&d| d > 0).collect();
         assert!(occupied.len() <= 2);
         assert_eq!(occupied.iter().sum::<usize>(), 16);
     }

@@ -164,7 +164,9 @@ impl Timeline {
         Some(next)
     }
 
-    /// Pending events: heap entries plus unread inputs.
+    /// Pending events: heap entries (stale completions included) plus
+    /// unread inputs, an arrival instant counting once. The inputs count
+    /// because the frozen `peak_queue_len` fingerprints record them.
     fn pending(&self) -> usize {
         self.queue.len() + self.inputs.unread
     }
@@ -403,13 +405,6 @@ impl SimState {
                 ..Timeline::default()
             },
         }
-    }
-
-    /// Pending events: heap entries (stale completions included) plus
-    /// unread inputs, an arrival instant counting once. The inputs count
-    /// because the frozen `peak_queue_len` fingerprints record them.
-    pub fn pending_events(&self) -> usize {
-        self.timeline.pending()
     }
 
     /// Events popped so far across all [`SimState::step`] calls.
@@ -913,7 +908,10 @@ mod tests {
         // between instants only, and 1000 drains it in one step.
         let rigid = || SimConfig {
             capacity: 8,
-            policy: Box::new(Policy::rigid_max(PolicyConfig::default())),
+            policy: Box::new(Policy::of_kind(
+                PolicyKind::RigidMax,
+                PolicyConfig::default(),
+            )),
             scaling: ScalingModel::default(),
             overhead: OverheadModel::default(),
             cancellations: Vec::new(),
@@ -1026,7 +1024,7 @@ mod tests {
         let wl = faulted_workload();
         let mut st = SimState::new(&cfg, &wl);
         // Five arrival instants, four faults, four flaky faults unread.
-        assert_eq!(st.pending_events(), 3 + 5 + 4 + 4);
+        assert_eq!(st.timeline.pending(), 3 + 5 + 4 + 4);
         let mut seeded = Vec::new();
         while let Some((_, e)) = st.timeline.queue.pop() {
             seeded.push(e);
@@ -1046,13 +1044,13 @@ mod tests {
         let wl = one_job(SizeClass::Small);
         let cfg = SimConfig::paper_default(policy(PolicyKind::Elastic, 180.0));
         let mut st = SimState::new(&cfg, &wl);
-        assert_eq!(st.pending_events(), 1, "one coalesced submit seeded");
+        assert_eq!(st.timeline.pending(), 1, "one coalesced submit seeded");
         assert_eq!(st.events_processed(), 0);
         let more = st.step(&cfg, &wl, 1);
         assert!(more, "completion still pending");
         assert_eq!(st.events_processed(), 1);
         while st.step(&cfg, &wl, 1) {}
-        assert_eq!(st.pending_events(), 0);
+        assert_eq!(st.timeline.pending(), 0);
         let out = st.finish(&cfg, &wl);
         assert_eq!(out.metrics.jobs.len(), 1);
     }

@@ -226,11 +226,6 @@ impl EventQueue {
         self.stale = self.stale.saturating_sub(1);
     }
 
-    /// Known-stale entries still in the heap.
-    pub fn stale_len(&self) -> usize {
-        self.stale
-    }
-
     /// `true` once more than half of a non-trivial pending count (the
     /// heap plus `unread` inputs) is stale.
     pub fn should_compact(&self, unread: usize) -> bool {
@@ -418,7 +413,7 @@ mod tests {
         for _ in 0..28 {
             q.mark_stale();
         }
-        assert_eq!(q.stale_len(), 38);
+        assert_eq!(q.stale, 38);
         assert!(q.should_compact(0), "38 of 74 stale crosses the half mark");
         // Unread inputs are pending too: 38 of 77 is not over half.
         assert!(!q.should_compact(3));
@@ -442,7 +437,7 @@ mod tests {
         assert_eq!(q.len(), 80);
         q.compact(|e| !matches!(e, Event::Completion { generation: 0, .. }));
         assert_eq!(q.len(), 40, "all stale completions swept");
-        assert_eq!(q.stale_len(), 0);
+        assert_eq!(q.stale, 0);
         // Pop order of the survivors is unchanged.
         let order: Vec<u32> = std::iter::from_fn(|| q.pop())
             .map(|(_, e)| first_of(e))
@@ -478,12 +473,12 @@ mod tests {
             },
         );
         q.mark_stale();
-        assert_eq!(q.stale_len(), 1);
+        assert_eq!(q.stale, 1);
         let _ = q.pop();
         q.note_stale_popped();
-        assert_eq!(q.stale_len(), 0);
+        assert_eq!(q.stale, 0);
         q.note_stale_popped(); // saturates, never underflows
-        assert_eq!(q.stale_len(), 0);
+        assert_eq!(q.stale, 0);
     }
 
     #[test]

@@ -376,7 +376,7 @@ impl FaultSpec {
 
     /// The requeue backoff before attempt `attempt` (1-based) re-enters
     /// the queue: `backoff_base × 2^(attempt-1)`, with the shift
-    /// saturated at [`FaultSpec::MAX_BACKOFF_SHIFT`] doublings so the
+    /// saturated at `MAX_BACKOFF_SHIFT` (20) doublings so the
     /// delay stays finite for any attempt count. Both engines call this
     /// one function, so replays cannot diverge on the cap.
     pub fn backoff_for(&self, attempt: u32) -> Duration {
@@ -387,7 +387,7 @@ impl FaultSpec {
     /// Cap on the exponential-backoff shift: 2^20 × base ≈ 1 year at
     /// the 30 s default — long past any replay horizon, far short of
     /// `f64` overflow.
-    pub const MAX_BACKOFF_SHIFT: u32 = 20;
+    const MAX_BACKOFF_SHIFT: u32 = 20;
 
     /// The Young/Daly optimal checkpoint interval
     /// `τ_opt ≈ sqrt(2 × δ × MTBF)` for a per-checkpoint (equivalently,
@@ -397,7 +397,7 @@ impl FaultSpec {
     /// Feed `δ` from the measured `OverheadModel::recovery_total` curve
     /// (the `BENCH_rescale.json` calibration) and `MTBF` from the fault
     /// schedule's observed event rate.
-    pub fn young_daly_interval(recovery_cost: Duration, mtbf: Duration) -> Duration {
+    fn young_daly_interval(recovery_cost: Duration, mtbf: Duration) -> Duration {
         let delta = recovery_cost.as_secs().max(0.0);
         let mtbf_s = mtbf.as_secs().max(0.0);
         Duration::from_secs((2.0 * delta * mtbf_s).sqrt().round().max(1.0))

@@ -22,7 +22,7 @@ use crate::spec::{JobSpec, SizeClass, WorkloadSpec};
 /// Zero-pad width for job indices: wide enough that lexicographic name
 /// order equals numeric order for `n_jobs` jobs (`job99`/`job100` would
 /// otherwise invert), never narrower than the historical 2 digits.
-pub fn pad_width(n_jobs: usize) -> usize {
+fn pad_width(n_jobs: usize) -> usize {
     let max_index = n_jobs.saturating_sub(1).max(1);
     let digits = (max_index.ilog10() + 1) as usize;
     digits.max(2)
@@ -30,7 +30,7 @@ pub fn pad_width(n_jobs: usize) -> usize {
 
 /// Generates the paper's random workload for `seed`: `n_jobs` jobs,
 /// uniformly drawn size classes, priorities 1..=5, names `job00`,
-/// `job01`, … zero-padded per [`pad_width`] so name order always equals
+/// `job01`, … zero-padded per `pad_width` so name order always equals
 /// submission order. All arrivals are at the epoch.
 pub fn generate_workload(seed: u64, n_jobs: usize) -> WorkloadSpec {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);

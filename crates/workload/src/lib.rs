@@ -30,10 +30,9 @@
 //!   trace-shaped alternative to a fixed submission gap.
 //!
 //! Multi-week archives replay in bounded simulation time via the
-//! timeline knobs: [`WorkloadSpec::compress_arrivals`] divides every
+//! timeline knob [`WorkloadSpec::compress_arrivals`]: it divides every
 //! arrival/cancellation instant by a factor (preserving relative
-//! order), and [`WorkloadSpec::scale_work`] scales runtimes to match
-//! when the load factor should stay constant.
+//! order) and leaves the work alone, so it raises the offered load.
 //!
 //! ## How a modeled job executes
 //!
@@ -80,7 +79,7 @@ pub use fault::{FaultError, FaultEvent, FaultKind, FaultSpec, FlakyEvent, FlakyO
 pub use generator::{generate_workload, poisson_workload};
 pub use malleability::MalleabilityModel;
 pub use model::{OverheadBreakdown, OverheadModel, Progress, ScalingModel};
-pub use spec::{shard_seed, JobShape, JobSpec, SizeClass, WorkloadError, WorkloadSpec};
+pub use spec::{JobShape, JobSpec, SizeClass, WorkloadError, WorkloadSpec};
 pub use swf::{
     load_workload, workload_records, write_swf, write_workload, SwfError, SwfLoadConfig, SwfRecord,
 };

@@ -55,7 +55,7 @@ impl ScalingModel {
     /// The default calibration (see module docs). Anchor values mimic
     /// Fig. 4a's shapes: small problems stop scaling early
     /// (communication-bound), large ones scale near-linearly.
-    pub fn paper_calibrated() -> Self {
+    fn paper_calibrated() -> Self {
         ScalingModel {
             small: PiecewiseLinear::log_log(vec![(2.0, 10.4e-3), (4.0, 6.5e-3), (8.0, 4.6e-3)]),
             medium: PiecewiseLinear::log_log(vec![(4.0, 13.0e-3), (8.0, 7.2e-3), (16.0, 4.2e-3)]),
@@ -237,7 +237,7 @@ impl OverheadModel {
     }
 
     /// Overhead of rescaling a `class` job `from → to` replicas.
-    pub fn breakdown(&self, class: SizeClass, from: u32, to: u32) -> OverheadBreakdown {
+    fn breakdown(&self, class: SizeClass, from: u32, to: u32) -> OverheadBreakdown {
         self.breakdown_bytes(class.state_bytes(), from, to)
     }
 
@@ -245,7 +245,7 @@ impl OverheadModel {
     /// `from → to` replicas — the shape-independent core both
     /// [`OverheadModel::breakdown`] and [`OverheadModel::job_breakdown`]
     /// reduce to.
-    pub fn breakdown_bytes(&self, bytes: f64, from: u32, to: u32) -> OverheadBreakdown {
+    fn breakdown_bytes(&self, bytes: f64, from: u32, to: u32) -> OverheadBreakdown {
         if from == to {
             return OverheadBreakdown::default();
         }
@@ -286,7 +286,7 @@ impl OverheadModel {
     /// Overhead of rescaling a job of the given shape (class jobs use
     /// the class's grid-state bytes, malleable trace jobs the
     /// work-proportional surrogate of `JobShape::state_bytes`).
-    pub fn job_breakdown(&self, shape: &JobShape, from: u32, to: u32) -> OverheadBreakdown {
+    fn job_breakdown(&self, shape: &JobShape, from: u32, to: u32) -> OverheadBreakdown {
         self.breakdown_bytes(shape.state_bytes(), from, to)
     }
 

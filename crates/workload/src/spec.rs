@@ -35,7 +35,7 @@ impl SizeClass {
     ];
 
     /// Grid dimension (one side of the square grid).
-    pub fn grid(self) -> u64 {
+    pub(crate) fn grid(self) -> u64 {
         match self {
             SizeClass::Small => 512,
             SizeClass::Medium => 2048,
@@ -84,7 +84,7 @@ impl std::fmt::Display for SizeClass {
 /// jobs (traces carry no grid geometry; rescale-overhead models need a
 /// byte count, so malleable jobs charge this much serializable state per
 /// unit of work).
-pub const MALLEABLE_STATE_BYTES_PER_WORK: f64 = 1.0e4;
+const MALLEABLE_STATE_BYTES_PER_WORK: f64 = 1.0e4;
 
 /// How a job scales: a paper size class (bounds, work and strong-scaling
 /// curve all come from the class) or explicit malleable bounds with a
@@ -373,9 +373,7 @@ impl WorkloadSpec {
     /// while the relative order of all timeline events (and each job's
     /// cancellation offset, proportionally) is preserved. A factor
     /// below 1 dilates instead. Work and walltime estimates are left
-    /// untouched — compressing only arrivals *raises* the offered load;
-    /// pair with [`WorkloadSpec::scale_work`] to keep the load factor
-    /// constant.
+    /// untouched, so compressing arrivals *raises* the offered load.
     ///
     /// # Panics
     /// If `factor` is not finite and positive.
@@ -392,32 +390,6 @@ impl WorkloadSpec {
         }
         for e in &mut self.faults.events {
             e.at = Duration::from_secs((e.at.as_secs() / factor).round());
-        }
-        self
-    }
-
-    /// Builder: scales every malleable job's work — and its walltime
-    /// estimate, which tracks runtime — by `factor` (class-shaped jobs
-    /// keep their class-defined step count; only their estimate
-    /// scales). Combined with
-    /// [`WorkloadSpec::compress_arrivals`] at the same factor this
-    /// replays a long trace faster at an unchanged load factor
-    /// (runtime/interarrival ratio).
-    ///
-    /// # Panics
-    /// If `factor` is not finite and positive.
-    pub fn scale_work(mut self, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "work scale factor must be finite and > 0, got {factor}"
-        );
-        for job in &mut self.jobs {
-            if let JobShape::Malleable { work, .. } = &mut job.shape {
-                *work *= factor;
-            }
-            if let Some(est) = job.walltime_estimate {
-                job.walltime_estimate = Some(Duration::from_secs(est.as_secs() * factor));
-            }
         }
         self
     }
@@ -518,18 +490,6 @@ impl WorkloadSpec {
         self.faults.validate().map_err(WorkloadError::BadFaults)?;
         Ok(())
     }
-}
-
-/// Deterministic per-shard seed: mixes a base workload seed with a
-/// shard index (SplitMix64 finalizer) so a federation generates
-/// statistically independent per-shard workloads that are reproducible
-/// regardless of worker-thread count or interleaving — the seed depends
-/// only on `(base, shard)`, never on wall-clock or scheduling order.
-pub fn shard_seed(base: u64, shard: usize) -> u64 {
-    let mut z = base.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(shard as u64 + 1));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
@@ -698,23 +658,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_work_scales_malleable_work_and_estimates() {
-        let wl = WorkloadSpec::new(vec![
-            JobSpec::malleable("m", 2, 4, 400.0, 1)
-                .with_walltime_estimate(Duration::from_secs(100.0)),
-            JobSpec::of_class("c", SizeClass::Small, 1)
-                .with_walltime_estimate(Duration::from_secs(50.0)),
-        ])
-        .scale_work(0.5);
-        assert_eq!(wl.jobs[0].work(), 200.0);
-        assert_eq!(wl.jobs[0].walltime_estimate.unwrap().as_secs(), 50.0);
-        // Class jobs keep their class-defined steps; only the estimate
-        // scales.
-        assert_eq!(wl.jobs[1].work(), 40_000.0);
-        assert_eq!(wl.jobs[1].walltime_estimate.unwrap().as_secs(), 25.0);
-    }
-
-    #[test]
     fn fault_layer_rides_the_workload() {
         use crate::fault::{FaultEvent, FaultKind, FaultSpec};
         let faults = FaultSpec {
@@ -799,18 +742,6 @@ mod tests {
     fn partition_rejects_out_of_range_assignment() {
         let wl = WorkloadSpec::new(vec![JobSpec::malleable("a", 1, 2, 10.0, 1)]);
         let _ = wl.partition(&[2], 2);
-    }
-
-    #[test]
-    fn shard_seeds_are_deterministic_and_distinct() {
-        let seeds: Vec<u64> = (0..64).map(|s| shard_seed(42, s)).collect();
-        let again: Vec<u64> = (0..64).map(|s| shard_seed(42, s)).collect();
-        assert_eq!(seeds, again, "pure function of (base, shard)");
-        let mut uniq = seeds.clone();
-        uniq.sort_unstable();
-        uniq.dedup();
-        assert_eq!(uniq.len(), seeds.len(), "no shard seed collisions");
-        assert_ne!(shard_seed(42, 0), shard_seed(43, 0), "base matters");
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl SwfRecord {
     /// The record as one SWF data line (18 space-separated fields, no
     /// newline). Integral floats print without a decimal point, so a
     /// parse → serialize → parse round trip is exact.
-    pub fn to_line(&self) -> String {
+    fn to_line(self) -> String {
         format!(
             "{} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
             self.job_id,
@@ -189,7 +189,7 @@ pub struct SwfRecords<R: BufRead> {
 }
 
 /// Streams the records of `reader`.
-pub fn records<R: BufRead>(reader: R) -> SwfRecords<R> {
+fn records<R: BufRead>(reader: R) -> SwfRecords<R> {
     SwfRecords {
         reader,
         line: 0,
@@ -333,7 +333,7 @@ impl SwfLoadConfig {
 
     /// The largest worker footprint a job can actually be scheduled
     /// with on the replay cluster.
-    pub fn schedulable_slots(&self) -> u32 {
+    fn schedulable_slots(&self) -> u32 {
         self.malleability
             .cap
             .saturating_sub(self.reserved_slots)

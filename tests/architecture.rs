@@ -1,15 +1,17 @@
-//! Ten structural rules, checked on the source: one scheduling
+//! Eleven structural rules, checked on the source: one scheduling
 //! kernel, one measurement estate, one drive loop, no scan in the pod
 //! controllers (nor a copy or a pointer a watcher did not ask for), one
 //! execution model, an operator that watches two stores, one
 //! differential harness for the cross-engine tests, one lock policy,
-//! no dependency a package's sources never name, and one entry point
-//! for the paper's artifacts. Each test runs its
+//! no dependency a package's sources never name, one entry point
+//! for the paper's artifacts, and no public function or constant that
+//! only its own file names. Each test runs its
 //! rule on the tree as it is, then with one recorded mutation spliced
 //! into a real file, and asserts that the rule fires. Most rules read
 //! [`code`]: a file without its comments, literals and `#[cfg(test)]`
 //! items.
 
+use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::path::PathBuf;
 
@@ -51,6 +53,28 @@ const REPRODUCE: &str = "crates/bench/src/bin/reproduce.rs";
 const ENTRY_POINTS: &str =
     "{path} is a second entry point; add the artifact to elastic_bench::ARTIFACTS instead";
 const ARGV: &str = "{path} reads the command line; reproduce parses it once into Options";
+const UNCALLED: &str =
+    "no other file names these public items; make them private, test-only, or delete them";
+const STALE: &str = "these allowlisted items have a caller now, or are gone; drop their entries";
+/// The public items rule 11 lets stand without a caller, with the reason.
+const CALLERLESS: [(&str, &str); 4] = [
+    (
+        "write_swf",
+        "the SWF parser's round-trip oracle; ROADMAP 3a's regression files will use it",
+    ),
+    (
+        "write_workload",
+        "the SWF writer's entry point for a whole workload, with write_swf",
+    ),
+    (
+        "workload_records",
+        "the SWF writer's record builder, with write_swf",
+    ),
+    (
+        "from_anchors",
+        "called only by the code `reproduce calibrate` prints for pasting",
+    ),
+];
 
 type Verdict = Result<(), String>;
 /// A file's text by its path from the repository root.
@@ -325,6 +349,107 @@ fn one_reproduction_entry_point(paths: &[String], read: Read) -> Verdict {
     Ok(())
 }
 
+/// Every `pub fn` and `pub const` whose name `crates/*/src` defines
+/// once is named in the code of another file of `paths` (a `pub use`
+/// is no caller), unless `allowed` lists it with its reason; an entry
+/// of `allowed` that is called or no longer defined fails too. The
+/// listing and the allowlist are arguments so that a test can swap them.
+fn public_items_have_callers(paths: &[String], read: Read, allowed: &[(&str, &str)]) -> Verdict {
+    let sources: Vec<(&String, String)> = paths
+        .iter()
+        .filter(|p| p.ends_with(".rs"))
+        .map(|p| (p, without_reexports(&code(&read(p)))))
+        .collect();
+    let words: Vec<HashSet<&str>> = sources.iter().map(|(_, c)| words(c)).collect();
+    let mut defined: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
+    for (i, (path, code)) in sources.iter().enumerate() {
+        if path.starts_with("crates/") && path.split('/').nth(2) == Some("src") {
+            for (line, n) in code.lines().zip(1..) {
+                for name in public_names(line) {
+                    defined.entry(name).or_default().push((i, n));
+                }
+            }
+        }
+    }
+    let called = |name: &str| match defined.get(name).map(Vec::as_slice) {
+        Some(&[(file, _)]) => (0..sources.len()).any(|i| i != file && words[i].contains(name)),
+        _ => true,
+    };
+    let stale: Vec<&str> = allowed
+        .iter()
+        .map(|(name, _)| *name)
+        .filter(|n| called(n))
+        .collect();
+    if !stale.is_empty() {
+        return Err(format!("{STALE}\n{}", stale.join("\n")));
+    }
+    let mut uncalled: Vec<String> = defined
+        .iter()
+        .filter(|(name, _)| !called(name) && !allowed.iter().any(|(a, _)| a == *name))
+        .map(|(name, sites)| format!("{}:{}: {name}", sources[sites[0].0].0, sites[0].1))
+        .collect();
+    if uncalled.is_empty() {
+        return Ok(());
+    }
+    uncalled.sort_unstable();
+    Err(format!("{UNCALLED}\n{}", uncalled.join("\n")))
+}
+
+/// Rule 11 on the tree: the product's sources against every Rust file
+/// of the repository that could call them, frozen `benchmark/` too.
+fn every_public_item_has_a_caller(read: Read) -> Verdict {
+    let dirs = [
+        "crates",
+        "src",
+        "tests",
+        "examples",
+        "benchmark/src",
+        "benchmark/tests",
+    ];
+    public_items_have_callers(&files(&dirs), read, &CALLERLESS)
+}
+
+/// The names a line of code defines as `pub fn`, `pub const fn` or
+/// `pub const`.
+fn public_names(line: &str) -> Vec<&str> {
+    let word = |c: char| c.is_alphanumeric() || c == '_';
+    let mut names = Vec::new();
+    for (i, _) in line.match_indices("pub ") {
+        if line[..i].ends_with(word) {
+            continue;
+        }
+        let rest = line[i + 4..].trim_start();
+        let (constant, rest) = rest
+            .strip_prefix("const ")
+            .map_or((false, rest), |r| (true, r));
+        let (function, rest) = rest
+            .strip_prefix("fn ")
+            .map_or((false, rest), |r| (true, r));
+        let name = &rest[..rest.find(|c| !word(c)).unwrap_or(rest.len())];
+        if (constant || function) && !name.is_empty() {
+            names.push(name);
+        }
+    }
+    names
+}
+
+/// `code` with every `pub use …;` item blanked: a re-export calls nothing.
+fn without_reexports(code: &str) -> String {
+    let mut c: Vec<char> = code.chars().collect();
+    let mut from = 0;
+    while let Some(at) = find(&c, "pub use ", from) {
+        from = item_end(&c, at);
+        blank(&mut c[at..from]);
+    }
+    c.into_iter().collect()
+}
+
+/// The identifiers of `code`.
+fn words(code: &str) -> HashSet<&str> {
+    code.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .collect()
+}
+
 /// `manifest` with every line outside `[dependencies]` and
 /// `[dev-dependencies]` blanked, so line numbers hold.
 fn dependencies(manifest: &str) -> String {
@@ -517,4 +642,67 @@ fn the_reader_drops_comments_literals_and_test_items() {
     let out = code(src).split_whitespace().collect::<Vec<_>>().join(" ");
     let expected = "let s = ; let c = ; let r = ; fn b(x: [u8; 2]) -> char { }";
     assert_eq!(out, expected);
+}
+
+#[test]
+fn every_public_item_has_a_caller_rule() {
+    // The deleted ASCII bar comes back, and nothing calls it.
+    let path = "crates/metrics/src/ascii.rs";
+    let readded = "\npub fn bar(value: f64, max: f64, width: usize) -> String {\n    todo!()\n}\n";
+    let mutated = format!("{}{readded}", disk(path));
+    let broken = rail(every_public_item_has_a_caller, path, &mutated, UNCALLED);
+    assert!(
+        broken.contains(&format!("{path}:")) && broken.ends_with(": bar"),
+        "{broken}"
+    );
+    // The trace sweep stops compressing arrivals; the only other mention
+    // of the knob left is that file's doc comment.
+    let path = "crates/bench/src/traces.rs";
+    let call = "base.clone().compress_arrivals(factor)";
+    let mutated = disk(path).replacen(call, "base.clone()", 1);
+    let broken = rail(every_public_item_has_a_caller, path, &mutated, UNCALLED);
+    assert!(broken.contains("crates/workload/src/spec.rs:"), "{broken}");
+    assert!(broken.ends_with(": compress_arrivals"), "{broken}");
+}
+
+/// A product file that defines `lonely` and `LIMIT`, and a test file
+/// that reads `other`; the verdict of rule 11 on the two.
+fn lonely(other: &str, allowed: &[(&str, &str)]) -> Verdict {
+    let product = "pub fn lonely() {}\npub const LIMIT: u32 = 1;\n";
+    let paths = ["crates/x/src/lib.rs".to_string(), "tests/t.rs".to_string()];
+    let read = |p: &str| String::from(if p == paths[0] { product } else { other });
+    public_items_have_callers(&paths, &read, allowed)
+}
+
+#[test]
+fn a_doc_comment_a_literal_or_a_reexport_is_no_caller() {
+    let uncalled =
+        format!("{UNCALLED}\ncrates/x/src/lib.rs:1: lonely\ncrates/x/src/lib.rs:2: LIMIT");
+    for mention in [
+        "/// Calls [`lonely`] up to [`LIMIT`] times.\nfn f() {}\n",
+        "fn f() -> &'static str {\n    \"lonely(LIMIT)\"\n}\n",
+        "pub use x::{\n    lonely,\n    LIMIT,\n};\n",
+        "#[cfg(test)]\nmod tests {\n    fn f() -> u32 {\n        x::lonely();\n        x::LIMIT\n    }\n}\n",
+    ] {
+        assert_eq!(lonely(mention, &[]), Err(uncalled.clone()), "{mention}");
+    }
+    let call = "use x::lonely;\nfn f() -> u32 {\n    lonely();\n    x::LIMIT\n}\n";
+    assert_eq!(lonely(call, &[]), Ok(()));
+}
+
+#[test]
+fn an_allowlist_entry_must_be_defined_and_uncalled() {
+    let reason = [("lonely", "a reason"), ("LIMIT", "a reason")];
+    assert_eq!(lonely("", &reason), Ok(()));
+    let stale = format!("{STALE}\nlonely");
+    assert_eq!(
+        lonely("fn f() {\n    x::lonely();\n}\n", &reason),
+        Err(stale)
+    );
+    let gone = [
+        ("lonely", "a reason"),
+        ("LIMIT", "a reason"),
+        ("gone", "a reason"),
+    ];
+    assert_eq!(lonely("", &gone), Err(format!("{STALE}\ngone")));
 }
