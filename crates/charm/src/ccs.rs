@@ -3,12 +3,11 @@
 //! The paper's operator signals a running Charm++ application to shrink
 //! or expand through the CCS interface (§2.2); the application applies
 //! the request at its next load-balancing step and acknowledges. Here
-//! the endpoint is an in-process queue: the operator holds a
-//! [`CcsClient`], the application driver polls the paired endpoint at
-//! sync boundaries, and the acknowledgement carries the full
-//! [`RescaleReport`] so the caller sees per-stage overhead.
+//! the endpoint is an in-process slot for the newest request: the
+//! operator holds a [`CcsClient`], the application driver polls the
+//! paired endpoint at sync boundaries, and the acknowledgement carries
+//! the full [`RescaleReport`] so the caller sees per-stage overhead.
 
-use std::collections::VecDeque;
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 
@@ -30,15 +29,11 @@ impl std::fmt::Debug for CcsRequest {
     }
 }
 
-#[derive(Default)]
-struct Shared {
-    queue: Mutex<VecDeque<CcsRequest>>,
-}
-
 /// Server side: owned by the runtime, polled by the driver.
 #[derive(Clone, Default)]
 pub struct CcsEndpoint {
-    shared: Arc<Shared>,
+    /// The request not yet taken, if any.
+    slot: Arc<Mutex<Option<CcsRequest>>>,
 }
 
 impl CcsEndpoint {
@@ -50,40 +45,33 @@ impl CcsEndpoint {
     /// A client handle for external controllers.
     pub fn client(&self) -> CcsClient {
         CcsClient {
-            shared: Arc::clone(&self.shared),
+            slot: Arc::clone(&self.slot),
         }
     }
 
-    /// Removes all but the newest pending request and returns that one —
-    /// a controller that signalled twice before a boundary only wants
-    /// the latest target.
+    /// Takes the newest request, if one arrived since the last take — a
+    /// controller that signalled twice before a boundary only wants the
+    /// latest target.
     pub fn take_latest(&self) -> Option<CcsRequest> {
-        let mut q = locked(&self.shared.queue);
-        let latest = q.pop_back();
-        q.clear();
-        latest
-    }
-
-    /// Number of requests waiting.
-    pub fn pending(&self) -> usize {
-        locked(&self.shared.queue).len()
+        locked(&self.slot).take()
     }
 }
 
 /// Client side: held by the operator / external controller.
 #[derive(Clone)]
 pub struct CcsClient {
-    shared: Arc<Shared>,
+    slot: Arc<Mutex<Option<CcsRequest>>>,
 }
 
 impl CcsClient {
     /// Requests a rescale to `target_pes`; the returned receiver yields
     /// the report once the application has applied the request at a
-    /// sync boundary.
+    /// sync boundary. A request not yet taken is replaced, and its
+    /// receiver reads `Disconnected`.
     pub fn request_rescale(&self, target_pes: usize) -> Receiver<RescaleReport> {
         assert!(target_pes >= 1, "cannot rescale to zero PEs");
         let (tx, rx) = mpsc::sync_channel(1);
-        locked(&self.shared.queue).push_back(CcsRequest {
+        *locked(&self.slot) = Some(CcsRequest {
             target_pes,
             reply: tx,
         });
@@ -93,6 +81,8 @@ impl CcsClient {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc::TryRecvError;
+
     use super::*;
 
     #[test]
@@ -111,11 +101,14 @@ mod tests {
     fn take_latest_collapses_burst() {
         let ep = CcsEndpoint::new();
         let client = ep.client();
-        let _a1 = client.request_rescale(4);
-        let _a2 = client.request_rescale(16);
+        let a1 = client.request_rescale(4);
+        let a2 = client.request_rescale(16);
         let _a3 = client.request_rescale(2);
         assert_eq!(ep.take_latest().unwrap().target_pes, 2);
-        assert_eq!(ep.pending(), 0);
+        assert!(ep.take_latest().is_none());
+        for replaced in [a1, a2] {
+            assert_eq!(replaced.try_recv(), Err(TryRecvError::Disconnected));
+        }
     }
 
     #[test]
@@ -142,6 +135,6 @@ mod tests {
         let c2 = c1.clone();
         let _a = c1.request_rescale(2);
         let _b = c2.request_rescale(3);
-        assert_eq!(ep.pending(), 2);
+        assert_eq!(ep.take_latest().unwrap().target_pes, 3);
     }
 }

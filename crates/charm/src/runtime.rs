@@ -30,7 +30,7 @@ use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use hpc_metrics::sync::{read, write};
-use hpc_metrics::Duration;
+use hpc_metrics::{Counter, Counters, Duration};
 
 use crate::ccs::{CcsClient, CcsEndpoint};
 use crate::chare::{Chare, ChareFactory};
@@ -44,35 +44,6 @@ use crate::pe::PeWorker;
 use crate::reduction::{ReductionCollector, ReductionResult};
 use crate::rescale::{RescaleKind, RescaleMode, RescaleReport, StageTimings};
 use crate::router::Router;
-
-/// Runtime-wide counters (messages, migrations, checkpoints).
-#[derive(Debug, Default)]
-pub struct RtStats {
-    messages: AtomicU64,
-    migrations: AtomicU64,
-    checkpoints: AtomicU64,
-}
-
-impl RtStats {
-    pub(crate) fn note_message(&self) {
-        self.messages.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total entry-method messages sent.
-    pub fn messages(&self) -> u64 {
-        self.messages.load(Ordering::Relaxed)
-    }
-
-    /// Total chare migrations performed.
-    pub fn migrations(&self) -> u64 {
-        self.migrations.load(Ordering::Relaxed)
-    }
-
-    /// Number of checkpoint operations.
-    pub fn checkpoints(&self) -> u64 {
-        self.checkpoints.load(Ordering::Relaxed)
-    }
-}
 
 /// Freshly constructed chares grouped by destination PE (initial
 /// placement batches).
@@ -94,7 +65,9 @@ pub struct RtShared {
     pub(crate) main_tx: Sender<MainEvent>,
     pub(crate) arrays: RwLock<HashMap<ArrayId, ArrayMeta>>,
     pub(crate) ckpt: CheckpointStore,
-    pub(crate) stats: RtStats,
+    pub(crate) messages: AtomicU64,
+    pub(crate) migrations: AtomicU64,
+    pub(crate) checkpoints: AtomicU64,
 }
 
 /// Configuration for a [`Runtime`].
@@ -205,7 +178,9 @@ impl Runtime {
             main_tx,
             arrays: RwLock::new(HashMap::new()),
             ckpt: CheckpointStore::new(),
-            stats: RtStats::default(),
+            messages: AtomicU64::new(0),
+            migrations: AtomicU64::new(0),
+            checkpoints: AtomicU64::new(0),
         });
         let mut rt = Runtime {
             shared,
@@ -227,9 +202,14 @@ impl Runtime {
         self.shared.num_pes.load(Ordering::Acquire)
     }
 
-    /// Runtime-wide counters.
-    pub fn stats(&self) -> &RtStats {
-        &self.shared.stats
+    /// Entry-method messages, chare migrations and checkpoints so far.
+    pub fn counters(&self) -> Counters {
+        let load = |count: &AtomicU64| count.load(Ordering::Relaxed);
+        let mut counters = Counters::default();
+        counters.add(Counter::Messages, load(&self.shared.messages));
+        counters.add(Counter::Migrations, load(&self.shared.migrations));
+        counters.add(Counter::Checkpoints, load(&self.shared.checkpoints));
+        counters
     }
 
     /// A CCS client for external controllers (clone-able, thread-safe).
@@ -377,7 +357,7 @@ impl Runtime {
             .location
             .lookup(to)
             .unwrap_or_else(|| panic!("send to unknown chare {to}"));
-        self.shared.stats.note_message();
+        self.shared.messages.fetch_add(1, Ordering::Relaxed);
         let ok = self
             .shared
             .router
@@ -550,10 +530,7 @@ impl Runtime {
             ack_rx.recv().expect("install ack");
         }
 
-        self.shared
-            .stats
-            .migrations
-            .fetch_add(migrated as u64, Ordering::Relaxed);
+        (self.shared.migrations).fetch_add(migrated as u64, Ordering::Relaxed);
         LbReport {
             migrated,
             bytes: bytes_moved,
@@ -614,10 +591,7 @@ impl Runtime {
             chares += c;
             bytes += b;
         }
-        self.shared
-            .stats
-            .checkpoints
-            .fetch_add(1, Ordering::Relaxed);
+        self.shared.checkpoints.fetch_add(1, Ordering::Relaxed);
         CkptReport {
             chares,
             bytes,

@@ -12,6 +12,7 @@ use charm_rt::{
     Bytes, Chare, ChareFactory, Ctx, GreedyLb, Index, MethodId, PeId, ReduceOp, RescaleKind,
     RescaleMode, RotateLb, Runtime, RuntimeConfig, WaitError,
 };
+use hpc_metrics::Counter;
 
 const TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -213,7 +214,7 @@ fn rotate_lb_migrates_everything_and_preserves_state() {
     let red = rt.wait_reduction(arr, TIMEOUT).unwrap();
     assert!((red.vals[0] - expected_sum(16, 0.0)).abs() < 1e-9);
     assert_eq!(red.vals[1], 16.0);
-    assert_eq!(rt.stats().migrations(), 16);
+    assert_eq!(rt.counters()[Counter::Migrations], 16);
     rt.shutdown();
 }
 
@@ -644,9 +645,9 @@ fn stats_counters_track_traffic() {
     let (mut rt, arr) = make_runtime(2, 4);
     rt.broadcast(arr, M_CONTRIB, contribute_msg(0));
     rt.wait_reduction(arr, TIMEOUT).unwrap();
-    assert!(rt.stats().messages() >= 4);
+    assert!(rt.counters()[Counter::Messages] >= 4);
     rt.checkpoint();
-    assert_eq!(rt.stats().checkpoints(), 1);
+    assert_eq!(rt.counters()[Counter::Checkpoints], 1);
     rt.shutdown();
 }
 

@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use hpc_metrics::{Duration, JobId, SimTime, UtilizationRecorder};
+use hpc_metrics::{Counter, Counters, Duration, JobId, SimTime, UtilizationRecorder};
 use hpc_workload::{FaultEvent, FaultKind, FaultSpec, FlakyOp};
 
 use crate::policy::{CompleteBurst, SchedulingPolicy, SubmitBurst};
@@ -131,21 +131,6 @@ pub trait Effects {
     fn event_done(&mut self) {}
 }
 
-/// How often the kernel — the only caller of a policy hook — dispatched
-/// a burst, and how many jobs went through them: a storm that arrives
-/// batched costs `submit_bursts`, not `submissions`, policy invocations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Dispatches {
-    /// [`Kernel::submit_burst`] dispatches (`on_submit_burst` calls).
-    pub submit_bursts: u64,
-    /// Jobs admitted to a decision inside them.
-    pub submissions: u64,
-    /// [`Kernel::complete_burst`] dispatches (`on_complete_burst` calls).
-    pub complete_bursts: u64,
-    /// Jobs retired inside them.
-    pub completions: u64,
-}
-
 /// Where a job is in its life. The instant a phase needs is the row's
 /// [`Attempt::at`], so the tag is one byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -229,7 +214,8 @@ pub struct Kernel {
     /// Transient faults are scheduled: completions feed the breaker.
     flaky_scheduled: bool,
     jobs: Vec<Attempt>,
-    dispatches: Dispatches,
+    /// Burst dispatches and the jobs that went through them.
+    counters: Counters,
 }
 
 impl Kernel {
@@ -249,7 +235,7 @@ impl Kernel {
             recovery,
             flaky_scheduled: false,
             jobs: Vec::new(),
-            dispatches: Dispatches::default(),
+            counters: Counters::default(),
         }
     }
 
@@ -306,9 +292,13 @@ impl Kernel {
         }
     }
 
-    /// Burst dispatches and the jobs that went through them so far.
-    pub fn dispatches(&self) -> Dispatches {
-        self.dispatches
+    /// Burst dispatches ([`Kernel::submit_burst`],
+    /// [`Kernel::complete_burst`]) and their jobs, cancellations, and the
+    /// indexes its view built.
+    pub fn counters(&self) -> Counters {
+        let mut counters = self.counters;
+        counters.add(Counter::Cancellations, self.cancelled.into());
+        counters.merge(self.view.counters())
     }
 
     /// Jobs admitted or expected so far.
@@ -387,7 +377,7 @@ impl Kernel {
         policy: &dyn SchedulingPolicy,
         fx: &mut E,
     ) {
-        self.dispatches.submit_bursts += 1;
+        self.counters.add(Counter::SubmitBursts, 1);
         let (kernel, owed) = (self, false);
         policy.on_submit_burst(&mut Burst {
             kernel,
@@ -425,7 +415,7 @@ impl Kernel {
         policy: &dyn SchedulingPolicy,
         fx: &mut E,
     ) {
-        self.dispatches.complete_bursts += 1;
+        self.counters.add(Counter::CompleteBursts, 1);
         let (kernel, owed) = (self, false);
         let mut burst = Burst {
             kernel,
@@ -838,7 +828,7 @@ impl<E: Effects> SubmitBurst for Burst<'_, E> {
             // Pre-cancelled submissions are consumed here; the policy
             // only ever sees decidable admissions.
             if let Some(id) = self.kernel.admit(admission, self.now, self.fx) {
-                self.kernel.dispatches.submissions += 1;
+                self.kernel.counters.add(Counter::Submissions, 1);
                 return Some(id);
             }
         }
@@ -866,7 +856,7 @@ impl<E: Effects> CompleteBurst for Burst<'_, E> {
         }
         let next = self.fx.next_completion();
         if let Some(job) = next {
-            self.kernel.dispatches.completions += 1;
+            self.kernel.counters.add(Counter::Completions, 1);
             self.kernel.retire(job, self.now, self.fx);
         }
         self.owed = next.is_some();

@@ -106,7 +106,7 @@
 //!   arena the first time a policy reads them and pay their upkeep in
 //!   `insert` / `remove` / [`apply_action`] only from then on — a run
 //!   maintains exactly the indexes its policy walks
-//!   ([`ClusterView::built_indexes`]). Keys that land anywhere (the
+//!   ([`ClusterView::counters`]). Keys that land anywhere (the
 //!   frontier) live in a tree at O(log n) per mutation; keys that
 //!   arrive at an end (last action, submission order within a
 //!   footprint or priority bucket) live in lists linked through the
@@ -159,8 +159,8 @@
 //! A burst is one policy dispatch however many jobs it carries, and
 //! the default burst hooks replay the per-event decisions exactly: n
 //! submissions cost n O(log n) decisions, not n view rebuilds or n
-//! dispatches. The kernel counts both ([`kernel::Dispatches`], read
-//! through [`CharmOperator::dispatches`]).
+//! dispatches. The kernel counts both (`Counter::SubmitBursts` and
+//! `Counter::Submissions`, read through [`CharmOperator::counters`]).
 //!
 //! What the kernel decides, a modeled job then *executes* the same way
 //! in both engines too. The execution model is one module,
@@ -358,10 +358,8 @@ pub use hpc_workload::model::{OverheadModel, ScalingModel};
 pub use operator::CharmOperator;
 pub use policy::{
     AgingSweep, CompleteBurst, EasyBackfill, FcfsBackfill, Policy, PolicyConfig, PolicyKind,
-    RecoveryPolicy, RecoveryStrategy, Reservation, SchedulingPolicy, SubmitBurst,
+    RecoveryPolicy, RecoveryStrategy, SchedulingPolicy, SubmitBurst,
 };
 pub use registry::JobRegistry;
 pub use report::{FaultStats, JobOutcome, RunMetrics, BSLD_TAU_S};
-pub use view::{
-    apply_action, Action, BuiltIndexes, ClusterView, FittingCursor, JobFields, JobRef, JobState,
-};
+pub use view::{apply_action, Action, ClusterView, FittingCursor, JobFields, JobRef, JobState};

@@ -68,25 +68,26 @@
 //! pointers to the stored objects, not copies, and only for the events
 //! a drain acts on.
 //!
-//! [`Store::full_scans`] makes the rule a count tests hold: it does
-//! not move on the job store across `tick`/`all_complete`, except for
-//! the one scan per round by which debug builds cross-check the handle
-//! keys and the completion answer against the store. The scanning reads
-//! remain for the cold surface: [`metrics`](CharmOperator::metrics)
-//! (one pass for the names), [`queued_jobs`](CharmOperator::queued_jobs)
-//! and [`rebuild_view`](CharmOperator::rebuild_view) (the from-scratch
+//! `Counter::FullScans` ([`Store::counters`]) makes the rule a count
+//! tests hold: it does not move on the job store across
+//! `tick`/`all_complete`, except for the one scan per round by which
+//! debug builds cross-check the handle keys and the completion answer
+//! against the store. The scanning reads remain for the cold surface:
+//! [`metrics`](CharmOperator::metrics) (one pass for the names),
+//! [`queued_jobs`](CharmOperator::queued_jobs) and
+//! [`rebuild_view`](CharmOperator::rebuild_view) (the from-scratch
 //! construction tests compare the kernel's view against).
 //!
 //! [`Store::list_watch_where`]: kube_sim::Store::list_watch_where
 //! [`Store::read`]: kube_sim::Store::read
-//! [`Store::full_scans`]: kube_sim::Store::full_scans
+//! [`Store::counters`]: kube_sim::Store::counters
 //! [`JobRegistry`]: crate::registry::JobRegistry
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
-use hpc_metrics::{Duration, JobId, SimTime, UtilizationRecorder};
+use hpc_metrics::{Counter, Counters, Duration, JobId, SimTime, UtilizationRecorder};
 use hpc_workload::{FaultEvent, FaultKind, FaultSpec, FlakyOp};
 use kube_sim::{ControlPlane, EventKind, EventLog, Pod, PodPhase, PodRole, Store, WatchEvent};
 
@@ -94,7 +95,7 @@ use crate::client::{SchedulerClient, SubmitRequest};
 use crate::crd::{CharmJob, CharmJobSpec, CharmJobStatus, JobPhase};
 use crate::error::SchedulerError;
 use crate::executor::{ExecHandle, ExecStatus, Executor};
-use crate::kernel::{Admission, Dispatches, Effects, Kernel, Stop};
+use crate::kernel::{Admission, Effects, Kernel, Stop};
 use crate::policy::SchedulingPolicy;
 use crate::registry::JobRegistry;
 use crate::report::{FaultStats, RunMetrics};
@@ -148,6 +149,8 @@ pub struct CharmOperator {
     flakies: VecDeque<FlakyOp>,
     /// Next policy-timer deadline, if the policy requested one.
     next_timer: Option<SimTime>,
+    /// `SettleRounds`: the rounds of every settled instant.
+    counters: Counters,
 }
 
 /// Everything held for one launched job. One record, so the executor
@@ -250,6 +253,7 @@ impl CharmOperator {
             faults: VecDeque::new(),
             flakies: VecDeque::new(),
             next_timer,
+            counters: Counters::default(),
         }
     }
 
@@ -296,15 +300,13 @@ impl CharmOperator {
         self.kernel.rescales()
     }
 
-    /// How many policy burst dispatches the submissions and completions
-    /// so far cost ([`Kernel::dispatches`]).
-    pub fn dispatches(&self) -> Dispatches {
-        self.kernel.dispatches()
-    }
-
-    /// Jobs cancelled so far.
-    pub fn cancellations(&self) -> u32 {
-        self.kernel.cancelled()
+    /// [`Kernel::counters`], the rounds of every
+    /// [`settle`](CharmOperator::settle) and both stores' full scans.
+    pub fn counters(&self) -> Counters {
+        (self.kernel.counters())
+            .merge(self.counters)
+            .merge(self.jobs.counters())
+            .merge(self.plane.pods.counters())
     }
 
     /// The utilization recorder (worker slots per job over time, keyed
@@ -722,27 +724,28 @@ impl CharmOperator {
 
     /// Ticks until the instant is settled — until a round drains no
     /// watch event, applies no posted fault, wakes no requeue, binds or
-    /// moves no pod, runs no launch check, advances no rescale flow, sees
-    /// no completion, fires no timer and reaps no pod — and returns how
-    /// many rounds that took (the quiet one included, so an idle instant
-    /// settles in 1). More than one is needed whenever a round's effects
-    /// are only observable by the next: a completion frees slots and the policy admits a
-    /// queued job (its pods are created); the kubelet terminates the
-    /// completed job's deleting pods, which hold node capacity until
-    /// then; the admitted job's pods bind and start, so it launches at
-    /// the completion's timestamp. Only real work counts: the operator's
-    /// own status-mirror writes are filtered out of its job watch. Gives
-    /// up after 64 rounds (a real executor can finish something in
-    /// every one).
-    pub fn settle(&mut self) -> u32 {
+    /// moves no pod, runs no launch check, advances no rescale flow,
+    /// sees no completion, fires no timer and reaps no pod — counting
+    /// its rounds in `Counter::SettleRounds` (the quiet one included,
+    /// so an idle instant settles in 1). More than one is needed
+    /// whenever a round's effects are only observable by the next: a
+    /// completion frees slots and the policy admits a queued job (its
+    /// pods are created); the kubelet terminates the completed job's
+    /// deleting pods, which hold node capacity until then; the admitted
+    /// job's pods bind and start, so it launches at the completion's
+    /// timestamp. Only real work counts: the operator's own
+    /// status-mirror writes are filtered out of its job watch. Gives up
+    /// after 64 rounds (a real executor can finish something in every
+    /// one).
+    pub fn settle(&mut self) {
         let mut rounds = 1;
         while self.round() && rounds < Self::SETTLE_MAX_ROUNDS {
             rounds += 1;
         }
-        rounds
+        self.counters.add(Counter::SettleRounds, rounds);
     }
 
-    const SETTLE_MAX_ROUNDS: u32 = 64;
+    const SETTLE_MAX_ROUNDS: u64 = 64;
 
     /// `true` once every submitted job reached a terminal phase
     /// (completed, cancelled or failed). O(1): every job in the store

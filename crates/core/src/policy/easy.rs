@@ -69,19 +69,19 @@ impl Default for EasyBackfill {
 
 /// The shadow reservation for a blocked queue head.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Reservation {
+pub(crate) struct Reservation {
     /// The reserved job (the first queued job that does not fit now).
-    pub job: JobId,
+    job: JobId,
     /// Earliest instant the completion frontier frees the head's
     /// minimum footprint — the head's guaranteed start time.
     /// `INFINITY` when running jobs without estimates hold slots the
     /// head needs (no reservation can be planned; backfilling is then
     /// unrestricted, since no guarantee exists to protect).
-    pub shadow_start: SimTime,
+    shadow_start: SimTime,
     /// Slots still available at `shadow_start` *beyond* the head's
     /// footprint: a backfill running past the shadow start may take at
     /// most this many.
-    pub surplus: i64,
+    surplus: i64,
 }
 
 impl Reservation {

@@ -36,7 +36,7 @@ mod fcfs;
 mod recovery;
 
 pub use aging::AgingSweep;
-pub use easy::{EasyBackfill, Reservation};
+pub use easy::EasyBackfill;
 pub use fcfs::FcfsBackfill;
 pub use recovery::{RecoveryPolicy, RecoveryStrategy};
 

@@ -68,7 +68,7 @@
 //! order — not even under faults, whose victims are ranked by sorting
 //! the running jobs once — or (unless a fault needs a victim) the
 //! last-action order. There is no switch and no declaration — reading
-//! is the declaration ([`ClusterView::built_indexes`] reports which
+//! is the declaration ([`ClusterView::counters`] reports which
 //! have been read). Once built, a policy reads its order in O(k) with
 //! zero `String`s anywhere on the path.
 //!
@@ -103,7 +103,7 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
-use hpc_metrics::{Duration, JobId, SimTime};
+use hpc_metrics::{Counter, Counters, Duration, JobId, SimTime};
 
 /// Queue ordering key: submission time, then the interned id. (The
 /// estimated-end and last-action indexes share the shape: an instant,
@@ -797,32 +797,6 @@ impl PartialEq for PriorityIndex {
     }
 }
 
-/// Which pay-per-use indexes of a [`ClusterView`] have been read (and
-/// are therefore maintained) — see [`ClusterView::built_indexes`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BuiltIndexes {
-    /// Running jobs by descending priority (`running_scan`), a linked
-    /// list per priority — read by the elastic policy only, and built
-    /// with `queued_priority_order`, whose lists share its link column.
-    pub running_order: bool,
-    /// Running jobs by last scheduling action
-    /// (`running_by_last_action`), a linked list — the elastic
-    /// policy's gap cursor, and what a fault ranks its victims from.
-    pub running_action_order: bool,
-    /// Queued jobs by descending priority
-    /// (`queued_fitting_by_priority`), a linked list per priority and
-    /// minimum footprint — the queued lane of the elastic Fig. 3 walk.
-    pub queued_priority_order: bool,
-    /// Queued jobs by submission (`queued_scan`), a linked list.
-    pub queued_order: bool,
-    /// Running jobs by estimated end (`running_by_estimated_end`), a
-    /// `BTreeSet`.
-    pub running_end_order: bool,
-    /// Queued jobs bucketed by minimum footprint (`queued_fitting`), a
-    /// linked list per bucket through one shared link column.
-    pub queued_footprint: bool,
-}
-
 /// Schedulable cluster state, incrementally maintained (see the module
 /// docs for the data-structure layout and complexity contract).
 #[derive(Debug, Clone)]
@@ -967,18 +941,21 @@ impl ClusterView {
     }
 
     /// Which ordered indexes have been read so far, and are therefore
-    /// paying their upkeep on every mutation. Introspection for cost
-    /// tests — a policy never needs it.
-    pub fn built_indexes(&self) -> BuiltIndexes {
-        let priority_orders = self.priority_orders.get().is_some();
-        BuiltIndexes {
-            running_order: priority_orders,
-            running_action_order: self.running_action_order.get().is_some(),
-            queued_priority_order: priority_orders,
-            queued_order: self.queued_order.get().is_some(),
-            running_end_order: self.running_end_order.get().is_some(),
-            queued_footprint: self.queued_footprint.get().is_some(),
+    /// paying their upkeep on every mutation: 1 in each `…Built`
+    /// [`Counter`] of one that has. Introspection for cost tests — a
+    /// policy never needs it.
+    pub fn counters(&self) -> Counters {
+        use Counter::*;
+        fn built<T>(index: &OnceLock<T>) -> u64 {
+            index.get().is_some().into()
         }
+        let mut counters = Counters::default();
+        counters.add(PriorityOrdersBuilt, built(&self.priority_orders));
+        counters.add(RunningActionOrderBuilt, built(&self.running_action_order));
+        counters.add(QueuedOrderBuilt, built(&self.queued_order));
+        counters.add(RunningEndOrderBuilt, built(&self.running_end_order));
+        counters.add(QueuedFootprintBuilt, built(&self.queued_footprint));
+        counters
     }
 
     /// Index upkeep for the job at `idx` joining (`enter`) or leaving
@@ -1657,18 +1634,14 @@ pub(crate) mod tests {
     #[test]
     fn indexes_are_built_on_first_read_and_maintained_from_then_on() {
         let mut view = view_of(64, 40, vec![job(0, 3, 0.0, 8), job(1, 2, 1.0, 0)]);
-        assert_eq!(view.built_indexes(), BuiltIndexes::default());
+        assert_eq!(view.counters(), Counters::default());
         assert_eq!(view.running_count(), 1, "a counter, not an index read");
         assert_eq!(view.queued_scan().count(), 1);
         assert_eq!(view.queued_fitting(JobId(1), 64).count(), 0);
-        assert_eq!(
-            view.built_indexes(),
-            BuiltIndexes {
-                queued_order: true,
-                queued_footprint: true,
-                ..BuiltIndexes::default()
-            }
-        );
+        let mut queue_lists = Counters::default();
+        queue_lists.add(Counter::QueuedOrderBuilt, 1);
+        queue_lists.add(Counter::QueuedFootprintBuilt, 1);
+        assert_eq!(view.counters(), queue_lists);
         // A mutation keeps the built ones current and builds no other.
         view.insert(job(2, 2, 2.0, 0), 1);
         apply_action(
@@ -1684,13 +1657,13 @@ pub(crate) mod tests {
             view.queued_scan().map(|j| j.id()).collect::<Vec<_>>(),
             [JobId(2)]
         );
-        assert!(!view.built_indexes().running_order);
+        assert_eq!(view.counters()[Counter::PriorityOrdersBuilt], 0);
         assert_eq!(view.running_scan().count(), 2, "built now, from the arena");
         // A clone carries what was built; equality ignores it.
         let fresh = view_of(64, 35, view.jobs().collect());
-        assert_eq!(fresh.built_indexes(), BuiltIndexes::default());
+        assert_eq!(fresh.counters(), Counters::default());
         assert_eq!(view, fresh);
-        assert_eq!(view.clone().built_indexes(), view.built_indexes());
+        assert_eq!(view.clone().counters(), view.counters());
     }
 
     #[test]
@@ -1949,7 +1922,7 @@ pub(crate) mod tests {
     /// `ClusterView::eq` walks a built list both ways against its
     /// definition.
     fn assert_links_current(v: &ClusterView) {
-        assert!(v.built_indexes().running_action_order);
+        assert_eq!(v.counters()[Counter::RunningActionOrderBuilt], 1);
         assert_eq!(*v, view_of(64, v.free_slots(), v.jobs().collect()));
     }
 
@@ -2092,7 +2065,7 @@ pub(crate) mod tests {
             apply_action(&mut unread, &action, now, 1);
         }
         assert!(maintained.running_count() > 1, "the walk left a list");
-        assert!(!unread.built_indexes().running_action_order);
+        assert_eq!(unread.counters()[Counter::RunningActionOrderBuilt], 0);
         assert_eq!(last_action_ids(&unread), last_action_ids(&maintained));
         assert_eq!(unread, maintained);
     }
@@ -2119,8 +2092,9 @@ pub(crate) mod tests {
     fn read_queue_lists(v: &ClusterView) {
         let head = v.queued_scan().next().expect("a queued job").id();
         v.queued_fitting(head, v.capacity()).count();
-        let built = v.built_indexes();
-        assert!(built.queued_order && built.queued_footprint);
+        let built = v.counters();
+        assert_eq!(built[Counter::QueuedOrderBuilt], 1);
+        assert_eq!(built[Counter::QueuedFootprintBuilt], 1);
     }
 
     /// Holds `v` equal to a from-scratch view of its jobs, which checks

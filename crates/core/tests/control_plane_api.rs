@@ -17,7 +17,7 @@ use elastic_core::{
     JobEventKind, JobId, JobPhase, ModelExecutor, OverheadModel, Policy, PolicyConfig,
     ScalingModel, Schedule, SchedulingPolicy, SubmitRequest,
 };
-use hpc_metrics::{Clock, Duration, SimTime, VirtualClock};
+use hpc_metrics::{Clock, Counter, Duration, SimTime, VirtualClock};
 use kube_sim::{ControlPlane, KubeletConfig};
 
 fn spec(name: &str, prio: u32, min: u32, max: u32, iters: u64) -> CharmJobSpec {
@@ -270,7 +270,7 @@ fn cancel_frees_slots_the_policy_reassigns_in_the_same_run() {
     // freed slots to the queued job in the same pass.
     assert_eq!(client.phase("hog"), Some(JobPhase::Cancelled));
     assert_ne!(client.phase("waiting"), Some(JobPhase::Queued));
-    assert_eq!(op.cancellations(), 1);
+    assert_eq!(op.counters()[Counter::Cancellations], 1);
 
     let mut guard = 0;
     while !op.all_complete() {
@@ -444,5 +444,5 @@ fn cancel_during_expand_pods_pending_leaks_nothing() {
     assert!(op.plane.pods_of_job("a").is_empty(), "expand pods leaked");
     assert!(op.all_complete());
     assert_eq!(op.plane.free_slots(), 64, "slots leaked after cancel");
-    assert_eq!(op.cancellations(), 1);
+    assert_eq!(op.counters()[Counter::Cancellations], 1);
 }

@@ -8,7 +8,7 @@ use elastic_core::{
     run_virtual, AppSpec, CharmJobSpec, CharmOperator, JobPhase, ModelExecutor, OverheadModel,
     Policy, PolicyConfig, PolicyKind, ScalingModel, Schedule,
 };
-use hpc_metrics::{Clock, Duration, VirtualClock};
+use hpc_metrics::{Clock, Counter, Duration, VirtualClock};
 use kube_sim::{ControlPlane, KubeletConfig, PodRole};
 
 fn spec(name: &str, prio: u32, min: u32, max: u32, iters: u64) -> CharmJobSpec {
@@ -275,7 +275,7 @@ fn cancel_mid_shrink_with_fault_pending_leaks_no_slots() {
     op.client().cancel("low").unwrap();
     clock.advance(Duration::from_secs(1.0));
     op.tick();
-    assert_eq!(op.cancellations(), 1);
+    assert_eq!(op.counters()[Counter::Cancellations], 1);
     assert_eq!(op.view().deficit(), 0, "fault deficit fully covered");
     assert_eq!(op.view().failed_slots(), 50);
     assert_eq!(

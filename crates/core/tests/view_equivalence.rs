@@ -373,7 +373,7 @@ proptest! {
                 );
             } else {
                 prop_assert!(
-                    view.built_indexes() == Default::default(),
+                    view.counters() == Default::default(),
                     "an index was built at step {} with no read", step
                 );
             }

@@ -75,7 +75,7 @@
 //!   released. Holding one across an `update` of the same object is
 //!   what makes that update copy.
 //!
-//! Reconcile loops use the first two; [`Store::full_scans`] counts the
+//! Reconcile loops use the first two; [`Store::counters`] counts the
 //! reads that visit every object (`list`, `list_watch`, `for_each`) so
 //! a test can hold "this path does not scan that store" as an exact
 //! count instead of a timing.
@@ -100,11 +100,11 @@
 use std::borrow::Borrow;
 use std::collections::hash_map::{Entry, HashMap, RandomState};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use hpc_metrics::sync::locked;
+use hpc_metrics::{Counter, Counters};
 
 /// Anything storable: cloneable (for [`Store::update`]'s copy-on-write),
 /// named, and shareable across threads — the store hands out `Arc`s of
@@ -472,6 +472,10 @@ struct StoreInner<T> {
     by_name: Map<Arc<str>>,
     watchers: Vec<Watcher<T>>,
     indexes: Vec<Index<T>>,
+    /// The last uid and resource version handed out (0: none yet).
+    last_uid: u64,
+    last_rv: u64,
+    counters: Counters,
 }
 
 /// One watch stream and what it is sent.
@@ -526,22 +530,9 @@ impl<T> StoreInner<T> {
 /// lock: they must not call back into the same store, and no edit may
 /// rename the object. A panic in one of them poisons the store
 /// (`hpc_metrics::sync`), and every later call on it panics.
+#[derive(Clone)]
 pub struct Store<T: Resource> {
     inner: Arc<Mutex<StoreInner<T>>>,
-    next_uid: Arc<AtomicU64>,
-    next_rv: Arc<AtomicU64>,
-    full_scans: Arc<AtomicU64>,
-}
-
-impl<T: Resource> Clone for Store<T> {
-    fn clone(&self) -> Self {
-        Store {
-            inner: Arc::clone(&self.inner),
-            next_uid: Arc::clone(&self.next_uid),
-            next_rv: Arc::clone(&self.next_rv),
-            full_scans: Arc::clone(&self.full_scans),
-        }
-    }
 }
 
 impl<T: Resource> Default for Store<T> {
@@ -572,10 +563,10 @@ impl<T: Resource> Store<T> {
                 by_name: map(),
                 watchers: Vec::new(),
                 indexes,
+                last_uid: 0,
+                last_rv: 0,
+                counters: Counters::default(),
             })),
-            next_uid: Arc::new(AtomicU64::new(1)),
-            next_rv: Arc::new(AtomicU64::new(1)),
-            full_scans: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -596,10 +587,12 @@ impl<T: Resource> Store<T> {
         let Entry::Vacant(name) = inner.by_name.entry(obj.shared_name()) else {
             return Err(ApiError::AlreadyExists(obj.name().to_string()));
         };
+        inner.last_uid += 1;
+        inner.last_rv += 1;
         let stored = Arc::new(Stored {
             obj,
-            uid: self.next_uid.fetch_add(1, Ordering::Relaxed),
-            resource_version: self.next_rv.fetch_add(1, Ordering::Relaxed),
+            uid: inner.last_uid,
+            resource_version: inner.last_rv,
         });
         let slot = inner.free.pop().unwrap_or_else(|| {
             inner.slots.push(None);
@@ -631,8 +624,9 @@ impl<T: Resource> Store<T> {
     /// A snapshot of all objects, in unspecified order. Counts as a
     /// full scan.
     pub fn list(&self) -> Vec<Arc<Stored<T>>> {
-        self.full_scans.fetch_add(1, Ordering::Relaxed);
-        locked(&self.inner).objects().cloned().collect()
+        let mut inner = locked(&self.inner);
+        inner.counters.add(Counter::FullScans, 1);
+        inner.objects().cloned().collect()
     }
 
     /// Borrowed read: runs `f` on the named object under the store
@@ -644,8 +638,9 @@ impl<T: Resource> Store<T> {
     /// Borrowed scan: runs `f` on every object under the store lock
     /// (unspecified order). Counts as a full scan.
     pub fn for_each(&self, f: impl FnMut(&Arc<Stored<T>>)) {
-        self.full_scans.fetch_add(1, Ordering::Relaxed);
-        locked(&self.inner).objects().for_each(f);
+        let mut inner = locked(&self.inner);
+        inner.counters.add(Counter::FullScans, 1);
+        inner.objects().for_each(f);
     }
 
     /// Indexed scan: runs `f`, under the store lock and in filing order,
@@ -696,7 +691,7 @@ impl<T: Resource> Store<T> {
         let mut updated = 0;
         Self::walk(&mut locked(&self.inner), index, key, |inner, at| {
             if let Some(edit) = pick(inner.filed(at)) {
-                self.edit(inner, at, edit);
+                Self::edit(inner, at, edit);
                 updated += 1;
             }
         });
@@ -730,11 +725,10 @@ impl<T: Resource> Store<T> {
         deleted
     }
 
-    /// How many reads have visited every object so far ([`Store::list`],
-    /// [`Store::list_watch`], [`Store::for_each`]), over all clones of
-    /// this store.
-    pub fn full_scans(&self) -> u64 {
-        self.full_scans.load(Ordering::Relaxed)
+    /// `Counter::FullScans` over all clones: the reads that visited every
+    /// object ([`Store::list`], [`Store::list_watch`], [`Store::for_each`]).
+    pub fn counters(&self) -> Counters {
+        locked(&self.inner).counters
     }
 
     /// Number of stored objects.
@@ -758,7 +752,7 @@ impl<T: Resource> Store<T> {
         let mut guard = locked(&self.inner);
         let inner = &mut *guard;
         let slot = Self::slot_of(inner, name)?;
-        Ok(self.edit(inner, slot, mutate))
+        Ok(Self::edit(inner, slot, mutate))
     }
 
     /// [`Store::update`] of each named object in turn, under one store
@@ -773,7 +767,7 @@ impl<T: Resource> Store<T> {
         let inner = &mut *guard;
         for (name, edit) in edits {
             let slot = Self::slot_of(inner, name.as_ref())?;
-            self.edit(inner, slot, edit);
+            Self::edit(inner, slot, edit);
         }
         Ok(())
     }
@@ -786,18 +780,14 @@ impl<T: Resource> Store<T> {
     /// Applies `mutate` to the object in `slot`, copying it first if
     /// anything else still points at it, bumps its resource version,
     /// re-files it and tells the watchers.
-    fn edit(
-        &self,
-        inner: &mut StoreInner<T>,
-        slot: u32,
-        mutate: impl FnOnce(&mut T),
-    ) -> Arc<Stored<T>> {
+    fn edit(inner: &mut StoreInner<T>, slot: u32, mutate: impl FnOnce(&mut T)) -> Arc<Stored<T>> {
         let shared = inner.slots[slot as usize]
             .as_mut()
             .expect("a named slot is full");
         let stored = Arc::make_mut(shared);
         mutate(&mut stored.obj);
-        stored.resource_version = self.next_rv.fetch_add(1, Ordering::Relaxed);
+        inner.last_rv += 1;
+        stored.resource_version = inner.last_rv;
         for index in &mut inner.indexes {
             index.refile(slot, &stored.obj);
         }
@@ -860,8 +850,8 @@ impl<T: Resource> Store<T> {
         &self,
         accepts: WatchFilter<T>,
     ) -> (Vec<Arc<Stored<T>>>, Receiver<WatchEvent<T>>) {
-        self.full_scans.fetch_add(1, Ordering::Relaxed);
         let mut inner = locked(&self.inner);
+        inner.counters.add(Counter::FullScans, 1);
         let snapshot = (inner.objects())
             .filter(|s| accepts(EventKind::Added, &s.obj))
             .cloned()
@@ -876,6 +866,7 @@ impl<T: Resource> Store<T> {
 mod tests {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     use super::*;
 
@@ -1129,7 +1120,11 @@ mod tests {
         assert_eq!(store.read("zzz", |s| s.obj.value), None);
         assert!(store.get("b").is_some());
         store.update("a", |o| o.value = 3).unwrap();
-        assert_eq!(store.full_scans(), 0, "point reads and writes never scan");
+        assert_eq!(
+            store.counters()[Counter::FullScans],
+            0,
+            "point reads and writes never scan"
+        );
 
         let mut sum = 0;
         store.for_each(|s| sum += s.obj.value);
@@ -1137,7 +1132,11 @@ mod tests {
         assert_eq!(store.list().len(), 2);
         let (snapshot, _rx) = store.clone().list_watch();
         assert_eq!(snapshot.len(), 2);
-        assert_eq!(store.full_scans(), 3, "for_each + list + list_watch");
+        assert_eq!(
+            store.counters()[Counter::FullScans],
+            3,
+            "for_each + list + list_watch"
+        );
     }
 
     /// Indexed by the sign of the value: "neg" or "pos".
@@ -1170,7 +1169,11 @@ mod tests {
         store.delete("b").unwrap();
         assert!(names_in(&store, "pos").is_empty());
         assert_eq!(names_in(&store, "neg"), ["a"]);
-        assert_eq!(store.full_scans(), 0, "indexed reads are not scans");
+        assert_eq!(
+            store.counters()[Counter::FullScans],
+            0,
+            "indexed reads are not scans"
+        );
     }
 
     #[test]
@@ -1400,7 +1403,7 @@ mod tests {
         assert!(names_in(walked, "pos").is_empty());
         assert_eq!(names_in(walked, "neg"), ["n", "a", "c", "b", "d"]);
         assert_eq!(
-            walked.full_scans(),
+            walked.counters()[Counter::FullScans],
             1,
             "the watch's snapshot; no walk scans"
         );

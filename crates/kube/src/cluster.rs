@@ -207,7 +207,7 @@ impl ControlPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpc_metrics::{Duration, VirtualClock};
+    use hpc_metrics::{Counter, Duration, VirtualClock};
 
     fn names(names: &[&str]) -> Vec<Arc<str>> {
         names.iter().map(|&n| Arc::from(n)).collect()
@@ -331,7 +331,7 @@ mod tests {
             .unwrap();
         cp.pods.create(Pod::worker("x", "j2", cp.now())).unwrap();
         cp.tick();
-        let scans = cp.pods.full_scans();
+        let scans = cp.pods.counters()[Counter::FullScans];
         assert_eq!(
             cp.pod_names_of_job("j1", None),
             names(&["j1-w1", "j1-w0", "j1-l"]),
@@ -344,7 +344,11 @@ mod tests {
         assert!(cp.pod_names_of_job("nobody", None).is_empty());
         assert!(cp.job_pods_running("j1", PodRole::Worker, 2));
         assert_eq!(cp.pods_of_job("j2").len(), 1);
-        assert_eq!(cp.pods.full_scans(), scans, "answered from the owner index");
+        assert_eq!(
+            cp.pods.counters()[Counter::FullScans],
+            scans,
+            "answered from the owner index"
+        );
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //!
 //! * [`time`] — [`SimTime`] instants and durations in
 //!   seconds, totally ordered and hashable.
+//! * [`counters`] — [`Counters`], what a run counts: one `u64` per
+//!   [`Counter`], summed across layers by [`Counters::merge`].
 //! * [`clock`] — the [`Clock`] trait with a wall-clock
 //!   implementation ([`RealClock`]) and a manually
 //!   advanced one ([`VirtualClock`]).
@@ -36,6 +38,7 @@
 
 pub mod ascii;
 pub mod clock;
+pub mod counters;
 pub mod csv;
 pub mod ids;
 pub mod interp;
@@ -45,6 +48,7 @@ pub mod sync;
 pub mod time;
 
 pub use clock::{Clock, ClockRef, RealClock, VirtualClock};
+pub use counters::{Counter, Counters};
 pub use ids::JobId;
 pub use interp::PiecewiseLinear;
 pub use recorder::UtilizationRecorder;

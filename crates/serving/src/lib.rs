@@ -18,10 +18,10 @@
 //! store creates the operator's watch drain coalesces into a *single*
 //! [`SchedulingPolicy::on_submit_burst`] dispatch — a 100k-submission
 //! storm costs O(batches) policy invocations, not O(jobs)
-//! (`CharmOperator::dispatches` counts them; `tests/replay_counters.rs`
-//! pins the exact counts). Every submission is answered explicitly:
-//! [`SubmitResponse::Admitted`] (the push completed a batch — the
-//! ticket is real), [`SubmitResponse::Queued`] with the shard depth, or
+//! (`CharmOperator::counters` counts them as `Counter::SubmitBursts`;
+//! `tests/replay_counters.rs` pins the exact counts). Every submission
+//! is answered explicitly: [`SubmitResponse::Admitted`] (the push
+//! completed a batch — the ticket is real), [`SubmitResponse::Queued`] with the shard depth, or
 //! [`SubmitResponse::Shed`] with a retry-after hint when the bounded
 //! buffer is full. Load shedding is a *first-class answer*, not an
 //! error: the `shed_then_retry_round_trip` test pins the full

@@ -174,67 +174,6 @@ pub fn table1_simulation(seed: u64) -> Vec<(RunMetrics, SimOutcome)> {
 mod tests {
     use super::*;
 
-    /// The headline claims of Fig. 7 at moderate traffic, with a small
-    /// seed count to keep test time low.
-    #[test]
-    fn elastic_wins_utilization_and_total_time() {
-        let pts = sweep_submission_gap(&[90.0], 180.0, 8, DEFAULT_JOBS);
-        let get = |k: PolicyKind| pts.iter().find(|p| p.policy == k).unwrap();
-        let elastic = get(PolicyKind::Elastic);
-        let moldable = get(PolicyKind::Moldable);
-        let min = get(PolicyKind::RigidMin);
-        let max = get(PolicyKind::RigidMax);
-        assert!(
-            elastic.utilization >= moldable.utilization,
-            "elastic {} < moldable {}",
-            elastic.utilization,
-            moldable.utilization
-        );
-        assert!(min.utilization <= elastic.utilization);
-        assert!(elastic.total_time <= moldable.total_time + 1e-9);
-        assert!(elastic.total_time <= max.total_time + 1e-9);
-        assert!(elastic.total_time <= min.total_time + 1e-9);
-    }
-
-    /// Fig. 7c: min_replicas has the lowest weighted response time.
-    #[test]
-    fn rigid_min_has_lowest_response_time() {
-        let pts = sweep_submission_gap(&[90.0], 180.0, 8, DEFAULT_JOBS);
-        let get = |k: PolicyKind| pts.iter().find(|p| p.policy == k).unwrap();
-        let min = get(PolicyKind::RigidMin);
-        for other in [PolicyKind::RigidMax, PolicyKind::Moldable] {
-            assert!(
-                min.weighted_response <= get(other).weighted_response + 1e-9,
-                "min resp {} > {} resp {}",
-                min.weighted_response,
-                other,
-                get(other).weighted_response
-            );
-        }
-    }
-
-    /// Fig. 7d: min_replicas has the highest completion time (slowest
-    /// execution at minimum parallelism).
-    #[test]
-    fn rigid_min_has_highest_completion_time() {
-        let pts = sweep_submission_gap(&[90.0], 180.0, 8, DEFAULT_JOBS);
-        let get = |k: PolicyKind| pts.iter().find(|p| p.policy == k).unwrap();
-        let min = get(PolicyKind::RigidMin);
-        for other in [
-            PolicyKind::Elastic,
-            PolicyKind::Moldable,
-            PolicyKind::RigidMax,
-        ] {
-            assert!(
-                min.weighted_completion >= get(other).weighted_completion - 1e-9,
-                "min comp {} < {} comp {}",
-                min.weighted_completion,
-                other,
-                get(other).weighted_completion
-            );
-        }
-    }
-
     /// Fig. 8: as T_rescale_gap grows, elastic converges to moldable
     /// ("the moldable scheduler is essentially the elastic scheduler
     /// that never rescales any job").

@@ -182,7 +182,7 @@ impl From<std::io::Error> for SwfError {
 /// Streaming iterator over the data records of an SWF stream. Header
 /// and comment lines (leading `;`) and blank lines are skipped; each
 /// data line yields one [`SwfRecord`] (or the first error).
-pub struct SwfRecords<R: BufRead> {
+struct SwfRecords<R: BufRead> {
     reader: R,
     line: usize,
     buf: String,

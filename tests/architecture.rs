@@ -1,11 +1,11 @@
-//! Eleven structural rules, checked on the source: one scheduling
+//! Twelve structural rules, checked on the source: one scheduling
 //! kernel, one measurement estate, one drive loop, no scan in the pod
 //! controllers (nor a copy or a pointer a watcher did not ask for), one
 //! execution model, an operator that watches two stores, one
 //! differential harness for the cross-engine tests, one lock policy,
 //! no dependency a package's sources never name, one entry point
-//! for the paper's artifacts, and no public function or constant that
-//! only its own file names. Each test runs its
+//! for the paper's artifacts, no public function or constant that
+//! only its own file names, and one counting surface. Each test runs its
 //! rule on the tree as it is, then with one recorded mutation spliced
 //! into a real file, and asserts that the rule fires. Most rules read
 //! [`code`]: a file without its comments, literals and `#[cfg(test)]`
@@ -22,6 +22,7 @@ const HARNESS: &str = "crates/core/src/harness.rs";
 const API: &str = "crates/kube/src/api.rs";
 const MODEL: &str = "crates/workload/src/model.rs";
 const SYNC: &str = "crates/metrics/src/sync.rs";
+const RUNTIME: &str = "crates/charm/src/runtime.rs";
 
 const HOOKS: &str = "on_submit|on_complete|on_timer|on_fault|apply_action|fail_slots|restore_slots|on_flaky|on_success|backoff_for|from_outcomes|wasted_core_seconds";
 const KNOBS: &str = "_STRICT|bench_fresh|bench_gate|_MAX_JOBS|_MAX_SHARDS";
@@ -56,6 +57,20 @@ const ARGV: &str = "{path} reads the command line; reproduce parses it once into
 const UNCALLED: &str =
     "no other file names these public items; make them private, test-only, or delete them";
 const STALE: &str = "these allowlisted items have a caller now, or are gone; drop their entries";
+const SHAPE: &str =
+    "{path} defines its own counter shape; add to an hpc_metrics::Counters and expose counters()";
+const UNLOCKED: &str = "{path} counts outside the store lock; bump a StoreInner field under it";
+/// The public count shapes rule 12 lets stand, with the reason.
+const OWN_SHAPES: [(&str, &str); 2] = [
+    (
+        "FaultStats",
+        "a RunMetrics field, which both engines' replays are compared by",
+    ),
+    (
+        "IngestStats",
+        "frozen benchmark/ reads its fields; it moves with ROADMAP direction 14",
+    ),
+];
 /// The public items rule 11 lets stand without a caller, with the reason.
 const CALLERLESS: [(&str, &str); 4] = [
     (
@@ -409,6 +424,29 @@ fn every_public_item_has_a_caller(read: Read) -> Verdict {
     public_items_have_callers(&files(&dirs), read, &CALLERLESS)
 }
 
+/// Rule 12: every count goes through `hpc_metrics::Counters`. No
+/// `pub struct` of the crates' sources is a shape of its own (a name
+/// ending in `Stats`, `Dispatches` or `Indexes`) unless `OWN_SHAPES`
+/// lists it, and the kube store counts under its lock: its code names
+/// no `AtomicU64`.
+fn one_counting_surface(read: Read) -> Verdict {
+    let source = |p: &&String| p.contains("/src/") && p.ends_with(".rs");
+    let own = |l: &str| counter_shape(l).is_some_and(|n| OWN_SHAPES.iter().all(|(a, _)| *a != n));
+    for path in files(&["crates"]).iter().filter(source) {
+        deny(path, &code(&read(path)), own, SHAPE)?;
+    }
+    deny(API, &code(&read(API)), any_of("AtomicU64"), UNLOCKED)
+}
+
+/// The name a line of code defines as a `pub struct`, if it ends in
+/// `Stats`, `Dispatches` or `Indexes`.
+fn counter_shape(line: &str) -> Option<&str> {
+    let rest = line.trim_start().strip_prefix("pub struct ")?;
+    let name = rest.split(|c: char| !c.is_alphanumeric()).next()?;
+    let shapes = ["Stats", "Dispatches", "Indexes"];
+    shapes.iter().any(|s| name.ends_with(s)).then_some(name)
+}
+
 /// The names a line of code defines as `pub fn`, `pub const fn` or
 /// `pub const`.
 fn public_names(line: &str) -> Vec<&str> {
@@ -663,6 +701,21 @@ fn every_public_item_has_a_caller_rule() {
     let broken = rail(every_public_item_has_a_caller, path, &mutated, UNCALLED);
     assert!(broken.contains("crates/workload/src/spec.rs:"), "{broken}");
     assert!(broken.ends_with(": compress_arrivals"), "{broken}");
+}
+
+#[test]
+fn one_counting_surface_rule() {
+    // The charm runtime's counter struct comes back.
+    let anchor = "/// Freshly constructed chares grouped by destination PE";
+    let stats = format!("pub struct RtStats {{\n    messages: AtomicU64,\n}}\n\n{anchor}");
+    let mutated = disk(RUNTIME).replacen(anchor, &stats, 1);
+    let broken = rail(one_counting_surface, RUNTIME, &mutated, SHAPE);
+    assert!(broken.ends_with("pub struct RtStats {"), "{broken}");
+    // Or the store counts its scans beside its lock again.
+    let inner = "    inner: Arc<Mutex<StoreInner<T>>>,\n";
+    let beside = format!("{inner}    full_scans: Arc<AtomicU64>,\n");
+    let mutated = disk(API).replacen(inner, &beside, 1);
+    rail(one_counting_surface, API, &mutated, UNLOCKED);
 }
 
 /// A product file that defines `lonely` and `LIMIT`, and a test file

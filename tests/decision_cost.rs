@@ -28,10 +28,10 @@
 //!   start and completion would keep current.
 
 use elastic_hpc::core::{
-    Action, BuiltIndexes, ClusterView, EasyBackfill, FcfsBackfill, JobFields, JobId, JobState,
-    Policy, PolicyConfig, RecoveryPolicy, RecoveryStrategy, SchedulingPolicy,
+    Action, ClusterView, EasyBackfill, FcfsBackfill, JobFields, JobId, JobState, Policy,
+    PolicyConfig, RecoveryPolicy, RecoveryStrategy, SchedulingPolicy,
 };
-use elastic_hpc::metrics::{Duration, SimTime};
+use elastic_hpc::metrics::{Counter, Counters, Duration, SimTime};
 use elastic_hpc::sim::{OverheadModel, ScalingModel, SimConfig, SimState};
 use elastic_hpc::workload::{poisson_workload, FaultSpec, FlakySpec};
 
@@ -101,8 +101,9 @@ fn a_backlog_that_cannot_start_is_never_walked() {
             policy.name()
         );
     }
-    assert!(
-        !view.built_indexes().queued_priority_order && !view.built_indexes().running_order,
+    assert_eq!(
+        view.counters()[Counter::PriorityOrdersBuilt],
+        0,
         "the rigid baselines never read a priority order"
     );
 }
@@ -234,7 +235,17 @@ fn running_jobs_inside_the_gap_are_never_visited() {
     );
 }
 
-fn replay(policy: Box<dyn SchedulingPolicy>, faults: FaultSpec) -> BuiltIndexes {
+/// A view's counters once it has built exactly `indexes`.
+fn built(indexes: &[Counter]) -> Counters {
+    let mut counters = Counters::default();
+    for &index in indexes {
+        counters.add(index, 1);
+    }
+    counters
+}
+
+/// The view counters (its built indexes) of a replay under `policy`.
+fn replay(policy: Box<dyn SchedulingPolicy>, faults: FaultSpec) -> Counters {
     let workload = poisson_workload(11, 3000, Duration::from_secs(20.0)).with_faults(faults);
     let cfg = SimConfig {
         capacity: 64,
@@ -245,7 +256,7 @@ fn replay(policy: Box<dyn SchedulingPolicy>, faults: FaultSpec) -> BuiltIndexes 
     };
     let mut state = SimState::new(&cfg, &workload);
     while state.step(&cfg, &workload, 4096) {}
-    let built = state.view().built_indexes();
+    let built = state.view().counters();
     let outcome = state.finish(&cfg, &workload);
     assert_eq!(outcome.metrics.jobs.len(), workload.jobs.len());
     built
@@ -255,23 +266,21 @@ fn replay(policy: Box<dyn SchedulingPolicy>, faults: FaultSpec) -> BuiltIndexes 
 fn a_replay_builds_only_the_indexes_its_policy_reads() {
     assert_eq!(
         replay(Box::new(elastic()), FaultSpec::default()),
-        BuiltIndexes {
-            running_order: true,
-            running_action_order: true,
-            queued_priority_order: true,
-            ..BuiltIndexes::default()
-        },
+        built(&[
+            Counter::PriorityOrdersBuilt,
+            Counter::RunningActionOrderBuilt
+        ]),
         "elastic pays for the gap cursor, the queued priority lane and the spared head"
     );
-    let easy = BuiltIndexes {
-        queued_order: true,
-        running_end_order: true,
-        queued_footprint: true,
-        ..BuiltIndexes::default()
-    };
+    let easy = [
+        Counter::QueuedOrderBuilt,
+        Counter::RunningEndOrderBuilt,
+        Counter::QueuedFootprintBuilt,
+    ];
+    let easy_faulted = built(&[&easy[..], &[Counter::RunningActionOrderBuilt]].concat());
     assert_eq!(
         replay(Box::new(EasyBackfill::new()), FaultSpec::default()),
-        easy,
+        built(&easy),
         "EASY pays for the queue, the frontier and the footprint buckets"
     );
     // A transient fault picks its victim by id off the running set:
@@ -283,10 +292,7 @@ fn a_replay_builds_only_the_indexes_its_policy_reads() {
             Box::new(EasyBackfill::new()),
             FaultSpec::default().with_flaky(storm)
         ),
-        BuiltIndexes {
-            running_action_order: true,
-            ..easy
-        },
+        easy_faulted,
         "a flaky storm adds the last-action list only"
     );
     // A capacity fault that lands on running work ranks its victims
@@ -298,15 +304,12 @@ fn a_replay_builds_only_the_indexes_its_policy_reads() {
         Duration::from_secs(60_000.0),
         Duration::from_secs(600.0),
     );
-    let easy_faulted = BuiltIndexes {
-        running_action_order: true,
-        ..easy
-    };
-    let fcfs_faulted = BuiltIndexes {
-        running_end_order: false,
-        ..easy_faulted
-    };
-    let legs: [(Box<dyn SchedulingPolicy>, RecoveryStrategy, BuiltIndexes); 3] = [
+    let fcfs_faulted = built(&[
+        Counter::QueuedOrderBuilt,
+        Counter::QueuedFootprintBuilt,
+        Counter::RunningActionOrderBuilt,
+    ]);
+    let legs: [(Box<dyn SchedulingPolicy>, RecoveryStrategy, Counters); 3] = [
         (
             Box::new(EasyBackfill::new()),
             RecoveryStrategy::CheckpointRestart,

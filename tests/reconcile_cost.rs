@@ -1,10 +1,12 @@
 //! A reconcile round costs O(changes), not O(history) — held by count,
 //! not by clock.
 //!
-//! The CharmJob store keeps every job ever submitted. `Store::full_scans`
-//! counts the reads that visit every object, so "a tick does not scan
-//! the job store" is an exact, host-independent number: zero in release
-//! builds, and exactly one per tick in debug builds, where the operator
+//! The CharmJob store keeps every job ever submitted. A store's
+//! `Counter::FullScans` (`Store::counters`) counts the reads that visit
+//! every object, and the operator's `Counter::SettleRounds` the
+//! reconcile rounds it ran, so "a tick does not scan the job store" is
+//! an exact, host-independent number: zero in release builds, and
+//! exactly one per tick in debug builds, where the operator
 //! cross-checks its handle keys and completion counters against a scan.
 //! The pod store is not scanned either: the scheduler, the kubelet and
 //! garbage collection read its lifecycle-stage index, so a tick in which
@@ -20,13 +22,12 @@
 use std::sync::Arc;
 
 use elastic_hpc::core::{
-    CharmJobSpec, CharmOperator, JobPhase, ModelExecutor, Policy, PolicyConfig, Schedule,
-    SubmitRequest,
+    CharmJobSpec, CharmOperator, JobPhase, ModelExecutor, Policy, PolicyConfig, SubmitRequest,
 };
 use elastic_hpc::kube::{ControlPlane, KubeletConfig, Pod, PodRole, TickOutcome};
-use elastic_hpc::metrics::{Clock, Duration, SimTime, VirtualClock};
-use elastic_hpc::serving::{run_workload_ingest, IngestConfig, IngestQueue};
-use elastic_hpc::workload::{poisson_workload, WorkloadSpec};
+use elastic_hpc::metrics::{Counter, Duration, VirtualClock};
+use elastic_hpc::serving::{run_workload_ingest, IngestConfig};
+use elastic_hpc::workload::poisson_workload;
 
 /// Job-store scans the debug-build cross-check adds to every tick.
 const CROSS_CHECK_SCANS_PER_TICK: u64 = cfg!(debug_assertions) as u64;
@@ -92,20 +93,20 @@ fn idle_ticks_do_not_depend_on_how_many_jobs_the_store_has_held() {
     assert_eq!(op.leased_executors(), 3, "the three fillers run");
     assert_eq!(op.queued_jobs().len(), HISTORY);
 
-    let job_scans = op.jobs.full_scans();
-    let pod_scans = op.plane.pods.full_scans();
+    let job_scans = op.jobs.counters()[Counter::FullScans];
+    let pod_scans = op.plane.pods.counters()[Counter::FullScans];
     for _ in 0..TICKS {
         clock.advance(Duration::from_secs(1.0));
         op.tick();
         assert!(!op.all_complete(), "queued and running jobs remain");
     }
     assert_eq!(
-        op.jobs.full_scans() - job_scans,
+        op.jobs.counters()[Counter::FullScans] - job_scans,
         TICKS * CROSS_CHECK_SCANS_PER_TICK,
         "tick/all_complete scanned the 20 003-job store"
     );
     assert_eq!(
-        op.plane.pods.full_scans() - pod_scans,
+        op.plane.pods.counters()[Counter::FullScans] - pod_scans,
         TICKS * IDLE_POD_SCANS_PER_TICK
     );
     assert_eq!(op.leased_executors(), 3);
@@ -136,42 +137,18 @@ fn idle_ticks_visit_no_settled_pod() {
     );
     assert!(plane.job_pods_running("j0", PodRole::Worker, PODS / 10));
 
-    let scans = plane.pods.full_scans();
+    let scans = plane.pods.counters()[Counter::FullScans];
     for _ in 0..TICKS {
         clock.advance(Duration::from_secs(1.0));
         assert_eq!(plane.tick(), TickOutcome::default());
         assert_eq!(plane.reap_finished(), 0);
     }
     assert_eq!(
-        plane.pods.full_scans(),
+        plane.pods.counters()[Counter::FullScans],
         scans,
         "1 000 settled pods, none read"
     );
     assert_eq!(plane.pods.len(), PODS);
-}
-
-/// The reconcile rounds a zero-delay ingest replay of `workload` runs:
-/// the drive loop's steps by hand (submit what fell due, flush, settle,
-/// advance), summing what each `settle()` returned.
-fn rounds_of_an_ingest_replay(workload: &WorkloadSpec, tick: Duration, cfg: IngestConfig) -> u64 {
-    let (mut op, clock) = operator();
-    let queue = IngestQueue::new(op.client(), cfg);
-    let schedule = Schedule::from_workload(workload);
-    let (mut next, mut rounds) = (0, 0);
-    loop {
-        let now = clock.now();
-        while next < schedule.jobs.len() && now - SimTime::ZERO >= schedule.submit_at(next) {
-            let req = SubmitRequest::v1(schedule.jobs[next].clone()).expect("valid spec");
-            assert!(!queue.submit(req).expect("queue open").is_shed());
-            next += 1;
-        }
-        queue.pump(now);
-        rounds += u64::from(op.settle());
-        if next == schedule.jobs.len() && queue.depth() == 0 && op.all_complete() {
-            return rounds;
-        }
-        clock.advance(tick);
-    }
 }
 
 #[test]
@@ -183,8 +160,8 @@ fn a_whole_ingest_replay_never_scans_the_job_store() {
         ..IngestConfig::default()
     };
     let (mut op, clock) = operator();
-    let job_scans = op.jobs.full_scans();
-    let pod_scans = op.plane.pods.full_scans();
+    let job_scans = op.jobs.counters()[Counter::FullScans];
+    let pod_scans = op.plane.pods.counters()[Counter::FullScans];
     let (metrics, stats) = run_workload_ingest(
         &mut op,
         &clock,
@@ -198,16 +175,14 @@ fn a_whole_ingest_replay_never_scans_the_job_store() {
 
     // The harness settles each instant, and an instant takes as many
     // rounds as it needs — counted, not assumed.
-    let ticks = rounds_of_an_ingest_replay(&workload, tick, cfg);
+    let ticks = op.counters()[Counter::SettleRounds];
     // The one scan the replay is entitled to: the final `metrics()`.
-    // (In a debug build the cross-check scans make this the proof that
-    // the harness ran exactly the rounds counted above.)
     assert_eq!(
-        op.jobs.full_scans() - job_scans,
+        op.jobs.counters()[Counter::FullScans] - job_scans,
         1 + ticks * CROSS_CHECK_SCANS_PER_TICK,
         "a tick or all_complete() scanned the job store ({ticks} ticks)"
     );
-    let pods = op.plane.pods.full_scans() - pod_scans;
+    let pods = op.plane.pods.counters()[Counter::FullScans] - pod_scans;
     assert!(
         (ticks * IDLE_POD_SCANS_PER_TICK..=ticks * MAX_POD_SCANS_PER_TICK).contains(&pods),
         "{pods} pod-store scans over {ticks} ticks"

@@ -25,7 +25,7 @@ use elastic_hpc::core::{
     ArrivalSink, CharmOperator, FaultStats, FcfsBackfill, Policy, PolicyConfig, RunMetrics,
     Schedule, SchedulingPolicy, SubmitRequest,
 };
-use elastic_hpc::metrics::{Clock, Duration, SimTime, VirtualClock};
+use elastic_hpc::metrics::{Clock, Counter, Duration, SimTime, VirtualClock};
 use elastic_hpc::serving::{IngestConfig, IngestQueue, ShardRouter};
 use elastic_hpc::sim::experiments::{
     heavy_traffic_workload, SCALE_CAPACITY, SCALE_SUBMISSION_GAP_S,
@@ -202,16 +202,20 @@ fn a_submission_storm_costs_batches_not_jobs() {
         op.tick();
         op.tick();
 
-        let (stats, dispatches) = (queue.stats(), op.dispatches());
+        let (stats, counters) = (queue.stats(), op.counters());
         let n = n as u64;
         assert_eq!(
-            (stats.accepted, stats.flushed, dispatches.submissions),
+            (
+                stats.accepted,
+                stats.flushed,
+                counters[Counter::Submissions]
+            ),
             (n, n, n),
             "every submission reaches the store and the policy once ({shards} shards)"
         );
         assert_eq!((stats.shed, stats.rejected), (0, 0), "{shards} shards");
         assert_eq!(stats.batches, 40, "{shards} shards");
-        assert_eq!(dispatches.submit_bursts, 5, "{shards} shards");
+        assert_eq!(counters[Counter::SubmitBursts], 5, "{shards} shards");
     }
 }
 
@@ -224,7 +228,7 @@ fn settle_histogram(
     clock: &VirtualClock,
     sink: &impl ArrivalSink,
     scenario: &Scenario,
-) -> (BTreeMap<u32, u32>, RunMetrics) {
+) -> (BTreeMap<u64, u32>, RunMetrics) {
     let workload = &scenario.workload;
     let schedule = Schedule::from_workload(workload);
     assert!(schedule.cancellations.is_empty() && workload.faults.events.is_empty());
@@ -238,7 +242,10 @@ fn settle_histogram(
             next += 1;
         }
         sink.flush(now);
-        *histogram.entry(op.settle()).or_insert(0) += 1;
+        let settled = op.counters()[Counter::SettleRounds];
+        op.settle();
+        let rounds = op.counters()[Counter::SettleRounds] - settled;
+        *histogram.entry(rounds).or_insert(0) += 1;
         if next == schedule.jobs.len() && sink.pending() == 0 && op.all_complete() {
             return (histogram, op.metrics());
         }
@@ -287,9 +294,11 @@ fn an_instant_settles_in_these_many_rounds() {
     let pinned = BTreeMap::from([(1, 1974), (2, 64), (3, 4), (4, 114), (5, 116)]);
     assert_eq!(histogram, pinned, "op-ingest-replay storm");
     // 2 272 instants, 3 150 rounds; three rounds an instant were 6 816.
-    let rounds = |h: &BTreeMap<u32, u32>| h.iter().map(|(n, instants)| n * instants).sum::<u32>();
     assert_eq!(
-        (histogram.values().sum::<u32>(), rounds(&histogram)),
+        (
+            histogram.values().sum::<u32>(),
+            op.counters()[Counter::SettleRounds]
+        ),
         (2_272, 3_150)
     );
 }

@@ -16,7 +16,7 @@ mod common;
 
 use common::{assert_agree, bundled_trace, Engine::*, Scenario, TRACE_CAPACITY};
 use elastic_hpc::core::{FcfsBackfill, Policy, PolicyConfig, PolicyKind};
-use elastic_hpc::metrics::Duration;
+use elastic_hpc::metrics::{Counter, Duration};
 use elastic_hpc::sim::OverheadModel;
 use elastic_hpc::workload::{load_workload, JobSpec, SwfLoadConfig, WorkloadSpec};
 
@@ -139,7 +139,10 @@ fn cancellations_replay_identically_in_both_engines() {
 
     let des = common::des(&scenario);
     let (op_metrics, op) = common::operator_replay(&scenario);
-    assert_eq!((des.cancelled, op.cancellations()), (2, 2));
+    assert_eq!(
+        (des.cancelled, op.counters()[Counter::Cancellations]),
+        (2, 2)
+    );
     assert_eq!((des.rescales, op.rescales()), (5, 5));
     let done: Vec<(&str, f64)> = (des.metrics.jobs.iter())
         .map(|j| (&*j.name, j.completed_at.as_secs()))
