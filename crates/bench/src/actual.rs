@@ -170,14 +170,7 @@ pub fn run_campaign(kind: PolicyKind, seed: u64, full: bool) -> CampaignResult {
         slots_per_node,
     );
     let capacity = plane.capacity();
-    let policy = Policy::of_kind(
-        kind,
-        PolicyConfig {
-            rescale_gap: Duration::from_secs(180.0),
-            launcher_slots: 1,
-            shrink_spares_head: true,
-        },
-    );
+    let policy = Policy::of_kind(kind, PolicyConfig::default());
     let mut op = CharmOperator::new(plane, Box::new(policy), Box::new(CharmExecutor));
     let schedule = Schedule::every(scaled_jobs(seed, full), Duration::from_secs(90.0));
     let metrics = run_real(

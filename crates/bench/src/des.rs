@@ -8,9 +8,10 @@
 //! weighted response and weighted completion time. The policy *code* is
 //! the one the operator runs.
 
-use elastic_core::{AgingSweep, Policy, PolicyConfig, PolicyKind, RunMetrics, SchedulingPolicy};
+use elastic_core::{AgingSweep, Policy, PolicyConfig, PolicyKind, RunMetrics};
+use elastic_hpc::scenario::{des, Scenario};
 use hpc_metrics::{ascii, Duration, Summary};
-use sched_sim::{generate_workload, simulate, SimConfig};
+use sched_sim::{generate_workload, WorkloadSpec};
 use sched_sim::{sweep_rescale_gap, sweep_submission_gap, OverheadModel, SweepPoint};
 use sched_sim::{DEFAULT_JOBS as JOBS, DEFAULT_SEEDS as SEEDS};
 
@@ -76,13 +77,16 @@ fn at(points: &[SweepPoint], x: f64, kind: PolicyKind) -> &SweepPoint {
 }
 
 /// Fig. 7: metrics vs job submission gap (0–300 s), `T_rescale_gap`
-/// 180 s, and the §4.3.1 narrative checked at gaps 0 and 90 s.
+/// 180 s, and the §4.3.1 narrative checked at gaps 0 and 90 s and, for
+/// the claims only, at Fig. 7b's right edge (2 000 s).
 pub fn fig7(_: &Options) -> Report {
     let gaps: Vec<f64> = (0..=10).map(|i| f64::from(i) * 30.0).collect();
     println!(
         "== Fig. 7: sweep submission gap {gaps:?} (T_rescale_gap=180s, {SEEDS} seeds, {JOBS} jobs) ==",
     );
     let points = sweep_submission_gap(&gaps, 180.0, SEEDS, JOBS);
+    let edge = sweep_submission_gap(&[2000.0], 180.0, SEEDS, JOBS);
+    let edge = PolicyKind::ALL.map(|kind| at(&edge, 2000.0, kind).total_time);
     chart(
         &points,
         |p| p.utilization,
@@ -123,6 +127,7 @@ pub fn fig7(_: &Options) -> Report {
     let (utilization, total) = (at90(|p| p.utilization), at90(|p| p.total_time));
     let response = at90(|p| p.weighted_response);
     let completion = at90(|p| p.weighted_completion);
+    let [edge_min, edge_max, edge_moldable, edge_elastic] = edge;
     let claim = |statement, holds, detail| Claim {
         artifact: "fig7",
         statement,
@@ -161,6 +166,18 @@ pub fn fig7(_: &Options) -> Report {
             "mean total time at gap 90 s: elastic lowest of the four",
             extreme(&total, PolicyKind::Elastic, false),
             by_policy(&total, 0),
+        ),
+        claim(
+            "total time at gap 2000 s: elastic within 2 % of moldable and rigid-max",
+            [edge_moldable, edge_max]
+                .iter()
+                .all(|t| (edge_elastic - t).abs() / edge_elastic < 0.02),
+            by_policy(&edge, 0),
+        ),
+        claim(
+            "total time at gap 2000 s: rigid-min lags elastic by > 100 s",
+            edge_min > edge_elastic + 100.0,
+            by_policy(&edge, 0),
         ),
     ];
     let table = sweep_table("submission_gap_s", &points);
@@ -265,7 +282,7 @@ pub fn fig8(_: &Options) -> Report {
             elastic(0.0).total_time <= elastic(1200.0).total_time,
             format!("{:.0} s -> {:.0} s", elastic(0.0).total_time, elastic(1200.0).total_time),
         ),
-        // The tolerance of sched_sim's own convergence test.
+        // Moldable is elastic that never rescales: alike to rounding.
         claim(
             "elastic -> moldable at gap 1200 s (utilization, total and weighted completion within 1e-9)",
             deltas.iter().all(|&d| d < 1e-9),
@@ -430,14 +447,18 @@ struct Variant {
     aging_sweep: bool,
 }
 
-fn ablated_policy(v: &Variant) -> Box<dyn SchedulingPolicy> {
-    let elastic = Box::new(Policy::of_kind(PolicyKind::Elastic, v.cfg));
-    if v.aging_sweep {
-        let (half_life, every) = (Duration::from_secs(600.0), Duration::from_secs(90.0));
-        Box::new(AgingSweep::new(elastic, half_life, every))
+/// `wl` under `v` on the paper's 64-slot testbed, calibrated models.
+fn ablated(v: &Variant, wl: WorkloadSpec) -> Scenario {
+    let elastic = Policy::of_kind(PolicyKind::Elastic, v.cfg);
+    let (half_life, every) = (Duration::from_secs(600.0), Duration::from_secs(90.0));
+    let scenario = if v.aging_sweep {
+        Scenario::new(wl, 64, move || {
+            AgingSweep::new(Box::new(elastic), half_life, every)
+        })
     } else {
-        elastic
-    }
+        Scenario::new(wl, 64, move || elastic)
+    };
+    scenario.with_overhead(OverheadModel::default())
 }
 
 /// Means of (utilization, total time, weighted response, rescales) of
@@ -449,8 +470,7 @@ fn run_variant(v: &Variant) -> (f64, f64, f64, f64) {
     let mut resc = Vec::new();
     for seed in 0..ABLATION_SEEDS {
         let wl = generate_workload(seed, JOBS).spaced_every(Duration::from_secs(90.0));
-        let cfg = SimConfig::paper_default(ablated_policy(v));
-        let out = simulate(&cfg, &wl);
+        let out = des(&ablated(v, wl));
         util.push(out.metrics.utilization);
         total.push(out.metrics.total_time);
         resp.push(out.metrics.weighted_response);
@@ -475,11 +495,7 @@ fn run_variant(v: &Variant) -> (f64, f64, f64, f64) {
 ///   wrapped in `AgingSweep`, a queued job's priority doubling per
 ///   600 s of waiting, swept every 90 s.
 pub fn ablations(_: &Options) -> Report {
-    let base = PolicyConfig {
-        rescale_gap: Duration::from_secs(180.0),
-        launcher_slots: 1,
-        shrink_spares_head: true,
-    };
+    let base = PolicyConfig::default();
     let variant = |label, cfg, aging_sweep| Variant {
         label,
         cfg,

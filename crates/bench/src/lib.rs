@@ -9,7 +9,7 @@
 //! | `fig5` | Fig. 5a/5b/5c rescale-overhead breakdowns | |
 //! | `fig5_compare` | full-restart vs incremental rescale, per rung | 2 |
 //! | `fig6` | Fig. 6a/6b shrink/expand timeline | |
-//! | `fig7` | Fig. 7a–d simulator sweep | 6 |
+//! | `fig7` | Fig. 7a–d simulator sweep | 8 |
 //! | `fig8` | Fig. 8a–d simulator sweep and its incremental companion | 4 |
 //! | `fig9` | Fig. 9a/9b operator utilization profiles | |
 //! | `table1` | Table 1 (Actual + Simulation columns) | 4 |
@@ -47,11 +47,11 @@ pub mod real;
 pub mod traces;
 
 use std::fmt;
-use std::io::BufReader;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
+use elastic_hpc::scenario::BUNDLED_TRACE;
 use hpc_metrics::Duration;
-use sched_sim::{load_workload, SwfLoadConfig, WorkloadSpec};
+use sched_sim::WorkloadSpec;
 
 pub use hpc_metrics::csv::CsvTable;
 
@@ -89,12 +89,12 @@ pub struct Options {
 }
 
 impl Default for Options {
-    /// Host scale, seed 0, the bundled `tests/data/sample.swf`.
+    /// Host scale, seed 0, the bundled SWF trace.
     fn default() -> Self {
         Options {
             full: false,
             seed: 0,
-            trace: workspace_root().join("tests/data/sample.swf"),
+            trace: PathBuf::from(BUNDLED_TRACE),
         }
     }
 }
@@ -139,16 +139,6 @@ pub fn workspace_root() -> PathBuf {
         .join("../..")
         .canonicalize()
         .expect("workspace root resolves")
-}
-
-/// Loads the SWF trace at `path` under `cfg` and checks it replays.
-pub fn load_trace(path: &Path, cfg: &SwfLoadConfig) -> WorkloadSpec {
-    let shown = path.display();
-    let file = std::fs::File::open(path).unwrap_or_else(|e| panic!("open {shown}: {e}"));
-    let wl =
-        load_workload(BufReader::new(file), cfg).unwrap_or_else(|e| panic!("parse {shown}: {e}"));
-    wl.validate().expect("trace is replayable");
-    wl
 }
 
 /// Last arrival plus the longest walltime estimate: a horizon that

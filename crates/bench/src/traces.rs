@@ -1,31 +1,27 @@
 //! Policy sweeps over an SWF trace (`--trace`, by default the bundled
-//! `tests/data/sample.swf`), replayed through the DES on a 32-slot
-//! cluster: backfilling disciplines under rising load, recovery
-//! strategies under spot reclamation, and retry disciplines under
-//! transient-fault storms.
+//! one), replayed through the DES on a 32-slot cluster: backfilling
+//! disciplines under rising load, recovery strategies under spot
+//! reclamation, and retry disciplines under transient-fault storms.
 
 use elastic_core::{EasyBackfill, FcfsBackfill, Policy, PolicyConfig, RunMetrics};
 use elastic_core::{RecoveryPolicy, RecoveryStrategy, SchedulingPolicy};
+use elastic_hpc::scenario::{load_trace, run, Engine, Scenario};
 use hpc_metrics::{ascii, Duration};
-use sched_sim::{simulate, OverheadModel, ScalingModel, SimConfig};
-use sched_sim::{FaultSpec, FlakySpec, SwfLoadConfig, WorkloadSpec};
+use sched_sim::{FaultSpec, FlakySpec, OverheadModel, SwfLoadConfig, WorkloadSpec};
 
-use crate::{load_trace, trace_horizon, Claim, CsvTable, Options, Report};
+use crate::{trace_horizon, Claim, CsvTable, Options, Report};
 
 /// Cluster slots of every trace sweep.
 const CAPACITY: u32 = 32;
 
-/// Replays `wl` on the [`CAPACITY`]-slot cluster under the default
-/// scaling and overhead models.
-fn replay(policy: Box<dyn SchedulingPolicy>, wl: &WorkloadSpec) -> RunMetrics {
-    let cfg = SimConfig {
-        capacity: CAPACITY,
-        policy,
-        scaling: ScalingModel::default(),
-        overhead: OverheadModel::default(),
-        cancellations: Vec::new(),
-    };
-    simulate(&cfg, wl).metrics
+/// Replays `wl` on the [`CAPACITY`]-slot cluster under `policy()`, the
+/// default scaling model and the default overhead model.
+fn replay<P: SchedulingPolicy + 'static>(
+    wl: WorkloadSpec,
+    policy: impl Fn() -> P + 'static,
+) -> RunMetrics {
+    let scenario = Scenario::new(wl, CAPACITY, policy).with_overhead(OverheadModel::default());
+    run(&scenario, Engine::Des)
 }
 
 /// Prints `curves` against the swept intensity.
@@ -82,9 +78,9 @@ pub fn easy_vs_conservative(options: &Options) -> Report {
     let mut detail = Vec::new();
     for factor in FACTORS {
         let wl = base.clone().compress_arrivals(factor);
-        let fcfs = replay(Box::new(FcfsBackfill::new()), &wl);
-        let easy = replay(Box::new(EasyBackfill::new()), &wl);
-        let sjbf = replay(Box::new(EasyBackfill::sjbf()), &wl);
+        let fcfs = replay(wl.clone(), FcfsBackfill::new);
+        let easy = replay(wl.clone(), EasyBackfill::new);
+        let sjbf = replay(wl, EasyBackfill::sjbf);
         let (e, f) = (easy.mean_bounded_slowdown, fcfs.mean_bounded_slowdown);
         if factor <= 1.0 {
             easy_never_loses &= e <= f;
@@ -218,9 +214,10 @@ pub fn fault_tolerance(options: &Options) -> Report {
                 faults = faults.tuned_checkpoint_interval(delta, mtbf);
             }
             let interval = faults.checkpoint_interval;
-            let wl = base.clone().with_faults(faults);
-            let elastic = Box::new(Policy::elastic(PolicyConfig::default()));
-            let m = replay(Box::new(RecoveryPolicy::new(elastic, strategy)), &wl);
+            let m = replay(base.clone().with_faults(faults), move || {
+                let elastic = Box::new(Policy::elastic(PolicyConfig::default()));
+                RecoveryPolicy::new(elastic, strategy)
+            });
             println!(
                 "  pairs={pairs} {label:<6} tau={:<5.0} bsld={:<7.3} wasted={:<10.0} \
                  evict={:<3} requeue={:<3} failed={}",
@@ -340,9 +337,10 @@ pub fn resilience_sweep(options: &Options) -> Report {
             let wl = base
                 .clone()
                 .with_faults(FaultSpec::default().with_flaky(spec));
-            let fcfs = Box::new(FcfsBackfill::new());
-            let recovery = RecoveryPolicy::new(fcfs, RecoveryStrategy::KillRequeue);
-            let m = replay(Box::new(recovery), &wl);
+            let m = replay(wl, || {
+                let fcfs = Box::new(FcfsBackfill::new());
+                RecoveryPolicy::new(fcfs, RecoveryStrategy::KillRequeue)
+            });
             println!(
                 "  storm={n:<3} {label:<8} done={:<3} bsld={:<7.3} wasted={:<9.0} \
                  retries={:<3} trips={:<2} failed={}",

@@ -9,11 +9,13 @@
 //! fig7's two claims on the 100-seed means at gap 90 s.
 //! Two real-path claims are asserted too: `fig5_compare`'s byte counts
 //! and its migrated-chare counts, which do not depend on the host's
-//! speed.
+//! speed. The three DES sweeps also pin each CSV table they return by
+//! its 64-bit FNV-1a digest, so a refactor that moves one byte of a
+//! figure's data fails here.
 
 use std::collections::BTreeMap;
 
-use elastic_bench::{des, real, traces, Claim, Options};
+use elastic_bench::{des, real, traces, Claim, CsvTable, Options, Report};
 
 /// Every claim of `claims` that does not hold, printed.
 fn failing(claims: &[Claim]) -> Vec<String> {
@@ -24,25 +26,48 @@ fn failing(claims: &[Claim]) -> Vec<String> {
         .collect()
 }
 
+/// The 64-bit FNV-1a digest of `table` as CSV.
+fn fnv1a(table: &CsvTable) -> u64 {
+    let bytes = table.to_csv_string().into_bytes();
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Each table of `report` by name, with its digest.
+fn digests(report: &Report) -> Vec<(&str, u64)> {
+    let tables = report.tables.iter();
+    tables.map(|(name, table)| (*name, fnv1a(table))).collect()
+}
+
 #[test]
 fn every_fig7_claim_holds() {
-    let claims = des::fig7(&Options::default()).claims;
-    assert_eq!(claims.len(), 6);
-    assert_eq!(failing(&claims), Vec::<String>::new());
+    let report = des::fig7(&Options::default());
+    let csv = [("fig7_submission_gap.csv", 0x5854_0ef8_d338_315a)];
+    assert_eq!(digests(&report), csv);
+    assert_eq!(report.claims.len(), 8);
+    assert_eq!(failing(&report.claims), Vec::<String>::new());
 }
 
 #[test]
 fn every_fig8_claim_holds() {
-    let claims = des::fig8(&Options::default()).claims;
-    assert_eq!(claims.len(), 4);
-    assert_eq!(failing(&claims), Vec::<String>::new());
+    let report = des::fig8(&Options::default());
+    let csv = [
+        ("fig8_rescale_gap.csv", 0x4ffd_09bf_6c9d_b087),
+        ("fig8_rescale_gap_incremental.csv", 0x0f53_c236_12a2_6e15),
+    ];
+    assert_eq!(digests(&report), csv);
+    assert_eq!(report.claims.len(), 4);
+    assert_eq!(failing(&report.claims), Vec::<String>::new());
 }
 
 #[test]
 fn easy_never_loses_to_fcfs_backfill_up_to_the_archive_load() {
-    let claims = traces::easy_vs_conservative(&Options::default()).claims;
-    assert_eq!(claims.len(), 1);
-    assert_eq!(failing(&claims), Vec::<String>::new());
+    let report = traces::easy_vs_conservative(&Options::default());
+    let csv = [("easy_vs_conservative.csv", 0x543e_1ae3_df6f_64f3)];
+    assert_eq!(digests(&report), csv);
+    assert_eq!(report.claims.len(), 1);
+    assert_eq!(failing(&report.claims), Vec::<String>::new());
 }
 
 #[test]

@@ -203,9 +203,7 @@ pub struct Kernel {
     view: ClusterView,
     util: UtilizationRecorder,
     launcher: u32,
-    rescales: u32,
     completed: u32,
-    cancelled: u32,
     /// `permanent_failures` doubles as the failed-jobs tally.
     faults: FaultStats,
     resilience: ResilienceState,
@@ -214,7 +212,7 @@ pub struct Kernel {
     /// Transient faults are scheduled: completions feed the breaker.
     flaky_scheduled: bool,
     jobs: Vec<Attempt>,
-    /// Burst dispatches and the jobs that went through them.
+    /// Burst dispatches and their jobs, cancellations and rescales.
     counters: Counters,
 }
 
@@ -227,9 +225,7 @@ impl Kernel {
             view: ClusterView::new(capacity),
             util: UtilizationRecorder::new(capacity.max(1)),
             launcher: launcher_slots,
-            rescales: 0,
             completed: 0,
-            cancelled: 0,
             faults: FaultStats::default(),
             resilience: ResilienceState::new(&recovery.flaky),
             recovery,
@@ -272,16 +268,6 @@ impl Kernel {
         &self.util
     }
 
-    /// Rescale actions applied so far.
-    pub fn rescales(&self) -> u32 {
-        self.rescales
-    }
-
-    /// Jobs cancelled so far.
-    pub fn cancelled(&self) -> u32 {
-        self.cancelled
-    }
-
     /// Fault-recovery tallies so far, the resilience layer's included.
     pub fn fault_stats(&self) -> FaultStats {
         FaultStats {
@@ -293,12 +279,16 @@ impl Kernel {
     }
 
     /// Burst dispatches ([`Kernel::submit_burst`],
-    /// [`Kernel::complete_burst`]) and their jobs, cancellations, and the
-    /// indexes its view built.
+    /// [`Kernel::complete_burst`]) and their jobs, cancellations,
+    /// rescales, and the indexes its view built.
     pub fn counters(&self) -> Counters {
-        let mut counters = self.counters;
-        counters.add(Counter::Cancellations, self.cancelled.into());
-        counters.merge(self.view.counters())
+        self.counters.merge(self.view.counters())
+    }
+
+    /// `counter` of this kernel's own [`Counters`], as the `u32` its
+    /// reports carry.
+    fn tally(&self, counter: Counter) -> u32 {
+        u32::try_from(self.counters[counter]).expect("a kernel tally fits in u32")
     }
 
     /// Jobs admitted or expected so far.
@@ -309,7 +299,8 @@ impl Kernel {
     /// `true` once every known job is terminal. O(1): each terminal
     /// phase has one writer, which bumps its tally in the same breath.
     pub fn all_terminal(&self) -> bool {
-        let terminal = self.completed + self.cancelled + self.faults.permanent_failures;
+        let cancelled = self.tally(Counter::Cancellations);
+        let terminal = self.completed + cancelled + self.faults.permanent_failures;
         terminal as usize == self.jobs.len()
     }
 
@@ -358,7 +349,7 @@ impl Kernel {
         }
         let tallies = (
             self.completed,
-            self.cancelled,
+            self.tally(Counter::Cancellations),
             self.faults.permanent_failures,
         );
         assert_eq!((completed, cancelled, failed), tallies, "terminal tallies");
@@ -587,7 +578,7 @@ impl Kernel {
             outcomes.iter().map(|o| o.completed_at).max(),
         ) else {
             // Every job was cancelled or failed: nothing to aggregate.
-            return RunMetrics::empty(policy.name(), self.rescales)
+            return RunMetrics::empty(policy.name(), self.tally(Counter::Rescales))
                 .with_fault_stats(self.fault_stats());
         };
         // Stable: ties keep id (= admission) order, so the float sums
@@ -599,7 +590,8 @@ impl Kernel {
             outcomes.sort_by_key(|o| o.submitted_at);
         }
         let utilization = self.util.average_utilization(first, last);
-        RunMetrics::from_outcomes(policy.name(), outcomes, utilization, self.rescales)
+        let rescales = self.tally(Counter::Rescales);
+        RunMetrics::from_outcomes(policy.name(), outcomes, utilization, rescales)
             .with_fault_stats(self.fault_stats())
     }
 
@@ -662,7 +654,7 @@ impl Kernel {
             Action::Shrink { job, to_replicas } | Action::Expand { job, to_replicas } => {
                 a.bank(now);
                 let from = std::mem::replace(&mut a.replicas, to_replicas);
-                self.rescales += 1;
+                self.counters.add(Counter::Rescales, 1);
                 if fx.resize(job, from, to_replicas, now) {
                     self.util.set(now, job, to_replicas);
                 }
@@ -735,7 +727,7 @@ impl Kernel {
         }
         if cancelled {
             a.phase = Phase::Cancelled;
-            self.cancelled += 1;
+            self.counters.add(Counter::Cancellations, 1);
             fx.stop(job.id, Stop::Cancelled, now);
             return None;
         }
@@ -776,7 +768,7 @@ impl Kernel {
         }
         a.phase = Phase::Cancelled;
         a.replicas = 0;
-        self.cancelled += 1;
+        self.counters.add(Counter::Cancellations, 1);
         // A job waiting out a backoff is alive but not in the view.
         let held = self
             .view

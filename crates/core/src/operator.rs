@@ -297,7 +297,8 @@ impl CharmOperator {
 
     /// Rescale actions issued so far.
     pub fn rescales(&self) -> u32 {
-        self.kernel.rescales()
+        let rescales = self.kernel.counters()[Counter::Rescales];
+        u32::try_from(rescales).expect("a rescale count fits in u32")
     }
 
     /// [`Kernel::counters`], the rounds of every

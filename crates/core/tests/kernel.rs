@@ -18,7 +18,7 @@ use elastic_core::{
     Action, ClusterView, JobId, JobState, Policy, PolicyConfig, RecoveryPolicy, RecoveryStrategy,
     SchedulingPolicy,
 };
-use hpc_metrics::{Duration, SimTime};
+use hpc_metrics::{Counter, Duration, SimTime};
 use hpc_workload::{FaultEvent, FaultKind, FaultSpec, FlakyOp, FlakySpec};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -246,7 +246,7 @@ fn requeue_wastes_the_banked_attempt_backs_off_and_fails_at_the_ceiling() {
     policy.plan("timer", vec![Action::Expand { job, to_replicas }]);
     assert!(kernel.timer(t(100.0), &policy, &mut fx));
     assert_eq!(fx.take(), [Fx::Resize(job, 10, 16)]);
-    assert_eq!(kernel.rescales(), 1);
+    assert_eq!(kernel.counters()[Counter::Rescales], 1);
     policy.plan("fault", requeue.clone());
     kernel.capacity_lost(&reclaim(20), t(250.0), &policy, &mut fx);
     let (attempt, back_at) = (1, t(280.0)); // default backoff base 30 s
@@ -352,7 +352,7 @@ fn cancel_during_a_backoff_retires_the_job_and_voids_the_reentry() {
     assert!(kernel.cancel(job, t(110.0), &policy, &mut fx));
     assert_eq!(fx.take(), [Fx::Stop(job, Stop::Cancelled)]);
     assert!(policy.calls().is_empty());
-    assert_eq!(kernel.cancelled(), 1);
+    assert_eq!(kernel.counters()[Counter::Cancellations], 1);
     // The backoff expires on a job that is gone: nothing is pulled.
     fx.admitting.push_back(adm(0, 2, 16, 0.0));
     assert!(!kernel.requeue_due(job, t(130.0), &policy, &mut fx));
@@ -380,7 +380,7 @@ fn cancelling_a_running_job_redistributes_and_a_planned_cancel_does_not() {
     assert_eq!(policy.calls(), ["complete"]);
     let expect = [Fx::Stop(a, Stop::Cancelled), Fx::Stop(b, Stop::Cancelled)];
     assert_eq!(fx.take(), expect);
-    assert_eq!(kernel.cancelled(), 2);
+    assert_eq!(kernel.counters()[Counter::Cancellations], 2);
     assert_eq!(kernel.view().free_slots(), CAPACITY);
     kernel.check();
 }
@@ -413,7 +413,7 @@ fn a_shrink_plan_clears_the_deficit_and_returned_capacity_is_redistributed() {
     assert_eq!(fx.take(), [Fx::Resize(job, 6, 16)]);
     assert_eq!(policy.calls(), ["complete"]);
     assert_eq!(kernel.view().free_slots(), CAPACITY - 17);
-    assert_eq!(kernel.rescales(), 2);
+    assert_eq!(kernel.counters()[Counter::Rescales], 2);
     assert_eq!(kernel.fault_stats().wasted_core_seconds, 0.0);
     kernel.check();
 }
@@ -464,7 +464,7 @@ fn a_submission_already_cancelled_is_retired_without_a_decision() {
     // Two decisions for three admissions; the policy never saw job 1.
     assert_eq!(policy.calls(), ["submit", "submit"]);
     assert_eq!(fx.take(), [Fx::Stop(JobId(1), Stop::Cancelled)]);
-    assert_eq!(kernel.cancelled(), 1);
+    assert_eq!(kernel.counters()[Counter::Cancellations], 1);
     assert!(kernel.view().job(JobId(1)).is_none());
     assert_eq!(kernel.view().len(), 2);
     assert_eq!(kernel.known_jobs(), 3);
@@ -598,7 +598,10 @@ impl Model {
         let distinct: BTreeSet<&JobId> = terminal.iter().flat_map(|s| s.iter()).collect();
         prop_assert_eq!(distinct.len(), count, "a job ended twice");
         prop_assert!(distinct.iter().all(|id| v.job(**id).is_none()));
-        prop_assert_eq!(kernel.cancelled() as usize, self.cancelled.len());
+        prop_assert_eq!(
+            kernel.counters()[Counter::Cancellations] as usize,
+            self.cancelled.len()
+        );
         let stats = kernel.fault_stats();
         prop_assert_eq!(stats.permanent_failures as usize, self.failed.len());
         prop_assert_eq!(kernel.all_terminal(), count == self.submitted.len());

@@ -19,6 +19,8 @@ pub enum Counter {
     Completions,
     /// Jobs cancelled.
     Cancellations,
+    /// Rescale actions applied (shrinks and expansions).
+    Rescales,
     /// Operator reconcile rounds, over every instant it settled.
     SettleRounds,
     /// Store reads that visited every object.

@@ -59,7 +59,7 @@ impl CsvTable {
 
     /// Renders the table as a CSV string (RFC-4180 quoting for cells
     /// containing commas, quotes or newlines).
-    fn to_csv_string(&self) -> String {
+    pub fn to_csv_string(&self) -> String {
         let mut out = String::new();
         let write_row = |out: &mut String, cells: &[String]| {
             for (i, cell) in cells.iter().enumerate() {

@@ -44,7 +44,7 @@ use std::sync::Arc;
 
 use elastic_core::kernel::{Admission, Effects, Kernel, Stop};
 use elastic_core::{ClusterView, JobState, RunMetrics, SchedulingPolicy};
-use hpc_metrics::{Duration, JobId, SimTime, UtilizationRecorder};
+use hpc_metrics::{Counter, Duration, JobId, SimTime, UtilizationRecorder};
 use hpc_workload::model::{OverheadModel, Progress, ScalingModel};
 use hpc_workload::{FaultEvent, FaultKind, WorkloadSpec};
 
@@ -543,7 +543,9 @@ impl SimState {
         let (peak_queue_len, peak_queue_len_raw) =
             (timeline.peak_queue_len, timeline.peak_queue_len_raw);
         drop(timeline);
-        let (rescales, cancelled) = (kernel.rescales(), kernel.cancelled());
+        let counters = kernel.counters();
+        let tally = |c| u32::try_from(counters[c]).expect("a kernel tally fits in u32");
+        let (rescales, cancelled) = (tally(Counter::Rescales), tally(Counter::Cancellations));
         let (metrics, util) = kernel.into_report(cfg.policy.as_ref(), |id| {
             let spec = &workload.jobs[id.index()];
             (

@@ -38,14 +38,11 @@ pub struct SweepPoint {
 }
 
 fn policy_of(kind: PolicyKind, rescale_gap_s: f64) -> Policy {
-    Policy::of_kind(
-        kind,
-        PolicyConfig {
-            rescale_gap: Duration::from_secs(rescale_gap_s),
-            launcher_slots: 1,
-            shrink_spares_head: true,
-        },
-    )
+    let cfg = PolicyConfig {
+        rescale_gap: Duration::from_secs(rescale_gap_s),
+        ..PolicyConfig::default()
+    };
+    Policy::of_kind(kind, cfg)
 }
 
 /// Averages every policy at every sweep coordinate in `xs` over
@@ -173,51 +170,6 @@ pub fn table1_simulation(seed: u64) -> Vec<(RunMetrics, SimOutcome)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Fig. 8: as T_rescale_gap grows, elastic converges to moldable
-    /// ("the moldable scheduler is essentially the elastic scheduler
-    /// that never rescales any job").
-    #[test]
-    fn elastic_converges_to_moldable_at_large_rescale_gap() {
-        let pts = sweep_rescale_gap(
-            &[10_000.0],
-            180.0,
-            6,
-            DEFAULT_JOBS,
-            OverheadModel::default(),
-        );
-        let get = |k: PolicyKind| pts.iter().find(|p| p.policy == k).unwrap();
-        let elastic = get(PolicyKind::Elastic);
-        let moldable = get(PolicyKind::Moldable);
-        assert!(
-            (elastic.utilization - moldable.utilization).abs() < 1e-9,
-            "util {} vs {}",
-            elastic.utilization,
-            moldable.utilization
-        );
-        assert!((elastic.total_time - moldable.total_time).abs() < 1e-9);
-        assert!((elastic.weighted_completion - moldable.weighted_completion).abs() < 1e-9);
-    }
-
-    /// At very large submission gaps every scheduler converges: each
-    /// job gets the whole cluster (Fig. 7b's right edge).
-    #[test]
-    fn total_times_converge_at_large_submission_gap() {
-        let pts = sweep_submission_gap(&[2000.0], 180.0, 4, DEFAULT_JOBS);
-        let get = |k: PolicyKind| pts.iter().find(|p| p.policy == k).unwrap();
-        let e = get(PolicyKind::Elastic).total_time;
-        let m = get(PolicyKind::Moldable).total_time;
-        let x = get(PolicyKind::RigidMax).total_time;
-        assert!((e - m).abs() / e < 0.02, "elastic {e} vs moldable {m}");
-        assert!((e - x).abs() / e < 0.02, "elastic {e} vs rigid-max {x}");
-        // rigid-min is the outlier: its (serial-tail) last job still
-        // runs at min replicas, lagging by that job's slowdown.
-        let mn = get(PolicyKind::RigidMin).total_time;
-        assert!(
-            mn > e + 100.0,
-            "rigid-min {mn} should lag elastic {e} by the last job's slowdown"
-        );
-    }
 
     /// The trace-scale scenario: every job of a large heavy-traffic
     /// replay completes, utilization is production-like, and the event

@@ -1,57 +1,41 @@
 //! Sharded federation replay: one SWF trace, four clusters, one table.
 //!
-//! Loads the bundled Standard Workload Format trace
-//! (`tests/data/sample.swf`), routes it across a 4-shard federation
-//! with the least-loaded placement policy (each shard an 8-slot
-//! cluster running its own EASY-backfilling instance), replays the
-//! shards on worker threads that each drain whole shards until none is
-//! left (the batch is closed), and prints a per-shard utilization
-//! table next to the merged federation-level metrics.
+//! Loads the bundled Standard Workload Format trace, routes it across
+//! a 4-shard federation with the least-loaded placement policy (each
+//! shard an 8-slot cluster running its own EASY-backfilling instance),
+//! replays the shards on worker threads that each drain whole shards
+//! until none is left (the batch is closed), and prints a per-shard
+//! utilization table next to the merged federation-level metrics.
 //!
 //! Run with: `cargo run --release --example federation`
 
-use std::path::PathBuf;
-
 use elastic_hpc::core::EasyBackfill;
 use elastic_hpc::federation::{FederationConfig, FederationRuntime, LeastLoaded};
-use elastic_hpc::sim::{OverheadModel, ScalingModel, SimConfig};
-use elastic_hpc::workload::{load_workload, SwfLoadConfig, WorkloadSpec};
+use elastic_hpc::scenario::{bundled_trace, sim_config, Scenario};
+use elastic_hpc::sim::OverheadModel;
+use elastic_hpc::workload::SwfLoadConfig;
 
 const SHARDS: usize = 4;
 const SHARD_CAPACITY: u32 = 8;
 
-fn load() -> WorkloadSpec {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/sample.swf");
-    let file = std::fs::File::open(&path).expect("bundled trace exists");
+fn main() {
     // Annotate for the shard size, not the monolithic cluster: replica
     // bounds clamp to the capacity a job can actually get.
-    load_workload(
-        std::io::BufReader::new(file),
-        &SwfLoadConfig::rigid(SHARD_CAPACITY),
-    )
-    .expect("trace parses")
-}
-
-fn main() {
-    let workload = load();
+    let workload = bundled_trace(&SwfLoadConfig::rigid(SHARD_CAPACITY));
+    let scenario = Scenario::new(workload, SHARD_CAPACITY, EasyBackfill::new)
+        .with_overhead(OverheadModel::default());
     println!(
         "== federated SWF replay: {} jobs over {SHARDS} shards x {SHARD_CAPACITY} slots ==",
-        workload.len()
+        scenario.workload.len()
     );
 
-    let mut fed = FederationRuntime::new(FederationConfig::new(SHARDS), |_| SimConfig {
-        capacity: SHARD_CAPACITY,
-        policy: Box::new(EasyBackfill::new()),
-        scaling: ScalingModel::default(),
-        overhead: OverheadModel::default(),
-        cancellations: Vec::new(),
-    });
+    let mut fed = FederationRuntime::new(FederationConfig::new(SHARDS), |_| sim_config(&scenario));
     println!(
         "   (workers: {}, placement: least-loaded)",
         fed.config().workers
     );
 
-    let assignment = fed.submit(&workload, &mut LeastLoaded::new());
+    let assignment = fed.submit(&scenario.workload, &mut LeastLoaded::new());
     fed.start();
     let out = fed.join();
 

@@ -1,69 +1,42 @@
 //! SWF trace replay, end to end: parse → annotate → simulate → report.
 //!
-//! Loads the bundled Standard Workload Format trace
-//! (`tests/data/sample.swf`), annotates it for malleability two ways
-//! (rigid = replay the trace as logged; elastic = the half-to-double
-//! envelope of Zojer et al.), replays both through the DES on a
-//! 32-slot cluster under FCFS+backfilling and the elastic policy, and
-//! prints the Table-1-style rows plus the trace-replay bounded
-//! slowdown.
+//! Loads the bundled Standard Workload Format trace, annotates it for
+//! malleability two ways (rigid = replay the trace as logged; elastic =
+//! the half-to-double envelope of Zojer et al.), replays both through
+//! the DES on its 32-slot machine under FCFS+backfilling and the
+//! elastic policy, and prints the Table-1-style rows plus the
+//! trace-replay bounded slowdown.
 //!
 //! Run with: `cargo run --release --example trace_replay`
 
-use std::path::PathBuf;
+use elastic_hpc::core::{FcfsBackfill, Policy, PolicyConfig, PolicyKind};
+use elastic_hpc::scenario::{bundled_trace, run, Engine, Scenario, TRACE_CAPACITY};
+use elastic_hpc::sim::OverheadModel;
+use elastic_hpc::workload::SwfLoadConfig;
 
-use elastic_hpc::core::{FcfsBackfill, Policy, PolicyConfig, PolicyKind, SchedulingPolicy};
-use elastic_hpc::metrics::Duration;
-use elastic_hpc::sim::{simulate, OverheadModel, ScalingModel, SimConfig};
-use elastic_hpc::workload::{load_workload, SwfLoadConfig, WorkloadSpec};
-
-const CAPACITY: u32 = 32;
-
-fn load(cfg: &SwfLoadConfig) -> WorkloadSpec {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/sample.swf");
-    let file = std::fs::File::open(&path).expect("bundled trace exists");
-    load_workload(std::io::BufReader::new(file), cfg).expect("trace parses")
-}
-
-fn replay(policy: Box<dyn SchedulingPolicy>, workload: &WorkloadSpec) -> String {
-    let cfg = SimConfig {
-        capacity: CAPACITY,
-        policy,
-        scaling: ScalingModel::default(),
-        overhead: OverheadModel::default(),
-        cancellations: Vec::new(),
-    };
-    let out = simulate(&cfg, workload);
-    out.metrics.table_row()
-}
-
-fn elastic() -> Box<dyn SchedulingPolicy> {
-    Box::new(Policy::of_kind(
-        PolicyKind::Elastic,
-        PolicyConfig {
-            rescale_gap: Duration::from_secs(180.0),
-            launcher_slots: 1,
-            shrink_spares_head: true,
-        },
-    ))
+fn elastic() -> Policy {
+    Policy::of_kind(PolicyKind::Elastic, PolicyConfig::default())
 }
 
 fn main() {
-    let rigid = load(&SwfLoadConfig::rigid(CAPACITY));
+    let rigid = bundled_trace(&SwfLoadConfig::rigid(TRACE_CAPACITY));
     println!(
-        "== SWF replay: {} jobs over {:.0}s of arrivals, {CAPACITY}-slot cluster ==",
+        "== SWF replay: {} jobs over {:.0}s of arrivals, {TRACE_CAPACITY}-slot cluster ==",
         rigid.len(),
         rigid.jobs.last().expect("jobs").arrival.as_secs(),
     );
-
-    println!("-- rigid annotation (trace as logged) --");
-    println!("  {}", replay(Box::new(FcfsBackfill::new()), &rigid));
-    println!("  {}", replay(elastic(), &rigid));
-
-    let open = load(&SwfLoadConfig::elastic(CAPACITY));
-    println!("-- elastic annotation (half-to-double envelope) --");
-    println!("  {}", replay(Box::new(FcfsBackfill::new()), &open));
-    println!("  {}", replay(elastic(), &open));
+    let open = bundled_trace(&SwfLoadConfig::elastic(TRACE_CAPACITY));
+    for (label, workload) in [
+        ("rigid annotation (trace as logged)", rigid),
+        ("elastic annotation (half-to-double envelope)", open),
+    ] {
+        println!("-- {label} --");
+        let fcfs = Scenario::new(workload.clone(), TRACE_CAPACITY, FcfsBackfill::new);
+        for scenario in [fcfs, Scenario::new(workload, TRACE_CAPACITY, elastic)] {
+            let scenario = scenario.with_overhead(OverheadModel::default());
+            println!("  {}", run(&scenario, Engine::Des).table_row());
+        }
+    }
 
     println!(
         "(bsld = mean bounded slowdown, τ = {} s — the trace-replay headline metric)",

@@ -26,6 +26,9 @@
 //!   and the operator harness.
 //! * [`metrics`] — clocks, interpolation and metric recording shared by
 //!   the "actual" and "simulated" experiment paths.
+//! * [`scenario`] — one description of a replay and the engines that
+//!   run it (DES, operator, ingest, federation): the cross-engine tests
+//!   and `elastic-bench`'s trace sweeps build their engines there.
 //!
 //! `examples/quickstart.rs` is the shortest end-to-end run, and every
 //! figure and table of the paper is regenerated by the one `reproduce`
@@ -42,3 +45,5 @@ pub use hpc_metrics as metrics;
 pub use hpc_workload as workload;
 pub use kube_sim as kube;
 pub use sched_sim as sim;
+
+pub mod scenario;

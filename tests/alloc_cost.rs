@@ -148,11 +148,10 @@ use elastic_hpc::core::{CharmOperator, EasyBackfill, ModelExecutor, Policy, Poli
 use elastic_hpc::federation::{FederationConfig, FederationRuntime, LeastLoaded};
 use elastic_hpc::kube::{ControlPlane, KubeletConfig};
 use elastic_hpc::metrics::{Duration, VirtualClock};
+use elastic_hpc::scenario::{sim_config, Scenario};
 use elastic_hpc::serving::{run_workload_ingest, IngestConfig, ShardRouter};
 use elastic_hpc::sim::experiments::SCALE_CAPACITY;
-use elastic_hpc::sim::{
-    heavy_traffic_replay, heavy_traffic_workload, OverheadModel, ScalingModel, SimConfig, SimState,
-};
+use elastic_hpc::sim::{heavy_traffic_replay, heavy_traffic_workload, OverheadModel, SimState};
 use elastic_hpc::workload::poisson_workload;
 
 /// `System`, counting every call that can obtain memory on the thread
@@ -304,20 +303,16 @@ fn a_des_replay_holds_no_copy_of_its_inputs() {
 #[test]
 fn a_des_replay_peaks_at_its_run_state_not_its_report() {
     let workload = heavy_traffic_workload(0, DES_JOBS);
-    let cfg = SimConfig {
-        capacity: SCALE_CAPACITY,
-        policy: Box::new(elastic()),
-        scaling: ScalingModel::default(),
-        overhead: OverheadModel::default(),
-        cancellations: Vec::new(),
-    };
+    let scenario = Scenario::new(workload, SCALE_CAPACITY, elastic);
+    let scenario = scenario.with_overhead(OverheadModel::default());
+    let (cfg, workload) = (sim_config(&scenario), &scenario.workload);
     let base = LIVE.get();
     PEAK.set(base);
-    let mut state = SimState::new(&cfg, &workload);
-    while state.step(&cfg, &workload, usize::MAX) {}
+    let mut state = SimState::new(&cfg, workload);
+    while state.step(&cfg, workload, usize::MAX) {}
     let step_end = LIVE.get() - base;
     let stepping = PEAK.get() - base;
-    let out = state.finish(&cfg, &workload);
+    let out = state.finish(&cfg, workload);
     let peak = PEAK.get() - base;
     assert_eq!(out.metrics.jobs.len(), DES_JOBS);
     println!("live at the last step's end {step_end} B, peak while stepping {stepping} B, with finish {peak} B");
@@ -343,16 +338,12 @@ const MAX_FED_ALLOCATIONS: u64 = 70;
 /// runtime built beforehand. Returns them with the merged job count.
 fn allocations_of_a_federated_replay(jobs: usize) -> (u64, usize) {
     let workload = poisson_workload(0, jobs, Duration::from_secs(1.2));
+    let scenario = Scenario::new(workload, 64, EasyBackfill::new);
+    let scenario = scenario.with_overhead(OverheadModel::default());
     let cfg = FederationConfig::new(FED_SHARDS).with_workers(2);
-    let mut fed = FederationRuntime::new(cfg, |_| SimConfig {
-        capacity: 64,
-        policy: Box::new(EasyBackfill::new()),
-        scaling: ScalingModel::default(),
-        overhead: OverheadModel::default(),
-        cancellations: Vec::new(),
-    });
+    let mut fed = FederationRuntime::new(cfg, |_| sim_config(&scenario));
     let before = ALLOCATIONS.get();
-    fed.submit(&workload, &mut LeastLoaded::new());
+    fed.submit(&scenario.workload, &mut LeastLoaded::new());
     fed.start();
     let out = fed.join();
     (ALLOCATIONS.get() - before, out.merged.jobs.len())

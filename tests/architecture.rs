@@ -2,7 +2,8 @@
 //! kernel, one measurement estate, one drive loop, no scan in the pod
 //! controllers (nor a copy or a pointer a watcher did not ask for), one
 //! execution model, an operator that watches two stores, one
-//! differential harness for the cross-engine tests, one lock policy,
+//! description of a replay (`elastic_hpc::scenario`) for the
+//! cross-engine tests, the bench sweeps and the examples, one lock policy,
 //! no dependency a package's sources never name, one entry point
 //! for the paper's artifacts, no public function or constant that
 //! only its own file names, and one counting surface. Each test runs its
@@ -43,9 +44,11 @@ const ADVANCE: &str = "one integrator: Progress::advance in crates/workload/src/
 const INTEGRATES: &str = "{path} integrates progress itself; that is hpc_workload::model::Progress";
 const WATCHES: &str =
     "{path} watches other stores than the jobs and the pods; post what it must be told instead";
-const SCAFFOLD: &str = "fn bundled_trace(|fn replay_des(|fn replay_operator(";
+// `\x20` spells the space, so a grep for the DES config literal over
+// the tree finds `src/scenario.rs` alone.
+const SCAFFOLD: &str = "fn bundled_trace(|fn replay_des(|fn replay_operator(|SimConfig\x20{";
 const SETUP: &str =
-    "{path} builds its own replay scaffolding; write a Scenario for tests/common/mod.rs";
+    "{path} builds its own replay scaffolding; describe it as an elastic_hpc::scenario::Scenario";
 const LOCKING: &str = "PoisonError|.lock()|.read()|.write()";
 const POLICY: &str = "{path} decides what a poisoned lock means; take it through hpc_metrics::sync";
 const UNUSED: &str = "{path} declares a dependency its package's sources never name; drop it";
@@ -300,14 +303,14 @@ fn the_operator_watches_two_stores(read: Read) -> Verdict {
     Err(WATCHES.replace("{path}", OPERATOR))
 }
 
-/// Outside the harness, no root test loads the bundled trace or
-/// defines its own engine replay. The trace's path is a literal, so it
-/// is looked for in the raw text.
+/// Outside `src/scenario.rs`, no root test, bench sweep or example
+/// loads the bundled trace, defines its own engine replay or writes a
+/// `SimConfig` literal: each describes its replay as a `Scenario` and
+/// takes the engine `elastic_hpc::scenario` builds from it. The trace's
+/// path is a literal, so it is looked for in the raw text.
 fn one_differential_harness(read: Read) -> Verdict {
-    let paths = files(&["tests"]);
-    let own = |p: &&String| {
-        p.ends_with(".rs") && !p.starts_with("tests/common/") && *p != "tests/architecture.rs"
-    };
+    let paths = files(&["tests", "crates/bench/src", "examples"]);
+    let own = |p: &&String| p.ends_with(".rs") && *p != "tests/architecture.rs";
     for path in paths.iter().filter(own) {
         deny(path, &code(&read(path)), any_of(SCAFFOLD), SETUP)?;
         deny(path, &read(path), any_of("sample.swf"), SETUP)?;
@@ -364,8 +367,8 @@ fn one_reproduction_entry_point(paths: &[String], read: Read) -> Verdict {
     Ok(())
 }
 
-/// Every `pub fn` and `pub const` whose name `crates/*/src` defines
-/// once is named in the code of another file of `paths` (a `pub use`
+/// Every `pub fn` and `pub const` whose name `crates/*/src` and the
+/// root crate's `src` define once is named in the code of another file of `paths` (a `pub use`
 /// is no caller), unless `allowed` lists it with its reason; an entry
 /// of `allowed` that is called or no longer defined fails too. The
 /// listing and the allowlist are arguments so that a test can swap them.
@@ -378,7 +381,8 @@ fn public_items_have_callers(paths: &[String], read: Read, allowed: &[(&str, &st
     let words: Vec<HashSet<&str>> = sources.iter().map(|(_, c)| words(c)).collect();
     let mut defined: HashMap<&str, Vec<(usize, usize)>> = HashMap::new();
     for (i, (path, code)) in sources.iter().enumerate() {
-        if path.starts_with("crates/") && path.split('/').nth(2) == Some("src") {
+        let crate_src = path.starts_with("crates/") && path.split('/').nth(2) == Some("src");
+        if crate_src || path.starts_with("src/") {
             for (line, n) in code.lines().zip(1..) {
                 for name in public_names(line) {
                     defined.entry(name).or_default().push((i, n));
@@ -630,6 +634,16 @@ fn one_differential_harness_rule() {
     let path = "tests/trace_replay.rs";
     let mutated = disk(path).replacen("SWF trace", "SWF trace (tests/data/sample.swf)", 1);
     rail(one_differential_harness, path, &mutated, SETUP);
+    // Or a bench sweep writes its DES config by hand again.
+    let path = "crates/bench/src/traces.rs";
+    let call = "run(&scenario, Engine::Des)";
+    let own = "let cfg = SimConfig\x20{\n        capacity: CAPACITY,\n        \
+               policy: Box::new(policy()),\n        scaling: ScalingModel::default(),\n        \
+               overhead: OverheadModel::default(),\n        cancellations: Vec::new(),\n    };\n    \
+               simulate(&cfg, &scenario.workload).metrics";
+    let mutated = disk(path).replacen(call, own, 1);
+    let broken = rail(one_differential_harness, path, &mutated, SETUP);
+    assert!(broken.ends_with("let cfg = SimConfig\x20{"), "{broken}");
 }
 
 #[test]
@@ -701,6 +715,17 @@ fn every_public_item_has_a_caller_rule() {
     let broken = rail(every_public_item_has_a_caller, path, &mutated, UNCALLED);
     assert!(broken.contains("crates/workload/src/spec.rs:"), "{broken}");
     assert!(broken.ends_with(": compress_arrivals"), "{broken}");
+    // The root crate's own modules count: a scenario builder nothing
+    // calls.
+    let path = "src/scenario.rs";
+    let builder =
+        "\npub fn with_quantum(scenario: Scenario, quantum: usize) -> Scenario {\n    todo!()\n}\n";
+    let mutated = format!("{}{builder}", disk(path));
+    let broken = rail(every_public_item_has_a_caller, path, &mutated, UNCALLED);
+    assert!(
+        broken.contains(&format!("{path}:")) && broken.ends_with(": with_quantum"),
+        "{broken}"
+    );
 }
 
 #[test]

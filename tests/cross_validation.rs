@@ -15,11 +15,9 @@
 
 use std::collections::HashMap;
 
-mod common;
-
-use common::{run, Engine, Scenario};
 use elastic_hpc::core::{Policy, PolicyConfig, PolicyKind, RunMetrics};
 use elastic_hpc::metrics::Duration;
+use elastic_hpc::scenario::{run, Engine, Scenario};
 use elastic_hpc::sim::{generate_workload, OverheadModel};
 
 /// The paper's testbed replaying `seed`'s 16 jobs, one every

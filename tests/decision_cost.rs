@@ -32,7 +32,8 @@ use elastic_hpc::core::{
     PolicyConfig, RecoveryPolicy, RecoveryStrategy, SchedulingPolicy,
 };
 use elastic_hpc::metrics::{Counter, Counters, Duration, SimTime};
-use elastic_hpc::sim::{OverheadModel, ScalingModel, SimConfig, SimState};
+use elastic_hpc::scenario::{sim_config, Scenario};
+use elastic_hpc::sim::{OverheadModel, SimState};
 use elastic_hpc::workload::{poisson_workload, FaultSpec, FlakySpec};
 
 const BACKLOG: u32 = 10_000;
@@ -244,20 +245,18 @@ fn built(indexes: &[Counter]) -> Counters {
     counters
 }
 
-/// The view counters (its built indexes) of a replay under `policy`.
-fn replay(policy: Box<dyn SchedulingPolicy>, faults: FaultSpec) -> Counters {
+/// The view counters (its built indexes) of a replay under `policy()`.
+fn replay<P: SchedulingPolicy + 'static>(
+    policy: impl Fn() -> P + 'static,
+    faults: FaultSpec,
+) -> Counters {
     let workload = poisson_workload(11, 3000, Duration::from_secs(20.0)).with_faults(faults);
-    let cfg = SimConfig {
-        capacity: 64,
-        policy,
-        scaling: ScalingModel::default(),
-        overhead: OverheadModel::default(),
-        cancellations: Vec::new(),
-    };
-    let mut state = SimState::new(&cfg, &workload);
-    while state.step(&cfg, &workload, 4096) {}
+    let scenario = Scenario::new(workload, 64, policy).with_overhead(OverheadModel::default());
+    let (cfg, workload) = (sim_config(&scenario), &scenario.workload);
+    let mut state = SimState::new(&cfg, workload);
+    while state.step(&cfg, workload, 4096) {}
     let built = state.view().counters();
-    let outcome = state.finish(&cfg, &workload);
+    let outcome = state.finish(&cfg, workload);
     assert_eq!(outcome.metrics.jobs.len(), workload.jobs.len());
     built
 }
@@ -265,7 +264,7 @@ fn replay(policy: Box<dyn SchedulingPolicy>, faults: FaultSpec) -> Counters {
 #[test]
 fn a_replay_builds_only_the_indexes_its_policy_reads() {
     assert_eq!(
-        replay(Box::new(elastic()), FaultSpec::default()),
+        replay(elastic, FaultSpec::default()),
         built(&[
             Counter::PriorityOrdersBuilt,
             Counter::RunningActionOrderBuilt
@@ -279,7 +278,7 @@ fn a_replay_builds_only_the_indexes_its_policy_reads() {
     ];
     let easy_faulted = built(&[&easy[..], &[Counter::RunningActionOrderBuilt]].concat());
     assert_eq!(
-        replay(Box::new(EasyBackfill::new()), FaultSpec::default()),
+        replay(EasyBackfill::new, FaultSpec::default()),
         built(&easy),
         "EASY pays for the queue, the frontier and the footprint buckets"
     );
@@ -288,10 +287,7 @@ fn a_replay_builds_only_the_indexes_its_policy_reads() {
     // priority order.
     let storm = FlakySpec::storm(5, 40, Duration::from_secs(50_000.0));
     assert_eq!(
-        replay(
-            Box::new(EasyBackfill::new()),
-            FaultSpec::default().with_flaky(storm)
-        ),
+        replay(EasyBackfill::new, FaultSpec::default().with_flaky(storm)),
         easy_faulted,
         "a flaky storm adds the last-action list only"
     );
@@ -309,28 +305,29 @@ fn a_replay_builds_only_the_indexes_its_policy_reads() {
         Counter::QueuedFootprintBuilt,
         Counter::RunningActionOrderBuilt,
     ]);
-    let legs: [(Box<dyn SchedulingPolicy>, RecoveryStrategy, Counters); 3] = [
+    type Inner = fn() -> Box<dyn SchedulingPolicy>;
+    let legs: [(Inner, RecoveryStrategy, Counters); 3] = [
         (
-            Box::new(EasyBackfill::new()),
+            || Box::new(EasyBackfill::new()),
             RecoveryStrategy::CheckpointRestart,
             easy_faulted,
         ),
         (
-            Box::new(FcfsBackfill::new()),
+            || Box::new(FcfsBackfill::new()),
             RecoveryStrategy::KillRequeue,
             fcfs_faulted,
         ),
         (
-            Box::new(EasyBackfill::new()),
+            || Box::new(EasyBackfill::new()),
             RecoveryStrategy::ShrinkOnReclaim,
             easy_faulted,
         ),
     ];
     for (inner, strategy, expected) in legs {
-        let policy = RecoveryPolicy::new(inner, strategy);
-        let name = policy.name();
+        let policy = move || RecoveryPolicy::new(inner(), strategy);
+        let name = policy().name();
         assert_eq!(
-            replay(Box::new(policy), reclaims.clone()),
+            replay(policy, reclaims.clone()),
             expected,
             "{name}: reclamations add the last-action list, never a priority tree"
         );

@@ -13,11 +13,12 @@
 
 mod common;
 
-use common::{assert_agree, Engine::*, Scenario};
+use common::assert_agree;
 use elastic_hpc::core::{
     AgingSweep, EasyBackfill, FcfsBackfill, Policy, PolicyConfig, RunMetrics, SchedulingPolicy,
 };
 use elastic_hpc::metrics::Duration;
+use elastic_hpc::scenario::{operator_replay, run, Engine::*, Scenario};
 use elastic_hpc::sim::OverheadModel;
 use elastic_hpc::workload::{JobSpec, WorkloadSpec};
 
@@ -37,7 +38,7 @@ fn easy_backfill_replays_bit_identically_and_beats_conservative() {
     let des = assert_agree(&easy, &[Des, Operator]);
     assert_eq!(des.jobs.len(), 24, "every trace job completes");
 
-    let fcfs = common::run(&Scenario::trace(FcfsBackfill::new), Des);
+    let fcfs = run(&Scenario::trace(FcfsBackfill::new), Des);
     assert!(
         des.mean_bounded_slowdown < fcfs.mean_bounded_slowdown,
         "EASY bsld {} should beat conservative bsld {}",
@@ -90,8 +91,7 @@ fn plain_elastic() -> Policy {
 
 #[test]
 fn aging_sweep_rescues_a_starving_job_in_the_des() {
-    let des =
-        |scenario: Scenario| common::run(&scenario.with_overhead(OverheadModel::default()), Des);
+    let des = |scenario: Scenario| run(&scenario.with_overhead(OverheadModel::default()), Des);
     let baseline = des(starvation(plain_elastic));
     let aged = des(starvation(aging_policy));
     let started = |m: &RunMetrics, name: &str| {
@@ -123,7 +123,7 @@ fn aging_sweep_rescues_a_starving_job_in_the_des() {
 
 #[test]
 fn aging_sweep_rescues_a_starving_job_through_the_operator() {
-    let (metrics, op) = common::operator_replay(&starvation(aging_policy));
+    let (metrics, op) = operator_replay(&starvation(aging_policy));
     let starved = metrics.jobs.iter().find(|j| &*j.name == "starved").unwrap();
     let hog = metrics.jobs.iter().find(|j| &*j.name == "hog").unwrap();
     assert!(

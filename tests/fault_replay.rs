@@ -14,7 +14,8 @@
 
 mod common;
 
-use common::{assert_agree, kill_requeue_fcfs, run, trace_reclamation, Engine::*, Scenario};
+use common::{assert_agree, kill_requeue_fcfs, trace_reclamation};
+use elastic_hpc::scenario::{run, Engine::*, Scenario};
 use elastic_hpc::workload::FaultSpec;
 
 /// The acceptance criterion of the fault layer: the injected

@@ -14,12 +14,13 @@
 
 mod common;
 
-use common::{assert_agree, bundled_trace, des, federate, Engine::*, Scenario, TRACE_CAPACITY};
+use common::assert_agree;
 use elastic_hpc::core::{
     EasyBackfill, FaultStats, FcfsBackfill, JobOutcome, Policy, PolicyConfig, RecoveryPolicy,
     RecoveryStrategy, RunMetrics, SchedulingPolicy,
 };
 use elastic_hpc::metrics::{Duration, SimTime};
+use elastic_hpc::scenario::{bundled_trace, des, federate, Engine::*, Scenario, TRACE_CAPACITY};
 use elastic_hpc::sim::OverheadModel;
 use elastic_hpc::workload::{FaultSpec, FlakySpec, SwfLoadConfig};
 use proptest::prelude::*;

@@ -32,9 +32,9 @@ use std::cell::Cell;
 
 mod common;
 
-use common::{agreement, Engine::*, Scenario};
 use elastic_hpc::core::{AgingSweep, Policy, PolicyConfig, RecoveryPolicy, RecoveryStrategy};
 use elastic_hpc::metrics::Duration;
+use elastic_hpc::scenario::{agreement, run, Engine::*, Scenario};
 use elastic_hpc::workload::{FaultEvent, FaultKind, FaultSpec, JobSpec, WorkloadSpec};
 
 const CAPACITY: u32 = 16;
@@ -155,7 +155,7 @@ fn a_reclaim_beside_the_timer_grid_replays_identically() {
 fn a_cancel_colliding_with_a_completion_replays_identically() {
     let collisions = Cell::new(0u64);
     hold_engines_equal("cancel at a completion instant", |mut workload| {
-        let plain = common::run(&on_the_cluster(workload.clone()), Des);
+        let plain = run(&on_the_cluster(workload.clone()), Des);
         // The victim is the first job still running when some other
         // job completes; it is cancelled at that instant.
         let collision = plain.jobs.iter().find_map(|done| {

@@ -20,12 +20,12 @@ use std::collections::BTreeMap;
 
 mod common;
 
-use common::{operator, run, Engine, Scenario};
 use elastic_hpc::core::{
     ArrivalSink, CharmOperator, FaultStats, FcfsBackfill, Policy, PolicyConfig, RunMetrics,
     Schedule, SchedulingPolicy, SubmitRequest,
 };
 use elastic_hpc::metrics::{Clock, Counter, Duration, SimTime, VirtualClock};
+use elastic_hpc::scenario::{federate, operator, run, sim_config, Engine, Scenario};
 use elastic_hpc::serving::{IngestConfig, IngestQueue, ShardRouter};
 use elastic_hpc::sim::experiments::{
     heavy_traffic_workload, SCALE_CAPACITY, SCALE_SUBMISSION_GAP_S,
@@ -53,7 +53,7 @@ fn calibrated<P: SchedulingPolicy + 'static>(
 /// Replays `scenario` through the DES to the end; returns the events
 /// popped with the outcome.
 fn replay(scenario: &Scenario) -> (u64, SimOutcome) {
-    let (cfg, workload) = (common::sim_config(scenario), &scenario.workload);
+    let (cfg, workload) = (sim_config(scenario), &scenario.workload);
     let mut state = SimState::new(&cfg, workload);
     while state.step(&cfg, workload, 4096) {}
     let events = state.events_processed();
@@ -115,7 +115,7 @@ fn federated_replay_events_depend_on_shards_not_workers() {
     ] {
         let shard = calibrated(workload.clone(), SCALE_CAPACITY / shards as u32, elastic);
         for workers in [1, 2] {
-            let out = common::federate(&shard, shards, workers);
+            let out = federate(&shard, shards, workers);
             assert_eq!(
                 out.merged.jobs.len(),
                 n,

@@ -19,12 +19,10 @@
 
 mod common;
 
-use common::{
-    assert_agree, kill_requeue_fcfs, run, trace_reclamation, trace_storm, Engine::*, Scenario,
-    TRACE_CAPACITY,
-};
+use common::{assert_agree, kill_requeue_fcfs, trace_reclamation, trace_storm};
 use elastic_hpc::core::RunMetrics;
 use elastic_hpc::metrics::Duration;
+use elastic_hpc::scenario::{agreement, run, Engine::*, Scenario, TRACE_CAPACITY};
 use elastic_hpc::sim::OverheadModel;
 use elastic_hpc::workload::{FaultSpec, FlakySpec};
 
@@ -61,7 +59,7 @@ fn des_and_operator_flaky_replays_are_identical() {
 fn flaky_replays_agree_across_seeds() {
     for seed in [3, 77] {
         let scenario = faulted(trace_storm(seed));
-        if let Err(found) = common::agreement(&scenario, &[Des, Operator]) {
+        if let Err(found) = agreement(&scenario, &[Des, Operator]) {
             panic!("engines diverged under storm seed {seed}: {found}");
         }
     }
@@ -76,7 +74,7 @@ fn flaky_replays_pay_the_same_recovery_window_in_both_engines() {
     for seed in [11, 3, 77] {
         let free = faulted(trace_storm(seed));
         let paid = free.clone().with_overhead(restart_5s());
-        let des = common::agreement(&paid, &[Des, Operator])
+        let des = agreement(&paid, &[Des, Operator])
             .unwrap_or_else(|found| panic!("engines diverged under storm seed {seed}: {found}"));
         // The window is really paid: some relaunch ends later than it
         // does for free.

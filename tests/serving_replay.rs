@@ -22,12 +22,10 @@
 
 mod common;
 
-use common::{
-    agreement, divergence, ingest, kill_requeue_fcfs, run, trace_reclamation, trace_storm,
-    Engine::*, Scenario,
-};
+use common::{kill_requeue_fcfs, trace_reclamation, trace_storm};
 use elastic_hpc::core::FcfsBackfill;
 use elastic_hpc::metrics::Duration;
+use elastic_hpc::scenario::{agreement, divergence, ingest, run, Engine::*, Scenario};
 use elastic_hpc::serving::{IngestConfig, ShardRouter};
 
 /// The deterministic-replay ingest setting: flush on every pump.

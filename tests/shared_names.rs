@@ -7,14 +7,12 @@
 //! copies a name into a fresh string fails here, though it reads the
 //! same.
 
-mod common;
-
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use common::{des, federate, operator_replay, Scenario};
 use elastic_hpc::core::{EasyBackfill, JobOutcome};
 use elastic_hpc::metrics::Duration;
+use elastic_hpc::scenario::{des, federate, operator_replay, Scenario};
 use elastic_hpc::workload::{JobSpec, WorkloadSpec};
 
 const JOBS: usize = 48;

@@ -14,9 +14,10 @@
 
 mod common;
 
-use common::{assert_agree, bundled_trace, Engine::*, Scenario, TRACE_CAPACITY};
+use common::assert_agree;
 use elastic_hpc::core::{FcfsBackfill, Policy, PolicyConfig, PolicyKind};
 use elastic_hpc::metrics::{Counter, Duration};
+use elastic_hpc::scenario::{self, bundled_trace, Engine::*, Scenario, TRACE_CAPACITY};
 use elastic_hpc::sim::OverheadModel;
 use elastic_hpc::workload::{load_workload, JobSpec, SwfLoadConfig, WorkloadSpec};
 
@@ -101,7 +102,7 @@ fn elastic_annotation_replays_through_the_des() {
     };
     let scenario =
         Scenario::new(wl, TRACE_CAPACITY, elastic).with_overhead(OverheadModel::default());
-    let out = common::des(&scenario);
+    let out = scenario::des(&scenario);
     assert_eq!(out.metrics.jobs.len(), 24);
     assert!(
         out.rescales > 0,
@@ -137,8 +138,8 @@ fn cancellations_replay_identically_in_both_engines() {
         })
     });
 
-    let des = common::des(&scenario);
-    let (op_metrics, op) = common::operator_replay(&scenario);
+    let des = scenario::des(&scenario);
+    let (op_metrics, op) = scenario::operator_replay(&scenario);
     assert_eq!(
         (des.cancelled, op.counters()[Counter::Cancellations]),
         (2, 2)
@@ -148,5 +149,5 @@ fn cancellations_replay_identically_in_both_engines() {
         .map(|j| (&*j.name, j.completed_at.as_secs()))
         .collect();
     assert_eq!(done, [("c", 370.0), ("d", 270.0)]);
-    assert_eq!(common::divergence(&des.metrics, &op_metrics), None);
+    assert_eq!(scenario::divergence(&des.metrics, &op_metrics), None);
 }
