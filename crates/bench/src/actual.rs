@@ -12,9 +12,9 @@ use elastic_core::{
     run_real, AppSpec, CharmExecutor, CharmJobSpec, CharmOperator, JobRegistry, Policy,
     PolicyConfig, PolicyKind, RunMetrics, Schedule,
 };
+use elastic_hpc::workload::{generate_workload, SizeClass};
 use hpc_metrics::{ascii, Duration, RealClock, UtilizationRecorder};
 use kube_sim::{ControlPlane, EventLog, KubeletConfig};
-use sched_sim::{generate_workload, SizeClass};
 
 use crate::{CsvTable, Options, Report};
 

@@ -5,18 +5,20 @@
 //!
 //! Paper §4.3.1: 16 random jobs (4 size classes, priorities 1–5), 100
 //! seeds per point, four policies compared on utilization, total time,
-//! weighted response and weighted completion time. The policy *code* is
-//! the one the operator runs.
+//! weighted response and weighted completion time. Each replay is one
+//! `Scenario::campaign` of `elastic_hpc::scenario` on the DES, and the
+//! policy *code* is the one the operator runs.
 
 use elastic_core::{AgingSweep, Policy, PolicyConfig, PolicyKind, RunMetrics};
-use elastic_hpc::scenario::{des, Scenario};
+use elastic_hpc::scenario::{des, Scenario, CAMPAIGN_JOBS as JOBS};
+use elastic_hpc::workload::OverheadModel;
 use hpc_metrics::{ascii, Duration, Summary};
-use sched_sim::{generate_workload, WorkloadSpec};
-use sched_sim::{sweep_rescale_gap, sweep_submission_gap, OverheadModel, SweepPoint};
-use sched_sim::{DEFAULT_JOBS as JOBS, DEFAULT_SEEDS as SEEDS};
 
 use crate::actual::run_campaign;
 use crate::{Claim, CsvTable, Options, Report};
+
+/// Workloads each sweep point averages over (paper: 100).
+const SEEDS: u64 = 100;
 
 /// Workloads each ablation row averages over.
 const ABLATION_SEEDS: u64 = 50;
@@ -24,6 +26,69 @@ const ABLATION_SEEDS: u64 = 50;
 /// Workloads (seeds `0..TABLE1_RATE_SEEDS`) over which `table1` reports
 /// how often each of its per-workload claims holds.
 const TABLE1_RATE_SEEDS: u64 = 100;
+
+/// Averaged metrics for one (policy, x) sweep point.
+struct SweepPoint {
+    /// Sweep coordinate (submission gap or rescale gap, seconds).
+    x: f64,
+    /// Policy evaluated.
+    policy: PolicyKind,
+    /// Mean utilization across seeds.
+    utilization: f64,
+    /// Mean total time (s).
+    total_time: f64,
+    /// Mean weighted response time (s).
+    weighted_response: f64,
+    /// Mean weighted completion time (s).
+    weighted_completion: f64,
+    /// Mean bounded slowdown (τ = 10 s) across seeds.
+    bounded_slowdown: f64,
+    /// Std-dev of total time across seeds (reported for error bars).
+    total_time_std: f64,
+}
+
+/// The policy of `kind` with `T_rescale_gap` `rescale_gap_s`.
+fn policy_of(kind: PolicyKind, rescale_gap_s: f64) -> Policy {
+    let cfg = PolicyConfig {
+        rescale_gap: Duration::from_secs(rescale_gap_s),
+        ..PolicyConfig::default()
+    };
+    Policy::of_kind(kind, cfg)
+}
+
+/// Averages every policy at every sweep coordinate in `xs` over
+/// [`SEEDS`] campaigns under `overhead`; `gaps(x)` is the (submission,
+/// rescale) gap pair, in seconds, that `x` stands for.
+fn sweep(xs: &[f64], gaps: impl Fn(f64) -> (f64, f64), overhead: OverheadModel) -> Vec<SweepPoint> {
+    let mut out = Vec::new();
+    for &x in xs {
+        let (submission_gap_s, rescale_gap_s) = gaps(x);
+        let gap = Duration::from_secs(submission_gap_s);
+        for kind in PolicyKind::ALL {
+            let runs: Vec<RunMetrics> = (0..SEEDS)
+                .map(|seed| {
+                    let policy = move || policy_of(kind, rescale_gap_s);
+                    let scenario = Scenario::campaign(seed, gap, policy).with_overhead(overhead);
+                    des(&scenario).metrics
+                })
+                .collect();
+            let summary = |metric: fn(&RunMetrics) -> f64| {
+                Summary::of(&runs.iter().map(metric).collect::<Vec<_>>()).expect("non-empty")
+            };
+            out.push(SweepPoint {
+                x,
+                policy: kind,
+                utilization: summary(|m| m.utilization).mean,
+                total_time: summary(|m| m.total_time).mean,
+                weighted_response: summary(|m| m.weighted_response).mean,
+                weighted_completion: summary(|m| m.weighted_completion).mean,
+                bounded_slowdown: summary(|m| m.mean_bounded_slowdown).mean,
+                total_time_std: summary(|m| m.total_time).std_dev,
+            });
+        }
+    }
+    out
+}
 
 /// The sweep's points as CSV, `x_column` naming the swept coordinate.
 fn sweep_table(x_column: &str, points: &[SweepPoint]) -> CsvTable {
@@ -84,8 +149,9 @@ pub fn fig7(_: &Options) -> Report {
     println!(
         "== Fig. 7: sweep submission gap {gaps:?} (T_rescale_gap=180s, {SEEDS} seeds, {JOBS} jobs) ==",
     );
-    let points = sweep_submission_gap(&gaps, 180.0, SEEDS, JOBS);
-    let edge = sweep_submission_gap(&[2000.0], 180.0, SEEDS, JOBS);
+    let at_gap = |gap| (gap, 180.0);
+    let points = sweep(&gaps, at_gap, OverheadModel::default());
+    let edge = sweep(&[2000.0], at_gap, OverheadModel::default());
     let edge = PolicyKind::ALL.map(|kind| at(&edge, 2000.0, kind).total_time);
     chart(
         &points,
@@ -199,7 +265,8 @@ pub fn fig8(_: &Options) -> Report {
     println!(
         "== Fig. 8: sweep T_rescale_gap {gaps:?} (submission gap 180s, {SEEDS} seeds, {JOBS} jobs) ==",
     );
-    let points = sweep_rescale_gap(&gaps, 180.0, SEEDS, JOBS, OverheadModel::default());
+    let at_rescale_gap = |rescale_gap| (180.0, rescale_gap);
+    let points = sweep(&gaps, at_rescale_gap, OverheadModel::default());
     chart(
         &points,
         |p| p.utilization,
@@ -222,7 +289,7 @@ pub fn fig8(_: &Options) -> Report {
     );
 
     println!("\n== Fig. 8 companion: incremental (in-place) rescale protocol, same grid ==");
-    let inc_points = sweep_rescale_gap(&gaps, 180.0, SEEDS, JOBS, OverheadModel::incremental());
+    let inc_points = sweep(&gaps, at_rescale_gap, OverheadModel::incremental());
     let elastic_total = |points: &[SweepPoint]| -> Vec<(f64, f64)> {
         let elastic = points.iter().filter(|p| p.policy == PolicyKind::Elastic);
         elastic.map(|p| (p.x, p.total_time)).collect()
@@ -330,15 +397,17 @@ fn by_policy(values: &[f64], decimals: usize) -> String {
     pairs.join(", ")
 }
 
-/// Table 1's Simulation column for workload `seed` (the DES at paper
-/// scale: 16 jobs 90 s apart, `T_rescale_gap` 180 s), one row per
-/// policy of [`PolicyKind::ALL`], and the paper's four Table 1
-/// statements checked on it.
+/// Table 1's Simulation column for workload `seed` (the campaign 90 s
+/// apart on the DES, `PolicyConfig::default()`: `T_rescale_gap` 180
+/// s), one row per policy of [`PolicyKind::ALL`], and the paper's four
+/// Table 1 statements checked on it.
 pub fn table1_simulation_column(seed: u64) -> (Vec<RunMetrics>, Vec<Claim>) {
-    let rows: Vec<RunMetrics> = sched_sim::table1_simulation(seed)
-        .into_iter()
-        .map(|(m, _)| m)
-        .collect();
+    let gap = Duration::from_secs(90.0);
+    let replay = |kind| {
+        let policy = move || Policy::of_kind(kind, PolicyConfig::default());
+        des(&Scenario::campaign(seed, gap, policy)).metrics
+    };
+    let rows: Vec<RunMetrics> = PolicyKind::ALL.into_iter().map(replay).collect();
     let column = |metric: fn(&RunMetrics) -> f64| -> Vec<f64> { rows.iter().map(metric).collect() };
     let (util, total) = (column(|m| m.utilization), column(|m| m.total_time));
     let completion = column(|m| m.weighted_completion);
@@ -447,30 +516,29 @@ struct Variant {
     aging_sweep: bool,
 }
 
-/// `wl` under `v` on the paper's 64-slot testbed, calibrated models.
-fn ablated(v: &Variant, wl: WorkloadSpec) -> Scenario {
+/// The campaign of workload `seed`, 90 s apart, under `v`.
+fn ablated(v: &Variant, seed: u64) -> Scenario {
     let elastic = Policy::of_kind(PolicyKind::Elastic, v.cfg);
     let (half_life, every) = (Duration::from_secs(600.0), Duration::from_secs(90.0));
-    let scenario = if v.aging_sweep {
-        Scenario::new(wl, 64, move || {
+    let gap = Duration::from_secs(90.0);
+    if v.aging_sweep {
+        Scenario::campaign(seed, gap, move || {
             AgingSweep::new(Box::new(elastic), half_life, every)
         })
     } else {
-        Scenario::new(wl, 64, move || elastic)
-    };
-    scenario.with_overhead(OverheadModel::default())
+        Scenario::campaign(seed, gap, move || elastic)
+    }
 }
 
 /// Means of (utilization, total time, weighted response, rescales) of
-/// `v` over [`ABLATION_SEEDS`] workloads spaced 90 s apart.
+/// `v` over [`ABLATION_SEEDS`] campaigns.
 fn run_variant(v: &Variant) -> (f64, f64, f64, f64) {
     let mut util = Vec::new();
     let mut total = Vec::new();
     let mut resp = Vec::new();
     let mut resc = Vec::new();
     for seed in 0..ABLATION_SEEDS {
-        let wl = generate_workload(seed, JOBS).spaced_every(Duration::from_secs(90.0));
-        let out = des(&ablated(v, wl));
+        let out = des(&ablated(v, seed));
         util.push(out.metrics.utilization);
         total.push(out.metrics.total_time);
         resp.push(out.metrics.weighted_response);
@@ -553,5 +621,25 @@ pub fn ablations(_: &Options) -> Report {
     Report {
         tables: vec![("ablations.csv", table)],
         claims: Vec::new(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table1_returns_all_four_policies() {
+        let (rows, claims) = table1_simulation_column(0);
+        let names: Vec<&str> = rows.iter().map(|m| m.policy.as_str()).collect();
+        assert_eq!(
+            names,
+            ["min_replicas", "max_replicas", "moldable", "elastic"]
+        );
+        assert_eq!(claims.len(), 4);
+        for m in &rows {
+            assert_eq!(m.jobs.len(), JOBS);
+            assert!(m.utilization > 0.2 && m.utilization <= 1.0);
+        }
     }
 }

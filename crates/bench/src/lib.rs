@@ -50,8 +50,8 @@ use std::fmt;
 use std::path::PathBuf;
 
 use elastic_hpc::scenario::BUNDLED_TRACE;
+use elastic_hpc::workload::WorkloadSpec;
 use hpc_metrics::Duration;
-use sched_sim::WorkloadSpec;
 
 pub use hpc_metrics::csv::CsvTable;
 

@@ -6,8 +6,8 @@
 use elastic_core::{EasyBackfill, FcfsBackfill, Policy, PolicyConfig, RunMetrics};
 use elastic_core::{RecoveryPolicy, RecoveryStrategy, SchedulingPolicy};
 use elastic_hpc::scenario::{load_trace, run, Engine, Scenario};
+use elastic_hpc::workload::{FaultSpec, FlakySpec, OverheadModel, SwfLoadConfig, WorkloadSpec};
 use hpc_metrics::{ascii, Duration};
-use sched_sim::{FaultSpec, FlakySpec, OverheadModel, SwfLoadConfig, WorkloadSpec};
 
 use crate::{trace_horizon, Claim, CsvTable, Options, Report};
 

@@ -9,13 +9,15 @@
 //! fig7's two claims on the 100-seed means at gap 90 s.
 //! Two real-path claims are asserted too: `fig5_compare`'s byte counts
 //! and its migrated-chare counts, which do not depend on the host's
-//! speed. The three DES sweeps also pin each CSV table they return by
-//! its 64-bit FNV-1a digest, so a refactor that moves one byte of a
-//! figure's data fails here.
+//! speed. The three DES sweeps and the ablations also pin each CSV
+//! table they return by its 64-bit FNV-1a digest, and Table 1's
+//! Simulation rows over seeds 0–19 are pinned by one digest of their
+//! exact `{:?}` text, so a refactor that moves one byte of a figure's
+//! data fails here.
 
 use std::collections::BTreeMap;
 
-use elastic_bench::{des, real, traces, Claim, CsvTable, Options, Report};
+use elastic_bench::{des, real, traces, Claim, Options, Report};
 
 /// Every claim of `claims` that does not hold, printed.
 fn failing(claims: &[Claim]) -> Vec<String> {
@@ -26,18 +28,19 @@ fn failing(claims: &[Claim]) -> Vec<String> {
         .collect()
 }
 
-/// The 64-bit FNV-1a digest of `table` as CSV.
-fn fnv1a(table: &CsvTable) -> u64 {
-    let bytes = table.to_csv_string().into_bytes();
-    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+/// The 64-bit FNV-1a digest of `text`.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
 }
 
-/// Each table of `report` by name, with its digest.
+/// Each table of `report` by name, with the digest of its CSV.
 fn digests(report: &Report) -> Vec<(&str, u64)> {
     let tables = report.tables.iter();
-    tables.map(|(name, table)| (*name, fnv1a(table))).collect()
+    tables
+        .map(|(name, table)| (*name, fnv1a(&table.to_csv_string())))
+        .collect()
 }
 
 #[test]
@@ -68,6 +71,24 @@ fn easy_never_loses_to_fcfs_backfill_up_to_the_archive_load() {
     assert_eq!(digests(&report), csv);
     assert_eq!(report.claims.len(), 1);
     assert_eq!(failing(&report.claims), Vec::<String>::new());
+}
+
+#[test]
+fn the_ablation_rows_are_pinned() {
+    let report = des::ablations(&Options::default());
+    let csv = [("ablations.csv", 0xed4a_f435_cc84_171e)];
+    assert_eq!(digests(&report), csv);
+}
+
+/// Every row of Table 1's Simulation column over seeds 0–19, each
+/// float printed exactly (`{:?}`), pinned by one digest.
+#[test]
+fn table1_simulation_rows_are_pinned() {
+    let rows: String = (0..20)
+        .flat_map(|seed| des::table1_simulation_column(seed).0)
+        .map(|row| format!("{row:?}\n"))
+        .collect();
+    assert_eq!(fnv1a(&rows), 0x02ba_9119_e582_96d7);
 }
 
 #[test]

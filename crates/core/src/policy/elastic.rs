@@ -790,7 +790,7 @@ mod tests {
 
     #[test]
     fn moldable_sizes_at_admission_but_never_rescales() {
-        let pol = Policy::moldable(cfg(180.0));
+        let pol = Policy::of_kind(PolicyKind::Moldable, cfg(180.0));
         let new = job(0, 3, 0.0, 4, 16);
         let v = view(10, vec![new]);
         assert_eq!(
@@ -1241,7 +1241,7 @@ mod tests {
             let v = view(free, jobs);
             let now = t(rng.gen_range(0.0..2000.0));
 
-            let moldable = Policy::moldable(cfg(180.0));
+            let moldable = Policy::of_kind(PolicyKind::Moldable, cfg(180.0));
             let mut inf = cfg(180.0);
             inf.rescale_gap = Duration::INFINITY;
             let elastic_inf = Policy::elastic(inf);

@@ -302,11 +302,6 @@ impl Policy {
         Self::of_kind(PolicyKind::Elastic, cfg)
     }
 
-    /// The moldable baseline.
-    pub fn moldable(cfg: PolicyConfig) -> Policy {
-        Self::of_kind(PolicyKind::Moldable, cfg)
-    }
-
     /// A policy of `kind` with config `cfg`.
     pub fn of_kind(kind: PolicyKind, cfg: PolicyConfig) -> Policy {
         Policy { kind, cfg }
@@ -406,7 +401,10 @@ mod tests {
         let j = job(3);
         let cfg = PolicyConfig::default();
         assert_eq!(Policy::elastic(cfg).bounds(&j), (2, 8));
-        assert_eq!(Policy::moldable(cfg).bounds(&j), (2, 8));
+        assert_eq!(
+            Policy::of_kind(PolicyKind::Moldable, cfg).bounds(&j),
+            (2, 8)
+        );
         assert_eq!(
             Policy::of_kind(PolicyKind::RigidMin, cfg).bounds(&j),
             (2, 2)
@@ -423,7 +421,7 @@ mod tests {
             rescale_gap: Duration::from_secs(10.0),
             ..Default::default()
         };
-        let mold = Policy::moldable(cfg);
+        let mold = Policy::of_kind(PolicyKind::Moldable, cfg);
         let j = job(3);
         // A running job is blocked forever under moldable...
         assert!(mold.gap_blocked(&j, SimTime::from_secs(1e12)));

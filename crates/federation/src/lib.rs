@@ -48,7 +48,7 @@
 //! };
 //! use hpc_metrics::Duration;
 //! use hpc_workload::{JobSpec, WorkloadSpec};
-//! use sched_sim::SimConfig;
+//! use sched_sim::{OverheadModel, ScalingModel, SimConfig};
 //! use elastic_core::{Policy, PolicyConfig};
 //!
 //! /// Priority >= `urgent` goes to the reserved shard 0; the rest are
@@ -76,8 +76,12 @@
 //!     .collect();
 //! let workload = WorkloadSpec::new(jobs);
 //!
-//! let mut fed = FederationRuntime::new(FederationConfig::new(3).with_workers(2), |_| {
-//!     SimConfig::paper_default(Box::new(Policy::elastic(PolicyConfig::default())))
+//! let mut fed = FederationRuntime::new(FederationConfig::new(3).with_workers(2), |_| SimConfig {
+//!     capacity: 64,
+//!     policy: Box::new(Policy::elastic(PolicyConfig::default())),
+//!     scaling: ScalingModel::default(),
+//!     overhead: OverheadModel::default(),
+//!     cancellations: Vec::new(),
 //! });
 //! let assignment = fed.submit(
 //!     &workload,

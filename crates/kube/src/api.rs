@@ -823,7 +823,8 @@ impl<T: Resource> Store<T> {
     /// delivered in order. (No replay of existing state — callers list
     /// first, like informers do, or use [`Store::list_watch`] to get
     /// both without a gap.)
-    pub fn watch(&self) -> Receiver<WatchEvent<T>> {
+    #[cfg(test)]
+    pub(crate) fn watch(&self) -> Receiver<WatchEvent<T>> {
         let (tx, rx) = mpsc::channel();
         let accepts = everything;
         locked(&self.inner).watchers.push(Watcher { accepts, tx });

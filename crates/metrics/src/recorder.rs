@@ -4,8 +4,9 @@
 //! experiment and reports (a) the average cluster utilization metric of
 //! Table 1 and (b) the stacked per-job profiles of Fig. 9a. The
 //! [`UtilizationRecorder`] here is the exact-event equivalent: callers
-//! report every allocation change (job started / rescaled / finished) and
-//! the recorder integrates the step function instead of sampling it.
+//! report every allocation change (job started / rescaled / finished) in
+//! time order and the recorder integrates the step function instead of
+//! sampling it.
 //!
 //! Jobs are identified by interned [`JobId`]s — recording a sample is a
 //! `Copy`, never a `String` clone, so the recorder sits on the
@@ -13,7 +14,6 @@
 //! CSV emitters) map ids back through their engine's registry at the
 //! reporting edge.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use crate::ids::JobId;
@@ -54,34 +54,25 @@ impl UtilizationRecorder {
 
     /// Records that `job` holds `slots` slots from `at` onward.
     ///
-    /// Events may be recorded out of order; they are sorted on read.
+    /// Changes are recorded in time order, as an engine's clock
+    /// advances: `at` before the last recorded change panics.
     #[inline]
     pub fn set(&mut self, at: SimTime, job: JobId, slots: u32) {
+        let last = self.events.last().map_or(at, |ev| ev.at);
+        assert!(last <= at, "a change at {at:?} recorded after {last:?}");
         self.events.push(AllocEvent { at, job, slots });
     }
 
-    /// All recorded events, sorted by time (stable for equal times).
-    pub fn events(&self) -> Vec<AllocEvent> {
-        self.in_time_order().into_owned()
-    }
-
-    /// The log in time order: itself when it was recorded that way (an
-    /// engine records as its clock advances), a stably sorted copy
-    /// otherwise.
-    fn in_time_order(&self) -> Cow<'_, [AllocEvent]> {
-        if self.events.is_sorted_by_key(|ev| ev.at) {
-            return Cow::Borrowed(&self.events);
-        }
-        let mut sorted = self.events.clone();
-        sorted.sort_by_key(|ev| ev.at);
-        Cow::Owned(sorted)
+    /// All recorded events, in time order (record order at equal times).
+    pub fn events(&self) -> &[AllocEvent] {
+        &self.events
     }
 
     /// The total-allocation step function: `(t, total_slots)` at every
     /// change point, deduplicated to the last value per instant.
     pub fn total_series(&self) -> Vec<(SimTime, u32)> {
         let mut out: Vec<(SimTime, u32)> = Vec::new();
-        for (at, total) in totals(&self.in_time_order()) {
+        for (at, total) in totals(&self.events) {
             match out.last_mut() {
                 Some(last) if last.0 == at => last.1 = total,
                 _ => out.push((at, total)),
@@ -93,7 +84,7 @@ impl UtilizationRecorder {
     /// Per-job step functions, keyed by job id.
     pub fn per_job_series(&self) -> BTreeMap<JobId, Vec<(SimTime, u32)>> {
         let mut map: BTreeMap<JobId, Vec<(SimTime, u32)>> = BTreeMap::new();
-        for &ev in self.in_time_order().iter() {
+        for &ev in &self.events {
             let series = map.entry(ev.job).or_default();
             match series.last_mut() {
                 Some(last) if last.0 == ev.at => last.1 = ev.slots,
@@ -118,7 +109,7 @@ impl UtilizationRecorder {
         let mut used_slot_seconds = 0.0;
         let mut current: u32 = 0;
         let mut cursor = from;
-        for (t, total) in totals(&self.in_time_order()) {
+        for (t, total) in totals(&self.events) {
             if t <= from {
                 current = total;
                 continue;
@@ -216,11 +207,11 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_events_are_sorted() {
+    #[should_panic(expected = "recorded after")]
+    fn a_change_recorded_backwards_panics() {
         let mut r = UtilizationRecorder::new(4);
         r.set(t(5.0), A, 0);
         r.set(t(0.0), A, 4);
-        assert!((r.average_utilization(t(0.0), t(10.0)) - 0.5).abs() < 1e-12);
     }
 
     /// The integral as it is defined: over the deduplicated
@@ -254,24 +245,14 @@ mod tests {
                 slots: (i * 5) % 11,
             })
             .collect();
-        // The same log with the instants interleaved and the order
-        // inside each kept: the sorted-copy fallback.
-        let (early, late): (Vec<_>, Vec<_>) = (0..log.len()).partition(|i| i % 6 < 3);
-        let recorded = |events: &mut dyn Iterator<Item = &AllocEvent>| {
-            let mut r = UtilizationRecorder::new(64);
-            events.for_each(|ev| r.set(ev.at, ev.job, ev.slots));
-            r
-        };
-        let in_order = recorded(&mut log.iter());
-        let shuffled = recorded(&mut early.iter().chain(&late).map(|&i| &log[i]));
-        assert_eq!(shuffled.events(), in_order.events());
+        let mut r = UtilizationRecorder::new(64);
+        log.iter().for_each(|ev| r.set(ev.at, ev.job, ev.slots));
+        assert_eq!(r.events(), log);
         for (from, to) in [(0.0, 40.0), (2.5, 17.0), (1.0 / 3.0, 20.0 / 3.0)] {
-            let expected = utilization_over_total_series(&in_order, t(from), t(to));
+            let expected = utilization_over_total_series(&r, t(from), t(to));
             assert!(expected > 0.0);
-            for r in [&in_order, &shuffled] {
-                let got = r.average_utilization(t(from), t(to));
-                assert_eq!(got.to_bits(), expected.to_bits(), "[{from}, {to}]");
-            }
+            let got = r.average_utilization(t(from), t(to));
+            assert_eq!(got.to_bits(), expected.to_bits(), "[{from}, {to}]");
         }
     }
 

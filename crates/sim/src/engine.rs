@@ -69,19 +69,6 @@ pub struct SimConfig {
     pub cancellations: Vec<(Duration, String)>,
 }
 
-impl SimConfig {
-    /// The paper's default setup: 64 slots, calibrated models.
-    pub fn paper_default(policy: Box<dyn SchedulingPolicy>) -> Self {
-        SimConfig {
-            capacity: 64,
-            policy,
-            scaling: ScalingModel::default(),
-            overhead: OverheadModel::default(),
-            cancellations: Vec::new(),
-        }
-    }
-}
-
 /// Full result of one simulation run.
 ///
 /// [`SimState::finish`] builds it only after the run's timeline and
@@ -591,6 +578,17 @@ mod tests {
         ))
     }
 
+    /// The paper's testbed under `policy`: 64 slots, calibrated models.
+    fn paper_default(policy: Box<dyn SchedulingPolicy>) -> SimConfig {
+        SimConfig {
+            capacity: 64,
+            policy,
+            scaling: ScalingModel::default(),
+            overhead: OverheadModel::default(),
+            cancellations: Vec::new(),
+        }
+    }
+
     fn spaced(wl: WorkloadSpec, gap_s: f64) -> WorkloadSpec {
         wl.spaced_every(Duration::from_secs(gap_s))
     }
@@ -601,7 +599,7 @@ mod tests {
 
     #[test]
     fn single_job_runtime_matches_model() {
-        let cfg = SimConfig::paper_default(policy(PolicyKind::Elastic, 180.0));
+        let cfg = paper_default(policy(PolicyKind::Elastic, 180.0));
         let wl = one_job(SizeClass::Medium);
         let out = simulate(&cfg, &wl);
         // Empty cluster: job runs at max replicas the whole time.
@@ -620,21 +618,15 @@ mod tests {
     #[test]
     fn rigid_min_runs_longer_than_rigid_max_for_one_job() {
         let wl = one_job(SizeClass::Large);
-        let min = simulate(
-            &SimConfig::paper_default(policy(PolicyKind::RigidMin, 180.0)),
-            &wl,
-        );
-        let max = simulate(
-            &SimConfig::paper_default(policy(PolicyKind::RigidMax, 180.0)),
-            &wl,
-        );
+        let min = simulate(&paper_default(policy(PolicyKind::RigidMin, 180.0)), &wl);
+        let max = simulate(&paper_default(policy(PolicyKind::RigidMax, 180.0)), &wl);
         assert!(min.metrics.total_time > max.metrics.total_time);
     }
 
     #[test]
     fn simulation_is_deterministic() {
         let wl = spaced(generate_workload(11, 16), 90.0);
-        let cfg = SimConfig::paper_default(policy(PolicyKind::Elastic, 180.0));
+        let cfg = paper_default(policy(PolicyKind::Elastic, 180.0));
         let a = simulate(&cfg, &wl);
         let b = simulate(&cfg, &wl);
         assert_eq!(a.metrics, b.metrics);
@@ -648,7 +640,7 @@ mod tests {
         // behaviour (each job decided with only its predecessors in
         // view), which the determinism of the metrics pins down.
         let wl = generate_workload(3, 8); // arrivals default to t = 0
-        let cfg = SimConfig::paper_default(policy(PolicyKind::Elastic, 180.0));
+        let cfg = paper_default(policy(PolicyKind::Elastic, 180.0));
         let out = simulate(&cfg, &wl);
         assert_eq!(out.metrics.jobs.len(), 8);
         // Every job shares the submission instant.
@@ -665,7 +657,7 @@ mod tests {
     #[test]
     fn elastic_rescales_under_contention() {
         let wl = spaced(generate_workload(3, 16), 30.0); // heavy traffic
-        let cfg = SimConfig::paper_default(policy(PolicyKind::Elastic, 180.0));
+        let cfg = paper_default(policy(PolicyKind::Elastic, 180.0));
         let out = simulate(&cfg, &wl);
         assert!(out.rescales > 0, "elastic never rescaled under load");
         // Non-elastic policies never rescale.
@@ -674,7 +666,7 @@ mod tests {
             PolicyKind::RigidMin,
             PolicyKind::RigidMax,
         ] {
-            let out = simulate(&SimConfig::paper_default(policy(kind, 180.0)), &wl);
+            let out = simulate(&paper_default(policy(kind, 180.0)), &wl);
             assert_eq!(out.rescales, 0, "{kind} rescaled");
         }
     }
@@ -684,7 +676,7 @@ mod tests {
         for seed in 0..5 {
             let wl = spaced(generate_workload(seed, 16), 20.0);
             for kind in PolicyKind::ALL {
-                let cfg = SimConfig::paper_default(policy(kind, 60.0));
+                let cfg = paper_default(policy(kind, 60.0));
                 let out = simulate(&cfg, &wl);
                 // Worker slots alone must fit under capacity minus one
                 // launcher per concurrently running job (>= 1).
@@ -700,7 +692,7 @@ mod tests {
     #[test]
     fn utilization_in_unit_range_and_meaningful() {
         let wl = spaced(generate_workload(9, 16), 90.0);
-        let cfg = SimConfig::paper_default(policy(PolicyKind::Elastic, 180.0));
+        let cfg = paper_default(policy(PolicyKind::Elastic, 180.0));
         let out = simulate(&cfg, &wl);
         assert!(out.metrics.utilization > 0.3);
         assert!(out.metrics.utilization <= 1.0);
@@ -710,14 +702,14 @@ mod tests {
     fn fcfs_backfill_runs_through_the_simulator() {
         // Heavy traffic: the queue blocks.
         let wl = spaced(generate_workload(11, 16), 30.0);
-        let cfg = SimConfig::paper_default(Box::new(FcfsBackfill::new()));
+        let cfg = paper_default(Box::new(FcfsBackfill::new()));
         let out = simulate(&cfg, &wl);
         assert_eq!(out.metrics.policy, "fcfs_backfill");
         assert_eq!(out.metrics.jobs.len(), 16);
         assert_eq!(out.rescales, 0, "FCFS never rescales");
         assert!(out.metrics.utilization > 0.2 && out.metrics.utilization <= 1.0);
         // Determinism holds for the new policy too.
-        let cfg2 = SimConfig::paper_default(Box::new(FcfsBackfill::new()));
+        let cfg2 = paper_default(Box::new(FcfsBackfill::new()));
         assert_eq!(simulate(&cfg2, &wl).metrics, out.metrics);
     }
 
@@ -732,7 +724,7 @@ mod tests {
             JobSpec::of_class("b", SizeClass::Large, 3),
             JobSpec::of_class("c", SizeClass::Large, 3),
         ]);
-        let mut cfg = SimConfig::paper_default(policy(PolicyKind::Elastic, 10.0));
+        let mut cfg = paper_default(policy(PolicyKind::Elastic, 10.0));
         cfg.cancellations = vec![(Duration::from_secs(100.0), "a".into())];
         let out = simulate(&cfg, &wl);
         assert_eq!(out.cancelled, 1);
@@ -750,7 +742,7 @@ mod tests {
     #[test]
     fn all_jobs_cancelled_yields_empty_metrics_without_panicking() {
         let wl = WorkloadSpec::new(vec![JobSpec::of_class("solo", SizeClass::Large, 3)]);
-        let mut cfg = SimConfig::paper_default(policy(PolicyKind::Elastic, 180.0));
+        let mut cfg = paper_default(policy(PolicyKind::Elastic, 180.0));
         cfg.cancellations = vec![(Duration::from_secs(50.0), "solo".into())];
         let out = simulate(&cfg, &wl);
         assert_eq!(out.cancelled, 1);
@@ -765,7 +757,7 @@ mod tests {
         // Cancel the last job the moment it sits in the queue under
         // heavy traffic (it is submitted at 5 * 10 = 50s).
         let victim = wl.jobs[5].name.to_string();
-        let mut cfg = SimConfig::paper_default(policy(PolicyKind::RigidMax, 180.0));
+        let mut cfg = paper_default(policy(PolicyKind::RigidMax, 180.0));
         cfg.cancellations = vec![(Duration::from_secs(55.0), victim)];
         let out = simulate(&cfg, &wl);
         assert!(out.cancelled <= 1, "at most the one requested cancel");
@@ -775,20 +767,14 @@ mod tests {
     #[test]
     fn response_times_nonnegative_and_ordered_sanely() {
         let wl = spaced(generate_workload(21, 16), 90.0);
-        let min = simulate(
-            &SimConfig::paper_default(policy(PolicyKind::RigidMin, 180.0)),
-            &wl,
-        );
+        let min = simulate(&paper_default(policy(PolicyKind::RigidMin, 180.0)), &wl);
         for j in &min.metrics.jobs {
             assert!(j.started_at >= j.submitted_at);
             assert!(j.completed_at >= j.started_at);
         }
         // min_replicas leaves more slack => its weighted response should
         // be no worse than rigid-max's (paper Fig. 7c).
-        let max = simulate(
-            &SimConfig::paper_default(policy(PolicyKind::RigidMax, 180.0)),
-            &wl,
-        );
+        let max = simulate(&paper_default(policy(PolicyKind::RigidMax, 180.0)), &wl);
         assert!(
             min.metrics.weighted_response <= max.metrics.weighted_response + 1e-9,
             "min {} > max {}",
@@ -812,7 +798,7 @@ mod tests {
                 })
                 .collect(),
         );
-        let cfg = SimConfig::paper_default(policy(PolicyKind::Elastic, 180.0));
+        let cfg = paper_default(policy(PolicyKind::Elastic, 180.0));
         let out = simulate(&cfg, &wl);
         assert_eq!(out.metrics.jobs.len(), 5);
         for (j, &at) in out.metrics.jobs.iter().zip(&arrivals) {
@@ -835,7 +821,7 @@ mod tests {
             JobSpec::of_class("keep", SizeClass::Large, 3),
             JobSpec::of_class("drop", SizeClass::Large, 3).cancelled_at(Duration::from_secs(80.0)),
         ]);
-        let cfg = SimConfig::paper_default(policy(PolicyKind::Elastic, 10.0));
+        let cfg = paper_default(policy(PolicyKind::Elastic, 10.0));
         let out = simulate(&cfg, &wl);
         assert_eq!(out.cancelled, 1);
         assert_eq!(out.metrics.jobs.len(), 1);
@@ -847,7 +833,7 @@ mod tests {
         // 1200 core-seconds on exactly 4 replicas (rigid annotation):
         // 300 s of runtime, bit-exact.
         let wl = WorkloadSpec::new(vec![JobSpec::malleable("m0", 4, 4, 1200.0, 1)]);
-        let cfg = SimConfig::paper_default(Box::new(FcfsBackfill::new()));
+        let cfg = paper_default(Box::new(FcfsBackfill::new()));
         let out = simulate(&cfg, &wl);
         assert_eq!(out.metrics.jobs.len(), 1);
         assert_eq!(out.metrics.total_time, 300.0);
@@ -868,7 +854,7 @@ mod tests {
             JobSpec::malleable("bulk", 8, 56, 48_000.0, 1),
             JobSpec::malleable("late", 8, 56, 48_000.0, 3).at(Duration::from_secs(100.0)),
         ]);
-        let cfg = SimConfig::paper_default(policy(PolicyKind::Elastic, 10.0));
+        let cfg = paper_default(policy(PolicyKind::Elastic, 10.0));
         let out = simulate(&cfg, &wl);
         assert_eq!(out.metrics.jobs.len(), 3);
         assert!(out.rescales >= 2, "expected shrink + expand rescales");
@@ -892,7 +878,7 @@ mod tests {
             Duration::from_secs(50.0),
             Duration::from_secs(30.0),
         );
-        let cfg = SimConfig::paper_default(Box::new(policy));
+        let cfg = paper_default(Box::new(policy));
         let _ = simulate(&cfg, &wl);
     }
 
@@ -902,7 +888,7 @@ mod tests {
         // number of events at a time; any quantum size must reproduce
         // the monolithic run exactly — metrics, rescales, peaks,
         // everything.
-        let elastic = || SimConfig::paper_default(policy(PolicyKind::Elastic, 60.0));
+        let elastic = || paper_default(policy(PolicyKind::Elastic, 60.0));
         // 120 jobs a second apart on 8 slots: 240 events. A quantum of
         // 3 slices it mid-burst: some of its steps end between two
         // events of one instant, and the next step must resume that
@@ -961,7 +947,7 @@ mod tests {
         let wl = faulted_workload();
         let faulted = || SimConfig {
             capacity: 8,
-            ..SimConfig::paper_default(recovery(elastic_core::RecoveryStrategy::KillRequeue))
+            ..paper_default(recovery(elastic_core::RecoveryStrategy::KillRequeue))
         };
         let whole = simulate(&faulted(), &wl);
         let fault_at = wl.faults.events.iter().map(|e| e.at);
@@ -1021,7 +1007,7 @@ mod tests {
             Duration::from_secs(50.0),
             Duration::from_secs(30.0),
         );
-        let mut cfg = SimConfig::paper_default(Box::new(policy));
+        let mut cfg = paper_default(Box::new(policy));
         cfg.cancellations = vec![(Duration::from_secs(20.0), "f0".into())];
         let wl = faulted_workload();
         let mut st = SimState::new(&cfg, &wl);
@@ -1044,7 +1030,7 @@ mod tests {
     #[test]
     fn sim_state_exposes_progress_counters() {
         let wl = one_job(SizeClass::Small);
-        let cfg = SimConfig::paper_default(policy(PolicyKind::Elastic, 180.0));
+        let cfg = paper_default(policy(PolicyKind::Elastic, 180.0));
         let mut st = SimState::new(&cfg, &wl);
         assert_eq!(st.timeline.pending(), 1, "one coalesced submit seeded");
         assert_eq!(st.events_processed(), 0);
@@ -1060,7 +1046,7 @@ mod tests {
     #[test]
     fn empty_fault_spec_changes_nothing() {
         let wl = spaced(generate_workload(11, 16), 90.0);
-        let cfg = SimConfig::paper_default(policy(PolicyKind::Elastic, 180.0));
+        let cfg = paper_default(policy(PolicyKind::Elastic, 180.0));
         let out = simulate(&cfg, &wl);
         assert_eq!(out.metrics.faults, elastic_core::FaultStats::default());
     }
@@ -1093,8 +1079,7 @@ mod tests {
 
     #[test]
     fn shrink_on_reclaim_loses_no_work() {
-        let cfg =
-            SimConfig::paper_default(recovery(elastic_core::RecoveryStrategy::ShrinkOnReclaim));
+        let cfg = paper_default(recovery(elastic_core::RecoveryStrategy::ShrinkOnReclaim));
         let out = simulate(&cfg, &reclaim_workload());
         assert_eq!(out.metrics.jobs.len(), 1);
         let f = out.metrics.faults;
@@ -1105,8 +1090,7 @@ mod tests {
 
     #[test]
     fn checkpoint_restart_rolls_back_to_the_boundary() {
-        let cfg =
-            SimConfig::paper_default(recovery(elastic_core::RecoveryStrategy::CheckpointRestart));
+        let cfg = paper_default(recovery(elastic_core::RecoveryStrategy::CheckpointRestart));
         let wl = reclaim_workload();
         // Default checkpoint interval 300 s; reclaim at 500 s => the
         // 200 s tail past the 300 s checkpoint is wasted on all 56
@@ -1135,8 +1119,7 @@ mod tests {
             slots: 40,
             kind: FaultKind::Reclaim,
         }]));
-        let cfg =
-            SimConfig::paper_default(recovery(elastic_core::RecoveryStrategy::CheckpointRestart));
+        let cfg = paper_default(recovery(elastic_core::RecoveryStrategy::CheckpointRestart));
         let out = simulate(&cfg, &wl);
         assert_eq!(out.metrics.faults.evictions, 1);
 
@@ -1153,7 +1136,7 @@ mod tests {
 
     #[test]
     fn kill_requeue_wastes_the_whole_attempt_and_backs_off() {
-        let cfg = SimConfig::paper_default(recovery(elastic_core::RecoveryStrategy::KillRequeue));
+        let cfg = paper_default(recovery(elastic_core::RecoveryStrategy::KillRequeue));
         let out = simulate(&cfg, &reclaim_workload());
         assert_eq!(out.metrics.jobs.len(), 1, "retry succeeds within budget");
         let f = out.metrics.faults;
@@ -1211,7 +1194,7 @@ mod tests {
         ]);
         spec.events.sort_by(|a, b| a.at.partial_cmp(&b.at).unwrap());
         let wl = wl.with_faults(spec);
-        let cfg = SimConfig::paper_default(recovery(elastic_core::RecoveryStrategy::KillRequeue));
+        let cfg = paper_default(recovery(elastic_core::RecoveryStrategy::KillRequeue));
         let out = simulate(&cfg, &wl);
         let f = out.metrics.faults;
         assert_eq!(f.requeues, 3);
@@ -1236,8 +1219,7 @@ mod tests {
                 kind: FaultKind::Return,
             },
         ]));
-        let mut cfg =
-            SimConfig::paper_default(recovery(elastic_core::RecoveryStrategy::KillRequeue));
+        let mut cfg = paper_default(recovery(elastic_core::RecoveryStrategy::KillRequeue));
         // The kill lands at t=100, backoff expires at t=130; cancel in
         // between, while the job is alive but absent from the view.
         cfg.cancellations = vec![(Duration::from_secs(115.0), "victim".into())];
@@ -1258,8 +1240,7 @@ mod tests {
             slots: 40,
             kind: FaultKind::NodeFail,
         }]));
-        let cfg =
-            SimConfig::paper_default(recovery(elastic_core::RecoveryStrategy::ShrinkOnReclaim));
+        let cfg = paper_default(recovery(elastic_core::RecoveryStrategy::ShrinkOnReclaim));
         let out = simulate(&cfg, &wl);
         assert_eq!(out.metrics.jobs.len(), 1);
         // After the failure at most 24 slots exist; the job must have
@@ -1276,7 +1257,7 @@ mod tests {
         // O(submits + rescales).
         let n = 64usize;
         let wl = spaced(generate_workload(1, n), 15.0);
-        let cfg = SimConfig::paper_default(policy(PolicyKind::Elastic, 10.0));
+        let cfg = paper_default(policy(PolicyKind::Elastic, 10.0));
         let out = simulate(&cfg, &wl);
         assert!(
             out.rescales as usize > n,

@@ -25,8 +25,11 @@
 //!   `hpc_workload::model` (the `Progress` integrator the operator's
 //!   `ModelExecutor` shares), replaying a `WorkloadSpec`'s own per-job
 //!   arrival and cancellation times.
-//! * [`experiments`] — the Fig. 7 / Fig. 8 sweeps, Table 1 rows and
-//!   the parameterized heavy-traffic replay.
+//! * [`experiments`] — the heavy-traffic scale scenario the frozen
+//!   `benchmark/` package replays: its capacity, submission gap and
+//!   workload. The paper's own campaign (Figs. 7 and 8, Table 1) is
+//!   `elastic_hpc::scenario::Scenario::campaign`, replayed by
+//!   `elastic-bench`.
 //!
 //! The work a replay does — events popped, rescales applied — is
 //! pinned exactly by `tests/replay_counters.rs`; its wall time is the
@@ -39,12 +42,5 @@ pub mod events;
 pub mod experiments;
 
 pub use engine::{simulate, SimConfig, SimOutcome, SimState};
-pub use experiments::{
-    heavy_traffic_replay, heavy_traffic_workload, sweep_rescale_gap, sweep_submission_gap,
-    table1_simulation, SweepPoint, DEFAULT_JOBS, DEFAULT_SEEDS,
-};
-pub use hpc_workload::{
-    generate_workload, load_workload, poisson_workload, FaultEvent, FaultKind, FaultSpec,
-    FlakyEvent, FlakyOp, FlakySpec, JobShape, JobSpec, MalleabilityModel, OverheadBreakdown,
-    OverheadModel, ScalingModel, SizeClass, SwfError, SwfLoadConfig, WorkloadError, WorkloadSpec,
-};
+pub use experiments::heavy_traffic_workload;
+pub use hpc_workload::{OverheadModel, ScalingModel};

@@ -5,8 +5,9 @@
 //!
 //! Run with: `cargo run --release --example scheduler_faceoff [seed]`
 
-use elastic_hpc::metrics::ascii;
-use elastic_hpc::sim::table1_simulation;
+use elastic_hpc::core::{Policy, PolicyConfig, PolicyKind};
+use elastic_hpc::metrics::{ascii, Duration};
+use elastic_hpc::scenario::{des, Scenario};
 
 fn main() {
     let seed = std::env::args()
@@ -15,9 +16,14 @@ fn main() {
         .unwrap_or(0u64);
     println!("16 random jobs (seed {seed}), submission gap 90s, T_rescale_gap 180s\n");
 
-    let rows = table1_simulation(seed);
+    let replay = |kind| {
+        let policy = move || Policy::of_kind(kind, PolicyConfig::default());
+        des(&Scenario::campaign(seed, Duration::from_secs(90.0), policy))
+    };
+    let rows: Vec<_> = PolicyKind::ALL.into_iter().map(replay).collect();
     println!("{:-<78}", "");
-    for (metrics, outcome) in &rows {
+    for outcome in &rows {
+        let metrics = &outcome.metrics;
         println!("{}", metrics.table_row());
         let total: Vec<(f64, f64)> = outcome
             .util
@@ -35,12 +41,15 @@ fn main() {
     println!("{:-<78}", "");
     println!("(block height = fraction of the 64 slots in use, like Fig. 9a)");
 
-    let elastic = rows.iter().find(|(m, _)| m.policy == "elastic").unwrap();
-    let moldable = rows.iter().find(|(m, _)| m.policy == "moldable").unwrap();
+    let elastic = rows.iter().find(|o| o.metrics.policy == "elastic").unwrap();
+    let moldable = rows
+        .iter()
+        .find(|o| o.metrics.policy == "moldable")
+        .unwrap();
     println!(
         "\nelastic vs moldable: {:+.1}% utilization, {:+.1}s total time, {} rescales",
-        (elastic.0.utilization - moldable.0.utilization) * 100.0,
-        elastic.0.total_time - moldable.0.total_time,
-        elastic.1.rescales
+        (elastic.metrics.utilization - moldable.metrics.utilization) * 100.0,
+        elastic.metrics.total_time - moldable.metrics.total_time,
+        elastic.rescales
     );
 }

@@ -27,8 +27,9 @@
 //! * [`metrics`] — clocks, interpolation and metric recording shared by
 //!   the "actual" and "simulated" experiment paths.
 //! * [`scenario`] — one description of a replay and the engines that
-//!   run it (DES, operator, ingest, federation): the cross-engine tests
-//!   and `elastic-bench`'s trace sweeps build their engines there.
+//!   run it (DES, operator, ingest, federation), and the paper's 16-job
+//!   campaign: the cross-engine tests and every `elastic-bench` DES
+//!   artifact build their engines there.
 //!
 //! `examples/quickstart.rs` is the shortest end-to-end run, and every
 //! figure and table of the paper is regenerated by the one `reproduce`

@@ -18,7 +18,8 @@
 //! executor chosen from the scaling model ([`operator`]); and the
 //! round-robin federation ([`federate`]). It is also the one loader of
 //! an SWF trace ([`load_trace`]) and the one place that names the
-//! bundled one ([`BUNDLED_TRACE`]).
+//! bundled one ([`BUNDLED_TRACE`]) or the paper's 16-job campaign
+//! ([`Scenario::campaign`]).
 
 use std::io::BufReader;
 use std::path::Path;
@@ -33,7 +34,7 @@ use crate::kube::{ControlPlane, KubeletConfig};
 use crate::metrics::{Duration, VirtualClock};
 use crate::serving::{run_workload_ingest, IngestConfig, IngestStats};
 use crate::sim::{simulate, OverheadModel, ScalingModel, SimConfig, SimOutcome};
-use crate::workload::{load_workload, FaultSpec, SwfLoadConfig, WorkloadSpec};
+use crate::workload::{generate_workload, load_workload, FaultSpec, SwfLoadConfig, WorkloadSpec};
 
 /// The bundled SWF trace: 24 jobs logged on a [`TRACE_CAPACITY`]-slot
 /// machine.
@@ -44,6 +45,12 @@ pub const TRACE_CAPACITY: u32 = 32;
 
 /// Slots per node of the operator's control plane.
 const NODE_SLOTS: u32 = 8;
+
+/// Jobs in one workload of the paper's campaign ([`Scenario::campaign`]).
+pub const CAMPAIGN_JOBS: usize = 16;
+
+/// Slots of the paper's testbed.
+const TESTBED_CAPACITY: u32 = 64;
 
 /// Loads the SWF trace at `path` under `cfg` and checks it replays.
 pub fn load_trace(path: &Path, cfg: &SwfLoadConfig) -> WorkloadSpec {
@@ -97,6 +104,20 @@ impl Scenario {
             tick: Duration::from_secs(1.0),
             horizon: Duration::from_secs(100_000.0),
         }
+    }
+
+    /// The paper's campaign (§4.3.1) for workload `seed`: its
+    /// [`CAMPAIGN_JOBS`] random paper-class jobs `submission_gap`
+    /// apart on the 64-slot testbed, under the checkpoint/restart
+    /// overhead model. Figs. 7 and 8, Table 1's Simulation column and
+    /// the ablations each replay one per seed and policy.
+    pub fn campaign<P: SchedulingPolicy + 'static>(
+        seed: u64,
+        submission_gap: Duration,
+        policy: impl Fn() -> P + 'static,
+    ) -> Self {
+        let workload = generate_workload(seed, CAMPAIGN_JOBS).spaced_every(submission_gap);
+        Self::new(workload, TESTBED_CAPACITY, policy).with_overhead(OverheadModel::default())
     }
 
     /// The bundled trace, rigidly annotated, on its own machine.

@@ -148,10 +148,10 @@ use elastic_hpc::core::{CharmOperator, EasyBackfill, ModelExecutor, Policy, Poli
 use elastic_hpc::federation::{FederationConfig, FederationRuntime, LeastLoaded};
 use elastic_hpc::kube::{ControlPlane, KubeletConfig};
 use elastic_hpc::metrics::{Duration, VirtualClock};
-use elastic_hpc::scenario::{sim_config, Scenario};
+use elastic_hpc::scenario::{des, sim_config, Scenario};
 use elastic_hpc::serving::{run_workload_ingest, IngestConfig, ShardRouter};
 use elastic_hpc::sim::experiments::SCALE_CAPACITY;
-use elastic_hpc::sim::{heavy_traffic_replay, heavy_traffic_workload, OverheadModel, SimState};
+use elastic_hpc::sim::{heavy_traffic_workload, OverheadModel, SimState};
 use elastic_hpc::workload::poisson_workload;
 
 /// `System`, counting every call that can obtain memory on the thread
@@ -282,7 +282,9 @@ fn peak_bytes_of<R>(f: impl FnOnce() -> R) -> (u64, R) {
 #[test]
 fn a_des_replay_holds_no_copy_of_its_inputs() {
     let workload = heavy_traffic_workload(0, DES_JOBS);
-    let replay = || heavy_traffic_replay(Box::new(elastic()), &workload);
+    let scenario = Scenario::new(workload, SCALE_CAPACITY, elastic);
+    let scenario = scenario.with_overhead(OverheadModel::default());
+    let replay = || des(&scenario);
     let (first, out) = peak_bytes_of(replay);
     assert_eq!(out.metrics.jobs.len(), DES_JOBS);
     drop(out);
@@ -296,8 +298,7 @@ fn a_des_replay_holds_no_copy_of_its_inputs() {
     );
 }
 
-/// One heavy-traffic DES replay (the scenario `heavy_traffic_replay`
-/// runs), stepped by hand: its live bytes at the end of its last
+/// The heavy-traffic DES replay above, stepped by hand: its live bytes at the end of its last
 /// `step`, its peak up to then and its peak with `finish`, each above
 /// what was live when it began.
 #[test]

@@ -46,7 +46,8 @@ const WATCHES: &str =
     "{path} watches other stores than the jobs and the pods; post what it must be told instead";
 // `\x20` spells the space, so a grep for the DES config literal over
 // the tree finds `src/scenario.rs` alone.
-const SCAFFOLD: &str = "fn bundled_trace(|fn replay_des(|fn replay_operator(|SimConfig\x20{";
+const SCAFFOLD: &str =
+    "fn bundled_trace(|fn replay_des(|fn replay_operator(|SimConfig\x20{|SimConfig::|simulate(";
 const SETUP: &str =
     "{path} builds its own replay scaffolding; describe it as an elastic_hpc::scenario::Scenario";
 const LOCKING: &str = "PoisonError|.lock()|.read()|.write()";
@@ -304,10 +305,11 @@ fn the_operator_watches_two_stores(read: Read) -> Verdict {
 }
 
 /// Outside `src/scenario.rs`, no root test, bench sweep or example
-/// loads the bundled trace, defines its own engine replay or writes a
-/// `SimConfig` literal: each describes its replay as a `Scenario` and
-/// takes the engine `elastic_hpc::scenario` builds from it. The trace's
-/// path is a literal, so it is looked for in the raw text.
+/// loads the bundled trace, defines its own engine replay, builds a
+/// `SimConfig` (a literal or a `SimConfig::` constructor) or calls
+/// `simulate`: each describes its replay as a `Scenario` and takes the
+/// engine `elastic_hpc::scenario` builds from it. The trace's path is a
+/// literal, so it is looked for in the raw text.
 fn one_differential_harness(read: Read) -> Verdict {
     let paths = files(&["tests", "crates/bench/src", "examples"]);
     let own = |p: &&String| p.ends_with(".rs") && *p != "tests/architecture.rs";
@@ -643,7 +645,19 @@ fn one_differential_harness_rule() {
                simulate(&cfg, &scenario.workload).metrics";
     let mutated = disk(path).replacen(call, own, 1);
     let broken = rail(one_differential_harness, path, &mutated, SETUP);
-    assert!(broken.ends_with("let cfg = SimConfig\x20{"), "{broken}");
+    let hits: Vec<&str> = broken.lines().skip(1).collect();
+    assert!(hits[0].ends_with("let cfg = SimConfig\x20{"), "{broken}");
+    assert!(
+        hits[1].ends_with("simulate(&cfg, &scenario.workload).metrics"),
+        "{broken}"
+    );
+    // Or a root test replays the paper's testbed through its own
+    // config, as `evicted_restart` did.
+    let path = "tests/evicted_restart.rs";
+    let own = "simulate(&SimConfig::paper_default(Box::new(policy())), &scenario.workload)";
+    let mutated = disk(path).replacen("des(&scenario)", own, 1);
+    let broken = rail(one_differential_harness, path, &mutated, SETUP);
+    assert_eq!(broken.lines().count(), 2, "{broken}");
 }
 
 #[test]

@@ -18,23 +18,13 @@ use std::collections::HashMap;
 use elastic_hpc::core::{Policy, PolicyConfig, PolicyKind, RunMetrics};
 use elastic_hpc::metrics::Duration;
 use elastic_hpc::scenario::{run, Engine, Scenario};
-use elastic_hpc::sim::{generate_workload, OverheadModel};
 
-/// The paper's testbed replaying `seed`'s 16 jobs, one every
-/// `submission_gap` seconds, under `kind` and the calibrated models.
+/// The paper's campaign of workload `seed`, one job every
+/// `submission_gap` seconds, under `kind`.
 fn testbed(kind: PolicyKind, seed: u64, submission_gap: f64) -> Scenario {
-    let workload = generate_workload(seed, 16).spaced_every(Duration::from_secs(submission_gap));
-    let policy = move || {
-        let cfg = PolicyConfig {
-            rescale_gap: Duration::from_secs(180.0),
-            launcher_slots: 1,
-            shrink_spares_head: true,
-        };
-        Policy::of_kind(kind, cfg)
-    };
-    Scenario::new(workload, 64, policy)
-        .with_overhead(OverheadModel::default())
-        .with_horizon(Duration::from_secs(200_000.0))
+    let gap = Duration::from_secs(submission_gap);
+    let policy = move || Policy::of_kind(kind, PolicyConfig::default());
+    Scenario::campaign(seed, gap, policy).with_horizon(Duration::from_secs(200_000.0))
 }
 
 /// The testbed's metrics on the operator and on the DES.

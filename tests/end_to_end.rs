@@ -6,11 +6,13 @@ use std::sync::Arc;
 use elastic_hpc::apps::{JacobiApp, JacobiConfig};
 use elastic_hpc::charm::{GreedyLb, RuntimeConfig};
 use elastic_hpc::core::{
-    run_real, AppSpec, CharmExecutor, CharmJobSpec, CharmOperator, Policy, PolicyConfig, Schedule,
+    run_real, AppSpec, CharmExecutor, CharmJobSpec, CharmOperator, Policy, PolicyConfig,
+    PolicyKind, Schedule,
 };
 use elastic_hpc::kube::{ControlPlane, KubeletConfig};
 use elastic_hpc::metrics::{Duration, RealClock};
-use elastic_hpc::sim::{generate_workload, SizeClass};
+use elastic_hpc::scenario::{des, Scenario};
+use elastic_hpc::workload::{generate_workload, SizeClass};
 
 fn policy(gap_s: f64) -> Policy {
     Policy::elastic(PolicyConfig {
@@ -135,14 +137,13 @@ fn repeated_rescaling_preserves_numerics() {
 /// same simulated Table 1, byte for byte.
 #[test]
 fn table1_simulation_is_reproducible() {
-    use elastic_hpc::sim::table1_simulation;
-    let a: Vec<String> = table1_simulation(42)
-        .iter()
-        .map(|(m, _)| m.table_row())
-        .collect();
-    let b: Vec<String> = table1_simulation(42)
-        .iter()
-        .map(|(m, _)| m.table_row())
-        .collect();
-    assert_eq!(a, b);
+    let table1 = || -> Vec<String> {
+        let replay = |kind| {
+            let policy = move || Policy::of_kind(kind, PolicyConfig::default());
+            let campaign = Scenario::campaign(42, Duration::from_secs(90.0), policy);
+            des(&campaign).metrics.table_row()
+        };
+        PolicyKind::ALL.into_iter().map(replay).collect()
+    };
+    assert_eq!(table1(), table1());
 }

@@ -11,8 +11,8 @@
 
 use elastic_hpc::core::{Policy, PolicyConfig, PolicyKind, RecoveryPolicy, RecoveryStrategy};
 use elastic_hpc::metrics::{Duration, JobId, SimTime};
-use elastic_hpc::sim::{simulate, SimConfig};
-use elastic_hpc::workload::{generate_workload, FaultSpec};
+use elastic_hpc::scenario::{des, Scenario};
+use elastic_hpc::workload::FaultSpec;
 
 #[test]
 fn an_evicted_job_is_not_gap_blocked_in_the_queue() {
@@ -24,17 +24,18 @@ fn an_evicted_job_is_not_gap_blocked_in_the_queue() {
         Duration::from_secs(120.0),
     );
     let first_reclaim = SimTime::ZERO + faults.events[0].at;
-    let workload = generate_workload(3, 16)
-        .spaced_every(Duration::from_secs(90.0))
-        .with_faults(faults);
     for kind in [PolicyKind::Moldable, PolicyKind::Elastic] {
-        let policy = RecoveryPolicy::new(
-            Box::new(Policy::of_kind(kind, PolicyConfig::default())),
-            RecoveryStrategy::CheckpointRestart,
-        );
+        let policy = move || {
+            RecoveryPolicy::new(
+                Box::new(Policy::of_kind(kind, PolicyConfig::default())),
+                RecoveryStrategy::CheckpointRestart,
+            )
+        };
+        let gap = Duration::from_secs(90.0);
+        let scenario = Scenario::campaign(3, gap, policy).with_faults(faults.clone());
         // A job left in the queue when the events run out panics the
         // replay ("never completed (starved in queue)").
-        let outcome = simulate(&SimConfig::paper_default(Box::new(policy)), &workload);
+        let outcome = des(&scenario);
         assert_eq!(
             outcome.metrics.jobs.len(),
             16,
