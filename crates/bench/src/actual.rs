@@ -12,7 +12,8 @@ use elastic_core::{
     run_real, AppSpec, CharmExecutor, CharmJobSpec, CharmOperator, JobRegistry, Policy,
     PolicyConfig, PolicyKind, RunMetrics, Schedule,
 };
-use elastic_hpc::workload::{generate_workload, SizeClass};
+use elastic_hpc::scenario::campaign_jobs;
+use elastic_hpc::workload::SizeClass;
 use hpc_metrics::{ascii, Duration, RealClock, UtilizationRecorder};
 use kube_sim::{ControlPlane, EventLog, KubeletConfig};
 
@@ -118,7 +119,7 @@ fn scaled_class(class: SizeClass, full: bool) -> ScaledClass {
 /// The scaled job set for workload `seed` (16 jobs, same class and
 /// priority draws as the simulator's workload generator).
 fn scaled_jobs(seed: u64, full: bool) -> Vec<CharmJobSpec> {
-    generate_workload(seed, 16)
+    campaign_jobs(seed)
         .jobs
         .into_iter()
         .map(|j| {
@@ -172,6 +173,7 @@ pub fn run_campaign(kind: PolicyKind, seed: u64, full: bool) -> CampaignResult {
     let capacity = plane.capacity();
     let policy = Policy::of_kind(kind, PolicyConfig::default());
     let mut op = CharmOperator::new(plane, Box::new(policy), Box::new(CharmExecutor));
+    op.record_allocations();
     let schedule = Schedule::every(scaled_jobs(seed, full), Duration::from_secs(90.0));
     let metrics = run_real(
         &mut op,
@@ -181,7 +183,9 @@ pub fn run_campaign(kind: PolicyKind, seed: u64, full: bool) -> CampaignResult {
     );
     CampaignResult {
         metrics,
-        util: op.utilization().clone(),
+        util: (op.utilization().log())
+            .expect("the campaign records its allocations")
+            .clone(),
         registry: op.registry().clone(),
         events: op.events.clone(),
         capacity,
@@ -248,7 +252,7 @@ pub fn fig9(options: &Options) -> Report {
 
         // Fig. 9b: replica evolution of the first xlarge job (elastic).
         if kind == PolicyKind::Elastic {
-            let xlarge = generate_workload(seed, 16)
+            let xlarge = campaign_jobs(seed)
                 .jobs
                 .into_iter()
                 .find(|j| j.class() == Some(SizeClass::XLarge))

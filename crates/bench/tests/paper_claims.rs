@@ -159,7 +159,8 @@ fn the_resilience_sweep_table_is_pinned() {
 /// policy and trace of `tests/fault_replay.rs` and
 /// `tests/resilience_replay.rs`.
 fn faulted(faults: FaultSpec) -> Scenario {
-    let policy = || RecoveryPolicy::new(Box::new(FcfsBackfill::new()), RecoveryStrategy::KillRequeue);
+    let policy =
+        || RecoveryPolicy::new(Box::new(FcfsBackfill::new()), RecoveryStrategy::KillRequeue);
     Scenario::trace(policy).with_faults(faults)
 }
 

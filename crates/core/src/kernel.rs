@@ -1,10 +1,11 @@
 //! The scheduling kernel: the one job-state transition machine under
 //! both engines.
 //!
-//! The [`Kernel`] owns the [`ClusterView`], the utilization record, the
+//! The [`Kernel`] owns the [`ClusterView`], the utilization fold, the
 //! rescale / cancel / completed / failed tallies, the [`FaultStats`],
-//! the [`ResilienceState`], the recovery parameters and a dense per-job
-//! attempt ledger, and it is the only code that calls a
+//! the [`ResilienceState`], the recovery parameters, an attempt ledger
+//! of one row per live job and the completed jobs' outcome rows, and
+//! it is the only code that calls a
 //! [`SchedulingPolicy`] hook, folds an [`Action`] into the view, costs
 //! an eviction or a requeue, picks a flaky victim, routes a
 //! [`FlakyOutcome`], decides that every job is terminal, or builds
@@ -16,10 +17,22 @@
 //! event → hook table is in the crate docs (`elastic_core`, "One
 //! kernel under both engines"); the order in which the events of one
 //! instant arrive is [`EventClass`].
+//!
+//! # Sized by the live jobs
+//!
+//! A job takes an attempt row when it is admitted and gives it back —
+//! for the next admission to reuse — when it completes, is cancelled or
+//! fails, once its outcome is written; its view row goes at the same
+//! moment. What stays per job for the whole run is 4 bytes (where its
+//! row is, or how it ended) and a [`JobOutcome`] row, filled in as the
+//! job completes and named and read in id order at the end. Utilization is folded
+//! as the clock advances ([`Utilization`]), so no allocation change is
+//! kept unless a caller asks for the series
+//! ([`Kernel::record_allocations`]).
 
 use std::sync::Arc;
 
-use hpc_metrics::{Counter, Counters, Duration, JobId, SimTime, UtilizationRecorder};
+use hpc_metrics::{ColumnBytes, Counter, Counters, Duration, JobId, SimTime, Utilization};
 use hpc_workload::{FaultEvent, FaultKind, FaultSpec, FlakyOp};
 
 use crate::policy::{CompleteBurst, SchedulingPolicy, SubmitBurst};
@@ -129,13 +142,20 @@ pub trait Effects {
     /// One completion of the burst is fully applied (retired, decided,
     /// folded) — the DES's per-event bookkeeping point.
     fn event_done(&mut self) {}
+
+    /// What only the engine knows about `job`, asked when it completes:
+    /// its priority and submission instant. (Its name is asked for when
+    /// the report is built: [`Kernel::metrics`].)
+    fn identify(&self, job: JobId) -> (u32, SimTime);
 }
 
-/// Where a job is in its life. The instant a phase needs is the row's
-/// [`Attempt::at`], so the tag is one byte.
+/// Where a job is in its life. A live or away job's phase is its
+/// row's; the others are where its row would be (`Kernel::row_of`). The
+/// instant a phase needs is the row's [`Attempt::at`], so the tag is
+/// one byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum Phase {
-    /// Never admitted.
+    /// Never admitted (and, on a row, a free row).
     #[default]
     Unknown,
     /// In the view, queued or running.
@@ -153,7 +173,7 @@ enum Phase {
 /// started.
 const NOT_STARTED: SimTime = SimTime::NEG_INFINITY;
 
-/// One row of the attempt ledger.
+/// One row of the attempt ledger: a live job's, or an away one's.
 #[derive(Debug, Clone, Copy)]
 struct Attempt {
     phase: Phase,
@@ -161,6 +181,9 @@ struct Attempt {
     replicas: u32,
     /// Kill-and-requeue attempts consumed.
     attempts: u32,
+    /// Slots the utilization fold has on record for the job: its
+    /// `replicas`, except while a shrink awaits its acknowledgement.
+    on_record: u32,
     /// When the application of the current attempt started, or
     /// [`NOT_STARTED`].
     started_at: SimTime,
@@ -174,8 +197,8 @@ struct Attempt {
     at: SimTime,
 }
 
-/// The ledger has a row for every job ever submitted, for the whole
-/// run: no padding (a 400 000-job replay holds 16 MB of them).
+/// The ledger is as long as the most jobs ever live or away at once:
+/// its row stays at five words.
 const _: () = assert!(std::mem::size_of::<Attempt>() <= 40);
 
 impl Default for Attempt {
@@ -184,6 +207,7 @@ impl Default for Attempt {
             phase: Phase::Unknown,
             replicas: 0,
             attempts: 0,
+            on_record: 0,
             started_at: NOT_STARTED,
             banked: 0.0,
             at: SimTime::ZERO,
@@ -198,10 +222,19 @@ impl Attempt {
     }
 }
 
+/// [`Kernel::row_of`] of a job never admitted.
+const UNKNOWN: u32 = u32::MAX;
+/// [`Kernel::row_of`] of a job that completed.
+const COMPLETED: u32 = u32::MAX - 1;
+/// [`Kernel::row_of`] of a job that was cancelled.
+const CANCELLED: u32 = u32::MAX - 2;
+/// [`Kernel::row_of`] of a job that failed for good.
+const FAILED: u32 = u32::MAX - 3;
+
 /// The transition machine (see the module docs).
 pub struct Kernel {
     view: ClusterView,
-    util: UtilizationRecorder,
+    util: Utilization,
     launcher: u32,
     completed: u32,
     /// `permanent_failures` doubles as the failed-jobs tally.
@@ -211,7 +244,23 @@ pub struct Kernel {
     recovery: FaultSpec,
     /// Transient faults are scheduled: completions feed the breaker.
     flaky_scheduled: bool,
-    jobs: Vec<Attempt>,
+    /// Per known job, by id: its row in `rows` while it is live or
+    /// away, else [`UNKNOWN`], [`COMPLETED`], [`CANCELLED`] or
+    /// [`FAILED`].
+    row_of: Vec<u32>,
+    /// The attempt ledger: live and away jobs' rows, and free ones.
+    rows: Vec<Attempt>,
+    /// Free rows of `rows`, the last freed on top.
+    free: Vec<u32>,
+    /// Per known job, by id: its outcome once it completed, named
+    /// [`Kernel::unnamed`] until a report names it.
+    outcomes: Vec<Option<JobOutcome>>,
+    /// The kernel's own placeholder name: writing an outcome row then
+    /// touches no name the engine shares (a workload's names are read
+    /// by every shard of a federation at once).
+    unnamed: Arc<str>,
+    /// Jobs admitted at least once.
+    admitted: u32,
     /// Burst dispatches and their jobs, cancellations and rescales.
     counters: Counters,
 }
@@ -223,14 +272,19 @@ impl Kernel {
         let recovery = FaultSpec::default();
         Kernel {
             view: ClusterView::new(capacity),
-            util: UtilizationRecorder::new(capacity.max(1)),
+            util: Utilization::new(capacity.max(1)),
             launcher: launcher_slots,
             completed: 0,
             faults: FaultStats::default(),
             resilience: ResilienceState::new(&recovery.flaky),
             recovery,
             flaky_scheduled: false,
-            jobs: Vec::new(),
+            row_of: Vec::new(),
+            rows: Vec::new(),
+            free: Vec::new(),
+            outcomes: Vec::new(),
+            unnamed: Arc::from(""),
+            admitted: 0,
             counters: Counters::default(),
         }
     }
@@ -251,10 +305,12 @@ impl Kernel {
 
     /// Declares that ids `0..n` will be admitted: until they are, they
     /// count as not terminal (an engine that knows its whole workload
-    /// up front says so here).
+    /// up front says so here), and the outcome rows are reserved in
+    /// one allocation.
     pub fn expect_jobs(&mut self, n: usize) {
-        if n > self.jobs.len() {
-            self.jobs.resize(n, Attempt::default());
+        if n > self.row_of.len() {
+            self.row_of.resize(n, UNKNOWN);
+            self.outcomes.reserve_exact(n - self.outcomes.len());
         }
     }
 
@@ -263,9 +319,19 @@ impl Kernel {
         &self.view
     }
 
-    /// Worker slots per job over time.
-    pub fn utilization(&self) -> &UtilizationRecorder {
+    /// Cluster utilization, folded so far.
+    pub fn utilization(&self) -> &Utilization {
         &self.util
+    }
+
+    /// Keeps every allocation change too — the per-job series the
+    /// Fig. 9 profiles plot ([`Utilization::log`]). The one way to ask
+    /// for them; a run that does not keeps none.
+    ///
+    /// # Panics
+    /// Once an allocation has changed.
+    pub fn record_allocations(&mut self) {
+        self.util.keep_log();
     }
 
     /// Fault-recovery tallies so far, the resilience layer's included.
@@ -291,38 +357,111 @@ impl Kernel {
         u32::try_from(self.counters[counter]).expect("a kernel tally fits in u32")
     }
 
+    /// The bytes of each column the kernel holds, its view's included.
+    pub fn column_bytes(&self) -> Vec<ColumnBytes> {
+        let mut columns = vec![
+            ColumnBytes::of_vec("kernel row map", &self.row_of),
+            ColumnBytes::of_vec("kernel attempt rows", &self.rows),
+            ColumnBytes::of_vec("kernel free rows", &self.free),
+            ColumnBytes::of_vec("outcome rows", &self.outcomes),
+        ];
+        columns.extend(self.util.column_bytes());
+        columns.extend(self.view.column_bytes());
+        columns
+    }
+
     /// Jobs admitted or expected so far.
     pub fn known_jobs(&self) -> usize {
-        self.jobs.len()
+        self.row_of.len()
     }
 
     /// `true` once every known job is terminal. O(1): each terminal
     /// phase has one writer, which bumps its tally in the same breath.
     pub fn all_terminal(&self) -> bool {
+        self.terminal() as usize == self.row_of.len()
+    }
+
+    /// Completed, cancelled and failed jobs.
+    fn terminal(&self) -> u32 {
         let cancelled = self.tally(Counter::Cancellations);
-        let terminal = self.completed + cancelled + self.faults.permanent_failures;
-        terminal as usize == self.jobs.len()
+        self.completed + cancelled + self.faults.permanent_failures
     }
 
     /// Known jobs that are not terminal, in id order (diagnostics).
     pub fn unfinished(&self) -> impl Iterator<Item = JobId> + '_ {
-        let terminal = |p| matches!(p, Phase::Completed | Phase::Cancelled | Phase::Failed);
-        self.jobs
-            .iter()
-            .enumerate()
-            .filter(move |(_, a)| !terminal(a.phase))
+        let terminal = [COMPLETED, CANCELLED, FAILED];
+        (self.row_of.iter().enumerate())
+            .filter(move |(_, row)| !terminal.contains(row))
             .map(|(i, _)| JobId::from_index(i))
+    }
+
+    /// Where `job` is in its life.
+    fn phase(&self, job: JobId) -> Phase {
+        match self.row_of.get(job.index()).copied().unwrap_or(UNKNOWN) {
+            UNKNOWN => Phase::Unknown,
+            COMPLETED => Phase::Completed,
+            CANCELLED => Phase::Cancelled,
+            FAILED => Phase::Failed,
+            row => self.rows[row as usize].phase,
+        }
+    }
+
+    /// The row of live or away `job`.
+    #[inline]
+    fn row(&self, job: JobId) -> usize {
+        let row = self.row_of[job.index()];
+        debug_assert!(row < FAILED, "{job} has no attempt row");
+        row as usize
+    }
+
+    /// A fresh live row for `job`: a free one, or a new one.
+    fn take_row(&mut self, job: JobId) -> usize {
+        let fresh = Attempt {
+            phase: Phase::Live,
+            ..Attempt::default()
+        };
+        let row = match self.free.pop() {
+            Some(row) => {
+                self.rows[row as usize] = fresh;
+                row as usize
+            }
+            None => {
+                self.rows.push(fresh);
+                self.rows.len() - 1
+            }
+        };
+        self.row_of[job.index()] = row as u32;
+        row
+    }
+
+    /// `job` ended as `how` ([`COMPLETED`], [`CANCELLED`] or
+    /// [`FAILED`]): its row, if it had one, is free for the next
+    /// admission.
+    fn end(&mut self, job: JobId, how: u32) {
+        let row = std::mem::replace(&mut self.row_of[job.index()], how);
+        if row < FAILED {
+            self.rows[row as usize].phase = Phase::Unknown;
+            self.free.push(row);
+        }
+    }
+
+    /// `job`, on `row`, holds `slots` slots from `now` on.
+    #[inline]
+    fn record(&mut self, row: usize, job: JobId, now: SimTime, slots: u32) {
+        let from = std::mem::replace(&mut self.rows[row].on_record, slots);
+        self.util.record(now, job, from, slots);
     }
 
     /// Panics unless the books balance: every slot is free, failed or
     /// held by a running job (less the open deficit); free slots and a
-    /// deficit never coexist; the completed / cancelled / failed tallies
-    /// partition the terminal jobs; and the view holds exactly the live
-    /// ones. O(jobs) — engines run it in debug builds, tests after every
-    /// event.
+    /// deficit never coexist; the view holds exactly the live jobs,
+    /// each on a live row; and the completed / cancelled / failed
+    /// tallies and the live and away rows partition the admitted jobs.
+    /// O(live), allocating nothing — engines run it in debug builds,
+    /// tests after every event.
     pub fn check(&self) {
         let v = &self.view;
-        let held: u32 = (v.jobs().filter(|j| j.running))
+        let held: u32 = (v.jobs_unordered().filter(|j| j.running))
             .map(|j| j.replicas + self.launcher)
             .sum();
         assert_eq!(
@@ -336,23 +475,18 @@ impl Kernel {
             v.free_slots(),
             v.deficit()
         );
-        let (mut completed, mut cancelled, mut failed) = (0, 0, 0);
-        for (i, a) in self.jobs.iter().enumerate() {
-            match a.phase {
-                Phase::Completed => completed += 1,
-                Phase::Cancelled => cancelled += 1,
-                Phase::Failed => failed += 1,
-                Phase::Unknown | Phase::Live | Phase::Away => {}
-            }
-            let in_view = v.job(JobId::from_index(i)).is_some();
-            assert_eq!(in_view, a.phase == Phase::Live, "job {i} is {:?}", a.phase);
+        for j in v.jobs_unordered() {
+            assert_eq!(self.phase(j.id), Phase::Live, "job {} in the view", j.id);
         }
-        let tallies = (
-            self.completed,
-            self.tally(Counter::Cancellations),
-            self.faults.permanent_failures,
+        let count = |phase| self.rows.iter().filter(|a| a.phase == phase).count();
+        let (live, away) = (count(Phase::Live), count(Phase::Away));
+        assert_eq!(live, v.len(), "live rows out of the view");
+        assert_eq!(self.free.len(), count(Phase::Unknown), "free rows");
+        assert_eq!(
+            (self.terminal() as usize) + live + away,
+            self.admitted as usize,
+            "the terminal tallies and the rows partition the admitted jobs"
         );
-        assert_eq!((completed, cancelled, failed), tallies, "terminal tallies");
     }
 
     // -----------------------------------------------------------------
@@ -389,7 +523,7 @@ impl Kernel {
         policy: &dyn SchedulingPolicy,
         fx: &mut E,
     ) -> bool {
-        if self.jobs[job.index()].phase != Phase::Away {
+        if self.phase(job) != Phase::Away {
             return false;
         }
         self.submit_burst(now, policy, fx);
@@ -503,7 +637,8 @@ impl Kernel {
                 // Retry budget dry: forcing the attempt counter to the
                 // ceiling makes the requeue below the permanent failure.
                 let job = victim.expect("deny outcome implies a victim");
-                let a = &mut self.jobs[job.index()];
+                let row = self.row(job);
+                let a = &mut self.rows[row];
                 a.attempts = (a.attempts).max(self.recovery.max_attempts.saturating_sub(1));
                 Action::Requeue { job }
             }
@@ -537,78 +672,80 @@ impl Kernel {
     /// `job`'s application started at `now` (after an
     /// [`Effects::launch`] that answered `false`).
     pub fn started(&mut self, job: JobId, now: SimTime) {
-        self.jobs[job.index()].started_at = now;
+        let row = self.row(job);
+        self.rows[row].started_at = now;
     }
 
     /// `job`'s application acknowledged the pending shrink at `now`
     /// (after an [`Effects::resize`] that answered `false`): from here
     /// on it occupies only what it is entitled to.
     pub fn shrunk(&mut self, job: JobId, now: SimTime) {
-        self.util.set(now, job, self.jobs[job.index()].replicas);
+        let row = self.row(job);
+        self.record(row, job, now, self.rows[row].replicas);
     }
 
     /// Final run metrics over the jobs that completed normally, in
-    /// `(submitted_at, id)` order. `identify` supplies what only the
-    /// reporting edge knows about a job: name, priority, submission
-    /// instant. The name is the caller's shared string (the workload's,
-    /// or the job registry's), so a report holds no copy of it. The
-    /// operator, which runs on after a report, calls this; an engine
-    /// done with the kernel calls [`Kernel::into_report`].
+    /// `(submitted_at, id)` order, from a copy of the outcome rows.
+    /// `name` is the reporting edge's name of a job: the caller's
+    /// shared string (the workload's, or the job registry's), so a
+    /// report holds no copy of it. The operator, which runs on after a
+    /// report, calls this; an engine done with the kernel calls
+    /// [`Kernel::into_report`].
     pub fn metrics(
         &self,
         policy: &dyn SchedulingPolicy,
-        mut identify: impl FnMut(JobId) -> (Arc<str>, u32, SimTime),
+        name: impl Fn(JobId) -> Arc<str>,
     ) -> RunMetrics {
-        let mut outcomes = Vec::with_capacity(self.completed as usize);
-        for (i, a) in self.jobs.iter().enumerate() {
-            if a.phase == Phase::Completed {
-                assert!(a.started_at != NOT_STARTED, "a completed job started");
-                let (name, priority, submitted_at) = identify(JobId::from_index(i));
-                outcomes.push(JobOutcome {
-                    name,
-                    priority,
-                    submitted_at,
-                    started_at: a.started_at,
-                    completed_at: a.at,
-                });
-            }
-        }
-        let (Some(first), Some(last)) = (
-            outcomes.iter().map(|o| o.submitted_at).min(),
-            outcomes.iter().map(|o| o.completed_at).max(),
-        ) else {
-            // Every job was cancelled or failed: nothing to aggregate.
-            return RunMetrics::empty(policy.name(), self.tally(Counter::Rescales))
-                .with_fault_stats(self.fault_stats());
+        let named = |(i, o): (usize, &Option<JobOutcome>)| {
+            let o = o.as_ref()?;
+            let name = name(JobId::from_index(i));
+            Some(JobOutcome { name, ..*o })
         };
-        // Stable: ties keep id (= admission) order, so the float sums
-        // inside the metrics are reproducible run to run. Ids are
-        // workload order in a replay, so the outcomes usually arrive
-        // sorted, and a stable sort of a sorted slice is the identity:
-        // skip it, and the scratch buffer it would allocate.
-        if !outcomes.is_sorted_by_key(|o| o.submitted_at) {
-            outcomes.sort_by_key(|o| o.submitted_at);
-        }
-        let utilization = self.util.average_utilization(first, last);
-        let rescales = self.tally(Counter::Rescales);
-        RunMetrics::from_outcomes(policy.name(), outcomes, utilization, rescales)
-            .with_fault_stats(self.fault_stats())
+        let outcomes = self.outcomes.iter().enumerate().filter_map(named).collect();
+        self.report(policy, outcomes)
     }
 
     /// Consumes the finished kernel into its report: [`Kernel::metrics`]
-    /// and the utilization record. The view is freed *before* the
-    /// outcomes are allocated — nothing reads it again — so an engine
-    /// that also frees its own replay state first peaks at its run
-    /// state, not at the run state plus the report. The attempt ledger
-    /// the outcomes are read from lives until they are built.
+    /// and the utilization fold. The outcome rows become the report's
+    /// in place, so the report allocates nothing the run did not.
     pub fn into_report(
         mut self,
         policy: &dyn SchedulingPolicy,
-        identify: impl FnMut(JobId) -> (Arc<str>, u32, SimTime),
-    ) -> (RunMetrics, UtilizationRecorder) {
-        self.view = ClusterView::new(0);
-        let metrics = self.metrics(policy, identify);
-        (metrics, self.util)
+        name: impl Fn(JobId) -> Arc<str>,
+    ) -> (RunMetrics, Utilization) {
+        let mut outcomes = std::mem::take(&mut self.outcomes);
+        for (i, o) in outcomes.iter_mut().enumerate() {
+            if let Some(o) = o {
+                o.name = name(JobId::from_index(i));
+            }
+        }
+        outcomes.retain(Option::is_some);
+        // `map` over a `Vec`'s own iterator collects into its buffer.
+        let outcomes = (outcomes.into_iter())
+            .map(|o| o.expect("only completed rows are left"))
+            .collect();
+        (self.report(policy, outcomes), self.util)
+    }
+
+    /// The run's metrics over `outcomes`, the completed rows in id
+    /// order.
+    fn report(&self, policy: &dyn SchedulingPolicy, mut outcomes: Vec<JobOutcome>) -> RunMetrics {
+        let rescales = self.tally(Counter::Rescales);
+        if outcomes.is_empty() {
+            // Every job was cancelled or failed: nothing to aggregate.
+            return RunMetrics::empty(policy.name(), rescales).with_fault_stats(self.fault_stats());
+        }
+        // Stable: ties keep id (= admission) order, so the float sums
+        // inside the metrics are reproducible run to run. Ids are
+        // workload order in a replay, so the outcomes arrive sorted,
+        // and a stable sort of a sorted slice is the identity: skip
+        // it, and the scratch buffer it would allocate.
+        if !outcomes.is_sorted_by_key(|o| o.submitted_at) {
+            outcomes.sort_by_key(|o| o.submitted_at);
+        }
+        let utilization = self.util.average();
+        RunMetrics::from_outcomes(policy.name(), outcomes, utilization, rescales)
+            .with_fault_stats(self.fault_stats())
     }
 
     // -----------------------------------------------------------------
@@ -636,15 +773,16 @@ impl Kernel {
     /// engine carry it out.
     fn apply<E: Effects>(&mut self, action: &Action, now: SimTime, fx: &mut E) {
         apply_action(&mut self.view, action, now, self.launcher);
-        let a = &mut self.jobs[action.job().index()];
+        let row = self.row(action.job());
         match *action {
             Action::Create { job, replicas } => {
                 // A fresh attempt ledger: waste on a later requeue
                 // charges only from this launch onward.
+                self.record(row, job, now, replicas);
+                let a = &mut self.rows[row];
                 a.replicas = replicas;
                 a.banked = 0.0;
                 a.at = now;
-                self.util.set(now, job, replicas);
                 a.started_at = if fx.launch(job, replicas, now) {
                     now
                 } else {
@@ -652,15 +790,17 @@ impl Kernel {
                 };
             }
             Action::Shrink { job, to_replicas } | Action::Expand { job, to_replicas } => {
+                let a = &mut self.rows[row];
                 a.bank(now);
                 let from = std::mem::replace(&mut a.replicas, to_replicas);
                 self.counters.add(Counter::Rescales, 1);
                 if fx.resize(job, from, to_replicas, now) {
-                    self.util.set(now, job, to_replicas);
+                    self.record(row, job, now, to_replicas);
                 }
             }
             Action::Enqueue { job } => fx.enqueued(job, now),
             Action::Evict { job } => {
+                let a = &mut self.rows[row];
                 // Only the tail since the last checkpoint boundary of
                 // this attempt is lost.
                 let rollback = if a.started_at == NOT_STARTED {
@@ -673,7 +813,7 @@ impl Kernel {
                 self.faults.wasted_core_seconds += f64::from(a.replicas) * rollback;
                 self.faults.evictions += 1;
                 a.replicas = 0;
-                self.util.set(now, job, 0);
+                self.record(row, job, now, 0);
                 let rollback = Duration::from_secs(rollback);
                 fx.stop(job, Stop::Evicted { rollback }, now);
             }
@@ -681,25 +821,26 @@ impl Kernel {
                 // The whole attempt is wasted; the job comes back after
                 // an exponential backoff, or never once the retry
                 // budget is spent.
+                let a = &mut self.rows[row];
                 a.bank(now);
                 self.faults.wasted_core_seconds += a.banked;
                 self.faults.requeues += 1;
                 a.banked = 0.0;
                 a.replicas = 0;
                 a.attempts += 1;
-                self.util.set(now, job, 0);
-                let why = if a.attempts >= self.recovery.max_attempts {
-                    a.phase = Phase::Failed;
+                let attempts = a.attempts;
+                self.record(row, job, now, 0);
+                let why = if attempts >= self.recovery.max_attempts {
+                    self.end(job, FAILED);
                     self.faults.permanent_failures += 1;
-                    Stop::Failed {
-                        attempts: a.attempts,
-                    }
+                    Stop::Failed { attempts }
                 } else {
-                    let back_at = now + self.recovery.backoff_for(a.attempts);
+                    let back_at = now + self.recovery.backoff_for(attempts);
+                    let a = &mut self.rows[row];
                     a.phase = Phase::Away;
                     a.at = back_at;
                     Stop::Requeued {
-                        attempt: a.attempts,
+                        attempt: attempts,
                         back_at,
                     }
                 };
@@ -718,33 +859,53 @@ impl Kernel {
     fn admit<E: Effects>(&mut self, adm: Admission, now: SimTime, fx: &mut E) -> Option<JobId> {
         let Admission { mut job, cancelled } = adm;
         debug_assert!(!job.running && job.last_action == SimTime::NEG_INFINITY);
-        self.expect_jobs(job.id.index() + 1);
-        let a = &mut self.jobs[job.id.index()];
-        match a.phase {
-            Phase::Unknown => {}
-            Phase::Away => job.submitted_at = a.at,
+        let id = job.id.index();
+        if id >= self.row_of.len() {
+            self.row_of.resize(id + 1, UNKNOWN);
+        }
+        match self.phase(job.id) {
+            Phase::Unknown => self.admitted += 1,
+            Phase::Away => job.submitted_at = self.rows[self.row(job.id)].at,
             phase => panic!("admission of {}, which is {phase:?}", job.id),
         }
         if cancelled {
-            a.phase = Phase::Cancelled;
+            self.end(job.id, CANCELLED);
             self.counters.add(Counter::Cancellations, 1);
             fx.stop(job.id, Stop::Cancelled, now);
             return None;
         }
-        a.phase = Phase::Live;
+        match self.row_of[id] {
+            UNKNOWN => {
+                self.take_row(job.id);
+            }
+            row => self.rows[row as usize].phase = Phase::Live,
+        }
         self.view.insert(job, self.launcher);
         Some(job.id)
     }
 
-    /// Retires a finished job out of the view.
+    /// Retires a finished job out of the view: its outcome row is
+    /// written, and its attempt and view rows freed.
     fn retire<E: Effects>(&mut self, job: JobId, now: SimTime, fx: &mut E) {
-        let a = &mut self.jobs[job.index()];
+        let row = self.row(job);
+        let a = self.rows[row];
         debug_assert_eq!(a.phase, Phase::Live, "completion of {job}");
-        a.phase = Phase::Completed;
-        a.at = now;
-        a.replicas = 0;
+        assert!(a.started_at != NOT_STARTED, "a completed job started");
         self.completed += 1;
-        self.util.set(now, job, 0);
+        self.record(row, job, now, 0);
+        let (priority, submitted_at) = fx.identify(job);
+        if job.index() >= self.outcomes.len() {
+            self.outcomes.resize(job.index() + 1, None);
+        }
+        self.outcomes[job.index()] = Some(JobOutcome {
+            name: Arc::clone(&self.unnamed),
+            priority,
+            submitted_at,
+            started_at: a.started_at,
+            completed_at: now,
+        });
+        self.util.completed(submitted_at, now);
+        self.end(job, COMPLETED);
         self.view.remove(job, self.launcher);
         // A successful retirement feeds the resilience layer (breaker
         // reset, budget deposit, health forgiveness).
@@ -762,19 +923,17 @@ impl Kernel {
         now: SimTime,
         fx: &mut E,
     ) -> Option<bool> {
-        let a = self.jobs.get_mut(job.index())?;
-        if !matches!(a.phase, Phase::Live | Phase::Away) {
+        if !matches!(self.phase(job), Phase::Live | Phase::Away) {
             return None;
         }
-        a.phase = Phase::Cancelled;
-        a.replicas = 0;
         self.counters.add(Counter::Cancellations, 1);
         // A job waiting out a backoff is alive but not in the view.
         let held = self
             .view
             .remove(job, self.launcher)
             .is_some_and(|j| j.running);
-        self.util.set(now, job, 0);
+        self.record(self.row(job), job, now, 0);
+        self.end(job, CANCELLED);
         fx.stop(job, Stop::Cancelled, now);
         Some(held)
     }

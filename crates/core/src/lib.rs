@@ -121,15 +121,16 @@
 //! ## One kernel under both engines
 //!
 //! The operator and the DES are adapters around one transition machine,
-//! [`kernel::Kernel`]. It owns the view, the utilization record, the
+//! [`kernel::Kernel`]. It owns the view, the utilization fold, the
 //! tallies, [`FaultStats`], the resilience core, the recovery
-//! parameters and the per-job attempt ledger, and it alone calls a
+//! parameters, an attempt ledger of one row per live job and the
+//! completed jobs' outcome rows, and it alone calls a
 //! policy hook, folds an [`Action`], costs an eviction or a requeue,
 //! picks a flaky victim, decides the run is over and builds
 //! [`RunMetrics`]. An engine turns what it observes into one entry
 //! point, passing the instant, the policy and its [`kernel::Effects`]
 //! (launch / resize / stop, the next admission or completion of a
-//! burst):
+//! burst, and a completed job's priority and submission):
 //!
 //! | within one instant | an engine observes | kernel entry point | policy hooks, in order |
 //! |---|---|---|---|

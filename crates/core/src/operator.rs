@@ -87,7 +87,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
-use hpc_metrics::{Counter, Counters, Duration, JobId, SimTime, UtilizationRecorder};
+use hpc_metrics::{Counter, Counters, Duration, JobId, SimTime, Utilization};
 use hpc_workload::{FaultEvent, FaultKind, FaultSpec, FlakyOp};
 use kube_sim::{ControlPlane, EventKind, EventLog, Pod, PodPhase, PodRole, Store, WatchEvent};
 
@@ -310,10 +310,20 @@ impl CharmOperator {
             .merge(self.plane.pods.counters())
     }
 
-    /// The utilization recorder (worker slots per job over time, keyed
-    /// by [`JobId`]; resolve names via [`CharmOperator::registry`]).
-    pub fn utilization(&self) -> &UtilizationRecorder {
+    /// Cluster utilization, folded so far; its
+    /// [`log`](hpc_metrics::Utilization::log) of worker slots per job
+    /// over time (keyed by [`JobId`]; resolve names via
+    /// [`CharmOperator::registry`]) if
+    /// [`record_allocations`](CharmOperator::record_allocations) asked
+    /// for it.
+    pub fn utilization(&self) -> &Utilization {
         self.kernel.utilization()
+    }
+
+    /// [`Kernel::record_allocations`]: keep every allocation change
+    /// (the Fig. 9 profiles). Before the first submission.
+    pub fn record_allocations(&mut self) {
+        self.kernel.record_allocations();
     }
 
     /// The name ↔ id interning table for this run.
@@ -771,24 +781,9 @@ impl CharmOperator {
     /// (cancelled jobs hold no meaningful response/completion times);
     /// call after [`CharmOperator::all_complete`].
     pub fn metrics(&self) -> RunMetrics {
-        // One pass over the store for what only the CRDs know.
-        let mut identity = vec![None; self.pool.registry.len()];
-        self.jobs.for_each(|s| {
-            let job = &s.obj;
-            if job.status.phase == JobPhase::Completed {
-                let id = self
-                    .pool
-                    .registry
-                    .id(&job.spec.name)
-                    .expect("completed job was admitted");
-                identity[id.index()] = Some((job.spec.priority, job.status.submitted_at));
-            }
-        });
         let registry = &self.pool.registry;
-        self.kernel.metrics(self.policy.as_ref(), |id| {
-            let (priority, submitted_at) = identity[id.index()].expect("completed job is stored");
-            (Arc::clone(registry.shared_name(id)), priority, submitted_at)
-        })
+        let name = |id| Arc::clone(registry.shared_name(id));
+        self.kernel.metrics(self.policy.as_ref(), name)
     }
 
     /// Executors currently launched (one per `Running` job).
@@ -1076,5 +1071,13 @@ impl Effects for Choreography<'_> {
 
     fn next_completion(&mut self) -> Option<JobId> {
         self.next_finished()
+    }
+
+    /// What the job's CRD says.
+    fn identify(&self, job: JobId) -> (u32, SimTime) {
+        let name = self.pool.registry.shared_name(job);
+        (self.jobs)
+            .read(name, |s| (s.obj.spec.priority, s.obj.status.submitted_at))
+            .expect("a completed job is stored")
     }
 }

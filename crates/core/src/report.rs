@@ -121,8 +121,8 @@ impl RunMetrics {
     }
 
     /// Computes the aggregate metrics from per-job outcomes plus the
-    /// externally integrated utilization (the recorder owns slot
-    /// accounting; see `hpc_metrics::UtilizationRecorder`).
+    /// externally integrated utilization (the kernel folds slot
+    /// accounting; see `hpc_metrics::Utilization`).
     pub fn from_outcomes(
         policy: impl Into<String>,
         jobs: Vec<JobOutcome>,

@@ -9,23 +9,30 @@
 //! The view is *incrementally maintained*: engines create it once per
 //! run and mutate it through [`ClusterView::insert`],
 //! [`ClusterView::remove`] and [`apply_action`], never rebuilding it.
-//! Job attributes live in a hot/cold arena (`JobArena`) indexed by
-//! the interned [`JobId`]: one packed 32-byte hot row per job
+//! Job attributes live in a hot/cold arena (`JobArena`) of *rows*, one
+//! per live job: a job takes a row when it is inserted and gives it
+//! back when it is removed, and the next insert reuses it, so the view
+//! is sized by the jobs live at once, not by the jobs a run has seen.
+//! An [`IdMap`] finds a live job's row from its interned [`JobId`]; the
+//! row holds the id back. One packed 32-byte hot row per job
 //! (`HotJob`: replica bounds, priority, live replicas, last action,
-//! liveness flags) holds everything the hot policy scans (priority
+//! liveness flags, id) holds everything the hot policy scans (priority
 //! walks, gap checks, footprint sums) and per-action updates touch —
 //! one cache line per visited job even when an index's order is
-//! random in id space — while the cold columns
+//! random in row space — while the cold columns
 //! (`submitted_at`, `walltime_estimate`) stay off the scan path.
 //! [`JobState`] is a plain `Copy` value *assembled from* the arena on
 //! read; [`JobRef`] is the lazy cursor that loads only the columns a
-//! scan touches.
+//! scan touches. Which row a job got is not state: every order below
+//! keys on the job's id, never its row, and two views holding the same
+//! jobs are equal however their rows are laid out.
 //!
 //! # Complexity contract
 //!
 //! The arena rows plus four counters (`free_slots`, `failed_slots`,
 //! `deficit`, live/running job counts) are the whole state; every
-//! mutation updates them in O(1) and `job(id)` resolves in O(1).
+//! mutation updates them in O(1) and `job(id)` resolves in O(1)
+//! (one map lookup).
 //!
 //! The **ordered indexes are pay-per-use**. Each one — running jobs
 //! by descending priority, by last scheduling action and by estimated
@@ -103,7 +110,7 @@ use std::cmp::{Ordering, Reverse};
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
-use hpc_metrics::{Counter, Counters, Duration, JobId, SimTime};
+use hpc_metrics::{ColumnBytes, Counter, Counters, Duration, IdMap, JobId, SimTime};
 
 /// Queue ordering key: submission time, then the interned id. (The
 /// estimated-end and last-action indexes share the shape: an instant,
@@ -114,6 +121,12 @@ use hpc_metrics::{Counter, Counters, Duration, JobId, SimTime};
 /// operator and the simulator (ids are assigned in admission order in
 /// both).
 type QueueKey = (SimTime, JobId);
+
+/// A key with the row of the job it keys: what a list is built from
+/// and the completion frontier (keyed on `(estimated end, id)`) holds,
+/// so reading either back needs no lookup. The id decides the order;
+/// the row only rides along.
+type Keyed = (QueueKey, u32);
 
 /// A job as the policy sees it: a by-value snapshot assembled from the
 /// view's columnar arena (everything is `Copy`, ~70 bytes).
@@ -205,7 +218,7 @@ impl JobFields for JobState {
     }
 }
 
-/// A borrowed cursor into one arena slot: every accessor is a single
+/// A borrowed cursor into one arena row: every accessor is a single
 /// column load, so scans that look at two or three fields per job (gap
 /// checks, priority breaks) skip the full [`JobState`] assembly.
 #[derive(Clone, Copy)]
@@ -238,7 +251,7 @@ impl JobRef<'_> {
             .priority()
             .cmp(&self.priority())
             .then_with(|| self.submitted_at().cmp(&other.submitted_at()))
-            .then_with(|| self.idx.cmp(&other.idx))
+            .then_with(|| self.id().cmp(&other.id()))
     }
 
     /// The whole job assembled by value — for the slow paths that sort
@@ -251,7 +264,7 @@ impl JobRef<'_> {
 impl JobFields for JobRef<'_> {
     #[inline]
     fn id(&self) -> JobId {
-        JobId(self.idx as u32)
+        self.arena.hot[self.idx].id
     }
     #[inline]
     fn priority(&self) -> u32 {
@@ -279,16 +292,16 @@ impl JobFields for JobRef<'_> {
     }
 }
 
-/// Arena flag: the slot holds a live job (not a tombstone).
+/// Arena flag: the row holds a live job (not a free row).
 const LIVE: u32 = 1;
 /// Arena flag: the job currently holds resources.
 const RUNNING: u32 = 1 << 1;
 
 /// The fields every hot policy loop touches (priority walks, gap
-/// checks, bound clamps, footprint sums), packed into one 32-byte slot
+/// checks, bound clamps, footprint sums), packed into one 32-byte row
 /// so a scan visiting a job in index-random priority order costs a
-/// single cache line. The ordered indexes dictate *which* slots a scan
-/// visits — index order is not id order — so grouping the hot fields
+/// single cache line. The ordered indexes dictate *which* rows a scan
+/// visits — index order is not row order — so grouping the hot fields
 /// matters more than splitting them into per-field columns would.
 #[derive(Debug, Clone, Copy)]
 struct HotJob {
@@ -297,31 +310,31 @@ struct HotJob {
     priority: u32,
     replicas: u32,
     last_action: SimTime,
-    /// `LIVE` / `RUNNING` bits; `0` is a tombstone or never-used slot.
+    /// `LIVE` / `RUNNING` bits; `0` is a free row.
     flags: u32,
+    /// The job the row holds (the last one, in a free row).
+    id: JobId,
 }
 
-/// An unoccupied arena slot (tombstone / never used).
-const EMPTY_SLOT: HotJob = HotJob {
-    min_replicas: 0,
-    max_replicas: 0,
-    priority: 0,
-    replicas: 0,
-    last_action: SimTime::NEG_INFINITY,
-    flags: 0,
-};
+/// A hot row is one cache line's half: the id fits the padding.
+const _: () = assert!(std::mem::size_of::<HotJob>() == 32);
 
-/// Struct-of-arrays job storage indexed by the interned `JobId`: one
-/// packed [`HotJob`] column for the fields scans read, plus cold
-/// columns (`submitted_at`, `walltime_estimate`) that only index
-/// maintenance and full-snapshot assembly touch. Tombstones
-/// (completed/cancelled jobs) keep their slot with the `LIVE` flag
-/// cleared, exactly like the old `Vec<Option<JobState>>` kept a `None`.
+/// Struct-of-arrays job storage, one row per live job: one packed
+/// [`HotJob`] column for the fields scans read, plus cold columns
+/// (`submitted_at`, `walltime_estimate`) that only index maintenance
+/// and full-snapshot assembly touch. A removed job's row is cleared of
+/// its `LIVE` flag and pushed on `free`, which the next insert pops
+/// before the columns grow, so they are as long as the most jobs ever
+/// live at once.
 #[derive(Debug, Clone, Default)]
 struct JobArena {
     hot: Vec<HotJob>,
     submitted_at: Vec<SimTime>,
     walltime_estimate: Vec<Option<Duration>>,
+    /// Free rows, the last freed on top.
+    free: Vec<u32>,
+    /// Each live job's row.
+    rows: IdMap<u32>,
 }
 
 impl JobArena {
@@ -329,14 +342,54 @@ impl JobArena {
         self.hot.len()
     }
 
-    /// Grows every column so `idx` is addressable.
-    fn ensure(&mut self, idx: usize) {
-        if idx >= self.hot.len() {
-            let n = idx + 1;
-            self.hot.resize(n, EMPTY_SLOT);
-            self.submitted_at.resize(n, SimTime::ZERO);
-            self.walltime_estimate.resize(n, None);
-        }
+    /// The row of live job `id`.
+    #[inline]
+    fn row(&self, id: JobId) -> Option<usize> {
+        self.rows.get(&id).map(|&row| row as usize)
+    }
+
+    /// A row for `job`, which must not be live: a free one, or a new
+    /// one at the end of every column.
+    fn take_row(&mut self, job: &JobState) -> usize {
+        let hot = HotJob {
+            min_replicas: job.min_replicas,
+            max_replicas: job.max_replicas,
+            priority: job.priority,
+            replicas: job.replicas,
+            last_action: job.last_action,
+            flags: LIVE | if job.running { RUNNING } else { 0 },
+            id: job.id,
+        };
+        let idx = match self.free.pop() {
+            Some(row) => {
+                let idx = row as usize;
+                self.hot[idx] = hot;
+                self.submitted_at[idx] = job.submitted_at;
+                self.walltime_estimate[idx] = job.walltime_estimate;
+                idx
+            }
+            None => {
+                self.hot.push(hot);
+                self.submitted_at.push(job.submitted_at);
+                self.walltime_estimate.push(job.walltime_estimate);
+                self.hot.len() - 1
+            }
+        };
+        let previous = self.rows.insert(job.id, idx as u32);
+        assert!(previous.is_none(), "job {} already live", job.id);
+        idx
+    }
+
+    /// Takes live job `id` out of the row map: its row, which still
+    /// holds the job until [`JobArena::free_row`].
+    fn forget(&mut self, id: JobId) -> Option<usize> {
+        self.rows.remove(&id).map(|row| row as usize)
+    }
+
+    /// Frees the row at `idx`, forgotten, for the next insert.
+    fn free_row(&mut self, idx: usize) {
+        self.hot[idx].flags = 0;
+        self.free.push(idx as u32);
     }
 
     fn is_live(&self, idx: usize) -> bool {
@@ -353,7 +406,7 @@ impl JobArena {
         debug_assert!(self.is_live(idx));
         let h = &self.hot[idx];
         JobState {
-            id: JobId(idx as u32),
+            id: h.id,
             min_replicas: h.min_replicas,
             max_replicas: h.max_replicas,
             priority: h.priority,
@@ -365,21 +418,6 @@ impl JobArena {
         }
     }
 
-    /// Scatters a job snapshot into the columns.
-    fn set(&mut self, job: &JobState) {
-        let idx = job.id.index();
-        self.hot[idx] = HotJob {
-            min_replicas: job.min_replicas,
-            max_replicas: job.max_replicas,
-            priority: job.priority,
-            replicas: job.replicas,
-            last_action: job.last_action,
-            flags: LIVE | if job.running { RUNNING } else { 0 },
-        };
-        self.submitted_at[idx] = job.submitted_at;
-        self.walltime_estimate[idx] = job.walltime_estimate;
-    }
-
     /// Column-level [`JobState::estimated_end`].
     fn estimated_end(&self, idx: usize) -> SimTime {
         match (self.is_running(idx), self.walltime_estimate[idx]) {
@@ -388,26 +426,27 @@ impl JobArena {
         }
     }
 
-    fn end_key(&self, idx: usize) -> QueueKey {
-        (self.estimated_end(idx), JobId(idx as u32))
+    fn end_key(&self, idx: usize) -> Keyed {
+        ((self.estimated_end(idx), self.hot[idx].id), idx as u32)
     }
 
-    fn queue_key(&self, id: u32) -> QueueKey {
-        (self.submitted_at[id as usize], JobId(id))
+    fn queue_key(&self, row: u32) -> QueueKey {
+        (self.submitted_at[row as usize], self.hot[row as usize].id)
     }
 
-    fn action_key(&self, id: u32) -> QueueKey {
-        (self.hot[id as usize].last_action, JobId(id))
+    fn action_key(&self, row: u32) -> QueueKey {
+        let h = &self.hot[row as usize];
+        (h.last_action, h.id)
     }
 
-    fn cursor(&self, id: JobId) -> JobRef<'_> {
+    fn cursor(&self, row: u32) -> JobRef<'_> {
         JobRef {
             arena: self,
-            idx: id.index(),
+            idx: row as usize,
         }
     }
 
-    /// Live slots in dense id order.
+    /// Live rows in row order.
     fn live(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.len()).filter(|&i| self.is_live(i))
     }
@@ -436,7 +475,7 @@ impl JobArena {
 
     fn priority_orders(&self) -> PriorityIndex {
         let mut links = vec![[NIL; 2]; self.len()];
-        let keyed = |i: usize| self.queue_key(i as u32);
+        let keyed = |i: usize| (self.queue_key(i as u32), i as u32);
         let running = self.running().map(|i| (self.running_bucket(i), keyed(i)));
         let queued = self.queued().map(|i| (self.queued_bucket(i), keyed(i)));
         let ends = PriorityBuckets {
@@ -447,24 +486,29 @@ impl JobArena {
     }
 
     fn running_action_order(&self) -> OrderList {
-        let keys = self.running().map(|i| self.action_key(i as u32));
+        let keys = self
+            .running()
+            .map(|i| (self.action_key(i as u32), i as u32));
         OrderList::from_keys(self.len(), keys.collect())
     }
 
     fn queued_order(&self) -> OrderList {
-        let keys = self.queued().map(|i| self.queue_key(i as u32));
+        let keys = self.queued().map(|i| (self.queue_key(i as u32), i as u32));
         OrderList::from_keys(self.len(), keys.collect())
     }
 
-    fn running_end_order(&self) -> BTreeSet<QueueKey> {
+    fn running_end_order(&self) -> BTreeSet<Keyed> {
         self.running().map(|i| self.end_key(i)).collect()
     }
 
     fn queued_footprint(&self) -> FootprintIndex {
         let mut links = vec![[NIL; 2]; self.len()];
-        let keys = self
-            .queued()
-            .map(|i| (self.hot[i].min_replicas, self.queue_key(i as u32)));
+        let keys = self.queued().map(|i| {
+            (
+                self.hot[i].min_replicas,
+                (self.queue_key(i as u32), i as u32),
+            )
+        });
         let ends = bucketed(&mut links, keys.collect());
         KeyedList { ends, links }
     }
@@ -493,8 +537,8 @@ const NEXT: usize = 1;
 /// `[tail, head]`, both `NIL` when the list is empty.
 type Ends = [u32; 2];
 
-/// Key-ordered, doubly-linked lists of job ids threaded through one
-/// `[prev, next]` link column indexed by `JobId`, beside the arena.
+/// Key-ordered, doubly-linked lists of arena rows threaded through one
+/// `[prev, next]` link column indexed by row, beside the arena.
 /// `ends` holds one list's [`Ends`] ([`OrderList`]) or one per bucket
 /// ([`FootprintIndex`], [`PriorityIndex`]): a job sits in at most one
 /// list of a column, so buckets can share it. The keys — an instant,
@@ -573,13 +617,13 @@ fn link_after(links: &mut [[u32; 2]], ends: &mut Ends, prev: u32, id: u32) {
     links[id as usize] = [prev, next];
 }
 
-/// Links `id` in at its `key` position, walking in from the tail and
-/// the head alternately: O(distance to the nearer end), exact for any
-/// key. The keys are unique (they end in the id), so the walk from the
-/// tail stops at the first smaller key and the one from the head at
-/// the first larger; after `k` steps both have passed `k` jobs, so the
-/// tail walk reaches a smaller key before the head walk could run off
-/// the list.
+/// Links row `id` in at its `key` position, walking in from the tail
+/// and the head alternately: O(distance to the nearer end), exact for
+/// any key. The keys are unique (they end in the job's id), so the
+/// walk from the tail stops at the first smaller key and the one from
+/// the head at the first larger; after `k` steps both have passed `k`
+/// jobs, so the tail walk reaches a smaller key before the head walk
+/// could run off the list.
 fn link_sorted(links: &mut Vec<[u32; 2]>, ends: &mut Ends, id: u32, key: impl Fn(u32) -> QueueKey) {
     if id as usize >= links.len() {
         links.resize(id as usize + 1, [NIL; 2]);
@@ -697,12 +741,12 @@ fn same_buckets<K: Ord>(
             })
 }
 
-/// The buckets of the ids in `keys` (`(bucket, key)` pairs), each a
-/// list in key order linked through `links`.
-fn bucketed<K: Ord>(links: &mut [[u32; 2]], mut keys: Vec<(K, QueueKey)>) -> Buckets<K> {
+/// The buckets of the rows in `keys` (`(bucket, keyed row)` pairs),
+/// each a list in key order linked through `links`.
+fn bucketed<K: Ord>(links: &mut [[u32; 2]], mut keys: Vec<(K, Keyed)>) -> Buckets<K> {
     keys.sort_unstable();
     let mut buckets: Buckets<K> = Vec::new();
-    for (bucket, (_, JobId(id))) in keys {
+    for (bucket, (_, id)) in keys {
         if buckets.last().is_none_or(|(last, _)| *last != bucket) {
             buckets.push((bucket, [NIL; 2]));
         }
@@ -749,14 +793,14 @@ thread_local! {
 }
 
 impl OrderList {
-    /// The list of the ids in `keys`, in key order.
-    fn from_keys(len: usize, mut keys: Vec<QueueKey>) -> Self {
+    /// The list of the rows in `keys`, in key order.
+    fn from_keys(len: usize, mut keys: Vec<Keyed>) -> Self {
         keys.sort_unstable();
         let mut list = KeyedList {
             ends: [NIL; 2],
             links: vec![[NIL; 2]; len],
         };
-        for (_, JobId(id)) in keys {
+        for (_, id) in keys {
             let tail = list.ends[PREV];
             link_after(&mut list.links, &mut list.ends, tail, id);
         }
@@ -811,8 +855,7 @@ pub struct ClusterView {
     /// shrinks and completions pay it down before crediting `free`.
     /// Invariant: `free_slots > 0` implies `deficit == 0`.
     deficit: u32,
-    /// Columnar job storage indexed by `JobId`; cleared flags mark jobs
-    /// that completed or were cancelled.
+    /// Columnar job storage, one row per live job.
     arena: JobArena,
     live: usize,
     running: usize,
@@ -828,7 +871,7 @@ pub struct ClusterView {
     queued_order: OnceLock<OrderList>,
     /// Running jobs by estimated completion — the frontier EASY-style
     /// reservations walk. Jobs without an estimate key at `INFINITY`.
-    running_end_order: OnceLock<BTreeSet<QueueKey>>,
+    running_end_order: OnceLock<BTreeSet<Keyed>>,
     queued_footprint: OnceLock<FootprintIndex>,
 }
 
@@ -958,6 +1001,45 @@ impl ClusterView {
         counters
     }
 
+    /// The bytes of each column the view holds: the arena's, and the
+    /// link columns and frontier of each index built so far.
+    pub fn column_bytes(&self) -> Vec<ColumnBytes> {
+        let a = &self.arena;
+        let mut columns = vec![
+            ColumnBytes::of_vec("view hot rows", &a.hot),
+            ColumnBytes::of_vec("view submission instants", &a.submitted_at),
+            ColumnBytes::of_vec("view walltime estimates", &a.walltime_estimate),
+            ColumnBytes::of_vec("view free rows", &a.free),
+            ColumnBytes::of_map("view row map", &a.rows),
+        ];
+        let lists = [
+            (
+                "view priority links",
+                self.priority_orders.get().map(|l| &l.links),
+            ),
+            (
+                "view last-action links",
+                self.running_action_order.get().map(|l| &l.links),
+            ),
+            (
+                "view queue links",
+                self.queued_order.get().map(|l| &l.links),
+            ),
+            (
+                "view footprint links",
+                self.queued_footprint.get().map(|l| &l.links),
+            ),
+        ];
+        for (column, links) in lists {
+            columns.extend(links.map(|links| ColumnBytes::of_vec(column, links)));
+        }
+        if let Some(frontier) = self.running_end_order.get() {
+            let column = "view completion frontier";
+            columns.push(ColumnBytes::of_elements::<Keyed>(column, frontier.len()));
+        }
+        columns
+    }
+
     /// Index upkeep for the job at `idx` joining (`enter`) or leaving
     /// the running set. Like its sibling below it reads the job's keys
     /// from the arena row, so it runs while the row holds the state
@@ -1038,8 +1120,7 @@ impl ClusterView {
     /// The job behind `id`, if live. O(1) — assembled by value from the
     /// arena columns.
     pub fn job(&self, id: JobId) -> Option<JobState> {
-        let idx = id.index();
-        self.arena.is_live(idx).then(|| self.arena.get(idx))
+        self.arena.row(id).map(|idx| self.arena.get(idx))
     }
 
     /// Adds a job to the view. A running job debits
@@ -1049,9 +1130,7 @@ impl ClusterView {
     /// Panics if the id is already live or a running insert exceeds the
     /// free slots.
     pub fn insert(&mut self, job: JobState, launcher_slots: u32) {
-        let idx = job.id.index();
-        self.arena.ensure(idx);
-        assert!(!self.arena.is_live(idx), "job {} already live", job.id);
+        let idx = self.arena.take_row(&job);
         if job.running {
             let need = job.replicas + launcher_slots;
             assert!(
@@ -1062,7 +1141,6 @@ impl ClusterView {
             );
             self.free_slots -= need;
         }
-        self.arena.set(&job);
         self.live += 1;
         if job.running {
             self.index_running(idx, true);
@@ -1072,13 +1150,11 @@ impl ClusterView {
     }
 
     /// Removes a job (completion or cancellation), crediting
-    /// `replicas + launcher_slots` back if it was running. Returns the
-    /// removed state, or `None` if the id is not live.
+    /// `replicas + launcher_slots` back if it was running, and frees
+    /// its row. Returns the removed state, or `None` if the id is not
+    /// live.
     pub fn remove(&mut self, id: JobId, launcher_slots: u32) -> Option<JobState> {
-        let idx = id.index();
-        if !self.arena.is_live(idx) {
-            return None;
-        }
+        let idx = self.arena.forget(id)?;
         let job = self.arena.get(idx);
         self.live -= 1;
         if job.running {
@@ -1087,12 +1163,21 @@ impl ClusterView {
         } else {
             self.index_queued(idx, false);
         }
-        self.arena.hot[idx].flags = 0;
+        self.arena.free_row(idx);
         Some(job)
     }
 
-    /// Live jobs in dense id (= admission) order.
+    /// Live jobs in id (= admission) order. O(live · log live): the
+    /// rows are sorted by id, for the callers that want every job.
     pub fn jobs(&self) -> impl Iterator<Item = JobState> + '_ {
+        let mut rows: Vec<usize> = self.arena.live().collect();
+        rows.sort_unstable_by_key(|&i| self.arena.hot[i].id);
+        rows.into_iter().map(|i| self.arena.get(i))
+    }
+
+    /// Live jobs in no particular order, allocating nothing: for a
+    /// reader that sums or checks them.
+    pub fn jobs_unordered(&self) -> impl Iterator<Item = JobState> + '_ {
         self.arena.live().map(|i| self.arena.get(i))
     }
 
@@ -1109,7 +1194,7 @@ impl ClusterView {
         let index = self.priority_orders();
         let ids = index.ends.running.iter();
         ids.flat_map(move |&(_, ends)| walk(&index.links, ends))
-            .map(|id| self.arena.cursor(JobId(id)))
+            .map(|row| self.arena.cursor(row))
     }
 
     /// Running jobs by increasing `last_action` (id-tie-broken): the
@@ -1122,7 +1207,7 @@ impl ClusterView {
         self.running_action_order
             .get_or_init(|| self.arena.running_action_order())
             .iter()
-            .map(|id| self.arena.cursor(JobId(id)))
+            .map(|row| self.arena.cursor(row))
     }
 
     /// The queued jobs whose `min_replicas` is at most `fit`, in
@@ -1145,6 +1230,7 @@ impl ClusterView {
             .map(|&((min_replicas, priority), ends)| Lane {
                 priority,
                 next: arena.queue_key(ends[NEXT]),
+                row: ends[NEXT],
                 min_replicas,
             })
             .collect();
@@ -1159,7 +1245,7 @@ impl ClusterView {
         self.queued_order
             .get_or_init(|| self.arena.queued_order())
             .iter()
-            .map(|id| self.arena.cursor(JobId(id)))
+            .map(|row| self.arena.cursor(row))
     }
 
     /// Queued jobs *behind* `head` in submission order whose
@@ -1175,25 +1261,23 @@ impl ClusterView {
     ///
     /// Panics if `head` is not live.
     pub fn queued_fitting(&self, head: JobId, fit: u32) -> FittingCursor<'_> {
-        let idx = head.index();
-        assert!(
-            self.arena.is_live(idx),
-            "fitting cursor behind unknown {head}"
-        );
+        let idx = (self.arena.row(head))
+            .unwrap_or_else(|| panic!("fitting cursor behind unknown {head}"));
         let arena = &self.arena;
-        let after = arena.queue_key(head.0);
+        let after = arena.queue_key(idx as u32);
         let buckets = self
             .queued_footprint
             .get_or_init(|| arena.queued_footprint());
         let lanes = up_to(&buckets.ends, &fit)
             .iter()
             .filter_map(|&(min_replicas, ends)| {
-                let next = walk(&buckets.links, ends)
-                    .map(|id| arena.queue_key(id))
-                    .find(|&key| key > after)?;
+                let (next, row) = walk(&buckets.links, ends)
+                    .map(|row| (arena.queue_key(row), row))
+                    .find(|&(key, _)| key > after)?;
                 Some(Lane {
                     priority: Reverse(0),
                     next,
+                    row,
                     min_replicas,
                 })
             })
@@ -1210,16 +1294,17 @@ impl ClusterView {
         self.running_end_order
             .get_or_init(|| self.arena.running_end_order())
             .iter()
-            .map(|&(_, id)| self.arena.get(id.index()))
+            .map(|&(_, row)| self.arena.get(row as usize))
     }
 }
 
 /// One bucket inside a [`FittingCursor`]'s merge: its priority
-/// (one constant for the submission-order cursor) and the key of the
-/// job it yields next.
+/// (one constant for the submission-order cursor) and the key and row
+/// of the job it yields next.
 struct Lane {
     priority: Reverse<u32>,
     next: QueueKey,
+    row: u32,
     min_replicas: u32,
 }
 
@@ -1258,8 +1343,7 @@ impl<'a> FittingCursor<'a> {
     /// The job [`Iterator::next`] yields next, without moving past it.
     #[inline]
     pub(crate) fn peek(&self) -> Option<JobRef<'a>> {
-        let (_, id) = self.lanes[self.head()?].next;
-        Some(self.arena.cursor(id))
+        Some(self.arena.cursor(self.lanes[self.head()?].row))
     }
 
     /// The lane holding the next job: the least key among the lanes of
@@ -1287,23 +1371,24 @@ impl<'a> Iterator for FittingCursor<'a> {
     fn next(&mut self) -> Option<JobRef<'a>> {
         let at = self.head()?;
         let lane = &mut self.lanes[at];
-        let (_, id) = lane.next;
-        match self.links[id.index()][NEXT] {
+        let row = lane.row;
+        match self.links[row as usize][NEXT] {
             NIL => {
                 self.lanes.remove(at);
             }
-            after => lane.next = self.arena.queue_key(after),
+            after => (lane.next, lane.row) = (self.arena.queue_key(after), after),
         }
-        Some(self.arena.cursor(id))
+        Some(self.arena.cursor(row))
     }
 }
 
 /// Two views are equal when they describe the same schedulable state:
 /// same capacity and slot counters, and the same live jobs field for
-/// field. Which ordered indexes happen to be built is not state — each
-/// is a pure function of the job rows — but a built one must *be* that
-/// function of its rows, and equality checks it (the
-/// incremental-vs-rebuilt property test leans on this).
+/// field, compared in id order — which row holds a job is not state.
+/// Nor is which ordered indexes happen to be built — each is a pure
+/// function of the job rows — but a built one must *be* that function
+/// of its rows, and equality checks it (the incremental-vs-rebuilt
+/// property test leans on this).
 impl PartialEq for ClusterView {
     fn eq(&self, other: &Self) -> bool {
         self.capacity == other.capacity
@@ -1426,8 +1511,8 @@ pub fn apply_action(view: &mut ClusterView, action: &Action, now: SimTime, launc
                 "create {job} needs {need} slots, only {} free",
                 view.free_slots
             );
-            let idx = job.index();
-            assert!(view.arena.is_live(idx), "create for unknown job {job}");
+            let idx =
+                (view.arena.row(job)).unwrap_or_else(|| panic!("create for unknown job {job}"));
             assert!(
                 !view.arena.is_running(idx),
                 "create for already-running {job}"
@@ -1447,8 +1532,8 @@ pub fn apply_action(view: &mut ClusterView, action: &Action, now: SimTime, launc
             view.index_running(idx, true);
         }
         Action::Expand { job, to_replicas } => {
-            let idx = job.index();
-            assert!(view.arena.is_live(idx), "expand for unknown job {job}");
+            let idx =
+                (view.arena.row(job)).unwrap_or_else(|| panic!("expand for unknown job {job}"));
             assert!(view.arena.is_running(idx), "expand of non-running {job}");
             let from = view.arena.hot[idx].replicas;
             assert!(
@@ -1466,8 +1551,8 @@ pub fn apply_action(view: &mut ClusterView, action: &Action, now: SimTime, launc
             view.free_slots -= grow;
         }
         Action::Shrink { job, to_replicas } => {
-            let idx = job.index();
-            assert!(view.arena.is_live(idx), "shrink for unknown job {job}");
+            let idx =
+                (view.arena.row(job)).unwrap_or_else(|| panic!("shrink for unknown job {job}"));
             assert!(view.arena.is_running(idx), "shrink of non-running {job}");
             let from = view.arena.hot[idx].replicas;
             assert!(
@@ -1484,8 +1569,8 @@ pub fn apply_action(view: &mut ClusterView, action: &Action, now: SimTime, launc
                 .unwrap_or_else(|| panic!("cancel for unknown job {job}"));
         }
         Action::Evict { job } => {
-            let idx = job.index();
-            assert!(view.arena.is_live(idx), "evict for unknown job {job}");
+            let idx =
+                (view.arena.row(job)).unwrap_or_else(|| panic!("evict for unknown job {job}"));
             assert!(view.arena.is_running(idx), "evict of non-running {job}");
             let freed = view.arena.hot[idx].replicas + launcher_slots;
             view.index_running(idx, false);
@@ -1496,8 +1581,8 @@ pub fn apply_action(view: &mut ClusterView, action: &Action, now: SimTime, launc
             view.index_queued(idx, true);
         }
         Action::Requeue { job } => {
-            let idx = job.index();
-            assert!(view.arena.is_live(idx), "requeue for unknown job {job}");
+            let idx =
+                (view.arena.row(job)).unwrap_or_else(|| panic!("requeue for unknown job {job}"));
             assert!(view.arena.is_running(idx), "requeue of non-running {job}");
             view.remove(job, launcher_slots);
         }
@@ -2488,6 +2573,26 @@ pub(crate) mod tests {
             .job(),
             JobId(9)
         );
+    }
+
+    #[test]
+    fn a_departed_jobs_row_is_the_next_arrivals_in_every_list() {
+        let mut view = view_of(64, 64, (0..4).map(|id| q(id, f64::from(id), 2)).collect());
+        read_queue_lists(&view);
+        view.running_scan().count();
+        let row = view.arena.row(JobId(1)).expect("live");
+        view.remove(JobId(1), 1);
+        // Same instant, same bucket: the new job links where the old
+        // one was unlinked, through the same row.
+        view.insert(q(9, 1.0, 2), 1);
+        assert_eq!(view.arena.row(JobId(9)), Some(row));
+        assert_eq!(view.arena.len(), 4, "no row grown");
+        assert_eq!(queue_ids(&view), [0, 9, 2, 3]);
+        assert_eq!(fitting_ids(&view, 0, 8), [9, 2, 3]);
+        assert_lists_current(&view);
+        let fresh = view_of(64, 64, view.jobs().collect());
+        assert_eq!(view, fresh, "equal, though laid out in other rows");
+        assert_ne!(fresh.arena.row(JobId(9)), Some(row));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! single event.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use elastic_core::kernel::{Admission, Effects, Kernel, Stop};
 use elastic_core::resilience::FlakyOutcome;
@@ -29,6 +29,11 @@ const LAUNCHER: u32 = 1;
 
 fn t(secs: f64) -> SimTime {
     SimTime::from_secs(secs)
+}
+
+/// The tests' name of job `id`: `"j{id}"`.
+fn name(id: JobId) -> Arc<str> {
+    format!("j{id}").into()
 }
 
 /// A queued admission of job `id` with bounds `min..=max`.
@@ -71,12 +76,15 @@ enum Fx {
 /// The recording fake: hands over what the test queued, records what
 /// it is told, and mimics either engine's answer to launch / shrink
 /// (`deferred`: the operator's "later"; otherwise the DES's "now").
+/// It identifies a job by the priority and submission instant of its
+/// first admission; the tests name job `i` `"j{i}"`.
 #[derive(Default)]
 struct Recorder {
     admitting: VecDeque<Admission>,
     finished: VecDeque<JobId>,
     deferred: bool,
     log: Vec<Fx>,
+    first_admitted: HashMap<JobId, (u32, SimTime)>,
 }
 
 impl Recorder {
@@ -87,7 +95,11 @@ impl Recorder {
 
 impl Effects for Recorder {
     fn next_admission(&mut self) -> Option<Admission> {
-        self.admitting.pop_front()
+        let admission = self.admitting.pop_front()?;
+        let job = &admission.job;
+        let identity = (job.priority, job.submitted_at);
+        self.first_admitted.entry(job.id).or_insert(identity);
+        Some(admission)
     }
     fn launch(&mut self, job: JobId, replicas: u32, _now: SimTime) -> bool {
         self.log.push(Fx::Launch(job, replicas));
@@ -108,6 +120,9 @@ impl Effects for Recorder {
     }
     fn event_done(&mut self) {
         self.log.push(Fx::EventDone);
+    }
+    fn identify(&self, job: JobId) -> (u32, SimTime) {
+        self.first_admitted[&job]
     }
 }
 
@@ -161,9 +176,10 @@ impl SchedulingPolicy for Scripted {
 }
 
 /// A kernel with job 0 (bounds 2..=16) running on 10 workers since
-/// `t = 0`.
+/// `t = 0`, keeping its allocation changes.
 fn one_running(policy: &Scripted, fx: &mut Recorder) -> Kernel {
     let mut kernel = Kernel::new(CAPACITY, LAUNCHER);
+    kernel.record_allocations();
     let job = JobId(0);
     fx.admitting.push_back(adm(0, 2, 16, 0.0));
     policy.plan("submit", vec![Action::Create { job, replicas: 10 }]);
@@ -430,7 +446,7 @@ fn a_deferred_shrink_holds_its_slots_in_the_record_until_acknowledged() {
     // The view is the policy's: the slots are free to plan with at once.
     assert_eq!(kernel.view().free_slots(), CAPACITY - 5);
     // The record is physical: ten workers until the application acks.
-    let series = |k: &Kernel| k.utilization().total_series();
+    let series = |k: &Kernel| k.utilization().log().expect("kept").total_series();
     assert_eq!(series(&kernel), [(t(0.0), 10)]);
     kernel.shrunk(job, t(53.0));
     assert_eq!(series(&kernel), [(t(0.0), 10), (t(53.0), 4)]);
@@ -531,7 +547,7 @@ fn a_completion_burst_settles_each_event_before_pulling_the_next() {
 
     // Metrics: completed jobs in (submitted_at, id) order, identified at
     // the reporting edge; utilization over first submit → last complete.
-    let metrics = kernel.metrics(&policy, |id| (format!("j{id}").into(), 2, t(0.0)));
+    let metrics = kernel.metrics(&policy, name);
     let names: Vec<&str> = metrics.jobs.iter().map(|j| &*j.name).collect();
     assert_eq!(names, ["j0", "j1", "j2"]);
     assert_eq!(metrics.jobs[2].started_at, t(100.0));
@@ -539,6 +555,50 @@ fn a_completion_burst_settles_each_event_before_pulling_the_next() {
     let busy = 16.0 * 100.0 + 8.0 * 50.0;
     assert_eq!(metrics.utilization, busy / (150.0 * f64::from(CAPACITY)));
     assert_eq!(metrics.policy, "scripted");
+}
+
+/// The utilization window starts at the first *completed* job's
+/// submission and ends at the last completion, however the jobs that
+/// did not complete held slots: one that ran before the window (then
+/// was cancelled) and one that ran after it (then failed for good)
+/// count only inside it. The kernel's fold equals the integral over
+/// the allocation log, bit for bit.
+#[test]
+fn utilization_counts_only_the_window_of_the_completed_jobs() {
+    let (policy, mut fx) = (Scripted::default(), Recorder::default());
+    let mut kernel = one_running(&policy, &mut fx);
+    kernel.set_recovery(&FaultSpec {
+        max_attempts: 1,
+        ..FaultSpec::default()
+    });
+    let (early, done, late) = (JobId(0), JobId(1), JobId(2));
+    let create = |job, replicas| vec![Action::Create { job, replicas }];
+    // `early` runs 10 workers from 0; `done`, submitted at 5, runs 8.
+    fx.admitting.push_back(adm(1, 2, 8, 5.0));
+    policy.plan("submit", create(done, 8));
+    kernel.submit_burst(t(5.0), &policy, &mut fx);
+    assert!(kernel.cancel(early, t(20.0), &policy, &mut fx));
+    fx.finished.push_back(done);
+    kernel.complete_burst(t(50.0), &policy, &mut fx);
+    // `late` runs 4 from 60 until its only attempt is killed at 70.
+    fx.admitting.push_back(adm(2, 2, 8, 60.0));
+    policy.plan("submit", create(late, 4));
+    kernel.submit_burst(t(60.0), &policy, &mut fx);
+    policy.plan("timer", vec![Action::Requeue { job: late }]);
+    assert!(kernel.timer(t(70.0), &policy, &mut fx));
+    assert!(kernel.all_terminal());
+    kernel.check();
+
+    let metrics = kernel.metrics(&policy, name);
+    assert_eq!(metrics.jobs.len(), 1);
+    assert_eq!(metrics.faults.permanent_failures, 1);
+    let log = kernel.utilization().log().expect("kept");
+    let logged = log.average_utilization(t(5.0), t(50.0));
+    assert_eq!(metrics.utilization.to_bits(), logged.to_bits());
+    // [5, 20): 18 workers, [20, 50): 8, over 45 s of 32 slots.
+    let busy = 15.0 * 18.0 + 30.0 * 8.0;
+    assert_eq!(metrics.utilization, busy / (45.0 * f64::from(CAPACITY)));
+    assert_eq!(kernel.utilization().peak(), 18);
 }
 
 /// The proptest's engine stand-in: remembers what it would need to

@@ -25,6 +25,14 @@
 //! held both to the rebuilt view's lane and to the model's queued jobs,
 //! sorted by priority in the test and filtered by that fit — so
 //! priority buckets open, fill mid-list, empty and drop under it.
+//!
+//! The view keeps a row per live job and hands a departed job's row to
+//! the next arrival, so the maintained view's rows are laid out unlike
+//! the rebuilt one's, and equality compares what they hold. Every
+//! removal frees a row the next insert takes; one operation takes it at
+//! once, for a fresh job keyed beside the one that left, so a row is
+//! unlinked from its lists and linked back into the same ones — under
+//! another id — with nothing in between.
 
 use std::cmp::Reverse;
 
@@ -194,7 +202,7 @@ proptest! {
             };
             let now = SimTime::from_secs(f64::from(clock));
             let free = shadow.free();
-            let op = rng.gen_range(0..10u32);
+            let op = rng.gen_range(0..11u32);
             match op {
                 // Submit: a fresh job enters both worlds — queued, or
                 // (one in four, room permitting) already running since
@@ -332,6 +340,33 @@ proptest! {
                         s.replicas = 0;
                         s.last_action = now;
                         shadow.release(freed);
+                    }
+                }
+                // Recycle: a live job leaves, and a fresh one submitted at
+                // the same instant with the same priority and bounds —
+                // so bound for the same lists — takes its row at once
+                // (the last row freed is the next one taken), running
+                // if the leaver was and its minimum still fits.
+                10 => {
+                    if !shadow.jobs.is_empty() {
+                        let old = shadow.jobs[rng.gen_range(0..shadow.jobs.len())];
+                        let removed = view.remove(old.id, LAUNCHER).expect("a live job");
+                        prop_assert_eq!(removed, old);
+                        shadow.jobs.retain(|s| s.id != old.id);
+                        if old.running {
+                            shadow.release(old.replicas + LAUNCHER);
+                        }
+                        let running = old.running && shadow.free() >= old.min_replicas + LAUNCHER;
+                        let job = JobState {
+                            id: JobId(next_id),
+                            replicas: if running { old.min_replicas } else { 0 },
+                            last_action: if running { now } else { SimTime::NEG_INFINITY },
+                            running,
+                            ..old
+                        };
+                        next_id += 1;
+                        view.insert(job, LAUNCHER);
+                        shadow.jobs.push(job);
                     }
                 }
                 // Kill-and-requeue a running job: it leaves the view

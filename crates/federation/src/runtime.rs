@@ -26,7 +26,7 @@ use std::sync::Mutex;
 
 use elastic_core::RunMetrics;
 use hpc_metrics::sync::locked;
-use hpc_metrics::UtilizationRecorder;
+use hpc_metrics::Utilization;
 use hpc_workload::WorkloadSpec;
 use sched_sim::{SimConfig, SimOutcome, SimState};
 
@@ -279,7 +279,7 @@ impl FederationRuntime {
                     events.push(0);
                     shards.push(SimOutcome {
                         metrics: RunMetrics::empty(cfg.policy.name(), 0),
-                        util: UtilizationRecorder::new(cfg.capacity),
+                        util: Utilization::new(cfg.capacity),
                         rescales: 0,
                         cancelled: 0,
                         peak_queue_len: 0,

@@ -2,8 +2,10 @@
 //! one [`Counters`] and returns it from `counters()`, merged with the
 //! counts of the layers it owns, so a reader asks the outermost one:
 //! `op.counters()[Counter::SettleRounds]`. A gauge or a high-water mark
-//! is not a sum, and is not a [`Counter`].
+//! is not a sum, and is not a [`Counter`]; the bytes a run holds, by
+//! column, are one ([`ColumnBytes`]).
 
+use std::collections::HashMap;
 use std::ops::Index;
 
 /// One thing a run counts.
@@ -71,6 +73,65 @@ impl Index<Counter> for Counters {
 
     fn index(&self, counter: Counter) -> &u64 {
         &self.0[counter as usize]
+    }
+}
+
+/// The bytes one column of a run's state holds: `len` in use, and
+/// `capacity` allocated. A gauge, not a [`Counter`]: read at an
+/// instant, summed over no run. A map's capacity counts its buckets
+/// and their control bytes, as `std`'s `HashMap` lays them out; a
+/// tree's is its elements' (its nodes add a little).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ColumnBytes {
+    /// What the column is.
+    pub column: &'static str,
+    /// Bytes of its elements.
+    pub len: usize,
+    /// Bytes allocated for it.
+    pub capacity: usize,
+}
+
+impl ColumnBytes {
+    /// A vector's elements and buffer.
+    pub fn of_vec<T>(column: &'static str, v: &Vec<T>) -> ColumnBytes {
+        let size = std::mem::size_of::<T>();
+        ColumnBytes {
+            column,
+            len: v.len() * size,
+            capacity: v.capacity() * size,
+        }
+    }
+
+    /// A hash map's entries, and its table: a power-of-two bucket
+    /// count at least 8/7 of its capacity, each bucket an entry and a
+    /// control byte, plus one group of control bytes.
+    pub fn of_map<K, V, S>(column: &'static str, map: &HashMap<K, V, S>) -> ColumnBytes {
+        let entry = std::mem::size_of::<(K, V)>();
+        let buckets = match map.capacity() {
+            0 => 0,
+            n if n < 8 => (n + 1).next_power_of_two(),
+            n => (n * 8 / 7).next_power_of_two(),
+        };
+        ColumnBytes {
+            column,
+            len: map.len() * entry,
+            capacity: if buckets == 0 {
+                0
+            } else {
+                buckets * (entry + 1) + 16
+            },
+        }
+    }
+
+    /// `n` elements of `T` held in nodes (a tree): `len` and
+    /// `capacity` alike.
+    pub fn of_elements<T>(column: &'static str, n: usize) -> ColumnBytes {
+        let bytes = n * std::mem::size_of::<T>();
+        ColumnBytes {
+            column,
+            len: bytes,
+            capacity: bytes,
+        }
     }
 }
 

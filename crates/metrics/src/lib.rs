@@ -19,12 +19,14 @@
 //!   implementation ([`RealClock`]) and a manually
 //!   advanced one ([`VirtualClock`]).
 //! * [`ids`] — the interned [`JobId`] every hot-path structure is
-//!   keyed by (names live only at the engines' edges).
+//!   keyed by (names live only at the engines' edges), and [`IdMap`]
+//!   for state sized by the live jobs.
 //! * [`interp`] — piecewise-linear interpolation (linear and log–log),
 //!   used to model strong-scaling curves and rescale overheads the same
 //!   way the paper's simulator does (§4.3.1).
-//! * [`recorder`] — the utilization recorder that backs the
-//!   cluster-utilization metric and the Fig. 9 profiles.
+//! * [`recorder`] — the cluster-utilization metric, folded as a run's
+//!   clock advances ([`Utilization`]), and the per-job allocation log
+//!   behind the Fig. 9 profiles ([`UtilizationRecorder`]).
 //! * [`stats`] — weighted means (response/completion times weighted by
 //!   job priority) and simple summary statistics.
 //! * [`sync`] — the workspace's one lock policy: every `std` lock is
@@ -48,9 +50,9 @@ pub mod sync;
 pub mod time;
 
 pub use clock::{Clock, ClockRef, RealClock, VirtualClock};
-pub use counters::{Counter, Counters};
-pub use ids::JobId;
+pub use counters::{ColumnBytes, Counter, Counters};
+pub use ids::{IdMap, JobId};
 pub use interp::PiecewiseLinear;
-pub use recorder::UtilizationRecorder;
+pub use recorder::{Utilization, UtilizationRecorder};
 pub use stats::{Summary, WeightedMean};
 pub use time::{Duration, SimTime};

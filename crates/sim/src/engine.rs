@@ -38,13 +38,19 @@
 //! string), one event and one policy dispatch per same-instant burst,
 //! and a heap that holds only what the run creates, stale completions
 //! swept.
+//!
+//! Memory is sized by the live jobs: a job's execution state (`JobRt`)
+//! has a row from its launch until it ends, like its kernel and view
+//! rows, so what a replay holds per job of its workload is two 4-byte
+//! row-map entries (the kernel's and this file's) and its outcome row
+//! ([`SimState::column_bytes`] reports each column).
 
 use std::ops::Range;
 use std::sync::Arc;
 
 use elastic_core::kernel::{Admission, Effects, Kernel, Stop};
 use elastic_core::{ClusterView, JobState, RunMetrics, SchedulingPolicy};
-use hpc_metrics::{Counter, Duration, JobId, SimTime, UtilizationRecorder};
+use hpc_metrics::{ColumnBytes, Counter, Duration, JobId, SimTime, Utilization};
 use hpc_workload::model::{OverheadModel, Progress, ScalingModel};
 use hpc_workload::{FaultEvent, FaultKind, WorkloadSpec};
 
@@ -80,9 +86,11 @@ pub struct SimConfig {
 pub struct SimOutcome {
     /// Aggregate metrics (Table 1 columns; completed jobs only).
     pub metrics: RunMetrics,
-    /// Per-job slot allocation over time (Fig. 9 profiles), keyed by
+    /// Cluster utilization and its peak; with
+    /// [`SimState::record_allocations`], the per-job slot allocation
+    /// over time too (Fig. 9 profiles, [`Utilization::log`]), keyed by
     /// [`JobId`]: `workload.jobs[id.index()].name` is the job's name.
-    pub util: UtilizationRecorder,
+    pub util: Utilization,
     /// Number of rescale actions applied.
     pub rescales: u32,
     /// Number of jobs cancelled before completing.
@@ -96,9 +104,12 @@ pub struct SimOutcome {
     pub peak_queue_len_raw: usize,
 }
 
-/// One job's execution state — its [`Progress`] and the flags that tell
-/// a live queue entry from a stale one; everything else about the job
-/// is the kernel's.
+/// One launched job's execution state — its [`Progress`] and the
+/// generation that tells a live completion entry from a stale one;
+/// everything else about the job is the kernel's. It exists from the
+/// job's first launch until the job ends: an evicted job keeps the
+/// progress its checkpoint retained, and a job waiting out a requeue
+/// backoff keeps its row, so a requeue event finds it.
 #[derive(Clone, Default)]
 struct JobRt {
     /// Work done, rate and pause window; what an eviction retained
@@ -111,21 +122,83 @@ struct JobRt {
     /// The next launch restores from a checkpoint: pay the FullRestart
     /// recovery overhead before progress resumes.
     needs_recovery: bool,
-    cancelled: bool,
-    /// A cancellation timed exactly at the arrival instant: on record
-    /// by the time the job is admitted.
-    cancel_on_arrival: bool,
 }
 
-/// One job costs the replay 40 bytes of its own (`des-elastic-400k`
-/// runs out of cache): a `u32` generation leaves no padding.
-const _: () = assert!(std::mem::size_of::<JobRt>() == 40);
+/// The launched jobs that have not ended: a [`JobRt`] row each, which
+/// the next launch reuses once its job ends, found through a column of
+/// one `u32` per workload job (0: no row; else the row plus one). A
+/// dense column, where the view's row map hashes: every lookup here is
+/// on the event loop, and the workload's length is known up front.
+#[derive(Default)]
+struct Launched {
+    row_of: Vec<u32>,
+    rows: Vec<JobRt>,
+    /// Free rows, the last freed on top.
+    free: Vec<u32>,
+}
+
+impl Launched {
+    /// Room for the ids of a `jobs`-job workload, none launched.
+    fn new(jobs: usize) -> Self {
+        Launched {
+            row_of: vec![0; jobs],
+            ..Launched::default()
+        }
+    }
+
+    fn row(&self, job: JobId) -> Option<usize> {
+        self.row_of[job.index()]
+            .checked_sub(1)
+            .map(|row| row as usize)
+    }
+
+    fn get(&self, job: JobId) -> Option<&JobRt> {
+        self.row(job).map(|row| &self.rows[row])
+    }
+
+    fn get_mut(&mut self, job: JobId) -> Option<&mut JobRt> {
+        self.row(job).map(|row| &mut self.rows[row])
+    }
+
+    /// `job`'s row, a fresh one if it has none.
+    fn get_or_insert(&mut self, job: JobId) -> &mut JobRt {
+        let row = match self.row(job) {
+            Some(row) => row,
+            None => {
+                let row = match self.free.pop() {
+                    Some(row) => {
+                        self.rows[row as usize] = JobRt::default();
+                        row as usize
+                    }
+                    None => {
+                        self.rows.push(JobRt::default());
+                        self.rows.len() - 1
+                    }
+                };
+                self.row_of[job.index()] = row as u32 + 1;
+                row
+            }
+        };
+        &mut self.rows[row]
+    }
+
+    /// Frees `job`'s row; whether it was running, if it had one.
+    fn remove(&mut self, job: JobId) -> Option<bool> {
+        let row = self.row(job)?;
+        self.row_of[job.index()] = 0;
+        self.free.push(row as u32);
+        Some(self.rows[row].running)
+    }
+}
 
 /// The queue side of the run: what [`Des`] mechanises the kernel's
 /// effects on.
 #[derive(Default)]
 struct Timeline {
-    jobs: Vec<JobRt>,
+    jobs: Launched,
+    /// Jobs whose cancellation is timed exactly at their arrival, in id
+    /// order: on record by the time the job is admitted.
+    cancel_on_arrival: Vec<JobId>,
     queue: EventQueue,
     inputs: Inputs,
     peak_queue_len: usize,
@@ -168,9 +241,10 @@ impl Timeline {
             let jobs = &self.jobs;
             self.queue.compact(|e| match e {
                 Event::Completion { job, generation } => {
-                    u64::from(jobs[job.index()].generation) == *generation
+                    (jobs.get(*job)).is_some_and(|j| u64::from(j.generation) == *generation)
                 }
-                Event::Requeue { job } => !jobs[job.index()].cancelled,
+                // A job cancelled during its backoff has ended.
+                Event::Requeue { job } => jobs.row(*job).is_some(),
                 _ => true,
             });
         }
@@ -186,14 +260,12 @@ struct Des<'a> {
 }
 
 impl Des<'_> {
-    /// Schedules `job`'s completion where its progress says it ends.
-    fn schedule_completion(&mut self, job: JobId) {
-        let j = &self.t.jobs[job.index()];
-        let finish = j.progress.finishes_at(self.wl.jobs[job.index()].work());
+    /// Schedules `job`'s completion where its progress `j` says it
+    /// ends.
+    fn schedule_completion(queue: &mut EventQueue, wl: &WorkloadSpec, job: JobId, j: &JobRt) {
+        let finish = j.progress.finishes_at(wl.jobs[job.index()].work());
         let generation = u64::from(j.generation);
-        self.t
-            .queue
-            .push(finish, Event::Completion { job, generation });
+        queue.push(finish, Event::Completion { job, generation });
     }
 }
 
@@ -212,13 +284,13 @@ impl Effects for Des<'_> {
             running: false,
             walltime_estimate: spec.walltime_estimate,
         };
-        let cancelled = self.t.jobs[idx].cancel_on_arrival;
+        let cancelled = self.t.cancel_on_arrival.binary_search(&job.id).is_ok();
         Some(Admission { job, cancelled })
     }
 
     fn launch(&mut self, job: JobId, replicas: u32, now: SimTime) -> bool {
         let shape = &self.wl.jobs[job.index()].shape;
-        let j = &mut self.t.jobs[job.index()];
+        let j = self.t.jobs.get_or_insert(job);
         debug_assert!(!j.running);
         j.running = true;
         // A checkpoint/restart relaunch pays the FullRestart recovery
@@ -231,28 +303,42 @@ impl Effects for Des<'_> {
         };
         let rate = self.cfg.scaling.job_rate(shape, replicas);
         j.progress = Progress::launch(now, j.progress.done(), rate, recovery);
-        self.schedule_completion(job);
+        Self::schedule_completion(&mut self.t.queue, self.wl, job, j);
         true
     }
 
     fn resize(&mut self, job: JobId, from: u32, to: u32, now: SimTime) -> bool {
         let shape = &self.wl.jobs[job.index()].shape;
-        let j = &mut self.t.jobs[job.index()];
+        let j = self
+            .t
+            .jobs
+            .get_mut(job)
+            .expect("a resized job was launched");
         debug_assert!(j.running);
         let rate = self.cfg.scaling.job_rate(shape, to);
         let pause = self.cfg.overhead.job_total(shape, from, to);
         j.progress.resize(now, rate, pause);
         j.generation += 1;
         self.t.queue.mark_stale(); // the previously scheduled completion died
-        self.schedule_completion(job);
+        Self::schedule_completion(&mut self.t.queue, self.wl, job, j);
         true
     }
 
     fn stop(&mut self, job: JobId, why: Stop, now: SimTime) {
-        let j = &mut self.t.jobs[job.index()];
-        if why == Stop::Completed {
-            return; // `next_completion` already settled it
+        if matches!(why, Stop::Completed | Stop::Cancelled | Stop::Failed { .. }) {
+            // The job has ended: a completion `next_completion` already
+            // settled, or a cancelled or failed job whose scheduled
+            // completion (if it was running) dies with its row.
+            if self.t.jobs.remove(job) == Some(true) {
+                self.t.queue.mark_stale();
+            }
+            return;
         }
+        let j = self
+            .t
+            .jobs
+            .get_mut(job)
+            .expect("a preempted job was launched");
         if std::mem::take(&mut j.running) {
             j.progress.advance(now);
             self.t.queue.mark_stale(); // its scheduled completion died
@@ -268,8 +354,9 @@ impl Effects for Des<'_> {
                 j.needs_recovery = false;
                 self.t.queue.push(back_at, Event::Requeue { job });
             }
-            Stop::Cancelled => j.cancelled = true,
-            Stop::Failed { .. } | Stop::Completed => {}
+            Stop::Cancelled | Stop::Failed { .. } | Stop::Completed => {
+                unreachable!("an ended job's row went above")
+            }
         }
     }
 
@@ -294,13 +381,17 @@ impl Effects for Des<'_> {
                     }
                 }
             };
-            let j = &mut self.t.jobs[job.index()];
-            if u64::from(j.generation) != generation {
+            let Some(j) = self
+                .t
+                .jobs
+                .get_mut(job)
+                .filter(|j| u64::from(j.generation) == generation)
+            else {
                 // Stale: the job was rescaled, preempted or cancelled
                 // meanwhile.
                 self.t.queue.note_stale_popped();
                 continue;
-            }
+            };
             debug_assert!(
                 j.progress.done_at(self.t.now) >= self.wl.jobs[job.index()].work() - 1e-3,
                 "completion fired early for {}",
@@ -313,6 +404,11 @@ impl Effects for Des<'_> {
 
     fn event_done(&mut self) {
         self.t.event_done();
+    }
+
+    fn identify(&self, job: JobId) -> (u32, SimTime) {
+        let spec = &self.wl.jobs[job.index()];
+        (spec.priority, SimTime::ZERO + spec.arrival)
     }
 }
 
@@ -343,15 +439,17 @@ impl SimState {
         workload
             .validate()
             .unwrap_or_else(|e| panic!("workload not replayable: {e}"));
-        let mut jobs = vec![JobRt::default(); workload.jobs.len()];
+        let mut cancel_on_arrival = Vec::new();
         let mut queue = EventQueue::new();
         // A cancellation timed exactly at its job's arrival is on record
         // when the Submit (popped first: the lower class) admits the
         // job; the Cancel event then finds it terminal. One timed
         // earlier is a no-op, like a client cancelling an unknown name.
         let mut cancel = |queue: &mut EventQueue, at: Duration, i: usize| {
-            jobs[i].cancel_on_arrival |= at == workload.jobs[i].arrival;
             let job = JobId::from_index(i);
+            if at == workload.jobs[i].arrival {
+                cancel_on_arrival.push(job);
+            }
             queue.push(SimTime::ZERO + at, Event::Cancel { job });
         };
         for (i, job) in workload.jobs.iter().enumerate() {
@@ -377,15 +475,18 @@ impl SimState {
                 .unwrap_or_else(|| panic!("cancellation for unknown job {name}"));
             cancel(&mut queue, *at, i);
         }
+        cancel_on_arrival.sort_unstable();
+        cancel_on_arrival.dedup();
 
         let mut kernel = Kernel::new(cfg.capacity, cfg.policy.launcher_slots());
         kernel.set_recovery(&workload.faults);
         // Jobs that have not arrived yet are not terminal.
-        kernel.expect_jobs(jobs.len());
+        kernel.expect_jobs(workload.jobs.len());
         SimState {
             kernel,
             timeline: Timeline {
-                jobs,
+                jobs: Launched::new(workload.jobs.len()),
+                cancel_on_arrival,
                 queue,
                 inputs: Inputs::new(workload),
                 timer_interval,
@@ -402,6 +503,31 @@ impl SimState {
     /// The persistent cluster view the policy has been deciding on.
     pub fn view(&self) -> &ClusterView {
         self.kernel.view()
+    }
+
+    /// The bytes of each column of the run's state: the kernel's (its
+    /// view's included), the launched jobs' execution rows, the event
+    /// heap and the cancellations on record at arrival. Neither the
+    /// workload nor the input cursors into it are run state.
+    pub fn column_bytes(&self) -> Vec<ColumnBytes> {
+        let t = &self.timeline;
+        let mut columns = self.kernel.column_bytes();
+        columns.push(ColumnBytes::of_vec("DES job row map", &t.jobs.row_of));
+        columns.push(ColumnBytes::of_vec("DES job rows", &t.jobs.rows));
+        columns.push(ColumnBytes::of_vec("DES free job rows", &t.jobs.free));
+        columns.push(t.queue.column_bytes());
+        columns.push(ColumnBytes::of_vec(
+            "DES cancellations at arrival",
+            &t.cancel_on_arrival,
+        ));
+        columns
+    }
+
+    /// [`Kernel::record_allocations`]: the outcome's
+    /// [`Utilization::log`] keeps every allocation change. Before the
+    /// first step.
+    pub fn record_allocations(&mut self) {
+        self.kernel.record_allocations();
     }
 
     /// Pops and processes at most `max_events` events; returns `true`
@@ -421,7 +547,7 @@ impl SimState {
     /// job) skips the per-event bookkeeping.
     pub fn step(&mut self, cfg: &SimConfig, workload: &WorkloadSpec, max_events: usize) -> bool {
         debug_assert_eq!(
-            self.timeline.jobs.len(),
+            self.kernel.known_jobs(),
             workload.jobs.len(),
             "step must receive the workload the state was built from"
         );
@@ -502,13 +628,11 @@ impl SimState {
 
     /// Consumes the drained state into a [`SimOutcome`].
     ///
-    /// The replay state goes before the report is built: once the peaks
-    /// are read and the starvation and (debug) book checks have run,
-    /// the timeline — the per-job `JobRt` column, the event heap and
-    /// the input cursors — is dropped, and [`Kernel::into_report`]
-    /// frees the view before it allocates the outcomes. So a replay's
-    /// memory peaks at its run state, not at the run state plus the
-    /// report.
+    /// Once the peaks are read and the starvation and (debug) book
+    /// checks have run, the timeline — the event heap and the input
+    /// cursors — is dropped, and [`Kernel::into_report`] turns the
+    /// outcome rows the kernel wrote as jobs completed into the report
+    /// in place. So `finish` allocates nothing the run did not.
     ///
     /// # Panics
     /// If events are still pending, or (diagnostically) if a job
@@ -519,7 +643,10 @@ impl SimState {
         assert!(pending == 0, "finish called with {pending} events pending");
         // Starvation first: it is the *cause* of a non-drained view, so
         // it owns the diagnostic.
-        if let Some(job) = kernel.unfinished().next() {
+        if let Some(job) = (!kernel.all_terminal())
+            .then(|| kernel.unfinished().next())
+            .flatten()
+        {
             panic!(
                 "job {} never completed (starved in queue)",
                 workload.jobs[job.index()].name
@@ -533,14 +660,8 @@ impl SimState {
         let counters = kernel.counters();
         let tally = |c| u32::try_from(counters[c]).expect("a kernel tally fits in u32");
         let (rescales, cancelled) = (tally(Counter::Rescales), tally(Counter::Cancellations));
-        let (metrics, util) = kernel.into_report(cfg.policy.as_ref(), |id| {
-            let spec = &workload.jobs[id.index()];
-            (
-                Arc::clone(&spec.name),
-                spec.priority,
-                SimTime::ZERO + spec.arrival,
-            )
-        });
+        let name = |id: JobId| Arc::clone(&workload.jobs[id.index()].name);
+        let (metrics, util) = kernel.into_report(cfg.policy.as_ref(), name);
         SimOutcome {
             metrics,
             util,

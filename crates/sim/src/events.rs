@@ -32,7 +32,7 @@ use std::collections::BinaryHeap;
 use std::ops::Range;
 
 use elastic_core::kernel::EventClass;
-use hpc_metrics::{JobId, SimTime};
+use hpc_metrics::{ColumnBytes, JobId, SimTime};
 use hpc_workload::{FaultKind, JobSpec, WorkloadSpec};
 
 /// A scheduled simulation event.
@@ -159,6 +159,16 @@ impl EventQueue {
     /// An empty queue.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The bytes of the heap's entries and buffer.
+    pub(crate) fn column_bytes(&self) -> ColumnBytes {
+        let entry = std::mem::size_of::<Reverse<Entry>>();
+        ColumnBytes {
+            column: "DES event heap",
+            len: self.heap.len() * entry,
+            capacity: self.heap.capacity() * entry,
+        }
     }
 
     /// Schedules `event` at `at`.

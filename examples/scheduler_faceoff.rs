@@ -7,7 +7,8 @@
 
 use elastic_hpc::core::{Policy, PolicyConfig, PolicyKind};
 use elastic_hpc::metrics::{ascii, Duration};
-use elastic_hpc::scenario::{des, Scenario};
+use elastic_hpc::scenario::{sim_config, Scenario};
+use elastic_hpc::sim::SimState;
 
 fn main() {
     let seed = std::env::args()
@@ -16,17 +17,23 @@ fn main() {
         .unwrap_or(0u64);
     println!("16 random jobs (seed {seed}), submission gap 90s, T_rescale_gap 180s\n");
 
+    // Each replay keeps its allocation changes for the profiles.
     let replay = |kind| {
         let policy = move || Policy::of_kind(kind, PolicyConfig::default());
-        des(&Scenario::campaign(seed, Duration::from_secs(90.0), policy))
+        let scenario = Scenario::campaign(seed, Duration::from_secs(90.0), policy);
+        let (cfg, workload) = (sim_config(&scenario), &scenario.workload);
+        let mut state = SimState::new(&cfg, workload);
+        state.record_allocations();
+        while state.step(&cfg, workload, usize::MAX) {}
+        state.finish(&cfg, workload)
     };
     let rows: Vec<_> = PolicyKind::ALL.into_iter().map(replay).collect();
     println!("{:-<78}", "");
     for outcome in &rows {
         let metrics = &outcome.metrics;
         println!("{}", metrics.table_row());
-        let total: Vec<(f64, f64)> = outcome
-            .util
+        let total: Vec<(f64, f64)> = (outcome.util.log())
+            .expect("recorded")
             .total_series()
             .iter()
             .map(|&(t, v)| (t.as_secs(), f64::from(v)))

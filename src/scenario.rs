@@ -68,6 +68,14 @@ pub fn bundled_trace(cfg: &SwfLoadConfig) -> WorkloadSpec {
     load_trace(Path::new(BUNDLED_TRACE), cfg)
 }
 
+/// The paper's campaign jobs (§4.3.1) for workload `seed`:
+/// [`CAMPAIGN_JOBS`] random paper-class jobs, all arriving at 0. Every
+/// replay of the campaign — [`Scenario::campaign`] and the real one
+/// behind Table 1's Actual column and Fig. 9 — draws its jobs here.
+pub fn campaign_jobs(seed: u64) -> WorkloadSpec {
+    generate_workload(seed, CAMPAIGN_JOBS)
+}
+
 /// One replay's inputs, the same for every engine.
 #[derive(Clone)]
 pub struct Scenario {
@@ -116,7 +124,7 @@ impl Scenario {
         submission_gap: Duration,
         policy: impl Fn() -> P + 'static,
     ) -> Self {
-        let workload = generate_workload(seed, CAMPAIGN_JOBS).spaced_every(submission_gap);
+        let workload = campaign_jobs(seed).spaced_every(submission_gap);
         Self::new(workload, TESTBED_CAPACITY, policy).with_overhead(OverheadModel::default())
     }
 

@@ -654,8 +654,8 @@ fn one_differential_harness_rule() {
     // Or a root test replays the paper's testbed through its own
     // config, as `evicted_restart` did.
     let path = "tests/evicted_restart.rs";
-    let own = "simulate(&SimConfig::paper_default(Box::new(policy())), &scenario.workload)";
-    let mutated = disk(path).replacen("des(&scenario)", own, 1);
+    let own = "SimConfig::paper_default(Box::new(policy()))";
+    let mutated = disk(path).replacen("sim_config(&scenario)", own, 1);
     let broken = rail(one_differential_harness, path, &mutated, SETUP);
     assert_eq!(broken.lines().count(), 2, "{broken}");
 }

@@ -11,7 +11,8 @@
 
 use elastic_hpc::core::{Policy, PolicyConfig, PolicyKind, RecoveryPolicy, RecoveryStrategy};
 use elastic_hpc::metrics::{Duration, JobId, SimTime};
-use elastic_hpc::scenario::{des, Scenario};
+use elastic_hpc::scenario::{sim_config, Scenario};
+use elastic_hpc::sim::SimState;
 use elastic_hpc::workload::FaultSpec;
 
 #[test]
@@ -34,8 +35,13 @@ fn an_evicted_job_is_not_gap_blocked_in_the_queue() {
         let gap = Duration::from_secs(90.0);
         let scenario = Scenario::campaign(3, gap, policy).with_faults(faults.clone());
         // A job left in the queue when the events run out panics the
-        // replay ("never completed (starved in queue)").
-        let outcome = des(&scenario);
+        // replay ("never completed (starved in queue)"). The replay
+        // keeps its allocation changes, for job02's series below.
+        let (cfg, workload) = (sim_config(&scenario), &scenario.workload);
+        let mut state = SimState::new(&cfg, workload);
+        state.record_allocations();
+        while state.step(&cfg, workload, usize::MAX) {}
+        let outcome = state.finish(&cfg, workload);
         assert_eq!(
             outcome.metrics.jobs.len(),
             16,
@@ -45,7 +51,8 @@ fn an_evicted_job_is_not_gap_blocked_in_the_queue() {
         // The first reclamation evicts job02 and leaves slots free: it
         // restarts on them in the same instant (smaller, from its
         // checkpoint) instead of idling beside them.
-        let job02 = &outcome.util.per_job_series()[&JobId(2)];
+        let series = outcome.util.log().expect("recorded").per_job_series();
+        let job02 = &series[&JobId(2)];
         let held = job02.iter().find(|&&(at, _)| at == first_reclaim);
         assert!(
             matches!(held, Some(&(_, slots)) if slots > 0),
