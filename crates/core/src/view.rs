@@ -13,8 +13,8 @@
 //! per live job: a job takes a row when it is inserted and gives it
 //! back when it is removed, and the next insert reuses it, so the view
 //! is sized by the jobs live at once, not by the jobs a run has seen.
-//! An [`IdMap`] finds a live job's row from its interned [`JobId`]; the
-//! row holds the id back. One packed 32-byte hot row per job
+//! A hash map of the live jobs finds a job's row from its interned
+//! [`JobId`]; the row holds the id back. One packed 32-byte hot row per job
 //! (`HotJob`: replica bounds, priority, live replicas, last action,
 //! liveness flags, id) holds everything the hot policy scans (priority
 //! walks, gap checks, footprint sums) and per-action updates touch —
@@ -107,10 +107,11 @@
 //! costs O(candidates that fit), not O(queue).
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
-use hpc_metrics::{ColumnBytes, Counter, Counters, Duration, IdMap, JobId, SimTime};
+use hpc_metrics::{ColumnBytes, Counter, Counters, Duration, JobId, SimTime};
 
 /// Queue ordering key: submission time, then the interned id. (The
 /// estimated-end and last-action indexes share the shape: an instant,
@@ -127,6 +128,35 @@ type QueueKey = (SimTime, JobId);
 /// so reading either back needs no lookup. The id decides the order;
 /// the row only rides along.
 type Keyed = (QueueKey, u32);
+
+/// Each live job's arena row, by id: sized by the jobs live at once, not
+/// by every id a run has seen.
+type IdMap<V> = HashMap<JobId, V, BuildHasherDefault<IdHasher>>;
+
+/// [`IdMap`]'s hasher: one multiply by 2⁶⁴/φ (Fibonacci hashing). A
+/// dense id needs no mixing beyond that — the low bits of the product
+/// still walk every bucket as ids count up, and the high bits the map
+/// keeps as tags are spread — and it costs a fraction of the default
+/// SipHash, which guards against keys an adversary picks.
+#[derive(Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u32(u32::from(b)));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
 
 /// A job as the policy sees it: a by-value snapshot assembled from the
 /// view's columnar arena (everything is `Copy`, ~70 bytes).
@@ -1003,7 +1033,7 @@ impl ClusterView {
 
     /// The bytes of each column the view holds: the arena's, and the
     /// link columns and frontier of each index built so far.
-    pub fn column_bytes(&self) -> Vec<ColumnBytes> {
+    pub(crate) fn column_bytes(&self) -> Vec<ColumnBytes> {
         let a = &self.arena;
         let mut columns = vec![
             ColumnBytes::of_vec("view hot rows", &a.hot),
@@ -1177,7 +1207,7 @@ impl ClusterView {
 
     /// Live jobs in no particular order, allocating nothing: for a
     /// reader that sums or checks them.
-    pub fn jobs_unordered(&self) -> impl Iterator<Item = JobState> + '_ {
+    pub(crate) fn jobs_unordered(&self) -> impl Iterator<Item = JobState> + '_ {
         self.arena.live().map(|i| self.arena.get(i))
     }
 
@@ -2593,6 +2623,17 @@ pub(crate) mod tests {
         let fresh = view_of(64, 64, view.jobs().collect());
         assert_eq!(view, fresh, "equal, though laid out in other rows");
         assert_ne!(fresh.arena.row(JobId(9)), Some(row));
+    }
+
+    #[test]
+    fn the_row_map_finds_what_it_holds() {
+        let mut map: IdMap<u32> = IdMap::default();
+        for i in (0..10_000).step_by(3) {
+            map.insert(JobId(i), i * 2);
+        }
+        for i in 0..10_000 {
+            assert_eq!(map.get(&JobId(i)), (i % 3 == 0).then_some(&(i * 2)));
+        }
     }
 
     #[test]

@@ -8,17 +8,14 @@
 //! submissions, pod/store objects, and final reports — via the
 //! registry kept by the engine (`elastic_core::JobRegistry`).
 
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// A dense, interned job identity.
 ///
 /// `JobId`s are assigned contiguously from 0 **in admission order**, so
 /// ascending `JobId` is also submission order (ties at one timestamp
-/// are interned in deterministic name order). What a run keeps for
-/// every job is a plain `Vec` keyed by [`JobId::index`]; what it keeps
-/// only for the jobs live at once is found through an [`IdMap`]. The final
+/// are interned in deterministic name order). Engines index per-job
+/// state with plain `Vec`s keyed by [`JobId::index`], and the final
 /// component of every priority ordering key is the `JobId`, which makes
 /// scheduling order fully deterministic even for jobs with equal
 /// `(priority, submitted_at)`.
@@ -53,39 +50,6 @@ impl fmt::Display for JobId {
     }
 }
 
-/// A map keyed by [`JobId`] for state sized by the *live* jobs, not by
-/// every id ever interned (a view's rows).
-pub type IdMap<V> = HashMap<JobId, V, BuildHasherDefault<IdHasher>>;
-
-/// [`IdMap`]'s hasher: one multiply by 2⁶⁴/φ (Fibonacci hashing). A
-/// dense id needs no mixing beyond that — the low bits of the product
-/// still walk every bucket as ids count up, and the high bits the map
-/// keeps as tags are spread — and it costs a fraction of the default
-/// SipHash, which guards against keys an adversary picks.
-#[derive(Default, Clone, Copy)]
-pub struct IdHasher(u64);
-
-const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
-
-impl Hasher for IdHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(GOLDEN);
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(GOLDEN);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,17 +61,6 @@ mod tests {
         assert_eq!(id.index(), 42);
         assert_eq!(format!("{id}"), "42");
         assert_eq!(format!("{id:?}"), "JobId(42)");
-    }
-
-    #[test]
-    fn an_id_map_finds_what_it_holds() {
-        let mut map: IdMap<u32> = IdMap::default();
-        for i in (0..10_000).step_by(3) {
-            map.insert(JobId(i), i * 2);
-        }
-        for i in 0..10_000 {
-            assert_eq!(map.get(&JobId(i)), (i % 3 == 0).then_some(&(i * 2)));
-        }
     }
 
     #[test]

@@ -19,8 +19,7 @@
 //!   implementation ([`RealClock`]) and a manually
 //!   advanced one ([`VirtualClock`]).
 //! * [`ids`] — the interned [`JobId`] every hot-path structure is
-//!   keyed by (names live only at the engines' edges), and [`IdMap`]
-//!   for state sized by the live jobs.
+//!   keyed by (names live only at the engines' edges).
 //! * [`interp`] — piecewise-linear interpolation (linear and log–log),
 //!   used to model strong-scaling curves and rescale overheads the same
 //!   way the paper's simulator does (§4.3.1).
@@ -51,7 +50,7 @@ pub mod time;
 
 pub use clock::{Clock, ClockRef, RealClock, VirtualClock};
 pub use counters::{ColumnBytes, Counter, Counters};
-pub use ids::{IdMap, JobId};
+pub use ids::JobId;
 pub use interp::PiecewiseLinear;
 pub use recorder::{Utilization, UtilizationRecorder};
 pub use stats::{Summary, WeightedMean};
