@@ -213,10 +213,13 @@ impl RunMetrics {
             retries: shards.iter().map(|(_, m)| m.faults.retries).sum(),
             breaker_trips: shards.iter().map(|(_, m)| m.faults.breaker_trips).sum(),
         };
-        let jobs: Vec<JobOutcome> = shards
-            .iter()
-            .flat_map(|(_, m)| m.jobs.iter().cloned())
-            .collect();
+        // Reserved once: a `flat_map` collect would regrow from a zero
+        // size hint.
+        let mut jobs: Vec<JobOutcome> =
+            Vec::with_capacity(shards.iter().map(|(_, m)| m.jobs.len()).sum());
+        for (_, m) in shards {
+            jobs.extend(m.jobs.iter().cloned());
+        }
         if jobs.is_empty() {
             return RunMetrics::empty(policy, rescales).with_fault_stats(faults);
         }

@@ -30,7 +30,7 @@ use hpc_metrics::Utilization;
 use hpc_workload::WorkloadSpec;
 use sched_sim::{SimConfig, SimOutcome, SimState};
 
-use crate::placement::{LoadTracker, PlacementPolicy};
+use crate::placement::{route, PlacementPolicy};
 
 /// Shape of a federation: how many shards and how many workers drive
 /// them. [`FederationRuntime::new`] checks it, however it was built.
@@ -161,7 +161,11 @@ impl FederationRuntime {
     ///
     /// The placement pre-pass is single-threaded and deterministic —
     /// the partition is fixed before any worker thread exists, so
-    /// replay results cannot depend on worker count. A slice shares its
+    /// replay results cannot depend on worker count. It sorts the
+    /// batch's estimated ends once (8 bytes a job, freed before the
+    /// partition) and walks them with a cursor as arrivals advance, so
+    /// each job costs `placement` one call and the snapshots a few
+    /// adds, whatever the number of jobs in flight. A slice shares its
     /// jobs' names with `workload`; no name is copied.
     ///
     /// The workload is not validated here: each shard's slice is, when
@@ -187,25 +191,11 @@ impl FederationRuntime {
         );
         self.submitted = true;
         let capacities: Vec<u32> = self.cells.iter().map(|cell| cell.cfg.capacity).collect();
-        let shards = capacities.len();
-        let mut tracker = LoadTracker::new(&capacities);
-        let mut assignment = Vec::with_capacity(workload.jobs.len());
-        for job in &workload.jobs {
-            let now_s = job.arrival.as_secs();
-            tracker.advance_to(now_s);
-            let shard = placement.place(job, tracker.loads());
-            assert!(
-                shard < shards,
-                "placement routed job {} to shard {shard} of a {shards}-shard federation",
-                job.name
-            );
-            tracker.commit(shard, job, now_s);
-            assignment.push(shard);
-        }
+        let assignment = route(&workload.jobs, &capacities, placement);
         for (cell, part) in self
             .cells
             .iter_mut()
-            .zip(workload.partition(&assignment, shards))
+            .zip(workload.partition(&assignment, capacities.len()))
         {
             cell.part = (!part.jobs.is_empty()).then_some(part);
         }

@@ -99,10 +99,9 @@ impl Clock for RealClock {
 /// are woken whenever the time is advanced past their deadline.
 ///
 /// Reading the time takes no lock: the time lives in an atomic, which
-/// only [`advance`](VirtualClock::advance) and
-/// [`advance_to`](VirtualClock::advance_to) write, each while holding
-/// the mutex [`sleep_until`](Clock::sleep_until) waits on, so no
-/// sleeper can miss the move that wakes it.
+/// only [`advance`](VirtualClock::advance) writes, while holding the
+/// mutex [`sleep_until`](Clock::sleep_until) waits on, so no sleeper
+/// can miss the move that wakes it.
 #[derive(Clone)]
 pub struct VirtualClock {
     state: Arc<VirtualState>,
@@ -141,8 +140,10 @@ impl VirtualClock {
         self.set(self.now() + d);
     }
 
-    /// Jumps time to `t`. Panics if `t` is in the past.
-    pub fn advance_to(&self, t: SimTime) {
+    /// Jumps time to `t`, under the same lock as `advance`. Panics if
+    /// `t` is in the past.
+    #[cfg(test)]
+    fn advance_to(&self, t: SimTime) {
         let _moving = locked(&self.state.moving);
         assert!(t >= self.now(), "cannot advance time backwards");
         self.set(t);
