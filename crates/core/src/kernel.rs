@@ -23,7 +23,9 @@
 //! A job takes an attempt row when it is admitted and gives it back —
 //! for the next admission to reuse — when it completes, is cancelled or
 //! fails, once its outcome is written; its view row goes at the same
-//! moment. What stays per job for the whole run is 4 bytes (where its
+//! moment. An engine keeps its own per-job state at the same row
+//! ([`Effects`] hands it), so this is the one job → row map under both
+//! engines. What stays per job for the whole run is 4 bytes (where its
 //! row is, or how it ended) and a [`JobOutcome`] row, filled in as the
 //! job completes and named and read in id order at the end. Utilization is folded
 //! as the clock advances ([`Utilization`]), so no allocation change is
@@ -111,24 +113,34 @@ pub enum Stop {
 }
 
 /// What the kernel needs an engine to do — and nothing it decides.
+///
+/// `launch`, `resize` and `stop` are handed the job's attempt `row`,
+/// the one place an engine keeps its own per-job state: a job holds the
+/// same row from its admission until it ends (an away job keeps it
+/// through its backoff), no two live or away jobs hold one row, and the
+/// row is free for the next admission once a terminal stop
+/// (`Completed`, `Cancelled`, `Failed`) has handed it. Rows are dense
+/// from 0 and as many as the most jobs live or away at once.
 pub trait Effects {
     /// The next job of the submission burst being decided (or the one
     /// re-entering job of [`Kernel::requeue_due`]); `None` ends it.
     fn next_admission(&mut self) -> Option<Admission>;
 
-    /// Starts `job` on `replicas` workers. `true` if the application is
-    /// executing on return; an engine that answers `false` reports the
-    /// start through [`Kernel::started`].
-    fn launch(&mut self, job: JobId, replicas: u32, now: SimTime) -> bool;
+    /// Starts `job`, on `row`, on `replicas` workers. `true` if the
+    /// application is executing on return; an engine that answers
+    /// `false` reports the start through [`Kernel::started`].
+    fn launch(&mut self, job: JobId, row: usize, replicas: u32, now: SimTime) -> bool;
 
-    /// Rescales running `job` from `from` to `to` workers. `true` if
-    /// the new allocation holds on return; an engine that answers
-    /// `false` (a shrink waiting for the application's acknowledgement)
-    /// reports it through [`Kernel::shrunk`].
-    fn resize(&mut self, job: JobId, from: u32, to: u32, now: SimTime) -> bool;
+    /// Rescales running `job`, on `row`, from `from` to `to` workers.
+    /// `true` if the new allocation holds on return; an engine that
+    /// answers `false` (a shrink waiting for the application's
+    /// acknowledgement) reports it through [`Kernel::shrunk`].
+    fn resize(&mut self, job: JobId, row: usize, from: u32, to: u32, now: SimTime) -> bool;
 
-    /// Stops `job` and releases what the engine holds for it.
-    fn stop(&mut self, job: JobId, why: Stop, now: SimTime);
+    /// Stops `job` and releases what the engine holds for it, on the
+    /// row it held: `None` only for a job cancelled at its first
+    /// admission, which never had one.
+    fn stop(&mut self, job: JobId, row: Option<usize>, why: Stop, now: SimTime);
 
     /// The policy left `job` queued.
     fn enqueued(&mut self, job: JobId, now: SimTime) {
@@ -436,13 +448,14 @@ impl Kernel {
 
     /// `job` ended as `how` ([`COMPLETED`], [`CANCELLED`] or
     /// [`FAILED`]): its row, if it had one, is free for the next
-    /// admission.
-    fn end(&mut self, job: JobId, how: u32) {
+    /// admission, and returned for the engine's terminal stop.
+    fn end(&mut self, job: JobId, how: u32) -> Option<usize> {
         let row = std::mem::replace(&mut self.row_of[job.index()], how);
-        if row < FAILED {
+        (row < FAILED).then(|| {
             self.rows[row as usize].phase = Phase::Unknown;
             self.free.push(row);
-        }
+            row as usize
+        })
     }
 
     /// `job`, on `row`, holds `slots` slots from `now` on.
@@ -783,7 +796,7 @@ impl Kernel {
                 a.replicas = replicas;
                 a.banked = 0.0;
                 a.at = now;
-                a.started_at = if fx.launch(job, replicas, now) {
+                a.started_at = if fx.launch(job, row, replicas, now) {
                     now
                 } else {
                     NOT_STARTED
@@ -794,7 +807,7 @@ impl Kernel {
                 a.bank(now);
                 let from = std::mem::replace(&mut a.replicas, to_replicas);
                 self.counters.add(Counter::Rescales, 1);
-                if fx.resize(job, from, to_replicas, now) {
+                if fx.resize(job, row, from, to_replicas, now) {
                     self.record(row, job, now, to_replicas);
                 }
             }
@@ -815,7 +828,7 @@ impl Kernel {
                 a.replicas = 0;
                 self.record(row, job, now, 0);
                 let rollback = Duration::from_secs(rollback);
-                fx.stop(job, Stop::Evicted { rollback }, now);
+                fx.stop(job, Some(row), Stop::Evicted { rollback }, now);
             }
             Action::Requeue { job } => {
                 // The whole attempt is wasted; the job comes back after
@@ -844,7 +857,7 @@ impl Kernel {
                         back_at,
                     }
                 };
-                fx.stop(job, why, now);
+                fx.stop(job, Some(row), why, now);
             }
             // The view side is folded above; a policy's own cancel is
             // part of its plan, so no nested redistribution.
@@ -869,9 +882,9 @@ impl Kernel {
             phase => panic!("admission of {}, which is {phase:?}", job.id),
         }
         if cancelled {
-            self.end(job.id, CANCELLED);
+            let row = self.end(job.id, CANCELLED);
             self.counters.add(Counter::Cancellations, 1);
-            fx.stop(job.id, Stop::Cancelled, now);
+            fx.stop(job.id, row, Stop::Cancelled, now);
             return None;
         }
         match self.row_of[id] {
@@ -912,7 +925,7 @@ impl Kernel {
         if self.flaky_scheduled {
             self.resilience.on_success(job, now);
         }
-        fx.stop(job, Stop::Completed, now);
+        fx.stop(job, Some(row), Stop::Completed, now);
     }
 
     /// Tears a live job down as cancelled; `Some(held_slots)`, or `None`
@@ -933,8 +946,8 @@ impl Kernel {
             .remove(job, self.launcher)
             .is_some_and(|j| j.running);
         self.record(self.row(job), job, now, 0);
-        self.end(job, CANCELLED);
-        fx.stop(job, Stop::Cancelled, now);
+        let row = self.end(job, CANCELLED);
+        fx.stop(job, row, Stop::Cancelled, now);
         Some(held)
     }
 

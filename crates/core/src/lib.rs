@@ -129,8 +129,10 @@
 //! picks a flaky victim, decides the run is over and builds
 //! [`RunMetrics`]. An engine turns what it observes into one entry
 //! point, passing the instant, the policy and its [`kernel::Effects`]
-//! (launch / resize / stop, the next admission or completion of a
-//! burst, and a completed job's priority and submission):
+//! (launch / resize / stop, each handed the job's attempt row, where
+//! the engine keeps its own per-job state; the next admission or
+//! completion of a burst; and a completed job's priority and
+//! submission):
 //!
 //! | within one instant | an engine observes | kernel entry point | policy hooks, in order |
 //! |---|---|---|---|

@@ -37,7 +37,8 @@
 //!   signals the application first and removes pods only after the
 //!   acknowledgement; **expand** creates pods first, updates the
 //!   nodelist, then signals (§3.1). Worker pod serials come from a
-//!   per-job counter (never from re-parsing pod names), so creating
+//!   counter at the job's kernel attempt row, reset when the job ends
+//!   (never from re-parsing pod names), so creating
 //!   workers is O(count); every pod of a job shares the registry's one
 //!   `Arc` of the job name as its owner, and a pod's own name is
 //!   allocated once, shared by the pod and the store's name map.
@@ -173,7 +174,8 @@ struct ExecutorPool {
     /// at launch, removed wherever a job stops), in admission order —
     /// the timer pass polls these, not the job store.
     running: BTreeMap<JobId, Running>,
-    /// Next worker-pod serial per job (indexed by `JobId`).
+    /// Next worker-pod serial of each live job, by its kernel attempt
+    /// row; reset when the job ends.
     next_serial: Vec<u32>,
     /// Work the last checkpoint of an evicted job preserved (zero when it
     /// never launched), until its relaunch hands it to the executor.
@@ -818,17 +820,17 @@ impl Choreography<'_> {
             .expect("job exists");
     }
 
-    /// Creates `count` fresh worker pods for `job`. Serials come from
-    /// the per-job counter — pod names are `{job}-w{serial:04}`,
-    /// monotonically increasing across expands, without listing or
-    /// re-parsing existing pods.
-    fn create_workers(&mut self, job: JobId, name: &Arc<str>, count: u32, now: SimTime) {
+    /// Creates `count` fresh worker pods for the job on `row`. Serials
+    /// come from the row's counter — pod names are `{job}-w{serial:04}`,
+    /// monotonically increasing across expands and relaunches, without
+    /// listing or re-parsing existing pods.
+    fn create_workers(&mut self, row: usize, name: &Arc<str>, count: u32, now: SimTime) {
         let serials = &mut self.pool.next_serial;
-        if job.index() >= serials.len() {
-            serials.resize(job.index() + 1, 0);
+        if row >= serials.len() {
+            serials.resize(row + 1, 0);
         }
-        let start = serials[job.index()];
-        serials[job.index()] = start + count;
+        let start = serials[row];
+        serials[row] = start + count;
         for serial in start..start + count {
             let pod_name = self.pool.pod_name(format_args!("{name}-w{serial:04}"));
             self.plane
@@ -936,7 +938,7 @@ impl Effects for Choreography<'_> {
     /// The paper's create sequence: launcher pod, worker pods,
     /// nodelist. The application starts once they all run
     /// (`try_launch`).
-    fn launch(&mut self, job: JobId, replicas: u32, now: SimTime) -> bool {
+    fn launch(&mut self, job: JobId, row: usize, replicas: u32, now: SimTime) -> bool {
         let name = Arc::clone(self.pool.registry.shared_name(job));
         self.mirror(&name, |s| {
             s.phase = JobPhase::Starting;
@@ -949,7 +951,7 @@ impl Effects for Choreography<'_> {
             .pods
             .create(Pod::launcher(launcher, Arc::clone(&name), now))
             .expect("fresh launcher pod");
-        self.create_workers(job, &name, replicas, now);
+        self.create_workers(row, &name, replicas, now);
         self.update_nodelist(&name);
         let message = format!("{replicas} replicas");
         self.events
@@ -957,7 +959,7 @@ impl Effects for Choreography<'_> {
         false
     }
 
-    fn resize(&mut self, job: JobId, from: u32, to: u32, now: SimTime) -> bool {
+    fn resize(&mut self, job: JobId, row: usize, from: u32, to: u32, now: SimTime) -> bool {
         let name = Arc::clone(self.pool.registry.shared_name(job));
         let mut current = 0;
         self.mirror(&name, |s| {
@@ -967,7 +969,7 @@ impl Effects for Choreography<'_> {
         });
         if to > from {
             // Paper's expand sequence: pods first, nodelist, then signal.
-            self.create_workers(job, &name, to.saturating_sub(current), now);
+            self.create_workers(row, &name, to.saturating_sub(current), now);
             let kind = if let Some(launched) = self.pool.running.get_mut(&job) {
                 launched.flow = Some(RescaleFlow::ExpandPodsPending { target: to });
                 "ExpandStarted"
@@ -1002,7 +1004,7 @@ impl Effects for Choreography<'_> {
         }
     }
 
-    fn stop(&mut self, job: JobId, why: Stop, now: SimTime) {
+    fn stop(&mut self, job: JobId, row: Option<usize>, why: Stop, now: SimTime) {
         if let Stop::Evicted { rollback } = why {
             // The checkpoint the relaunch resumes from, asked of the
             // executor before it is killed. Every eviction leaves an
@@ -1040,6 +1042,10 @@ impl Effects for Choreography<'_> {
                 (JobPhase::Failed, "Failed", message)
             }
         };
+        let serial = row.and_then(|row| self.pool.next_serial.get_mut(row));
+        if let Some(serial) = serial.filter(|_| phase.is_terminal()) {
+            *serial = 0; // the row's next holder numbers its pods from 0
+        }
         self.mirror(&name, |s| {
             s.phase = phase;
             if phase.is_terminal() {

@@ -84,6 +84,9 @@ struct Recorder {
     finished: VecDeque<JobId>,
     deferred: bool,
     log: Vec<Fx>,
+    /// The attempt row handed with each launch, resize and stop, and
+    /// whether that stop was terminal.
+    rows: Vec<(JobId, Option<usize>, bool)>,
     first_admitted: HashMap<JobId, (u32, SimTime)>,
 }
 
@@ -101,16 +104,20 @@ impl Effects for Recorder {
         self.first_admitted.entry(job.id).or_insert(identity);
         Some(admission)
     }
-    fn launch(&mut self, job: JobId, replicas: u32, _now: SimTime) -> bool {
+    fn launch(&mut self, job: JobId, row: usize, replicas: u32, _now: SimTime) -> bool {
         self.log.push(Fx::Launch(job, replicas));
+        self.rows.push((job, Some(row), false));
         !self.deferred
     }
-    fn resize(&mut self, job: JobId, from: u32, to: u32, _now: SimTime) -> bool {
+    fn resize(&mut self, job: JobId, row: usize, from: u32, to: u32, _now: SimTime) -> bool {
         self.log.push(Fx::Resize(job, from, to));
+        self.rows.push((job, Some(row), false));
         to > from || !self.deferred
     }
-    fn stop(&mut self, job: JobId, why: Stop, _now: SimTime) {
+    fn stop(&mut self, job: JobId, row: Option<usize>, why: Stop, _now: SimTime) {
         self.log.push(Fx::Stop(job, why));
+        let ended = matches!(why, Stop::Completed | Stop::Cancelled | Stop::Failed { .. });
+        self.rows.push((job, row, ended));
     }
     fn enqueued(&mut self, job: JobId, _now: SimTime) {
         self.log.push(Fx::Enqueued(job));
@@ -603,7 +610,8 @@ fn utilization_counts_only_the_window_of_the_completed_jobs() {
 
 /// The proptest's engine stand-in: remembers what it would need to
 /// drive the kernel further (who runs, who is waiting out a backoff,
-/// who ended how) from the effects alone.
+/// who ended how, which attempt row each job was handed) from the
+/// effects alone.
 #[derive(Default)]
 struct Model {
     fx: Recorder,
@@ -613,11 +621,42 @@ struct Model {
     completed: BTreeSet<JobId>,
     cancelled: BTreeSet<JobId>,
     failed: BTreeSet<JobId>,
+    /// The row each job not ended yet was last handed.
+    rows: HashMap<JobId, usize>,
 }
 
 impl Model {
-    /// Folds the effects of one kernel call into the model.
+    /// Folds the effects of one kernel call into the model, holding the
+    /// row contract an engine keeps its per-job state by: a job is
+    /// handed the row of its previous call until a terminal stop, no two
+    /// jobs that have not ended hold one row, and a terminal stop
+    /// carries the row the job held — none only for a job cancelled at
+    /// its first admission.
     fn absorb(&mut self) {
+        for (job, row, ended) in std::mem::take(&mut self.fx.rows) {
+            let held = if ended {
+                self.rows.remove(&job)
+            } else {
+                self.rows.get(&job).copied()
+            };
+            match (held, row) {
+                (Some(held), _) => assert_eq!(row, Some(held), "{job} changed rows"),
+                (None, None) => {
+                    assert!(
+                        ended && self.submitted[job.index()].cancelled,
+                        "{job} had no row"
+                    );
+                }
+                (None, Some(row)) => {
+                    assert!(!self.submitted[job.index()].cancelled, "{job} had a row");
+                    let other = self.rows.iter().find(|(_, r)| **r == row);
+                    assert!(other.is_none(), "{job} took row {row} of {other:?}");
+                    if !ended {
+                        self.rows.insert(job, row);
+                    }
+                }
+            }
+        }
         for fx in self.fx.take() {
             match fx {
                 Fx::Launch(job, _) => assert!(self.running.insert(job), "{job} launched twice"),

@@ -22,10 +22,10 @@
 //!   [`ScalingModel`] / [`OverheadModel`], the same integrator and
 //!   structs the operator's `ModelExecutor` runs. What this file adds
 //!   is the queue side: every launch or resize schedules the job's
-//!   completion at `Progress::finishes_at` and bumps its generation,
-//!   which turns the previously scheduled one into a stale entry. As in
-//!   the paper's simulator, pod-startup overhead is not modeled
-//!   (§4.3.1): a launch takes hold at once.
+//!   completion at `Progress::finishes_at`, and a resize or a stop
+//!   bumps its row's generation, which turns the previously scheduled
+//!   one into a stale entry. As in the paper's simulator, pod-startup
+//!   overhead is not modeled (§4.3.1): a launch takes hold at once.
 //! * **The kernel's effects** ([`Effects`]): launch / resize / stop as
 //!   above; the next admission of a submit burst; the next live
 //!   completion at the burst's instant straight off the queue; and the
@@ -40,10 +40,19 @@
 //! swept.
 //!
 //! Memory is sized by the live jobs: a job's execution state (`JobRt`)
-//! has a row from its launch until it ends, like its kernel and view
-//! rows, so what a replay holds per job of its workload is two 4-byte
-//! row-map entries (the kernel's and this file's) and its outcome row
+//! lives at the kernel's attempt row of the job, which [`Effects`]
+//! hands with every launch, resize and stop, so this file keeps no job
+//! map of its own. What a replay holds per job of its workload is the
+//! kernel's 4-byte row-map entry and its outcome row
 //! ([`SimState::column_bytes`] reports each column).
+//!
+//! Inside a burst the kernel's map cannot be read, so a scheduled
+//! completion or requeue carries a **ticket** instead of a lookup: the
+//! row in the high 32 bits of its `generation`, the row's generation in
+//! the low 32. A ticket is live while the row's generation is unchanged.
+//! A resize or a stop bumps it, and so does a job's end, which resets
+//! the row for its next holder without restarting the count — so a dead
+//! ticket of a row's previous holder never matches its next one.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -104,19 +113,19 @@ pub struct SimOutcome {
     pub peak_queue_len_raw: usize,
 }
 
-/// One launched job's execution state — its [`Progress`] and the
-/// generation that tells a live completion entry from a stale one;
-/// everything else about the job is the kernel's. It exists from the
-/// job's first launch until the job ends: an evicted job keeps the
-/// progress its checkpoint retained, and a job waiting out a requeue
-/// backoff keeps its row, so a requeue event finds it.
+/// One job's execution state at its kernel attempt row — its
+/// [`Progress`] and the generation that tells a live ticket from a
+/// stale one; everything else about the job is the kernel's. An
+/// evicted job keeps the progress its checkpoint retained, and a job
+/// waiting out a requeue backoff keeps its row. The job's end resets
+/// the row, all but its generation.
 #[derive(Clone, Default)]
 struct JobRt {
     /// Work done, rate and pause window; what an eviction retained
     /// while the job is queued.
     progress: Progress,
-    /// Bumped whenever the scheduled completion dies; widened into
-    /// [`Event::Completion`]'s `u64`.
+    /// Bumped whenever the row's tickets die: a resize, a stop, the
+    /// job's end. Never restarts.
     generation: u32,
     running: bool,
     /// The next launch restores from a checkpoint: pay the FullRestart
@@ -124,78 +133,34 @@ struct JobRt {
     needs_recovery: bool,
 }
 
-/// The launched jobs that have not ended: a [`JobRt`] row each, which
-/// the next launch reuses once its job ends, found through a column of
-/// one `u32` per workload job (0: no row; else the row plus one). A
-/// dense column, where the view's row map hashes: every lookup here is
-/// on the event loop, and the workload's length is known up front.
-#[derive(Default)]
-struct Launched {
-    row_of: Vec<u32>,
-    rows: Vec<JobRt>,
-    /// Free rows, the last freed on top.
-    free: Vec<u32>,
+/// The ticket a scheduled event carries for `row` at `generation`.
+fn ticket(row: usize, generation: u32) -> u64 {
+    (row as u64) << 32 | u64::from(generation)
 }
 
-impl Launched {
-    /// Room for the ids of a `jobs`-job workload, none launched.
-    fn new(jobs: usize) -> Self {
-        Launched {
-            row_of: vec![0; jobs],
-            ..Launched::default()
-        }
+/// The execution state at kernel attempt `row`, `jobs` grown to it if
+/// the kernel's rows have grown.
+fn at_row(jobs: &mut Vec<JobRt>, row: usize) -> &mut JobRt {
+    if row >= jobs.len() {
+        jobs.resize_with(row + 1, JobRt::default);
     }
+    &mut jobs[row]
+}
 
-    fn row(&self, job: JobId) -> Option<usize> {
-        self.row_of[job.index()]
-            .checked_sub(1)
-            .map(|row| row as usize)
-    }
-
-    fn get(&self, job: JobId) -> Option<&JobRt> {
-        self.row(job).map(|row| &self.rows[row])
-    }
-
-    fn get_mut(&mut self, job: JobId) -> Option<&mut JobRt> {
-        self.row(job).map(|row| &mut self.rows[row])
-    }
-
-    /// `job`'s row, a fresh one if it has none.
-    fn get_or_insert(&mut self, job: JobId) -> &mut JobRt {
-        let row = match self.row(job) {
-            Some(row) => row,
-            None => {
-                let row = match self.free.pop() {
-                    Some(row) => {
-                        self.rows[row as usize] = JobRt::default();
-                        row as usize
-                    }
-                    None => {
-                        self.rows.push(JobRt::default());
-                        self.rows.len() - 1
-                    }
-                };
-                self.row_of[job.index()] = row as u32 + 1;
-                row
-            }
-        };
-        &mut self.rows[row]
-    }
-
-    /// Frees `job`'s row; whether it was running, if it had one.
-    fn remove(&mut self, job: JobId) -> Option<bool> {
-        let row = self.row(job)?;
-        self.row_of[job.index()] = 0;
-        self.free.push(row as u32);
-        Some(self.rows[row].running)
-    }
+/// The row `ticket` names, while its generation in `jobs` is unchanged.
+fn live(jobs: &[JobRt], ticket: u64) -> Option<usize> {
+    let (row, generation) = ((ticket >> 32) as usize, ticket as u32);
+    let live = jobs.get(row).is_some_and(|j| j.generation == generation);
+    live.then_some(row)
 }
 
 /// The queue side of the run: what [`Des`] mechanises the kernel's
 /// effects on.
 #[derive(Default)]
 struct Timeline {
-    jobs: Launched,
+    /// Execution state by kernel attempt row, grown as the kernel's
+    /// rows are: as many as the most jobs live or away at once.
+    jobs: Vec<JobRt>,
     /// Jobs whose cancellation is timed exactly at their arrival, in id
     /// order: on record by the time the job is admitted.
     cancel_on_arrival: Vec<JobId>,
@@ -238,16 +203,21 @@ impl Timeline {
         self.peak_queue_len = self.peak_queue_len.max(self.queue.live_len(unread));
         self.peak_queue_len_raw = self.peak_queue_len_raw.max(self.pending());
         if self.queue.should_compact(unread) {
-            let jobs = &self.jobs;
-            self.queue.compact(|e| match e {
-                Event::Completion { job, generation } => {
-                    (jobs.get(*job)).is_some_and(|j| u64::from(j.generation) == *generation)
-                }
-                // A job cancelled during its backoff has ended.
-                Event::Requeue { job } => jobs.row(*job).is_some(),
-                _ => true,
-            });
+            self.compact();
         }
+    }
+
+    /// Drops every dead ticket from the heap: completions that a
+    /// resize, a stop or the job's end overtook, and the requeue of a
+    /// job cancelled during its backoff.
+    fn compact(&mut self) {
+        let jobs = &self.jobs;
+        self.queue.compact(|e| match *e {
+            Event::Completion { generation, .. } | Event::Requeue { generation, .. } => {
+                live(jobs, generation).is_some()
+            }
+            _ => true,
+        });
     }
 }
 
@@ -260,12 +230,13 @@ struct Des<'a> {
 }
 
 impl Des<'_> {
-    /// Schedules `job`'s completion where its progress `j` says it
-    /// ends.
-    fn schedule_completion(queue: &mut EventQueue, wl: &WorkloadSpec, job: JobId, j: &JobRt) {
-        let finish = j.progress.finishes_at(wl.jobs[job.index()].work());
-        let generation = u64::from(j.generation);
-        queue.push(finish, Event::Completion { job, generation });
+    /// Schedules `job`'s completion where the progress at its `row`
+    /// says it ends.
+    fn schedule_completion(&mut self, job: JobId, row: usize) {
+        let j = &self.t.jobs[row];
+        let finish = j.progress.finishes_at(self.wl.jobs[job.index()].work());
+        let generation = ticket(row, j.generation);
+        (self.t.queue).push(finish, Event::Completion { job, generation });
     }
 }
 
@@ -288,9 +259,9 @@ impl Effects for Des<'_> {
         Some(Admission { job, cancelled })
     }
 
-    fn launch(&mut self, job: JobId, replicas: u32, now: SimTime) -> bool {
+    fn launch(&mut self, job: JobId, row: usize, replicas: u32, now: SimTime) -> bool {
         let shape = &self.wl.jobs[job.index()].shape;
-        let j = self.t.jobs.get_or_insert(job);
+        let j = at_row(&mut self.t.jobs, row);
         debug_assert!(!j.running);
         j.running = true;
         // A checkpoint/restart relaunch pays the FullRestart recovery
@@ -303,42 +274,28 @@ impl Effects for Des<'_> {
         };
         let rate = self.cfg.scaling.job_rate(shape, replicas);
         j.progress = Progress::launch(now, j.progress.done(), rate, recovery);
-        Self::schedule_completion(&mut self.t.queue, self.wl, job, j);
+        self.schedule_completion(job, row);
         true
     }
 
-    fn resize(&mut self, job: JobId, from: u32, to: u32, now: SimTime) -> bool {
+    fn resize(&mut self, job: JobId, row: usize, from: u32, to: u32, now: SimTime) -> bool {
         let shape = &self.wl.jobs[job.index()].shape;
-        let j = self
-            .t
-            .jobs
-            .get_mut(job)
-            .expect("a resized job was launched");
+        let j = &mut self.t.jobs[row];
         debug_assert!(j.running);
         let rate = self.cfg.scaling.job_rate(shape, to);
         let pause = self.cfg.overhead.job_total(shape, from, to);
         j.progress.resize(now, rate, pause);
         j.generation += 1;
         self.t.queue.mark_stale(); // the previously scheduled completion died
-        Self::schedule_completion(&mut self.t.queue, self.wl, job, j);
+        self.schedule_completion(job, row);
         true
     }
 
-    fn stop(&mut self, job: JobId, why: Stop, now: SimTime) {
-        if matches!(why, Stop::Completed | Stop::Cancelled | Stop::Failed { .. }) {
-            // The job has ended: a completion `next_completion` already
-            // settled, or a cancelled or failed job whose scheduled
-            // completion (if it was running) dies with its row.
-            if self.t.jobs.remove(job) == Some(true) {
-                self.t.queue.mark_stale();
-            }
-            return;
-        }
-        let j = self
-            .t
-            .jobs
-            .get_mut(job)
-            .expect("a preempted job was launched");
+    fn stop(&mut self, job: JobId, row: Option<usize>, why: Stop, now: SimTime) {
+        // A job cancelled at its first admission never had a row.
+        let Some(row) = row else { return };
+        let j = at_row(&mut self.t.jobs, row);
+        // A completed job is not running: `next_completion` settled it.
         if std::mem::take(&mut j.running) {
             j.progress.advance(now);
             self.t.queue.mark_stale(); // its scheduled completion died
@@ -352,10 +309,17 @@ impl Effects for Des<'_> {
             Stop::Requeued { back_at, .. } => {
                 j.progress = Progress::default();
                 j.needs_recovery = false;
-                self.t.queue.push(back_at, Event::Requeue { job });
+                let generation = ticket(row, j.generation);
+                (self.t.queue).push(back_at, Event::Requeue { job, generation });
             }
-            Stop::Cancelled | Stop::Failed { .. } | Stop::Completed => {
-                unreachable!("an ended job's row went above")
+            // The job has ended: the row's next holder starts afresh,
+            // past every ticket this one was handed.
+            Stop::Completed | Stop::Cancelled | Stop::Failed { .. } => {
+                let generation = j.generation;
+                *j = JobRt {
+                    generation,
+                    ..JobRt::default()
+                };
             }
         }
     }
@@ -381,17 +345,13 @@ impl Effects for Des<'_> {
                     }
                 }
             };
-            let Some(j) = self
-                .t
-                .jobs
-                .get_mut(job)
-                .filter(|j| u64::from(j.generation) == generation)
-            else {
+            let Some(row) = live(&self.t.jobs, generation) else {
                 // Stale: the job was rescaled, preempted or cancelled
                 // meanwhile.
                 self.t.queue.note_stale_popped();
                 continue;
             };
+            let j = &mut self.t.jobs[row];
             debug_assert!(
                 j.progress.done_at(self.t.now) >= self.wl.jobs[job.index()].work() - 1e-3,
                 "completion fired early for {}",
@@ -485,7 +445,6 @@ impl SimState {
         SimState {
             kernel,
             timeline: Timeline {
-                jobs: Launched::new(workload.jobs.len()),
                 cancel_on_arrival,
                 queue,
                 inputs: Inputs::new(workload),
@@ -506,15 +465,13 @@ impl SimState {
     }
 
     /// The bytes of each column of the run's state: the kernel's (its
-    /// view's included), the launched jobs' execution rows, the event
-    /// heap and the cancellations on record at arrival. Neither the
-    /// workload nor the input cursors into it are run state.
+    /// view's included), the execution rows at the kernel's attempt
+    /// rows, the event heap and the cancellations on record at arrival.
+    /// Neither the workload nor the input cursors into it are run state.
     pub fn column_bytes(&self) -> Vec<ColumnBytes> {
         let t = &self.timeline;
         let mut columns = self.kernel.column_bytes();
-        columns.push(ColumnBytes::of_vec("DES job row map", &t.jobs.row_of));
-        columns.push(ColumnBytes::of_vec("DES job rows", &t.jobs.rows));
-        columns.push(ColumnBytes::of_vec("DES free job rows", &t.jobs.free));
+        columns.push(ColumnBytes::of_vec("DES job rows", &t.jobs));
         columns.push(t.queue.column_bytes());
         columns.push(ColumnBytes::of_vec(
             "DES cancellations at arrival",
@@ -569,7 +526,7 @@ impl SimState {
                     kernel.submit_burst(now, policy, &mut des);
                     true
                 }
-                Event::Requeue { job } => {
+                Event::Requeue { job, .. } => {
                     des.t.admitting = job.index()..job.index() + 1;
                     kernel.requeue_due(job, now, policy, &mut des)
                 }
@@ -1349,6 +1306,74 @@ mod tests {
         assert_eq!(out.metrics.faults.requeues, 1);
         assert_eq!(out.metrics.faults.permanent_failures, 0);
         assert!(out.metrics.jobs.is_empty());
+    }
+
+    /// Steps `st` one event at a time while its next event is due
+    /// before `until`.
+    fn step_before(st: &mut SimState, cfg: &SimConfig, wl: &WorkloadSpec, until: f64) {
+        while (st.timeline.queue.peek_with(&st.timeline.inputs))
+            .is_some_and(|(at, _)| at < SimTime::from_secs(until))
+        {
+            st.step(cfg, wl, 1);
+        }
+    }
+
+    #[test]
+    fn a_dead_ticket_completes_nothing_on_its_rows_next_holder() {
+        // "a" runs 400 core-seconds on 4 workers, due at t = 100, and is
+        // cancelled at t = 10; "b" arrives at t = 20, takes a's freed
+        // kernel row, and is due at t = 220. a's completion still pops
+        // at t = 100 with a's ticket, which must match nothing.
+        let wl = WorkloadSpec::new(vec![
+            JobSpec::malleable("a", 4, 4, 400.0, 1),
+            JobSpec::malleable("b", 4, 4, 800.0, 1).at(Duration::from_secs(20.0)),
+        ]);
+        let mut cfg = paper_default(Box::new(FcfsBackfill::new()));
+        cfg.cancellations = vec![(Duration::from_secs(10.0), "a".into())];
+        let mut st = SimState::new(&cfg, &wl);
+        step_before(&mut st, &cfg, &wl, 100.0);
+        assert_eq!(st.timeline.jobs.len(), 1, "b runs on a's row");
+        let due = st.timeline.queue.peek().expect("a's completion");
+        assert_eq!(due.0, SimTime::from_secs(100.0));
+        assert!(matches!(due.1, Event::Completion { job: JobId(0), .. }));
+        st.step(&cfg, &wl, 1);
+        let b = st
+            .view()
+            .job(JobId(1))
+            .expect("b still runs after a's ticket");
+        assert!(b.running);
+        while st.step(&cfg, &wl, usize::MAX) {}
+        let out = st.finish(&cfg, &wl);
+        assert_eq!(out.cancelled, 1);
+        assert_eq!(out.metrics.jobs.len(), 1);
+        assert_eq!(out.metrics.jobs[0].completed_at, SimTime::from_secs(220.0));
+
+        // A job killed at t = 100 waits out its backoff until t = 130
+        // and is cancelled at t = 115. A sweep keeps its requeue until
+        // then, and drops it after: the ticket died with the job.
+        let wl = WorkloadSpec::new(vec![JobSpec::malleable("victim", 8, 56, 1e9, 3)]);
+        let wl = wl.with_faults(hpc_workload::FaultSpec::new(vec![FaultEvent {
+            at: Duration::from_secs(100.0),
+            slots: 60,
+            kind: FaultKind::Reclaim,
+        }]));
+        let mut cfg = paper_default(recovery(elastic_core::RecoveryStrategy::KillRequeue));
+        cfg.cancellations = vec![(Duration::from_secs(115.0), "victim".into())];
+        let swept_before = |until: f64| {
+            let mut st = SimState::new(&cfg, &wl);
+            step_before(&mut st, &cfg, &wl, until);
+            st.timeline.compact();
+            std::iter::from_fn(|| st.timeline.queue.pop()).collect::<Vec<_>>()
+        };
+        let requeue = |e: &Event| matches!(e, Event::Requeue { job: JobId(0), .. });
+        let kept = swept_before(115.0);
+        assert_eq!(kept.len(), 2, "the cancel and the requeue: {kept:?}");
+        assert!(requeue(&kept[1].1) && kept[1].0 == SimTime::from_secs(130.0));
+        assert_eq!(
+            swept_before(130.0),
+            [],
+            "the dead requeue and completion went"
+        );
     }
 
     #[test]

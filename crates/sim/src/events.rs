@@ -20,11 +20,13 @@
 //!   requeues, the timer) plus the cancellations — a few hundred
 //!   entries even on a 400 000-job replay.
 //!
-//! Completion events carry a per-job generation number; rescaling a job
-//! bumps its generation, turning any previously scheduled completion
-//! into a harmless stale event (the standard DES invalidation idiom).
-//! The engine reports each via [`EventQueue::mark_stale`] and sweeps the
-//! heap with [`EventQueue::compact`] once more than half of what is
+//! Completion and requeue events carry a ticket in their `generation`:
+//! the engine's row of the job and that row's generation number.
+//! Rescaling, stopping or ending a job bumps its row's generation,
+//! turning any previously scheduled completion into a harmless stale
+//! event (the standard DES invalidation idiom); pop order never reads
+//! it. The engine reports each via [`EventQueue::mark_stale`] and sweeps
+//! the heap with [`EventQueue::compact`] once more than half of what is
 //! pending is stale, so rescale-heavy runs cannot pile up dead entries.
 
 use std::cmp::Reverse;
@@ -47,12 +49,13 @@ pub enum Event {
         /// Number of jobs submitted together.
         count: u32,
     },
-    /// Predicted job completion (valid only if the job's generation
-    /// still equals `generation`).
+    /// Predicted job completion (valid only while the ticket in
+    /// `generation` is live).
     Completion {
         /// The job.
         job: JobId,
-        /// Generation at scheduling time.
+        /// The engine's ticket at scheduling time: the job's row in the
+        /// high 32 bits, the row's generation in the low 32.
         generation: u64,
     },
     /// Client cancellation of a job (the DES analogue of
@@ -88,6 +91,10 @@ pub enum Event {
     Requeue {
         /// The job.
         job: JobId,
+        /// The engine's ticket at the requeue, as in
+        /// [`Event::Completion`]: dead once the job ended during its
+        /// backoff, so a sweep drops the entry.
+        generation: u64,
     },
     /// A scheduled transient control-plane fault (the workload's
     /// `FlakySpec`): the engine selects the deterministic victim, asks
@@ -111,7 +118,7 @@ impl Event {
             | Event::CapacityReclaim { .. }
             | Event::CapacityReturn { .. } => (EventClass::Capacity, 0),
             Event::Flaky { .. } => (EventClass::Flaky, 0),
-            Event::Requeue { job } => (EventClass::Requeue, job.0),
+            Event::Requeue { job, .. } => (EventClass::Requeue, job.0),
             Event::Completion { job, .. } => (EventClass::Completion, job.0),
             Event::Timer => (EventClass::Timer, 0),
         }
@@ -545,6 +552,13 @@ mod tests {
         }
     }
 
+    fn requeue(job: u32) -> Event {
+        Event::Requeue {
+            job: JobId(job),
+            generation: 0,
+        }
+    }
+
     fn drain(q: &mut EventQueue) -> Vec<Event> {
         std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect()
     }
@@ -556,7 +570,7 @@ mod tests {
             Event::Timer,
             completion(7, 0),
             completion(2, 0),
-            Event::Requeue { job: JobId(1) },
+            requeue(1),
             Event::Flaky { index: 0 },
             Event::CapacityReturn { slots: 4 },
             Event::CapacityReclaim { slots: 4 },
@@ -577,7 +591,7 @@ mod tests {
             Event::CapacityReturn { slots: 4 },
             Event::CapacityReclaim { slots: 4 },
             Event::Flaky { index: 0 },
-            Event::Requeue { job: JobId(1) },
+            requeue(1),
             completion(2, 0),
             completion(7, 0),
             Event::Timer,
@@ -596,11 +610,11 @@ mod tests {
         // Handling that completion schedules a requeue *at this
         // instant*: a lower class than what was just popped. It cannot
         // be un-popped before it; it is the minimum of what is pending.
-        q.push(t(10.0), Event::Requeue { job: JobId(6) });
+        q.push(t(10.0), requeue(6));
         // And a completion of a lower job than the one just popped.
         q.push(t(10.0), completion(0, 0));
         let expect = vec![
-            Event::Requeue { job: JobId(6) },
+            requeue(6),
             completion(0, 0),
             completion(4, 0),
             Event::Timer,
@@ -642,7 +656,7 @@ mod tests {
             | Event::CapacityReclaim { .. }
             | Event::CapacityReturn { .. } => (2, 0),
             Event::Flaky { .. } => (3, 0),
-            Event::Requeue { job } => (4, job.0),
+            Event::Requeue { job, .. } => (4, job.0),
             Event::Completion { job, .. } => (5, job.0),
             Event::Timer => (6, 0),
         }
@@ -792,7 +806,7 @@ mod tests {
                                 3 => Event::CapacityReclaim { slots: job.0 },
                                 4 => Event::CapacityReturn { slots: job.0 },
                                 5 => Event::Flaky { index: job.0 },
-                                6 => Event::Requeue { job },
+                                6 => requeue(job.0),
                                 7 => Event::Timer,
                                 _ => completion(job.0, rng.gen_range(0u64..3)),
                             };

@@ -1,4 +1,4 @@
-//! Twelve structural rules, checked on the source: one scheduling
+//! Thirteen structural rules, checked on the source: one scheduling
 //! kernel, one measurement estate, one drive loop, no scan in the pod
 //! controllers (nor a copy or a pointer a watcher did not ask for), one
 //! execution model, an operator that watches two stores, one
@@ -6,7 +6,8 @@
 //! cross-engine tests, the bench sweeps and the examples, one lock policy,
 //! no dependency a package's sources never name, one entry point
 //! for the paper's artifacts, no public function or constant that
-//! only its own file names, and one counting surface. Each test runs its
+//! only its own file names, one counting surface, and no job row map
+//! in an engine adapter beside the kernel's. Each test runs its
 //! rule on the tree as it is, then with one recorded mutation spliced
 //! into a real file, and asserts that the rule fires. Most rules read
 //! [`code`]: a file without its comments, literals and `#[cfg(test)]`
@@ -64,6 +65,9 @@ const STALE: &str = "these allowlisted items have a caller now, or are gone; dro
 const SHAPE: &str =
     "{path} defines its own counter shape; add to an hpc_metrics::Counters and expose counters()";
 const UNLOCKED: &str = "{path} counts outside the store lock; bump a StoreInner field under it";
+const ROW_MAP: &str = "row_of|free: Vec<u32>";
+const OWN_ROWS: &str =
+    "{path} keeps a job row map of its own; keep per-job state at the row Effects hands";
 /// The public count shapes rule 12 lets stand, with the reason.
 const OWN_SHAPES: [(&str, &str); 2] = [
     (
@@ -444,6 +448,17 @@ fn one_counting_surface(read: Read) -> Verdict {
     deny(API, &code(&read(API)), any_of("AtomicU64"), UNLOCKED)
 }
 
+/// Rule 13: an adapter keeps no row map of its own. Neither engine
+/// declares a `row_of` or a free list of rows: the kernel's attempt
+/// row, which `Effects` hands with every launch, resize and stop, is
+/// where each keeps its per-job state.
+fn no_row_map_in_an_adapter(read: Read) -> Verdict {
+    for path in [ENGINE, OPERATOR] {
+        deny(path, &code(&read(path)), any_of(ROW_MAP), OWN_ROWS)?;
+    }
+    Ok(())
+}
+
 /// The name a line of code defines as a `pub struct`, if it ends in
 /// `Stats`, `Dispatches` or `Indexes`.
 fn counter_shape(line: &str) -> Option<&str> {
@@ -755,6 +770,16 @@ fn one_counting_surface_rule() {
     let beside = format!("{inner}    full_scans: Arc<AtomicU64>,\n");
     let mutated = disk(API).replacen(inner, &beside, 1);
     rail(one_counting_surface, API, &mutated, UNLOCKED);
+}
+
+#[test]
+fn no_row_map_in_an_adapter_rule() {
+    // The DES's own job map and free list come back.
+    let anchor = "/// The queue side of the run";
+    let launched = "struct Launched {\n    row_of: Vec<u32>,\n    rows: Vec<JobRt>,\n    free: Vec<u32>,\n}\n\n";
+    let mutated = disk(ENGINE).replacen(anchor, &format!("{launched}{anchor}"), 1);
+    let broken = rail(no_row_map_in_an_adapter, ENGINE, &mutated, OWN_ROWS);
+    assert!(broken.ends_with("    free: Vec<u32>,"), "{broken}");
 }
 
 /// A product file that defines `lonely` and `LIMIT`, and a test file
