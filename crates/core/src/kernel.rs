@@ -4,7 +4,7 @@
 //! The [`Kernel`] owns the [`ClusterView`], the utilization fold, the
 //! rescale / cancel / completed / failed tallies, the [`FaultStats`],
 //! the [`ResilienceState`], the recovery parameters, an attempt ledger
-//! of one row per live job and the completed jobs' outcome rows, and
+//! at the view's rows and the completed jobs' outcome rows, and
 //! it is the only code that calls a
 //! [`SchedulingPolicy`] hook, folds an [`Action`] into the view, costs
 //! an eviction or a requeue, picks a flaky victim, routes a
@@ -20,14 +20,16 @@
 //!
 //! # Sized by the live jobs
 //!
-//! A job takes an attempt row when it is admitted and gives it back —
-//! for the next admission to reuse — when it completes, is cancelled or
-//! fails, once its outcome is written; its view row goes at the same
-//! moment. An engine keeps its own per-job state at the same row
-//! ([`Effects`] hands it), so this is the one job → row map under both
-//! engines. What stays per job for the whole run is 4 bytes (where its
-//! row is, or how it ended) and a [`JobOutcome`] row, filled in as the
-//! job completes and named and read in id order at the end. Utilization is folded
+//! A job takes a row of the view when it is admitted, keeps it parked
+//! through a requeue backoff, and gives it back — for the next admission
+//! to reuse — when it completes, is cancelled or fails, once its outcome
+//! is written. The view's row column is the one job → row map of the
+//! run: the kernel's attempt ledger is a column beside the view's
+//! arena, at the same rows, and an engine keeps its own per-job state
+//! there too ([`Effects`] hands the row). What stays per job for the
+//! whole run is that column's 4 bytes (where its row is, or that it has
+//! none yet or any more) and a [`JobOutcome`] row, filled in as the job
+//! completes and named and read in id order at the end. Utilization is folded
 //! as the clock advances ([`Utilization`]), so no allocation change is
 //! kept unless a caller asks for the series
 //! ([`Kernel::record_allocations`]).
@@ -40,7 +42,7 @@ use hpc_workload::{FaultEvent, FaultKind, FaultSpec, FlakyOp};
 use crate::policy::{CompleteBurst, SchedulingPolicy, SubmitBurst};
 use crate::report::{FaultStats, JobOutcome, RunMetrics};
 use crate::resilience::{FlakyOutcome, ResilienceState};
-use crate::view::{apply_action, Action, ClusterView, JobFields, JobState};
+use crate::view::{apply_action, Action, ClusterView, JobFields, JobState, Phase};
 
 /// The kind of event an entry point stands for. **The declaration
 /// order is the order in which events sharing an instant reach the
@@ -114,13 +116,15 @@ pub enum Stop {
 
 /// What the kernel needs an engine to do — and nothing it decides.
 ///
-/// `launch`, `resize` and `stop` are handed the job's attempt `row`,
-/// the one place an engine keeps its own per-job state: a job holds the
-/// same row from its admission until it ends (an away job keeps it
-/// through its backoff), no two live or away jobs hold one row, and the
-/// row is free for the next admission once a terminal stop
-/// (`Completed`, `Cancelled`, `Failed`) has handed it. Rows are dense
-/// from 0 and as many as the most jobs live or away at once.
+/// `launch`, `resize` and `stop` are handed the job's attempt `row` —
+/// its row in the kernel's [`ClusterView`], which the attempt ledger is
+/// indexed by too — the one place an engine keeps its own per-job
+/// state: a job holds the same row from its admission until it ends (an
+/// away job keeps it through its backoff), no two live or away jobs
+/// hold one row, and the row is free for the next admission once a
+/// terminal stop (`Completed`, `Cancelled`, `Failed`) has handed it.
+/// Rows are dense from 0 and as many as the most jobs live or away at
+/// once.
 pub trait Effects {
     /// The next job of the submission burst being decided (or the one
     /// re-entering job of [`Kernel::requeue_due`]); `None` ends it.
@@ -161,34 +165,14 @@ pub trait Effects {
     fn identify(&self, job: JobId) -> (u32, SimTime);
 }
 
-/// Where a job is in its life. A live or away job's phase is its
-/// row's; the others are where its row would be (`Kernel::row_of`). The
-/// instant a phase needs is the row's [`Attempt::at`], so the tag is
-/// one byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum Phase {
-    /// Never admitted (and, on a row, a free row).
-    #[default]
-    Unknown,
-    /// In the view, queued or running.
-    Live,
-    /// Alive but out of the view: waiting out a requeue backoff until
-    /// [`Attempt::at`].
-    Away,
-    /// Completed at [`Attempt::at`].
-    Completed,
-    Cancelled,
-    Failed,
-}
-
 /// [`Attempt::started_at`] of an attempt whose application has not
 /// started.
 const NOT_STARTED: SimTime = SimTime::NEG_INFINITY;
 
-/// One row of the attempt ledger: a live job's, or an away one's.
+/// One row of the attempt ledger, at the job's view row: a live job's,
+/// or an away one's (its view row parked).
 #[derive(Debug, Clone, Copy)]
 struct Attempt {
-    phase: Phase,
     /// Workers the job is entitled to (0 unless running).
     replicas: u32,
     /// Kill-and-requeue attempts consumed.
@@ -203,20 +187,18 @@ struct Attempt {
     /// change (never per tick), so requeue waste does not depend on how
     /// often an engine looks.
     banked: f64,
-    /// The phase's instant: while `Live` and running, when the current
-    /// allocation began; while `Away`, when the backoff ends; once
-    /// `Completed`, when the job completed.
+    /// While live and running, when the current allocation began;
+    /// while away, when the backoff ends.
     at: SimTime,
 }
 
-/// The ledger is as long as the most jobs ever live or away at once:
-/// its row stays at five words.
+/// The ledger is as long as the view's arena, the most jobs ever live or
+/// away at once: its row stays at five words.
 const _: () = assert!(std::mem::size_of::<Attempt>() <= 40);
 
 impl Default for Attempt {
     fn default() -> Self {
         Attempt {
-            phase: Phase::Unknown,
             replicas: 0,
             attempts: 0,
             on_record: 0,
@@ -234,15 +216,6 @@ impl Attempt {
     }
 }
 
-/// [`Kernel::row_of`] of a job never admitted.
-const UNKNOWN: u32 = u32::MAX;
-/// [`Kernel::row_of`] of a job that completed.
-const COMPLETED: u32 = u32::MAX - 1;
-/// [`Kernel::row_of`] of a job that was cancelled.
-const CANCELLED: u32 = u32::MAX - 2;
-/// [`Kernel::row_of`] of a job that failed for good.
-const FAILED: u32 = u32::MAX - 3;
-
 /// The transition machine (see the module docs).
 pub struct Kernel {
     view: ClusterView,
@@ -256,14 +229,9 @@ pub struct Kernel {
     recovery: FaultSpec,
     /// Transient faults are scheduled: completions feed the breaker.
     flaky_scheduled: bool,
-    /// Per known job, by id: its row in `rows` while it is live or
-    /// away, else [`UNKNOWN`], [`COMPLETED`], [`CANCELLED`] or
-    /// [`FAILED`].
-    row_of: Vec<u32>,
-    /// The attempt ledger: live and away jobs' rows, and free ones.
+    /// The attempt ledger, indexed by the view's rows: live and away
+    /// jobs' rows, and free ones.
     rows: Vec<Attempt>,
-    /// Free rows of `rows`, the last freed on top.
-    free: Vec<u32>,
     /// Per known job, by id: its outcome once it completed, named
     /// [`Kernel::unnamed`] until a report names it.
     outcomes: Vec<Option<JobOutcome>>,
@@ -291,9 +259,7 @@ impl Kernel {
             resilience: ResilienceState::new(&recovery.flaky),
             recovery,
             flaky_scheduled: false,
-            row_of: Vec::new(),
             rows: Vec::new(),
-            free: Vec::new(),
             outcomes: Vec::new(),
             unnamed: Arc::from(""),
             admitted: 0,
@@ -320,8 +286,8 @@ impl Kernel {
     /// up front says so here), and the outcome rows are reserved in
     /// one allocation.
     pub fn expect_jobs(&mut self, n: usize) {
-        if n > self.row_of.len() {
-            self.row_of.resize(n, UNKNOWN);
+        if n > self.view.known_jobs() {
+            self.view.expect_jobs(n);
             self.outcomes.reserve_exact(n - self.outcomes.len());
         }
     }
@@ -372,9 +338,7 @@ impl Kernel {
     /// The bytes of each column the kernel holds, its view's included.
     pub fn column_bytes(&self) -> Vec<ColumnBytes> {
         let mut columns = vec![
-            ColumnBytes::of_vec("kernel row map", &self.row_of),
             ColumnBytes::of_vec("kernel attempt rows", &self.rows),
-            ColumnBytes::of_vec("kernel free rows", &self.free),
             ColumnBytes::of_vec("outcome rows", &self.outcomes),
         ];
         columns.extend(self.util.column_bytes());
@@ -384,13 +348,13 @@ impl Kernel {
 
     /// Jobs admitted or expected so far.
     pub fn known_jobs(&self) -> usize {
-        self.row_of.len()
+        self.view.known_jobs()
     }
 
     /// `true` once every known job is terminal. O(1): each terminal
     /// phase has one writer, which bumps its tally in the same breath.
     pub fn all_terminal(&self) -> bool {
-        self.terminal() as usize == self.row_of.len()
+        self.terminal() as usize == self.known_jobs()
     }
 
     /// Completed, cancelled and failed jobs.
@@ -401,61 +365,18 @@ impl Kernel {
 
     /// Known jobs that are not terminal, in id order (diagnostics).
     pub fn unfinished(&self) -> impl Iterator<Item = JobId> + '_ {
-        let terminal = [COMPLETED, CANCELLED, FAILED];
-        (self.row_of.iter().enumerate())
-            .filter(move |(_, row)| !terminal.contains(row))
-            .map(|(i, _)| JobId::from_index(i))
+        (0..self.known_jobs())
+            .map(JobId::from_index)
+            .filter(|&job| self.view.phase(job) != Phase::Ended)
     }
 
-    /// Where `job` is in its life.
-    fn phase(&self, job: JobId) -> Phase {
-        match self.row_of.get(job.index()).copied().unwrap_or(UNKNOWN) {
-            UNKNOWN => Phase::Unknown,
-            COMPLETED => Phase::Completed,
-            CANCELLED => Phase::Cancelled,
-            FAILED => Phase::Failed,
-            row => self.rows[row as usize].phase,
-        }
-    }
-
-    /// The row of live or away `job`.
+    /// The view row of live or away `job`.
     #[inline]
     fn row(&self, job: JobId) -> usize {
-        let row = self.row_of[job.index()];
-        debug_assert!(row < FAILED, "{job} has no attempt row");
-        row as usize
-    }
-
-    /// A fresh live row for `job`: a free one, or a new one.
-    fn take_row(&mut self, job: JobId) -> usize {
-        let fresh = Attempt {
-            phase: Phase::Live,
-            ..Attempt::default()
-        };
-        let row = match self.free.pop() {
-            Some(row) => {
-                self.rows[row as usize] = fresh;
-                row as usize
-            }
-            None => {
-                self.rows.push(fresh);
-                self.rows.len() - 1
-            }
-        };
-        self.row_of[job.index()] = row as u32;
-        row
-    }
-
-    /// `job` ended as `how` ([`COMPLETED`], [`CANCELLED`] or
-    /// [`FAILED`]): its row, if it had one, is free for the next
-    /// admission, and returned for the engine's terminal stop.
-    fn end(&mut self, job: JobId, how: u32) -> Option<usize> {
-        let row = std::mem::replace(&mut self.row_of[job.index()], how);
-        (row < FAILED).then(|| {
-            self.rows[row as usize].phase = Phase::Unknown;
-            self.free.push(row);
-            row as usize
-        })
+        match self.view.phase(job) {
+            Phase::Live(row) | Phase::Parked(row) => row,
+            phase => panic!("{job} has no attempt row: {phase:?}"),
+        }
     }
 
     /// `job`, on `row`, holds `slots` slots from `now` on.
@@ -467,9 +388,9 @@ impl Kernel {
 
     /// Panics unless the books balance: every slot is free, failed or
     /// held by a running job (less the open deficit); free slots and a
-    /// deficit never coexist; the view holds exactly the live jobs,
-    /// each on a live row; and the completed / cancelled / failed
-    /// tallies and the live and away rows partition the admitted jobs.
+    /// deficit never coexist; the view's rows are its live and parked
+    /// jobs' and its free list; and the completed / cancelled / failed
+    /// tallies and the live and parked rows partition the admitted jobs.
     /// O(live), allocating nothing — engines run it in debug builds,
     /// tests after every event.
     pub fn check(&self) {
@@ -488,15 +409,8 @@ impl Kernel {
             v.free_slots(),
             v.deficit()
         );
-        for j in v.jobs_unordered() {
-            assert_eq!(self.phase(j.id), Phase::Live, "job {} in the view", j.id);
-        }
-        let count = |phase| self.rows.iter().filter(|a| a.phase == phase).count();
-        let (live, away) = (count(Phase::Live), count(Phase::Away));
-        assert_eq!(live, v.len(), "live rows out of the view");
-        assert_eq!(self.free.len(), count(Phase::Unknown), "free rows");
         assert_eq!(
-            (self.terminal() as usize) + live + away,
+            (self.terminal() as usize) + v.len() + v.parked_rows(),
             self.admitted as usize,
             "the terminal tallies and the rows partition the admitted jobs"
         );
@@ -536,7 +450,7 @@ impl Kernel {
         policy: &dyn SchedulingPolicy,
         fx: &mut E,
     ) -> bool {
-        if self.phase(job) != Phase::Away {
+        if !matches!(self.view.phase(job), Phase::Parked(_)) {
             return false;
         }
         self.submit_burst(now, policy, fx);
@@ -785,8 +699,8 @@ impl Kernel {
     /// Folds one action into the view and the ledgers, then has the
     /// engine carry it out.
     fn apply<E: Effects>(&mut self, action: &Action, now: SimTime, fx: &mut E) {
-        apply_action(&mut self.view, action, now, self.launcher);
         let row = self.row(action.job());
+        apply_action(&mut self.view, action, now, self.launcher);
         match *action {
             Action::Create { job, replicas } => {
                 // A fresh attempt ledger: waste on a later requeue
@@ -844,14 +758,13 @@ impl Kernel {
                 let attempts = a.attempts;
                 self.record(row, job, now, 0);
                 let why = if attempts >= self.recovery.max_attempts {
-                    self.end(job, FAILED);
+                    // Its parked row is freed.
+                    self.view.remove(job, self.launcher);
                     self.faults.permanent_failures += 1;
                     Stop::Failed { attempts }
                 } else {
                     let back_at = now + self.recovery.backoff_for(attempts);
-                    let a = &mut self.rows[row];
-                    a.phase = Phase::Away;
-                    a.at = back_at;
+                    self.rows[row].at = back_at;
                     Stop::Requeued {
                         attempt: attempts,
                         back_at,
@@ -861,48 +774,56 @@ impl Kernel {
             }
             // The view side is folded above; a policy's own cancel is
             // part of its plan, so no nested redistribution.
-            Action::Cancel { job } => {
-                self.retire_cancelled(job, now, fx);
-            }
+            Action::Cancel { job } => self.cancelled(job, row, now, fx),
         }
     }
 
-    /// Admits one job: into the view as a queued entry (`Some`), or —
-    /// its cancellation already on record — straight to `Cancelled`.
+    /// Admits one job: into the view as a queued entry (`Some`), on its
+    /// parked row if it is re-entering, or — its cancellation already on
+    /// record — straight to cancelled.
     fn admit<E: Effects>(&mut self, adm: Admission, now: SimTime, fx: &mut E) -> Option<JobId> {
         let Admission { mut job, cancelled } = adm;
         debug_assert!(!job.running && job.last_action == SimTime::NEG_INFINITY);
-        let id = job.id.index();
-        if id >= self.row_of.len() {
-            self.row_of.resize(id + 1, UNKNOWN);
-        }
-        match self.phase(job.id) {
-            Phase::Unknown => self.admitted += 1,
-            Phase::Away => job.submitted_at = self.rows[self.row(job.id)].at,
+        self.view.expect_jobs(job.id.index() + 1);
+        let parked = match self.view.phase(job.id) {
+            Phase::Unknown => {
+                self.admitted += 1;
+                None
+            }
+            Phase::Parked(row) => {
+                job.submitted_at = self.rows[row].at;
+                Some(row)
+            }
             phase => panic!("admission of {}, which is {phase:?}", job.id),
-        }
+        };
         if cancelled {
-            let row = self.end(job.id, CANCELLED);
+            // Its parked row, if it has one, is freed; either way the
+            // job has ended.
+            self.view.remove(job.id, self.launcher);
             self.counters.add(Counter::Cancellations, 1);
-            fx.stop(job.id, row, Stop::Cancelled, now);
+            fx.stop(job.id, parked, Stop::Cancelled, now);
             return None;
         }
-        match self.row_of[id] {
-            UNKNOWN => {
-                self.take_row(job.id);
-            }
-            row => self.rows[row as usize].phase = Phase::Live,
-        }
         self.view.insert(job, self.launcher);
+        if parked.is_none() {
+            // A first admission: a fresh attempt at the row the view gave.
+            let row = self.row(job.id);
+            match self.rows.get_mut(row) {
+                Some(a) => *a = Attempt::default(),
+                None => {
+                    debug_assert_eq!(row, self.rows.len(), "the view grew one row");
+                    self.rows.push(Attempt::default());
+                }
+            }
+        }
         Some(job.id)
     }
 
     /// Retires a finished job out of the view: its outcome row is
-    /// written, and its attempt and view rows freed.
+    /// written, and its row freed.
     fn retire<E: Effects>(&mut self, job: JobId, now: SimTime, fx: &mut E) {
         let row = self.row(job);
         let a = self.rows[row];
-        debug_assert_eq!(a.phase, Phase::Live, "completion of {job}");
         assert!(a.started_at != NOT_STARTED, "a completed job started");
         self.completed += 1;
         self.record(row, job, now, 0);
@@ -918,8 +839,8 @@ impl Kernel {
             completed_at: now,
         });
         self.util.completed(submitted_at, now);
-        self.end(job, COMPLETED);
-        self.view.remove(job, self.launcher);
+        let retired = self.view.remove(job, self.launcher);
+        debug_assert!(retired.is_some(), "completion of {job}, which is not live");
         // A successful retirement feeds the resilience layer (breaker
         // reset, budget deposit, health forgiveness).
         if self.flaky_scheduled {
@@ -928,27 +849,29 @@ impl Kernel {
         fx.stop(job, Some(row), Stop::Completed, now);
     }
 
-    /// Tears a live job down as cancelled; `Some(held_slots)`, or `None`
-    /// if it is unknown or already terminal.
+    /// Tears a live or away job down as cancelled; `Some(held_slots)`,
+    /// or `None` if it is unknown or already terminal.
     fn retire_cancelled<E: Effects>(
         &mut self,
         job: JobId,
         now: SimTime,
         fx: &mut E,
     ) -> Option<bool> {
-        if !matches!(self.phase(job), Phase::Live | Phase::Away) {
+        let (Phase::Live(row) | Phase::Parked(row)) = self.view.phase(job) else {
             return None;
-        }
-        self.counters.add(Counter::Cancellations, 1);
-        // A job waiting out a backoff is alive but not in the view.
-        let held = self
-            .view
-            .remove(job, self.launcher)
-            .is_some_and(|j| j.running);
-        self.record(self.row(job), job, now, 0);
-        let row = self.end(job, CANCELLED);
-        fx.stop(job, row, Stop::Cancelled, now);
+        };
+        // A job waiting out a backoff is alive but not in the view: its
+        // parked row is freed all the same.
+        let held = (self.view.remove(job, self.launcher)).is_some_and(|j| j.running);
+        self.cancelled(job, row, now, fx);
         Some(held)
+    }
+
+    /// Books `job`, out of the view and its row freed, as cancelled.
+    fn cancelled<E: Effects>(&mut self, job: JobId, row: usize, now: SimTime, fx: &mut E) {
+        self.counters.add(Counter::Cancellations, 1);
+        self.record(row, job, now, 0);
+        fx.stop(job, Some(row), Stop::Cancelled, now);
     }
 
     /// Deterministic victim of a transient fault: the *oldest* job

@@ -88,7 +88,8 @@
 //!   submission-order tie-breaker that keeps operator and simulator
 //!   ordering identical even for equal `(priority, submitted_at)`.
 //! * The **[`ClusterView`]** is *persistent and incrementally
-//!   maintained*: a hot/cold packed job arena indexed by id (one
+//!   maintained*: a hot/cold packed job arena of rows, one dense
+//!   column finding a job's row by id (one
 //!   32-byte hot row per job holds everything policy scans read — one
 //!   cache line per visited job — with submission time and walltime
 //!   estimate in cold columns) and carried `free_slots` / job
@@ -123,13 +124,16 @@
 //! The operator and the DES are adapters around one transition machine,
 //! [`kernel::Kernel`]. It owns the view, the utilization fold, the
 //! tallies, [`FaultStats`], the resilience core, the recovery
-//! parameters, an attempt ledger of one row per live job and the
-//! completed jobs' outcome rows, and it alone calls a
+//! parameters, an attempt ledger and the completed jobs' outcome rows,
+//! and it alone calls a
 //! policy hook, folds an [`Action`], costs an eviction or a requeue,
 //! picks a flaky victim, decides the run is over and builds
-//! [`RunMetrics`]. An engine turns what it observes into one entry
+//! [`RunMetrics`]. A job's row is the view's: the view's row column and
+//! free list are the run's one job → row map and row allocator, a
+//! requeued job's row stays parked through its backoff, and the
+//! attempt ledger is a column at the same rows. An engine turns what it observes into one entry
 //! point, passing the instant, the policy and its [`kernel::Effects`]
-//! (launch / resize / stop, each handed the job's attempt row, where
+//! (launch / resize / stop, each handed the job's row, where
 //! the engine keeps its own per-job state; the next admission or
 //! completion of a burst; and a completed job's priority and
 //! submission):

@@ -18,12 +18,13 @@
 //!
 //! The decorator is policy-agnostic: `on_submit`/`on_complete` pass
 //! straight through; only the timer pass sees boosted priorities. The
-//! boosted view is a clone (built once per timer tick, never on the
-//! per-event hot path), and the inner policy's actions are id-keyed, so
-//! they apply to the real view unchanged — priorities affect ordering,
-//! never applicability. Priority-blind inner policies (the FCFS
-//! family) gain only the periodic re-examination, not reordering —
-//! aging is a priority-scheduling remedy by nature.
+//! boosted view is a clone with its queued priorities rewritten in
+//! place (made once per timer tick, never on the per-event hot path;
+//! O(ids), for the view's row column), and the inner policy's actions
+//! are id-keyed, so they apply to the real view unchanged — priorities
+//! affect ordering, never applicability. Priority-blind inner policies
+//! (the FCFS family) gain only the periodic re-examination, not
+//! reordering — aging is a priority-scheduling remedy by nature.
 
 use hpc_metrics::{Duration, JobId, SimTime};
 
@@ -85,22 +86,10 @@ impl AgingSweep {
     /// A clone of `view` with every queued job's priority replaced by
     /// its aged effective priority at `now`.
     fn boosted_view(&self, view: &ClusterView, now: SimTime) -> ClusterView {
-        let capacity = view.capacity();
-        let launcher = self.inner.launcher_slots();
-        let mut boosted = ClusterView::new(capacity);
-        for j in view.jobs() {
-            let mut j = j;
-            if !j.running {
-                let waited = now - j.submitted_at;
-                j.priority = self.effective_priority(j.priority, waited);
-            }
-            // Reset the counter before each insert so running inserts
-            // never trip the capacity assert; the true counter is
-            // restored below.
-            boosted.set_free_slots(capacity);
-            boosted.insert(j, launcher);
-        }
-        boosted.set_free_slots(view.free_slots());
+        let mut boosted = view.clone();
+        boosted.set_queued_priorities(|j| {
+            self.effective_priority(j.priority(), now - j.submitted_at())
+        });
         boosted
     }
 }

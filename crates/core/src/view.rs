@@ -13,8 +13,12 @@
 //! per live job: a job takes a row when it is inserted and gives it
 //! back when it is removed, and the next insert reuses it, so the view
 //! is sized by the jobs live at once, not by the jobs a run has seen.
-//! A hash map of the live jobs finds a job's row from its interned
-//! [`JobId`]; the row holds the id back. One packed 32-byte hot row per job
+//! A kill-and-requeued job keeps its row *parked* — not live, not free
+//! — until it is inserted again or removed for good. One dense column
+//! of 4 bytes per interned [`JobId`] finds a job's row, and the row
+//! holds the id back. That column and the free list are the run's only
+//! job → row map and row allocator: the kernel keeps its attempt ledger
+//! at the same rows, and the engines their per-job state. One packed 32-byte hot row per job
 //! (`HotJob`: replica bounds, priority, live replicas, last action,
 //! liveness flags, id) holds everything the hot policy scans (priority
 //! walks, gap checks, footprint sums) and per-action updates touch —
@@ -32,7 +36,7 @@
 //! The arena rows plus four counters (`free_slots`, `failed_slots`,
 //! `deficit`, live/running job counts) are the whole state; every
 //! mutation updates them in O(1) and `job(id)` resolves in O(1)
-//! (one map lookup).
+//! (one load from the row column).
 //!
 //! The **ordered indexes are pay-per-use**. Each one — running jobs
 //! by descending priority, by last scheduling action and by estimated
@@ -107,8 +111,7 @@
 //! costs O(candidates that fit), not O(queue).
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BTreeSet, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 use hpc_metrics::{ColumnBytes, Counter, Counters, Duration, JobId, SimTime};
@@ -128,35 +131,6 @@ type QueueKey = (SimTime, JobId);
 /// so reading either back needs no lookup. The id decides the order;
 /// the row only rides along.
 type Keyed = (QueueKey, u32);
-
-/// Each live job's arena row, by id: sized by the jobs live at once, not
-/// by every id a run has seen.
-type IdMap<V> = HashMap<JobId, V, BuildHasherDefault<IdHasher>>;
-
-/// [`IdMap`]'s hasher: one multiply by 2⁶⁴/φ (Fibonacci hashing). A
-/// dense id needs no mixing beyond that — the low bits of the product
-/// still walk every bucket as ids count up, and the high bits the map
-/// keeps as tags are spread — and it costs a fraction of the default
-/// SipHash, which guards against keys an adversary picks.
-#[derive(Default, Clone, Copy)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.write_u32(u32::from(b)));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-}
 
 /// A job as the policy sees it: a by-value snapshot assembled from the
 /// view's columnar arena (everything is `Copy`, ~70 bytes).
@@ -326,6 +300,27 @@ impl JobFields for JobRef<'_> {
 const LIVE: u32 = 1;
 /// Arena flag: the job currently holds resources.
 const RUNNING: u32 = 1 << 1;
+/// Arena flag: the row is parked for a requeued job waiting out its
+/// backoff — not live, and not free either.
+const PARKED: u32 = 1 << 2;
+
+/// The row column's entry for an id that never held a row.
+const UNKNOWN: u32 = u32::MAX;
+/// The row column's entry for an id whose row was freed: it ended.
+const ENDED: u32 = u32::MAX - 1;
+
+/// Where a job's row is: what the row column says of its id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// Never inserted.
+    Unknown,
+    /// In the view, queued or running, on this row.
+    Live(usize),
+    /// Out of the view, waiting out a requeue backoff, its row parked.
+    Parked(usize),
+    /// Removed for good: its row is free.
+    Ended,
+}
 
 /// The fields every hot policy loop touches (priority walks, gap
 /// checks, bound clamps, footprint sums), packed into one 32-byte row
@@ -340,7 +335,7 @@ struct HotJob {
     priority: u32,
     replicas: u32,
     last_action: SimTime,
-    /// `LIVE` / `RUNNING` bits; `0` is a free row.
+    /// `LIVE` / `RUNNING` or `PARKED` bits; `0` is a free row.
     flags: u32,
     /// The job the row holds (the last one, in a free row).
     id: JobId,
@@ -349,22 +344,23 @@ struct HotJob {
 /// A hot row is one cache line's half: the id fits the padding.
 const _: () = assert!(std::mem::size_of::<HotJob>() == 32);
 
-/// Struct-of-arrays job storage, one row per live job: one packed
-/// [`HotJob`] column for the fields scans read, plus cold columns
+/// Struct-of-arrays job storage, one row per live or parked job: one
+/// packed [`HotJob`] column for the fields scans read, plus cold columns
 /// (`submitted_at`, `walltime_estimate`) that only index maintenance
 /// and full-snapshot assembly touch. A removed job's row is cleared of
-/// its `LIVE` flag and pushed on `free`, which the next insert pops
-/// before the columns grow, so they are as long as the most jobs ever
-/// live at once.
+/// its flags and pushed on `free`, which the next insert pops before
+/// the columns grow, so they are as long as the most jobs ever live or
+/// parked at once.
 #[derive(Debug, Clone, Default)]
 struct JobArena {
     hot: Vec<HotJob>,
     submitted_at: Vec<SimTime>,
     walltime_estimate: Vec<Option<Duration>>,
+    /// Per id: its row while it is live or parked, else [`UNKNOWN`] or
+    /// [`ENDED`].
+    row_of: Vec<u32>,
     /// Free rows, the last freed on top.
     free: Vec<u32>,
-    /// Each live job's row.
-    rows: IdMap<u32>,
 }
 
 impl JobArena {
@@ -372,14 +368,29 @@ impl JobArena {
         self.hot.len()
     }
 
+    /// Where `id`'s row is.
+    #[inline]
+    fn phase(&self, id: JobId) -> Phase {
+        match self.row_of.get(id.index()).copied().unwrap_or(UNKNOWN) {
+            UNKNOWN => Phase::Unknown,
+            ENDED => Phase::Ended,
+            row if self.is_live(row as usize) => Phase::Live(row as usize),
+            row => Phase::Parked(row as usize),
+        }
+    }
+
     /// The row of live job `id`.
     #[inline]
     fn row(&self, id: JobId) -> Option<usize> {
-        self.rows.get(&id).map(|&row| row as usize)
+        match self.phase(id) {
+            Phase::Live(row) => Some(row),
+            _ => None,
+        }
     }
 
-    /// A row for `job`, which must not be live: a free one, or a new
-    /// one at the end of every column.
+    /// A row for `job`, which must not be live and must be in the row
+    /// column: its parked one, a free one, or a new one at the end of
+    /// every column.
     fn take_row(&mut self, job: &JobState) -> usize {
         let hot = HotJob {
             min_replicas: job.min_replicas,
@@ -390,9 +401,13 @@ impl JobArena {
             flags: LIVE | if job.running { RUNNING } else { 0 },
             id: job.id,
         };
-        let idx = match self.free.pop() {
-            Some(row) => {
-                let idx = row as usize;
+        let reused = match self.phase(job.id) {
+            Phase::Live(_) => panic!("job {} already live", job.id),
+            Phase::Parked(row) => Some(row),
+            Phase::Unknown | Phase::Ended => self.free.pop().map(|row| row as usize),
+        };
+        let idx = match reused {
+            Some(idx) => {
                 self.hot[idx] = hot;
                 self.submitted_at[idx] = job.submitted_at;
                 self.walltime_estimate[idx] = job.walltime_estimate;
@@ -405,21 +420,20 @@ impl JobArena {
                 self.hot.len() - 1
             }
         };
-        let previous = self.rows.insert(job.id, idx as u32);
-        assert!(previous.is_none(), "job {} already live", job.id);
+        self.row_of[job.id.index()] = idx as u32;
         idx
     }
 
-    /// Takes live job `id` out of the row map: its row, which still
-    /// holds the job until [`JobArena::free_row`].
-    fn forget(&mut self, id: JobId) -> Option<usize> {
-        self.rows.remove(&id).map(|row| row as usize)
-    }
-
-    /// Frees the row at `idx`, forgotten, for the next insert.
-    fn free_row(&mut self, idx: usize) {
-        self.hot[idx].flags = 0;
-        self.free.push(idx as u32);
+    /// Ends `id`: its row, live or parked, is freed for the next insert.
+    /// An id past the column is left alone.
+    fn end(&mut self, id: JobId) {
+        if let Phase::Live(idx) | Phase::Parked(idx) = self.phase(id) {
+            self.hot[idx].flags = 0;
+            self.free.push(idx as u32);
+        }
+        if let Some(row) = self.row_of.get_mut(id.index()) {
+            *row = ENDED;
+        }
     }
 
     fn is_live(&self, idx: usize) -> bool {
@@ -1040,7 +1054,7 @@ impl ClusterView {
             ColumnBytes::of_vec("view submission instants", &a.submitted_at),
             ColumnBytes::of_vec("view walltime estimates", &a.walltime_estimate),
             ColumnBytes::of_vec("view free rows", &a.free),
-            ColumnBytes::of_map("view row map", &a.rows),
+            ColumnBytes::of_vec("view row map", &a.row_of),
         ];
         let lists = [
             (
@@ -1153,13 +1167,61 @@ impl ClusterView {
         self.arena.row(id).map(|idx| self.arena.get(idx))
     }
 
-    /// Adds a job to the view. A running job debits
-    /// `replicas + launcher_slots` from the free counter; a queued job
-    /// holds nothing.
+    /// Where `id`'s row is: the one job → row map of a run, which the
+    /// kernel's attempt ledger and the engines' per-job state are
+    /// indexed by too.
+    pub(crate) fn phase(&self, id: JobId) -> Phase {
+        self.arena.phase(id)
+    }
+
+    /// Grows the row column to ids `0..n`, in one allocation.
+    pub(crate) fn expect_jobs(&mut self, n: usize) {
+        if n > self.arena.row_of.len() {
+            self.arena.row_of.resize(n, UNKNOWN);
+        }
+    }
+
+    /// Ids the row column covers: every id inserted or expected.
+    pub(crate) fn known_jobs(&self) -> usize {
+        self.arena.row_of.len()
+    }
+
+    /// The parked rows. Panics unless each live or parked row is its
+    /// job's row in the column and the free list holds every other row.
+    /// O(rows), allocating nothing.
+    pub(crate) fn parked_rows(&self) -> usize {
+        let a = &self.arena;
+        for (row, h) in a.hot.iter().enumerate() {
+            let mapped = h.flags == 0 || a.row_of[h.id.index()] as usize == row;
+            assert!(mapped, "row {row} of {} is not its row", h.id);
+        }
+        let free = a.hot.iter().filter(|h| h.flags == 0).count();
+        assert_eq!(free, a.free.len(), "free rows");
+        a.hot.iter().filter(|h| h.flags & PARKED != 0).count()
+    }
+
+    /// Rewrites each queued job's priority to `priority` of it. The
+    /// priority orders key on it, so they are dropped, to be rebuilt on
+    /// their next read; no other index reads a priority.
+    pub(crate) fn set_queued_priorities(&mut self, priority: impl Fn(JobRef<'_>) -> u32) {
+        let a = &mut self.arena;
+        for idx in 0..a.len() {
+            if a.is_live(idx) && !a.is_running(idx) {
+                let boosted = priority(a.cursor(idx as u32));
+                a.hot[idx].priority = boosted;
+            }
+        }
+        self.priority_orders = OnceLock::new();
+    }
+
+    /// Adds a job to the view, on its parked row if it has one. A
+    /// running job debits `replicas + launcher_slots` from the free
+    /// counter; a queued job holds nothing.
     ///
     /// Panics if the id is already live or a running insert exceeds the
     /// free slots.
     pub fn insert(&mut self, job: JobState, launcher_slots: u32) {
+        self.expect_jobs(job.id.index() + 1);
         let idx = self.arena.take_row(&job);
         if job.running {
             let need = job.replicas + launcher_slots;
@@ -1179,12 +1241,24 @@ impl ClusterView {
         }
     }
 
-    /// Removes a job (completion or cancellation), crediting
-    /// `replicas + launcher_slots` back if it was running, and frees
-    /// its row. Returns the removed state, or `None` if the id is not
-    /// live.
+    /// Removes a job for good (completion or cancellation), crediting
+    /// `replicas + launcher_slots` back if it was running, and frees its
+    /// row — a parked one too. The id reads as ended from then on (a
+    /// kernel's cancellation of a job at its first admission is such a
+    /// remove of an id that never had a row). Returns the removed state,
+    /// or `None` if the id is not live.
     pub fn remove(&mut self, id: JobId, launcher_slots: u32) -> Option<JobState> {
-        let idx = self.arena.forget(id)?;
+        let job = self
+            .arena
+            .row(id)
+            .map(|idx| self.take_out(idx, launcher_slots));
+        self.arena.end(id);
+        job
+    }
+
+    /// Takes the live job at `idx` out of the counters and the indexes,
+    /// crediting what it held; its row still holds it.
+    fn take_out(&mut self, idx: usize, launcher_slots: u32) -> JobState {
         let job = self.arena.get(idx);
         self.live -= 1;
         if job.running {
@@ -1193,8 +1267,7 @@ impl ClusterView {
         } else {
             self.index_queued(idx, false);
         }
-        self.arena.free_row(idx);
-        Some(job)
+        job
     }
 
     /// Live jobs in id (= admission) order. O(live · log live): the
@@ -1497,9 +1570,10 @@ pub enum Action {
         job: JobId,
     },
     /// Kill a running `job` and resubmit it from scratch after a
-    /// backoff (kill-and-requeue recovery). The job leaves the view
-    /// entirely; the engine re-inserts it when the requeue comes due
-    /// and fails it permanently once the retry budget is exhausted.
+    /// backoff (kill-and-requeue recovery). The job leaves the view,
+    /// its row parked; the engine re-inserts it on that row when the
+    /// requeue comes due, or removes it for good once the retry budget
+    /// is exhausted.
     Requeue {
         /// Target job (must be running).
         job: JobId,
@@ -1614,7 +1688,8 @@ pub fn apply_action(view: &mut ClusterView, action: &Action, now: SimTime, launc
             let idx =
                 (view.arena.row(job)).unwrap_or_else(|| panic!("requeue for unknown job {job}"));
             assert!(view.arena.is_running(idx), "requeue of non-running {job}");
-            view.remove(job, launcher_slots);
+            view.take_out(idx, launcher_slots);
+            view.arena.hot[idx].flags = PARKED;
         }
     }
 }
@@ -2612,11 +2687,14 @@ pub(crate) mod tests {
         view.running_scan().count();
         let row = view.arena.row(JobId(1)).expect("live");
         view.remove(JobId(1), 1);
+        assert_eq!(view.phase(JobId(1)), Phase::Ended);
+        assert_eq!(view.arena.free, [row as u32], "the row is free");
         // Same instant, same bucket: the new job links where the old
         // one was unlinked, through the same row.
         view.insert(q(9, 1.0, 2), 1);
-        assert_eq!(view.arena.row(JobId(9)), Some(row));
+        assert_eq!(view.phase(JobId(9)), Phase::Live(row));
         assert_eq!(view.arena.len(), 4, "no row grown");
+        assert_eq!(view.known_jobs(), 10, "one column entry per id up to 9");
         assert_eq!(queue_ids(&view), [0, 9, 2, 3]);
         assert_eq!(fitting_ids(&view, 0, 8), [9, 2, 3]);
         assert_lists_current(&view);
@@ -2625,15 +2703,64 @@ pub(crate) mod tests {
         assert_ne!(fresh.arena.row(JobId(9)), Some(row));
     }
 
+    /// Starts `id` on 2 workers and kill-and-requeues it at `at`.
+    fn start_and_requeue(view: &mut ClusterView, id: u32, at: f64) {
+        let (job, at) = (JobId(id), SimTime::from_secs(at));
+        apply_action(view, &Action::Create { job, replicas: 2 }, at, 1);
+        apply_action(view, &Action::Requeue { job }, at, 1);
+    }
+
     #[test]
-    fn the_row_map_finds_what_it_holds() {
-        let mut map: IdMap<u32> = IdMap::default();
-        for i in (0..10_000).step_by(3) {
-            map.insert(JobId(i), i * 2);
-        }
-        for i in 0..10_000 {
-            assert_eq!(map.get(&JobId(i)), (i % 3 == 0).then_some(&(i * 2)));
-        }
+    fn a_requeued_jobs_row_is_parked_until_it_returns_or_ends() {
+        let mut view = view_of(64, 64, (0..4).map(|id| q(id, f64::from(id), 2)).collect());
+        read_queue_lists(&view);
+        view.running_scan().count();
+        let row = view.arena.row(JobId(1)).expect("live");
+        start_and_requeue(&mut view, 1, 5.0);
+        // Neither live nor free: the next insert takes another row.
+        assert_eq!(view.phase(JobId(1)), Phase::Parked(row));
+        assert!(view.job(JobId(1)).is_none());
+        assert!(!view.arena.is_live(row));
+        assert_eq!((view.len(), view.parked_rows()), (3, 1));
+        view.insert(q(4, 6.0, 2), 1);
+        assert_ne!(view.arena.row(JobId(4)), Some(row));
+        assert_eq!(view.arena.len(), 5, "a row grown past the parked one");
+        // Re-inserted at its backoff deadline: the same row back.
+        view.insert(q(1, 7.0, 2), 1);
+        assert_eq!(view.phase(JobId(1)), Phase::Live(row));
+        assert_eq!(queue_ids(&view), [0, 2, 3, 4, 1]);
+        assert_eq!(view.parked_rows(), 0);
+        assert_lists_current(&view);
+        // A remove while parked frees the row for the next insert.
+        start_and_requeue(&mut view, 1, 8.0);
+        assert!(view.remove(JobId(1), 1).is_none(), "not live");
+        assert_eq!(view.phase(JobId(1)), Phase::Ended);
+        assert_eq!(view.parked_rows(), 0);
+        view.insert(q(5, 9.0, 2), 1);
+        assert_eq!(view.phase(JobId(5)), Phase::Live(row));
+        assert_lists_current(&view);
+    }
+
+    #[test]
+    fn a_view_with_parked_rows_and_ended_ids_equals_its_rebuilt_reference() {
+        let mut view = view_of(64, 64, (0..8).map(|id| q(id, f64::from(id), 2)).collect());
+        read_queue_lists(&view);
+        last_action_ids(&view);
+        view.running_scan().count();
+        start_and_requeue(&mut view, 2, 10.0);
+        start_and_requeue(&mut view, 5, 10.0);
+        view.remove(JobId(0), 1);
+        view.remove(JobId(6), 1);
+        let start = Action::Create {
+            job: JobId(3),
+            replicas: 4,
+        };
+        apply_action(&mut view, &start, SimTime::from_secs(11.0), 1);
+        view.insert(q(8, 12.0, 2), 1);
+        assert_eq!(view.parked_rows(), 2);
+        let rebuilt = view_of(64, view.free_slots(), view.jobs().collect());
+        assert_eq!(rebuilt.parked_rows(), 0);
+        assert_eq!(view, rebuilt);
     }
 
     #[test]

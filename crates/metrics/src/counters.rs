@@ -5,7 +5,6 @@
 //! is not a sum, and is not a [`Counter`]; the bytes a run holds, by
 //! column, are one ([`ColumnBytes`]).
 
-use std::collections::HashMap;
 use std::ops::Index;
 
 /// One thing a run counts.
@@ -78,9 +77,8 @@ impl Index<Counter> for Counters {
 
 /// The bytes one column of a run's state holds: `len` in use, and
 /// `capacity` allocated. A gauge, not a [`Counter`]: read at an
-/// instant, summed over no run. A map's capacity counts its buckets
-/// and their control bytes, as `std`'s `HashMap` lays them out; a
-/// tree's is its elements' (its nodes add a little).
+/// instant, summed over no run. A tree's capacity is its elements'
+/// (its nodes add a little).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColumnBytes {
     /// What the column is.
@@ -99,27 +97,6 @@ impl ColumnBytes {
             column,
             len: v.len() * size,
             capacity: v.capacity() * size,
-        }
-    }
-
-    /// A hash map's entries, and its table: a power-of-two bucket
-    /// count at least 8/7 of its capacity, each bucket an entry and a
-    /// control byte, plus one group of control bytes.
-    pub fn of_map<K, V, S>(column: &'static str, map: &HashMap<K, V, S>) -> ColumnBytes {
-        let entry = std::mem::size_of::<(K, V)>();
-        let buckets = match map.capacity() {
-            0 => 0,
-            n if n < 8 => (n + 1).next_power_of_two(),
-            n => (n * 8 / 7).next_power_of_two(),
-        };
-        ColumnBytes {
-            column,
-            len: map.len() * entry,
-            capacity: if buckets == 0 {
-                0
-            } else {
-                buckets * (entry + 1) + 16
-            },
         }
     }
 

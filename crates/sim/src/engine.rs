@@ -43,8 +43,9 @@
 //! lives at the kernel's attempt row of the job, which [`Effects`]
 //! hands with every launch, resize and stop, so this file keeps no job
 //! map of its own. What a replay holds per job of its workload is the
-//! kernel's 4-byte row-map entry and its outcome row
-//! ([`SimState::column_bytes`] reports each column).
+//! job's 4-byte entry in the view's row column, the run's one job → row
+//! map, and its outcome row ([`SimState::column_bytes`] reports each
+//! column).
 //!
 //! Inside a burst the kernel's map cannot be read, so a scheduled
 //! completion or requeue carries a **ticket** instead of a lookup: the

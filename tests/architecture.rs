@@ -6,8 +6,8 @@
 //! cross-engine tests, the bench sweeps and the examples, one lock policy,
 //! no dependency a package's sources never name, one entry point
 //! for the paper's artifacts, no public function or constant that
-//! only its own file names, one counting surface, and no job row map
-//! in an engine adapter beside the kernel's. Each test runs its
+//! only its own file names, one counting surface, and one job row map
+//! in the run, the view's. Each test runs its
 //! rule on the tree as it is, then with one recorded mutation spliced
 //! into a real file, and asserts that the rule fires. Most rules read
 //! [`code`]: a file without its comments, literals and `#[cfg(test)]`
@@ -19,6 +19,8 @@ use std::path::PathBuf;
 
 const ENGINE: &str = "crates/sim/src/engine.rs";
 const OPERATOR: &str = "crates/core/src/operator.rs";
+const KERNEL_RS: &str = "crates/core/src/kernel.rs";
+const VIEW: &str = "crates/core/src/view.rs";
 const EXECUTOR: &str = "crates/core/src/executor.rs";
 const HARNESS: &str = "crates/core/src/harness.rs";
 const API: &str = "crates/kube/src/api.rs";
@@ -67,7 +69,9 @@ const SHAPE: &str =
 const UNLOCKED: &str = "{path} counts outside the store lock; bump a StoreInner field under it";
 const ROW_MAP: &str = "row_of|free: Vec<u32>";
 const OWN_ROWS: &str =
-    "{path} keeps a job row map of its own; keep per-job state at the row Effects hands";
+    "{path} keeps a job row map of its own; the view's row column is the run's one, at the rows Effects hands";
+const HASHED_ROWS: &str =
+    "{path} hashes a job to its row; the dense row column is the run's one job row map";
 /// The public count shapes rule 12 lets stand, with the reason.
 const OWN_SHAPES: [(&str, &str); 2] = [
     (
@@ -448,15 +452,22 @@ fn one_counting_surface(read: Read) -> Verdict {
     deny(API, &code(&read(API)), any_of("AtomicU64"), UNLOCKED)
 }
 
-/// Rule 13: an adapter keeps no row map of its own. Neither engine
-/// declares a `row_of` or a free list of rows: the kernel's attempt
-/// row, which `Effects` hands with every launch, resize and stop, is
-/// where each keeps its per-job state.
-fn no_row_map_in_an_adapter(read: Read) -> Verdict {
-    for path in [ENGINE, OPERATOR] {
+/// Rule 13: one row map in the run. Neither engine nor the kernel
+/// declares a `row_of` or a free list of rows: the view's row column
+/// and free list are the only ones, the kernel's attempt ledger is a
+/// column at the view's rows, and each engine keeps its per-job state
+/// at the row `Effects` hands with every launch, resize and stop. Nor
+/// does the view hash a job to its row beside that column.
+fn one_row_map_in_the_run(read: Read) -> Verdict {
+    for path in [ENGINE, OPERATOR, KERNEL_RS] {
         deny(path, &code(&read(path)), any_of(ROW_MAP), OWN_ROWS)?;
     }
-    Ok(())
+    deny(
+        VIEW,
+        &code(&read(VIEW)),
+        any_of("HashMap|IdMap"),
+        HASHED_ROWS,
+    )
 }
 
 /// The name a line of code defines as a `pub struct`, if it ends in
@@ -773,13 +784,25 @@ fn one_counting_surface_rule() {
 }
 
 #[test]
-fn no_row_map_in_an_adapter_rule() {
+fn one_row_map_in_the_run_rule() {
     // The DES's own job map and free list come back.
     let anchor = "/// The queue side of the run";
     let launched = "struct Launched {\n    row_of: Vec<u32>,\n    rows: Vec<JobRt>,\n    free: Vec<u32>,\n}\n\n";
     let mutated = disk(ENGINE).replacen(anchor, &format!("{launched}{anchor}"), 1);
-    let broken = rail(no_row_map_in_an_adapter, ENGINE, &mutated, OWN_ROWS);
+    let broken = rail(one_row_map_in_the_run, ENGINE, &mutated, OWN_ROWS);
     assert!(broken.ends_with("    free: Vec<u32>,"), "{broken}");
+    // Or the kernel's own map and free list beside its attempt ledger.
+    let ledger = "    rows: Vec<Attempt>,\n";
+    let own = format!("    row_of: Vec<u32>,\n{ledger}    free: Vec<u32>,\n");
+    let mutated = disk(KERNEL_RS).replacen(ledger, &own, 1);
+    let broken = rail(one_row_map_in_the_run, KERNEL_RS, &mutated, OWN_ROWS);
+    assert!(broken.ends_with("    free: Vec<u32>,"), "{broken}");
+    // Or a hash map of the live jobs in the view's arena.
+    let arena = "struct JobArena {\n";
+    let hashed = format!("{arena}    rows: IdMap<u32>,\n");
+    let mutated = disk(VIEW).replacen(arena, &hashed, 1);
+    let broken = rail(one_row_map_in_the_run, VIEW, &mutated, HASHED_ROWS);
+    assert!(broken.ends_with("    rows: IdMap<u32>,"), "{broken}");
 }
 
 /// A product file that defines `lonely` and `LIMIT`, and a test file
